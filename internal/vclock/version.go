@@ -133,8 +133,12 @@ func (v Version) Compare(o Version) Ordering {
 // Dominates reports whether v has seen every write o has (v >= o
 // element-wise) — i.e. Compare is After or Equal.
 func (v Version) Dominates(o Version) bool {
-	c := v.Compare(o)
-	return c == After || c == Equal
+	for s, oc := range o {
+		if oc > v[s] {
+			return false
+		}
+	}
+	return true
 }
 
 // ErrBadVersion reports a malformed binary version encoding.

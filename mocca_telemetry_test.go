@@ -134,7 +134,7 @@ func TestTraceLinksWriteAcrossSites(t *testing.T) {
 func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	dep := NewDeployment(WithSeed(7), WithTelemetry(), WithDurableStore(t.TempDir()))
 	s0 := dep.AddSite("s0", "s0.net")
-	dep.AddSite("s1", "s1.net")
+	s1 := dep.AddSite("s1", "s1.net")
 	if _, err := s0.Space().Put("ada", SharedSchemaName, map[string]string{"title": "x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +155,24 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	if want := s0.Replicator().Stats().Rounds; snap.Value("mocca.sync.rounds", observe.L("site", "s0")...) != want {
 		t.Fatalf("sync.rounds diverged from replica.Stats")
 	}
+	// How the digest negotiation repaired the one write: s1 pulled it
+	// straight off the high-water marks, s0 served it, nobody descended.
+	for _, site := range []*Site{s0, s1} {
+		rs := site.Replicator().Stats()
+		for name, want := range map[string]int64{
+			"mocca.sync.hw_fast_deltas": rs.HWFastDeltas,
+			"mocca.sync.descent_calls":  rs.DescentCalls,
+			"mocca.sync.deltas_served":  rs.DeltasServed,
+		} {
+			if got := snap.Value(name, observe.L("site", site.Name)...); got != want {
+				t.Fatalf("%s{site=%s} = %d, replica.Stats says %d", name, site.Name, got, want)
+			}
+		}
+	}
+	if snap.Value("mocca.sync.hw_fast_deltas", observe.L("site", "s1")...) == 0 ||
+		snap.Value("mocca.sync.deltas_served", observe.L("site", "s0")...) == 0 {
+		t.Fatalf("the fast-path repair is not in the projection: %+v", snap.Points)
+	}
 
 	var buf bytes.Buffer
 	if err := snap.WriteText(&buf); err != nil {
@@ -164,6 +182,9 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE mocca_sync_rounds counter",
 		`mocca_sync_rounds{site="s0"}`,
+		"# TYPE mocca_sync_hw_fast_deltas counter",
+		"# TYPE mocca_sync_descent_calls counter",
+		`mocca_sync_deltas_served{site="s0"}`,
 		"mocca_net_delivered",
 	} {
 		if !strings.Contains(text, want) {

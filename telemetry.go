@@ -113,6 +113,9 @@ func (d *Deployment) registerCollectors() {
 			emit(ctr("mocca.sync.merkle_exchanges", name, rs.MerkleExchanges))
 			emit(ctr("mocca.sync.legacy_exchanges", name, rs.LegacyExchanges))
 			emit(ctr("mocca.sync.converged_roots", name, rs.ConvergedRoots))
+			emit(ctr("mocca.sync.hw_fast_deltas", name, rs.HWFastDeltas))
+			emit(ctr("mocca.sync.descent_calls", name, rs.DescentCalls))
+			emit(ctr("mocca.sync.deltas_served", name, rs.DeltasServed))
 			emit(gauge("mocca.sync.scoped_trees", name, int64(rs.ScopedTrees)))
 
 			rds := s.reader.Stats()
