@@ -1,7 +1,6 @@
 // Ablation benchmarks for design choices DESIGN.md calls out beyond the
-// paper's figures: the engineering channel's migration transparency, and
-// per-link FIFO ordering in the simulated network (which the rtc session
-// otherwise repairs with its gap buffer).
+// paper's figures: per-link FIFO ordering in the simulated network (which
+// the rtc session otherwise repairs with its gap buffer).
 package mocca
 
 import (
@@ -9,71 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"mocca/internal/engineering"
 	"mocca/internal/netsim"
 	"mocca/internal/vclock"
 )
-
-// BenchmarkEngineeringChannel measures invocation through the full
-// stub/binder/protocol path, with and without a migration mid-run.
-func BenchmarkEngineeringChannel(b *testing.B) {
-	newWorld := func(b *testing.B, opts ...engineering.BindOption) (*engineering.Cluster, *engineering.Capsule, *engineering.Channel) {
-		b.Helper()
-		node := engineering.NewNode("n")
-		capA, err := node.NewCapsule("a")
-		if err != nil {
-			b.Fatal(err)
-		}
-		capB, err := node.NewCapsule("b")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cluster, err := capA.NewCluster("c")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cluster.NewObject("store", engineering.KVBehaviour()); err != nil {
-			b.Fatal(err)
-		}
-		ch, err := engineering.Bind(cluster, "store", opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return cluster, capB, ch
-	}
-
-	b.Run("stable_binding", func(b *testing.B) {
-		_, _, ch := newWorld(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ch.Invoke("set", []byte("k=v")); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("migration_every_16_transparent", func(b *testing.B) {
-		cluster, capB, ch := newWorld(b, engineering.WithMigrationTransparency())
-		capA := cluster.Capsule()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%16 == 15 {
-				target := capB
-				if cluster.Capsule() == capB {
-					target = capA
-				}
-				if err := cluster.Migrate(target); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := ch.Invoke("set", []byte("k=v")); err != nil {
-				b.Fatal(err)
-			}
-		}
-		_, rebinds := ch.Stats()
-		b.ReportMetric(float64(rebinds), "rebinds")
-	})
-}
 
 // BenchmarkAblationFIFO measures the cost of per-link FIFO ordering vs
 // unordered delivery with client-side gap repair, for a burst of messages.

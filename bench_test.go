@@ -550,64 +550,50 @@ func benchReplicaAntiEntropy(b *testing.B, n int, opts ...Option) {
 // BenchmarkReplicaAntiEntropyScale pins the digest negotiation's scaling
 // claims at 10⁴ and 10⁵ stored objects: a converged round costs O(1)
 // digest bytes (one root compare + high-water marks) and a round
-// repairing one changed object costs O(log n) — against the legacy
-// full-digest baseline whose every round ships the whole O(n) digest.
+// repairing one changed object costs O(log n).
 // The digestB/op metric is replica.Stats.DigestBytes per converged
 // round; syncB/op is the engineering-viewpoint wire cost
 // (Fabric.TotalsFor("repl-")), which includes data deltas and JSON
 // framing.
 func BenchmarkReplicaAntiEntropyScale(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
-		for _, mode := range []struct {
-			name string
-			opts []Option
-		}{
-			{"merkle", nil},
-			{"full-digest", []Option{WithFullDigestSync()}},
-		} {
-			if n == 100_000 && mode.name == "full-digest" {
-				// The O(n) baseline at 10⁵ objects ships ~10 MB per round;
-				// the 10⁴ pair already pins the comparison.
-				continue
+		b.Run(fmt.Sprintf("objects=%d/merkle/converged", n), func(b *testing.B) {
+			dep, _, _ := seedLargeDeployment(b, n)
+			start := statsFor(b, dep, "s00")
+			wireStart := dep.Fabric().TotalsFor("repl-").BytesOut
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dep.SyncInformation()
+				dep.Run()
 			}
-			b.Run(fmt.Sprintf("objects=%d/%s/converged", n, mode.name), func(b *testing.B) {
-				dep, _, _ := seedLargeDeployment(b, n, mode.opts...)
-				start := statsFor(b, dep, "s00")
-				wireStart := dep.Fabric().TotalsFor("repl-").BytesOut
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dep.SyncInformation()
-					dep.Run()
+			b.StopTimer()
+			end := statsFor(b, dep, "s00")
+			b.ReportMetric(float64(end.DigestBytes-start.DigestBytes)/float64(b.N), "digestB/op")
+			b.ReportMetric(float64(dep.Fabric().TotalsFor("repl-").BytesOut-wireStart)/float64(b.N), "syncB/op")
+		})
+		b.Run(fmt.Sprintf("objects=%d/merkle/divergent-1", n), func(b *testing.B) {
+			dep, sites, ids := seedLargeDeployment(b, n)
+			target, version := ids[42], uint64(1)
+			start := statsFor(b, dep, "s00")
+			wireStart := dep.Fabric().TotalsFor("repl-").BytesOut
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				upd, err := sites[0].Space().Update("ada", target, version,
+					map[string]string{"title": fmt.Sprintf("v%d", i+1)})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				end := statsFor(b, dep, "s00")
-				b.ReportMetric(float64(end.DigestBytes-start.DigestBytes)/float64(b.N), "digestB/op")
-				b.ReportMetric(float64(dep.Fabric().TotalsFor("repl-").BytesOut-wireStart)/float64(b.N), "syncB/op")
-			})
-			b.Run(fmt.Sprintf("objects=%d/%s/divergent-1", n, mode.name), func(b *testing.B) {
-				dep, sites, ids := seedLargeDeployment(b, n, mode.opts...)
-				target, version := ids[42], uint64(1)
-				start := statsFor(b, dep, "s00")
-				wireStart := dep.Fabric().TotalsFor("repl-").BytesOut
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					upd, err := sites[0].Space().Update("ada", target, version,
-						map[string]string{"title": fmt.Sprintf("v%d", i+1)})
-					if err != nil {
-						b.Fatal(err)
-					}
-					version = upd.Version
-					dep.Run() // drain sync rounds: both replicas converge
-				}
-				b.StopTimer()
-				if got, err := sites[1].Space().Get("ada", target); err != nil || got.Version != version {
-					b.Fatalf("replica diverged: %+v %v", got, err)
-				}
-				end := statsFor(b, dep, "s00")
-				b.ReportMetric(float64(end.DigestBytes-start.DigestBytes)/float64(b.N), "digestB/op")
-				b.ReportMetric(float64(dep.Fabric().TotalsFor("repl-").BytesOut-wireStart)/float64(b.N), "syncB/op")
-			})
-		}
+				version = upd.Version
+				dep.Run() // drain sync rounds: both replicas converge
+			}
+			b.StopTimer()
+			if got, err := sites[1].Space().Get("ada", target); err != nil || got.Version != version {
+				b.Fatalf("replica diverged: %+v %v", got, err)
+			}
+			end := statsFor(b, dep, "s00")
+			b.ReportMetric(float64(end.DigestBytes-start.DigestBytes)/float64(b.N), "digestB/op")
+			b.ReportMetric(float64(dep.Fabric().TotalsFor("repl-").BytesOut-wireStart)/float64(b.N), "syncB/op")
+		})
 	}
 }
 

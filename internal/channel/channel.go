@@ -117,7 +117,7 @@ func (s *Stats) add(o Stats) {
 
 // Observer receives channel lifecycle and traffic notifications; the
 // engineering layer implements it to mirror live channels into its
-// capsule/cluster bookkeeping. Addresses are strings so implementations
+// bookkeeping (engineering.Fabric). Addresses are strings so implementations
 // need not import netsim's types. Callbacks run on the sending/delivering
 // goroutine and must be fast.
 type Observer interface {

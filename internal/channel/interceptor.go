@@ -8,16 +8,6 @@ import (
 	"mocca/internal/odp"
 )
 
-// Tracer observes every frame crossing the stack without altering it. The
-// callback receives a copy of the Frame header; the envelope pointer is
-// shared, so callbacks must not mutate it.
-func Tracer(fn func(Frame)) Interceptor {
-	return func(f *Frame) error {
-		fn(*f)
-		return nil
-	}
-}
-
 // DropIf discards (as ErrDropFrame) every frame the predicate selects —
 // the building block for targeted fault injection in tests and scenarios.
 func DropIf(pred func(*Frame) bool) Interceptor {

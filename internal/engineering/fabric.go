@@ -1,3 +1,9 @@
+// Package engineering keeps the engineering viewpoint's books: Fabric
+// mirrors every live channel binding of a deployment — which interfaces
+// are bound, at what epoch, and the frames and bytes each has carried —
+// and reconciles those totals against the network's own counters. The
+// channels themselves (stub, binder, protocol object, rebinding on
+// migration) are internal/channel; this package only observes them.
 package engineering
 
 import (
@@ -38,9 +44,9 @@ type FabricTotals struct {
 }
 
 // Fabric mirrors the live channel stacks of a running deployment into
-// engineering-viewpoint bookkeeping: every network address becomes a Node
-// hosting a "transport" capsule, and every binding a stack establishes
-// becomes a channel record here. It implements the channel package's
+// engineering-viewpoint bookkeeping: every network address that opened a
+// channel is a node, and every binding a stack establishes becomes a
+// channel record here. It implements the channel package's
 // Observer contract structurally (string addresses, int sizes), so the
 // engineering layer needs no dependency on the transport packages.
 //
@@ -50,7 +56,7 @@ type FabricTotals struct {
 // bypassed the engineering channel.
 type Fabric struct {
 	mu       sync.Mutex
-	nodes    map[string]*Node
+	nodes    map[string]struct{} // addresses with at least one local channel
 	channels map[fabricKey]*ChannelInfo
 }
 
@@ -59,23 +65,9 @@ type fabricKey struct{ local, remote string }
 // NewFabric creates an empty fabric.
 func NewFabric() *Fabric {
 	return &Fabric{
-		nodes:    make(map[string]*Node),
+		nodes:    make(map[string]struct{}),
 		channels: make(map[fabricKey]*ChannelInfo),
 	}
-}
-
-// nodeLocked ensures the engineering Node (with its transport capsule) for
-// an address. Caller holds f.mu.
-func (f *Fabric) nodeLocked(addr string) *Node {
-	n, ok := f.nodes[addr]
-	if !ok {
-		n = NewNode(addr)
-		if _, err := n.NewCapsule("transport"); err != nil {
-			panic(err) // fresh node: cannot collide
-		}
-		f.nodes[addr] = n
-	}
-	return n
 }
 
 // channelLocked ensures the record for a (local, remote) binding. Caller
@@ -84,7 +76,7 @@ func (f *Fabric) channelLocked(local, remote string) *ChannelInfo {
 	key := fabricKey{local, remote}
 	c, ok := f.channels[key]
 	if !ok {
-		f.nodeLocked(local)
+		f.nodes[local] = struct{}{}
 		c = &ChannelInfo{Local: local, Remote: remote, Epoch: 1}
 		f.channels[key] = c
 	}
@@ -134,15 +126,6 @@ func (f *Fabric) FrameDiscarded(local, remote string, wireBytes int, _ string) {
 	c := f.channelLocked(local, remote)
 	c.DiscardsIn++
 	c.DiscardBytesIn += int64(wireBytes)
-}
-
-// Node returns the engineering node mirroring the given address, if the
-// fabric has seen traffic from it.
-func (f *Fabric) Node(addr string) (*Node, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, ok := f.nodes[addr]
-	return n, ok
 }
 
 // Channels snapshots every live channel, sorted by (local, remote).

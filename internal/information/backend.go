@@ -4,7 +4,7 @@ import "mocca/internal/vclock"
 
 // Backend is the storage surface a Space drives: the keeping of object
 // rows and the relationship graph, with one atomic read-modify-write
-// primitive (Exec) and the two replication queries (Digest, NewerThan).
+// primitive (Exec) and the one replication query (Digest).
 // It is the seam between the information viewpoint and its engineering
 // realisation — the engine, anti-entropy replication and the groupware
 // applications are all written against this interface and cannot tell
@@ -26,9 +26,10 @@ import "mocca/internal/vclock"
 // written so it never has to materialise more than the caller asked
 // for: Range and Snapshot stream rows one at a time (a disk-backed
 // implementation may merge memtable and segment cursors under the
-// hood), Get/Exec are point lookups, and only Digest/NewerThan are
-// inherently O(rows) — they summarise every version vector, which is
-// exactly the anti-entropy exchange they exist for.
+// hood), Get/Exec are point lookups, and only Digest is inherently
+// O(rows) — it summarises every version vector. Sync rounds do not
+// call it: they compare the Space's incremental DigestTree and fetch
+// the rows they need by id.
 type Backend interface {
 	// Len returns the number of stored objects.
 	Len() int
@@ -57,12 +58,9 @@ type Backend interface {
 	// tree over recovered state — it must work without the backend ever
 	// materialising the full row set in memory.
 	Range(fn func(*Object) bool)
-	// Digest summarises every row's version vector for anti-entropy
-	// exchange.
+	// Digest summarises every row's version vector: two replicas hold
+	// the same state exactly when their digests are equal.
 	Digest() map[string]vclock.Version
-	// NewerThan returns copies of rows the given digest has not fully
-	// seen — the delta a peer with that digest needs to pull.
-	NewerThan(digest map[string]vclock.Version) []*Object
 
 	// Relate records a typed relationship; composition and dependency must
 	// stay acyclic. Both endpoints must exist.

@@ -191,8 +191,8 @@ func (c *mergeCursor) advance() error {
 // first — in sorted id order, calling fn once per live row. fromMem marks
 // rows aliased to the live memtable (callers needing to retain them must
 // clone); segment rows are freshly decoded. Tombstones and superseded
-// versions are filtered out. This is how Range, Digest, NewerThan and
-// Snapshot see one coherent store without materialising it: memory cost
+// versions are filtered out. This is how Range, Digest and Snapshot
+// see one coherent store without materialising it: memory cost
 // is one row per source.
 func (s *Store) iterate(fn func(obj *information.Object, fromMem bool) bool) error {
 	// Memtable snapshot BEFORE pinning segments: a flush between the two

@@ -108,7 +108,7 @@ type Stats struct {
 	SegmentReadFailures int64
 
 	// IterationFailures counts merged-view scans (Range, Snapshot,
-	// Digest, NewerThan) cut short by a segment I/O or decode error.
+	// Digest) cut short by a segment I/O or decode error.
 	// Those Backend signatures have no error slot either — the caller
 	// sees a truncated view, so the failure must at least be visible
 	// here (a silently partial digest would ship an incomplete
@@ -1059,22 +1059,6 @@ func (s *Store) Digest() map[string]vclock.Version {
 	out := make(map[string]vclock.Version, s.Len())
 	s.noteIterFailure(s.iterate(func(obj *information.Object, _ bool) bool {
 		out[obj.ID] = obj.VV.Clone()
-		return true
-	}))
-	return out
-}
-
-// NewerThan returns copies of rows the given digest has not fully seen —
-// already sorted by id, which the merged iteration yields for free.
-func (s *Store) NewerThan(digest map[string]vclock.Version) []*information.Object {
-	var out []*information.Object
-	s.noteIterFailure(s.iterate(func(obj *information.Object, fromMem bool) bool {
-		if seen, ok := digest[obj.ID]; !ok || !seen.Dominates(obj.VV) {
-			if fromMem {
-				obj = obj.Clone()
-			}
-			out = append(out, obj)
-		}
 		return true
 	}))
 	return out

@@ -444,8 +444,8 @@ func (s *Space) Len() int { return s.store.Len() }
 
 // --- replication ---------------------------------------------------------
 
-// Digest summarises every object's version vector for anti-entropy
-// exchange.
+// Digest summarises every object's version vector: equal digests mean
+// equal replicas.
 func (s *Space) Digest() map[string]vclock.Version { return s.store.Digest() }
 
 // Tree returns the replica's incremental Merkle digest summary, kept in
@@ -459,15 +459,9 @@ func (s *Space) Tree() *DigestTree { return s.tree }
 func (s *Space) Range(fn func(*Object) bool) { s.store.Range(fn) }
 
 // Fetch reads a row without access control — the replication layer's
-// read, symmetric to NewerThan/Digest which also bypass the ACL:
+// read, symmetric to Range/Digest which also bypass the ACL:
 // authorisation happened where the read request is served, not here.
 func (s *Space) Fetch(id string) (*Object, bool) { return s.store.Get(id) }
-
-// NewerThan returns objects the given digest has not fully seen — the
-// delta a peer with that digest needs.
-func (s *Space) NewerThan(digest map[string]vclock.Version) []*Object {
-	return s.store.NewerThan(digest)
-}
 
 // lwwWins reports whether a beats b under site-ordered last-writer-wins:
 // the later Updated timestamp wins; equal timestamps fall back to the

@@ -15,7 +15,7 @@ import (
 // a local replica store while a future backend swaps the in-memory maps
 // for persistence without touching the engine.
 //
-// Reads (Get, Snapshot, NewerThan) and every value Exec returns are deep
+// Reads (Get, Snapshot) and every value Exec returns are deep
 // copies, so no caller retains an alias to a stored row. The one
 // deliberate exception is the Exec callback itself: here it operates on
 // the live row under the store's lock — that is what makes it the atomic
@@ -169,23 +169,6 @@ func (st *Store) Digest() map[string]vclock.Version {
 	for id, obj := range st.objects {
 		out[id] = obj.VV.Clone()
 	}
-	return out
-}
-
-// NewerThan returns copies of rows the given digest has not fully seen —
-// rows absent from the digest, or whose version vector the digest entry
-// does not dominate (strictly newer or concurrent). This is the delta a
-// peer with that digest needs to pull.
-func (st *Store) NewerThan(digest map[string]vclock.Version) []*Object {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var out []*Object
-	for id, obj := range st.objects {
-		if seen, ok := digest[id]; !ok || !seen.Dominates(obj.VV) {
-			out = append(out, obj.clone())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -1,9 +1,9 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"mocca/internal/id"
 	"mocca/internal/information"
@@ -158,43 +158,81 @@ func TestMerkleDescentRepairsHighWaterBlindSpot(t *testing.T) {
 	}
 }
 
-// TestMerkleLegacyPeerFallback: a peer built WithFullDigest neither
-// serves nor initiates the negotiation. Its partner detects the missing
-// method on the first round, falls back to the full-digest exchange, and
-// the pair still converges — in both directions.
-func TestMerkleLegacyPeerFallback(t *testing.T) {
-	g := newFixtureOpts(t, []Option{}, []Option{WithFullDigest()})
-	obj, err := g.spaces[0].Put("prinz", "doc", map[string]string{"title": "draft"})
+// TestSyncRejectsUnscopedRequest: replica.sync serves only the scoped
+// step of a negotiation. A request that names no leaf buckets — the
+// former whole-space exchange, or anything malformed — gets a remote
+// error at once (not a timeout) and moves no state, digest or no digest.
+func TestSyncRejectsUnscopedRequest(t *testing.T) {
+	f := newManualFixture(t, 2)
+	held, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "held"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.clk.RunUntilIdle()
-	g.assertConverged(t, obj.ID)
+	probe := rpc.NewEndpoint(f.net.MustAddNode("probe"), f.clk)
+	before := f.reps[0].Stats()
 
-	s0 := g.reps[0].Stats()
-	if s0.LegacyExchanges == 0 {
-		t.Fatalf("modern replicator never fell back: %+v", s0)
-	}
-	if s0.DigestEntriesSent == 0 {
-		t.Fatal("fallback shipped no full digest")
-	}
-	// The fallback is sticky: later rounds go straight to the legacy path
-	// (exactly one failed negotiation attempt).
-	if s0.MerkleExchanges != 1 {
-		t.Fatalf("negotiation attempts = %d, want 1", s0.MerkleExchanges)
+	for name, req := range map[string]syncReq{
+		"no digest":   {Site: "probe"},
+		"with digest": {Site: "probe", Digest: map[string]vclock.Version{"other": {"probe": 1}}},
+	} {
+		var got error
+		answered := false
+		probe.GoJSON(f.reps[0].Addr(), MethodSync, req, func(res rpc.Result) {
+			var resp syncResp
+			got, answered = res.Decode(&resp), true
+			if len(resp.Deltas) != 0 || len(resp.Digest) != 0 {
+				t.Errorf("%s: unscoped request was answered with state: %+v", name, resp)
+			}
+		}, rpc.CallTimeout(DefaultSyncTimeout))
+		f.clk.RunUntilIdle()
+		var remote *rpc.RemoteError
+		if !answered || !errors.As(got, &remote) {
+			t.Fatalf("%s: err = %v (answered %v), want a remote error", name, got, answered)
+		}
 	}
 
-	// The legacy side initiates its own rounds natively.
-	if _, err := g.spaces[1].Update("prinz", obj.ID, 1, map[string]string{"title": "v2"}); err != nil {
+	after := f.reps[0].Stats()
+	if after.ServedDigests != before.ServedDigests || after.DeltasServed != before.DeltasServed {
+		t.Fatalf("refused requests were counted as served: before %+v after %+v", before, after)
+	}
+	if f.spaces[0].Len() != 1 {
+		t.Fatalf("space changed: %d rows", f.spaces[0].Len())
+	}
+	if got, ok := f.spaces[0].Fetch(held.ID); !ok || got.VV.Compare(held.VV) != vclock.Equal {
+		t.Fatalf("held row changed: %+v", got)
+	}
+}
+
+// TestPeerWithoutDigestHandlerIsAPeerFailure: an endpoint that does not
+// serve replica.digest is an ordinary failing peer — one negotiation
+// attempt and one PeerFailure per round, retried up to the failure cap,
+// with no lasting per-peer state: the pair converges on the first round
+// after the handlers exist.
+func TestPeerWithoutDigestHandlerIsAPeerFailure(t *testing.T) {
+	f := newFixture(t, 1)
+	bare := rpc.NewEndpoint(f.net.MustAddNode("repl-s1"), f.clk)
+	f.reps[0].AddPeer(bare.Addr())
+	obj, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "draft"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	g.clk.RunUntilIdle()
-	got := g.assertConverged(t, obj.ID)
-	if got.Fields["title"] != "v2" {
-		t.Fatalf("legacy-initiated round failed: %v", got.Fields)
+	f.clk.RunUntilIdle() // must drain: the failure cap ends the retries
+
+	s0 := f.reps[0].Stats()
+	if s0.Rounds != DefaultFailureCap || s0.PeerFailures != DefaultFailureCap ||
+		s0.MerkleExchanges != DefaultFailureCap || s0.PeerSyncs != 0 {
+		t.Fatalf("want %d rounds, each one negotiation attempt and one failure: %+v", DefaultFailureCap, s0)
 	}
-	if g.reps[1].Stats().MerkleExchanges != 0 {
-		t.Fatal("WithFullDigest replicator initiated a negotiation")
+
+	// The peer comes up with the protocol registered on the same address.
+	sp := information.NewSpace(f.spaces[0].Registry(), nil, f.clk, information.WithSite("s1"))
+	f.spaces = append(f.spaces, sp)
+	f.reps = append(f.reps, New(bare, f.clk, sp))
+	f.reps[0].SyncNow()
+	f.clk.RunUntilIdle()
+	f.assertConverged(t, obj.ID)
+	if s := f.reps[0].Stats(); s.PeerFailures != DefaultFailureCap || s.PeerSyncs == 0 {
+		t.Fatalf("first round after the handler exists did not sync: %+v", s)
 	}
 }
 
@@ -227,40 +265,6 @@ func newManualFixture(t *testing.T, n int) *fixture {
 				r.AddPeerNamed(o.Site(), o.Addr())
 			}
 		}
-	}
-	return f
-}
-
-// newFixtureOpts is newFixture with per-site replicator options — the
-// mixed-version mesh builder (e.g. one modern site, one WithFullDigest).
-func newFixtureOpts(t *testing.T, siteOpts ...[]Option) *fixture {
-	t.Helper()
-	clk := vclock.NewSimulated(netsim.DefaultEpoch)
-	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(7))
-	registry := information.NewSchemaRegistry()
-	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
-		{Name: "title", Type: information.FieldText, Required: true},
-		{Name: "body", Type: information.FieldText},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	ids := id.New()
-	f := &fixture{clk: clk, net: net}
-	for i, opts := range siteOpts {
-		site := fmt.Sprintf("s%d", i)
-		sp := information.NewSpace(registry, nil, clk,
-			information.WithSite(site), information.WithIDs(ids))
-		ep := rpc.NewEndpoint(net.MustAddNode(netsim.Address("repl-"+site)), clk, rpc.WithIDs(ids))
-		f.spaces = append(f.spaces, sp)
-		f.reps = append(f.reps, New(ep, clk, sp, opts...))
-	}
-	for i, r := range f.reps {
-		for j, o := range f.reps {
-			if i != j {
-				r.AddPeerNamed(o.Site(), o.Addr())
-			}
-		}
-		r.AutoSync(time.Second)
 	}
 	return f
 }

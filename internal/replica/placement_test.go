@@ -2,11 +2,13 @@ package replica
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"mocca/internal/id"
 	"mocca/internal/information"
+	"mocca/internal/information/logstore"
 	"mocca/internal/netsim"
 	"mocca/internal/placement"
 	"mocca/internal/rpc"
@@ -17,6 +19,13 @@ import (
 // site-tagged peers, so pushes are placement-scoped and migration can
 // target placed peers.
 func newPlacedFixture(t *testing.T, n int, pol *placement.Policy) *fixture {
+	t.Helper()
+	return newPlacedFixtureOn(t, n, pol, func(string) information.Backend { return information.NewStore() })
+}
+
+// newPlacedFixtureOn is newPlacedFixture over the backend the callback
+// opens for each site.
+func newPlacedFixtureOn(t *testing.T, n int, pol *placement.Policy, backend func(site string) information.Backend) *fixture {
 	t.Helper()
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(7))
@@ -32,7 +41,7 @@ func newPlacedFixture(t *testing.T, n int, pol *placement.Policy) *fixture {
 	for i := 0; i < n; i++ {
 		site := fmt.Sprintf("s%d", i)
 		sp := information.NewSpace(registry, nil, clk,
-			information.WithSite(site), information.WithIDs(ids))
+			information.WithSite(site), information.WithIDs(ids), information.WithBackend(backend(site)))
 		ep := rpc.NewEndpoint(net.MustAddNode(netsim.Address("repl-"+site)), clk, rpc.WithIDs(ids))
 		f.spaces = append(f.spaces, sp)
 		f.reps = append(f.reps, New(ep, clk, sp, WithPlacement(pol)))
@@ -82,14 +91,12 @@ func TestPlacementScopedSync(t *testing.T) {
 		t.Fatalf("s2 holds %d rows, want 1", n)
 	}
 
-	// The savings are observable without packet inspection. Under the
-	// Merkle negotiation the placement cut is structural — rows stay out
-	// of the per-peer digest trees (ScopeFiltered) — while the legacy
-	// counters still cover the full-digest fallback path.
+	// The savings are observable without packet inspection: the placement
+	// cut is structural — rows stay out of the per-peer digest trees
+	// (ScopeFiltered).
 	var filtered int64
 	for _, r := range f.reps {
-		s := r.Stats()
-		filtered += s.FilteredDeltas + s.FilteredPushes + s.ScopeFiltered
+		filtered += r.Stats().ScopeFiltered
 	}
 	if filtered == 0 {
 		t.Fatal("no filtering recorded in stats")
@@ -101,46 +108,95 @@ func TestPlacementScopedSync(t *testing.T) {
 
 // TestDeplacementMigratesRowsOff: a site loses its placement for a space
 // at runtime; MigrateForeign pushes its rows to a placed peer and drops
-// them locally, after which sync does not bring them back.
+// them locally, after which sync does not bring them back. Run over both
+// backends: the migrating site finds its foreign rows by Backend.Range,
+// whose order is the backend's own, and must push them sorted by id
+// whichever store they come out of.
 func TestDeplacementMigratesRowsOff(t *testing.T) {
-	pol := placement.NewPolicy() // no rules: everywhere
-	f := newPlacedFixture(t, 3, pol)
-	obj, err := f.spaces[2].Put("prinz", "doc", map[string]string{"title": "draft", "body": "scoped"})
-	if err != nil {
-		t.Fatal(err)
+	backends := map[string]func(t *testing.T) information.Backend{
+		"memory": func(*testing.T) information.Backend { return information.NewStore() },
+		"logstore": func(t *testing.T) information.Backend {
+			// A small flush threshold leaves rows in segments and memtable both.
+			st, err := logstore.Open(t.TempDir(), logstore.WithFlushBytes(1<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = st.Close() })
+			return st
+		},
 	}
-	f.clk.RunUntilIdle()
-	f.assertConverged(t, obj.ID)
+	for name, open := range backends {
+		t.Run(name, func(t *testing.T) {
+			pol := placement.NewPolicy() // no rules: everywhere
+			f := newPlacedFixtureOn(t, 3, pol, func(site string) information.Backend {
+				if site == "s2" {
+					return open(t)
+				}
+				return information.NewStore()
+			})
+			obj, err := f.spaces[2].Put("prinz", "doc", map[string]string{"title": "draft", "body": "scoped"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.clk.RunUntilIdle()
+			f.assertConverged(t, obj.ID)
 
-	// De-place s2: the space now lives at {s0, s1} only.
-	pol.Use(placement.ByField("body", "scoped", "s0", "s1"))
-	var rep MigrationReport
-	gotReport := false
-	f.reps[2].MigrateForeign(func(r MigrationReport) { rep = r; gotReport = true })
-	f.clk.RunUntilIdle()
+			// More rows that only s2 holds when the migration starts: a
+			// batch whose arrival order the target can observe, and rows
+			// of another space that must stay where they are.
+			const fresh = 24
+			for i := 0; i < fresh; i++ {
+				if _, err := f.spaces[2].Put("prinz", "doc", map[string]string{"title": fmt.Sprintf("late %d", i), "body": "scoped"}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.spaces[2].Put("prinz", "doc", map[string]string{"title": fmt.Sprintf("memo %d", i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var arrived []string
+			f.spaces[0].Subscribe("", func(ev information.Event) {
+				if ev.Kind == "apply" && ev.Object.Fields["body"] == "scoped" {
+					arrived = append(arrived, ev.Object.ID)
+				}
+			})
 
-	if !gotReport {
-		t.Fatal("migration never completed")
-	}
-	if rep.Foreign != 1 || rep.Moved != 1 || rep.Dropped != 1 || rep.Kept != 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if _, err := f.spaces[2].Get("anyone", obj.ID); err == nil {
-		t.Fatal("row still on de-placed site")
-	}
-	if s := f.reps[2].Stats(); s.Migrated != 1 || s.Evicted != 1 {
-		t.Fatalf("migration stats = %+v", s)
-	}
+			// De-place s2: the space now lives at {s0, s1} only.
+			pol.Use(placement.ByField("body", "scoped", "s0", "s1"))
+			var rep MigrationReport
+			gotReport := false
+			f.reps[2].MigrateForeign(func(r MigrationReport) { rep = r; gotReport = true })
+			f.clk.RunUntilIdle()
 
-	// Later rounds must not re-deliver the row to s2.
-	f.reps[2].SyncNow()
-	f.clk.RunUntilIdle()
-	if _, err := f.spaces[2].Get("anyone", obj.ID); err == nil {
-		t.Fatal("sync re-delivered a de-placed row")
-	}
-	// The placed sites keep the full history.
-	if got, err := f.spaces[0].Get("anyone", obj.ID); err != nil || got.Fields["title"] != "draft" {
-		t.Fatalf("s0 lost the migrated row: %v %v", got, err)
+			if !gotReport {
+				t.Fatal("migration never completed")
+			}
+			if want := fresh + 1; rep.Foreign != want || rep.Moved != want || rep.Dropped != want || rep.Kept != 0 {
+				t.Fatalf("report = %+v", rep)
+			}
+			if len(arrived) != fresh || !sort.StringsAreSorted(arrived) {
+				t.Fatalf("s0 applied %d pushed rows, want %d in id order: %v", len(arrived), fresh, arrived)
+			}
+			if _, err := f.spaces[2].Get("anyone", obj.ID); err == nil {
+				t.Fatal("row still on de-placed site")
+			}
+			if n := f.spaces[2].Len(); n != fresh {
+				t.Fatalf("s2 holds %d rows, want the %d of the space it is still placed in", n, fresh)
+			}
+			if s := f.reps[2].Stats(); s.Migrated != fresh+1 || s.Evicted != fresh+1 {
+				t.Fatalf("migration stats = %+v", s)
+			}
+
+			// Later rounds must not re-deliver the row to s2.
+			f.reps[2].SyncNow()
+			f.clk.RunUntilIdle()
+			if _, err := f.spaces[2].Get("anyone", obj.ID); err == nil {
+				t.Fatal("sync re-delivered a de-placed row")
+			}
+			// The placed sites keep the full history.
+			if got, err := f.spaces[0].Get("anyone", obj.ID); err != nil || got.Fields["title"] != "draft" {
+				t.Fatalf("s0 lost the migrated row: %v %v", got, err)
+			}
+		})
 	}
 }
 

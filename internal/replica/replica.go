@@ -11,10 +11,9 @@
 // path), then descends only the mismatched subtrees and exchanges
 // id→version-vector digests for the divergent leaves alone — so digest
 // bytes are O(1) when converged and O(log n · changed) when not, instead
-// of O(n) every round. A peer that does not speak the negotiation (old
-// binary, or one built WithFullDigest) is detected on the first round
-// and served through the original full-digest exchange, which remains
-// the wire-compatible fallback.
+// of O(n) every round. The negotiation is the only protocol: a peer
+// whose endpoint does not serve it is an ordinary peer failure, counted
+// and retried like a timeout.
 //
 // Because every exchange is an rpc interrogation, sync traffic traverses
 // the engineering channel stack like all other traffic in the repository:
@@ -38,10 +37,8 @@
 package replica
 
 import (
-	"errors"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -56,12 +53,12 @@ import (
 
 // RPC method names of the anti-entropy protocol.
 const (
-	// MethodSync is the digest exchange: the caller sends its digest, the
-	// peer answers with its own digest plus every object the caller has
-	// not fully seen (the delta pull, folded into the same interrogation).
-	// With a Scope, both digests cover only the named Merkle leaf buckets
-	// — the final, narrow step of a digest negotiation; without one it is
-	// the legacy full-digest exchange.
+	// MethodSync is the final, narrow step of a digest negotiation: the
+	// caller sends its digest of the divergent Merkle leaf buckets it
+	// names in Scope, the peer answers with its own digest of those
+	// buckets plus every object in them the caller has not fully seen
+	// (the delta pull, folded into the same interrogation). A request
+	// without a Scope is refused.
 	MethodSync = "replica.sync"
 	// MethodPush delivers objects the caller holds that the peer's digest
 	// had not seen — the push half that lets one round converge a pair.
@@ -89,16 +86,23 @@ const (
 // (shared with the placement remote-read protocol).
 type wireObject = information.WireObject
 
-func toWire(o *information.Object) wireObject   { return information.ToWire(o) }
 func fromWire(w wireObject) *information.Object { return information.FromWire(w) }
+
+func toWires(objs []*information.Object) []wireObject {
+	wires := make([]wireObject, len(objs))
+	for i, obj := range objs {
+		wires[i] = information.ToWire(obj)
+	}
+	return wires
+}
 
 type syncReq struct {
 	Site   string                    `json:"site"`
 	Digest map[string]vclock.Version `json:"digest"`
 	// Scope restricts the exchange to the named Merkle leaf buckets: the
 	// digest covers only rows filed under them and the responder answers
-	// with its own scoped digest and deltas. Empty means the legacy
-	// full-digest exchange over the whole id space.
+	// with its own scoped digest and deltas. Required: the responder
+	// refuses an empty Scope.
 	Scope []uint32 `json:"scope,omitempty"`
 }
 
@@ -167,9 +171,9 @@ type pushResp struct {
 
 // Stats counts a replicator's activity. The digest/delta counters make
 // the cost of every round — and the savings of partial replication —
-// observable without packet inspection: FilteredDeltas/FilteredPushes
-// count objects placement withheld from peers, RefusedApplies counts
-// objects peers offered that this site is not placed for.
+// observable without packet inspection: ScopeFiltered counts the rows
+// placement is withholding from peers, RefusedApplies counts objects
+// peers offered that this site is not placed for.
 type Stats struct {
 	Rounds        int64 // anti-entropy rounds initiated
 	PeerSyncs     int64 // successful peer exchanges
@@ -182,19 +186,16 @@ type Stats struct {
 
 	DigestEntriesSent int64 // digest entries shipped in sync requests
 	DeltasServed      int64 // objects shipped in sync responses
-	FilteredDeltas    int64 // delta objects withheld from peers by placement
-	FilteredPushes    int64 // push objects withheld from peers by placement
 	RefusedApplies    int64 // offered objects this site is not placed for
 	Migrated          int64 // rows pushed off this replica by migration
 	Evicted           int64 // rows dropped locally after migration
 
 	// Merkle negotiation counters. DigestBytes is the digest payload cost
 	// this replicator initiated, both directions: tree frames, high-water
-	// maps and id→version-vector entries (full or scoped) — data deltas
+	// maps and scoped id→version-vector entries — data deltas
 	// and pushes are not digest bytes. ConvergedRoots counts opening root
 	// compares that matched outright (the O(1) converged round).
 	MerkleExchanges int64 // peer exchanges that ran the digest negotiation
-	LegacyExchanges int64 // peer exchanges that used the full-digest path
 	ConvergedRoots  int64 // opening root compares that matched
 	DescentCalls    int64 // subtree-descent negotiation steps sent
 	HWFastDeltas    int64 // rows repaired straight off the high-water marks
@@ -254,16 +255,6 @@ func WithTelemetry(tel *observe.Telemetry) Option {
 	}
 }
 
-// WithFullDigest disables the Merkle digest negotiation entirely: the
-// replicator neither initiates it nor serves MethodDigest, behaving like
-// a pre-negotiation binary. Peers detect the missing method on their
-// first round and fall back to the full-digest exchange — this option
-// exists for that compatibility path (and for measuring the negotiation
-// against the O(n) baseline it replaces).
-func WithFullDigest() Option {
-	return func(r *Replicator) { r.fullDigest = true }
-}
-
 // peer is one sync partner: its address plus (when known) its site name,
 // which is what placement filters the push half by.
 type peer struct {
@@ -290,23 +281,21 @@ type scopedTree struct {
 // anti-entropy protocol for peers and initiates its own sync rounds
 // against the configured peer set.
 type Replicator struct {
-	ep         *rpc.Endpoint
-	clock      vclock.Clock
-	space      *information.Space
-	site       string
-	timeout    time.Duration
-	policy     *placement.Policy
-	fullDigest bool
-	tracer     *observe.Tracer
-	objects    *observe.ObjectTraces
+	ep      *rpc.Endpoint
+	clock   vclock.Clock
+	space   *information.Space
+	site    string
+	timeout time.Duration
+	policy  *placement.Policy
+	tracer  *observe.Tracer
+	objects *observe.ObjectTraces
 
 	onRoundFail func() // membership-layer hook: a sync round saw peer failures
 
 	mu             sync.Mutex
 	peers          []peer
-	legacyPeers    map[netsim.Address]bool // peers that don't serve MethodDigest
-	scoped         map[string]scopedTree   // per-peer-site placement-scoped trees
-	commitEvents   uint64                  // row-changing space events seen by maintainScoped
+	scoped         map[string]scopedTree // per-peer-site placement-scoped trees
+	commitEvents   uint64                // row-changing space events seen by maintainScoped
 	interval       time.Duration
 	failureCap     int
 	auto           bool
@@ -323,15 +312,14 @@ type Replicator struct {
 // and takes the replica's site name from the space.
 func New(ep *rpc.Endpoint, clock vclock.Clock, space *information.Space, opts ...Option) *Replicator {
 	r := &Replicator{
-		ep:          ep,
-		clock:       clock,
-		space:       space,
-		site:        space.Site(),
-		timeout:     DefaultSyncTimeout,
-		interval:    DefaultInterval,
-		failureCap:  DefaultFailureCap,
-		legacyPeers: make(map[netsim.Address]bool),
-		scoped:      make(map[string]scopedTree),
+		ep:         ep,
+		clock:      clock,
+		space:      space,
+		site:       space.Site(),
+		timeout:    DefaultSyncTimeout,
+		interval:   DefaultInterval,
+		failureCap: DefaultFailureCap,
+		scoped:     make(map[string]scopedTree),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -422,7 +410,6 @@ func (r *Replicator) RemovePeer(addr netsim.Address) bool {
 	}
 	site := r.peers[idx].site
 	r.peers = append(r.peers[:idx], r.peers[idx+1:]...)
-	delete(r.legacyPeers, addr)
 	if site != "" && !r.peerSiteLocked(site) {
 		delete(r.scoped, site)
 	}
@@ -616,100 +603,14 @@ func (r *Replicator) fire() {
 }
 
 // syncPeer exchanges with peers[i] and chains to the next peer; exchanges
-// run sequentially in sorted order so rounds are deterministic. The
-// Merkle negotiation is the default; peers known not to serve it (and
-// replicators built WithFullDigest) take the legacy full-digest path.
+// run sequentially in sorted order so rounds are deterministic.
 func (r *Replicator) syncPeer(peers []peer, i int, st roundState) {
 	if i >= len(peers) {
 		r.roundDone(st)
 		return
 	}
-	p := peers[i]
 	next := func(st roundState) { r.syncPeer(peers, i+1, st) }
-	r.mu.Lock()
-	legacy := r.fullDigest || r.legacyPeers[p.addr]
-	r.mu.Unlock()
-	if legacy {
-		r.legacySync(p, st, next)
-		return
-	}
-	(&merkleExchange{r: r, p: p, st: st, next: next}).open()
-}
-
-// legacySync is the original full-digest exchange: ship the whole
-// id→version-vector digest, pull deltas, push what the peer's digest had
-// not seen. It remains the path peers without MethodDigest converge by.
-func (r *Replicator) legacySync(p peer, st roundState, next func(roundState)) {
-	r.bump(func(s *Stats) { s.LegacyExchanges++ })
-	digest := r.space.Digest()
-	st.digestEntries += len(digest)
-	st.digestBytes += digestMapBytes(digest)
-	r.bump(func(s *Stats) {
-		s.DigestEntriesSent += int64(len(digest))
-		s.DigestBytes += int64(digestMapBytes(digest))
-	})
-	r.ep.GoJSON(p.addr, MethodSync, syncReq{Site: r.site, Digest: digest}, func(res rpc.Result) {
-		var resp syncResp
-		if err := res.Decode(&resp); err != nil {
-			r.bump(func(s *Stats) { s.PeerFailures++ })
-			st.failures++
-			next(st)
-			return
-		}
-		st.digestBytes += digestMapBytes(resp.Digest)
-		r.bump(func(s *Stats) { s.DigestBytes += int64(digestMapBytes(resp.Digest)) })
-		applied := r.applyDeltas(resp.Deltas)
-		r.bump(func(s *Stats) { s.PeerSyncs++; s.Applied += int64(applied) })
-		st.applied += applied
-		if applied > 0 {
-			st.moved = true
-		}
-
-		// Push half: everything the peer's digest had not seen — which,
-		// after applying its deltas, includes merged conflict resolutions —
-		// scoped to the peer's placement interest set.
-		peerSite := resp.Site
-		if peerSite == "" {
-			peerSite = p.site
-		}
-		push := r.space.NewerThan(resp.Digest)
-		if r.policy != nil {
-			kept := push[:0]
-			for _, obj := range push {
-				if r.placedAt(peerSite, obj) {
-					kept = append(kept, obj)
-				}
-			}
-			if filtered := len(push) - len(kept); filtered > 0 {
-				r.bump(func(s *Stats) { s.FilteredPushes += int64(filtered) })
-			}
-			push = kept
-		}
-		if len(push) == 0 {
-			next(st)
-			return
-		}
-		wires := make([]wireObject, len(push))
-		for j, obj := range push {
-			wires[j] = toWire(obj)
-		}
-		r.ep.GoJSON(p.addr, MethodPush, pushReq{Site: r.site, Objects: wires}, func(res rpc.Result) {
-			var pr pushResp
-			if err := res.Decode(&pr); err != nil {
-				r.bump(func(s *Stats) { s.PeerFailures++ })
-				st.failures++
-			} else {
-				r.bump(func(s *Stats) { s.Pushed += int64(len(wires)) })
-				st.pushed += len(wires)
-				// Progress only if the peer actually changed state — it may
-				// have received the same objects from another site already.
-				if pr.Applied > 0 {
-					st.moved = true
-				}
-			}
-			next(st)
-		}, rpc.CallTimeout(r.timeout), rpc.CallTrace(st.trace))
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(st.trace))
+	(&merkleExchange{r: r, p: peers[i], st: st, next: next}).open()
 }
 
 // roundDone closes a round and decides whether to re-arm: an explicit
@@ -762,19 +663,25 @@ func (r *Replicator) bump(fn func(*Stats)) {
 	r.mu.Unlock()
 }
 
-// applyDeltas merges peer-supplied rows into the local replica, refusing
-// rows this site is not placed for; returns how many changed local state.
-func (r *Replicator) applyDeltas(deltas []wireObject) (applied int) {
-	for _, w := range deltas {
+// applyRows merges peer-supplied rows into the local replica — the one
+// apply path of pulled deltas, pushed rows and rumor fetches alike. Rows
+// this site is not placed for are refused. It returns how many rows
+// changed local state, how many were concurrent updates it resolved, and
+// the ids it did not accept (not placed here, or the apply failed).
+func (r *Replicator) applyRows(rows []wireObject) (applied, conflicts int, refused []string) {
+	notPlaced := 0
+	for _, w := range rows {
 		obj := fromWire(w)
 		if !r.placedAt(r.site, obj) {
 			// The peer offered an object of a space this site is no
 			// longer placed in (e.g. de-placed mid-sync).
-			r.bump(func(s *Stats) { s.RefusedApplies++ })
+			notPlaced++
+			refused = append(refused, obj.ID)
 			continue
 		}
 		changed, conflict, err := r.space.ApplyRemote(obj)
 		if err != nil {
+			refused = append(refused, obj.ID)
 			continue
 		}
 		if changed {
@@ -790,10 +697,16 @@ func (r *Replicator) applyDeltas(deltas []wireObject) (applied int) {
 			}
 		}
 		if conflict {
-			r.bump(func(s *Stats) { s.Conflicts++ })
+			conflicts++
 		}
 	}
-	return applied
+	if conflicts > 0 || notPlaced > 0 {
+		r.bump(func(s *Stats) {
+			s.Conflicts += int64(conflicts)
+			s.RefusedApplies += int64(notPlaced)
+		})
+	}
+	return applied, conflicts, refused
 }
 
 // --- gossip-overlay surface ------------------------------------------------
@@ -816,7 +729,7 @@ func (r *Replicator) FetchWire(forSite string, ids []string) []information.WireO
 	var out []information.WireObject
 	for _, id := range ids {
 		if obj, ok := r.space.Fetch(id); ok && r.placedAt(forSite, obj) {
-			out = append(out, toWire(obj))
+			out = append(out, information.ToWire(obj))
 		}
 	}
 	return out
@@ -826,7 +739,7 @@ func (r *Replicator) FetchWire(forSite string, ids []string) []information.WireO
 // path (placement refusals, conflict resolution, stats), returning how
 // many changed local state.
 func (r *Replicator) ApplyWire(objs []information.WireObject) int {
-	applied := r.applyDeltas(objs)
+	applied, _, _ := r.applyRows(objs)
 	r.bump(func(s *Stats) { s.Applied += int64(applied) })
 	return applied
 }
@@ -904,632 +817,6 @@ func (r *Replicator) newerThanHW(tree *information.DigestTree, hw map[string]uin
 			continue
 		}
 		out = append(out, obj)
-	}
-	return out
-}
-
-// The digest-byte counters measure the canonical binary size of digest
-// payloads (tree frames, high-water maps, id→version-vector entries) —
-// a codec-independent yardstick for comparing digest schemes. Data
-// deltas and pushes are never digest bytes.
-
-func vvBytes(vv vclock.Version) int {
-	n := 8
-	for s := range vv {
-		n += len(s) + 12
-	}
-	return n
-}
-
-func digestMapBytes(d map[string]vclock.Version) int {
-	n := 8
-	//lint:allow determinism commutative byte-sum; the total is identical under any iteration order
-	for id, vv := range d {
-		n += len(id) + 4 + vvBytes(vv)
-	}
-	return n
-}
-
-func hwBytes(hw map[string]uint64) int {
-	n := 8
-	for s := range hw {
-		n += len(s) + 12
-	}
-	return n
-}
-
-// isNoSuchMethod detects the fallback signal: the peer's endpoint does
-// not register MethodDigest, so it predates the Merkle negotiation.
-func isNoSuchMethod(err error) bool {
-	var re *rpc.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "no such method")
-}
-
-// --- Merkle digest negotiation (caller side) -------------------------------
-
-// merkleExchange drives one peer exchange through the digest
-// negotiation: root compare (+ high-water fast path) → optional verify →
-// subtree descent → scoped digest exchange over the divergent leaves.
-type merkleExchange struct {
-	r         *Replicator
-	p         peer
-	st        roundState
-	next      func(roundState)
-	depth     int      // descent steps taken
-	divergent []uint32 // divergent leaf buckets found
-}
-
-func (m *merkleExchange) fail() {
-	m.r.bump(func(s *Stats) { s.PeerFailures++ })
-	m.st.failures++
-	m.next(m.st)
-}
-
-func (m *merkleExchange) finish(synced bool) {
-	if synced {
-		m.r.bump(func(s *Stats) { s.PeerSyncs++ })
-	}
-	m.next(m.st)
-}
-
-// count records digest payload bytes for this exchange, both directions.
-func (m *merkleExchange) count(n int) {
-	m.st.digestBytes += n
-	m.r.bump(func(s *Stats) { s.DigestBytes += int64(n) })
-}
-
-// open sends the root frame plus high-water marks. A matching root ends
-// the exchange at one tiny message pair — the converged steady state.
-func (m *merkleExchange) open() {
-	r := m.r
-	r.bump(func(s *Stats) { s.MerkleExchanges++ })
-	tree := r.treeFor(m.p.site)
-	frames := wire.AppendTreeFrames(nil, []wire.TreeFrame{{Path: wire.PackTreePath(0, 0), Hash: tree.Root()}})
-	hw := tree.HighWater()
-	m.count(len(frames) + hwBytes(hw))
-	r.ep.GoJSON(m.p.addr, MethodDigest, digestReq{Site: r.site, Frames: frames, HW: hw}, func(res rpc.Result) {
-		var resp digestResp
-		if err := res.Decode(&resp); err != nil {
-			if isNoSuchMethod(err) {
-				// The peer predates the negotiation: remember that and
-				// converge via the full-digest path, now and from then on.
-				r.mu.Lock()
-				r.legacyPeers[m.p.addr] = true
-				r.mu.Unlock()
-				r.legacySync(m.p, m.st, m.next)
-				return
-			}
-			m.fail()
-			return
-		}
-		m.count(len(resp.Frames) + hwBytes(resp.HW))
-		if m.p.site == "" && resp.Site != "" {
-			// An untagged peer introduced itself: future rounds can scope
-			// placement (and trees) by its site. Tag-only — inserting here
-			// would resurrect a peer RemovePeer dropped while this reply
-			// was in flight.
-			r.tagPeerSite(m.p.addr, resp.Site)
-			m.p.site = resp.Site
-		}
-		if resp.Match {
-			r.bump(func(s *Stats) { s.ConvergedRoots++ })
-			m.finish(true)
-			return
-		}
-		// High-water fast path: merge the rows the peer's marks prove we
-		// lack, push the rows our marks prove it lacks.
-		applied := r.applyDeltas(resp.Deltas)
-		if applied > 0 {
-			m.st.moved = true
-			m.st.applied += applied
-			r.bump(func(s *Stats) { s.HWFastDeltas += int64(applied); s.Applied += int64(applied) })
-		}
-		peerSite := resp.Site
-		if peerSite == "" {
-			peerSite = m.p.site
-		}
-		push := r.newerThanHW(tree, resp.HW, peerSite)
-		if len(push) == 0 {
-			if applied > 0 {
-				// State moved: one cheap root recompare before descending.
-				m.verify()
-			} else {
-				// Nothing the marks explain: descend from the root's
-				// children the mismatch response already carried.
-				m.descend(resp.Frames)
-			}
-			return
-		}
-		wires := make([]wireObject, len(push))
-		for i, obj := range push {
-			wires[i] = toWire(obj)
-		}
-		r.ep.GoJSON(m.p.addr, MethodPush, pushReq{Site: r.site, Objects: wires}, func(res rpc.Result) {
-			var pr pushResp
-			if err := res.Decode(&pr); err != nil {
-				m.fail()
-				return
-			}
-			r.bump(func(s *Stats) { s.Pushed += int64(len(wires)) })
-			m.st.pushed += len(wires)
-			if pr.Applied > 0 {
-				m.st.moved = true
-			}
-			m.verify()
-		}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
-}
-
-// verify recompares roots after the fast path moved state; a mismatch
-// descends from the children the response carries.
-func (m *merkleExchange) verify() {
-	r := m.r
-	tree := r.treeFor(m.p.site)
-	frames := wire.AppendTreeFrames(nil, []wire.TreeFrame{{Path: wire.PackTreePath(0, 0), Hash: tree.Root()}})
-	m.count(len(frames))
-	r.ep.GoJSON(m.p.addr, MethodDigest, digestReq{Site: r.site, Frames: frames}, func(res rpc.Result) {
-		var resp digestResp
-		if err := res.Decode(&resp); err != nil {
-			m.fail()
-			return
-		}
-		m.count(len(resp.Frames))
-		if resp.Match {
-			m.finish(true)
-			return
-		}
-		m.descend(resp.Frames)
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
-}
-
-// descend compares the peer's frames against the local tree: mismatched
-// internal nodes form the next negotiation frontier, mismatched leaves
-// join the divergent set. An empty frontier ends the descent and moves
-// to the scoped digest exchange.
-func (m *merkleExchange) descend(framesEnc []byte) {
-	r := m.r
-	if len(framesEnc) == 0 {
-		// The peer reported no mismatched children — it may have
-		// converged mid-negotiation (a third replicator pushed it the
-		// missing state between steps). Close out over whatever
-		// divergent leaves were already found; none means done.
-		m.scopedSync(r.treeFor(m.p.site))
-		return
-	}
-	peerFrames, err := wire.DecodeTreeFrames(framesEnc)
-	if err != nil {
-		m.fail()
-		return
-	}
-	tree := r.treeFor(m.p.site)
-	var frontier []wire.TreeFrame
-	for _, f := range peerFrames {
-		level, index := wire.TreePathParts(f.Path)
-		local, ok := tree.NodeHash(level, index)
-		if !ok || local == f.Hash {
-			continue
-		}
-		if int(level) >= information.MerkleDepth {
-			m.divergent = append(m.divergent, index)
-			continue
-		}
-		frontier = append(frontier, wire.TreeFrame{Path: f.Path, Hash: local})
-	}
-	if len(frontier) == 0 || m.depth >= information.MerkleDepth {
-		m.scopedSync(tree)
-		return
-	}
-	m.depth++
-	if m.depth > m.st.descentDepth {
-		m.st.descentDepth = m.depth
-	}
-	enc := wire.AppendTreeFrames(nil, frontier)
-	m.count(len(enc))
-	r.bump(func(s *Stats) { s.DescentCalls++ })
-	r.ep.GoJSON(m.p.addr, MethodDigest, digestReq{Site: r.site, Frames: enc}, func(res rpc.Result) {
-		var resp digestResp
-		if err := res.Decode(&resp); err != nil {
-			m.fail()
-			return
-		}
-		m.count(len(resp.Frames))
-		if resp.Match {
-			// Every offered frame now agrees: the peer converged while
-			// the negotiation was in flight.
-			m.scopedSync(r.treeFor(m.p.site))
-			return
-		}
-		m.descend(resp.Frames)
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
-}
-
-// scopedSync runs the classic digest exchange narrowed to the divergent
-// leaf buckets: digest entries for O(changed) leaves instead of the
-// whole id space, then the usual delta apply and push.
-func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
-	r := m.r
-	if len(m.divergent) == 0 {
-		// Hash descent found nothing concrete (e.g. the peer converged
-		// mid-negotiation): the exchange is over.
-		m.finish(true)
-		return
-	}
-	sort.Slice(m.divergent, func(i, j int) bool { return m.divergent[i] < m.divergent[j] })
-	digest := make(map[string]vclock.Version)
-	for _, b := range m.divergent {
-		for id, vv := range tree.LeafDigest(b) {
-			digest[id] = vv
-		}
-	}
-	m.st.digestEntries += len(digest)
-	m.count(digestMapBytes(digest))
-	r.bump(func(s *Stats) { s.DigestEntriesSent += int64(len(digest)) })
-	scope := append([]uint32(nil), m.divergent...)
-	r.ep.GoJSON(m.p.addr, MethodSync, syncReq{Site: r.site, Digest: digest, Scope: scope}, func(res rpc.Result) {
-		var resp syncResp
-		if err := res.Decode(&resp); err != nil {
-			m.fail()
-			return
-		}
-		m.count(digestMapBytes(resp.Digest))
-		applied := r.applyDeltas(resp.Deltas)
-		r.bump(func(s *Stats) { s.Applied += int64(applied) })
-		m.st.applied += applied
-		if applied > 0 {
-			m.st.moved = true
-		}
-		// Push half: our rows in the divergent buckets the peer's scoped
-		// digest has not fully seen. The tree is already scoped to the
-		// peer's placement interest, so no further filtering is needed.
-		var push []*information.Object
-		for id, vv := range digest {
-			if seen, ok := resp.Digest[id]; ok && seen.Dominates(vv) {
-				continue
-			}
-			if obj, ok := r.space.Fetch(id); ok {
-				push = append(push, obj)
-			}
-		}
-		if len(push) == 0 {
-			m.finish(true)
-			return
-		}
-		sort.Slice(push, func(i, j int) bool { return push[i].ID < push[j].ID })
-		wires := make([]wireObject, len(push))
-		for i, obj := range push {
-			wires[i] = toWire(obj)
-		}
-		r.ep.GoJSON(m.p.addr, MethodPush, pushReq{Site: r.site, Objects: wires}, func(res rpc.Result) {
-			var pr pushResp
-			if err := res.Decode(&pr); err != nil {
-				m.fail()
-				return
-			}
-			r.bump(func(s *Stats) { s.Pushed += int64(len(wires)) })
-			m.st.pushed += len(wires)
-			if pr.Applied > 0 {
-				m.st.moved = true
-			}
-			m.finish(true)
-		}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
-}
-
-// register installs the protocol handlers. All are pure local compute,
-// so the synchronous handler form is safe under the simulated clock.
-func (r *Replicator) register() {
-	r.ep.MustRegister(MethodSync, rpc.HandleJSON(func(_ netsim.Address, req syncReq) (syncResp, error) {
-		r.bump(func(s *Stats) { s.ServedDigests++ })
-		if len(req.Scope) > 0 {
-			return r.serveScopedSync(req), nil
-		}
-		deltas := r.space.NewerThan(req.Digest)
-		if r.policy != nil {
-			// The caller only sees deltas of spaces it is placed in — the
-			// partial-replication cut, applied where the data would leave.
-			kept := deltas[:0]
-			for _, obj := range deltas {
-				if r.placedAt(req.Site, obj) {
-					kept = append(kept, obj)
-				}
-			}
-			if filtered := len(deltas) - len(kept); filtered > 0 {
-				r.bump(func(s *Stats) { s.FilteredDeltas += int64(filtered) })
-			}
-			deltas = kept
-		}
-		resp := syncResp{Site: r.site, Digest: r.space.Digest()}
-		if len(deltas) > 0 {
-			r.bump(func(s *Stats) { s.DeltasServed += int64(len(deltas)) })
-			resp.Deltas = make([]wireObject, len(deltas))
-			for i, obj := range deltas {
-				resp.Deltas[i] = toWire(obj)
-			}
-		}
-		return resp, nil
-	}))
-	if !r.fullDigest {
-		r.ep.MustRegister(MethodDigest, rpc.HandleJSON(func(_ netsim.Address, req digestReq) (digestResp, error) {
-			return r.serveDigest(req)
-		}))
-	}
-	r.ep.MustRegister(MethodPush, rpc.HandleJSON(func(_ netsim.Address, req pushReq) (pushResp, error) {
-		var resp pushResp
-		notPlaced := 0
-		for _, w := range req.Objects {
-			obj := fromWire(w)
-			if !r.placedAt(r.site, obj) {
-				notPlaced++
-				resp.Refused = append(resp.Refused, obj.ID)
-				continue
-			}
-			changed, conflict, err := r.space.ApplyRemote(obj)
-			if err != nil {
-				resp.Refused = append(resp.Refused, obj.ID)
-				continue
-			}
-			if changed {
-				resp.Applied++
-			}
-			if conflict {
-				resp.Conflicts++
-			}
-		}
-		// Migrated edges: recorded best-effort AFTER the rows, so edges
-		// between rows of the same batch land. An edge whose other
-		// endpoint is not held here cannot be recorded (cross-site edges
-		// are the relationship-graph-replication open item) and is
-		// skipped.
-		for _, rel := range req.Relations {
-			_ = r.space.Relate(rel.From, information.RelKind(rel.Kind), rel.To)
-		}
-		r.bump(func(s *Stats) {
-			s.ServedApplied += int64(resp.Applied)
-			s.Conflicts += int64(resp.Conflicts)
-			s.RefusedApplies += int64(notPlaced)
-		})
-		if resp.Applied > 0 {
-			// Infected becomes infectious: on a sparse peering graph the
-			// rows just applied must keep flooding, and only this replica's
-			// own round reaches ITS peers. On a full mesh this costs at most
-			// one no-op round — the re-armed round moves nothing and the
-			// replicator goes dormant again.
-			r.SyncSoon()
-		}
-		return resp, nil
-	}))
-}
-
-// serveScopedSync answers a digest exchange narrowed to the caller's
-// divergent Merkle leaf buckets: the responder's scoped digest for those
-// buckets plus the rows the caller's scoped digest has not fully seen.
-// The per-caller tree is already placement-scoped, so the partial-
-// replication cut is built in.
-func (r *Replicator) serveScopedSync(req syncReq) syncResp {
-	tree := r.treeFor(req.Site)
-	scopedDigest := make(map[string]vclock.Version)
-	var deltas []*information.Object
-	for _, b := range req.Scope {
-		for id, vv := range tree.LeafDigest(b) {
-			scopedDigest[id] = vv
-			if seen, ok := req.Digest[id]; ok && seen.Dominates(vv) {
-				continue
-			}
-			if obj, ok := r.space.Fetch(id); ok {
-				deltas = append(deltas, obj)
-			}
-		}
-	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].ID < deltas[j].ID })
-	resp := syncResp{Site: r.site, Digest: scopedDigest}
-	if len(deltas) > 0 {
-		r.bump(func(s *Stats) { s.DeltasServed += int64(len(deltas)) })
-		resp.Deltas = make([]wireObject, len(deltas))
-		for i, obj := range deltas {
-			resp.Deltas[i] = toWire(obj)
-		}
-	}
-	return resp
-}
-
-// serveDigest answers one Merkle negotiation step: for every offered
-// frame that mismatches the responder's tree, the node's children; on
-// the opening call (HW present) also the responder's high-water marks
-// and the fast-path rows the caller's marks prove it lacks.
-func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
-	r.bump(func(s *Stats) { s.ServedDigests++ })
-	tree := r.treeFor(req.Site)
-	frames, err := wire.DecodeTreeFrames(req.Frames)
-	if err != nil {
-		return digestResp{}, err
-	}
-	resp := digestResp{Site: r.site, Match: true}
-	var children []wire.TreeFrame
-	for _, f := range frames {
-		level, index := wire.TreePathParts(f.Path)
-		local, ok := tree.NodeHash(level, index)
-		if !ok || local == f.Hash {
-			continue
-		}
-		resp.Match = false
-		base := index * information.MerkleFanout
-		for j, h := range tree.Children(level, index) {
-			children = append(children, wire.TreeFrame{
-				Path: wire.PackTreePath(level+1, base+uint32(j)),
-				Hash: h,
-			})
-		}
-	}
-	if len(children) > 0 {
-		resp.Frames = wire.AppendTreeFrames(nil, children)
-	}
-	if req.HW != nil {
-		resp.HW = tree.HighWater()
-		if !resp.Match {
-			deltas := r.newerThanHW(tree, req.HW, req.Site)
-			if len(deltas) > 0 {
-				r.bump(func(s *Stats) { s.DeltasServed += int64(len(deltas)) })
-				resp.Deltas = make([]wireObject, len(deltas))
-				for i, obj := range deltas {
-					resp.Deltas[i] = toWire(obj)
-				}
-			}
-		}
-	}
-	return resp, nil
-}
-
-// --- placement migration ---------------------------------------------------
-
-// MigrationReport summarises one MigrateForeign run.
-type MigrationReport struct {
-	Foreign  int // rows found that this site is not placed for
-	Moved    int // rows pushed to a placed peer
-	Dropped  int // rows evicted locally after a successful push
-	Kept     int // rows retained (no reachable placed peer — never drop data)
-	Failures int // push exchanges that failed
-}
-
-// MigrateForeign moves rows of spaces this site is no longer placed in
-// off this replica: each foreign row is pushed (MethodPush) to the first
-// placed site among the named peers together with the relationship edges
-// touching it, and only rows the target ACCEPTED (absent from the
-// response's Refused list) are dropped locally. Rows whose placement
-// names no reachable peer, whose push fails, that the target refuses
-// (e.g. the policy moved again mid-flight), or that a local write
-// touched after the migration snapshot (the push did not cover the new
-// state) are kept — migration never destroys the only copy. Edges whose other endpoint the target does not
-// hold cannot be recorded there (cross-site edges are an open item) and
-// are lost with the local drop. done (optional) receives the report when
-// every push has completed; under a simulated clock, drain the clock to
-// let the pushes run.
-func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
-	if done == nil {
-		done = func(MigrationReport) {}
-	}
-	policy := r.policy
-	if policy == nil {
-		done(MigrationReport{})
-		return
-	}
-	r.mu.Lock()
-	siteAddr := make(map[string]netsim.Address, len(r.peers))
-	for _, p := range r.peers {
-		if p.site != "" {
-			siteAddr[p.site] = p.addr
-		}
-	}
-	r.mu.Unlock()
-
-	var rep MigrationReport
-	groups := make(map[netsim.Address][]*information.Object)
-	for _, obj := range r.space.NewerThan(nil) { // nil digest = every row
-		pl := policy.SitesFor(placement.Describe(obj))
-		if pl.At(r.site) {
-			continue
-		}
-		rep.Foreign++
-		var target netsim.Address
-		found := false
-		for _, site := range pl.Sites { // sorted: deterministic target
-			if addr, ok := siteAddr[site]; ok {
-				target, found = addr, true
-				break
-			}
-		}
-		if !found {
-			rep.Kept++
-			continue
-		}
-		groups[target] = append(groups[target], obj)
-	}
-	targets := make([]netsim.Address, 0, len(groups))
-	for addr := range groups {
-		targets = append(targets, addr)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-
-	var step func(int)
-	step = func(i int) {
-		if i >= len(targets) {
-			r.bump(func(s *Stats) {
-				s.Migrated += int64(rep.Moved)
-				s.Evicted += int64(rep.Dropped)
-			})
-			done(rep)
-			return
-		}
-		batch := groups[targets[i]]
-		wires := make([]wireObject, len(batch))
-		ids := make([]string, len(batch))
-		for j, obj := range batch {
-			wires[j] = toWire(obj)
-			ids[j] = obj.ID
-		}
-		req := pushReq{Site: r.site, Objects: wires, Relations: r.edgesTouching(ids)}
-		r.ep.GoJSON(targets[i], MethodPush, req, func(res rpc.Result) {
-			var pr pushResp
-			if err := res.Decode(&pr); err != nil {
-				// Unreachable target: the rows stay here until the next
-				// migration attempt.
-				rep.Failures++
-				rep.Kept += len(batch)
-			} else {
-				refused := make(map[string]bool, len(pr.Refused))
-				for _, id := range pr.Refused {
-					refused[id] = true
-				}
-				for _, obj := range batch {
-					if refused[obj.ID] {
-						// The target would not take it (the policy may have
-						// moved again mid-flight): this copy stays.
-						rep.Kept++
-						continue
-					}
-					rep.Moved++
-					// Evict only what the push covered: a local write that
-					// landed after the migration snapshot keeps the row for
-					// the next pass instead of being destroyed.
-					removed, derr := r.space.DropCovered(obj.ID, obj.VV)
-					if derr == nil && removed != nil {
-						rep.Dropped++
-					} else if derr == nil {
-						rep.Kept++
-					}
-				}
-			}
-			step(i + 1)
-		}, rpc.CallTimeout(r.timeout))
-	}
-	step(0)
-}
-
-// edgesTouching collects every relationship edge with an endpoint among
-// ids, deduplicated — the graph share that must travel with migrating
-// rows.
-func (r *Replicator) edgesTouching(ids []string) []wireRelation {
-	kinds := []information.RelKind{
-		information.RelComposedOf, information.RelDependsOn, information.RelDerivedFrom,
-	}
-	seen := make(map[wireRelation]bool)
-	var out []wireRelation
-	for _, id := range ids {
-		for _, k := range kinds {
-			for _, to := range r.space.Related(id, k) {
-				e := wireRelation{From: id, Kind: string(k), To: to}
-				if !seen[e] {
-					seen[e] = true
-					out = append(out, e)
-				}
-			}
-			for _, from := range r.space.Dependents(id, k) {
-				e := wireRelation{From: from, Kind: string(k), To: id}
-				if !seen[e] {
-					seen[e] = true
-					out = append(out, e)
-				}
-			}
-		}
 	}
 	return out
 }

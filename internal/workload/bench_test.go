@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// BenchmarkWorkloadOrgScale pins workload-level numbers into the perf
-// trajectory: tail latency per op class and total wire traffic for an
-// organization-scale chaotic run, on both topologies. Custom units ride
-// through cmd/benchjson into the BENCH_pr8.json artifact.
+// BenchmarkWorkloadOrgScale reports workload-level numbers as custom
+// units: tail latency per op class and total wire traffic for an
+// organization-scale chaotic run, on both topologies. The repository's
+// benchmark proper (bench/) measures the same two runs end to end.
 func BenchmarkWorkloadOrgScale(b *testing.B) {
 	for _, topo := range []string{"mesh", "gossip"} {
 		b.Run(fmt.Sprintf("%s/sites=16/users=2000", topo), func(b *testing.B) {

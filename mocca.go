@@ -107,15 +107,6 @@ func WithPlacement(rules ...placement.Rule) Option {
 	return func(d *Deployment) { d.placeRules = rules }
 }
 
-// WithFullDigestSync forces every site's replicator onto the legacy
-// full-digest anti-entropy exchange, disabling the Merkle digest
-// negotiation (the replicators neither initiate nor serve it). This is
-// the pre-negotiation behaviour — kept for compatibility testing and for
-// measuring the negotiation against the O(n)-digest baseline.
-func WithFullDigestSync() Option {
-	return func(d *Deployment) { d.fullDigest = true }
-}
-
 // WithGossip replaces the full-mesh site peering with the epidemic
 // overlay (internal/gossip): each site maintains a partial active view
 // of ~⌈log₂ n⌉+c peers discovered through trader membership offers, runs
@@ -164,7 +155,6 @@ type Deployment struct {
 	syncEvery  time.Duration
 	backendFor func(site string) (information.Backend, error)
 	placeRules []placement.Rule
-	fullDigest bool
 	gossip     bool
 	gossipOpts []gossip.Option
 	telemetry  bool
@@ -342,7 +332,7 @@ func (d *Deployment) Conferencing() *rtc.Server { return d.mcu }
 func (d *Deployment) Network() *netsim.Network { return d.net }
 
 // Fabric returns the engineering-viewpoint bookkeeping of the live
-// channels: nodes, transport capsules, per-channel epochs and counters.
+// channels: nodes, per-channel epochs and counters.
 func (d *Deployment) Fabric() *engineering.Fabric { return d.fabric }
 
 // ChannelStats lists every live channel with its traffic counters, sorted
@@ -539,9 +529,6 @@ func (d *Deployment) mendGossip() {
 // with, first boot or restart.
 func (d *Deployment) replicaOptions() []replica.Option {
 	opts := []replica.Option{replica.WithPlacement(d.env.Placement())}
-	if d.fullDigest {
-		opts = append(opts, replica.WithFullDigest())
-	}
 	if d.tel != nil {
 		opts = append(opts, replica.WithTelemetry(d.tel))
 	}
@@ -687,9 +674,7 @@ type SitePlacementStats struct {
 	Site    string
 	Objects int // rows currently on the site's replica
 
-	FilteredDeltas int64 // delta objects withheld from peers by placement (full-digest path)
-	FilteredPushes int64 // push objects withheld from peers by placement (full-digest path)
-	ScopeFiltered  int64 // rows placement kept out of per-peer digest trees (Merkle path)
+	ScopeFiltered  int64 // rows placement keeps out of the per-peer digest trees
 	RefusedApplies int64 // offered objects the site is not placed for
 	Migrated       int64 // rows pushed off by migration
 	Evicted        int64 // rows dropped locally after migration
@@ -713,8 +698,6 @@ func (d *Deployment) PlacementStats() []SitePlacementStats {
 		out = append(out, SitePlacementStats{
 			Site:              name,
 			Objects:           site.Space().Len(),
-			FilteredDeltas:    rs.FilteredDeltas,
-			FilteredPushes:    rs.FilteredPushes,
 			ScopeFiltered:     rs.ScopeFiltered,
 			RefusedApplies:    rs.RefusedApplies,
 			Migrated:          rs.Migrated,
@@ -737,8 +720,7 @@ type SiteSyncStats struct {
 
 // SyncStats reports per-site replication statistics, sorted by site —
 // the observable face of the digest negotiation: converged-root compares,
-// descent depth, digest bytes per round, and how often the legacy
-// full-digest fallback ran.
+// descent depth and digest bytes per round.
 func (d *Deployment) SyncStats() []SiteSyncStats {
 	out := make([]SiteSyncStats, 0, len(d.sites))
 	for _, name := range d.SiteNames() {

@@ -175,8 +175,7 @@ func TestGossipScaleAcceptance(t *testing.T) {
 
 // BenchmarkGossipConvergenceScale reports simulated convergence time and
 // wire bytes for mesh vs overlay at 64 and 256 sites, including the
-// seeded partition-and-heal schedule. CI folds the custom metrics into
-// BENCH_pr7.json via cmd/benchjson.
+// seeded partition-and-heal schedule.
 func BenchmarkGossipConvergenceScale(b *testing.B) {
 	for _, topo := range []struct {
 		name    string

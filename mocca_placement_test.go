@@ -123,7 +123,7 @@ func runActivityFanout(t *testing.T, scoped bool) fanoutOutcome {
 		var filtered int64
 		for _, st := range stats {
 			byName[st.Site] = st
-			filtered += st.FilteredDeltas + st.FilteredPushes + st.ScopeFiltered
+			filtered += st.ScopeFiltered
 		}
 		if byName[reader.Name].RemoteReadsIssued < 2 {
 			t.Fatalf("reader stats = %+v", byName[reader.Name])

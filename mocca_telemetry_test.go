@@ -128,6 +128,46 @@ func TestTraceLinksWriteAcrossSites(t *testing.T) {
 	}
 }
 
+// TestPushDeliveredWriteIsTraced: in the plain two-site case the writer's
+// own round pushes the row, so the replica applies it in the replica.push
+// handler rather than from a delta it pulled. That delivery is a
+// sync.apply span of the write's trace all the same.
+func TestPushDeliveredWriteIsTraced(t *testing.T) {
+	dep := NewDeployment(WithSeed(3), WithTelemetry())
+	s0 := dep.AddSite("s0", "s0.net")
+	s1 := dep.AddSite("s1", "s1.net")
+	dep.Run() // drain the rounds site setup armed: the next one is the writer's
+	obj, err := s0.Space().Put("ada", SharedSchemaName, map[string]string{"title": "pushed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.Run()
+	if _, err := s1.Space().Get("ada", obj.ID); err != nil {
+		t.Fatalf("s1 missing the object: %v", err)
+	}
+	if w, r := statsFor(t, dep, "s0"), statsFor(t, dep, "s1"); w.Pushed != 1 || r.ServedApplied != 1 || r.Applied != 0 {
+		t.Fatalf("the row did not travel by push: s0 %+v, s1 %+v", w.Stats, r.Stats)
+	}
+
+	var root, apply *observe.Span
+	spans := dep.Traces()
+	for i := range spans {
+		switch sp := &spans[i]; {
+		case sp.Name == "write:put" && sp.Site == "s0":
+			root = sp
+		case sp.Name == "sync.apply" && sp.Site == "s1":
+			apply = sp
+		}
+	}
+	if root == nil || apply == nil {
+		t.Fatalf("write root %v, sync.apply at s1 %v; spans: %v", root, apply, spanNames(spans))
+	}
+	if apply.TraceID != root.TraceID || apply.Parent != root.SpanID {
+		t.Fatalf("sync.apply in trace %x under %x, want trace %x under the write root %x",
+			apply.TraceID, apply.Parent, root.TraceID, root.SpanID)
+	}
+}
+
 // TestTelemetryMetricsProjectSubsystemStats: the adapter collectors
 // surface the run's existing counters under stable dotted names, and
 // the registry's text exposition carries them.

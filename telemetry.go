@@ -111,7 +111,6 @@ func (d *Deployment) registerCollectors() {
 			emit(ctr("mocca.sync.served_digests", name, rs.ServedDigests))
 			emit(ctr("mocca.sync.digest_bytes", name, rs.DigestBytes))
 			emit(ctr("mocca.sync.merkle_exchanges", name, rs.MerkleExchanges))
-			emit(ctr("mocca.sync.legacy_exchanges", name, rs.LegacyExchanges))
 			emit(ctr("mocca.sync.converged_roots", name, rs.ConvergedRoots))
 			emit(ctr("mocca.sync.hw_fast_deltas", name, rs.HWFastDeltas))
 			emit(ctr("mocca.sync.descent_calls", name, rs.DescentCalls))
