@@ -50,6 +50,7 @@ import (
 	"sync"
 	"time"
 
+	"mocca/internal/information"
 	"mocca/internal/netsim"
 	"mocca/internal/observe"
 	"mocca/internal/rpc"
@@ -134,11 +135,11 @@ type Replica interface {
 	// HasSeen reports whether the local replica already holds id at a
 	// version dominating vv.
 	HasSeen(id string, vv vclock.Version) bool
-	// FetchWire returns the named rows in wire form, placement-scoped to
-	// the requesting site.
-	FetchWire(forSite string, ids []string) []WireObject
+	// FetchWire returns the named rows for a gossip.fetch reply,
+	// placement-scoped to the requesting site.
+	FetchWire(forSite string, ids []string) []*information.Object
 	// ApplyWire merges fetched rows, returning how many changed state.
-	ApplyWire(objs []WireObject) int
+	ApplyWire(objs []*information.Object) int
 	// SyncSoon arms an anti-entropy round — rumor applies kick it so the
 	// sync layer floods what rumors seeded.
 	SyncSoon()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"mocca/internal/information"
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
@@ -26,17 +27,17 @@ func (f *fakeReplica) HasSeen(id string, vv vclock.Version) bool {
 	return ok && have.Dominates(vv)
 }
 
-func (f *fakeReplica) FetchWire(_ string, ids []string) []WireObject {
-	var out []WireObject
+func (f *fakeReplica) FetchWire(_ string, ids []string) []*information.Object {
+	var out []*information.Object
 	for _, id := range ids {
 		if vv, ok := f.rows[id]; ok {
-			out = append(out, WireObject{ID: id, VV: vv})
+			out = append(out, &information.Object{ID: id, VV: vv})
 		}
 	}
 	return out
 }
 
-func (f *fakeReplica) ApplyWire(objs []WireObject) int {
+func (f *fakeReplica) ApplyWire(objs []*information.Object) int {
 	applied := 0
 	for _, o := range objs {
 		if have, ok := f.rows[o.ID]; ok && have.Dominates(o.VV) {

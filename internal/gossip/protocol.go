@@ -15,10 +15,6 @@ import (
 // errClosed answers protocol calls that land on a crashed overlay.
 var errClosed = errors.New("gossip: overlay closed")
 
-// WireObject is the row wire form rumor fetches carry — the same one the
-// anti-entropy and placement protocols use.
-type WireObject = information.WireObject
-
 // --- wire types ------------------------------------------------------------
 
 type joinReq struct {
@@ -65,32 +61,35 @@ type probeResp struct {
 	OK bool `json:"ok"`
 }
 
+// The rumor-plane messages below travel as the binary bodies in codec.go;
+// the membership messages above stay JSON.
+
 // rumorEntry announces one fresh write: enough for the receiver to
 // decide whether it needs the row, without shipping the row itself.
 type rumorEntry struct {
-	ID string         `json:"id"`
-	VV vclock.Version `json:"vv"`
+	ID string
+	VV vclock.Version
 }
 
 type rumorReq struct {
-	From    Peer         `json:"from"`
-	TTL     int          `json:"ttl"`
-	Entries []rumorEntry `json:"entries"`
+	From    Peer
+	TTL     int
+	Entries []rumorEntry
 }
 
 type rumorResp struct {
 	// Want is how many rumored rows the receiver will pull — observability
 	// only; the pull itself is a separate gossip.fetch.
-	Want int `json:"want"`
+	Want int
 }
 
 type fetchReq struct {
-	Site string   `json:"site"`
-	IDs  []string `json:"ids"`
+	Site string
+	IDs  []string
 }
 
 type fetchResp struct {
-	Objects []WireObject `json:"objects,omitempty"`
+	Objects []*information.Object
 }
 
 // --- handlers --------------------------------------------------------------

@@ -3,11 +3,8 @@ package logstore
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"time"
 
 	"mocca/internal/information"
-	"mocca/internal/vclock"
 	"mocca/internal/wire"
 )
 
@@ -35,84 +32,6 @@ const (
 // ErrCorrupt reports a record whose framing was intact but whose payload
 // did not decode — same recovery treatment as a CRC failure.
 var ErrCorrupt = errors.New("logstore: corrupt record payload")
-
-// appendObject appends the canonical binary encoding of one object row:
-// length-prefixed strings, big-endian integers, the version vector in
-// vclock's canonical sorted form, and fields in sorted key order. Equal
-// rows encode to equal bytes, which is what lets recovery be verified
-// byte-for-byte.
-func appendObject(dst []byte, o *information.Object) []byte {
-	dst = wire.AppendString(dst, o.ID)
-	dst = wire.AppendString(dst, o.Schema)
-	dst = wire.AppendString(dst, o.Owner)
-	dst = wire.AppendString(dst, o.Site)
-	dst = wire.AppendUint64(dst, o.Version)
-	dst = o.VV.AppendBinary(dst)
-	dst = wire.AppendUint64(dst, uint64(o.Created.UnixNano()))
-	dst = wire.AppendUint64(dst, uint64(o.Updated.UnixNano()))
-	dst = wire.AppendUint64(dst, uint64(len(o.Fields)))
-	keys := make([]string, 0, len(o.Fields))
-	for k := range o.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		dst = wire.AppendString(dst, k)
-		dst = wire.AppendString(dst, o.Fields[k])
-	}
-	return dst
-}
-
-// decodeObject decodes one object row, returning it and the remaining
-// bytes.
-func decodeObject(data []byte) (*information.Object, []byte, error) {
-	o := &information.Object{}
-	var err error
-	if o.ID, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
-	}
-	if o.Schema, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
-	}
-	if o.Owner, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
-	}
-	if o.Site, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
-	}
-	if o.Version, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
-	}
-	if o.VV, data, err = vclock.DecodeVersion(data); err != nil {
-		return nil, data, err
-	}
-	var created, updated, nfields uint64
-	if created, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
-	}
-	if updated, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
-	}
-	o.Created = time.Unix(0, int64(created)).UTC()
-	o.Updated = time.Unix(0, int64(updated)).UTC()
-	if nfields, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
-	}
-	if nfields > 0 {
-		o.Fields = make(map[string]string, nfields)
-		for i := uint64(0); i < nfields; i++ {
-			var k, v string
-			if k, data, err = wire.ConsumeString(data); err != nil {
-				return nil, data, err
-			}
-			if v, data, err = wire.ConsumeString(data); err != nil {
-				return nil, data, err
-			}
-			o.Fields[k] = v
-		}
-	}
-	return o, data, nil
-}
 
 // appendRelation appends one relationship edge.
 func appendRelation(dst []byte, r information.Relation) []byte {
@@ -168,7 +87,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	}
 	switch rec.typ {
 	case recExec:
-		if rec.obj, _, err = decodeObject(payload); err != nil {
+		if rec.obj, _, err = information.DecodeObject(payload); err != nil {
 			return rec, fmt.Errorf("%w: object: %v", ErrCorrupt, err)
 		}
 	case recRelate:

@@ -620,7 +620,7 @@ func (s *Store) execLocked(id string, fn func(cur *information.Object) (*informa
 	}
 	s.seq++
 	s.payload = appendWALPayload(s.payload[:0], recExec, s.seq)
-	s.payload = appendObject(s.payload, next)
+	s.payload = information.AppendObject(s.payload, next)
 	var waitSeq uint64
 	if s.group {
 		if err := s.enqueueLocked(); err != nil {

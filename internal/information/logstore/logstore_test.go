@@ -496,7 +496,7 @@ func TestReplaySkipsRefusedRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload = appendWALPayload(nil, recExec, 1001)
-	payload = appendObject(payload, &information.Object{ID: "c", Schema: "doc", Owner: "ada",
+	payload = information.AppendObject(payload, &information.Object{ID: "c", Schema: "doc", Owner: "ada",
 		VV: vclock.NewVersion("upc"), Version: 1, Site: "upc", Created: t0, Updated: t1})
 	if frame, err = wire.AppendRecord(frame, payload); err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func (w *segWriter) add(e flushEntry) error {
 	w.lastKey = e.id
 	if e.obj != nil {
 		w.payload = append(w.payload[:0], recSegRow)
-		w.payload = appendObject(w.payload, e.obj)
+		w.payload = information.AppendObject(w.payload, e.obj)
 	} else {
 		w.payload = append(w.payload[:0], recSegTomb)
 		w.payload = wire.AppendString(w.payload, e.id)
@@ -443,7 +443,7 @@ func (g *segment) get(id string) (*information.Object, segProbe, error) {
 				return nil, probeMiss, nil
 			}
 			if rowID == id {
-				obj, _, err := decodeObject(payload[1:])
+				obj, _, err := information.DecodeObject(payload[1:])
 				if err != nil {
 					return nil, probeMiss, err
 				}
@@ -512,7 +512,7 @@ func (it *segIter) next() (flushEntry, bool, error) {
 	}
 	switch payload[0] {
 	case recSegRow:
-		obj, _, err := decodeObject(payload[1:])
+		obj, _, err := information.DecodeObject(payload[1:])
 		if err != nil {
 			return flushEntry{}, false, err
 		}

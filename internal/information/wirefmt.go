@@ -7,10 +7,11 @@ import (
 )
 
 // WireObject is the JSON form of an Object on the network — used by the
-// anti-entropy sync protocol (internal/replica) and the trader-mediated
-// remote read protocol (internal/placement). The replica-local Version is
-// not carried: it is recomputed as VV.Sum(), so converged replicas agree
-// on it by construction.
+// trader-mediated remote read and forward protocol (internal/placement),
+// whose messages are small JSON bodies. The replication planes carry rows
+// in the binary row codec instead (AppendObject). The replica-local
+// Version is not carried: it is recomputed as VV.Sum(), so converged
+// replicas agree on it by construction.
 type WireObject struct {
 	ID      string            `json:"id"`
 	Schema  string            `json:"schema"`

@@ -1,0 +1,525 @@
+package replica
+
+import (
+	"bytes"
+	"encoding"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"mocca/internal/channel"
+	"mocca/internal/id"
+	"mocca/internal/information"
+	"mocca/internal/netsim"
+	"mocca/internal/rpc"
+	"mocca/internal/vclock"
+	"mocca/internal/wire"
+)
+
+// benchRow is the benchmark's fixture row (bench/store.go): the workload
+// harness's seeded object on the shared interchange schema.
+func benchRow(key int) *information.Object {
+	id := fmt.Sprintf("obj%06d", key)
+	owner := fmt.Sprintf("u%05d", key%2000)
+	return &information.Object{
+		ID: id, Schema: "mocca-interchange", Owner: owner, Site: "s000",
+		Fields: map[string]string{
+			"title":   "seed " + id,
+			"body":    fmt.Sprintf("shared working material for act%04d", key%20),
+			"author":  owner,
+			"context": fmt.Sprintf("act%04d", key%20),
+		},
+		Version: 1, VV: vclock.NewVersion("s000"),
+		Created: netsim.DefaultEpoch, Updated: netsim.DefaultEpoch,
+	}
+}
+
+func benchRows(n int) []*information.Object {
+	rows := make([]*information.Object, n)
+	for i := range rows {
+		rows[i] = benchRow(i)
+	}
+	return rows
+}
+
+// edgeRows are rows at the corners of the row format, in the form they
+// decode to (nil, not empty, maps).
+func edgeRows() []*information.Object {
+	wide := vclock.Version{}
+	for i := 0; i < 18; i++ {
+		wide[fmt.Sprintf("s%03d", i)] = uint64(i + 1)
+	}
+	at := time.Unix(0, 708080400123456789).UTC()
+	return []*information.Object{
+		{ID: "nil-fields", Schema: "doc", Owner: "ada", Site: "s0", Version: 3, VV: vclock.Version{"s0": 3}, Created: at, Updated: at},
+		{ID: "nil-vv", Schema: "doc", Fields: map[string]string{"k": ""}, Created: at, Updated: at},
+		{ID: "wide-vv", Schema: "doc", Site: "s017", Version: wide.Sum(), VV: wide, Fields: map[string]string{"title": "t"}, Created: at, Updated: at},
+		{ID: "obj-ünï-日本", Schema: "dök", Owner: "jürgen", Site: "köln", Version: 1, VV: vclock.Version{"köln": 1},
+			Fields: map[string]string{"títle": "naïve ☃"}, Created: at, Updated: at},
+	}
+}
+
+func benchDigest(n int) map[string]vclock.Version {
+	d := make(map[string]vclock.Version, n)
+	for i := 0; i < n; i++ {
+		d[fmt.Sprintf("obj%06d", i)] = vclock.Version{"s000": uint64(i + 1), fmt.Sprintf("s%03d", i%16): 2}
+	}
+	return d
+}
+
+// bodyCase is one message value and a way to make an empty one of its
+// type to decode into.
+type bodyCase struct {
+	name string
+	msg  encoding.BinaryMarshaler
+	into func() encoding.BinaryUnmarshaler
+}
+
+func (c bodyCase) encode(tb testing.TB) []byte {
+	tb.Helper()
+	b, err := c.msg.MarshalBinary()
+	if err != nil {
+		tb.Fatalf("%s: encode: %v", c.name, err)
+	}
+	return b
+}
+
+// decoded returns the message a body decodes to, as a value.
+func (c bodyCase) decoded(b []byte) (any, error) {
+	p := c.into()
+	err := p.UnmarshalBinary(b)
+	return reflect.ValueOf(p).Elem().Interface(), err
+}
+
+func into[T any, P interface {
+	*T
+	encoding.BinaryUnmarshaler
+}]() func() encoding.BinaryUnmarshaler {
+	return func() encoding.BinaryUnmarshaler { return P(new(T)) }
+}
+
+// bodyCases covers every message type: on the benchmark's fixture rows,
+// on the edge rows, and at the corners of each message's own shape.
+func bodyCases() []bodyCase {
+	root := wire.AppendTreeFrames(nil, []wire.TreeFrame{{Path: wire.PackTreePath(0, 0), Hash: 0xfeedface}})
+	children := make([]wire.TreeFrame, information.MerkleFanout)
+	for i := range children {
+		children[i] = wire.TreeFrame{Path: wire.PackTreePath(1, uint32(i)), Hash: uint64(i) * 0x9e3779b97f4a7c15}
+	}
+	hw := map[string]uint64{"s000": 41, "s001": 7, "köln": 1 << 40}
+	return []bodyCase{
+		{"digestReq/opening", digestReq{Site: "s000", Frames: root, HW: hw}, into[digestReq]()},
+		{"digestReq/empty replica", digestReq{Site: "s001", Frames: root, HW: map[string]uint64{}}, into[digestReq]()},
+		{"digestReq/follow-up", digestReq{Site: "s000", Frames: wire.AppendTreeFrames(nil, children)}, into[digestReq]()},
+		{"digestReq/zero", digestReq{}, into[digestReq]()},
+		{"digestResp/match", digestResp{Site: "s001", Match: true, HW: hw}, into[digestResp]()},
+		{"digestResp/mismatch", digestResp{Site: "s001", Frames: wire.AppendTreeFrames(nil, children), HW: map[string]uint64{}, Deltas: benchRows(16)}, into[digestResp]()},
+		{"digestResp/descent", digestResp{Site: "köln", Frames: wire.AppendTreeFrames(nil, children[:3])}, into[digestResp]()},
+		{"digestResp/edge rows", digestResp{Deltas: edgeRows()}, into[digestResp]()},
+		{"syncReq", syncReq{Site: "s000", Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}, into[syncReq]()},
+		{"syncReq/no digest", syncReq{Site: "s000", Scope: []uint32{9}}, into[syncReq]()},
+		{"syncReq/zero", syncReq{}, into[syncReq]()},
+		{"syncResp", syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}, into[syncResp]()},
+		{"syncResp/edge rows", syncResp{Site: "köln", Digest: map[string]vclock.Version{"nil-vv": nil, "wide-vv": edgeRows()[2].VV}, Deltas: edgeRows()}, into[syncResp]()},
+		{"syncResp/zero", syncResp{}, into[syncResp]()},
+		{"pushReq", pushReq{Site: "s000", Objects: benchRows(3)}, into[pushReq]()},
+		{"pushReq/migration", pushReq{Site: "s000", Objects: edgeRows(), Relations: []wireRelation{
+			{From: "nil-vv", Kind: string(information.RelDependsOn), To: "wide-vv"}, {From: "obj-ünï-日本", Kind: "", To: ""}}}, into[pushReq]()},
+		{"pushResp", pushResp{Applied: 3, Conflicts: 1, Refused: []string{"obj000002", "obj-ünï-日本"}}, into[pushResp]()},
+		{"pushResp/zero", pushResp{}, into[pushResp]()},
+	}
+}
+
+func TestBodiesRoundTrip(t *testing.T) {
+	for _, c := range bodyCases() {
+		b := c.encode(t)
+		if len(b) == 0 || b[0] < 0x80 {
+			t.Fatalf("%s: body opens with %#x, which could start a JSON text", c.name, b[:1])
+		}
+		got, err := c.decoded(b)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, c.msg) {
+			t.Fatalf("%s: round trip\n got %+v\nwant %+v", c.name, got, c.msg)
+		}
+	}
+	// The distinction the opening call rests on, spelled out: an empty HW is
+	// not an absent one.
+	var opening, followUp digestReq
+	if err := opening.UnmarshalBinary(bodyCases()[1].encode(t)); err != nil || opening.HW == nil || len(opening.HW) != 0 {
+		t.Fatalf("empty HW decoded as %#v (%v), want an empty non-nil map", opening.HW, err)
+	}
+	if err := followUp.UnmarshalBinary(bodyCases()[2].encode(t)); err != nil || followUp.HW != nil {
+		t.Fatalf("absent HW decoded as %#v (%v), want nil", followUp.HW, err)
+	}
+}
+
+// TestBodiesCanonical: equal messages encode to equal bytes whatever
+// order their maps were filled in — what keeps a workload's byte counts
+// and fingerprint a function of the seed.
+func TestBodiesCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	ref := syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}
+	want, _ := ref.MarshalBinary()
+	wantReq, _ := digestReq{Site: "s000", HW: map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}}.MarshalBinary()
+	for trial := 0; trial < 10; trial++ {
+		m := syncResp{Site: "s001", Digest: map[string]vclock.Version{}}
+		ids := make([]string, 0, len(ref.Digest))
+		for id := range ref.Digest {
+			ids = append(ids, id)
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, id := range ids {
+			sites := make([]string, 0, len(ref.Digest[id]))
+			for s := range ref.Digest[id] {
+				sites = append(sites, s)
+			}
+			rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
+			vv := vclock.Version{}
+			for _, s := range sites {
+				vv[s] = ref.Digest[id][s]
+			}
+			m.Digest[id] = vv
+		}
+		for _, src := range ref.Deltas {
+			row := *src
+			row.Fields = map[string]string{}
+			keys := []string{"title", "body", "author", "context"}
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			for _, k := range keys {
+				row.Fields[k] = src.Fields[k]
+			}
+			m.Deltas = append(m.Deltas, &row)
+		}
+		if got, _ := m.MarshalBinary(); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: syncResp bytes depend on map insertion order", trial)
+		}
+		hw := map[string]uint64{}
+		for _, i := range rng.Perm(5) {
+			hw[string(rune('a'+i))] = uint64(i + 1)
+		}
+		if got, _ := (digestReq{Site: "s000", HW: hw}).MarshalBinary(); !bytes.Equal(got, wantReq) {
+			t.Fatalf("trial %d: digestReq bytes depend on map insertion order", trial)
+		}
+	}
+}
+
+// TestBodiesRejectDamage: a body cut anywhere, a count of 2^60 anywhere,
+// one byte too many, another message's body, or JSON are all errors —
+// without a panic and without an allocation sized by the bad count.
+func TestBodiesRejectDamage(t *testing.T) {
+	cases := bodyCases()
+	for _, c := range cases {
+		b := c.encode(t)
+		for i := 0; i < len(b); i++ {
+			if _, err := c.decoded(b[:i]); err == nil {
+				t.Fatalf("%s: body cut at %d of %d decoded", c.name, i, len(b))
+			}
+		}
+		for i := 1; i+8 <= len(b); i++ {
+			bad := bytes.Clone(b)
+			binary.BigEndian.PutUint64(bad[i:], 1<<60)
+			_, _ = c.decoded(bad) // an error, or a changed counter: not a panic
+		}
+		if _, err := c.decoded(append(bytes.Clone(b), 0)); err == nil {
+			t.Fatalf("%s: a trailing byte was accepted", c.name)
+		}
+		for _, other := range cases {
+			if reflect.TypeOf(other.msg) == reflect.TypeOf(c.msg) {
+				continue
+			}
+			if _, err := other.decoded(b); err == nil {
+				t.Fatalf("%s decoded as %s", c.name, other.name)
+			}
+		}
+		// Through the one entry point, both ways round.
+		if err := wire.DecodeBody([]byte(`{"site":"s000","frames":"AAAA","hw":{}}`), c.into()); err == nil {
+			t.Fatalf("%s: a JSON body was accepted by the binary decoder", c.name)
+		}
+		var jsonShape struct{ Site string }
+		if err := wire.DecodeBody(b, &jsonShape); err == nil {
+			t.Fatalf("%s: the binary body was accepted by the JSON decoder", c.name)
+		}
+	}
+	// Each count, aimed at: 2^60 elements announced and a few bytes behind
+	// it must be refused before anything is sized by the count.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for name, body := range map[string][]byte{
+		"frames":    append([]byte{tagDigestReq, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"hw":        append([]byte{tagDigestReq, flagHW, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"deltas":    append([]byte{tagDigestResp, 0, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"digest":    append([]byte{tagSyncReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"scope":     append(append([]byte{tagSyncReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
+		"objects":   append([]byte{tagPushReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"relations": append(append([]byte{tagPushReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
+		"refused":   append(append(append([]byte{tagPushResp}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
+	} {
+		big := append(body, make([]byte, 64)...) // some bytes remain, far fewer than the count needs
+		for _, c := range cases {
+			if _, err := c.decoded(big); err == nil {
+				t.Fatalf("%s count of 2^60 decoded as %s", name, c.name)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing counts of 2^60 allocated %d bytes", grew)
+	}
+}
+
+// tappedPair is two manual-round replicas whose every outbound frame is
+// recorded, so a test can read the bodies a real exchange put on the wire.
+type tappedPair struct {
+	*fixture
+	frames []tappedFrame
+}
+
+type tappedFrame struct {
+	from, to netsim.Address
+	kind     string
+	method   string
+	body     []byte
+}
+
+func newTappedPair(tb testing.TB) *tappedPair {
+	tb.Helper()
+	clk := vclock.NewSimulated(netsim.DefaultEpoch)
+	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(7))
+	registry := information.NewSchemaRegistry()
+	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
+		{Name: "title", Type: information.FieldText, Required: true},
+	}}); err != nil {
+		tb.Fatal(err)
+	}
+	p := &tappedPair{fixture: &fixture{clk: clk, net: net}}
+	tap := channel.WithInterceptor(func(f *channel.Frame) error {
+		if f.Dir == channel.Outbound {
+			method, _ := f.Env.Header("method")
+			p.frames = append(p.frames, tappedFrame{from: f.Local, to: f.Remote, kind: f.Env.Kind,
+				method: method, body: bytes.Clone(f.Env.Body)})
+		}
+		return nil
+	})
+	ids := id.New()
+	for i := 0; i < 2; i++ {
+		site := fmt.Sprintf("s%d", i)
+		sp := information.NewSpace(registry, nil, clk, information.WithSite(site), information.WithIDs(ids))
+		ep := rpc.NewEndpoint(net.MustAddNode(netsim.Address("repl-"+site)), clk, rpc.WithIDs(ids), rpc.WithChannel(tap))
+		p.spaces = append(p.spaces, sp)
+		p.reps = append(p.reps, New(ep, clk, sp))
+	}
+	p.reps[0].AddPeerNamed("s1", p.reps[1].Addr())
+	p.reps[1].AddPeerNamed("s0", p.reps[0].Addr())
+	return p
+}
+
+// divergentRound seeds the pair with n converged rows, then gives s0 three
+// updates its high-water mark hides, and runs the s0 round that repairs
+// them: every message type of the protocol is on the wire at least once.
+// It returns s0's stats before that round.
+func (p *tappedPair) divergentRound(tb testing.TB, n int) Stats {
+	tb.Helper()
+	ids := make([]string, n)
+	for i := range ids {
+		obj, err := p.spaces[0].Put("prinz", "doc", map[string]string{"title": fmt.Sprintf("doc %d", i)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ids[i] = obj.ID
+	}
+	p.reps[0].SyncNow()
+	p.clk.RunUntilIdle()
+	version := uint64(1)
+	for i := 0; i < 6; i++ { // raise s0's mark well past every other row's counter
+		upd, err := p.spaces[0].Update("prinz", ids[0], version, map[string]string{"title": fmt.Sprintf("hot v%d", i)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		version = upd.Version
+	}
+	p.reps[0].SyncNow()
+	p.clk.RunUntilIdle()
+	// Three first updates of cold rows: counter 2, far below s0's mark.
+	for i := 1; i <= 3; i++ {
+		if _, err := p.spaces[0].Update("prinz", ids[i*7], 1, map[string]string{"title": "cold"}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	before := p.reps[0].Stats()
+	p.frames = nil
+	p.reps[0].SyncNow()
+	p.clk.RunUntilIdle()
+	if got := p.spaces[1].Len(); got != n {
+		tb.Fatalf("s1 holds %d rows, want %d", got, n)
+	}
+	return before
+}
+
+// digestSections sums the encoded tree-frame, high-water and digest
+// sections of the bodies s0's exchanges put on the wire, both directions —
+// re-encoded section by section, not by the yardsticks that feed the
+// counter.
+func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[string]int) {
+	tb.Helper()
+	s0 := p.reps[0].Addr()
+	methods = map[string]int{}
+	for _, f := range p.frames {
+		request := f.kind == "rpc.req" && f.from == s0
+		reply := f.kind == "rpc.rep" && f.to == s0
+		if !request && !reply {
+			continue // s1's own rounds
+		}
+		methods[f.method]++
+		var err error
+		switch {
+		case f.method == MethodDigest && request:
+			var m digestReq
+			err = wire.DecodeBody(f.body, &m)
+			total += len(m.Frames)
+			if m.HW != nil {
+				total += len(appendHW(nil, m.HW))
+			}
+		case f.method == MethodDigest:
+			var m digestResp
+			err = wire.DecodeBody(f.body, &m)
+			total += len(m.Frames)
+			if m.HW != nil {
+				total += len(appendHW(nil, m.HW))
+			}
+		case f.method == MethodSync && request:
+			var m syncReq
+			err = wire.DecodeBody(f.body, &m)
+			total += len(appendDigest(nil, m.Digest))
+		case f.method == MethodSync:
+			var m syncResp
+			err = wire.DecodeBody(f.body, &m)
+			total += len(appendDigest(nil, m.Digest))
+		}
+		if err != nil {
+			tb.Fatalf("%s %s body: %v", f.method, f.kind, err)
+		}
+	}
+	return total, methods
+}
+
+// TestDigestBytesAreEncodedBytes: Stats.DigestBytes is not an estimate —
+// over a converged round and over a round repairing three hidden updates
+// it equals the summed lengths of the frame, high-water and digest
+// sections actually encoded into the bodies.
+func TestDigestBytesAreEncodedBytes(t *testing.T) {
+	p := newTappedPair(t)
+	before := p.divergentRound(t, 400)
+	after := p.reps[0].Stats()
+	sections, methods := p.digestSections(t)
+	if methods[MethodSync] == 0 || methods[MethodPush] == 0 || after.DescentCalls == before.DescentCalls {
+		t.Fatalf("the divergent round did not descend, sync and push: %v, stats %+v", methods, after)
+	}
+	if got := after.DigestBytes - before.DigestBytes; got != int64(sections) || after.LastRoundDigestBytes != sections {
+		t.Fatalf("divergent round: DigestBytes moved by %d (last round %d), encoded sections are %d bytes",
+			got, after.LastRoundDigestBytes, sections)
+	}
+
+	before = after
+	p.frames = nil
+	p.reps[0].SyncNow()
+	p.clk.RunUntilIdle()
+	after = p.reps[0].Stats()
+	sections, _ = p.digestSections(t)
+	if after.ConvergedRoots != before.ConvergedRoots+1 {
+		t.Fatalf("second round was not a converged one: %+v", after)
+	}
+	if got := after.DigestBytes - before.DigestBytes; got != int64(sections) || sections == 0 {
+		t.Fatalf("converged round: DigestBytes moved by %d, encoded sections are %d bytes", got, sections)
+	}
+	// One root frame out, one single-site high-water map each way; a
+	// matching reply carries no frames.
+	if want := 24 + 2*hwBytes(map[string]uint64{"s0": 0}); sections != want {
+		t.Fatalf("converged round exchanged %d digest bytes, want %d", sections, want)
+	}
+}
+
+// FuzzReplicaBodies: whatever bytes arrive, a decoder either refuses them
+// or yields a message that encodes and decodes back to itself.
+func FuzzReplicaBodies(f *testing.F) {
+	p := newTappedPair(f)
+	p.divergentRound(f, 120)
+	seen := map[byte]bool{}
+	for _, fr := range p.frames {
+		if len(fr.body) > 0 {
+			seen[fr.body[0]] = true
+			f.Add(fr.body)
+		}
+	}
+	for _, tag := range []byte{tagDigestReq, tagDigestResp, tagSyncReq, tagSyncResp, tagPushReq, tagPushResp} {
+		if !seen[tag] {
+			f.Fatalf("the seeding round put no %#x body on the wire", tag)
+		}
+	}
+	for _, c := range bodyCases() {
+		f.Add(c.encode(f))
+	}
+	decoders := []bodyCase{
+		{"digestReq", nil, into[digestReq]()}, {"digestResp", nil, into[digestResp]()},
+		{"syncReq", nil, into[syncReq]()}, {"syncResp", nil, into[syncResp]()},
+		{"pushReq", nil, into[pushReq]()}, {"pushResp", nil, into[pushResp]()},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, d := range decoders {
+			first, err := d.decoded(data)
+			if err != nil {
+				continue
+			}
+			again, err := first.(encoding.BinaryMarshaler).MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s: decoded message does not encode: %v", d.name, err)
+			}
+			second, err := d.decoded(again)
+			if err != nil {
+				t.Fatalf("%s: re-encoded body does not decode: %v", d.name, err)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("%s: decode → encode → decode changed the message\nfirst  %+v\nsecond %+v", d.name, first, second)
+			}
+		}
+	})
+}
+
+var benchSink int
+
+// BenchmarkSyncRespCodec prices one scoped-sync reply — 16 rows and a
+// 64-entry digest — through the one body entry point, each way.
+func BenchmarkSyncRespCodec(b *testing.B) {
+	msg := syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}
+	body, err := wire.EncodeBody(msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			out, err := wire.EncodeBody(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(out)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var out syncResp
+			if err := wire.DecodeBody(body, &out); err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(out.Deltas)
+		}
+	})
+}

@@ -57,7 +57,7 @@ func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 
 // pull merges the rows a peer answered with and books those that changed
 // local state.
-func (m *merkleExchange) pull(deltas []wireObject) int {
+func (m *merkleExchange) pull(deltas []*information.Object) int {
 	applied, _, _ := m.r.applyRows(deltas)
 	if applied > 0 {
 		m.st.moved = true
@@ -71,7 +71,7 @@ func (m *merkleExchange) pull(deltas []wireObject) int {
 // failed push fails the exchange.
 func (m *merkleExchange) push(objs []*information.Object, then func()) {
 	r := m.r
-	r.ep.GoJSON(m.p.addr, MethodPush, pushReq{Site: r.site, Objects: toWires(objs)}, func(res rpc.Result) {
+	r.ep.GoJSON(m.p.addr, MethodPush, pushReq{Site: r.site, Objects: objs}, func(res rpc.Result) {
 		var pr pushResp
 		if err := res.Decode(&pr); err != nil {
 			m.fail()
@@ -259,10 +259,11 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
 }
 
-// The digest-byte counters measure the canonical binary size of digest
-// payloads (tree frames, high-water maps, id→version-vector entries) —
-// a codec-independent yardstick for comparing digest schemes. Data
-// deltas and pushes are never digest bytes.
+// The digest-byte counters measure the digest sections of the bodies
+// exchanged: tree frames as carried (len of the encoding), and for
+// high-water maps and id→version-vector digests the sizes below, which
+// are what appendHW and appendDigest write. Data deltas and pushes are
+// never digest bytes.
 
 func vvBytes(vv vclock.Version) int {
 	n := 8

@@ -102,7 +102,7 @@ func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
 		for j, obj := range batch {
 			ids[j] = obj.ID
 		}
-		req := pushReq{Site: r.site, Objects: toWires(batch), Relations: r.edgesTouching(ids)}
+		req := pushReq{Site: r.site, Objects: batch, Relations: r.edgesTouching(ids)}
 		r.ep.GoJSON(targets[i], MethodPush, req, func(res rpc.Result) {
 			var pr pushResp
 			if err := res.Decode(&pr); err != nil {

@@ -82,53 +82,42 @@ const (
 	DefaultFailureCap = 8
 )
 
-// wireObject is the JSON form of an information.Object on the sync wire
-// (shared with the placement remote-read protocol).
-type wireObject = information.WireObject
-
-func fromWire(w wireObject) *information.Object { return information.FromWire(w) }
-
-func toWires(objs []*information.Object) []wireObject {
-	wires := make([]wireObject, len(objs))
-	for i, obj := range objs {
-		wires[i] = information.ToWire(obj)
-	}
-	return wires
-}
+// The protocol's messages. Their wire form is the binary layout in
+// codec.go, not a reflection of these structs.
 
 type syncReq struct {
-	Site   string                    `json:"site"`
-	Digest map[string]vclock.Version `json:"digest"`
+	Site   string
+	Digest map[string]vclock.Version
 	// Scope restricts the exchange to the named Merkle leaf buckets: the
 	// digest covers only rows filed under them and the responder answers
 	// with its own scoped digest and deltas. Required: the responder
 	// refuses an empty Scope.
-	Scope []uint32 `json:"scope,omitempty"`
+	Scope []uint32
 }
 
 type syncResp struct {
 	// Site names the responding replica, so the caller can filter its
 	// push half by the responder's placement interest set.
-	Site   string                    `json:"site"`
-	Digest map[string]vclock.Version `json:"digest"`
-	Deltas []wireObject              `json:"deltas,omitempty"`
+	Site   string
+	Digest map[string]vclock.Version
+	Deltas []*information.Object
 }
 
 // wireRelation is one relationship edge on the wire. Migration pushes
 // carry the edges touching the migrated rows, so a de-placed replica's
 // share of the relationship graph moves with its rows.
 type wireRelation struct {
-	From string `json:"from"`
-	Kind string `json:"kind"`
-	To   string `json:"to"`
+	From string
+	Kind string
+	To   string
 }
 
 type pushReq struct {
-	Site    string       `json:"site"`
-	Objects []wireObject `json:"objects"`
+	Site    string
+	Objects []*information.Object
 	// Relations rides along on migration pushes only; ordinary sync
 	// pushes leave it empty.
-	Relations []wireRelation `json:"relations,omitempty"`
+	Relations []wireRelation
 }
 
 // digestReq opens or continues a Merkle digest negotiation. Frames is a
@@ -136,14 +125,14 @@ type pushReq struct {
 // current frontier (the root on the opening call). HW carries the
 // caller's per-site high-water marks on the opening call only.
 type digestReq struct {
-	Site   string `json:"site"`
-	Frames []byte `json:"frames"`
+	Site   string
+	Frames []byte
 	// HW is present (possibly empty, but non-nil) exactly on the opening
-	// call — deliberately NOT omitempty, because an empty-replica caller
-	// sends an empty map and still needs the responder's marks and
+	// call, and the wire form keeps nil and empty apart: an empty-replica
+	// caller sends an empty map and still needs the responder's marks and
 	// fast-path deltas (the bulk late-join repair). A nil HW marks a
 	// follow-up step (verify/descent).
-	HW map[string]uint64 `json:"hw"`
+	HW map[string]uint64
 }
 
 // digestResp answers a negotiation step: Match reports that every
@@ -153,20 +142,20 @@ type digestReq struct {
 // differ — the rows the caller's marks prove it has never seen (the
 // fast-path delta, placement-scoped like any other delta).
 type digestResp struct {
-	Site   string            `json:"site"`
-	Match  bool              `json:"match"`
-	Frames []byte            `json:"frames,omitempty"`
-	HW     map[string]uint64 `json:"hw,omitempty"`
-	Deltas []wireObject      `json:"deltas,omitempty"`
+	Site   string
+	Match  bool
+	Frames []byte
+	HW     map[string]uint64
+	Deltas []*information.Object
 }
 
 type pushResp struct {
-	Applied   int `json:"applied"`
-	Conflicts int `json:"conflicts"`
+	Applied   int
+	Conflicts int
 	// Refused lists object ids the receiver did not accept (not placed
 	// there, or the apply failed). A migrating pusher must keep its copy
 	// of these rows.
-	Refused []string `json:"refused,omitempty"`
+	Refused []string
 }
 
 // Stats counts a replicator's activity. The digest/delta counters make
@@ -668,10 +657,13 @@ func (r *Replicator) bump(fn func(*Stats)) {
 // this site is not placed for are refused. It returns how many rows
 // changed local state, how many were concurrent updates it resolved, and
 // the ids it did not accept (not placed here, or the apply failed).
-func (r *Replicator) applyRows(rows []wireObject) (applied, conflicts int, refused []string) {
+func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts int, refused []string) {
 	notPlaced := 0
-	for _, w := range rows {
-		obj := fromWire(w)
+	for _, obj := range rows {
+		// The optimistic-concurrency number is replica-local: whatever the
+		// sender stored, it is the vector's sum here, so converged replicas
+		// agree on it by construction.
+		obj.Version = obj.VV.Sum()
 		if !r.placedAt(r.site, obj) {
 			// The peer offered an object of a space this site is no
 			// longer placed in (e.g. de-placed mid-sync).
@@ -723,13 +715,13 @@ func (r *Replicator) HasSeen(id string, vv vclock.Version) bool {
 	return ok && obj.VV.Dominates(vv)
 }
 
-// FetchWire returns the named rows in wire form, placement-scoped to the
-// requesting site like any other delta.
-func (r *Replicator) FetchWire(forSite string, ids []string) []information.WireObject {
-	var out []information.WireObject
+// FetchWire returns the named rows for a gossip.fetch reply,
+// placement-scoped to the requesting site like any other delta.
+func (r *Replicator) FetchWire(forSite string, ids []string) []*information.Object {
+	var out []*information.Object
 	for _, id := range ids {
 		if obj, ok := r.space.Fetch(id); ok && r.placedAt(forSite, obj) {
-			out = append(out, information.ToWire(obj))
+			out = append(out, obj)
 		}
 	}
 	return out
@@ -738,7 +730,7 @@ func (r *Replicator) FetchWire(forSite string, ids []string) []information.WireO
 // ApplyWire merges rumor-fetched rows through the ordinary delta-apply
 // path (placement refusals, conflict resolution, stats), returning how
 // many changed local state.
-func (r *Replicator) ApplyWire(objs []information.WireObject) int {
+func (r *Replicator) ApplyWire(objs []*information.Object) int {
 	applied, _, _ := r.applyRows(objs)
 	r.bump(func(s *Stats) { s.Applied += int64(applied) })
 	return applied

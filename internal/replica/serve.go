@@ -77,14 +77,12 @@ func (r *Replicator) serveScopedSync(req syncReq) syncResp {
 	return syncResp{Site: r.site, Digest: scopedDigest, Deltas: r.serveDeltas(deltas)}
 }
 
-// serveDeltas puts the rows a response carries in wire form and counts
-// them as served; no rows is a nil slice, which the wire form omits.
-func (r *Replicator) serveDeltas(deltas []*information.Object) []wireObject {
-	if len(deltas) == 0 {
-		return nil
+// serveDeltas counts the rows a response carries as served.
+func (r *Replicator) serveDeltas(deltas []*information.Object) []*information.Object {
+	if len(deltas) > 0 {
+		r.bump(func(s *Stats) { s.DeltasServed += int64(len(deltas)) })
 	}
-	r.bump(func(s *Stats) { s.DeltasServed += int64(len(deltas)) })
-	return toWires(deltas)
+	return deltas
 }
 
 // serveDigest answers one Merkle negotiation step: for every offered

@@ -88,7 +88,8 @@ type Result struct {
 	Err  error
 }
 
-// Decode unmarshals the JSON reply body into v. It propagates the call
+// Decode decodes the reply body into v by wire.DecodeBody's rule: v's own
+// UnmarshalBinary when it has one, JSON otherwise. It propagates the call
 // error and rejects empty bodies, so callbacks need exactly one check.
 func (r Result) Decode(v any) error {
 	if r.Err != nil {
@@ -174,8 +175,15 @@ type Endpoint struct {
 
 type pendingCall struct {
 	done  func(Result)
-	timer vclock.Timer
+	timer vclock.Timer       // nil until the request is on the network
 	span  observe.ActiveSpan // the attempt's client span, if traced
+}
+
+// stopTimer cancels the call's timeout, if one was armed.
+func (pc *pendingCall) stopTimer() {
+	if pc.timer != nil {
+		pc.timer.Stop()
+	}
 }
 
 // NewEndpoint attaches an endpoint to the node by building a channel stack
@@ -287,7 +295,7 @@ func (e *Endpoint) Close() {
 	e.pending = make(map[string]*pendingCall)
 	e.mu.Unlock()
 	for _, pc := range pending {
-		pc.timer.Stop()
+		pc.stopTimer()
 		pc.span.EndStatus("closed")
 		pc.done(Result{Err: ErrTimeout})
 	}
@@ -379,10 +387,8 @@ func (e *Endpoint) attempt(to netsim.Address, method string, body []byte, done f
 	corr := e.ids.Next("call")
 	e.stats.CallsSent++
 	pc := &pendingCall{done: done, span: span}
-	pc.timer = e.clock.AfterFunc(s.timeout, func() {
-		e.expire(corr, to, method, body, done, s)
-	})
 	e.pending[corr] = pc
+	deadline := e.clock.Now().Add(s.timeout)
 	e.mu.Unlock()
 
 	env := wire.NewEnvelope(kindRequest, corr, body)
@@ -393,7 +399,6 @@ func (e *Endpoint) attempt(to netsim.Address, method string, body []byte, done f
 		if !ok {
 			return
 		}
-		pc.timer.Stop()
 		pc.span.EndStatus("senderr")
 		// A transient local failure (node down, interceptor veto) consumes
 		// the same retry budget as a timeout: the condition may clear
@@ -405,7 +410,22 @@ func (e *Endpoint) attempt(to netsim.Address, method string, body []byte, done f
 			return
 		}
 		e.retryOrFail(to, method, body, done, s, err)
+		return
 	}
+	// The timeout is armed only once the frame is on the network. A
+	// blocking caller runs beside the goroutine that advances a simulated
+	// clock (Deployment.Do); armed first, the timer could be the only event
+	// that goroutine sees, and it would jump to the deadline and expire a
+	// call whose request had not left yet — which holder served a read then
+	// depended on host scheduling. The deadline was fixed before the send,
+	// and a reply that already came back leaves nothing to arm.
+	e.mu.Lock()
+	if e.pending[corr] == pc {
+		pc.timer = e.clock.AfterFunc(deadline.Sub(e.clock.Now()), func() {
+			e.expire(corr, to, method, body, done, s)
+		})
+	}
+	e.mu.Unlock()
 }
 
 // permanentSendError reports whether a local send failure is deterministic:
@@ -484,7 +504,7 @@ func (e *Endpoint) complete(corr string, r Result) {
 		e.stats.RemoteErrors++
 		e.mu.Unlock()
 	}
-	pc.timer.Stop()
+	pc.stopTimer()
 	if r.Err != nil {
 		pc.span.EndStatus("error")
 	} else {
@@ -620,8 +640,11 @@ func (e *Endpoint) onReply(env *wire.Envelope) {
 	e.complete(env.Corr, Result{Body: env.Body})
 }
 
-// CallJSON invokes method encoding req as JSON and decoding the reply into
-// resp (which may be nil to discard).
+// CallJSON invokes method encoding req with wire.EncodeBody and decoding
+// the reply into resp (which may be nil to discard). The name records the
+// common case: a message type with its own MarshalBinary/UnmarshalBinary
+// travels in that form instead, here and in GoJSON, AnnounceJSON and
+// HandleJSON alike.
 func (e *Endpoint) CallJSON(to netsim.Address, method string, req, resp any, opts ...CallOption) error {
 	body, err := wire.EncodeBody(req)
 	if err != nil {
@@ -649,7 +672,8 @@ func (e *Endpoint) GoJSON(to netsim.Address, method string, req any, done func(R
 }
 
 // HandleJSON adapts a typed handler into a Handler. The adapter decodes the
-// request body into a fresh Req and encodes the returned value as JSON.
+// request body into a fresh Req and encodes the returned value, both by
+// wire's body rule (the type's own binary form if it has one, else JSON).
 func HandleJSON[Req any, Resp any](f func(from netsim.Address, req Req) (Resp, error)) Handler {
 	return func(r Request) ([]byte, error) {
 		var req Req

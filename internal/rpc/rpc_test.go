@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mocca/internal/channel"
 	"mocca/internal/netsim"
 	"mocca/internal/vclock"
 )
@@ -278,5 +279,56 @@ func TestLateReplyAfterTimeoutIgnored(t *testing.T) {
 	clk.RunUntilIdle()
 	if completions != 1 {
 		t.Fatalf("completions = %d, want exactly 1", completions)
+	}
+}
+
+// TestTimeoutArmedAfterRequestLeaves: a blocking caller under a simulated
+// clock runs beside the goroutine that advances it (Deployment.Do), and
+// that goroutine jumps to whatever deadline is pending. The interceptor
+// plays it at the worst instant — while the request is still on its way
+// out of the caller's stack: no event of this call may be pending yet, or
+// the jump would expire a call that was never sent.
+func TestTimeoutArmedAfterRequestLeaves(t *testing.T) {
+	clk := vclock.NewSimulated(netsim.DefaultEpoch)
+	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(3))
+	jumped := false
+	a := NewEndpoint(net.MustAddNode("a"), clk, WithChannel(channel.WithInterceptor(func(f *channel.Frame) error {
+		if f.Dir == channel.Outbound {
+			if deadline, ok := clk.NextDeadline(); ok {
+				jumped = true
+				clk.AdvanceTo(deadline)
+			}
+		}
+		return nil
+	})))
+	b := NewEndpoint(net.MustAddNode("b"), clk)
+	b.MustRegister("echo", func(r Request) ([]byte, error) { return r.Body, nil })
+
+	var got Result
+	a.Go("b", "echo", []byte("hi"), func(r Result) { got = r }, CallTimeout(time.Second))
+	clk.RunUntilIdle()
+	if jumped {
+		t.Error("an event of the call was pending before its request left")
+	}
+	if got.Err != nil || string(got.Body) != "hi" {
+		t.Fatalf("result = %q, %v; want the echo", got.Body, got.Err)
+	}
+	if st := a.Stats(); st.Timeouts != 0 {
+		t.Fatalf("timeouts = %d, want 0", st.Timeouts)
+	}
+	// The deadline still counts from the call, not from the arming: a call
+	// nobody answers expires one timeout after it was made.
+	net.Partition([]netsim.Address{"a"}, []netsim.Address{"b"})
+	start := clk.Now()
+	var at time.Time
+	a.Go("b", "echo", nil, func(r Result) {
+		if !errors.Is(r.Err, ErrTimeout) {
+			t.Errorf("err = %v, want ErrTimeout", r.Err)
+		}
+		at = clk.Now()
+	}, CallTimeout(time.Second))
+	clk.RunUntilIdle()
+	if want := start.Add(time.Second); !at.Equal(want) {
+		t.Fatalf("expired at %v, want %v", at, want)
 	}
 }

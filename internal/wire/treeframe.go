@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // TreeFrame is one node of a Merkle digest tree on the wire: the node's
@@ -38,6 +39,7 @@ const treeFrameSize = 16
 // carry (and what the digest-byte counters measure), so its size — 8 +
 // 16·frames — is the true wire cost of a negotiation step.
 func AppendTreeFrames(dst []byte, frames []TreeFrame) []byte {
+	dst = slices.Grow(dst, 8+treeFrameSize*len(frames))
 	dst = AppendUint64(dst, uint64(len(frames)))
 	for _, f := range frames {
 		dst = AppendUint64(dst, f.Path)

@@ -13,12 +13,17 @@
 //	body     lenBytes
 //
 // where lenString/lenBytes is a uint32 length prefix followed by raw bytes.
-// All integers are big-endian. Bodies are typically JSON produced by
-// EncodeBody, keeping payloads debuggable; the envelope itself stays binary
-// so framing is unambiguous.
+// All integers are big-endian. The envelope treats the body as opaque;
+// EncodeBody and DecodeBody decide its form from the message type: a type
+// with its own MarshalBinary/UnmarshalBinary (the data-plane messages of
+// internal/replica and internal/gossip, built from this package's codec
+// helpers) travels in that binary form, every other type — the small
+// request/reply structs of directory, trader, mhs, rtc, placement and
+// gossip membership — as JSON, which keeps those payloads debuggable.
 package wire
 
 import (
+	"encoding"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -479,18 +484,35 @@ func ConsumeUint64(data []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(data), data[8:], nil
 }
 
-// EncodeBody marshals v as JSON for use as an envelope body.
-func EncodeBody(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
+// EncodeBody encodes v for use as an envelope body. A value that
+// implements encoding.BinaryMarshaler is encoded by its own method — the
+// hand-written binary bodies of the replica and rumor planes — and every
+// other value as JSON. The rule is the same at every call site, so the
+// message type alone decides the body's form.
+func EncodeBody(v any) (b []byte, err error) {
+	if m, ok := v.(encoding.BinaryMarshaler); ok {
+		b, err = m.MarshalBinary()
+	} else {
+		b, err = json.Marshal(v)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("wire: encode body: %w", err)
 	}
 	return b, nil
 }
 
-// DecodeBody unmarshals an envelope body produced by EncodeBody into v.
-func DecodeBody(data []byte, v any) error {
-	if err := json.Unmarshal(data, v); err != nil {
+// DecodeBody decodes an envelope body produced by EncodeBody into v: by
+// v's own UnmarshalBinary when it implements encoding.BinaryUnmarshaler,
+// as JSON otherwise. The two forms cannot be mistaken for each other: a
+// binary body opens with a tag byte that cannot start a JSON text, so
+// either decoder rejects the other's bytes.
+func DecodeBody(data []byte, v any) (err error) {
+	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
+		err = u.UnmarshalBinary(data)
+	} else {
+		err = json.Unmarshal(data, v)
+	}
+	if err != nil {
 		return fmt.Errorf("wire: decode body: %w", err)
 	}
 	return nil

@@ -148,6 +148,50 @@ func TestBodyHelpers(t *testing.T) {
 	}
 }
 
+// binaryBody has its own body form: a tag byte no JSON text can start
+// with, then the value.
+type binaryBody struct{ N uint64 }
+
+func (b binaryBody) MarshalBinary() ([]byte, error) {
+	return AppendUint64([]byte{0x80}, b.N), nil
+}
+
+func (b *binaryBody) UnmarshalBinary(data []byte) error {
+	if len(data) != 9 || data[0] != 0x80 {
+		return errors.New("not a binaryBody")
+	}
+	b.N, _, _ = ConsumeUint64(data[1:])
+	return nil
+}
+
+// TestBodyFormFollowsTheType: a value with MarshalBinary/UnmarshalBinary
+// travels in its own form, any other value as JSON, and neither decoder
+// takes the other's bytes.
+func TestBodyFormFollowsTheType(t *testing.T) {
+	b, err := EncodeBody(binaryBody{N: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := AppendUint64([]byte{0x80}, 7); !bytes.Equal(b, want) {
+		t.Fatalf("body = %x, want the type's own encoding %x", b, want)
+	}
+	var out binaryBody
+	if err := DecodeBody(b, &out); err != nil || out.N != 7 {
+		t.Fatalf("decoded %+v, %v", out, err)
+	}
+	asJSON, err := EncodeBody(struct{ N uint64 }{7})
+	if err != nil || string(asJSON) != `{"N":7}` {
+		t.Fatalf("plain struct encoded as %q, %v", asJSON, err)
+	}
+	if err := DecodeBody(asJSON, &out); err == nil {
+		t.Fatal("the binary decoder accepted a JSON body")
+	}
+	var plain struct{ N uint64 }
+	if err := DecodeBody(b, &plain); err == nil {
+		t.Fatal("the JSON decoder accepted a binary body")
+	}
+}
+
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(kind, corr string, hk, hv string, body []byte) bool {
 		if len(kind) >= maxStringLen || len(corr) >= maxStringLen ||
