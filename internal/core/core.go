@@ -195,14 +195,7 @@ func New(clock vclock.Clock, opts ...Option) *Environment {
 			"state":    ev.Activity.State.String(),
 		}})
 	})
-	e.space.Subscribe("", func(ev information.Event) {
-		attrs := map[string]string{"actor": ev.Actor, "kind": ev.Kind}
-		if ev.Object != nil {
-			attrs["object"] = ev.Object.ID
-			attrs["schema"] = ev.Object.Schema
-		}
-		e.engine.Dispatch(policy.Event{Kind: "info." + ev.Kind, Attrs: attrs})
-	})
+	e.space.Subscribe("", func(ev information.Event) { e.dispatchInfo("", ev) })
 
 	e.publishConformance()
 	return e
@@ -419,19 +412,30 @@ func (e *Environment) newSiteSpace(site string, backend information.Backend) *in
 	sp := information.NewSpace(e.space.Registry(), e.acl, e.clock,
 		information.WithIDs(e.ids), information.WithSite(site),
 		information.WithBackend(backend))
-	sp.Subscribe("", func(ev information.Event) {
-		attrs := map[string]string{"actor": ev.Actor, "kind": ev.Kind, "site": site}
+	sp.Subscribe("", func(ev information.Event) { e.dispatchInfo(site, ev) })
+	return sp
+}
+
+// dispatchInfo feeds one information event of the named site's replica
+// ("" = the environment's own space) to the policy engine. The attributes
+// are built only when a rule could read them.
+func (e *Environment) dispatchInfo(site string, ev information.Event) {
+	pe := policy.Event{Kind: "info." + ev.Kind}
+	if e.engine.HasRules() {
+		pe.Attrs = map[string]string{"actor": ev.Actor, "kind": ev.Kind}
+		if site != "" {
+			pe.Attrs["site"] = site
+		}
 		if ev.Object != nil {
-			attrs["object"] = ev.Object.ID
-			attrs["schema"] = ev.Object.Schema
+			pe.Attrs["object"] = ev.Object.ID
+			pe.Attrs["schema"] = ev.Object.Schema
 		}
 		if ev.Conflict != nil {
-			attrs["winner"] = ev.Conflict.WinnerSite
-			attrs["loser"] = ev.Conflict.LoserSite
+			pe.Attrs["winner"] = ev.Conflict.WinnerSite
+			pe.Attrs["loser"] = ev.Conflict.LoserSite
 		}
-		e.engine.Dispatch(policy.Event{Kind: "info." + ev.Kind, Attrs: attrs})
-	})
-	return sp
+	}
+	e.engine.Dispatch(pe)
 }
 
 // ResetSiteSpace rebuilds the named site's information replica over the

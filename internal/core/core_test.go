@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"mocca/internal/directory"
@@ -177,6 +178,42 @@ func TestModelEventsReachPolicyEngine(t *testing.T) {
 	}
 	if fired[0] != "activity.created:progress-meetings" || fired[1] != "info.put:mocca-interchange" {
 		t.Fatalf("fired = %v", fired)
+	}
+}
+
+// TestSiteEventsCarryAttributesOnceARuleAsks: with no rule installed an
+// information event is only counted; with one, the rule reads the same
+// attributes as ever, the site tag of a site replica included.
+func TestSiteEventsCarryAttributesOnceARuleAsks(t *testing.T) {
+	env := newEnv(t)
+	upc := env.SiteEnv("upc").Space()
+	if _, err := upc.Put("ada", SharedSchemaName, map[string]string{"title": "unseen"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := env.Policies().Stats(); st.Dispatched != 1 || st.Fired != 0 {
+		t.Fatalf("stats without rules = %+v", st)
+	}
+	var seen []map[string]string
+	env.Policies().RegisterAction("log", func(ev policy.Event, _ map[string]string) error {
+		seen = append(seen, ev.Attrs)
+		return nil
+	}, true)
+	if err := env.Policies().AddRule(policy.Rule{Name: "log-info", On: "info.put", ActionName: "log"}); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := upc.Put("ada", SharedSchemaName, map[string]string{"title": "seen"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Space().Put("ada", SharedSchemaName, map[string]string{"title": "root"}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"actor": "ada", "kind": "put", "site": "upc", "object": obj.ID, "schema": SharedSchemaName}
+	if len(seen) != 2 || !reflect.DeepEqual(seen[0], want) {
+		t.Fatalf("site event attributes = %v, want %v", seen, want)
+	}
+	if _, tagged := seen[1]["site"]; tagged || seen[1]["schema"] != SharedSchemaName {
+		t.Fatalf("root space event attributes = %v", seen[1])
 	}
 }
 

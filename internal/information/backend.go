@@ -13,14 +13,14 @@ import "mocca/internal/vclock"
 // Two implementations exist: the in-memory Store (the default, rows live
 // only as long as the process) and logstore.Store (a disk-backed tiered
 // log-structured store — memtable over sorted segment files — whose
-// replica survives a site crash). Every implementation must honour the
-// Store's copying contract: reads and Exec return values are deep
-// copies. The Exec callback's argument may be the live row (in-memory
-// Store) or a private copy (logstore, which must be able to abandon a
-// mutation whose log append fails, and whose segment-resident rows are
-// decoded fresh from disk per call) — so a mutation takes effect only by
-// RETURNING the row to store; callbacks must never rely on in-place
-// edits of their argument persisting.
+// replica survives a site crash). The contract on rows is one rule: a
+// stored row never changes, it is only replaced. Get, Snapshot and Remove
+// return deep copies the caller may keep and edit. Peek, Range, the Exec
+// callback's argument and Exec's result lend the stored row (in-memory
+// Store) or a private copy of it (logstore, whose segment-resident rows
+// are decoded fresh from disk per call): read-only either way. Exec
+// returns the stored row; a callback returns a new row, never an edited
+// argument, and gives up the row it returns.
 //
 // A tiered backend need not hold all rows in memory. The interface is
 // written so it never has to materialise more than the caller asked
@@ -35,10 +35,14 @@ type Backend interface {
 	Len() int
 	// Get returns a copy of the row for id.
 	Get(id string) (*Object, bool)
-	// Exec runs fn against the live row for id under the backend's write
+	// Peek is the borrowed point read, the sibling of Range: the row as
+	// stored, read-only, and it never changes after the call.
+	Peek(id string) (*Object, bool)
+	// Exec runs fn against the row for id under the backend's write
 	// exclusion — the atomic read-modify-write primitive every engine
 	// mutation builds on. fn receives the stored row (nil if absent) and
 	// returns the row to store in its place; returning nil stores nothing.
+	// The result is the row now stored, read-only.
 	Exec(id string, fn func(cur *Object) (*Object, error)) (*Object, error)
 	// Snapshot returns copies of every row matching pred (nil pred = all).
 	Snapshot(pred func(*Object) bool) []*Object
@@ -50,7 +54,7 @@ type Backend interface {
 	Remove(id string) (*Object, error)
 	// Range calls fn for every stored row under the backend's read
 	// exclusion, in unspecified order, stopping early when fn returns
-	// false. fn may receive the live row (in-memory Store) or a
+	// false. fn may receive the stored row (in-memory Store) or a
 	// transient decode of an on-disk row (tiered logstore): either way
 	// it must treat the row as read-only, must not retain it past its
 	// return, and must not call back into the backend. This is the

@@ -605,9 +605,9 @@ func (s *Store) execLocked(id string, fn func(cur *information.Object) (*informa
 		return nil, 0, err
 	}
 	if live && fromMem {
-		// fn gets a clone, not the live row: engine mutation paths edit
-		// their argument in place, and a mutation that fails validation or
-		// the WAL append below must leave the stored row untouched.
+		// fn gets a clone, not the live row: a callback that breaks the
+		// Backend contract and edits its argument, then fails validation
+		// or the WAL append below, must leave the stored row untouched.
 		// Segment rows are freshly decoded and need no copy.
 		cur = cur.Clone()
 	}
@@ -1020,6 +1020,9 @@ func (s *Store) Get(id string) (*information.Object, bool) {
 	}
 	return obj, true
 }
+
+// Peek is Get: segment rows are decoded per call, so this store lends copies.
+func (s *Store) Peek(id string) (*information.Object, bool) { return s.Get(id) }
 
 // noteIterFailure records a merged-view scan cut short by a segment
 // error; the Backend read signatures have no error slot, so the counter

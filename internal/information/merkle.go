@@ -344,33 +344,32 @@ func (t *DigestTree) NodeHash(level, index uint32) (uint64, bool) {
 	return t.levels[level][index], true
 }
 
-// Children returns the hashes of the MerkleFanout children of internal
-// node (level, index), or nil when the node is a leaf or out of range.
-func (t *DigestTree) Children(level, index uint32) []uint64 {
+// AppendChildren appends the hashes of the MerkleFanout children of
+// internal node (level, index) to dst — nothing when the node is a leaf or
+// out of range. A caller passes a [MerkleFanout]uint64 on its stack.
+func (t *DigestTree) AppendChildren(dst []uint64, level, index uint32) []uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if int(level) >= MerkleDepth || int(index) >= len(t.levels[level]) {
-		return nil
+		return dst
 	}
 	base := index * MerkleFanout
-	out := make([]uint64, MerkleFanout)
-	copy(out, t.levels[level+1][base:base+MerkleFanout])
-	return out
+	return append(dst, t.levels[level+1][base:base+MerkleFanout]...)
 }
 
-// LeafDigest returns the id→version-vector digest of one leaf bucket —
-// the scoped digest a divergent leaf exchanges instead of the full one.
-func (t *DigestTree) LeafDigest(bucket uint32) map[string]vclock.Version {
+// LeafDigestInto adds the id→version-vector digest of one leaf bucket to
+// dst — the scoped digest a divergent leaf exchanges instead of the full
+// one. The vectors are the tree's own, shared read-only: Update builds a
+// fresh one per entry and never edits it.
+func (t *DigestTree) LeafDigestInto(dst map[string]vclock.Version, bucket uint32) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if bucket >= MerkleLeaves || len(t.buckets[bucket]) == 0 {
-		return nil
+	if bucket >= MerkleLeaves {
+		return
 	}
-	out := make(map[string]vclock.Version, len(t.buckets[bucket]))
 	for _, e := range t.buckets[bucket] {
-		out[e.id] = e.vv.Clone()
+		dst[e.id] = e.vv
 	}
-	return out
 }
 
 // HighWater returns a copy of the per-site high-water marks: for each

@@ -107,7 +107,7 @@ func TestDigestTreeDescentFindsDivergentLeaf(t *testing.T) {
 	// differs, ending at the changed id's bucket.
 	level, index := uint32(0), uint32(0)
 	for int(level) < MerkleDepth {
-		ca, cb := a.Children(level, index), b.Children(level, index)
+		ca, cb := a.AppendChildren(nil, level, index), b.AppendChildren(nil, level, index)
 		diff := -1
 		for j := range ca {
 			if ca[j] != cb[j] {
@@ -126,7 +126,7 @@ func TestDigestTreeDescentFindsDivergentLeaf(t *testing.T) {
 	if index != MerkleBucket(changed) {
 		t.Fatalf("descent ended at bucket %d, want %d", index, MerkleBucket(changed))
 	}
-	if _, ok := a.LeafDigest(index)[changed]; !ok {
+	if leafVector(a, changed) == nil {
 		t.Fatal("leaf digest misses the changed id")
 	}
 }

@@ -32,8 +32,11 @@ type Object struct {
 	Updated time.Time
 }
 
-// clone deep-copies the object.
+// clone deep-copies the object; a nil object stays nil.
 func (o *Object) clone() *Object {
+	if o == nil {
+		return nil
+	}
 	out := *o
 	out.Fields = cloneFields(o.Fields)
 	out.VV = o.VV.Clone()
@@ -80,7 +83,9 @@ type Event struct {
 	// Kind is "put", "update", "share", "relate" for local writes,
 	// "apply" / "conflict" for state arriving from a peer replica, and
 	// "evict" for rows migrated off this replica by placement.
-	Kind   string
+	Kind string
+	// Object is read-only; for "apply" and "conflict" it is the replica's
+	// own row, shared by every subscriber (other kinds carry a copy).
 	Object *Object
 	Actor  string
 	At     time.Time
@@ -94,7 +99,10 @@ type Event struct {
 //
 // A Space is one site's replica. Writes land locally (ticking the site's
 // version-vector entry); the replica layer propagates them to peers and
-// feeds remote writes back in through ApplyRemote.
+// feeds remote writes back in through Adopt. A row is copied only where
+// it crosses into application code (the results of Get, GetAs, Query, Put
+// and Update, the events of local writes); Fetch, Range, Adopt and the
+// "apply"/"conflict" events share stored rows read-only or hand them over.
 type Space struct {
 	registry *SchemaRegistry
 	acl      *access.System
@@ -242,10 +250,10 @@ func (s *Space) Put(actor, schemaName string, fields map[string]string) (*Object
 		s.acl.GrantPrincipal(actor, access.OpWrite, resource(obj.ID))
 		s.acl.GrantPrincipal(actor, access.OpShare, resource(obj.ID))
 	}
-	// Subscribers get their own clone: a callback mutating ev.Object must
-	// not corrupt the caller's copy.
+	// Subscribers and caller get a clone each: the stored row is shared,
+	// and a callback mutating ev.Object must not corrupt the caller's copy.
 	s.notify(Event{Kind: "put", Object: stored.clone(), Actor: actor, At: now})
-	return stored, nil
+	return stored.clone(), nil
 }
 
 // Get reads an object, enforcing OpRead.
@@ -312,12 +320,13 @@ func (s *Space) Update(actor, objID string, expectedVersion uint64, fields map[s
 		if err := schema.Validate(merged); err != nil {
 			return nil, err
 		}
-		obj.Fields = merged
-		obj.VV = obj.VV.Tick(s.site)
-		obj.Version = obj.VV.Sum()
-		obj.Site = s.site
-		obj.Updated = s.clock.Now()
-		return obj, nil
+		next := *obj
+		next.Fields = merged
+		next.VV = obj.VV.Clone().Tick(s.site)
+		next.Version = next.VV.Sum()
+		next.Site = s.site
+		next.Updated = s.clock.Now()
+		return &next, nil
 	})
 	if err != nil {
 		return nil, err
@@ -325,7 +334,7 @@ func (s *Space) Update(actor, objID string, expectedVersion uint64, fields map[s
 	s.tree.Update(updated.ID, updated.VV)
 	s.bump(func(st *SpaceStats) { st.Updates++ })
 	s.notify(Event{Kind: "update", Object: updated.clone(), Actor: actor, At: updated.Updated})
-	return updated, nil
+	return updated.clone(), nil
 }
 
 // Share grants another principal read access (and optionally write),
@@ -421,7 +430,7 @@ func (s *Space) Drop(id string) (*Object, error) {
 // two store operations: mutations of one replica are serialised by the
 // simulation's event loop, so no writer can slip between them.
 func (s *Space) DropCovered(id string, vv vclock.Version) (*Object, error) {
-	cur, ok := s.store.Get(id)
+	cur, ok := s.store.Peek(id)
 	if !ok {
 		return nil, nil
 	}
@@ -461,7 +470,8 @@ func (s *Space) Range(fn func(*Object) bool) { s.store.Range(fn) }
 // Fetch reads a row without access control — the replication layer's
 // read, symmetric to Range/Digest which also bypass the ACL:
 // authorisation happened where the read request is served, not here.
-func (s *Space) Fetch(id string) (*Object, bool) { return s.store.Get(id) }
+// The row is borrowed (Backend.Peek): read-only, never changed later.
+func (s *Space) Fetch(id string) (*Object, bool) { return s.store.Peek(id) }
 
 // lwwWins reports whether a beats b under site-ordered last-writer-wins:
 // the later Updated timestamp wins; equal timestamps fall back to the
@@ -474,10 +484,11 @@ func lwwWins(a, b *Object) bool {
 	return a.Site > b.Site
 }
 
-// ApplyRemote merges an object received from a peer replica into this
-// replica. It is the replication layer's entry point and bypasses the
-// ACL — authorisation happened where the write was issued, and the ACL
-// system is shared across replicas anyway.
+// Adopt merges a row received from a peer replica into this replica and
+// takes ownership of it: the caller must not touch row afterwards (it may
+// become the stored row). It is the replication layer's entry point and
+// bypasses the ACL — authorisation happened where the write was issued,
+// and the ACL system is shared across replicas anyway.
 //
 //   - unknown object: adopted as-is
 //   - remote causally newer (VV dominates): remote state adopted
@@ -487,31 +498,30 @@ func lwwWins(a, b *Object) bool {
 //
 // changed reports whether local state moved; conflict whether a
 // concurrent update was resolved.
-func (s *Space) ApplyRemote(remote *Object) (changed, conflict bool, err error) {
-	if remote == nil || remote.ID == "" {
+func (s *Space) Adopt(row *Object) (changed, conflict bool, err error) {
+	if row == nil || row.ID == "" {
 		return false, false, fmt.Errorf("%w: empty remote object", ErrUnknownObject)
 	}
 	var conflictInfo *Conflict
-	stored, err := s.store.Exec(remote.ID, func(cur *Object) (*Object, error) {
+	stored, err := s.store.Exec(row.ID, func(cur *Object) (*Object, error) {
 		if cur == nil {
-			return remote.clone(), nil
+			return row, nil
 		}
-		switch cur.VV.Compare(remote.VV) {
+		switch cur.VV.Compare(row.VV) {
 		case vclock.After, vclock.Equal:
 			return nil, nil // nothing the remote knows that we don't
 		case vclock.Before:
-			adopted := remote.clone()
-			if cur.Created.Before(adopted.Created) {
-				adopted.Created = cur.Created
+			if cur.Created.Before(row.Created) {
+				row.Created = cur.Created
 			}
-			return adopted, nil
+			return row, nil
 		default: // concurrent: resolve deterministically, merge histories
-			winner, loser := cur, remote
-			if lwwWins(remote, cur) {
-				winner, loser = remote, cur
+			winner, loser := cur, row
+			if lwwWins(row, cur) {
+				winner, loser = row, cur
 			}
-			merged := winner.clone()
-			merged.VV = cur.VV.Merge(remote.VV)
+			merged := *winner // shares the winner's Fields: rows are immutable
+			merged.VV = cur.VV.Merge(row.VV)
 			merged.Version = merged.VV.Sum()
 			// Created converges to the minimum over BOTH sides, independent
 			// of who won — an asymmetric rule would leave replicas with
@@ -520,8 +530,8 @@ func (s *Space) ApplyRemote(remote *Object) (changed, conflict bool, err error) 
 			if cur.Created.Before(merged.Created) {
 				merged.Created = cur.Created
 			}
-			if remote.Created.Before(merged.Created) {
-				merged.Created = remote.Created
+			if row.Created.Before(merged.Created) {
+				merged.Created = row.Created
 			}
 			conflictInfo = &Conflict{
 				ObjectID:    cur.ID,
@@ -529,7 +539,7 @@ func (s *Space) ApplyRemote(remote *Object) (changed, conflict bool, err error) 
 				LoserSite:   loser.Site,
 				LoserFields: cloneFields(loser.Fields),
 			}
-			return merged, nil
+			return &merged, nil
 		}
 	})
 	if err != nil {
@@ -542,21 +552,28 @@ func (s *Space) ApplyRemote(remote *Object) (changed, conflict bool, err error) 
 	if conflictInfo != nil {
 		s.bump(func(st *SpaceStats) { st.Applied++; st.Conflicts++ })
 		s.notify(Event{
-			Kind: "conflict", Object: stored, Actor: "replica/" + remote.Site,
+			Kind: "conflict", Object: stored, Actor: "replica/" + row.Site,
 			At: s.clock.Now(), Conflict: conflictInfo,
 		})
 		return true, true, nil
 	}
 	s.bump(func(st *SpaceStats) { st.Applied++ })
-	s.notify(Event{Kind: "apply", Object: stored, Actor: "replica/" + remote.Site, At: s.clock.Now()})
+	s.notify(Event{Kind: "apply", Object: stored, Actor: "replica/" + row.Site, At: s.clock.Now()})
 	return true, false, nil
+}
+
+// ApplyRemote is Adopt of a copy: the caller keeps remote and may change
+// or re-send it.
+func (s *Space) ApplyRemote(remote *Object) (changed, conflict bool, err error) {
+	return s.Adopt(remote.clone())
 }
 
 // --- internals -----------------------------------------------------------
 
 func (s *Space) notify(ev Event) {
+	// No copy: subs is append-only, so a header read under the lock stays valid.
 	s.mu.RLock()
-	subs := append([]subscription(nil), s.subs...)
+	subs := s.subs
 	s.mu.RUnlock()
 	for _, sub := range subs {
 		if sub.schema == "" || (ev.Object != nil && sub.schema == ev.Object.Schema) {

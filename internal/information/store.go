@@ -15,14 +15,13 @@ import (
 // a local replica store while a future backend swaps the in-memory maps
 // for persistence without touching the engine.
 //
-// Reads (Get, Snapshot) and every value Exec returns are deep
-// copies, so no caller retains an alias to a stored row. The one
-// deliberate exception is the Exec callback itself: here it operates on
-// the live row under the store's lock — that is what makes it the atomic
-// read-modify-write primitive — and must not retain the pointer past its
-// return. Other Backend implementations may hand the callback a copy
-// instead (see the Backend contract), so callbacks must signal a
-// mutation by returning the row, never by in-place edits alone.
+// A stored row is immutable: the store never edits a row it holds, it
+// only replaces the pointer. That is what lets the replication plane
+// share rows instead of copying them — Peek, Range, the Exec callback's
+// argument and Exec's result are all the stored row itself, read-only
+// for whoever receives it. Exec returns the stored row; a callback
+// returns a new row, never an edited argument. Get, Snapshot and Remove
+// copy: they serve code that may keep and change what it is given.
 type Store struct {
 	mu        sync.RWMutex
 	objects   map[string]*Object
@@ -55,11 +54,20 @@ func (st *Store) Get(id string) (*Object, bool) {
 	return obj.clone(), true
 }
 
-// Exec runs fn against the live row for id under the store's write lock —
+// Peek returns the row for id as stored, without copying it: read-only,
+// and it never changes after the call (a later write replaces it).
+func (st *Store) Peek(id string) (*Object, bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	obj, ok := st.objects[id]
+	return obj, ok
+}
+
+// Exec runs fn against the row for id under the store's write lock —
 // the atomic read-modify-write primitive every engine mutation builds on.
-// fn receives the stored row (nil if absent) and returns the row to store
-// in its place; returning nil stores nothing (read-only or aborted). The
-// returned snapshot is a deep copy of whatever fn stored, or nil.
+// fn receives the stored row (nil if absent), read-only, and returns the
+// row to store in its place, giving it up; returning nil stores nothing
+// (read-only or aborted). The result is the row now stored, or nil.
 func (st *Store) Exec(id string, fn func(cur *Object) (*Object, error)) (*Object, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -71,7 +79,7 @@ func (st *Store) Exec(id string, fn func(cur *Object) (*Object, error)) (*Object
 		return nil, nil
 	}
 	st.objects[id] = next
-	return next.clone(), nil
+	return next, nil
 }
 
 // Snapshot returns copies of every row matching pred (nil pred = all),
@@ -132,11 +140,11 @@ func (st *Store) Remove(id string) (*Object, error) {
 
 // Range calls fn for every stored row under the store's read lock, in
 // unspecified order, stopping early when fn returns false. fn receives
-// the LIVE row — this is the streaming alternative to Snapshot for
+// the stored row — this is the streaming alternative to Snapshot for
 // callers (like a durable backend writing a snapshot file) that must not
 // materialise a copy of every row at once. fn must treat the row as
-// read-only, must not retain it past its return, and must not call back
-// into the store.
+// read-only, must not retain it past its return (other backends hand out
+// transient rows), and must not call back into the store.
 func (st *Store) Range(fn func(*Object) bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

@@ -149,7 +149,7 @@ func NewReadServer(ep *rpc.Endpoint, site string, space func() *information.Spac
 		// Re-tag before applying: the apply fires write events (WAL
 		// append, replicator dirtying) that look the context up by id.
 		s.objects.Tag(obj.ID, tc)
-		changed, _, err := s.space().ApplyRemote(obj)
+		changed, _, err := s.space().Adopt(obj) // the decoder built obj for this call
 		if err != nil {
 			s.bump(func(st *ReadServerStats) { st.WritesRefused++ })
 			return writeResp{}, err

@@ -191,6 +191,14 @@ func (e *Engine) Rules() []string {
 	return out
 }
 
+// HasRules reports whether any rule is installed. With none, Dispatch only
+// counts the event, so a caller can skip building its attributes.
+func (e *Engine) HasRules() bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.rules) > 0
+}
+
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
@@ -211,6 +219,10 @@ func (e *Engine) Trace() []Firing {
 func (e *Engine) Dispatch(ev Event) int {
 	e.mu.Lock()
 	e.stats.Dispatched++
+	if len(e.rules) == 0 {
+		e.mu.Unlock()
+		return 0
+	}
 	matched := make([]*Rule, 0, 4)
 	for _, r := range e.rules {
 		if !r.Enabled {

@@ -113,6 +113,30 @@ func TestEnableDisableRemove(t *testing.T) {
 	}
 }
 
+// TestDispatchWithoutRulesOnlyCounts: an engine nobody tailored counts the
+// event and does nothing else; the first rule turns matching back on.
+func TestDispatchWithoutRulesOnlyCounts(t *testing.T) {
+	e, log := newEngineWithActions(t)
+	if e.HasRules() {
+		t.Fatal("a new engine reports rules")
+	}
+	if fired := e.Dispatch(Event{Kind: "x"}); fired != 0 {
+		t.Fatalf("fired %d rules of none", fired)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Dispatch(Event{Kind: "x"}) }); n != 0 {
+		t.Errorf("Dispatch without rules allocates %.0f times", n)
+	}
+	if err := e.AddRule(Rule{Name: "r", On: "x", ActionName: "notify"}); err != nil {
+		t.Fatal(err)
+	}
+	if !e.HasRules() || e.Dispatch(Event{Kind: "x"}) != 1 || len(*log) != 1 {
+		t.Fatalf("the first rule did not fire: %v", *log)
+	}
+	if st := e.Stats(); st.Dispatched != 103 || st.Fired != 1 || len(e.Trace()) != 1 {
+		t.Fatalf("stats = %+v, trace = %v", st, e.Trace())
+	}
+}
+
 func TestActionErrorsAreContained(t *testing.T) {
 	e, _ := newEngineWithActions(t)
 	if err := e.AddRule(Rule{Name: "bad", On: "x", ActionName: "fail"}); err != nil {

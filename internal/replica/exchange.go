@@ -220,11 +220,9 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 		return
 	}
 	sort.Slice(m.divergent, func(i, j int) bool { return m.divergent[i] < m.divergent[j] })
-	digest := make(map[string]vclock.Version)
+	digest := make(map[string]vclock.Version, len(m.divergent))
 	for _, b := range m.divergent {
-		for id, vv := range tree.LeafDigest(b) {
-			digest[id] = vv
-		}
+		tree.LeafDigestInto(digest, b)
 	}
 	m.st.digestEntries += len(digest)
 	m.count(digestMapBytes(digest))

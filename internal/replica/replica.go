@@ -656,7 +656,9 @@ func (r *Replicator) bump(fn func(*Stats)) {
 // apply path of pulled deltas, pushed rows and rumor fetches alike. Rows
 // this site is not placed for are refused. It returns how many rows
 // changed local state, how many were concurrent updates it resolved, and
-// the ids it did not accept (not placed here, or the apply failed).
+// the ids it did not accept (not placed here, or the apply failed). The
+// rows are handed over: a decoder built them for this call, and the ones
+// that apply become the stored rows.
 func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts int, refused []string) {
 	notPlaced := 0
 	for _, obj := range rows {
@@ -671,7 +673,7 @@ func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts i
 			refused = append(refused, obj.ID)
 			continue
 		}
-		changed, conflict, err := r.space.ApplyRemote(obj)
+		changed, conflict, err := r.space.Adopt(obj)
 		if err != nil {
 			refused = append(refused, obj.ID)
 			continue

@@ -60,17 +60,18 @@ func (r *Replicator) register() {
 // replication cut is built in.
 func (r *Replicator) serveScopedSync(req syncReq) syncResp {
 	tree := r.treeFor(req.Site)
-	scopedDigest := make(map[string]vclock.Version)
-	var deltas []*information.Object
+	// The caller's digest covers the same buckets: its size is the hint.
+	scopedDigest := make(map[string]vclock.Version, len(req.Digest))
 	for _, b := range req.Scope {
-		for id, vv := range tree.LeafDigest(b) {
-			scopedDigest[id] = vv
-			if seen, ok := req.Digest[id]; ok && seen.Dominates(vv) {
-				continue
-			}
-			if obj, ok := r.space.Fetch(id); ok {
-				deltas = append(deltas, obj)
-			}
+		tree.LeafDigestInto(scopedDigest, b)
+	}
+	var deltas []*information.Object
+	for id, vv := range scopedDigest {
+		if seen, ok := req.Digest[id]; ok && seen.Dominates(vv) {
+			continue
+		}
+		if obj, ok := r.space.Fetch(id); ok {
+			deltas = append(deltas, obj)
 		}
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].ID < deltas[j].ID })
@@ -96,25 +97,31 @@ func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 	if err != nil {
 		return digestResp{}, err
 	}
-	resp := digestResp{Site: r.site, Match: true}
-	var children []wire.TreeFrame
+	// Keep the mismatched frames, counting the internal ones: each answers
+	// with exactly MerkleFanout children, so the reply is written straight
+	// into one exact-size buffer in wire.AppendTreeFrames' layout.
+	mismatched, internal := frames[:0], 0
 	for _, f := range frames {
 		level, index := wire.TreePathParts(f.Path)
-		local, ok := tree.NodeHash(level, index)
-		if !ok || local == f.Hash {
-			continue
-		}
-		resp.Match = false
-		base := index * information.MerkleFanout
-		for j, h := range tree.Children(level, index) {
-			children = append(children, wire.TreeFrame{
-				Path: wire.PackTreePath(level+1, base+uint32(j)),
-				Hash: h,
-			})
+		if local, ok := tree.NodeHash(level, index); ok && local != f.Hash {
+			mismatched = append(mismatched, f)
+			if level < information.MerkleDepth {
+				internal++
+			}
 		}
 	}
-	if len(children) > 0 {
-		resp.Frames = wire.AppendTreeFrames(nil, children)
+	resp := digestResp{Site: r.site, Match: len(mismatched) == 0}
+	if n := internal * information.MerkleFanout; n > 0 {
+		resp.Frames = wire.AppendUint64(make([]byte, 0, 8+16*n), uint64(n))
+		var kids [information.MerkleFanout]uint64
+		for _, f := range mismatched {
+			level, index := wire.TreePathParts(f.Path)
+			base := index * information.MerkleFanout
+			for j, h := range tree.AppendChildren(kids[:0], level, index) {
+				resp.Frames = wire.AppendUint64(resp.Frames, wire.PackTreePath(level+1, base+uint32(j)))
+				resp.Frames = wire.AppendUint64(resp.Frames, h)
+			}
+		}
 	}
 	if req.HW != nil {
 		resp.HW = tree.HighWater()
