@@ -1,6 +1,6 @@
 // Command figures regenerates the data behind every figure of the paper as
 // text tables (the position paper has no numeric tables; these quantify
-// each figure's claim). See EXPERIMENTS.md for interpretation.
+// each figure's claim).
 package main
 
 import (

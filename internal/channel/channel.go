@@ -338,17 +338,6 @@ func (s *Stack) Stats(remote netsim.Address) Stats {
 	return Stats{}
 }
 
-// AllStats snapshots every binding's counters, keyed by remote address.
-func (s *Stack) AllStats() map[netsim.Address]Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[netsim.Address]Stats, len(s.stats))
-	for addr, st := range s.stats {
-		out[addr] = *st
-	}
-	return out
-}
-
 // Total aggregates all bindings' counters.
 func (s *Stack) Total() Stats {
 	s.mu.Lock()

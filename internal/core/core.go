@@ -77,8 +77,7 @@ type Environment struct {
 	dit        *directory.DIT
 	conform    *odp.Registry
 
-	siteBackend func(site string) information.Backend
-	placing     *placement.Policy
+	placing *placement.Policy
 
 	mu          sync.RWMutex
 	apps        map[string]*Application
@@ -100,34 +99,6 @@ type Option func(*Environment)
 // WithIDs sets the id generator used across services.
 func WithIDs(g *id.Generator) Option {
 	return func(e *Environment) { e.ids = g }
-}
-
-// WithHub injects an externally-constructed communication hub (one bound
-// to a real MHS deployment). Without it, Send is unavailable.
-func WithHub(h *comm.Hub) Option {
-	return func(e *Environment) { e.hub = h }
-}
-
-// WithTrader injects an externally-hosted trader (e.g. one served over
-// rpc); by default the environment embeds a local trading function.
-func WithTrader(t *trader.Trader) Option {
-	return func(e *Environment) { e.trading = t }
-}
-
-// WithPlacement injects an externally-constructed placement policy (e.g.
-// one the deployment layer also hands to every replicator); by default
-// the environment embeds a fresh replicate-everywhere policy.
-func WithPlacement(p *placement.Policy) Option {
-	return func(e *Environment) { e.placing = p }
-}
-
-// WithSiteBackend supplies per-site information storage: the factory is
-// called once per site when its replica is first materialised (and again
-// on ResetSiteSpace), returning the backend the site's Space runs over —
-// e.g. a durable logstore so the replica survives a crash. A nil factory
-// (the default) keeps every replica in memory.
-func WithSiteBackend(fn func(site string) information.Backend) Option {
-	return func(e *Environment) { e.siteBackend = fn }
 }
 
 // New creates an environment over the given clock, with all five models
@@ -154,12 +125,8 @@ func New(clock vclock.Clock, opts ...Option) *Environment {
 	if e.ids == nil {
 		e.ids = id.New()
 	}
-	if e.trading == nil {
-		e.trading = trader.New()
-	}
-	if e.placing == nil {
-		e.placing = placement.NewPolicy()
-	}
+	e.trading = trader.New()
+	e.placing = placement.NewPolicy()
 	e.selector = transparency.NewSelector()
 	e.expertise = expertise.NewModel()
 	e.activities = activity.NewRegistry(clock, activity.WithIDs(e.ids))
@@ -177,10 +144,7 @@ func New(clock vclock.Clock, opts ...Option) *Environment {
 		panic(err) // static schema; cannot fail
 	}
 	e.space = information.NewSpace(registry, e.acl, clock, information.WithIDs(e.ids))
-
-	if e.hub == nil {
-		e.hub = comm.NewHub(clock, e.selector)
-	}
+	e.hub = comm.NewHub(clock, e.selector)
 
 	// §6.1: the organisational knowledge base dictates the trading policy.
 	e.trading.AddPolicy(org.TradingPolicy(e.orgKB))
@@ -387,21 +351,17 @@ type SiteEnv struct {
 }
 
 // SiteEnv returns the per-site environment for the named site, creating
-// its information replica on first use (over the WithSiteBackend storage,
-// if configured). The replica's events feed the tailorability engine
-// tagged with the site, so conflicts and remote applies are scriptable
-// like any other environment event.
+// its information replica in memory on first use (ResetSiteSpace is how a
+// site gets a replica over other storage). The replica's events feed the
+// tailorability engine tagged with the site, so conflicts and remote
+// applies are scriptable like any other environment event.
 func (e *Environment) SiteEnv(site string) *SiteEnv {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if se, ok := e.siteEnvs[site]; ok {
 		return se
 	}
-	var backend information.Backend
-	if e.siteBackend != nil {
-		backend = e.siteBackend(site)
-	}
-	se := &SiteEnv{parent: e, site: site, space: e.newSiteSpace(site, backend)}
+	se := &SiteEnv{parent: e, site: site, space: e.newSiteSpace(site, nil)}
 	e.siteEnvs[site] = se
 	return se
 }

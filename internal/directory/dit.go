@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -499,7 +498,3 @@ func PersonEntry(cn, surname, mail string) Attributes {
 	}
 	return a
 }
-
-// normalizeAttr lowercases an attribute name; exported helpers accept any
-// case.
-func normalizeAttr(s string) string { return strings.ToLower(s) }

@@ -170,28 +170,6 @@ type Stats struct {
 // Option configures an Overlay.
 type Option func(*Overlay)
 
-// WithActiveSize fixes the active-view size; 0 (default) derives
-// ⌈log₂ n⌉+2 from the advertised membership.
-func WithActiveSize(n int) Option { return func(o *Overlay) { o.activeSize = n } }
-
-// WithPassiveSize fixes the passive-view size; 0 (default) derives
-// 3×active+6.
-func WithPassiveSize(n int) Option { return func(o *Overlay) { o.passiveSize = n } }
-
-// WithFanout bounds how many active peers one rumor is pushed to;
-// 0 (default) pushes to the whole active view — the deterministic-
-// coverage choice.
-func WithFanout(n int) Option { return func(o *Overlay) { o.fanout = n } }
-
-// WithTTL sets the rumor hop budget.
-func WithTTL(n int) Option { return func(o *Overlay) { o.ttl = n } }
-
-// WithInterval sets the stabilization-round interval.
-func WithInterval(d time.Duration) Option { return func(o *Overlay) { o.interval = d } }
-
-// WithTimeout bounds each overlay rpc.
-func WithTimeout(d time.Duration) Option { return func(o *Overlay) { o.timeout = d } }
-
 // WithFailureCap sets how many consecutive failing stabilization rounds
 // run before the overlay goes dormant until re-armed.
 func WithFailureCap(n int) Option { return func(o *Overlay) { o.failureCap = n } }
@@ -246,16 +224,8 @@ type Overlay struct {
 	tracer   *observe.Tracer
 	objects  *observe.ObjectTraces
 
-	activeSize  int
-	passiveSize int
-	fanout      int
-	ttl         int
-	walkTTL     int
-	interval    time.Duration
-	timeout     time.Duration
-	quietCap    int
-	failureCap  int
-	seed        int64
+	failureCap int
+	seed       int64
 
 	mu          sync.Mutex
 	rng         *rand.Rand
@@ -284,11 +254,6 @@ func New(ep *rpc.Endpoint, clock vclock.Clock, site string, replAddr netsim.Addr
 		clock:      clock,
 		self:       Peer{Site: site, Addr: ep.Addr(), Repl: replAddr},
 		replica:    replica,
-		ttl:        DefaultTTL,
-		walkTTL:    DefaultWalkTTL,
-		interval:   DefaultInterval,
-		timeout:    DefaultTimeout,
-		quietCap:   DefaultQuietCap,
 		failureCap: DefaultFailureCap,
 		seed:       1,
 		seen:       make(map[uint64]bool),
@@ -341,15 +306,11 @@ func (o *Overlay) Close() {
 }
 
 // activeTarget is the active-view size the overlay stabilizes toward:
-// the fixed WithActiveSize, or ⌈log₂ n⌉+2 over the advertised
-// membership (minimum 3 — tiny deployments still want redundancy). The
-// result is cached so locked code paths (eviction) agree with unlocked
-// ones (deficit fill) on the same target — a disagreement would churn
-// promote/evict forever.
+// ⌈log₂ n⌉+2 over the advertised membership (minimum 3 — tiny
+// deployments still want redundancy). The result is cached so locked
+// code paths (eviction) agree with unlocked ones (deficit fill) on the
+// same target — a disagreement would churn promote/evict forever.
 func (o *Overlay) activeTarget() int {
-	if o.activeSize > 0 {
-		return o.activeSize
-	}
 	n := 0
 	if o.contacts != nil {
 		n = len(o.contacts())
@@ -362,13 +323,6 @@ func (o *Overlay) activeTarget() int {
 	o.targetCache = t
 	o.mu.Unlock()
 	return t
-}
-
-func (o *Overlay) passiveTarget() int {
-	if o.passiveSize > 0 {
-		return o.passiveSize
-	}
-	return 3*o.activeTarget() + 6
 }
 
 // ringOrder lists the advertised membership in ring order starting just
@@ -392,17 +346,6 @@ func (o *Overlay) ringOrder() []Peer {
 		}
 	}
 	return append(after, before...)
-}
-
-// ringSuccessor is this site's successor on the sorted ring of
-// advertised sites — the pinned active-view slot that keeps the overlay
-// graph deterministically connected.
-func (o *Overlay) ringSuccessor() (Peer, bool) {
-	order := o.ringOrder()
-	if len(order) == 0 {
-		return Peer{}, false
-	}
-	return order[0], true
 }
 
 // Join bootstraps this overlay into the advertised membership: it sends
@@ -438,7 +381,7 @@ func (o *Overlay) Join() {
 			o.addPassive(p)
 		}
 		o.arm(0)
-	}, rpc.CallTimeout(o.timeout))
+	}, rpc.CallTimeout(DefaultTimeout))
 }
 
 // Mend re-knits the overlay after a partition heals: the ring successor
@@ -530,9 +473,6 @@ func (o *Overlay) addActive(p Peer, pin bool) bool {
 // contacts (user code) under the lock, so it reads the cache the last
 // activeTarget call left behind.
 func (o *Overlay) activeTargetLocked() int {
-	if o.activeSize > 0 {
-		return o.activeSize
-	}
 	if o.targetCache > 0 {
 		return o.targetCache
 	}
@@ -608,10 +548,8 @@ func (o *Overlay) addPassiveLocked(p Peer) {
 	o.passive = append(o.passive, p)
 }
 
+// passiveTargetLocked is the passive-view cap: 3×active+6.
 func (o *Overlay) passiveTargetLocked() int {
-	if o.passiveSize > 0 {
-		return o.passiveSize
-	}
 	return 3*o.activeTargetLocked() + 6
 }
 
@@ -641,7 +579,7 @@ func (o *Overlay) arm(d time.Duration) {
 	}
 	o.armed = true
 	if d < 0 {
-		d = o.interval
+		d = DefaultInterval
 	}
 	o.mu.Unlock()
 	o.clock.AfterFunc(d, o.round)
@@ -696,7 +634,7 @@ func (o *Overlay) roundDone(v0 uint64, failed0 int64, failures int) {
 		o.quiet++
 	}
 	rearm := o.want ||
-		(changed && o.consecFail < o.failureCap && o.quiet < o.quietCap)
+		(changed && o.consecFail < o.failureCap && o.quiet < DefaultQuietCap)
 	o.mu.Unlock()
 	if rearm {
 		o.arm(-1)
@@ -775,7 +713,7 @@ func (o *Overlay) neighbor(p Peer, pin bool, done func(failures int)) {
 			o.addActive(p, pin)
 		}
 		done(0)
-	}, rpc.CallTimeout(o.timeout))
+	}, rpc.CallTimeout(DefaultTimeout))
 }
 
 // probeAll pings the snapshot of the active view sequentially; a failed
@@ -800,7 +738,7 @@ func (o *Overlay) probeAll(targets []Peer, i, failures int, done func(failures i
 			o.mu.Unlock()
 		}
 		o.probeAll(targets, i+1, failures, done)
-	}, rpc.CallTimeout(o.timeout))
+	}, rpc.CallTimeout(DefaultTimeout))
 }
 
 // fillDeficit promotes passive candidates (placement bias first) until
@@ -858,7 +796,7 @@ func (o *Overlay) shuffleOnce(failures int, done func(failures int)) {
 		o.stats.Shuffles++
 		o.mu.Unlock()
 		done(failures)
-	}, rpc.CallTimeout(o.timeout))
+	}, rpc.CallTimeout(DefaultTimeout))
 }
 
 // sampleLocked draws up to shuffleLen peers from the union of the views

@@ -115,8 +115,8 @@ func (o *Overlay) register() {
 			if p.Addr == req.Joiner.Addr {
 				continue
 			}
-			o.ep.GoJSON(p.Addr, MethodForwardJoin, forwardJoinReq{Joiner: req.Joiner, TTL: o.walkTTL},
-				func(rpc.Result) {}, rpc.CallTimeout(o.timeout))
+			o.ep.GoJSON(p.Addr, MethodForwardJoin, forwardJoinReq{Joiner: req.Joiner, TTL: DefaultWalkTTL},
+				func(rpc.Result) {}, rpc.CallTimeout(DefaultTimeout))
 		}
 		o.arm(0)
 		return resp, nil
@@ -149,7 +149,7 @@ func (o *Overlay) register() {
 				next := walk[o.rng.Intn(len(walk))]
 				o.mu.Unlock()
 				o.ep.GoJSON(next.Addr, MethodForwardJoin, forwardJoinReq{Joiner: req.Joiner, TTL: req.TTL - 1},
-					func(rpc.Result) {}, rpc.CallTimeout(o.timeout))
+					func(rpc.Result) {}, rpc.CallTimeout(DefaultTimeout))
 			}
 		}
 		return ack{}, nil
@@ -237,7 +237,7 @@ func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) i
 			tc = parent
 		}
 	}
-	o.sendRumor(targets, rumorReq{From: o.self, TTL: o.ttl, Entries: []rumorEntry{{ID: id, VV: vv}}}, tc)
+	o.sendRumor(targets, rumorReq{From: o.self, TTL: DefaultTTL, Entries: []rumorEntry{{ID: id, VV: vv}}}, tc)
 }
 
 // handleRumor processes an incoming rumor. Entries this replica already
@@ -305,7 +305,7 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) rumorResp {
 				}
 			}
 			o.forwardRumor(landed, req.TTL, req.From.Addr)
-		}, rpc.CallTimeout(o.timeout), rpc.CallTrace(tc))
+		}, rpc.CallTimeout(DefaultTimeout), rpc.CallTrace(tc))
 	}
 	return rumorResp{Want: len(want)}
 }
@@ -342,8 +342,8 @@ func (o *Overlay) forwardRumor(entries []rumorEntry, ttl int, from netsim.Addres
 }
 
 // rumorTargetsLocked picks the peers one rumor goes to: the active view
-// minus the sender, ordered by rank (placement interest) then site, cut
-// to the fanout (0 = the whole view).
+// minus the sender, ordered by rank (placement interest) then site — the
+// whole view, the deterministic-coverage choice.
 func (o *Overlay) rumorTargetsLocked(exclude netsim.Address, rank func(site string) int) []Peer {
 	out := make([]Peer, 0, len(o.active))
 	for _, p := range o.active {
@@ -363,9 +363,6 @@ func (o *Overlay) rumorTargetsLocked(exclude netsim.Address, rank func(site stri
 		}
 		return out[i].Site < out[j].Site
 	})
-	if o.fanout > 0 && len(out) > o.fanout {
-		out = out[:o.fanout]
-	}
 	return out
 }
 
@@ -373,7 +370,7 @@ func (o *Overlay) sendRumor(targets []Peer, req rumorReq, tc wire.TraceContext) 
 	for _, p := range targets {
 		o.ep.GoJSON(p.Addr, MethodRumor, req, func(rpc.Result) {
 			// Losing a rumor is fine: anti-entropy is the repair path.
-		}, rpc.CallTimeout(o.timeout), rpc.CallTrace(tc))
+		}, rpc.CallTimeout(DefaultTimeout), rpc.CallTrace(tc))
 	}
 }
 

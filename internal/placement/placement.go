@@ -195,6 +195,11 @@ type Assignment struct {
 	Sites []string
 }
 
+// At reports whether the space is placed at the site.
+func (a Assignment) At(site string) bool {
+	return Placement{Everywhere: len(a.Sites) == 0, Sites: a.Sites}.At(site)
+}
+
 // Stats counts policy activity.
 type Stats struct {
 	Decisions int64  // SitesFor / PlacedAt evaluations

@@ -211,16 +211,6 @@ func WithNegativeCache(p *Policy) ReaderOption {
 	return func(r *Reader) { r.policy = p }
 }
 
-// WithNegativeCacheSize bounds the cache (default
-// DefaultNegativeCacheSize); 0 keeps the default.
-func WithNegativeCacheSize(n int) ReaderOption {
-	return func(r *Reader) {
-		if n > 0 {
-			r.negCap = n
-		}
-	}
-}
-
 // WithNegativeTTL bounds the staleness of cached misses: a negative
 // entry older than ttl (by the given clock) is dropped and the read
 // walks the holders again. This closes the staleness window documented
@@ -233,13 +223,6 @@ func WithNegativeTTL(ttl time.Duration, now func() time.Time) ReaderOption {
 		r.negTTL = ttl
 		r.now = now
 	}
-}
-
-// WithFailureCooldown sets for how many subsequent resolutions a failed
-// holder is deferred to the tail of the scan (default
-// DefaultFailureCooldown); 0 disables the deferral.
-func WithFailureCooldown(n int) ReaderOption {
-	return func(r *Reader) { r.cooldown = n }
 }
 
 // WithReaderTelemetry attaches the deployment telemetry: Forward opens
@@ -271,17 +254,15 @@ type negEntry struct {
 // tail of the scan — a down first holder stops taxing every read — and
 // definitive misses are negative-cached under the policy version.
 type Reader struct {
-	ep       *rpc.Endpoint
-	trading  *trader.Trader
-	site     string
-	timeout  time.Duration
-	policy   *Policy // enables the negative cache when set
-	negCap   int
-	negTTL   time.Duration    // bounded staleness of cached misses; 0 = no expiry
-	now      func() time.Time // clock the TTL is measured against
-	cooldown int
-	tracer   *observe.Tracer
-	objects  *observe.ObjectTraces
+	ep      *rpc.Endpoint
+	trading *trader.Trader
+	site    string
+	timeout time.Duration
+	policy  *Policy          // enables the negative cache when set
+	negTTL  time.Duration    // bounded staleness of cached misses; 0 = no expiry
+	now     func() time.Time // clock the TTL is measured against
+	tracer  *observe.Tracer
+	objects *observe.ObjectTraces
 
 	mu    sync.Mutex
 	stats ReaderStats
@@ -293,14 +274,12 @@ type Reader struct {
 // NewReader builds a reader resolving holders through the given trader.
 func NewReader(ep *rpc.Endpoint, trading *trader.Trader, site string, opts ...ReaderOption) *Reader {
 	r := &Reader{
-		ep:       ep,
-		trading:  trading,
-		site:     site,
-		timeout:  DefaultReadTimeout,
-		negCap:   DefaultNegativeCacheSize,
-		cooldown: DefaultFailureCooldown,
-		neg:      make(map[string]negEntry),
-		fails:    make(map[netsim.Address]int),
+		ep:      ep,
+		trading: trading,
+		site:    site,
+		timeout: DefaultReadTimeout,
+		neg:     make(map[string]negEntry),
+		fails:   make(map[netsim.Address]int),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -359,7 +338,7 @@ func (r *Reader) negStore(objID string) {
 	pv := r.policy.Version()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.neg) >= r.negCap {
+	if len(r.neg) >= DefaultNegativeCacheSize {
 		for k := range r.neg {
 			delete(r.neg, k)
 			break
@@ -379,9 +358,6 @@ func (r *Reader) negStore(objID string) {
 // full scan remains the fallback. Each deferral consumes one unit of the
 // holder's cooldown.
 func (r *Reader) holderOrder(providers []netsim.Address) []netsim.Address {
-	if r.cooldown <= 0 {
-		return providers
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var fresh, cooled []netsim.Address
@@ -402,11 +378,8 @@ func (r *Reader) holderOrder(providers []netsim.Address) []netsim.Address {
 
 // noteFailure puts a holder on cooldown; noteSuccess clears it.
 func (r *Reader) noteFailure(p netsim.Address) {
-	if r.cooldown <= 0 {
-		return
-	}
 	r.mu.Lock()
-	r.fails[p] = r.cooldown
+	r.fails[p] = DefaultFailureCooldown
 	r.mu.Unlock()
 }
 

@@ -52,7 +52,7 @@ func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 		}
 		m.count(len(resp.Frames))
 		then(resp)
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
+	}, rpc.CallTimeout(DefaultSyncTimeout), rpc.CallTrace(m.st.trace))
 }
 
 // pull merges the rows a peer answered with and books those that changed
@@ -85,7 +85,7 @@ func (m *merkleExchange) push(objs []*information.Object, then func()) {
 			m.st.moved = true
 		}
 		then()
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
+	}, rpc.CallTimeout(DefaultSyncTimeout), rpc.CallTrace(m.st.trace))
 }
 
 // rootFrame encodes the tree's root as the single frame that opens (or
@@ -254,7 +254,7 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 		}
 		sort.Slice(push, func(i, j int) bool { return push[i].ID < push[j].ID })
 		m.push(push, m.finish)
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(m.st.trace))
+	}, rpc.CallTimeout(DefaultSyncTimeout), rpc.CallTrace(m.st.trace))
 }
 
 // The digest-byte counters measure the digest sections of the bodies

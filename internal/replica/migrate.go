@@ -135,7 +135,7 @@ func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
 				}
 			}
 			step(i + 1)
-		}, rpc.CallTimeout(r.timeout))
+		}, rpc.CallTimeout(DefaultSyncTimeout))
 	}
 	step(0)
 }

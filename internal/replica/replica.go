@@ -209,11 +209,6 @@ type Stats struct {
 // Option configures a Replicator.
 type Option func(*Replicator)
 
-// WithSyncTimeout bounds each peer exchange.
-func WithSyncTimeout(d time.Duration) Option {
-	return func(r *Replicator) { r.timeout = d }
-}
-
 // WithFailureCap sets how many consecutive failing rounds run before the
 // replicator goes dormant until re-armed.
 func WithFailureCap(n int) Option {
@@ -274,7 +269,6 @@ type Replicator struct {
 	clock   vclock.Clock
 	space   *information.Space
 	site    string
-	timeout time.Duration
 	policy  *placement.Policy
 	tracer  *observe.Tracer
 	objects *observe.ObjectTraces
@@ -305,7 +299,6 @@ func New(ep *rpc.Endpoint, clock vclock.Clock, space *information.Space, opts ..
 		clock:      clock,
 		space:      space,
 		site:       space.Site(),
-		timeout:    DefaultSyncTimeout,
 		interval:   DefaultInterval,
 		failureCap: DefaultFailureCap,
 		scoped:     make(map[string]scopedTree),

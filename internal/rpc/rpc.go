@@ -113,11 +113,6 @@ type Stats struct {
 // Option configures an Endpoint.
 type Option func(*Endpoint)
 
-// WithTimeout sets the default per-call timeout. Zero keeps the 2s default.
-func WithTimeout(d time.Duration) Option {
-	return func(e *Endpoint) { e.timeout = d }
-}
-
 // WithInterceptor appends a server-side interceptor; interceptors run in
 // registration order, outermost first.
 func WithInterceptor(i Interceptor) Option {
@@ -156,7 +151,6 @@ type Endpoint struct {
 	ids    *id.Generator
 	tracer *observe.Tracer
 
-	timeout      time.Duration
 	interceptors []Interceptor
 	chOpts       []channel.Option
 
@@ -192,7 +186,6 @@ func (pc *pendingCall) stopTimer() {
 func NewEndpoint(node *netsim.Node, clock vclock.Clock, opts ...Option) *Endpoint {
 	e := &Endpoint{
 		clock:        clock,
-		timeout:      2 * time.Second,
 		methods:      make(map[string]Handler),
 		asyncMethods: make(map[string]AsyncHandler),
 		pending:      make(map[string]*pendingCall),
@@ -210,10 +203,6 @@ func NewEndpoint(node *netsim.Node, clock vclock.Clock, opts ...Option) *Endpoin
 
 // Addr returns the underlying node address.
 func (e *Endpoint) Addr() netsim.Address { return e.ch.Addr() }
-
-// Channel exposes the endpoint's channel stack (per-channel stats,
-// explicit rebinding after migration/failure).
-func (e *Endpoint) Channel() *channel.Stack { return e.ch }
 
 // LayerValue returns per-endpoint state owned by a higher layer, creating
 // it with init on first use. It exists so layers that multiplex several
@@ -313,7 +302,10 @@ type callSettings struct {
 	trace   wire.TraceContext // parent context for the call's spans
 }
 
-// CallTimeout overrides the endpoint default timeout for one call.
+// DefaultTimeout bounds a call that sets no CallTimeout.
+const DefaultTimeout = 2 * time.Second
+
+// CallTimeout overrides DefaultTimeout for one call.
 func CallTimeout(d time.Duration) CallOption {
 	return func(s *callSettings) { s.timeout = d }
 }
@@ -355,7 +347,7 @@ func CallTrace(tc wire.TraceContext) CallOption {
 // Go invokes method on the remote address asynchronously; done is called
 // exactly once with the outcome. Safe to call from within handlers.
 func (e *Endpoint) Go(to netsim.Address, method string, body []byte, done func(Result), opts ...CallOption) {
-	settings := callSettings{timeout: e.timeout}
+	settings := callSettings{timeout: DefaultTimeout}
 	for _, opt := range opts {
 		opt(&settings)
 	}

@@ -670,9 +670,9 @@ func (h *Harness) applyFault(f Fault) {
 		var a, b []netsim.Address
 		for _, s := range h.org.Sites {
 			if inA[s] {
-				a = append(a, h.siteAddrs(s)...)
+				a = append(a, h.sites[s].Addrs()...)
 			} else {
-				b = append(b, h.siteAddrs(s)...)
+				b = append(b, h.sites[s].Addrs()...)
 			}
 		}
 		h.dep.Network().Partition(a, b)
@@ -705,19 +705,6 @@ func (h *Harness) tearWAL(site string, tornBytes int) {
 		size = 0
 	}
 	_ = os.Truncate(path, size)
-}
-
-// siteAddrs lists the site-plane addresses a partition moves as a group.
-func (h *Harness) siteAddrs(site string) []netsim.Address {
-	addrs := []netsim.Address{
-		netsim.Address("mta-" + site),
-		netsim.Address("repl-" + site),
-		netsim.Address("place-" + site),
-	}
-	if h.spec.Topology == "gossip" {
-		addrs = append(addrs, netsim.Address("gossip-"+site))
-	}
-	return addrs
 }
 
 // generateFaults derives a fault timeline from the run seed. Everything

@@ -168,6 +168,86 @@ func TestPushDeliveredWriteIsTraced(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsTelemetry: a restarted site is wired exactly like a
+// first-booted one. After Crash/Restart of a durable holder (s0) and of a
+// non-placed writer (s1), a write made elsewhere and applied at s0 still
+// commits under a wal.commit span of that write's trace, and a non-placed
+// write at s1 still forwards under a placement.forward span of its own.
+func TestRestartKeepsTelemetry(t *testing.T) {
+	dep := NewDeployment(
+		WithSeed(29),
+		WithTelemetry(),
+		WithDurableStore(t.TempDir()),
+		WithPlacement(placement.ByField("context", "vault", "s0", "s2")),
+	)
+	s0 := dep.AddSite("s0", "s0.net")
+	s1 := dep.AddSite("s1", "s1.net")
+	s2 := dep.AddSite("s2", "s2.net")
+	dep.Run()
+	for _, s := range []*Site{s0, s1} {
+		s.Crash()
+		if err := s.Restart(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dep.Run()
+
+	// The wal.commit span needs an already-tagged id, so the write is made
+	// at s2 and reaches the restarted s0 as a remote apply.
+	remote, err := s2.Space().Put("ada", SharedSchemaName, map[string]string{
+		"title": "applied at the restarted holder", "context": "vault",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwarded, err := s1.Space().Put("ada", SharedSchemaName, map[string]string{
+		"title": "forwarded by the restarted writer", "context": "vault",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.Run()
+	if _, err := s0.Space().Get("ada", remote.ID); err != nil {
+		t.Fatalf("restarted holder s0 missing the remote write: %v", err)
+	}
+
+	spans := dep.Traces()
+	find := func(name, site, objID string) *observe.Span {
+		for i := range spans {
+			sp := &spans[i]
+			if sp.Name != name || sp.Site != site {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				if a.Key == "object" && a.Value == objID {
+					return sp
+				}
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		span, site string // the span the restarted site must emit
+		rootSite   string // where the write it belongs to was made
+		objID      string
+	}{
+		{"wal.commit", "s0", "s2", remote.ID},
+		{"placement.forward", "s1", "s1", forwarded.ID},
+	} {
+		root := find("write:put", tc.rootSite, tc.objID)
+		if root == nil {
+			t.Fatalf("no write root for %s at %s; spans: %v", tc.objID, tc.rootSite, spanNames(spans))
+		}
+		sp := find(tc.span, tc.site, tc.objID)
+		if sp == nil {
+			t.Fatalf("restarted site %s emitted no %s span; spans: %v", tc.site, tc.span, spanNames(spans))
+		}
+		if sp.TraceID != root.TraceID {
+			t.Fatalf("%s at %s in trace %x, want the write's trace %x", tc.span, tc.site, sp.TraceID, root.TraceID)
+		}
+	}
+}
+
 // TestTelemetryMetricsProjectSubsystemStats: the adapter collectors
 // surface the run's existing counters under stable dotted names, and
 // the registry's text exposition carries them.
