@@ -3,14 +3,19 @@ package directory
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"unicode"
 )
 
 // Entry is a node in the Directory Information Tree.
 type Entry struct {
 	DN    DN
 	Attrs Attributes
+	// On a DIT's stored copy only: the normalized DN and the parent's.
+	key, parent string
 }
 
 // Clone deep-copies the entry.
@@ -83,16 +88,97 @@ type DIT struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry // normalized DN -> entry
 	childix map[string]map[string]bool
-	log     []Change
-	seq     uint64
+	// eqix is the equality index: each entry posted once under every
+	// (attribute, folded value) it holds. Search re-runs the whole filter on
+	// what it finds here: candidates are a superset, the filter decides.
+	eqix map[eqKey][]*Entry
+	log  []Change
+	seq  uint64
 }
+
+type eqKey struct{ attr, value string }
 
 // NewDIT creates an empty tree containing only the implicit root.
 func NewDIT() *DIT {
 	return &DIT{
 		entries: make(map[string]*Entry),
 		childix: make(map[string]map[string]bool),
+		eqix:    make(map[eqKey][]*Entry),
 	}
+}
+
+// insertLocked stores attrs (owned by the tree from here on) under dn, links
+// the entry below its parent and posts it in the index.
+func (d *DIT) insertLocked(dn DN, attrs Attributes) {
+	key, pk := dn.Normalized(), dn.Parent().Normalized()
+	if old := d.entries[key]; old != nil {
+		d.postLocked(old, false)
+	}
+	e := &Entry{DN: dn, Attrs: attrs, key: key, parent: key[len(key)-len(pk):]}
+	d.entries[key] = e
+	if d.childix[pk] == nil {
+		d.childix[pk] = make(map[string]bool)
+	}
+	d.childix[pk][key] = true
+	d.postLocked(e, true)
+}
+
+// removeLocked drops the entry under key with its postings, and key's child
+// list whether or not an entry was there.
+func (d *DIT) removeLocked(key string) {
+	if e := d.entries[key]; e != nil {
+		d.postLocked(e, false)
+		delete(d.childix[e.parent], key)
+		delete(d.entries, key)
+	}
+	delete(d.childix, key)
+}
+
+// setAttrsLocked replaces a stored entry's attributes, moving its postings.
+func (d *DIT) setAttrsLocked(e *Entry, attrs Attributes) {
+	d.postLocked(e, false)
+	e.Attrs = attrs
+	d.postLocked(e, true)
+}
+
+// postLocked adds e to (or removes it from) the posting list of every value
+// it holds. An entry is posted whole, so a value it holds twice, or two that
+// fold alike, finds e at the tail of the list and is posted once. Removal
+// scans the list: a write to an entry costs the length of its longest one.
+func (d *DIT) postLocked(e *Entry, add bool) {
+	for attr, vals := range e.Attrs {
+		for _, v := range vals {
+			k := eqKey{attr, foldValue(v)}
+			list := d.eqix[k]
+			if add {
+				if n := len(list); n == 0 || list[n-1] != e {
+					d.eqix[k] = append(list, e)
+				}
+			} else if i := slices.Index(list, e); i >= 0 && len(list) == 1 {
+				delete(d.eqix, k)
+			} else if i >= 0 {
+				d.eqix[k] = slices.Delete(list, i, i+1)
+			}
+		}
+	}
+}
+
+// foldValue maps a value to its index key: two values get the same key exactly
+// when strings.EqualFold holds for them, and lower-case ASCII is its own key.
+func foldValue(s string) string { return strings.Map(foldRune, s) }
+
+// foldRune sends a rune to the least of its unicode.SimpleFold orbit, lower-
+// cased when that is ASCII: "ſ" and the Kelvin sign meet "s" and "k", which
+// strings.ToLower keeps apart.
+func foldRune(r rune) rune {
+	least := r
+	for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+		least = min(least, f)
+	}
+	if 'A' <= least && least <= 'Z' {
+		least += 'a' - 'A'
+	}
+	return least
 }
 
 // Len returns the number of entries (excluding the implicit root).
@@ -122,12 +208,7 @@ func (d *DIT) Add(dn DN, attrs Attributes) error {
 	if attrs == nil {
 		attrs = make(Attributes)
 	}
-	d.entries[key] = &Entry{DN: dn, Attrs: attrs.Clone()}
-	pk := parent.Normalized()
-	if d.childix[pk] == nil {
-		d.childix[pk] = make(map[string]bool)
-	}
-	d.childix[pk][key] = true
+	d.insertLocked(dn, attrs.Clone())
 	d.appendChangeLocked(Change{Kind: ChangeAdd, DN: dn.String(), Attrs: attrs.Clone()})
 	return nil
 }
@@ -143,9 +224,7 @@ func (d *DIT) Delete(dn DN) error {
 	if len(d.childix[key]) > 0 {
 		return fmt.Errorf("%w: %s", ErrHasChildren, dn)
 	}
-	delete(d.entries, key)
-	delete(d.childix, key)
-	delete(d.childix[dn.Parent().Normalized()], key)
+	d.removeLocked(key)
 	d.appendChangeLocked(Change{Kind: ChangeDelete, DN: dn.String()})
 	return nil
 }
@@ -185,7 +264,7 @@ func (d *DIT) Modify(dn DN, mods ...Modification) error {
 			return fmt.Errorf("directory: unknown modification op %q", m.Op)
 		}
 	}
-	entry.Attrs = staged
+	d.setAttrsLocked(entry, staged)
 	d.appendChangeLocked(Change{Kind: ChangeModify, DN: dn.String(), Attrs: staged.Clone()})
 	return nil
 }
@@ -230,9 +309,20 @@ type SearchRequest struct {
 	DerefAliases bool
 }
 
-// Search walks the tree under Base per Scope, returning entries matching
-// Filter sorted by DN. If the size limit is hit the partial result is
-// returned together with ErrSizeLimit.
+// covers reports whether the scope takes in an entry depth levels below the base.
+func (s Scope) covers(depth int) bool {
+	return s == ScopeSubtree || s == ScopeBase && depth == 0 || s == ScopeOneLevel && depth == 1
+}
+
+// Search returns the entries under Base per Scope that match Filter, sorted
+// by DN. If the size limit is hit the partial result — the matches a walk of
+// the subtree reaches first — is returned together with ErrSizeLimit.
+//
+// Candidates come from the equality index when the filter is an equality
+// term or an And holding one, and from the subtree walk for every other
+// filter and whenever aliases are dereferenced (an alias stands for an entry
+// the index files elsewhere). Either way each candidate in scope meets the
+// whole filter, the size limit and Clone in turn.
 func (d *DIT) Search(req SearchRequest) ([]*Entry, error) {
 	if req.Filter == nil {
 		req.Filter = All()
@@ -251,7 +341,6 @@ func (d *DIT) Search(req SearchRequest) ([]*Entry, error) {
 	}
 
 	var out []*Entry
-	var walk func(key string, depth int) error
 	visit := func(e *Entry) error {
 		target := e
 		if req.DerefAliases && e.Attrs.Has(AliasAttr, "") {
@@ -269,56 +358,124 @@ func (d *DIT) Search(req SearchRequest) ([]*Entry, error) {
 		}
 		return nil
 	}
-	walk = func(key string, depth int) error {
-		if entry, ok := d.entries[key]; ok {
-			include := false
-			switch req.Scope {
-			case ScopeBase:
-				include = depth == 0
-			case ScopeOneLevel:
-				include = depth == 1
-			case ScopeSubtree:
-				include = true
-			}
-			if include {
-				if err := visit(entry); err != nil {
-					return err
-				}
-			}
-		}
-		if req.Scope == ScopeBase && depth >= 0 {
-			if depth == 0 && len(d.childix[key]) == 0 {
-				return nil
-			}
-		}
-		if req.Scope == ScopeOneLevel && depth >= 1 {
-			return nil
-		}
-		if req.Scope == ScopeBase {
-			return nil
-		}
-		children := make([]string, 0, len(d.childix[key]))
-		for ck := range d.childix[key] {
-			children = append(children, ck)
-		}
-		sort.Strings(children)
-		for _, ck := range children {
-			if err := walk(ck, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
+	var err error
+	if posted, ok := d.postedLocked(req.Filter); ok && !req.DerefAliases {
+		err = d.visitPostedLocked(posted, baseKey, req, visit)
+	} else {
+		err = d.walkLocked(baseKey, 0, req.Scope, visit)
 	}
-	err := walk(baseKey, 0)
-	if errors.Is(err, ErrSizeLimit) {
-		sortEntries(out)
-		return out, err
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrSizeLimit) {
 		return nil, err
 	}
 	sortEntries(out)
-	return out, nil
+	return out, err
+}
+
+// walkLocked visits the entries in scope under key in pre-order: an entry
+// before its children, siblings by normalized key.
+func (d *DIT) walkLocked(key string, depth int, scope Scope, visit func(*Entry) error) error {
+	if entry, ok := d.entries[key]; ok && scope.covers(depth) {
+		if err := visit(entry); err != nil {
+			return err
+		}
+	}
+	if scope == ScopeBase || scope == ScopeOneLevel && depth >= 1 {
+		return nil
+	}
+	children := make([]string, 0, len(d.childix[key]))
+	for ck := range d.childix[key] {
+		children = append(children, ck)
+	}
+	sort.Strings(children)
+	for _, ck := range children {
+		if err := d.walkLocked(ck, depth+1, scope, visit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// postedLocked returns the shortest posting list among the equality terms
+// every match of f must satisfy, and false when f has none. (attr=) with an
+// empty value is Has's presence test, which no posting list answers.
+func (d *DIT) postedLocked(f Filter) ([]*Entry, bool) {
+	switch f := f.(type) {
+	case eqFilter:
+		return d.eqix[eqKey{strings.ToLower(f.attr), foldValue(f.value)}], f.value != ""
+	case andFilter:
+		var best []*Entry
+		found := false
+		for _, sub := range f {
+			if list, ok := d.postedLocked(sub); ok && (!found || len(list) < len(best)) {
+				best, found = list, true
+			}
+		}
+		return best, found
+	}
+	return nil, false
+}
+
+// visitPostedLocked visits the posted entries in scope under base. Only when
+// they outnumber the size limit does their order decide the result; they are
+// then visited in the walk's order, so the same partial subset comes back.
+func (d *DIT) visitPostedLocked(list []*Entry, base string, req SearchRequest, visit func(*Entry) error) error {
+	var room [8]*Entry
+	cands := room[:0]
+	for _, e := range list {
+		if depth := d.depthLocked(e, base); depth >= 0 && req.Scope.covers(depth) {
+			cands = append(cands, e)
+		}
+	}
+	if req.SizeLimit > 0 && len(cands) > req.SizeLimit {
+		slices.SortFunc(cands, func(a, b *Entry) int { return d.walkOrderLocked(a, b, base) })
+	}
+	for _, e := range cands {
+		if err := visit(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// depthLocked returns how many child links lead from the entry keyed base
+// (the implicit root when empty) down to e, or -1 when none do. It follows
+// the links the walk follows, not the DNs: a shadow can hold an entry whose
+// parent was never replicated.
+func (d *DIT) depthLocked(e *Entry, base string) int {
+	depth := 0
+	for e.key != base {
+		if !d.childix[e.parent][e.key] {
+			return -1
+		}
+		depth++
+		if e.parent == base {
+			break
+		}
+		if e = d.entries[e.parent]; e == nil {
+			return -1
+		}
+	}
+	return depth
+}
+
+// walkOrderLocked compares two entries under base by the order the walk
+// reaches them: lift the deeper one to the other's level, then both to the
+// siblings under their common ancestor.
+func (d *DIT) walkOrderLocked(x, y *Entry, base string) int {
+	dx, dy := d.depthLocked(x, base), d.depthLocked(y, base)
+	for n := dx; n > dy; n-- {
+		x = d.entries[x.parent]
+	}
+	for n := dy; n > dx; n-- {
+		y = d.entries[y.parent]
+	}
+	if x == y {
+		return dx - dy
+	}
+	for x.parent != y.parent {
+		x, y = d.entries[x.parent], d.entries[y.parent]
+	}
+	return strings.Compare(x.key, y.key)
 }
 
 // derefLocked resolves an alias chain, bounded against loops.
@@ -396,22 +553,15 @@ func (d *DIT) Apply(c Change) error {
 		if _, ok := d.entries[key]; ok {
 			return fmt.Errorf("%w: %s", ErrEntryExists, dn)
 		}
-		d.entries[key] = &Entry{DN: dn, Attrs: c.Attrs.Clone()}
-		pk := dn.Parent().Normalized()
-		if d.childix[pk] == nil {
-			d.childix[pk] = make(map[string]bool)
-		}
-		d.childix[pk][key] = true
+		d.insertLocked(dn, c.Attrs.Clone())
 	case ChangeDelete:
-		delete(d.entries, key)
-		delete(d.childix, key)
-		delete(d.childix[dn.Parent().Normalized()], key)
+		d.removeLocked(key)
 	case ChangeModify:
 		entry, ok := d.entries[key]
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
 		}
-		entry.Attrs = c.Attrs.Clone()
+		d.setAttrsLocked(entry, c.Attrs.Clone())
 	default:
 		return fmt.Errorf("directory: unknown change kind %d", c.Kind)
 	}
@@ -439,16 +589,12 @@ func (d *DIT) LoadSnapshot(entries []*Entry, seq uint64) error {
 	defer d.mu.Unlock()
 	d.entries = make(map[string]*Entry, len(entries))
 	d.childix = make(map[string]map[string]bool)
+	d.eqix = make(map[eqKey][]*Entry)
 	sorted := append([]*Entry(nil), entries...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].DN.Depth() < sorted[j].DN.Depth() })
 	for _, e := range sorted {
-		key := e.DN.Normalized()
-		d.entries[key] = e.Clone()
-		pk := e.DN.Parent().Normalized()
-		if d.childix[pk] == nil {
-			d.childix[pk] = make(map[string]bool)
-		}
-		d.childix[pk][key] = true
+		c := e.Clone()
+		d.insertLocked(c.DN, c.Attrs)
 	}
 	d.seq = seq
 	d.log = nil

@@ -3,7 +3,12 @@ package directory
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 // seedDIT builds the small organisation tree used across tests:
@@ -333,5 +338,470 @@ func TestLargeTreeSearch(t *testing.T) {
 	want := (n + 2) / 3
 	if len(got) != want {
 		t.Fatalf("got %d eng entries, want %d", len(got), want)
+	}
+}
+
+// scanSearch is Search as it was before the equality index: one pre-order
+// walk of the subtree for every request. It is the reference the indexed
+// Search is compared against, kept word for word.
+func scanSearch(d *DIT, req SearchRequest) ([]*Entry, error) {
+	if req.Filter == nil {
+		req.Filter = All()
+	}
+	if req.Scope == 0 {
+		req.Scope = ScopeSubtree
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+
+	baseKey := req.Base.Normalized()
+	if !req.Base.IsRoot() {
+		if _, ok := d.entries[baseKey]; !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNoSuchEntry, req.Base)
+		}
+	}
+
+	var out []*Entry
+	var walk func(key string, depth int) error
+	visit := func(e *Entry) error {
+		target := e
+		if req.DerefAliases && e.Attrs.Has(AliasAttr, "") {
+			deref, err := d.derefLocked(e, 0)
+			if err != nil {
+				return err
+			}
+			target = deref
+		}
+		if req.Filter.Matches(target.Attrs) {
+			if req.SizeLimit > 0 && len(out) >= req.SizeLimit {
+				return ErrSizeLimit
+			}
+			out = append(out, target.Clone())
+		}
+		return nil
+	}
+	walk = func(key string, depth int) error {
+		if entry, ok := d.entries[key]; ok {
+			include := false
+			switch req.Scope {
+			case ScopeBase:
+				include = depth == 0
+			case ScopeOneLevel:
+				include = depth == 1
+			case ScopeSubtree:
+				include = true
+			}
+			if include {
+				if err := visit(entry); err != nil {
+					return err
+				}
+			}
+		}
+		if req.Scope == ScopeOneLevel && depth >= 1 {
+			return nil
+		}
+		if req.Scope == ScopeBase {
+			return nil
+		}
+		children := make([]string, 0, len(d.childix[key]))
+		for ck := range d.childix[key] {
+			children = append(children, ck)
+		}
+		sort.Strings(children)
+		for _, ck := range children {
+			if err := walk(ck, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := walk(baseKey, 0)
+	if errors.Is(err, ErrSizeLimit) {
+		sortEntries(out)
+		return out, err
+	}
+	if err != nil {
+		return nil, err
+	}
+	sortEntries(out)
+	return out, nil
+}
+
+// The pools a search script draws from. RDN values are chosen so sibling keys
+// differ around ',' (the walk orders siblings by whole normalized key, not by
+// RDN), attribute values so every folding case meets its partners: "ſ" and the
+// Kelvin sign fold to ASCII letters, "İ" folds to nothing else although
+// ToLower maps it to "i", and two different invalid bytes are EqualFold.
+var (
+	scriptRDNs = [][]string{
+		{"o=A", "o=a!", "o=b"},
+		{"ou=X", "ou=x!", "ou=ſ"},
+		{"cn=Prinz", "cn=prinz", "cn=K", "cn=s", "cn=İ"},
+		{"cn=deep"},
+	}
+	scriptAttrs  = []string{"cn", "sn", "role"}
+	scriptValues = []string{"Prinz", "PRINZ", "s", "S", "ſ", "k", "K", "i", "İ", "\xff", "\xfe", "w"}
+)
+
+// script feeds bytes to the interpreter; an exhausted script reads zeros, so
+// every prefix of a script is a script.
+type script struct {
+	b []byte
+	i int
+}
+
+func (s *script) next(n int) int {
+	v := 0
+	if s.i < len(s.b) {
+		v = int(s.b[s.i])
+		s.i++
+	}
+	return v % n
+}
+
+func (s *script) done() bool { return s.i >= len(s.b) }
+
+// dn draws a DN from the pools, present in the tree or not.
+func (s *script) dn() DN {
+	depth := 1 + s.next(len(scriptRDNs))
+	parts := make([]string, depth)
+	for level := 0; level < depth; level++ {
+		pool := scriptRDNs[level]
+		parts[depth-1-level] = pool[s.next(len(pool))]
+	}
+	return MustParseDN(strings.Join(parts, ","))
+}
+
+// held draws the DN of an entry d holds, the root, or — one time in eight —
+// any DN from the pools.
+func (s *script) held(d *DIT) DN {
+	if s.next(8) == 0 {
+		return s.dn()
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	keys := make([]string, 0, len(d.entries))
+	for k := range d.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if i := s.next(len(keys) + 1); i < len(keys) {
+		return d.entries[keys[i]].DN
+	}
+	return DN{}
+}
+
+// child draws a DN one level below an entry d holds.
+func (s *script) child(d *DIT) DN {
+	parent := s.held(d)
+	pool := scriptRDNs[min(parent.Depth(), len(scriptRDNs)-1)]
+	rdn := MustParseDN(pool[s.next(len(pool))])
+	return append(rdn, parent...)
+}
+
+func (s *script) value() string { return scriptValues[s.next(len(scriptValues))] }
+func (s *script) attr() string  { return scriptAttrs[s.next(len(scriptAttrs))] }
+
+func (s *script) filter(depth int) Filter {
+	kind := s.next(12)
+	if depth >= 2 {
+		kind %= 6
+	}
+	switch kind {
+	case 0, 1, 2:
+		return Eq(s.attr(), s.value())
+	case 3:
+		return Present(s.attr())
+	case 4:
+		return Substr(s.attr(), "*"+strings.ToLower(s.value())+"*")
+	case 5:
+		return Eq(s.attr(), "")
+	case 6, 7:
+		return And(Eq(s.attr(), s.value()), s.filter(depth+1))
+	case 8:
+		return And(s.filter(depth+1), s.filter(depth+1), Eq(s.attr(), s.value()))
+	case 9:
+		return Or(s.filter(depth+1), s.filter(depth+1))
+	case 10:
+		return Not(s.filter(depth + 1))
+	default:
+		return Ge(s.attr(), s.value())
+	}
+}
+
+func (s *script) request(d *DIT) SearchRequest {
+	req := SearchRequest{
+		Scope:        Scope(s.next(4)),
+		SizeLimit:    []int{0, 1, 2, 5}[s.next(4)],
+		DerefAliases: s.next(4) == 0,
+		Filter:       s.filter(0),
+	}
+	req.Base = s.held(d)
+	return req
+}
+
+// mutate applies one scripted operation to the master tree. Errors are the
+// point as much as successes: a refused Add or Delete must leave the index
+// as it was.
+func (s *script) mutate(d *DIT) {
+	switch s.next(10) {
+	case 0, 1, 2, 3, 4:
+		attrs := Attributes{}
+		for n := 1 + s.next(3); n > 0; n-- {
+			attrs.Add(s.attr(), s.value())
+		}
+		if s.next(6) == 0 {
+			attrs.Add(AliasAttr, s.held(d).String())
+		}
+		_ = d.Add(s.child(d), attrs)
+	case 5:
+		_ = d.Modify(s.held(d), Modification{Op: "add", Attr: s.attr(), Value: s.value()})
+	case 6:
+		_ = d.Modify(s.held(d), Modification{Op: "replace", Attr: s.attr(), Values: []string{s.value(), s.value()}})
+	case 7:
+		_ = d.Modify(s.held(d), Modification{Op: "remove", Attr: s.attr(), Value: []string{"", s.value()}[s.next(2)]})
+	case 8:
+		// A value moves from one entry to another.
+		attr, v := s.attr(), s.value()
+		_ = d.Modify(s.held(d), Modification{Op: "remove", Attr: attr, Value: v})
+		_ = d.Modify(s.held(d), Modification{Op: "add", Attr: attr, Value: v})
+	default:
+		_ = d.Delete(s.held(d))
+	}
+}
+
+// runSearchScript interprets a script: bursts of mutations on a master tree,
+// each followed by a burst of searches on four trees that reached their
+// state by different roads — the master (Add/Modify/Delete), a shadow fed the
+// changelog through Apply, a tree re-loaded from the master's snapshot every
+// round, and a "torn" tree: loaded from the snapshot less one entry, then told
+// to delete another and, every other time, to add that one back, which leaves
+// entries the walk cannot reach although each has its parent. On each, Search
+// must return what scanSearch returns.
+func runSearchScript(t *testing.T, data []byte) {
+	t.Helper()
+	s := &script{b: data}
+	master, shadow, loaded := NewDIT(), NewDIT(), NewDIT()
+	for round := 0; round == 0 || !s.done(); round++ {
+		for n := 4 + s.next(12); n > 0; n-- {
+			s.mutate(master)
+		}
+		for _, c := range master.Changes(shadow.LastSeq()) {
+			if err := shadow.Apply(c); err != nil {
+				t.Fatalf("round %d: shadow.Apply(%+v): %v", round, c, err)
+			}
+		}
+		snap, seq := master.Snapshot()
+		if err := loaded.LoadSnapshot(snap, seq); err != nil {
+			t.Fatal(err)
+		}
+		torn := NewDIT()
+		if len(snap) > 0 {
+			drop := s.next(len(snap))
+			gone := snap[s.next(len(snap))]
+			_ = torn.LoadSnapshot(append(snap[:drop:drop], snap[drop+1:]...), seq)
+			_ = torn.Apply(Change{Seq: seq + 1, Kind: ChangeDelete, DN: gone.DN.String()})
+			if s.next(2) == 0 {
+				_ = torn.Apply(Change{Seq: seq + 2, Kind: ChangeAdd, DN: gone.DN.String(), Attrs: gone.Attrs})
+			}
+		}
+		trees := []struct {
+			name string
+			d    *DIT
+		}{{"master", master}, {"shadow", shadow}, {"loaded", loaded}, {"torn", torn}}
+		for n := 6 + s.next(10); n > 0; n-- {
+			req := s.request(master)
+			for _, tree := range trees {
+				got, gotErr := tree.d.Search(req)
+				want, wantErr := scanSearch(tree.d, req)
+				if diff := diffResults(got, gotErr, want, wantErr); diff != "" {
+					t.Fatalf("round %d, %s: Search(base %q scope %v filter %s limit %d deref %v): %s",
+						round, tree.name, req.Base, req.Scope, req.Filter, req.SizeLimit, req.DerefAliases, diff)
+				}
+			}
+		}
+	}
+}
+
+// diffResults describes the first difference between two search outcomes:
+// error, number of entries, then each entry's DN and attributes in order.
+func diffResults(got []*Entry, gotErr error, want []*Entry, wantErr error) string {
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || errors.Is(gotErr, ErrSizeLimit) != errors.Is(wantErr, ErrSizeLimit) {
+		return fmt.Sprintf("err = %v, scan says %v", gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d entries, scan says %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].DN.String() != want[i].DN.String() || !reflect.DeepEqual(got[i].Attrs, want[i].Attrs) {
+			return fmt.Sprintf("entry %d = %s %v, scan says %s %v", i, got[i].DN, got[i].Attrs, want[i].DN, want[i].Attrs)
+		}
+	}
+	return ""
+}
+
+func TestSearchIndexMatchesScan(t *testing.T) {
+	// Hand-written scripts would have to be re-derived whenever the
+	// interpreter changes; the cases that matter are pinned as direct tests
+	// below, and the seeds here cover the space between them.
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			data := make([]byte, 2500)
+			rand.New(rand.NewSource(seed)).Read(data)
+			runSearchScript(t, data)
+		})
+	}
+}
+
+func FuzzSearchIndexMatchesScan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			t.Skip("script longer than any the seeds need")
+		}
+		runSearchScript(t, data)
+	})
+}
+
+// TestSearchIndexCases pins the requests the index could plausibly get wrong,
+// each against the scan and against the answer written out.
+func TestSearchIndexCases(t *testing.T) {
+	d := NewDIT()
+	add := func(dn string, kv ...string) {
+		t.Helper()
+		if err := d.Add(MustParseDN(dn), NewAttributes(kv...)); err != nil {
+			t.Fatalf("Add(%s): %v", dn, err)
+		}
+	}
+	add("o=b", "role", "w")
+	add("o=a!", "role", "w")
+	add("o=a", "role", "w")
+	add("ou=z,o=a", "role", "W")
+	add("ou=y,o=a", "role", "w", "role", "W", "cn", "ſ")
+	add("ou=y!,o=a", "role", "w")
+	add("cn=k,ou=y,o=a", "role", "w", "cn", "K")
+	add("cn=i,o=b", "cn", "İ")
+	add("cn=ref,o=b", AliasAttr, "cn=k,ou=y,o=a", "role", "alias")
+
+	cases := []struct {
+		name string
+		req  SearchRequest
+		want []string
+		err  error
+	}{
+		{"fold s", SearchRequest{Filter: Eq("cn", "S")}, []string{"ou=y,o=a"}, nil},
+		{"fold kelvin", SearchRequest{Filter: Eq("cn", "k")}, []string{"cn=k,ou=y,o=a"}, nil},
+		{"dotted I is not i", SearchRequest{Filter: Eq("cn", "i")}, nil, nil},
+		{"a value held twice is one result", SearchRequest{Filter: Eq("role", "w"), Base: MustParseDN("ou=y,o=a"), Scope: ScopeBase}, []string{"ou=y,o=a"}, nil},
+		// The walk reaches o=a, ou=y! (siblings go by whole key, and '!' sorts
+		// before the ',' that follows "ou=y"), ou=y, cn=k, ou=z, o=a!, o=b.
+		{"limit keeps the walk's first", SearchRequest{Filter: Eq("role", "w"), SizeLimit: 4}, []string{"cn=k,ou=y,o=a", "o=a", "ou=y!,o=a", "ou=y,o=a"}, ErrSizeLimit},
+		{"limit among siblings", SearchRequest{Filter: Eq("role", "w"), Base: MustParseDN("o=a"), Scope: ScopeOneLevel, SizeLimit: 1}, []string{"ou=y!,o=a"}, ErrSizeLimit},
+		{"limit one level", SearchRequest{Filter: Eq("role", "w"), Scope: ScopeOneLevel, SizeLimit: 2}, []string{"o=a", "o=a!"}, ErrSizeLimit},
+		{"limit met exactly", SearchRequest{Filter: Eq("role", "w"), Base: MustParseDN("o=a"), SizeLimit: 5}, []string{"cn=k,ou=y,o=a", "o=a", "ou=y!,o=a", "ou=y,o=a", "ou=z,o=a"}, nil},
+		{"and picks the rarer term", SearchRequest{Filter: And(Eq("role", "w"), Eq("cn", "s"))}, []string{"ou=y,o=a"}, nil},
+		{"deref walks", SearchRequest{Filter: Eq("cn", "k"), Base: MustParseDN("o=b"), DerefAliases: true}, []string{"cn=k,ou=y,o=a"}, nil},
+		{"no deref, no alias target", SearchRequest{Filter: Eq("cn", "k"), Base: MustParseDN("o=b")}, nil, nil},
+		{"missing base", SearchRequest{Filter: Eq("cn", "k"), Base: MustParseDN("o=nowhere")}, nil, ErrNoSuchEntry},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := d.Search(tc.req)
+			want, wantErr := scanSearch(d, tc.req)
+			if diff := diffResults(got, err, want, wantErr); diff != "" {
+				t.Fatal(diff)
+			}
+			if !errors.Is(err, tc.err) {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			var dns []string
+			for _, e := range got {
+				dns = append(dns, e.DN.String())
+			}
+			if !reflect.DeepEqual(dns, tc.want) {
+				t.Fatalf("got %q, want %q", dns, tc.want)
+			}
+		})
+	}
+}
+
+func TestFoldValueIsEqualFold(t *testing.T) {
+	pool := append([]string{"", "a,b", "Straße", "ǅ", "ǆ", "Ǆ", "σ", "ς", "Σ"}, scriptValues...)
+	for r := rune(0); r < 0x3000; r++ {
+		pool = append(pool, string(r))
+	}
+	byKey := make(map[string]string)
+	for _, a := range pool {
+		key := foldValue(a)
+		if rep, ok := byKey[key]; ok && !strings.EqualFold(a, rep) {
+			t.Fatalf("foldValue(%q) == foldValue(%q) but they are not EqualFold", a, rep)
+		}
+		byKey[key] = a
+		for f := []rune(a); len(f) == 1 && unicode.SimpleFold(f[0]) != f[0]; {
+			if b := string(unicode.SimpleFold(f[0])); foldValue(b) != key {
+				t.Fatalf("%q and %q are EqualFold but fold to %q and %q", a, b, key, foldValue(b))
+			}
+			break
+		}
+	}
+	for _, pair := range [][2]string{{"ſ", "S"}, {"K", "k"}, {"PRINZ", "prinz"}, {"\xff", "\xfe"}, {"\xff", "�"}} {
+		if !strings.EqualFold(pair[0], pair[1]) || foldValue(pair[0]) != foldValue(pair[1]) {
+			t.Fatalf("%q / %q: EqualFold %v, keys %q %q", pair[0], pair[1],
+				strings.EqualFold(pair[0], pair[1]), foldValue(pair[0]), foldValue(pair[1]))
+		}
+	}
+	if foldValue("prinz-1") != "prinz-1" || testing.AllocsPerRun(100, func() { foldValue("prinz-1") }) != 0 {
+		t.Fatal("lower-case ASCII must be its own key, with no allocation")
+	}
+}
+
+// TestIndexFollowsTheEntries: Modify of an indexed attribute moves the entry
+// between posting lists, and once every entry is gone — by Delete on a
+// master, by Apply on its shadow — no key is left behind.
+func TestIndexFollowsTheEntries(t *testing.T) {
+	d, shadow := seedDIT(t), NewDIT()
+	prinz := MustParseDN("cn=Prinz,ou=CSCW,o=GMD")
+	find := func(value string) int {
+		t.Helper()
+		got, err := d.Search(SearchRequest{Filter: Eq("cn", value)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(got)
+	}
+	if find("prinz") != 1 || find("wolfgang") != 0 {
+		t.Fatal("seed tree: want cn=prinz posted once, cn=wolfgang not at all")
+	}
+	if err := d.Modify(prinz, Modification{Op: "replace", Attr: "cn", Value: "Wolfgang"}); err != nil {
+		t.Fatal(err)
+	}
+	if find("prinz") != 0 || find("wolfgang") != 1 {
+		t.Fatal("replace did not move the entry from cn=prinz to cn=wolfgang")
+	}
+	if list := d.eqix[eqKey{"cn", "prinz"}]; list != nil {
+		t.Fatalf("cn=prinz still has a posting list: %v", list)
+	}
+	// A refused Modify leaves the postings alone.
+	if err := d.Modify(prinz, Modification{Op: "add", Attr: "cn", Value: "X"}, Modification{Op: "bogus"}); err == nil {
+		t.Fatal("bogus op accepted")
+	}
+	if find("x") != 0 || find("wolfgang") != 1 {
+		t.Fatal("a refused Modify changed the index")
+	}
+
+	snap, _ := d.Snapshot()
+	for d.Len() > 0 { // Delete takes leaves only: sweep until the parents have become leaves
+		for _, e := range snap {
+			_ = d.Delete(e.DN)
+		}
+	}
+	for _, c := range d.Changes(0) {
+		if err := shadow.Apply(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, tree := range map[string]*DIT{"master": d, "shadow": shadow} {
+		if tree.Len() != 0 || len(tree.eqix) != 0 {
+			t.Fatalf("%s: %d entries, %d index keys left: %v", name, tree.Len(), len(tree.eqix), tree.eqix)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package gossip
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"mocca/internal/information"
 	"mocca/internal/netsim"
@@ -17,7 +16,7 @@ import (
 // length-prefixed strings, big-endian uint64 counts and integers — with
 // version vectors in vclock's canonical form and rows in the one row
 // codec (information.AppendObject). wire.EncodeBody picks a message's own
-// MarshalBinary over JSON, so the membership messages are untouched.
+// AppendBinary over JSON, so the membership messages are untouched.
 //
 // The tags have the high bit set: no JSON text starts with such a byte, so
 // a JSON decoder handed a binary body — or a binary decoder handed JSON —
@@ -33,77 +32,45 @@ const (
 // a count the remaining bytes cannot hold, or bytes left over.
 var errBadBody = errors.New("gossip: bad message body")
 
-// maxPooledBody keeps one oversized fetch reply from pinning its buffer in
-// the pool.
-const maxPooledBody = 1 << 20
-
-// bodyScratch holds the buffers bodies are built in. The body itself cannot
-// be pooled — netsim keeps it until simulated delivery — so it is cut from
-// the scratch as one exact-size allocation.
-var bodyScratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
-}}
-
-// encodeBody runs fill over a scratch buffer and returns an exact-size copy
-// of what it wrote.
-func encodeBody(fill func([]byte) []byte) []byte {
-	bp := bodyScratch.Get().(*[]byte)
-	b := fill((*bp)[:0])
-	out := make([]byte, len(b))
-	copy(out, b)
-	if cap(b) <= maxPooledBody {
-		*bp = b
-		bodyScratch.Put(bp)
+// AppendBinary implements encoding.BinaryAppender.
+func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagRumorReq)
+	b = wire.AppendString(b, m.From.Site)
+	b = wire.AppendString(b, string(m.From.Addr))
+	b = wire.AppendString(b, string(m.From.Repl))
+	b = wire.AppendUint64(b, uint64(m.TTL))
+	b = wire.AppendUint64(b, uint64(len(m.Entries)))
+	for _, e := range m.Entries {
+		b = wire.AppendString(b, e.ID)
+		b = e.VV.AppendBinary(b)
 	}
-	return out
+	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m rumorReq) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagRumorReq)
-		b = wire.AppendString(b, m.From.Site)
-		b = wire.AppendString(b, string(m.From.Addr))
-		b = wire.AppendString(b, string(m.From.Repl))
-		b = wire.AppendUint64(b, uint64(m.TTL))
-		b = wire.AppendUint64(b, uint64(len(m.Entries)))
-		for _, e := range m.Entries {
-			b = wire.AppendString(b, e.ID)
-			b = e.VV.AppendBinary(b)
-		}
-		return b
-	}), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m rumorResp) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendUint64(append(b, tagRumorResp), uint64(m.Want)), nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m rumorResp) MarshalBinary() ([]byte, error) {
-	return wire.AppendUint64([]byte{tagRumorResp}, uint64(m.Want)), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m fetchReq) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagFetchReq)
+	b = wire.AppendString(b, m.Site)
+	b = wire.AppendUint64(b, uint64(len(m.IDs)))
+	for _, id := range m.IDs {
+		b = wire.AppendString(b, id)
+	}
+	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m fetchReq) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagFetchReq)
-		b = wire.AppendString(b, m.Site)
-		b = wire.AppendUint64(b, uint64(len(m.IDs)))
-		for _, id := range m.IDs {
-			b = wire.AppendString(b, id)
-		}
-		return b
-	}), nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m fetchResp) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagFetchResp)
-		b = wire.AppendUint64(b, uint64(len(m.Objects)))
-		for _, o := range m.Objects {
-			b = information.AppendObject(b, o)
-		}
-		return b
-	}), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m fetchResp) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagFetchResp)
+	b = wire.AppendUint64(b, uint64(len(m.Objects)))
+	for _, o := range m.Objects {
+		b = information.AppendObject(b, o)
+	}
+	return b, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.

@@ -71,13 +71,13 @@ func rumorEntries(n int) []rumorEntry {
 // type to decode into.
 type bodyCase struct {
 	name string
-	msg  encoding.BinaryMarshaler
+	msg  encoding.BinaryAppender
 	into func() encoding.BinaryUnmarshaler
 }
 
 func (c bodyCase) encode(tb testing.TB) []byte {
 	tb.Helper()
-	b, err := c.msg.MarshalBinary()
+	b, err := c.msg.AppendBinary(nil)
 	if err != nil {
 		tb.Fatalf("%s: encode: %v", c.name, err)
 	}
@@ -141,8 +141,8 @@ func TestBodiesRoundTrip(t *testing.T) {
 func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ref := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: []rumorEntry{{ID: "wide", VV: wideVV()}}}
-	want, _ := ref.MarshalBinary()
-	wantRows, _ := fetchResp{Objects: []*information.Object{benchRow(5)}}.MarshalBinary()
+	want, _ := ref.AppendBinary(nil)
+	wantRows, _ := fetchResp{Objects: []*information.Object{benchRow(5)}}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
 		sites := make([]string, 0, 18)
 		for s := range ref.Entries[0].VV {
@@ -154,7 +154,7 @@ func TestBodiesCanonical(t *testing.T) {
 			vv[s] = ref.Entries[0].VV[s]
 		}
 		m := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: []rumorEntry{{ID: "wide", VV: vv}}}
-		if got, _ := m.MarshalBinary(); !bytes.Equal(got, want) {
+		if got, _ := m.AppendBinary(nil); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: rumorReq bytes depend on map insertion order", trial)
 		}
 		row := benchRow(5)
@@ -165,7 +165,7 @@ func TestBodiesCanonical(t *testing.T) {
 		for _, k := range keys {
 			row.Fields[k] = fields[k]
 		}
-		if got, _ := (fetchResp{Objects: []*information.Object{row}}).MarshalBinary(); !bytes.Equal(got, wantRows) {
+		if got, _ := (fetchResp{Objects: []*information.Object{row}}).AppendBinary(nil); !bytes.Equal(got, wantRows) {
 			t.Fatalf("trial %d: fetchResp bytes depend on map insertion order", trial)
 		}
 	}
@@ -297,7 +297,7 @@ func FuzzGossipBodies(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			again, err := first.(encoding.BinaryMarshaler).MarshalBinary()
+			again, err := first.(encoding.BinaryAppender).AppendBinary(nil)
 			if err != nil {
 				t.Fatalf("%s: decoded message does not encode: %v", d.name, err)
 			}

@@ -247,6 +247,10 @@ func (t *DigestTree) recomputePathLocked(b uint32) {
 // vector the stored entry already dominates is ignored — the commit it
 // describes lost a store-level race to a newer one — so tree state can
 // never regress behind the store under concurrent writers.
+//
+// The entry keeps vv itself, not a copy: the caller must not mutate vv
+// afterwards. Stored rows and their vectors are immutable, so handing over
+// a row's vector costs nothing and shares it with the store.
 func (t *DigestTree) Update(id string, vv vclock.Version) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -266,15 +270,9 @@ func (t *DigestTree) Update(id string, vv vclock.Version) {
 		leaf = slices.Insert(leaf, i, merkleEntry{})
 		t.buckets[b] = leaf
 	}
-	// The tree keeps its own copy of the vector, and files the id under
-	// each site whose counter is new while it copies. A zero counter is
+	// File the id under each site whose counter is new. A zero counter is
 	// never past a mark, so it is not indexed.
-	var kept vclock.Version
-	if vv != nil { // as Clone: a nil vector stays nil in leaf digests
-		kept = make(vclock.Version, len(vv))
-	}
 	for s, c := range vv {
-		kept[s] = c
 		if c == 0 || old[s] == c {
 			continue
 		}
@@ -286,7 +284,7 @@ func (t *DigestTree) Update(id string, vv vclock.Version) {
 		x.insert(hwItem{c, id})
 		x.top = max(x.top, c)
 	}
-	leaf[i] = merkleEntry{id: id, hash: entryHash(id, vv), vv: kept}
+	leaf[i] = merkleEntry{id: id, hash: entryHash(id, vv), vv: vv}
 	t.levels[MerkleDepth][b] ^= leaf[i].hash
 	t.recomputePathLocked(b)
 }

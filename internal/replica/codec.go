@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"mocca/internal/information"
 	"mocca/internal/vclock"
@@ -13,7 +12,7 @@ import (
 )
 
 // The six messages of the anti-entropy protocol travel as hand-written
-// binary bodies (wire.EncodeBody picks a message's own MarshalBinary over
+// binary bodies (wire.EncodeBody picks a message's own AppendBinary over
 // JSON). Every body opens with a tag byte naming the message; the rest is
 // built from wire's shared primitives — big-endian integers, uint32
 // length-prefixed strings, uint64 counts — with maps written in sorted key
@@ -47,106 +46,67 @@ const (
 // a count the remaining bytes cannot hold, or bytes left over.
 var errBadBody = errors.New("replica: bad message body")
 
-// maxPooledBody keeps one oversized body (a bulk late-join repair) from
-// pinning its buffer in the pool.
-const maxPooledBody = 1 << 20
-
-// bodyScratch holds the buffers bodies are built in. The body itself cannot
-// be pooled — netsim keeps it until simulated delivery — so it is cut from
-// the scratch as one exact-size allocation, and append's growth steps are
-// paid once per buffer instead of once per message.
-var bodyScratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// encodeBody runs fill over a scratch buffer and returns an exact-size copy
-// of what it wrote.
-func encodeBody(fill func([]byte) []byte) []byte {
-	bp := bodyScratch.Get().(*[]byte)
-	b := fill((*bp)[:0])
-	out := make([]byte, len(b))
-	copy(out, b)
-	if cap(b) <= maxPooledBody {
-		*bp = b
-		bodyScratch.Put(bp)
-	}
-	return out
-}
-
 // --- encoders --------------------------------------------------------------
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m digestReq) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagDigestReq, sectionFlags(false, m.Frames, m.HW))
-		b = wire.AppendString(b, m.Site)
-		return appendSections(b, m.Frames, m.HW)
-	}), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m digestReq) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagDigestReq, sectionFlags(false, m.Frames, m.HW))
+	b = wire.AppendString(b, m.Site)
+	return appendSections(b, m.Frames, m.HW), nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m digestResp) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagDigestResp, sectionFlags(m.Match, m.Frames, m.HW))
-		b = wire.AppendString(b, m.Site)
-		b = appendSections(b, m.Frames, m.HW)
-		return appendRows(b, m.Deltas)
-	}), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m digestResp) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagDigestResp, sectionFlags(m.Match, m.Frames, m.HW))
+	b = wire.AppendString(b, m.Site)
+	b = appendSections(b, m.Frames, m.HW)
+	return appendRows(b, m.Deltas), nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m syncReq) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagSyncReq)
-		b = wire.AppendString(b, m.Site)
-		b = appendDigest(b, m.Digest)
-		b = wire.AppendUint64(b, uint64(len(m.Scope)))
-		for _, bucket := range m.Scope {
-			b = binary.BigEndian.AppendUint32(b, bucket)
-		}
-		return b
-	}), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagSyncReq)
+	b = wire.AppendString(b, m.Site)
+	b = appendDigest(b, m.Digest)
+	b = wire.AppendUint64(b, uint64(len(m.Scope)))
+	for _, bucket := range m.Scope {
+		b = binary.BigEndian.AppendUint32(b, bucket)
+	}
+	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m syncResp) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagSyncResp)
-		b = wire.AppendString(b, m.Site)
-		b = appendDigest(b, m.Digest)
-		return appendRows(b, m.Deltas)
-	}), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagSyncResp)
+	b = wire.AppendString(b, m.Site)
+	b = appendDigest(b, m.Digest)
+	return appendRows(b, m.Deltas), nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m pushReq) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagPushReq)
-		b = wire.AppendString(b, m.Site)
-		b = appendRows(b, m.Objects)
-		b = wire.AppendUint64(b, uint64(len(m.Relations)))
-		for _, rel := range m.Relations {
-			b = wire.AppendString(b, rel.From)
-			b = wire.AppendString(b, rel.Kind)
-			b = wire.AppendString(b, rel.To)
-		}
-		return b
-	}), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m pushReq) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagPushReq)
+	b = wire.AppendString(b, m.Site)
+	b = appendRows(b, m.Objects)
+	b = wire.AppendUint64(b, uint64(len(m.Relations)))
+	for _, rel := range m.Relations {
+		b = wire.AppendString(b, rel.From)
+		b = wire.AppendString(b, rel.Kind)
+		b = wire.AppendString(b, rel.To)
+	}
+	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m pushResp) MarshalBinary() ([]byte, error) {
-	return encodeBody(func(b []byte) []byte {
-		b = append(b, tagPushResp)
-		b = wire.AppendUint64(b, uint64(m.Applied))
-		b = wire.AppendUint64(b, uint64(m.Conflicts))
-		b = wire.AppendUint64(b, uint64(len(m.Refused)))
-		for _, id := range m.Refused {
-			b = wire.AppendString(b, id)
-		}
-		return b
-	}), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (m pushResp) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, tagPushResp)
+	b = wire.AppendUint64(b, uint64(m.Applied))
+	b = wire.AppendUint64(b, uint64(m.Conflicts))
+	b = wire.AppendUint64(b, uint64(len(m.Refused)))
+	for _, id := range m.Refused {
+		b = wire.AppendString(b, id)
+	}
+	return b, nil
 }
 
 func sectionFlags(match bool, frames []byte, hw map[string]uint64) byte {

@@ -75,13 +75,13 @@ func benchDigest(n int) map[string]vclock.Version {
 // type to decode into.
 type bodyCase struct {
 	name string
-	msg  encoding.BinaryMarshaler
+	msg  encoding.BinaryAppender
 	into func() encoding.BinaryUnmarshaler
 }
 
 func (c bodyCase) encode(tb testing.TB) []byte {
 	tb.Helper()
-	b, err := c.msg.MarshalBinary()
+	b, err := c.msg.AppendBinary(nil)
 	if err != nil {
 		tb.Fatalf("%s: encode: %v", c.name, err)
 	}
@@ -165,8 +165,8 @@ func TestBodiesRoundTrip(t *testing.T) {
 func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ref := syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}
-	want, _ := ref.MarshalBinary()
-	wantReq, _ := digestReq{Site: "s000", HW: map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}}.MarshalBinary()
+	want, _ := ref.AppendBinary(nil)
+	wantReq, _ := digestReq{Site: "s000", HW: map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
 		m := syncResp{Site: "s001", Digest: map[string]vclock.Version{}}
 		ids := make([]string, 0, len(ref.Digest))
@@ -196,14 +196,14 @@ func TestBodiesCanonical(t *testing.T) {
 			}
 			m.Deltas = append(m.Deltas, &row)
 		}
-		if got, _ := m.MarshalBinary(); !bytes.Equal(got, want) {
+		if got, _ := m.AppendBinary(nil); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: syncResp bytes depend on map insertion order", trial)
 		}
 		hw := map[string]uint64{}
 		for _, i := range rng.Perm(5) {
 			hw[string(rune('a'+i))] = uint64(i + 1)
 		}
-		if got, _ := (digestReq{Site: "s000", HW: hw}).MarshalBinary(); !bytes.Equal(got, wantReq) {
+		if got, _ := (digestReq{Site: "s000", HW: hw}).AppendBinary(nil); !bytes.Equal(got, wantReq) {
 			t.Fatalf("trial %d: digestReq bytes depend on map insertion order", trial)
 		}
 	}
@@ -475,7 +475,7 @@ func FuzzReplicaBodies(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			again, err := first.(encoding.BinaryMarshaler).MarshalBinary()
+			again, err := first.(encoding.BinaryAppender).AppendBinary(nil)
 			if err != nil {
 				t.Fatalf("%s: decoded message does not encode: %v", d.name, err)
 			}

@@ -79,13 +79,48 @@ func assertTreeMatchesStore(t *testing.T, site string, sp *information.Space) {
 	}
 }
 
+// vectorLedger records the encoding of every version vector a digest tree
+// was seen to hold, keyed by the vector's identity, at the moment it was
+// first seen. A tree keeps the vector it is given (the stored row's own), and
+// leaf digests hand the same vector on, so one edited in place — by the tree,
+// by whoever gave it, or by a reader of a leaf digest — re-encodes differently
+// at a later look.
+type vectorLedger map[uintptr]recordedVector
+
+type recordedVector struct {
+	vv  vclock.Version // held so the address cannot be reused
+	enc []byte
+}
+
+// look records the vectors tree holds now and re-checks every one recorded
+// so far, replaced entries' included: a digest in flight may still hold them.
+func (l vectorLedger) look(t *testing.T, site string, tree *information.DigestTree) {
+	t.Helper()
+	leaves := map[string]vclock.Version{}
+	for b := uint32(0); b < information.MerkleLeaves; b++ {
+		tree.LeafDigestInto(leaves, b)
+	}
+	for _, vv := range leaves {
+		if at := reflect.ValueOf(vv).Pointer(); at != 0 {
+			if _, seen := l[at]; !seen {
+				l[at] = recordedVector{vv, vv.AppendBinary(nil)}
+			}
+		}
+	}
+	for _, rec := range l {
+		if now := rec.vv.AppendBinary(nil); !bytes.Equal(now, rec.enc) {
+			t.Errorf("%s: a vector the tree held was edited in place: recorded %x, now %x (%v)", site, rec.enc, now, rec.vv)
+		}
+	}
+}
+
 // reencode sends a message through its own codec, as the network would.
-func reencode[M interface{ MarshalBinary() ([]byte, error) }, P interface {
+func reencode[M interface{ AppendBinary([]byte) ([]byte, error) }, P interface {
 	*M
 	UnmarshalBinary([]byte) error
 }](t *testing.T, msg M) M {
 	t.Helper()
-	body, err := msg.MarshalBinary()
+	body, err := msg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +165,13 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 	}
 	reps[0].AddPeerNamed("s1", reps[1].Addr())
 	reps[1].AddPeerNamed("s0", reps[0].Addr())
+	vectors := []vectorLedger{{}, {}}
+	lookAtTrees := func() {
+		t.Helper()
+		for i, site := range []string{"s0", "s1"} {
+			vectors[i].look(t, site, spaces[i].Tree())
+		}
+	}
 	put := func(site int, title string) *information.Object {
 		t.Helper()
 		obj, err := spaces[site].Put("prinz", "doc", map[string]string{"title": title, "body": "text"})
@@ -164,6 +206,8 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		t.Fatalf("scoped sync applied %d of %d rows, refused %v", applied, len(rows), refused)
 	}
 
+	lookAtTrees()
+
 	// Rounds: rows written at s1 reach s0 as a pushed batch or a pull.
 	for i := 0; i < 8; i++ {
 		rows = append(rows, put(1, fmt.Sprintf("memo %d", i)))
@@ -173,6 +217,8 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		r.SyncNow()
 	}
 	clk.RunUntilIdle()
+
+	lookAtTrees()
 
 	// Updates, and one id written at both sites before either syncs.
 	for i := 0; i < 8; i++ {
@@ -184,6 +230,8 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 	if c := reps[0].Stats().Conflicts + reps[1].Stats().Conflicts; c == 0 {
 		t.Fatal("the concurrent update resolved no conflict")
 	}
+
+	lookAtTrees()
 
 	// A rumor fetch by hand: s0's newest rows, through the wire, into s1.
 	var fetchIDs []string
@@ -235,6 +283,7 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		if i%4 == 0 {
 			update(1, rows[24+i/4%8], fmt.Sprintf("from s1, %d", i))
 			clk.RunUntilIdle()
+			lookAtTrees() // while the other goroutine replaces entries at s0
 		}
 	}
 	for _, r := range reps {
@@ -242,7 +291,11 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 	}
 	clk.RunUntilIdle()
 
+	lookAtTrees()
 	for i, site := range []string{"s0", "s1"} {
+		if len(vectors[i]) <= len(rows) {
+			t.Errorf("%s: the ledger saw %d vectors over %d rows; the updates' vectors are missing", site, len(vectors[i]), len(rows))
+		}
 		backends[i].assertFrozen(t, site)
 		assertTreeMatchesStore(t, site, spaces[i])
 	}

@@ -472,6 +472,9 @@ func (r *Replicator) maintainScoped(ev information.Event) {
 		return
 	}
 	gen, pv := full.Generation(), r.policy.Version()
+	// A local write's event carries a copy any subscriber can edit, and a
+	// tree keeps the vector it is given: one private copy for all of them.
+	vv := ev.Object.VV.Clone()
 	for site, c := range r.scoped {
 		if c.policyVer != pv {
 			delete(r.scoped, site) // policy changed under the entry; rescan
@@ -480,7 +483,7 @@ func (r *Replicator) maintainScoped(ev information.Event) {
 		if ev.Kind == "evict" || !r.placedAt(site, ev.Object) {
 			c.tree.Remove(ev.Object.ID)
 		} else {
-			c.tree.Update(ev.Object.ID, ev.Object.VV)
+			c.tree.Update(ev.Object.ID, vv)
 		}
 		c.gen = gen
 		c.excluded = int64(full.Count() - c.tree.Count())

@@ -18,6 +18,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -67,6 +68,9 @@ type Request struct {
 	Method string
 	Body   []byte
 	Trace  wire.TraceContext
+	// reply is the buffer the serving endpoint lends HandleJSON to build the
+	// reply body in; the endpoint takes it back once the reply is sent.
+	reply *scratch
 }
 
 // Handler services an invocation. Returning an error sends a RemoteError to
@@ -177,6 +181,34 @@ type pendingCall struct {
 func (pc *pendingCall) stopTimer() {
 	if pc.timer != nil {
 		pc.timer.Stop()
+	}
+}
+
+// scratch is a pooled buffer a body is built in. A body is needed only until
+// channel.Send has copied it into the frame the network keeps, so the typed
+// entry points (GoJSON, CallJSON, AnnounceJSON, the HandleJSON reply) encode
+// into a scratch and give it back once Send has returned.
+type scratch struct{ buf []byte }
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{buf: make([]byte, 0, 1024)} }}
+
+// encode builds v's body (wire.AppendBody's rule) in the scratch; without
+// one, in a buffer the caller keeps.
+func (s *scratch) encode(v any) (body []byte, err error) {
+	if s == nil {
+		return wire.EncodeBody(v)
+	}
+	if body, err = wire.AppendBody(s.buf[:0], v); err == nil {
+		s.buf = body // keep what append grew
+	}
+	return body, err
+}
+
+// release gives the scratch back, unless one oversized body (a bulk
+// late-join repair) grew it past what is worth pinning in the pool.
+func (s *scratch) release() {
+	if cap(s.buf) <= 1<<20 {
+		scratchPool.Put(s)
 	}
 }
 
@@ -347,11 +379,15 @@ func CallTrace(tc wire.TraceContext) CallOption {
 // Go invokes method on the remote address asynchronously; done is called
 // exactly once with the outcome. Safe to call from within handlers.
 func (e *Endpoint) Go(to netsim.Address, method string, body []byte, done func(Result), opts ...CallOption) {
+	e.attempt(to, method, body, done, newCallSettings(opts))
+}
+
+func newCallSettings(opts []CallOption) callSettings {
 	settings := callSettings{timeout: DefaultTimeout}
 	for _, opt := range opts {
 		opt(&settings)
 	}
-	e.attempt(to, method, body, done, settings)
+	return settings
 }
 
 func (e *Endpoint) attempt(to netsim.Address, method string, body []byte, done func(Result), s callSettings) {
@@ -541,7 +577,9 @@ func (e *Endpoint) Announce(to netsim.Address, method string, body []byte, opts 
 
 // AnnounceJSON sends a one-way invocation with a JSON-encoded body.
 func (e *Endpoint) AnnounceJSON(to netsim.Address, method string, v any, opts ...CallOption) error {
-	body, err := wire.EncodeBody(v)
+	buf := scratchPool.Get().(*scratch)
+	defer buf.release()
+	body, err := buf.encode(v)
 	if err != nil {
 		return err
 	}
@@ -571,6 +609,10 @@ func (e *Endpoint) serve(from netsim.Address, env *wire.Envelope, reply bool) {
 	e.mu.Unlock()
 
 	req := Request{From: from, Method: method, Body: env.Body, Trace: env.Trace}
+	if ok && reply {
+		req.reply = scratchPool.Get().(*scratch)
+		defer req.reply.release()
+	}
 	var ssp observe.ActiveSpan
 	if !env.Trace.IsZero() && e.tracer.On() {
 		ssp = e.tracer.StartChild("rpc.serve:"+method, string(e.Addr()), env.Trace)
@@ -632,54 +674,47 @@ func (e *Endpoint) onReply(env *wire.Envelope) {
 	e.complete(env.Corr, Result{Body: env.Body})
 }
 
-// CallJSON invokes method encoding req with wire.EncodeBody and decoding
+// CallJSON invokes method encoding req with wire.AppendBody and decoding
 // the reply into resp (which may be nil to discard). The name records the
-// common case: a message type with its own MarshalBinary/UnmarshalBinary
+// common case: a message type with its own AppendBinary/UnmarshalBinary
 // travels in that form instead, here and in GoJSON, AnnounceJSON and
 // HandleJSON alike.
 func (e *Endpoint) CallJSON(to netsim.Address, method string, req, resp any, opts ...CallOption) error {
-	body, err := wire.EncodeBody(req)
-	if err != nil {
-		return err
+	ch := make(chan Result, 1)
+	e.GoJSON(to, method, req, func(r Result) { ch <- r }, opts...)
+	r := <-ch
+	if r.Err != nil || resp == nil {
+		return r.Err
 	}
-	out, err := e.Call(to, method, body, opts...)
-	if err != nil {
-		return err
-	}
-	if resp == nil {
-		return nil
-	}
-	return wire.DecodeBody(out, resp)
+	return wire.DecodeBody(r.Body, resp)
 }
 
 // GoJSON is the asynchronous form of CallJSON; decode is deferred to the
 // caller via the raw Result.
 func (e *Endpoint) GoJSON(to netsim.Address, method string, req any, done func(Result), opts ...CallOption) {
-	body, err := wire.EncodeBody(req)
+	buf := scratchPool.Get().(*scratch)
+	defer buf.release()
+	body, err := buf.encode(req)
 	if err != nil {
 		done(Result{Err: err})
 		return
 	}
-	e.Go(to, method, body, done, opts...)
+	settings := newCallSettings(opts)
+	if settings.retries > 0 {
+		// A retry resends after this call has given the scratch back; with
+		// no retry budget nothing reads the body once attempt returns.
+		body = bytes.Clone(body)
+	}
+	e.attempt(to, method, body, done, settings)
 }
 
 // HandleJSON adapts a typed handler into a Handler. The adapter decodes the
 // request body into a fresh Req and encodes the returned value, both by
 // wire's body rule (the type's own binary form if it has one, else JSON).
 func HandleJSON[Req any, Resp any](f func(from netsim.Address, req Req) (Resp, error)) Handler {
-	return func(r Request) ([]byte, error) {
-		var req Req
-		if len(r.Body) > 0 {
-			if err := wire.DecodeBody(r.Body, &req); err != nil {
-				return nil, err
-			}
-		}
-		resp, err := f(r.From, req)
-		if err != nil {
-			return nil, err
-		}
-		return wire.EncodeBody(resp)
-	}
+	return HandleJSONCtx(func(from netsim.Address, _ wire.TraceContext, req Req) (Resp, error) {
+		return f(from, req)
+	})
 }
 
 // HandleJSONCtx is HandleJSON for handlers that continue the request's
@@ -697,6 +732,6 @@ func HandleJSONCtx[Req any, Resp any](f func(from netsim.Address, tc wire.TraceC
 		if err != nil {
 			return nil, err
 		}
-		return wire.EncodeBody(resp)
+		return r.reply.encode(resp) // no scratch when no endpoint made the call
 	}
 }

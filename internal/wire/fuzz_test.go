@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -50,13 +51,8 @@ func FuzzDecode(f *testing.F) {
 		if e2.Trace != e.Trace {
 			t.Fatalf("trace context changed: %+v vs %+v", e.Trace, e2.Trace)
 		}
-		if len(e.Headers) != len(e2.Headers) {
-			t.Fatalf("header count changed: %v vs %v", e.Headers, e2.Headers)
-		}
-		for k, v := range e.Headers {
-			if e2.Headers[k] != v {
-				t.Fatalf("header %q changed: %q vs %q", k, v, e2.Headers[k])
-			}
+		if !slices.Equal(e.headers(), e2.headers()) {
+			t.Fatalf("headers changed: %v vs %v", e.headers(), e2.headers())
 		}
 	})
 }

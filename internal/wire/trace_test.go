@@ -82,8 +82,8 @@ func TestTracedRoundTrip(t *testing.T) {
 	if got.Kind != e.Kind || got.Corr != e.Corr || !bytes.Equal(got.Body, e.Body) {
 		t.Fatalf("payload changed across traced round-trip")
 	}
-	if got.Headers["method"] != "placement.write" {
-		t.Fatalf("headers changed across traced round-trip: %v", got.Headers)
+	if v, _ := got.Header("method"); v != "placement.write" {
+		t.Fatalf("headers changed across traced round-trip: %v", got.headers())
 	}
 }
 

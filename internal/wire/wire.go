@@ -15,7 +15,7 @@
 // where lenString/lenBytes is a uint32 length prefix followed by raw bytes.
 // All integers are big-endian. The envelope treats the body as opaque;
 // EncodeBody and DecodeBody decide its form from the message type: a type
-// with its own MarshalBinary/UnmarshalBinary (the data-plane messages of
+// with its own AppendBinary/UnmarshalBinary (the data-plane messages of
 // internal/replica and internal/gossip, built from this package's codec
 // helpers) travels in that binary form, every other type — the small
 // request/reply structs of directory, trader, mhs, rtc, placement and
@@ -23,6 +23,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding"
 	"encoding/binary"
 	"encoding/json"
@@ -31,7 +32,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sync"
+	"strings"
 )
 
 // Version is the base envelope format version. Envelopes that carry no
@@ -85,14 +86,25 @@ func (tc TraceContext) Child(spanID uint64) TraceContext {
 	return TraceContext{TraceID: tc.TraceID, SpanID: spanID, Parent: tc.SpanID}
 }
 
-// Envelope is the unit framed onto the simulated network.
+// Header is one envelope header.
+type Header struct{ Key, Value string }
+
+// Envelope is the unit framed onto the simulated network. Its headers, set by
+// SetHeader and read by Header, are kept in key order. The first four — all
+// the stack ever sets: method, error, ch.epoch, ch.transparencies — live in
+// the envelope itself and cost no allocation; no slice points into that
+// array and the spill slice is replaced on every change, so an envelope
+// copied by value shares no header storage with the original.
 type Envelope struct {
 	Version byte
 	Kind    string
 	Corr    string
-	Headers map[string]string
 	Body    []byte
 	Trace   TraceContext
+
+	nInline int
+	inline  [4]Header
+	spill   []Header // every header, once there are more than inline holds
 }
 
 // Errors returned by Unmarshal.
@@ -108,34 +120,54 @@ func NewEnvelope(kind, corr string, body []byte) *Envelope {
 	return &Envelope{Version: Version, Kind: kind, Corr: corr, Body: body}
 }
 
-// SetHeader sets a header, allocating the map on first use.
+// SetHeader sets a header, replacing the value an equal key had.
 func (e *Envelope) SetHeader(k, v string) {
-	if e.Headers == nil {
-		e.Headers = make(map[string]string)
+	if e.spill != nil {
+		e.spill = append(make([]Header, 0, len(e.spill)+1), e.spill...)
 	}
-	e.Headers[k] = v
+	e.put(k, v)
 }
 
 // Header returns the header value and whether it was present.
 func (e *Envelope) Header(k string) (string, bool) {
-	v, ok := e.Headers[k]
-	return v, ok
+	for _, h := range e.headers() {
+		if h.Key == k {
+			return h.Value, true
+		}
+	}
+	return "", false
 }
 
-// keyScratch pools the sorted-key slices used by Marshal so the hot path
-// does not allocate per encode. The frame buffer itself cannot be pooled:
-// netsim retains the payload until (possibly much later) simulated
-// delivery, so ownership transfers to the network on Send.
-var keyScratch = sync.Pool{
-	New: func() any {
-		s := make([]string, 0, 16)
-		return &s
-	},
+// headers returns the headers in key order, aliasing the envelope's storage.
+func (e *Envelope) headers() []Header {
+	if e.spill != nil {
+		return e.spill
+	}
+	return e.inline[:e.nInline]
 }
 
-// Marshal encodes the envelope to bytes. Headers are written in sorted key
-// order so encoding is deterministic. The output is produced with a single
-// exact-size allocation.
+// put files the header at its place in key order, in the storage the
+// envelope already has when it fits.
+func (e *Envelope) put(k, v string) {
+	h := e.headers()
+	i, ok := slices.BinarySearchFunc(h, k, func(h Header, k string) int { return strings.Compare(h.Key, k) })
+	switch {
+	case ok:
+		h[i].Value = v
+	case e.spill == nil && e.nInline < len(e.inline):
+		e.nInline++
+		copy(e.inline[i+1:e.nInline], e.inline[i:])
+		e.inline[i] = Header{k, v}
+	default:
+		// A full inline array has no spare capacity, so this moves the
+		// headers out of it; a spill slice grows in place when it can.
+		e.spill = slices.Insert(h, i, Header{k, v})
+	}
+}
+
+// Marshal encodes the envelope to bytes. Headers are written in key order so
+// encoding is deterministic. The output is produced with a single exact-size
+// allocation.
 func Marshal(e *Envelope) ([]byte, error) {
 	return AppendMarshal(nil, e)
 }
@@ -149,8 +181,9 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 	if len(e.Body) >= maxBodyLen {
 		return nil, fmt.Errorf("%w: body %d bytes", ErrOversize, len(e.Body))
 	}
-	if len(e.Headers) >= maxHeaders {
-		return nil, fmt.Errorf("%w: %d headers", ErrOversize, len(e.Headers))
+	headers := e.headers()
+	if len(headers) >= maxHeaders {
+		return nil, fmt.Errorf("%w: %d headers", ErrOversize, len(headers))
 	}
 	version := e.Version
 	if version == 0 {
@@ -161,21 +194,16 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 	}
 	traced := version >= TracedVersion
 
-	keysp := keyScratch.Get().(*[]string)
-	keys := (*keysp)[:0]
 	size := 2 + 1 + 4 + len(e.Kind) + 4 + len(e.Corr) + 2 + 4 + len(e.Body)
 	if traced {
 		size += traceBlockLen
 	}
-	for k, v := range e.Headers {
-		if len(k) >= maxStringLen || len(v) >= maxStringLen {
-			keyScratch.Put(keysp)
-			return nil, fmt.Errorf("%w: header %q", ErrOversize, k)
+	for _, h := range headers {
+		if len(h.Key) >= maxStringLen || len(h.Value) >= maxStringLen {
+			return nil, fmt.Errorf("%w: header %q", ErrOversize, h.Key)
 		}
-		keys = append(keys, k)
-		size += 8 + len(k) + len(v)
+		size += 8 + len(h.Key) + len(h.Value)
 	}
-	slices.Sort(keys)
 
 	if cap(dst)-len(dst) < size {
 		grown := make([]byte, len(dst), len(dst)+size)
@@ -187,10 +215,10 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 	buf = append(buf, version)
 	buf = appendStr(buf, e.Kind)
 	buf = appendStr(buf, e.Corr)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(keys)))
-	for _, k := range keys {
-		buf = appendStr(buf, k)
-		buf = appendStr(buf, e.Headers[k])
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(headers)))
+	for _, h := range headers {
+		buf = appendStr(buf, h.Key)
+		buf = appendStr(buf, h.Value)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Body)))
 	buf = append(buf, e.Body...)
@@ -199,9 +227,6 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, e.Trace.SpanID)
 		buf = binary.BigEndian.AppendUint64(buf, e.Trace.Parent)
 	}
-
-	*keysp = keys
-	keyScratch.Put(keysp)
 	return buf, nil
 }
 
@@ -214,8 +239,12 @@ func appendStr(buf []byte, s string) []byte {
 // aliases data — the caller owns the input buffer and must not mutate it
 // while the envelope is live. (Every producer in this repository hands the
 // buffer over exactly once, so decode stays copy-free.)
+//
+// Every length is checked before anything is built; the region from Kind to
+// the last header value is then copied once, as one string, and Kind, Corr,
+// keys and values are handed out as substrings of it.
 func Unmarshal(data []byte) (*Envelope, error) {
-	r := &reader{data: data}
+	r := reader{data: data}
 	m, err := r.u16()
 	if err != nil {
 		return nil, err
@@ -230,40 +259,31 @@ func Unmarshal(data []byte) (*Envelope, error) {
 	if ver == 0 || ver > TracedVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	e := &Envelope{Version: ver}
-	if e.Kind, err = r.str(); err != nil {
-		return nil, err
-	}
-	if e.Corr, err = r.str(); err != nil {
-		return nil, err
+	start := r.pos
+	for range 2 { // kind, corr
+		if _, err := r.bytes(maxStringLen); err != nil {
+			return nil, err
+		}
 	}
 	n, err := r.u16()
 	if err != nil {
 		return nil, err
 	}
-	if n > 0 {
-		if n >= maxHeaders {
-			return nil, fmt.Errorf("%w: %d headers", ErrOversize, n)
-		}
-		e.Headers = make(map[string]string, n)
-		for i := 0; i < int(n); i++ {
-			k, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			v, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			e.Headers[k] = v
+	if n >= maxHeaders {
+		return nil, fmt.Errorf("%w: %d headers", ErrOversize, n)
+	}
+	for range 2 * int(n) { // key, value
+		if _, err := r.bytes(maxStringLen); err != nil {
+			return nil, err
 		}
 	}
-	body, err := r.bytes(maxBodyLen)
-	if err != nil {
+	text := string(data[start:r.pos])
+	e := &Envelope{Version: ver}
+	if e.Body, err = r.bytes(maxBodyLen); err != nil {
 		return nil, err
 	}
-	if len(body) > 0 {
-		e.Body = body
+	if len(e.Body) == 0 {
+		e.Body = nil
 	}
 	if ver >= TracedVersion {
 		if e.Trace.TraceID, err = r.u64(); err != nil {
@@ -279,7 +299,25 @@ func Unmarshal(data []byte) (*Envelope, error) {
 	if r.pos != len(r.data) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(r.data)-r.pos)
 	}
+
+	e.Kind, e.Corr = cutStr(&text), cutStr(&text)
+	text = text[2:] // the header count
+	if int(n) > len(e.inline) {
+		e.spill = make([]Header, 0, n)
+	}
+	for range n {
+		e.put(cutStr(&text), cutStr(&text)) // a repeated key: the last value wins
+	}
 	return e, nil
+}
+
+// cutStr takes a length-prefixed string off the front of *s, whose lengths
+// Unmarshal has already checked.
+func cutStr(s *string) string {
+	t := *s
+	n := 4 + (int(t[0])<<24 | int(t[1])<<16 | int(t[2])<<8 | int(t[3]))
+	*s = t[n:]
+	return t[4:n]
 }
 
 type reader struct {
@@ -323,14 +361,8 @@ func (r *reader) u32() (uint32, error) {
 	return v, nil
 }
 
-func (r *reader) str() (string, error) {
-	b, err := r.bytes(maxStringLen)
-	return string(b), err
-}
-
-// bytes returns a sub-slice aliasing the input buffer; str converts (and so
-// copies) immediately, while body bytes stay aliased per Unmarshal's
-// contract.
+// bytes returns a sub-slice aliasing the input buffer, as the body stays per
+// Unmarshal's contract.
 func (r *reader) bytes(limit int) ([]byte, error) {
 	n, err := r.u32()
 	if err != nil {
@@ -484,21 +516,28 @@ func ConsumeUint64(data []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(data), data[8:], nil
 }
 
-// EncodeBody encodes v for use as an envelope body. A value that
-// implements encoding.BinaryMarshaler is encoded by its own method — the
-// hand-written binary bodies of the replica and rumor planes — and every
-// other value as JSON. The rule is the same at every call site, so the
-// message type alone decides the body's form.
-func EncodeBody(v any) (b []byte, err error) {
-	if m, ok := v.(encoding.BinaryMarshaler); ok {
-		b, err = m.MarshalBinary()
+// EncodeBody encodes v for use as an envelope body: AppendBody into a
+// buffer of its own.
+func EncodeBody(v any) ([]byte, error) { return AppendBody(nil, v) }
+
+// AppendBody appends v's envelope-body form to dst. A value that implements
+// encoding.BinaryAppender is encoded by its own method — the hand-written
+// binary bodies of the replica and rumor planes — and every other value as
+// JSON. The rule is the same at every call site, so the message type alone
+// decides the body's form.
+func AppendBody(dst []byte, v any) ([]byte, error) {
+	var err error
+	if m, ok := v.(encoding.BinaryAppender); ok {
+		dst, err = m.AppendBinary(dst)
 	} else {
-		b, err = json.Marshal(v)
+		buf := bytes.NewBuffer(dst)
+		err = json.NewEncoder(buf).Encode(v)
+		dst = bytes.TrimSuffix(buf.Bytes(), []byte("\n")) // Encode is Marshal plus a newline
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wire: encode body: %w", err)
 	}
-	return b, nil
+	return dst, nil
 }
 
 // DecodeBody decodes an envelope body produced by EncodeBody into v: by
