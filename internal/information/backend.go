@@ -16,11 +16,11 @@ import "mocca/internal/vclock"
 // replica survives a site crash). The contract on rows is one rule: a
 // stored row never changes, it is only replaced. Get, Snapshot and Remove
 // return deep copies the caller may keep and edit. Peek, Range, the Exec
-// callback's argument and Exec's result lend the stored row (in-memory
-// Store) or a private copy of it (logstore, whose segment-resident rows
-// are decoded fresh from disk per call): read-only either way. Exec
-// returns the stored row; a callback returns a new row, never an edited
-// argument, and gives up the row it returns.
+// callback's argument and Exec's result lend the stored row — the
+// in-memory Store's, or logstore's while the row is in its memtable; a
+// row logstore holds only in a segment is decoded from disk for the call:
+// read-only either way. Exec returns the stored row; a callback returns a
+// new row, never an edited argument, and gives up the row it returns.
 //
 // A tiered backend need not hold all rows in memory. The interface is
 // written so it never has to materialise more than the caller asked

@@ -1,8 +1,9 @@
 package information
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mocca/internal/vclock"
@@ -26,11 +27,14 @@ func AppendObject(dst []byte, o *Object) []byte {
 	dst = wire.AppendUint64(dst, uint64(o.Created.UnixNano()))
 	dst = wire.AppendUint64(dst, uint64(o.Updated.UnixNano()))
 	dst = wire.AppendUint64(dst, uint64(len(o.Fields)))
-	keys := make([]string, 0, len(o.Fields))
+	// Room on the stack for the rows the system writes; a wider row spills
+	// to the heap.
+	var room [16]string
+	keys := room[:0]
 	for k := range o.Fields {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		dst = wire.AppendString(dst, k)
 		dst = wire.AppendString(dst, o.Fields[k])
@@ -92,4 +96,73 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 		}
 	}
 	return o, data, nil
+}
+
+// ScanObject walks one row produced by AppendObject without decoding it: it
+// returns the id, the encoded version vector (vclock.DecodeVersion reads it)
+// and the remaining bytes, all as sub-slices of data, and allocates nothing.
+// It makes every check DecodeObject makes — each string length, the vector's
+// and the field list's counts against the bytes that remain — so it fails on
+// exactly the inputs DecodeObject fails on. It is what lets a store compare,
+// copy or skip a row it has no need to materialise.
+func ScanObject(data []byte) (id, vv, rest []byte, err error) {
+	if id, rest, err = skipString(data); err != nil {
+		return nil, nil, data, err
+	}
+	for range 3 { // schema, owner, site
+		if _, rest, err = skipString(rest); err != nil {
+			return nil, nil, data, err
+		}
+	}
+	if _, rest, err = wire.ConsumeUint64(rest); err != nil { // version
+		return nil, nil, data, err
+	}
+	vv = rest
+	sites, rest, err := wire.ConsumeUint64(rest)
+	if err != nil {
+		return nil, nil, data, fmt.Errorf("%w: %v", vclock.ErrBadVersion, err)
+	}
+	if sites > uint64(len(rest))/12 {
+		return nil, nil, data, fmt.Errorf("%w: %d sites in %d bytes", vclock.ErrBadVersion, sites, len(rest))
+	}
+	for ; sites > 0; sites-- {
+		if _, rest, err = skipString(rest); err != nil {
+			return nil, nil, data, fmt.Errorf("%w: %v", vclock.ErrBadVersion, err)
+		}
+		if _, rest, err = wire.ConsumeUint64(rest); err != nil {
+			return nil, nil, data, fmt.Errorf("%w: %v", vclock.ErrBadVersion, err)
+		}
+	}
+	vv = vv[:len(vv)-len(rest)]
+	var nfields uint64
+	for range 3 { // created, updated, field count
+		if nfields, rest, err = wire.ConsumeUint64(rest); err != nil {
+			return nil, nil, data, err
+		}
+	}
+	if nfields > uint64(len(rest))/8 {
+		return nil, nil, data, fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(rest))
+	}
+	for nfields *= 2; nfields > 0; nfields-- { // a key and a value each
+		if _, rest, err = skipString(rest); err != nil {
+			return nil, nil, data, err
+		}
+	}
+	return id, vv, rest, nil
+}
+
+// skipString is wire.ConsumeString without the copy: the string's bytes as
+// a sub-slice of data, under the same length checks.
+func skipString(data []byte) (s, rest []byte, err error) {
+	if len(data) < 4 {
+		return nil, data, wire.ErrTruncated
+	}
+	n := uint64(binary.BigEndian.Uint32(data))
+	if n >= wire.MaxStringLen {
+		return nil, data, fmt.Errorf("%w: %d-byte string", wire.ErrOversize, n)
+	}
+	if uint64(len(data)) < 4+n {
+		return nil, data, wire.ErrTruncated
+	}
+	return data[4 : 4+n], data[4+n:], nil
 }

@@ -154,3 +154,94 @@ func TestDecodeObjectRejectsDamage(t *testing.T) {
 		t.Fatal("a field count of 2^60 decoded")
 	}
 }
+
+// checkScanMatchesDecode is the walk's whole contract: ScanObject fails on
+// exactly the inputs DecodeObject fails on, and on the rest it finds the
+// id, the vector's bytes and the end of the row where DecodeObject does.
+func checkScanMatchesDecode(t *testing.T, data []byte) {
+	t.Helper()
+	row, wantRest, decErr := DecodeObject(data)
+	id, vv, rest, scanErr := ScanObject(data)
+	if (decErr == nil) != (scanErr == nil) {
+		t.Fatalf("DecodeObject err %v, ScanObject err %v on %x", decErr, scanErr, data)
+	}
+	if decErr != nil {
+		return
+	}
+	if string(id) != row.ID || !bytes.Equal(rest, wantRest) {
+		t.Fatalf("ScanObject: id %q rest %d bytes, DecodeObject: id %q rest %d bytes", id, len(rest), row.ID, len(wantRest))
+	}
+	got, tail, err := vclock.DecodeVersion(vv)
+	if err != nil || len(tail) != 0 || !reflect.DeepEqual(got, row.VV) {
+		t.Fatalf("vector bytes decode to %v (%d left, %v), the row's is %v", got, len(tail), err, row.VV)
+	}
+}
+
+// scanSeeds are TestDecodeObjectRejectsDamage's cases: every edge row
+// whole, cut at every offset, and with 2^60 stamped over every position.
+func scanSeeds() [][]byte {
+	var out [][]byte
+	for _, row := range codecEdgeRows() {
+		enc := AppendObject(nil, row)
+		out = append(out, append(bytes.Clone(enc), "tail"...))
+		for i := 0; i < len(enc); i++ {
+			out = append(out, enc[:i])
+		}
+		for i := 0; i+8 <= len(enc); i++ {
+			bad := bytes.Clone(enc)
+			binary.BigEndian.PutUint64(bad[i:], 1<<60)
+			out = append(out, bad)
+		}
+	}
+	return out
+}
+
+func TestScanObjectMatchesDecode(t *testing.T) {
+	for _, data := range scanSeeds() {
+		checkScanMatchesDecode(t, data)
+	}
+	enc := AppendObject(nil, codecFixtureRow(42))
+	if n := testing.AllocsPerRun(100, func() { _, _, _, _ = ScanObject(enc) }); n != 0 {
+		t.Fatalf("ScanObject allocates %v times per row", n)
+	}
+}
+
+func FuzzScanObjectMatchesDecode(f *testing.F) {
+	for i, data := range scanSeeds() {
+		if i%7 == 0 { // a spread of them; TestScanObjectMatchesDecode runs all
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkScanMatchesDecode(t, data) })
+}
+
+// TestAppendObjectAllocs: encoding a row into a buffer with room sorts its
+// keys and sites on the stack. Rows and vectors too wide for that spill to
+// the heap and still come out sorted.
+func TestAppendObjectAllocs(t *testing.T) {
+	row := codecFixtureRow(42)
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendObject(buf[:0], row) }); n != 0 {
+		t.Fatalf("AppendObject allocates %v times per row", n)
+	}
+	wide := &Object{ID: "w", VV: vclock.Version{}, Fields: map[string]string{}}
+	for i := 0; i < 17; i++ {
+		wide.VV[fmt.Sprintf("s%02d", (i*7)%17)] = uint64(i + 1)
+		wide.Fields[fmt.Sprintf("k%02d", (i*5)%17)] = "v"
+	}
+	enc := AppendObject(nil, wide)
+	got, _, err := DecodeObject(enc)
+	if err != nil || !reflect.DeepEqual(got.VV, wide.VV) || !reflect.DeepEqual(got.Fields, wide.Fields) {
+		t.Fatalf("a 17-field, 17-site row round-tripped as %+v, %v", got, err)
+	}
+	last := -1
+	for _, name := range []string{"s", "k"} { // the vector, then the fields
+		for i := 0; i < 17; i++ {
+			at := bytes.Index(enc, []byte(fmt.Sprintf("%s%02d", name, i)))
+			if at <= last {
+				t.Fatalf("%s%02d is encoded at %d, not after its predecessor at %d", name, i, at, last)
+			}
+			last = at
+		}
+	}
+}

@@ -187,14 +187,55 @@ func (c *mergeCursor) advance() error {
 	return err
 }
 
+// merge streams srcs — sorted sources, ordered newest first — as one sorted
+// run: emit is called once per id with the entry of the newest source that
+// holds it, row or tombstone, and every older holder is superseded and
+// passed over without being decoded. The entry is valid until emit
+// returns; emit ends the merge early by returning false. It is the one
+// merge loop of the store: scans and compaction differ only in what they
+// do with a winner.
+func merge(srcs []*mergeCursor, emit func(e *flushEntry) (more bool, err error)) error {
+	for _, c := range srcs {
+		if err := c.advance(); err != nil {
+			return err
+		}
+	}
+	for {
+		minID, any := "", false
+		for _, c := range srcs {
+			if c.ok && (!any || c.cur.id < minID) {
+				minID, any = c.cur.id, true
+			}
+		}
+		if !any {
+			return nil
+		}
+		emitted := false
+		for _, c := range srcs {
+			if !c.ok || c.cur.id != minID {
+				continue
+			}
+			if !emitted {
+				emitted = true
+				if more, err := emit(&c.cur); err != nil || !more {
+					return err
+				}
+			}
+			if err := c.advance(); err != nil {
+				return err
+			}
+		}
+	}
+}
+
 // iterate streams the merged live view — memtable over segments, newest
-// first — in sorted id order, calling fn once per live row. fromMem marks
-// rows aliased to the live memtable (callers needing to retain them must
-// clone); segment rows are freshly decoded. Tombstones and superseded
-// versions are filtered out. This is how Range, Digest and Snapshot
-// see one coherent store without materialising it: memory cost
-// is one row per source.
-func (s *Store) iterate(fn func(obj *information.Object, fromMem bool) bool) error {
+// first — in sorted id order, calling fn once per live row; tombstones and
+// superseded versions are filtered out. What fn gets is the entry, not a
+// row: a memtable entry lends the stored row (callers that keep it must
+// clone), a segment entry is raw bytes until fn decodes what it needs of
+// them. This is how Range, Digest and Snapshot see one coherent store
+// without materialising it: memory cost is one record per source.
+func (s *Store) iterate(fn func(e *flushEntry) (more bool, err error)) error {
 	// Memtable snapshot BEFORE pinning segments: a flush between the two
 	// moves rows memtable->segment, and this order sees them (twice at
 	// worst, deduplicated by the merge; the reverse order would see them
@@ -214,44 +255,14 @@ func (s *Store) iterate(fn func(obj *information.Object, fromMem bool) bool) err
 		return e, true, nil
 	}})
 	for _, g := range segs {
-		it := g.iter()
-		srcs = append(srcs, &mergeCursor{next: it.next})
+		srcs = append(srcs, &mergeCursor{next: g.iter().next})
 	}
-	for _, c := range srcs {
-		if err := c.advance(); err != nil {
-			return err
+	return merge(srcs, func(e *flushEntry) (bool, error) {
+		if e.tomb() {
+			return true, nil
 		}
-	}
-	for {
-		minID, any := "", false
-		for _, c := range srcs {
-			if c.ok && (!any || c.cur.id < minID) {
-				minID, any = c.cur.id, true
-			}
-		}
-		if !any {
-			return nil
-		}
-		// Sources are ordered newest first, so the first holder of minID
-		// is the authoritative version; every other holder is superseded.
-		emitted := false
-		for i, c := range srcs {
-			if !c.ok || c.cur.id != minID {
-				continue
-			}
-			if !emitted {
-				emitted = true
-				if c.cur.obj != nil { // winner may be a tombstone: emit nothing
-					if !fn(c.cur.obj, i == 0) {
-						return nil
-					}
-				}
-			}
-			if err := c.advance(); err != nil {
-				return err
-			}
-		}
-	}
+		return fn(e)
+	})
 }
 
 // --- level compaction -----------------------------------------------------
@@ -370,10 +381,10 @@ func (s *Store) mergeAllLocked() error {
 	return nil
 }
 
-// mergeSegments streams the inputs (newest first) through the winner-
-// takes-newest merge into one segment at outLevel, installs it in the
-// manifest, and drops the inputs. Inputs are immutable, so the merge body
-// runs without the store mutex; only the install step takes it.
+// mergeSegments streams the inputs (newest first) through merge into one
+// segment at outLevel, installs it in the manifest, and drops the inputs.
+// Inputs are immutable, so the merge body runs without the store mutex;
+// only the install step takes it.
 func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dropTombs bool) error {
 	expect := 0
 	seqLo, seqHi := inputs[0].seqLo, inputs[0].seqHi
@@ -390,13 +401,7 @@ func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dro
 	ordered := append([]*segment(nil), inputs...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seqHi > ordered[j].seqHi })
 	for _, g := range ordered {
-		it := g.iter()
-		srcs = append(srcs, &mergeCursor{next: it.next})
-	}
-	for _, c := range srcs {
-		if err := c.advance(); err != nil {
-			return err
-		}
+		srcs = append(srcs, &mergeCursor{next: g.iter().next})
 	}
 
 	path := filepath.Join(s.dir, segName(outID))
@@ -404,35 +409,17 @@ func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dro
 	if err != nil {
 		return err
 	}
-	for {
-		minID, any := "", false
-		for _, c := range srcs {
-			if c.ok && (!any || c.cur.id < minID) {
-				minID, any = c.cur.id, true
-			}
+	// A winning row is written as the record it was read as; nothing is
+	// decoded on this path.
+	err = merge(srcs, func(e *flushEntry) (bool, error) {
+		if e.tomb() && dropTombs {
+			return true, nil
 		}
-		if !any {
-			break
-		}
-		emitted := false
-		for _, c := range srcs {
-			if !c.ok || c.cur.id != minID {
-				continue
-			}
-			if !emitted {
-				emitted = true
-				if c.cur.obj != nil || !dropTombs {
-					if err := w.add(c.cur); err != nil {
-						w.abort()
-						return err
-					}
-				}
-			}
-			if err := c.advance(); err != nil {
-				w.abort()
-				return err
-			}
-		}
+		return true, w.add(*e)
+	})
+	if err != nil {
+		w.abort()
+		return err
 	}
 	out, err := w.finish()
 	if err != nil {

@@ -30,9 +30,20 @@
 // and the store resumes appending from the last good record — the
 // standard WAL discipline.
 //
-// The store inherits information.Store's copying contract and adds one
-// serialisation point: mutations are ordered by the store's own mutex so
-// the WAL's record order always equals the in-memory commit order.
+// Rows follow information.Store's rule — a stored row never changes, it is
+// only replaced: a put swaps the memtable's pointer, a flush drops the map,
+// nothing edits a row. So memtable rows are lent as stored (Peek, Range,
+// the Exec callback's argument, Exec's result), segment rows are decoded
+// for the call that asked, and Get, Snapshot and Remove return copies.
+// Segment reads decode what their caller needs and no more: the cross-tier
+// merge compares ids over raw records (each still CRC-checked and walked
+// end to end) and decodes only the winner of an id — whole for Range and
+// Snapshot, its vector alone for Digest, not at all for compaction, which
+// copies the record's bytes.
+//
+// The store adds one serialisation point: mutations are ordered by the
+// store's own mutex so the WAL's record order always equals the in-memory
+// commit order.
 package logstore
 
 import (
@@ -515,9 +526,10 @@ func (s *Store) replayWAL() error {
 // --- mutations ------------------------------------------------------------
 
 // Exec runs fn against the row for id under the backend's write
-// exclusion. fn receives a private copy (or a freshly decoded segment
-// row), never live state — a mutation takes effect only by returning the
-// row to store. If fn stores a row, its full post-state is made durable
+// exclusion. fn is lent the stored row — the memtable's own, or a fresh
+// decode of a segment's — read-only: a mutation takes effect only by
+// returning a new row to store, which fn gives up and Exec returns, again
+// read-only. If fn stores a row, its full post-state is made durable
 // before Exec returns success. In the default (inline) mode the WAL
 // append precedes the in-memory commit, so a write that cannot be made
 // durable (append failure, or a row the codec cannot round-trip) fails
@@ -600,16 +612,9 @@ func (s *Store) execLocked(id string, fn func(cur *information.Object) (*informa
 	if err := s.writableLocked(); err != nil {
 		return nil, 0, err
 	}
-	cur, live, fromMem, err := s.lookup(id)
+	cur, live, _, err := s.lookup(id)
 	if err != nil {
 		return nil, 0, err
-	}
-	if live && fromMem {
-		// fn gets a clone, not the live row: a callback that breaks the
-		// Backend contract and edits its argument, then fails validation
-		// or the WAL append below, must leave the stored row untouched.
-		// Segment rows are freshly decoded and need no copy.
-		cur = cur.Clone()
 	}
 	next, err := fn(cur)
 	if err != nil || next == nil {
@@ -635,7 +640,7 @@ func (s *Store) execLocked(id string, fn func(cur *information.Object) (*informa
 		s.live.Add(1)
 	}
 	s.compactIfDueLocked()
-	return next.Clone(), waitSeq, nil
+	return next, waitSeq, nil
 }
 
 // Relate records a typed relationship. Inline mode logs the edge before
@@ -1021,8 +1026,13 @@ func (s *Store) Get(id string) (*information.Object, bool) {
 	return obj, true
 }
 
-// Peek is Get: segment rows are decoded per call, so this store lends copies.
-func (s *Store) Peek(id string) (*information.Object, bool) { return s.Get(id) }
+// Peek is the borrowed point read: a memtable row is lent as stored (it is
+// never edited, only replaced), a segment row is decoded for the call.
+// Failures read as absent and are counted, as in Get.
+func (s *Store) Peek(id string) (*information.Object, bool) {
+	obj, live, _, err := s.lookup(id)
+	return obj, err == nil && live
+}
 
 // noteIterFailure records a merged-view scan cut short by a segment
 // error; the Backend read signatures have no error slot, so the counter
@@ -1036,14 +1046,18 @@ func (s *Store) noteIterFailure(err error) {
 // Snapshot returns copies of every row matching pred (nil pred = all).
 func (s *Store) Snapshot(pred func(*information.Object) bool) []*information.Object {
 	var out []*information.Object
-	s.noteIterFailure(s.iterate(func(obj *information.Object, fromMem bool) bool {
+	s.noteIterFailure(s.iterate(func(e *flushEntry) (bool, error) {
+		obj, err := e.row()
+		if err != nil {
+			return false, err
+		}
 		if pred == nil || pred(obj) {
-			if fromMem {
+			if e.obj != nil { // the memtable's own row; the result is the caller's
 				obj = obj.Clone()
 			}
 			out = append(out, obj)
 		}
-		return true
+		return true, nil
 	}))
 	return out
 }
@@ -1054,15 +1068,26 @@ func (s *Store) Snapshot(pred func(*information.Object) bool) []*information.Obj
 // Merkle digest tree from: segment rows stream through a fixed-size
 // buffer, so the rebuild never materialises the store in memory.
 func (s *Store) Range(fn func(*information.Object) bool) {
-	s.noteIterFailure(s.iterate(func(obj *information.Object, _ bool) bool { return fn(obj) }))
+	s.noteIterFailure(s.iterate(func(e *flushEntry) (bool, error) {
+		obj, err := e.row()
+		if err != nil {
+			return false, err
+		}
+		return fn(obj), nil
+	}))
 }
 
 // Digest summarises every row's version vector for anti-entropy exchange.
+// Of a segment row it decodes the vector and nothing else.
 func (s *Store) Digest() map[string]vclock.Version {
 	out := make(map[string]vclock.Version, s.Len())
-	s.noteIterFailure(s.iterate(func(obj *information.Object, _ bool) bool {
-		out[obj.ID] = obj.VV.Clone()
-		return true
+	s.noteIterFailure(s.iterate(func(e *flushEntry) (bool, error) {
+		vv, err := e.version()
+		if err != nil {
+			return false, err
+		}
+		out[e.id] = vv
+		return true, nil
 	}))
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"mocca/internal/information"
+	"mocca/internal/vclock"
 )
 
 // memtable is the in-memory tier of the store: the rows written since the
@@ -97,11 +98,40 @@ func (m *memtable) pending() int {
 	return len(m.rows) + len(m.tombs)
 }
 
-// flushEntry is one sorted unit of a flush or merge: a live row, or a
-// tombstone when obj is nil.
+// flushEntry is one sorted unit of a flush, scan or merge. A memtable row
+// carries obj, the stored row itself. A segment row carries rec, the record
+// payload as read and already walked (information.ScanObject), and vv, the
+// encoded version vector inside it; both alias the iterator's buffer and
+// are valid until its next call, and nothing is decoded until a consumer
+// asks (row, version). A tombstone carries neither.
 type flushEntry struct {
 	id  string
 	obj *information.Object
+	rec []byte
+	vv  []byte
+}
+
+func (e *flushEntry) tomb() bool { return e.obj == nil && e.rec == nil }
+
+// row returns the entry's row: the memtable's own, lent, or a fresh decode
+// of the segment record.
+func (e *flushEntry) row() (*information.Object, error) {
+	if e.obj != nil {
+		return e.obj, nil
+	}
+	obj, _, err := information.DecodeObject(e.rec[1:])
+	return obj, err
+}
+
+// version returns the row's version vector as the caller's own: a copy of
+// the memtable row's, or a decode of the segment record's, which reads the
+// vector and nothing else.
+func (e *flushEntry) version() (vclock.Version, error) {
+	if e.obj != nil {
+		return e.obj.VV.Clone(), nil
+	}
+	vv, _, err := vclock.DecodeVersion(e.vv)
+	return vv, err
 }
 
 // entries returns every row and tombstone sorted by id — the input of a

@@ -168,10 +168,16 @@ func (w *segWriter) add(e flushEntry) error {
 	seg.bloom.add(e.id)
 	seg.count++
 	w.lastKey = e.id
-	if e.obj != nil {
+	switch {
+	case e.rec != nil:
+		// A row read from a segment moves as the bytes it was read as: the
+		// row codec is canonical, so decoding and re-encoding would write
+		// the same record.
+		w.payload = append(w.payload[:0], e.rec...)
+	case e.obj != nil:
 		w.payload = append(w.payload[:0], recSegRow)
 		w.payload = information.AppendObject(w.payload, e.obj)
-	} else {
+	default:
 		w.payload = append(w.payload[:0], recSegTomb)
 		w.payload = wire.AppendString(w.payload, e.id)
 	}
@@ -399,6 +405,9 @@ const (
 	probeTomb                      // tombstone found
 )
 
+// chunkBufs recycles the index-chunk buffers of point reads.
+var chunkBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // get answers a point read. Only probeRow returns an object. The key
 // range and bloom checks are pure memory; only past both does the
 // segment issue a single bounded pread of one index chunk.
@@ -419,11 +428,17 @@ func (g *segment) get(id string) (*information.Object, segProbe, error) {
 	if j+1 < len(g.index) {
 		end = g.index[j+1].off
 	}
-	buf := make([]byte, end-start)
-	if _, err := g.f.ReadAt(buf, start); err != nil {
+	// The chunk is read into a pooled buffer and handed back on return:
+	// DecodeObject copies every string out, so nothing returned aliases it.
+	bufp := chunkBufs.Get().(*[]byte)
+	defer chunkBufs.Put(bufp)
+	if int64(cap(*bufp)) < end-start {
+		*bufp = make([]byte, end-start)
+	}
+	rest := (*bufp)[:end-start]
+	if _, err := g.f.ReadAt(rest, start); err != nil {
 		return nil, probeMiss, err
 	}
-	rest := buf
 	for len(rest) > 0 {
 		payload, next, err := wire.NextRecord(rest)
 		if err != nil {
@@ -477,7 +492,7 @@ func (g *segment) iter() *segIter {
 	}
 }
 
-// segIter yields flushEntry values (obj == nil for tombstones).
+// segIter yields flushEntry values: rows as raw records, tombstones bare.
 type segIter struct {
 	r       *bufio.Reader
 	remain  int
@@ -485,9 +500,12 @@ type segIter struct {
 }
 
 // next returns the next entry, or ok == false at the end of the data
-// region. Decode failures end the iteration with err set — segments are
-// written and fsynced before being referenced, so this is bit rot, not a
-// torn tail, and the caller surfaces it.
+// region. Every record passes its CRC and every row payload is walked end
+// to end, so a record that frames but does not parse is refused here,
+// whether or not anyone would have decoded it. Such failures end the
+// iteration with err set — segments are written and fsynced before being
+// referenced, so this is bit rot, not a torn tail, and the caller surfaces
+// it.
 func (it *segIter) next() (flushEntry, bool, error) {
 	if it.remain == 0 {
 		return flushEntry{}, false, nil
@@ -512,11 +530,11 @@ func (it *segIter) next() (flushEntry, bool, error) {
 	}
 	switch payload[0] {
 	case recSegRow:
-		obj, _, err := information.DecodeObject(payload[1:])
+		id, vv, _, err := information.ScanObject(payload[1:])
 		if err != nil {
 			return flushEntry{}, false, err
 		}
-		return flushEntry{id: obj.ID, obj: obj}, true, nil
+		return flushEntry{id: string(id), rec: payload, vv: vv}, true, nil
 	case recSegTomb:
 		id, _, err := wire.ConsumeString(payload[1:])
 		if err != nil {

@@ -43,9 +43,8 @@ func (o *Object) clone() *Object {
 	return &out
 }
 
-// Clone returns a deep copy of the object. Backends use it to isolate a
-// mutation callback from the live row, so a mutation they cannot commit
-// (e.g. a failed log append) leaves stored state untouched.
+// Clone returns a deep copy of the object. Backends use it where their
+// contract promises the caller a row of its own (Get, Snapshot, Remove).
 func (o *Object) Clone() *Object { return o.clone() }
 
 // RelKind is an inter-object relationship, per the paper's "composition,

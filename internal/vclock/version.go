@@ -3,6 +3,7 @@ package vclock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -152,11 +153,14 @@ var ErrBadVersion = errors.New("vclock: bad version encoding")
 // recovery be verified byte-for-byte.
 func (v Version) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendUint64(dst, uint64(len(v)))
-	sites := make([]string, 0, len(v))
+	// Room on the stack for a deployment's worth of sites; a longer vector
+	// spills to the heap.
+	var room [16]string
+	sites := room[:0]
 	for s := range v {
 		sites = append(sites, s)
 	}
-	sort.Strings(sites)
+	slices.Sort(sites)
 	for _, s := range sites {
 		dst = wire.AppendString(dst, s)
 		dst = wire.AppendUint64(dst, v[s])
