@@ -18,6 +18,17 @@ import (
 // codec (information.AppendObject). wire.EncodeBody picks a message's own
 // AppendBinary over JSON, so the membership messages are untouched.
 //
+// A rumor entry's vector stays the bytes it arrived as (vclock.ScanVersion
+// has walked them, so vclock.DecodeVersion reads them): the dedup key is
+// taken over those bytes, a duplicate is dropped without a decode, and a
+// forward appends them verbatim. Every sender here writes the canonical
+// form, where equal vectors are equal bytes; a peer that sends a vector in
+// some other order is keyed apart from its canonical twin, which costs at
+// most one extra forward per TTL hop and never a wrong answer — rows still
+// travel through the replica's apply. A decoded rumorReq aliases the body it
+// was read from, as wire.Unmarshal's envelope aliases its frame: the entries
+// a handler keeps while it fetches hold that one frame until the fetch ends.
+//
 // The tags have the high bit set: no JSON text starts with such a byte, so
 // a JSON decoder handed a binary body — or a binary decoder handed JSON —
 // fails on the first byte instead of misreading the rest.
@@ -42,9 +53,19 @@ func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
 	b = wire.AppendUint64(b, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		b = wire.AppendString(b, e.ID)
-		b = e.VV.AppendBinary(b)
+		b = append(b, e.VV...)
 	}
 	return b, nil
+}
+
+// size is the length of the body AppendBinary writes, for a sender that
+// builds it in a buffer of its own.
+func (m rumorReq) size() int {
+	n := 1 + 3*4 + 2*8 + len(m.From.Site) + len(m.From.Addr) + len(m.From.Repl)
+	for _, e := range m.Entries {
+		n += 4 + len(e.ID) + len(e.VV)
+	}
+	return n
 }
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -105,7 +126,7 @@ func (m *rumorReq) UnmarshalBinary(data []byte) error {
 			if e.ID, data, err = wire.ConsumeString(data); err != nil {
 				return err
 			}
-			if e.VV, data, err = vclock.DecodeVersion(data); err != nil {
+			if e.VV, data, err = vclock.ScanVersion(data); err != nil {
 				return err
 			}
 		}

@@ -58,11 +58,16 @@ func wideVV() vclock.Version {
 	return wide
 }
 
+// entryOf is the rumor entry Publish builds for a write.
+func entryOf(id string, vv vclock.Version) rumorEntry {
+	return rumorEntry{ID: id, VV: vv.AppendBinary(nil)}
+}
+
 // rumorEntries is n rumor entries the size a 16-site organization's are.
 func rumorEntries(n int) []rumorEntry {
 	out := make([]rumorEntry, n)
 	for i := range out {
-		out[i] = rumorEntry{ID: fmt.Sprintf("obj%06d", i), VV: vclock.Version{"s000": uint64(i + 1), fmt.Sprintf("s%03d", i%16): 2}}
+		out[i] = entryOf(fmt.Sprintf("obj%06d", i), vclock.Version{"s000": uint64(i + 1), fmt.Sprintf("s%03d", i%16): 2})
 	}
 	return out
 }
@@ -108,7 +113,7 @@ func bodyCases() []bodyCase {
 		{"rumorReq/publish", rumorReq{From: from, TTL: DefaultTTL, Entries: rumorEntries(1)}, into[rumorReq]()},
 		{"rumorReq/batch", rumorReq{From: from, TTL: 1, Entries: rumorEntries(64)}, into[rumorReq]()},
 		{"rumorReq/edge", rumorReq{From: Peer{Site: "köln", Addr: "gossip-köln"}, TTL: -1, Entries: []rumorEntry{
-			{ID: "nil-vv"}, {ID: "obj-ünï-日本", VV: wideVV()}, {ID: ""}}}, into[rumorReq]()},
+			entryOf("nil-vv", nil), entryOf("obj-ünï-日本", wideVV()), entryOf("", nil)}}, into[rumorReq]()},
 		{"rumorReq/zero", rumorReq{}, into[rumorReq]()},
 		{"rumorResp", rumorResp{Want: 3}, into[rumorResp]()},
 		{"rumorResp/zero", rumorResp{}, into[rumorResp]()},
@@ -126,6 +131,9 @@ func TestBodiesRoundTrip(t *testing.T) {
 		if len(b) == 0 || b[0] < 0x80 {
 			t.Fatalf("%s: body opens with %#x, which could start a JSON text", c.name, b[:1])
 		}
+		if m, ok := c.msg.(rumorReq); ok && m.size() != len(b) {
+			t.Fatalf("%s: size() = %d, the body is %d bytes", c.name, m.size(), len(b))
+		}
 		got, err := c.decoded(b)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", c.name, err)
@@ -140,20 +148,20 @@ func TestBodiesRoundTrip(t *testing.T) {
 // order their maps were filled in.
 func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	ref := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: []rumorEntry{{ID: "wide", VV: wideVV()}}}
+	ref := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: []rumorEntry{entryOf("wide", wideVV())}}
 	want, _ := ref.AppendBinary(nil)
 	wantRows, _ := fetchResp{Objects: []*information.Object{benchRow(5)}}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
 		sites := make([]string, 0, 18)
-		for s := range ref.Entries[0].VV {
+		for s := range wideVV() {
 			sites = append(sites, s)
 		}
 		rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
 		vv := vclock.Version{}
 		for _, s := range sites {
-			vv[s] = ref.Entries[0].VV[s]
+			vv[s] = wideVV()[s]
 		}
-		m := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: []rumorEntry{{ID: "wide", VV: vv}}}
+		m := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: []rumorEntry{entryOf("wide", vv)}}
 		if got, _ := m.AppendBinary(nil); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: rumorReq bytes depend on map insertion order", trial)
 		}
@@ -231,26 +239,26 @@ func TestBodiesRejectDamage(t *testing.T) {
 	}
 }
 
-// rumorRound runs a real two-site rumor exchange — publish at one site,
-// pull and apply at the other — and returns every body it put on the wire
-// by rpc method.
-func rumorRound(tb testing.TB) map[string][][]byte {
+// tappedOverlays builds n joined overlays ("g00"…) over one simulated
+// network with tap on every endpoint's channel stack, each over a fake
+// replica.
+func tappedOverlays(tb testing.TB, n int, tap func(*channel.Frame)) (*vclock.Simulated, []*Overlay, []*fakeReplica) {
 	tb.Helper()
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(7))
-	bodies := map[string][][]byte{}
-	tap := channel.WithInterceptor(func(f *channel.Frame) error {
-		if f.Dir == channel.Outbound {
-			method, _ := f.Env.Header("method")
-			bodies[method] = append(bodies[method], bytes.Clone(f.Env.Body))
-		}
+	withTap := rpc.WithChannel(channel.WithInterceptor(func(f *channel.Frame) error {
+		tap(f)
 		return nil
-	})
-	peers := []Peer{{Site: "g00", Addr: "gossip-g00", Repl: "gossip-g00"}, {Site: "g01", Addr: "gossip-g01", Repl: "gossip-g01"}}
+	}))
+	var peers []Peer
+	for i := 0; i < n; i++ {
+		addr := netsim.Address(fmt.Sprintf("gossip-g%02d", i))
+		peers = append(peers, Peer{Site: fmt.Sprintf("g%02d", i), Addr: addr, Repl: addr})
+	}
 	var overlays []*Overlay
 	var replicas []*fakeReplica
 	for _, p := range peers {
-		ep := rpc.NewEndpoint(net.MustAddNode(p.Addr), clk, rpc.WithChannel(tap))
+		ep := rpc.NewEndpoint(net.MustAddNode(p.Addr), clk, withTap)
 		rep := newFakeReplica()
 		replicas = append(replicas, rep)
 		overlays = append(overlays, New(ep, clk, p.Site, p.Repl, rep, WithSeed(42),
@@ -260,6 +268,21 @@ func rumorRound(tb testing.TB) map[string][][]byte {
 		o.Join()
 	}
 	clk.RunUntilIdle()
+	return clk, overlays, replicas
+}
+
+// rumorRound runs a real two-site rumor exchange — publish at one site,
+// pull and apply at the other — and returns every body it put on the wire
+// by rpc method.
+func rumorRound(tb testing.TB) map[string][][]byte {
+	tb.Helper()
+	bodies := map[string][][]byte{}
+	clk, overlays, replicas := tappedOverlays(tb, 2, func(f *channel.Frame) {
+		if f.Dir == channel.Outbound {
+			method, _ := f.Env.Header("method")
+			bodies[method] = append(bodies[method], bytes.Clone(f.Env.Body))
+		}
+	})
 	for i := 0; i < 3; i++ {
 		id, vv := fmt.Sprintf("obj-%d", i), vclock.Version{"g00": uint64(i + 1)}
 		replicas[0].rows[id] = vv

@@ -1,7 +1,9 @@
 package gossip
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"mocca/internal/information"
@@ -65,10 +67,12 @@ type probeResp struct {
 // the membership messages above stay JSON.
 
 // rumorEntry announces one fresh write: enough for the receiver to
-// decide whether it needs the row, without shipping the row itself.
+// decide whether it needs the row, without shipping the row itself. VV is
+// the vector in vclock's binary form (see codec.go), decoded only by the
+// member that sees the entry first.
 type rumorEntry struct {
 	ID string
-	VV vclock.Version
+	VV []byte
 }
 
 type rumorReq struct {
@@ -223,7 +227,8 @@ func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) i
 		o.mu.Unlock()
 		return
 	}
-	o.markSeenLocked(rumorKey(id, vv))
+	entry := rumorEntry{ID: id, VV: vv.AppendBinary(nil)}
+	o.markSeenLocked(rumorKey(id, entry.VV))
 	targets := o.rumorTargetsLocked("", rank)
 	o.stats.RumorsPublished++
 	o.mu.Unlock()
@@ -237,7 +242,7 @@ func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) i
 			tc = parent
 		}
 	}
-	o.sendRumor(targets, rumorReq{From: o.self, TTL: DefaultTTL, Entries: []rumorEntry{{ID: id, VV: vv}}}, tc)
+	o.sendRumor(targets, rumorReq{From: o.self, TTL: DefaultTTL, Entries: []rumorEntry{entry}}, tc)
 }
 
 // handleRumor processes an incoming rumor. Entries this replica already
@@ -261,11 +266,18 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) rumorResp {
 			continue
 		}
 		o.markSeenLocked(k)
-		if o.replica != nil && !o.replica.HasSeen(e.ID, e.VV) {
-			want = append(want, e)
-		} else {
-			have = append(have, e)
+		if o.replica != nil {
+			// First sighting: the one place the vector becomes a map.
+			vv, _, err := vclock.DecodeVersion(e.VV)
+			if err != nil {
+				continue
+			}
+			if !o.replica.HasSeen(e.ID, vv) {
+				want = append(want, e)
+				continue
+			}
 		}
+		have = append(have, e)
 	}
 	if len(want) > 0 {
 		o.stats.RumorFetches++
@@ -286,10 +298,6 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) rumorResp {
 			if err := res.Decode(&resp); err != nil || o.replica == nil {
 				return
 			}
-			got := make(map[string]bool, len(resp.Objects))
-			for _, obj := range resp.Objects {
-				got[obj.ID] = true
-			}
 			if applied := o.replica.ApplyWire(resp.Objects); applied > 0 {
 				o.mu.Lock()
 				o.stats.RumorApplied += int64(applied)
@@ -300,7 +308,7 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) rumorResp {
 			}
 			var landed []rumorEntry
 			for _, e := range want {
-				if got[e.ID] {
+				if slices.ContainsFunc(resp.Objects, func(obj *information.Object) bool { return obj.ID == e.ID }) {
 					landed = append(landed, e)
 				}
 			}
@@ -357,20 +365,24 @@ func (o *Overlay) rumorTargetsLocked(exclude netsim.Address, rank func(site stri
 		}
 		return o.rank(site)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if a, b := score(out[i].Site), score(out[j].Site); a != b {
-			return a > b
+	slices.SortFunc(out, func(a, b Peer) int {
+		if c := cmp.Compare(score(b.Site), score(a.Site)); c != 0 {
+			return c
 		}
-		return out[i].Site < out[j].Site
+		return cmp.Compare(a.Site, b.Site)
 	})
 	return out
 }
 
+// sendRumor encodes req once and hands every target the same body: rpc
+// copies it into each frame and only reads it.
 func (o *Overlay) sendRumor(targets []Peer, req rumorReq, tc wire.TraceContext) {
+	body, _ := req.AppendBinary(make([]byte, 0, req.size())) // never errs
+	timeout, trace := rpc.CallTimeout(DefaultTimeout), rpc.CallTrace(tc)
 	for _, p := range targets {
-		o.ep.GoJSON(p.Addr, MethodRumor, req, func(rpc.Result) {
+		o.ep.Go(p.Addr, MethodRumor, body, func(rpc.Result) {
 			// Losing a rumor is fine: anti-entropy is the repair path.
-		}, rpc.CallTimeout(DefaultTimeout), rpc.CallTrace(tc))
+		}, timeout, trace)
 	}
 }
 
@@ -383,10 +395,10 @@ func (o *Overlay) markSeenLocked(k uint64) {
 	o.seen[k] = true
 }
 
-// rumorKey folds an id and version vector into the dedup key.
-func rumorKey(id string, vv vclock.Version) uint64 {
+// rumorKey folds an id and an encoded version vector into the dedup key.
+func rumorKey(id string, vv []byte) uint64 {
 	h := fnv64(id)
-	for _, b := range vv.AppendBinary(nil) {
+	for _, b := range vv {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}

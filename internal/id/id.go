@@ -6,8 +6,8 @@
 package id
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -40,7 +40,17 @@ func (g *Generator) Next(kind string) string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.counters[kind]++
-	return fmt.Sprintf("%s-%d-%08x", kind, g.counters[kind], g.rng.Uint32())
+	// "%s-%d-%08x", built in a stack buffer: the string is the one allocation.
+	var room [64]byte
+	b := append(room[:0], kind...)
+	b = append(b, '-')
+	b = strconv.AppendUint(b, g.counters[kind], 10)
+	b = append(b, '-')
+	const hex = "0123456789abcdef"
+	for entropy, shift := g.rng.Uint32(), 28; shift >= 0; shift -= 4 {
+		b = append(b, hex[entropy>>shift&0xf])
+	}
+	return string(b)
 }
 
 // Seq returns the next bare sequence number for the given kind.

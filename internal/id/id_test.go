@@ -1,6 +1,8 @@
 package id
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -97,5 +99,26 @@ func TestQuickGeneratedAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNextMatchesSprintf: Next builds its ids by hand; they are byte for
+// byte what fmt.Sprintf("%s-%d-%08x") gave (corr ids are on the wire), and
+// the string is the only allocation.
+func TestNextMatchesSprintf(t *testing.T) {
+	g := NewSeeded(19)
+	ref := rand.New(rand.NewSource(19))
+	kinds := []string{"call", "msg", "a-kind-long-enough-to-spill-the-stack-buffer-and-still-come-out-right"}
+	counters := map[string]uint64{}
+	for i := 0; i < 10000; i++ {
+		kind := kinds[i%7%len(kinds)]
+		counters[kind]++
+		want := fmt.Sprintf("%s-%d-%08x", kind, counters[kind], ref.Uint32())
+		if got := g.Next(kind); got != want {
+			t.Fatalf("draw %d: Next(%q) = %q, Sprintf form %q", i, kind, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { g.Next("call") }); n != 1 {
+		t.Fatalf("Next allocates %v times per id, want 1", n)
 	}
 }

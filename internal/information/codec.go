@@ -117,23 +117,9 @@ func ScanObject(data []byte) (id, vv, rest []byte, err error) {
 	if _, rest, err = wire.ConsumeUint64(rest); err != nil { // version
 		return nil, nil, data, err
 	}
-	vv = rest
-	sites, rest, err := wire.ConsumeUint64(rest)
-	if err != nil {
-		return nil, nil, data, fmt.Errorf("%w: %v", vclock.ErrBadVersion, err)
+	if vv, rest, err = vclock.ScanVersion(rest); err != nil {
+		return nil, nil, data, err
 	}
-	if sites > uint64(len(rest))/12 {
-		return nil, nil, data, fmt.Errorf("%w: %d sites in %d bytes", vclock.ErrBadVersion, sites, len(rest))
-	}
-	for ; sites > 0; sites-- {
-		if _, rest, err = skipString(rest); err != nil {
-			return nil, nil, data, fmt.Errorf("%w: %v", vclock.ErrBadVersion, err)
-		}
-		if _, rest, err = wire.ConsumeUint64(rest); err != nil {
-			return nil, nil, data, fmt.Errorf("%w: %v", vclock.ErrBadVersion, err)
-		}
-	}
-	vv = vv[:len(vv)-len(rest)]
 	var nfields uint64
 	for range 3 { // created, updated, field count
 		if nfields, rest, err = wire.ConsumeUint64(rest); err != nil {

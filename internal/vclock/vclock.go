@@ -15,7 +15,7 @@
 package vclock
 
 import (
-	"container/heap"
+	"math"
 	"sync"
 	"time"
 )
@@ -71,10 +71,12 @@ func (rt realTimer) Stop() bool { return rt.t.Stop() }
 // order, so a simulation that schedules the same events always produces the
 // same interleaving.
 type Simulated struct {
-	mu     sync.Mutex
-	now    time.Time
-	seq    uint64
-	events eventQueue
+	mu  sync.Mutex
+	now time.Time
+	seq uint64
+	// events is a min-heap by (ns, seq) of the live events only: a fired or
+	// stopped event is not in it, and each event knows its own slot.
+	events []*event
 }
 
 // NewSimulated returns a simulated clock starting at the given epoch.
@@ -105,34 +107,26 @@ func (s *Simulated) Sleep(d time.Duration) {
 	<-s.After(d)
 }
 
-// AfterFunc implements Clock.
+// AfterFunc implements Clock. The returned Timer is the queued event itself.
 func (s *Simulated) AfterFunc(d time.Duration, f func()) Timer {
 	if d < 0 {
 		d = 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ev := &event{
-		at:  s.now.Add(d),
-		seq: s.seq,
-		fn:  f,
-	}
+	at := s.now.Add(d)
+	ev := &event{clock: s, at: at, ns: at.UnixNano(), seq: s.seq, fn: f, index: len(s.events)}
 	s.seq++
-	heap.Push(&s.events, ev)
-	return &simTimer{clock: s, ev: ev}
+	s.events = append(s.events, ev)
+	s.siftUp(ev.index)
+	return ev
 }
 
 // Pending reports the number of scheduled events that have not yet fired.
 func (s *Simulated) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, ev := range s.events {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
+	return len(s.events)
 }
 
 // NextDeadline returns the timestamp of the earliest pending event and
@@ -140,20 +134,10 @@ func (s *Simulated) Pending() int {
 func (s *Simulated) NextDeadline() (time.Time, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, ev := range s.events {
-		if !ev.cancelled {
-			// The heap root is the earliest, but cancelled events may sit
-			// anywhere; scan is fine because queues stay small in tests.
-			earliest := ev.at
-			for _, other := range s.events {
-				if !other.cancelled && other.at.Before(earliest) {
-					earliest = other.at
-				}
-			}
-			return earliest, true
-		}
+	if len(s.events) == 0 {
+		return time.Time{}, false
 	}
-	return time.Time{}, false
+	return s.events[0].at, true
 }
 
 // Advance moves the clock forward by d, firing every event whose deadline
@@ -170,18 +154,16 @@ func (s *Simulated) Advance(d time.Duration) {
 // AdvanceTo moves the clock to the given instant (it never moves backwards)
 // firing due events in order.
 func (s *Simulated) AdvanceTo(target time.Time) {
+	limit := target.UnixNano()
 	for {
 		s.mu.Lock()
-		ev := s.popDueLocked(target)
+		ev := s.popDueLocked(limit)
 		if ev == nil {
 			if target.After(s.now) {
 				s.now = target
 			}
 			s.mu.Unlock()
 			return
-		}
-		if ev.at.After(s.now) {
-			s.now = ev.at
 		}
 		s.mu.Unlock()
 		ev.fn()
@@ -195,86 +177,110 @@ func (s *Simulated) RunUntilIdle() int {
 	fired := 0
 	for {
 		s.mu.Lock()
-		ev := s.popDueLocked(maxTime)
+		ev := s.popDueLocked(math.MaxInt64)
+		s.mu.Unlock()
 		if ev == nil {
-			s.mu.Unlock()
 			return fired
 		}
-		if ev.at.After(s.now) {
-			s.now = ev.at
-		}
-		s.mu.Unlock()
 		ev.fn()
 		fired++
 	}
 }
 
-var maxTime = time.Unix(1<<62-1, 0)
-
-// popDueLocked removes and returns the earliest non-cancelled event with
-// at <= target, or nil.
-func (s *Simulated) popDueLocked(target time.Time) *event {
-	for s.events.Len() > 0 {
-		ev := s.events[0]
-		if ev.cancelled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if ev.at.After(target) {
-			return nil
-		}
-		heap.Pop(&s.events)
-		return ev
+// popDueLocked removes and returns the earliest event if it is due by limit
+// (nil otherwise) and moves the clock to it; the caller runs its callback
+// outside the lock.
+func (s *Simulated) popDueLocked(limit int64) *event {
+	if len(s.events) == 0 || s.events[0].ns > limit {
+		return nil
 	}
-	return nil
+	ev := s.events[0]
+	s.removeLocked(ev)
+	if ev.at.After(s.now) {
+		s.now = ev.at
+	}
+	return ev
 }
 
-type simTimer struct {
+// event is one scheduled call, and the Timer AfterFunc hands out for it.
+type event struct {
 	clock *Simulated
-	ev    *event
+	at    time.Time
+	ns    int64 // at.UnixNano(): the heap compares integers
+	seq   uint64
+	fn    func()
+	index int // slot in clock.events; -1 once fired or stopped
 }
 
-func (t *simTimer) Stop() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	if t.ev.cancelled || t.ev.fired {
+// Stop implements Timer: a pending event leaves the queue at once, taking
+// its closure with it. An event that fired, is firing or was stopped before
+// is no longer queued, and Stop reports false.
+func (ev *event) Stop() bool {
+	s := ev.clock
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ev.index < 0 {
 		return false
 	}
-	t.ev.cancelled = true
+	s.removeLocked(ev)
+	ev.fn = nil
 	return true
 }
 
-type event struct {
-	at        time.Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	fired     bool
+func (ev *event) before(o *event) bool {
+	return ev.ns < o.ns || ev.ns == o.ns && ev.seq < o.seq
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at.Equal(q[j].at) {
-		return q[i].seq < q[j].seq
+// removeLocked takes ev out of the heap, wherever it sits.
+func (s *Simulated) removeLocked(ev *event) {
+	i, last := ev.index, len(s.events)-1
+	s.place(i, s.events[last])
+	s.events[last] = nil
+	s.events = s.events[:last]
+	ev.index = -1
+	if i < last {
+		// The event moved into the hole came from a leaf of some other
+		// subtree: it may belong above the hole or below it.
+		s.siftDown(i)
+		s.siftUp(i)
 	}
-	return q[i].at.Before(q[j].at)
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (s *Simulated) place(i int, ev *event) {
+	s.events[i] = ev
+	ev.index = i
+}
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
+func (s *Simulated) siftUp(i int) {
+	ev := s.events[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(s.events[parent]) {
+			break
+		}
+		s.place(i, s.events[parent])
+		i = parent
+	}
+	s.place(i, ev)
+}
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+func (s *Simulated) siftDown(i int) {
+	ev := s.events[i]
+	for {
+		child := 2*i + 1
+		if child >= len(s.events) {
+			break
+		}
+		if r := child + 1; r < len(s.events) && s.events[r].before(s.events[child]) {
+			child = r
+		}
+		if !s.events[child].before(ev) {
+			break
+		}
+		s.place(i, s.events[child])
+		i = child
+	}
+	s.place(i, ev)
 }
 
 var (

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -196,6 +197,37 @@ func DecodeVersion(data []byte) (Version, []byte, error) {
 		v[site] = c
 	}
 	return v, data, nil
+}
+
+// ScanVersion walks one vector produced by AppendBinary without decoding it:
+// it returns the encoding and the remaining bytes as sub-slices of data and
+// allocates nothing. It makes every check DecodeVersion makes, so it fails on
+// exactly the inputs DecodeVersion fails on, and raw is what DecodeVersion
+// reads. It is what lets a holder compare, hash or forward a vector it has no
+// need to materialise.
+func ScanVersion(data []byte) (raw, rest []byte, err error) {
+	n, rest, err := wire.ConsumeUint64(data)
+	if err != nil {
+		return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
+	}
+	if n > uint64(len(rest))/12 {
+		return nil, data, fmt.Errorf("%w: %d sites in %d bytes", ErrBadVersion, n, len(rest))
+	}
+	for ; n > 0; n-- {
+		// A site name under ConsumeString's checks, then its counter.
+		if len(rest) < 4 {
+			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, wire.ErrTruncated)
+		}
+		name := uint64(binary.BigEndian.Uint32(rest))
+		if name >= wire.MaxStringLen {
+			return nil, data, fmt.Errorf("%w: %v: %d-byte string", ErrBadVersion, wire.ErrOversize, name)
+		}
+		if uint64(len(rest)) < 4+name+8 {
+			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, wire.ErrTruncated)
+		}
+		rest = rest[4+name+8:]
+	}
+	return data[:len(data)-len(rest)], rest, nil
 }
 
 // String renders the vector as "site:counter" pairs sorted by site, e.g.

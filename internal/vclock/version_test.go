@@ -1,6 +1,15 @@
 package vclock
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"mocca/internal/wire"
+)
 
 func TestVersionCompare(t *testing.T) {
 	cases := []struct {
@@ -109,4 +118,74 @@ func TestDecodeVersionMalformed(t *testing.T) {
 			t.Fatalf("accepted malformed %v", data)
 		}
 	}
+}
+
+// checkScanMatchesDecode: ScanVersion errs exactly when DecodeVersion errs,
+// with the same class of error, and on success raw is the vector's bytes.
+func checkScanMatchesDecode(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantRest, decErr := DecodeVersion(data)
+	raw, rest, scanErr := ScanVersion(data)
+	if (decErr == nil) != (scanErr == nil) || errors.Is(decErr, ErrBadVersion) != errors.Is(scanErr, ErrBadVersion) {
+		t.Fatalf("DecodeVersion err %v, ScanVersion err %v on %x", decErr, scanErr, data)
+	}
+	if decErr != nil {
+		if raw != nil || !bytes.Equal(rest, data) {
+			t.Fatalf("a refused vector was handed out: raw %x, rest %x of %x", raw, rest, data)
+		}
+		return
+	}
+	if !bytes.Equal(rest, wantRest) || !bytes.Equal(raw, data[:len(data)-len(rest)]) {
+		t.Fatalf("ScanVersion of %x: raw %x, rest %x; DecodeVersion left %x", data, raw, rest, wantRest)
+	}
+	got, tail, err := DecodeVersion(raw)
+	if err != nil || len(tail) != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("raw %x decodes to %v (%d left, %v), the vector is %v", raw, got, len(tail), err, want)
+	}
+}
+
+// scanVersionSeeds are the edge vectors whole (with a tail behind them), cut
+// at every offset and with 2^60 stamped over every position, plus
+// TestDecodeVersionMalformed's cases.
+func scanVersionSeeds() [][]byte {
+	wide := Version{}
+	for i := 0; i < 18; i++ {
+		wide[fmt.Sprintf("s%03d", i)] = uint64(i + 1)
+	}
+	out := [][]byte{{}, {0, 1}, {0, 1, 0, 0, 0, 9}, {0, 1, 0xFF, 0xFF, 0xFF, 0xFF}}
+	for _, v := range []Version{nil, {"gmd": 1}, {"": 0}, {"köln": 1 << 63, "日本": 2}, wide} {
+		enc := v.AppendBinary(nil)
+		out = append(out, append(bytes.Clone(enc), "tail"...))
+		for i := 0; i < len(enc); i++ {
+			out = append(out, enc[:i])
+		}
+		for i := 0; i+8 <= len(enc); i++ {
+			bad := bytes.Clone(enc)
+			binary.BigEndian.PutUint64(bad[i:], 1<<60)
+			out = append(out, bad)
+		}
+	}
+	// Not canonical, still a vector: unsorted sites, one site twice.
+	out = append(out, wire.AppendUint64(wire.AppendString(wire.AppendUint64(wire.AppendString(wire.AppendUint64(nil, 2), "b"), 1), "a"), 2))
+	out = append(out, wire.AppendUint64(wire.AppendString(wire.AppendUint64(wire.AppendString(wire.AppendUint64(nil, 2), "a"), 1), "a"), 2))
+	return out
+}
+
+func TestScanVersionMatchesDecode(t *testing.T) {
+	for _, data := range scanVersionSeeds() {
+		checkScanMatchesDecode(t, data)
+	}
+	enc := Version{"gmd": 3, "upc": 9, "nott": 1}.AppendBinary(nil)
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = ScanVersion(enc) }); n != 0 {
+		t.Fatalf("ScanVersion allocates %v times per vector", n)
+	}
+}
+
+func FuzzScanVersionMatchesDecode(f *testing.F) {
+	for i, data := range scanVersionSeeds() {
+		if i%5 == 0 { // a spread of them; TestScanVersionMatchesDecode runs all
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkScanMatchesDecode(t, data) })
 }
