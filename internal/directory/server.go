@@ -42,21 +42,35 @@ func fromWire(w WireEntry) (*Entry, error) {
 	return &Entry{DN: dn, Attrs: attrs}, nil
 }
 
+func entriesFromWire(ws []WireEntry) ([]*Entry, error) {
+	out := make([]*Entry, 0, len(ws))
+	for _, w := range ws {
+		e, err := fromWire(w)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
 type readReq struct {
 	DN string `json:"dn"`
 }
 
+// searchReq and searchResp travel in the binary form of codec.go (x500.list
+// answers with a searchResp too).
 type searchReq struct {
-	Base      string `json:"base"`
-	Scope     int    `json:"scope"`
-	Filter    string `json:"filter"`
-	SizeLimit int    `json:"sizeLimit,omitempty"`
-	Deref     bool   `json:"deref,omitempty"`
+	Base      string
+	Scope     int
+	Filter    string
+	SizeLimit int
+	Deref     bool
 }
 
 type searchResp struct {
-	Entries []WireEntry `json:"entries"`
-	Partial bool        `json:"partial,omitempty"`
+	Entries []WireEntry
+	Partial bool
 }
 
 type addReq struct {
@@ -240,24 +254,32 @@ func (c *Client) Read(dn string) (*Entry, error) {
 	return fromWire(w)
 }
 
-// Search runs a filtered search under base.
+// Search runs a filtered search under base: GoSearch without a size limit,
+// plus a wait. Blocking; see package rpc for simulated-clock usage.
 func (c *Client) Search(base string, scope Scope, filter string) ([]*Entry, error) {
-	var resp searchResp
-	err := c.endpoint.CallJSON(c.dsa, MethodSearch, searchReq{
-		Base: base, Scope: int(scope), Filter: filter,
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Entry, 0, len(resp.Entries))
-	for _, w := range resp.Entries {
-		e, err := fromWire(w)
-		if err != nil {
-			return nil, err
+	var entries []*Entry
+	ch := make(chan error, 1)
+	c.GoSearch(base, scope, filter, 0, func(found []*Entry, err error) {
+		entries = found
+		ch <- err
+	})
+	err := <-ch
+	return entries, err
+}
+
+// GoSearch is Search's asynchronous form, safe to call from a simulated-clock
+// callback; done fires on the event goroutine. A positive sizeLimit caps the
+// answer, which then holds the entries found up to the cap.
+func (c *Client) GoSearch(base string, scope Scope, filter string, sizeLimit int, done func([]*Entry, error)) {
+	req := searchReq{Base: base, Scope: int(scope), Filter: filter, SizeLimit: sizeLimit}
+	c.endpoint.GoJSON(c.dsa, MethodSearch, req, func(r rpc.Result) {
+		var resp searchResp
+		if err := r.Decode(&resp); err != nil {
+			done(nil, err)
+			return
 		}
-		out = append(out, e)
-	}
-	return out, nil
+		done(entriesFromWire(resp.Entries))
+	})
 }
 
 // Add inserts an entry.
@@ -284,15 +306,7 @@ func (c *Client) List(dn string) ([]*Entry, error) {
 	if err := c.endpoint.CallJSON(c.dsa, MethodList, readReq{DN: dn}, &resp); err != nil {
 		return nil, err
 	}
-	out := make([]*Entry, 0, len(resp.Entries))
-	for _, w := range resp.Entries {
-		e, err := fromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
+	return entriesFromWire(resp.Entries)
 }
 
 // Shadow replicates a master DSA into a local DIT by periodically pulling
@@ -380,14 +394,8 @@ func (sh *Shadow) fullResync() {
 		if err := r.Decode(&resp); err != nil {
 			return
 		}
-		entries := make([]*Entry, 0, len(resp.Entries))
-		for _, w := range resp.Entries {
-			e, err := fromWire(w)
-			if err != nil {
-				return
-			}
-			entries = append(entries, e)
+		if entries, err := entriesFromWire(resp.Entries); err == nil {
+			_ = sh.local.LoadSnapshot(entries, resp.Seq)
 		}
-		_ = sh.local.LoadSnapshot(entries, resp.Seq)
 	})
 }

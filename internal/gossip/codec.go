@@ -1,9 +1,6 @@
 package gossip
 
 import (
-	"errors"
-	"fmt"
-
 	"mocca/internal/information"
 	"mocca/internal/netsim"
 	"mocca/internal/vclock"
@@ -38,10 +35,6 @@ const (
 	tagFetchReq  byte = 0x93
 	tagFetchResp byte = 0x94
 )
-
-// errBadBody reports a body that is not the expected message: wrong tag,
-// a count the remaining bytes cannot hold, or bytes left over.
-var errBadBody = errors.New("gossip: bad message body")
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
@@ -96,80 +89,36 @@ func (m fetchResp) AppendBinary(b []byte) ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *rumorReq) UnmarshalBinary(data []byte) error {
-	data, err := openBody(data, tagRumorReq, "rumorReq")
-	if err != nil {
-		return err
-	}
-	*m = rumorReq{}
-	var addr, repl string
-	if m.From.Site, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	if addr, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	if repl, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	m.From.Addr, m.From.Repl = netsim.Address(addr), netsim.Address(repl)
-	if m.TTL, data, err = consumeInt(data); err != nil {
-		return err
-	}
-	var n uint64
-	if n, data, err = consumeCount(data, 12); err != nil { // id prefix + vector count
-		return err
-	}
-	if n > 0 {
+	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
+	from := Peer{Site: b.String(), Addr: netsim.Address(b.String()), Repl: netsim.Address(b.String())}
+	*m = rumorReq{From: from, TTL: b.Int()}
+	if n := b.Count(12); n > 0 { // id prefix + vector count
 		m.Entries = make([]rumorEntry, n)
 		for i := range m.Entries {
-			e := &m.Entries[i]
-			if e.ID, data, err = wire.ConsumeString(data); err != nil {
-				return err
-			}
-			if e.VV, data, err = vclock.ScanVersion(data); err != nil {
-				return err
-			}
+			m.Entries[i] = rumorEntry{ID: b.String(), VV: wire.Consume(&b, vclock.ScanVersion)}
 		}
 	}
-	return closeBody(data)
+	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *rumorResp) UnmarshalBinary(data []byte) error {
-	data, err := openBody(data, tagRumorResp, "rumorResp")
-	if err != nil {
-		return err
-	}
-	*m = rumorResp{}
-	if m.Want, data, err = consumeInt(data); err != nil {
-		return err
-	}
-	return closeBody(data)
+	b := wire.OpenBody(data, tagRumorResp, "rumorResp")
+	*m = rumorResp{Want: b.Int()}
+	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *fetchReq) UnmarshalBinary(data []byte) error {
-	data, err := openBody(data, tagFetchReq, "fetchReq")
-	if err != nil {
-		return err
-	}
-	*m = fetchReq{}
-	if m.Site, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	var n uint64
-	if n, data, err = consumeCount(data, 4); err != nil {
-		return err
-	}
-	if n > 0 {
+	b := wire.OpenBody(data, tagFetchReq, "fetchReq")
+	*m = fetchReq{Site: b.String()}
+	if n := b.Count(4); n > 0 {
 		m.IDs = make([]string, n)
 		for i := range m.IDs {
-			if m.IDs[i], data, err = wire.ConsumeString(data); err != nil {
-				return err
-			}
+			m.IDs[i] = b.String()
 		}
 	}
-	return closeBody(data)
+	return b.Close()
 }
 
 // minRowBytes is the least a row can take: four string prefixes, the
@@ -178,65 +127,13 @@ const minRowBytes = 4*4 + 8 + 8 + 16 + 8
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *fetchResp) UnmarshalBinary(data []byte) error {
-	data, err := openBody(data, tagFetchResp, "fetchResp")
-	if err != nil {
-		return err
-	}
+	b := wire.OpenBody(data, tagFetchResp, "fetchResp")
 	*m = fetchResp{}
-	var n uint64
-	if n, data, err = consumeCount(data, minRowBytes); err != nil {
-		return err
-	}
-	if n > 0 {
+	if n := b.Count(minRowBytes); n > 0 {
 		m.Objects = make([]*information.Object, n)
 		for i := range m.Objects {
-			if m.Objects[i], data, err = information.DecodeObject(data); err != nil {
-				return err
-			}
+			m.Objects[i] = wire.Consume(&b, information.DecodeObject)
 		}
 	}
-	return closeBody(data)
-}
-
-// openBody checks the tag and returns what follows it.
-func openBody(data []byte, tag byte, name string) ([]byte, error) {
-	if len(data) == 0 || data[0] != tag {
-		return nil, fmt.Errorf("%w: not a %s", errBadBody, name)
-	}
-	return data[1:], nil
-}
-
-// closeBody rejects bytes after the last section.
-func closeBody(rest []byte) error {
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errBadBody, len(rest))
-	}
-	return nil
-}
-
-// consumeCount reads an element count and checks it against the bytes
-// that remain — each element takes at least minSize — so a corrupt count
-// is an error before it is an allocation.
-func consumeCount(data []byte, minSize int) (uint64, []byte, error) {
-	n, data, err := wire.ConsumeUint64(data)
-	if err != nil {
-		return 0, data, err
-	}
-	if n > uint64(len(data)/minSize) {
-		return 0, data, fmt.Errorf("%w: count %d in %d bytes", errBadBody, n, len(data))
-	}
-	return n, data, nil
-}
-
-// consumeInt reads an int (a TTL, a row count) carried as the uint64 of
-// its two's complement.
-func consumeInt(data []byte) (int, []byte, error) {
-	v, data, err := wire.ConsumeUint64(data)
-	if err != nil {
-		return 0, data, err
-	}
-	if int64(int(v)) != int64(v) {
-		return 0, data, fmt.Errorf("%w: integer %d out of range", errBadBody, int64(v))
-	}
-	return int(v), data, nil
+	return b.Close()
 }

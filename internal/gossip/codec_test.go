@@ -2,12 +2,8 @@ package gossip
 
 import (
 	"bytes"
-	"encoding"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -17,6 +13,7 @@ import (
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
 	"mocca/internal/wire"
+	"mocca/internal/wire/wiretest"
 )
 
 // benchRow is the benchmark's fixture row (bench/store.go): the workload
@@ -72,74 +69,33 @@ func rumorEntries(n int) []rumorEntry {
 	return out
 }
 
-// bodyCase is one message value and a way to make an empty one of its
-// type to decode into.
-type bodyCase struct {
-	name string
-	msg  encoding.BinaryAppender
-	into func() encoding.BinaryUnmarshaler
-}
-
-func (c bodyCase) encode(tb testing.TB) []byte {
-	tb.Helper()
-	b, err := c.msg.AppendBinary(nil)
-	if err != nil {
-		tb.Fatalf("%s: encode: %v", c.name, err)
-	}
-	return b
-}
-
-// decoded returns the message a body decodes to, as a value.
-func (c bodyCase) decoded(b []byte) (any, error) {
-	p := c.into()
-	err := p.UnmarshalBinary(b)
-	return reflect.ValueOf(p).Elem().Interface(), err
-}
-
-func into[T any, P interface {
-	*T
-	encoding.BinaryUnmarshaler
-}]() func() encoding.BinaryUnmarshaler {
-	return func() encoding.BinaryUnmarshaler { return P(new(T)) }
-}
-
-func bodyCases() []bodyCase {
+func bodyCases() []wiretest.Case {
 	from := Peer{Site: "s003", Addr: "gossip-s003", Repl: "repl-s003"}
 	rows := make([]*information.Object, 16)
 	for i := range rows {
 		rows[i] = benchRow(i)
 	}
-	return []bodyCase{
-		{"rumorReq/publish", rumorReq{From: from, TTL: DefaultTTL, Entries: rumorEntries(1)}, into[rumorReq]()},
-		{"rumorReq/batch", rumorReq{From: from, TTL: 1, Entries: rumorEntries(64)}, into[rumorReq]()},
-		{"rumorReq/edge", rumorReq{From: Peer{Site: "köln", Addr: "gossip-köln"}, TTL: -1, Entries: []rumorEntry{
-			entryOf("nil-vv", nil), entryOf("obj-ünï-日本", wideVV()), entryOf("", nil)}}, into[rumorReq]()},
-		{"rumorReq/zero", rumorReq{}, into[rumorReq]()},
-		{"rumorResp", rumorResp{Want: 3}, into[rumorResp]()},
-		{"rumorResp/zero", rumorResp{}, into[rumorResp]()},
-		{"fetchReq", fetchReq{Site: "s003", IDs: []string{"obj000001", "obj-ünï-日本", ""}}, into[fetchReq]()},
-		{"fetchReq/zero", fetchReq{}, into[fetchReq]()},
-		{"fetchResp", fetchResp{Objects: rows}, into[fetchResp]()},
-		{"fetchResp/edge rows", fetchResp{Objects: edgeRows()}, into[fetchResp]()},
-		{"fetchResp/zero", fetchResp{}, into[fetchResp]()},
+	return []wiretest.Case{
+		wiretest.Of("rumorReq/publish", rumorReq{From: from, TTL: DefaultTTL, Entries: rumorEntries(1)}),
+		wiretest.Of("rumorReq/batch", rumorReq{From: from, TTL: 1, Entries: rumorEntries(64)}),
+		wiretest.Of("rumorReq/edge", rumorReq{From: Peer{Site: "köln", Addr: "gossip-köln"}, TTL: -1, Entries: []rumorEntry{
+			entryOf("nil-vv", nil), entryOf("obj-ünï-日本", wideVV()), entryOf("", nil)}}),
+		wiretest.Of("rumorReq/zero", rumorReq{}),
+		wiretest.Of("rumorResp", rumorResp{Want: 3}),
+		wiretest.Of("rumorResp/zero", rumorResp{}),
+		wiretest.Of("fetchReq", fetchReq{Site: "s003", IDs: []string{"obj000001", "obj-ünï-日本", ""}}),
+		wiretest.Of("fetchReq/zero", fetchReq{}),
+		wiretest.Of("fetchResp", fetchResp{Objects: rows}),
+		wiretest.Of("fetchResp/edge rows", fetchResp{Objects: edgeRows()}),
+		wiretest.Of("fetchResp/zero", fetchResp{}),
 	}
 }
 
 func TestBodiesRoundTrip(t *testing.T) {
+	wiretest.RoundTrip(t, bodyCases())
 	for _, c := range bodyCases() {
-		b := c.encode(t)
-		if len(b) == 0 || b[0] < 0x80 {
-			t.Fatalf("%s: body opens with %#x, which could start a JSON text", c.name, b[:1])
-		}
-		if m, ok := c.msg.(rumorReq); ok && m.size() != len(b) {
-			t.Fatalf("%s: size() = %d, the body is %d bytes", c.name, m.size(), len(b))
-		}
-		got, err := c.decoded(b)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", c.name, err)
-		}
-		if !reflect.DeepEqual(got, c.msg) {
-			t.Fatalf("%s: round trip\n got %+v\nwant %+v", c.name, got, c.msg)
+		if m, ok := c.Msg.(rumorReq); ok && m.size() != len(c.Encode(t)) {
+			t.Fatalf("%s: size() = %d, the body is %d bytes", c.Name, m.size(), len(c.Encode(t)))
 		}
 	}
 }
@@ -183,60 +139,12 @@ func TestBodiesCanonical(t *testing.T) {
 // one byte too many, another message's body, or JSON are all errors —
 // without a panic and without an allocation sized by the bad count.
 func TestBodiesRejectDamage(t *testing.T) {
-	cases := bodyCases()
-	for _, c := range cases {
-		b := c.encode(t)
-		for i := 0; i < len(b); i++ {
-			if _, err := c.decoded(b[:i]); err == nil {
-				t.Fatalf("%s: body cut at %d of %d decoded", c.name, i, len(b))
-			}
-		}
-		for i := 1; i+8 <= len(b); i++ {
-			bad := bytes.Clone(b)
-			binary.BigEndian.PutUint64(bad[i:], 1<<60)
-			_, _ = c.decoded(bad) // an error, or a changed counter: not a panic
-		}
-		if _, err := c.decoded(append(bytes.Clone(b), 0)); err == nil {
-			t.Fatalf("%s: a trailing byte was accepted", c.name)
-		}
-		for _, other := range cases {
-			if reflect.TypeOf(other.msg) == reflect.TypeOf(c.msg) {
-				continue
-			}
-			if _, err := other.decoded(b); err == nil {
-				t.Fatalf("%s decoded as %s", c.name, other.name)
-			}
-		}
-		// Through the one entry point, both ways round.
-		if err := wire.DecodeBody([]byte(`{"from":{"site":"s003"},"ttl":6,"entries":[]}`), c.into()); err == nil {
-			t.Fatalf("%s: a JSON body was accepted by the binary decoder", c.name)
-		}
-		var jsonShape struct{ Site string }
-		if err := wire.DecodeBody(b, &jsonShape); err == nil {
-			t.Fatalf("%s: the binary body was accepted by the JSON decoder", c.name)
-		}
-	}
-	// Each count, aimed at: 2^60 elements announced and a few bytes behind
-	// it must be refused before anything is sized by the count.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	huge := wire.AppendUint64(nil, 1<<60)
-	for name, body := range map[string][]byte{
+	huge := wire.AppendUint64(nil, 1<<60) // each count, aimed at
+	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
 		"entries": append(append([]byte{tagRumorReq, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, wire.AppendUint64(nil, 6)...), huge...),
 		"ids":     append([]byte{tagFetchReq, 0, 0, 0, 0}, huge...),
 		"objects": append([]byte{tagFetchResp}, huge...),
-	} {
-		big := append(body, make([]byte, 64)...)
-		for _, c := range cases {
-			if _, err := c.decoded(big); err == nil {
-				t.Fatalf("%s count of 2^60 decoded as %s", name, c.name)
-			}
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("refusing counts of 2^60 allocated %d bytes", grew)
-	}
+	})
 }
 
 // tappedOverlays builds n joined overlays ("g00"…) over one simulated
@@ -308,30 +216,11 @@ func FuzzGossipBodies(f *testing.F) {
 		}
 	}
 	for _, c := range bodyCases() {
-		f.Add(c.encode(f))
+		f.Add(c.Encode(f))
 	}
-	decoders := []bodyCase{
-		{"rumorReq", nil, into[rumorReq]()}, {"rumorResp", nil, into[rumorResp]()},
-		{"fetchReq", nil, into[fetchReq]()}, {"fetchResp", nil, into[fetchResp]()},
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, d := range decoders {
-			first, err := d.decoded(data)
-			if err != nil {
-				continue
-			}
-			again, err := first.(encoding.BinaryAppender).AppendBinary(nil)
-			if err != nil {
-				t.Fatalf("%s: decoded message does not encode: %v", d.name, err)
-			}
-			second, err := d.decoded(again)
-			if err != nil {
-				t.Fatalf("%s: re-encoded body does not decode: %v", d.name, err)
-			}
-			if !reflect.DeepEqual(first, second) {
-				t.Fatalf("%s: decode → encode → decode changed the message\nfirst  %+v\nsecond %+v", d.name, first, second)
-			}
-		}
+	wiretest.Fuzz(f, []wiretest.Case{
+		wiretest.Of("rumorReq", rumorReq{}), wiretest.Of("rumorResp", rumorResp{}),
+		wiretest.Of("fetchReq", fetchReq{}), wiretest.Of("fetchResp", fetchResp{}),
 	})
 }
 

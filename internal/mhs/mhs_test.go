@@ -32,13 +32,13 @@ type mhsFixture struct {
 	rodden  *UserAgent
 }
 
-func newMHSFixture(t *testing.T) *mhsFixture {
+func newMHSFixture(t testing.TB, opts ...rpc.Option) *mhsFixture {
 	t.Helper()
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(9))
 
 	mk := func(addr netsim.Address, name, domain string) *MTA {
-		ep := rpc.NewEndpoint(net.MustAddNode(addr), clk)
+		ep := rpc.NewEndpoint(net.MustAddNode(addr), clk, opts...)
 		return NewMTA(name, domain, ep, clk)
 	}
 	f := &mhsFixture{clk: clk, net: net}

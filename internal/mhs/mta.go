@@ -11,6 +11,7 @@ import (
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
+	"mocca/internal/wire"
 )
 
 // RPC method names of the MTA transfer protocol (a simplified P1).
@@ -329,7 +330,7 @@ func (m *MTA) relayVia(env *Envelope, domain string, rerouted bool) {
 	}
 
 	attempts := 1
-	m.endpoint.GoJSON(next, MethodTransfer, wireEnvelope(env), func(r rpc.Result) {
+	m.endpoint.GoJSON(next, MethodTransfer, env, func(r rpc.Result) {
 		if r.Err == nil {
 			return // accepted downstream
 		}
@@ -403,7 +404,7 @@ func (m *MTA) report(orig *Envelope, rep Report) {
 	if !ok {
 		return // cannot report back; drop
 	}
-	m.endpoint.GoJSON(next, MethodTransfer, wireEnvelope(env), func(rpc.Result) {},
+	m.endpoint.GoJSON(next, MethodTransfer, env, func(rpc.Result) {},
 		rpc.CallTimeout(5*time.Second), rpc.CallBackoff(retrySchedule...))
 }
 
@@ -426,20 +427,23 @@ func (m *MTA) storeReport(originator ORName, rep Report) {
 
 // onTransfer handles an inbound relay from a peer MTA.
 func (m *MTA) onTransfer(req rpc.Request) ([]byte, error) {
-	env, err := unwireEnvelope(req.Body)
-	if err != nil {
-		return nil, err
+	env := new(Envelope)
+	if err := wire.DecodeBody(req.Body, env); err != nil {
+		return nil, fmt.Errorf("mhs: transfer: %w", err)
+	}
+	if env.MessageID == "" {
+		return nil, errors.New("mhs: transfer without message id")
 	}
 	// A second revisit of the same MTA (or an absurdly long trace) is a
 	// routing loop; a single revisit can be a legitimate hub path.
 	if env.visits(m.name) >= 2 || len(env.Trace) > maxTraceHops {
 		m.nonDeliverAll(env, fmt.Sprintf("%v: %s revisited", ErrLoopDetected, m.name))
-		return []byte(`{"ok":true}`), nil
+		return nil, nil
 	}
-	// Accept, then continue processing asynchronously so the transfer ack
-	// returns promptly.
+	// Accept, then continue processing asynchronously so the transfer ack —
+	// an empty reply — returns promptly.
 	m.clock.AfterFunc(0, func() { m.process(env) })
-	return []byte(`{"ok":true}`), nil
+	return nil, nil
 }
 
 // Mailbox operations (the P7-ish message store access used by UAs).

@@ -130,34 +130,34 @@ func (p Priority) String() string {
 
 // TraceEntry records one MTA hop, for loop detection and diagnostics.
 type TraceEntry struct {
-	MTA string    `json:"mta"`
-	At  time.Time `json:"at"`
+	MTA string
+	At  time.Time
 }
 
 // Content is the interpersonal message payload (a simplified P2).
 type Content struct {
-	Subject string            `json:"subject,omitempty"`
-	Body    string            `json:"body,omitempty"`
-	Headers map[string]string `json:"headers,omitempty"`
+	Subject string
+	Body    string
+	Headers map[string]string
 	// InReplyTo carries threading for message-based groupware.
-	InReplyTo string `json:"inReplyTo,omitempty"`
+	InReplyTo string
 }
 
 // Envelope is the transfer envelope (a simplified P1).
 type Envelope struct {
-	MessageID  string       `json:"messageId"`
-	Originator ORName       `json:"originator"`
-	Recipients []ORName     `json:"recipients"`
-	Priority   Priority     `json:"priority"`
-	Submitted  time.Time    `json:"submitted"`
-	Deferred   time.Time    `json:"deferred,omitempty"`
-	Probe      bool         `json:"probe,omitempty"`
-	RequestDR  bool         `json:"requestDR,omitempty"`
-	Content    Content      `json:"content"`
-	Trace      []TraceEntry `json:"trace,omitempty"`
+	MessageID  string
+	Originator ORName
+	Recipients []ORName
+	Priority   Priority
+	Submitted  time.Time
+	Deferred   time.Time
+	Probe      bool
+	RequestDR  bool
+	Content    Content
+	Trace      []TraceEntry
 	// DLHistory lists distribution lists already expanded, breaking
 	// mutual-inclusion loops.
-	DLHistory []string `json:"dlHistory,omitempty"`
+	DLHistory []string
 }
 
 // clone deep-copies the envelope.
@@ -213,23 +213,23 @@ func (k ReportKind) String() string {
 // Report is a delivery/non-delivery notification returned to an
 // originator's message store.
 type Report struct {
-	Kind      ReportKind `json:"kind"`
-	MessageID string     `json:"messageId"`
-	Recipient ORName     `json:"recipient"`
-	Reason    string     `json:"reason,omitempty"`
-	At        time.Time  `json:"at"`
+	Kind      ReportKind
+	MessageID string
+	Recipient ORName
+	Reason    string
+	At        time.Time
 }
 
 // StoredMessage is an entry in a recipient's message store.
 type StoredMessage struct {
-	Envelope *Envelope `json:"envelope,omitempty"`
-	Report   *Report   `json:"report,omitempty"`
+	Envelope *Envelope
+	Report   *Report
 	// Seq orders the store; assigned at delivery.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Read marks messages fetched at least once.
-	Read bool `json:"read"`
+	Read bool
 	// DeliveredAt is the local delivery instant.
-	DeliveredAt time.Time `json:"deliveredAt"`
+	DeliveredAt time.Time
 }
 
 // IsReport reports whether the entry is a report rather than a message.

@@ -1,25 +1,6 @@
 package mhs
 
-import (
-	"encoding/json"
-	"fmt"
-	"time"
-)
-
-// wireEnvelope encodes an envelope for the transfer protocol.
-func wireEnvelope(env *Envelope) *Envelope { return env }
-
-// unwireEnvelope decodes an envelope from a transfer request body.
-func unwireEnvelope(body []byte) (*Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return nil, fmt.Errorf("mhs: decode transfer: %w", err)
-	}
-	if env.MessageID == "" {
-		return nil, fmt.Errorf("mhs: transfer without message id")
-	}
-	return &env, nil
-}
+import "time"
 
 // UserAgent is the submission/retrieval interface a person or application
 // uses, attached to its home MTA (local P3/P7 access).

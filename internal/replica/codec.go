@@ -2,8 +2,6 @@ package replica
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"slices"
 
 	"mocca/internal/information"
@@ -41,10 +39,6 @@ const (
 	flagFrames                  // a tree-frame section follows
 	flagHW                      // a high-water section follows (possibly empty)
 )
-
-// errBadBody reports a body that is not the expected message: wrong tag,
-// a count the remaining bytes cannot hold, or bytes left over.
-var errBadBody = errors.New("replica: bad message body")
 
 // --- encoders --------------------------------------------------------------
 
@@ -177,260 +171,111 @@ func appendRows(b []byte, rows []*information.Object) []byte {
 }
 
 // --- decoders --------------------------------------------------------------
+//
+// Each reads its body through a wire.Body cursor: the tag, one line per
+// field, and Close for the first failure or trailing bytes.
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Frames aliases
 // data, like an envelope's body does.
 func (m *digestReq) UnmarshalBinary(data []byte) error {
-	data, flags, err := openDigestBody(data, tagDigestReq, "digestReq", flagFrames|flagHW)
-	if err != nil {
-		return err
-	}
-	*m = digestReq{}
-	if m.Site, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Frames, m.HW, data, err = consumeSections(data, flags); err != nil {
-		return err
-	}
-	return closeBody(data)
+	b := wire.OpenBody(data, tagDigestReq, "digestReq")
+	flags := b.Flags(flagFrames | flagHW)
+	*m = digestReq{Site: b.String()}
+	m.Frames, m.HW = consumeSections(&b, flags)
+	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Frames aliases
 // data, like an envelope's body does.
 func (m *digestResp) UnmarshalBinary(data []byte) error {
-	data, flags, err := openDigestBody(data, tagDigestResp, "digestResp", flagMatch|flagFrames|flagHW)
-	if err != nil {
-		return err
-	}
-	*m = digestResp{Match: flags&flagMatch != 0}
-	if m.Site, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Frames, m.HW, data, err = consumeSections(data, flags); err != nil {
-		return err
-	}
-	if m.Deltas, data, err = consumeRows(data); err != nil {
-		return err
-	}
-	return closeBody(data)
+	b := wire.OpenBody(data, tagDigestResp, "digestResp")
+	flags := b.Flags(flagMatch | flagFrames | flagHW)
+	*m = digestResp{Match: flags&flagMatch != 0, Site: b.String()}
+	m.Frames, m.HW = consumeSections(&b, flags)
+	m.Deltas = consumeRows(&b)
+	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncReq) UnmarshalBinary(data []byte) error {
-	data, err := openBody(data, tagSyncReq, "syncReq")
-	if err != nil {
-		return err
-	}
-	*m = syncReq{}
-	if m.Site, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Digest, data, err = consumeDigest(data); err != nil {
-		return err
-	}
-	var n uint64
-	if n, data, err = consumeCount(data, 4); err != nil {
-		return err
-	}
-	if n > 0 {
+	b := wire.OpenBody(data, tagSyncReq, "syncReq")
+	*m = syncReq{Site: b.String(), Digest: consumeDigest(&b)}
+	if n := b.Count(4); n > 0 {
 		m.Scope = make([]uint32, n)
-		for i := range m.Scope {
-			m.Scope[i] = binary.BigEndian.Uint32(data)
-			data = data[4:]
+		for i, raw := 0, b.Raw(4*n); i < n; i++ {
+			m.Scope[i] = binary.BigEndian.Uint32(raw[4*i:])
 		}
 	}
-	return closeBody(data)
+	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncResp) UnmarshalBinary(data []byte) error {
-	data, err := openBody(data, tagSyncResp, "syncResp")
-	if err != nil {
-		return err
-	}
-	*m = syncResp{}
-	if m.Site, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Digest, data, err = consumeDigest(data); err != nil {
-		return err
-	}
-	if m.Deltas, data, err = consumeRows(data); err != nil {
-		return err
-	}
-	return closeBody(data)
+	b := wire.OpenBody(data, tagSyncResp, "syncResp")
+	*m = syncResp{Site: b.String(), Digest: consumeDigest(&b), Deltas: consumeRows(&b)}
+	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushReq) UnmarshalBinary(data []byte) error {
-	data, err := openBody(data, tagPushReq, "pushReq")
-	if err != nil {
-		return err
-	}
-	*m = pushReq{}
-	if m.Site, data, err = wire.ConsumeString(data); err != nil {
-		return err
-	}
-	if m.Objects, data, err = consumeRows(data); err != nil {
-		return err
-	}
-	var n uint64
-	if n, data, err = consumeCount(data, 12); err != nil { // three length prefixes
-		return err
-	}
-	if n > 0 {
+	b := wire.OpenBody(data, tagPushReq, "pushReq")
+	*m = pushReq{Site: b.String(), Objects: consumeRows(&b)}
+	if n := b.Count(12); n > 0 { // three length prefixes
 		m.Relations = make([]wireRelation, n)
 		for i := range m.Relations {
-			rel := &m.Relations[i]
-			if rel.From, data, err = wire.ConsumeString(data); err != nil {
-				return err
-			}
-			if rel.Kind, data, err = wire.ConsumeString(data); err != nil {
-				return err
-			}
-			if rel.To, data, err = wire.ConsumeString(data); err != nil {
-				return err
-			}
+			m.Relations[i] = wireRelation{From: b.String(), Kind: b.String(), To: b.String()}
 		}
 	}
-	return closeBody(data)
+	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushResp) UnmarshalBinary(data []byte) error {
-	data, err := openBody(data, tagPushResp, "pushResp")
-	if err != nil {
-		return err
-	}
-	*m = pushResp{}
-	if m.Applied, data, err = consumeInt(data); err != nil {
-		return err
-	}
-	if m.Conflicts, data, err = consumeInt(data); err != nil {
-		return err
-	}
-	var n uint64
-	if n, data, err = consumeCount(data, 4); err != nil {
-		return err
-	}
-	if n > 0 {
+	b := wire.OpenBody(data, tagPushResp, "pushResp")
+	*m = pushResp{Applied: b.Int(), Conflicts: b.Int()}
+	if n := b.Count(4); n > 0 {
 		m.Refused = make([]string, n)
 		for i := range m.Refused {
-			if m.Refused[i], data, err = wire.ConsumeString(data); err != nil {
-				return err
-			}
+			m.Refused[i] = b.String()
 		}
 	}
-	return closeBody(data)
-}
-
-// openBody checks the tag and returns what follows it.
-func openBody(data []byte, tag byte, name string) ([]byte, error) {
-	if len(data) == 0 || data[0] != tag {
-		return nil, fmt.Errorf("%w: not a %s", errBadBody, name)
-	}
-	return data[1:], nil
-}
-
-// openDigestBody is openBody for the two messages that carry a flags
-// byte; a flag outside allowed is an error.
-func openDigestBody(data []byte, tag byte, name string, allowed byte) (rest []byte, flags byte, err error) {
-	if data, err = openBody(data, tag, name); err != nil {
-		return nil, 0, err
-	}
-	if len(data) == 0 {
-		return nil, 0, wire.ErrTruncated
-	}
-	if data[0]&^allowed != 0 {
-		return nil, 0, fmt.Errorf("%w: %s flags %#x", errBadBody, name, data[0])
-	}
-	return data[1:], data[0], nil
-}
-
-// closeBody rejects bytes after the last section.
-func closeBody(rest []byte) error {
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errBadBody, len(rest))
-	}
-	return nil
-}
-
-// consumeCount reads an element count and checks it against the bytes
-// that remain — each element takes at least minSize — so a corrupt count
-// is an error before it is an allocation.
-func consumeCount(data []byte, minSize int) (uint64, []byte, error) {
-	n, data, err := wire.ConsumeUint64(data)
-	if err != nil {
-		return 0, data, err
-	}
-	if n > uint64(len(data)/minSize) {
-		return 0, data, fmt.Errorf("%w: count %d in %d bytes", errBadBody, n, len(data))
-	}
-	return n, data, nil
-}
-
-// consumeInt reads an int (a row count) carried as the uint64 of its two's
-// complement.
-func consumeInt(data []byte) (int, []byte, error) {
-	v, data, err := wire.ConsumeUint64(data)
-	if err != nil {
-		return 0, data, err
-	}
-	if int64(int(v)) != int64(v) {
-		return 0, data, fmt.Errorf("%w: integer %d out of range", errBadBody, int64(v))
-	}
-	return int(v), data, nil
+	return b.Close()
 }
 
 // consumeSections reads the optional tree-frame and high-water sections
 // the flags announce. The frame section is returned still encoded (what
-// wire.DecodeTreeFrames takes), aliasing data.
-func consumeSections(data []byte, flags byte) (frames []byte, hw map[string]uint64, rest []byte, err error) {
+// wire.DecodeTreeFrames takes: the count, then the frames), aliasing data.
+func consumeSections(b *wire.Body, flags byte) (frames []byte, hw map[string]uint64) {
 	if flags&flagFrames != 0 {
-		n, _, err := consumeCount(data, 16)
-		if err != nil {
-			return nil, nil, data, err
-		}
-		size := 8 + int(n)*16 // the count and the frames, as DecodeTreeFrames takes them
-		frames, data = data[:size:size], data[size:]
+		section := *b // where the section starts
+		n := b.Count(16)
+		b.Raw(16 * n)
+		frames = section.Raw(8 + 16*n)
 	}
 	if flags&flagHW != 0 {
-		var n uint64
-		if n, data, err = consumeCount(data, 12); err != nil {
-			return nil, nil, data, err
-		}
+		n := b.Count(12)
 		hw = make(map[string]uint64, n)
-		for i := uint64(0); i < n; i++ {
-			var site string
-			if site, data, err = wire.ConsumeString(data); err != nil {
-				return nil, nil, data, err
-			}
-			if hw[site], data, err = wire.ConsumeUint64(data); err != nil {
-				return nil, nil, data, err
-			}
+		for range n {
+			site := b.String()
+			hw[site] = b.Uint64()
 		}
 	}
-	return frames, hw, data, nil
+	return frames, hw
 }
 
 // consumeDigest reads a digest written by appendDigest; an empty digest
 // decodes as nil.
-func consumeDigest(data []byte) (map[string]vclock.Version, []byte, error) {
-	n, data, err := consumeCount(data, 12) // id prefix + vector count
-	if err != nil || n == 0 {
-		return nil, data, err
+func consumeDigest(b *wire.Body) map[string]vclock.Version {
+	n := b.Count(12) // id prefix + vector count
+	if n == 0 {
+		return nil
 	}
 	d := make(map[string]vclock.Version, n)
-	for i := uint64(0); i < n; i++ {
-		var id string
-		if id, data, err = wire.ConsumeString(data); err != nil {
-			return nil, data, err
-		}
-		if d[id], data, err = vclock.DecodeVersion(data); err != nil {
-			return nil, data, err
-		}
+	for range n {
+		id := b.String()
+		d[id] = wire.Consume(b, vclock.DecodeVersion)
 	}
-	return d, data, nil
+	return d
 }
 
 // minRowBytes is the least a row can take: four string prefixes, the
@@ -439,16 +284,14 @@ const minRowBytes = 4*4 + 8 + 8 + 16 + 8
 
 // consumeRows reads a row list written by appendRows; no rows decode as
 // nil.
-func consumeRows(data []byte) ([]*information.Object, []byte, error) {
-	n, data, err := consumeCount(data, minRowBytes)
-	if err != nil || n == 0 {
-		return nil, data, err
+func consumeRows(b *wire.Body) []*information.Object {
+	n := b.Count(minRowBytes)
+	if n == 0 {
+		return nil
 	}
 	rows := make([]*information.Object, n)
 	for i := range rows {
-		if rows[i], data, err = information.DecodeObject(data); err != nil {
-			return nil, data, err
-		}
+		rows[i] = wire.Consume(b, information.DecodeObject)
 	}
-	return rows, data, nil
+	return rows
 }

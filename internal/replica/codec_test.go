@@ -2,12 +2,8 @@ package replica
 
 import (
 	"bytes"
-	"encoding"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -18,6 +14,7 @@ import (
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
 	"mocca/internal/wire"
+	"mocca/internal/wire/wiretest"
 )
 
 // benchRow is the benchmark's fixture row (bench/store.go): the workload
@@ -71,90 +68,47 @@ func benchDigest(n int) map[string]vclock.Version {
 	return d
 }
 
-// bodyCase is one message value and a way to make an empty one of its
-// type to decode into.
-type bodyCase struct {
-	name string
-	msg  encoding.BinaryAppender
-	into func() encoding.BinaryUnmarshaler
-}
-
-func (c bodyCase) encode(tb testing.TB) []byte {
-	tb.Helper()
-	b, err := c.msg.AppendBinary(nil)
-	if err != nil {
-		tb.Fatalf("%s: encode: %v", c.name, err)
-	}
-	return b
-}
-
-// decoded returns the message a body decodes to, as a value.
-func (c bodyCase) decoded(b []byte) (any, error) {
-	p := c.into()
-	err := p.UnmarshalBinary(b)
-	return reflect.ValueOf(p).Elem().Interface(), err
-}
-
-func into[T any, P interface {
-	*T
-	encoding.BinaryUnmarshaler
-}]() func() encoding.BinaryUnmarshaler {
-	return func() encoding.BinaryUnmarshaler { return P(new(T)) }
-}
-
 // bodyCases covers every message type: on the benchmark's fixture rows,
 // on the edge rows, and at the corners of each message's own shape.
-func bodyCases() []bodyCase {
+func bodyCases() []wiretest.Case {
 	root := wire.AppendTreeFrames(nil, []wire.TreeFrame{{Path: wire.PackTreePath(0, 0), Hash: 0xfeedface}})
 	children := make([]wire.TreeFrame, information.MerkleFanout)
 	for i := range children {
 		children[i] = wire.TreeFrame{Path: wire.PackTreePath(1, uint32(i)), Hash: uint64(i) * 0x9e3779b97f4a7c15}
 	}
 	hw := map[string]uint64{"s000": 41, "s001": 7, "köln": 1 << 40}
-	return []bodyCase{
-		{"digestReq/opening", digestReq{Site: "s000", Frames: root, HW: hw}, into[digestReq]()},
-		{"digestReq/empty replica", digestReq{Site: "s001", Frames: root, HW: map[string]uint64{}}, into[digestReq]()},
-		{"digestReq/follow-up", digestReq{Site: "s000", Frames: wire.AppendTreeFrames(nil, children)}, into[digestReq]()},
-		{"digestReq/zero", digestReq{}, into[digestReq]()},
-		{"digestResp/match", digestResp{Site: "s001", Match: true, HW: hw}, into[digestResp]()},
-		{"digestResp/mismatch", digestResp{Site: "s001", Frames: wire.AppendTreeFrames(nil, children), HW: map[string]uint64{}, Deltas: benchRows(16)}, into[digestResp]()},
-		{"digestResp/descent", digestResp{Site: "köln", Frames: wire.AppendTreeFrames(nil, children[:3])}, into[digestResp]()},
-		{"digestResp/edge rows", digestResp{Deltas: edgeRows()}, into[digestResp]()},
-		{"syncReq", syncReq{Site: "s000", Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}, into[syncReq]()},
-		{"syncReq/no digest", syncReq{Site: "s000", Scope: []uint32{9}}, into[syncReq]()},
-		{"syncReq/zero", syncReq{}, into[syncReq]()},
-		{"syncResp", syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}, into[syncResp]()},
-		{"syncResp/edge rows", syncResp{Site: "köln", Digest: map[string]vclock.Version{"nil-vv": nil, "wide-vv": edgeRows()[2].VV}, Deltas: edgeRows()}, into[syncResp]()},
-		{"syncResp/zero", syncResp{}, into[syncResp]()},
-		{"pushReq", pushReq{Site: "s000", Objects: benchRows(3)}, into[pushReq]()},
-		{"pushReq/migration", pushReq{Site: "s000", Objects: edgeRows(), Relations: []wireRelation{
-			{From: "nil-vv", Kind: string(information.RelDependsOn), To: "wide-vv"}, {From: "obj-ünï-日本", Kind: "", To: ""}}}, into[pushReq]()},
-		{"pushResp", pushResp{Applied: 3, Conflicts: 1, Refused: []string{"obj000002", "obj-ünï-日本"}}, into[pushResp]()},
-		{"pushResp/zero", pushResp{}, into[pushResp]()},
+	return []wiretest.Case{
+		wiretest.Of("digestReq/opening", digestReq{Site: "s000", Frames: root, HW: hw}),
+		wiretest.Of("digestReq/empty replica", digestReq{Site: "s001", Frames: root, HW: map[string]uint64{}}),
+		wiretest.Of("digestReq/follow-up", digestReq{Site: "s000", Frames: wire.AppendTreeFrames(nil, children)}),
+		wiretest.Of("digestReq/zero", digestReq{}),
+		wiretest.Of("digestResp/match", digestResp{Site: "s001", Match: true, HW: hw}),
+		wiretest.Of("digestResp/mismatch", digestResp{Site: "s001", Frames: wire.AppendTreeFrames(nil, children), HW: map[string]uint64{}, Deltas: benchRows(16)}),
+		wiretest.Of("digestResp/descent", digestResp{Site: "köln", Frames: wire.AppendTreeFrames(nil, children[:3])}),
+		wiretest.Of("digestResp/edge rows", digestResp{Deltas: edgeRows()}),
+		wiretest.Of("syncReq", syncReq{Site: "s000", Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}),
+		wiretest.Of("syncReq/no digest", syncReq{Site: "s000", Scope: []uint32{9}}),
+		wiretest.Of("syncReq/zero", syncReq{}),
+		wiretest.Of("syncResp", syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}),
+		wiretest.Of("syncResp/edge rows", syncResp{Site: "köln", Digest: map[string]vclock.Version{"nil-vv": nil, "wide-vv": edgeRows()[2].VV}, Deltas: edgeRows()}),
+		wiretest.Of("syncResp/zero", syncResp{}),
+		wiretest.Of("pushReq", pushReq{Site: "s000", Objects: benchRows(3)}),
+		wiretest.Of("pushReq/migration", pushReq{Site: "s000", Objects: edgeRows(), Relations: []wireRelation{
+			{From: "nil-vv", Kind: string(information.RelDependsOn), To: "wide-vv"}, {From: "obj-ünï-日本", Kind: "", To: ""}}}),
+		wiretest.Of("pushResp", pushResp{Applied: 3, Conflicts: 1, Refused: []string{"obj000002", "obj-ünï-日本"}}),
+		wiretest.Of("pushResp/zero", pushResp{}),
 	}
 }
 
 func TestBodiesRoundTrip(t *testing.T) {
-	for _, c := range bodyCases() {
-		b := c.encode(t)
-		if len(b) == 0 || b[0] < 0x80 {
-			t.Fatalf("%s: body opens with %#x, which could start a JSON text", c.name, b[:1])
-		}
-		got, err := c.decoded(b)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", c.name, err)
-		}
-		if !reflect.DeepEqual(got, c.msg) {
-			t.Fatalf("%s: round trip\n got %+v\nwant %+v", c.name, got, c.msg)
-		}
-	}
+	wiretest.RoundTrip(t, bodyCases())
 	// The distinction the opening call rests on, spelled out: an empty HW is
 	// not an absent one.
 	var opening, followUp digestReq
-	if err := opening.UnmarshalBinary(bodyCases()[1].encode(t)); err != nil || opening.HW == nil || len(opening.HW) != 0 {
+	if err := opening.UnmarshalBinary(bodyCases()[1].Encode(t)); err != nil || opening.HW == nil || len(opening.HW) != 0 {
 		t.Fatalf("empty HW decoded as %#v (%v), want an empty non-nil map", opening.HW, err)
 	}
-	if err := followUp.UnmarshalBinary(bodyCases()[2].encode(t)); err != nil || followUp.HW != nil {
+	if err := followUp.UnmarshalBinary(bodyCases()[2].Encode(t)); err != nil || followUp.HW != nil {
 		t.Fatalf("absent HW decoded as %#v (%v), want nil", followUp.HW, err)
 	}
 }
@@ -213,44 +167,8 @@ func TestBodiesCanonical(t *testing.T) {
 // one byte too many, another message's body, or JSON are all errors —
 // without a panic and without an allocation sized by the bad count.
 func TestBodiesRejectDamage(t *testing.T) {
-	cases := bodyCases()
-	for _, c := range cases {
-		b := c.encode(t)
-		for i := 0; i < len(b); i++ {
-			if _, err := c.decoded(b[:i]); err == nil {
-				t.Fatalf("%s: body cut at %d of %d decoded", c.name, i, len(b))
-			}
-		}
-		for i := 1; i+8 <= len(b); i++ {
-			bad := bytes.Clone(b)
-			binary.BigEndian.PutUint64(bad[i:], 1<<60)
-			_, _ = c.decoded(bad) // an error, or a changed counter: not a panic
-		}
-		if _, err := c.decoded(append(bytes.Clone(b), 0)); err == nil {
-			t.Fatalf("%s: a trailing byte was accepted", c.name)
-		}
-		for _, other := range cases {
-			if reflect.TypeOf(other.msg) == reflect.TypeOf(c.msg) {
-				continue
-			}
-			if _, err := other.decoded(b); err == nil {
-				t.Fatalf("%s decoded as %s", c.name, other.name)
-			}
-		}
-		// Through the one entry point, both ways round.
-		if err := wire.DecodeBody([]byte(`{"site":"s000","frames":"AAAA","hw":{}}`), c.into()); err == nil {
-			t.Fatalf("%s: a JSON body was accepted by the binary decoder", c.name)
-		}
-		var jsonShape struct{ Site string }
-		if err := wire.DecodeBody(b, &jsonShape); err == nil {
-			t.Fatalf("%s: the binary body was accepted by the JSON decoder", c.name)
-		}
-	}
-	// Each count, aimed at: 2^60 elements announced and a few bytes behind
-	// it must be refused before anything is sized by the count.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for name, body := range map[string][]byte{
+	// Each count, aimed at.
+	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
 		"frames":    append([]byte{tagDigestReq, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"hw":        append([]byte{tagDigestReq, flagHW, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"deltas":    append([]byte{tagDigestResp, 0, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
@@ -259,18 +177,7 @@ func TestBodiesRejectDamage(t *testing.T) {
 		"objects":   append([]byte{tagPushReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"relations": append(append([]byte{tagPushReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
 		"refused":   append(append(append([]byte{tagPushResp}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
-	} {
-		big := append(body, make([]byte, 64)...) // some bytes remain, far fewer than the count needs
-		for _, c := range cases {
-			if _, err := c.decoded(big); err == nil {
-				t.Fatalf("%s count of 2^60 decoded as %s", name, c.name)
-			}
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("refusing counts of 2^60 allocated %d bytes", grew)
-	}
+	})
 }
 
 // tappedPair is two manual-round replicas whose every outbound frame is
@@ -462,31 +369,12 @@ func FuzzReplicaBodies(f *testing.F) {
 		}
 	}
 	for _, c := range bodyCases() {
-		f.Add(c.encode(f))
+		f.Add(c.Encode(f))
 	}
-	decoders := []bodyCase{
-		{"digestReq", nil, into[digestReq]()}, {"digestResp", nil, into[digestResp]()},
-		{"syncReq", nil, into[syncReq]()}, {"syncResp", nil, into[syncResp]()},
-		{"pushReq", nil, into[pushReq]()}, {"pushResp", nil, into[pushResp]()},
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, d := range decoders {
-			first, err := d.decoded(data)
-			if err != nil {
-				continue
-			}
-			again, err := first.(encoding.BinaryAppender).AppendBinary(nil)
-			if err != nil {
-				t.Fatalf("%s: decoded message does not encode: %v", d.name, err)
-			}
-			second, err := d.decoded(again)
-			if err != nil {
-				t.Fatalf("%s: re-encoded body does not decode: %v", d.name, err)
-			}
-			if !reflect.DeepEqual(first, second) {
-				t.Fatalf("%s: decode → encode → decode changed the message\nfirst  %+v\nsecond %+v", d.name, first, second)
-			}
-		}
+	wiretest.Fuzz(f, []wiretest.Case{
+		wiretest.Of("digestReq", digestReq{}), wiretest.Of("digestResp", digestResp{}),
+		wiretest.Of("syncReq", syncReq{}), wiretest.Of("syncResp", syncResp{}),
+		wiretest.Of("pushReq", pushReq{}), wiretest.Of("pushResp", pushResp{}),
 	})
 }
 

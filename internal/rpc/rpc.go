@@ -186,7 +186,7 @@ func (pc *pendingCall) stopTimer() {
 
 // scratch is a pooled buffer a body is built in. A body is needed only until
 // channel.Send has copied it into the frame the network keeps, so the typed
-// entry points (GoJSON, CallJSON, AnnounceJSON, the HandleJSON reply) encode
+// entry points (GoJSON, CallJSON, the HandleJSON reply) encode
 // into a scratch and give it back once Send has returned.
 type scratch struct{ buf []byte }
 
@@ -575,17 +575,6 @@ func (e *Endpoint) Announce(to netsim.Address, method string, body []byte, opts 
 	return e.ch.Send(to, env)
 }
 
-// AnnounceJSON sends a one-way invocation with a JSON-encoded body.
-func (e *Endpoint) AnnounceJSON(to netsim.Address, method string, v any, opts ...CallOption) error {
-	buf := scratchPool.Get().(*scratch)
-	defer buf.release()
-	body, err := buf.encode(v)
-	if err != nil {
-		return err
-	}
-	return e.Announce(to, method, body, opts...)
-}
-
 // onEnvelope dispatches envelopes delivered by the channel stack.
 func (e *Endpoint) onEnvelope(from netsim.Address, env *wire.Envelope) {
 	switch env.Kind {
@@ -677,8 +666,7 @@ func (e *Endpoint) onReply(env *wire.Envelope) {
 // CallJSON invokes method encoding req with wire.AppendBody and decoding
 // the reply into resp (which may be nil to discard). The name records the
 // common case: a message type with its own AppendBinary/UnmarshalBinary
-// travels in that form instead, here and in GoJSON, AnnounceJSON and
-// HandleJSON alike.
+// travels in that form instead, here and in GoJSON and HandleJSON alike.
 func (e *Endpoint) CallJSON(to netsim.Address, method string, req, resp any, opts ...CallOption) error {
 	ch := make(chan Result, 1)
 	e.GoJSON(to, method, req, func(r Result) { ch <- r }, opts...)

@@ -48,9 +48,6 @@ func TestRetryResendsTheSameBody(t *testing.T) {
 		CallTimeout(time.Second), CallBackoff(5*time.Second))
 	for i := 0; i < 100; i++ {
 		filler := note{Seq: 100 + i, Text: strings.Repeat("x", 40+3*i)}
-		if err := f.a.AnnounceJSON("b", "echo", filler); err != nil {
-			t.Fatal(err)
-		}
 		f.a.GoJSON("b", "echo", filler, func(r Result) {
 			var back note
 			if err := r.Decode(&back); err != nil || back != filler {

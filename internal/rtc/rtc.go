@@ -13,6 +13,7 @@ package rtc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -230,20 +231,21 @@ func (s *Server) History(cid string) ([]Event, error) {
 	return append([]Event(nil), conf.log...), nil
 }
 
-// request/response bodies
+// request/response bodies; join and update travel in the binary form of
+// codec.go, the rest as JSON
 
 type joinReq struct {
-	Conference string `json:"conference"`
-	Member     string `json:"member"`
-	Addr       string `json:"addr"`
+	Conference string
+	Member     string
+	Addr       string
 }
 
 type joinResp struct {
-	Seq     uint64            `json:"seq"`
-	State   map[string]string `json:"state"`
-	Members []string          `json:"members"`
-	Mode    int               `json:"mode"`
-	Title   string            `json:"title"`
+	Seq     uint64
+	State   map[string]string
+	Members []string
+	Mode    int
+	Title   string
 }
 
 type leaveReq struct {
@@ -252,15 +254,15 @@ type leaveReq struct {
 }
 
 type updateReq struct {
-	Conference string    `json:"conference"`
-	Member     string    `json:"member"`
-	Kind       EventKind `json:"kind"`
-	Key        string    `json:"key"`
-	Value      string    `json:"value"`
+	Conference string
+	Member     string
+	Kind       EventKind
+	Key        string
+	Value      string
 }
 
 type updateResp struct {
-	Seq uint64 `json:"seq"`
+	Seq uint64
 }
 
 type floorReq struct {
@@ -413,9 +415,7 @@ func (s *Server) update(req updateReq) (uint64, error) {
 	seq, addrs, ev := s.sequenceLocked(conf, Event{Kind: kind, From: req.Member, Key: req.Key, Value: req.Value})
 	s.mu.Unlock()
 
-	for _, addr := range addrs {
-		s.announceEvent(addr, ev)
-	}
+	s.fanOut(addrs, ev)
 	return seq, nil
 }
 
@@ -491,7 +491,10 @@ func (s *Server) eventsSince(cid string, fromSeq uint64) ([]Event, error) {
 
 // sequenceLocked assigns the next sequence number, applies state-kind
 // events to the conference state, logs the event, and snapshots the
-// fan-out address set. Caller must hold s.mu.
+// fan-out address set — sorted, so that on a link that draws from the
+// network's seeded generator per send (loss, jitter) which member misses
+// which event is a function of the seed, not of map order. Caller must hold
+// s.mu.
 func (s *Server) sequenceLocked(conf *conference, ev Event) (uint64, []netsim.Address, Event) {
 	conf.seq++
 	ev.Conference = conf.id
@@ -505,6 +508,7 @@ func (s *Server) sequenceLocked(conf *conference, ev Event) (uint64, []netsim.Ad
 	for _, m := range conf.members {
 		addrs = append(addrs, m.addr)
 	}
+	slices.Sort(addrs)
 	s.stats.Broadcasts++
 	return conf.seq, addrs, ev
 }
@@ -520,13 +524,17 @@ func (s *Server) broadcast(cid string, ev Event) {
 	_, addrs, sequenced := s.sequenceLocked(conf, ev)
 	s.mu.Unlock()
 
-	for _, addr := range addrs {
-		s.announceEvent(addr, sequenced)
-	}
+	s.fanOut(addrs, sequenced)
 }
 
-func (s *Server) announceEvent(addr netsim.Address, ev Event) {
-	_ = s.endpoint.AnnounceJSON(addr, MethodEvent, ev)
+// fanOut announces the event to every address, in the order given. The body
+// is encoded once and every announcement is handed the same bytes: the
+// channel stack copies them into the frame the network keeps.
+func (s *Server) fanOut(addrs []netsim.Address, ev Event) {
+	body, _ := ev.AppendBinary(make([]byte, 0, 128)) // never errs; a snapshot's state grows it
+	for _, addr := range addrs {
+		_ = s.endpoint.Announce(addr, MethodEvent, body)
+	}
 }
 
 // scheduleSweep evicts members whose heartbeat lapsed.

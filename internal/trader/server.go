@@ -59,17 +59,12 @@ type withdrawReq struct {
 	OfferID string `json:"offerId"`
 }
 
-type importReq struct {
-	ServiceType string `json:"serviceType"`
-	Constraint  string `json:"constraint,omitempty"`
-	MaxOffers   int    `json:"maxOffers,omitempty"`
-	OrderBy     string `json:"orderBy,omitempty"`
-	Importer    string `json:"importer,omitempty"`
-	Hops        int    `json:"hops,omitempty"`
-}
+// importReq is an ImportRequest on the wire; it and importResp travel in the
+// binary form of codec.go.
+type importReq ImportRequest
 
 type importResp struct {
-	Offers []WireOffer `json:"offers"`
+	Offers []WireOffer
 }
 
 type regTypeReq struct {
@@ -94,25 +89,7 @@ type Server struct {
 func NewServer(endpoint *rpc.Endpoint, t *Trader) *Server {
 	s := &Server{trader: t, endpoint: endpoint}
 	t.SetAsyncForwarder(func(peer netsim.Address, req ImportRequest, done func([]Offer, error)) {
-		endpoint.GoJSON(peer, MethodImport, importReq{
-			ServiceType: req.ServiceType,
-			Constraint:  req.Constraint,
-			MaxOffers:   req.MaxOffers,
-			OrderBy:     req.OrderBy,
-			Importer:    req.Importer,
-			Hops:        req.Hops,
-		}, func(r rpc.Result) {
-			var resp importResp
-			if err := r.Decode(&resp); err != nil {
-				done(nil, err)
-				return
-			}
-			out := make([]Offer, 0, len(resp.Offers))
-			for _, w := range resp.Offers {
-				out = append(out, fromWire(w))
-			}
-			done(out, nil)
-		}, rpc.CallTimeout(federationBudget))
+		goImport(endpoint, peer, req, done, rpc.CallTimeout(federationBudget))
 	})
 	s.register()
 	return s
@@ -148,51 +125,38 @@ func (s *Server) register() {
 				return
 			}
 		}
-		importer := req.Importer
-		if importer == "" {
-			importer = string(r.From)
+		if req.Importer == "" {
+			req.Importer = string(r.From)
 		}
-		s.trader.ImportAsync(ImportRequest{
-			ServiceType: req.ServiceType,
-			Constraint:  req.Constraint,
-			MaxOffers:   req.MaxOffers,
-			OrderBy:     req.OrderBy,
-			Importer:    importer,
-			Hops:        req.Hops,
-		}, func(offers []Offer, err error) {
+		s.trader.ImportAsync(ImportRequest(req), func(offers []Offer, err error) {
 			if err != nil {
 				reply(nil, err)
 				return
 			}
-			resp := importResp{}
-			for _, o := range offers {
-				resp.Offers = append(resp.Offers, toWire(o))
+			resp := importResp{Offers: make([]WireOffer, len(offers))}
+			for i, o := range offers {
+				resp.Offers[i] = toWire(o)
 			}
-			body, merr := wire.EncodeBody(resp)
-			reply(body, merr)
+			reply(wire.EncodeBody(resp))
 		})
 	})
 }
 
-// importVia queries a remote trader synchronously over rpc.
-func importVia(ep *rpc.Endpoint, peer netsim.Address, req ImportRequest) ([]Offer, error) {
-	var resp importResp
-	err := ep.CallJSON(peer, MethodImport, importReq{
-		ServiceType: req.ServiceType,
-		Constraint:  req.Constraint,
-		MaxOffers:   req.MaxOffers,
-		OrderBy:     req.OrderBy,
-		Importer:    req.Importer,
-		Hops:        req.Hops,
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Offer, 0, len(resp.Offers))
-	for _, w := range resp.Offers {
-		out = append(out, fromWire(w))
-	}
-	return out, nil
+// goImport queries the trader at peer over rpc; done is called exactly once,
+// on the event goroutine.
+func goImport(ep *rpc.Endpoint, peer netsim.Address, req ImportRequest, done func([]Offer, error), opts ...rpc.CallOption) {
+	ep.GoJSON(peer, MethodImport, importReq(req), func(r rpc.Result) {
+		var resp importResp
+		if err := r.Decode(&resp); err != nil {
+			done(nil, err)
+			return
+		}
+		out := make([]Offer, len(resp.Offers))
+		for i, w := range resp.Offers {
+			out[i] = fromWire(w)
+		}
+		done(out, nil)
+	}, opts...)
 }
 
 // Client wraps the importer/exporter side of the trading protocol.
@@ -224,7 +188,21 @@ func (c *Client) Withdraw(offerID string) error {
 	return c.endpoint.CallJSON(c.trader, MethodWithdraw, withdrawReq{OfferID: offerID}, &resp)
 }
 
-// Import queries the trader.
+// Import queries the trader: GoImport plus a wait. Blocking; see package rpc
+// for simulated-clock usage.
 func (c *Client) Import(req ImportRequest) ([]Offer, error) {
-	return importVia(c.endpoint, c.trader, req)
+	var offers []Offer
+	ch := make(chan error, 1)
+	c.GoImport(req, func(found []Offer, err error) {
+		offers = found
+		ch <- err
+	})
+	err := <-ch
+	return offers, err
+}
+
+// GoImport is Import's asynchronous form, safe to call from a simulated-clock
+// callback; done fires on the event goroutine.
+func (c *Client) GoImport(req ImportRequest, done func([]Offer, error)) {
+	goImport(c.endpoint, c.trader, req, done)
 }

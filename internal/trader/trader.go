@@ -65,7 +65,8 @@ type ImportRequest struct {
 // Policies implement the paper's "trading policy dictated by the
 // organisational knowledge base".
 type Policy interface {
-	// Admit reports whether the importer may see the offer.
+	// Admit reports whether the importer may see the offer. The offer shares
+	// its properties with the trader's store: Admit must not edit it.
 	Admit(importer string, offer Offer) bool
 	// Name identifies the policy in diagnostics.
 	Name() string
@@ -304,13 +305,16 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, req.ServiceType)
 	}
 	// Collect local candidates: offers whose type conforms to the request.
+	// A stored offer is replaced, never edited (Export stores a clone,
+	// ModifyOffer installs a fresh map), so candidates share their properties
+	// with the store; finalize copies the few it returns.
 	var local []Offer
 	for typ, ids := range t.byType {
 		if !t.conformsLocked(typ, st) {
 			continue
 		}
 		for oid := range ids {
-			local = append(local, t.offers[oid].clone())
+			local = append(local, t.offers[oid])
 		}
 	}
 	policies := append([]Policy(nil), t.policies...)
@@ -339,12 +343,16 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 	return out, nil
 }
 
-// finalize dedupes, orders, and truncates a combined result set.
+// finalize dedupes, orders, and truncates a combined result set, and gives
+// the caller its own copy of what is left.
 func (t *Trader) finalize(req ImportRequest, offers []Offer) []Offer {
 	offers = dedupeOffers(offers)
 	sortOffers(offers, req.OrderBy)
 	if req.MaxOffers > 0 && len(offers) > req.MaxOffers {
 		offers = offers[:req.MaxOffers]
+	}
+	for i := range offers {
+		offers[i] = offers[i].clone()
 	}
 	t.mu.Lock()
 	t.stats.Matched += int64(len(offers))

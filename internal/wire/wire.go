@@ -15,11 +15,13 @@
 // where lenString/lenBytes is a uint32 length prefix followed by raw bytes.
 // All integers are big-endian. The envelope treats the body as opaque;
 // EncodeBody and DecodeBody decide its form from the message type: a type
-// with its own AppendBinary/UnmarshalBinary (the data-plane messages of
-// internal/replica and internal/gossip, built from this package's codec
-// helpers) travels in that binary form, every other type — the small
-// request/reply structs of directory, trader, mhs, rtc, placement and
-// gossip membership — as JSON, which keeps those payloads debuggable.
+// with its own AppendBinary/UnmarshalBinary — every message a workload sends:
+// the replica and rumor planes, and the search, import, transfer and
+// conference messages of directory, trader, mhs and rtc, all built from this
+// package's codec helpers and read back through Body — travels in that
+// binary form, every other type — the administrative requests of those four
+// services, placement and gossip membership — as JSON, which keeps those
+// payloads debuggable.
 package wire
 
 import (
@@ -33,6 +35,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"time"
 )
 
 // Version is the base envelope format version. Envelopes that carry no
@@ -516,15 +519,24 @@ func ConsumeUint64(data []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(data), data[8:], nil
 }
 
+// AppendTime appends an instant as Unix seconds (uint64, two's complement)
+// and nanoseconds (uint32). Unlike UnixNano this holds every time.Time, the
+// zero one included: a field tested with IsZero reads as it was written.
+// Body.Time reads it back.
+func AppendTime(dst []byte, t time.Time) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(t.Unix()))
+	return binary.BigEndian.AppendUint32(dst, uint32(t.Nanosecond()))
+}
+
 // EncodeBody encodes v for use as an envelope body: AppendBody into a
 // buffer of its own.
 func EncodeBody(v any) ([]byte, error) { return AppendBody(nil, v) }
 
 // AppendBody appends v's envelope-body form to dst. A value that implements
 // encoding.BinaryAppender is encoded by its own method — the hand-written
-// binary bodies of the replica and rumor planes — and every other value as
-// JSON. The rule is the same at every call site, so the message type alone
-// decides the body's form.
+// binary bodies of the replica, rumor and service planes — and every other
+// value as JSON. The rule is the same at every call site, so the message
+// type alone decides the body's form.
 func AppendBody(dst []byte, v any) ([]byte, error) {
 	var err error
 	if m, ok := v.(encoding.BinaryAppender); ok {

@@ -18,7 +18,6 @@ import (
 	"mocca/internal/mhs"
 	"mocca/internal/netsim"
 	"mocca/internal/observe"
-	"mocca/internal/rpc"
 	"mocca/internal/rtc"
 	"mocca/internal/trader"
 	"mocca/internal/vclock"
@@ -36,15 +35,6 @@ const (
 	// trader lookups have a non-empty, deterministic answer set.
 	tradeServiceType = "cscw.collab"
 )
-
-// ClassStats aggregates one op class.
-type ClassStats struct {
-	Issued    int64      `json:"issued"`
-	Completed int64      `json:"completed"`
-	Failed    int64      `json:"failed"`
-	Skipped   int64      `json:"skipped"` // target site was down at issue time
-	Hist      *Histogram `json:"hist"`
-}
 
 // pendingWrite tracks one information write from local commit until every
 // site has applied it (or a causally newer version of the object).
@@ -67,12 +57,15 @@ type Harness struct {
 	rng  *rand.Rand
 	zipf *rand.Zipf
 
-	dep    *mocca.Deployment
-	clock  *vclock.Simulated
-	sites  map[string]*mocca.Site
-	uas    map[string]*mhs.UserAgent
-	loadEP map[string]*rpc.Endpoint
-	live   map[string]bool
+	dep   *mocca.Deployment
+	clock *vclock.Simulated
+	sites map[string]*mocca.Site
+	uas   map[string]*mhs.UserAgent
+	live  map[string]bool
+
+	// Each site's directory and trading clients, on its "load-" endpoint.
+	duas      map[string]*directory.Client
+	importers map[string]*trader.Client
 
 	sessions map[string]*rtc.Session
 	joined   map[string]bool
@@ -123,7 +116,8 @@ func run(spec Spec) (*Report, *Harness, error) {
 		spec:        spec,
 		sites:       make(map[string]*mocca.Site),
 		uas:         make(map[string]*mhs.UserAgent),
-		loadEP:      make(map[string]*rpc.Endpoint),
+		duas:        make(map[string]*directory.Client),
+		importers:   make(map[string]*trader.Client),
 		live:        make(map[string]bool),
 		sessions:    make(map[string]*rtc.Session),
 		joined:      make(map[string]bool),
@@ -193,7 +187,9 @@ func (h *Harness) build() error {
 		h.live[name] = true
 		h.subscribeSite(name)
 		site.MTA().Watch(h.onDeliver)
-		h.loadEP[name] = h.dep.ServiceEndpoint("load-" + name)
+		ep := h.dep.ServiceEndpoint("load-" + name)
+		h.duas[name] = directory.NewClient(ep, dsaAddr)
+		h.importers[name] = trader.NewClient(ep, tradeAddr)
 	}
 	acl := h.dep.Env().Access()
 	for _, u := range h.org.Users {
@@ -504,50 +500,31 @@ func (h *Harness) opDirLookup(u User) {
 	st := h.stats[ClassDir]
 	st.Issued++
 	target := h.org.Users[h.rng.Intn(len(h.org.Users))]
-	req := struct {
-		Base      string `json:"base"`
-		Scope     int    `json:"scope"`
-		Filter    string `json:"filter"`
-		SizeLimit int    `json:"sizeLimit,omitempty"`
-	}{
-		Base:      "ou=" + target.Unit + ",o=mocca",
-		Scope:     int(directory.ScopeSubtree),
-		Filter:    "(cn=" + target.Name + ")",
-		SizeLimit: 8,
-	}
 	t0 := h.clock.Now()
-	h.loadEP[u.Site].GoJSON(dsaAddr, directory.MethodSearch, req, func(r rpc.Result) {
-		var resp struct {
-			Entries []directory.WireEntry `json:"entries"`
-		}
-		if err := r.Decode(&resp); err != nil || len(resp.Entries) == 0 {
-			st.Failed++
-			return
-		}
-		st.Completed++
-		st.Hist.Observe(h.clock.Now().Sub(t0))
-	})
+	h.duas[u.Site].GoSearch("ou="+target.Unit+",o=mocca", directory.ScopeSubtree, "(cn="+target.Name+")", 8,
+		func(entries []*directory.Entry, err error) {
+			if err != nil || len(entries) == 0 {
+				st.Failed++
+				return
+			}
+			st.Completed++
+			st.Hist.Observe(h.clock.Now().Sub(t0))
+		})
 }
 
 func (h *Harness) opTradeLookup(u User) {
 	st := h.stats[ClassTrade]
 	st.Issued++
-	req := struct {
-		ServiceType string `json:"serviceType"`
-		MaxOffers   int    `json:"maxOffers,omitempty"`
-	}{ServiceType: tradeServiceType, MaxOffers: 3}
 	t0 := h.clock.Now()
-	h.loadEP[u.Site].GoJSON(tradeAddr, trader.MethodImport, req, func(r rpc.Result) {
-		var resp struct {
-			Offers []trader.WireOffer `json:"offers"`
-		}
-		if err := r.Decode(&resp); err != nil || len(resp.Offers) == 0 {
-			st.Failed++
-			return
-		}
-		st.Completed++
-		st.Hist.Observe(h.clock.Now().Sub(t0))
-	})
+	h.importers[u.Site].GoImport(trader.ImportRequest{ServiceType: tradeServiceType, MaxOffers: 3},
+		func(offers []trader.Offer, err error) {
+			if err != nil || len(offers) == 0 {
+				st.Failed++
+				return
+			}
+			st.Completed++
+			st.Hist.Observe(h.clock.Now().Sub(t0))
+		})
 }
 
 func (h *Harness) opJoin() {

@@ -17,6 +17,15 @@ import (
 // per-service throughput by, in canonical order.
 var servicePrefixes = []string{"mta-", "repl-", "place-", "gossip-", "user-", "load-", "dsa-", "trade-", "mcu"}
 
+// ClassStats aggregates one op class.
+type ClassStats struct {
+	Issued    int64      `json:"issued"`
+	Completed int64      `json:"completed"`
+	Failed    int64      `json:"failed"`
+	Skipped   int64      `json:"skipped"` // target site was down at issue time
+	Hist      *Histogram `json:"hist"`
+}
+
 // ServiceStats is one service plane's share of the run's wire traffic.
 type ServiceStats struct {
 	Channels  int   `json:"channels"`
