@@ -166,7 +166,7 @@ func atomicCallArgs(info *types.Info, body *ast.BlockStmt) map[*ast.SelectorExpr
 }
 
 // selectorRootedAt reports whether sel is a field chain hanging off the
-// receiver variable (s.n, s.g.flushes, ...).
+// receiver variable (s.n, s.stats.n, ...).
 func selectorRootedAt(info *types.Info, sel *ast.SelectorExpr, recv *types.Var) bool {
 	for {
 		switch x := ast.Unparen(sel.X).(type) {

@@ -3,6 +3,7 @@ package information
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mocca/internal/access"
@@ -307,6 +308,48 @@ func TestRelationshipsAndCycles(t *testing.T) {
 	deps := space.Dependents(figure, RelComposedOf)
 	if len(deps) != 1 || deps[0] != chapter {
 		t.Fatalf("dependents = %v", deps)
+	}
+
+	// The graph itself, as both backends hold it: what it refuses, what it
+	// ignores, what a strip leaves behind and how it dumps.
+	var g RelationGraph
+	edge := func(from string, kind RelKind, to string) Relation {
+		return Relation{From: from, Kind: kind, To: to}
+	}
+	for _, rel := range []Relation{
+		edge("b", RelDependsOn, "c"), edge("a", RelDependsOn, "c"), edge("a", RelDependsOn, "b"),
+		edge("a", RelComposedOf, "b"), edge("a", RelDependsOn, "b"), // the last one twice
+	} {
+		if err := g.Check(rel); err != nil {
+			t.Fatalf("check %v: %v", rel, err)
+		}
+		g.Add(rel)
+	}
+	if got := g.Related("a", RelDependsOn); !reflect.DeepEqual(got, []string{"b", "c"}) {
+		t.Fatalf("re-added edge is not a no-op: %v", got)
+	}
+	if err := g.Check(edge("a", RelDependsOn, "a")); !errors.Is(err, ErrCycle) {
+		t.Fatalf("self edge: %v", err)
+	}
+	if err := g.Check(edge("c", RelDependsOn, "a")); !errors.Is(err, ErrCycle) {
+		t.Fatalf("cycle over depends-on: %v", err)
+	}
+	if err := g.Check(edge("c", RelComposedOf, "a")); err != nil {
+		t.Fatalf("the same pair under a kind with no path back: %v", err)
+	}
+	want := []Relation{
+		edge("a", RelComposedOf, "b"), edge("a", RelDependsOn, "b"),
+		edge("a", RelDependsOn, "c"), edge("b", RelDependsOn, "c"),
+	}
+	if got := g.Relations(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("relations = %v, want %v sorted by (from, kind, to)", got, want)
+	}
+	g.Strip("b") // a source and a target
+	if got := g.Relations(); !reflect.DeepEqual(got, []Relation{edge("a", RelDependsOn, "c")}) {
+		t.Fatalf("after strip: %v", got)
+	}
+	if len(g.edges) != 1 || len(g.edges["a"]) != 1 {
+		t.Fatalf("strip left empty inner maps: %v", g.edges)
 	}
 }
 

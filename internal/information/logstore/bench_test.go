@@ -20,26 +20,22 @@ func benchObject(id string, i int, vv vclock.Version) *information.Object {
 }
 
 // BenchmarkLogstoreAppend measures WAL append throughput: one Exec
-// storing a full row per iteration. The serial cases measure the inline
-// path; the parallel cases run concurrent writers with and without group
-// commit — under fsync, group commit coalesces the writers of a window
-// into one sync (the fsyncs/op metric shows the collapse).
+// storing a full row per iteration, serially and from concurrent writers
+// (every append is one fsync under WithFsync; fsyncs/op reports it).
 func BenchmarkLogstoreAppend(b *testing.B) {
 	type mode struct {
 		name     string
 		fsync    bool
-		group    bool
 		parallel bool
 	}
 	modes := []mode{
 		{name: "nosync", fsync: false},
 		{name: "fsync", fsync: true},
 		{name: "fsync-parallel", fsync: true, parallel: true},
-		{name: "fsync-parallel-group", fsync: true, group: true, parallel: true},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
-			st, err := Open(b.TempDir(), WithFsync(m.fsync), WithGroupCommit(m.group), WithCompactEvery(0))
+			st, err := Open(b.TempDir(), WithFsync(m.fsync), WithCompactEvery(0))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -54,9 +50,7 @@ func BenchmarkLogstoreAppend(b *testing.B) {
 			}
 			b.ResetTimer()
 			if m.parallel {
-				// Force a writer pool even on small CPU counts: group commit
-				// batches whatever piles up behind the in-flight fsync, which
-				// needs more than GOMAXPROCS=1 goroutines to happen at all.
+				// Force a writer pool even on small CPU counts.
 				b.SetParallelism(8)
 				var writer atomic.Int64
 				b.RunParallel(func(pb *testing.PB) {
@@ -193,26 +187,22 @@ func BenchmarkLogstorePointRead(b *testing.B) {
 	}
 }
 
-// BenchmarkLogstoreFsyncPolicy compares the three durability policies on
+// BenchmarkLogstoreFsyncPolicy compares the two durability policies on
 // the same concurrent write load: "none" (page-cache durability, the
-// crash-model default), "per-op" (every append fsyncs before returning),
-// and "group" (concurrent appends share one write+fsync window). The
-// fsyncs/op metric shows the group window collapsing N writers into one
-// sync; ns/op prices each policy.
+// crash-model default) and "per-op" (every append fsyncs before
+// returning); ns/op prices each.
 func BenchmarkLogstoreFsyncPolicy(b *testing.B) {
 	type policy struct {
 		name  string
 		fsync bool
-		group bool
 	}
 	policies := []policy{
 		{name: "none"},
 		{name: "per-op", fsync: true},
-		{name: "group", fsync: true, group: true},
 	}
 	for _, p := range policies {
 		b.Run(p.name, func(b *testing.B) {
-			st, err := Open(b.TempDir(), WithFsync(p.fsync), WithGroupCommit(p.group), WithCompactEvery(0))
+			st, err := Open(b.TempDir(), WithFsync(p.fsync), WithCompactEvery(0))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -41,34 +41,9 @@ func segName(id uint64) string { return fmt.Sprintf("seg-%08d.seg", id) }
 // --- flush ----------------------------------------------------------------
 
 // compactLocked flushes the memtable and, for the explicit Compact call,
-// merges every segment into one. Caller holds s.mu. In group mode the
-// flusher is parked and the pending batch discarded — every enqueued
-// record's mutation is already committed in memory, so the manifest about
-// to be written covers it and waiters become durable through the segments
-// instead of the WAL. g.mu is held across the flush only and released
-// before any merging: mergeAllLocked drops and re-takes s.mu, and holding
-// g.mu through that inverts the documented s.mu-before-g.mu order against
-// a writer that took s.mu and is blocked on g.mu in enqueueLocked —
-// a deadlock.
+// merges every segment into one. Caller holds s.mu.
 func (s *Store) compactLocked(mergeAll bool) error {
-	if s.group {
-		s.g.mu.Lock()
-		for s.g.flushing {
-			s.g.cond.Wait()
-		}
-		err := s.flushLocked()
-		if err == nil {
-			s.g.buf = nil
-			s.g.bufRecs = 0
-			s.g.hiDur = s.seq
-			s.g.durSize = 0
-		}
-		s.g.cond.Broadcast()
-		s.g.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	} else if err := s.flushLocked(); err != nil {
+	if err := s.flushLocked(); err != nil {
 		return err
 	}
 	if mergeAll {

@@ -63,25 +63,3 @@ func TestFlushBytesDisabledByDefault(t *testing.T) {
 		t.Fatalf("Compactions = %d with no size trigger configured, want 0", got)
 	}
 }
-
-// TestFlushBytesCountsGroupCommit: the size trigger must see bytes that
-// went through the group-commit queue too.
-func TestFlushBytesCountsGroupCommit(t *testing.T) {
-	st, err := Open(t.TempDir(), WithGroupCommit(true),
-		WithCompactEvery(1000), WithFlushBytes(32<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	huge := strings.Repeat("z", 24<<10)
-	put(t, st, "big-a", vclock.NewVersion("gmd"), "gmd", map[string]string{
-		"title": "big-a", "body": huge})
-	put(t, st, "big-b", vclock.NewVersion("gmd"), "gmd", map[string]string{
-		"title": "big-b", "body": huge})
-	if st.Stats().Compactions == 0 {
-		t.Fatal("group-commit bytes never tripped the size flush")
-	}
-	if obj, ok := st.Get("big-a"); !ok || obj == nil {
-		t.Fatal("Get(big-a) missing after size flush")
-	}
-}

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,34 +424,71 @@ func TestOversizeFieldRejectedNotDestroyedLater(t *testing.T) {
 	}
 }
 
-// A WAL append failure must fail the write without committing it to
-// memory: a row served from memory but absent from the log would vanish
-// on recovery while peers replicated it.
+// A WAL append failure must fail the mutation — Exec, Relate and Remove
+// alike — without committing it to memory: a row served from memory but
+// absent from the log would vanish on recovery while peers replicated it,
+// and an eviction or an edge applied but not logged would come undone.
 func TestAppendFailureDoesNotCommitToMemory(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	dep := information.RelDependsOn
+	view := func(st *Store) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "len=%d", st.Len())
+		for _, id := range []string{"a", "b", "c", "doomed"} {
+			_, ok := st.Get(id)
+			fmt.Fprintf(&b, " %s:%v%v", id, ok, st.Related(id, dep))
+		}
+		return b.String()
 	}
-	defer st.Close()
-	put(t, st, "good", vclock.NewVersion("gmd"), "gmd", nil)
-	st.wal.Close() // simulate the disk going away beneath the store
-	_, err = st.Exec("doomed", func(*information.Object) (*information.Object, error) {
-		return &information.Object{ID: "doomed", Schema: "doc", Owner: "ada",
-			VV: vclock.NewVersion("gmd"), Version: 1, Site: "gmd", Created: t0, Updated: t1}, nil
-	})
-	if err == nil {
-		t.Fatal("append onto a dead WAL reported success")
+	cases := map[string]func(st *Store) error{
+		"exec": func(st *Store) error {
+			_, err := st.Exec("doomed", func(*information.Object) (*information.Object, error) {
+				return &information.Object{ID: "doomed", Schema: "doc", Owner: "ada",
+					VV: vclock.NewVersion("gmd"), Version: 1, Site: "gmd", Created: t0, Updated: t1}, nil
+			})
+			return err
+		},
+		"relate": func(st *Store) error { return st.Relate("b", dep, "c") },
+		"remove": func(st *Store) error {
+			_, err := st.Remove("b") // would strip a -> b with it
+			return err
+		},
 	}
-	if _, ok := st.Get("doomed"); ok {
-		t.Fatal("failed write is live in memory")
-	}
-	if st.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", st.Len())
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			st, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []string{"a", "b", "c"} {
+				put(t, st, id, vclock.NewVersion("gmd"), "gmd", nil)
+			}
+			if err := st.Relate("a", dep, "b"); err != nil {
+				t.Fatal(err)
+			}
+			before := view(st)
+			st.wal.Close() // simulate the disk going away beneath the store
+			if err := mutate(st); err == nil {
+				t.Fatal("mutation over a dead WAL reported success")
+			}
+			if got := view(st); got != before {
+				t.Fatalf("failed mutation is live in memory:\n got %s\nwant %s", got, before)
+			}
+			st.Close() // errs on the dead handle; the directory is what matters
+			re, err := Open(st.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := view(re); got != before {
+				t.Fatalf("recovered state differs from the pre-call state:\n got %s\nwant %s", got, before)
+			}
+		})
 	}
 }
 
-// A relation the graph rejects (cycle) must not survive in the log: a
-// replay of the refused edge would fail recovery.
+// A relation the graph rejects (cycle) must not reach the log: nothing is
+// appended for it, so there is nothing to take back and nothing for a
+// replay to trip over.
 func TestRejectedRelationRolledOffLog(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -460,8 +499,21 @@ func TestRejectedRelationRolledOffLog(t *testing.T) {
 	if err := st.Relate("a", information.RelDependsOn, "b"); err != nil {
 		t.Fatal(err)
 	}
+	walPath := filepath.Join(st.Dir(), walName)
+	logged := func() (size, appends int64) {
+		fi, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size(), st.Stats().Appends
+	}
+	sizeBefore, appendsBefore := logged()
 	if err := st.Relate("b", information.RelDependsOn, "a"); err == nil {
 		t.Fatal("cycle accepted")
+	}
+	if size, appends := logged(); size != sizeBefore || appends != appendsBefore {
+		t.Fatalf("refused edge touched the log: %d bytes / %d appends, was %d / %d",
+			size, appends, sizeBefore, appendsBefore)
 	}
 	re := reopen(t, st)
 	defer re.Close()
@@ -470,9 +522,10 @@ func TestRejectedRelationRolledOffLog(t *testing.T) {
 	}
 }
 
-// A refused relation record stuck in the log (crash between the append
-// and the rollback truncate) must not brick recovery: replay skips it
-// and keeps applying later records.
+// A refused relation record stuck in the log (a store from before Relate
+// validated first, crashed between its append and its rollback truncate)
+// must not brick recovery: replay skips it and keeps applying later
+// records.
 func TestReplaySkipsRefusedRelation(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -572,5 +625,207 @@ func TestFailedUpdateLeavesLiveRowUntouched(t *testing.T) {
 	}
 	if got, _ := sp.Get("ada", obj.ID); got.Version != 1 || got.Fields["text"] != "v1" {
 		t.Fatalf("failed update leaked into memory: v%d %q", got.Version, got.Fields["text"])
+	}
+}
+
+// TestOpensStoreWrittenByParent opens a directory written by the commit
+// before the store had one write path (testdata/parent-store: six rows and
+// four edges flushed to a segment and a manifest, then a WAL tail holding
+// an overwrite, a new row, an edge, the sequence gap a rolled-back refused
+// edge left, and a removal): no record kind, framing, manifest field or
+// file name moved.
+func TestOpensStoreWrittenByParent(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent-store"))); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := st.Stats()
+	if s.Segments != 1 || s.ReplayedRecords != 4 || s.SkippedRecords != 0 || s.DiscardedBytes != 0 ||
+		s.RecoveredObjects != 6 || s.RecoveredRelations != 3 {
+		t.Fatalf("recovery stats: %+v", s)
+	}
+	var got []string
+	st.Range(func(o *information.Object) bool {
+		got = append(got, o.ID+"="+o.Fields["title"]+"@"+o.VV.String())
+		return true
+	})
+	want := []string{
+		"obj-000=row 0@" + vclock.Version{"gmd": 1, "upc": 0}.String(),
+		"obj-001=row 1, revised@" + vclock.Version{"gmd": 2, "upc": 1}.String(),
+		"obj-003=row 3@" + vclock.Version{"gmd": 1, "upc": 3}.String(),
+		"obj-004=row 4@" + vclock.Version{"gmd": 1, "upc": 4}.String(),
+		"obj-005=row 5@" + vclock.Version{"gmd": 1, "upc": 5}.String(),
+		"obj-006=row 6@" + vclock.Version{"nott": 3}.String(),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows:\n got %q\nwant %q", got, want)
+	}
+	dep, part := information.RelDependsOn, information.RelComposedOf
+	wantRels := []information.Relation{
+		{From: "obj-001", Kind: dep, To: "obj-000"},
+		{From: "obj-004", Kind: part, To: "obj-005"},
+		{From: "obj-006", Kind: dep, To: "obj-000"},
+	}
+	if rels := st.mem.Relations(); !reflect.DeepEqual(rels, wantRels) {
+		t.Fatalf("relations = %v, want %v (obj-002's two edges went with it)", rels, wantRels)
+	}
+	// The recovered store takes writes where the parent's log left off.
+	put(t, st, "obj-002", vclock.NewVersion("gmd"), "gmd", map[string]string{"title": "back"})
+	re := reopen(t, st)
+	defer re.Close()
+	if obj, ok := re.Get("obj-002"); !ok || obj.Fields["title"] != "back" || re.Len() != 7 {
+		t.Fatalf("write after recovery: %v %v, len %d", obj, ok, re.Len())
+	}
+}
+
+// TestRemoveDurable: an evicted row stays gone across recovery, with the
+// edges that touched it stripped, whether or not a snapshot intervenes.
+func TestRemoveDurable(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		t.Run(fmt.Sprintf("snapshot=%v", snapshot), func(t *testing.T) {
+			st, err := Open(t.TempDir(), WithCompactEvery(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := seedStore(t, st, 8, 42)
+			removed, err := st.Remove(ids[3])
+			if err != nil || removed == nil || removed.ID != ids[3] {
+				t.Fatalf("remove = %v, %v", removed, err)
+			}
+			if again, err := st.Remove(ids[3]); err != nil || again != nil {
+				t.Fatalf("second remove = %v, %v", again, err)
+			}
+			if st.Len() != 7 {
+				t.Fatalf("len = %d", st.Len())
+			}
+			// The dependency chain crossed ids[3]; edges touching it are gone.
+			if deps := st.Related(ids[4], information.RelDependsOn); len(deps) != 0 {
+				t.Fatalf("dangling edge from %s: %v", ids[4], deps)
+			}
+			if snapshot {
+				if err := st.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			re := reopen(t, st)
+			defer re.Close()
+			if re.Len() != 7 {
+				t.Fatalf("recovered len = %d", re.Len())
+			}
+			if _, ok := re.Get(ids[3]); ok {
+				t.Fatal("removed row resurrected by recovery")
+			}
+			if deps := re.Related(ids[4], information.RelDependsOn); len(deps) != 0 {
+				t.Fatalf("recovered dangling edge: %v", deps)
+			}
+		})
+	}
+}
+
+// TestConcurrentAppendsUnderFsync commits from many goroutines with a sync
+// before every acknowledgement, and verifies every acknowledged write is
+// durable after recovery and every fsync — the per-append ones, Sync's and
+// Close's — is counted.
+func TestConcurrentAppendsUnderFsync(t *testing.T) {
+	const writers, perWriter = 8, 25
+	st, err := Open(t.TempDir(), WithFsync(true), WithCompactEvery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := fmt.Sprintf("obj-%d-%03d", w, i)
+				vv := vclock.NewVersion(fmt.Sprintf("s%d", w))
+				if _, err := st.Exec(id, func(*information.Object) (*information.Object, error) {
+					return &information.Object{
+						ID: id, Schema: "doc", Owner: "ada",
+						Fields:  map[string]string{"title": id},
+						Version: vv.Sum(), VV: vv, Site: "gmd", Created: t0, Updated: t1,
+					}, nil
+				}); err != nil {
+					t.Errorf("exec %s: %v", id, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	re := reopen(t, st)
+	defer re.Close()
+	if stats := st.Stats(); stats.Appends != writers*perWriter || stats.Fsyncs != stats.Appends+2 {
+		t.Fatalf("appends = %d (want %d), fsyncs = %d (want appends + Sync + Close)",
+			stats.Appends, writers*perWriter, stats.Fsyncs)
+	}
+	if re.Len() != writers*perWriter {
+		t.Fatalf("recovered %d rows, want %d", re.Len(), writers*perWriter)
+	}
+}
+
+// TestCompactBesideWriter: the explicit Compact path drops and retakes the
+// store mutex around its merge (mergeAllLocked), so a lock held across it
+// that a writer also needs would deadlock both. A writer runs against
+// every merge window.
+func TestCompactBesideWriter(t *testing.T) {
+	st, err := Open(t.TempDir(), WithCompactEvery(0), WithBackgroundMerge(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	seedStore(t, st, 8, 17)
+
+	writerDone := make(chan error, 1)
+	compactDone := make(chan error, 1)
+	var stop atomic.Bool
+	go func() {
+		// Write until the compactor is done, so every merge window has a
+		// concurrent writer contending for the mutexes.
+		for i := 0; !stop.Load(); i++ {
+			id := fmt.Sprintf("row-%03d", i%32)
+			vv := vclock.NewVersion("gmd")
+			if _, err := st.Exec(id, func(*information.Object) (*information.Object, error) {
+				return &information.Object{
+					ID: id, Schema: "doc", Owner: "ada",
+					Version: vv.Sum(), VV: vv, Site: "gmd", Created: t0, Updated: t1,
+				}, nil
+			}); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+		writerDone <- nil
+	}()
+	go func() {
+		defer stop.Store(true)
+		for i := 0; i < 200; i++ {
+			if err := st.Compact(); err != nil {
+				compactDone <- err
+				return
+			}
+		}
+		compactDone <- nil
+	}()
+
+	timeout := time.After(60 * time.Second)
+	for _, ch := range []chan error{writerDone, compactDone} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("deadlock: Compact vs Exec")
+		}
 	}
 }

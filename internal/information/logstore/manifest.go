@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"mocca/internal/information"
 	"mocca/internal/wire"
@@ -116,6 +117,48 @@ func loadManifest(dir string) (*manifest, error) {
 		m.rels = append(m.rels, rel)
 	}
 	return m, nil
+}
+
+// loadManifestState loads the manifest and opens every segment it
+// references (footer + metadata only). Segment files the manifest does
+// not reference are orphans of a crashed flush or merge and are removed.
+func (s *Store) loadManifestState() error {
+	m, err := loadManifest(s.dir)
+	if err != nil {
+		return fmt.Errorf("logstore: %w", err)
+	}
+	known := map[string]bool{}
+	if m != nil {
+		s.seq, s.snapSeq = m.coveredSeq, m.coveredSeq
+		s.liveCovered = m.liveRows
+		if m.nextSegID > 0 {
+			s.nextSegID = m.nextSegID
+		}
+		for _, ms := range m.segs {
+			known[ms.file] = true
+			seg, err := openSegment(filepath.Join(s.dir, ms.file), ms.id, ms.level)
+			if err != nil {
+				return fmt.Errorf("logstore: %w", err)
+			}
+			s.segs = append(s.segs, seg)
+		}
+		sort.Slice(s.segs, func(i, j int) bool { return s.segs[i].seqHi > s.segs[j].seqHi })
+		for _, rel := range m.rels {
+			s.mem.Add(rel)
+		}
+	}
+	orphans, err := filepath.Glob(filepath.Join(s.dir, "seg-*.seg"))
+	if err != nil {
+		return fmt.Errorf("logstore: %w", err)
+	}
+	for _, path := range orphans {
+		if !known[filepath.Base(path)] {
+			if err := os.Remove(path); err != nil {
+				return fmt.Errorf("logstore: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // writeManifestLocked streams the current manifest (segment list segs,

@@ -1,7 +1,6 @@
 package logstore
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -12,26 +11,26 @@ import (
 // memtable is the in-memory tier of the store: the rows written since the
 // last flush, tombstones for rows removed since the last flush (a removal
 // must mask any older version still sitting in a segment), and the full
-// relationship graph. Rows migrate to immutable segment files when the
-// memtable flushes; the graph never does — it is small (edges, not rows),
-// consulted on every Relate for cycle checks, and persisted through the
-// manifest instead.
+// relationship graph — the one type both backends hold. Rows migrate to
+// immutable segment files when the memtable flushes; the graph never does —
+// it is small (edges, not rows), consulted on every Relate for cycle
+// checks, and persisted through the manifest instead.
 //
-// The memtable has its own lock so reads can be served while the store
-// mutex serialises mutations; writers hold both (store mutex for
-// ordering, this lock for the map writes).
+// The memtable has its own lock (and the graph its own) so reads can be
+// served while the store mutex serialises mutations; writers hold both
+// (store mutex for ordering, this lock for the map writes).
 type memtable struct {
+	information.RelationGraph
+
 	mu    sync.RWMutex
 	rows  map[string]*information.Object
 	tombs map[string]struct{}
-	rels  map[string]map[information.RelKind][]string // from -> kind -> to ids
 }
 
 func newMemtable() *memtable {
 	return &memtable{
 		rows:  make(map[string]*information.Object),
 		tombs: make(map[string]struct{}),
-		rels:  make(map[string]map[information.RelKind][]string),
 	}
 }
 
@@ -59,9 +58,7 @@ func (m *memtable) put(obj *information.Object) {
 }
 
 // kill removes the row for id, records a tombstone when the id may still
-// exist in a segment, and strips every relationship edge touching it —
-// a dangling edge would fail the endpoint check when the graph is
-// reloaded.
+// exist in a segment, and strips every relationship edge touching it.
 func (m *memtable) kill(id string, tomb bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -69,25 +66,7 @@ func (m *memtable) kill(id string, tomb bool) {
 	if tomb {
 		m.tombs[id] = struct{}{}
 	}
-	delete(m.rels, id)
-	for from, kinds := range m.rels {
-		for kind, tos := range kinds {
-			kept := tos[:0]
-			for _, to := range tos {
-				if to != id {
-					kept = append(kept, to)
-				}
-			}
-			if len(kept) == 0 {
-				delete(kinds, kind)
-			} else {
-				kinds[kind] = kept
-			}
-		}
-		if len(kinds) == 0 {
-			delete(m.rels, from)
-		}
-	}
+	m.Strip(id)
 }
 
 // pending reports how many row mutations (rows + tombstones) a flush
@@ -159,139 +138,4 @@ func (m *memtable) clear() {
 	defer m.mu.Unlock()
 	m.rows = make(map[string]*information.Object)
 	m.tombs = make(map[string]struct{})
-}
-
-// --- relationships -------------------------------------------------------
-
-// relate records a typed relationship edge. has answers whether an id
-// exists anywhere in the store (memtable or segments) — the endpoint
-// check spans tiers even though the graph itself is memory-resident.
-// Composition and dependency must stay acyclic, exactly as in
-// information.Store.
-func (m *memtable) relate(from string, kind information.RelKind, to string, has func(string) bool) error {
-	if !has(from) {
-		return fmt.Errorf("%w: %q", information.ErrUnknownObject, from)
-	}
-	if !has(to) {
-		return fmt.Errorf("%w: %q", information.ErrUnknownObject, to)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.reachableLocked(to, kind, from) || from == to {
-		return fmt.Errorf("%w: %s -[%s]-> %s", information.ErrCycle, from, kind, to)
-	}
-	if m.rels[from] == nil {
-		m.rels[from] = make(map[information.RelKind][]string)
-	}
-	for _, existing := range m.rels[from][kind] {
-		if existing == to {
-			return nil
-		}
-	}
-	m.rels[from][kind] = append(m.rels[from][kind], to)
-	return nil
-}
-
-// reachableLocked reports whether target is reachable from start over kind.
-func (m *memtable) reachableLocked(start string, kind information.RelKind, target string) bool {
-	seen := map[string]bool{}
-	queue := []string{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == target {
-			return true
-		}
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		queue = append(queue, m.rels[cur][kind]...)
-	}
-	return false
-}
-
-// loadRelation installs one edge without validation — the recovery path
-// for manifest-persisted edges, which were validated when written.
-func (m *memtable) loadRelation(rel information.Relation) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.rels[rel.From] == nil {
-		m.rels[rel.From] = make(map[information.RelKind][]string)
-	}
-	m.rels[rel.From][rel.Kind] = append(m.rels[rel.From][rel.Kind], rel.To)
-}
-
-// related returns directly related object ids, sorted.
-func (m *memtable) related(from string, kind information.RelKind) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := append([]string(nil), m.rels[from][kind]...)
-	sort.Strings(out)
-	return out
-}
-
-// Relations dumps every relationship edge, sorted by (from, kind, to) —
-// the unit the manifest persists alongside the segment list.
-func (m *memtable) Relations() []information.Relation {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []information.Relation
-	for from, kinds := range m.rels {
-		for kind, tos := range kinds {
-			for _, to := range tos {
-				out = append(out, information.Relation{From: from, Kind: kind, To: to})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.To < b.To
-	})
-	return out
-}
-
-// dependents returns ids of objects that relate TO the given id over kind.
-func (m *memtable) dependents(to string, kind information.RelKind) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	for from, kinds := range m.rels {
-		for _, t := range kinds[kind] {
-			if t == to {
-				out = append(out, from)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// closure returns all ids transitively reachable from id over kind.
-func (m *memtable) closure(from string, kind information.RelKind) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	seen := map[string]bool{from: true}
-	queue := []string{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		next := append([]string(nil), m.rels[cur][kind]...)
-		sort.Strings(next)
-		for _, n := range next {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-				queue = append(queue, n)
-			}
-		}
-	}
-	return out
 }

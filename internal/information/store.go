@@ -2,14 +2,13 @@ package information
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mocca/internal/vclock"
 )
 
-// Store is the storage engine beneath a Space: object rows and the
-// relationship graph, guarded by one lock. It knows nothing about schemas,
+// Store is the storage engine beneath a Space: object rows under one lock,
+// and the relationship graph every backend holds (RelationGraph). It knows nothing about schemas,
 // access control, events or replication policy — the Space (the engine)
 // layers those on top. The split is what lets one site host its Space over
 // a local replica store while a future backend swaps the in-memory maps
@@ -23,17 +22,14 @@ import (
 // returns a new row, never an edited argument. Get, Snapshot and Remove
 // copy: they serve code that may keep and change what it is given.
 type Store struct {
-	mu        sync.RWMutex
-	objects   map[string]*Object
-	relations map[string]map[RelKind][]string // from -> kind -> to ids
+	mu      sync.RWMutex
+	objects map[string]*Object
+	rels    RelationGraph
 }
 
 // NewStore creates an empty in-memory store.
 func NewStore() *Store {
-	return &Store{
-		objects:   make(map[string]*Object),
-		relations: make(map[string]map[RelKind][]string),
-	}
+	return &Store{objects: make(map[string]*Object)}
 }
 
 // Len returns the number of stored objects.
@@ -104,10 +100,9 @@ func (st *Store) Has(id string) bool {
 	return ok
 }
 
-// Remove deletes the row for id and every relationship edge touching it,
-// returning a copy of the removed row; (nil, nil) when absent. Edges are
-// stripped because a dangling edge would fail the endpoint check when a
-// durable snapshot of the graph is replayed.
+// Remove deletes the row for id and every relationship edge touching it
+// (RelationGraph.Strip says why), returning a copy of the removed row;
+// (nil, nil) when absent.
 func (st *Store) Remove(id string) (*Object, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -116,25 +111,7 @@ func (st *Store) Remove(id string) (*Object, error) {
 		return nil, nil
 	}
 	delete(st.objects, id)
-	delete(st.relations, id)
-	for from, kinds := range st.relations {
-		for kind, tos := range kinds {
-			kept := tos[:0]
-			for _, to := range tos {
-				if to != id {
-					kept = append(kept, to)
-				}
-			}
-			if len(kept) == 0 {
-				delete(kinds, kind)
-			} else {
-				kinds[kind] = kept
-			}
-		}
-		if len(kinds) == 0 {
-			delete(st.relations, from)
-		}
-	}
+	st.rels.Strip(id)
 	return obj.clone(), nil
 }
 
@@ -153,18 +130,6 @@ func (st *Store) Range(fn func(*Object) bool) {
 			return
 		}
 	}
-}
-
-// IDs returns all stored object ids, sorted.
-func (st *Store) IDs() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]string, 0, len(st.objects))
-	for id := range st.objects {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Digest summarises every row's version vector — the anti-entropy
@@ -187,124 +152,24 @@ func (st *Store) Digest() map[string]vclock.Version {
 func (st *Store) Relate(from string, kind RelKind, to string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.objects[from]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownObject, from)
-	}
-	if _, ok := st.objects[to]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownObject, to)
-	}
-	if st.reachableLocked(to, kind, from) || from == to {
-		return fmt.Errorf("%w: %s -[%s]-> %s", ErrCycle, from, kind, to)
-	}
-	if st.relations[from] == nil {
-		st.relations[from] = make(map[RelKind][]string)
-	}
-	for _, existing := range st.relations[from][kind] {
-		if existing == to {
-			return nil
+	for _, id := range [2]string{from, to} {
+		if _, ok := st.objects[id]; !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownObject, id)
 		}
 	}
-	st.relations[from][kind] = append(st.relations[from][kind], to)
+	rel := Relation{From: from, Kind: kind, To: to}
+	if err := st.rels.Check(rel); err != nil {
+		return err
+	}
+	st.rels.Add(rel)
 	return nil
 }
 
 // Related returns directly related object ids, sorted.
-func (st *Store) Related(from string, kind RelKind) []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := append([]string(nil), st.relations[from][kind]...)
-	sort.Strings(out)
-	return out
-}
-
-// Relation is one edge of the relationship graph in dump form.
-type Relation struct {
-	From string
-	Kind RelKind
-	To   string
-}
-
-// Relations dumps every relationship edge, sorted by (from, kind, to) —
-// the unit a durable backend persists alongside object rows when it
-// snapshots the store.
-func (st *Store) Relations() []Relation {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var out []Relation
-	for from, kinds := range st.relations {
-		for kind, tos := range kinds {
-			for _, to := range tos {
-				out = append(out, Relation{From: from, Kind: kind, To: to})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.To < b.To
-	})
-	return out
-}
+func (st *Store) Related(from string, kind RelKind) []string { return st.rels.Related(from, kind) }
 
 // Dependents returns ids of objects that relate TO the given id over kind.
-func (st *Store) Dependents(to string, kind RelKind) []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var out []string
-	for from, kinds := range st.relations {
-		for _, t := range kinds[kind] {
-			if t == to {
-				out = append(out, from)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (st *Store) Dependents(to string, kind RelKind) []string { return st.rels.Dependents(to, kind) }
 
 // Closure returns all ids transitively reachable from id over kind.
-func (st *Store) Closure(from string, kind RelKind) []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var out []string
-	seen := map[string]bool{from: true}
-	queue := []string{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		next := append([]string(nil), st.relations[cur][kind]...)
-		sort.Strings(next)
-		for _, n := range next {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-				queue = append(queue, n)
-			}
-		}
-	}
-	return out
-}
-
-// reachableLocked reports whether target is reachable from start over kind.
-func (st *Store) reachableLocked(start string, kind RelKind, target string) bool {
-	seen := map[string]bool{}
-	queue := []string{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == target {
-			return true
-		}
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		queue = append(queue, st.relations[cur][kind]...)
-	}
-	return false
-}
+func (st *Store) Closure(from string, kind RelKind) []string { return st.rels.Closure(from, kind) }

@@ -70,9 +70,9 @@ func WithSiteBackend(fn func(site string) (information.Backend, error)) Option {
 // killed with Site.Crash and brought back with Site.Restart recovers
 // its replica from disk and re-enters anti-entropy with correct
 // digests, so peers send it only what it missed. Store tuning knobs —
-// logstore.WithFsync, WithGroupCommit, WithCompactEvery,
-// WithMergeFanout, WithBackgroundMerge — pass through to every site's
-// store, first boot and restart alike.
+// logstore.WithFsync, WithCompactEvery, WithFlushBytes, WithMergeFanout,
+// WithBackgroundMerge — pass through to every site's store, first boot
+// and restart alike.
 func WithDurableStore(dir string, opts ...logstore.Option) Option {
 	return WithSiteBackend(func(site string) (information.Backend, error) {
 		return logstore.Open(filepath.Join(dir, site), opts...)

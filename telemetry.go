@@ -151,8 +151,6 @@ func (d *Deployment) registerCollectors() {
 					emit(ctr("mocca.store.appended_bytes", name, st.AppendedBytes))
 					emit(ctr("mocca.store.compactions", name, st.Compactions))
 					emit(ctr("mocca.store.fsyncs", name, st.Fsyncs))
-					emit(ctr("mocca.store.flushes", name, st.Flushes))
-					emit(ctr("mocca.store.flushed_records", name, st.FlushedRecords))
 					emit(gauge("mocca.store.segments", name, int64(st.Segments)))
 				}
 			}
