@@ -3,6 +3,8 @@ package mocca
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -377,4 +379,76 @@ func spanNames(spans []observe.Span) []string {
 		out[i] = sp.Site + "/" + sp.Name
 	}
 	return out
+}
+
+// TestMetricFamiliesUnchanged pins the metric surface: the sorted
+// (name, kind, label keys) of everything a snapshot holds after a few
+// writes, a crash and a restart, on each topology and on a durable
+// deployment, against testdata/metric_families.golden. How a family is
+// produced may change; which families exist, of what kind and with what
+// labels may only change by editing the golden file on purpose. Values are
+// TestTelemetryMetricsProjectSubsystemStats' business.
+func TestMetricFamiliesUnchanged(t *testing.T) {
+	var got strings.Builder
+	for _, tc := range []struct {
+		name            string
+		gossip, durable bool
+	}{
+		{"mesh/memory", false, false},
+		{"gossip/memory", true, false},
+		{"mesh/durable", false, true},
+	} {
+		opts := []Option{WithSeed(23), WithTelemetry()}
+		if tc.gossip {
+			opts = append(opts, WithGossip())
+		}
+		if tc.durable {
+			opts = append(opts, WithDurableStore(t.TempDir()))
+		}
+		dep := NewDeployment(opts...)
+		sites := []*Site{
+			dep.AddSite("s0", "s0.net"),
+			dep.AddSite("s1", "s1.net"),
+			dep.AddSite("s2", "s2.net"),
+		}
+		put := func(s *Site, title string) {
+			t.Helper()
+			if _, err := s.Space().Put("ada", SharedSchemaName, map[string]string{"title": title}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(sites[0], "before")
+		dep.Run()
+		sites[1].Crash()
+		put(sites[2], "while down")
+		dep.Run()
+		if err := sites[1].Restart(); err != nil {
+			t.Fatal(err)
+		}
+		put(sites[1], "after")
+		dep.Run()
+
+		families := make(map[string]bool)
+		for _, p := range dep.Metrics().Snapshot().Points {
+			keys := make([]string, len(p.Labels))
+			for i, l := range p.Labels {
+				keys[i] = l.Key
+			}
+			families[strings.TrimSpace(p.Name+" "+string(p.Kind)+" "+strings.Join(keys, ","))] = true
+		}
+		lines := make([]string, 0, len(families))
+		for f := range families {
+			lines = append(lines, f)
+		}
+		sort.Strings(lines)
+		got.WriteString("# " + tc.name + "\n" + strings.Join(lines, "\n") + "\n")
+	}
+
+	want, err := os.ReadFile("testdata/metric_families.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("metric families differ from testdata/metric_families.golden; got:\n%s", got.String())
+	}
 }
