@@ -54,8 +54,8 @@ func (d *Deployment) NewConferenceSession(conferenceID, member string, opts ...r
 }
 
 // ServiceEndpoint returns (creating it on first use) an rpc endpoint at
-// addr on the simulated network, wired through the deployment's channel
-// stack and fabric observer like every site endpoint. Harness-level
+// addr on the simulated network, its channel stack enrolled in the
+// deployment's fabric like every site endpoint's. Harness-level
 // infrastructure — the workload generator's DSA and trader nodes, per-site
 // load clients — lives on such endpoints so its traffic shows up in
 // Fabric totals under its own address prefix.

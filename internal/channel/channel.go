@@ -3,7 +3,8 @@
 // network: every computational binding compiles down to a stack of
 //
 //	client stub  — frames wire.Envelopes onto bytes (and back)
-//	binder       — tracks binding epochs, rebinds after migration/failure
+//	binder       — keeps each binding's record: its epoch (rebinds after
+//	               migration/failure) and what it has carried
 //	protocol     — owns the netsim.Node and its delivery semantics
 //
 // with a composable interceptor chain threaded through the stack for the
@@ -16,8 +17,9 @@
 // directory and trader operations, and the information replicas'
 // anti-entropy sync — traverses a Stack; nothing above this package calls
 // netsim.Node.Send directly. That single choke point is what lets
-// interceptors observe 100% of traffic and lets the engineering
-// bookkeeping (engineering.Fabric) reconcile exactly with netsim.Stats.
+// interceptors observe 100% of traffic and makes the binding records the
+// ledger: Fabric reads them, across a deployment's stacks, and reconciles
+// them exactly with netsim.Stats.
 // ARCHITECTURE.md places this package in the viewpoint map and traces one
 // write through the full stack.
 package channel
@@ -102,34 +104,33 @@ type Stats struct {
 	Rebinds               int64 // epoch changes observed or initiated
 }
 
-// add folds o into s.
-func (s *Stats) add(o Stats) {
-	s.FramesOut += o.FramesOut
-	s.FramesIn += o.FramesIn
-	s.BytesOut += o.BytesOut
-	s.BytesIn += o.BytesIn
-	s.DroppedOut += o.DroppedOut
-	s.DroppedIn += o.DroppedIn
-	s.StaleIn += o.StaleIn
-	s.DecodeErrors += o.DecodeErrors
-	s.Rebinds += o.Rebinds
+// binding is the binder's record of one binding, and the only place its
+// state is kept: the epoch and what the binding has carried. Epochs start
+// at 1 and only move forward; Rebind bumps the local view and the peer
+// adopts the higher epoch from the next frame's EpochHeader.
+type binding struct {
+	epoch uint64
+	Stats
+	// discardedBytes sizes the frames DroppedIn, StaleIn and DecodeErrors
+	// count — delivered by the network, dropped before the receiver — so
+	// the books still balance against the network's delivered bytes.
+	discardedBytes int64
 }
 
-// Observer receives channel lifecycle and traffic notifications; the
-// engineering layer implements it to mirror live channels into its
-// bookkeeping (engineering.Fabric). Addresses are strings so implementations
-// need not import netsim's types. Callbacks run on the sending/delivering
-// goroutine and must be fast.
-type Observer interface {
-	ChannelBound(local, remote string, epoch uint64)
-	ChannelRebound(local, remote string, epoch uint64)
-	FrameSent(local, remote string, wireBytes int)
-	FrameReceived(local, remote string, wireBytes int)
-	// FrameDiscarded reports a frame the network delivered but the stack
-	// dropped before the receiver (decode error, stale epoch, interceptor
-	// veto) — needed so observers can still reconcile with the network's
-	// delivery counters.
-	FrameDiscarded(local, remote string, wireBytes int, reason string)
+// observe reconciles an inbound frame's epoch with the binding: higher
+// adopts (the peer rebound), lower is stale, equal is steady state.
+func (b *binding) observe(epoch uint64) (stale bool) {
+	if epoch > b.epoch {
+		b.epoch = epoch
+		b.Rebinds++
+	}
+	return epoch < b.epoch
+}
+
+// discard counts, under reason, a delivered frame the stack dropped.
+func (b *binding) discard(reason *int64, size int64) {
+	*reason++
+	b.discardedBytes += size
 }
 
 // namedInterceptor pairs an interceptor with the name drops are
@@ -146,12 +147,7 @@ type Option func(*Stack)
 // by chain position ("#0", "#1", …) in drop telemetry; use
 // WithNamedInterceptor when the name matters.
 func WithInterceptor(i Interceptor) Option {
-	return func(s *Stack) {
-		s.interceptors = append(s.interceptors, namedInterceptor{
-			name: fmt.Sprintf("#%d", len(s.interceptors)),
-			fn:   i,
-		})
-	}
+	return func(s *Stack) { WithNamedInterceptor(fmt.Sprintf("#%d", len(s.interceptors)), i)(s) }
 }
 
 // WithNamedInterceptor appends an interceptor under an explicit name.
@@ -197,33 +193,33 @@ func TracingInterceptor(tr *observe.Tracer) Interceptor {
 	}
 }
 
-// WithObserver registers the lifecycle/traffic observer.
-func WithObserver(o Observer) Option {
-	return func(s *Stack) { s.observer = o }
-}
+// WithFabric enrols the stack in a deployment's fabric, which from then on
+// reads the stack's binding records.
+func WithFabric(f *Fabric) Option { return f.enrol }
 
 // WithTransparencies declares the transparencies this channel provides;
 // outbound frames carry the declaration in MaskHeader so peers (and
 // interceptors) can check a binding's guarantees against requirements.
 func WithTransparencies(m odp.Mask) Option {
-	return func(s *Stack) { s.mask = m }
+	return func(s *Stack) {
+		if m != 0 {
+			s.maskString = m.String()
+		}
+	}
 }
 
 // Stack is the engineering channel bound to one network node. Create with
 // New; exactly one Stack owns a node.
 type Stack struct {
 	proto        protocol
-	binder       Binder
 	interceptors []namedInterceptor
-	observer     Observer
 	tracer       *observe.Tracer
 	metrics      *observe.Registry
-	mask         odp.Mask
-	maskString   string
+	maskString   string // the declared transparencies, as MaskHeader carries them
 
-	mu    sync.Mutex
-	stats map[netsim.Address]*Stats
-	recv  Receiver
+	mu       sync.Mutex
+	bindings map[netsim.Address]*binding
+	recv     Receiver
 
 	// framePool recycles the Frame handed to interceptors: passing a
 	// pointer to dynamic funcs forces a heap escape per frame, which a
@@ -235,15 +231,11 @@ type Stack struct {
 // object as the node's network handler.
 func New(node *netsim.Node, opts ...Option) *Stack {
 	s := &Stack{
-		proto: protocol{node: node},
-		stats: make(map[netsim.Address]*Stats),
+		proto:    protocol{node: node},
+		bindings: make(map[netsim.Address]*binding),
 	}
-	s.binder.init()
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.mask != 0 {
-		s.maskString = s.mask.String()
 	}
 	node.Handle(s.onMessage)
 	return s
@@ -251,9 +243,6 @@ func New(node *netsim.Node, opts ...Option) *Stack {
 
 // Addr returns the local node address.
 func (s *Stack) Addr() netsim.Address { return s.proto.node.Addr() }
-
-// Transparencies returns the declared transparency mask.
-func (s *Stack) Transparencies() odp.Mask { return s.mask }
 
 // Handle installs the receiver for inbound envelopes. One receiver per
 // stack; the layer above (rpc) demultiplexes by envelope kind.
@@ -273,7 +262,9 @@ func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 		for _, ic := range s.interceptors {
 			if err := ic.fn(f); err != nil {
 				s.framePool.Put(f)
-				s.bumpLocked(to, func(st *Stats) { st.DroppedOut++ })
+				s.mu.Lock()
+				s.bindingLocked(to).DroppedOut++
+				s.mu.Unlock()
 				s.frameDropped(ic.name, Outbound, env)
 				if errors.Is(err, ErrDropFrame) {
 					return nil
@@ -284,32 +275,26 @@ func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 		s.framePool.Put(f)
 	}
 
-	// Binder: record (or establish) the binding and stamp its epoch.
-	epoch, fresh := s.binder.bind(to)
-	if fresh && s.observer != nil {
-		s.observer.ChannelBound(string(s.proto.node.Addr()), string(to), epoch)
-	}
-	if epoch > 1 {
-		env.SetHeader(EpochHeader, strconv.FormatUint(epoch, 10))
+	// Binder, stub and protocol object run under the one lock, so the
+	// record is found once and counts the frame only once it is on the wire.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.bindingLocked(to)
+	if b.epoch > 1 {
+		env.SetHeader(EpochHeader, strconv.FormatUint(b.epoch, 10))
 	}
 	if s.maskString != "" {
 		env.SetHeader(MaskHeader, s.maskString)
 	}
-
-	data, err := marshalStub(env)
+	data, err := wire.Marshal(env) // the client stub: envelope to frame
 	if err != nil {
 		return err
 	}
 	if err := s.proto.transmit(to, env.Kind, data); err != nil {
 		return err
 	}
-	s.bumpLocked(to, func(st *Stats) {
-		st.FramesOut++
-		st.BytesOut += int64(len(data))
-	})
-	if s.observer != nil {
-		s.observer.FrameSent(string(s.proto.node.Addr()), string(to), len(data))
-	}
+	b.FramesOut++
+	b.BytesOut += int64(len(data))
 	return nil
 }
 
@@ -317,36 +302,43 @@ func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 // end migrated or failed over, so the peer's binder observes the new epoch
 // on the next frame and re-establishes. Returns the new epoch.
 func (s *Stack) Rebind(remote netsim.Address) uint64 {
-	epoch := s.binder.rebind(remote)
-	s.bumpLocked(remote, func(st *Stats) { st.Rebinds++ })
-	if s.observer != nil {
-		s.observer.ChannelRebound(string(s.proto.node.Addr()), string(remote), epoch)
-	}
-	return epoch
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.bindingLocked(remote)
+	b.epoch++
+	b.Rebinds++
+	return b.epoch
 }
 
 // Epoch returns the current binding epoch toward remote (1 if unbound).
-func (s *Stack) Epoch(remote netsim.Address) uint64 { return s.binder.epoch(remote) }
+func (s *Stack) Epoch(remote netsim.Address) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b, ok := s.bindings[remote]; ok {
+		return b.epoch
+	}
+	return 1
+}
 
 // Stats returns a snapshot of the binding counters toward remote.
 func (s *Stack) Stats(remote netsim.Address) Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st, ok := s.stats[remote]; ok {
-		return *st
+	if b, ok := s.bindings[remote]; ok {
+		return b.Stats
 	}
 	return Stats{}
 }
 
-// Total aggregates all bindings' counters.
-func (s *Stack) Total() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t Stats
-	for _, st := range s.stats {
-		t.add(*st)
+// bindingLocked returns the record of the binding toward remote,
+// establishing it at epoch 1 on first use. Caller holds s.mu.
+func (s *Stack) bindingLocked(remote netsim.Address) *binding {
+	b, ok := s.bindings[remote]
+	if !ok {
+		b = &binding{epoch: 1}
+		s.bindings[remote] = b
 	}
-	return t
+	return b
 }
 
 // frame checks a pooled Frame out and fills it for one interceptor pass.
@@ -376,165 +368,64 @@ func (s *Stack) frameDropped(interceptor string, dir Direction, env *wire.Envelo
 	}
 }
 
-// bumpLocked applies fn to the remote's counters under the lock.
-func (s *Stack) bumpLocked(remote netsim.Address, fn func(*Stats)) {
-	s.mu.Lock()
-	st, ok := s.stats[remote]
-	if !ok {
-		st = &Stats{}
-		s.stats[remote] = st
-	}
-	fn(st)
-	s.mu.Unlock()
-}
-
 // onMessage is the protocol object's upcall: server stub unmarshals, the
 // binder validates the epoch, interceptors run, and the surviving envelope
 // goes to the receiver.
 func (s *Stack) onMessage(msg netsim.Message) {
-	discard := func(reason string, bump func(*Stats)) {
-		s.bumpLocked(msg.From, bump)
-		if s.observer != nil {
-			s.observer.FrameDiscarded(string(s.proto.node.Addr()), string(msg.From), len(msg.Payload), reason)
-		}
-	}
-	env, err := unmarshalStub(msg.Payload)
+	size := int64(len(msg.Payload))
+	env, err := wire.Unmarshal(msg.Payload) // the server stub: frame to envelope
 	if err != nil {
 		// Drop undecodable traffic, as a real stack would.
-		discard("decode", func(st *Stats) { st.DecodeErrors++ })
+		s.mu.Lock()
+		b := s.bindingLocked(msg.From)
+		b.discard(&b.DecodeErrors, size)
+		s.mu.Unlock()
 		return
 	}
-
-	// Binder: a higher epoch means the peer re-established the binding
-	// (migration/failover) — adopt it; a lower epoch is a frame from a
-	// binding that no longer exists — discard it as stale.
 	epoch := uint64(1)
 	if v, ok := env.Header(EpochHeader); ok {
 		if parsed, perr := strconv.ParseUint(v, 10, 64); perr == nil && parsed > 0 {
 			epoch = parsed
 		}
 	}
-	switch adopted, stale := s.binder.observe(msg.From, epoch); {
-	case stale:
-		discard("stale-epoch", func(st *Stats) { st.StaleIn++ })
+
+	// Binder: a higher epoch means the peer re-established the binding
+	// (migration/failover) — adopt it; a lower epoch is a frame from a
+	// binding that no longer exists — discard it as stale.
+	s.mu.Lock()
+	b := s.bindingLocked(msg.From)
+	if b.observe(epoch) {
+		b.discard(&b.StaleIn, size)
+		s.mu.Unlock()
 		return
-	case adopted:
-		s.bumpLocked(msg.From, func(st *Stats) { st.Rebinds++ })
-		if s.observer != nil {
-			s.observer.ChannelRebound(string(s.proto.node.Addr()), string(msg.From), epoch)
-		}
 	}
+	// Counted as received while the record is in hand, so a frame takes
+	// the lock once; an interceptor veto below moves it to the discards.
+	b.FramesIn++
+	b.BytesIn += size
+	recv := s.recv
+	s.mu.Unlock()
 
 	if len(s.interceptors) > 0 {
 		f := s.frame(Inbound, msg.From, env)
 		for _, ic := range s.interceptors {
 			if ic.fn(f) != nil {
 				s.framePool.Put(f)
-				discard("interceptor", func(st *Stats) { st.DroppedIn++ })
+				s.mu.Lock()
+				b.FramesIn--
+				b.BytesIn -= size
+				b.discard(&b.DroppedIn, size)
+				s.mu.Unlock()
 				s.frameDropped(ic.name, Inbound, env)
 				return
 			}
 		}
 		s.framePool.Put(f)
 	}
-
-	s.mu.Lock()
-	st, ok := s.stats[msg.From]
-	if !ok {
-		st = &Stats{}
-		s.stats[msg.From] = st
-	}
-	st.FramesIn++
-	st.BytesIn += int64(len(msg.Payload))
-	recv := s.recv
-	s.mu.Unlock()
-	if s.observer != nil {
-		s.observer.FrameReceived(string(s.proto.node.Addr()), string(msg.From), len(msg.Payload))
-	}
 	if recv != nil {
 		recv(msg.From, env)
 	}
 }
-
-// --- stubs ---------------------------------------------------------------
-
-// marshalStub is the client stub: it turns a structured envelope into the
-// byte frame the protocol object transmits.
-func marshalStub(env *wire.Envelope) ([]byte, error) { return wire.Marshal(env) }
-
-// unmarshalStub is the server stub: it rebuilds the structured envelope
-// from a received frame.
-func unmarshalStub(data []byte) (*wire.Envelope, error) { return wire.Unmarshal(data) }
-
-// --- binder --------------------------------------------------------------
-
-// Binder tracks binding epochs per remote interface. Epochs start at 1 and
-// only move forward; Rebind bumps the local view and the peer adopts the
-// higher epoch from the next frame's EpochHeader.
-type Binder struct {
-	mu     sync.Mutex
-	epochs map[netsim.Address]uint64
-}
-
-func (b *Binder) init() { b.epochs = make(map[netsim.Address]uint64) }
-
-// bind returns the current epoch toward remote, establishing the binding
-// at epoch 1 on first use. fresh reports whether this call established it.
-func (b *Binder) bind(remote netsim.Address) (epoch uint64, fresh bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e, ok := b.epochs[remote]; ok {
-		return e, false
-	}
-	b.epochs[remote] = 1
-	return 1, true
-}
-
-// epoch returns the recorded epoch without establishing a binding.
-func (b *Binder) epoch(remote netsim.Address) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e, ok := b.epochs[remote]; ok {
-		return e
-	}
-	return 1
-}
-
-// rebind advances the epoch toward remote.
-func (b *Binder) rebind(remote netsim.Address) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.epochs[remote]
-	if !ok {
-		e = 1
-	}
-	e++
-	b.epochs[remote] = e
-	return e
-}
-
-// observe reconciles an inbound frame's epoch with the recorded binding:
-// higher adopts (the peer rebound), lower is stale, equal is steady state.
-func (b *Binder) observe(remote netsim.Address, epoch uint64) (adopted, stale bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cur, ok := b.epochs[remote]
-	if !ok {
-		cur = 1
-		b.epochs[remote] = 1
-	}
-	switch {
-	case epoch > cur:
-		b.epochs[remote] = epoch
-		return true, false
-	case epoch < cur:
-		return false, true
-	default:
-		return false, false
-	}
-}
-
-// --- protocol object -----------------------------------------------------
 
 // protocol owns the netsim.Node: it is the only place in the repository
 // above netsim itself that calls Node.Send.

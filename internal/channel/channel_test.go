@@ -2,6 +2,7 @@ package channel
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"mocca/internal/netsim"
@@ -160,17 +161,24 @@ func TestBinderRebindAdoptedByPeer(t *testing.T) {
 }
 
 func TestBinderStaleEpoch(t *testing.T) {
-	var b Binder
-	b.init()
-	if adopted, stale := b.observe("x", 3); !adopted || stale {
-		t.Fatalf("observe(3) = %v,%v", adopted, stale)
+	b := binding{epoch: 1}
+	if stale := b.observe(3); stale || b.epoch != 3 || b.Rebinds != 1 {
+		t.Fatalf("observe(3) = stale %v, record %+v", stale, b)
 	}
-	if adopted, stale := b.observe("x", 2); adopted || !stale {
-		t.Fatalf("observe(2) after 3 = %v,%v", adopted, stale)
+	if stale := b.observe(2); !stale || b.epoch != 3 {
+		t.Fatalf("observe(2) after 3 = stale %v, record %+v", stale, b)
 	}
-	if adopted, stale := b.observe("x", 3); adopted || stale {
-		t.Fatalf("observe(3) steady state = %v,%v", adopted, stale)
+	if stale := b.observe(3); stale || b.Rebinds != 1 {
+		t.Fatalf("observe(3) steady state = stale %v, record %+v", stale, b)
 	}
+}
+
+// adoptEpoch leaves s's binding toward remote as a frame at that epoch
+// would: the peer rebound, and anything older is now stale.
+func adoptEpoch(s *Stack, remote netsim.Address, epoch uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bindingLocked(remote).observe(epoch)
 }
 
 func TestStaleFrameDiscarded(t *testing.T) {
@@ -179,9 +187,7 @@ func TestStaleFrameDiscarded(t *testing.T) {
 	b.Handle(func(netsim.Address, *wire.Envelope) { delivered++ })
 
 	// Peer's binder has already adopted epoch 5 for "a".
-	b.Epoch("a") // no-op read
-	bStack := b
-	bStack.binder.observe("a", 5)
+	adoptEpoch(b, "a", 5)
 
 	// A frame from the old epoch-1 binding must be discarded as stale.
 	if err := a.Send("b", wire.NewEnvelope("k", "", nil)); err != nil {
@@ -259,26 +265,11 @@ func TestFailureInjectorDeterministic(t *testing.T) {
 	}
 }
 
-type recordingObserver struct {
-	bound, rebound    int
-	sent, received    int
-	bytesOut, bytesIn int
-	discarded         int
-	discardReasons    []string
-}
-
-func (r *recordingObserver) ChannelBound(_, _ string, _ uint64)   { r.bound++ }
-func (r *recordingObserver) ChannelRebound(_, _ string, _ uint64) { r.rebound++ }
-func (r *recordingObserver) FrameSent(_, _ string, n int)         { r.sent++; r.bytesOut += n }
-func (r *recordingObserver) FrameReceived(_, _ string, n int)     { r.received++; r.bytesIn += n }
-func (r *recordingObserver) FrameDiscarded(_, _ string, _ int, reason string) {
-	r.discarded++
-	r.discardReasons = append(r.discardReasons, reason)
-}
-
+// TestObserverNotified: a fabric holding both ends reads every bind, send
+// and receive off the stacks' binding records.
 func TestObserverNotified(t *testing.T) {
-	obs := &recordingObserver{}
-	clk, net, a, b := newPair(t, []Option{WithObserver(obs)}, []Option{WithObserver(obs)})
+	fab := NewFabric()
+	clk, net, a, b := newPair(t, []Option{WithFabric(fab)}, []Option{WithFabric(fab)})
 	b.Handle(func(netsim.Address, *wire.Envelope) {})
 
 	for i := 0; i < 3; i++ {
@@ -288,22 +279,23 @@ func TestObserverNotified(t *testing.T) {
 	}
 	clk.RunUntilIdle()
 
-	if obs.bound != 1 || obs.sent != 3 || obs.received != 3 {
-		t.Fatalf("observer = %+v", obs)
-	}
 	ns := net.Stats()
-	if int64(obs.bytesOut) != ns.Bytes || int64(obs.bytesIn) != ns.Bytes {
-		t.Fatalf("observer bytes %d/%d, network %d", obs.bytesOut, obs.bytesIn, ns.Bytes)
+	want := []ChannelInfo{
+		{Local: "a", Remote: "b", Epoch: 1, FramesOut: 3, BytesOut: ns.Bytes},
+		{Local: "b", Remote: "a", Epoch: 1, FramesIn: 3, BytesIn: ns.Bytes},
+	}
+	if got := fab.Channels(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("channels = %+v, want %+v", got, want)
 	}
 }
 
 // TestObserverSeesDiscards: frames the network delivers but the stack
-// drops (stale epoch, interceptor veto) are reported to the observer, so
+// drops (stale epoch, interceptor veto) are in the fabric's reading, so
 // delivered-frame accounting stays reconcilable.
 func TestObserverSeesDiscards(t *testing.T) {
-	obs := &recordingObserver{}
-	clk, net, a, b := newPair(t, nil, []Option{
-		WithObserver(obs),
+	fab := NewFabric()
+	clk, net, a, b := newPair(t, []Option{WithFabric(fab)}, []Option{
+		WithFabric(fab),
 		WithInterceptor(DropIf(func(f *Frame) bool {
 			return f.Dir == Inbound && f.Env.Kind == "veto.me"
 		})),
@@ -316,19 +308,23 @@ func TestObserverSeesDiscards(t *testing.T) {
 	}
 	clk.RunUntilIdle()
 	// Stale epoch: b's binder already adopted epoch 5 for a.
-	b.binder.observe("a", 5)
+	adoptEpoch(b, "a", 5)
 	if err := a.Send("b", wire.NewEnvelope("k", "", nil)); err != nil {
 		t.Fatal(err)
 	}
 	clk.RunUntilIdle()
 
-	if obs.discarded != 2 || obs.received != 0 {
-		t.Fatalf("observer = %+v", obs)
-	}
-	if obs.discardReasons[0] != "interceptor" || obs.discardReasons[1] != "stale-epoch" {
-		t.Fatalf("reasons = %v", obs.discardReasons)
-	}
-	if ns := net.Stats(); ns.Delivered != 2 {
+	ns := net.Stats()
+	if ns.Delivered != 2 {
 		t.Fatalf("network delivered = %d", ns.Delivered)
+	}
+	if st := b.Stats("a"); st.DroppedIn != 1 || st.StaleIn != 1 || st.FramesIn != 0 || st.BytesIn != 0 {
+		t.Fatalf("b's record of a = %+v", st)
+	}
+	if tot := fab.TotalsFor("b"); tot.DiscardsIn != 2 || tot.DiscardBytesIn != ns.Bytes || tot.FramesIn != 0 {
+		t.Fatalf("fabric's reading of b = %+v, network %+v", tot, ns)
+	}
+	if err := fab.Reconcile(ns); err != nil {
+		t.Fatal(err)
 	}
 }

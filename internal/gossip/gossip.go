@@ -148,7 +148,7 @@ type Replica interface {
 // Stats counts overlay activity. ActiveSize/PassiveSize are gauges
 // snapshotted by Stats().
 type Stats struct {
-	Rounds          int64 // stabilization rounds run
+	Rounds          int64 `metric:"rounds"` // stabilization rounds run
 	Joins           int64 // join requests served
 	ForwardJoins    int64 // forward-join walks served
 	Neighbors       int64 // neighbor requests served
@@ -157,22 +157,18 @@ type Stats struct {
 	ProbeFailures   int64 // probes that timed out or errored
 	Promotions      int64 // passive→active promotions
 	Demotions       int64 // active→passive demotions (failure or eviction)
-	RumorsPublished int64 // locally-originated rumor sends
-	RumorsForwarded int64 // rumor re-forwards
-	RumorsSeen      int64 // rumor entries received (fresh or duplicate)
-	RumorFetches    int64 // fetch pulls issued for rumored rows
-	RumorApplied    int64 // rows rumor fetches changed local state with
+	RumorsPublished int64 `metric:"rumors_published"` // locally-originated rumor sends
+	RumorsForwarded int64 `metric:"rumors_forwarded"` // rumor re-forwards
+	RumorsSeen      int64 `metric:"rumors_seen"`      // rumor entries received (fresh or duplicate)
+	RumorFetches    int64 `metric:"rumor_fetches"`    // fetch pulls issued for rumored rows
+	RumorApplied    int64 `metric:"rumor_applied"`    // rows rumor fetches changed local state with
 
-	ActiveSize  int // current active view size
-	PassiveSize int // current passive view size
+	ActiveSize  int `metric:"active_view,gauge"`  // current active view size
+	PassiveSize int `metric:"passive_view,gauge"` // current passive view size
 }
 
 // Option configures an Overlay.
 type Option func(*Overlay)
-
-// WithFailureCap sets how many consecutive failing stabilization rounds
-// run before the overlay goes dormant until re-armed.
-func WithFailureCap(n int) Option { return func(o *Overlay) { o.failureCap = n } }
 
 // WithSeed derives the overlay's private PRNG (shuffle sampling,
 // eviction tie-breaks) from the deployment seed; the site name is mixed
@@ -224,8 +220,7 @@ type Overlay struct {
 	tracer   *observe.Tracer
 	objects  *observe.ObjectTraces
 
-	failureCap int
-	seed       int64
+	seed int64
 
 	mu          sync.Mutex
 	rng         *rand.Rand
@@ -250,13 +245,12 @@ type Overlay struct {
 // be nil (membership-only overlays, e.g. in unit tests).
 func New(ep *rpc.Endpoint, clock vclock.Clock, site string, replAddr netsim.Address, replica Replica, opts ...Option) *Overlay {
 	o := &Overlay{
-		ep:         ep,
-		clock:      clock,
-		self:       Peer{Site: site, Addr: ep.Addr(), Repl: replAddr},
-		replica:    replica,
-		failureCap: DefaultFailureCap,
-		seed:       1,
-		seen:       make(map[uint64]bool),
+		ep:      ep,
+		clock:   clock,
+		self:    Peer{Site: site, Addr: ep.Addr(), Repl: replAddr},
+		replica: replica,
+		seed:    1,
+		seen:    make(map[uint64]bool),
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -402,7 +396,7 @@ func (o *Overlay) Mend() {
 // partition the dormant overlay cannot see still triggers probing,
 // demotion of unreachable peers and a ring re-walk. The failure budget
 // resets: new evidence deserves a new budget (dormancy re-caps after
-// failureCap failing rounds from here).
+// DefaultFailureCap failing rounds from here).
 func (o *Overlay) Suspect() {
 	o.mu.Lock()
 	o.consecFail = 0
@@ -634,7 +628,7 @@ func (o *Overlay) roundDone(v0 uint64, failed0 int64, failures int) {
 		o.quiet++
 	}
 	rearm := o.want ||
-		(changed && o.consecFail < o.failureCap && o.quiet < DefaultQuietCap)
+		(changed && o.consecFail < DefaultFailureCap && o.quiet < DefaultQuietCap)
 	o.mu.Unlock()
 	if rearm {
 		o.arm(-1)

@@ -88,16 +88,16 @@ var ErrReadOnly = errors.New("logstore: store failed, mutations disabled")
 
 // Stats counts store activity, including what recovery found.
 type Stats struct {
-	Appends            int64 // WAL records appended this process
-	AppendedBytes      int64 // WAL bytes appended this process
-	Compactions        int64 // flushes + level merges completed
+	Appends            int64 `metric:"appends"`        // WAL records appended this process
+	AppendedBytes      int64 `metric:"appended_bytes"` // WAL bytes appended this process
+	Compactions        int64 `metric:"compactions"`    // flushes + level merges completed
 	CompactionFailures int64 // failed flushes/merges (writes stay durable in the WAL)
 	Merges             int64 // level merges completed (subset of Compactions)
-	Segments           int   // live segment files right now (gauge)
+	Segments           int   `metric:"segments,gauge"` // live segment files right now (gauge)
 
 	// Fsyncs counts every WAL fsync: one per append under WithFsync, and
 	// the ones Sync and Close issue.
-	Fsyncs int64
+	Fsyncs int64 `metric:"fsyncs"`
 
 	// Point-read probe counters. A read that misses the memtable walks the
 	// segments newest-first; KeyRangeFiltered and BloomFiltered count the

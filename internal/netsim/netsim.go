@@ -79,11 +79,11 @@ func (p LinkProfile) transitDelay(n int, rng *rand.Rand) time.Duration {
 
 // Stats aggregates network-wide counters.
 type Stats struct {
-	Sent      int64
-	Delivered int64
-	Dropped   int64 // lost to link loss
-	Blocked   int64 // rejected by partition or down node
-	Bytes     int64 // bytes delivered
+	Sent      int64 `metric:"sent"`
+	Delivered int64 `metric:"delivered"`
+	Dropped   int64 `metric:"dropped"` // lost to link loss
+	Blocked   int64 `metric:"blocked"` // rejected by partition or down node
+	Bytes     int64 `metric:"bytes"`   // bytes delivered
 }
 
 // Errors returned by Send.

@@ -3,6 +3,7 @@ package observe
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -12,7 +13,10 @@ import (
 // Metric naming convention: stable dotted names ("mocca.replica.rounds"),
 // lower-case, with dimensions carried in labels rather than the name.
 // The text exposition rewrites dots to underscores for Prometheus
-// compatibility; the dotted form is canonical everywhere else.
+// compatibility; the dotted form is canonical everywhere else. A counter a
+// subsystem already keeps in its Stats struct is named where it is kept,
+// by a `metric` tag on the field (see Project); the family prefix is the
+// collector's.
 
 // Kind discriminates instrument types.
 type Kind string
@@ -146,6 +150,34 @@ func (p Point) identity() string { return labelKey(p.Name, p.Labels) }
 // never double-counted: the subsystem remains the single owner.
 type Collector interface {
 	Collect(emit func(Point))
+}
+
+// Project emits one point per field of stats, a Stats struct, that
+// declares itself a metric with a struct tag:
+//
+//	Rounds      int64 `metric:"rounds"`             // counter <prefix>.rounds
+//	ScopedTrees int   `metric:"scoped_trees,gauge"` // gauge <prefix>.scoped_trees
+//
+// so a counter's exported name is written once, on the field that holds
+// it, and an untagged field is simply not exported. Collectors call it at
+// snapshot time on the snapshot the subsystem's Stats() returned; nothing
+// on a hot path reflects. A tag on a field that is not a signed integer
+// panics: that is a mistake in the declaration, not in the data.
+func Project(emit func(Point), prefix string, labels []Label, stats any) {
+	v := reflect.ValueOf(stats)
+	for i := 0; i < v.NumField(); i++ {
+		tag, ok := v.Type().Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		name, kind, _ := strings.Cut(tag, ",")
+		p := Point{Name: prefix + "." + name, Labels: labels, Kind: KindCounter}
+		if kind == "gauge" {
+			p.Kind = KindGauge
+		}
+		p.Value = v.Field(i).Int()
+		emit(p)
+	}
 }
 
 // CollectorFunc adapts a function to Collector.

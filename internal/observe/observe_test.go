@@ -3,6 +3,7 @@ package observe
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -228,6 +229,26 @@ func TestRegistryCollectorAndDiff(t *testing.T) {
 	}
 	if got := d.Value("mocca.sub.size"); got != 5 {
 		t.Fatalf("gauge should keep current value, got %d", got)
+	}
+}
+
+// TestProjectReadsMetricTags: a Stats field is exported under the name and
+// kind its tag declares, beside any other tags it carries; an untagged
+// field is not exported.
+func TestProjectReadsMetricTags(t *testing.T) {
+	type stats struct {
+		Rounds   int64 `metric:"rounds"`
+		Open     int   `json:"open" metric:"open,gauge"`
+		Internal int64
+	}
+	want := []Point{
+		{Name: "mocca.sub.rounds", Labels: L("site", "s0"), Kind: KindCounter, Value: 7},
+		{Name: "mocca.sub.open", Labels: L("site", "s0"), Kind: KindGauge, Value: 3},
+	}
+	var got []Point
+	Project(func(p Point) { got = append(got, p) }, "mocca.sub", L("site", "s0"), stats{Rounds: 7, Open: 3, Internal: 9})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Project = %+v, want %+v", got, want)
 	}
 }
 

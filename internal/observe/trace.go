@@ -292,11 +292,11 @@ func (t *Tracer) SlowOps() []Span {
 
 // TraceCounts summarises tracer volume for reports.
 type TraceCounts struct {
-	Traces    int64 `json:"traces"`    // root spans started
-	Spans     int64 `json:"spans"`     // spans started (incl. events)
-	Retained  int   `json:"retained"`  // spans currently in the ring
-	Evicted   int64 `json:"evicted"`   // spans overwritten after wrap
-	SlowSpans int   `json:"slowSpans"` // spans in the slow-op log
+	Traces    int64 `json:"traces" metric:"traces"`           // root spans started
+	Spans     int64 `json:"spans" metric:"spans"`             // spans started (incl. events)
+	Retained  int   `json:"retained" metric:"retained,gauge"` // spans currently in the ring
+	Evicted   int64 `json:"evicted" metric:"evicted"`         // spans overwritten after wrap
+	SlowSpans int   `json:"slowSpans" metric:"slow_spans"`    // spans in the slow-op log
 }
 
 // Counts returns the tracer's volume counters.

@@ -77,11 +77,11 @@ type writeResp struct {
 // ReadServerStats counts remote reads and forwarded writes served by a
 // holder.
 type ReadServerStats struct {
-	Served int64 // reads answered with an object
-	Missed int64 // reads refused (unknown object or access denied)
+	Served int64 `metric:"remote_reads_served"` // reads answered with an object
+	Missed int64 `metric:"remote_reads_missed"` // reads refused (unknown object or access denied)
 
-	WritesAccepted int64 // forwarded writes merged into the replica
-	WritesRefused  int64 // forwarded writes refused (not placed here)
+	WritesAccepted int64 `metric:"writes_accepted"` // forwarded writes merged into the replica
+	WritesRefused  int64 `metric:"writes_refused"`  // forwarded writes refused (not placed here)
 }
 
 // ReadServerOption configures a ReadServer.
@@ -175,18 +175,18 @@ func (s *ReadServer) bump(fn func(*ReadServerStats)) {
 
 // ReaderStats counts remote resolutions issued by a non-placed site.
 type ReaderStats struct {
-	Reads    int64 // read-throughs attempted
-	Served   int64 // read-throughs satisfied by some holder
-	Attempts int64 // per-holder rpc attempts (retries across offers)
-	NoHolder int64 // read-throughs that exhausted every offer
+	Reads    int64 `metric:"reads"`         // read-throughs attempted
+	Served   int64 `metric:"reads_served"`  // read-throughs satisfied by some holder
+	Attempts int64 `metric:"read_attempts"` // per-holder rpc attempts (retries across offers)
+	NoHolder int64 `metric:"no_holder"`     // read-throughs that exhausted every offer
 
-	NegativeHits    int64 // reads short-circuited by the negative cache
+	NegativeHits    int64 `metric:"negative_hits"` // reads short-circuited by the negative cache
 	NegativeStores  int64 // definitive misses recorded in the cache
 	NegativeExpired int64 // cached misses dropped by the staleness TTL
 	SkippedHolders  int64 // recently-failed holders deferred to the scan tail
 
-	Forwards  int64 // write forwards attempted
-	Forwarded int64 // write forwards a holder accepted
+	Forwards  int64 `metric:"forwards"`  // write forwards attempted
+	Forwarded int64 `metric:"forwarded"` // write forwards a holder accepted
 }
 
 // ReaderOption configures a Reader.

@@ -164,17 +164,17 @@ type pushResp struct {
 // placement is withholding from peers, RefusedApplies counts objects
 // peers offered that this site is not placed for.
 type Stats struct {
-	Rounds        int64 // anti-entropy rounds initiated
-	PeerSyncs     int64 // successful peer exchanges
-	PeerFailures  int64 // peer exchanges that timed out or errored
-	Applied       int64 // remote objects merged in by rounds we initiated
-	Pushed        int64 // objects pushed to peers
-	Conflicts     int64 // concurrent updates this replica resolved
-	ServedDigests int64 // replica.sync requests served
+	Rounds        int64 `metric:"rounds"`         // anti-entropy rounds initiated
+	PeerSyncs     int64 `metric:"peer_syncs"`     // successful peer exchanges
+	PeerFailures  int64 `metric:"peer_failures"`  // peer exchanges that timed out or errored
+	Applied       int64 `metric:"applied"`        // remote objects merged in by rounds we initiated
+	Pushed        int64 `metric:"pushed"`         // objects pushed to peers
+	Conflicts     int64 `metric:"conflicts"`      // concurrent updates this replica resolved
+	ServedDigests int64 `metric:"served_digests"` // replica.sync requests served
 	ServedApplied int64 // objects applied on behalf of pushing peers
 
 	DigestEntriesSent int64 // digest entries shipped in sync requests
-	DeltasServed      int64 // objects shipped in sync responses
+	DeltasServed      int64 `metric:"deltas_served"` // objects shipped in sync responses
 	RefusedApplies    int64 // offered objects this site is not placed for
 	Migrated          int64 // rows pushed off this replica by migration
 	Evicted           int64 // rows dropped locally after migration
@@ -184,18 +184,18 @@ type Stats struct {
 	// maps and scoped id→version-vector entries — data deltas
 	// and pushes are not digest bytes. ConvergedRoots counts opening root
 	// compares that matched outright (the O(1) converged round).
-	MerkleExchanges int64 // peer exchanges that ran the digest negotiation
-	ConvergedRoots  int64 // opening root compares that matched
-	DescentCalls    int64 // subtree-descent negotiation steps sent
-	HWFastDeltas    int64 // rows repaired straight off the high-water marks
-	DigestBytes     int64 // digest payload bytes exchanged (sent + received)
+	MerkleExchanges int64 `metric:"merkle_exchanges"` // peer exchanges that ran the digest negotiation
+	ConvergedRoots  int64 `metric:"converged_roots"`  // opening root compares that matched
+	DescentCalls    int64 `metric:"descent_calls"`    // subtree-descent negotiation steps sent
+	HWFastDeltas    int64 `metric:"hw_fast_deltas"`   // rows repaired straight off the high-water marks
+	DigestBytes     int64 `metric:"digest_bytes"`     // digest payload bytes exchanged (sent + received)
 	// ScopeFiltered is a gauge, not a counter: the rows placement is
 	// currently keeping out of the cached per-peer digest trees (summed
 	// over peers), recomputed at each Stats snapshot.
 	ScopeFiltered int64
 	// ScopedTrees is a gauge: how many per-site scoped digest trees are
 	// cached right now — bounded by the peer set plus a little slack.
-	ScopedTrees int
+	ScopedTrees int `metric:"scoped_trees,gauge"`
 
 	// Per-round observability: the last completed round's digest size and
 	// data movement (sum over its peer exchanges).

@@ -107,11 +107,11 @@ func (r Result) Decode(v any) error {
 
 // Stats counts endpoint activity.
 type Stats struct {
-	CallsSent     int64
-	CallsServed   int64
+	CallsSent     int64 `metric:"calls_sent"`
+	CallsServed   int64 `metric:"calls_served"`
 	Announcements int64
-	Timeouts      int64
-	RemoteErrors  int64
+	Timeouts      int64 `metric:"timeouts"`
+	RemoteErrors  int64 `metric:"remote_errors"`
 }
 
 // Option configures an Endpoint.
@@ -129,7 +129,7 @@ func WithIDs(g *id.Generator) Option {
 }
 
 // WithChannel passes options through to the endpoint's channel stack
-// (interceptors, observers, transparency declarations).
+// (interceptors, fabric enrolment, transparency declarations).
 func WithChannel(opts ...channel.Option) Option {
 	return func(e *Endpoint) { e.chOpts = append(e.chOpts, opts...) }
 }
@@ -327,10 +327,9 @@ type CallOption func(*callSettings)
 
 type callSettings struct {
 	timeout time.Duration
-	retries int
-	backoff []time.Duration
+	backoff []time.Duration // the retry budget: one retry per entry
 	onRetry func(attempt int)
-	tries   int               // attempts already made
+	tries   int               // retries already made
 	trace   wire.TraceContext // parent context for the call's spans
 }
 
@@ -342,22 +341,11 @@ func CallTimeout(d time.Duration) CallOption {
 	return func(s *callSettings) { s.timeout = d }
 }
 
-// CallRetries retries a timed-out call up to n additional times,
-// immediately.
-func CallRetries(n int) CallOption {
-	return func(s *callSettings) { s.retries = n }
-}
-
 // CallBackoff retries a timed-out call once per schedule entry, waiting
-// the entry's duration before each retry — the store-and-forward retry
-// discipline layers like mhs used to hand-roll.
+// the entry's duration (zero: immediately) before each retry — the
+// store-and-forward retry discipline layers like mhs used to hand-roll.
 func CallBackoff(schedule ...time.Duration) CallOption {
-	return func(s *callSettings) {
-		s.backoff = schedule
-		if s.retries < len(schedule) {
-			s.retries = len(schedule)
-		}
-	}
+	return func(s *callSettings) { s.backoff = schedule }
 }
 
 // CallOnRetry registers a callback invoked before each retry attempt
@@ -495,19 +483,11 @@ func (e *Endpoint) expire(corr string, to netsim.Address, method string, body []
 // configured backoff delay — and completes it with cause once the budget
 // is spent.
 func (e *Endpoint) retryOrFail(to netsim.Address, method string, body []byte, done func(Result), s callSettings, cause error) {
-	if s.retries <= 0 {
+	if s.tries >= len(s.backoff) {
 		done(Result{Err: cause})
 		return
 	}
-	s.retries--
-	var delay time.Duration
-	if len(s.backoff) > 0 {
-		idx := s.tries
-		if idx >= len(s.backoff) {
-			idx = len(s.backoff) - 1
-		}
-		delay = s.backoff[idx]
-	}
+	delay := s.backoff[s.tries]
 	s.tries++
 	if s.onRetry != nil {
 		s.onRetry(s.tries)
@@ -688,7 +668,7 @@ func (e *Endpoint) GoJSON(to netsim.Address, method string, req any, done func(R
 		return
 	}
 	settings := newCallSettings(opts)
-	if settings.retries > 0 {
+	if len(settings.backoff) > 0 {
 		// A retry resends after this call has given the scratch back; with
 		// no retry budget nothing reads the body once attempt returns.
 		body = bytes.Clone(body)

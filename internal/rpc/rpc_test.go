@@ -106,7 +106,7 @@ func TestRetrySucceedsAfterHeal(t *testing.T) {
 	var got Result
 	done := false
 	f.a.Go("b", "echo", []byte("x"), func(r Result) { got = r; done = true },
-		CallTimeout(time.Second), CallRetries(2))
+		CallTimeout(time.Second), CallBackoff(0, 0))
 	f.clk.Advance(1500 * time.Millisecond) // first attempt timed out, retry in flight
 	f.net.Heal()
 	f.clk.RunUntilIdle()
@@ -125,7 +125,7 @@ func TestRetriesExhausted(t *testing.T) {
 	f := newFixture(t)
 	f.net.Partition([]netsim.Address{"a"}, []netsim.Address{"b"})
 	var got Result
-	f.a.Go("b", "echo", nil, func(r Result) { got = r }, CallTimeout(time.Second), CallRetries(2))
+	f.a.Go("b", "echo", nil, func(r Result) { got = r }, CallTimeout(time.Second), CallBackoff(0, 0))
 	f.clk.RunUntilIdle()
 	if !errors.Is(got.Err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", got.Err)

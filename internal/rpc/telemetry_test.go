@@ -83,7 +83,7 @@ func TestRetriesBecomeChildSpans(t *testing.T) {
 	rootCtx := root.Context()
 	var got Result
 	a.Go("b", "ping", nil, func(r Result) { got = r },
-		CallTrace(rootCtx), CallTimeout(100*time.Millisecond), CallRetries(2))
+		CallTrace(rootCtx), CallTimeout(100*time.Millisecond), CallBackoff(0, 0))
 	clk.RunUntilIdle()
 	root.End()
 	if !errors.Is(got.Err, ErrTimeout) {

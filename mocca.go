@@ -29,7 +29,6 @@ import (
 	"mocca/internal/channel"
 	"mocca/internal/comm"
 	"mocca/internal/core"
-	"mocca/internal/engineering"
 	"mocca/internal/id"
 	"mocca/internal/information"
 	"mocca/internal/mhs"
@@ -85,7 +84,7 @@ type Deployment struct {
 	net    *netsim.Network
 	env    *core.Environment
 	ids    *id.Generator
-	fabric *engineering.Fabric
+	fabric *channel.Fabric
 	topo   topology
 
 	mcu          *rtc.Server
@@ -126,7 +125,7 @@ func NewDeployment(opts ...Option) *Deployment {
 		d.registerCollectors()
 	}
 	d.env = core.New(d.clock, core.WithIDs(d.ids))
-	d.fabric = engineering.NewFabric()
+	d.fabric = channel.NewFabric()
 	d.topo = meshTopology{d}
 	if d.gossip {
 		d.topo = overlayTopology{d}
@@ -168,9 +167,9 @@ func NewDeployment(opts ...Option) *Deployment {
 	return d
 }
 
-// newEndpoint creates a node and its rpc endpoint with the deployment's
-// engineering fabric observing the channel stack, so every channel the
-// deployment opens shows up in the engineering bookkeeping.
+// newEndpoint creates a node and its rpc endpoint with the channel stack
+// enrolled in the deployment's fabric, so every channel the deployment
+// opens shows up in the engineering bookkeeping.
 func (d *Deployment) newEndpoint(addr netsim.Address) *rpc.Endpoint {
 	return d.endpointOver(d.net.MustAddNode(addr))
 }
@@ -189,7 +188,7 @@ func (d *Deployment) endpointAt(addr netsim.Address) *rpc.Endpoint {
 // endpointOver is the one place deployment endpoints are wired, so every
 // endpoint — first boot or restart — gets identical options.
 func (d *Deployment) endpointOver(node *netsim.Node) *rpc.Endpoint {
-	chOpts := []channel.Option{channel.WithObserver(d.fabric)}
+	chOpts := []channel.Option{channel.WithFabric(d.fabric)}
 	opts := []rpc.Option{rpc.WithIDs(d.ids)}
 	if d.tel != nil {
 		opts = append(opts, rpc.WithTelemetry(d.tel))
@@ -212,12 +211,12 @@ func (d *Deployment) Network() *netsim.Network { return d.net }
 
 // Fabric returns the engineering-viewpoint bookkeeping of the live
 // channels: nodes, per-channel epochs and counters.
-func (d *Deployment) Fabric() *engineering.Fabric { return d.fabric }
+func (d *Deployment) Fabric() *channel.Fabric { return d.fabric }
 
 // ChannelStats lists every live channel with its traffic counters, sorted
 // by (local, remote) — the per-channel view figure 4 promises the
 // infrastructure can provide for all interactions.
-func (d *Deployment) ChannelStats() []engineering.ChannelInfo {
+func (d *Deployment) ChannelStats() []channel.ChannelInfo {
 	return d.fabric.Channels()
 }
 
@@ -225,8 +224,7 @@ func (d *Deployment) ChannelStats() []engineering.ChannelInfo {
 // the network's own counters, i.e. that no traffic bypassed the channel
 // stack. Returns nil when they agree.
 func (d *Deployment) ReconcileChannels() error {
-	s := d.net.Stats()
-	return d.fabric.Reconcile(s.Sent, s.Delivered, s.Bytes)
+	return d.fabric.Reconcile(d.net.Stats())
 }
 
 // Clock returns the simulated clock.

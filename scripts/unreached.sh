@@ -8,7 +8,7 @@
 # and print
 #
 #   1. every function outside bench/, cmd/, examples/ and internal/analysis
-#      that no run entered,
+#      that no run entered, under a per-package count of them,
 #   2. the packages no binary links at all,
 #   3. the non-test line count outside bench/.
 #
@@ -54,9 +54,15 @@ done
 
 outside='^mocca/(bench|cmd|examples|internal/analysis)(/|$)'
 
-echo "# functions no binary reaches (go tool covdata func, 0.0%)"
 go tool covdata func -i="$cov" |
-	awk '$NF == "0.0%" { print $1, $2 }' | grep -Ev "$outside" | sort -t: -k1,1 -k2,2n
+	awk '$NF == "0.0%" { print $1, $2 }' | grep -Ev "$outside" | sort -t: -k1,1 -k2,2n >"$tmp/unreached"
+
+echo "# functions no binary reaches, per package ($(wc -l <"$tmp/unreached" | tr -d ' ') in all)"
+sed 's|/[^/]*$||' "$tmp/unreached" | sort | uniq -c
+
+echo
+echo "# functions no binary reaches (go tool covdata func, 0.0%)"
+cat "$tmp/unreached"
 
 echo
 echo "# packages no binary links"
