@@ -71,8 +71,9 @@ func (d Direction) String() string {
 // Frame is one envelope crossing the stack, as interceptors observe it.
 // Outbound frames are intercepted before the stub marshals; inbound frames
 // after the stub unmarshals — interceptors always see structured envelopes,
-// never raw bytes. The *Frame an interceptor receives is pooled: valid
-// only for the duration of the call, never to be retained.
+// never raw bytes. The *Frame an interceptor receives is pooled, and so may
+// be the envelope it points at: both are valid only for the duration of the
+// call, never to be retained.
 type Frame struct {
 	Dir    Direction
 	Local  netsim.Address
@@ -91,7 +92,9 @@ var ErrDropFrame = errors.New("channel: frame dropped by interceptor")
 // Interceptors run in registration order on both directions.
 type Interceptor func(*Frame) error
 
-// Receiver consumes inbound envelopes that survived the stack.
+// Receiver consumes inbound envelopes that survived the stack. The envelope
+// is lent for the upcall only: the stack zeroes and reuses it once the
+// receiver returns. Its strings and Body (which aliases the frame) may be kept.
 type Receiver func(from netsim.Address, env *wire.Envelope)
 
 // Stats counts one binding's traffic (local node ↔ one remote address).
@@ -254,8 +257,9 @@ func (s *Stack) Handle(r Receiver) {
 
 // Send pushes an envelope down the stack toward remote: interceptors, then
 // the binder stamps the binding epoch, then the client stub marshals, then
-// the protocol object transmits. The envelope must not be reused after a
-// successful Send (the binder may have stamped headers on it).
+// the protocol object transmits. Send keeps no reference to env or its Body
+// once it returns, so the caller may reuse it; the binder may have stamped
+// headers on it.
 func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 	if len(s.interceptors) > 0 {
 		f := s.frame(Outbound, to, env)
@@ -368,13 +372,18 @@ func (s *Stack) frameDropped(interceptor string, dir Direction, env *wire.Envelo
 	}
 }
 
+// inbound holds the envelopes onMessage decodes into and lends out.
+var inbound = sync.Pool{New: func() any { return new(wire.Envelope) }}
+
 // onMessage is the protocol object's upcall: server stub unmarshals, the
 // binder validates the epoch, interceptors run, and the surviving envelope
-// goes to the receiver.
+// goes to the receiver — lent, in a pooled envelope, for the upcall only.
 func (s *Stack) onMessage(msg netsim.Message) {
 	size := int64(len(msg.Payload))
-	env, err := wire.Unmarshal(msg.Payload) // the server stub: frame to envelope
-	if err != nil {
+	env := inbound.Get().(*wire.Envelope)
+	// Zeroed on the way back, so a receiver that kept it reads nothing.
+	defer func() { *env = wire.Envelope{}; inbound.Put(env) }()
+	if err := env.UnmarshalBinary(msg.Payload); err != nil { // the server stub: frame to envelope
 		// Drop undecodable traffic, as a real stack would.
 		s.mu.Lock()
 		b := s.bindingLocked(msg.From)

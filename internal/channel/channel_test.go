@@ -24,7 +24,10 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 	clk, net, a, b := newPair(t, nil, nil)
 	var got *wire.Envelope
 	var from netsim.Address
-	b.Handle(func(f netsim.Address, env *wire.Envelope) { from, got = f, env })
+	b.Handle(func(f netsim.Address, env *wire.Envelope) {
+		cp := *env // lent for the upcall only
+		from, got = f, &cp
+	})
 
 	env := wire.NewEnvelope("test.kind", "c1", []byte("payload"))
 	env.SetHeader("method", "m")
@@ -51,6 +54,70 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 	ns := net.Stats()
 	if as.BytesOut != ns.Bytes || bs.BytesIn != ns.Bytes {
 		t.Fatalf("bytes: out=%d in=%d net=%d", as.BytesOut, bs.BytesIn, ns.Bytes)
+	}
+}
+
+// TestReceiverEnvelopeIsLent: the envelope a receiver is handed is the
+// stack's for reuse once the upcall returns — a receiver that keeps the
+// pointer reads a zero envelope afterwards — while the strings and body it
+// copied out stay as they arrived.
+func TestReceiverEnvelopeIsLent(t *testing.T) {
+	clk, _, a, b := newPair(t, nil, nil)
+	var kept *wire.Envelope
+	var kind, method string
+	var body []byte
+	b.Handle(func(_ netsim.Address, env *wire.Envelope) {
+		kept = env
+		kind, body = env.Kind, env.Body
+		method, _ = env.Header("method")
+	})
+
+	env := wire.NewEnvelope("test.kind", "c1", []byte("payload"))
+	env.SetHeader("method", "m")
+	env.Trace = wire.TraceContext{TraceID: 7, SpanID: 8}
+	if err := a.Send("b", env); err != nil {
+		t.Fatal(err)
+	}
+	clk.RunUntilIdle()
+
+	if kept == nil {
+		t.Fatal("no envelope received")
+	}
+	if !reflect.DeepEqual(*kept, wire.Envelope{}) {
+		t.Fatalf("a kept envelope reads %+v after the upcall, want the zero envelope", *kept)
+	}
+	if kind != "test.kind" || method != "m" || string(body) != "payload" {
+		t.Fatalf("copied out kind %q, method %q, body %q", kind, method, body)
+	}
+}
+
+// raceEnabled is set by race_test.go when the tests run under -race.
+var raceEnabled bool
+
+// TestSendDeliverAllocations prices one frame through two stacks, as the
+// benchmark ledger's channel.send_deliver row does — a caller-built envelope,
+// no interceptor: the envelope the caller builds, the frame's bytes, the
+// clock event that delivers them and the decoded header text. The receiving
+// envelope is lent from a pool and the network's in-flight record is pooled.
+func TestSendDeliverAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what is put back, so pooled paths allocate")
+	}
+	clk, _, a, b := newPair(t, nil, nil)
+	got := 0
+	b.Handle(func(netsim.Address, *wire.Envelope) { got++ })
+	body := make([]byte, 512)
+	n := testing.AllocsPerRun(500, func() {
+		if err := a.Send("b", wire.NewEnvelope("bench", "c1", body)); err != nil {
+			t.Fatal(err)
+		}
+		clk.RunUntilIdle()
+	})
+	if n > 4 {
+		t.Errorf("send → deliver allocates %v times, want at most 4", n)
+	}
+	if got != 501 {
+		t.Fatalf("%d frames delivered, want 501", got)
 	}
 }
 
@@ -208,7 +275,10 @@ func TestTransparencyDeclarationAndGate(t *testing.T) {
 		[]Option{WithTransparencies(mask)},
 		[]Option{WithInterceptor(TransparencyGate(odp.MaskOf(odp.Access)))})
 	var got *wire.Envelope
-	b.Handle(func(_ netsim.Address, env *wire.Envelope) { got = env })
+	b.Handle(func(_ netsim.Address, env *wire.Envelope) {
+		cp := *env // lent for the upcall only
+		got = &cp
+	})
 
 	if err := a.Send("b", wire.NewEnvelope("k", "", nil)); err != nil {
 		t.Fatal(err)

@@ -121,19 +121,9 @@ func (m *fetchReq) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
-// minRowBytes is the least a row can take: four string prefixes, the
-// version, a vector count, two timestamps and a field count.
-const minRowBytes = 4*4 + 8 + 8 + 16 + 8
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *fetchResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagFetchResp, "fetchResp")
-	*m = fetchResp{}
-	if n := b.Count(minRowBytes); n > 0 {
-		m.Objects = make([]*information.Object, n)
-		for i := range m.Objects {
-			m.Objects[i] = wire.Consume(&b, information.DecodeObject)
-		}
-	}
+	*m = fetchResp{Objects: information.ConsumeObjects(&b)}
 	return b.Close()
 }

@@ -98,6 +98,25 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 	return o, data, nil
 }
 
+// minRowBytes is the least a row AppendObject writes can take: four string
+// prefixes, the version, a vector count, two timestamps and a field count.
+const minRowBytes = 4*4 + 8 + 8 + 16 + 8
+
+// ConsumeObjects reads a row list — a count, then that many rows written by
+// AppendObject — at the cursor, holding the count against the bytes that
+// remain before it allocates; no rows read as nil.
+func ConsumeObjects(b *wire.Body) []*Object {
+	n := b.Count(minRowBytes)
+	if n == 0 {
+		return nil
+	}
+	rows := make([]*Object, n)
+	for i := range rows {
+		rows[i] = wire.Consume(b, DecodeObject)
+	}
+	return rows
+}
+
 // ScanObject walks one row produced by AppendObject without decoding it: it
 // returns the id, the encoded version vector (vclock.DecodeVersion reads it)
 // and the remaining bytes, all as sub-slices of data, and allocates nothing.

@@ -335,10 +335,34 @@ func (n *Network) send(msg Message) error {
 	}
 	n.mu.Unlock()
 
-	n.clock.AfterFunc(deliverAt.Sub(n.clock.Now()), func() {
-		n.deliver(dst, msg)
-	})
+	f, _ := inFlightPool.Get().(*inFlight)
+	if f == nil {
+		f = new(inFlight)
+		f.run = f.arrive
+	}
+	f.net, f.dst, f.msg = n, dst, msg
+	n.clock.AfterFunc(deliverAt.Sub(n.clock.Now()), f.run)
 	return nil
+}
+
+// inFlight is a message between send and delivery, pooled; run is bound once,
+// so scheduling a delivery costs the clock event and nothing else.
+type inFlight struct {
+	net *Network
+	dst *Node
+	msg Message
+	run func()
+}
+
+var inFlightPool sync.Pool
+
+// arrive is the delivery event: the record goes back to the pool before the
+// handler runs, so the sends the handler makes can reuse it.
+func (f *inFlight) arrive() {
+	n, dst, msg := f.net, f.dst, f.msg
+	f.net, f.dst, f.msg = nil, nil, Message{}
+	inFlightPool.Put(f)
+	n.deliver(dst, msg)
 }
 
 // deliver hands the message to the destination handler if the node is still

@@ -35,6 +35,35 @@ func TestDeliveryBasic(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the tests run under -race.
+var raceEnabled bool
+
+// TestSendDeliverAllocations: a message from send to its handler costs the
+// clock event that delivers it; the in-flight record is pooled and its
+// delivery func bound once.
+func TestSendDeliverAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what is put back, so pooled paths allocate")
+	}
+	net, clk := newTestNet(t)
+	a, b := net.MustAddNode("a"), net.MustAddNode("b")
+	got := 0
+	b.Handle(func(m Message) { got += len(m.Payload) })
+	payload := make([]byte, 512)
+	n := testing.AllocsPerRun(500, func() {
+		if err := a.Send(Message{To: "b", Kind: "bench", Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		clk.RunUntilIdle()
+	})
+	if n > 1 {
+		t.Errorf("send → deliver allocates %v times, want at most 1 (the clock event)", n)
+	}
+	if got != 501*len(payload) {
+		t.Fatalf("%d bytes delivered, want %d", got, 501*len(payload))
+	}
+}
+
 func TestLatencyIsRespected(t *testing.T) {
 	net, clk := newTestNet(t)
 	a := net.MustAddNode("a")

@@ -215,7 +215,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	in := r.instrument(name, labels, KindCounter)
+	in := r.instrument(name, labels, KindCounter, nil)
 	return in.c
 }
 
@@ -224,27 +224,23 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	in := r.instrument(name, labels, KindGauge)
+	in := r.instrument(name, labels, KindGauge, nil)
 	return in.g
 }
 
 // Histogram returns the histogram for (name, labels) with the given
 // upper bounds (ascending), creating it on first use. Bounds are fixed
-// at creation; later calls may pass nil bounds to fetch the existing
-// instrument.
+// at creation, under the registry's lock, so a concurrent first use or
+// Observe never sees them half set; later calls' bounds are ignored and
+// may be nil.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	in := r.instrument(name, labels, KindHistogram)
-	if in.h.bounds == nil && len(bounds) > 0 {
-		in.h.bounds = append([]float64(nil), bounds...)
-		in.h.counts = make([]int64, len(bounds)+1)
-	}
-	return in.h
+	return r.instrument(name, labels, KindHistogram, bounds).h
 }
 
-func (r *Registry) instrument(name string, labels []Label, kind Kind) *instrument {
+func (r *Registry) instrument(name string, labels []Label, kind Kind, bounds []float64) *instrument {
 	ls := append([]Label(nil), labels...)
 	sortLabels(ls)
 	key := labelKey(name, ls)
@@ -263,7 +259,7 @@ func (r *Registry) instrument(name string, labels []Label, kind Kind) *instrumen
 	case KindGauge:
 		in.g = &Gauge{}
 	case KindHistogram:
-		in.h = &Histogram{counts: make([]int64, 1)}
+		in.h = &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]int64, len(bounds)+1)}
 	}
 	r.instruments[key] = in
 	return in

@@ -368,3 +368,27 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("counter = %d", got)
 	}
 }
+
+// TestHistogramFirstUseConcurrent: goroutines that reach one histogram for
+// the first time at once, and observe into it straight away, must neither
+// race on its bounds nor lose an observation — meaningful under -race.
+func TestHistogramFirstUseConcurrent(t *testing.T) {
+	r := NewRegistry()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 100; i++ {
+				r.Histogram("h", []float64{1, 10, 100}).Observe(float64(i))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := r.Snapshot().Value("h"); got != 800 {
+		t.Fatalf("histogram counted %d observations, want 800", got)
+	}
+}

@@ -192,7 +192,7 @@ func (m *digestResp) UnmarshalBinary(data []byte) error {
 	flags := b.Flags(flagMatch | flagFrames | flagHW)
 	*m = digestResp{Match: flags&flagMatch != 0, Site: b.String()}
 	m.Frames, m.HW = consumeSections(&b, flags)
-	m.Deltas = consumeRows(&b)
+	m.Deltas = information.ConsumeObjects(&b)
 	return b.Close()
 }
 
@@ -212,14 +212,14 @@ func (m *syncReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSyncResp, "syncResp")
-	*m = syncResp{Site: b.String(), Digest: consumeDigest(&b), Deltas: consumeRows(&b)}
+	*m = syncResp{Site: b.String(), Digest: consumeDigest(&b), Deltas: information.ConsumeObjects(&b)}
 	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushReq, "pushReq")
-	*m = pushReq{Site: b.String(), Objects: consumeRows(&b)}
+	*m = pushReq{Site: b.String(), Objects: information.ConsumeObjects(&b)}
 	if n := b.Count(12); n > 0 { // three length prefixes
 		m.Relations = make([]wireRelation, n)
 		for i := range m.Relations {
@@ -276,22 +276,4 @@ func consumeDigest(b *wire.Body) map[string]vclock.Version {
 		d[id] = wire.Consume(b, vclock.DecodeVersion)
 	}
 	return d
-}
-
-// minRowBytes is the least a row can take: four string prefixes, the
-// version, a vector count, two timestamps and a field count.
-const minRowBytes = 4*4 + 8 + 8 + 16 + 8
-
-// consumeRows reads a row list written by appendRows; no rows decode as
-// nil.
-func consumeRows(b *wire.Body) []*information.Object {
-	n := b.Count(minRowBytes)
-	if n == 0 {
-		return nil
-	}
-	rows := make([]*information.Object, n)
-	for i := range rows {
-		rows[i] = wire.Consume(b, information.DecodeObject)
-	}
-	return rows
 }

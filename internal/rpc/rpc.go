@@ -71,6 +71,10 @@ type Request struct {
 	// reply is the buffer the serving endpoint lends HandleJSON to build the
 	// reply body in; the endpoint takes it back once the reply is sent.
 	reply *scratch
+	// What the reply needs, copied out of the envelope the stack lent.
+	corr      string
+	wantReply bool                // an interrogation, not an announcement
+	span      *observe.ActiveSpan // the serve span; nil unless traced
 }
 
 // Handler services an invocation. Returning an error sends a RemoteError to
@@ -171,10 +175,16 @@ type Endpoint struct {
 	layerState map[string]any
 }
 
+// pendingCall is one call's state, shared by its attempts.
 type pendingCall struct {
-	done  func(Result)
-	timer vclock.Timer       // nil until the request is on the network
-	span  observe.ActiveSpan // the attempt's client span, if traced
+	corr   string
+	to     netsim.Address
+	method string
+	body   []byte
+	done   func(Result)
+	s      callSettings
+	timer  vclock.Timer        // nil until the request is on the network
+	span   *observe.ActiveSpan // the attempt's client span; nil unless traced
 }
 
 // stopTimer cancels the call's timeout, if one was armed.
@@ -317,9 +327,45 @@ func (e *Endpoint) Close() {
 	e.mu.Unlock()
 	for _, pc := range pending {
 		pc.stopTimer()
-		pc.span.EndStatus("closed")
+		endSpan(pc.span, "closed")
 		pc.done(Result{Err: ErrTimeout})
 	}
+}
+
+// startSpan opens a span named prefix+method under parent and returns it and
+// the context to carry on; untraced, it builds nothing and returns nil, parent.
+func (e *Endpoint) startSpan(prefix, method string, peer netsim.Address, parent wire.TraceContext) (*observe.ActiveSpan, wire.TraceContext) {
+	if parent.IsZero() || !e.tracer.On() {
+		return nil, parent
+	}
+	sp := e.tracer.StartChild(prefix+method, string(e.Addr()), parent)
+	sp.SetAttr("peer", string(peer))
+	return &sp, sp.Context()
+}
+
+// endSpan closes sp with status; a nil sp is a no-op.
+func endSpan(sp *observe.ActiveSpan, status string) {
+	if sp != nil {
+		sp.EndStatus(status)
+	}
+}
+
+// outbound holds send's envelopes; Stack.Send keeps none once it returns.
+var outbound = sync.Pool{New: func() any { return new(wire.Envelope) }}
+
+// send frames every request, reply and announcement in a pooled envelope. A
+// non-nil herr goes in the error header, whatever its text.
+func (e *Endpoint) send(to netsim.Address, kind, corr, method string, body []byte, tc wire.TraceContext, herr error) error {
+	env := outbound.Get().(*wire.Envelope)
+	*env = wire.Envelope{Version: wire.Version, Kind: kind, Corr: corr, Body: body, Trace: tc}
+	env.SetHeader("method", method)
+	if herr != nil {
+		env.SetHeader("error", herr.Error())
+	}
+	err := e.ch.Send(to, env)
+	*env = wire.Envelope{}
+	outbound.Put(env)
+	return err
 }
 
 // CallOption adjusts a single invocation.
@@ -367,65 +413,57 @@ func CallTrace(tc wire.TraceContext) CallOption {
 // Go invokes method on the remote address asynchronously; done is called
 // exactly once with the outcome. Safe to call from within handlers.
 func (e *Endpoint) Go(to netsim.Address, method string, body []byte, done func(Result), opts ...CallOption) {
-	e.attempt(to, method, body, done, newCallSettings(opts))
+	e.attempt(newCall(to, method, body, done, opts))
 }
 
-func newCallSettings(opts []CallOption) callSettings {
-	settings := callSettings{timeout: DefaultTimeout}
+// newCall builds a call's state, opts applied in place over the defaults.
+func newCall(to netsim.Address, method string, body []byte, done func(Result), opts []CallOption) *pendingCall {
+	pc := &pendingCall{to: to, method: method, body: body, done: done, s: callSettings{timeout: DefaultTimeout}}
 	for _, opt := range opts {
-		opt(&settings)
+		opt(&pc.s)
 	}
-	return settings
+	return pc
 }
 
-func (e *Endpoint) attempt(to netsim.Address, method string, body []byte, done func(Result), s callSettings) {
+func (e *Endpoint) attempt(pc *pendingCall) {
 	// Each attempt — the first and every retry — records its own client
 	// span under the caller's context, so a trace shows the retry
 	// schedule, not just the surviving attempt.
-	var span observe.ActiveSpan
-	callCtx := s.trace
-	if !s.trace.IsZero() && e.tracer.On() {
-		span = e.tracer.StartChild("rpc.call:"+method, string(e.Addr()), s.trace)
-		span.SetAttr("peer", string(to))
-		if s.tries > 0 {
-			span.SetAttr("attempt", strconv.Itoa(s.tries+1))
-		}
-		callCtx = span.Context()
+	var callCtx wire.TraceContext
+	pc.span, callCtx = e.startSpan("rpc.call:", pc.method, pc.to, pc.s.trace)
+	if pc.span != nil && pc.s.tries > 0 {
+		pc.span.SetAttr("attempt", strconv.Itoa(pc.s.tries+1))
 	}
 
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		span.EndStatus("closed")
-		done(Result{Err: ErrTimeout})
+		endSpan(pc.span, "closed")
+		pc.done(Result{Err: ErrTimeout})
 		return
 	}
 	corr := e.ids.Next("call")
+	pc.corr = corr
 	e.stats.CallsSent++
-	pc := &pendingCall{done: done, span: span}
 	e.pending[corr] = pc
-	deadline := e.clock.Now().Add(s.timeout)
+	deadline := e.clock.Now().Add(pc.s.timeout)
 	e.mu.Unlock()
 
-	env := wire.NewEnvelope(kindRequest, corr, body)
-	env.SetHeader("method", method)
-	env.Trace = callCtx
-	if err := e.ch.Send(to, env); err != nil {
-		pc, ok := e.takePending(corr)
-		if !ok {
+	if err := e.send(pc.to, kindRequest, corr, pc.method, pc.body, callCtx, nil); err != nil {
+		if _, ok := e.takePending(corr); !ok {
 			return
 		}
-		pc.span.EndStatus("senderr")
+		endSpan(pc.span, "senderr")
 		// A transient local failure (node down, interceptor veto) consumes
 		// the same retry budget as a timeout: the condition may clear
 		// before the schedule runs out. A deterministic one (the envelope
 		// violates wire size limits) can never succeed — fail now instead
 		// of burning the whole backoff schedule on it.
 		if permanentSendError(err) {
-			done(Result{Err: err})
+			pc.done(Result{Err: err})
 			return
 		}
-		e.retryOrFail(to, method, body, done, s, err)
+		e.retryOrFail(pc, err)
 		return
 	}
 	// The timeout is armed only once the frame is on the network. A
@@ -437,9 +475,7 @@ func (e *Endpoint) attempt(to netsim.Address, method string, body []byte, done f
 	// and a reply that already came back leaves nothing to arm.
 	e.mu.Lock()
 	if e.pending[corr] == pc {
-		pc.timer = e.clock.AfterFunc(deadline.Sub(e.clock.Now()), func() {
-			e.expire(corr, to, method, body, done, s)
-		})
+		pc.timer = e.clock.AfterFunc(deadline.Sub(e.clock.Now()), func() { e.expire(pc) })
 	}
 	e.mu.Unlock()
 }
@@ -465,26 +501,26 @@ func (e *Endpoint) takePending(corr string) (*pendingCall, bool) {
 	return pc, ok
 }
 
-// expire handles a call timeout, retrying if budget remains.
-func (e *Endpoint) expire(corr string, to netsim.Address, method string, body []byte, done func(Result), s callSettings) {
-	pc, ok := e.takePending(corr)
-	if !ok {
+// expire handles a call timeout, retrying if budget remains. A call retries
+// only once its timer fired, so pc.corr is still the timed-out attempt's.
+func (e *Endpoint) expire(pc *pendingCall) {
+	if _, ok := e.takePending(pc.corr); !ok {
 		return // reply won the race
 	}
-	pc.span.EndStatus("timeout")
+	endSpan(pc.span, "timeout")
 	e.mu.Lock()
 	e.stats.Timeouts++
 	e.mu.Unlock()
-	e.retryOrFail(to, method, body, done, s,
-		fmt.Errorf("%w: %s on %s", ErrTimeout, method, to))
+	e.retryOrFail(pc, fmt.Errorf("%w: %s on %s", ErrTimeout, pc.method, pc.to))
 }
 
 // retryOrFail re-attempts a failed call — immediately, or after the
 // configured backoff delay — and completes it with cause once the budget
 // is spent.
-func (e *Endpoint) retryOrFail(to netsim.Address, method string, body []byte, done func(Result), s callSettings, cause error) {
+func (e *Endpoint) retryOrFail(pc *pendingCall, cause error) {
+	s := &pc.s
 	if s.tries >= len(s.backoff) {
-		done(Result{Err: cause})
+		pc.done(Result{Err: cause})
 		return
 	}
 	delay := s.backoff[s.tries]
@@ -493,12 +529,10 @@ func (e *Endpoint) retryOrFail(to netsim.Address, method string, body []byte, do
 		s.onRetry(s.tries)
 	}
 	if delay > 0 {
-		e.clock.AfterFunc(delay, func() {
-			e.attempt(to, method, body, done, s)
-		})
+		e.clock.AfterFunc(delay, func() { e.attempt(pc) })
 		return
 	}
-	e.attempt(to, method, body, done, s)
+	e.attempt(pc)
 }
 
 // complete resolves a pending call if still outstanding.
@@ -513,11 +547,11 @@ func (e *Endpoint) complete(corr string, r Result) {
 		e.mu.Unlock()
 	}
 	pc.stopTimer()
+	status := ""
 	if r.Err != nil {
-		pc.span.EndStatus("error")
-	} else {
-		pc.span.End()
+		status = "error"
 	}
+	endSpan(pc.span, status)
 	pc.done(r)
 }
 
@@ -534,25 +568,21 @@ func (e *Endpoint) Call(to netsim.Address, method string, body []byte, opts ...C
 // outcome. CallTrace is the only option that applies; it links the
 // announcement into a trace with an instantaneous span.
 func (e *Endpoint) Announce(to netsim.Address, method string, body []byte, opts ...CallOption) error {
-	var s callSettings
-	for _, opt := range opts {
-		opt(&s)
-	}
-	env := wire.NewEnvelope(kindAnnounce, "", body)
-	env.SetHeader("method", method)
-	if !s.trace.IsZero() {
-		env.Trace = s.trace
-		if e.tracer.On() {
-			sp := e.tracer.StartChild("rpc.ann:"+method, string(e.Addr()), s.trace)
-			sp.SetAttr("peer", string(to))
-			env.Trace = sp.Context()
-			defer sp.End()
+	var tc wire.TraceContext
+	if len(opts) > 0 {
+		// Applying an option moves the settings to the heap: only then.
+		s := new(callSettings)
+		for _, opt := range opts {
+			opt(s)
 		}
+		tc = s.trace
 	}
+	sp, tc := e.startSpan("rpc.ann:", method, to, tc)
+	defer endSpan(sp, "")
 	e.mu.Lock()
 	e.stats.Announcements++
 	e.mu.Unlock()
-	return e.ch.Send(to, env)
+	return e.send(to, kindAnnounce, "", method, body, tc, nil)
 }
 
 // onEnvelope dispatches envelopes delivered by the channel stack.
@@ -577,60 +607,56 @@ func (e *Endpoint) serve(from netsim.Address, env *wire.Envelope, reply bool) {
 	e.stats.CallsServed++
 	e.mu.Unlock()
 
-	req := Request{From: from, Method: method, Body: env.Body, Trace: env.Trace}
+	req := Request{From: from, Method: method, Body: env.Body, corr: env.Corr, wantReply: reply}
+	// Continuations inside the handler parent under the serve span.
+	req.span, req.Trace = e.startSpan("rpc.serve:", method, from, env.Trace)
 	if ok && reply {
 		req.reply = scratchPool.Get().(*scratch)
 		defer req.reply.release()
 	}
-	var ssp observe.ActiveSpan
-	if !env.Trace.IsZero() && e.tracer.On() {
-		ssp = e.tracer.StartChild("rpc.serve:"+method, string(e.Addr()), env.Trace)
-		ssp.SetAttr("peer", string(from))
-		// Continuations inside the handler parent under the serve span.
-		req.Trace = ssp.Context()
-	}
-	sendReply := func(body []byte, herr error) {
-		status := ""
-		if herr != nil {
-			status = "error"
-		}
-		ssp.EndStatus(status)
-		if !reply {
-			return
-		}
-		rep := wire.NewEnvelope(kindReply, env.Corr, body)
-		rep.SetHeader("method", method)
-		if herr != nil {
-			rep.SetHeader("error", herr.Error())
-		}
-		// The reply carries the serve span's context so the returning
-		// frame stays inside the trace.
-		rep.Trace = req.Trace
-		// Best effort: if the reply cannot be sent the caller times out.
-		_ = e.ch.Send(from, rep)
-	}
 
 	switch {
 	case aok:
-		// Async path: interceptors wrap a synthetic handler boundary is
-		// not meaningful here; async handlers receive the raw request and
-		// own the reply.
-		ah(req, sendReply)
-		if !reply {
-			// Announcements never call sendReply; close the serve span at
-			// the dispatch boundary.
-			ssp.End()
-		}
+		// Async handlers bypass the interceptors, which wrap a Handler's
+		// return; an async handler replies later, through its callback.
+		e.serveAsync(ah, req)
 	case ok:
 		wrapped := h
 		for i := len(interceptors) - 1; i >= 0; i-- {
 			wrapped = interceptors[i](wrapped)
 		}
 		body, herr := wrapped(req)
-		sendReply(body, herr)
+		e.finish(req, body, herr)
 	default:
-		sendReply(nil, fmt.Errorf("%w: %q", ErrNoSuchMethod, method))
+		e.finish(req, nil, fmt.Errorf("%w: %q", ErrNoSuchMethod, method))
 	}
+}
+
+// serveAsync hands the request to an async handler with a reply callback —
+// the one closure a served request can cost.
+func (e *Endpoint) serveAsync(ah AsyncHandler, req Request) {
+	ah(req, func(body []byte, herr error) { e.finish(req, body, herr) })
+	if !req.wantReply {
+		// Announcements never reply; close the serve span at the dispatch
+		// boundary.
+		endSpan(req.span, "")
+	}
+}
+
+// finish closes the serve span and, for an interrogation, sends the reply.
+func (e *Endpoint) finish(req Request, body []byte, herr error) {
+	status := ""
+	if herr != nil {
+		status = "error"
+	}
+	endSpan(req.span, status)
+	if !req.wantReply {
+		return
+	}
+	// The reply carries the serve span's context so the returning frame
+	// stays inside the trace. Best effort: if the reply cannot be sent the
+	// caller times out.
+	_ = e.send(req.From, kindReply, req.corr, req.Method, body, req.Trace, herr)
 }
 
 // onReply resolves the matching pending call.
@@ -667,13 +693,13 @@ func (e *Endpoint) GoJSON(to netsim.Address, method string, req any, done func(R
 		done(Result{Err: err})
 		return
 	}
-	settings := newCallSettings(opts)
-	if len(settings.backoff) > 0 {
+	pc := newCall(to, method, body, done, opts)
+	if len(pc.s.backoff) > 0 {
 		// A retry resends after this call has given the scratch back; with
 		// no retry budget nothing reads the body once attempt returns.
-		body = bytes.Clone(body)
+		pc.body = bytes.Clone(body)
 	}
-	e.attempt(to, method, body, done, settings)
+	e.attempt(pc)
 }
 
 // HandleJSON adapts a typed handler into a Handler. The adapter decodes the

@@ -1,6 +1,7 @@
 package rtc
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"mocca/internal/wire"
@@ -51,6 +52,21 @@ func consumeState(b *wire.Body) map[string]string {
 	return state
 }
 
+// eventKinds are the kinds a conference sends.
+var eventKinds = [...]EventKind{EventState, EventPointer, EventJoined, EventLeft, EventEvicted, EventFloor, EventSnapshot}
+
+// consumeKind reads an EventKind written as a string: one of eventKinds as
+// that constant, without allocating; any other text as itself.
+func consumeKind(data []byte) (EventKind, []byte, error) {
+	for _, k := range eventKinds {
+		if n := 4 + len(k); len(data) >= n && binary.BigEndian.Uint32(data) == uint32(len(k)) && string(data[4:n]) == string(k) {
+			return k, data[n:], nil
+		}
+	}
+	s, rest, err := wire.ConsumeString(data)
+	return EventKind(s), rest, err
+}
+
 // AppendBinary implements encoding.BinaryAppender.
 func (ev Event) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagEvent)
@@ -67,7 +83,7 @@ func (ev Event) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (ev *Event) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagEvent, "rtc event")
-	*ev = Event{Conference: b.String(), Seq: b.Uint64(), Kind: EventKind(b.String()), From: b.String(),
+	*ev = Event{Conference: b.String(), Seq: b.Uint64(), Kind: wire.Consume(&b, consumeKind), From: b.String(),
 		Key: b.String(), Value: b.String(), State: consumeState(&b), At: b.Time()}
 	return b.Close()
 }
@@ -127,7 +143,7 @@ func (m updateReq) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *updateReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagUpdateReq, "rtc updateReq")
-	*m = updateReq{Conference: b.String(), Member: b.String(), Kind: EventKind(b.String()), Key: b.String(), Value: b.String()}
+	*m = updateReq{Conference: b.String(), Member: b.String(), Kind: wire.Consume(&b, consumeKind), Key: b.String(), Value: b.String()}
 	return b.Close()
 }
 

@@ -238,71 +238,85 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// Unmarshal decodes an envelope from bytes. The returned envelope's Body
-// aliases data — the caller owns the input buffer and must not mutate it
-// while the envelope is live. (Every producer in this repository hands the
-// buffer over exactly once, so decode stays copy-free.)
+// Unmarshal decodes an envelope from bytes into a new Envelope, by
+// UnmarshalBinary's rule.
+func Unmarshal(data []byte) (*Envelope, error) {
+	e := new(Envelope)
+	if err := e.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// UnmarshalBinary decodes an envelope from bytes into e, replacing all it
+// held. e's Body aliases data — the caller owns the input buffer and must
+// not mutate it while the envelope is live. (Every producer in this
+// repository hands the buffer over exactly once, so decode stays copy-free.)
 //
 // Every length is checked before anything is built; the region from Kind to
 // the last header value is then copied once, as one string, and Kind, Corr,
-// keys and values are handed out as substrings of it.
-func Unmarshal(data []byte) (*Envelope, error) {
+// keys and values are handed out as substrings of it. With at most four
+// headers that string is the only allocation. On error e is left unchanged.
+func (e *Envelope) UnmarshalBinary(data []byte) error {
 	r := reader{data: data}
 	m, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if m != magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	ver, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ver == 0 || ver > TracedVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+		return fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
 	start := r.pos
 	for range 2 { // kind, corr
 		if _, err := r.bytes(maxStringLen); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	n, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n >= maxHeaders {
-		return nil, fmt.Errorf("%w: %d headers", ErrOversize, n)
+		return fmt.Errorf("%w: %d headers", ErrOversize, n)
 	}
 	for range 2 * int(n) { // key, value
 		if _, err := r.bytes(maxStringLen); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	text := string(data[start:r.pos])
-	e := &Envelope{Version: ver}
-	if e.Body, err = r.bytes(maxBodyLen); err != nil {
-		return nil, err
+	end := r.pos
+	body, err := r.bytes(maxBodyLen)
+	if err != nil {
+		return err
 	}
-	if len(e.Body) == 0 {
-		e.Body = nil
+	if len(body) == 0 {
+		body = nil
 	}
+	var tc TraceContext
 	if ver >= TracedVersion {
-		if e.Trace.TraceID, err = r.u64(); err != nil {
-			return nil, err
+		if tc.TraceID, err = r.u64(); err != nil {
+			return err
 		}
-		if e.Trace.SpanID, err = r.u64(); err != nil {
-			return nil, err
+		if tc.SpanID, err = r.u64(); err != nil {
+			return err
 		}
-		if e.Trace.Parent, err = r.u64(); err != nil {
-			return nil, err
+		if tc.Parent, err = r.u64(); err != nil {
+			return err
 		}
 	}
 	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(r.data)-r.pos)
+		return fmt.Errorf("wire: %d trailing bytes", len(r.data)-r.pos)
 	}
 
+	text := string(data[start:end])
+	*e = Envelope{Version: ver, Body: body, Trace: tc}
 	e.Kind, e.Corr = cutStr(&text), cutStr(&text)
 	text = text[2:] // the header count
 	if int(n) > len(e.inline) {
@@ -311,7 +325,7 @@ func Unmarshal(data []byte) (*Envelope, error) {
 	for range n {
 		e.put(cutStr(&text), cutStr(&text)) // a repeated key: the last value wins
 	}
-	return e, nil
+	return nil
 }
 
 // cutStr takes a length-prefixed string off the front of *s, whose lengths

@@ -342,7 +342,8 @@ func TestEnvelopeGolden(t *testing.T) {
 }
 
 // TestEnvelopeAllocs: one allocation to encode (the frame), at most three to
-// decode (the envelope, the header text; the body aliases the input).
+// decode (the envelope, the header text; the body aliases the input), and one
+// to decode into an envelope the caller reuses (the header text).
 func TestEnvelopeAllocs(t *testing.T) {
 	e := ledgerEnvelope()
 	data, err := Marshal(e)
@@ -354,6 +355,13 @@ func TestEnvelopeAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { _, _ = Unmarshal(data) }); n > 3 {
 		t.Errorf("Unmarshal allocates %v times, want at most 3", n)
+	}
+	var into Envelope
+	if n := testing.AllocsPerRun(200, func() { _ = into.UnmarshalBinary(data) }); n > 1 {
+		t.Errorf("UnmarshalBinary into a reused envelope allocates %v times, want at most 1 (the header text)", n)
+	}
+	if into.Kind != e.Kind || into.Corr != e.Corr || !bytes.Equal(into.Body, e.Body) {
+		t.Errorf("UnmarshalBinary decoded %+v, want %+v", into, *e)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		rep := NewEnvelope("rpc.rep", "c", nil)
@@ -452,6 +460,36 @@ func TestHeaderCountLimit(t *testing.T) {
 	got, err := Unmarshal(rawFrame(maxHeaders-1, pairs...))
 	if err != nil || len(got.headers()) != maxHeaders-1 {
 		t.Fatalf("Unmarshal of %d headers: %d decoded, err %v", maxHeaders-1, len(got.headers()), err)
+	}
+}
+
+// TestUnmarshalBinaryReplacesEverything: decoding into a used envelope leaves
+// nothing of what it held — spilled headers, trace, body — and a frame that
+// fails to decode leaves it as it was.
+func TestUnmarshalBinaryReplacesEverything(t *testing.T) {
+	used := NewEnvelope("old", "c-old", []byte("old body"))
+	used.Trace = TraceContext{TraceID: 1, SpanID: 2}
+	for i := 0; i < 6; i++ {
+		used.SetHeader(fmt.Sprintf("h%d", i), "old")
+	}
+	want := NewEnvelope("new", "c-new", nil)
+	want.SetHeader("method", "m")
+	data, err := Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := *used
+	if err := used.UnmarshalBinary(data[:len(data)-1]); err == nil {
+		t.Fatal("a truncated frame decoded")
+	}
+	if !reflect.DeepEqual(*used, before) {
+		t.Fatalf("a failed decode changed the envelope to %+v", *used)
+	}
+	if err := used.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*used, *want) {
+		t.Fatalf("decoded into a used envelope: %+v, want %+v", *used, *want)
 	}
 }
 
