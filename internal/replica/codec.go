@@ -16,22 +16,29 @@ import (
 // length-prefixed strings, uint64 counts — with maps written in sorted key
 // order, so equal messages encode to equal bytes. Rows are in the one row
 // codec (information.AppendObject), the form the durable log stores them
-// in. Tree frames are carried as their wire.AppendTreeFrames encoding,
-// high-water maps and id→version-vector digests in exactly the layout
-// hwBytes and digestMapBytes measure, so Stats.DigestBytes is the encoded
-// size of those sections.
+// in. A request's tree frames are in wire.AppendTreeFrames' layout; a
+// reply's children section is a count, then per mismatched internal node
+// its packed path and its MerkleFanout child hashes (the children's paths
+// follow from it). High-water maps, digests and want-lists are in exactly
+// the layout hwBytes, digestMapBytes and wantBytes measure, so
+// Stats.DigestBytes is the encoded size of those sections.
 //
 // The tags have the high bit set: no JSON text starts with such a byte, so
 // a JSON decoder handed a binary body — or a binary decoder handed JSON —
-// fails on the first byte instead of misreading the rest.
+// fails on the first byte instead of misreading the rest. 0x82 and 0x84,
+// the replies with full child paths and a mirrored digest, are retired.
 const (
 	tagDigestReq  byte = 0x81
-	tagDigestResp byte = 0x82
 	tagSyncReq    byte = 0x83
-	tagSyncResp   byte = 0x84
 	tagPushReq    byte = 0x85
 	tagPushResp   byte = 0x86
+	tagDigestResp byte = 0x87
+	tagSyncResp   byte = 0x88
 )
+
+// childRecordSize is one record of a children section: the parent's
+// packed path, then its child hashes.
+const childRecordSize = 8 + 8*information.MerkleFanout
 
 // Presence flags of the optional sections of a digest message.
 const (
@@ -51,9 +58,9 @@ func (m digestReq) AppendBinary(b []byte) ([]byte, error) {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m digestResp) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagDigestResp, sectionFlags(m.Match, m.Frames, m.HW))
+	b = append(b, tagDigestResp, sectionFlags(m.Match, m.Children, m.HW))
 	b = wire.AppendString(b, m.Site)
-	b = appendSections(b, m.Frames, m.HW)
+	b = appendSections(b, m.Children, m.HW)
 	return appendRows(b, m.Deltas), nil
 }
 
@@ -73,7 +80,7 @@ func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
 func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagSyncResp)
 	b = wire.AppendString(b, m.Site)
-	b = appendDigest(b, m.Digest)
+	b = appendStrings(b, m.Want)
 	return appendRows(b, m.Deltas), nil
 }
 
@@ -96,11 +103,7 @@ func (m pushResp) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagPushResp)
 	b = wire.AppendUint64(b, uint64(m.Applied))
 	b = wire.AppendUint64(b, uint64(m.Conflicts))
-	b = wire.AppendUint64(b, uint64(len(m.Refused)))
-	for _, id := range m.Refused {
-		b = wire.AppendString(b, id)
-	}
-	return b, nil
+	return appendStrings(b, m.Refused), nil
 }
 
 func sectionFlags(match bool, frames []byte, hw map[string]uint64) byte {
@@ -117,8 +120,9 @@ func sectionFlags(match bool, frames []byte, hw map[string]uint64) byte {
 	return f
 }
 
-// appendSections writes the optional tree-frame and high-water sections
-// sectionFlags announced; consumeSections reads them back.
+// appendSections writes the optional tree-frame (or children) and
+// high-water sections sectionFlags announced; consumeSections reads them
+// back.
 func appendSections(b, frames []byte, hw map[string]uint64) []byte {
 	b = append(b, frames...)
 	if hw != nil {
@@ -160,6 +164,16 @@ func appendDigest(b []byte, d map[string]vclock.Version) []byte {
 	return b
 }
 
+// appendStrings writes an id list: count, then each id in the order
+// given — wantBytes(ids) bytes.
+func appendStrings(b []byte, ids []string) []byte {
+	b = wire.AppendUint64(b, uint64(len(ids)))
+	for _, id := range ids {
+		b = wire.AppendString(b, id)
+	}
+	return b
+}
+
 // appendRows writes a row list: count, then each row in the shared row
 // codec, in the order given (senders sort by id).
 func appendRows(b []byte, rows []*information.Object) []byte {
@@ -181,17 +195,17 @@ func (m *digestReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestReq, "digestReq")
 	flags := b.Flags(flagFrames | flagHW)
 	*m = digestReq{Site: b.String()}
-	m.Frames, m.HW = consumeSections(&b, flags)
+	m.Frames, m.HW = consumeSections(&b, flags, 16)
 	return b.Close()
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Frames aliases
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Children aliases
 // data, like an envelope's body does.
 func (m *digestResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestResp, "digestResp")
 	flags := b.Flags(flagMatch | flagFrames | flagHW)
 	*m = digestResp{Match: flags&flagMatch != 0, Site: b.String()}
-	m.Frames, m.HW = consumeSections(&b, flags)
+	m.Children, m.HW = consumeSections(&b, flags, childRecordSize)
 	m.Deltas = information.ConsumeObjects(&b)
 	return b.Close()
 }
@@ -212,7 +226,7 @@ func (m *syncReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSyncResp, "syncResp")
-	*m = syncResp{Site: b.String(), Digest: consumeDigest(&b), Deltas: information.ConsumeObjects(&b)}
+	*m = syncResp{Site: b.String(), Want: consumeStrings(&b), Deltas: information.ConsumeObjects(&b)}
 	return b.Close()
 }
 
@@ -232,25 +246,20 @@ func (m *pushReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushResp, "pushResp")
-	*m = pushResp{Applied: b.Int(), Conflicts: b.Int()}
-	if n := b.Count(4); n > 0 {
-		m.Refused = make([]string, n)
-		for i := range m.Refused {
-			m.Refused[i] = b.String()
-		}
-	}
+	*m = pushResp{Applied: b.Int(), Conflicts: b.Int(), Refused: consumeStrings(&b)}
 	return b.Close()
 }
 
-// consumeSections reads the optional tree-frame and high-water sections
-// the flags announce. The frame section is returned still encoded (what
-// wire.DecodeTreeFrames takes: the count, then the frames), aliasing data.
-func consumeSections(b *wire.Body, flags byte) (frames []byte, hw map[string]uint64) {
+// consumeSections reads the optional frame and high-water sections the
+// flags announce. The frame section — a count, then that many records of
+// recordSize bytes: tree frames or children records — is returned still
+// encoded, aliasing data.
+func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, hw map[string]uint64) {
 	if flags&flagFrames != 0 {
 		section := *b // where the section starts
-		n := b.Count(16)
-		b.Raw(16 * n)
-		frames = section.Raw(8 + 16*n)
+		n := b.Count(recordSize)
+		b.Raw(recordSize * n)
+		frames = section.Raw(8 + recordSize*n)
 	}
 	if flags&flagHW != 0 {
 		n := b.Count(12)
@@ -261,6 +270,20 @@ func consumeSections(b *wire.Body, flags byte) (frames []byte, hw map[string]uin
 		}
 	}
 	return frames, hw
+}
+
+// consumeStrings reads an id list written by appendStrings; an empty
+// list decodes as nil.
+func consumeStrings(b *wire.Body) []string {
+	n := b.Count(4)
+	if n == 0 {
+		return nil
+	}
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = b.String()
+	}
+	return ids
 }
 
 // consumeDigest reads a digest written by appendDigest; an empty digest

@@ -68,36 +68,75 @@ func benchDigest(n int) map[string]vclock.Version {
 	return d
 }
 
+func benchWant(n int) []string {
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("obj%06d", 3*i)
+	}
+	return want
+}
+
+// childrenSection builds a reply's children section: per parent path, the
+// path and MerkleFanout made-up child hashes.
+func childrenSection(parents ...uint64) []byte {
+	b := wire.AppendUint64(nil, uint64(len(parents)))
+	for _, path := range parents {
+		b = wire.AppendUint64(b, path)
+		for j := range information.MerkleFanout {
+			b = wire.AppendUint64(b, uint64(j+1)*0x9e3779b97f4a7c15^path)
+		}
+	}
+	return b
+}
+
 // bodyCases covers every message type: on the benchmark's fixture rows,
 // on the edge rows, and at the corners of each message's own shape.
 func bodyCases() []wiretest.Case {
 	root := wire.AppendTreeFrames(nil, []wire.TreeFrame{{Path: wire.PackTreePath(0, 0), Hash: 0xfeedface}})
-	children := make([]wire.TreeFrame, information.MerkleFanout)
-	for i := range children {
-		children[i] = wire.TreeFrame{Path: wire.PackTreePath(1, uint32(i)), Hash: uint64(i) * 0x9e3779b97f4a7c15}
+	frames := make([]wire.TreeFrame, information.MerkleFanout)
+	for i := range frames {
+		frames[i] = wire.TreeFrame{Path: wire.PackTreePath(1, uint32(i)), Hash: uint64(i) * 0x9e3779b97f4a7c15}
 	}
 	hw := map[string]uint64{"s000": 41, "s001": 7, "köln": 1 << 40}
-	return []wiretest.Case{
+	return append([]wiretest.Case{
 		wiretest.Of("digestReq/opening", digestReq{Site: "s000", Frames: root, HW: hw}),
 		wiretest.Of("digestReq/empty replica", digestReq{Site: "s001", Frames: root, HW: map[string]uint64{}}),
-		wiretest.Of("digestReq/follow-up", digestReq{Site: "s000", Frames: wire.AppendTreeFrames(nil, children)}),
+		wiretest.Of("digestReq/follow-up", digestReq{Site: "s000", Frames: wire.AppendTreeFrames(nil, frames)}),
 		wiretest.Of("digestReq/zero", digestReq{}),
-		wiretest.Of("digestResp/match", digestResp{Site: "s001", Match: true, HW: hw}),
-		wiretest.Of("digestResp/mismatch", digestResp{Site: "s001", Frames: wire.AppendTreeFrames(nil, children), HW: map[string]uint64{}, Deltas: benchRows(16)}),
-		wiretest.Of("digestResp/descent", digestResp{Site: "köln", Frames: wire.AppendTreeFrames(nil, children[:3])}),
+		wiretest.Of("digestResp/mismatch rows", digestResp{Site: "s001", Children: childrenSection(0), HW: map[string]uint64{}, Deltas: benchRows(16)}),
 		wiretest.Of("digestResp/edge rows", digestResp{Deltas: edgeRows()}),
 		wiretest.Of("syncReq", syncReq{Site: "s000", Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}),
 		wiretest.Of("syncReq/no digest", syncReq{Site: "s000", Scope: []uint32{9}}),
 		wiretest.Of("syncReq/zero", syncReq{}),
-		wiretest.Of("syncResp", syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}),
-		wiretest.Of("syncResp/edge rows", syncResp{Site: "köln", Digest: map[string]vclock.Version{"nil-vv": nil, "wide-vv": edgeRows()[2].VV}, Deltas: edgeRows()}),
+		wiretest.Of("syncResp", syncResp{Site: "s001", Want: benchWant(64), Deltas: benchRows(16)}),
+		wiretest.Of("syncResp/edge rows", syncResp{Site: "köln", Want: []string{"nil-vv", "obj-ünï-日本"}, Deltas: edgeRows()}),
 		wiretest.Of("syncResp/zero", syncResp{}),
 		wiretest.Of("pushReq", pushReq{Site: "s000", Objects: benchRows(3)}),
 		wiretest.Of("pushReq/migration", pushReq{Site: "s000", Objects: edgeRows(), Relations: []wireRelation{
 			{From: "nil-vv", Kind: string(information.RelDependsOn), To: "wide-vv"}, {From: "obj-ünï-日本", Kind: "", To: ""}}}),
 		wiretest.Of("pushResp", pushResp{Applied: 3, Conflicts: 1, Refused: []string{"obj000002", "obj-ünï-日本"}}),
 		wiretest.Of("pushResp/zero", pushResp{}),
+	}, goldenCases()...)
+}
+
+// goldenCases are the replies whose layout is pinned byte for byte: the
+// children section, the marks only on a mismatch, the want-list.
+func goldenCases() []wiretest.Case {
+	return []wiretest.Case{
+		wiretest.Of("digestResp/match", digestResp{Site: "s001", Match: true}),
+		wiretest.Of("digestResp/mismatch", digestResp{Site: "s001", Children: childrenSection(wire.PackTreePath(0, 0)), HW: map[string]uint64{"s000": 41}}),
+		wiretest.Of("digestResp/descent", digestResp{Site: "s001", Children: childrenSection(wire.PackTreePath(1, 3), wire.PackTreePath(2, 255))}),
+		wiretest.Of("syncResp/want", syncResp{Site: "s001", Want: []string{"obj000003", "obj000017"}}),
 	}
+}
+
+func TestBodiesGolden(t *testing.T) {
+	wiretest.Golden(t, goldenCases(), map[string]string{
+		"digestResp/match":    "870100000004733030310000000000000000",
+		"digestResp/mismatch": "87060000000473303031000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c1500000000000000001000000047330303000000000000000290000000000000000",
+		"digestResp/descent":  "87020000000473303031000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
+		"syncResp/want":       "8800000004733030310000000000000002000000096f626a303030303033000000096f626a3030303031370000000000000000",
+	})
 }
 
 func TestBodiesRoundTrip(t *testing.T) {
@@ -118,11 +157,13 @@ func TestBodiesRoundTrip(t *testing.T) {
 // and fingerprint a function of the seed.
 func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	ref := syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}
+	ref := syncReq{Site: "s001", Digest: benchDigest(64)}
 	want, _ := ref.AppendBinary(nil)
+	refRows := digestResp{Site: "s001", Deltas: benchRows(16)}
+	wantRows, _ := refRows.AppendBinary(nil)
 	wantReq, _ := digestReq{Site: "s000", HW: map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
-		m := syncResp{Site: "s001", Digest: map[string]vclock.Version{}}
+		m := syncReq{Site: "s001", Digest: map[string]vclock.Version{}}
 		ids := make([]string, 0, len(ref.Digest))
 		for id := range ref.Digest {
 			ids = append(ids, id)
@@ -140,7 +181,11 @@ func TestBodiesCanonical(t *testing.T) {
 			}
 			m.Digest[id] = vv
 		}
-		for _, src := range ref.Deltas {
+		if got, _ := m.AppendBinary(nil); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: syncReq bytes depend on map insertion order", trial)
+		}
+		rows := digestResp{Site: "s001"}
+		for _, src := range refRows.Deltas {
 			row := *src
 			row.Fields = map[string]string{}
 			keys := []string{"title", "body", "author", "context"}
@@ -148,10 +193,10 @@ func TestBodiesCanonical(t *testing.T) {
 			for _, k := range keys {
 				row.Fields[k] = src.Fields[k]
 			}
-			m.Deltas = append(m.Deltas, &row)
+			rows.Deltas = append(rows.Deltas, &row)
 		}
-		if got, _ := m.AppendBinary(nil); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: syncResp bytes depend on map insertion order", trial)
+		if got, _ := rows.AppendBinary(nil); !bytes.Equal(got, wantRows) {
+			t.Fatalf("trial %d: digestResp bytes depend on map insertion order", trial)
 		}
 		hw := map[string]uint64{}
 		for _, i := range rng.Perm(5) {
@@ -171,7 +216,9 @@ func TestBodiesRejectDamage(t *testing.T) {
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
 		"frames":    append([]byte{tagDigestReq, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"hw":        append([]byte{tagDigestReq, flagHW, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"children":  append([]byte{tagDigestResp, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"deltas":    append([]byte{tagDigestResp, 0, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"want":      append([]byte{tagSyncResp, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"digest":    append([]byte{tagSyncReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"scope":     append(append([]byte{tagSyncReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
 		"objects":   append([]byte{tagPushReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
@@ -295,7 +342,7 @@ func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[strin
 		case f.method == MethodDigest:
 			var m digestResp
 			err = wire.DecodeBody(f.body, &m)
-			total += len(m.Frames)
+			total += len(m.Children)
 			if m.HW != nil {
 				total += len(appendHW(nil, m.HW))
 			}
@@ -306,7 +353,7 @@ func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[strin
 		case f.method == MethodSync:
 			var m syncResp
 			err = wire.DecodeBody(f.body, &m)
-			total += len(appendDigest(nil, m.Digest))
+			total += len(appendStrings(nil, m.Want))
 		}
 		if err != nil {
 			tb.Fatalf("%s %s body: %v", f.method, f.kind, err)
@@ -317,8 +364,9 @@ func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[strin
 
 // TestDigestBytesAreEncodedBytes: Stats.DigestBytes is not an estimate —
 // over a converged round and over a round repairing three hidden updates
-// it equals the summed lengths of the frame, high-water and digest
-// sections actually encoded into the bodies.
+// it equals the summed lengths of the frame, children, high-water, digest
+// and want sections actually encoded into the bodies. It also holds the
+// negotiation to its byte budget, so a layout that grows fails here.
 func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	p := newTappedPair(t)
 	before := p.divergentRound(t, 400)
@@ -330,6 +378,12 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	if got := after.DigestBytes - before.DigestBytes; got != int64(sections) || after.LastRoundDigestBytes != sections {
 		t.Fatalf("divergent round: DigestBytes moved by %d (last round %d), encoded sections are %d bytes",
 			got, after.LastRoundDigestBytes, sections)
+	}
+	// The byte budget on both sides, exact: a layout that grows fails
+	// here, not only on the benchmark.
+	if after.LastRoundDigestBytes != 1356 || after.DigestBytes != 1814 || p.reps[1].Stats().DigestBytes != 138 {
+		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1356), s0 total %d (want 1814), s1 total %d (want 138)",
+			after.LastRoundDigestBytes, after.DigestBytes, p.reps[1].Stats().DigestBytes)
 	}
 
 	before = after
@@ -344,10 +398,23 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	if got := after.DigestBytes - before.DigestBytes; got != int64(sections) || sections == 0 {
 		t.Fatalf("converged round: DigestBytes moved by %d, encoded sections are %d bytes", got, sections)
 	}
-	// One root frame out, one single-site high-water map each way; a
-	// matching reply carries no frames.
-	if want := 24 + 2*hwBytes(map[string]uint64{"s0": 0}); sections != want {
+	// One root frame and one single-site high-water map out; a matching
+	// reply carries neither children nor marks.
+	if want := 24 + hwBytes(map[string]uint64{"s0": 0}); sections != want {
 		t.Fatalf("converged round exchanged %d digest bytes, want %d", sections, want)
+	}
+	replies := 0
+	for _, f := range p.frames {
+		if f.kind == "rpc.rep" && f.method == MethodDigest && f.to == p.reps[0].Addr() {
+			replies++
+			var m digestResp
+			if err := wire.DecodeBody(f.body, &m); err != nil || !m.Match || m.HW != nil || f.body[1]&flagHW != 0 {
+				t.Fatalf("the converged round's reply carries a high-water section or no match (%v): %x", err, f.body)
+			}
+		}
+	}
+	if replies != 1 {
+		t.Fatalf("the converged round drew %d digest replies, want 1", replies)
 	}
 }
 
@@ -381,9 +448,9 @@ func FuzzReplicaBodies(f *testing.F) {
 var benchSink int
 
 // BenchmarkSyncRespCodec prices one scoped-sync reply — 16 rows and a
-// 64-entry digest — through the one body entry point, each way.
+// 64-id want-list — through the one body entry point, each way.
 func BenchmarkSyncRespCodec(b *testing.B) {
-	msg := syncResp{Site: "s001", Digest: benchDigest(64), Deltas: benchRows(16)}
+	msg := syncResp{Site: "s001", Want: benchWant(64), Deltas: benchRows(16)}
 	body, err := wire.EncodeBody(msg)
 	if err != nil {
 		b.Fatal(err)

@@ -1,7 +1,8 @@
 package replica
 
 import (
-	"sort"
+	"encoding/binary"
+	"slices"
 
 	"mocca/internal/information"
 	"mocca/internal/rpc"
@@ -39,18 +40,18 @@ func (m *merkleExchange) count(n int) {
 }
 
 // negotiate sends one negotiation step and hands the peer's answer to
-// then, counting the tree frames of both directions. A call that errors
+// then, counting its frame and mark sections both ways. A call that errors
 // — timeout, no such method, undecodable reply — fails the exchange.
 func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 	r := m.r
-	m.count(len(req.Frames))
+	m.count(len(req.Frames) + hwBytes(req.HW))
 	r.ep.GoJSON(m.p.addr, MethodDigest, req, func(res rpc.Result) {
 		var resp digestResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
 			return
 		}
-		m.count(len(resp.Frames))
+		m.count(len(resp.Children) + hwBytes(resp.HW))
 		then(resp)
 	}, rpc.CallTimeout(DefaultSyncTimeout), rpc.CallTrace(m.st.trace))
 }
@@ -100,10 +101,7 @@ func (m *merkleExchange) open() {
 	r := m.r
 	r.bump(func(s *Stats) { s.MerkleExchanges++ })
 	tree := r.treeFor(m.p.site)
-	hw := tree.HighWater()
-	m.count(hwBytes(hw))
-	m.negotiate(digestReq{Site: r.site, Frames: rootFrame(tree), HW: hw}, func(resp digestResp) {
-		m.count(hwBytes(resp.HW))
+	m.negotiate(digestReq{Site: r.site, Frames: rootFrame(tree), HW: tree.HighWater()}, func(resp digestResp) {
 		if m.p.site == "" && resp.Site != "" {
 			// An untagged peer introduced itself: future rounds can scope
 			// placement (and trees) by its site. Tag-only — inserting here
@@ -137,7 +135,7 @@ func (m *merkleExchange) open() {
 		default:
 			// Nothing the marks explain: descend from the root's
 			// children the mismatch response already carried.
-			m.descend(resp.Frames)
+			m.descend(resp.Children)
 		}
 	})
 }
@@ -151,17 +149,17 @@ func (m *merkleExchange) verify() {
 			m.finish()
 			return
 		}
-		m.descend(resp.Frames)
+		m.descend(resp.Children)
 	})
 }
 
-// descend compares the peer's frames against the local tree: mismatched
-// internal nodes form the next negotiation frontier, mismatched leaves
-// join the divergent set. An empty frontier ends the descent and moves
-// to the scoped digest exchange.
-func (m *merkleExchange) descend(framesEnc []byte) {
+// descend compares the peer's children section, in place, with the local
+// tree: mismatched internal nodes form the next negotiation frontier,
+// mismatched leaves join the divergent set. An empty frontier ends the
+// descent and moves to the scoped digest exchange.
+func (m *merkleExchange) descend(children []byte) {
 	r := m.r
-	if len(framesEnc) == 0 {
+	if len(children) == 0 {
 		// The peer reported no mismatched children — it may have
 		// converged mid-negotiation (a third replicator pushed it the
 		// missing state between steps). Close out over whatever
@@ -169,24 +167,23 @@ func (m *merkleExchange) descend(framesEnc []byte) {
 		m.scopedSync(r.treeFor(m.p.site))
 		return
 	}
-	peerFrames, err := wire.DecodeTreeFrames(framesEnc)
-	if err != nil {
-		m.fail()
-		return
-	}
 	tree := r.treeFor(m.p.site)
 	var frontier []wire.TreeFrame
-	for _, f := range peerFrames {
-		level, index := wire.TreePathParts(f.Path)
-		local, ok := tree.NodeHash(level, index)
-		if !ok || local == f.Hash {
-			continue
+	var kids [information.MerkleFanout]uint64
+	// The decoder refused any section that is not 8 + childRecordSize·n bytes.
+	for records := children[8:]; len(records) > 0; records = records[childRecordSize:] {
+		level, index := wire.TreePathParts(binary.BigEndian.Uint64(records))
+		for j, local := range tree.AppendChildren(kids[:0], level, index) {
+			if local == binary.BigEndian.Uint64(records[8+8*j:]) {
+				continue
+			}
+			child := index*information.MerkleFanout + uint32(j)
+			if int(level)+1 >= information.MerkleDepth {
+				m.divergent = append(m.divergent, child)
+				continue
+			}
+			frontier = append(frontier, wire.TreeFrame{Path: wire.PackTreePath(level+1, child), Hash: local})
 		}
-		if int(level) >= information.MerkleDepth {
-			m.divergent = append(m.divergent, index)
-			continue
-		}
-		frontier = append(frontier, wire.TreeFrame{Path: f.Path, Hash: local})
 	}
 	if len(frontier) == 0 || m.depth >= information.MerkleDepth {
 		m.scopedSync(tree)
@@ -204,7 +201,7 @@ func (m *merkleExchange) descend(framesEnc []byte) {
 			m.scopedSync(r.treeFor(m.p.site))
 			return
 		}
-		m.descend(resp.Frames)
+		m.descend(resp.Children)
 	})
 }
 
@@ -219,7 +216,7 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 		m.finish()
 		return
 	}
-	sort.Slice(m.divergent, func(i, j int) bool { return m.divergent[i] < m.divergent[j] })
+	slices.Sort(m.divergent)
 	digest := make(map[string]vclock.Version, len(m.divergent))
 	for _, b := range m.divergent {
 		tree.LeafDigestInto(digest, b)
@@ -227,21 +224,20 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 	m.st.digestEntries += len(digest)
 	m.count(digestMapBytes(digest))
 	r.bump(func(s *Stats) { s.DigestEntriesSent += int64(len(digest)) })
-	scope := append([]uint32(nil), m.divergent...)
-	r.ep.GoJSON(m.p.addr, MethodSync, syncReq{Site: r.site, Digest: digest, Scope: scope}, func(res rpc.Result) {
+	r.ep.GoJSON(m.p.addr, MethodSync, syncReq{Site: r.site, Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
 		var resp syncResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
 			return
 		}
-		m.count(digestMapBytes(resp.Digest))
+		m.count(wantBytes(resp.Want))
 		m.pull(resp.Deltas)
 		// Push half: our rows in the divergent buckets the peer's scoped
-		// digest has not fully seen. The tree is already scoped to the
-		// peer's placement interest, so no further filtering is needed.
+		// digest has not fully seen: the offered ids it named, sorted. The
+		// tree is already scoped to the peer's placement interest.
 		var push []*information.Object
-		for id, vv := range digest {
-			if seen, ok := resp.Digest[id]; ok && seen.Dominates(vv) {
+		for _, id := range resp.Want {
+			if _, offered := digest[id]; !offered {
 				continue
 			}
 			if obj, ok := r.space.Fetch(id); ok {
@@ -252,16 +248,15 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 			m.finish()
 			return
 		}
-		sort.Slice(push, func(i, j int) bool { return push[i].ID < push[j].ID })
 		m.push(push, m.finish)
 	}, rpc.CallTimeout(DefaultSyncTimeout), rpc.CallTrace(m.st.trace))
 }
 
 // The digest-byte counters measure the digest sections of the bodies
-// exchanged: tree frames as carried (len of the encoding), and for
-// high-water maps and id→version-vector digests the sizes below, which
-// are what appendHW and appendDigest write. Data deltas and pushes are
-// never digest bytes.
+// exchanged: tree frames and children sections as carried (len of the
+// encoding), and for high-water maps, id→version-vector digests and
+// want-lists the sizes below, which are what appendHW, appendDigest and
+// appendStrings write. Data deltas and pushes are never digest bytes.
 
 func vvBytes(vv vclock.Version) int {
 	n := 8
@@ -280,10 +275,22 @@ func digestMapBytes(d map[string]vclock.Version) int {
 	return n
 }
 
+// hwBytes is 0 for an absent (nil) map: no section is encoded.
 func hwBytes(hw map[string]uint64) int {
+	if hw == nil {
+		return 0
+	}
 	n := 8
 	for s := range hw {
 		n += len(s) + 12
+	}
+	return n
+}
+
+func wantBytes(want []string) int {
+	n := 8
+	for _, id := range want {
+		n += len(id) + 4
 	}
 	return n
 }

@@ -180,7 +180,7 @@ func TestSyncRejectsUnscopedRequest(t *testing.T) {
 		probe.GoJSON(f.reps[0].Addr(), MethodSync, req, func(res rpc.Result) {
 			var resp syncResp
 			got, answered = res.Decode(&resp), true
-			if len(resp.Deltas) != 0 || len(resp.Digest) != 0 {
+			if len(resp.Deltas) != 0 || len(resp.Want) != 0 {
 				t.Errorf("%s: unscoped request was answered with state: %+v", name, resp)
 			}
 		}, rpc.CallTimeout(DefaultSyncTimeout))

@@ -55,18 +55,19 @@ import (
 const (
 	// MethodSync is the final, narrow step of a digest negotiation: the
 	// caller sends its digest of the divergent Merkle leaf buckets it
-	// names in Scope, the peer answers with its own digest of those
-	// buckets plus every object in them the caller has not fully seen
-	// (the delta pull, folded into the same interrogation). A request
-	// without a Scope is refused.
+	// names in Scope, the peer answers with the ids of that digest it
+	// has not fully seen (the want-list) plus every object in those
+	// buckets the caller has not fully seen (the delta pull, folded into
+	// the same interrogation). A request without a Scope is refused.
 	MethodSync = "replica.sync"
 	// MethodPush delivers objects the caller holds that the peer's digest
 	// had not seen — the push half that lets one round converge a pair.
 	MethodPush = "replica.push"
 	// MethodDigest is the Merkle negotiation: the caller offers tree-node
 	// frames (root first), the peer answers with the children of every
-	// frame that mismatches its own tree — plus, on the opening frame,
-	// its high-water marks and the rows the caller's marks prove missing.
+	// frame that mismatches its own tree — plus, on a mismatched opening
+	// frame, its high-water marks and the rows the caller's marks prove
+	// missing.
 	MethodDigest = "replica.digest"
 )
 
@@ -98,8 +99,10 @@ type syncReq struct {
 type syncResp struct {
 	// Site names the responding replica, so the caller can filter its
 	// push half by the responder's placement interest set.
-	Site   string
-	Digest map[string]vclock.Version
+	Site string
+	// Want lists, sorted, the caller's digest ids the responder's scoped
+	// digest lacks or does not dominate: the rows the caller pushes.
+	Want   []string
 	Deltas []*information.Object
 }
 
@@ -136,17 +139,18 @@ type digestReq struct {
 }
 
 // digestResp answers a negotiation step: Match reports that every
-// offered frame agreed; otherwise Frames carries the responder's
-// children of each mismatched internal node. On the opening call the
-// responder also returns its high-water marks and — when the roots
-// differ — the rows the caller's marks prove it has never seen (the
-// fast-path delta, placement-scoped like any other delta).
+// offered frame agreed; otherwise Children carries, per mismatched
+// internal node, its packed path and its MerkleFanout child hashes in
+// index order (the children section, see codec.go). When the opening
+// call's root mismatched the responder also returns its high-water marks
+// and the rows the caller's marks prove it has never seen (the fast-path
+// delta, placement-scoped like any other delta).
 type digestResp struct {
-	Site   string
-	Match  bool
-	Frames []byte
-	HW     map[string]uint64
-	Deltas []*information.Object
+	Site     string
+	Match    bool
+	Children []byte
+	HW       map[string]uint64
+	Deltas   []*information.Object
 }
 
 type pushResp struct {

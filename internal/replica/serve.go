@@ -54,10 +54,10 @@ func (r *Replicator) register() {
 }
 
 // serveScopedSync answers a digest exchange narrowed to the caller's
-// divergent Merkle leaf buckets: the responder's scoped digest for those
-// buckets plus the rows the caller's scoped digest has not fully seen.
-// The per-caller tree is already placement-scoped, so the partial-
-// replication cut is built in.
+// divergent Merkle leaf buckets: the caller's ids the responder's scoped
+// digest for those buckets has not fully seen (the want-list), plus the
+// rows the caller's scoped digest has not fully seen. The per-caller tree
+// is already placement-scoped, so the partial-replication cut is built in.
 func (r *Replicator) serveScopedSync(req syncReq) syncResp {
 	tree := r.treeFor(req.Site)
 	// The caller's digest covers the same buckets: its size is the hint.
@@ -75,7 +75,15 @@ func (r *Replicator) serveScopedSync(req syncReq) syncResp {
 		}
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].ID < deltas[j].ID })
-	return syncResp{Site: r.site, Digest: scopedDigest, Deltas: r.serveDeltas(deltas)}
+	var want []string
+	for id, vv := range req.Digest {
+		if seen, ok := scopedDigest[id]; ok && seen.Dominates(vv) {
+			continue
+		}
+		want = append(want, id)
+	}
+	sort.Strings(want)
+	return syncResp{Site: r.site, Want: want, Deltas: r.serveDeltas(deltas)}
 }
 
 // serveDeltas counts the rows a response carries as served.
@@ -87,9 +95,10 @@ func (r *Replicator) serveDeltas(deltas []*information.Object) []*information.Ob
 }
 
 // serveDigest answers one Merkle negotiation step: for every offered
-// frame that mismatches the responder's tree, the node's children; on
-// the opening call (HW present) also the responder's high-water marks
-// and the fast-path rows the caller's marks prove it lacks.
+// internal frame that mismatches the responder's tree, a children record;
+// on a mismatched opening call (HW present) also the responder's
+// high-water marks and the fast-path rows the caller's marks prove it
+// lacks. A matched root carries no marks: the caller is done.
 func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 	r.bump(func(s *Stats) { s.ServedDigests++ })
 	tree := r.treeFor(req.Site)
@@ -97,37 +106,33 @@ func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 	if err != nil {
 		return digestResp{}, err
 	}
-	// Keep the mismatched frames, counting the internal ones: each answers
-	// with exactly MerkleFanout children, so the reply is written straight
-	// into one exact-size buffer in wire.AppendTreeFrames' layout.
-	mismatched, internal := frames[:0], 0
+	// Keep the mismatched internal frames: each answers with one children
+	// record, so the reply is written straight into one exact-size buffer.
+	internal, match := frames[:0], true
 	for _, f := range frames {
 		level, index := wire.TreePathParts(f.Path)
 		if local, ok := tree.NodeHash(level, index); ok && local != f.Hash {
-			mismatched = append(mismatched, f)
+			match = false
 			if level < information.MerkleDepth {
-				internal++
+				internal = append(internal, f)
 			}
 		}
 	}
-	resp := digestResp{Site: r.site, Match: len(mismatched) == 0}
-	if n := internal * information.MerkleFanout; n > 0 {
-		resp.Frames = wire.AppendUint64(make([]byte, 0, 8+16*n), uint64(n))
+	resp := digestResp{Site: r.site, Match: match}
+	if n := len(internal); n > 0 {
+		resp.Children = wire.AppendUint64(make([]byte, 0, 8+childRecordSize*n), uint64(n))
 		var kids [information.MerkleFanout]uint64
-		for _, f := range mismatched {
+		for _, f := range internal {
 			level, index := wire.TreePathParts(f.Path)
-			base := index * information.MerkleFanout
-			for j, h := range tree.AppendChildren(kids[:0], level, index) {
-				resp.Frames = wire.AppendUint64(resp.Frames, wire.PackTreePath(level+1, base+uint32(j)))
-				resp.Frames = wire.AppendUint64(resp.Frames, h)
+			resp.Children = wire.AppendUint64(resp.Children, f.Path)
+			for _, h := range tree.AppendChildren(kids[:0], level, index) {
+				resp.Children = wire.AppendUint64(resp.Children, h)
 			}
 		}
 	}
-	if req.HW != nil {
+	if req.HW != nil && !resp.Match {
 		resp.HW = tree.HighWater()
-		if !resp.Match {
-			resp.Deltas = r.serveDeltas(r.newerThanHW(tree, req.HW, req.Site))
-		}
+		resp.Deltas = r.serveDeltas(r.newerThanHW(tree, req.HW, req.Site))
 	}
 	return resp, nil
 }

@@ -3,9 +3,12 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"mocca/internal/information"
+	"mocca/internal/vclock"
 	"mocca/internal/wire"
 )
 
@@ -34,10 +37,10 @@ func offer(tree *information.DigestTree, level, index uint32, mismatch bool) wir
 	return wire.TreeFrame{Path: wire.PackTreePath(level, index), Hash: h}
 }
 
-// TestServeDigestFramesMatchReference: the child frames serveDigest
-// writes straight into the reply are byte for byte what the loop it
-// replaced produced — a []wire.TreeFrame of every mismatched node's
-// children through wire.AppendTreeFrames.
+// TestServeDigestFramesMatchReference: the children section serveDigest
+// writes straight into the reply is byte for byte the reference layout —
+// per mismatched internal node, its path and its tree.AppendChildren
+// hashes — in one exact-size allocation that decodes back unchanged.
 func TestServeDigestFramesMatchReference(t *testing.T) {
 	r, _ := servedFixture(t, 400)
 	tree := r.space.Tree()
@@ -46,34 +49,39 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 		all16 = append(all16, offer(tree, 1, i, true))
 	}
 	cases := []struct {
-		name     string
-		frames   []wire.TreeFrame
-		children int
+		name    string
+		frames  []wire.TreeFrame
+		parents int
 	}{
-		{"root", []wire.TreeFrame{offer(tree, 0, 0, true)}, 16},
+		{"root", []wire.TreeFrame{offer(tree, 0, 0, true)}, 1},
 		{"three of five", []wire.TreeFrame{
 			offer(tree, 1, 0, true), offer(tree, 1, 3, false), offer(tree, 2, 17, true),
 			offer(tree, 1, 9, false), offer(tree, 2, 255, true),
-		}, 48},
-		{"all sixteen", all16, 256},
+		}, 3},
+		{"all sixteen", all16, 16},
 		{"leaf level", []wire.TreeFrame{offer(tree, information.MerkleDepth, 4095, true)}, 0},
 		{"leaf beside internal", []wire.TreeFrame{
 			offer(tree, information.MerkleDepth, 7, true), offer(tree, 2, 7, true), offer(tree, 9, 0, true),
-		}, 16},
+		}, 1},
 	}
 	for _, tc := range cases {
-		var want []wire.TreeFrame
+		var records []byte
+		parents := 0
 		for _, f := range tc.frames {
 			level, index := wire.TreePathParts(f.Path)
-			if local, ok := tree.NodeHash(level, index); !ok || local == f.Hash {
+			local, ok := tree.NodeHash(level, index)
+			kids := tree.AppendChildren(nil, level, index)
+			if !ok || local == f.Hash || len(kids) == 0 {
 				continue
 			}
-			for j, h := range tree.AppendChildren(nil, level, index) {
-				want = append(want, wire.TreeFrame{Path: wire.PackTreePath(level+1, index*information.MerkleFanout+uint32(j)), Hash: h})
+			parents++
+			records = wire.AppendUint64(records, f.Path)
+			for _, h := range kids {
+				records = wire.AppendUint64(records, h)
 			}
 		}
-		if len(want) != tc.children {
-			t.Fatalf("%s: the reference loop yields %d children, the case says %d", tc.name, len(want), tc.children)
+		if parents != tc.parents {
+			t.Fatalf("%s: the reference yields %d parents, the case says %d", tc.name, parents, tc.parents)
 		}
 		resp, err := r.serveDigest(digestReq{Site: "s1", Frames: wire.AppendTreeFrames(nil, tc.frames)})
 		if err != nil {
@@ -82,21 +90,43 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 		if resp.Match {
 			t.Errorf("%s: a mismatched frame answered Match", tc.name)
 		}
-		if len(want) == 0 {
-			if len(resp.Frames) != 0 {
-				t.Errorf("%s: %d frame bytes for a node without children", tc.name, len(resp.Frames))
+		if parents == 0 {
+			if len(resp.Children) != 0 {
+				t.Errorf("%s: %d children bytes for a node without children", tc.name, len(resp.Children))
 			}
 			continue
 		}
-		if ref := wire.AppendTreeFrames(nil, want); !bytes.Equal(resp.Frames, ref) {
-			t.Errorf("%s: served frames differ from wire.AppendTreeFrames of the children\n got %x\nwant %x", tc.name, resp.Frames, ref)
+		if ref := append(wire.AppendUint64(nil, uint64(parents)), records...); !bytes.Equal(resp.Children, ref) {
+			t.Errorf("%s: served children section differs from the reference\n got %x\nwant %x", tc.name, resp.Children, ref)
 		}
-		if len(resp.Frames) != cap(resp.Frames) {
-			t.Errorf("%s: reply buffer holds %d bytes in a %d-byte allocation", tc.name, len(resp.Frames), cap(resp.Frames))
+		if len(resp.Children) != cap(resp.Children) || len(resp.Children) != 8+childRecordSize*parents {
+			t.Errorf("%s: reply buffer holds %d bytes in a %d-byte allocation", tc.name, len(resp.Children), cap(resp.Children))
+		}
+		body, _ := resp.AppendBinary(nil)
+		var back digestResp
+		if err := back.UnmarshalBinary(body); err != nil || !bytes.Equal(back.Children, resp.Children) {
+			t.Errorf("%s: the served section does not decode back", tc.name)
 		}
 	}
-	if resp, err := r.serveDigest(digestReq{Site: "s1", Frames: rootFrame(tree)}); err != nil || !resp.Match || resp.Frames != nil {
+	if resp, err := r.serveDigest(digestReq{Site: "s1", Frames: rootFrame(tree), HW: map[string]uint64{}}); err != nil || !resp.Match || resp.Children != nil || resp.HW != nil {
 		t.Errorf("matching root: %+v, %v", resp, err)
+	}
+}
+
+// TestBadChildrenSectionIsRefused: a reply whose children section is not
+// 8 + 136·n bytes for its count n is refused by the decoder, so descend
+// — which reads the section in place — never sees it.
+func TestBadChildrenSectionIsRefused(t *testing.T) {
+	good := childrenSection(wire.PackTreePath(0, 0), wire.PackTreePath(1, 5))
+	for _, section := range [][]byte{
+		good[:4], good[:len(good)-1], good[:len(good)-8], good[:len(good)-childRecordSize],
+		append(bytes.Clone(good), 0), append(bytes.Clone(good), make([]byte, 8)...),
+	} {
+		body, _ := digestResp{Site: "s1", Children: section}.AppendBinary(nil)
+		var m digestResp
+		if err := m.UnmarshalBinary(body); err == nil {
+			t.Errorf("a %d-byte children section decoded", len(section))
+		}
 	}
 }
 
@@ -129,4 +159,79 @@ func TestServeAllocationCeilings(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { r.serveScopedSync(sync) }); n > 12 {
 		t.Errorf("serveScopedSync over 4 buckets (%d rows): %.0f allocations, ceiling 12", rows, n)
 	}
+}
+
+// FuzzSyncWantMatchesDigestRule: the want-list a responder serves is
+// exactly the set the caller-side rule picked when the responder mirrored
+// its scoped digest back — the caller's ids whose entry in that digest is
+// missing or does not dominate the caller's vector. Each four input bytes
+// make one id: which sides hold it and how their vectors relate (equal,
+// older, newer, concurrent), and the counters.
+func FuzzSyncWantMatchesDigestRule(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 1, 4, 5, 6, 2, 7, 8, 9, 3, 1, 1, 1, 4, 2, 0, 5, 5, 3, 3, 3})
+	f.Add([]byte{3, 0, 0, 0, 3, 9, 9, 9, 5, 0, 0, 0, 4, 255, 255, 255})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := newManualFixture(t, 1).reps[0]
+		caller := map[string]vclock.Version{}
+		var rows []*information.Object
+		var scope []uint32
+		for i := 0; i+4 <= len(in) && i < 4*64; i += 4 {
+			id := fmt.Sprintf("obj%03d", i/4)
+			base := vclock.Version{"s0": uint64(in[i+1]) + 1, "s1": uint64(in[i+2])}
+			if in[i+3] > 0 {
+				base["s2"] = uint64(in[i+3])
+			}
+			bumped := func(site string) vclock.Version {
+				vv := maps.Clone(base)
+				vv[site]++
+				return vv
+			}
+			var mine, theirs vclock.Version
+			switch in[i] % 6 {
+			case 0: // the responder lacks it
+				mine = base
+			case 1: // the caller lacks it
+				theirs = base
+			case 2:
+				mine, theirs = base, base
+			case 3: // the caller's is older
+				mine, theirs = base, bumped("s1")
+			case 4: // the caller's is newer
+				mine, theirs = bumped("s2"), base
+			case 5:
+				mine, theirs = bumped("s0"), bumped("s1")
+			}
+			if mine != nil {
+				caller[id] = mine
+			}
+			if theirs != nil {
+				rows = append(rows, &information.Object{ID: id, Schema: "doc", Owner: "prinz", Site: "s1",
+					Fields: map[string]string{"title": id}, VV: theirs})
+			}
+			scope = append(scope, information.MerkleBucket(id))
+		}
+		if len(scope) == 0 {
+			return
+		}
+		if _, _, refused := r.applyRows(rows); len(refused) > 0 {
+			t.Fatalf("rows refused: %v", refused)
+		}
+		// The rule as the caller applied it to a mirrored digest.
+		mirrored := map[string]vclock.Version{}
+		for _, b := range scope {
+			r.space.Tree().LeafDigestInto(mirrored, b)
+		}
+		var want []string
+		for id, vv := range caller {
+			if seen, ok := mirrored[id]; ok && seen.Dominates(vv) {
+				continue
+			}
+			want = append(want, id)
+		}
+		slices.Sort(want)
+		got := r.serveScopedSync(syncReq{Site: "s1", Digest: caller, Scope: scope}).Want
+		if !slices.Equal(got, want) {
+			t.Fatalf("want-list %v, the digest rule pushes %v", got, want)
+		}
+	})
 }
