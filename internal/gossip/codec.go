@@ -7,13 +7,14 @@ import (
 	"mocca/internal/wire"
 )
 
-// The rumor plane's four messages (gossip.rumor, gossip.fetch) travel as
-// hand-written binary bodies, like the anti-entropy protocol's: a tag byte
-// naming the message, then wire's shared primitives — uint32
-// length-prefixed strings, big-endian uint64 counts and integers — with
-// version vectors in vclock's canonical form and rows in the one row
-// codec (information.AppendObject). wire.EncodeBody picks a message's own
-// AppendBinary over JSON, so the membership messages are untouched.
+// The rumor plane's three messages — the gossip.rumor announcement and the
+// gossip.fetch request and reply — travel as hand-written binary bodies,
+// like the anti-entropy protocol's: a tag byte naming the message, then
+// wire's shared primitives — uint32 length-prefixed strings, big-endian
+// uint64 counts and integers — with version vectors in vclock's canonical
+// form and rows in the one row codec (information.AppendObject).
+// wire.EncodeBody picks a message's own AppendBinary over JSON, so the
+// membership messages are untouched.
 //
 // A rumor entry's vector stays the bytes it arrived as (vclock.ScanVersion
 // has walked them, so vclock.DecodeVersion reads them): the dedup key is
@@ -28,10 +29,10 @@ import (
 //
 // The tags have the high bit set: no JSON text starts with such a byte, so
 // a JSON decoder handed a binary body — or a binary decoder handed JSON —
-// fails on the first byte instead of misreading the rest.
+// fails on the first byte instead of misreading the rest. 0x92, the
+// retired rumor reply, is not reused: an old peer's reply fails on it.
 const (
 	tagRumorReq  byte = 0x91
-	tagRumorResp byte = 0x92
 	tagFetchReq  byte = 0x93
 	tagFetchResp byte = 0x94
 )
@@ -59,11 +60,6 @@ func (m rumorReq) size() int {
 		n += 4 + len(e.ID) + len(e.VV)
 	}
 	return n
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m rumorResp) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendUint64(append(b, tagRumorResp), uint64(m.Want)), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -98,13 +94,6 @@ func (m *rumorReq) UnmarshalBinary(data []byte) error {
 			m.Entries[i] = rumorEntry{ID: b.String(), VV: wire.Consume(&b, vclock.ScanVersion)}
 		}
 	}
-	return b.Close()
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *rumorResp) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagRumorResp, "rumorResp")
-	*m = rumorResp{Want: b.Int()}
 	return b.Close()
 }
 

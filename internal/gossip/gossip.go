@@ -23,12 +23,14 @@
 //
 //   - Rumor mongering. A fresh local write publishes a small rumor
 //     (object id + version vector) to the active view with a hop-count
-//     TTL. A receiver that has not seen the version pulls the row from
-//     the rumor's sender (gossip.fetch), applies it, arms its own
-//     anti-entropy round, and re-forwards the rumor — so hot updates
-//     cover the overlay in O(log n) hops without waiting for sync
-//     intervals, and anti-entropy remains the repair path rather than
-//     the propagation path.
+//     TTL. A rumor is an announcement: one frame per target, no reply, no
+//     timeout, nothing kept at the sender. A receiver that has not seen
+//     the version pulls the row from the rumor's sender (gossip.fetch),
+//     applies it, arms its own anti-entropy round, and re-forwards the
+//     rumor — so hot updates cover the overlay in O(log n) hops without
+//     waiting for sync intervals, and anti-entropy remains the repair
+//     path rather than the propagation path: a lost rumor is one it
+//     repairs.
 //
 //   - View-scoped anti-entropy. The Replicator's peer set is driven by
 //     the active view through the OnChange callback: peers entering the
@@ -73,7 +75,8 @@ const (
 	MethodShuffle = "gossip.shuffle"
 	// MethodProbe is the liveness check run against the active view.
 	MethodProbe = "gossip.probe"
-	// MethodRumor pushes fresh-write rumors (id + version vector, TTL).
+	// MethodRumor announces fresh-write rumors (id + version vector, TTL);
+	// it is one-way (rpc.Endpoint.Announce) and has no reply.
 	MethodRumor = "gossip.rumor"
 	// MethodFetch pulls the rows behind a rumor from its sender.
 	MethodFetch = "gossip.fetch"

@@ -81,12 +81,6 @@ type rumorReq struct {
 	Entries []rumorEntry
 }
 
-type rumorResp struct {
-	// Want is how many rumored rows the receiver will pull — observability
-	// only; the pull itself is a separate gossip.fetch.
-	Want int
-}
-
 type fetchReq struct {
 	Site string
 	IDs  []string
@@ -203,9 +197,16 @@ func (o *Overlay) register() {
 		return probeResp{OK: true}, nil
 	}))
 
-	o.ep.MustRegister(MethodRumor, rpc.HandleJSONCtx(func(_ netsim.Address, tc wire.TraceContext, req rumorReq) (rumorResp, error) {
-		return o.handleRumor(tc, req), nil
-	}))
+	// A rumor is an announcement: the sender waits for nothing, so the
+	// handler answers nothing.
+	o.ep.MustRegister(MethodRumor, func(r rpc.Request) ([]byte, error) {
+		var req rumorReq
+		if err := req.UnmarshalBinary(r.Body); err != nil {
+			return nil, err
+		}
+		o.handleRumor(r.Trace, req)
+		return nil, nil
+	})
 
 	o.ep.MustRegister(MethodFetch, rpc.HandleJSON(func(_ netsim.Address, req fetchReq) (fetchResp, error) {
 		if o.replica == nil {
@@ -252,11 +253,11 @@ func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) i
 // its forwarding provokes, otherwise the epidemic dies at the first
 // member whose pull raced its push. Entries whose pull fails are not
 // re-forwarded; anti-entropy repairs that path.
-func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) rumorResp {
+func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
-		return rumorResp{}
+		return
 	}
 	o.stats.RumorsSeen += int64(len(req.Entries))
 	var have, want []rumorEntry
@@ -315,7 +316,6 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) rumorResp {
 			o.forwardRumor(landed, req.TTL, req.From.Addr)
 		}, rpc.CallTimeout(DefaultTimeout), rpc.CallTrace(tc))
 	}
-	return rumorResp{Want: len(want)}
 }
 
 // forwardRumor re-forwards entries this member can vouch for (it holds
@@ -374,15 +374,18 @@ func (o *Overlay) rumorTargetsLocked(exclude netsim.Address, rank func(site stri
 	return out
 }
 
-// sendRumor encodes req once and hands every target the same body: rpc
-// copies it into each frame and only reads it.
+// sendRumor encodes req once and announces it to every target with the same
+// body: rpc copies it into each frame and only reads it. A rumor is one frame
+// per target and leaves nothing behind at the sender — losing one is fine,
+// anti-entropy is the repair path.
 func (o *Overlay) sendRumor(targets []Peer, req rumorReq, tc wire.TraceContext) {
 	body, _ := req.AppendBinary(make([]byte, 0, req.size())) // never errs
-	timeout, trace := rpc.CallTimeout(DefaultTimeout), rpc.CallTrace(tc)
+	var opts []rpc.CallOption
+	if !tc.IsZero() {
+		opts = []rpc.CallOption{rpc.CallTrace(tc)}
+	}
 	for _, p := range targets {
-		o.ep.Go(p.Addr, MethodRumor, body, func(rpc.Result) {
-			// Losing a rumor is fine: anti-entropy is the repair path.
-		}, timeout, trace)
+		_ = o.ep.Announce(p.Addr, MethodRumor, body, opts...)
 	}
 }
 

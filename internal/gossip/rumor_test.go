@@ -11,6 +11,9 @@ import (
 	"mocca/internal/wire"
 )
 
+// raceEnabled is set by race_test.go when the tests run under -race.
+var raceEnabled bool
+
 // unsortedVV is a vector no sender here would write — sites out of order —
 // that DecodeVersion still reads: what a forward must not tidy up.
 func unsortedVV() []byte {
@@ -46,11 +49,11 @@ func TestRumorKeyUnchanged(t *testing.T) {
 	}
 }
 
-// rumorsFrom collects the gossip.rumor bodies one endpoint sends, as the
-// slices rpc was handed (not copies).
+// rumorsFrom collects the gossip.rumor bodies one endpoint announces, as
+// the slices rpc was handed (not copies).
 func rumorsFrom(addr netsim.Address, into *[][]byte) func(*channel.Frame) {
 	return func(f *channel.Frame) {
-		if method, _ := f.Env.Header("method"); f.Dir == channel.Outbound && f.Local == addr && method == MethodRumor && f.Env.Kind == "rpc.req" {
+		if method, _ := f.Env.Header("method"); f.Dir == channel.Outbound && f.Local == addr && method == MethodRumor && f.Env.Kind == "rpc.ann" {
 			*into = append(*into, f.Env.Body)
 		}
 	}
@@ -72,10 +75,11 @@ func TestRumorForwardKeepsVectorBytes(t *testing.T) {
 	if err := req.UnmarshalBinary(body); err != nil {
 		t.Fatal(err)
 	}
-	if resp := overlays[1].handleRumor(wire.TraceContext{}, req); resp.Want != 0 {
-		t.Fatalf("a member holding every row wants %d", resp.Want)
-	}
+	overlays[1].handleRumor(wire.TraceContext{}, req)
 	clk.RunUntilIdle()
+	if n := overlays[1].Stats().RumorFetches; n != 0 {
+		t.Fatalf("a member holding every row pulled %d times", n)
+	}
 	if len(sent) == 0 {
 		t.Fatal("nothing was forwarded")
 	}
@@ -116,6 +120,53 @@ func TestRumorFanOutEncodesOnce(t *testing.T) {
 				t.Fatalf("%s: a target was sent its own encoding of the body", name)
 			}
 		}
+	}
+}
+
+// TestRumorIsOneFrame: a published rumor costs the publisher one rpc.ann
+// frame per active-view peer and nothing else — no call, so no reply frame
+// comes back anywhere in the exchange — and the fan-out allocates the body
+// once plus at most four allocations per target.
+func TestRumorIsOneFrame(t *testing.T) {
+	var announced [][]byte
+	replies := 0
+	clk, overlays, replicas := tappedOverlays(t, 5, func(f *channel.Frame) {
+		rumorsFrom("gossip-g00", &announced)(f)
+		if method, _ := f.Env.Header("method"); method == MethodRumor && f.Env.Kind == "rpc.rep" {
+			replies++
+		}
+	})
+	o := overlays[0]
+	k := len(o.ActiveView())
+	if k < 2 {
+		t.Fatalf("the publisher's active view holds %d peers; a fan-out needs at least two", k)
+	}
+	before := o.ep.Stats()
+	vv := vclock.Version{"g00": 1}
+	replicas[0].rows["obj-1"] = vv
+	o.Publish("obj-1", vv, nil)
+	after := o.ep.Stats()
+	if after.CallsSent != before.CallsSent || after.Announcements != before.Announcements+int64(k) {
+		t.Fatalf("publishing to %d peers moved calls %d -> %d and announcements %d -> %d",
+			k, before.CallsSent, after.CallsSent, before.Announcements, after.Announcements)
+	}
+	clk.RunUntilIdle()
+	if len(announced) != k || replies != 0 {
+		t.Fatalf("publishing to %d peers sent %d rumor frames and drew %d replies", k, len(announced), replies)
+	}
+	for i, r := range replicas[1:] {
+		if _, ok := r.rows["obj-1"]; !ok {
+			t.Fatalf("g%02d never got the rumored row", i+1)
+		}
+	}
+
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what is put back, so pooled paths allocate")
+	}
+	req := rumorReq{From: o.Self(), TTL: DefaultTTL, Entries: []rumorEntry{entryOf("obj-2", vv)}}
+	targets := o.ActiveView()
+	if n := testing.AllocsPerRun(100, func() { o.sendRumor(targets, req, wire.TraceContext{}) }); n > float64(1+4*k) {
+		t.Fatalf("a rumor to %d targets allocates %v times, want at most %d", k, n, 1+4*k)
 	}
 }
 

@@ -4,7 +4,10 @@
 //
 // The ODP computational viewpoint names exactly these two interaction
 // kinds; higher layers (trader, directory, mhs, the CSCW environment) are
-// all expressed in terms of them.
+// all expressed in terms of them. The rule for choosing: an invocation whose
+// outcome the caller discards is an announcement. An interrogation costs a
+// reply frame, a correlation id, a pending call and a timeout timer, all for
+// an outcome.
 //
 // Because the substrate may run under a simulated clock, the primary call
 // API is asynchronous (Go with a completion callback). A blocking Call is
