@@ -6,15 +6,22 @@ import (
 	"mocca/internal/wire"
 )
 
-// x500.search — the one DSA operation a workload issues — travels as
-// hand-written binary bodies, like the replica and rumor planes' (see
-// internal/replica/codec.go for the shape: a tag byte with the high bit
-// set, then wire's primitives, maps in sorted key order); wire.AppendBody
-// picks a message's own AppendBinary over JSON, so the administrative
-// operations beside it are untouched. Range 0xC1–0xC2.
+// Every DSA operation travels as a hand-written binary body, like the
+// replica and rumor planes' (see internal/replica/codec.go for the shape: a
+// tag byte with the high bit set, then wire's primitives, maps in sorted key
+// order). An Entry is its DN in string form and its attributes; a
+// standalone Entry is x500.read's answer and x500.add's request. Read,
+// delete and list name one entry with a dnReq; a write is answered with
+// wire.Empty, as is x500.snapshot's request. Range 0xC1–0xC8.
 const (
-	tagSearchReq  byte = 0xC1
-	tagSearchResp byte = 0xC2
+	tagSearchReq    byte = 0xC1
+	tagSearchResp   byte = 0xC2
+	tagEntry        byte = 0xC3
+	tagDNReq        byte = 0xC4
+	tagModifyReq    byte = 0xC5
+	tagChangesReq   byte = 0xC6
+	tagChangesResp  byte = 0xC7
+	tagSnapshotResp byte = 0xC8
 )
 
 // The one flag of each message: searchReq.Deref, searchResp.Partial.
@@ -39,11 +46,7 @@ func AppendAttributes(b []byte, a Attributes) []byte {
 	}
 	slices.Sort(names)
 	for _, name := range names {
-		b = wire.AppendString(b, name)
-		b = wire.AppendUint64(b, uint64(len(a[name])))
-		for _, v := range a[name] {
-			b = wire.AppendString(b, v)
-		}
+		b = wire.AppendStrings(wire.AppendString(b, name), a[name])
 	}
 	return b
 }
@@ -58,14 +61,7 @@ func ConsumeAttributes(b *wire.Body) Attributes {
 	a := make(Attributes, n)
 	for range n {
 		name := b.String()
-		var values []string
-		if nv := b.Count(4); nv > 0 {
-			values = make([]string, nv)
-			for i := range values {
-				values[i] = b.String()
-			}
-		}
-		a[name] = values
+		a[name] = b.Strings()
 	}
 	return a
 }
@@ -87,26 +83,154 @@ func (m *searchReq) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
+// appendEntry writes an entry: its DN in string form, then its attributes.
+func appendEntry(b []byte, e *Entry) []byte {
+	return AppendAttributes(wire.AppendString(b, e.DN.String()), e.Attrs)
+}
+
+// consumeEntry reads an entry written by appendEntry: a DN that does not
+// parse is a bad body, and an entry without attributes reads with an empty
+// set.
+func consumeEntry(b *wire.Body) *Entry {
+	e := &Entry{DN: wire.Consume(b, consumeDN), Attrs: ConsumeAttributes(b)}
+	if e.Attrs == nil {
+		e.Attrs = Attributes{}
+	}
+	return e
+}
+
+func consumeDN(data []byte) (DN, []byte, error) {
+	s, rest, err := wire.ConsumeString(data)
+	if err != nil {
+		return nil, data, err
+	}
+	dn, err := ParseDN(s)
+	return dn, rest, err
+}
+
+// consumeEntries reads a list of entries; an empty one reads as nil.
+func consumeEntries(b *wire.Body) []*Entry {
+	n := b.Count(4 + 8) // a DN's prefix and an attribute count
+	if n == 0 {
+		return nil
+	}
+	entries := make([]*Entry, n)
+	for i := range entries {
+		entries[i] = consumeEntry(b)
+	}
+	return entries
+}
+
 // AppendBinary implements encoding.BinaryAppender.
 func (m searchResp) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagSearchResp, flagIf(m.Partial))
-	b = wire.AppendUint64(b, uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = wire.AppendString(b, e.DN)
-		b = AppendAttributes(b, e.Attrs)
-	}
-	return b, nil
+	return wire.AppendList(append(b, tagSearchResp, flagIf(m.Partial)), m.Entries, appendEntry), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *searchResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSearchResp, "x500 searchResp")
 	*m = searchResp{Partial: b.Flags(flagSet) != 0}
-	if n := b.Count(4 + 8); n > 0 { // a DN's prefix and an attribute count
-		m.Entries = make([]WireEntry, n)
-		for i := range m.Entries {
-			m.Entries[i] = WireEntry{DN: b.String(), Attrs: ConsumeAttributes(&b)}
+	m.Entries = consumeEntries(&b)
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (e Entry) AppendBinary(b []byte) ([]byte, error) {
+	return appendEntry(append(b, tagEntry), &e), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (e *Entry) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagEntry, "x500 entry")
+	*e = *consumeEntry(&b)
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m dnReq) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendString(append(b, tagDNReq), m.DN), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *dnReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagDNReq, "x500 dnReq")
+	*m = dnReq{DN: b.String()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m modifyReq) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendString(append(b, tagModifyReq), m.DN)
+	b = wire.AppendUint64(b, uint64(len(m.Mods)))
+	for _, mod := range m.Mods {
+		b = wire.AppendString(b, mod.Op)
+		b = wire.AppendString(b, mod.Attr)
+		b = wire.AppendString(b, mod.Value)
+		b = wire.AppendStrings(b, mod.Values)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *modifyReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagModifyReq, "x500 modifyReq")
+	*m = modifyReq{DN: b.String()}
+	if n := b.Count(3*4 + 8); n > 0 { // three prefixes and a value count
+		m.Mods = make([]Modification, n)
+		for i := range m.Mods {
+			m.Mods[i] = Modification{Op: b.String(), Attr: b.String(), Value: b.String(), Values: b.Strings()}
 		}
 	}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m changesReq) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendUint64(append(b, tagChangesReq), m.After), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *changesReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagChangesReq, "x500 changesReq")
+	*m = changesReq{After: b.Uint64()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m changesResp) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendUint64(append(b, tagChangesResp), m.Last)
+	b = wire.AppendUint64(b, uint64(len(m.Changes)))
+	for _, c := range m.Changes {
+		b = wire.AppendUint64(b, c.Seq)
+		b = wire.AppendUint64(b, uint64(c.Kind))
+		b = wire.AppendString(b, c.DN)
+		b = AppendAttributes(b, c.Attrs)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *changesResp) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagChangesResp, "x500 changesResp")
+	*m = changesResp{Last: b.Uint64()}
+	if n := b.Count(2*8 + 4 + 8); n > 0 { // sequence, kind, a DN's prefix, an attribute count
+		m.Changes = make([]Change, n)
+		for i := range m.Changes {
+			m.Changes[i] = Change{Seq: b.Uint64(), Kind: ChangeKind(b.Int()), DN: b.String(), Attrs: ConsumeAttributes(&b)}
+		}
+	}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m snapshotResp) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendUint64(append(b, tagSnapshotResp), m.Seq)
+	return wire.AppendList(b, m.Entries, appendEntry), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *snapshotResp) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagSnapshotResp, "x500 snapshotResp")
+	*m = snapshotResp{Seq: b.Uint64(), Entries: consumeEntries(&b)}
 	return b.Close()
 }

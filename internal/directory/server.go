@@ -6,6 +6,7 @@ import (
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
+	"mocca/internal/wire"
 )
 
 // RPC method names exposed by a DSA.
@@ -20,46 +21,15 @@ const (
 	MethodSnapshot = "x500.snapshot"
 )
 
-// WireEntry is the JSON-safe form of an Entry.
-type WireEntry struct {
-	DN    string     `json:"dn"`
-	Attrs Attributes `json:"attrs"`
+// The messages travel as the binary bodies of codec.go.
+
+// dnReq names one entry: the request of x500.read, x500.delete and
+// x500.list.
+type dnReq struct {
+	DN string
 }
 
-func toWire(e *Entry) WireEntry {
-	return WireEntry{DN: e.DN.String(), Attrs: e.Attrs}
-}
-
-func fromWire(w WireEntry) (*Entry, error) {
-	dn, err := ParseDN(w.DN)
-	if err != nil {
-		return nil, err
-	}
-	attrs := w.Attrs
-	if attrs == nil {
-		attrs = make(Attributes)
-	}
-	return &Entry{DN: dn, Attrs: attrs}, nil
-}
-
-func entriesFromWire(ws []WireEntry) ([]*Entry, error) {
-	out := make([]*Entry, 0, len(ws))
-	for _, w := range ws {
-		e, err := fromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-type readReq struct {
-	DN string `json:"dn"`
-}
-
-// searchReq and searchResp travel in the binary form of codec.go (x500.list
-// answers with a searchResp too).
+// searchReq is x500.search's request; searchResp answers it and x500.list.
 type searchReq struct {
 	Base      string
 	Scope     int
@@ -69,38 +39,30 @@ type searchReq struct {
 }
 
 type searchResp struct {
-	Entries []WireEntry
+	Entries []*Entry
 	Partial bool
 }
 
-type addReq struct {
-	Entry WireEntry `json:"entry"`
-}
-
 type modifyReq struct {
-	DN   string         `json:"dn"`
-	Mods []Modification `json:"mods"`
+	DN   string
+	Mods []Modification
 }
 
 type changesReq struct {
-	After uint64 `json:"after"`
+	After uint64
 }
 
 type changesResp struct {
-	Changes []Change `json:"changes"`
+	Changes []Change
 	// Last is the master's newest sequence number; a shadow whose local
 	// sequence trails Last while Changes is empty knows the log was
 	// compacted underneath it and must full-resync.
-	Last uint64 `json:"last"`
+	Last uint64
 }
 
 type snapshotResp struct {
-	Entries []WireEntry `json:"entries"`
-	Seq     uint64      `json:"seq"`
-}
-
-type okResp struct {
-	OK bool `json:"ok"`
+	Entries []*Entry
+	Seq     uint64
 }
 
 // Server is a Directory System Agent: a DIT bound to an rpc endpoint.
@@ -125,18 +87,18 @@ func (s *Server) DIT() *DIT { return s.dit }
 func (s *Server) SetReadOnly(ro bool) { s.readOnly = ro }
 
 func (s *Server) register() {
-	s.endpoint.MustRegister(MethodRead, rpc.HandleJSON(func(_ netsim.Address, req readReq) (WireEntry, error) {
+	s.endpoint.MustRegister(MethodRead, rpc.Handle(func(_ netsim.Address, req dnReq) (Entry, error) {
 		dn, err := ParseDN(req.DN)
 		if err != nil {
-			return WireEntry{}, err
+			return Entry{}, err
 		}
 		e, err := s.dit.Read(dn)
 		if err != nil {
-			return WireEntry{}, err
+			return Entry{}, err
 		}
-		return toWire(e), nil
+		return *e, nil
 	}))
-	s.endpoint.MustRegister(MethodSearch, rpc.HandleJSON(func(_ netsim.Address, req searchReq) (searchResp, error) {
+	s.endpoint.MustRegister(MethodSearch, rpc.Handle(func(_ netsim.Address, req searchReq) (searchResp, error) {
 		base, err := ParseDN(req.Base)
 		if err != nil {
 			return searchResp{}, err
@@ -161,76 +123,48 @@ func (s *Server) register() {
 		} else if err != nil {
 			return searchResp{}, err
 		}
-		resp := searchResp{Partial: partial}
-		for _, e := range entries {
-			resp.Entries = append(resp.Entries, toWire(e))
-		}
-		return resp, nil
+		return searchResp{Entries: entries, Partial: partial}, nil
 	}))
-	s.endpoint.MustRegister(MethodAdd, rpc.HandleJSON(func(_ netsim.Address, req addReq) (okResp, error) {
+	s.endpoint.MustRegister(MethodAdd, rpc.Handle(func(_ netsim.Address, e Entry) (wire.Empty, error) {
 		if s.readOnly {
-			return okResp{}, ErrReadOnlyShard
+			return wire.Empty{}, ErrReadOnlyShard
 		}
-		e, err := fromWire(req.Entry)
-		if err != nil {
-			return okResp{}, err
-		}
-		if err := s.dit.Add(e.DN, e.Attrs); err != nil {
-			return okResp{}, err
-		}
-		return okResp{OK: true}, nil
+		return wire.Empty{}, s.dit.Add(e.DN, e.Attrs)
 	}))
-	s.endpoint.MustRegister(MethodDelete, rpc.HandleJSON(func(_ netsim.Address, req readReq) (okResp, error) {
+	s.endpoint.MustRegister(MethodDelete, rpc.Handle(func(_ netsim.Address, req dnReq) (wire.Empty, error) {
 		if s.readOnly {
-			return okResp{}, ErrReadOnlyShard
+			return wire.Empty{}, ErrReadOnlyShard
 		}
 		dn, err := ParseDN(req.DN)
 		if err != nil {
-			return okResp{}, err
+			return wire.Empty{}, err
 		}
-		if err := s.dit.Delete(dn); err != nil {
-			return okResp{}, err
-		}
-		return okResp{OK: true}, nil
+		return wire.Empty{}, s.dit.Delete(dn)
 	}))
-	s.endpoint.MustRegister(MethodModify, rpc.HandleJSON(func(_ netsim.Address, req modifyReq) (okResp, error) {
+	s.endpoint.MustRegister(MethodModify, rpc.Handle(func(_ netsim.Address, req modifyReq) (wire.Empty, error) {
 		if s.readOnly {
-			return okResp{}, ErrReadOnlyShard
+			return wire.Empty{}, ErrReadOnlyShard
 		}
 		dn, err := ParseDN(req.DN)
 		if err != nil {
-			return okResp{}, err
+			return wire.Empty{}, err
 		}
-		if err := s.dit.Modify(dn, req.Mods...); err != nil {
-			return okResp{}, err
-		}
-		return okResp{OK: true}, nil
+		return wire.Empty{}, s.dit.Modify(dn, req.Mods...)
 	}))
-	s.endpoint.MustRegister(MethodList, rpc.HandleJSON(func(_ netsim.Address, req readReq) (searchResp, error) {
+	s.endpoint.MustRegister(MethodList, rpc.Handle(func(_ netsim.Address, req dnReq) (searchResp, error) {
 		dn, err := ParseDN(req.DN)
 		if err != nil {
 			return searchResp{}, err
 		}
 		entries, err := s.dit.List(dn)
-		if err != nil {
-			return searchResp{}, err
-		}
-		var resp searchResp
-		for _, e := range entries {
-			resp.Entries = append(resp.Entries, toWire(e))
-		}
-		return resp, nil
+		return searchResp{Entries: entries}, err
 	}))
-	s.endpoint.MustRegister(MethodChanges, rpc.HandleJSON(func(_ netsim.Address, req changesReq) (changesResp, error) {
+	s.endpoint.MustRegister(MethodChanges, rpc.Handle(func(_ netsim.Address, req changesReq) (changesResp, error) {
 		return changesResp{Changes: s.dit.Changes(req.After), Last: s.dit.LastSeq()}, nil
 	}))
-	s.endpoint.MustRegister(MethodSnapshot, rpc.HandleJSON(func(_ netsim.Address, _ struct{}) (snapshotResp, error) {
+	s.endpoint.MustRegister(MethodSnapshot, rpc.Handle(func(_ netsim.Address, _ wire.Empty) (snapshotResp, error) {
 		entries, seq := s.dit.Snapshot()
-		resp := snapshotResp{Seq: seq}
-		for _, e := range entries {
-			resp.Entries = append(resp.Entries, toWire(e))
-		}
-		return resp, nil
+		return snapshotResp{Entries: entries, Seq: seq}, nil
 	}))
 }
 
@@ -247,11 +181,11 @@ func NewClient(endpoint *rpc.Endpoint, dsa netsim.Address) *Client {
 
 // Read fetches one entry.
 func (c *Client) Read(dn string) (*Entry, error) {
-	var w WireEntry
-	if err := c.endpoint.CallJSON(c.dsa, MethodRead, readReq{DN: dn}, &w); err != nil {
+	e := new(Entry)
+	if err := c.endpoint.CallMsg(c.dsa, MethodRead, dnReq{DN: dn}, e); err != nil {
 		return nil, err
 	}
-	return fromWire(w)
+	return e, nil
 }
 
 // Search runs a filtered search under base: GoSearch without a size limit,
@@ -272,41 +206,42 @@ func (c *Client) Search(base string, scope Scope, filter string) ([]*Entry, erro
 // answer, which then holds the entries found up to the cap.
 func (c *Client) GoSearch(base string, scope Scope, filter string, sizeLimit int, done func([]*Entry, error)) {
 	req := searchReq{Base: base, Scope: int(scope), Filter: filter, SizeLimit: sizeLimit}
-	c.endpoint.GoJSON(c.dsa, MethodSearch, req, func(r rpc.Result) {
+	c.endpoint.GoMsg(c.dsa, MethodSearch, req, func(r rpc.Result) {
 		var resp searchResp
 		if err := r.Decode(&resp); err != nil {
 			done(nil, err)
 			return
 		}
-		done(entriesFromWire(resp.Entries))
+		done(resp.Entries, nil)
 	})
 }
 
 // Add inserts an entry.
 func (c *Client) Add(dn string, attrs Attributes) error {
-	var resp okResp
-	return c.endpoint.CallJSON(c.dsa, MethodAdd, addReq{Entry: WireEntry{DN: dn, Attrs: attrs}}, &resp)
+	parsed, err := ParseDN(dn)
+	if err != nil {
+		return err
+	}
+	return c.endpoint.CallMsg(c.dsa, MethodAdd, Entry{DN: parsed, Attrs: attrs}, &wire.Empty{})
 }
 
 // Delete removes a leaf entry.
 func (c *Client) Delete(dn string) error {
-	var resp okResp
-	return c.endpoint.CallJSON(c.dsa, MethodDelete, readReq{DN: dn}, &resp)
+	return c.endpoint.CallMsg(c.dsa, MethodDelete, dnReq{DN: dn}, &wire.Empty{})
 }
 
 // Modify applies attribute modifications.
 func (c *Client) Modify(dn string, mods ...Modification) error {
-	var resp okResp
-	return c.endpoint.CallJSON(c.dsa, MethodModify, modifyReq{DN: dn, Mods: mods}, &resp)
+	return c.endpoint.CallMsg(c.dsa, MethodModify, modifyReq{DN: dn, Mods: mods}, &wire.Empty{})
 }
 
 // List returns the immediate children of dn.
 func (c *Client) List(dn string) ([]*Entry, error) {
 	var resp searchResp
-	if err := c.endpoint.CallJSON(c.dsa, MethodList, readReq{DN: dn}, &resp); err != nil {
+	if err := c.endpoint.CallMsg(c.dsa, MethodList, dnReq{DN: dn}, &resp); err != nil {
 		return nil, err
 	}
-	return entriesFromWire(resp.Entries)
+	return resp.Entries, nil
 }
 
 // Shadow replicates a master DSA into a local DIT by periodically pulling
@@ -370,7 +305,7 @@ func (sh *Shadow) tick() {
 // falls back to a full snapshot.
 func (sh *Shadow) SyncOnce() {
 	after := sh.local.LastSeq()
-	sh.endpoint.GoJSON(sh.master, MethodChanges, changesReq{After: after}, func(r rpc.Result) {
+	sh.endpoint.GoMsg(sh.master, MethodChanges, changesReq{After: after}, func(r rpc.Result) {
 		var resp changesResp
 		if err := r.Decode(&resp); err != nil {
 			return // transient; next tick retries
@@ -389,13 +324,10 @@ func (sh *Shadow) SyncOnce() {
 }
 
 func (sh *Shadow) fullResync() {
-	sh.endpoint.GoJSON(sh.master, MethodSnapshot, struct{}{}, func(r rpc.Result) {
+	sh.endpoint.GoMsg(sh.master, MethodSnapshot, wire.Empty{}, func(r rpc.Result) {
 		var resp snapshotResp
-		if err := r.Decode(&resp); err != nil {
-			return
-		}
-		if entries, err := entriesFromWire(resp.Entries); err == nil {
-			_ = sh.local.LoadSnapshot(entries, resp.Seq)
+		if err := r.Decode(&resp); err == nil {
+			_ = sh.local.LoadSnapshot(resp.Entries, resp.Seq)
 		}
 	})
 }

@@ -7,14 +7,15 @@ import (
 	"mocca/internal/wire"
 )
 
-// The rumor plane's three messages — the gossip.rumor announcement and the
-// gossip.fetch request and reply — travel as hand-written binary bodies,
-// like the anti-entropy protocol's: a tag byte naming the message, then
-// wire's shared primitives — uint32 length-prefixed strings, big-endian
-// uint64 counts and integers — with version vectors in vclock's canonical
-// form and rows in the one row codec (information.AppendObject).
-// wire.EncodeBody picks a message's own AppendBinary over JSON, so the
-// membership messages are untouched.
+// Every overlay message travels as a hand-written binary body, like the
+// anti-entropy protocol's: a tag byte naming the message, then wire's shared
+// primitives — uint32 length-prefixed strings, big-endian uint64 counts and
+// integers — with a peer as its three strings, version vectors in vclock's
+// canonical form and rows in the one row codec (information.AppendObject).
+// A Peer alone is the request of gossip.join, gossip.neighbor and
+// gossip.probe: the sender introducing itself. Forward-join, neighbor and
+// probe are answered with wire.Empty: a reply arriving is all the caller
+// learns.
 //
 // A rumor entry's vector stays the bytes it arrived as (vclock.ScanVersion
 // has walked them, so vclock.DecodeVersion reads them): the dedup key is
@@ -27,22 +28,112 @@ import (
 // was read from, as wire.Unmarshal's envelope aliases its frame: the entries
 // a handler keeps while it fetches hold that one frame until the fetch ends.
 //
-// The tags have the high bit set: no JSON text starts with such a byte, so
-// a JSON decoder handed a binary body — or a binary decoder handed JSON —
-// fails on the first byte instead of misreading the rest. 0x92, the
-// retired rumor reply, is not reused: an old peer's reply fails on it.
+// The tags have the high bit set, so a body in a hex dump names its message.
+// 0x92, the retired rumor reply, is not reused: an old peer's reply fails on
+// it.
 const (
-	tagRumorReq  byte = 0x91
-	tagFetchReq  byte = 0x93
-	tagFetchResp byte = 0x94
+	tagRumorReq       byte = 0x91
+	tagFetchReq       byte = 0x93
+	tagFetchResp      byte = 0x94
+	tagPeer           byte = 0x95
+	tagJoinResp       byte = 0x96
+	tagForwardJoinReq byte = 0x97
+	tagShuffleReq     byte = 0x98
+	tagShuffleResp    byte = 0x99
 )
+
+// appendPeer writes a peer: its site, gossip address and replication
+// address.
+func appendPeer(b []byte, p Peer) []byte {
+	b = wire.AppendString(b, p.Site)
+	b = wire.AppendString(b, string(p.Addr))
+	return wire.AppendString(b, string(p.Repl))
+}
+
+func consumePeer(b *wire.Body) Peer {
+	return Peer{Site: b.String(), Addr: netsim.Address(b.String()), Repl: netsim.Address(b.String())}
+}
+
+// consumePeers reads a list of peers; an empty one reads as nil.
+func consumePeers(b *wire.Body) []Peer {
+	n := b.Count(3 * 4)
+	if n == 0 {
+		return nil
+	}
+	peers := make([]Peer, n)
+	for i := range peers {
+		peers[i] = consumePeer(b)
+	}
+	return peers
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (p Peer) AppendBinary(b []byte) ([]byte, error) {
+	return appendPeer(append(b, tagPeer), p), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (p *Peer) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagPeer, "gossip peer")
+	*p = consumePeer(&b)
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m joinResp) AppendBinary(b []byte) ([]byte, error) {
+	b = appendPeer(append(b, tagJoinResp), m.Me)
+	b = wire.AppendList(b, m.Active, appendPeer)
+	return wire.AppendList(b, m.Passive, appendPeer), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *joinResp) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagJoinResp, "joinResp")
+	*m = joinResp{Me: consumePeer(&b), Active: consumePeers(&b), Passive: consumePeers(&b)}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m forwardJoinReq) AppendBinary(b []byte) ([]byte, error) {
+	b = appendPeer(append(b, tagForwardJoinReq), m.Joiner)
+	return wire.AppendUint64(b, uint64(m.TTL)), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *forwardJoinReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagForwardJoinReq, "forwardJoinReq")
+	*m = forwardJoinReq{Joiner: consumePeer(&b), TTL: b.Int()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m shuffleReq) AppendBinary(b []byte) ([]byte, error) {
+	b = appendPeer(append(b, tagShuffleReq), m.From)
+	return wire.AppendList(b, m.Sample, appendPeer), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *shuffleReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagShuffleReq, "shuffleReq")
+	*m = shuffleReq{From: consumePeer(&b), Sample: consumePeers(&b)}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m shuffleResp) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendList(append(b, tagShuffleResp), m.Sample, appendPeer), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *shuffleResp) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagShuffleResp, "shuffleResp")
+	*m = shuffleResp{Sample: consumePeers(&b)}
+	return b.Close()
+}
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagRumorReq)
-	b = wire.AppendString(b, m.From.Site)
-	b = wire.AppendString(b, string(m.From.Addr))
-	b = wire.AppendString(b, string(m.From.Repl))
+	b = appendPeer(append(b, tagRumorReq), m.From)
 	b = wire.AppendUint64(b, uint64(m.TTL))
 	b = wire.AppendUint64(b, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
@@ -64,30 +155,19 @@ func (m rumorReq) size() int {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m fetchReq) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagFetchReq)
-	b = wire.AppendString(b, m.Site)
-	b = wire.AppendUint64(b, uint64(len(m.IDs)))
-	for _, id := range m.IDs {
-		b = wire.AppendString(b, id)
-	}
-	return b, nil
+	b = wire.AppendString(append(b, tagFetchReq), m.Site)
+	return wire.AppendStrings(b, m.IDs), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m fetchResp) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagFetchResp)
-	b = wire.AppendUint64(b, uint64(len(m.Objects)))
-	for _, o := range m.Objects {
-		b = information.AppendObject(b, o)
-	}
-	return b, nil
+	return wire.AppendList(append(b, tagFetchResp), m.Objects, information.AppendObject), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *rumorReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
-	from := Peer{Site: b.String(), Addr: netsim.Address(b.String()), Repl: netsim.Address(b.String())}
-	*m = rumorReq{From: from, TTL: b.Int()}
+	*m = rumorReq{From: consumePeer(&b), TTL: b.Int()}
 	if n := b.Count(12); n > 0 { // id prefix + vector count
 		m.Entries = make([]rumorEntry, n)
 		for i := range m.Entries {
@@ -100,13 +180,7 @@ func (m *rumorReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *fetchReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagFetchReq, "fetchReq")
-	*m = fetchReq{Site: b.String()}
-	if n := b.Count(4); n > 0 {
-		m.IDs = make([]string, n)
-		for i := range m.IDs {
-			m.IDs[i] = b.String()
-		}
-	}
+	*m = fetchReq{Site: b.String(), IDs: b.Strings()}
 	return b.Close()
 }
 

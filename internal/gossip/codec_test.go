@@ -71,6 +71,11 @@ func rumorEntries(n int) []rumorEntry {
 
 func bodyCases() []wiretest.Case {
 	from := Peer{Site: "s003", Addr: "gossip-s003", Repl: "repl-s003"}
+	peers := make([]Peer, 12)
+	for i := range peers {
+		site := fmt.Sprintf("s%03d", i)
+		peers[i] = Peer{Site: site, Addr: netsim.Address("gossip-" + site), Repl: netsim.Address("repl-" + site)}
+	}
 	rows := make([]*information.Object, 16)
 	for i := range rows {
 		rows[i] = benchRow(i)
@@ -86,7 +91,37 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("fetchResp", fetchResp{Objects: rows}),
 		wiretest.Of("fetchResp/edge rows", fetchResp{Objects: edgeRows()}),
 		wiretest.Of("fetchResp/zero", fetchResp{}),
+		wiretest.Of("peer", from),
+		wiretest.Of("peer/edge", Peer{Site: "köln", Addr: "gossip-köln"}),
+		wiretest.Of("peer/zero", Peer{}),
+		wiretest.Of("joinResp", joinResp{Me: from, Active: peers[:1], Passive: peers[1:2]}),
+		wiretest.Of("joinResp/views", joinResp{Me: from, Active: peers[:3], Passive: peers[3:]}),
+		wiretest.Of("joinResp/first", joinResp{Me: from}, joinResp{Me: from, Active: []Peer{}, Passive: []Peer{}}),
+		wiretest.Of("forwardJoinReq", forwardJoinReq{Joiner: from, TTL: DefaultWalkTTL}),
+		wiretest.Of("forwardJoinReq/edge", forwardJoinReq{Joiner: Peer{Site: "köln"}, TTL: -1}),
+		wiretest.Of("shuffleReq", shuffleReq{From: from, Sample: peers[:shuffleLen]}),
+		wiretest.Of("shuffleReq/zero", shuffleReq{}, shuffleReq{Sample: []Peer{}}),
+		wiretest.Of("shuffleResp", shuffleResp{Sample: peers[2:4]}),
+		wiretest.Of("shuffleResp/zero", shuffleResp{}, shuffleResp{Sample: []Peer{}}),
 	}
+}
+
+func TestBodiesGolden(t *testing.T) {
+	wiretest.Golden(t, bodyCases(), map[string]string{
+		"rumorReq/publish": "9100000004733030330000000b676f737369702d73303033000000097265706c2d733030330000000000000006000000" +
+			"0000000001000000096f626a303030303030000000000000000100000004733030300000000000000002",
+		"fetchReq": "9300000004733030330000000000000003000000096f626a303030303031000000106f626a2dc3bc6ec3af2de697a5e6" +
+			"9cac00000000",
+		"fetchResp/zero": "940000000000000000",
+		"peer":           "9500000004733030330000000b676f737369702d73303033000000097265706c2d73303033",
+		"joinResp": "9600000004733030330000000b676f737369702d73303033000000097265706c2d733030330000000000000001000000" +
+			"04733030300000000b676f737369702d73303030000000097265706c2d73303030000000000000000100000004733030" +
+			"310000000b676f737369702d73303031000000097265706c2d73303031",
+		"forwardJoinReq":  "9700000004733030330000000b676f737369702d73303033000000097265706c2d733030330000000000000003",
+		"shuffleReq/zero": "980000000000000000000000000000000000000000",
+		"shuffleResp": "99000000000000000200000004733030320000000b676f737369702d73303032000000097265706c2d73303032000000" +
+			"04733030330000000b676f737369702d73303033000000097265706c2d73303033",
+	})
 }
 
 func TestBodiesRoundTrip(t *testing.T) {
@@ -138,10 +173,15 @@ func TestBodiesCanonical(t *testing.T) {
 // without a panic and without an allocation sized by the bad count.
 func TestBodiesRejectDamage(t *testing.T) {
 	huge := wire.AppendUint64(nil, 1<<60) // each count, aimed at
+	noPeer := make([]byte, 3*4)           // three empty strings
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
-		"entries": append(append([]byte{tagRumorReq, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, wire.AppendUint64(nil, 6)...), huge...),
-		"ids":     append([]byte{tagFetchReq, 0, 0, 0, 0}, huge...),
-		"objects": append([]byte{tagFetchResp}, huge...),
+		"entries":        append(append(append([]byte{tagRumorReq}, noPeer...), wire.AppendUint64(nil, 6)...), huge...),
+		"ids":            append([]byte{tagFetchReq, 0, 0, 0, 0}, huge...),
+		"objects":        append([]byte{tagFetchResp}, huge...),
+		"active":         append(append([]byte{tagJoinResp}, noPeer...), huge...),
+		"passive":        append(append(append([]byte{tagJoinResp}, noPeer...), wire.AppendUint64(nil, 0)...), huge...),
+		"shuffle sample": append(append([]byte{tagShuffleReq}, noPeer...), huge...),
+		"shuffle reply":  append([]byte{tagShuffleResp}, huge...),
 	})
 }
 
@@ -177,13 +217,14 @@ func tappedOverlays(tb testing.TB, n int, tap func(*channel.Frame)) (*vclock.Sim
 	return clk, overlays, replicas
 }
 
-// rumorRound runs a real two-site rumor exchange — publish at one site,
-// pull and apply at the other — and returns every body it put on the wire
-// by rpc method.
+// rumorRound runs a real four-site overlay — joins, forward-joins, the
+// stabilization rounds' neighbor requests, probes and shuffles — then a
+// rumor exchange: publish at one site, pull and apply at the others. It
+// returns every body it put on the wire by rpc method.
 func rumorRound(tb testing.TB) map[string][][]byte {
 	tb.Helper()
 	bodies := map[string][][]byte{}
-	clk, overlays, replicas := tappedOverlays(tb, 2, func(f *channel.Frame) {
+	clk, overlays, replicas := tappedOverlays(tb, 4, func(f *channel.Frame) {
 		if f.Dir == channel.Outbound {
 			method, _ := f.Env.Header("method")
 			bodies[method] = append(bodies[method], bytes.Clone(f.Env.Body))
@@ -195,8 +236,10 @@ func rumorRound(tb testing.TB) map[string][][]byte {
 		overlays[0].Publish(id, vv, nil)
 	}
 	clk.RunUntilIdle()
-	if len(replicas[1].rows) != 3 {
-		tb.Fatalf("rumored rows did not land: %v", replicas[1].rows)
+	for i, rep := range replicas[1:] {
+		if len(rep.rows) != 3 {
+			tb.Fatalf("rumored rows did not land at g%02d: %v", i+1, rep.rows)
+		}
 	}
 	return bodies
 }
@@ -209,7 +252,9 @@ func FuzzGossipBodies(f *testing.F) {
 		if len(bodies[method]) < 2 { // three rumors; a fetch request and its reply
 			f.Fatalf("the seeding round put %d %s bodies on the wire", len(bodies[method]), method)
 		}
-		for _, b := range bodies[method] {
+	}
+	for _, list := range bodies {
+		for _, b := range list {
 			f.Add(b)
 		}
 	}
@@ -218,38 +263,38 @@ func FuzzGossipBodies(f *testing.F) {
 	}
 	wiretest.Fuzz(f, []wiretest.Case{
 		wiretest.Of("rumorReq", rumorReq{}), wiretest.Of("fetchReq", fetchReq{}), wiretest.Of("fetchResp", fetchResp{}),
+		wiretest.Of("peer", Peer{}), wiretest.Of("joinResp", joinResp{}), wiretest.Of("forwardJoinReq", forwardJoinReq{}),
+		wiretest.Of("shuffleReq", shuffleReq{}), wiretest.Of("shuffleResp", shuffleResp{}),
 	})
 }
 
-// TestRumorRoundBodiesAreBinary: the rumor plane's bodies on a real
-// exchange are the binary ones, and the membership messages beside them
-// are still JSON.
+// TestRumorRoundBodiesAreBinary: every body of a real overlay's life —
+// membership and rumor plane, request and reply — is a binary one or the
+// empty body of a reply with nothing to say.
 func TestRumorRoundBodiesAreBinary(t *testing.T) {
 	bodies := rumorRound(t)
-	for method, list := range bodies {
-		binaryPlane := method == MethodRumor || method == MethodFetch
-		for _, b := range list {
-			if len(b) == 0 {
-				continue
-			}
-			if isBinary := b[0] >= 0x80; isBinary != binaryPlane {
-				t.Fatalf("%s body opens with %#x", method, b[0])
-			}
+	for _, method := range []string{MethodJoin, MethodForwardJoin, MethodNeighbor, MethodShuffle, MethodProbe, MethodRumor, MethodFetch} {
+		if len(bodies[method]) == 0 {
+			t.Fatalf("the round put no %s body on the wire", method)
 		}
 	}
-	if len(bodies[MethodJoin]) == 0 {
-		t.Fatal("no membership traffic was recorded")
+	for method, list := range bodies {
+		for _, b := range list {
+			if len(b) > 0 && b[0] < 0x80 {
+				t.Fatalf("%s body opens with %#x: %q", method, b[0], b)
+			}
+		}
 	}
 }
 
 var benchSink int
 
-// BenchmarkRumorReqCodec prices one rumor batch — 64 entries — through the
-// one body entry point, each way. (A rumor carries ids and vectors, no
-// rows; BenchmarkSyncRespCodec in internal/replica prices the rows.)
+// BenchmarkRumorReqCodec prices one rumor batch — 64 entries — each way. (A
+// rumor carries ids and vectors, no rows; BenchmarkSyncRespCodec in
+// internal/replica prices the rows.)
 func BenchmarkRumorReqCodec(b *testing.B) {
 	msg := rumorReq{From: Peer{Site: "s003", Addr: "gossip-s003", Repl: "repl-s003"}, TTL: DefaultTTL, Entries: rumorEntries(64)}
-	body, err := wire.EncodeBody(msg)
+	body, err := msg.AppendBinary(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +302,7 @@ func BenchmarkRumorReqCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
-			out, err := wire.EncodeBody(msg)
+			out, err := msg.AppendBinary(nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -269,7 +314,7 @@ func BenchmarkRumorReqCodec(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
 			var out rumorReq
-			if err := wire.DecodeBody(body, &out); err != nil {
+			if err := out.UnmarshalBinary(body); err != nil {
 				b.Fatal(err)
 			}
 			benchSink += len(out.Entries)

@@ -57,6 +57,7 @@ import (
 	"mocca/internal/observe"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
+	"mocca/internal/wire"
 )
 
 // RPC method names of the overlay protocol.
@@ -126,9 +127,9 @@ const (
 // Peer identifies one overlay member: its site name, its gossip endpoint
 // and its replication endpoint (what the anti-entropy layer peers with).
 type Peer struct {
-	Site string         `json:"site"`
-	Addr netsim.Address `json:"addr"`
-	Repl netsim.Address `json:"repl"`
+	Site string
+	Addr netsim.Address
+	Repl netsim.Address
 }
 
 // Replica is the slice of the replication layer the overlay needs: rumor
@@ -362,7 +363,7 @@ func (o *Overlay) Join() {
 	o.mu.Lock()
 	contact := candidates[o.rng.Intn(len(candidates))]
 	o.mu.Unlock()
-	o.ep.GoJSON(contact.Addr, MethodJoin, joinReq{Joiner: o.self}, func(res rpc.Result) {
+	o.ep.GoMsg(contact.Addr, MethodJoin, o.self, func(res rpc.Result) {
 		var resp joinResp
 		if err := res.Decode(&resp); err != nil {
 			// Contact unreachable: stabilization will retry promotion from
@@ -696,19 +697,17 @@ func (o *Overlay) ringWalk(order []Peer, idx, failures int, done func(failures i
 // neighbor asks p for a symmetric active link; on accept p joins the
 // active view (pinned if this is the ring slot).
 func (o *Overlay) neighbor(p Peer, pin bool, done func(failures int)) {
-	o.ep.GoJSON(p.Addr, MethodNeighbor, neighborReq{From: o.self}, func(res rpc.Result) {
-		var resp neighborResp
-		if err := res.Decode(&resp); err != nil {
+	o.ep.GoMsg(p.Addr, MethodNeighbor, o.self, func(res rpc.Result) {
+		if err := res.Decode(&wire.Empty{}); err != nil {
 			o.dropPassive(p.Addr)
 			done(1)
 			return
 		}
-		if resp.Accepted {
-			o.mu.Lock()
-			o.stats.Promotions++
-			o.mu.Unlock()
-			o.addActive(p, pin)
-		}
+		// An answer is an acceptance: the peer always accepts.
+		o.mu.Lock()
+		o.stats.Promotions++
+		o.mu.Unlock()
+		o.addActive(p, pin)
 		done(0)
 	}, rpc.CallTimeout(DefaultTimeout))
 }
@@ -722,9 +721,8 @@ func (o *Overlay) probeAll(targets []Peer, i, failures int, done func(failures i
 		return
 	}
 	p := targets[i]
-	o.ep.GoJSON(p.Addr, MethodProbe, probeReq{From: o.self}, func(res rpc.Result) {
-		var resp probeResp
-		if err := res.Decode(&resp); err != nil {
+	o.ep.GoMsg(p.Addr, MethodProbe, o.self, func(res rpc.Result) {
+		if err := res.Decode(&wire.Empty{}); err != nil {
 			o.mu.Lock()
 			o.stats.ProbeFailures++
 			o.mu.Unlock()
@@ -780,7 +778,7 @@ func (o *Overlay) shuffleOnce(failures int, done func(failures int)) {
 	t := o.active[o.rng.Intn(len(o.active))]
 	sample := o.sampleLocked(t.Addr)
 	o.mu.Unlock()
-	o.ep.GoJSON(t.Addr, MethodShuffle, shuffleReq{From: o.self, Sample: sample}, func(res rpc.Result) {
+	o.ep.GoMsg(t.Addr, MethodShuffle, shuffleReq{From: o.self, Sample: sample}, func(res rpc.Result) {
 		var resp shuffleResp
 		if err := res.Decode(&resp); err != nil {
 			done(failures + 1)

@@ -18,53 +18,32 @@ import (
 var errClosed = errors.New("gossip: overlay closed")
 
 // --- wire types ------------------------------------------------------------
-
-type joinReq struct {
-	Joiner Peer `json:"joiner"`
-}
+//
+// Every message travels as a binary body (codec.go). A Peer alone is the
+// request of join, neighbor and probe; forward-join, neighbor and probe are
+// answered with wire.Empty.
 
 // joinResp bootstraps the joiner: the contact's identity plus a sample
 // of its views.
 type joinResp struct {
-	Me      Peer   `json:"me"`
-	Active  []Peer `json:"active,omitempty"`
-	Passive []Peer `json:"passive,omitempty"`
+	Me      Peer
+	Active  []Peer
+	Passive []Peer
 }
 
 type forwardJoinReq struct {
-	Joiner Peer `json:"joiner"`
-	TTL    int  `json:"ttl"`
-}
-
-type ack struct{}
-
-type neighborReq struct {
-	From Peer `json:"from"`
-}
-
-type neighborResp struct {
-	Accepted bool `json:"accepted"`
+	Joiner Peer
+	TTL    int
 }
 
 type shuffleReq struct {
-	From   Peer   `json:"from"`
-	Sample []Peer `json:"sample"`
+	From   Peer
+	Sample []Peer
 }
 
 type shuffleResp struct {
-	Sample []Peer `json:"sample"`
+	Sample []Peer
 }
-
-type probeReq struct {
-	From Peer `json:"from"`
-}
-
-type probeResp struct {
-	OK bool `json:"ok"`
-}
-
-// The rumor-plane messages below travel as the binary bodies in codec.go;
-// the membership messages above stay JSON.
 
 // rumorEntry announces one fresh write: enough for the receiver to
 // decide whether it needs the row, without shipping the row itself. VV is
@@ -96,7 +75,7 @@ type fetchResp struct {
 // compute plus scheduled follow-up calls, so the synchronous form is
 // safe under the simulated clock.
 func (o *Overlay) register() {
-	o.ep.MustRegister(MethodJoin, rpc.HandleJSON(func(_ netsim.Address, req joinReq) (joinResp, error) {
+	o.ep.MustRegister(MethodJoin, rpc.Handle(func(_ netsim.Address, joiner Peer) (joinResp, error) {
 		o.mu.Lock()
 		o.stats.Joins++
 		closed := o.closed
@@ -108,19 +87,19 @@ func (o *Overlay) register() {
 		// Admit the joiner and spread it across the overlay so other
 		// members (which may be under their active target) can adopt it.
 		forwardTo := o.ActiveView()
-		o.addActive(req.Joiner, false)
+		o.addActive(joiner, false)
 		for _, p := range forwardTo {
-			if p.Addr == req.Joiner.Addr {
+			if p.Addr == joiner.Addr {
 				continue
 			}
-			o.ep.GoJSON(p.Addr, MethodForwardJoin, forwardJoinReq{Joiner: req.Joiner, TTL: DefaultWalkTTL},
+			o.ep.GoMsg(p.Addr, MethodForwardJoin, forwardJoinReq{Joiner: joiner, TTL: DefaultWalkTTL},
 				func(rpc.Result) {}, rpc.CallTimeout(DefaultTimeout))
 		}
 		o.arm(0)
 		return resp, nil
 	}))
 
-	o.ep.MustRegister(MethodForwardJoin, rpc.HandleJSON(func(_ netsim.Address, req forwardJoinReq) (ack, error) {
+	o.ep.MustRegister(MethodForwardJoin, rpc.Handle(func(_ netsim.Address, req forwardJoinReq) (wire.Empty, error) {
 		o.mu.Lock()
 		o.stats.ForwardJoins++
 		closed := o.closed
@@ -135,7 +114,7 @@ func (o *Overlay) register() {
 		}
 		o.mu.Unlock()
 		if closed || req.Joiner.Addr == o.self.Addr {
-			return ack{}, nil
+			return wire.Empty{}, nil
 		}
 		if deficit {
 			// Room in the active view: adopt the joiner and tell it so.
@@ -146,31 +125,31 @@ func (o *Overlay) register() {
 				o.mu.Lock()
 				next := walk[o.rng.Intn(len(walk))]
 				o.mu.Unlock()
-				o.ep.GoJSON(next.Addr, MethodForwardJoin, forwardJoinReq{Joiner: req.Joiner, TTL: req.TTL - 1},
+				o.ep.GoMsg(next.Addr, MethodForwardJoin, forwardJoinReq{Joiner: req.Joiner, TTL: req.TTL - 1},
 					func(rpc.Result) {}, rpc.CallTimeout(DefaultTimeout))
 			}
 		}
-		return ack{}, nil
+		return wire.Empty{}, nil
 	}))
 
-	o.ep.MustRegister(MethodNeighbor, rpc.HandleJSON(func(_ netsim.Address, req neighborReq) (neighborResp, error) {
+	o.ep.MustRegister(MethodNeighbor, rpc.Handle(func(_ netsim.Address, from Peer) (wire.Empty, error) {
 		o.mu.Lock()
 		o.stats.Neighbors++
 		closed := o.closed
 		o.mu.Unlock()
 		if closed {
-			return neighborResp{}, errClosed
+			return wire.Empty{}, errClosed
 		}
 		// Always accept: a symmetric link request outranks the weakest
 		// current member (addActive evicts it to passive). Refusals would
 		// need the requester to walk candidates, for little gain at the
 		// scales the overlay targets.
-		o.addActive(req.From, false)
+		o.addActive(from, false)
 		o.arm(0)
-		return neighborResp{Accepted: true}, nil
+		return wire.Empty{}, nil
 	}))
 
-	o.ep.MustRegister(MethodShuffle, rpc.HandleJSON(func(_ netsim.Address, req shuffleReq) (shuffleResp, error) {
+	o.ep.MustRegister(MethodShuffle, rpc.Handle(func(_ netsim.Address, req shuffleReq) (shuffleResp, error) {
 		o.mu.Lock()
 		if o.closed {
 			o.mu.Unlock()
@@ -186,15 +165,15 @@ func (o *Overlay) register() {
 		return shuffleResp{Sample: sample}, nil
 	}))
 
-	o.ep.MustRegister(MethodProbe, rpc.HandleJSON(func(_ netsim.Address, req probeReq) (probeResp, error) {
+	o.ep.MustRegister(MethodProbe, rpc.Handle(func(_ netsim.Address, from Peer) (wire.Empty, error) {
 		o.mu.Lock()
 		closed := o.closed
 		o.mu.Unlock()
 		if closed {
-			return probeResp{}, errClosed
+			return wire.Empty{}, errClosed
 		}
-		o.addPassive(req.From)
-		return probeResp{OK: true}, nil
+		o.addPassive(from)
+		return wire.Empty{}, nil
 	}))
 
 	// A rumor is an announcement: the sender waits for nothing, so the
@@ -208,7 +187,7 @@ func (o *Overlay) register() {
 		return nil, nil
 	})
 
-	o.ep.MustRegister(MethodFetch, rpc.HandleJSON(func(_ netsim.Address, req fetchReq) (fetchResp, error) {
+	o.ep.MustRegister(MethodFetch, rpc.Handle(func(_ netsim.Address, req fetchReq) (fetchResp, error) {
 		if o.replica == nil {
 			return fetchResp{}, nil
 		}
@@ -294,7 +273,7 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) {
 		sort.Strings(ids)
 		// The fetch continues the rumor's trace: tc is the serve-span
 		// context of the incoming gossip.rumor rpc (zero when untraced).
-		o.ep.GoJSON(req.From.Addr, MethodFetch, fetchReq{Site: o.self.Site, IDs: ids}, func(res rpc.Result) {
+		o.ep.GoMsg(req.From.Addr, MethodFetch, fetchReq{Site: o.self.Site, IDs: ids}, func(res rpc.Result) {
 			var resp fetchResp
 			if err := res.Decode(&resp); err != nil || o.replica == nil {
 				return

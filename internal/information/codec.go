@@ -3,7 +3,6 @@ package information
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"mocca/internal/vclock"
@@ -26,20 +25,7 @@ func AppendObject(dst []byte, o *Object) []byte {
 	dst = o.VV.AppendBinary(dst)
 	dst = wire.AppendUint64(dst, uint64(o.Created.UnixNano()))
 	dst = wire.AppendUint64(dst, uint64(o.Updated.UnixNano()))
-	dst = wire.AppendUint64(dst, uint64(len(o.Fields)))
-	// Room on the stack for the rows the system writes; a wider row spills
-	// to the heap.
-	var room [16]string
-	keys := room[:0]
-	for k := range o.Fields {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		dst = wire.AppendString(dst, k)
-		dst = wire.AppendString(dst, o.Fields[k])
-	}
-	return dst
+	return wire.AppendStringMap(dst, o.Fields)
 }
 
 // DecodeObject decodes one row produced by AppendObject, returning it and

@@ -1,17 +1,11 @@
 package information
 
-import (
-	"time"
+import "mocca/internal/vclock"
 
-	"mocca/internal/vclock"
-)
-
-// WireObject is the JSON form of an Object on the network — used by the
-// trader-mediated remote read and forward protocol (internal/placement),
-// whose messages are small JSON bodies. The replication planes carry rows
-// in the binary row codec instead (AppendObject). The replica-local
-// Version is not carried: it is recomputed as VV.Sum(), so converged
-// replicas agree on it by construction.
+// WireObject is the JSON form of an Object. No message carries it — every
+// plane carries rows in the one row codec (AppendObject) — and it is kept,
+// with ToWire, for one caller: the benchmark's ledger, which prices JSON
+// rows until it prices real bodies.
 type WireObject struct {
 	ID      string            `json:"id"`
 	Schema  string            `json:"schema"`
@@ -34,20 +28,5 @@ func ToWire(o *Object) WireObject {
 		VV:      o.VV,
 		Created: o.Created.UnixNano(),
 		Updated: o.Updated.UnixNano(),
-	}
-}
-
-// FromWire converts a wire object back to an Object.
-func FromWire(w WireObject) *Object {
-	return &Object{
-		ID:      w.ID,
-		Schema:  w.Schema,
-		Owner:   w.Owner,
-		Site:    w.Site,
-		Fields:  w.Fields,
-		Version: w.VV.Sum(),
-		VV:      w.VV,
-		Created: time.Unix(0, w.Created).UTC(),
-		Updated: time.Unix(0, w.Updated).UTC(),
 	}
 }

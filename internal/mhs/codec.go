@@ -1,10 +1,6 @@
 package mhs
 
-import (
-	"slices"
-
-	"mocca/internal/wire"
-)
+import "mocca/internal/wire"
 
 // mhs.transfer carries the transfer envelope as a hand-written binary body
 // (see internal/replica/codec.go for the shape: a tag byte with the high
@@ -43,37 +39,20 @@ func (e Envelope) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagEnvelope, flags)
 	b = wire.AppendString(b, e.MessageID)
 	b = appendORName(b, e.Originator)
-	b = wire.AppendUint64(b, uint64(len(e.Recipients)))
-	for _, rcpt := range e.Recipients {
-		b = appendORName(b, rcpt)
-	}
+	b = wire.AppendList(b, e.Recipients, appendORName)
 	b = wire.AppendUint64(b, uint64(e.Priority))
 	b = wire.AppendTime(b, e.Submitted)
 	b = wire.AppendTime(b, e.Deferred)
 	b = wire.AppendString(b, e.Content.Subject)
 	b = wire.AppendString(b, e.Content.Body)
 	b = wire.AppendString(b, e.Content.InReplyTo)
-	b = wire.AppendUint64(b, uint64(len(e.Content.Headers)))
-	var room [8]string // a wrapped report's five headers sort on the stack
-	keys := room[:0]
-	for k := range e.Content.Headers {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		b = wire.AppendString(b, k)
-		b = wire.AppendString(b, e.Content.Headers[k])
-	}
+	b = wire.AppendStringMap(b, e.Content.Headers)
 	b = wire.AppendUint64(b, uint64(len(e.Trace)))
 	for _, hop := range e.Trace {
 		b = wire.AppendString(b, hop.MTA)
 		b = wire.AppendTime(b, hop.At)
 	}
-	b = wire.AppendUint64(b, uint64(len(e.DLHistory)))
-	for _, dl := range e.DLHistory {
-		b = wire.AppendString(b, dl)
-	}
-	return b, nil
+	return wire.AppendStrings(b, e.DLHistory), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Empty recipients,
@@ -90,25 +69,13 @@ func (e *Envelope) UnmarshalBinary(data []byte) error {
 		}
 	}
 	e.Priority, e.Submitted, e.Deferred = Priority(b.Int()), b.Time(), b.Time()
-	e.Content = Content{Subject: b.String(), Body: b.String(), InReplyTo: b.String()}
-	if n := b.Count(2 * 4); n > 0 {
-		e.Content.Headers = make(map[string]string, n)
-		for range n {
-			k := b.String()
-			e.Content.Headers[k] = b.String()
-		}
-	}
+	e.Content = Content{Subject: b.String(), Body: b.String(), InReplyTo: b.String(), Headers: b.StringMap()}
 	if n := b.Count(4 + 12); n > 0 {
 		e.Trace = make([]TraceEntry, n)
 		for i := range e.Trace {
 			e.Trace[i] = TraceEntry{MTA: b.String(), At: b.Time()}
 		}
 	}
-	if n := b.Count(4); n > 0 {
-		e.DLHistory = make([]string, n)
-		for i := range e.DLHistory {
-			e.DLHistory[i] = b.String()
-		}
-	}
+	e.DLHistory = b.Strings()
 	return b.Close()
 }

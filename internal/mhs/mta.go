@@ -11,7 +11,6 @@ import (
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
-	"mocca/internal/wire"
 )
 
 // RPC method names of the MTA transfer protocol (a simplified P1).
@@ -330,7 +329,7 @@ func (m *MTA) relayVia(env *Envelope, domain string, rerouted bool) {
 	}
 
 	attempts := 1
-	m.endpoint.GoJSON(next, MethodTransfer, env, func(r rpc.Result) {
+	m.endpoint.GoMsg(next, MethodTransfer, env, func(r rpc.Result) {
 		if r.Err == nil {
 			return // accepted downstream
 		}
@@ -404,7 +403,7 @@ func (m *MTA) report(orig *Envelope, rep Report) {
 	if !ok {
 		return // cannot report back; drop
 	}
-	m.endpoint.GoJSON(next, MethodTransfer, env, func(rpc.Result) {},
+	m.endpoint.GoMsg(next, MethodTransfer, env, func(rpc.Result) {},
 		rpc.CallTimeout(5*time.Second), rpc.CallBackoff(retrySchedule...))
 }
 
@@ -428,7 +427,7 @@ func (m *MTA) storeReport(originator ORName, rep Report) {
 // onTransfer handles an inbound relay from a peer MTA.
 func (m *MTA) onTransfer(req rpc.Request) ([]byte, error) {
 	env := new(Envelope)
-	if err := wire.DecodeBody(req.Body, env); err != nil {
+	if err := env.UnmarshalBinary(req.Body); err != nil {
 		return nil, fmt.Errorf("mhs: transfer: %w", err)
 	}
 	if env.MessageID == "" {

@@ -54,24 +54,22 @@ func OfferID(site, space string) string { return "placement/" + site + "/" + spa
 // holding the object.
 var ErrNoHolder = errors.New("placement: no reachable holder")
 
+// The messages travel as the binary bodies of codec.go.
 type readReq struct {
-	Actor    string `json:"actor"`
-	ObjectID string `json:"objectId"`
+	Actor    string
+	ObjectID string
 }
 
-type readResp struct {
-	Site   string                 `json:"site"`
-	Object information.WireObject `json:"object"`
-}
-
-type writeReq struct {
-	Site   string                 `json:"site"`
-	Object information.WireObject `json:"object"`
+// siteRow is a read's answer (the serving site and its row) and a forwarded
+// write (the forwarding site and the row it could not keep).
+type siteRow struct {
+	Site   string
+	Object *information.Object
 }
 
 type writeResp struct {
-	Site    string `json:"site"`
-	Applied bool   `json:"applied"`
+	Site    string
+	Applied bool
 }
 
 // ReadServerStats counts remote reads and forwarded writes served by a
@@ -129,17 +127,17 @@ func NewReadServer(ep *rpc.Endpoint, site string, space func() *information.Spac
 	for _, opt := range opts {
 		opt(s)
 	}
-	ep.MustRegister(MethodRead, rpc.HandleJSON(func(_ netsim.Address, req readReq) (readResp, error) {
+	ep.MustRegister(MethodRead, rpc.Handle(func(_ netsim.Address, req readReq) (siteRow, error) {
 		obj, err := s.space().Get(req.Actor, req.ObjectID)
 		if err != nil {
 			s.bump(func(st *ReadServerStats) { st.Missed++ })
-			return readResp{}, err
+			return siteRow{}, err
 		}
 		s.bump(func(st *ReadServerStats) { st.Served++ })
-		return readResp{Site: s.site, Object: information.ToWire(obj)}, nil
+		return siteRow{Site: s.site, Object: obj}, nil
 	}))
-	ep.MustRegister(MethodWrite, rpc.HandleJSONCtx(func(_ netsim.Address, tc wire.TraceContext, req writeReq) (writeResp, error) {
-		obj := information.FromWire(req.Object)
+	ep.MustRegister(MethodWrite, rpc.HandleCtx(func(_ netsim.Address, tc wire.TraceContext, req siteRow) (writeResp, error) {
+		obj := req.Object
 		if s.policy != nil && s.policy.Selective() && !s.policy.PlacedAt(s.site, Describe(obj)) {
 			// The space moved again while the forward was in flight: the
 			// writer must keep its copy (or re-resolve).
@@ -445,8 +443,8 @@ func (r *Reader) Read(actor, objID string) (*information.Object, string, error) 
 	for _, provider := range r.holderOrder(candidates) {
 		attempts++
 		r.bump(func(s *ReaderStats) { s.Attempts++ })
-		var resp readResp
-		if err := r.ep.CallJSON(provider, MethodRead, readReq{Actor: actor, ObjectID: objID}, &resp,
+		var resp siteRow
+		if err := r.ep.CallMsg(provider, MethodRead, readReq{Actor: actor, ObjectID: objID}, &resp,
 			rpc.CallTimeout(r.timeout)); err != nil {
 			var re *rpc.RemoteError
 			if errors.As(err, &re) {
@@ -467,7 +465,7 @@ func (r *Reader) Read(actor, objID string) (*information.Object, string, error) 
 		}
 		r.noteSuccess(provider)
 		r.bump(func(s *ReaderStats) { s.Served++ })
-		return information.FromWire(resp.Object), resp.Site, nil
+		return resp.Object, resp.Site, nil
 	}
 	r.bump(func(s *ReaderStats) { s.NoHolder++ })
 	if attempts > 0 && definitive == attempts {
@@ -529,7 +527,7 @@ func (r *Reader) Forward(obj *information.Object, pl Placement, done func(site s
 		return
 	}
 	ordered := r.holderOrder(candidates)
-	req := writeReq{Site: r.site, Object: information.ToWire(obj)}
+	req := siteRow{Site: r.site, Object: obj}
 	var attempt func(i int, lastErr error)
 	attempt = func(i int, lastErr error) {
 		if i >= len(ordered) {
@@ -544,7 +542,7 @@ func (r *Reader) Forward(obj *information.Object, pl Placement, done func(site s
 		}
 		provider := ordered[i]
 		r.bump(func(s *ReaderStats) { s.Attempts++ })
-		r.ep.GoJSON(provider, MethodWrite, req, func(res rpc.Result) {
+		r.ep.GoMsg(provider, MethodWrite, req, func(res rpc.Result) {
 			var resp writeResp
 			if err := res.Decode(&resp); err != nil {
 				var re *rpc.RemoteError

@@ -27,6 +27,13 @@ type readFixture struct {
 
 func newReadFixture(t *testing.T, holders []string, readerOpts ...ReaderOption) *readFixture {
 	t.Helper()
+	return newTappedReadFixture(t, holders, nil, readerOpts...)
+}
+
+// newTappedReadFixture is newReadFixture with epOpts — a tap — on every
+// endpoint.
+func newTappedReadFixture(t testing.TB, holders []string, epOpts []rpc.Option, readerOpts ...ReaderOption) *readFixture {
+	t.Helper()
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(9))
 	registry := information.NewSchemaRegistry()
@@ -46,7 +53,7 @@ func newReadFixture(t *testing.T, holders []string, readerOpts ...ReaderOption) 
 	}
 	for _, h := range holders {
 		sp := information.NewSpace(registry, nil, clk, information.WithSite(h))
-		ep := rpc.NewEndpoint(net.MustAddNode(netsim.Address("place-"+h)), clk)
+		ep := rpc.NewEndpoint(net.MustAddNode(netsim.Address("place-"+h)), clk, epOpts...)
 		hh := h
 		f.spaces[h] = sp
 		f.servers[h] = NewReadServer(ep, h, func() *information.Space { return f.spaces[hh] },
@@ -60,7 +67,7 @@ func newReadFixture(t *testing.T, holders []string, readerOpts ...ReaderOption) 
 			t.Fatal(err)
 		}
 	}
-	ep := rpc.NewEndpoint(net.MustAddNode("place-rd"), clk)
+	ep := rpc.NewEndpoint(net.MustAddNode("place-rd"), clk, epOpts...)
 	f.reader = NewReader(ep, trading, "rd", append([]ReaderOption{WithNegativeCache(f.policy)}, readerOpts...)...)
 	return f
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // The six messages of the anti-entropy protocol travel as hand-written
-// binary bodies (wire.EncodeBody picks a message's own AppendBinary over
-// JSON). Every body opens with a tag byte naming the message; the rest is
+// binary bodies. Every body opens with a tag byte naming the message; the rest is
 // built from wire's shared primitives — big-endian integers, uint32
 // length-prefixed strings, uint64 counts — with maps written in sorted key
 // order, so equal messages encode to equal bytes. Rows are in the one row
@@ -23,9 +22,8 @@ import (
 // the layout hwBytes, digestMapBytes and wantBytes measure, so
 // Stats.DigestBytes is the encoded size of those sections.
 //
-// The tags have the high bit set: no JSON text starts with such a byte, so
-// a JSON decoder handed a binary body — or a binary decoder handed JSON —
-// fails on the first byte instead of misreading the rest. 0x82 and 0x84,
+// The tags have the high bit set, so a body in a hex dump names its
+// message. 0x82 and 0x84,
 // the replies with full child paths and a mirrored digest, are retired.
 const (
 	tagDigestReq  byte = 0x81
@@ -61,7 +59,7 @@ func (m digestResp) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagDigestResp, sectionFlags(m.Match, m.Children, m.HW))
 	b = wire.AppendString(b, m.Site)
 	b = appendSections(b, m.Children, m.HW)
-	return appendRows(b, m.Deltas), nil
+	return wire.AppendList(b, m.Deltas, information.AppendObject), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -80,15 +78,15 @@ func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
 func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagSyncResp)
 	b = wire.AppendString(b, m.Site)
-	b = appendStrings(b, m.Want)
-	return appendRows(b, m.Deltas), nil
+	b = wire.AppendStrings(b, m.Want)
+	return wire.AppendList(b, m.Deltas, information.AppendObject), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m pushReq) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagPushReq)
 	b = wire.AppendString(b, m.Site)
-	b = appendRows(b, m.Objects)
+	b = wire.AppendList(b, m.Objects, information.AppendObject)
 	b = wire.AppendUint64(b, uint64(len(m.Relations)))
 	for _, rel := range m.Relations {
 		b = wire.AppendString(b, rel.From)
@@ -103,7 +101,7 @@ func (m pushResp) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagPushResp)
 	b = wire.AppendUint64(b, uint64(m.Applied))
 	b = wire.AppendUint64(b, uint64(m.Conflicts))
-	return appendStrings(b, m.Refused), nil
+	return wire.AppendStrings(b, m.Refused), nil
 }
 
 func sectionFlags(match bool, frames []byte, hw map[string]uint64) byte {
@@ -164,26 +162,6 @@ func appendDigest(b []byte, d map[string]vclock.Version) []byte {
 	return b
 }
 
-// appendStrings writes an id list: count, then each id in the order
-// given — wantBytes(ids) bytes.
-func appendStrings(b []byte, ids []string) []byte {
-	b = wire.AppendUint64(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = wire.AppendString(b, id)
-	}
-	return b
-}
-
-// appendRows writes a row list: count, then each row in the shared row
-// codec, in the order given (senders sort by id).
-func appendRows(b []byte, rows []*information.Object) []byte {
-	b = wire.AppendUint64(b, uint64(len(rows)))
-	for _, o := range rows {
-		b = information.AppendObject(b, o)
-	}
-	return b
-}
-
 // --- decoders --------------------------------------------------------------
 //
 // Each reads its body through a wire.Body cursor: the tag, one line per
@@ -226,7 +204,7 @@ func (m *syncReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSyncResp, "syncResp")
-	*m = syncResp{Site: b.String(), Want: consumeStrings(&b), Deltas: information.ConsumeObjects(&b)}
+	*m = syncResp{Site: b.String(), Want: b.Strings(), Deltas: information.ConsumeObjects(&b)}
 	return b.Close()
 }
 
@@ -246,7 +224,7 @@ func (m *pushReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushResp, "pushResp")
-	*m = pushResp{Applied: b.Int(), Conflicts: b.Int(), Refused: consumeStrings(&b)}
+	*m = pushResp{Applied: b.Int(), Conflicts: b.Int(), Refused: b.Strings()}
 	return b.Close()
 }
 
@@ -270,20 +248,6 @@ func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, h
 		}
 	}
 	return frames, hw
-}
-
-// consumeStrings reads an id list written by appendStrings; an empty
-// list decodes as nil.
-func consumeStrings(b *wire.Body) []string {
-	n := b.Count(4)
-	if n == 0 {
-		return nil
-	}
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = b.String()
-	}
-	return ids
 }
 
 // consumeDigest reads a digest written by appendDigest; an empty digest

@@ -353,7 +353,7 @@ func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[strin
 		case f.method == MethodSync:
 			var m syncResp
 			err = wire.DecodeBody(f.body, &m)
-			total += len(appendStrings(nil, m.Want))
+			total += len(wire.AppendStrings(nil, m.Want))
 		}
 		if err != nil {
 			tb.Fatalf("%s %s body: %v", f.method, f.kind, err)

@@ -45,7 +45,7 @@ func (m *merkleExchange) count(n int) {
 func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 	r := m.r
 	m.count(len(req.Frames) + hwBytes(req.HW))
-	r.ep.GoJSON(m.p.addr, MethodDigest, req, func(res rpc.Result) {
+	r.ep.GoMsg(m.p.addr, MethodDigest, req, func(res rpc.Result) {
 		var resp digestResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
@@ -72,7 +72,7 @@ func (m *merkleExchange) pull(deltas []*information.Object) int {
 // failed push fails the exchange.
 func (m *merkleExchange) push(objs []*information.Object, then func()) {
 	r := m.r
-	r.ep.GoJSON(m.p.addr, MethodPush, pushReq{Site: r.site, Objects: objs}, func(res rpc.Result) {
+	r.ep.GoMsg(m.p.addr, MethodPush, pushReq{Site: r.site, Objects: objs}, func(res rpc.Result) {
 		var pr pushResp
 		if err := res.Decode(&pr); err != nil {
 			m.fail()
@@ -224,7 +224,7 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 	m.st.digestEntries += len(digest)
 	m.count(digestMapBytes(digest))
 	r.bump(func(s *Stats) { s.DigestEntriesSent += int64(len(digest)) })
-	r.ep.GoJSON(m.p.addr, MethodSync, syncReq{Site: r.site, Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
+	r.ep.GoMsg(m.p.addr, MethodSync, syncReq{Site: r.site, Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
 		var resp syncResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
@@ -256,7 +256,7 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 // exchanged: tree frames and children sections as carried (len of the
 // encoding), and for high-water maps, id→version-vector digests and
 // want-lists the sizes below, which are what appendHW, appendDigest and
-// appendStrings write. Data deltas and pushes are never digest bytes.
+// wire.AppendStrings write. Data deltas and pushes are never digest bytes.
 
 func vvBytes(vv vclock.Version) int {
 	n := 8

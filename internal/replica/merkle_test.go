@@ -177,7 +177,7 @@ func TestSyncRejectsUnscopedRequest(t *testing.T) {
 	} {
 		var got error
 		answered := false
-		probe.GoJSON(f.reps[0].Addr(), MethodSync, req, func(res rpc.Result) {
+		probe.GoMsg(f.reps[0].Addr(), MethodSync, req, func(res rpc.Result) {
 			var resp syncResp
 			got, answered = res.Decode(&resp), true
 			if len(resp.Deltas) != 0 || len(resp.Want) != 0 {

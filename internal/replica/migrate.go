@@ -103,7 +103,7 @@ func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
 			ids[j] = obj.ID
 		}
 		req := pushReq{Site: r.site, Objects: batch, Relations: r.edgesTouching(ids)}
-		r.ep.GoJSON(targets[i], MethodPush, req, func(res rpc.Result) {
+		r.ep.GoMsg(targets[i], MethodPush, req, func(res rpc.Result) {
 			var pr pushResp
 			if err := res.Decode(&pr); err != nil {
 				// Unreachable target: the rows stay here until the next

@@ -19,17 +19,17 @@ var errUnscoped = errors.New("replica: sync request without a scope")
 // register installs the protocol handlers. All are pure local compute,
 // so the synchronous handler form is safe under the simulated clock.
 func (r *Replicator) register() {
-	r.ep.MustRegister(MethodSync, rpc.HandleJSON(func(_ netsim.Address, req syncReq) (syncResp, error) {
+	r.ep.MustRegister(MethodSync, rpc.Handle(func(_ netsim.Address, req syncReq) (syncResp, error) {
 		if len(req.Scope) == 0 {
 			return syncResp{}, errUnscoped
 		}
 		r.bump(func(s *Stats) { s.ServedDigests++ })
 		return r.serveScopedSync(req), nil
 	}))
-	r.ep.MustRegister(MethodDigest, rpc.HandleJSON(func(_ netsim.Address, req digestReq) (digestResp, error) {
+	r.ep.MustRegister(MethodDigest, rpc.Handle(func(_ netsim.Address, req digestReq) (digestResp, error) {
 		return r.serveDigest(req)
 	}))
-	r.ep.MustRegister(MethodPush, rpc.HandleJSON(func(_ netsim.Address, req pushReq) (pushResp, error) {
+	r.ep.MustRegister(MethodPush, rpc.Handle(func(_ netsim.Address, req pushReq) (pushResp, error) {
 		var resp pushResp
 		resp.Applied, resp.Conflicts, resp.Refused = r.applyRows(req.Objects)
 		// Migrated edges: recorded best-effort AFTER the rows, so edges

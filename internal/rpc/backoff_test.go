@@ -91,22 +91,23 @@ func TestSendFailureConsumesRetryBudget(t *testing.T) {
 }
 
 func TestResultDecode(t *testing.T) {
-	type payload struct {
-		N int `json:"n"`
-	}
-	b, err := wire.EncodeBody(payload{N: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if err := (Result{Body: b}).Decode(&out); err != nil || out.N != 7 {
+	b, _ := note{Seq: 7}.AppendBinary(nil)
+	var out note
+	if err := (Result{Body: b}).Decode(&out); err != nil || out.Seq != 7 {
 		t.Fatalf("decode = %+v, %v", out, err)
 	}
 	if err := (Result{Err: ErrTimeout}).Decode(&out); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("call error not propagated: %v", err)
 	}
+	// An empty body is the message's decoder to judge: no note, but wire.Empty.
 	if err := (Result{}).Decode(&out); err == nil {
-		t.Fatal("empty body accepted")
+		t.Fatal("an empty body decoded as a note")
+	}
+	if err := (Result{}).Decode(&wire.Empty{}); err != nil {
+		t.Fatalf("an empty body refused as wire.Empty: %v", err)
+	}
+	if err := (Result{Body: b}).Decode(&wire.Empty{}); err == nil {
+		t.Fatal("a note's body decoded as wire.Empty")
 	}
 }
 

@@ -85,7 +85,10 @@ func TestConcurrentCallsShareNoEnvelope(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				req := []byte(fmt.Sprintf("caller %d call %d %s", g, i, bytes.Repeat([]byte{'x'}, (g*200+i)%97)))
-				got, err := f.a.Call("b", "echo", req, CallTimeout(time.Minute))
+				reply := make(chan Result, 1)
+				f.a.Go("b", "echo", req, func(r Result) { reply <- r }, CallTimeout(time.Minute))
+				r := <-reply
+				got, err := r.Body, r.Err
 				if err != nil || !bytes.Equal(got, req) {
 					t.Errorf("caller %d call %d: reply %q, %v; want %q", g, i, got, err, req)
 					return

@@ -10,9 +10,13 @@
 // an outcome.
 //
 // Because the substrate may run under a simulated clock, the primary call
-// API is asynchronous (Go with a completion callback). A blocking Call is
+// API is asynchronous (Go with a completion callback). A blocking CallMsg is
 // provided for use under the real clock or when another goroutine drives
 // the simulation.
+//
+// Every body is binary: the typed entry points — GoMsg, CallMsg, Handle,
+// HandleCtx, Result.Decode — accept only messages with their own
+// AppendBinary and UnmarshalBinary; wire.Empty is a message with nothing to say.
 //
 // Transport is the engineering-viewpoint channel of internal/channel: the
 // endpoint never touches the network node directly — every request, reply
@@ -22,6 +26,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding"
 	"errors"
 	"fmt"
 	"strconv"
@@ -71,7 +76,7 @@ type Request struct {
 	Method string
 	Body   []byte
 	Trace  wire.TraceContext
-	// reply is the buffer the serving endpoint lends HandleJSON to build the
+	// reply is the buffer the serving endpoint lends Handle to build the
 	// reply body in; the endpoint takes it back once the reply is sent.
 	reply *scratch
 	// What the reply needs, copied out of the envelope the stack lent.
@@ -90,26 +95,20 @@ type Handler func(req Request) ([]byte, error)
 // blocking inside a Handler stalls the event loop under a simulated clock.
 type AsyncHandler func(req Request, reply func(body []byte, err error))
 
-// Interceptor wraps inbound handlers (logging, access checks, metering).
-type Interceptor func(next Handler) Handler
-
 // Result is the outcome of an asynchronous call.
 type Result struct {
 	Body []byte
 	Err  error
 }
 
-// Decode decodes the reply body into v by wire.DecodeBody's rule: v's own
-// UnmarshalBinary when it has one, JSON otherwise. It propagates the call
-// error and rejects empty bodies, so callbacks need exactly one check.
-func (r Result) Decode(v any) error {
+// Decode decodes the reply body into v by v's own UnmarshalBinary. It
+// propagates the call error, so callbacks need exactly one check; whether an
+// empty body is a reply is v's to say (wire.Empty's is the only one).
+func (r Result) Decode(v encoding.BinaryUnmarshaler) error {
 	if r.Err != nil {
 		return r.Err
 	}
-	if len(r.Body) == 0 {
-		return errors.New("rpc: empty reply body")
-	}
-	return wire.DecodeBody(r.Body, v)
+	return v.UnmarshalBinary(r.Body)
 }
 
 // Stats counts endpoint activity.
@@ -123,12 +122,6 @@ type Stats struct {
 
 // Option configures an Endpoint.
 type Option func(*Endpoint)
-
-// WithInterceptor appends a server-side interceptor; interceptors run in
-// registration order, outermost first.
-func WithInterceptor(i Interceptor) Option {
-	return func(e *Endpoint) { e.interceptors = append(e.interceptors, i) }
-}
 
 // WithIDs sets the identifier generator (for deterministic correlation ids).
 func WithIDs(g *id.Generator) Option {
@@ -162,8 +155,7 @@ type Endpoint struct {
 	ids    *id.Generator
 	tracer *observe.Tracer
 
-	interceptors []Interceptor
-	chOpts       []channel.Option
+	chOpts []channel.Option
 
 	mu           sync.Mutex
 	methods      map[string]Handler
@@ -199,19 +191,19 @@ func (pc *pendingCall) stopTimer() {
 
 // scratch is a pooled buffer a body is built in. A body is needed only until
 // channel.Send has copied it into the frame the network keeps, so the typed
-// entry points (GoJSON, CallJSON, the HandleJSON reply) encode
+// entry points (GoMsg, CallMsg, the Handle reply) encode
 // into a scratch and give it back once Send has returned.
 type scratch struct{ buf []byte }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{buf: make([]byte, 0, 1024)} }}
 
-// encode builds v's body (wire.AppendBody's rule) in the scratch; without
-// one, in a buffer the caller keeps.
-func (s *scratch) encode(v any) (body []byte, err error) {
+// encode appends m's body in the scratch; without one, in a buffer the
+// caller keeps.
+func (s *scratch) encode(m encoding.BinaryAppender) (body []byte, err error) {
 	if s == nil {
-		return wire.EncodeBody(v)
+		return m.AppendBinary(nil)
 	}
-	if body, err = wire.AppendBody(s.buf[:0], v); err == nil {
+	if body, err = m.AppendBinary(s.buf[:0]); err == nil {
 		s.buf = body // keep what append grew
 	}
 	return body, err
@@ -558,15 +550,6 @@ func (e *Endpoint) complete(corr string, r Result) {
 	pc.done(r)
 }
 
-// Call is the blocking form of Go. Under a simulated clock the caller must
-// not be the goroutine driving the clock.
-func (e *Endpoint) Call(to netsim.Address, method string, body []byte, opts ...CallOption) ([]byte, error) {
-	ch := make(chan Result, 1)
-	e.Go(to, method, body, func(r Result) { ch <- r }, opts...)
-	r := <-ch
-	return r.Body, r.Err
-}
-
 // Announce sends a one-way invocation: no reply, no timeout, no
 // outcome. CallTrace is the only option that applies; it links the
 // announcement into a trace with an instantaneous span.
@@ -606,7 +589,6 @@ func (e *Endpoint) serve(from netsim.Address, env *wire.Envelope, reply bool) {
 	e.mu.Lock()
 	h, ok := e.methods[method]
 	ah, aok := e.asyncMethods[method]
-	interceptors := e.interceptors
 	e.stats.CallsServed++
 	e.mu.Unlock()
 
@@ -620,15 +602,9 @@ func (e *Endpoint) serve(from netsim.Address, env *wire.Envelope, reply bool) {
 
 	switch {
 	case aok:
-		// Async handlers bypass the interceptors, which wrap a Handler's
-		// return; an async handler replies later, through its callback.
 		e.serveAsync(ah, req)
 	case ok:
-		wrapped := h
-		for i := len(interceptors) - 1; i >= 0; i-- {
-			wrapped = interceptors[i](wrapped)
-		}
-		body, herr := wrapped(req)
+		body, herr := h(req)
 		e.finish(req, body, herr)
 	default:
 		e.finish(req, nil, fmt.Errorf("%w: %q", ErrNoSuchMethod, method))
@@ -672,23 +648,18 @@ func (e *Endpoint) onReply(env *wire.Envelope) {
 	e.complete(env.Corr, Result{Body: env.Body})
 }
 
-// CallJSON invokes method encoding req with wire.AppendBody and decoding
-// the reply into resp (which may be nil to discard). The name records the
-// common case: a message type with its own AppendBinary/UnmarshalBinary
-// travels in that form instead, here and in GoJSON and HandleJSON alike.
-func (e *Endpoint) CallJSON(to netsim.Address, method string, req, resp any, opts ...CallOption) error {
+// CallMsg invokes method with req's body and decodes the reply into resp:
+// GoMsg plus a wait. Under a simulated clock the caller must not be the
+// goroutine driving the clock.
+func (e *Endpoint) CallMsg(to netsim.Address, method string, req encoding.BinaryAppender, resp encoding.BinaryUnmarshaler, opts ...CallOption) error {
 	ch := make(chan Result, 1)
-	e.GoJSON(to, method, req, func(r Result) { ch <- r }, opts...)
-	r := <-ch
-	if r.Err != nil || resp == nil {
-		return r.Err
-	}
-	return wire.DecodeBody(r.Body, resp)
+	e.GoMsg(to, method, req, func(r Result) { ch <- r }, opts...)
+	return (<-ch).Decode(resp)
 }
 
-// GoJSON is the asynchronous form of CallJSON; decode is deferred to the
-// caller via the raw Result.
-func (e *Endpoint) GoJSON(to netsim.Address, method string, req any, done func(Result), opts ...CallOption) {
+// GoMsg is the asynchronous form of CallMsg: req's body is built in a pooled
+// scratch, and decoding the reply is left to done via the raw Result.
+func (e *Endpoint) GoMsg(to netsim.Address, method string, req encoding.BinaryAppender, done func(Result), opts ...CallOption) {
 	buf := scratchPool.Get().(*scratch)
 	defer buf.release()
 	body, err := buf.encode(req)
@@ -705,25 +676,30 @@ func (e *Endpoint) GoJSON(to netsim.Address, method string, req any, done func(R
 	e.attempt(pc)
 }
 
-// HandleJSON adapts a typed handler into a Handler. The adapter decodes the
-// request body into a fresh Req and encodes the returned value, both by
-// wire's body rule (the type's own binary form if it has one, else JSON).
-func HandleJSON[Req any, Resp any](f func(from netsim.Address, req Req) (Resp, error)) Handler {
-	return HandleJSONCtx(func(from netsim.Address, _ wire.TraceContext, req Req) (Resp, error) {
+// Handle adapts a typed handler into a Handler. The adapter decodes every
+// request body into a fresh Req by its UnmarshalBinary — an empty body
+// included, which only a message like wire.Empty accepts — and appends the
+// returned message to the scratch the endpoint lends for the reply.
+func Handle[Req any, Resp encoding.BinaryAppender, PReq interface {
+	*Req
+	encoding.BinaryUnmarshaler
+}](f func(from netsim.Address, req Req) (Resp, error)) Handler {
+	return HandleCtx[Req, Resp, PReq](func(from netsim.Address, _ wire.TraceContext, req Req) (Resp, error) {
 		return f(from, req)
 	})
 }
 
-// HandleJSONCtx is HandleJSON for handlers that continue the request's
-// trace — the handler receives the live trace context alongside the
-// decoded request, for tagging objects and parenting downstream spans.
-func HandleJSONCtx[Req any, Resp any](f func(from netsim.Address, tc wire.TraceContext, req Req) (Resp, error)) Handler {
+// HandleCtx is Handle for handlers that continue the request's trace — the
+// handler receives the live trace context alongside the decoded request, for
+// tagging objects and parenting downstream spans.
+func HandleCtx[Req any, Resp encoding.BinaryAppender, PReq interface {
+	*Req
+	encoding.BinaryUnmarshaler
+}](f func(from netsim.Address, tc wire.TraceContext, req Req) (Resp, error)) Handler {
 	return func(r Request) ([]byte, error) {
 		var req Req
-		if len(r.Body) > 0 {
-			if err := wire.DecodeBody(r.Body, &req); err != nil {
-				return nil, err
-			}
+		if err := PReq(&req).UnmarshalBinary(r.Body); err != nil {
+			return nil, err
 		}
 		resp, err := f(r.From, r.Trace, req)
 		if err != nil {

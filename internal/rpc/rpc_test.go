@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"mocca/internal/channel"
 	"mocca/internal/netsim"
 	"mocca/internal/vclock"
+	"mocca/internal/wire"
 )
 
 type fixture struct {
@@ -158,54 +158,6 @@ func TestAnnounceIsOneWay(t *testing.T) {
 	}
 }
 
-func TestInterceptorOrderAndVeto(t *testing.T) {
-	var trace []string
-	logging := func(name string) Interceptor {
-		return func(next Handler) Handler {
-			return func(r Request) ([]byte, error) {
-				trace = append(trace, name+":in")
-				out, err := next(r)
-				trace = append(trace, name+":out")
-				return out, err
-			}
-		}
-	}
-	veto := func(next Handler) Handler {
-		return func(r Request) ([]byte, error) {
-			if r.Method == "secret" {
-				return nil, errors.New("access denied")
-			}
-			return next(r)
-		}
-	}
-
-	clk := vclock.NewSimulated(netsim.DefaultEpoch)
-	net := netsim.New(netsim.WithClock(clk))
-	a := NewEndpoint(net.MustAddNode("a"), clk)
-	b := NewEndpoint(net.MustAddNode("b"), clk,
-		WithInterceptor(logging("outer")), WithInterceptor(veto), WithInterceptor(logging("inner")))
-	b.MustRegister("open", func(r Request) ([]byte, error) { return []byte("ok"), nil })
-	b.MustRegister("secret", func(r Request) ([]byte, error) { return []byte("leak"), nil })
-
-	var got Result
-	a.Go("b", "open", nil, func(r Result) { got = r })
-	clk.RunUntilIdle()
-	if got.Err != nil || string(got.Body) != "ok" {
-		t.Fatalf("open: %v %q", got.Err, got.Body)
-	}
-	wantTrace := []string{"outer:in", "inner:in", "inner:out", "outer:out"}
-	if fmt.Sprint(trace) != fmt.Sprint(wantTrace) {
-		t.Fatalf("trace = %v, want %v", trace, wantTrace)
-	}
-
-	a.Go("b", "secret", nil, func(r Result) { got = r })
-	clk.RunUntilIdle()
-	var remote *RemoteError
-	if !errors.As(got.Err, &remote) || remote.Msg != "access denied" {
-		t.Fatalf("secret: err = %v, want access denied", got.Err)
-	}
-}
-
 func TestDuplicateRegister(t *testing.T) {
 	f := newFixture(t)
 	f.a.MustRegister("m", func(r Request) ([]byte, error) { return nil, nil })
@@ -227,21 +179,30 @@ func TestCloseFailsPending(t *testing.T) {
 	f.a.Close()
 }
 
-func TestJSONHelpers(t *testing.T) {
-	type sumReq struct{ A, B int }
-	type sumResp struct{ Total int }
+// TestMsgHelpers: a typed call and a typed handler carry binary messages both
+// ways, a reply with nothing to say is wire.Empty's empty body, and a typed
+// handler decodes every request body — an empty one is no note.
+func TestMsgHelpers(t *testing.T) {
 	f := newFixture(t)
-	f.b.MustRegister("sum", HandleJSON(func(from netsim.Address, req sumReq) (sumResp, error) {
-		return sumResp{Total: req.A + req.B}, nil
+	f.b.MustRegister("next", Handle(func(_ netsim.Address, n note) (note, error) {
+		return note{Seq: n.Seq + 1, Text: n.Text}, nil
 	}))
-	var got Result
-	f.a.GoJSON("b", "sum", sumReq{A: 2, B: 3}, func(r Result) { got = r })
+	f.b.MustRegister("drop", Handle(func(netsim.Address, note) (wire.Empty, error) { return wire.Empty{}, nil }))
+	var next, dropped, bare Result
+	f.a.GoMsg("b", "next", note{Seq: 2, Text: "x"}, func(r Result) { next = r })
+	f.a.GoMsg("b", "drop", note{Seq: 2}, func(r Result) { dropped = r })
+	f.a.Go("b", "next", nil, func(r Result) { bare = r })
 	f.clk.RunUntilIdle()
-	if got.Err != nil {
-		t.Fatal(got.Err)
+	var back note
+	if err := next.Decode(&back); err != nil || back != (note{Seq: 3, Text: "x"}) {
+		t.Fatalf("next = %+v, %v", back, err)
 	}
-	if !strings.Contains(string(got.Body), "5") {
-		t.Fatalf("body = %s", got.Body)
+	if err := dropped.Decode(&wire.Empty{}); err != nil || len(dropped.Body) != 0 {
+		t.Fatalf("an empty reply came back as %q, %v", dropped.Body, err)
+	}
+	var remote *RemoteError
+	if !errors.As(bare.Err, &remote) {
+		t.Fatalf("an empty request body was served as a note: %v", bare.Err)
 	}
 }
 

@@ -14,13 +14,28 @@ import (
 	"mocca/internal/wire"
 )
 
+// note is the binary test message of this package's typed calls.
 type note struct {
-	Seq  int    `json:"seq"`
-	Text string `json:"text"`
+	Seq  int
+	Text string
+}
+
+// tagNote opens a note's body.
+const tagNote byte = 0xF1
+
+func (n note) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendUint64(append(b, tagNote), uint64(n.Seq))
+	return wire.AppendString(b, n.Text), nil
+}
+
+func (n *note) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagNote, "note")
+	*n = note{Seq: b.Int(), Text: b.String()}
+	return b.Close()
 }
 
 // TestRetryResendsTheSameBody: a typed call builds its body in a pooled
-// scratch and gives the scratch back when GoJSON returns — but a call with a
+// scratch and gives the scratch back when GoMsg returns — but a call with a
 // retry budget resends later, after a hundred other calls have been through
 // the pool, and must then send the bytes it sent first.
 func TestRetryResendsTheSameBody(t *testing.T) {
@@ -38,17 +53,17 @@ func TestRetryResendsTheSameBody(t *testing.T) {
 		return nil
 	})
 	f := newFixture(t, WithChannel(capture))
-	echo := HandleJSON(func(_ netsim.Address, n note) (note, error) { return n, nil })
+	echo := Handle(func(_ netsim.Address, n note) (note, error) { return n, nil })
 	f.b.MustRegister("slow", echo)
 	f.b.MustRegister("echo", echo)
 
 	want := note{Seq: 1, Text: strings.Repeat("the body of the first attempt ", 8)}
 	var got Result
-	f.a.GoJSON("b", "slow", want, func(r Result) { got = r },
+	f.a.GoMsg("b", "slow", want, func(r Result) { got = r },
 		CallTimeout(time.Second), CallBackoff(5*time.Second))
 	for i := 0; i < 100; i++ {
 		filler := note{Seq: 100 + i, Text: strings.Repeat("x", 40+3*i)}
-		f.a.GoJSON("b", "echo", filler, func(r Result) {
+		f.a.GoMsg("b", "echo", filler, func(r Result) {
 			var back note
 			if err := r.Decode(&back); err != nil || back != filler {
 				t.Errorf("filler %d came back as %+v, %v", filler.Seq, back, err)
@@ -76,10 +91,10 @@ func TestRetryResendsTheSameBody(t *testing.T) {
 // the simulated clock, and from concurrent callers on the real one.
 func TestHandlerReplyScratchIsNotRetained(t *testing.T) {
 	register := func(ep *Endpoint) {
-		ep.MustRegister("long", HandleJSON(func(_ netsim.Address, n note) (note, error) {
+		ep.MustRegister("long", Handle(func(_ netsim.Address, n note) (note, error) {
 			return note{Seq: n.Seq, Text: strings.Repeat(n.Text, 50)}, nil
 		}))
-		ep.MustRegister("short", HandleJSONCtx(func(_ netsim.Address, _ wire.TraceContext, n note) (note, error) {
+		ep.MustRegister("short", HandleCtx(func(_ netsim.Address, _ wire.TraceContext, n note) (note, error) {
 			return note{Seq: -n.Seq, Text: n.Text}, nil
 		}))
 	}
@@ -99,7 +114,7 @@ func TestHandlerReplyScratchIsNotRetained(t *testing.T) {
 		replies := 0
 		for i := 0; i < 200; i++ {
 			method := []string{"long", "short"}[i%2]
-			f.a.GoJSON("b", method, note{Seq: i, Text: fmt.Sprint("t", i)}, func(r Result) {
+			f.a.GoMsg("b", method, note{Seq: i, Text: fmt.Sprint("t", i)}, func(r Result) {
 				replies++
 				var back note
 				err := r.Decode(&back)
@@ -125,7 +140,7 @@ func TestHandlerReplyScratchIsNotRetained(t *testing.T) {
 				for i := g; i < 120; i += 4 {
 					method := []string{"long", "short"}[(i/4)%2]
 					var back note
-					err := a.CallJSON("b", method, note{Seq: i, Text: fmt.Sprint("t", i)}, &back, CallTimeout(10*time.Second))
+					err := a.CallMsg("b", method, note{Seq: i, Text: fmt.Sprint("t", i)}, &back, CallTimeout(10*time.Second))
 					check(t, i, method, back, err)
 				}
 			}()

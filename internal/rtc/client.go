@@ -87,7 +87,7 @@ func registerSessionMux(ep *rpc.Endpoint, s *Session) {
 		mux := &sessionMux{sessions: make(map[string][]*Session)}
 		ep.MustRegister(MethodEvent, func(req rpc.Request) ([]byte, error) {
 			var ev Event
-			if err := wire.DecodeBody(req.Body, &ev); err != nil {
+			if err := ev.UnmarshalBinary(req.Body); err != nil {
 				return nil, err
 			}
 			mux.mu.Lock()
@@ -164,7 +164,7 @@ func (s *Session) unregister() {
 func (s *Session) Join() error {
 	s.reregister()
 	var resp joinResp
-	err := s.endpoint.CallJSON(s.server, MethodJoin, joinReq{
+	err := s.endpoint.CallMsg(s.server, MethodJoin, joinReq{
 		Conference: s.Conference,
 		Member:     s.Member,
 		Addr:       string(s.endpoint.Addr()),
@@ -186,7 +186,7 @@ func (s *Session) Join() error {
 // the join fails.
 func (s *Session) GoJoin(done func(error)) {
 	s.reregister()
-	s.endpoint.GoJSON(s.server, MethodJoin, joinReq{
+	s.endpoint.GoMsg(s.server, MethodJoin, joinReq{
 		Conference: s.Conference,
 		Member:     s.Member,
 		Addr:       string(s.endpoint.Addr()),
@@ -267,14 +267,13 @@ func (s *Session) Leave() error {
 	}
 	s.mu.Unlock()
 	s.unregister()
-	var resp okResp
-	return s.endpoint.CallJSON(s.server, MethodLeave, leaveReq{Conference: s.Conference, Member: s.Member}, &resp)
+	return s.endpoint.CallMsg(s.server, MethodLeave, memberReq{Conference: s.Conference, Member: s.Member}, &wire.Empty{})
 }
 
 // Set publishes a shared-state mutation (WYSIWIS write).
 func (s *Session) Set(key, value string) error {
 	var resp updateResp
-	return s.endpoint.CallJSON(s.server, MethodUpdate, updateReq{
+	return s.endpoint.CallMsg(s.server, MethodUpdate, updateReq{
 		Conference: s.Conference, Member: s.Member, Kind: EventState, Key: key, Value: value,
 	}, &resp)
 }
@@ -282,7 +281,7 @@ func (s *Session) Set(key, value string) error {
 // GoSet is Set's asynchronous form for simulated-clock callbacks. done
 // (may be nil) fires on the event goroutine with the server's verdict.
 func (s *Session) GoSet(key, value string, done func(error)) {
-	s.endpoint.GoJSON(s.server, MethodUpdate, updateReq{
+	s.endpoint.GoMsg(s.server, MethodUpdate, updateReq{
 		Conference: s.Conference, Member: s.Member, Kind: EventState, Key: key, Value: value,
 	}, func(r rpc.Result) {
 		var resp updateResp
@@ -296,7 +295,7 @@ func (s *Session) GoSet(key, value string, done func(error)) {
 // Point publishes a telepointer position.
 func (s *Session) Point(position string) error {
 	var resp updateResp
-	return s.endpoint.CallJSON(s.server, MethodUpdate, updateReq{
+	return s.endpoint.CallMsg(s.server, MethodUpdate, updateReq{
 		Conference: s.Conference, Member: s.Member, Kind: EventPointer, Value: position,
 	}, &resp)
 }
@@ -304,14 +303,14 @@ func (s *Session) Point(position string) error {
 // RequestFloor asks for the floor; returns the resulting holder.
 func (s *Session) RequestFloor() (string, error) {
 	var resp floorResp
-	err := s.endpoint.CallJSON(s.server, MethodFloorRequest, floorReq{Conference: s.Conference, Member: s.Member}, &resp)
+	err := s.endpoint.CallMsg(s.server, MethodFloorRequest, memberReq{Conference: s.Conference, Member: s.Member}, &resp)
 	return resp.Holder, err
 }
 
 // ReleaseFloor gives the floor back.
 func (s *Session) ReleaseFloor() error {
 	var resp floorResp
-	return s.endpoint.CallJSON(s.server, MethodFloorRelease, floorReq{Conference: s.Conference, Member: s.Member}, &resp)
+	return s.endpoint.CallMsg(s.server, MethodFloorRelease, memberReq{Conference: s.Conference, Member: s.Member}, &resp)
 }
 
 // Resync pulls events the session missed (e.g. across a partition) and
@@ -321,7 +320,7 @@ func (s *Session) Resync() error {
 	from := s.seq
 	s.mu.Unlock()
 	var resp syncResp
-	if err := s.endpoint.CallJSON(s.server, MethodSync, syncReq{Conference: s.Conference, FromSeq: from}, &resp); err != nil {
+	if err := s.endpoint.CallMsg(s.server, MethodSync, syncReq{Conference: s.Conference, FromSeq: from}, &resp); err != nil {
 		return err
 	}
 	for _, ev := range resp.Events {
@@ -450,7 +449,8 @@ func (s *Session) scheduleHeartbeat() {
 		if !joined {
 			return
 		}
-		s.endpoint.GoJSON(s.server, MethodHeartbeat, leaveReq{Conference: s.Conference, Member: s.Member}, func(rpc.Result) {})
+		body, _ := memberReq{Conference: s.Conference, Member: s.Member}.AppendBinary(nil) // never errs
+		_ = s.endpoint.Announce(s.server, MethodHeartbeat, body)
 		s.scheduleHeartbeat()
 	})
 }

@@ -2,55 +2,28 @@ package rtc
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"mocca/internal/wire"
 )
 
-// The conference messages a workload sends — join, update and the event
-// fan-out — travel as hand-written binary bodies (see
+// Every conference message travels as a hand-written binary body (see
 // internal/replica/codec.go for the shape: a tag byte with the high bit
 // set, then wire's primitives, state maps in sorted key order, instants as
-// wire.AppendTime writes them). Leave, the floor, heartbeats and resync stay
-// JSON; a resync reply nests events in that JSON, which is why Event keeps
-// its tags. Range 0xA1–0xA5.
+// wire.AppendTime writes them). Leave, the floor calls and heartbeats name
+// a member with one memberReq; leave is answered with wire.Empty, and a
+// heartbeat is an announcement. A resync reply carries events in the form
+// the fan-out sends them, without their tags. Range 0xA1–0xA9.
 const (
 	tagEvent      byte = 0xA1
 	tagJoinReq    byte = 0xA2
 	tagJoinResp   byte = 0xA3
 	tagUpdateReq  byte = 0xA4
 	tagUpdateResp byte = 0xA5
+	tagMemberReq  byte = 0xA6
+	tagFloorResp  byte = 0xA7
+	tagSyncReq    byte = 0xA8
+	tagSyncResp   byte = 0xA9
 )
-
-// appendState writes a state map: count, then key and value per key in
-// sorted order.
-func appendState(b []byte, state map[string]string) []byte {
-	b = wire.AppendUint64(b, uint64(len(state)))
-	keys := make([]string, 0, len(state))
-	for k := range state {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		b = wire.AppendString(b, k)
-		b = wire.AppendString(b, state[k])
-	}
-	return b
-}
-
-// consumeState reads a map written by appendState; an empty one reads as nil.
-func consumeState(b *wire.Body) map[string]string {
-	n := b.Count(2 * 4)
-	if n == 0 {
-		return nil
-	}
-	state := make(map[string]string, n)
-	for range n {
-		k := b.String()
-		state[k] = b.String()
-	}
-	return state
-}
 
 // eventKinds are the kinds a conference sends.
 var eventKinds = [...]EventKind{EventState, EventPointer, EventJoined, EventLeft, EventEvicted, EventFloor, EventSnapshot}
@@ -67,24 +40,32 @@ func consumeKind(data []byte) (EventKind, []byte, error) {
 	return EventKind(s), rest, err
 }
 
-// AppendBinary implements encoding.BinaryAppender.
-func (ev Event) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagEvent)
+// appendEvent writes an event's fields.
+func appendEvent(b []byte, ev Event) []byte {
 	b = wire.AppendString(b, ev.Conference)
 	b = wire.AppendUint64(b, ev.Seq)
 	b = wire.AppendString(b, string(ev.Kind))
 	b = wire.AppendString(b, ev.From)
 	b = wire.AppendString(b, ev.Key)
 	b = wire.AppendString(b, ev.Value)
-	b = appendState(b, ev.State)
-	return wire.AppendTime(b, ev.At), nil
+	b = wire.AppendStringMap(b, ev.State)
+	return wire.AppendTime(b, ev.At)
+}
+
+func consumeEvent(b *wire.Body) Event {
+	return Event{Conference: b.String(), Seq: b.Uint64(), Kind: wire.Consume(b, consumeKind), From: b.String(),
+		Key: b.String(), Value: b.String(), State: b.StringMap(), At: b.Time()}
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (ev Event) AppendBinary(b []byte) ([]byte, error) {
+	return appendEvent(append(b, tagEvent), ev), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (ev *Event) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagEvent, "rtc event")
-	*ev = Event{Conference: b.String(), Seq: b.Uint64(), Kind: wire.Consume(&b, consumeKind), From: b.String(),
-		Key: b.String(), Value: b.String(), State: consumeState(&b), At: b.Time()}
+	*ev = consumeEvent(&b)
 	return b.Close()
 }
 
@@ -105,13 +86,9 @@ func (m *joinReq) UnmarshalBinary(data []byte) error {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m joinResp) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagJoinResp)
-	b = wire.AppendUint64(b, m.Seq)
-	b = appendState(b, m.State)
-	b = wire.AppendUint64(b, uint64(len(m.Members)))
-	for _, name := range m.Members {
-		b = wire.AppendString(b, name)
-	}
+	b = wire.AppendUint64(append(b, tagJoinResp), m.Seq)
+	b = wire.AppendStringMap(b, m.State)
+	b = wire.AppendStrings(b, m.Members)
 	b = wire.AppendUint64(b, uint64(m.Mode))
 	return wire.AppendString(b, m.Title), nil
 }
@@ -119,14 +96,7 @@ func (m joinResp) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *joinResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagJoinResp, "rtc joinResp")
-	*m = joinResp{Seq: b.Uint64(), State: consumeState(&b)}
-	if n := b.Count(4); n > 0 {
-		m.Members = make([]string, n)
-		for i := range m.Members {
-			m.Members[i] = b.String()
-		}
-	}
-	m.Mode, m.Title = b.Int(), b.String()
+	*m = joinResp{Seq: b.Uint64(), State: b.StringMap(), Members: b.Strings(), Mode: b.Int(), Title: b.String()}
 	return b.Close()
 }
 
@@ -156,5 +126,61 @@ func (m updateResp) AppendBinary(b []byte) ([]byte, error) {
 func (m *updateResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagUpdateResp, "rtc updateResp")
 	*m = updateResp{Seq: b.Uint64()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m memberReq) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendString(append(b, tagMemberReq), m.Conference)
+	return wire.AppendString(b, m.Member), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *memberReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagMemberReq, "rtc memberReq")
+	*m = memberReq{Conference: b.String(), Member: b.String()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m floorResp) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendString(append(b, tagFloorResp), m.Holder), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *floorResp) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagFloorResp, "rtc floorResp")
+	*m = floorResp{Holder: b.String()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendString(append(b, tagSyncReq), m.Conference)
+	return wire.AppendUint64(b, m.FromSeq), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *syncReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagSyncReq, "rtc syncReq")
+	*m = syncReq{Conference: b.String(), FromSeq: b.Uint64()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendList(append(b, tagSyncResp), m.Events, appendEvent), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *syncResp) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagSyncResp, "rtc syncResp")
+	*m = syncResp{}
+	if n := b.Count(5*4 + 8 + 8 + 12); n > 0 { // five string prefixes, a sequence number, a state count, an instant
+		m.Events = make([]Event, n)
+		for i := range m.Events {
+			m.Events[i] = consumeEvent(&b)
+		}
+	}
 	return b.Close()
 }

@@ -1,7 +1,9 @@
 package rtc
 
 import (
+	"encoding"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,8 +23,8 @@ func harnessEvent() Event {
 		Key: "cursor-u00012", Value: "pos 5120", At: netsim.DefaultEpoch.Add(90*time.Second + 250*time.Millisecond)}
 }
 
-// bodyCases covers the five binary messages: as the harness sends them and
-// at the corners of each one's shape.
+// bodyCases covers every conference message: as the harness and the
+// administrative round send them and at the corners of each one's shape.
 func bodyCases() []wiretest.Case {
 	rng := rand.New(rand.NewSource(21))
 	state := map[string]string{"agenda": "1. models 2. odp", "títle": "naïve ☃", "empty": "", "cursor-u00012": "pos 5120"}
@@ -49,6 +51,15 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("updateReq/zero", updateReq{}),
 		wiretest.Of("updateResp", updateResp{Seq: 41}),
 		wiretest.Of("updateResp/zero", updateResp{}),
+		wiretest.Of("memberReq", memberReq{Conference: "conf-000003", Member: "u00012"}),
+		wiretest.Of("memberReq/zero", memberReq{}),
+		wiretest.Of("floorResp", floorResp{Holder: "u00012"}),
+		wiretest.Of("floorResp/free", floorResp{}),
+		wiretest.Of("syncReq", syncReq{Conference: "conf-000003", FromSeq: 40}),
+		wiretest.Of("syncReq/zero", syncReq{}),
+		wiretest.Of("syncResp", syncResp{Events: []Event{harnessEvent()}}, syncResp{Events: []Event{emptyState}}),
+		wiretest.Of("syncResp/mixed", syncResp{Events: []Event{harnessEvent(), snapshot, {}}}, syncResp{Events: []Event{emptyState, reinserted, {}}}),
+		wiretest.Of("syncResp/zero", syncResp{}, syncResp{Events: []Event{}}),
 	}
 }
 
@@ -68,6 +79,12 @@ func TestBodiesGolden(t *testing.T) {
 		"updateReq": "a40000000b636f6e662d303030303033000000067530303031320000000573746174650000000d637572736f722d7530" +
 			"3030313200000008706f732035313230",
 		"updateResp": "a50000000000000029",
+		"memberReq":  "a60000000b636f6e662d30303030303300000006753030303132",
+		"floorResp":  "a700000006753030303132",
+		"syncReq":    "a80000000b636f6e662d3030303030330000000000000028",
+		"syncResp": "a900000000000000010000000b636f6e662d3030303030330000000000000029000000057374617465000000067530" +
+			"303031320000000d637572736f722d75303030313200000008706f7320353132300000000000000000000000002a3473" +
+			"6a0ee6b280",
 	})
 }
 
@@ -80,6 +97,8 @@ func TestBodiesRejectDamage(t *testing.T) {
 		"snapshot state":    append(append([]byte{tagJoinResp}, zero...), huge...),
 		"snapshot members":  append(append(append([]byte{tagJoinResp}, zero...), zero...), huge...),
 		"update as a count": append([]byte{tagUpdateResp}, huge...),
+		"sync events":       append([]byte{tagSyncResp}, huge...),
+		"synced state":      append(append(append([]byte{tagSyncResp}, wire.AppendUint64(nil, 1)...), make([]byte, 5*4+8)...), huge...),
 	})
 }
 
@@ -152,16 +171,65 @@ func conferenceRound(tb testing.TB) map[string][][]byte {
 	return bodies
 }
 
-// TestConferenceBodiesAreBinary: on a real join + set + fan-out every body
-// of the three measured methods, request, reply and announcement, is a
-// binary one.
+// adminRound runs the rest of a conference's protocol on a real exchange:
+// two members join, one takes the floor and gives it back, the other
+// resyncs and leaves, and the first heartbeats. It returns the bodies put on the wire by rpc
+// method.
+func adminRound(tb testing.TB) map[string][][]byte {
+	tb.Helper()
+	bodies := map[string][][]byte{}
+	c := newTappedConference(tb, 2, quietLink, wiretest.Tap(bodies))
+	if joined := c.joinAll(); joined != 2 {
+		tb.Fatalf("%d of 2 members joined", joined)
+	}
+	speaker, listener := c.sessions[0], c.sessions[1]
+	call := func(s *Session, method string, req encoding.BinaryAppender, resp encoding.BinaryUnmarshaler) {
+		s.endpoint.GoMsg(s.server, method, req, func(r rpc.Result) {
+			if err := r.Decode(resp); err != nil {
+				tb.Fatalf("%s: %v", method, err)
+			}
+		})
+		c.clk.RunUntilIdle()
+	}
+	speaking := memberReq{Conference: speaker.Conference, Member: speaker.Member}
+	var floor floorResp
+	call(speaker, MethodFloorRequest, speaking, &floor)
+	if floor.Holder != speaker.Member {
+		tb.Fatalf("the floor went to %q", floor.Holder)
+	}
+	call(speaker, MethodFloorRelease, speaking, &floor)
+	var missed syncResp
+	call(listener, MethodSync, syncReq{Conference: listener.Conference, FromSeq: 1}, &missed)
+	if len(missed.Events) != 3 {
+		tb.Fatalf("resync from seq 1 returned %d events, want the second join and the floor's two", len(missed.Events))
+	}
+	call(listener, MethodLeave, memberReq{Conference: listener.Conference, Member: listener.Member}, &wire.Empty{})
+	speaker.hbPeriod = time.Second
+	speaker.scheduleHeartbeat()
+	c.clk.Advance(time.Second + 50*time.Millisecond)
+	speaker.Detach() // stops the heartbeat
+	return bodies
+}
+
+// TestConferenceBodiesAreBinary: on a real join + set + fan-out, and on
+// every other conference call, every body — request, reply and
+// announcement — is a binary one or the empty body of a message with nothing
+// to say.
 func TestConferenceBodiesAreBinary(t *testing.T) {
 	bodies := conferenceRound(t)
 	for _, method := range []string{MethodJoin, MethodUpdate, MethodEvent} {
 		if len(bodies[method]) < 6 {
 			t.Fatalf("the round put %d %s bodies on the wire", len(bodies[method]), method)
 		}
-		for _, b := range bodies[method] {
+	}
+	maps.Copy(bodies, adminRound(t))
+	for _, method := range []string{MethodHeartbeat, MethodFloorRequest, MethodFloorRelease, MethodSync, MethodLeave} {
+		if len(bodies[method]) == 0 {
+			t.Fatalf("the admin round put no %s body on the wire", method)
+		}
+	}
+	for method, list := range bodies {
+		for _, b := range list {
 			if len(b) > 0 && b[0] < 0x80 {
 				t.Fatalf("%s body opens with %#x: %q", method, b[0], b)
 			}
@@ -173,8 +241,9 @@ func TestConferenceBodiesAreBinary(t *testing.T) {
 // yields a message that encodes and decodes back to itself.
 func FuzzRTCBodies(f *testing.F) {
 	round := conferenceRound(f)
-	for _, method := range []string{MethodJoin, MethodUpdate, MethodEvent} {
-		for _, b := range round[method] {
+	maps.Copy(round, adminRound(f))
+	for _, list := range round {
+		for _, b := range list {
 			f.Add(b)
 		}
 	}
@@ -184,6 +253,8 @@ func FuzzRTCBodies(f *testing.F) {
 	wiretest.Fuzz(f, []wiretest.Case{
 		wiretest.Of("event", Event{}), wiretest.Of("joinReq", joinReq{}), wiretest.Of("joinResp", joinResp{}),
 		wiretest.Of("updateReq", updateReq{}), wiretest.Of("updateResp", updateResp{}),
+		wiretest.Of("memberReq", memberReq{}), wiretest.Of("floorResp", floorResp{}),
+		wiretest.Of("syncReq", syncReq{}), wiretest.Of("syncResp", syncResp{}),
 	})
 }
 
@@ -291,17 +362,16 @@ func TestEventDecodeAllocations(t *testing.T) {
 
 var benchSink int
 
-// BenchmarkEventCodec prices the fan-out's unit through the one body entry
-// point, each way.
+// BenchmarkEventCodec prices the fan-out's unit, each way.
 func BenchmarkEventCodec(b *testing.B) {
-	body, err := wire.EncodeBody(harnessEvent())
+	body, err := harnessEvent().AppendBinary(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, _ := wire.EncodeBody(harnessEvent())
+			out, _ := harnessEvent().AppendBinary(nil)
 			benchSink += len(out)
 		}
 	})
@@ -309,7 +379,7 @@ func BenchmarkEventCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var ev Event
-			if err := wire.DecodeBody(body, &ev); err != nil {
+			if err := ev.UnmarshalBinary(body); err != nil {
 				b.Fatal(err)
 			}
 			benchSink += int(ev.Seq)

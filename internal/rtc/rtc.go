@@ -22,6 +22,7 @@ import (
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
+	"mocca/internal/wire"
 )
 
 // RPC methods of the conferencing protocol.
@@ -86,14 +87,14 @@ const (
 // Event is the unit of fan-out. Seq is a per-conference total order
 // assigned by the server.
 type Event struct {
-	Conference string            `json:"conference"`
-	Seq        uint64            `json:"seq"`
-	Kind       EventKind         `json:"kind"`
-	From       string            `json:"from,omitempty"`
-	Key        string            `json:"key,omitempty"`
-	Value      string            `json:"value,omitempty"`
-	State      map[string]string `json:"state,omitempty"`
-	At         time.Time         `json:"at"`
+	Conference string
+	Seq        uint64
+	Kind       EventKind
+	From       string
+	Key        string
+	Value      string
+	State      map[string]string
+	At         time.Time
 }
 
 // member is a joined participant.
@@ -231,8 +232,7 @@ func (s *Server) History(cid string) ([]Event, error) {
 	return append([]Event(nil), conf.log...), nil
 }
 
-// request/response bodies; join and update travel in the binary form of
-// codec.go, the rest as JSON
+// request/response bodies, in the binary form of codec.go
 
 type joinReq struct {
 	Conference string
@@ -248,9 +248,11 @@ type joinResp struct {
 	Title   string
 }
 
-type leaveReq struct {
-	Conference string `json:"conference"`
-	Member     string `json:"member"`
+// memberReq names a member of a conference: the request of leave, both
+// floor calls and the heartbeat announcement.
+type memberReq struct {
+	Conference string
+	Member     string
 }
 
 type updateReq struct {
@@ -265,65 +267,58 @@ type updateResp struct {
 	Seq uint64
 }
 
-type floorReq struct {
-	Conference string `json:"conference"`
-	Member     string `json:"member"`
-}
-
 type floorResp struct {
-	Holder string `json:"holder"`
+	Holder string
 }
 
 type syncReq struct {
-	Conference string `json:"conference"`
-	FromSeq    uint64 `json:"fromSeq"`
+	Conference string
+	FromSeq    uint64
 }
 
 type syncResp struct {
-	Events []Event `json:"events"`
-}
-
-type okResp struct {
-	OK bool `json:"ok"`
+	Events []Event
 }
 
 func (s *Server) register() {
 	ep := s.endpoint
-	ep.MustRegister(MethodJoin, rpc.HandleJSON(func(from netsim.Address, req joinReq) (joinResp, error) {
+	ep.MustRegister(MethodJoin, rpc.Handle(func(from netsim.Address, req joinReq) (joinResp, error) {
 		return s.join(from, req)
 	}))
-	ep.MustRegister(MethodLeave, rpc.HandleJSON(func(_ netsim.Address, req leaveReq) (okResp, error) {
-		if err := s.leave(req.Conference, req.Member, EventLeft); err != nil {
-			return okResp{}, err
-		}
-		return okResp{OK: true}, nil
+	ep.MustRegister(MethodLeave, rpc.Handle(func(_ netsim.Address, req memberReq) (wire.Empty, error) {
+		return wire.Empty{}, s.leave(req.Conference, req.Member, EventLeft)
 	}))
-	ep.MustRegister(MethodUpdate, rpc.HandleJSON(func(_ netsim.Address, req updateReq) (updateResp, error) {
+	ep.MustRegister(MethodUpdate, rpc.Handle(func(_ netsim.Address, req updateReq) (updateResp, error) {
 		seq, err := s.update(req)
 		if err != nil {
 			return updateResp{}, err
 		}
 		return updateResp{Seq: seq}, nil
 	}))
-	ep.MustRegister(MethodFloorRequest, rpc.HandleJSON(func(_ netsim.Address, req floorReq) (floorResp, error) {
+	ep.MustRegister(MethodFloorRequest, rpc.Handle(func(_ netsim.Address, req memberReq) (floorResp, error) {
 		holder, err := s.floorRequest(req.Conference, req.Member)
 		if err != nil {
 			return floorResp{}, err
 		}
 		return floorResp{Holder: holder}, nil
 	}))
-	ep.MustRegister(MethodFloorRelease, rpc.HandleJSON(func(_ netsim.Address, req floorReq) (floorResp, error) {
+	ep.MustRegister(MethodFloorRelease, rpc.Handle(func(_ netsim.Address, req memberReq) (floorResp, error) {
 		holder, err := s.floorRelease(req.Conference, req.Member)
 		if err != nil {
 			return floorResp{}, err
 		}
 		return floorResp{Holder: holder}, nil
 	}))
-	ep.MustRegister(MethodHeartbeat, rpc.HandleJSON(func(_ netsim.Address, req leaveReq) (okResp, error) {
+	// A heartbeat is an announcement: the member waits for nothing.
+	ep.MustRegister(MethodHeartbeat, func(r rpc.Request) ([]byte, error) {
+		var req memberReq
+		if err := req.UnmarshalBinary(r.Body); err != nil {
+			return nil, err
+		}
 		s.heartbeat(req.Conference, req.Member)
-		return okResp{OK: true}, nil
-	}))
-	ep.MustRegister(MethodSync, rpc.HandleJSON(func(_ netsim.Address, req syncReq) (syncResp, error) {
+		return nil, nil
+	})
+	ep.MustRegister(MethodSync, rpc.Handle(func(_ netsim.Address, req syncReq) (syncResp, error) {
 		events, err := s.eventsSince(req.Conference, req.FromSeq)
 		if err != nil {
 			return syncResp{}, err

@@ -2,18 +2,79 @@ package trader
 
 import (
 	"mocca/internal/directory"
+	"mocca/internal/netsim"
 	"mocca/internal/wire"
 )
 
-// trader.import — the one trading operation a workload issues, and the one
-// federation forwards — travels as hand-written binary bodies (see
-// internal/replica/codec.go for the shape); an offer's properties are in
-// directory's attribute-set form. Export, withdraw and type registration
-// stay JSON. Range 0xD1–0xD2.
+// Every trading operation travels as a hand-written binary body (see
+// internal/replica/codec.go for the shape). An Offer is its id, service
+// type, provider and properties, the properties in directory's
+// attribute-set form; a standalone Offer is trader.export's request. Export,
+// withdraw and type registration are answered with wire.Empty. Range
+// 0xD1–0xD5.
 const (
-	tagImportReq  byte = 0xD1
-	tagImportResp byte = 0xD2
+	tagImportReq   byte = 0xD1
+	tagImportResp  byte = 0xD2
+	tagOffer       byte = 0xD3
+	tagWithdrawReq byte = 0xD4
+	tagRegTypeReq  byte = 0xD5
 )
+
+// appendOffer writes an offer: id, service type, provider, properties.
+func appendOffer(b []byte, o Offer) []byte {
+	b = wire.AppendString(b, o.ID)
+	b = wire.AppendString(b, o.ServiceType)
+	b = wire.AppendString(b, string(o.Provider))
+	return directory.AppendAttributes(b, o.Properties)
+}
+
+// consumeOffer reads an offer written by appendOffer; an offer without
+// properties reads with an empty set.
+func consumeOffer(b *wire.Body) Offer {
+	o := Offer{ID: b.String(), ServiceType: b.String(), Provider: netsim.Address(b.String()),
+		Properties: directory.ConsumeAttributes(b)}
+	if o.Properties == nil {
+		o.Properties = directory.Attributes{}
+	}
+	return o
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (o Offer) AppendBinary(b []byte) ([]byte, error) {
+	return appendOffer(append(b, tagOffer), o), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (o *Offer) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagOffer, "trader offer")
+	*o = consumeOffer(&b)
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m withdrawReq) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendString(append(b, tagWithdrawReq), m.OfferID), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *withdrawReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagWithdrawReq, "trader withdrawReq")
+	*m = withdrawReq{OfferID: b.String()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m regTypeReq) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendString(append(b, tagRegTypeReq), m.Name)
+	return wire.AppendStrings(b, m.Supertypes), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *regTypeReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagRegTypeReq, "trader regTypeReq")
+	*m = regTypeReq{Name: b.String(), Supertypes: b.Strings()}
+	return b.Close()
+}
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m importReq) AppendBinary(b []byte) ([]byte, error) {
@@ -36,15 +97,7 @@ func (m *importReq) UnmarshalBinary(data []byte) error {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m importResp) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagImportResp)
-	b = wire.AppendUint64(b, uint64(len(m.Offers)))
-	for _, o := range m.Offers {
-		b = wire.AppendString(b, o.ID)
-		b = wire.AppendString(b, o.ServiceType)
-		b = wire.AppendString(b, o.Provider)
-		b = directory.AppendAttributes(b, o.Properties)
-	}
-	return b, nil
+	return wire.AppendList(append(b, tagImportResp), m.Offers, appendOffer), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -52,10 +105,9 @@ func (m *importResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagImportResp, "trader importResp")
 	*m = importResp{}
 	if n := b.Count(3*4 + 8); n > 0 { // three prefixes and an attribute count
-		m.Offers = make([]WireOffer, n)
+		m.Offers = make([]Offer, n)
 		for i := range m.Offers {
-			m.Offers[i] = WireOffer{ID: b.String(), ServiceType: b.String(), Provider: b.String(),
-				Properties: directory.ConsumeAttributes(&b)}
+			m.Offers[i] = consumeOffer(&b)
 		}
 	}
 	return b.Close()

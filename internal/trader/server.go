@@ -3,7 +3,6 @@ package trader
 import (
 	"time"
 
-	"mocca/internal/directory"
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/wire"
@@ -21,59 +20,23 @@ const (
 // result instead of consuming the whole client timeout.
 const federationBudget = 800 * time.Millisecond
 
-// WireOffer is the JSON-safe form of an Offer.
-type WireOffer struct {
-	ID          string               `json:"id"`
-	ServiceType string               `json:"serviceType"`
-	Provider    string               `json:"provider"`
-	Properties  directory.Attributes `json:"properties,omitempty"`
-}
-
-func toWire(o Offer) WireOffer {
-	return WireOffer{
-		ID:          o.ID,
-		ServiceType: o.ServiceType,
-		Provider:    string(o.Provider),
-		Properties:  o.Properties,
-	}
-}
-
-func fromWire(w WireOffer) Offer {
-	props := w.Properties
-	if props == nil {
-		props = make(directory.Attributes)
-	}
-	return Offer{
-		ID:          w.ID,
-		ServiceType: w.ServiceType,
-		Provider:    netsim.Address(w.Provider),
-		Properties:  props,
-	}
-}
-
-type exportReq struct {
-	Offer WireOffer `json:"offer"`
-}
+// The messages travel as the binary bodies of codec.go; an Offer is
+// trader.export's request.
 
 type withdrawReq struct {
-	OfferID string `json:"offerId"`
+	OfferID string
 }
 
-// importReq is an ImportRequest on the wire; it and importResp travel in the
-// binary form of codec.go.
+// importReq is an ImportRequest on the wire.
 type importReq ImportRequest
 
 type importResp struct {
-	Offers []WireOffer
+	Offers []Offer
 }
 
 type regTypeReq struct {
-	Name       string   `json:"name"`
-	Supertypes []string `json:"supertypes,omitempty"`
-}
-
-type okResp struct {
-	OK bool `json:"ok"`
+	Name       string
+	Supertypes []string
 }
 
 // Server exposes a Trader over rpc and installs a network Forwarder so
@@ -99,31 +62,20 @@ func NewServer(endpoint *rpc.Endpoint, t *Trader) *Server {
 func (s *Server) Trader() *Trader { return s.trader }
 
 func (s *Server) register() {
-	s.endpoint.MustRegister(MethodExport, rpc.HandleJSON(func(_ netsim.Address, req exportReq) (okResp, error) {
-		if err := s.trader.Export(fromWire(req.Offer)); err != nil {
-			return okResp{}, err
-		}
-		return okResp{OK: true}, nil
+	s.endpoint.MustRegister(MethodExport, rpc.Handle(func(_ netsim.Address, o Offer) (wire.Empty, error) {
+		return wire.Empty{}, s.trader.Export(o)
 	}))
-	s.endpoint.MustRegister(MethodWithdraw, rpc.HandleJSON(func(_ netsim.Address, req withdrawReq) (okResp, error) {
-		if err := s.trader.Withdraw(req.OfferID); err != nil {
-			return okResp{}, err
-		}
-		return okResp{OK: true}, nil
+	s.endpoint.MustRegister(MethodWithdraw, rpc.Handle(func(_ netsim.Address, req withdrawReq) (wire.Empty, error) {
+		return wire.Empty{}, s.trader.Withdraw(req.OfferID)
 	}))
-	s.endpoint.MustRegister(MethodRegType, rpc.HandleJSON(func(_ netsim.Address, req regTypeReq) (okResp, error) {
-		if err := s.trader.RegisterType(req.Name, req.Supertypes...); err != nil {
-			return okResp{}, err
-		}
-		return okResp{OK: true}, nil
+	s.endpoint.MustRegister(MethodRegType, rpc.Handle(func(_ netsim.Address, req regTypeReq) (wire.Empty, error) {
+		return wire.Empty{}, s.trader.RegisterType(req.Name, req.Supertypes...)
 	}))
 	s.endpoint.MustRegisterAsync(MethodImport, func(r rpc.Request, reply func([]byte, error)) {
 		var req importReq
-		if len(r.Body) > 0 {
-			if err := wire.DecodeBody(r.Body, &req); err != nil {
-				reply(nil, err)
-				return
-			}
+		if err := req.UnmarshalBinary(r.Body); err != nil {
+			reply(nil, err)
+			return
 		}
 		if req.Importer == "" {
 			req.Importer = string(r.From)
@@ -133,11 +85,7 @@ func (s *Server) register() {
 				reply(nil, err)
 				return
 			}
-			resp := importResp{Offers: make([]WireOffer, len(offers))}
-			for i, o := range offers {
-				resp.Offers[i] = toWire(o)
-			}
-			reply(wire.EncodeBody(resp))
+			reply(importResp{Offers: offers}.AppendBinary(nil))
 		})
 	})
 }
@@ -145,17 +93,13 @@ func (s *Server) register() {
 // goImport queries the trader at peer over rpc; done is called exactly once,
 // on the event goroutine.
 func goImport(ep *rpc.Endpoint, peer netsim.Address, req ImportRequest, done func([]Offer, error), opts ...rpc.CallOption) {
-	ep.GoJSON(peer, MethodImport, importReq(req), func(r rpc.Result) {
+	ep.GoMsg(peer, MethodImport, importReq(req), func(r rpc.Result) {
 		var resp importResp
 		if err := r.Decode(&resp); err != nil {
 			done(nil, err)
 			return
 		}
-		out := make([]Offer, len(resp.Offers))
-		for i, w := range resp.Offers {
-			out[i] = fromWire(w)
-		}
-		done(out, nil)
+		done(resp.Offers, nil)
 	}, opts...)
 }
 
@@ -172,20 +116,17 @@ func NewClient(endpoint *rpc.Endpoint, trader netsim.Address) *Client {
 
 // RegisterType declares a service type remotely.
 func (c *Client) RegisterType(name string, supertypes ...string) error {
-	var resp okResp
-	return c.endpoint.CallJSON(c.trader, MethodRegType, regTypeReq{Name: name, Supertypes: supertypes}, &resp)
+	return c.endpoint.CallMsg(c.trader, MethodRegType, regTypeReq{Name: name, Supertypes: supertypes}, &wire.Empty{})
 }
 
 // Export registers an offer remotely.
 func (c *Client) Export(o Offer) error {
-	var resp okResp
-	return c.endpoint.CallJSON(c.trader, MethodExport, exportReq{Offer: toWire(o)}, &resp)
+	return c.endpoint.CallMsg(c.trader, MethodExport, o, &wire.Empty{})
 }
 
 // Withdraw removes an offer remotely.
 func (c *Client) Withdraw(offerID string) error {
-	var resp okResp
-	return c.endpoint.CallJSON(c.trader, MethodWithdraw, withdrawReq{OfferID: offerID}, &resp)
+	return c.endpoint.CallMsg(c.trader, MethodWithdraw, withdrawReq{OfferID: offerID}, &wire.Empty{})
 }
 
 // Import queries the trader: GoImport plus a wait. Blocking; see package rpc

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -11,6 +12,55 @@ import (
 // expects: another tag, a flag, count, integer or instant out of range, or
 // bytes left over.
 var ErrBadBody = errors.New("wire: bad message body")
+
+// Empty is the one body of a message with nothing to say: the reply of a
+// call whose only outcome is "done", and the request of one that takes no
+// argument. It appends nothing and refuses any byte.
+type Empty struct{}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (Empty) AppendBinary(b []byte) ([]byte, error) { return b, nil }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (*Empty) UnmarshalBinary(data []byte) error {
+	if len(data) != 0 {
+		return fmt.Errorf("%w: %d bytes where none belong", ErrBadBody, len(data))
+	}
+	return nil
+}
+
+// AppendList appends a list: a count, then each element as put writes it. A
+// decoder reads it back with Count and one read per element.
+func AppendList[T any](dst []byte, list []T, put func([]byte, T) []byte) []byte {
+	dst = AppendUint64(dst, uint64(len(list)))
+	for _, v := range list {
+		dst = put(dst, v)
+	}
+	return dst
+}
+
+// AppendStrings appends a string list. Body.Strings reads it back.
+func AppendStrings(dst []byte, list []string) []byte { return AppendList(dst, list, appendStr) }
+
+// AppendStringMap appends a string map: a count, then each key and its value
+// in sorted key order, so equal maps are equal bytes. Body.StringMap reads it
+// back.
+func AppendStringMap(dst []byte, m map[string]string) []byte {
+	dst = AppendUint64(dst, uint64(len(m)))
+	// Room on the stack for the maps the system sends; a wider one spills to
+	// the heap.
+	var room [16]string
+	keys := room[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		dst = appendStr(dst, k)
+		dst = appendStr(dst, m[k])
+	}
+	return dst
+}
 
 // Body is a cursor over a hand-written binary message body: a tag byte
 // naming the message, then the codec helpers' primitives. The first failure
@@ -95,6 +145,34 @@ func (b *Body) Count(minSize int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// Strings reads a list written by AppendStrings; an empty one reads as nil.
+func (b *Body) Strings() []string {
+	n := b.Count(4)
+	if n == 0 {
+		return nil
+	}
+	list := make([]string, n)
+	for i := range list {
+		list[i] = b.String()
+	}
+	return list
+}
+
+// StringMap reads a map written by AppendStringMap; an empty one reads as
+// nil.
+func (b *Body) StringMap() map[string]string {
+	n := b.Count(2 * 4)
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]string, n)
+	for range n {
+		k := b.String()
+		m[k] = b.String()
+	}
+	return m
 }
 
 // Time reads an instant written by AppendTime, in UTC.

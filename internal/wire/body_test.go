@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 )
@@ -148,5 +151,52 @@ func TestConsumeRunsForeignDecoders(t *testing.T) {
 	}
 	if got := Consume(&b, pair); got != [2]byte{} || !errors.Is(b.Close(), ErrTruncated) {
 		t.Fatalf("Consume past the end = %v, Close %v", got, b.Close())
+	}
+}
+
+// TestStringListsAndMaps: AppendStrings and AppendStringMap write the
+// count-then-elements layout the sample's list has by hand, a map's keys in
+// sorted order whatever order it was built in and without allocating;
+// Strings and StringMap read them back, an empty one as nil. Empty is no
+// bytes, and refuses any.
+func TestStringListsAndMaps(t *testing.T) {
+	list := []string{"a", "", "c"}
+	hand := AppendUint64(nil, uint64(len(list)))
+	for _, s := range list {
+		hand = AppendString(hand, s)
+	}
+	if got := AppendStrings(nil, list); !bytes.Equal(got, hand) {
+		t.Fatalf("AppendStrings = %x, want %x", got, hand)
+	}
+	m := map[string]string{"b": "2", "köln": "", "": "0", "a": "1"}
+	sorted := AppendUint64(nil, uint64(len(m)))
+	for _, k := range []string{"", "a", "b", "köln"} {
+		sorted = AppendString(AppendString(sorted, k), m[k])
+	}
+	buf := make([]byte, 0, 256)
+	if got := AppendStringMap(buf, m); !bytes.Equal(got, sorted) {
+		t.Fatalf("AppendStringMap = %x, want %x", got, sorted)
+	}
+	if n := testing.AllocsPerRun(100, func() { AppendStringMap(buf, m) }); n != 0 {
+		t.Fatalf("AppendStringMap allocates %v times", n)
+	}
+
+	b := OpenBody(append(append([]byte{0xF1}, hand...), sorted...), 0xF1, "lists")
+	if got, gotMap := b.Strings(), b.StringMap(); !slices.Equal(got, list) || !maps.Equal(gotMap, m) || b.Close() != nil {
+		t.Fatalf("read %q and %v, %v", got, gotMap, b.Close())
+	}
+	b = OpenBody(AppendStringMap(AppendStrings([]byte{0xF1}, []string{}), map[string]string{}), 0xF1, "empty lists")
+	if got, gotMap := b.Strings(), b.StringMap(); got != nil || gotMap != nil || b.Close() != nil {
+		t.Fatalf("empty ones read as %#v and %#v, %v", got, gotMap, b.Close())
+	}
+
+	if got, err := (Empty{}).AppendBinary(buf); len(got) != 0 || err != nil {
+		t.Fatalf("Empty appends %x, %v", got, err)
+	}
+	if err := new(Empty).UnmarshalBinary(nil); err != nil {
+		t.Fatalf("Empty refuses no bytes: %v", err)
+	}
+	if err := new(Empty).UnmarshalBinary([]byte{0xF1}); !errors.Is(err, ErrBadBody) {
+		t.Fatalf("Empty read a byte: %v", err)
 	}
 }

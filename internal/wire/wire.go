@@ -13,15 +13,11 @@
 //	body     lenBytes
 //
 // where lenString/lenBytes is a uint32 length prefix followed by raw bytes.
-// All integers are big-endian. The envelope treats the body as opaque;
-// EncodeBody and DecodeBody decide its form from the message type: a type
-// with its own AppendBinary/UnmarshalBinary — every message a workload sends:
-// the replica and rumor planes, and the search, import, transfer and
-// conference messages of directory, trader, mhs and rtc, all built from this
-// package's codec helpers and read back through Body — travels in that
-// binary form, every other type — the administrative requests of those four
-// services, placement and gossip membership — as JSON, which keeps those
-// payloads debuggable.
+// All integers are big-endian. The envelope treats the body as opaque, and
+// every body has one form: the message type's own AppendBinary and
+// UnmarshalBinary, a tag byte naming the message and then this package's
+// codec helpers, read back through Body. Empty is the one body of a message
+// with nothing to say. rpc's typed calls accept nothing else.
 package wire
 
 import (
@@ -546,11 +542,11 @@ func AppendTime(dst []byte, t time.Time) []byte {
 // buffer of its own.
 func EncodeBody(v any) ([]byte, error) { return AppendBody(nil, v) }
 
-// AppendBody appends v's envelope-body form to dst. A value that implements
-// encoding.BinaryAppender is encoded by its own method — the hand-written
-// binary bodies of the replica, rumor and service planes — and every other
-// value as JSON. The rule is the same at every call site, so the message
-// type alone decides the body's form.
+// AppendBody appends v's body to dst: by v's own AppendBinary when it has
+// one, as JSON otherwise. No deployed path calls it — rpc and every service
+// call AppendBinary and UnmarshalBinary directly — and its JSON branch, with
+// DecodeBody's and EncodeBody, is kept for one caller, the benchmark's
+// ledger, until the ledger prices real bodies.
 func AppendBody(dst []byte, v any) ([]byte, error) {
 	var err error
 	if m, ok := v.(encoding.BinaryAppender); ok {
@@ -566,11 +562,10 @@ func AppendBody(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBody decodes an envelope body produced by EncodeBody into v: by
-// v's own UnmarshalBinary when it implements encoding.BinaryUnmarshaler,
-// as JSON otherwise. The two forms cannot be mistaken for each other: a
-// binary body opens with a tag byte that cannot start a JSON text, so
-// either decoder rejects the other's bytes.
+// DecodeBody decodes a body produced by EncodeBody into v: by v's own
+// UnmarshalBinary when it has one, as JSON otherwise. A binary body opens
+// with a tag byte that cannot start a JSON text, so either decoder rejects
+// the other's bytes. Like AppendBody it is kept for the benchmark's ledger.
 func DecodeBody(data []byte, v any) (err error) {
 	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
 		err = u.UnmarshalBinary(data)
