@@ -376,11 +376,22 @@ func (e *Environment) newSiteSpace(site string, backend information.Backend) *in
 	return sp
 }
 
+// infoKinds names the policy event of each kind a Space emits, so that
+// dispatching one builds no string.
+var infoKinds = map[string]string{
+	"put": "info.put", "update": "info.update", "share": "info.share",
+	"evict": "info.evict", "conflict": "info.conflict", "apply": "info.apply",
+}
+
 // dispatchInfo feeds one information event of the named site's replica
 // ("" = the environment's own space) to the policy engine. The attributes
 // are built only when a rule could read them.
 func (e *Environment) dispatchInfo(site string, ev information.Event) {
-	pe := policy.Event{Kind: "info." + ev.Kind}
+	kind, ok := infoKinds[ev.Kind]
+	if !ok {
+		kind = "info." + ev.Kind
+	}
+	pe := policy.Event{Kind: kind}
 	if e.engine.HasRules() {
 		pe.Attrs = map[string]string{"actor": ev.Actor, "kind": ev.Kind}
 		if site != "" {

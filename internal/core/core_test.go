@@ -217,6 +217,35 @@ func TestSiteEventsCarryAttributesOnceARuleAsks(t *testing.T) {
 	}
 }
 
+// TestInfoEventWithoutRulesAllocatesNothing: with no rule installed, an
+// event of a kind the Space emits is counted and builds nothing; an unknown
+// kind still reaches a rule under its "info." name.
+func TestInfoEventWithoutRulesAllocatesNothing(t *testing.T) {
+	env := newEnv(t)
+	ev := information.Event{Kind: "apply", Object: &information.Object{ID: "o1", Schema: SharedSchemaName}, Actor: "replica/upc"}
+	if n := testing.AllocsPerRun(100, func() { env.dispatchInfo("upc", ev) }); n != 0 {
+		t.Fatalf("dispatching an apply event with no rules allocates %v times", n)
+	}
+	if got := env.Policies().Stats().Dispatched; got != 101 { // AllocsPerRun's warm-up run too
+		t.Fatalf("Dispatched = %d after 101 events", got)
+	}
+	var fired []string
+	env.Policies().RegisterAction("log", func(ev policy.Event, _ map[string]string) error {
+		fired = append(fired, ev.Kind)
+		return nil
+	}, true)
+	for _, on := range []string{"info.apply", "info.novel"} {
+		if err := env.Policies().AddRule(policy.Rule{Name: on, On: on, ActionName: "log"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.dispatchInfo("upc", ev)
+	env.dispatchInfo("upc", information.Event{Kind: "novel"})
+	if !reflect.DeepEqual(fired, []string{"info.apply", "info.novel"}) {
+		t.Fatalf("rules fired on %v", fired)
+	}
+}
+
 func TestConformanceCoversAllViewpoints(t *testing.T) {
 	env := newEnv(t)
 	reg := env.Conformance()

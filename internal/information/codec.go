@@ -3,6 +3,7 @@ package information
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"time"
 
 	"mocca/internal/vclock"
@@ -29,63 +30,74 @@ func AppendObject(dst []byte, o *Object) []byte {
 }
 
 // DecodeObject decodes one row produced by AppendObject, returning it and
-// the remaining bytes. The input may come off the network: every count is
-// checked against the bytes that remain before anything is allocated.
+// the remaining bytes. The input may come off the network: ScanObject
+// checks every count and length against the bytes that remain before
+// anything is allocated. The row owns what it holds: the id is a copy of its
+// own, because ids outlive rows as keys, and every other string is a
+// substring of one exact-size copy of the row's remaining text — one per row,
+// so a row kept from a message pins nothing else of it.
 func DecodeObject(data []byte) (*Object, []byte, error) {
-	o := &Object{}
-	var err error
-	if o.ID, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
+	id, vv, nfields, rest, err := scanObject(data)
+	if err != nil {
+		return nil, rest, err
 	}
-	if o.Schema, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
-	}
-	if o.Owner, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
-	}
-	if o.Site, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
-	}
-	if o.Version, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
-	}
-	if o.VV, data, err = vclock.DecodeVersion(data); err != nil {
-		return nil, data, err
-	}
-	var created, updated, nfields uint64
-	if created, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
-	}
-	if updated, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
-	}
-	o.Created = time.Unix(0, int64(created)).UTC()
-	o.Updated = time.Unix(0, int64(updated)).UTC()
-	if nfields, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
-	}
-	// A field is two length prefixes at least.
-	if nfields > uint64(len(data))/8 {
-		return nil, data, fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(data))
-	}
-	if nfields > 0 {
-		o.Fields = make(map[string]string, nfields)
-		for i := uint64(0); i < nfields; i++ {
-			var k, v string
-			if k, data, err = wire.ConsumeString(data); err != nil {
-				return nil, data, err
-			}
-			if v, data, err = wire.ConsumeString(data); err != nil {
-				return nil, data, err
-			}
-			o.Fields[k] = v
+	nvv := binary.BigEndian.Uint64(vv)
+	var text rowText
+	text.Grow(len(data) - len(rest) - len(id) - minRowBytes - 12*int(nvv) - 8*int(nfields))
+	o := &Object{ID: string(id)}
+	r := data[4+len(id):]
+	o.Schema = text.cut(&r)
+	o.Owner = text.cut(&r)
+	o.Site = text.cut(&r)
+	o.Version = takeUint64(&r)
+	r = r[8:] // the vector's count, nvv
+	if nvv > 0 {
+		o.VV = make(vclock.Version, nvv)
+		for range nvv {
+			site := text.cut(&r)
+			o.VV[site] = takeUint64(&r)
 		}
 	}
-	return o, data, nil
+	o.Created = time.Unix(0, int64(takeUint64(&r))).UTC()
+	o.Updated = time.Unix(0, int64(takeUint64(&r))).UTC()
+	r = r[8:] // the field count, nfields
+	if nfields > 0 {
+		o.Fields = make(map[string]string, nfields)
+		for range nfields {
+			k := text.cut(&r)
+			o.Fields[k] = text.cut(&r)
+		}
+	}
+	return o, rest, nil
+}
+
+// rowText is the one copy of a row's text that DecodeObject hands out in
+// pieces. Bytes a Builder holds are never written again, so a substring of
+// what it has built stays valid as it grows.
+type rowText struct{ strings.Builder }
+
+// cut copies the length-prefixed string at the front of *r, which
+// ScanObject has checked, into the text and returns it as a substring.
+func (t *rowText) cut(r *[]byte) string {
+	n := int(binary.BigEndian.Uint32(*r))
+	//lint:allow errdrop strings.Builder's Write always returns a nil error
+	t.Write((*r)[4 : 4+n])
+	*r = (*r)[4+n:]
+	s := t.String()
+	return s[len(s)-n:]
+}
+
+// takeUint64 takes the big-endian uint64 at the front of *r.
+func takeUint64(r *[]byte) uint64 {
+	v := binary.BigEndian.Uint64(*r)
+	*r = (*r)[8:]
+	return v
 }
 
 // minRowBytes is the least a row AppendObject writes can take: four string
 // prefixes, the version, a vector count, two timestamps and a field count.
+// Past it a row holds 12 bytes per vector entry and 8 per field beside its
+// text.
 const minRowBytes = 4*4 + 8 + 8 + 16 + 8
 
 // ConsumeObjects reads a row list — a count, then that many rows written by
@@ -106,40 +118,45 @@ func ConsumeObjects(b *wire.Body) []*Object {
 // ScanObject walks one row produced by AppendObject without decoding it: it
 // returns the id, the encoded version vector (vclock.DecodeVersion reads it)
 // and the remaining bytes, all as sub-slices of data, and allocates nothing.
-// It makes every check DecodeObject makes — each string length, the vector's
-// and the field list's counts against the bytes that remain — so it fails on
-// exactly the inputs DecodeObject fails on. It is what lets a store compare,
-// copy or skip a row it has no need to materialise.
+// It makes every check there is — each string length, the vector's and the
+// field list's counts against the bytes that remain — and DecodeObject makes
+// no other, so the two fail on exactly the same inputs. It is what lets a
+// store compare, copy or skip a row it has no need to materialise.
 func ScanObject(data []byte) (id, vv, rest []byte, err error) {
+	id, vv, _, rest, err = scanObject(data)
+	return id, vv, rest, err
+}
+
+// scanObject is ScanObject, also returning the field count.
+func scanObject(data []byte) (id, vv []byte, nfields uint64, rest []byte, err error) {
 	if id, rest, err = skipString(data); err != nil {
-		return nil, nil, data, err
+		return nil, nil, 0, data, err
 	}
 	for range 3 { // schema, owner, site
 		if _, rest, err = skipString(rest); err != nil {
-			return nil, nil, data, err
+			return nil, nil, 0, data, err
 		}
 	}
 	if _, rest, err = wire.ConsumeUint64(rest); err != nil { // version
-		return nil, nil, data, err
+		return nil, nil, 0, data, err
 	}
 	if vv, rest, err = vclock.ScanVersion(rest); err != nil {
-		return nil, nil, data, err
+		return nil, nil, 0, data, err
 	}
-	var nfields uint64
 	for range 3 { // created, updated, field count
 		if nfields, rest, err = wire.ConsumeUint64(rest); err != nil {
-			return nil, nil, data, err
+			return nil, nil, 0, data, err
 		}
 	}
 	if nfields > uint64(len(rest))/8 {
-		return nil, nil, data, fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(rest))
+		return nil, nil, 0, data, fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(rest))
 	}
-	for nfields *= 2; nfields > 0; nfields-- { // a key and a value each
+	for n := 2 * nfields; n > 0; n-- { // a key and a value each
 		if _, rest, err = skipString(rest); err != nil {
-			return nil, nil, data, err
+			return nil, nil, 0, data, err
 		}
 	}
-	return id, vv, rest, nil
+	return id, vv, nfields, rest, nil
 }
 
 // skipString is wire.ConsumeString without the copy: the string's bytes as

@@ -12,6 +12,7 @@ import (
 
 	"mocca/internal/netsim"
 	"mocca/internal/vclock"
+	"mocca/internal/wire"
 )
 
 // codecFixtureRow is the benchmark's row (bench/store.go fixtureRow): the
@@ -242,6 +243,154 @@ func TestAppendObjectAllocs(t *testing.T) {
 				t.Fatalf("%s%02d is encoded at %d, not after its predecessor at %d", name, i, at, last)
 			}
 			last = at
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the tests run under -race.
+var raceEnabled bool
+
+// referenceDecodeObject is DecodeObject as it was written before it
+// scanned first and copied once: one string per field, each read and
+// checked as it comes. It is the reference the one decoder is held to.
+func referenceDecodeObject(data []byte) (*Object, []byte, error) {
+	o := &Object{}
+	var err error
+	if o.ID, data, err = wire.ConsumeString(data); err != nil {
+		return nil, data, err
+	}
+	if o.Schema, data, err = wire.ConsumeString(data); err != nil {
+		return nil, data, err
+	}
+	if o.Owner, data, err = wire.ConsumeString(data); err != nil {
+		return nil, data, err
+	}
+	if o.Site, data, err = wire.ConsumeString(data); err != nil {
+		return nil, data, err
+	}
+	if o.Version, data, err = wire.ConsumeUint64(data); err != nil {
+		return nil, data, err
+	}
+	if o.VV, data, err = vclock.DecodeVersion(data); err != nil {
+		return nil, data, err
+	}
+	var created, updated, nfields uint64
+	if created, data, err = wire.ConsumeUint64(data); err != nil {
+		return nil, data, err
+	}
+	if updated, data, err = wire.ConsumeUint64(data); err != nil {
+		return nil, data, err
+	}
+	o.Created = time.Unix(0, int64(created)).UTC()
+	o.Updated = time.Unix(0, int64(updated)).UTC()
+	if nfields, data, err = wire.ConsumeUint64(data); err != nil {
+		return nil, data, err
+	}
+	// A field is two length prefixes at least.
+	if nfields > uint64(len(data))/8 {
+		return nil, data, fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(data))
+	}
+	if nfields > 0 {
+		o.Fields = make(map[string]string, nfields)
+		for i := uint64(0); i < nfields; i++ {
+			var k, v string
+			if k, data, err = wire.ConsumeString(data); err != nil {
+				return nil, data, err
+			}
+			if v, data, err = wire.ConsumeString(data); err != nil {
+				return nil, data, err
+			}
+			o.Fields[k] = v
+		}
+	}
+	return o, data, nil
+}
+
+// checkDecodeMatchesReference: on any input both decoders fail, or both
+// succeed with equal rows and equal remainders.
+func checkDecodeMatchesReference(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantRest, refErr := referenceDecodeObject(data)
+	got, rest, err := DecodeObject(data)
+	if (refErr == nil) != (err == nil) {
+		t.Fatalf("reference err %v, DecodeObject err %v on %x", refErr, err, data)
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) || !bytes.Equal(rest, wantRest) {
+		t.Fatalf("DecodeObject of %x:\n got %+v, %d bytes left\nwant %+v, %d bytes left", data, got, len(rest), want, len(wantRest))
+	}
+}
+
+func TestDecodeObjectMatchesReference(t *testing.T) {
+	for _, data := range scanSeeds() {
+		checkDecodeMatchesReference(t, data)
+	}
+}
+
+func FuzzDecodeObjectMatchesReference(f *testing.F) {
+	for i, data := range scanSeeds() {
+		if i%7 == 0 { // a spread of them; TestDecodeObjectMatchesReference runs all
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecodeMatchesReference(t, data) })
+}
+
+// scribble overwrites every byte of b.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
+	}
+}
+
+// TestDecodedRowOwnsItsBytes: what a decoder returns shares no byte with
+// its input, which the caller may reuse the moment the decoder returns.
+func TestDecodedRowOwnsItsBytes(t *testing.T) {
+	for name, row := range codecEdgeRows() {
+		enc := AppendObject(nil, row)
+		got, _, err := DecodeObject(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scribble(enc)
+		if !reflect.DeepEqual(got, row) {
+			t.Fatalf("%s: overwriting the input changed the row:\n got %+v\nwant %+v", name, got, row)
+		}
+
+		enc = row.VV.AppendBinary(nil)
+		vv, _, err := vclock.DecodeVersion(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scribble(enc)
+		if !reflect.DeepEqual(vv, row.VV) {
+			t.Fatalf("%s: overwriting the input changed the vector to %v", name, vv)
+		}
+	}
+}
+
+// TestDecodeObjectAllocs: the fixture row is the row itself, its id, one
+// text and its two maps — seven allocations, where a string per field took
+// eighteen.
+func TestDecodeObjectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	enc := AppendObject(nil, codecFixtureRow(42))
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeObject(enc) }); n > 7 {
+		t.Fatalf("DecodeObject allocates %v times for the fixture row, want at most 7", n)
+	}
+}
+
+func BenchmarkDecodeObject(b *testing.B) {
+	enc := AppendObject(nil, codecFixtureRow(42))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	for b.Loop() {
+		if _, _, err := DecodeObject(enc); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

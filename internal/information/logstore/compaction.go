@@ -128,11 +128,12 @@ func (s *Store) installSegsLocked(segs []*segment) {
 }
 
 // acquireSegs snapshots the live segment list newest-first, pinning each
-// segment against concurrent compaction drops.
+// segment against concurrent compaction drops. The list is copy-on-write —
+// installSegsLocked swaps it and nothing edits it in place — so the slice
+// itself is the snapshot.
 func (s *Store) acquireSegs() []*segment {
 	s.segMu.RLock()
-	segs := make([]*segment, len(s.segs))
-	copy(segs, s.segs)
+	segs := s.segs
 	for _, g := range segs {
 		g.acquire()
 	}

@@ -39,7 +39,11 @@
 // merge compares ids over raw records (each still CRC-checked and walked
 // end to end) and decodes only the winner of an id — whole for Range and
 // Snapshot, its vector alone for Digest, not at all for compaction, which
-// copies the record's bytes.
+// copies the record's bytes. A point read compares the ids of the rows it
+// passes over where they lie in its chunk, reading each as far as its id,
+// and decodes the one it returns. Records are read through a scratch buffer
+// that holds their header too, and readers pin the copy-on-write segment
+// list as it stands, so a scan allocates per row only what it hands out.
 //
 // The three mutations — Exec, Relate, Remove — follow one rule, under the
 // store's own mutex: validate, log, apply. Nothing is appended that the

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -428,8 +429,9 @@ func (g *segment) get(id string) (*information.Object, segProbe, error) {
 	if j+1 < len(g.index) {
 		end = g.index[j+1].off
 	}
-	// The chunk is read into a pooled buffer and handed back on return:
-	// DecodeObject copies every string out, so nothing returned aliases it.
+	// The chunk is read into a pooled buffer and handed back on return: ids
+	// are compared where they lie, and DecodeObject copies out the one row
+	// it returns, so nothing returned aliases the buffer.
 	bufp := chunkBufs.Get().(*[]byte)
 	defer chunkBufs.Put(bufp)
 	if int64(cap(*bufp)) < end-start {
@@ -445,41 +447,45 @@ func (g *segment) get(id string) (*information.Object, segProbe, error) {
 			return nil, probeMiss, err
 		}
 		rest = next
-		if len(payload) < 1 {
+		if len(payload) < 1 || (payload[0] != recSegRow && payload[0] != recSegTomb) {
 			return nil, probeMiss, ErrCorrupt
 		}
-		switch payload[0] {
-		case recSegRow:
-			rowID, _, err := wire.ConsumeString(payload[1:])
-			if err != nil {
-				return nil, probeMiss, err
-			}
-			if rowID > id {
-				return nil, probeMiss, nil
-			}
-			if rowID == id {
-				obj, _, err := information.DecodeObject(payload[1:])
-				if err != nil {
-					return nil, probeMiss, err
-				}
-				return obj, probeRow, nil
-			}
-		case recSegTomb:
-			rowID, _, err := wire.ConsumeString(payload[1:])
-			if err != nil {
-				return nil, probeMiss, err
-			}
-			if rowID > id {
-				return nil, probeMiss, nil
-			}
-			if rowID == id {
-				return nil, probeTomb, nil
-			}
+		// A row passed over is read as far as its id and no further.
+		rowID, err := leadingID(payload[1:])
+		if err != nil {
+			return nil, probeMiss, err
+		}
+		switch {
+		case string(rowID) < id: // passed over
+		case string(rowID) > id:
+			return nil, probeMiss, nil
+		case payload[0] == recSegTomb:
+			return nil, probeTomb, nil
 		default:
-			return nil, probeMiss, ErrCorrupt
+			obj, _, err := information.DecodeObject(payload[1:])
+			if err != nil {
+				return nil, probeMiss, err
+			}
+			return obj, probeRow, nil
 		}
 	}
 	return nil, probeMiss, nil
+}
+
+// leadingID is the length-prefixed id a row or tombstone payload starts
+// with, as a sub-slice of p, under wire.ConsumeString's length checks.
+func leadingID(p []byte) ([]byte, error) {
+	if len(p) < 4 {
+		return nil, wire.ErrTruncated
+	}
+	n := uint64(binary.BigEndian.Uint32(p))
+	if n >= wire.MaxStringLen {
+		return nil, fmt.Errorf("%w: %d-byte string", wire.ErrOversize, n)
+	}
+	if uint64(len(p)) < 4+n {
+		return nil, wire.ErrTruncated
+	}
+	return p[4 : 4+n], nil
 }
 
 // iter returns a streaming iterator over the segment's data region in

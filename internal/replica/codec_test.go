@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -477,4 +478,25 @@ func BenchmarkSyncRespCodec(b *testing.B) {
 			benchSink += len(out.Deltas)
 		}
 	})
+}
+
+// TestDecodedRowOwnsItsBytes: the rows a push request carries share no byte
+// with the body they were read from, which the transport reuses as soon as
+// the handler returns.
+func TestDecodedRowOwnsItsBytes(t *testing.T) {
+	sent := pushReq{Site: "s000", Objects: append(benchRows(3), edgeRows()...)}
+	body, err := sent.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got pushReq
+	if err := got.UnmarshalBinary(body); err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 0xA5
+	}
+	if !reflect.DeepEqual(got, sent) {
+		t.Fatalf("overwriting the body changed the request:\n got %+v\nwant %+v", got, sent)
+	}
 }

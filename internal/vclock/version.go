@@ -170,33 +170,33 @@ func (v Version) AppendBinary(dst []byte) []byte {
 }
 
 // DecodeVersion decodes a vector produced by AppendBinary from data,
-// returning it (nil for the empty vector) and the remaining bytes.
+// returning it (nil for the empty vector) and the remaining bytes. ScanVersion
+// checks it first; the site names are then copied once, into one string that
+// every key is a substring of.
 func DecodeVersion(data []byte) (Version, []byte, error) {
-	n, data, err := wire.ConsumeUint64(data)
+	raw, rest, err := ScanVersion(data)
 	if err != nil {
-		return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
+		return nil, rest, err
 	}
+	n := binary.BigEndian.Uint64(raw)
 	if n == 0 {
-		return nil, data, nil
+		return nil, rest, nil
 	}
-	// Each entry takes at least 12 bytes (length prefix + counter); a
-	// count past that bound is corruption, caught before allocating.
-	if n > uint64(len(data))/12 {
-		return nil, data, ErrBadVersion
+	// Past the count, an entry is its name and 12 bytes of prefix and counter.
+	var names strings.Builder
+	names.Grow(len(raw) - 8 - 12*int(n))
+	for p := raw[8:]; len(p) > 0; {
+		l := int(binary.BigEndian.Uint32(p))
+		names.Write(p[4 : 4+l])
+		p = p[4+l+8:]
 	}
-	v := make(Version, n)
-	for i := uint64(0); i < n; i++ {
-		var site string
-		if site, data, err = wire.ConsumeString(data); err != nil {
-			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
-		}
-		var c uint64
-		if c, data, err = wire.ConsumeUint64(data); err != nil {
-			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
-		}
-		v[site] = c
+	v, text := make(Version, n), names.String()
+	for p := raw[8:]; len(p) > 0; {
+		l := int(binary.BigEndian.Uint32(p))
+		v[text[:l]] = binary.BigEndian.Uint64(p[4+l:])
+		text, p = text[l:], p[4+l+8:]
 	}
-	return v, data, nil
+	return v, rest, nil
 }
 
 // ScanVersion walks one vector produced by AppendBinary without decoding it:

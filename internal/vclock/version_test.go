@@ -120,11 +120,50 @@ func TestDecodeVersionMalformed(t *testing.T) {
 	}
 }
 
-// checkScanMatchesDecode: ScanVersion errs exactly when DecodeVersion errs,
-// with the same class of error, and on success raw is the vector's bytes.
+// referenceDecodeVersion is DecodeVersion as it was written before it
+// scanned first and copied once: one string per site, each read and checked
+// as it comes. It is the reference the one decoder is held to.
+func referenceDecodeVersion(data []byte) (Version, []byte, error) {
+	n, data, err := wire.ConsumeUint64(data)
+	if err != nil {
+		return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
+	}
+	if n == 0 {
+		return nil, data, nil
+	}
+	// Each entry takes at least 12 bytes (length prefix + counter); a
+	// count past that bound is corruption, caught before allocating.
+	if n > uint64(len(data))/12 {
+		return nil, data, ErrBadVersion
+	}
+	v := make(Version, n)
+	for i := uint64(0); i < n; i++ {
+		var site string
+		if site, data, err = wire.ConsumeString(data); err != nil {
+			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
+		}
+		var c uint64
+		if c, data, err = wire.ConsumeUint64(data); err != nil {
+			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
+		}
+		v[site] = c
+	}
+	return v, data, nil
+}
+
+// checkScanMatchesDecode: ScanVersion and DecodeVersion err exactly when the
+// reference errs, with the same class of error; on success raw is the
+// vector's bytes and DecodeVersion reads what the reference reads.
 func checkScanMatchesDecode(t *testing.T, data []byte) {
 	t.Helper()
-	want, wantRest, decErr := DecodeVersion(data)
+	want, wantRest, refErr := referenceDecodeVersion(data)
+	got, gotRest, decErr := DecodeVersion(data)
+	if (refErr == nil) != (decErr == nil) || errors.Is(refErr, ErrBadVersion) != errors.Is(decErr, ErrBadVersion) {
+		t.Fatalf("reference err %v, DecodeVersion err %v on %x", refErr, decErr, data)
+	}
+	if decErr == nil && (!reflect.DeepEqual(got, want) || !bytes.Equal(gotRest, wantRest)) {
+		t.Fatalf("DecodeVersion of %x: %v, %d bytes left; the reference reads %v, %d bytes left", data, got, len(gotRest), want, len(wantRest))
+	}
 	raw, rest, scanErr := ScanVersion(data)
 	if (decErr == nil) != (scanErr == nil) || errors.Is(decErr, ErrBadVersion) != errors.Is(scanErr, ErrBadVersion) {
 		t.Fatalf("DecodeVersion err %v, ScanVersion err %v on %x", decErr, scanErr, data)
@@ -188,4 +227,35 @@ func FuzzScanVersionMatchesDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkScanMatchesDecode(t, data) })
+}
+
+// raceEnabled is set by race_test.go when the tests run under -race.
+var raceEnabled bool
+
+// versionSink makes a map built in a test escape, as a decoded one does.
+var versionSink Version
+
+// TestDecodeVersionAllocs: a vector costs its map and one string holding
+// every site name, however many sites it has.
+func TestDecodeVersionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, sites := range []int{1, 3, 18} {
+		v := Version{}
+		for i := range sites {
+			v[fmt.Sprintf("s%03d", i)] = uint64(i + 1)
+		}
+		enc := v.AppendBinary(nil)
+		maps := testing.AllocsPerRun(100, func() {
+			m := make(Version, len(v))
+			for s, c := range v {
+				m[s] = c
+			}
+			versionSink = m
+		})
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeVersion(enc) }); n != maps+1 {
+			t.Fatalf("a %d-site vector takes %v allocations, want its map's %v and one string", sites, n, maps)
+		}
+	}
 }

@@ -460,22 +460,27 @@ func NextRecord(data []byte) (payload, rest []byte, err error) {
 // large to hold in memory. A clean end of stream returns io.EOF; a stream
 // ending inside a record returns ErrTruncated; framing and checksum
 // failures return the same errors as NextRecord. The payload aliases
-// scratch and is only valid until the next call.
+// scratch and is only valid until the next call; the header is read into
+// scratch too, so a warm scratch reads a record without allocating.
 func ReadRecord(r io.Reader, scratch []byte) (payload, newScratch []byte, err error) {
-	var hdr [RecordOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(scratch) < RecordOverhead {
+		scratch = make([]byte, RecordOverhead)
+	}
+	hdr := scratch[:RecordOverhead]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, scratch, io.EOF
 		}
 		return nil, scratch, ErrTruncated
 	}
-	if binary.BigEndian.Uint16(hdr[:]) != recordMagic {
+	if binary.BigEndian.Uint16(hdr) != recordMagic {
 		return nil, scratch, ErrBadMagic
 	}
 	n := binary.BigEndian.Uint32(hdr[2:])
 	if uint64(n) >= maxBodyLen {
 		return nil, scratch, fmt.Errorf("%w: %d-byte record", ErrOversize, n)
 	}
+	sum := binary.BigEndian.Uint32(hdr[6:])
 	if cap(scratch) < int(n) {
 		scratch = make([]byte, n)
 	}
@@ -483,7 +488,7 @@ func ReadRecord(r io.Reader, scratch []byte) (payload, newScratch []byte, err er
 	if _, err := io.ReadFull(r, scratch); err != nil {
 		return nil, scratch, ErrTruncated
 	}
-	if crc32.ChecksumIEEE(scratch) != binary.BigEndian.Uint32(hdr[6:]) {
+	if crc32.ChecksumIEEE(scratch) != sum {
 		return nil, scratch, ErrBadCRC
 	}
 	return scratch, scratch, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"strings"
@@ -253,6 +254,42 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if len(rest) != 0 {
 		t.Fatalf("%d trailing bytes", len(rest))
+	}
+}
+
+// raceEnabled is set by race_test.go when the tests run under -race.
+var raceEnabled bool
+
+// TestReadRecordAllocs: with a scratch buffer that already holds a record,
+// reading the next one allocates nothing — the header lands in the scratch
+// too.
+func TestReadRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var stream []byte
+	for _, p := range []string{"first", "", "third record"} {
+		var err error
+		if stream, err = AppendRecord(stream, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bytes.NewReader(stream)
+	scratch := make([]byte, 0, 64)
+	n := testing.AllocsPerRun(100, func() {
+		r.Reset(stream)
+		for {
+			var err error
+			if _, scratch, err = ReadRecord(r, scratch); err != nil {
+				if !errors.Is(err, io.EOF) {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	})
+	if n != 0 {
+		t.Fatalf("reading three records into a warm scratch allocates %v times", n)
 	}
 }
 
