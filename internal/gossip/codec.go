@@ -3,36 +3,25 @@ package gossip
 import (
 	"mocca/internal/information"
 	"mocca/internal/netsim"
-	"mocca/internal/vclock"
 	"mocca/internal/wire"
 )
 
 // Every overlay message travels as a hand-written binary body, like the
 // anti-entropy protocol's: a tag byte naming the message, then wire's shared
 // primitives — uint32 length-prefixed strings, big-endian uint64 counts and
-// integers — with a peer as its three strings, version vectors in vclock's
-// canonical form and rows in the one row codec (information.AppendObject).
-// A Peer alone is the request of gossip.join, gossip.neighbor and
-// gossip.probe: the sender introducing itself. Forward-join, neighbor and
-// probe are answered with wire.Empty: a reply arriving is all the caller
-// learns.
-//
-// A rumor entry's vector stays the bytes it arrived as (vclock.ScanVersion
-// has walked them, so vclock.DecodeVersion reads them): the dedup key is
-// taken over those bytes, a duplicate is dropped without a decode, and a
-// forward appends them verbatim. Every sender here writes the canonical
-// form, where equal vectors are equal bytes; a peer that sends a vector in
-// some other order is keyed apart from its canonical twin, which costs at
-// most one extra forward per TTL hop and never a wrong answer — rows still
-// travel through the replica's apply. A decoded rumorReq aliases the body it
-// was read from, as wire.Unmarshal's envelope aliases its frame: the entries
-// a handler keeps while it fetches hold that one frame until the fetch ends.
+// integers — with a peer as its three strings and rows in the one row codec
+// (information.AppendObject). A Peer alone is the request of gossip.join,
+// gossip.neighbor and gossip.probe: the sender introducing itself.
+// Forward-join, neighbor and probe are answered with wire.Empty: a reply
+// arriving is all the caller learns. A rumor names no sender and carries no
+// vector: the frame's source is the sender, and each entry is a write's id
+// and dot.
 //
 // The tags have the high bit set, so a body in a hex dump names its message.
-// 0x92, the retired rumor reply, is not reused: an old peer's reply fails on
-// it.
+// Retired tags are not reused, so an old peer's body fails on its first
+// byte: 0x91, the rumor that carried its sender and whole vectors, and 0x92,
+// the rumor reply.
 const (
-	tagRumorReq       byte = 0x91
 	tagFetchReq       byte = 0x93
 	tagFetchResp      byte = 0x94
 	tagPeer           byte = 0x95
@@ -40,6 +29,7 @@ const (
 	tagForwardJoinReq byte = 0x97
 	tagShuffleReq     byte = 0x98
 	tagShuffleResp    byte = 0x99
+	tagRumorReq       byte = 0x9A
 )
 
 // appendPeer writes a peer: its site, gossip address and replication
@@ -133,12 +123,12 @@ func (m *shuffleResp) UnmarshalBinary(data []byte) error {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendPeer(append(b, tagRumorReq), m.From)
-	b = wire.AppendUint64(b, uint64(m.TTL))
+	b = wire.AppendUint64(append(b, tagRumorReq), uint64(m.TTL))
 	b = wire.AppendUint64(b, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		b = wire.AppendString(b, e.ID)
-		b = append(b, e.VV...)
+		b = wire.AppendString(b, e.Site)
+		b = wire.AppendUint64(b, e.Counter)
 	}
 	return b, nil
 }
@@ -146,9 +136,9 @@ func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
 // size is the length of the body AppendBinary writes, for a sender that
 // builds it in a buffer of its own.
 func (m rumorReq) size() int {
-	n := 1 + 3*4 + 2*8 + len(m.From.Site) + len(m.From.Addr) + len(m.From.Repl)
+	n := 1 + 2*8
 	for _, e := range m.Entries {
-		n += 4 + len(e.ID) + len(e.VV)
+		n += 2*4 + len(e.ID) + len(e.Site) + 8
 	}
 	return n
 }
@@ -167,11 +157,11 @@ func (m fetchResp) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *rumorReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
-	*m = rumorReq{From: consumePeer(&b), TTL: b.Int()}
-	if n := b.Count(12); n > 0 { // id prefix + vector count
+	*m = rumorReq{TTL: b.Int()}
+	if n := b.Count(2*4 + 8); n > 0 { // id and site prefixes + counter
 		m.Entries = make([]rumorEntry, n)
 		for i := range m.Entries {
-			m.Entries[i] = rumorEntry{ID: b.String(), VV: wire.Consume(&b, vclock.ScanVersion)}
+			m.Entries[i] = rumorEntry{ID: b.String(), Site: b.String(), Counter: b.Uint64()}
 		}
 	}
 	return b.Close()

@@ -55,16 +55,11 @@ func wideVV() vclock.Version {
 	return wide
 }
 
-// entryOf is the rumor entry Publish builds for a write.
-func entryOf(id string, vv vclock.Version) rumorEntry {
-	return rumorEntry{ID: id, VV: vv.AppendBinary(nil)}
-}
-
 // rumorEntries is n rumor entries the size a 16-site organization's are.
 func rumorEntries(n int) []rumorEntry {
 	out := make([]rumorEntry, n)
 	for i := range out {
-		out[i] = entryOf(fmt.Sprintf("obj%06d", i), vclock.Version{"s000": uint64(i + 1), fmt.Sprintf("s%03d", i%16): 2})
+		out[i] = rumorEntry{ID: fmt.Sprintf("obj%06d", i), Site: fmt.Sprintf("s%03d", i%16), Counter: uint64(i + 1)}
 	}
 	return out
 }
@@ -81,10 +76,10 @@ func bodyCases() []wiretest.Case {
 		rows[i] = benchRow(i)
 	}
 	return []wiretest.Case{
-		wiretest.Of("rumorReq/publish", rumorReq{From: from, TTL: DefaultTTL, Entries: rumorEntries(1)}),
-		wiretest.Of("rumorReq/batch", rumorReq{From: from, TTL: 1, Entries: rumorEntries(64)}),
-		wiretest.Of("rumorReq/edge", rumorReq{From: Peer{Site: "köln", Addr: "gossip-köln"}, TTL: -1, Entries: []rumorEntry{
-			entryOf("nil-vv", nil), entryOf("obj-ünï-日本", wideVV()), entryOf("", nil)}}),
+		wiretest.Of("rumorReq/publish", rumorReq{TTL: DefaultTTL, Entries: rumorEntries(1)}),
+		wiretest.Of("rumorReq/batch", rumorReq{TTL: 1, Entries: rumorEntries(64)}),
+		wiretest.Of("rumorReq/edge", rumorReq{TTL: -1, Entries: []rumorEntry{
+			{ID: "obj-ünï-日本", Site: "köln", Counter: 1<<64 - 1}, {}}}),
 		wiretest.Of("rumorReq/zero", rumorReq{}),
 		wiretest.Of("fetchReq", fetchReq{Site: "s003", IDs: []string{"obj000001", "obj-ünï-日本", ""}}),
 		wiretest.Of("fetchReq/zero", fetchReq{}),
@@ -108,8 +103,7 @@ func bodyCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"rumorReq/publish": "9100000004733030330000000b676f737369702d73303033000000097265706c2d733030330000000000000006000000" +
-			"0000000001000000096f626a303030303030000000000000000100000004733030300000000000000002",
+		"rumorReq/publish": "9a00000000000000060000000000000001000000096f626a30303030303000000004733030300000000000000001",
 		"fetchReq": "9300000004733030330000000000000003000000096f626a303030303031000000106f626a2dc3bc6ec3af2de697a5e6" +
 			"9cac00000000",
 		"fetchResp/zero": "940000000000000000",
@@ -137,24 +131,20 @@ func TestBodiesRoundTrip(t *testing.T) {
 // order their maps were filled in.
 func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	ref := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: []rumorEntry{entryOf("wide", wideVV())}}
-	want, _ := ref.AppendBinary(nil)
-	wantRows, _ := fetchResp{Objects: []*information.Object{benchRow(5)}}.AppendBinary(nil)
+	ref := benchRow(5)
+	ref.VV = wideVV()
+	wantRows, _ := fetchResp{Objects: []*information.Object{ref}}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
-		sites := make([]string, 0, 18)
-		for s := range wideVV() {
+		row := benchRow(5)
+		sites := make([]string, 0, len(ref.VV))
+		for s := range ref.VV {
 			sites = append(sites, s)
 		}
 		rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
-		vv := vclock.Version{}
+		row.VV = vclock.Version{}
 		for _, s := range sites {
-			vv[s] = wideVV()[s]
+			row.VV[s] = ref.VV[s]
 		}
-		m := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: []rumorEntry{entryOf("wide", vv)}}
-		if got, _ := m.AppendBinary(nil); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: rumorReq bytes depend on map insertion order", trial)
-		}
-		row := benchRow(5)
 		fields := row.Fields
 		row.Fields = map[string]string{}
 		keys := []string{"title", "body", "author", "context"}
@@ -175,13 +165,16 @@ func TestBodiesRejectDamage(t *testing.T) {
 	huge := wire.AppendUint64(nil, 1<<60) // each count, aimed at
 	noPeer := make([]byte, 3*4)           // three empty strings
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
-		"entries":        append(append(append([]byte{tagRumorReq}, noPeer...), wire.AppendUint64(nil, 6)...), huge...),
-		"ids":            append([]byte{tagFetchReq, 0, 0, 0, 0}, huge...),
-		"objects":        append([]byte{tagFetchResp}, huge...),
-		"active":         append(append([]byte{tagJoinResp}, noPeer...), huge...),
-		"passive":        append(append(append([]byte{tagJoinResp}, noPeer...), wire.AppendUint64(nil, 0)...), huge...),
-		"shuffle sample": append(append([]byte{tagShuffleReq}, noPeer...), huge...),
-		"shuffle reply":  append([]byte{tagShuffleResp}, huge...),
+		"entries": append(append([]byte{tagRumorReq}, wire.AppendUint64(nil, 6)...), huge...),
+		// The retired rumor, which carried its sender and whole vectors:
+		// an old peer's rumor fails on its tag.
+		"retired rumor entries": append(append(append([]byte{0x91}, noPeer...), wire.AppendUint64(nil, 6)...), huge...),
+		"ids":                   append([]byte{tagFetchReq, 0, 0, 0, 0}, huge...),
+		"objects":               append([]byte{tagFetchResp}, huge...),
+		"active":                append(append([]byte{tagJoinResp}, noPeer...), huge...),
+		"passive":               append(append(append([]byte{tagJoinResp}, noPeer...), wire.AppendUint64(nil, 0)...), huge...),
+		"shuffle sample":        append(append([]byte{tagShuffleReq}, noPeer...), huge...),
+		"shuffle reply":         append([]byte{tagShuffleResp}, huge...),
 	})
 }
 
@@ -290,10 +283,10 @@ func TestRumorRoundBodiesAreBinary(t *testing.T) {
 var benchSink int
 
 // BenchmarkRumorReqCodec prices one rumor batch — 64 entries — each way. (A
-// rumor carries ids and vectors, no rows; BenchmarkSyncRespCodec in
+// rumor carries ids and dots, no rows; BenchmarkSyncRespCodec in
 // internal/replica prices the rows.)
 func BenchmarkRumorReqCodec(b *testing.B) {
-	msg := rumorReq{From: Peer{Site: "s003", Addr: "gossip-s003", Repl: "repl-s003"}, TTL: DefaultTTL, Entries: rumorEntries(64)}
+	msg := rumorReq{TTL: DefaultTTL, Entries: rumorEntries(64)}
 	body, err := msg.AppendBinary(nil)
 	if err != nil {
 		b.Fatal(err)

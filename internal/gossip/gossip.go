@@ -22,15 +22,15 @@
 //     probability.
 //
 //   - Rumor mongering. A fresh local write publishes a small rumor
-//     (object id + version vector) to the active view with a hop-count
-//     TTL. A rumor is an announcement: one frame per target, no reply, no
-//     timeout, nothing kept at the sender. A receiver that has not seen
-//     the version pulls the row from the rumor's sender (gossip.fetch),
-//     applies it, arms its own anti-entropy round, and re-forwards the
-//     rumor — so hot updates cover the overlay in O(log n) hops without
-//     waiting for sync intervals, and anti-entropy remains the repair
-//     path rather than the propagation path: a lost rumor is one it
-//     repairs.
+//     (object id + the write's dot: its site and counter) to the active
+//     view with a hop-count TTL. A rumor is an announcement: one frame
+//     per target, no reply, no timeout, nothing kept at the sender. A
+//     receiver that has not seen the write pulls the row from the
+//     rumor's sender — the frame's source — (gossip.fetch), applies it,
+//     arms its own anti-entropy round, and re-forwards the rumor — so
+//     hot updates cover the overlay in O(log n) hops without waiting for
+//     sync intervals, and anti-entropy remains the repair path rather
+//     than the propagation path: a lost rumor is one it repairs.
 //
 //   - View-scoped anti-entropy. The Replicator's peer set is driven by
 //     the active view through the OnChange callback: peers entering the
@@ -76,7 +76,7 @@ const (
 	MethodShuffle = "gossip.shuffle"
 	// MethodProbe is the liveness check run against the active view.
 	MethodProbe = "gossip.probe"
-	// MethodRumor announces fresh-write rumors (id + version vector, TTL);
+	// MethodRumor announces fresh-write rumors (id + the write's dot, TTL);
 	// it is one-way (rpc.Endpoint.Announce) and has no reply.
 	MethodRumor = "gossip.rumor"
 	// MethodFetch pulls the rows behind a rumor from its sender.
@@ -136,9 +136,10 @@ type Peer struct {
 // staleness checks, the pull half of rumor mongering, and round arming.
 // *replica.Replicator implements it.
 type Replica interface {
-	// HasSeen reports whether the local replica already holds id at a
-	// version dominating vv.
-	HasSeen(id string, vv vclock.Version) bool
+	// HasSeen reports whether the local replica already holds the write
+	// of id whose dot is (site, counter): whether its vector's site entry
+	// is at least counter.
+	HasSeen(id, site string, counter uint64) bool
 	// FetchWire returns the named rows for a gossip.fetch reply,
 	// placement-scoped to the requesting site.
 	FetchWire(forSite string, ids []string) []*information.Object
@@ -166,6 +167,7 @@ type Stats struct {
 	RumorsSeen      int64 `metric:"rumors_seen"`      // rumor entries received (fresh or duplicate)
 	RumorFetches    int64 `metric:"rumor_fetches"`    // fetch pulls issued for rumored rows
 	RumorApplied    int64 `metric:"rumor_applied"`    // rows rumor fetches changed local state with
+	RumorsOffView   int64 `metric:"rumors_off_view"`  // rumors received from a sender outside the active view
 
 	ActiveSize  int `metric:"active_view,gauge"`  // current active view size
 	PassiveSize int `metric:"passive_view,gauge"` // current passive view size
@@ -827,8 +829,10 @@ func ilog2(n int) int {
 	return l
 }
 
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
+// fnv64 is FNV-1a over s; fnvMore folds more bytes into a running hash.
+func fnv64(s string) uint64 { return fnvMore(14695981039346656037, s) }
+
+func fnvMore[B string | []byte](h uint64, s B) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211

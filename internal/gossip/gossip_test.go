@@ -22,9 +22,9 @@ func newFakeReplica() *fakeReplica {
 	return &fakeReplica{rows: map[string]vclock.Version{}}
 }
 
-func (f *fakeReplica) HasSeen(id string, vv vclock.Version) bool {
+func (f *fakeReplica) HasSeen(id, site string, counter uint64) bool {
 	have, ok := f.rows[id]
-	return ok && have.Dominates(vv)
+	return ok && have.Counter(site) >= counter
 }
 
 func (f *fakeReplica) FetchWire(_ string, ids []string) []*information.Object {
@@ -213,11 +213,11 @@ func TestRumorReachesEveryReplica(t *testing.T) {
 
 	missing := 0
 	for i, rep := range f.replicas {
-		if !rep.HasSeen("obj-1", vv) {
+		if !rep.HasSeen("obj-1", "g00", 1) {
 			missing++
 			t.Logf("replica %d missed the rumor", i)
 		}
-		if i != 0 && rep.HasSeen("obj-1", vv) && rep.armed == 0 {
+		if i != 0 && rep.HasSeen("obj-1", "g00", 1) && rep.armed == 0 {
 			t.Fatalf("replica %d applied a rumor but never armed anti-entropy", i)
 		}
 	}
@@ -233,26 +233,35 @@ func TestRumorReachesEveryReplica(t *testing.T) {
 	}
 }
 
-// TestDuplicateRumorNotReforwarded: publishing the same id+version twice
-// does not restart the epidemic.
+// TestDuplicateRumorNotReforwarded: publishing the same write twice does
+// not restart the epidemic, and the object's next write is not taken for
+// a duplicate of it.
 func TestDuplicateRumorNotReforwarded(t *testing.T) {
 	f := newOverlayFixture(t, 6)
 	vv := vclock.Version{}.Tick("g00")
 	f.replicas[0].rows["obj-1"] = vv
 	f.overlays[0].Publish("obj-1", vv, nil)
 	f.clk.RunUntilIdle()
-	var seen0 int64
-	for _, o := range f.overlays {
-		seen0 += o.Stats().RumorsSeen
+	seen := func() (total int64) {
+		for _, o := range f.overlays {
+			total += o.Stats().RumorsSeen
+		}
+		return total
 	}
+	seen0 := seen()
 	f.overlays[0].Publish("obj-1", vv, nil) // same rumor again: deduped at the source
 	f.clk.RunUntilIdle()
-	var seen1 int64
-	for _, o := range f.overlays {
-		seen1 += o.Stats().RumorsSeen
-	}
-	if grew := seen1 - seen0; grew > int64(len(f.overlays)) {
+	if grew := seen() - seen0; grew > int64(len(f.overlays)) {
 		t.Fatalf("duplicate publish grew RumorsSeen by %d — it re-flooded", grew)
+	}
+	next := vv.Tick("g00")
+	f.replicas[0].rows["obj-1"] = next
+	f.overlays[0].Publish("obj-1", next, nil)
+	f.clk.RunUntilIdle()
+	for i, rep := range f.replicas {
+		if !rep.HasSeen("obj-1", "g00", 2) {
+			t.Fatalf("replica %d never pulled the second write of obj-1", i)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"sort"
@@ -45,17 +46,18 @@ type shuffleResp struct {
 	Sample []Peer
 }
 
-// rumorEntry announces one fresh write: enough for the receiver to
-// decide whether it needs the row, without shipping the row itself. VV is
-// the vector in vclock's binary form (see codec.go), decoded only by the
-// member that sees the entry first.
+// rumorEntry announces one fresh write by its dot: the site that made it
+// and the counter that site's entry of the row's vector reached with it —
+// as exact a name as the whole vector, at a size independent of its width.
 type rumorEntry struct {
-	ID string
-	VV []byte
+	ID      string
+	Site    string
+	Counter uint64
 }
 
+// rumorReq is a gossip.rumor body. The sender is not in it: the frame's
+// source address names it.
 type rumorReq struct {
-	From    Peer
 	TTL     int
 	Entries []rumorEntry
 }
@@ -177,13 +179,13 @@ func (o *Overlay) register() {
 	}))
 
 	// A rumor is an announcement: the sender waits for nothing, so the
-	// handler answers nothing.
+	// handler answers nothing. The frame's source is the sender.
 	o.ep.MustRegister(MethodRumor, func(r rpc.Request) ([]byte, error) {
 		var req rumorReq
 		if err := req.UnmarshalBinary(r.Body); err != nil {
 			return nil, err
 		}
-		o.handleRumor(r.Trace, req)
+		o.handleRumor(r.Trace, r.From, req)
 		return nil, nil
 	})
 
@@ -197,18 +199,20 @@ func (o *Overlay) register() {
 
 // --- rumor mongering -------------------------------------------------------
 
-// Publish pushes a rumor for a fresh local write to the active view.
-// rank, if non-nil, orders targets by placement interest for this
-// object (higher first) — placed peers hear about hot spaces before
-// bystanders do.
+// Publish pushes a rumor for a fresh local write to the active view: the
+// write's dot, this site's entry of vv, which the write has just ticked. A
+// vector this site never ticked names no write of its own and publishes
+// nothing — anti-entropy carries that row. rank, if non-nil, orders
+// targets by placement interest for this object (higher first) — placed
+// peers hear about hot spaces before bystanders do.
 func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) int) {
+	entry := rumorEntry{ID: id, Site: o.self.Site, Counter: vv.Counter(o.self.Site)}
 	o.mu.Lock()
-	if o.closed {
+	if o.closed || entry.Counter == 0 {
 		o.mu.Unlock()
 		return
 	}
-	entry := rumorEntry{ID: id, VV: vv.AppendBinary(nil)}
-	o.markSeenLocked(rumorKey(id, entry.VV))
+	o.markSeenLocked(entry.key())
 	targets := o.rumorTargetsLocked("", rank)
 	o.stats.RumorsPublished++
 	o.mu.Unlock()
@@ -222,17 +226,17 @@ func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) i
 			tc = parent
 		}
 	}
-	o.sendRumor(targets, rumorReq{From: o.self, TTL: DefaultTTL, Entries: []rumorEntry{entry}}, tc)
+	o.sendRumor(targets, rumorReq{TTL: DefaultTTL, Entries: []rumorEntry{entry}}, tc)
 }
 
-// handleRumor processes an incoming rumor. Entries this replica already
-// holds are re-forwarded immediately with a decremented TTL; entries it
-// lacks are pulled from the sender first and re-forwarded only once the
-// rows actually landed — a forwarder must be able to serve the fetches
-// its forwarding provokes, otherwise the epidemic dies at the first
-// member whose pull raced its push. Entries whose pull fails are not
-// re-forwarded; anti-entropy repairs that path.
-func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) {
+// handleRumor processes a rumor that arrived from the member at from.
+// Entries this replica already holds are re-forwarded immediately with a
+// decremented TTL; entries it lacks are pulled from the sender first and
+// re-forwarded only once the rows actually landed — a forwarder must be
+// able to serve the fetches its forwarding provokes, otherwise the
+// epidemic dies at the first member whose pull raced its push. Entries
+// whose pull fails are not re-forwarded; anti-entropy repairs that path.
+func (o *Overlay) handleRumor(tc wire.TraceContext, from netsim.Address, req rumorReq) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
@@ -241,30 +245,35 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) {
 	o.stats.RumorsSeen += int64(len(req.Entries))
 	var have, want []rumorEntry
 	for _, e := range req.Entries {
-		k := rumorKey(e.ID, e.VV)
+		k := e.key()
 		if o.seen[k] {
 			continue
 		}
 		o.markSeenLocked(k)
-		if o.replica != nil {
-			// First sighting: the one place the vector becomes a map.
-			vv, _, err := vclock.DecodeVersion(e.VV)
-			if err != nil {
-				continue
-			}
-			if !o.replica.HasSeen(e.ID, vv) {
-				want = append(want, e)
-				continue
-			}
+		if o.replica != nil && !o.replica.HasSeen(e.ID, e.Site, e.Counter) {
+			want = append(want, e)
+			continue
 		}
 		have = append(have, e)
 	}
 	if len(want) > 0 {
 		o.stats.RumorFetches++
 	}
+	offView := indexOf(o.active, from) < 0
+	if offView {
+		o.stats.RumorsOffView++
+	}
+	known := !offView || indexOf(o.passive, from) >= 0
 	o.mu.Unlock()
-	o.addPassive(req.From)
-	o.forwardRumor(have, req.TTL, req.From.Addr)
+	if !known && o.contacts != nil {
+		// A sender in neither view is a member this one has not met: the
+		// advertised membership names it for the passive view.
+		all := o.contacts()
+		if i := indexOf(all, from); i >= 0 {
+			o.addPassive(all[i])
+		}
+	}
+	o.forwardRumor(have, req.TTL, from)
 	if len(want) > 0 {
 		ids := make([]string, len(want))
 		for i, e := range want {
@@ -273,7 +282,7 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) {
 		sort.Strings(ids)
 		// The fetch continues the rumor's trace: tc is the serve-span
 		// context of the incoming gossip.rumor rpc (zero when untraced).
-		o.ep.GoMsg(req.From.Addr, MethodFetch, fetchReq{Site: o.self.Site, IDs: ids}, func(res rpc.Result) {
+		o.ep.GoMsg(from, MethodFetch, fetchReq{Site: o.self.Site, IDs: ids}, func(res rpc.Result) {
 			var resp fetchResp
 			if err := res.Decode(&resp); err != nil || o.replica == nil {
 				return
@@ -292,7 +301,7 @@ func (o *Overlay) handleRumor(tc wire.TraceContext, req rumorReq) {
 					landed = append(landed, e)
 				}
 			}
-			o.forwardRumor(landed, req.TTL, req.From.Addr)
+			o.forwardRumor(landed, req.TTL, from)
 		}, rpc.CallTimeout(DefaultTimeout), rpc.CallTrace(tc))
 	}
 }
@@ -324,7 +333,7 @@ func (o *Overlay) forwardRumor(entries []rumorEntry, ttl int, from netsim.Addres
 				tc = parent
 			}
 		}
-		o.sendRumor(targets, rumorReq{From: o.self, TTL: ttl - 1, Entries: entries}, tc)
+		o.sendRumor(targets, rumorReq{TTL: ttl - 1, Entries: entries}, tc)
 	}
 }
 
@@ -377,12 +386,11 @@ func (o *Overlay) markSeenLocked(k uint64) {
 	o.seen[k] = true
 }
 
-// rumorKey folds an id and an encoded version vector into the dedup key.
-func rumorKey(id string, vv []byte) uint64 {
-	h := fnv64(id)
-	for _, b := range vv {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
+// key is the rumor-dedup key: FNV-1a over the id, its length, the site
+// and the counter, each integer as eight big-endian bytes.
+func (e rumorEntry) key() uint64 {
+	var n [16]byte
+	binary.BigEndian.PutUint64(n[:8], uint64(len(e.ID)))
+	binary.BigEndian.PutUint64(n[8:], e.Counter)
+	return fnvMore(fnvMore(fnvMore(fnv64(e.ID), n[:8]), e.Site), n[8:])
 }

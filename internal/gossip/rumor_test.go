@@ -1,12 +1,13 @@
 package gossip
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"mocca/internal/channel"
 	"mocca/internal/netsim"
+	"mocca/internal/rpc"
 	"mocca/internal/vclock"
 	"mocca/internal/wire"
 )
@@ -14,38 +15,31 @@ import (
 // raceEnabled is set by race_test.go when the tests run under -race.
 var raceEnabled bool
 
-// unsortedVV is a vector no sender here would write — sites out of order —
-// that DecodeVersion still reads: what a forward must not tidy up.
-func unsortedVV() []byte {
-	b := wire.AppendUint64(nil, 2)
-	b = wire.AppendUint64(wire.AppendString(b, "s009"), 4)
-	return wire.AppendUint64(wire.AppendString(b, "s001"), 7)
-}
-
-// TestRumorKeyUnchanged: the dedup key over the bytes as received is the
-// key the decoded vector gave — FNV-1a over the id, then over the vector's
-// canonical encoding — so the seen set answers as it did.
+// TestRumorKeyUnchanged: an entry's dedup key is the same at every member
+// — the key a receiver takes over the decoded entry is the one the
+// publisher marked — and entries naming different writes get different
+// keys: another id, site or counter, or the same bytes split differently
+// between id and site.
 func TestRumorKeyUnchanged(t *testing.T) {
-	msg := rumorReq{From: Peer{Site: "s003"}, TTL: 2, Entries: append(rumorEntries(64),
-		entryOf("nil-vv", nil), entryOf("obj-ünï-日本", wideVV()), entryOf("", vclock.Version{"": 0}))}
+	msg := rumorReq{TTL: 2, Entries: append(rumorEntries(64),
+		rumorEntry{ID: "obj-ünï-日本", Site: "köln", Counter: 1<<64 - 1}, rumorEntry{},
+		rumorEntry{ID: "ab", Site: "c", Counter: 7}, rumorEntry{ID: "a", Site: "bc", Counter: 7},
+		rumorEntry{ID: "ab", Site: "c", Counter: 8}, rumorEntry{ID: "ab", Site: "d", Counter: 7},
+		rumorEntry{ID: "ac", Site: "c", Counter: 7})}
 	body, _ := msg.AppendBinary(nil)
 	var got rumorReq
 	if err := got.UnmarshalBinary(body); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range got.Entries {
-		vv, rest, err := vclock.DecodeVersion(e.VV)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("%q: entry bytes do not decode: %v, %d left", e.ID, err, len(rest))
+	keys := map[uint64]rumorEntry{}
+	for i, e := range got.Entries {
+		if k, sent := e.key(), msg.Entries[i].key(); k != sent {
+			t.Fatalf("%+v: key %#x after the wire, %#x before", e, k, sent)
 		}
-		want := fnv64(e.ID)
-		for _, b := range vv.AppendBinary(nil) {
-			want ^= uint64(b)
-			want *= 1099511628211
+		if prev, dup := keys[e.key()]; dup {
+			t.Fatalf("%+v and %+v share a key", prev, e)
 		}
-		if k := rumorKey(e.ID, e.VV); k != want {
-			t.Fatalf("%q %v: key %#x, over the decoded vector %#x", e.ID, vv, k, want)
-		}
+		keys[e.key()] = e
 	}
 }
 
@@ -60,22 +54,22 @@ func rumorsFrom(addr netsim.Address, into *[][]byte) func(*channel.Frame) {
 }
 
 // TestRumorForwardKeepsVectorBytes: entries a member vouches for go on to
-// its active view exactly as they arrived — same ids, same vector bytes,
-// canonical or not — with the TTL one lower.
+// its active view exactly as they arrived — same ids, sites and counters —
+// with the TTL one lower, in frames whose source is the forwarder.
 func TestRumorForwardKeepsVectorBytes(t *testing.T) {
 	var sent [][]byte
 	clk, overlays, replicas := tappedOverlays(t, 4, rumorsFrom("gossip-g01", &sent))
-	in := rumorReq{From: overlays[0].Self(), TTL: 3, Entries: []rumorEntry{
-		entryOf("obj-a", wideVV()), {ID: "obj-b", VV: unsortedVV()}, entryOf("obj-c", nil)}}
+	in := rumorReq{TTL: 3, Entries: []rumorEntry{
+		{ID: "obj-a", Site: "s017", Counter: 18}, {ID: "obj-b", Site: "s001", Counter: 7}, {ID: "obj-c", Site: "g00", Counter: 1}}}
 	for _, e := range in.Entries {
-		replicas[1].rows[e.ID] = wideVV().Merge(vclock.Version{"s001": 7}) // held: forwarded at once
+		replicas[1].rows[e.ID] = wideVV().Merge(vclock.Version{"s001": 7, "g00": 1}) // held: forwarded at once
 	}
 	body, _ := in.AppendBinary(nil)
 	var req rumorReq
 	if err := req.UnmarshalBinary(body); err != nil {
 		t.Fatal(err)
 	}
-	overlays[1].handleRumor(wire.TraceContext{}, req)
+	overlays[1].handleRumor(wire.TraceContext{}, overlays[0].Self().Addr, req)
 	clk.RunUntilIdle()
 	if n := overlays[1].Stats().RumorFetches; n != 0 {
 		t.Fatalf("a member holding every row pulled %d times", n)
@@ -88,13 +82,8 @@ func TestRumorForwardKeepsVectorBytes(t *testing.T) {
 		if err := out.UnmarshalBinary(b); err != nil {
 			t.Fatal(err)
 		}
-		if out.TTL != in.TTL-1 || out.From != overlays[1].Self() || len(out.Entries) != len(in.Entries) {
+		if out.TTL != in.TTL-1 || !slices.Equal(out.Entries, in.Entries) {
 			t.Fatalf("forwarded %+v, received %+v", out, in)
-		}
-		for i, e := range out.Entries {
-			if e.ID != in.Entries[i].ID || !bytes.Equal(e.VV, in.Entries[i].VV) {
-				t.Fatalf("entry %d forwarded as %q %x, received as %q %x", i, e.ID, e.VV, in.Entries[i].ID, in.Entries[i].VV)
-			}
 		}
 	}
 }
@@ -163,7 +152,7 @@ func TestRumorIsOneFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops a share of what is put back, so pooled paths allocate")
 	}
-	req := rumorReq{From: o.Self(), TTL: DefaultTTL, Entries: []rumorEntry{entryOf("obj-2", vv)}}
+	req := rumorReq{TTL: DefaultTTL, Entries: []rumorEntry{{ID: "obj-2", Site: "g00", Counter: 1}}}
 	targets := o.ActiveView()
 	if n := testing.AllocsPerRun(100, func() { o.sendRumor(targets, req, wire.TraceContext{}) }); n > float64(1+4*k) {
 		t.Fatalf("a rumor to %d targets allocates %v times, want at most %d", k, n, 1+4*k)
@@ -171,24 +160,112 @@ func TestRumorIsOneFrame(t *testing.T) {
 }
 
 // TestDuplicateRumorAllocatesNoVector: an entry the seen set already holds
-// is dropped on its bytes — a rumor of duplicates costs what a rumor with
-// no entries costs, however wide their vectors.
+// is dropped on its key — a rumor of duplicates costs what a rumor with no
+// entries costs.
 func TestDuplicateRumorAllocatesNoVector(t *testing.T) {
 	_, overlays, _ := tappedOverlays(t, 3, func(*channel.Frame) {})
 	o := overlays[1]
-	dup := rumorReq{From: overlays[0].Self(), TTL: 3}
-	for i := 0; i < 8; i++ {
-		dup.Entries = append(dup.Entries, entryOf(fmt.Sprintf("obj-%d", i), wideVV()))
-	}
-	o.handleRumor(wire.TraceContext{}, dup) // first sighting
+	from := overlays[0].Self().Addr
+	dup := rumorReq{TTL: 3, Entries: rumorEntries(8)}
+	o.handleRumor(wire.TraceContext{}, from, dup) // first sighting
 	seen := o.Stats().RumorsSeen
-	empty := rumorReq{From: dup.From, TTL: 3}
-	base := testing.AllocsPerRun(100, func() { o.handleRumor(wire.TraceContext{}, empty) })
-	got := testing.AllocsPerRun(100, func() { o.handleRumor(wire.TraceContext{}, dup) })
+	empty := rumorReq{TTL: 3}
+	base := testing.AllocsPerRun(100, func() { o.handleRumor(wire.TraceContext{}, from, empty) })
+	got := testing.AllocsPerRun(100, func() { o.handleRumor(wire.TraceContext{}, from, dup) })
 	if got != base {
 		t.Fatalf("a rumor of 8 duplicates allocates %v times, one with no entries %v", got, base)
 	}
 	if o.Stats().RumorsSeen <= seen {
 		t.Fatal("the duplicates were not counted as seen")
+	}
+}
+
+// TestRumorEntryIgnoresVectorWidth: a write's rumor names it by its dot,
+// so the rumor for a row whose vector has one site and the rumor for a row
+// whose vector has 64 put bodies of one length on the wire.
+func TestRumorEntryIgnoresVectorWidth(t *testing.T) {
+	var sent [][]byte
+	clk, overlays, replicas := tappedOverlays(t, 3, rumorsFrom("gossip-g00", &sent))
+	narrow := vclock.Version{"g00": 1}
+	wide := vclock.Version{"g00": 1}
+	for i := 1; i < 64; i++ {
+		wide[fmt.Sprintf("s%03d", i)] = uint64(i)
+	}
+	replicas[0].rows["obj-1"] = narrow
+	overlays[0].Publish("obj-1", narrow, nil)
+	clk.RunUntilIdle()
+	first := len(sent)
+	replicas[0].rows["obj-2"] = wide
+	overlays[0].Publish("obj-2", wide, nil)
+	clk.RunUntilIdle()
+	if first == 0 || len(sent) != 2*first {
+		t.Fatalf("the two publishes sent %d and %d rumors", first, len(sent)-first)
+	}
+	if a, b := len(sent[0]), len(sent[first]); a != b {
+		t.Fatalf("the rumor for a 1-site vector is %d bytes, for a 64-site vector %d", a, b)
+	}
+}
+
+// TestPublishWithoutOwnTickSendsNothing: a vector whose entry for the
+// publishing site is zero names no write of that site's, so there is no
+// dot to announce and Publish sends nothing — anti-entropy carries the row.
+func TestPublishWithoutOwnTickSendsNothing(t *testing.T) {
+	var sent [][]byte
+	clk, overlays, replicas := tappedOverlays(t, 3, rumorsFrom("gossip-g00", &sent))
+	vv := vclock.Version{"g01": 4}
+	replicas[0].rows["obj-1"] = vv
+	overlays[0].Publish("obj-1", vv, nil)
+	clk.RunUntilIdle()
+	if st := overlays[0].Stats(); len(sent) != 0 || st.RumorsPublished != 0 {
+		t.Fatalf("a write with no tick of its own sent %d rumors (RumorsPublished %d)", len(sent), st.RumorsPublished)
+	}
+}
+
+// TestRumorSenderIsFrameSource: a rumor names no sender, so the receiver
+// takes the frame's source as one. A sender in neither of its views is
+// looked up in the advertised membership — which alone knows its
+// replication address — and lands in the passive view; the rows are
+// pulled from that source, and the receipt counts as off-view.
+func TestRumorSenderIsFrameSource(t *testing.T) {
+	clk := vclock.NewSimulated(netsim.DefaultEpoch)
+	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(7))
+	var fetchedFrom []netsim.Address
+	tap := rpc.WithChannel(channel.WithInterceptor(func(f *channel.Frame) error {
+		if method, _ := f.Env.Header("method"); f.Dir == channel.Outbound && method == MethodFetch && f.Env.Kind == "rpc.req" {
+			fetchedFrom = append(fetchedFrom, f.Remote)
+		}
+		return nil
+	}))
+	sender := Peer{Site: "g01", Addr: "gossip-g01", Repl: "repl-g01"}
+	stranger := Peer{Site: "g02", Addr: "gossip-g02", Repl: "repl-g02"}
+	advertised := []Peer{{Site: "g00", Addr: "gossip-g00", Repl: "repl-g00"}, sender}
+	contacts := WithContacts(func() []Peer { return append([]Peer(nil), advertised...) })
+	var overlays []*Overlay
+	var replicas []*fakeReplica
+	for _, p := range []Peer{advertised[0], sender, stranger} {
+		rep := newFakeReplica()
+		replicas = append(replicas, rep)
+		overlays = append(overlays, New(rpc.NewEndpoint(net.MustAddNode(p.Addr), clk, tap), clk, p.Site, p.Repl, rep, contacts))
+	}
+	o := overlays[0] // never joined: both its views are empty
+	for i, from := range []int{1, 2} {
+		id := fmt.Sprintf("obj-%d", i)
+		replicas[from].rows[id] = vclock.Version{"g01": 1}
+		overlays[from].sendRumor([]Peer{o.Self()}, rumorReq{TTL: 1, Entries: []rumorEntry{{ID: id, Site: "g01", Counter: 1}}}, wire.TraceContext{})
+		clk.RunUntilIdle()
+		if _, ok := replicas[0].rows[id]; !ok {
+			t.Fatalf("%s, rumored by %s, was never pulled", id, overlays[from].Self().Site)
+		}
+	}
+	if want := []netsim.Address{sender.Addr, stranger.Addr}; !slices.Equal(fetchedFrom, want) {
+		t.Fatalf("fetched from %v, want %v", fetchedFrom, want)
+	}
+	// The advertised sender joins the passive view as the membership names
+	// it; the unadvertised one is fetched from but not remembered.
+	if got := o.PassiveView(); !slices.Equal(got, []Peer{sender}) {
+		t.Fatalf("passive view %v, want %v", got, []Peer{sender})
+	}
+	if n := o.Stats().RumorsOffView; n != 2 {
+		t.Fatalf("RumorsOffView = %d, want 2", n)
 	}
 }

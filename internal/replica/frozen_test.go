@@ -279,7 +279,7 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 			t.Fatal(err)
 		}
 		reencode(t, opening)
-		reps[0].HasSeen(allIDs[i%len(allIDs)], vclock.Version{"s0": 1})
+		reps[0].HasSeen(allIDs[i%len(allIDs)], "s0", 1)
 		if i%4 == 0 {
 			update(1, rows[24+i/4%8], fmt.Sprintf("from s1, %d", i))
 			clk.RunUntilIdle()

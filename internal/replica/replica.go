@@ -710,11 +710,12 @@ func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts i
 // mongering. They keep gossip decoupled from this package — the overlay
 // sees an interface, the deployment hands it a *Replicator.
 
-// HasSeen reports whether the local replica already holds id at a
-// version dominating vv — a rumor for it carries no news.
-func (r *Replicator) HasSeen(id string, vv vclock.Version) bool {
+// HasSeen reports whether the local replica already holds the write of id
+// whose dot is (site, counter) — a rumor for it carries no news. Entries
+// never fall, so reaching counter is dominating that write's vector.
+func (r *Replicator) HasSeen(id, site string, counter uint64) bool {
 	obj, ok := r.space.Fetch(id)
-	return ok && obj.VV.Dominates(vv)
+	return ok && obj.VV.Counter(site) >= counter
 }
 
 // FetchWire returns the named rows for a gossip.fetch reply,

@@ -134,11 +134,14 @@ func runGossipScale(tb testing.TB, n int, overlay, withCut bool) scaleResult {
 }
 
 // TestGossipScaleAcceptance pins the overlay's scaling: at 256 simulated
-// sites its total sync+gossip bytes are ≤ ⅙ of the full-mesh baseline and
+// sites its total sync+gossip bytes are ≤ ⅐ of the full-mesh baseline and
 // its busiest site's channel count ≤ 25% at equal convergence, and overlay
 // cost grows sublinearly in n from 64→256 while the mesh grows
 // quadratically. The byte bound holds because a rumor is one frame per
-// target; with a reply per rumor the overlay sits near 18%.
+// target naming each write by its dot (site, counter) rather than its
+// whole vector, with no sender in the body: the overlay reads 5.81 MB
+// against the mesh's 43.6 MB (13.3%); with whole vectors and a sender it
+// read 6.32 MB (14.5%), and with a reply per rumor near 18%.
 func TestGossipScaleAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-site sweeps; skipped under -short")
@@ -152,8 +155,8 @@ func TestGossipScaleAcceptance(t *testing.T) {
 	t.Logf("mesh 256:  %8.0fms %12d bytes  %4d ch", mesh256.convergeMs, mesh256.totalBytes, mesh256.maxChannels)
 	t.Logf("over 256:  %8.0fms %12d bytes  %4d ch", over256.convergeMs, over256.totalBytes, over256.maxChannels)
 
-	if lim := mesh256.totalBytes / 6; over256.totalBytes > lim {
-		t.Errorf("overlay bytes at 256 sites = %d, want ≤ ⅙ of mesh (%d)",
+	if lim := mesh256.totalBytes / 7; over256.totalBytes > lim {
+		t.Errorf("overlay bytes at 256 sites = %d, want ≤ ⅐ of mesh (%d)",
 			over256.totalBytes, lim)
 	}
 	if lim := mesh256.maxChannels / 4; over256.maxChannels > lim {
