@@ -12,16 +12,13 @@ import (
 // order). An Entry is its DN in string form and its attributes; a
 // standalone Entry is x500.read's answer and x500.add's request. Read,
 // delete and list name one entry with a dnReq; a write is answered with
-// wire.Empty, as is x500.snapshot's request. Range 0xC1–0xC8.
+// wire.Empty. Range 0xC1–0xC5.
 const (
-	tagSearchReq    byte = 0xC1
-	tagSearchResp   byte = 0xC2
-	tagEntry        byte = 0xC3
-	tagDNReq        byte = 0xC4
-	tagModifyReq    byte = 0xC5
-	tagChangesReq   byte = 0xC6
-	tagChangesResp  byte = 0xC7
-	tagSnapshotResp byte = 0xC8
+	tagSearchReq  byte = 0xC1
+	tagSearchResp byte = 0xC2
+	tagEntry      byte = 0xC3
+	tagDNReq      byte = 0xC4
+	tagModifyReq  byte = 0xC5
 )
 
 // The one flag of each message: searchReq.Deref, searchResp.Partial.
@@ -181,56 +178,5 @@ func (m *modifyReq) UnmarshalBinary(data []byte) error {
 			m.Mods[i] = Modification{Op: b.String(), Attr: b.String(), Value: b.String(), Values: b.Strings()}
 		}
 	}
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m changesReq) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendUint64(append(b, tagChangesReq), m.After), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *changesReq) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagChangesReq, "x500 changesReq")
-	*m = changesReq{After: b.Uint64()}
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m changesResp) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendUint64(append(b, tagChangesResp), m.Last)
-	b = wire.AppendUint64(b, uint64(len(m.Changes)))
-	for _, c := range m.Changes {
-		b = wire.AppendUint64(b, c.Seq)
-		b = wire.AppendUint64(b, uint64(c.Kind))
-		b = wire.AppendString(b, c.DN)
-		b = AppendAttributes(b, c.Attrs)
-	}
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *changesResp) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagChangesResp, "x500 changesResp")
-	*m = changesResp{Last: b.Uint64()}
-	if n := b.Count(2*8 + 4 + 8); n > 0 { // sequence, kind, a DN's prefix, an attribute count
-		m.Changes = make([]Change, n)
-		for i := range m.Changes {
-			m.Changes[i] = Change{Seq: b.Uint64(), Kind: ChangeKind(b.Int()), DN: b.String(), Attrs: ConsumeAttributes(&b)}
-		}
-	}
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m snapshotResp) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendUint64(append(b, tagSnapshotResp), m.Seq)
-	return wire.AppendList(b, m.Entries, appendEntry), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *snapshotResp) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagSnapshotResp, "x500 snapshotResp")
-	*m = snapshotResp{Seq: b.Uint64(), Entries: consumeEntries(&b)}
 	return b.Close()
 }

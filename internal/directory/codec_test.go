@@ -3,11 +3,12 @@ package directory
 import (
 	"bytes"
 	"encoding"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
+	"strings"
 	"testing"
-	"time"
 
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
@@ -38,8 +39,6 @@ func bodyCases() []wiretest.Case {
 	bare, root := &Entry{DN: MustParseDN("o=bare"), Attrs: Attributes{}}, &Entry{DN: DN{}, Attrs: Attributes{}}
 	mods := []Modification{{Op: "replace", Attr: "mail", Values: []string{"u00012@s012.example", "u12@gmd.de"}},
 		{Op: "remove", Attr: "seealso"}, {Op: "add", Attr: "títle", Value: "naïve ☃"}}
-	changes := []Change{{Seq: 42, Kind: ChangeAdd, DN: harnessEntry(12).DN.String(), Attrs: harnessEntry(12).Attrs},
-		{Seq: 43, Kind: ChangeModify, DN: "cn=Jürgen,o=gmd", Attrs: wide}, {Seq: 44, Kind: ChangeDelete, DN: "o=bare"}}
 	return []wiretest.Case{
 		wiretest.Of("searchReq", searchReq{Base: "ou=unit00,o=mocca", Scope: int(ScopeSubtree), Filter: "(cn=u00012)", SizeLimit: 8}),
 		wiretest.Of("searchReq/deref", searchReq{Base: "o=日本", Scope: int(ScopeBase), Filter: "(&(cn=jü*)(!(ou=x)))", SizeLimit: -1, Deref: true}),
@@ -56,12 +55,6 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("dnReq/zero", dnReq{}),
 		wiretest.Of("modifyReq", modifyReq{DN: "cn=u00012,ou=unit00,o=mocca", Mods: mods}),
 		wiretest.Of("modifyReq/zero", modifyReq{}, modifyReq{Mods: []Modification{}}),
-		wiretest.Of("changesReq", changesReq{After: 41}),
-		wiretest.Of("changesResp", changesResp{Changes: changes[2:], Last: 44}),
-		wiretest.Of("changesResp/wide", changesResp{Changes: changes, Last: 44}),
-		wiretest.Of("changesResp/compacted", changesResp{Last: 44}, changesResp{Changes: []Change{}, Last: 44}),
-		wiretest.Of("snapshotResp", snapshotResp{Entries: []*Entry{harnessEntry(12), bare}, Seq: 44}),
-		wiretest.Of("snapshotResp/zero", snapshotResp{}),
 	}
 }
 
@@ -84,30 +77,21 @@ func TestBodiesGolden(t *testing.T) {
 			"616365000000046d61696c0000000000000000000000020000001375303030313240733031322e6578616d706c650000" +
 			"000a75313240676d642e64650000000672656d6f766500000007736565616c736f000000000000000000000000000000" +
 			"036164640000000674c3ad746c650000000a6e61c3af766520e298830000000000000000",
-		"changesReq": "c60000000000000029",
-		"changesResp": "c7000000000000002c0000000000000001000000000000002c0000000000000002000000066f3d626172650000000000" +
-			"000000",
-		"snapshotResp": "c8000000000000002c00000000000000020000001b636e3d7530303031322c6f753d756e697430302c6f3d6d6f636361" +
-			"000000000000000300000002636e000000000000000100000006753030303132000000046d61696c0000000000000001" +
-			"0000001375303030313240733031322e6578616d706c6500000004736974650000000000000001000000047330313200" +
-			"0000066f3d626172650000000000000000",
 	})
 }
 
 func TestBodiesRejectDamage(t *testing.T) {
 	huge := wire.AppendUint64(nil, 1<<60) // each count, aimed at
-	one, zero := wire.AppendUint64(nil, 1), wire.AppendUint64(nil, 0)
+	one := wire.AppendUint64(nil, 1)
 	oneEntry := append(append([]byte{tagSearchResp, 0}, one...), 0, 0, 0, 0) // one entry, its DN empty
 	oneAttr := append(append(bytes.Clone(oneEntry), one...), 0, 0, 0, 0)     // one attribute, its name empty
 	oneMod := append(append([]byte{tagModifyReq, 0, 0, 0, 0}, one...), make([]byte, 3*4)...)
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
-		"entries":          append([]byte{tagSearchResp, 0}, huge...),
-		"attributes":       append(bytes.Clone(oneEntry), huge...),
-		"values":           append(bytes.Clone(oneAttr), huge...),
-		"mods":             append([]byte{tagModifyReq, 0, 0, 0, 0}, huge...),
-		"mod values":       append(bytes.Clone(oneMod), huge...),
-		"changes":          append(append([]byte{tagChangesResp}, zero...), huge...),
-		"snapshot entries": append(append([]byte{tagSnapshotResp}, zero...), huge...),
+		"entries":    append([]byte{tagSearchResp, 0}, huge...),
+		"attributes": append(bytes.Clone(oneEntry), huge...),
+		"values":     append(bytes.Clone(oneAttr), huge...),
+		"mods":       append([]byte{tagModifyReq, 0, 0, 0, 0}, huge...),
+		"mod values": append(bytes.Clone(oneMod), huge...),
 	})
 	// The prefixes are what they claim: closed with a zero count, a response.
 	if err := new(searchResp).UnmarshalBinary(append(bytes.Clone(oneAttr), wire.AppendUint64(nil, 0)...)); err != nil {
@@ -176,16 +160,15 @@ func TestGoSearchThroughTheClient(t *testing.T) {
 }
 
 // adminRound runs every other DSA operation on a real exchange — add, read,
-// modify, list, delete — then a shadow's incremental sync, and a second
-// shadow whose sync finds the log compacted past it and falls back to a
-// snapshot. It returns the bodies put on the wire by rpc method.
+// modify, list, delete — once as the DSA carries it out and once as it
+// refuses it, and returns the bodies put on the wire by rpc method.
 func adminRound(tb testing.TB) map[string][][]byte {
 	tb.Helper()
 	bodies := map[string][][]byte{}
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(11))
 	tap := wiretest.Tap(bodies)
-	master := NewServer(rpc.NewEndpoint(net.MustAddNode("dsa"), clk, tap), NewDIT())
+	NewServer(rpc.NewEndpoint(net.MustAddNode("dsa"), clk, tap), NewDIT())
 	ua := rpc.NewEndpoint(net.MustAddNode("load"), clk, tap)
 	call := func(method string, req encoding.BinaryAppender, resp encoding.BinaryUnmarshaler) {
 		ua.GoMsg("dsa", method, req, func(r rpc.Result) {
@@ -194,6 +177,16 @@ func adminRound(tb testing.TB) map[string][][]byte {
 			}
 		})
 		clk.RunUntilIdle()
+	}
+	// refuse sends a request the DSA must turn down with the error named.
+	refuse := func(method string, req encoding.BinaryAppender, want error) {
+		var got error
+		ua.GoMsg("dsa", method, req, func(r rpc.Result) { got = r.Decode(&wire.Empty{}) })
+		clk.RunUntilIdle()
+		var remote *rpc.RemoteError
+		if !errors.As(got, &remote) || !strings.Contains(remote.Msg, want.Error()) {
+			tb.Fatalf("%s: got %v, want the DSA's %q", method, got, want)
+		}
 	}
 	person := harnessEntry(12)
 	call(MethodAdd, Entry{DN: MustParseDN("o=mocca"), Attrs: Attributes{"o": {"mocca"}}}, &wire.Empty{})
@@ -210,17 +203,12 @@ func adminRound(tb testing.TB) map[string][][]byte {
 		tb.Fatalf("read %+v, then listed %v", read, kids.Entries)
 	}
 
-	for i, name := range []netsim.Address{"shadow-a", "shadow-b"} {
-		if i == 1 {
-			master.DIT().CompactLog(master.DIT().LastSeq())
-		}
-		local := NewDIT()
-		NewShadow(rpc.NewEndpoint(net.MustAddNode(name), clk, tap), "dsa", local, clk, time.Minute).SyncOnce()
-		clk.RunUntilIdle()
-		if local.Len() != 2 || local.LastSeq() != master.DIT().LastSeq() {
-			tb.Fatalf("%s holds %d entries at seq %d, want the master's 2 at %d", name, local.Len(), local.LastSeq(), master.DIT().LastSeq())
-		}
-	}
+	refuse(MethodAdd, Entry{DN: MustParseDN("o=mocca")}, ErrEntryExists)
+	refuse(MethodAdd, Entry{DN: MustParseDN("ou=unit01,o=elsewhere")}, ErrNoParent)
+	refuse(MethodModify, modifyReq{DN: "o=mocca", Mods: []Modification{{Op: "rename", Attr: "o"}}}, errors.New("unknown modification op"))
+	refuse(MethodDelete, dnReq{DN: "o=mocca"}, ErrHasChildren)
+	refuse(MethodRead, dnReq{DN: person.DN.String()}, ErrNoSuchEntry)
+	refuse(MethodList, dnReq{DN: person.DN.String()}, ErrNoSuchEntry)
 	return bodies
 }
 
@@ -233,7 +221,7 @@ func TestSearchBodiesAreBinary(t *testing.T) {
 		t.Fatalf("the round put %d %s bodies on the wire", len(bodies[MethodSearch]), MethodSearch)
 	}
 	maps.Copy(bodies, adminRound(t))
-	for _, method := range []string{MethodSearch, MethodRead, MethodAdd, MethodModify, MethodList, MethodDelete, MethodChanges, MethodSnapshot} {
+	for _, method := range []string{MethodSearch, MethodRead, MethodAdd, MethodModify, MethodList, MethodDelete} {
 		if len(bodies[method]) < 2 {
 			t.Fatalf("the rounds put %d %s bodies on the wire", len(bodies[method]), method)
 		}
@@ -260,5 +248,5 @@ func FuzzDirectoryBodies(f *testing.F) {
 	}
 	wiretest.Fuzz(f, []wiretest.Case{wiretest.Of("searchReq", searchReq{}), wiretest.Of("searchResp", searchResp{}),
 		wiretest.Of("entry", Entry{}), wiretest.Of("dnReq", dnReq{}), wiretest.Of("modifyReq", modifyReq{}),
-		wiretest.Of("changesReq", changesReq{}), wiretest.Of("changesResp", changesResp{}), wiretest.Of("snapshotResp", snapshotResp{})})
+	})
 }

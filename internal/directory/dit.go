@@ -54,33 +54,13 @@ const AliasAttr = "aliasedobjectname"
 
 // Errors returned by DIT operations.
 var (
-	ErrNoSuchEntry   = errors.New("directory: no such entry")
-	ErrEntryExists   = errors.New("directory: entry already exists")
-	ErrNoParent      = errors.New("directory: parent entry does not exist")
-	ErrHasChildren   = errors.New("directory: entry has children")
-	ErrAliasLoop     = errors.New("directory: alias dereference loop")
-	ErrSizeLimit     = errors.New("directory: size limit exceeded")
-	ErrBadChangeSeq  = errors.New("directory: replication sequence gap")
-	ErrReadOnlyShard = errors.New("directory: shadow is read-only")
+	ErrNoSuchEntry = errors.New("directory: no such entry")
+	ErrEntryExists = errors.New("directory: entry already exists")
+	ErrNoParent    = errors.New("directory: parent entry does not exist")
+	ErrHasChildren = errors.New("directory: entry has children")
+	ErrAliasLoop   = errors.New("directory: alias dereference loop")
+	ErrSizeLimit   = errors.New("directory: size limit exceeded")
 )
-
-// ChangeKind discriminates changelog records.
-type ChangeKind int
-
-// Changelog record kinds.
-const (
-	ChangeAdd ChangeKind = iota + 1
-	ChangeDelete
-	ChangeModify
-)
-
-// Change is a replicated modification. Seq numbers are dense and start at 1.
-type Change struct {
-	Seq   uint64
-	Kind  ChangeKind
-	DN    string
-	Attrs Attributes // full post-image for Add/Modify
-}
 
 // DIT is an in-memory Directory Information Tree. It is safe for concurrent
 // use. The zero value is NOT ready; use NewDIT.
@@ -92,8 +72,6 @@ type DIT struct {
 	// (attribute, folded value) it holds. Search re-runs the whole filter on
 	// what it finds here: candidates are a superset, the filter decides.
 	eqix map[eqKey][]*Entry
-	log  []Change
-	seq  uint64
 }
 
 type eqKey struct{ attr, value string }
@@ -105,40 +83,6 @@ func NewDIT() *DIT {
 		childix: make(map[string]map[string]bool),
 		eqix:    make(map[eqKey][]*Entry),
 	}
-}
-
-// insertLocked stores attrs (owned by the tree from here on) under dn, links
-// the entry below its parent and posts it in the index.
-func (d *DIT) insertLocked(dn DN, attrs Attributes) {
-	key, pk := dn.Normalized(), dn.Parent().Normalized()
-	if old := d.entries[key]; old != nil {
-		d.postLocked(old, false)
-	}
-	e := &Entry{DN: dn, Attrs: attrs, key: key, parent: key[len(key)-len(pk):]}
-	d.entries[key] = e
-	if d.childix[pk] == nil {
-		d.childix[pk] = make(map[string]bool)
-	}
-	d.childix[pk][key] = true
-	d.postLocked(e, true)
-}
-
-// removeLocked drops the entry under key with its postings, and key's child
-// list whether or not an entry was there.
-func (d *DIT) removeLocked(key string) {
-	if e := d.entries[key]; e != nil {
-		d.postLocked(e, false)
-		delete(d.childix[e.parent], key)
-		delete(d.entries, key)
-	}
-	delete(d.childix, key)
-}
-
-// setAttrsLocked replaces a stored entry's attributes, moving its postings.
-func (d *DIT) setAttrsLocked(e *Entry, attrs Attributes) {
-	d.postLocked(e, false)
-	e.Attrs = attrs
-	d.postLocked(e, true)
 }
 
 // postLocked adds e to (or removes it from) the posting list of every value
@@ -188,7 +132,8 @@ func (d *DIT) Len() int {
 	return len(d.entries)
 }
 
-// Add inserts an entry. Its parent must exist (or be the root).
+// Add inserts an entry, linked below its parent and posted in the index. Its
+// parent must exist (or be the root).
 func (d *DIT) Add(dn DN, attrs Attributes) error {
 	if dn.IsRoot() {
 		return fmt.Errorf("%w: cannot add root", ErrEntryExists)
@@ -200,32 +145,41 @@ func (d *DIT) Add(dn DN, attrs Attributes) error {
 		return fmt.Errorf("%w: %s", ErrEntryExists, dn)
 	}
 	parent := dn.Parent()
+	pk := parent.Normalized()
 	if !parent.IsRoot() {
-		if _, ok := d.entries[parent.Normalized()]; !ok {
+		if _, ok := d.entries[pk]; !ok {
 			return fmt.Errorf("%w: %s", ErrNoParent, parent)
 		}
 	}
 	if attrs == nil {
 		attrs = make(Attributes)
 	}
-	d.insertLocked(dn, attrs.Clone())
-	d.appendChangeLocked(Change{Kind: ChangeAdd, DN: dn.String(), Attrs: attrs.Clone()})
+	e := &Entry{DN: dn, Attrs: attrs.Clone(), key: key, parent: key[len(key)-len(pk):]}
+	d.entries[key] = e
+	if d.childix[pk] == nil {
+		d.childix[pk] = make(map[string]bool)
+	}
+	d.childix[pk][key] = true
+	d.postLocked(e, true)
 	return nil
 }
 
-// Delete removes a leaf entry.
+// Delete removes a leaf entry with its postings.
 func (d *DIT) Delete(dn DN) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	key := dn.Normalized()
-	if _, ok := d.entries[key]; !ok {
+	e, ok := d.entries[key]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
 	}
 	if len(d.childix[key]) > 0 {
 		return fmt.Errorf("%w: %s", ErrHasChildren, dn)
 	}
-	d.removeLocked(key)
-	d.appendChangeLocked(Change{Kind: ChangeDelete, DN: dn.String()})
+	d.postLocked(e, false)
+	delete(d.childix[e.parent], key)
+	delete(d.childix, key)
+	delete(d.entries, key)
 	return nil
 }
 
@@ -264,8 +218,9 @@ func (d *DIT) Modify(dn DN, mods ...Modification) error {
 			return fmt.Errorf("directory: unknown modification op %q", m.Op)
 		}
 	}
-	d.setAttrsLocked(entry, staged)
-	d.appendChangeLocked(Change{Kind: ChangeModify, DN: dn.String(), Attrs: staged.Clone()})
+	d.postLocked(entry, false)
+	entry.Attrs = staged
+	d.postLocked(entry, true)
 	return nil
 }
 
@@ -438,9 +393,10 @@ func (d *DIT) visitPostedLocked(list []*Entry, base string, req SearchRequest, v
 }
 
 // depthLocked returns how many child links lead from the entry keyed base
-// (the implicit root when empty) down to e, or -1 when none do. It follows
-// the links the walk follows, not the DNs: a shadow can hold an entry whose
-// parent was never replicated.
+// (the implicit root when empty) down to e, or -1 when none do. Only Add
+// (below an existing parent) and Delete (of a leaf) reshape the tree, so the
+// links and the DNs agree; it follows the links, as the walk does, so that
+// the index answers what the walk answers should they ever part.
 func (d *DIT) depthLocked(e *Entry, base string) int {
 	depth := 0
 	for e.key != base {
@@ -499,120 +455,6 @@ func (d *DIT) derefLocked(e *Entry, hops int) (*Entry, error) {
 		return d.derefLocked(target, hops+1)
 	}
 	return target, nil
-}
-
-// Changes returns the changelog records with Seq > after, for replication.
-func (d *DIT) Changes(after uint64) []Change {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var out []Change
-	for _, c := range d.log {
-		if c.Seq > after {
-			out = append(out, cloneChange(c))
-		}
-	}
-	return out
-}
-
-// LastSeq returns the sequence number of the newest change.
-func (d *DIT) LastSeq() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.seq
-}
-
-// CompactLog drops changelog records with Seq <= upTo; shadows that have
-// not consumed them must full-resync.
-func (d *DIT) CompactLog(upTo uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keep := d.log[:0]
-	for _, c := range d.log {
-		if c.Seq > upTo {
-			keep = append(keep, c)
-		}
-	}
-	d.log = keep
-}
-
-// Apply replays a replicated change onto this tree (used by shadow DSAs).
-// Sequence numbers must arrive densely.
-func (d *DIT) Apply(c Change) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c.Seq != d.seq+1 {
-		return fmt.Errorf("%w: have %d, got %d", ErrBadChangeSeq, d.seq, c.Seq)
-	}
-	dn, err := ParseDN(c.DN)
-	if err != nil {
-		return err
-	}
-	key := dn.Normalized()
-	switch c.Kind {
-	case ChangeAdd:
-		if _, ok := d.entries[key]; ok {
-			return fmt.Errorf("%w: %s", ErrEntryExists, dn)
-		}
-		d.insertLocked(dn, c.Attrs.Clone())
-	case ChangeDelete:
-		d.removeLocked(key)
-	case ChangeModify:
-		entry, ok := d.entries[key]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
-		}
-		d.setAttrsLocked(entry, c.Attrs.Clone())
-	default:
-		return fmt.Errorf("directory: unknown change kind %d", c.Kind)
-	}
-	d.seq = c.Seq
-	d.log = append(d.log, cloneChange(c))
-	return nil
-}
-
-// Snapshot returns a full copy of all entries, for shadow bootstrap.
-func (d *DIT) Snapshot() ([]*Entry, uint64) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]*Entry, 0, len(d.entries))
-	for _, e := range d.entries {
-		out = append(out, e.Clone())
-	}
-	sortEntries(out)
-	return out, d.seq
-}
-
-// LoadSnapshot replaces the tree contents with the given entries (sorted by
-// depth so parents precede children) and sets the change sequence.
-func (d *DIT) LoadSnapshot(entries []*Entry, seq uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.entries = make(map[string]*Entry, len(entries))
-	d.childix = make(map[string]map[string]bool)
-	d.eqix = make(map[eqKey][]*Entry)
-	sorted := append([]*Entry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].DN.Depth() < sorted[j].DN.Depth() })
-	for _, e := range sorted {
-		c := e.Clone()
-		d.insertLocked(c.DN, c.Attrs)
-	}
-	d.seq = seq
-	d.log = nil
-	return nil
-}
-
-func (d *DIT) appendChangeLocked(c Change) {
-	d.seq++
-	c.Seq = d.seq
-	d.log = append(d.log, c)
-}
-
-func cloneChange(c Change) Change {
-	out := c
-	if c.Attrs != nil {
-		out.Attrs = c.Attrs.Clone()
-	}
-	return out
 }
 
 func sortEntries(entries []*Entry) {

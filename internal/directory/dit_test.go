@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -235,81 +236,6 @@ func TestList(t *testing.T) {
 	}
 	if _, err := d.List(MustParseDN("o=Nope")); !errors.Is(err, ErrNoSuchEntry) {
 		t.Fatalf("List missing: %v", err)
-	}
-}
-
-func TestChangelogAndApply(t *testing.T) {
-	master := seedDIT(t)
-	shadow := NewDIT()
-	for _, c := range master.Changes(0) {
-		if err := shadow.Apply(c); err != nil {
-			t.Fatalf("Apply seq %d: %v", c.Seq, err)
-		}
-	}
-	if shadow.Len() != master.Len() {
-		t.Fatalf("shadow has %d entries, master %d", shadow.Len(), master.Len())
-	}
-	// Incremental change propagates.
-	dn := MustParseDN("cn=Prinz,ou=CSCW,o=GMD")
-	if err := master.Modify(dn, Modification{Op: "add", Attr: "title", Value: "dr"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range master.Changes(shadow.LastSeq()) {
-		if err := shadow.Apply(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, err := shadow.Read(dn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Attrs.Has("title", "dr") {
-		t.Fatal("modify did not replicate")
-	}
-}
-
-func TestApplyRejectsGaps(t *testing.T) {
-	master := seedDIT(t)
-	shadow := NewDIT()
-	changes := master.Changes(0)
-	if err := shadow.Apply(changes[1]); !errors.Is(err, ErrBadChangeSeq) {
-		t.Fatalf("err = %v, want ErrBadChangeSeq", err)
-	}
-}
-
-func TestSnapshotLoad(t *testing.T) {
-	master := seedDIT(t)
-	entries, seq := master.Snapshot()
-	shadow := NewDIT()
-	if err := shadow.LoadSnapshot(entries, seq); err != nil {
-		t.Fatal(err)
-	}
-	if shadow.Len() != master.Len() || shadow.LastSeq() != seq {
-		t.Fatalf("snapshot load: len %d seq %d, want %d %d", shadow.Len(), shadow.LastSeq(), master.Len(), seq)
-	}
-	// Changes after a snapshot continue from seq.
-	if err := master.Add(MustParseDN("ou=New,o=GMD"), nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range master.Changes(seq) {
-		if err := shadow.Apply(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := shadow.Read(MustParseDN("ou=New,o=GMD")); err != nil {
-		t.Fatal("post-snapshot change did not apply")
-	}
-}
-
-func TestCompactLog(t *testing.T) {
-	master := seedDIT(t)
-	mid := master.LastSeq() / 2
-	master.CompactLog(mid)
-	changes := master.Changes(0)
-	for _, c := range changes {
-		if c.Seq <= mid {
-			t.Fatalf("compacted record seq %d still present", c.Seq)
-		}
 	}
 }
 
@@ -570,54 +496,24 @@ func (s *script) mutate(d *DIT) {
 	}
 }
 
-// runSearchScript interprets a script: bursts of mutations on a master tree,
-// each followed by a burst of searches on four trees that reached their
-// state by different roads — the master (Add/Modify/Delete), a shadow fed the
-// changelog through Apply, a tree re-loaded from the master's snapshot every
-// round, and a "torn" tree: loaded from the snapshot less one entry, then told
-// to delete another and, every other time, to add that one back, which leaves
-// entries the walk cannot reach although each has its parent. On each, Search
-// must return what scanSearch returns.
+// runSearchScript interprets a script: bursts of mutations on a tree, each
+// followed by a burst of searches on it. Each Search must return what
+// scanSearch returns.
 func runSearchScript(t *testing.T, data []byte) {
 	t.Helper()
 	s := &script{b: data}
-	master, shadow, loaded := NewDIT(), NewDIT(), NewDIT()
+	d := NewDIT()
 	for round := 0; round == 0 || !s.done(); round++ {
 		for n := 4 + s.next(12); n > 0; n-- {
-			s.mutate(master)
+			s.mutate(d)
 		}
-		for _, c := range master.Changes(shadow.LastSeq()) {
-			if err := shadow.Apply(c); err != nil {
-				t.Fatalf("round %d: shadow.Apply(%+v): %v", round, c, err)
-			}
-		}
-		snap, seq := master.Snapshot()
-		if err := loaded.LoadSnapshot(snap, seq); err != nil {
-			t.Fatal(err)
-		}
-		torn := NewDIT()
-		if len(snap) > 0 {
-			drop := s.next(len(snap))
-			gone := snap[s.next(len(snap))]
-			_ = torn.LoadSnapshot(append(snap[:drop:drop], snap[drop+1:]...), seq)
-			_ = torn.Apply(Change{Seq: seq + 1, Kind: ChangeDelete, DN: gone.DN.String()})
-			if s.next(2) == 0 {
-				_ = torn.Apply(Change{Seq: seq + 2, Kind: ChangeAdd, DN: gone.DN.String(), Attrs: gone.Attrs})
-			}
-		}
-		trees := []struct {
-			name string
-			d    *DIT
-		}{{"master", master}, {"shadow", shadow}, {"loaded", loaded}, {"torn", torn}}
 		for n := 6 + s.next(10); n > 0; n-- {
-			req := s.request(master)
-			for _, tree := range trees {
-				got, gotErr := tree.d.Search(req)
-				want, wantErr := scanSearch(tree.d, req)
-				if diff := diffResults(got, gotErr, want, wantErr); diff != "" {
-					t.Fatalf("round %d, %s: Search(base %q scope %v filter %s limit %d deref %v): %s",
-						round, tree.name, req.Base, req.Scope, req.Filter, req.SizeLimit, req.DerefAliases, diff)
-				}
+			req := s.request(d)
+			got, gotErr := d.Search(req)
+			want, wantErr := scanSearch(d, req)
+			if diff := diffResults(got, gotErr, want, wantErr); diff != "" {
+				t.Fatalf("round %d: Search(base %q scope %v filter %s limit %d deref %v): %s",
+					round, req.Base, req.Scope, req.Filter, req.SizeLimit, req.DerefAliases, diff)
 			}
 		}
 	}
@@ -755,10 +651,10 @@ func TestFoldValueIsEqualFold(t *testing.T) {
 }
 
 // TestIndexFollowsTheEntries: Modify of an indexed attribute moves the entry
-// between posting lists, and once every entry is gone — by Delete on a
-// master, by Apply on its shadow — no key is left behind.
+// between posting lists, and once Delete has removed every entry no key is
+// left behind.
 func TestIndexFollowsTheEntries(t *testing.T) {
-	d, shadow := seedDIT(t), NewDIT()
+	d := seedDIT(t)
 	prinz := MustParseDN("cn=Prinz,ou=CSCW,o=GMD")
 	find := func(value string) int {
 		t.Helper()
@@ -788,20 +684,38 @@ func TestIndexFollowsTheEntries(t *testing.T) {
 		t.Fatal("a refused Modify changed the index")
 	}
 
-	snap, _ := d.Snapshot()
+	all, err := d.Search(SearchRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for d.Len() > 0 { // Delete takes leaves only: sweep until the parents have become leaves
-		for _, e := range snap {
+		for _, e := range all {
 			_ = d.Delete(e.DN)
 		}
 	}
-	for _, c := range d.Changes(0) {
-		if err := shadow.Apply(c); err != nil {
+	if len(d.eqix) != 0 {
+		t.Fatalf("%d index keys left: %v", len(d.eqix), d.eqix)
+	}
+}
+
+// TestDITHoldsNoHistory: a tree holds its entries and nothing of how they got
+// there, so rewriting one entry many times leaves the heap where it was.
+func TestDITHoldsNoHistory(t *testing.T) {
+	d := seedDIT(t)
+	prinz := MustParseDN("cn=Prinz,ou=CSCW,o=GMD")
+	value := strings.Repeat("x", 1<<10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range 20000 {
+		if err := d.Modify(prinz, Modification{Op: "replace", Attr: "description", Value: value}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for name, tree := range map[string]*DIT{"master": d, "shadow": shadow} {
-		if tree.Len() != 0 || len(tree.eqix) != 0 {
-			t.Fatalf("%s: %d entries, %d index keys left: %v", name, tree.Len(), len(tree.eqix), tree.eqix)
-		}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d) // the tree must outlive the reading, or it is collected with what it holds
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("20000 rewrites of one entry grew the heap by %d KB", grew>>10)
 	}
 }

@@ -5,8 +5,8 @@
 //
 // It provides a hierarchical Directory Information Tree (DIT) of attributed
 // entries named by distinguished names, LDAP-style search filters, modify
-// operations, alias dereferencing, and master/shadow replication. A DSA
-// (server) exposes the service over rpc; DUA helpers wrap the client side.
+// operations and alias dereferencing. A DSA (server) exposes the service over
+// rpc; DUA helpers wrap the client side.
 package directory
 
 import (

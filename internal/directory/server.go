@@ -1,24 +1,19 @@
 package directory
 
 import (
-	"time"
-
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
-	"mocca/internal/vclock"
 	"mocca/internal/wire"
 )
 
 // RPC method names exposed by a DSA.
 const (
-	MethodRead     = "x500.read"
-	MethodSearch   = "x500.search"
-	MethodAdd      = "x500.add"
-	MethodDelete   = "x500.delete"
-	MethodModify   = "x500.modify"
-	MethodList     = "x500.list"
-	MethodChanges  = "x500.changes"
-	MethodSnapshot = "x500.snapshot"
+	MethodRead   = "x500.read"
+	MethodSearch = "x500.search"
+	MethodAdd    = "x500.add"
+	MethodDelete = "x500.delete"
+	MethodModify = "x500.modify"
+	MethodList   = "x500.list"
 )
 
 // The messages travel as the binary bodies of codec.go.
@@ -48,28 +43,10 @@ type modifyReq struct {
 	Mods []Modification
 }
 
-type changesReq struct {
-	After uint64
-}
-
-type changesResp struct {
-	Changes []Change
-	// Last is the master's newest sequence number; a shadow whose local
-	// sequence trails Last while Changes is empty knows the log was
-	// compacted underneath it and must full-resync.
-	Last uint64
-}
-
-type snapshotResp struct {
-	Entries []*Entry
-	Seq     uint64
-}
-
 // Server is a Directory System Agent: a DIT bound to an rpc endpoint.
 type Server struct {
 	dit      *DIT
 	endpoint *rpc.Endpoint
-	readOnly bool // true for shadows
 }
 
 // NewServer installs DSA methods on the endpoint. The returned server owns
@@ -79,12 +56,6 @@ func NewServer(endpoint *rpc.Endpoint, dit *DIT) *Server {
 	s.register()
 	return s
 }
-
-// DIT exposes the underlying tree (primarily for tests and local seeding).
-func (s *Server) DIT() *DIT { return s.dit }
-
-// SetReadOnly marks the server a shadow: write operations are rejected.
-func (s *Server) SetReadOnly(ro bool) { s.readOnly = ro }
 
 func (s *Server) register() {
 	s.endpoint.MustRegister(MethodRead, rpc.Handle(func(_ netsim.Address, req dnReq) (Entry, error) {
@@ -126,15 +97,9 @@ func (s *Server) register() {
 		return searchResp{Entries: entries, Partial: partial}, nil
 	}))
 	s.endpoint.MustRegister(MethodAdd, rpc.Handle(func(_ netsim.Address, e Entry) (wire.Empty, error) {
-		if s.readOnly {
-			return wire.Empty{}, ErrReadOnlyShard
-		}
 		return wire.Empty{}, s.dit.Add(e.DN, e.Attrs)
 	}))
 	s.endpoint.MustRegister(MethodDelete, rpc.Handle(func(_ netsim.Address, req dnReq) (wire.Empty, error) {
-		if s.readOnly {
-			return wire.Empty{}, ErrReadOnlyShard
-		}
 		dn, err := ParseDN(req.DN)
 		if err != nil {
 			return wire.Empty{}, err
@@ -142,9 +107,6 @@ func (s *Server) register() {
 		return wire.Empty{}, s.dit.Delete(dn)
 	}))
 	s.endpoint.MustRegister(MethodModify, rpc.Handle(func(_ netsim.Address, req modifyReq) (wire.Empty, error) {
-		if s.readOnly {
-			return wire.Empty{}, ErrReadOnlyShard
-		}
 		dn, err := ParseDN(req.DN)
 		if err != nil {
 			return wire.Empty{}, err
@@ -158,13 +120,6 @@ func (s *Server) register() {
 		}
 		entries, err := s.dit.List(dn)
 		return searchResp{Entries: entries}, err
-	}))
-	s.endpoint.MustRegister(MethodChanges, rpc.Handle(func(_ netsim.Address, req changesReq) (changesResp, error) {
-		return changesResp{Changes: s.dit.Changes(req.After), Last: s.dit.LastSeq()}, nil
-	}))
-	s.endpoint.MustRegister(MethodSnapshot, rpc.Handle(func(_ netsim.Address, _ wire.Empty) (snapshotResp, error) {
-		entries, seq := s.dit.Snapshot()
-		return snapshotResp{Entries: entries, Seq: seq}, nil
 	}))
 }
 
@@ -242,92 +197,4 @@ func (c *Client) List(dn string) ([]*Entry, error) {
 		return nil, err
 	}
 	return resp.Entries, nil
-}
-
-// Shadow replicates a master DSA into a local DIT by periodically pulling
-// the changelog, giving read access at remote sites without wide-area
-// round-trips — the X.525 shadowing model.
-type Shadow struct {
-	local    *DIT
-	endpoint *rpc.Endpoint
-	master   netsim.Address
-	clock    vclock.Clock
-	interval time.Duration
-	stopped  chan struct{}
-	timer    vclock.Timer
-}
-
-// NewShadow creates a shadow that pulls from master every interval. Call
-// Start to begin and Stop to halt.
-func NewShadow(endpoint *rpc.Endpoint, master netsim.Address, local *DIT, clock vclock.Clock, interval time.Duration) *Shadow {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	return &Shadow{
-		local:    local,
-		endpoint: endpoint,
-		master:   master,
-		clock:    clock,
-		interval: interval,
-		stopped:  make(chan struct{}),
-	}
-}
-
-// Start triggers an immediate sync and schedules periodic ones.
-func (sh *Shadow) Start() {
-	sh.tick()
-}
-
-// Stop halts periodic syncing.
-func (sh *Shadow) Stop() {
-	select {
-	case <-sh.stopped:
-		return
-	default:
-	}
-	close(sh.stopped)
-	if sh.timer != nil {
-		sh.timer.Stop()
-	}
-}
-
-func (sh *Shadow) tick() {
-	select {
-	case <-sh.stopped:
-		return
-	default:
-	}
-	sh.SyncOnce()
-	sh.timer = sh.clock.AfterFunc(sh.interval, sh.tick)
-}
-
-// SyncOnce pulls and applies outstanding changes; on a sequence gap it
-// falls back to a full snapshot.
-func (sh *Shadow) SyncOnce() {
-	after := sh.local.LastSeq()
-	sh.endpoint.GoMsg(sh.master, MethodChanges, changesReq{After: after}, func(r rpc.Result) {
-		var resp changesResp
-		if err := r.Decode(&resp); err != nil {
-			return // transient; next tick retries
-		}
-		for _, ch := range resp.Changes {
-			if err := sh.local.Apply(ch); err != nil {
-				sh.fullResync()
-				return
-			}
-		}
-		if resp.Last > sh.local.LastSeq() {
-			// The master compacted records we never saw.
-			sh.fullResync()
-		}
-	})
-}
-
-func (sh *Shadow) fullResync() {
-	sh.endpoint.GoMsg(sh.master, MethodSnapshot, wire.Empty{}, func(r rpc.Result) {
-		var resp snapshotResp
-		if err := r.Decode(&resp); err == nil {
-			_ = sh.local.LoadSnapshot(resp.Entries, resp.Seq)
-		}
-	})
 }

@@ -14,14 +14,10 @@ import (
 type dsaFixture struct {
 	clk    *vclock.Simulated
 	net    *netsim.Network
-	server *Server
 	client *Client
-	shadow *Shadow
-	shDIT  *DIT
 }
 
-// newDSAFixture wires a DSA on node "dsa", a client on node "ua", and a
-// shadow DSA on node "shadow".
+// newDSAFixture wires a DSA on node "dsa" and a client on node "ua".
 func newDSAFixture(t *testing.T) *dsaFixture {
 	t.Helper()
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
@@ -29,14 +25,11 @@ func newDSAFixture(t *testing.T) *dsaFixture {
 
 	dsaEP := rpc.NewEndpoint(net.MustAddNode("dsa"), clk)
 	uaEP := rpc.NewEndpoint(net.MustAddNode("ua"), clk)
-	shEP := rpc.NewEndpoint(net.MustAddNode("shadow"), clk)
 
-	server := NewServer(dsaEP, NewDIT())
+	NewServer(dsaEP, NewDIT())
 	client := NewClient(uaEP, "dsa")
-	shDIT := NewDIT()
-	shadow := NewShadow(shEP, "dsa", shDIT, clk, 10*time.Second)
 
-	return &dsaFixture{clk: clk, net: net, server: server, client: client, shadow: shadow, shDIT: shDIT}
+	return &dsaFixture{clk: clk, net: net, client: client}
 }
 
 // drive runs a blocking client op from a second goroutine while the test
@@ -148,95 +141,5 @@ func TestRemoteErrorsSurface(t *testing.T) {
 	})
 	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "filter") {
 		t.Fatalf("bad filter err = %v", err)
-	}
-}
-
-func TestShadowReplicationViaRPC(t *testing.T) {
-	f := newDSAFixture(t)
-	// Seed the master directly.
-	seed := f.server.DIT()
-	if err := seed.Add(MustParseDN("o=GMD"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Add(MustParseDN("cn=Prinz,o=GMD"), PersonEntry("Prinz", "P", "")); err != nil {
-		t.Fatal(err)
-	}
-
-	f.shadow.Start()
-	defer f.shadow.Stop()
-	f.clk.Advance(time.Second) // first sync round-trip
-	if f.shDIT.Len() != 2 {
-		t.Fatalf("shadow has %d entries after first sync, want 2", f.shDIT.Len())
-	}
-
-	// New master writes replicate on the next tick.
-	if err := seed.Add(MustParseDN("cn=Klaus,o=GMD"), PersonEntry("Klaus", "K", "")); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.Advance(11 * time.Second)
-	if f.shDIT.Len() != 3 {
-		t.Fatalf("shadow has %d entries after incremental sync, want 3", f.shDIT.Len())
-	}
-}
-
-func TestShadowFullResyncAfterCompaction(t *testing.T) {
-	f := newDSAFixture(t)
-	seed := f.server.DIT()
-	if err := seed.Add(MustParseDN("o=GMD"), nil); err != nil {
-		t.Fatal(err)
-	}
-	f.shadow.Start()
-	defer f.shadow.Stop()
-	f.clk.Advance(time.Second)
-	if f.shDIT.Len() != 1 {
-		t.Fatalf("initial sync failed: %d", f.shDIT.Len())
-	}
-
-	// Master adds more, then compacts the log past what the shadow has:
-	// the shadow must detect the gap and full-resync.
-	for _, dn := range []string{"ou=A,o=GMD", "ou=B,o=GMD", "ou=C,o=GMD"} {
-		if err := seed.Add(MustParseDN(dn), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seed.CompactLog(seed.LastSeq())
-	// Pretend the shadow lost sync state: reset to empty with stale seq 0.
-	_ = f.shDIT.LoadSnapshot(nil, 0)
-	f.clk.Advance(11 * time.Second) // sync: gap -> snapshot requested
-	f.clk.Advance(time.Second)      // snapshot reply arrives
-	if f.shDIT.Len() != 4 {
-		t.Fatalf("shadow has %d entries after full resync, want 4", f.shDIT.Len())
-	}
-	if f.shDIT.LastSeq() != seed.LastSeq() {
-		t.Fatalf("shadow seq %d, master %d", f.shDIT.LastSeq(), seed.LastSeq())
-	}
-}
-
-func TestReadOnlyShadowRejectsWrites(t *testing.T) {
-	clk := vclock.NewSimulated(netsim.DefaultEpoch)
-	net := netsim.New(netsim.WithClock(clk))
-	shEP := rpc.NewEndpoint(net.MustAddNode("dsa2"), clk)
-	uaEP := rpc.NewEndpoint(net.MustAddNode("ua2"), clk)
-	server := NewServer(shEP, NewDIT())
-	server.SetReadOnly(true)
-	client := NewClient(uaEP, "dsa2")
-
-	done := make(chan error, 1)
-	go func() { done <- client.Add("o=X", nil) }()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case err := <-done:
-			var remote *rpc.RemoteError
-			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "read-only") {
-				t.Fatalf("err = %v, want read-only remote error", err)
-			}
-			return
-		case <-deadline:
-			t.Fatal("op never completed")
-		default:
-			time.Sleep(200 * time.Microsecond)
-			clk.Advance(20 * time.Millisecond)
-		}
 	}
 }

@@ -39,19 +39,18 @@ type regTypeReq struct {
 	Supertypes []string
 }
 
-// Server exposes a Trader over rpc and installs a network Forwarder so
-// federation links traverse the simulated network.
+// Server exposes a Trader over rpc.
 type Server struct {
 	trader   *Trader
 	endpoint *rpc.Endpoint
 }
 
-// NewServer binds the trader to the endpoint and installs an asynchronous
-// network forwarder so federated queries traverse the simulated network
-// without blocking the event loop.
+// NewServer binds the trader to the endpoint and installs its Forwarder: a
+// federated query goes to each linked peer as a trader.import call from this
+// endpoint, bounded by federationBudget, without blocking the event loop.
 func NewServer(endpoint *rpc.Endpoint, t *Trader) *Server {
 	s := &Server{trader: t, endpoint: endpoint}
-	t.SetAsyncForwarder(func(peer netsim.Address, req ImportRequest, done func([]Offer, error)) {
+	t.SetForwarder(func(peer netsim.Address, req ImportRequest, done func([]Offer, error)) {
 		goImport(endpoint, peer, req, done, rpc.CallTimeout(federationBudget))
 	})
 	s.register()

@@ -9,8 +9,8 @@
 // org model installs one (see internal/org).
 //
 // Traders federate: a trader may hold links to peer traders and forward
-// queries with a hop limit, modelling interworking between organisations'
-// trading domains.
+// queries to them over the network with a hop limit (ImportAsync), modelling
+// interworking between organisations' trading domains.
 package trader
 
 import (
@@ -95,16 +95,10 @@ var (
 // MaxFederationHops bounds query forwarding across trader links.
 const MaxFederationHops = 4
 
-// Forwarder forwards an import request to a federated peer trader and
-// returns its offers synchronously. Only safe for in-process links (tests,
-// co-located traders); network forwarding must use AsyncForwarder.
-type Forwarder func(peer netsim.Address, req ImportRequest) ([]Offer, error)
-
-// AsyncForwarder forwards an import request to a federated peer and
-// delivers the peer's offers through done (called exactly once). The rpc
-// server installs a network-backed async forwarder so federation never
-// blocks the event loop.
-type AsyncForwarder func(peer netsim.Address, req ImportRequest, done func([]Offer, error))
+// Forwarder forwards an import request to a federated peer and delivers the
+// peer's offers through done (called exactly once). The rpc server installs
+// a network-backed forwarder, so federation never blocks the event loop.
+type Forwarder func(peer netsim.Address, req ImportRequest, done func([]Offer, error))
 
 // Trader is a trading function instance. Use New.
 type Trader struct {
@@ -115,7 +109,6 @@ type Trader struct {
 	policies []Policy
 	links    []netsim.Address
 	forward  Forwarder
-	aforward AsyncForwarder
 	stats    Stats
 }
 
@@ -256,20 +249,11 @@ func (t *Trader) LinkPeer(addr netsim.Address) {
 	t.links = append(t.links, addr)
 }
 
-// SetForwarder installs the synchronous transport used to query federated
-// peers (in-process links only).
+// SetForwarder installs the transport used to query federated peers.
 func (t *Trader) SetForwarder(f Forwarder) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.forward = f
-}
-
-// SetAsyncForwarder installs the asynchronous transport used to query
-// federated peers over the network.
-func (t *Trader) SetAsyncForwarder(f AsyncForwarder) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.aforward = f
 }
 
 // Stats returns a snapshot of the counters.
@@ -360,39 +344,19 @@ func (t *Trader) finalize(req ImportRequest, offers []Offer) []Offer {
 	return offers
 }
 
-// Import answers a query with matching offers, consulting policies and —
-// when a synchronous Forwarder is installed — federated peers. Use
-// ImportAsync when federation crosses the network.
+// Import answers a query from this trader's own offers, consulting its
+// policies; it asks no federated peer. ImportAsync is the federated query.
 func (t *Trader) Import(req ImportRequest) ([]Offer, error) {
 	out, err := t.matchLocal(req)
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	links := append([]netsim.Address(nil), t.links...)
-	forward := t.forward
-	t.mu.Unlock()
-
-	if forward != nil && req.Hops < MaxFederationHops {
-		fwd := req
-		fwd.Hops++
-		for _, peer := range links {
-			t.mu.Lock()
-			t.stats.Forwarded++
-			t.mu.Unlock()
-			peerOffers, err := forward(peer, fwd)
-			if err != nil {
-				continue // unreachable peers degrade, not fail, the query
-			}
-			out = append(out, peerOffers...)
-		}
-	}
 	return t.finalize(req, out), nil
 }
 
 // ImportAsync answers a query, fanning out to federated peers through the
-// AsyncForwarder, and calls done exactly once with the combined result. It
-// never blocks, so it is safe to call from inside network event handlers.
+// Forwarder, and calls done exactly once with the combined result. It never
+// blocks, so it is safe to call from inside network event handlers.
 func (t *Trader) ImportAsync(req ImportRequest, done func([]Offer, error)) {
 	out, err := t.matchLocal(req)
 	if err != nil {
@@ -401,10 +365,10 @@ func (t *Trader) ImportAsync(req ImportRequest, done func([]Offer, error)) {
 	}
 	t.mu.Lock()
 	links := append([]netsim.Address(nil), t.links...)
-	aforward := t.aforward
+	forward := t.forward
 	t.mu.Unlock()
 
-	if aforward == nil || req.Hops >= MaxFederationHops || len(links) == 0 {
+	if forward == nil || req.Hops >= MaxFederationHops || len(links) == 0 {
 		done(t.finalize(req, out), nil)
 		return
 	}
@@ -418,7 +382,7 @@ func (t *Trader) ImportAsync(req ImportRequest, done func([]Offer, error)) {
 		t.mu.Lock()
 		t.stats.Forwarded++
 		t.mu.Unlock()
-		aforward(peer, fwd, agg.add)
+		forward(peer, fwd, agg.add)
 	}
 }
 

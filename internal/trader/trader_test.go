@@ -3,6 +3,7 @@ package trader
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"mocca/internal/directory"
@@ -180,6 +181,39 @@ func TestPolicyExcludes(t *testing.T) {
 	}
 }
 
+// federate links the traders in-process: each one's Forwarder hands a
+// forwarded query to the trader at the peer's address, which answers through
+// its own ImportAsync. A peer not in the map is unreachable.
+func federate(traders map[netsim.Address]*Trader) {
+	for _, tr := range traders {
+		tr.SetForwarder(func(peer netsim.Address, req ImportRequest, done func([]Offer, error)) {
+			if p := traders[peer]; p != nil {
+				p.ImportAsync(req, done)
+				return
+			}
+			done(nil, fmt.Errorf("no trader at %s", peer))
+		})
+	}
+}
+
+// importAsync runs a federated query over in-process links, which answer
+// before ImportAsync returns, and checks that done fired exactly once.
+func importAsync(t *testing.T, tr *Trader, req ImportRequest) []Offer {
+	t.Helper()
+	var got []Offer
+	calls := 0
+	tr.ImportAsync(req, func(offers []Offer, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, calls = offers, calls+1
+	})
+	if calls != 1 {
+		t.Fatalf("done fired %d times, want once", calls)
+	}
+	return got
+}
+
 func TestFederation(t *testing.T) {
 	local, remote := New(), New()
 	for _, tr := range []*Trader{local, remote} {
@@ -194,15 +228,17 @@ func TestFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	local.LinkPeer("remote")
-	local.SetForwarder(func(_ netsim.Address, req ImportRequest) ([]Offer, error) {
-		return remote.Import(req)
-	})
-	got, err := local.Import(ImportRequest{ServiceType: "printing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
+	local.LinkPeer("gone")
+	federate(map[netsim.Address]*Trader{"local": local, "remote": remote})
+	if got := importAsync(t, local, ImportRequest{ServiceType: "printing"}); len(got) != 2 {
 		t.Fatalf("federated import = %d offers, want 2", len(got))
+	}
+	if st := local.Stats(); st.Forwarded != 2 {
+		t.Fatalf("Forwarded = %d, want 2", st.Forwarded)
+	}
+	// Import answers from the trader's own offers only.
+	if got, err := local.Import(ImportRequest{ServiceType: "printing"}); err != nil || len(got) != 1 || got[0].ID != "l1" {
+		t.Fatalf("local import = %v, %v; want l1 alone", got, err)
 	}
 }
 
@@ -220,15 +256,14 @@ func TestHopLimitStopsLoops(t *testing.T) {
 	// forever.
 	a.LinkPeer("b")
 	b.LinkPeer("a")
-	a.SetForwarder(func(_ netsim.Address, req ImportRequest) ([]Offer, error) { return b.Import(req) })
-	b.SetForwarder(func(_ netsim.Address, req ImportRequest) ([]Offer, error) { return a.Import(req) })
+	federate(map[netsim.Address]*Trader{"a": a, "b": b})
 
-	got, err := a.Import(ImportRequest{ServiceType: "svc"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := importAsync(t, a, ImportRequest{ServiceType: "svc"})
 	if len(got) != 1 || got[0].ID != "a1" {
 		t.Fatalf("looped federation = %v", got)
+	}
+	if fa, fb := a.Stats().Forwarded, b.Stats().Forwarded; fa+fb != MaxFederationHops {
+		t.Fatalf("the query was forwarded %d+%d times, want %d in all", fa, fb, MaxFederationHops)
 	}
 }
 
@@ -247,13 +282,55 @@ func TestDedupeAcrossFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.LinkPeer("b")
-	a.SetForwarder(func(_ netsim.Address, req ImportRequest) ([]Offer, error) { return b.Import(req) })
-	got, err := a.Import(ImportRequest{ServiceType: "svc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
+	federate(map[netsim.Address]*Trader{"a": a, "b": b})
+	if got := importAsync(t, a, ImportRequest{ServiceType: "svc"}); len(got) != 1 {
 		t.Fatalf("dedupe failed: %d copies", len(got))
+	}
+}
+
+// TestFederationRepliesConcurrently: peers that answer from goroutines of
+// their own meet in one aggregate, and done fires once, with every offer.
+func TestFederationRepliesConcurrently(t *testing.T) {
+	const peers = 8
+	hub := New()
+	traders := map[netsim.Address]*Trader{}
+	for i := range peers + 1 {
+		tr := hub
+		if i > 0 {
+			tr = New()
+			addr := netsim.Address(fmt.Sprintf("peer%d", i))
+			traders[addr] = tr
+			hub.LinkPeer(addr)
+		}
+		if err := tr.RegisterType("svc"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Export(Offer{ID: fmt.Sprintf("o%d", i), ServiceType: "svc"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var answering sync.WaitGroup
+	hub.SetForwarder(func(peer netsim.Address, req ImportRequest, done func([]Offer, error)) {
+		answering.Add(1)
+		go func() {
+			defer answering.Done()
+			traders[peer].ImportAsync(req, done)
+		}()
+	})
+	results := make(chan []Offer, 2) // room for a second call, which the test must see, not block
+	hub.ImportAsync(ImportRequest{ServiceType: "svc"}, func(offers []Offer, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		results <- offers
+	})
+	got := <-results
+	answering.Wait()
+	if len(results) != 0 {
+		t.Fatal("done fired more than once")
+	}
+	if len(got) != peers+1 {
+		t.Fatalf("federated import = %d offers, want %d", len(got), peers+1)
 	}
 }
 
