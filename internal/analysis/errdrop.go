@@ -8,22 +8,24 @@ import (
 
 // durabilityPackages are the packages where a swallowed error is silent
 // row loss: the WAL/segment machinery (logstore), the wire codec every
-// frame passes through, and the information store that sits on both.
+// frame passes through, the information store that sits on both, and the
+// replication plane that applies, pushes and evicts its rows.
 var durabilityPackages = map[string]bool{
 	"logstore":    true,
 	"wire":        true,
 	"information": true,
+	"replica":     true,
 }
 
 // ErrDrop flags discarded error returns on the WAL/segment/wire
-// append-read paths: a call whose error result is thrown away — as a
+// append-read paths and the replication plane: a call whose error result is thrown away — as a
 // bare statement, assigned to _, or deferred — previously meant rows
 // vanishing without a trace. Every drop must be either handled or
 // carry a //lint:allow errdrop pragma explaining why losing it is
 // safe.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "flags discarded errors on WAL/segment/wire append-read paths",
+	Doc:  "flags discarded errors on WAL/segment/wire append-read paths and in replica",
 	Run:  runErrDrop,
 }
 

@@ -30,3 +30,7 @@ func TestGoroutinesOutsideSimulatedPackages(t *testing.T) {
 func TestErrDrop(t *testing.T) {
 	analysistest.Run(t, "testdata/errdrop", analysis.ErrDrop)
 }
+
+func TestErrDropInReplica(t *testing.T) {
+	analysistest.Run(t, "testdata/errdropreplica", analysis.ErrDrop)
+}

@@ -3,8 +3,10 @@ package information
 import "mocca/internal/vclock"
 
 // Backend is the storage surface a Space drives: the keeping of object
-// rows and the relationship graph, with one atomic read-modify-write
-// primitive (Exec) and the one replication query (Digest).
+// rows — the shared information model anti-entropy replicates, and nothing
+// beside it — with one atomic read-modify-write primitive (Exec) and the
+// one replication query (Digest). A link between rows is a field of a row
+// (the other row's id): the digest sees it and anti-entropy carries it.
 // It is the seam between the information viewpoint and its engineering
 // realisation — the engine, anti-entropy replication and the groupware
 // applications are all written against this interface and cannot tell
@@ -46,11 +48,10 @@ type Backend interface {
 	Exec(id string, fn func(cur *Object) (*Object, error)) (*Object, error)
 	// Snapshot returns copies of every row matching pred (nil pred = all).
 	Snapshot(pred func(*Object) bool) []*Object
-	// Remove deletes the row for id, together with relationship edges
-	// touching it (a dangling edge would poison a later snapshot replay),
-	// returning a copy of the removed row. A missing id is not an error:
-	// (nil, nil). This is the placement-migration eviction primitive — a
-	// replica dropping rows of a space it is no longer placed in.
+	// Remove deletes the row for id, returning a copy of the removed row.
+	// A missing id is not an error: (nil, nil). This is the
+	// placement-migration eviction primitive — a replica dropping rows of a
+	// space it is no longer placed in.
 	Remove(id string) (*Object, error)
 	// Range calls fn for every stored row under the backend's read
 	// exclusion, in unspecified order, stopping early when fn returns
@@ -65,16 +66,6 @@ type Backend interface {
 	// Digest summarises every row's version vector: two replicas hold
 	// the same state exactly when their digests are equal.
 	Digest() map[string]vclock.Version
-
-	// Relate records a typed relationship; composition and dependency must
-	// stay acyclic. Both endpoints must exist.
-	Relate(from string, kind RelKind, to string) error
-	// Related returns directly related object ids, sorted.
-	Related(from string, kind RelKind) []string
-	// Dependents returns ids of objects that relate TO the given id.
-	Dependents(to string, kind RelKind) []string
-	// Closure returns all ids transitively reachable from id over kind.
-	Closure(from string, kind RelKind) []string
 }
 
 // Store implements Backend.

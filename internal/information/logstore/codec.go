@@ -9,11 +9,11 @@ import (
 )
 
 // Record types. A WAL record is [type byte][seq uint64][type-specific
-// payload]; snapshot files reuse the object and relation encodings with a
-// header record in front (see snapshot layout in logstore.go).
+// payload]; the manifest and segment files reuse the framing with records
+// of their own (see manifest.go and segment.go).
 const (
 	recExec       byte = 1 // full post-state of one Exec mutation
-	recRelate     byte = 2 // one relationship edge
+	recRetired    byte = 2 // retired: a relationship edge; see ErrRetiredRecord
 	recSnapHeader byte = 3 // manifest file header (historically: snapshot)
 	recRemove     byte = 4 // eviction of one row (placement migration)
 
@@ -33,39 +33,18 @@ const (
 // did not decode — same recovery treatment as a CRC failure.
 var ErrCorrupt = errors.New("logstore: corrupt record payload")
 
-// appendRelation appends one relationship edge.
-func appendRelation(dst []byte, r information.Relation) []byte {
-	dst = wire.AppendString(dst, r.From)
-	dst = wire.AppendString(dst, string(r.Kind))
-	dst = wire.AppendString(dst, r.To)
-	return dst
-}
-
-// decodeRelation decodes one relationship edge.
-func decodeRelation(data []byte) (information.Relation, []byte, error) {
-	var r information.Relation
-	var kind string
-	var err error
-	if r.From, data, err = wire.ConsumeString(data); err != nil {
-		return r, data, err
-	}
-	if kind, data, err = wire.ConsumeString(data); err != nil {
-		return r, data, err
-	}
-	r.Kind = information.RelKind(kind)
-	if r.To, data, err = wire.ConsumeString(data); err != nil {
-		return r, data, err
-	}
-	return r, data, nil
-}
+// ErrRetiredRecord refuses a store that holds relationship edges — a
+// type-2 WAL record or a manifest counting relation records — written
+// before the store kept rows only. Such a store is not opened: read as a
+// torn tail, the edge would silently take every row logged after it along.
+var ErrRetiredRecord = errors.New("logstore: store holds relationship edges, a retired record type")
 
 // walRecord is a decoded WAL record.
 type walRecord struct {
 	typ byte
 	seq uint64
-	obj *information.Object  // recExec
-	rel information.Relation // recRelate
-	id  string               // recRemove
+	obj *information.Object // recExec
+	id  string              // recRemove
 }
 
 // appendWALPayload encodes a WAL record payload (unframed).
@@ -90,10 +69,8 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		if rec.obj, _, err = information.DecodeObject(payload); err != nil {
 			return rec, fmt.Errorf("%w: object: %v", ErrCorrupt, err)
 		}
-	case recRelate:
-		if rec.rel, _, err = decodeRelation(payload); err != nil {
-			return rec, fmt.Errorf("%w: relation: %v", ErrCorrupt, err)
-		}
+	case recRetired:
+		return rec, fmt.Errorf("record %d: %w", rec.seq, ErrRetiredRecord)
 	case recRemove:
 		if rec.id, _, err = wire.ConsumeString(payload); err != nil {
 			return rec, fmt.Errorf("%w: remove: %v", ErrCorrupt, err)

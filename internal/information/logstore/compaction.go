@@ -498,11 +498,10 @@ func (s *Store) lookup(id string) (obj *information.Object, live, fromMem bool, 
 	return obj, ok, false, err
 }
 
-// hasAny reports whether id is live in any tier — the endpoint-existence
-// check behind Relate and WAL replay. A failed segment probe reads as
-// absent (counted in Stats): Relate then refuses the edge rather than
-// building on a row it cannot see, and replay's idempotence makes the
-// miscount self-correcting on the next recovery.
+// hasAny reports whether id is live in any tier — WAL replay's question,
+// to keep the live count. A failed segment probe reads as absent (counted
+// in Stats), and replay's idempotence makes the miscount self-correcting
+// on the next recovery.
 func (s *Store) hasAny(id string) bool {
 	//lint:allow errdrop a failed probe reads as absent by design (see doc comment); the error is already counted in Stats.ReadFailures by lookup
 	_, live, _, _ := s.lookup(id)

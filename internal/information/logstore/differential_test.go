@@ -27,7 +27,6 @@ var (
 	diffSites  = []string{"gmd", "upc", "nott", "a-site-with-a-rather-long-name"}
 	diffKeys   = []string{"title", "body", "", "k3", "k4", "k5", "k6", "k7", "k8"}
 	diffValues = []string{"", "v", "rev", "a longer value, to move record sizes about", "\x00\xff"}
-	diffKinds  = []information.RelKind{information.RelComposedOf, information.RelDependsOn, information.RelDerivedFrom}
 	errScript  = errors.New("scripted callback failure")
 )
 
@@ -60,10 +59,9 @@ func (s *script) id() string {
 // mutation is one entry of the history the reference is rebuilt from when a
 // torn tail makes the durable store forget its last logged record.
 type mutation struct {
-	kind     byte // 'x' Exec stored row, 'r' Remove, 'l' Relate
-	row      *information.Object
-	id, to   string
-	relation information.RelKind
+	kind byte // 'x' Exec stored row, 'r' Remove
+	row  *information.Object
+	id   string
 }
 
 // lentRows remembers every row a backend lent and what it encoded to at
@@ -240,24 +238,6 @@ func (d *differ) remove(s *script) {
 	scribble(gotRef)
 }
 
-func (d *differ) relate(s *script) {
-	from, to, kind := s.id(), s.id(), diffKinds[s.next(len(diffKinds))]
-	d.what = fmt.Sprintf("Relate %q -[%s]-> %q", from, kind, to)
-	errSt := d.st.Relate(from, kind, to)
-	errRef := d.ref.Relate(from, kind, to)
-	for _, target := range []error{information.ErrUnknownObject, information.ErrCycle} {
-		if errors.Is(errSt, target) != errors.Is(errRef, target) {
-			d.fatalf("logstore err %v, reference err %v", errSt, errRef)
-		}
-	}
-	if (errSt == nil) != (errRef == nil) {
-		d.fatalf("logstore err %v, reference err %v", errSt, errRef)
-	}
-	if errRef == nil {
-		d.history = append(d.history, mutation{kind: 'l', id: from, to: to, relation: kind})
-	}
-}
-
 func (d *differ) pointRead(s *script) {
 	id := s.id()
 	d.what = fmt.Sprintf("Get+Peek %q", id)
@@ -344,8 +324,7 @@ func (d *differ) snapshotWhere(s *script) {
 }
 
 // agree is the comparison made after every step: Len, Digest, the id-sorted
-// Snapshot, Related of every id the script can name, and no counted read
-// failure. What the calls return is the caller's, so it is scribbled on.
+// Snapshot, and no counted read failure. What the calls return is the caller's, so it is scribbled on.
 func (d *differ) agree() {
 	d.t.Helper()
 	if got, want := d.st.Len(), d.ref.Len(); got != want {
@@ -368,13 +347,6 @@ func (d *differ) agree() {
 	for i := range gotRows {
 		scribble(gotRows[i])
 		scribble(wantRows[i])
-	}
-	for _, id := range diffIDs {
-		for _, kind := range diffKinds {
-			if g, w := d.st.Related(id, kind), d.ref.Related(id, kind); fmt.Sprint(g) != fmt.Sprint(w) {
-				d.fatalf("Related(%q, %s): logstore %v, reference %v", id, kind, g, w)
-			}
-		}
 	}
 	if st := d.st.Stats(); st.IterationFailures+st.SegmentReadFailures+st.CompactionFailures != 0 {
 		d.fatalf("store counted failures: %+v", st)
@@ -455,8 +427,6 @@ func (d *differ) tornReopen(s *script) {
 			_, err = d.ref.Exec(m.id, func(*information.Object) (*information.Object, error) { return m.row, nil })
 		case 'r':
 			_, err = d.ref.Remove(m.id)
-		case 'l':
-			err = d.ref.Relate(m.id, m.relation, m.to)
 		}
 		if err != nil {
 			d.fatalf("rebuilding the reference: %v", err)
@@ -482,8 +452,6 @@ func runStoreScript(t *testing.T, data []byte, bgMerge bool, reader func(*Store)
 			d.exec(s)
 		case op < 17:
 			d.remove(s)
-		case op < 21:
-			d.relate(s)
 		case op < 24:
 			d.pointRead(s)
 		case op < 26:

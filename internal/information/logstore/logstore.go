@@ -3,13 +3,13 @@
 // crash. It is a tiered, log-structured store:
 //
 //   - wal.log — an append-only write-ahead log. Every Exec that stores a
-//     row, every Relate and every Remove appends one CRC-framed record
-//     (wire.AppendRecord) carrying a monotonic sequence number and the
-//     full post-state of the mutation — object rows round-trip with their
-//     version vectors and writer-site metadata intact, so a recovered
-//     replica re-enters anti-entropy with correct digests.
-//   - memtable — the rows written since the last flush, plus the whole
-//     relationship graph (small: edges, not rows). Reads consult it first.
+//     row and every Remove appends one CRC-framed record (wire.AppendRecord)
+//     carrying a monotonic sequence number and the full post-state of the
+//     mutation — object rows round-trip with their version vectors and
+//     writer-site metadata intact, so a recovered replica re-enters
+//     anti-entropy with correct digests.
+//   - memtable — the rows and tombstones written since the last flush.
+//     Reads consult it first.
 //   - seg-*.seg — sorted, immutable segment files. When the memtable
 //     grows past the flush threshold it streams into a new level-0
 //     segment; a background compactor merges over-full levels into the
@@ -18,8 +18,8 @@
 //     point read touches at most the one or two segments that can hold
 //     the id and a miss is usually answered without touching disk at all.
 //   - snapshot.snap — the manifest, an incremental snapshot: the live
-//     segment list, the covered WAL sequence and the relationship graph,
-//     written to a temporary file, fsynced, and atomically renamed.
+//     segment list and the covered WAL sequence, written to a temporary
+//     file, fsynced, and atomically renamed.
 //     After a successful flush the WAL is truncated.
 //
 // Recovery (Open) loads the manifest, opens each segment's footer and
@@ -28,7 +28,9 @@
 // A torn or corrupt record ends the replay: everything before it is
 // intact (the CRC guarantees it), the garbage suffix is truncated away,
 // and the store resumes appending from the last good record — the
-// standard WAL discipline.
+// standard WAL discipline. A store that holds what this one no longer
+// understands — relationship edges, from before the store kept rows only
+// — is refused with ErrRetiredRecord and left untouched.
 //
 // Rows follow information.Store's rule — a stored row never changes, it is
 // only replaced: a put swaps the memtable's pointer, a flush drops the map,
@@ -45,11 +47,11 @@
 // that holds their header too, and readers pin the copy-on-write segment
 // list as it stands, so a scan allocates per row only what it hands out.
 //
-// The three mutations — Exec, Relate, Remove — follow one rule, under the
-// store's own mutex: validate, log, apply. Nothing is appended that the
-// store would refuse, and nothing is applied that is not on the log, so a
-// write that cannot be made durable changes nothing, in memory or on disk,
-// and the WAL's record order always equals the in-memory commit order.
+// The two mutations — Exec and Remove — follow one rule, under the store's
+// own mutex: validate, log, apply. Nothing is appended that the store would
+// refuse, and nothing is applied that is not on the log, so a write that
+// cannot be made durable changes nothing, in memory or on disk, and the
+// WAL's record order always equals the in-memory commit order.
 package logstore
 
 import (
@@ -128,11 +130,10 @@ type Stats struct {
 	// Merkle tree without anyone knowing).
 	IterationFailures int64
 
-	RecoveredObjects   int   // rows live after Open (manifest + replay)
-	RecoveredRelations int   // edges loaded by Open
-	ReplayedRecords    int   // WAL records applied by Open
-	SkippedRecords     int   // WAL records the manifest already covered
-	DiscardedBytes     int64 // corrupt/torn WAL suffix truncated by Open
+	RecoveredObjects int   // rows live after Open (manifest + replay)
+	ReplayedRecords  int   // WAL records applied by Open
+	SkippedRecords   int   // WAL records the manifest already covered
+	DiscardedBytes   int64 // corrupt/torn WAL suffix truncated by Open
 }
 
 // Option configures a Store.
@@ -285,7 +286,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	s.wal = wal
 	s.stats.RecoveredObjects = int(s.live.Load())
-	s.stats.RecoveredRelations = len(s.mem.Relations())
 	if s.bgMerge {
 		s.mergeWG.Add(1)
 		go s.mergerLoop()
@@ -422,47 +422,11 @@ func (s *Store) writableLocked() error {
 	return nil
 }
 
-// Relate records a typed relationship. An edge the store refuses — an
-// endpoint in no tier, a cycle — is refused before anything is appended,
-// so the log never has to give one back.
-func (s *Store) Relate(from string, kind information.RelKind, to string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
-	rel := information.Relation{From: from, Kind: kind, To: to}
-	if err := validateDurableRelation(rel); err != nil {
-		return err
-	}
-	if err := s.checkRelation(rel); err != nil {
-		return err
-	}
-	if err := s.appendLocked(appendRelation(s.recordLocked(recRelate), rel)); err != nil {
-		return err
-	}
-	s.mem.Add(rel)
-	s.compactIfDueLocked()
-	return nil
-}
-
-// checkRelation is the validation Relate and replay share. The graph
-// decides acyclicity; whether an endpoint exists is the store's to say,
-// because a row may live only in a segment.
-func (s *Store) checkRelation(rel information.Relation) error {
-	for _, id := range [2]string{rel.From, rel.To} {
-		if !s.hasAny(id) {
-			return fmt.Errorf("%w: %q", information.ErrUnknownObject, id)
-		}
-	}
-	return s.mem.Check(rel)
-}
-
-// Remove deletes the row for id (and edges touching it), logging the
-// eviction so recovery replays it — the placement-migration path on a
-// durable replica. When an older version of the row may still sit in a
-// segment, the memtable records a tombstone to mask it until compaction
-// drops both. A missing id is a no-op and logs nothing.
+// Remove deletes the row for id, logging the eviction so recovery replays
+// it — the placement-migration path on a durable replica. When an older
+// version of the row may still sit in a segment, the memtable records a
+// tombstone to mask it until compaction drops both. A missing id is a
+// no-op and logs nothing.
 func (s *Store) Remove(id string) (*information.Object, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -603,19 +567,4 @@ func (s *Store) Digest() map[string]vclock.Version {
 		return true, nil
 	}))
 	return out
-}
-
-// Related returns directly related object ids, sorted.
-func (s *Store) Related(from string, kind information.RelKind) []string {
-	return s.mem.Related(from, kind)
-}
-
-// Dependents returns ids of objects that relate TO the given id.
-func (s *Store) Dependents(to string, kind information.RelKind) []string {
-	return s.mem.Dependents(to, kind)
-}
-
-// Closure returns all ids transitively reachable from id over kind.
-func (s *Store) Closure(from string, kind information.RelKind) []string {
-	return s.mem.Closure(from, kind)
 }

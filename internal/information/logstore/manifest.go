@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"mocca/internal/information"
 	"mocca/internal/wire"
 )
 
@@ -23,13 +22,14 @@ import (
 // Layout (CRC-framed records):
 //
 //	header:     recSnapHeader, carrying the covered WAL sequence, the live
-//	            row count at that sequence, the next segment id, and the
-//	            segment/relation counts
+//	            row count at that sequence, the next segment id, the
+//	            segment count and a relation count, always 0
 //	segments:   one recManSeg per live segment (id, level, file name)
-//	relations:  one record per relationship edge
 //
-// Recovery cost is O(segments + relations + WAL tail): segment rows are
-// never read, only each segment's footer and meta region.
+// The relation count is what is left of the relationship edges a manifest
+// once listed after its segments; a non-zero count is refused with
+// ErrRetiredRecord. Recovery cost is O(segments + WAL tail): segment rows
+// are never read, only each segment's footer and meta region.
 
 // manifest is the decoded on-disk state.
 type manifest struct {
@@ -37,7 +37,6 @@ type manifest struct {
 	liveRows   int    // live row count at coveredSeq
 	nextSegID  uint64
 	segs       []manifestSeg
-	rels       []information.Relation
 }
 
 type manifestSeg struct {
@@ -83,6 +82,9 @@ func loadManifest(dir string) (*manifest, error) {
 	if nRels, _, err = wire.ConsumeUint64(p); err != nil {
 		return nil, fmt.Errorf("manifest header: %w", err)
 	}
+	if nRels != 0 {
+		return nil, fmt.Errorf("manifest header: %d relations: %w", nRels, ErrRetiredRecord)
+	}
 	m.liveRows = int(live)
 	for i := uint64(0); i < nSegs; i++ {
 		if payload, rest, err = wire.NextRecord(rest); err != nil {
@@ -105,16 +107,6 @@ func loadManifest(dir string) (*manifest, error) {
 		}
 		ms.level = int(level)
 		m.segs = append(m.segs, ms)
-	}
-	for i := uint64(0); i < nRels; i++ {
-		if payload, rest, err = wire.NextRecord(rest); err != nil {
-			return nil, fmt.Errorf("manifest relation %d: %w", i, err)
-		}
-		rel, _, err := decodeRelation(payload)
-		if err != nil {
-			return nil, fmt.Errorf("manifest relation %d: %w", i, err)
-		}
-		m.rels = append(m.rels, rel)
 	}
 	return m, nil
 }
@@ -143,9 +135,6 @@ func (s *Store) loadManifestState() error {
 			s.segs = append(s.segs, seg)
 		}
 		sort.Slice(s.segs, func(i, j int) bool { return s.segs[i].seqHi > s.segs[j].seqHi })
-		for _, rel := range m.rels {
-			s.mem.Add(rel)
-		}
 	}
 	orphans, err := filepath.Glob(filepath.Join(s.dir, "seg-*.seg"))
 	if err != nil {
@@ -162,12 +151,10 @@ func (s *Store) loadManifestState() error {
 }
 
 // writeManifestLocked streams the current manifest (segment list segs,
-// covered sequence s.snapSeq, live count s.liveCovered, and the full
-// relation graph) through snapshot.tmp and renames it into place. Caller
-// holds s.mu, which serialises manifest writers (flush and compaction
-// install).
+// covered sequence s.snapSeq, live count s.liveCovered) through
+// snapshot.tmp and renames it into place. Caller holds s.mu, which
+// serialises manifest writers (flush and compaction install).
 func (s *Store) writeManifestLocked(segs []*segment) error {
-	rels := s.mem.Relations()
 	tmp := filepath.Join(s.dir, snapTmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -180,7 +167,7 @@ func (s *Store) writeManifestLocked(segs []*segment) error {
 	s.payload = wire.AppendUint64(s.payload, uint64(s.liveCovered))
 	s.payload = wire.AppendUint64(s.payload, s.nextSegID)
 	s.payload = wire.AppendUint64(s.payload, uint64(len(segs)))
-	s.payload = wire.AppendUint64(s.payload, uint64(len(rels)))
+	s.payload = wire.AppendUint64(s.payload, 0) // relations: retired
 	werr := s.writeFrame(w)
 	for _, seg := range segs {
 		if werr != nil {
@@ -190,13 +177,6 @@ func (s *Store) writeManifestLocked(segs []*segment) error {
 		s.payload = wire.AppendUint64(s.payload, seg.id)
 		s.payload = wire.AppendUint64(s.payload, uint64(seg.level))
 		s.payload = wire.AppendString(s.payload, filepath.Base(seg.path))
-		werr = s.writeFrame(w)
-	}
-	for _, rel := range rels {
-		if werr != nil {
-			break
-		}
-		s.payload = appendRelation(s.payload[:0], rel)
 		werr = s.writeFrame(w)
 	}
 	if werr == nil {

@@ -9,19 +9,14 @@ import (
 )
 
 // memtable is the in-memory tier of the store: the rows written since the
-// last flush, tombstones for rows removed since the last flush (a removal
-// must mask any older version still sitting in a segment), and the full
-// relationship graph — the one type both backends hold. Rows migrate to
-// immutable segment files when the memtable flushes; the graph never does —
-// it is small (edges, not rows), consulted on every Relate for cycle
-// checks, and persisted through the manifest instead.
+// last flush and tombstones for rows removed since the last flush (a
+// removal must mask any older version still sitting in a segment). Both
+// migrate to immutable segment files when the memtable flushes.
 //
-// The memtable has its own lock (and the graph its own) so reads can be
-// served while the store mutex serialises mutations; writers hold both
-// (store mutex for ordering, this lock for the map writes).
+// The memtable has its own lock so reads can be served while the store
+// mutex serialises mutations; writers hold both (store mutex for ordering,
+// this lock for the map writes).
 type memtable struct {
-	information.RelationGraph
-
 	mu    sync.RWMutex
 	rows  map[string]*information.Object
 	tombs map[string]struct{}
@@ -57,8 +52,8 @@ func (m *memtable) put(obj *information.Object) {
 	delete(m.tombs, obj.ID)
 }
 
-// kill removes the row for id, records a tombstone when the id may still
-// exist in a segment, and strips every relationship edge touching it.
+// kill removes the row for id and records a tombstone when the id may
+// still exist in a segment.
 func (m *memtable) kill(id string, tomb bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -66,7 +61,6 @@ func (m *memtable) kill(id string, tomb bool) {
 	if tomb {
 		m.tombs[id] = struct{}{}
 	}
-	m.Strip(id)
 }
 
 // pending reports how many row mutations (rows + tombstones) a flush
@@ -132,7 +126,6 @@ func (m *memtable) entries() []flushEntry {
 
 // clear drops all rows and tombstones after a successful flush (the
 // caller holds the store mutex, so nothing was written concurrently).
-// The relation graph stays.
 func (m *memtable) clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -93,16 +93,15 @@ func TestTornWriteRecoveryAtArbitraryOffsets(t *testing.T) {
 		if got := st2.Stats().ReplayedRecords; got != want {
 			t.Fatalf("prefix %d: replayed %d records, want %d", n, got, want)
 		}
+		if st2.Len() != want { // one row per record, every id distinct
+			t.Fatalf("prefix %d: %d rows live, want %d", n, st2.Len(), want)
+		}
 		// Idempotent recovery: the truncated-and-recovered store reopens
 		// byte-identically.
 		before := digestBinary(st2)
-		beforeRels := st2.mem.Relations()
 		st3 := reopen(t, st2)
 		if !reflect.DeepEqual(digestBinary(st3), before) {
 			t.Fatalf("prefix %d: second recovery changed the digest", n)
-		}
-		if !reflect.DeepEqual(st3.mem.Relations(), beforeRels) {
-			t.Fatalf("prefix %d: second recovery changed the graph", n)
 		}
 		if err := st3.Close(); err != nil {
 			t.Fatal(err)

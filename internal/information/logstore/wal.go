@@ -33,16 +33,6 @@ func validateDurable(o *information.Object) error {
 	return nil
 }
 
-// validateDurableRelation is validateDurable for an edge.
-func validateDurableRelation(rel information.Relation) error {
-	for _, str := range []string{rel.From, string(rel.Kind), rel.To} {
-		if len(str) >= wire.MaxStringLen {
-			return fmt.Errorf("logstore: relation endpoint %d bytes: %w", len(str), wire.ErrOversize)
-		}
-	}
-	return nil
-}
-
 // recordLocked starts the next WAL record in the scratch payload: its type
 // and the sequence number it will carry. The caller appends the body and
 // hands the result to appendLocked, which is what assigns the number — a
@@ -121,7 +111,9 @@ func (s *Store) writeFrame(w *bufio.Writer) error {
 // replayWAL applies the WAL tail over the manifest state. Records the
 // manifest already covers (seq <= snapSeq) are skipped; the first record
 // that fails framing or decoding ends the intact prefix and the torn
-// suffix is truncated so future appends extend a clean log.
+// suffix is truncated so future appends extend a clean log. An intact
+// record of a retired type is no torn tail: replay stops with
+// ErrRetiredRecord and leaves the log as it found it.
 func (s *Store) replayWAL() error {
 	path := filepath.Join(s.dir, walName)
 	data, err := os.ReadFile(path)
@@ -138,6 +130,9 @@ func (s *Store) replayWAL() error {
 			break
 		}
 		rec, err := decodeWALRecord(payload)
+		if errors.Is(err, ErrRetiredRecord) {
+			return fmt.Errorf("logstore: %s: %w", walName, err)
+		}
 		if err != nil {
 			break
 		}
@@ -156,17 +151,6 @@ func (s *Store) replayWAL() error {
 			if !existed {
 				s.live.Add(1)
 			}
-		case recRelate:
-			// Replaying an existing edge is a no-op. A refused edge (cycle,
-			// missing endpoint) is skipped, not fatal: Relate validates
-			// before it logs, but stores written before it did could crash
-			// between logging an edge and taking it back, and their logs
-			// must keep opening.
-			if s.checkRelation(rec.rel) != nil {
-				s.stats.SkippedRecords++
-				continue
-			}
-			s.mem.Add(rec.rel)
 		case recRemove:
 			// Removing an absent row is a no-op, which makes replay
 			// idempotent over manifest-covered evictions.

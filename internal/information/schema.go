@@ -5,6 +5,10 @@
 // between these objects (e.g. composition, dependencies) and the access to
 // these objects."
 //
+// Relationships live in the objects: a row that names another stores its
+// id in a field, which the replication digest sees and anti-entropy
+// carries. The store keeps rows and nothing beside them.
+//
 // The load-bearing mechanism is the schema/converter registry: each
 // application registers its native schema plus a conversion to a shared
 // representation, and the Space finds multi-hop conversion paths between

@@ -47,23 +47,11 @@ func (o *Object) clone() *Object {
 // contract promises the caller a row of its own (Get, Snapshot, Remove).
 func (o *Object) Clone() *Object { return o.clone() }
 
-// RelKind is an inter-object relationship, per the paper's "composition,
-// dependencies".
-type RelKind string
-
-// Relationship kinds.
-const (
-	RelComposedOf  RelKind = "composed-of" // parent -> part
-	RelDependsOn   RelKind = "depends-on"  // dependent -> dependency
-	RelDerivedFrom RelKind = "derived-from"
-)
-
 // Errors of the space layer.
 var (
 	ErrUnknownObject = errors.New("information: unknown object")
 	ErrDenied        = errors.New("information: access denied")
 	ErrConflict      = errors.New("information: version conflict")
-	ErrCycle         = errors.New("information: relationship cycle")
 )
 
 // Conflict describes a concurrent cross-site update that was resolved
@@ -358,28 +346,6 @@ func (s *Space) Share(actor, objID, grantee string, writable bool) error {
 	return nil
 }
 
-// Relate records a typed relationship; composition and dependency must stay
-// acyclic.
-func (s *Space) Relate(from string, kind RelKind, to string) error {
-	return s.store.Relate(from, kind, to)
-}
-
-// Related returns directly related object ids.
-func (s *Space) Related(from string, kind RelKind) []string {
-	return s.store.Related(from, kind)
-}
-
-// Dependents returns ids of objects that relate TO the given id over kind
-// (e.g. everything that depends-on it).
-func (s *Space) Dependents(to string, kind RelKind) []string {
-	return s.store.Dependents(to, kind)
-}
-
-// Closure returns all objects transitively reachable from id over kind.
-func (s *Space) Closure(from string, kind RelKind) []string {
-	return s.store.Closure(from, kind)
-}
-
 // Query returns copies of objects of the given schema whose fields contain
 // all the given key/value pairs (empty filter = all of that schema).
 func (s *Space) Query(actor, schemaName string, filter map[string]string) ([]*Object, error) {
@@ -408,8 +374,9 @@ func (s *Space) Query(actor, schemaName string, filter map[string]string) ([]*Ob
 // migration path: a site no longer placed for an object's space pushes
 // the row to a placed site and drops its local copy. It bypasses the ACL
 // (the caller is the replication layer, not a principal) and publishes an
-// "evict" event; other replicas are untouched. Returns the removed row,
-// or nil when the id was not stored.
+// "evict" event; other replicas are untouched. The row is all this replica
+// held for the id: nothing else goes with it. Returns the removed row, or
+// nil when the id was not stored.
 func (s *Space) Drop(id string) (*Object, error) {
 	removed, err := s.store.Remove(id)
 	if err != nil || removed == nil {

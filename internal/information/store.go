@@ -1,16 +1,14 @@
 package information
 
 import (
-	"fmt"
 	"sync"
 
 	"mocca/internal/vclock"
 )
 
-// Store is the storage engine beneath a Space: object rows under one lock,
-// and the relationship graph every backend holds (RelationGraph). It knows nothing about schemas,
-// access control, events or replication policy — the Space (the engine)
-// layers those on top. The split is what lets one site host its Space over
+// Store is the storage engine beneath a Space: object rows under one lock.
+// It knows nothing about schemas, access control, events or replication
+// policy — the Space (the engine) layers those on top. The split is what lets one site host its Space over
 // a local replica store while a future backend swaps the in-memory maps
 // for persistence without touching the engine.
 //
@@ -24,7 +22,6 @@ import (
 type Store struct {
 	mu      sync.RWMutex
 	objects map[string]*Object
-	rels    RelationGraph
 }
 
 // NewStore creates an empty in-memory store.
@@ -100,8 +97,7 @@ func (st *Store) Has(id string) bool {
 	return ok
 }
 
-// Remove deletes the row for id and every relationship edge touching it
-// (RelationGraph.Strip says why), returning a copy of the removed row;
+// Remove deletes the row for id, returning a copy of the removed row;
 // (nil, nil) when absent.
 func (st *Store) Remove(id string) (*Object, error) {
 	st.mu.Lock()
@@ -111,7 +107,6 @@ func (st *Store) Remove(id string) (*Object, error) {
 		return nil, nil
 	}
 	delete(st.objects, id)
-	st.rels.Strip(id)
 	return obj.clone(), nil
 }
 
@@ -144,32 +139,3 @@ func (st *Store) Digest() map[string]vclock.Version {
 	}
 	return out
 }
-
-// --- relationships -------------------------------------------------------
-
-// Relate records a typed relationship; composition and dependency must
-// stay acyclic. Both endpoints must exist.
-func (st *Store) Relate(from string, kind RelKind, to string) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, id := range [2]string{from, to} {
-		if _, ok := st.objects[id]; !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownObject, id)
-		}
-	}
-	rel := Relation{From: from, Kind: kind, To: to}
-	if err := st.rels.Check(rel); err != nil {
-		return err
-	}
-	st.rels.Add(rel)
-	return nil
-}
-
-// Related returns directly related object ids, sorted.
-func (st *Store) Related(from string, kind RelKind) []string { return st.rels.Related(from, kind) }
-
-// Dependents returns ids of objects that relate TO the given id over kind.
-func (st *Store) Dependents(to string, kind RelKind) []string { return st.rels.Dependents(to, kind) }
-
-// Closure returns all ids transitively reachable from id over kind.
-func (st *Store) Closure(from string, kind RelKind) []string { return st.rels.Closure(from, kind) }

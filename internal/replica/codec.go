@@ -23,15 +23,16 @@ import (
 // Stats.DigestBytes is the encoded size of those sections.
 //
 // The tags have the high bit set, so a body in a hex dump names its
-// message. 0x82 and 0x84,
-// the replies with full child paths and a mirrored digest, are retired.
+// message. 0x82 and 0x84, the replies with full child paths and a mirrored
+// digest, are retired, and so is 0x85, the push that carried relationship
+// edges beside its rows.
 const (
 	tagDigestReq  byte = 0x81
 	tagSyncReq    byte = 0x83
-	tagPushReq    byte = 0x85
 	tagPushResp   byte = 0x86
 	tagDigestResp byte = 0x87
 	tagSyncResp   byte = 0x88
+	tagPushReq    byte = 0x89
 )
 
 // childRecordSize is one record of a children section: the parent's
@@ -86,14 +87,7 @@ func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
 func (m pushReq) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagPushReq)
 	b = wire.AppendString(b, m.Site)
-	b = wire.AppendList(b, m.Objects, information.AppendObject)
-	b = wire.AppendUint64(b, uint64(len(m.Relations)))
-	for _, rel := range m.Relations {
-		b = wire.AppendString(b, rel.From)
-		b = wire.AppendString(b, rel.Kind)
-		b = wire.AppendString(b, rel.To)
-	}
-	return b, nil
+	return wire.AppendList(b, m.Objects, information.AppendObject), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -212,12 +206,6 @@ func (m *syncResp) UnmarshalBinary(data []byte) error {
 func (m *pushReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushReq, "pushReq")
 	*m = pushReq{Site: b.String(), Objects: information.ConsumeObjects(&b)}
-	if n := b.Count(12); n > 0 { // three length prefixes
-		m.Relations = make([]wireRelation, n)
-		for i := range m.Relations {
-			m.Relations[i] = wireRelation{From: b.String(), Kind: b.String(), To: b.String()}
-		}
-	}
 	return b.Close()
 }
 

@@ -113,21 +113,22 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("syncResp/edge rows", syncResp{Site: "köln", Want: []string{"nil-vv", "obj-ünï-日本"}, Deltas: edgeRows()}),
 		wiretest.Of("syncResp/zero", syncResp{}),
 		wiretest.Of("pushReq", pushReq{Site: "s000", Objects: benchRows(3)}),
-		wiretest.Of("pushReq/migration", pushReq{Site: "s000", Objects: edgeRows(), Relations: []wireRelation{
-			{From: "nil-vv", Kind: string(information.RelDependsOn), To: "wide-vv"}, {From: "obj-ünï-日本", Kind: "", To: ""}}}),
+		wiretest.Of("pushReq/edge rows", pushReq{Site: "s000", Objects: edgeRows()}),
 		wiretest.Of("pushResp", pushResp{Applied: 3, Conflicts: 1, Refused: []string{"obj000002", "obj-ünï-日本"}}),
 		wiretest.Of("pushResp/zero", pushResp{}),
 	}, goldenCases()...)
 }
 
-// goldenCases are the replies whose layout is pinned byte for byte: the
-// children section, the marks only on a mismatch, the want-list.
+// goldenCases are the bodies whose layout is pinned byte for byte: the
+// children section, the marks only on a mismatch, the want-list, and a
+// push that is its rows and nothing after them.
 func goldenCases() []wiretest.Case {
 	return []wiretest.Case{
 		wiretest.Of("digestResp/match", digestResp{Site: "s001", Match: true}),
 		wiretest.Of("digestResp/mismatch", digestResp{Site: "s001", Children: childrenSection(wire.PackTreePath(0, 0)), HW: map[string]uint64{"s000": 41}}),
 		wiretest.Of("digestResp/descent", digestResp{Site: "s001", Children: childrenSection(wire.PackTreePath(1, 3), wire.PackTreePath(2, 255))}),
 		wiretest.Of("syncResp/want", syncResp{Site: "s001", Want: []string{"obj000003", "obj000017"}}),
+		wiretest.Of("pushReq/no rows", pushReq{Site: "s000"}),
 	}
 }
 
@@ -137,6 +138,7 @@ func TestBodiesGolden(t *testing.T) {
 		"digestResp/mismatch": "87060000000473303031000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c1500000000000000001000000047330303000000000000000290000000000000000",
 		"digestResp/descent":  "87020000000473303031000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
 		"syncResp/want":       "8800000004733030310000000000000002000000096f626a303030303033000000096f626a3030303031370000000000000000",
+		"pushReq/no rows":     "8900000004733030300000000000000000",
 	})
 }
 

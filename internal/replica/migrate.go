@@ -14,23 +14,22 @@ type MigrationReport struct {
 	Foreign  int // rows found that this site is not placed for
 	Moved    int // rows pushed to a placed peer
 	Dropped  int // rows evicted locally after a successful push
-	Kept     int // rows retained (no reachable placed peer — never drop data)
+	Kept     int // rows retained, Foreign - Dropped (never drop data a peer has not taken)
 	Failures int // push exchanges that failed
 }
 
 // MigrateForeign moves rows of spaces this site is no longer placed in
 // off this replica: each foreign row is pushed (MethodPush) to the first
-// placed site among the named peers together with the relationship edges
-// touching it, and only rows the target ACCEPTED (absent from the
-// response's Refused list) are dropped locally. Rows whose placement
-// names no reachable peer, whose push fails, that the target refuses
-// (e.g. the policy moved again mid-flight), or that a local write
-// touched after the migration snapshot (the push did not cover the new
-// state) are kept — migration never destroys the only copy. Edges whose other endpoint the target does not
-// hold cannot be recorded there (cross-site edges are an open item) and
-// are lost with the local drop. done (optional) receives the report when
-// every push has completed; under a simulated clock, drain the clock to
-// let the pushes run.
+// placed site among the named peers, and only rows the target ACCEPTED
+// (absent from the response's Refused list) are dropped locally. Rows
+// whose placement names no reachable peer, whose push fails, that the
+// target refuses (e.g. the policy moved again mid-flight), that a local
+// write touched after the migration snapshot (the push did not cover the
+// new state), or whose local drop fails are kept — migration never
+// destroys the only copy. Every foreign row is reported either Dropped or
+// Kept. done (optional) receives the report when every push has
+// completed; under a simulated clock, drain the clock to let the pushes
+// run.
 func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
 	if done == nil {
 		done = func(MigrationReport) {}
@@ -98,12 +97,7 @@ func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
 			return
 		}
 		batch := groups[targets[i]]
-		ids := make([]string, len(batch))
-		for j, obj := range batch {
-			ids[j] = obj.ID
-		}
-		req := pushReq{Site: r.site, Objects: batch, Relations: r.edgesTouching(ids)}
-		r.ep.GoMsg(targets[i], MethodPush, req, func(res rpc.Result) {
+		r.ep.GoMsg(targets[i], MethodPush, pushReq{Site: r.site, Objects: batch}, func(res rpc.Result) {
 			var pr pushResp
 			if err := res.Decode(&pr); err != nil {
 				// Unreachable target: the rows stay here until the next
@@ -125,11 +119,11 @@ func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
 					rep.Moved++
 					// Evict only what the push covered: a local write that
 					// landed after the migration snapshot keeps the row for
-					// the next pass instead of being destroyed.
-					removed, derr := r.space.DropCovered(obj.ID, obj.VV)
-					if derr == nil && removed != nil {
+					// the next pass instead of being destroyed, and so does
+					// a drop the backend fails.
+					if removed, derr := r.space.DropCovered(obj.ID, obj.VV); derr == nil && removed != nil {
 						rep.Dropped++
-					} else if derr == nil {
+					} else {
 						rep.Kept++
 					}
 				}
@@ -138,34 +132,4 @@ func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
 		}, rpc.CallTimeout(DefaultSyncTimeout))
 	}
 	step(0)
-}
-
-// edgesTouching collects every relationship edge with an endpoint among
-// ids, deduplicated — the graph share that must travel with migrating
-// rows.
-func (r *Replicator) edgesTouching(ids []string) []wireRelation {
-	kinds := []information.RelKind{
-		information.RelComposedOf, information.RelDependsOn, information.RelDerivedFrom,
-	}
-	seen := make(map[wireRelation]bool)
-	var out []wireRelation
-	for _, id := range ids {
-		for _, k := range kinds {
-			for _, to := range r.space.Related(id, k) {
-				e := wireRelation{From: id, Kind: string(k), To: to}
-				if !seen[e] {
-					seen[e] = true
-					out = append(out, e)
-				}
-			}
-			for _, from := range r.space.Dependents(id, k) {
-				e := wireRelation{From: from, Kind: string(k), To: id}
-				if !seen[e] {
-					seen[e] = true
-					out = append(out, e)
-				}
-			}
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -55,6 +56,15 @@ func newPlacedFixtureOn(t *testing.T, n int, pol *placement.Policy, backend func
 		r.AutoSync(time.Second)
 	}
 	return f
+}
+
+// balanced requires a migration report to account for every foreign row
+// once: dropped here after a target took it, or kept.
+func balanced(t *testing.T, rep MigrationReport) {
+	t.Helper()
+	if rep.Foreign != rep.Dropped+rep.Kept {
+		t.Fatalf("report %+v: Foreign != Dropped + Kept", rep)
+	}
 }
 
 // TestPlacementScopedSync: with a rule scoping body=scoped objects to
@@ -173,6 +183,7 @@ func TestDeplacementMigratesRowsOff(t *testing.T) {
 			if want := fresh + 1; rep.Foreign != want || rep.Moved != want || rep.Dropped != want || rep.Kept != 0 {
 				t.Fatalf("report = %+v", rep)
 			}
+			balanced(t, rep)
 			if len(arrived) != fresh || !sort.StringsAreSorted(arrived) {
 				t.Fatalf("s0 applied %d pushed rows, want %d in id order: %v", len(arrived), fresh, arrived)
 			}
@@ -217,6 +228,7 @@ func TestMigrationNeverDropsSoleCopy(t *testing.T) {
 	if rep.Foreign != 1 || rep.Kept != 1 || rep.Dropped != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
+	balanced(t, rep)
 	if _, err := f.spaces[0].Get("anyone", obj.ID); err != nil {
 		t.Fatalf("sole copy destroyed: %v", err)
 	}
@@ -243,6 +255,7 @@ func TestMigrationKeepsRowsWhenTargetUnreachable(t *testing.T) {
 	if rep.Failures != 1 || rep.Kept != 1 || rep.Dropped != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
+	balanced(t, rep)
 	if _, err := f.spaces[0].Get("anyone", obj.ID); err != nil {
 		t.Fatalf("row dropped despite failed push: %v", err)
 	}
@@ -274,43 +287,12 @@ func TestMigrationKeepsRowWhenTargetRefuses(t *testing.T) {
 	if rep.Foreign != 1 || rep.Kept != 1 || rep.Moved != 0 || rep.Dropped != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
+	balanced(t, rep)
 	if _, err := f.spaces[0].Get("anyone", obj.ID); err != nil {
 		t.Fatalf("sole copy destroyed by refused migration: %v", err)
 	}
 	if _, err := f.spaces[1].Get("anyone", obj.ID); err == nil {
 		t.Fatal("refused row materialised at the target anyway")
-	}
-}
-
-// TestMigrationCarriesRelations: edges between migrating rows travel
-// with them, so the target holds the graph the de-placed site drops.
-func TestMigrationCarriesRelations(t *testing.T) {
-	pol := placement.NewPolicy()
-	f := newPlacedFixture(t, 2, pol)
-	parent, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "design", "body": "scoped"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "appendix", "body": "scoped"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.spaces[0].Relate(parent.ID, information.RelComposedOf, part.ID); err != nil {
-		t.Fatal(err)
-	}
-	pol.Use(placement.ByField("body", "scoped", "s1"))
-	var rep MigrationReport
-	f.reps[0].MigrateForeign(func(r MigrationReport) { rep = r })
-	f.clk.RunUntilIdle()
-
-	if rep.Moved != 2 || rep.Dropped != 2 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if f.spaces[0].Len() != 0 {
-		t.Fatalf("rows left on de-placed site: %d", f.spaces[0].Len())
-	}
-	if got := f.spaces[1].Related(parent.ID, information.RelComposedOf); len(got) != 1 || got[0] != part.ID {
-		t.Fatalf("edge did not migrate: %v", got)
 	}
 }
 
@@ -337,11 +319,51 @@ func TestMigrationKeepsLocallyUpdatedRow(t *testing.T) {
 	if rep.Dropped != 0 || rep.Kept != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
+	balanced(t, rep)
 	got, err := f.spaces[0].Get("anyone", obj.ID)
 	if err != nil {
 		t.Fatalf("newer state destroyed by migration: %v", err)
 	}
 	if got.Fields["title"] != "v2" {
 		t.Fatalf("kept state = %v", got.Fields)
+	}
+}
+
+// failingRemove is a backend whose Remove always fails.
+type failingRemove struct{ *information.Store }
+
+var errRemove = errors.New("remove failed")
+
+func (failingRemove) Remove(string) (*information.Object, error) { return nil, errRemove }
+
+// TestMigrationKeepsRowWhenDropFails: the target took the row but the
+// local eviction fails — the row is still here, so the report counts it
+// as moved and kept, not as dropped.
+func TestMigrationKeepsRowWhenDropFails(t *testing.T) {
+	pol := placement.NewPolicy()
+	f := newPlacedFixtureOn(t, 2, pol, func(site string) information.Backend {
+		if site == "s0" {
+			return failingRemove{information.NewStore()}
+		}
+		return information.NewStore()
+	})
+	obj, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "sticky", "body": "scoped"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol.Use(placement.ByField("body", "scoped", "s1"))
+	var rep MigrationReport
+	f.reps[0].MigrateForeign(func(r MigrationReport) { rep = r })
+	f.clk.RunUntilIdle()
+
+	if rep.Foreign != 1 || rep.Moved != 1 || rep.Dropped != 0 || rep.Kept != 1 {
+		t.Fatalf("report = %+v", rep)
+	}
+	balanced(t, rep)
+	if _, err := f.spaces[0].Get("anyone", obj.ID); err != nil {
+		t.Fatalf("row whose drop failed is gone: %v", err)
+	}
+	if _, err := f.spaces[1].Get("anyone", obj.ID); err != nil {
+		t.Fatalf("target does not hold the pushed row: %v", err)
 	}
 }

@@ -106,21 +106,9 @@ type syncResp struct {
 	Deltas []*information.Object
 }
 
-// wireRelation is one relationship edge on the wire. Migration pushes
-// carry the edges touching the migrated rows, so a de-placed replica's
-// share of the relationship graph moves with its rows.
-type wireRelation struct {
-	From string
-	Kind string
-	To   string
-}
-
 type pushReq struct {
 	Site    string
 	Objects []*information.Object
-	// Relations rides along on migration pushes only; ordinary sync
-	// pushes leave it empty.
-	Relations []wireRelation
 }
 
 // digestReq opens or continues a Merkle digest negotiation. Frames is a

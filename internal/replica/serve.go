@@ -32,14 +32,6 @@ func (r *Replicator) register() {
 	r.ep.MustRegister(MethodPush, rpc.Handle(func(_ netsim.Address, req pushReq) (pushResp, error) {
 		var resp pushResp
 		resp.Applied, resp.Conflicts, resp.Refused = r.applyRows(req.Objects)
-		// Migrated edges: recorded best-effort AFTER the rows, so edges
-		// between rows of the same batch land. An edge whose other
-		// endpoint is not held here cannot be recorded (cross-site edges
-		// are the relationship-graph-replication open item) and is
-		// skipped.
-		for _, rel := range req.Relations {
-			_ = r.space.Relate(rel.From, information.RelKind(rel.Kind), rel.To)
-		}
 		r.bump(func(s *Stats) { s.ServedApplied += int64(resp.Applied) })
 		if resp.Applied > 0 {
 			// Infected becomes infectious: on a sparse peering graph the
