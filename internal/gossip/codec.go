@@ -10,26 +10,30 @@ import (
 // anti-entropy protocol's: a tag byte naming the message, then wire's shared
 // primitives — uint32 length-prefixed strings, big-endian uint64 counts and
 // integers — with a peer as its three strings and rows in the one row codec
-// (information.AppendObject). A Peer alone is the request of gossip.join,
-// gossip.neighbor and gossip.probe: the sender introducing itself.
-// Forward-join, neighbor and probe are answered with wire.Empty: a reply
-// arriving is all the caller learns. A rumor names no sender and carries no
-// vector: the frame's source is the sender, and each entry is a write's id
-// and dot.
+// (information.AppendObject). A Peer alone is the request of gossip.join
+// and gossip.probe: the sender introducing itself. Probe is answered with
+// wire.Empty: a reply arriving is all the caller learns. Disconnect and
+// prune are announcements with the empty body: the frame's source is all
+// they say. No push, ihave or prune names its sender, and none carries a
+// vector beside a row: each write is named by its id and dot.
 //
 // The tags have the high bit set, so a body in a hex dump names its message.
 // Retired tags are not reused, so an old peer's body fails on its first
-// byte: 0x91, the rumor that carried its sender and whole vectors, and 0x92,
-// the rumor reply.
+// byte: 0x91, the rumor that carried its sender and whole vectors; 0x92, the
+// rumor reply; 0x9A, the rumor that carried dots without rows, for a fetch.
+// Peer (0x95) no longer asks for a link: neighborReq does.
 const (
-	tagFetchReq       byte = 0x93
-	tagFetchResp      byte = 0x94
+	tagGraftReq       byte = 0x93
+	tagGraftResp      byte = 0x94
 	tagPeer           byte = 0x95
 	tagJoinResp       byte = 0x96
 	tagForwardJoinReq byte = 0x97
 	tagShuffleReq     byte = 0x98
 	tagShuffleResp    byte = 0x99
-	tagRumorReq       byte = 0x9A
+	tagRumorReq       byte = 0x9B
+	tagIhaveReq       byte = 0x9C
+	tagNeighborReq    byte = 0x9D
+	tagNeighborResp   byte = 0x9E
 )
 
 // appendPeer writes a peer: its site, gossip address and replication
@@ -121,10 +125,104 @@ func (m *shuffleResp) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
+// neighborReq's flags.
+const (
+	flagRing   byte = 1 << 0
+	flagLonely byte = 1 << 1
+)
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m neighborReq) AppendBinary(b []byte) ([]byte, error) {
+	b = appendPeer(append(b, tagNeighborReq), m.From)
+	var flags byte
+	if m.Ring {
+		flags |= flagRing
+	}
+	if m.Lonely {
+		flags |= flagLonely
+	}
+	return append(b, flags), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *neighborReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagNeighborReq, "neighborReq")
+	from := consumePeer(&b)
+	flags := b.Flags(flagRing | flagLonely)
+	*m = neighborReq{From: from, Ring: flags&flagRing != 0, Lonely: flags&flagLonely != 0}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m neighborResp) AppendBinary(b []byte) ([]byte, error) {
+	var flags byte
+	if m.Accepted {
+		flags = 1
+	}
+	return append(b, tagNeighborResp, flags), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *neighborResp) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagNeighborResp, "neighborResp")
+	*m = neighborResp{Accepted: b.Flags(1) != 0}
+	return b.Close()
+}
+
+// appendPushEntry writes one pushed write: its dot's site and counter, then
+// its row.
+func appendPushEntry(b []byte, site string, counter uint64, row *information.Object) []byte {
+	b = wire.AppendString(b, site)
+	b = wire.AppendUint64(b, counter)
+	return information.AppendObject(b, row)
+}
+
 // AppendBinary implements encoding.BinaryAppender.
 func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendUint64(append(b, tagRumorReq), uint64(m.TTL))
-	b = wire.AppendUint64(b, uint64(len(m.Entries)))
+	b = wire.AppendUint64(append(b, tagRumorReq), uint64(len(m.Entries)))
+	for _, e := range m.Entries {
+		b = appendPushEntry(b, e.Site, e.Counter, e.Row)
+	}
+	return b, nil
+}
+
+// appendPush writes the gossip.rumor body that pairs each dot with its row.
+// rows is what FetchWire returned for the dots' ids: a subsequence of them,
+// in their order; a dot whose row is missing is left out.
+func appendPush(b []byte, dots []rumorEntry, rows []*information.Object) []byte {
+	n := 0
+	for _, d := range dots {
+		if n < len(rows) && rows[n].ID == d.ID {
+			n++
+		}
+	}
+	b = wire.AppendUint64(append(b, tagRumorReq), uint64(n))
+	i := 0
+	for _, d := range dots {
+		if i < len(rows) && rows[i].ID == d.ID {
+			b = appendPushEntry(b, d.Site, d.Counter, rows[i])
+			i++
+		}
+	}
+	return b
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *rumorReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
+	*m = rumorReq{}
+	if n := b.Count(4 + 8); n > 0 { // site prefix + counter, before the row
+		m.Entries = make([]pushEntry, n)
+		for i := range m.Entries {
+			m.Entries[i] = pushEntry{Site: b.String(), Counter: b.Uint64(), Row: wire.Consume(&b, information.DecodeObject)}
+		}
+	}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m ihaveReq) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendUint64(append(b, tagIhaveReq), uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		b = wire.AppendString(b, e.ID)
 		b = wire.AppendString(b, e.Site)
@@ -133,31 +231,10 @@ func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// size is the length of the body AppendBinary writes, for a sender that
-// builds it in a buffer of its own.
-func (m rumorReq) size() int {
-	n := 1 + 2*8
-	for _, e := range m.Entries {
-		n += 2*4 + len(e.ID) + len(e.Site) + 8
-	}
-	return n
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m fetchReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendString(append(b, tagFetchReq), m.Site)
-	return wire.AppendStrings(b, m.IDs), nil
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m fetchResp) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendList(append(b, tagFetchResp), m.Objects, information.AppendObject), nil
-}
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *rumorReq) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
-	*m = rumorReq{TTL: b.Int()}
+func (m *ihaveReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagIhaveReq, "ihaveReq")
+	*m = ihaveReq{}
 	if n := b.Count(2*4 + 8); n > 0 { // id and site prefixes + counter
 		m.Entries = make([]rumorEntry, n)
 		for i := range m.Entries {
@@ -167,16 +244,27 @@ func (m *rumorReq) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *fetchReq) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagFetchReq, "fetchReq")
-	*m = fetchReq{Site: b.String(), IDs: b.Strings()}
-	return b.Close()
+// AppendBinary implements encoding.BinaryAppender.
+func (m graftReq) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendString(append(b, tagGraftReq), m.Site)
+	return wire.AppendStrings(b, m.IDs), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *fetchResp) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagFetchResp, "fetchResp")
-	*m = fetchResp{Objects: information.ConsumeObjects(&b)}
+func (m *graftReq) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagGraftReq, "graftReq")
+	*m = graftReq{Site: b.String(), IDs: b.Strings()}
+	return b.Close()
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m graftResp) AppendBinary(b []byte) ([]byte, error) {
+	return wire.AppendList(append(b, tagGraftResp), m.Objects, information.AppendObject), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (m *graftResp) UnmarshalBinary(data []byte) error {
+	b := wire.OpenBody(data, tagGraftResp, "graftResp")
+	*m = graftResp{Objects: information.ConsumeObjects(&b)}
 	return b.Close()
 }

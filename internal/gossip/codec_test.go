@@ -75,17 +75,35 @@ func bodyCases() []wiretest.Case {
 	for i := range rows {
 		rows[i] = benchRow(i)
 	}
+	pushed := make([]pushEntry, len(rows))
+	for i, row := range rows {
+		pushed[i] = pushEntry{Site: "s000", Counter: uint64(i + 1), Row: row}
+	}
+	var edgePushed []pushEntry
+	for _, row := range edgeRows() {
+		edgePushed = append(edgePushed, pushEntry{Site: row.Site, Counter: 1<<64 - 1, Row: row})
+	}
 	return []wiretest.Case{
-		wiretest.Of("rumorReq/publish", rumorReq{TTL: DefaultTTL, Entries: rumorEntries(1)}),
-		wiretest.Of("rumorReq/batch", rumorReq{TTL: 1, Entries: rumorEntries(64)}),
-		wiretest.Of("rumorReq/edge", rumorReq{TTL: -1, Entries: []rumorEntry{
+		wiretest.Of("rumorReq/publish", rumorReq{Entries: pushed[:1]}),
+		wiretest.Of("rumorReq/batch", rumorReq{Entries: pushed}),
+		wiretest.Of("rumorReq/edge rows", rumorReq{Entries: edgePushed}),
+		wiretest.Of("rumorReq/zero", rumorReq{}, rumorReq{Entries: []pushEntry{}}),
+		wiretest.Of("ihaveReq", ihaveReq{Entries: rumorEntries(1)}),
+		wiretest.Of("ihaveReq/batch", ihaveReq{Entries: rumorEntries(64)}),
+		wiretest.Of("ihaveReq/edge", ihaveReq{Entries: []rumorEntry{
 			{ID: "obj-ünï-日本", Site: "köln", Counter: 1<<64 - 1}, {}}}),
-		wiretest.Of("rumorReq/zero", rumorReq{}),
-		wiretest.Of("fetchReq", fetchReq{Site: "s003", IDs: []string{"obj000001", "obj-ünï-日本", ""}}),
-		wiretest.Of("fetchReq/zero", fetchReq{}),
-		wiretest.Of("fetchResp", fetchResp{Objects: rows}),
-		wiretest.Of("fetchResp/edge rows", fetchResp{Objects: edgeRows()}),
-		wiretest.Of("fetchResp/zero", fetchResp{}),
+		wiretest.Of("ihaveReq/zero", ihaveReq{}, ihaveReq{Entries: []rumorEntry{}}),
+		wiretest.Of("neighborReq", neighborReq{From: from}),
+		wiretest.Of("neighborReq/ring", neighborReq{From: from, Ring: true}),
+		wiretest.Of("neighborReq/lonely ring", neighborReq{From: from, Ring: true, Lonely: true}),
+		wiretest.Of("neighborReq/zero", neighborReq{}),
+		wiretest.Of("neighborResp", neighborResp{Accepted: true}),
+		wiretest.Of("neighborResp/refused", neighborResp{}),
+		wiretest.Of("graftReq", graftReq{Site: "s003", IDs: []string{"obj000001", "obj-ünï-日本", ""}}),
+		wiretest.Of("graftReq/zero", graftReq{}),
+		wiretest.Of("graftResp", graftResp{Objects: rows}),
+		wiretest.Of("graftResp/edge rows", graftResp{Objects: edgeRows()}),
+		wiretest.Of("graftResp/zero", graftResp{}),
 		wiretest.Of("peer", from),
 		wiretest.Of("peer/edge", Peer{Site: "köln", Addr: "gossip-köln"}),
 		wiretest.Of("peer/zero", Peer{}),
@@ -103,10 +121,18 @@ func bodyCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"rumorReq/publish": "9a00000000000000060000000000000001000000096f626a30303030303000000004733030300000000000000001",
-		"fetchReq": "9300000004733030330000000000000003000000096f626a303030303031000000106f626a2dc3bc6ec3af2de697a5e6" +
+		"rumorReq/publish": "9b000000000000000100000004733030300000000000000001000000096f626a303030303030000000116d6f6363612d69" +
+			"6e7465726368616e6765000000067530303030300000000473303030000000000000000100000000000000010000000473" +
+			"303030000000000000000109d39b5f4a6aa00009d39b5f4a6aa000000000000000000400000006617574686f7200000006" +
+			"75303030303000000004626f64790000002373686172656420776f726b696e67206d6174657269616c20666f7220616374" +
+			"3030303000000007636f6e746578740000000761637430303030000000057469746c650000000e73656564206f626a3030" +
+			"30303030",
+		"ihaveReq":         "9c0000000000000001000000096f626a30303030303000000004733030300000000000000001",
+		"neighborReq/ring": "9d00000004733030330000000b676f737369702d73303033000000097265706c2d7330303301",
+		"neighborResp":     "9e01",
+		"graftReq": "9300000004733030330000000000000003000000096f626a303030303031000000106f626a2dc3bc6ec3af2de697a5e6" +
 			"9cac00000000",
-		"fetchResp/zero": "940000000000000000",
+		"graftResp/zero": "940000000000000000",
 		"peer":           "9500000004733030330000000b676f737369702d73303033000000097265706c2d73303033",
 		"joinResp": "9600000004733030330000000b676f737369702d73303033000000097265706c2d733030330000000000000001000000" +
 			"04733030300000000b676f737369702d73303030000000097265706c2d73303030000000000000000100000004733030" +
@@ -120,11 +146,6 @@ func TestBodiesGolden(t *testing.T) {
 
 func TestBodiesRoundTrip(t *testing.T) {
 	wiretest.RoundTrip(t, bodyCases())
-	for _, c := range bodyCases() {
-		if m, ok := c.Msg.(rumorReq); ok && m.size() != len(c.Encode(t)) {
-			t.Fatalf("%s: size() = %d, the body is %d bytes", c.Name, m.size(), len(c.Encode(t)))
-		}
-	}
 }
 
 // TestBodiesCanonical: equal messages encode to equal bytes whatever
@@ -133,7 +154,7 @@ func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ref := benchRow(5)
 	ref.VV = wideVV()
-	wantRows, _ := fetchResp{Objects: []*information.Object{ref}}.AppendBinary(nil)
+	wantRows, _ := graftResp{Objects: []*information.Object{ref}}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
 		row := benchRow(5)
 		sites := make([]string, 0, len(ref.VV))
@@ -152,8 +173,8 @@ func TestBodiesCanonical(t *testing.T) {
 		for _, k := range keys {
 			row.Fields[k] = fields[k]
 		}
-		if got, _ := (fetchResp{Objects: []*information.Object{row}}).AppendBinary(nil); !bytes.Equal(got, wantRows) {
-			t.Fatalf("trial %d: fetchResp bytes depend on map insertion order", trial)
+		if got, _ := (graftResp{Objects: []*information.Object{row}}).AppendBinary(nil); !bytes.Equal(got, wantRows) {
+			t.Fatalf("trial %d: graftResp bytes depend on map insertion order", trial)
 		}
 	}
 }
@@ -165,12 +186,14 @@ func TestBodiesRejectDamage(t *testing.T) {
 	huge := wire.AppendUint64(nil, 1<<60) // each count, aimed at
 	noPeer := make([]byte, 3*4)           // three empty strings
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
-		"entries": append(append([]byte{tagRumorReq}, wire.AppendUint64(nil, 6)...), huge...),
-		// The retired rumor, which carried its sender and whole vectors:
-		// an old peer's rumor fails on its tag.
+		"pushed entries": append([]byte{tagRumorReq}, huge...),
+		"ihave entries":  append([]byte{tagIhaveReq}, huge...),
+		// The retired rumors — one carried its sender and whole vectors,
+		// the other dots without rows — fail on their tags.
 		"retired rumor entries": append(append(append([]byte{0x91}, noPeer...), wire.AppendUint64(nil, 6)...), huge...),
-		"ids":                   append([]byte{tagFetchReq, 0, 0, 0, 0}, huge...),
-		"objects":               append([]byte{tagFetchResp}, huge...),
+		"retired dot rumor":     append(append(append([]byte{0x9A}, wire.AppendUint64(nil, 6)...), wire.AppendUint64(nil, 1)...), huge...),
+		"ids":                   append([]byte{tagGraftReq, 0, 0, 0, 0}, huge...),
+		"objects":               append([]byte{tagGraftResp}, huge...),
 		"active":                append(append([]byte{tagJoinResp}, noPeer...), huge...),
 		"passive":               append(append(append([]byte{tagJoinResp}, noPeer...), wire.AppendUint64(nil, 0)...), huge...),
 		"shuffle sample":        append(append([]byte{tagShuffleReq}, noPeer...), huge...),
@@ -212,8 +235,10 @@ func tappedOverlays(tb testing.TB, n int, tap func(*channel.Frame)) (*vclock.Sim
 
 // rumorRound runs a real four-site overlay — joins, forward-joins, the
 // stabilization rounds' neighbor requests, probes and shuffles — then a
-// rumor exchange: publish at one site, pull and apply at the others. It
-// returns every body it put on the wire by rpc method.
+// rumor exchange: publishes at one site pushed and applied at the others,
+// the duplicates pruned, the lazy peers told by ihave, and one graft of a
+// write that was announced but never pushed. It returns every body it put
+// on the wire by rpc method.
 func rumorRound(tb testing.TB) map[string][][]byte {
 	tb.Helper()
 	bodies := map[string][][]byte{}
@@ -234,15 +259,27 @@ func rumorRound(tb testing.TB) map[string][][]byte {
 			tb.Fatalf("rumored rows did not land at g%02d: %v", i+1, rep.rows)
 		}
 	}
+	// A write g01 holds but only announces: g00 grafts it.
+	replicas[1].rows["obj-graft"] = vclock.Version{"g01": 1}
+	announceIhave(overlays[1], overlays[0], rumorEntry{ID: "obj-graft", Site: "g01", Counter: 1})
+	clk.RunUntilIdle()
+	if _, ok := replicas[0].rows["obj-graft"]; !ok {
+		tb.Fatal("the announced write was never grafted")
+	}
 	return bodies
+}
+
+// announceIhave has from send to an ihave naming entries, as a flush does.
+func announceIhave(from, to *Overlay, entries ...rumorEntry) {
+	from.announce(to.Self().Addr, MethodIhave, ihaveReq{Entries: entries})
 }
 
 // FuzzGossipBodies: whatever bytes arrive, a decoder either refuses them
 // or yields a message that encodes and decodes back to itself.
 func FuzzGossipBodies(f *testing.F) {
 	bodies := rumorRound(f)
-	for _, method := range []string{MethodRumor, MethodFetch} {
-		if len(bodies[method]) < 2 { // three rumors; a fetch request and its reply
+	for _, method := range []string{MethodRumor, MethodIhave, MethodNeighbor, MethodGraft} {
+		if len(bodies[method]) < 2 { // requests and replies, or pushes to several peers
 			f.Fatalf("the seeding round put %d %s bodies on the wire", len(bodies[method]), method)
 		}
 	}
@@ -255,7 +292,9 @@ func FuzzGossipBodies(f *testing.F) {
 		f.Add(c.Encode(f))
 	}
 	wiretest.Fuzz(f, []wiretest.Case{
-		wiretest.Of("rumorReq", rumorReq{}), wiretest.Of("fetchReq", fetchReq{}), wiretest.Of("fetchResp", fetchResp{}),
+		wiretest.Of("rumorReq", rumorReq{}), wiretest.Of("ihaveReq", ihaveReq{}),
+		wiretest.Of("neighborReq", neighborReq{}), wiretest.Of("neighborResp", neighborResp{}),
+		wiretest.Of("graftReq", graftReq{}), wiretest.Of("graftResp", graftResp{}),
 		wiretest.Of("peer", Peer{}), wiretest.Of("joinResp", joinResp{}), wiretest.Of("forwardJoinReq", forwardJoinReq{}),
 		wiretest.Of("shuffleReq", shuffleReq{}), wiretest.Of("shuffleResp", shuffleResp{}),
 	})
@@ -263,10 +302,11 @@ func FuzzGossipBodies(f *testing.F) {
 
 // TestRumorRoundBodiesAreBinary: every body of a real overlay's life —
 // membership and rumor plane, request and reply — is a binary one or the
-// empty body of a reply with nothing to say.
+// empty body of a message with nothing to say.
 func TestRumorRoundBodiesAreBinary(t *testing.T) {
 	bodies := rumorRound(t)
-	for _, method := range []string{MethodJoin, MethodForwardJoin, MethodNeighbor, MethodShuffle, MethodProbe, MethodRumor, MethodFetch} {
+	for _, method := range []string{MethodJoin, MethodForwardJoin, MethodNeighbor, MethodShuffle, MethodProbe,
+		MethodRumor, MethodIhave, MethodPrune, MethodGraft} {
 		if len(bodies[method]) == 0 {
 			t.Fatalf("the round put no %s body on the wire", method)
 		}
@@ -282,11 +322,11 @@ func TestRumorRoundBodiesAreBinary(t *testing.T) {
 
 var benchSink int
 
-// BenchmarkRumorReqCodec prices one rumor batch — 64 entries — each way. (A
-// rumor carries ids and dots, no rows; BenchmarkSyncRespCodec in
-// internal/replica prices the rows.)
-func BenchmarkRumorReqCodec(b *testing.B) {
-	msg := rumorReq{TTL: DefaultTTL, Entries: rumorEntries(64)}
+// BenchmarkIhaveReqCodec prices one ihave batch — 64 entries — each way. (An
+// ihave carries ids and dots, no rows; BenchmarkSyncRespCodec in
+// internal/replica prices the rows a push carries.)
+func BenchmarkIhaveReqCodec(b *testing.B) {
+	msg := ihaveReq{Entries: rumorEntries(64)}
 	body, err := msg.AppendBinary(nil)
 	if err != nil {
 		b.Fatal(err)
@@ -306,7 +346,7 @@ func BenchmarkRumorReqCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
-			var out rumorReq
+			var out ihaveReq
 			if err := out.UnmarshalBinary(body); err != nil {
 				b.Fatal(err)
 			}

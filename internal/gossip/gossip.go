@@ -10,7 +10,8 @@
 //   - Partial-view membership. Each overlay keeps an active view of
 //     ~⌈log₂ n⌉+c peers (the sites it actually syncs with) plus a larger
 //     passive view of known-but-unused peers. The views are maintained by
-//     join / forward-join / neighbor / shuffle / probe messages that ride
+//     join / forward-join / neighbor / disconnect / shuffle / probe
+//     messages that ride
 //     the ordinary rpc channel stack, so membership traffic is traced,
 //     counted and fault-injectable like everything else. Peers are
 //     discovered through trader offers (one "gossip-membership" offer per
@@ -21,16 +22,24 @@
 //     which is what makes drain-to-convergence a guarantee rather than a
 //     probability.
 //
-//   - Rumor mongering. A fresh local write publishes a small rumor
-//     (object id + the write's dot: its site and counter) to the active
-//     view with a hop-count TTL. A rumor is an announcement: one frame
-//     per target, no reply, no timeout, nothing kept at the sender. A
-//     receiver that has not seen the write pulls the row from the
-//     rumor's sender — the frame's source — (gossip.fetch), applies it,
-//     arms its own anti-entropy round, and re-forwards the rumor — so
-//     hot updates cover the overlay in O(log n) hops without waiting for
-//     sync intervals, and anti-entropy remains the repair path rather
-//     than the propagation path: a lost rumor is one it repairs.
+//   - Rumor mongering on a broadcast tree (Plumtree: Leitão, Pereira,
+//     Rodrigues, "Epidemic Broadcast Trees", SRDS 2007). Active views
+//     are symmetric — a link is held at both ends or at neither — and
+//     each member splits its view into eager peers and lazy peers. A
+//     fresh write is pushed as its row, named by its dot (site and
+//     counter), to the eager peers (gossip.rumor) and announced by dot
+//     alone to the lazy ones, batched per interval (gossip.ihave). The
+//     first receipt of a dot applies the row, arms anti-entropy and
+//     passes the row on the same way; a second receipt is a duplicate,
+//     answered with gossip.prune, which makes the sender treat the
+//     receiver as lazy. Duplicates thus prune the eager links down to a
+//     spanning tree, so a write crosses each member once. A dot an ihave
+//     named that has not arrived after a timeout is grafted
+//     (gossip.graft): pulled from the announcer, whose link turns eager
+//     again — how the tree mends around a dead member. Pushes, ihaves
+//     and prunes are announcements: one frame per target, no reply,
+//     nothing kept at the sender. Anti-entropy remains the repair path
+//     rather than the propagation path: a lost push is one it repairs.
 //
 //   - View-scoped anti-entropy. The Replicator's peer set is driven by
 //     the active view through the OnChange callback: peers entering the
@@ -67,20 +76,32 @@ const (
 	// and answers with a view sample the joiner bootstraps from.
 	MethodJoin = "gossip.join"
 	// MethodForwardJoin spreads a joiner across the overlay on a
-	// TTL-limited walk; receivers with spare active capacity adopt it.
+	// TTL-limited walk of announcements; receivers with spare active
+	// capacity adopt it.
 	MethodForwardJoin = "gossip.forward-join"
 	// MethodNeighbor asks a peer to establish a symmetric active-view
-	// link (promotion from the passive view, ring pinning, heal mends).
+	// link (promotion from the passive view, ring pinning, heal mends). A
+	// full member refuses unless the request is high-priority.
 	MethodNeighbor = "gossip.neighbor"
+	// MethodDisconnect tells a peer its link is gone — the evicting end
+	// announces it, so the evicted end drops the link too.
+	MethodDisconnect = "gossip.disconnect"
 	// MethodShuffle exchanges passive-view samples between two peers.
 	MethodShuffle = "gossip.shuffle"
 	// MethodProbe is the liveness check run against the active view.
 	MethodProbe = "gossip.probe"
-	// MethodRumor announces fresh-write rumors (id + the write's dot, TTL);
-	// it is one-way (rpc.Endpoint.Announce) and has no reply.
+	// MethodRumor pushes fresh writes to eager peers: each as its dot and
+	// the row. It is one-way (rpc.Endpoint.Announce) and has no reply.
 	MethodRumor = "gossip.rumor"
-	// MethodFetch pulls the rows behind a rumor from its sender.
-	MethodFetch = "gossip.fetch"
+	// MethodIhave announces fresh writes by dot alone to lazy peers,
+	// batched per interval.
+	MethodIhave = "gossip.ihave"
+	// MethodPrune answers a duplicate push: the sender makes the receiver
+	// a lazy peer.
+	MethodPrune = "gossip.prune"
+	// MethodGraft pulls announced rows that never arrived from their
+	// announcer and makes the link eager again.
+	MethodGraft = "gossip.graft"
 )
 
 // Trader vocabulary: each live site exports one membership offer, so the
@@ -105,9 +126,6 @@ const (
 	// DefaultTimeout bounds each overlay rpc so a dead peer degrades the
 	// round instead of stalling it.
 	DefaultTimeout = 800 * time.Millisecond
-	// DefaultTTL is the rumor hop budget — enough for the active-view
-	// graph's diameter at 10³ sites.
-	DefaultTTL = 6
 	// DefaultWalkTTL is the forward-join walk length.
 	DefaultWalkTTL = 3
 	// DefaultQuietCap is how many consecutive no-change stabilization
@@ -122,6 +140,12 @@ const (
 	// seenCap bounds the rumor-dedup set; past it the set resets (stale
 	// rumors are still cheap: HasSeen keeps them from re-applying).
 	seenCap = 8192
+	// ihaveInterval batches lazy announcements: a lazy peer hears of
+	// the writes of one interval in one gossip.ihave.
+	ihaveInterval = 250 * time.Millisecond
+	// graftTimeout is how long a write an ihave named may stay missing
+	// before it is grafted from the announcer.
+	graftTimeout = 250 * time.Millisecond
 )
 
 // Peer identifies one overlay member: its site name, its gossip endpoint
@@ -133,17 +157,17 @@ type Peer struct {
 }
 
 // Replica is the slice of the replication layer the overlay needs: rumor
-// staleness checks, the pull half of rumor mongering, and round arming.
+// staleness checks, the rows a push or graft carries, and round arming.
 // *replica.Replicator implements it.
 type Replica interface {
 	// HasSeen reports whether the local replica already holds the write
 	// of id whose dot is (site, counter): whether its vector's site entry
 	// is at least counter.
 	HasSeen(id, site string, counter uint64) bool
-	// FetchWire returns the named rows for a gossip.fetch reply,
-	// placement-scoped to the requesting site.
+	// FetchWire returns the named rows for a push to or a graft by
+	// forSite, placement-scoped to that site, in the order of ids.
 	FetchWire(forSite string, ids []string) []*information.Object
-	// ApplyWire merges fetched rows, returning how many changed state.
+	// ApplyWire merges pushed rows, returning how many changed state.
 	ApplyWire(objs []*information.Object) int
 	// SyncSoon arms an anti-entropy round — rumor applies kick it so the
 	// sync layer floods what rumors seeded.
@@ -162,12 +186,17 @@ type Stats struct {
 	ProbeFailures   int64 // probes that timed out or errored
 	Promotions      int64 // passive→active promotions
 	Demotions       int64 // active→passive demotions (failure or eviction)
-	RumorsPublished int64 `metric:"rumors_published"` // locally-originated rumor sends
-	RumorsForwarded int64 `metric:"rumors_forwarded"` // rumor re-forwards
-	RumorsSeen      int64 `metric:"rumors_seen"`      // rumor entries received (fresh or duplicate)
-	RumorFetches    int64 `metric:"rumor_fetches"`    // fetch pulls issued for rumored rows
-	RumorApplied    int64 `metric:"rumor_applied"`    // rows rumor fetches changed local state with
-	RumorsOffView   int64 `metric:"rumors_off_view"`  // rumors received from a sender outside the active view
+	Refusals        int64 // neighbor requests refused by a full view
+	RumorsPublished int64 `metric:"rumors_published"` // local writes published to at least one peer
+	RumorsForwarded int64 `metric:"rumors_forwarded"` // received writes passed on to eager peers
+	RumorsSeen      int64 `metric:"rumors_seen"`      // eager receipts: pushed or grafted entries, fresh or duplicate
+	RumorFetches    int64 `metric:"rumor_fetches"`    // grafts served: pulls of rows from this member
+	RumorApplied    int64 `metric:"rumor_applied"`    // rows eager receipts changed local state with
+	RumorsOffView   int64 `metric:"rumors_off_view"`  // pushed entries from a sender outside the active view
+	EagerPushed     int64 `metric:"eager_pushed"`     // rows pushed, one per eager target
+	IhavesSent      int64 `metric:"ihaves_sent"`      // gossip.ihave announcements sent
+	Prunes          int64 `metric:"prunes"`           // prunes sent for duplicate pushes
+	Grafts          int64 `metric:"grafts"`           // grafts sent for announced writes that never arrived
 
 	ActiveSize  int `metric:"active_view,gauge"`  // current active view size
 	PassiveSize int `metric:"passive_view,gauge"` // current passive view size
@@ -189,14 +218,14 @@ func WithContacts(fn func() []Peer) Option { return func(o *Overlay) { o.contact
 
 // WithBias installs the placement-interest bias: higher-ranked sites are
 // preferred when promoting from the passive view and ordered first among
-// rumor targets, so hot spaces gossip with placed peers first.
+// eager push targets, so hot spaces gossip with placed peers first.
 func WithBias(fn func(site string) int) Option { return func(o *Overlay) { o.bias = fn } }
 
 // WithTelemetry attaches the deployment telemetry plane: rumor publishes
 // and forwards for a tagged object ride under the originating write's
 // trace (an instant gossip.publish/gossip.forward span plus the context
-// stamped on the rumor and fetch rpcs), so epidemic propagation shows up
-// in the same trace as the write that seeded it.
+// stamped on the pushes), so epidemic propagation shows up in the same
+// trace as the write that seeded it.
 func WithTelemetry(tel *observe.Telemetry) Option {
 	return func(o *Overlay) {
 		if tel != nil {
@@ -232,9 +261,16 @@ type Overlay struct {
 	rng         *rand.Rand
 	active      []Peer
 	passive     []Peer
-	ring        netsim.Address // pinned ring-successor, eviction-exempt
-	ringSkip    int            // ring-order index the last successful walk pinned
-	seen        map[uint64]bool
+	ring        netsim.Address            // pinned ring-successor, eviction-exempt
+	pinnedBy    map[netsim.Address]bool   // active peers whose ring successor this member is, eviction-exempt too
+	ringSkip    int                       // ring-order index the last successful walk pinned
+	seen        map[uint64]uint64         // dots received or published: the receipt number of a pushed first copy, 0 if grafted
+	receipts    uint64                    // pushes and publishes so far
+	lastFresh   map[netsim.Address]uint64 // the receipt number of the last push from a peer that brought news
+	lazy        map[netsim.Address]bool   // active peers that get ihaves, not rows; the rest are eager
+	ihaves      map[netsim.Address][]rumorEntry
+	flushArmed  bool            // a flush of ihaves is due
+	grafting    map[uint64]bool // dots with a graft in flight
 	closed      bool
 	armed       bool
 	running     bool
@@ -251,12 +287,17 @@ type Overlay struct {
 // be nil (membership-only overlays, e.g. in unit tests).
 func New(ep *rpc.Endpoint, clock vclock.Clock, site string, replAddr netsim.Address, replica Replica, opts ...Option) *Overlay {
 	o := &Overlay{
-		ep:      ep,
-		clock:   clock,
-		self:    Peer{Site: site, Addr: ep.Addr(), Repl: replAddr},
-		replica: replica,
-		seed:    1,
-		seen:    make(map[uint64]bool),
+		ep:        ep,
+		clock:     clock,
+		self:      Peer{Site: site, Addr: ep.Addr(), Repl: replAddr},
+		replica:   replica,
+		seed:      1,
+		seen:      make(map[uint64]uint64),
+		lastFresh: make(map[netsim.Address]uint64),
+		pinnedBy:  make(map[netsim.Address]bool),
+		lazy:      make(map[netsim.Address]bool),
+		ihaves:    make(map[netsim.Address][]rumorEntry),
+		grafting:  make(map[uint64]bool),
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -373,7 +414,7 @@ func (o *Overlay) Join() {
 			o.arm(0)
 			return
 		}
-		o.addActive(resp.Me, true)
+		o.addActive(resp.Me, true, notRing)
 		for _, p := range resp.Active {
 			o.addPassive(p)
 		}
@@ -423,12 +464,24 @@ func indexOf(view []Peer, addr netsim.Address) int {
 	return -1
 }
 
-// addActive admits p to the active view, evicting the weakest member to
-// the passive view when full (the pinned ring peer and p itself are
-// eviction-exempt). pin additionally marks p as the ring successor.
-// Fires onChange outside the lock. Returns false if p was already there
-// (or is self).
-func (o *Overlay) addActive(p Peer, pin bool) bool {
+// ringEnd says whether a link is a ring link, and which end this member
+// is. Both ends exempt a ring link from eviction.
+type ringEnd uint8
+
+const (
+	notRing         ringEnd = iota
+	ringSuccessor           // the peer is this member's ring successor
+	ringPredecessor         // this member is the peer's ring successor
+)
+
+// addActive admits p to the active view and reports whether p is in it
+// afterwards. A full view admits p only when force is set — a ring pin,
+// a requester whose view is empty, a peer that has accepted this
+// member's own request — and then evicts its weakest member to the
+// passive view, telling it with gossip.disconnect so the link goes at
+// both ends. Ring links and p itself are eviction-exempt. p enters as an
+// eager peer. Fires onChange outside the lock.
+func (o *Overlay) addActive(p Peer, force bool, ring ringEnd) bool {
 	if p.Addr == o.self.Addr || p.Addr == "" {
 		return false
 	}
@@ -437,10 +490,20 @@ func (o *Overlay) addActive(p Peer, pin bool) bool {
 		o.mu.Unlock()
 		return false
 	}
-	if pin {
+	switch ring {
+	case ringSuccessor:
 		o.ring = p.Addr
+	case ringPredecessor:
+		o.pinnedBy[p.Addr] = true
 	}
 	if indexOf(o.active, p.Addr) >= 0 {
+		o.mu.Unlock()
+		return true
+	}
+	target := o.activeTargetLocked()
+	if !force && len(o.active) >= target {
+		o.stats.Refusals++
+		o.addPassiveLocked(p)
 		o.mu.Unlock()
 		return false
 	}
@@ -448,25 +511,37 @@ func (o *Overlay) addActive(p Peer, pin bool) bool {
 		o.passive = append(o.passive[:i], o.passive[i+1:]...)
 	}
 	var evicted []Peer
-	target := o.activeTargetLocked()
 	o.active = append(o.active, p)
 	for len(o.active) > target {
 		v := o.evictionVictimLocked(p.Addr)
 		if v < 0 {
 			break
 		}
-		victim := o.active[v]
-		o.active = append(o.active[:v], o.active[v+1:]...)
-		o.addPassiveLocked(victim)
-		o.stats.Demotions++
-		evicted = append(evicted, victim)
+		evicted = append(evicted, o.dropLinkLocked(v))
 	}
 	o.viewVersion++
 	o.mu.Unlock()
+	for _, v := range evicted {
+		o.announce(v.Addr, MethodDisconnect, wire.Empty{})
+	}
 	if o.onChange != nil {
 		o.onChange([]Peer{p}, evicted)
 	}
 	return true
+}
+
+// dropLinkLocked moves active[i] to the passive view, forgetting what the
+// link was — ring pin, lazy mark, queued ihaves — and returns it.
+func (o *Overlay) dropLinkLocked(i int) Peer {
+	p := o.active[i]
+	o.active = append(o.active[:i], o.active[i+1:]...)
+	delete(o.pinnedBy, p.Addr)
+	delete(o.lazy, p.Addr)
+	delete(o.lastFresh, p.Addr)
+	delete(o.ihaves, p.Addr)
+	o.addPassiveLocked(p)
+	o.stats.Demotions++
+	return p
 }
 
 // activeTargetLocked is the locked view of activeTarget: it cannot call
@@ -480,12 +555,12 @@ func (o *Overlay) activeTargetLocked() int {
 }
 
 // evictionVictimLocked picks the active member to demote: lowest
-// placement bias, site-name tie-break — never the pinned ring successor
-// or the just-added peer.
+// placement bias, site-name tie-break — never a ring link, at either
+// end, or the just-added peer.
 func (o *Overlay) evictionVictimLocked(keep netsim.Address) int {
 	best := -1
 	for i, p := range o.active {
-		if p.Addr == o.ring || p.Addr == keep {
+		if p.Addr == o.ring || o.pinnedBy[p.Addr] || p.Addr == keep {
 			continue
 		}
 		if best < 0 || o.rank(p.Site) < o.rank(o.active[best].Site) ||
@@ -503,8 +578,9 @@ func (o *Overlay) rank(site string) int {
 	return o.bias(site)
 }
 
-// removeActive drops addr from the active view (probe failure), moving
-// it to the passive view so a later heal can promote it back.
+// removeActive drops addr from the active view (probe failure, or the
+// other end's gossip.disconnect), moving it to the passive view so a
+// later heal can promote it back.
 func (o *Overlay) removeActive(addr netsim.Address) {
 	o.mu.Lock()
 	i := indexOf(o.active, addr)
@@ -512,10 +588,7 @@ func (o *Overlay) removeActive(addr netsim.Address) {
 		o.mu.Unlock()
 		return
 	}
-	p := o.active[i]
-	o.active = append(o.active[:i], o.active[i+1:]...)
-	o.addPassiveLocked(p)
-	o.stats.Demotions++
+	p := o.dropLinkLocked(i)
 	o.viewVersion++
 	o.mu.Unlock()
 	if o.onChange != nil {
@@ -607,7 +680,7 @@ func (o *Overlay) round() {
 
 	o.ensureRing(func(failures int) {
 		o.probeAll(targets, 0, failures, func(failures int) {
-			o.fillDeficit(0, failures, func(failures int) {
+			o.fillDeficit(map[netsim.Address]bool{}, failures, func(failures int) {
 				o.shuffleOnce(failures, func(failures int) {
 					o.roundDone(v0, failed0, failures)
 				})
@@ -675,17 +748,21 @@ func (o *Overlay) ringWalk(order []Peer, idx, failures int, done func(failures i
 	cand := order[idx]
 	o.mu.Lock()
 	have := indexOf(o.active, cand.Addr) >= 0
+	pinned := have && o.ring == cand.Addr
 	if have {
-		o.ring = cand.Addr
 		o.ringSkip = idx
 	}
 	o.mu.Unlock()
-	if have {
+	if pinned {
 		done(failures)
 		return
 	}
-	o.neighbor(cand, true, func(f int) {
-		if f == 0 {
+	// A ring pin is high-priority: the successor admits it even when
+	// full, and records the pin so neither end ever evicts the link. An
+	// active peer that becomes the successor is asked too, so that its
+	// end learns of the pin.
+	o.neighbor(cand, ringSuccessor, func(accepted bool, f int) {
+		if accepted {
 			o.mu.Lock()
 			o.ringSkip = idx
 			o.mu.Unlock()
@@ -696,21 +773,31 @@ func (o *Overlay) ringWalk(order []Peer, idx, failures int, done func(failures i
 	})
 }
 
-// neighbor asks p for a symmetric active link; on accept p joins the
-// active view (pinned if this is the ring slot).
-func (o *Overlay) neighbor(p Peer, pin bool, done func(failures int)) {
-	o.ep.GoMsg(p.Addr, MethodNeighbor, o.self, func(res rpc.Result) {
-		if err := res.Decode(&wire.Empty{}); err != nil {
+// neighbor asks p for a symmetric active link; on acceptance p joins the
+// active view (as the ring successor if ring says so). The request is
+// high-priority when it is a ring pin or this member's view is empty; a
+// full member refuses any other, which is not a failure.
+func (o *Overlay) neighbor(p Peer, ring ringEnd, done func(accepted bool, failures int)) {
+	o.mu.Lock()
+	req := neighborReq{From: o.self, Ring: ring == ringSuccessor, Lonely: len(o.active) == 0}
+	o.mu.Unlock()
+	o.ep.GoMsg(p.Addr, MethodNeighbor, req, func(res rpc.Result) {
+		var resp neighborResp
+		if err := res.Decode(&resp); err != nil {
 			o.dropPassive(p.Addr)
-			done(1)
+			done(false, 1)
 			return
 		}
-		// An answer is an acceptance: the peer always accepts.
+		if !resp.Accepted {
+			done(false, 0)
+			return
+		}
 		o.mu.Lock()
 		o.stats.Promotions++
 		o.mu.Unlock()
-		o.addActive(p, pin)
-		done(0)
+		// The other end holds the link now: so must this one.
+		o.addActive(p, true, ring)
+		done(true, 0)
 	}, rpc.CallTimeout(DefaultTimeout))
 }
 
@@ -739,32 +826,33 @@ func (o *Overlay) probeAll(targets []Peer, i, failures int, done func(failures i
 }
 
 // fillDeficit promotes passive candidates (placement bias first) until
-// the active view reaches its target, attempting a bounded number per
-// round.
-func (o *Overlay) fillDeficit(attempts, failures int, done func(failures int)) {
+// the active view reaches its target, asking a bounded number per round;
+// tried holds the ones this round asked, so a refusal moves on to the
+// next candidate.
+func (o *Overlay) fillDeficit(tried map[netsim.Address]bool, failures int, done func(failures int)) {
 	target := o.activeTarget()
 	o.mu.Lock()
-	deficit := target - len(o.active)
-	if deficit <= 0 || attempts > target || len(o.passive) == 0 || o.closed {
-		o.mu.Unlock()
-		done(failures)
-		return
-	}
-	// Best candidate: highest bias, site-name tie-break.
-	best := 0
+	// Best untried candidate: highest bias, site-name tie-break.
+	best := -1
 	for i, p := range o.passive {
-		if o.rank(p.Site) > o.rank(o.passive[best].Site) ||
+		if tried[p.Addr] {
+			continue
+		}
+		if best < 0 || o.rank(p.Site) > o.rank(o.passive[best].Site) ||
 			(o.rank(p.Site) == o.rank(o.passive[best].Site) && p.Site < o.passive[best].Site) {
 			best = i
 		}
 	}
+	if len(o.active) >= target || len(tried) > target || best < 0 || o.closed {
+		o.mu.Unlock()
+		done(failures)
+		return
+	}
 	cand := o.passive[best]
+	tried[cand.Addr] = true
 	o.mu.Unlock()
-	o.neighbor(cand, false, func(f int) {
-		if f > 0 {
-			failures += f
-		}
-		o.fillDeficit(attempts+1, failures, done)
+	o.neighbor(cand, notRing, func(_ bool, f int) {
+		o.fillDeficit(tried, failures+f, done)
 	})
 }
 

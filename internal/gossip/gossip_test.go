@@ -2,9 +2,11 @@ package gossip
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"testing"
 
+	"mocca/internal/channel"
 	"mocca/internal/information"
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
@@ -13,13 +15,16 @@ import (
 
 // fakeReplica is a minimal Replica: it remembers applied rows and counts
 // sync arms, so rumor mongering can be tested without a real replicator.
+// Like a real one it lends the row it holds: FetchWire hands every caller
+// the same object until the row changes.
 type fakeReplica struct {
 	rows  map[string]vclock.Version
+	lent  map[string]*information.Object
 	armed int
 }
 
 func newFakeReplica() *fakeReplica {
-	return &fakeReplica{rows: map[string]vclock.Version{}}
+	return &fakeReplica{rows: map[string]vclock.Version{}, lent: map[string]*information.Object{}}
 }
 
 func (f *fakeReplica) HasSeen(id, site string, counter uint64) bool {
@@ -30,9 +35,14 @@ func (f *fakeReplica) HasSeen(id, site string, counter uint64) bool {
 func (f *fakeReplica) FetchWire(_ string, ids []string) []*information.Object {
 	var out []*information.Object
 	for _, id := range ids {
-		if vv, ok := f.rows[id]; ok {
-			out = append(out, &information.Object{ID: id, VV: vv})
+		vv, ok := f.rows[id]
+		if !ok {
+			continue
 		}
+		if obj := f.lent[id]; obj == nil || !maps.Equal(obj.VV, vv) {
+			f.lent[id] = &information.Object{ID: id, VV: vv}
+		}
+		out = append(out, f.lent[id])
 	}
 	return out
 }
@@ -60,6 +70,9 @@ type overlayFixture struct {
 	// advertised is the mutable membership directory all overlays share —
 	// the stand-in for trader offers.
 	advertised []Peer
+	// tapFn, if set, sees every frame an overlay's endpoint sends or
+	// receives.
+	tapFn func(*channel.Frame)
 }
 
 // newOverlayFixture builds n overlays ("g00".."g<n-1>") over one
@@ -80,7 +93,12 @@ func newOverlayFixture(t *testing.T, n int, opts ...Option) *overlayFixture {
 		p := f.advertised[i]
 		node := f.net.MustAddNode(p.Addr)
 		f.nodes[p.Site] = node
-		ep := rpc.NewEndpoint(node, f.clk)
+		ep := rpc.NewEndpoint(node, f.clk, rpc.WithChannel(channel.WithInterceptor(func(fr *channel.Frame) error {
+			if f.tapFn != nil {
+				f.tapFn(fr)
+			}
+			return nil
+		})))
 		rep := newFakeReplica()
 		all := append([]Option{
 			WithSeed(42),
@@ -202,8 +220,8 @@ func TestProbeFailureDemotes(t *testing.T) {
 	}
 }
 
-// TestRumorReachesEveryReplica: one Publish covers all members via
-// TTL-limited forwarding plus fetch pulls — without any real replicator.
+// TestRumorReachesEveryReplica: one Publish covers all members by pushes
+// along the eager links — without any real replicator.
 func TestRumorReachesEveryReplica(t *testing.T) {
 	f := newOverlayFixture(t, 16)
 	vv := vclock.Version{}.Tick("g00")
@@ -221,9 +239,8 @@ func TestRumorReachesEveryReplica(t *testing.T) {
 			t.Fatalf("replica %d applied a rumor but never armed anti-entropy", i)
 		}
 	}
-	// Rumor mongering is probabilistic coverage over the overlay graph —
-	// but with whole-view fanout and the dedup-keyed re-forwarding, a
-	// 16-member overlay must be fully covered.
+	// Before any prune every link is eager, so the first push floods the
+	// connected active-view graph: a 16-member overlay is fully covered.
 	if missing > 0 {
 		t.Fatalf("%d of %d replicas missed the rumor", missing, len(f.replicas))
 	}
@@ -254,13 +271,16 @@ func TestDuplicateRumorNotReforwarded(t *testing.T) {
 	if grew := seen() - seen0; grew > int64(len(f.overlays)) {
 		t.Fatalf("duplicate publish grew RumorsSeen by %d — it re-flooded", grew)
 	}
+	if grew := seen() - seen0; grew != 0 {
+		t.Fatalf("a duplicate publish was pushed again (%d receipts)", grew)
+	}
 	next := vv.Tick("g00")
 	f.replicas[0].rows["obj-1"] = next
 	f.overlays[0].Publish("obj-1", next, nil)
 	f.clk.RunUntilIdle()
 	for i, rep := range f.replicas {
 		if !rep.HasSeen("obj-1", "g00", 2) {
-			t.Fatalf("replica %d never pulled the second write of obj-1", i)
+			t.Fatalf("replica %d never got the second write of obj-1", i)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // rows encode to equal bytes, which is what lets recovery be verified
 // byte-for-byte. It is the one row codec of the repository: the durable
 // log (logstore's WAL and segments) and the replication planes
-// (replica.* and gossip.fetch bodies) carry rows in exactly this form.
+// (replica.* and gossip.rumor/graft bodies) carry rows in exactly this form.
 func AppendObject(dst []byte, o *Object) []byte {
 	dst = wire.AppendString(dst, o.ID)
 	dst = wire.AppendString(dst, o.Schema)

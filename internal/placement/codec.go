@@ -8,7 +8,7 @@ import (
 // placement.read and placement.write travel as hand-written binary bodies
 // (see internal/replica/codec.go). A read's answer and a forwarded write are
 // one message: a site, and a row in the one row codec that replica and
-// gossip.fetch carry rows in (information.AppendObject). Range 0xE1–0xE3.
+// gossip carry rows in (information.AppendObject). Range 0xE1–0xE3.
 const (
 	tagReadReq   byte = 0xE1
 	tagSiteRow   byte = 0xE2

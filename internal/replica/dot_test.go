@@ -23,7 +23,7 @@ type dotWrite struct {
 // playDots plays a byte script as one object's history over 2–5 replicas,
 // through the real write and apply paths: the object is created at s0;
 // then each byte with the high bit clear is a write at site b%n, and each
-// with it set merges the row of site (b>>3)%n into site b%n (a gossip.fetch
+// with it set merges the row of site (b>>3)%n into site b%n (a gossip push
 // and its apply). A write at a site that holds no copy yet, or a merge
 // from one, does nothing. After every step, each replica that holds a
 // copy must answer HasSeen for every write so far as its vector's

@@ -694,8 +694,8 @@ func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts i
 // --- gossip-overlay surface ------------------------------------------------
 //
 // These three methods plus SyncSoon are what internal/gossip's Replica
-// interface needs: rumor staleness checks and the pull half of rumor
-// mongering. They keep gossip decoupled from this package — the overlay
+// interface needs: rumor staleness checks and the rows a push or graft
+// carries. They keep gossip decoupled from this package — the overlay
 // sees an interface, the deployment hands it a *Replicator.
 
 // HasSeen reports whether the local replica already holds the write of id
@@ -706,8 +706,8 @@ func (r *Replicator) HasSeen(id, site string, counter uint64) bool {
 	return ok && obj.VV.Counter(site) >= counter
 }
 
-// FetchWire returns the named rows for a gossip.fetch reply,
-// placement-scoped to the requesting site like any other delta.
+// FetchWire returns the named rows for a gossip push to, or a graft by,
+// forSite, placement-scoped to that site like any other delta.
 func (r *Replicator) FetchWire(forSite string, ids []string) []*information.Object {
 	var out []*information.Object
 	for _, id := range ids {
@@ -718,7 +718,7 @@ func (r *Replicator) FetchWire(forSite string, ids []string) []*information.Obje
 	return out
 }
 
-// ApplyWire merges rumor-fetched rows through the ordinary delta-apply
+// ApplyWire merges pushed or grafted rows through the ordinary delta-apply
 // path (placement refusals, conflict resolution, stats), returning how
 // many changed local state.
 func (r *Replicator) ApplyWire(objs []*information.Object) int {

@@ -137,10 +137,12 @@ func runGossipScale(tb testing.TB, n int, overlay, withCut bool) scaleResult {
 // sites its total sync+gossip bytes are ≤ ⅐ of the full-mesh baseline and
 // its busiest site's channel count ≤ 25% at equal convergence, and overlay
 // cost grows sublinearly in n from 64→256 while the mesh grows
-// quadratically. The byte bound holds because a rumor is one frame per
-// target naming each write by its dot (site, counter) rather than its
-// whole vector, with no sender in the body: the overlay reads 5.81 MB
-// against the mesh's 43.6 MB (13.3%); with whole vectors and a sender it
+// quadratically. The overlay reads 6.03 MB against the mesh's 43.5 MB
+// (13.8%). The burst is a broadcast tree's worst case: five writes at
+// once on a cold tree, where every link is still eager, so each write
+// floods its row and the crossing floods prune links a graft restores.
+// The flood that named writes by dot and pulled rows by fetch read
+// 5.81 MB (13.3%) here; with whole vectors and a sender in each rumor it
 // read 6.32 MB (14.5%), and with a reply per rumor near 18%.
 func TestGossipScaleAcceptance(t *testing.T) {
 	if testing.Short() {
