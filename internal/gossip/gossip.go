@@ -11,16 +11,15 @@
 //     ~⌈log₂ n⌉+c peers (the sites it actually syncs with) plus a larger
 //     passive view of known-but-unused peers. The views are maintained by
 //     join / forward-join / neighbor / disconnect / shuffle / probe
-//     messages that ride
-//     the ordinary rpc channel stack, so membership traffic is traced,
-//     counted and fault-injectable like everything else. Peers are
-//     discovered through trader offers (one "gossip-membership" offer per
-//     live site), so membership is just another rules-over-offers
-//     service. One active slot is pinned to the site's successor on the
-//     sorted ring of advertised sites — a deterministic connectivity
-//     backstop that keeps the union of active views a connected graph,
-//     which is what makes drain-to-convergence a guarantee rather than a
-//     probability.
+//     messages that ride the ordinary rpc channel stack, so membership
+//     traffic is traced, counted and fault-injectable like everything
+//     else. Peers are discovered through trader offers (one
+//     "gossip-membership" offer per live site), so membership is just
+//     another rules-over-offers service. One active slot is pinned to the
+//     site's successor on the sorted ring of advertised sites — a
+//     deterministic connectivity backstop that keeps the union of active
+//     views a connected graph, which is what makes drain-to-convergence a
+//     guarantee rather than a probability.
 //
 //   - Rumor mongering on a broadcast tree (Plumtree: Leitão, Pereira,
 //     Rodrigues, "Epidemic Broadcast Trees", SRDS 2007). Active views
@@ -186,7 +185,6 @@ type Stats struct {
 	ProbeFailures   int64 // probes that timed out or errored
 	Promotions      int64 // passive→active promotions
 	Demotions       int64 // active→passive demotions (failure or eviction)
-	Refusals        int64 // neighbor requests refused by a full view
 	RumorsPublished int64 `metric:"rumors_published"` // local writes published to at least one peer
 	RumorsForwarded int64 `metric:"rumors_forwarded"` // received writes passed on to eager peers
 	RumorsSeen      int64 `metric:"rumors_seen"`      // eager receipts: pushed or grafted entries, fresh or duplicate
@@ -502,7 +500,6 @@ func (o *Overlay) addActive(p Peer, force bool, ring ringEnd) bool {
 	}
 	target := o.activeTargetLocked()
 	if !force && len(o.active) >= target {
-		o.stats.Refusals++
 		o.addPassiveLocked(p)
 		o.mu.Unlock()
 		return false

@@ -271,9 +271,9 @@ func (o *Overlay) announce(to netsim.Address, method string, msg encoding.Binary
 // dot — this site's entry of vv, which the write has just ticked — to the
 // lazy ones. A vector this site never ticked names no write of its own and
 // publishes nothing — anti-entropy carries that row; nor does a dot
-// already published. rank, if non-nil,
-// orders the eager peers by placement interest for this object (higher
-// first) — placed peers hear about hot spaces before bystanders do.
+// already published. rank, if non-nil, orders the eager peers by
+// placement interest for this object (higher first) — placed peers hear
+// about hot spaces before bystanders do.
 func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) int) {
 	entry := rumorEntry{ID: id, Site: o.self.Site, Counter: vv.Counter(o.self.Site)}
 	o.mu.Lock()
