@@ -573,7 +573,11 @@ func BenchmarkReplicaAntiEntropyScale(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("objects=%d/merkle/divergent-1", n), func(b *testing.B) {
 			dep, sites, ids := seedLargeDeployment(b, n)
-			target, version := ids[42], uint64(1)
+			cur, err := sites[0].Space().Get("ada", ids[42])
+			if err != nil {
+				b.Fatal(err)
+			}
+			target, version := cur.ID, cur.Version
 			start := statsFor(b, dep, "s00")
 			wireStart := dep.Fabric().TotalsFor("repl-").BytesOut
 			b.ResetTimer()

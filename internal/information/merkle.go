@@ -104,8 +104,7 @@ func (a hwItem) compare(b hwItem) int {
 // site, ordered by (counter, id), so the entries past a given mark are a
 // suffix. The order is kept in sorted chunks of at most siteChunk items
 // (every chunk non-empty, chunks in order): insert and removal cost a
-// binary search plus a bounded move whatever the counter distribution —
-// all rows of a freshly seeded store sit at counter 1.
+// binary search plus a bounded move whatever the counter distribution.
 type siteIndex struct {
 	top    uint64 // monotone: survives the removal of the entry that set it
 	chunks [][]hwItem
@@ -300,8 +299,10 @@ func (t *DigestTree) unfileLocked(id string, old, vv vclock.Version) {
 }
 
 // Remove drops the object's entry (a no-op for unknown ids). High-water
-// marks are deliberately monotone and survive removals: they are a
-// fast-path heuristic the root hash verifies, never a correctness gate.
+// marks are deliberately monotone and survive removals: the sync fast
+// path reads them as a bound the root hash then verifies, and a Space
+// numbers its next write past its own site's mark, so a counter it
+// issued is not issued again while the tree lives.
 func (t *DigestTree) Remove(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -380,6 +381,18 @@ func (t *DigestTree) HighWater() map[string]uint64 {
 		out[s] = x.top
 	}
 	return out
+}
+
+// Top returns site's high-water mark: the maximum counter any entry's
+// vector has recorded for the site since the tree was built (0 if none).
+// A Space numbers its own site's next write past it.
+func (t *DigestTree) Top(site string) uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if x := t.sites[site]; x != nil {
+		return x.top
+	}
+	return 0
 }
 
 // NewerThanHW returns the ids (sorted, deterministic) whose vectors

@@ -19,9 +19,9 @@ type Object struct {
 	Schema string
 	Owner  string
 	Fields map[string]string
-	// Version is the replica-local optimistic-concurrency number: the
-	// total count of writes this replica has observed on the object
-	// (VV.Sum()). Converged replicas agree on it.
+	// Version is the replica-local optimistic-concurrency number: the sum
+	// of the object's vector (VV.Sum()), which every write raises by at
+	// least 1. Converged replicas agree on it.
 	Version uint64
 	// VV is the object's per-site version vector — the causal record that
 	// lets replicas order or detect concurrent cross-site updates.
@@ -84,12 +84,22 @@ type Event struct {
 // access guards, change notification and replica merge policy, layered
 // over a Store that does the actual keeping of rows.
 //
-// A Space is one site's replica. Writes land locally (ticking the site's
-// version-vector entry); the replica layer propagates them to peers and
-// feeds remote writes back in through Adopt. A row is copied only where
-// it crosses into application code (the results of Get, GetAs, Query, Put
-// and Update, the events of local writes); Fetch, Range, Adopt and the
-// "apply"/"conflict" events share stored rows read-only or hand them over.
+// A Space is one site's replica. Writes land locally; the replica layer
+// propagates them to peers and feeds remote writes back in through Adopt.
+//
+// A site numbers its writes with one counter across all its rows: a write
+// sets the site's entry of the row's vector to one past the site's
+// high-water mark (DigestTree.Top), past every number the replica holds
+// for the site. A peer whose mark for the site is m then lacks exactly the
+// site's writes past m, unless a later write reached it ahead of an
+// earlier one by way of a third site. The mark lives in the tree, which is
+// rebuilt from the backend on open: a durable site resumes past every
+// number it still holds.
+//
+// A row is copied only where it crosses into application code (the
+// results of Get, GetAs, Query, Put and Update, the events of local
+// writes); Fetch, Range, Adopt and the "apply"/"conflict" events share
+// stored rows read-only or hand them over.
 type Space struct {
 	registry *SchemaRegistry
 	acl      *access.System
@@ -219,13 +229,15 @@ func (s *Space) Put(actor, schemaName string, fields map[string]string) (*Object
 		Schema:  schema.Name,
 		Owner:   actor,
 		Fields:  cloneFields(fields),
-		Version: 1,
-		VV:      vclock.NewVersion(s.site),
 		Site:    s.site,
 		Created: now,
 		Updated: now,
 	}
-	stored, err := s.store.Exec(obj.ID, func(*Object) (*Object, error) { return obj, nil })
+	stored, err := s.store.Exec(obj.ID, func(*Object) (*Object, error) {
+		obj.VV = vclock.Version{s.site: s.tree.Top(s.site) + 1}
+		obj.Version = obj.VV.Sum()
+		return obj, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -280,6 +292,11 @@ func (s *Space) GetAs(actor, objID, schemaName string) (*Object, error) {
 // Update modifies fields with optimistic concurrency: expectedVersion must
 // match or ErrConflict returns. Enforces OpWrite. The write lands on this
 // replica only; replication propagates it asynchronously.
+//
+// The write takes the site's next write number (see Space), which exceeds
+// the row's own entry for the site, so the row's Version (its vector's
+// sum) rises by at least 1 per write — by more when the site wrote other
+// rows since it last wrote this one.
 func (s *Space) Update(actor, objID string, expectedVersion uint64, fields map[string]string) (*Object, error) {
 	if !s.can(actor, access.OpWrite, objID) {
 		s.deny()
@@ -309,7 +326,8 @@ func (s *Space) Update(actor, objID string, expectedVersion uint64, fields map[s
 		}
 		next := *obj
 		next.Fields = merged
-		next.VV = obj.VV.Clone().Tick(s.site)
+		next.VV = obj.VV.Clone()
+		next.VV[s.site] = max(s.tree.Top(s.site), obj.VV[s.site]) + 1
 		next.Version = next.VV.Sum()
 		next.Site = s.site
 		next.Updated = s.clock.Now()

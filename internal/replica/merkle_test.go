@@ -71,9 +71,7 @@ func TestMerkleHighWaterFastPath(t *testing.T) {
 	ids := seedConverged(t, f, 50)
 
 	before := f.reps[0].Stats()
-	if _, err := f.spaces[0].Update("prinz", ids[7], 1, map[string]string{"title": "v2"}); err != nil {
-		t.Fatal(err)
-	}
+	f.update(t, 0, ids[7], "v2")
 	f.clk.RunUntilIdle()
 	after := f.reps[0].Stats()
 	got := f.assertConverged(t, ids[7])
@@ -91,10 +89,74 @@ func TestMerkleHighWaterFastPath(t *testing.T) {
 	}
 }
 
-// TestMerkleDescentRepairsHighWaterBlindSpot: an update whose counter
-// stays below the site's global high-water mark is invisible to the fast
-// path — the negotiation must descend the tree and repair it through a
-// scoped digest exchange covering only the divergent leaves.
+// update writes title into row id at site i, at the row's current version.
+func (f *fixture) update(t testing.TB, i int, id, title string) *information.Object {
+	t.Helper()
+	cur, err := f.spaces[i].Get("prinz", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := f.spaces[i].Update("prinz", id, cur.Version, map[string]string{"title": title})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return upd
+}
+
+// TestMerkleColdUpdateRidesTheMarks: a site numbers its writes with one
+// counter, so a first update of a cold row lands past the site's mark
+// however often a hot row was written before — the peer's round pulls it
+// straight off the marks, with no subtree descent.
+func TestMerkleColdUpdateRidesTheMarks(t *testing.T) {
+	f := newManualFixture(t, 2)
+	ids := make([]string, 400)
+	for i := range ids {
+		obj, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": fmt.Sprintf("doc %d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = obj.ID
+	}
+	for i := 0; i < 6; i++ {
+		f.update(t, 0, ids[0], fmt.Sprintf("hot v%d", i))
+	}
+	f.reps[0].SyncNow()
+	f.clk.RunUntilIdle()
+	f.assertConverged(t, ids[0])
+
+	before := f.reps[1].Stats()
+	f.update(t, 0, ids[123], "cold v2")
+	f.reps[1].SyncNow()
+	f.clk.RunUntilIdle()
+	after := f.reps[1].Stats()
+
+	if got := f.assertConverged(t, ids[123]); got.Fields["title"] != "cold v2" {
+		t.Fatalf("cold update not propagated: %v", got.Fields)
+	}
+	if after.HWFastDeltas <= before.HWFastDeltas {
+		t.Fatalf("the marks repaired nothing: %+v", after)
+	}
+	if after.DescentCalls != before.DescentCalls || after.DigestEntriesSent != before.DigestEntriesSent {
+		t.Fatalf("the cold update needed a descent: %+v", after)
+	}
+}
+
+// relayAhead gives s1 a later s0 write ahead of s0's earlier ones — as a
+// third site's relay would carry it — so s1's mark for s0 covers writes it
+// lacks: the gap the marks cannot explain, which only descent repairs.
+func (f *fixture) relayAhead(t testing.TB, id string) {
+	t.Helper()
+	later := f.update(t, 0, id, "relayed")
+	if _, _, err := f.spaces[1].ApplyRemote(later); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMerkleDescentRepairsHighWaterBlindSpot: an update the peer's mark
+// already covers — a later write of its site reached the peer first — is
+// invisible to the fast path: the negotiation must descend the tree and
+// repair it through a scoped digest exchange covering only the divergent
+// leaves.
 func TestMerkleDescentRepairsHighWaterBlindSpot(t *testing.T) {
 	// Manual rounds (no AutoSync): the round that descends stays the last
 	// round, so its per-round stats remain observable.
@@ -113,26 +175,11 @@ func TestMerkleDescentRepairsHighWaterBlindSpot(t *testing.T) {
 		t.Fatalf("seeding did not converge: s1 holds %d rows", f.spaces[1].Len())
 	}
 
-	// Raise s0's high-water mark far above any other object's counter.
-	hot := ids[0]
-	version := uint64(1)
-	for i := 0; i < 6; i++ {
-		upd, err := f.spaces[0].Update("prinz", hot, version, map[string]string{"title": fmt.Sprintf("hot v%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		version = upd.Version
-	}
-	f.reps[0].SyncNow()
-	f.clk.RunUntilIdle()
-	f.assertConverged(t, hot)
-
-	// Now a first update of a cold object: counter 2, far below the mark.
+	// An update of a cold object, then a later write relayed ahead of it.
 	before := f.reps[0].Stats()
 	cold := ids[123]
-	if _, err := f.spaces[0].Update("prinz", cold, 1, map[string]string{"title": "cold v2"}); err != nil {
-		t.Fatal(err)
-	}
+	f.update(t, 0, cold, "cold v2")
+	f.relayAhead(t, ids[0])
 	f.reps[0].SyncNow()
 	f.clk.RunUntilIdle()
 	after := f.reps[0].Stats()

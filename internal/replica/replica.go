@@ -275,10 +275,12 @@ type Replicator struct {
 	failureCap     int
 	auto           bool
 	subscribed     bool
-	armed          bool // a round is scheduled
-	running        bool // a round is in flight
-	wantSync       bool // re-arm requested (write or SyncNow) since round start
-	wantNow        bool // the pending request asked for an immediate round
+	armed          bool         // a round is scheduled
+	armedNow       bool         // the scheduled round is at the next instant
+	timer          vclock.Timer // the scheduled round's timer, while armed
+	running        bool         // a round is in flight
+	wantSync       bool         // re-arm requested (write or SyncNow) since round start
+	wantNow        bool         // the pending request asked for an immediate round
 	consecFailures int
 	stats          Stats
 }
@@ -514,28 +516,33 @@ func (r *Replicator) AutoSync(interval time.Duration) {
 func (r *Replicator) SyncSoon() { r.schedule(-1) }
 
 // SyncNow requests a round at the next simulation instant — e.g. right
-// after a partition heals.
+// after a partition heals. It does not wait behind a round SyncSoon armed
+// an interval away: it takes that round's place.
 func (r *Replicator) SyncNow() { r.schedule(0) }
 
 // schedule arms the round timer; d < 0 means one interval. A request
-// arriving while a round is armed or in flight is absorbed: roundDone
-// re-arms (immediately, if the request was SyncNow).
+// arriving while a round is in flight, or armed no later than it asks
+// for, is absorbed: roundDone re-arms (immediately, if the request was
+// SyncNow). A SyncNow arriving while a round is armed an interval away
+// stops that timer and fires at the next instant instead.
 func (r *Replicator) schedule(d time.Duration) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.wantSync = true
 	if d == 0 {
 		r.wantNow = true
 	}
-	if r.armed || r.running {
-		r.mu.Unlock()
+	if r.running || (r.armed && (d != 0 || r.armedNow)) {
 		return
 	}
-	r.armed = true
+	if r.armed && !r.timer.Stop() {
+		return // the interval timer is firing: its round starts now
+	}
+	r.armed, r.armedNow = true, d == 0
 	if d < 0 {
 		d = r.interval
 	}
-	r.mu.Unlock()
-	r.clock.AfterFunc(d, r.fire)
+	r.timer = r.clock.AfterFunc(d, r.fire)
 }
 
 // roundState accumulates one round's outcome across its peer exchanges.
@@ -559,7 +566,7 @@ type roundState struct {
 // fire initiates a round. Runs on the clock's event goroutine.
 func (r *Replicator) fire() {
 	r.mu.Lock()
-	r.armed = false
+	r.armed, r.armedNow, r.timer = false, false, nil
 	if r.running {
 		r.mu.Unlock()
 		return

@@ -212,3 +212,35 @@ func TestManualSyncNowWithoutAutoSync(t *testing.T) {
 		t.Fatalf("manual replicator kept running: %d events", fired)
 	}
 }
+
+// TestSyncNowOvertakesArmedInterval: a local write arms a round one
+// interval away; a SyncNow right after it must not wait behind that timer.
+// The round opens within one round trip and the peer holds the row long
+// before the interval is up; a later SyncSoon is still absorbed.
+func TestSyncNowOvertakesArmedInterval(t *testing.T) {
+	const interval = 5 * time.Second
+	f := newFixture(t, 2)
+	for _, r := range f.reps {
+		r.AutoSync(interval)
+	}
+	obj, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "restart write"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.reps[0].SyncNow()
+	f.reps[0].SyncSoon()
+	rtt := 2 * 5 * time.Millisecond // the netsim default link, both ways
+	f.clk.Advance(rtt)
+	if got := f.reps[0].Stats().Rounds; got != 1 {
+		t.Fatalf("%d rounds opened within one round trip, want 1", got)
+	}
+	if got := f.reps[1].Stats().ServedDigests; got != 1 {
+		t.Fatalf("the peer answered %d openings within one round trip, want 1", got)
+	}
+	f.clk.Advance(interval / 10)
+	if _, err := f.spaces[1].Get("prinz", obj.ID); err != nil {
+		t.Fatalf("the peer lacks the row %v after the SyncNow: %v", interval/10, err)
+	}
+	f.clk.RunUntilIdle()
+	f.assertConverged(t, obj.ID)
+}

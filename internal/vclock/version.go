@@ -11,11 +11,12 @@ import (
 	"mocca/internal/wire"
 )
 
-// Version is a per-site version vector: one write counter per site that
-// has ever modified the associated state. It is the causality record the
-// replicated information model keeps per object — two versions compare as
-// ordered when one site has seen everything the other wrote, and as
-// concurrent when each side holds writes the other has not seen.
+// Version is a per-site version vector: one entry per site that has ever
+// modified the associated state, the number of that site's latest write
+// to it. It is the causality record the replicated information model
+// keeps per object — two versions compare as ordered when one site has
+// seen everything the other wrote, and as concurrent when each side holds
+// writes the other has not seen.
 //
 // The zero value (nil) is a valid empty vector.
 type Version map[string]uint64
@@ -47,11 +48,17 @@ func (o Ordering) String() string {
 	}
 }
 
-// NewVersion builds a vector with a single write by site.
+// NewVersion builds a vector with a single write by site, numbered 1 — a
+// per-object count. An information.Space does not use it: it numbers a
+// site's writes with one counter across all its rows, so a row's first
+// entry is that counter's next value. Stores that keep their own
+// per-object count (the benchmark's) do.
 func NewVersion(site string) Version { return Version{site: 1} }
 
-// Tick records one more write by site, returning the vector (allocated if
-// nil).
+// Tick records one more write by site by raising its entry by exactly 1,
+// returning the vector (allocated if nil) — the per-object count that
+// NewVersion starts. An information.Space sets its entry past its site's
+// write counter instead.
 func (v Version) Tick(site string) Version {
 	if v == nil {
 		return Version{site: 1}
@@ -60,13 +67,17 @@ func (v Version) Tick(site string) Version {
 	return v
 }
 
-// Counter returns site's write counter (0 if the site never wrote).
+// Counter returns site's entry: the number of its latest write the vector
+// records (0 if the site never wrote).
 func (v Version) Counter(site string) uint64 { return v[site] }
 
-// Sum returns the total number of writes the vector records. Because
-// every write anywhere ticks exactly one counter, Sum is merge-invariant:
-// converged replicas agree on it, which makes it usable as a replica-local
-// optimistic-concurrency version number.
+// Sum returns the sum of the vector's entries. Every write raises one
+// entry by at least 1 (by exactly 1 under Tick; by more where a site
+// numbers its writes across all its rows) and merges never lower one, so
+// Sum rises with every write an object sees, and converged replicas,
+// holding equal vectors, agree on it: a replica-local
+// optimistic-concurrency version number. It counts writes only where
+// every write ticks.
 func (v Version) Sum() uint64 {
 	var n uint64
 	for _, c := range v {

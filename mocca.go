@@ -157,11 +157,15 @@ func NewDeployment(opts ...Option) *Deployment {
 		d.SyncInformation()
 	})
 	d.net.OnRecover(func(addr netsim.Address) {
-		// Only a replication node coming back can have reconciliation
-		// work; restarts of MTAs, the MCU or user nodes don't warrant a
-		// full-mesh digest exchange.
-		if strings.HasPrefix(string(addr), "repl-") {
-			d.SyncInformation()
+		// Only a replication node coming back has reconciliation work, and
+		// its own immediate round does all of it: the round visits every
+		// peer, pulling what it missed and pushing what only it holds.
+		// Rounds of its peers at the same instant would each push it the
+		// same rows. Restarts of MTAs, the MCU or user nodes sync nothing.
+		if name, ok := strings.CutPrefix(string(addr), "repl-"); ok {
+			if s := d.sites[name]; s != nil {
+				s.repl.SyncNow()
+			}
 		}
 	})
 	return d

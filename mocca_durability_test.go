@@ -319,6 +319,50 @@ func TestInMemorySiteRestartRereplicates(t *testing.T) {
 	}
 }
 
+// TestRecoveredSitePullsItsOwnState: a restarted site reconciles by its own
+// round, which visits every peer. Its peers run no round of their own at
+// the recovery, so none pushes the cold replica a row it is already
+// pulling.
+func TestRecoveredSitePullsItsOwnState(t *testing.T) {
+	dep := NewDeployment(WithSeed(7))
+	sites := []*Site{dep.AddSite("s0", "s0.org"), dep.AddSite("s1", "s1.org"),
+		dep.AddSite("s2", "s2.org"), dep.AddSite("s3", "s3.org")}
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, err := sites[1+i%3].Space().Put("prinz", SharedSchemaName,
+			map[string]string{"title": fmt.Sprintf("doc %d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dep.Run()
+
+	// The first site in address order: every peer's round would open
+	// with it.
+	cold := sites[0]
+	cold.Crash()
+	dep.Run()
+	pushed := func() (sum int64) {
+		for _, s := range sites[1:] {
+			sum += statsFor(t, dep, s.Name).Pushed
+		}
+		return sum
+	}
+	before := pushed()
+	if err := cold.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	dep.Run()
+	if got := cold.Space().Len(); got != n {
+		t.Fatalf("restarted replica holds %d rows, want %d", got, n)
+	}
+	if st := cold.Replicator().Stats(); st.Rounds == 0 || st.Applied != n {
+		t.Fatalf("the restarted site's own rounds pulled %d rows in %d rounds, want %d", st.Applied, st.Rounds, n)
+	}
+	if got := pushed() - before; got != 0 {
+		t.Fatalf("peers pushed %d rows at the recovery, want 0", got)
+	}
+}
+
 // Restart on a running site must refuse: it would open a second durable
 // backend over a directory the live one still holds.
 func TestRestartRequiresCrash(t *testing.T) {

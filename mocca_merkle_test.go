@@ -3,6 +3,8 @@ package mocca
 import (
 	"fmt"
 	"testing"
+
+	"mocca/internal/information"
 )
 
 // seedLargeDeployment builds a 2-site deployment holding n converged
@@ -78,28 +80,29 @@ func TestMerkleDigestScaleAcceptance(t *testing.T) {
 		t.Fatal("converged round shipped digest entries")
 	}
 
-	// Raise s00's high-water mark so ordinary updates become invisible to
-	// the fast path — forcing the descent machinery the criterion is
+	// k changed objects, each hidden from the fast path by a genuine gap:
+	// a later s00 write reaches s01 first (applied directly, as a relay by
+	// a third site would carry it), so s01's mark for s00 already covers
+	// the k earlier ones — forcing the descent machinery the criterion is
 	// about.
-	hot, version := ids[0], uint64(1)
-	for i := 0; i < 6; i++ {
-		upd, err := sites[0].Space().Update("ada", hot, version,
-			map[string]string{"title": fmt.Sprintf("hot v%d", i)})
+	const k = 3
+	update := func(id, title string) *information.Object {
+		cur, err := sites[0].Space().Get("ada", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		version = upd.Version
-	}
-	dep.Run()
-
-	// k changed objects, each a high-water blind spot.
-	const k = 3
-	before = statsFor(t, dep, "s00")
-	for i := 0; i < k; i++ {
-		if _, err := sites[0].Space().Update("ada", ids[100+i*777], 1,
-			map[string]string{"title": fmt.Sprintf("cold v2 #%d", i)}); err != nil {
+		upd, err := sites[0].Space().Update("ada", id, cur.Version, map[string]string{"title": title})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return upd
+	}
+	before = statsFor(t, dep, "s00")
+	for i := 0; i < k; i++ {
+		update(ids[100+i*777], fmt.Sprintf("cold v2 #%d", i))
+	}
+	if _, _, err := sites[1].Space().ApplyRemote(update(ids[0], "relayed")); err != nil {
+		t.Fatal(err)
 	}
 	dep.Run()
 	after = statsFor(t, dep, "s00")

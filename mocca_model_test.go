@@ -19,6 +19,9 @@ import (
 // model has no clock and no network: a write's timestamp is an input,
 // and propagation is "every live site of one partition component holds
 // the merge of what they all hold" — applied after each op has drained.
+// A site numbers its writes with one counter: a write's entry for its
+// site is 1 + the highest entry the site has held for itself since it
+// (re)started, a dropped row's included.
 
 // modelRow is one row as the model holds it.
 type modelRow struct {
@@ -79,14 +82,17 @@ func vvSum(vv map[string]uint64) uint64 {
 // went down (every completed write reaches the log before it returns).
 type model struct {
 	durable bool
+	names   []string
 	held    []map[string]modelRow
+	top     []uint64 // highest entry site i has held for itself since it started
 	down    []bool
 	acked   []map[string]modelRow
 	group   []int // partition component of each site; all 0 when healed
 }
 
-func newModel(n int, durable bool) *model {
-	m := &model{durable: durable, held: make([]map[string]modelRow, n),
+func newModel(names []string, durable bool) *model {
+	n := len(names)
+	m := &model{durable: durable, names: names, held: make([]map[string]modelRow, n), top: make([]uint64, n),
 		down: make([]bool, n), acked: make([]map[string]modelRow, n), group: make([]int, n)}
 	for i := range m.held {
 		m.held[i] = map[string]modelRow{}
@@ -94,8 +100,21 @@ func newModel(n int, durable bool) *model {
 	return m
 }
 
+// next is the counter site i's next write carries.
+func (m *model) next(i int) uint64 { return m.top[i] + 1 }
+
+// hold raises site i's mark to what it now holds.
+func (m *model) hold(i int) {
+	for _, r := range m.held[i] {
+		m.top[i] = max(m.top[i], r.vv[m.names[i]])
+	}
+}
+
 // write records a local write at site i.
-func (m *model) write(i int, id string, r modelRow) { m.held[i][id] = r }
+func (m *model) write(i int, id string, r modelRow) {
+	m.held[i][id] = r
+	m.hold(i)
+}
 
 // crash freezes site i; a durable site keeps what it acked.
 func (m *model) crash(i int) {
@@ -113,6 +132,8 @@ func (m *model) restart(i int) {
 	if m.durable {
 		m.held[i] = maps.Clone(m.acked[i])
 	}
+	m.top[i] = 0
+	m.hold(i)
 }
 
 // propagate is quiescence: every partition component's live sites hold
@@ -135,6 +156,7 @@ func (m *model) propagate() {
 		}
 		for _, i := range members {
 			m.held[i] = maps.Clone(merged)
+			m.hold(i)
 		}
 	}
 }
@@ -215,14 +237,18 @@ func runModelScript(t *testing.T, script []byte) {
 		}
 	})
 	dep.Run()
-	m := newModel(n, dir != "")
+	names := make([]string, n)
+	for i, s := range sites {
+		names[i] = s.Name
+	}
+	m := newModel(names, dir != "")
 	now := func() time.Time { return dep.Clock().Now() }
 
 	update := func(i int, id string) {
 		cur := m.held[i][id]
 		fields := map[string]string{"title": fmt.Sprintf("%s@%s:%d", id, sites[i].Name, vvSum(cur.vv)+1)}
 		want := modelRow{fields: fields, vv: maps.Clone(cur.vv), site: sites[i].Name, created: cur.created, updated: now()}
-		want.vv[sites[i].Name]++
+		want.vv[sites[i].Name] = m.next(i)
 		got, err := sites[i].Space().Update("user", id, vvSum(cur.vv), fields)
 		if err != nil {
 			t.Fatalf("update %s at %s: %v", id, sites[i].Name, err)
@@ -248,7 +274,7 @@ func runModelScript(t *testing.T, script []byte) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.write(i, obj.ID, modelRow{fields: fields, vv: map[string]uint64{sites[i].Name: 1},
+			m.write(i, obj.ID, modelRow{fields: fields, vv: map[string]uint64{sites[i].Name: m.next(i)},
 				site: sites[i].Name, created: now(), updated: now()})
 		case 1: // update one row at site i
 			if ids := m.ids(i); live(i) && len(ids) > 0 {

@@ -82,7 +82,7 @@ func (s *Site) Restart() error {
 // placement offers, after) and finds its nodes freshly created and up; a
 // restart finds them down and raises them around the join — the
 // topology's own plane before it, so the join can send, and repl-* last,
-// because its recovery is what kicks a sync round on every site.
+// because its recovery is what kicks the site's first sync round.
 func (d *Deployment) boot(s *Site, first bool) error {
 	backend, err := d.openBackend(s.Name)
 	if err != nil {
