@@ -22,7 +22,6 @@ import (
 	"mocca/internal/mhs"
 	"mocca/internal/netsim"
 	"mocca/internal/odp"
-	"mocca/internal/placement"
 	"mocca/internal/rpc"
 	"mocca/internal/rtc"
 	"mocca/internal/trader"
@@ -663,74 +662,5 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	if overheadPct > 2.0 {
 		b.Fatalf("disabled telemetry costs %.2f%% over no telemetry in every paired trial, want ≤ 2%%",
 			overheadPct)
-	}
-}
-
-// --- R7: placement fanout — full mesh vs activity-scoped placement -----------
-
-// BenchmarkPlacementFanout measures one write into an activity's space
-// propagated to convergence at 8 sites, with the activity's two members
-// at two of them. "full-mesh" replicates every write to every site;
-// "activity-scoped" installs a placement rule so only the member sites
-// hold the space — the syncB/op metric is the engineering-viewpoint byte
-// cost per converged write (Fabric.TotalsFor("repl-")).
-func BenchmarkPlacementFanout(b *testing.B) {
-	for _, scoped := range []bool{false, true} {
-		name := "full-mesh"
-		if scoped {
-			name = "activity-scoped"
-		}
-		b.Run(fmt.Sprintf("%s/sites=8", name), func(b *testing.B) {
-			dep := NewDeployment(WithSeed(1))
-			sites := make([]*Site, 8)
-			for i := range sites {
-				sites[i] = dep.AddSite(fmt.Sprintf("s%02d", i), fmt.Sprintf("s%02d.net", i))
-			}
-			sites[0].AddUser("ada")
-			sites[1].AddUser("ben")
-			act, err := dep.Env().Activities().Create("ada", "bench", "")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, m := range []string{"ada", "ben"} {
-				if err := dep.Env().Activities().Join(act.ID, m, "participant"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if scoped {
-				dep.SetPlacementRules(placement.ByActivity(act.ID, "context", dep.ActivityMemberSites))
-				dep.Run()
-			}
-			obj, err := sites[0].Space().Put("ada", SharedSchemaName, map[string]string{
-				"title": "v0", "context": act.ID,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			dep.Run()
-			version := obj.Version
-			start := dep.Fabric().TotalsFor("repl-").BytesOut
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				upd, err := sites[0].Space().Update("ada", obj.ID, version,
-					map[string]string{"title": fmt.Sprintf("v%d", i+1)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				version = upd.Version
-				dep.Run() // drain sync rounds to convergence
-			}
-			b.StopTimer()
-			if got, err := sites[1].Space().Get("ada", obj.ID); err != nil || got.Version != version {
-				b.Fatalf("member replica diverged: %+v %v", got, err)
-			}
-			if scoped {
-				if n := sites[7].Space().Len(); n != 0 {
-					b.Fatalf("non-member site holds %d rows", n)
-				}
-			}
-			bytes := dep.Fabric().TotalsFor("repl-").BytesOut - start
-			b.ReportMetric(float64(bytes)/float64(b.N), "syncB/op")
-		})
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"mocca/internal/information"
 	"mocca/internal/odp"
 	"mocca/internal/org"
-	"mocca/internal/placement"
 	"mocca/internal/policy"
 	"mocca/internal/trader"
 	"mocca/internal/transparency"
@@ -77,21 +76,10 @@ type Environment struct {
 	dit        *directory.DIT
 	conform    *odp.Registry
 
-	placing *placement.Policy
-
-	mu          sync.RWMutex
-	apps        map[string]*Application
-	siteEnvs    map[string]*SiteEnv
-	readThrough ReadThrough
+	mu       sync.RWMutex
+	apps     map[string]*Application
+	siteEnvs map[string]*SiteEnv
 }
-
-// ReadThrough resolves an object a site's replica does not hold: given
-// the asking site, the reading principal and the object id, it returns
-// the object and the name of the site whose replica served it. The
-// deployment layer installs a trader-mediated implementation
-// (placement.Reader) via SetReadThrough; without one, a local miss stays
-// a miss.
-type ReadThrough func(fromSite, actor, objID string) (*information.Object, string, error)
 
 // Option configures an Environment.
 type Option func(*Environment)
@@ -126,7 +114,6 @@ func New(clock vclock.Clock, opts ...Option) *Environment {
 		e.ids = id.New()
 	}
 	e.trading = trader.New()
-	e.placing = placement.NewPolicy()
 	e.selector = transparency.NewSelector()
 	e.expertise = expertise.NewModel()
 	e.activities = activity.NewRegistry(clock, activity.WithIDs(e.ids))
@@ -176,10 +163,6 @@ func (e *Environment) publishConformance() {
 		{Name: "standard-repositories", Viewpoint: odp.Information, Function: "directory.DIT"},
 		{Name: "schema-interchange", Viewpoint: odp.Information, Function: "information.SchemaRegistry"},
 		{Name: "replicated-information-spaces", Viewpoint: odp.Information, Function: "replica.Replicator"},
-		{Name: "placement-policy", Viewpoint: odp.Enterprise, Function: "placement.Policy"},
-		{Name: "partial-replication", Viewpoint: odp.Information, Function: "placement.Policy + replica interest filtering"},
-		{Name: "location-transparency", Viewpoint: odp.Computation, Function: "transparency.FilterLocation"},
-		{Name: "trader-read-through", Viewpoint: odp.Engineering, Function: "placement.Reader"},
 		{Name: "selective-transparency", Viewpoint: odp.Computation, Function: "transparency.Selector"},
 		{Name: "replication-transparency", Viewpoint: odp.Computation, Function: "transparency.FilterReplica"},
 		{Name: "user-tailorability", Viewpoint: odp.Computation, Function: "policy.Engine"},
@@ -228,20 +211,6 @@ func (e *Environment) Transparency() *transparency.Selector { return e.selector 
 
 // Trader returns the trading function.
 func (e *Environment) Trader() *trader.Trader { return e.trading }
-
-// Placement returns the placement policy deciding which sites hold which
-// information spaces. With no rules installed it is the deterministic
-// replicate-everywhere default.
-func (e *Environment) Placement() *placement.Policy { return e.placing }
-
-// SetReadThrough installs the resolver SiteEnv.Get falls back to when the
-// local replica does not hold an object — the trader-mediated remote
-// read of partial replication.
-func (e *Environment) SetReadThrough(fn ReadThrough) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.readThrough = fn
-}
 
 // Directory returns the environment's X.500 DIT.
 func (e *Environment) Directory() *directory.DIT { return e.dit }
@@ -466,45 +435,12 @@ func (s *SiteEnv) RegisterApplication(app Application) error {
 // (the default) the replica set looks like one information space; with it
 // deselected, the returned fields are annotated with which replica served
 // the read, the writing site and the version vector — replica lag in the
-// user's face.
-//
-// Under partial replication the local replica legitimately does not hold
-// every space: an unknown object falls through to the environment's
-// read-through resolver (SetReadThrough), which finds a holder via the
-// trader and reads remotely over the channel stack. Location
-// transparency governs what the reader sees of that: selected (the
-// default), the remote read is indistinguishable from a local one;
-// deselected, the fields are annotated with the holding site and the
-// resolution path.
+// user's face. Every site holds every row, so a local miss is
+// authoritative.
 func (s *SiteEnv) Get(actor, objID string) (*information.Object, error) {
 	obj, err := s.Space().Get(actor, objID)
 	if err != nil {
-		e := s.parent
-		e.mu.RLock()
-		rt := e.readThrough
-		e.mu.RUnlock()
-		// Remote resolution only makes sense when placement is selective:
-		// with the replicate-everywhere default a local miss is
-		// authoritative, and the pre-placement contract (an immediate
-		// information.ErrUnknownObject, no network traffic) is preserved.
-		if rt == nil || !errors.Is(err, information.ErrUnknownObject) || !e.placing.Selective() {
-			return nil, err
-		}
-		remote, servedBy, rerr := rt(s.site, actor, objID)
-		if rerr != nil {
-			// Both causes stay matchable: the local miss
-			// (information.ErrUnknownObject) and the resolution failure
-			// (e.g. placement.ErrNoHolder).
-			return nil, fmt.Errorf("core: site %q read-through for %q: %w (local: %w)", s.site, objID, rerr, err)
-		}
-		if !e.selector.For(actor).Has(odp.Location) {
-			remote.Fields = transparency.FilterLocation(e.selector, actor, transparency.LocationMeta{
-				Holder: servedBy,
-				Reader: s.site,
-				Via:    "trader",
-			}, remote.Fields)
-		}
-		return remote, nil
+		return nil, err
 	}
 	// Build the annotation metadata (vector formatting allocates) only on
 	// the non-default, transparency-deselected path.

@@ -251,7 +251,7 @@ func rumorRound(tb testing.TB) map[string][][]byte {
 	for i := 0; i < 3; i++ {
 		id, vv := fmt.Sprintf("obj-%d", i), vclock.Version{"g00": uint64(i + 1)}
 		replicas[0].rows[id] = vv
-		overlays[0].Publish(id, vv, nil)
+		overlays[0].Publish(id, vv)
 	}
 	clk.RunUntilIdle()
 	for i, rep := range replicas[1:] {

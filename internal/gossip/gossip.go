@@ -43,10 +43,7 @@
 //   - View-scoped anti-entropy. The Replicator's peer set is driven by
 //     the active view through the OnChange callback: peers entering the
 //     view are added (and synced immediately — view churn re-arms
-//     rounds), peers leaving are removed, which also releases their
-//     placement-scoped Merkle trees. Placement interest biases both
-//     promotion from the passive view and rumor target ordering, so
-//     sites gossip hot spaces with placed peers first.
+//     rounds), peers leaving are removed.
 //
 // The overlay is simulation-first like the replicator: all timers ride
 // the injected clock, maintenance rounds are event-armed (join, view
@@ -104,7 +101,7 @@ const (
 )
 
 // Trader vocabulary: each live site exports one membership offer, so the
-// overlay discovers contacts the same way placement discovers holders.
+// overlay discovers contacts through the trading function.
 const (
 	// ServiceType is the trader service type of membership offers.
 	ServiceType = "gossip-membership"
@@ -163,9 +160,9 @@ type Replica interface {
 	// of id whose dot is (site, counter): whether its vector's site entry
 	// is at least counter.
 	HasSeen(id, site string, counter uint64) bool
-	// FetchWire returns the named rows for a push to or a graft by
-	// forSite, placement-scoped to that site, in the order of ids.
-	FetchWire(forSite string, ids []string) []*information.Object
+	// FetchWire returns the named rows the replica holds, for a push or
+	// a graft, in the order of ids.
+	FetchWire(ids []string) []*information.Object
 	// ApplyWire merges pushed rows, returning how many changed state.
 	ApplyWire(objs []*information.Object) int
 	// SyncSoon arms an anti-entropy round — rumor applies kick it so the
@@ -214,11 +211,6 @@ func WithSeed(seed int64) Option { return func(o *Overlay) { o.seed = seed } }
 // successor.
 func WithContacts(fn func() []Peer) Option { return func(o *Overlay) { o.contacts = fn } }
 
-// WithBias installs the placement-interest bias: higher-ranked sites are
-// preferred when promoting from the passive view and ordered first among
-// eager push targets, so hot spaces gossip with placed peers first.
-func WithBias(fn func(site string) int) Option { return func(o *Overlay) { o.bias = fn } }
-
 // WithTelemetry attaches the deployment telemetry plane: rumor publishes
 // and forwards for a tagged object ride under the originating write's
 // trace (an instant gossip.publish/gossip.forward span plus the context
@@ -248,7 +240,6 @@ type Overlay struct {
 	self     Peer
 	replica  Replica
 	contacts func() []Peer
-	bias     func(site string) int
 	onChange func(added, removed []Peer)
 	tracer   *observe.Tracer
 	objects  *observe.ObjectTraces
@@ -551,28 +542,19 @@ func (o *Overlay) activeTargetLocked() int {
 	return 3
 }
 
-// evictionVictimLocked picks the active member to demote: lowest
-// placement bias, site-name tie-break — never a ring link, at either
-// end, or the just-added peer.
+// evictionVictimLocked picks the active member to demote: the highest
+// site name — never a ring link, at either end, or the just-added peer.
 func (o *Overlay) evictionVictimLocked(keep netsim.Address) int {
 	best := -1
 	for i, p := range o.active {
 		if p.Addr == o.ring || o.pinnedBy[p.Addr] || p.Addr == keep {
 			continue
 		}
-		if best < 0 || o.rank(p.Site) < o.rank(o.active[best].Site) ||
-			(o.rank(p.Site) == o.rank(o.active[best].Site) && p.Site > o.active[best].Site) {
+		if best < 0 || p.Site > o.active[best].Site {
 			best = i
 		}
 	}
 	return best
-}
-
-func (o *Overlay) rank(site string) int {
-	if o.bias == nil {
-		return 0
-	}
-	return o.bias(site)
 }
 
 // removeActive drops addr from the active view (probe failure, or the
@@ -822,21 +804,20 @@ func (o *Overlay) probeAll(targets []Peer, i, failures int, done func(failures i
 	}, rpc.CallTimeout(DefaultTimeout))
 }
 
-// fillDeficit promotes passive candidates (placement bias first) until
+// fillDeficit promotes passive candidates (lowest site name first) until
 // the active view reaches its target, asking a bounded number per round;
 // tried holds the ones this round asked, so a refusal moves on to the
 // next candidate.
 func (o *Overlay) fillDeficit(tried map[netsim.Address]bool, failures int, done func(failures int)) {
 	target := o.activeTarget()
 	o.mu.Lock()
-	// Best untried candidate: highest bias, site-name tie-break.
+	// Best untried candidate: the lowest site name.
 	best := -1
 	for i, p := range o.passive {
 		if tried[p.Addr] {
 			continue
 		}
-		if best < 0 || o.rank(p.Site) > o.rank(o.passive[best].Site) ||
-			(o.rank(p.Site) == o.rank(o.passive[best].Site) && p.Site < o.passive[best].Site) {
+		if best < 0 || p.Site < o.passive[best].Site {
 			best = i
 		}
 	}

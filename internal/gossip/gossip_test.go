@@ -32,7 +32,7 @@ func (f *fakeReplica) HasSeen(id, site string, counter uint64) bool {
 	return ok && have.Counter(site) >= counter
 }
 
-func (f *fakeReplica) FetchWire(_ string, ids []string) []*information.Object {
+func (f *fakeReplica) FetchWire(ids []string) []*information.Object {
 	var out []*information.Object
 	for _, id := range ids {
 		vv, ok := f.rows[id]
@@ -226,7 +226,7 @@ func TestRumorReachesEveryReplica(t *testing.T) {
 	f := newOverlayFixture(t, 16)
 	vv := vclock.Version{}.Tick("g00")
 	f.replicas[0].rows["obj-1"] = vv
-	f.overlays[0].Publish("obj-1", vv, nil)
+	f.overlays[0].Publish("obj-1", vv)
 	f.clk.RunUntilIdle()
 
 	missing := 0
@@ -257,7 +257,7 @@ func TestDuplicateRumorNotReforwarded(t *testing.T) {
 	f := newOverlayFixture(t, 6)
 	vv := vclock.Version{}.Tick("g00")
 	f.replicas[0].rows["obj-1"] = vv
-	f.overlays[0].Publish("obj-1", vv, nil)
+	f.overlays[0].Publish("obj-1", vv)
 	f.clk.RunUntilIdle()
 	seen := func() (total int64) {
 		for _, o := range f.overlays {
@@ -266,7 +266,7 @@ func TestDuplicateRumorNotReforwarded(t *testing.T) {
 		return total
 	}
 	seen0 := seen()
-	f.overlays[0].Publish("obj-1", vv, nil) // same rumor again: deduped at the source
+	f.overlays[0].Publish("obj-1", vv) // same rumor again: deduped at the source
 	f.clk.RunUntilIdle()
 	if grew := seen() - seen0; grew > int64(len(f.overlays)) {
 		t.Fatalf("duplicate publish grew RumorsSeen by %d — it re-flooded", grew)
@@ -276,7 +276,7 @@ func TestDuplicateRumorNotReforwarded(t *testing.T) {
 	}
 	next := vv.Tick("g00")
 	f.replicas[0].rows["obj-1"] = next
-	f.overlays[0].Publish("obj-1", next, nil)
+	f.overlays[0].Publish("obj-1", next)
 	f.clk.RunUntilIdle()
 	for i, rep := range f.replicas {
 		if !rep.HasSeen("obj-1", "g00", 2) {
@@ -342,7 +342,7 @@ func TestClosedOverlayRefusesProtocol(t *testing.T) {
 	f := newOverlayFixture(t, 4)
 	f.overlays[1].Close()
 	before := f.overlays[1].Stats().ActiveSize
-	f.overlays[0].Publish("obj-x", vclock.Version{}.Tick("g00"), nil)
+	f.overlays[0].Publish("obj-x", vclock.Version{}.Tick("g00"))
 	f.clk.RunUntilIdle()
 	if got := f.overlays[1].Stats().ActiveSize; got != before {
 		t.Fatalf("closed overlay's view changed %d→%d", before, got)

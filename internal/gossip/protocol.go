@@ -255,7 +255,7 @@ func (o *Overlay) register() {
 		if o.replica == nil {
 			return graftResp{}, nil
 		}
-		return graftResp{Objects: o.replica.FetchWire(req.Site, req.IDs)}, nil
+		return graftResp{Objects: o.replica.FetchWire(req.IDs)}, nil
 	}))
 }
 
@@ -271,10 +271,8 @@ func (o *Overlay) announce(to netsim.Address, method string, msg encoding.Binary
 // dot — this site's entry of vv, which the write has just ticked — to the
 // lazy ones. A vector this site never ticked names no write of its own and
 // publishes nothing — anti-entropy carries that row; nor does a dot
-// already published. rank, if non-nil, orders the eager peers by
-// placement interest for this object (higher first) — placed peers hear
-// about hot spaces before bystanders do.
-func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) int) {
+// already published.
+func (o *Overlay) Publish(id string, vv vclock.Version) {
 	entry := rumorEntry{ID: id, Site: o.self.Site, Counter: vv.Counter(o.self.Site)}
 	o.mu.Lock()
 	if _, seen := o.seen[entry.key()]; o.closed || entry.Counter == 0 || seen {
@@ -283,7 +281,7 @@ func (o *Overlay) Publish(id string, vv vclock.Version, rank func(site string) i
 	}
 	o.receipts++
 	o.markSeenLocked(entry.key(), o.receipts)
-	eager, lazy := o.splitLocked("", rank)
+	eager, lazy := o.splitLocked("")
 	if len(eager)+len(lazy) == 0 {
 		o.mu.Unlock()
 		return
@@ -409,7 +407,7 @@ func (o *Overlay) forward(entries []rumorEntry, from netsim.Address, tc wire.Tra
 		o.mu.Unlock()
 		return
 	}
-	eager, lazy := o.splitLocked(from, nil)
+	eager, lazy := o.splitLocked(from)
 	flush := o.queueIhavesLocked(lazy, entries)
 	if len(eager) > 0 {
 		o.stats.RumorsForwarded++
@@ -434,8 +432,8 @@ func (o *Overlay) forward(entries []rumorEntry, from netsim.Address, tc wire.Tra
 }
 
 // splitLocked divides the active view, less exclude, into eager peers —
-// ordered by rank (placement interest), then site — and lazy peers.
-func (o *Overlay) splitLocked(exclude netsim.Address, rank func(site string) int) (eager, lazy []Peer) {
+// ordered by site — and lazy peers.
+func (o *Overlay) splitLocked(exclude netsim.Address) (eager, lazy []Peer) {
 	for _, p := range o.active {
 		switch {
 		case p.Addr == exclude:
@@ -445,27 +443,14 @@ func (o *Overlay) splitLocked(exclude netsim.Address, rank func(site string) int
 			eager = append(eager, p)
 		}
 	}
-	score := func(site string) int {
-		if rank != nil {
-			return rank(site)
-		}
-		return o.rank(site)
-	}
-	slices.SortFunc(eager, func(a, b Peer) int {
-		if c := cmp.Compare(score(b.Site), score(a.Site)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Site, b.Site)
-	})
+	slices.SortFunc(eager, func(a, b Peer) int { return cmp.Compare(a.Site, b.Site) })
 	return eager, lazy
 }
 
-// push sends each target the rows it is placed for that answer the dots,
-// in one gossip.rumor announcement. The body is encoded once for every
-// run of targets that get the same rows — all of them, when placement is
-// not selective: rpc copies it into each frame and only reads it. A push
-// leaves nothing behind at the sender — losing one is fine, anti-entropy
-// is the repair path.
+// push sends every target the rows that answer the dots in one
+// gossip.rumor announcement. The body is encoded once: rpc copies it into
+// each frame and only reads it. A push leaves nothing behind at the
+// sender — losing one is fine, anti-entropy is the repair path.
 func (o *Overlay) push(targets []Peer, dots []rumorEntry, tc wire.TraceContext) {
 	if len(targets) == 0 || o.replica == nil {
 		return
@@ -474,29 +459,23 @@ func (o *Overlay) push(targets []Peer, dots []rumorEntry, tc wire.TraceContext) 
 	for i, d := range dots {
 		ids[i] = d.ID
 	}
+	rows := o.replica.FetchWire(ids)
+	if len(rows) == 0 {
+		return
+	}
 	var opts []rpc.CallOption
 	if !tc.IsZero() {
 		opts = []rpc.CallOption{rpc.CallTrace(tc)}
 	}
 	buf := pushBufs.Get().(*[]byte)
-	body := (*buf)[:0]
-	var sent []*information.Object
-	pushed := 0
+	body := appendPush((*buf)[:0], dots, rows)
 	for _, p := range targets {
-		rows := o.replica.FetchWire(p.Site, ids)
-		if len(rows) == 0 {
-			continue
-		}
-		if len(body) == 0 || !slices.Equal(rows, sent) {
-			body, sent = appendPush(body[:0], dots, rows), rows
-		}
 		_ = o.ep.Announce(p.Addr, MethodRumor, body, opts...)
-		pushed += len(rows)
 	}
 	*buf = body[:0]
 	pushBufs.Put(buf)
 	o.mu.Lock()
-	o.stats.EagerPushed += int64(pushed)
+	o.stats.EagerPushed += int64(len(rows) * len(targets))
 	o.mu.Unlock()
 }
 

@@ -117,7 +117,7 @@ func TestRumorFanOutEncodesOnce(t *testing.T) {
 	})
 	vv := vclock.Version{"g00": 1}
 	replicas[0].rows["obj-1"] = vv
-	overlays[0].Publish("obj-1", vv, nil)
+	overlays[0].Publish("obj-1", vv)
 	clk.RunUntilIdle()
 	for name, bodies := range map[string][][]byte{"publish": published, "forward": forwarded} {
 		if len(bodies) < 2 {
@@ -134,7 +134,8 @@ func TestRumorFanOutEncodesOnce(t *testing.T) {
 // TestRumorIsOneFrame: a published write costs the publisher one rpc.ann
 // frame per eager peer and nothing else — no call, so no reply frame comes
 // back anywhere in the exchange — and the fan-out allocates at most once
-// plus five times per target: the rows placed at it, and its frame.
+// plus four times per target, its frame: the rows are fetched and encoded
+// once for all targets.
 func TestRumorIsOneFrame(t *testing.T) {
 	var announced [][]byte
 	replies := 0
@@ -152,7 +153,7 @@ func TestRumorIsOneFrame(t *testing.T) {
 	before := o.ep.Stats()
 	vv := vclock.Version{"g00": 1}
 	replicas[0].rows["obj-1"] = vv
-	o.Publish("obj-1", vv, nil)
+	o.Publish("obj-1", vv)
 	after := o.ep.Stats()
 	if after.CallsSent != before.CallsSent || after.Announcements != before.Announcements+int64(k) {
 		t.Fatalf("publishing to %d peers moved calls %d -> %d and announcements %d -> %d",
@@ -174,8 +175,8 @@ func TestRumorIsOneFrame(t *testing.T) {
 	replicas[0].rows["obj-2"] = vclock.Version{"g00": 1}
 	dots := []rumorEntry{{ID: "obj-2", Site: "g00", Counter: 1}}
 	targets := o.ActiveView()
-	if n := testing.AllocsPerRun(100, func() { o.push(targets, dots, wire.TraceContext{}) }); n > float64(1+5*k) {
-		t.Fatalf("a push to %d targets allocates %v times, want at most %d", k, n, 1+5*k)
+	if n := testing.AllocsPerRun(100, func() { o.push(targets, dots, wire.TraceContext{}) }); n > float64(1+4*k) {
+		t.Fatalf("a push to %d targets allocates %v times, want at most %d", k, n, 1+4*k)
 	}
 }
 
@@ -206,7 +207,7 @@ func TestDuplicatePushIsPruned(t *testing.T) {
 		t.Fatal("the duplicate was not counted as an eager receipt")
 	}
 	replicas[0].rows["obj-2"] = vclock.Version{"g00": 1}
-	from.Publish("obj-2", replicas[0].rows["obj-2"], nil)
+	from.Publish("obj-2", replicas[0].rows["obj-2"])
 	clk.RunUntilIdle()
 	if len(ihaves) == 0 {
 		t.Fatal("the pruned peer was not told of the next write by ihave")
@@ -248,12 +249,12 @@ func TestIhaveIgnoresVectorWidth(t *testing.T) {
 		wide[fmt.Sprintf("s%03d", i)] = uint64(i)
 	}
 	replicas[0].rows["obj-1"] = narrow
-	o.Publish("obj-1", narrow, nil)
+	o.Publish("obj-1", narrow)
 	clk.RunUntilIdle()
 	first := len(sent)
 	allLazy(o) // the grafts the first ihave drew made the links eager again
 	replicas[0].rows["obj-2"] = wide
-	o.Publish("obj-2", wide, nil)
+	o.Publish("obj-2", wide)
 	clk.RunUntilIdle()
 	if first == 0 || len(sent) != 2*first {
 		t.Fatalf("the two publishes sent %d and %d ihaves", first, len(sent)-first)
@@ -280,7 +281,7 @@ func TestPublishWithoutOwnTickSendsNothing(t *testing.T) {
 	clk, overlays, replicas := tappedOverlays(t, 3, rumorsFrom("gossip-g00", &sent))
 	vv := vclock.Version{"g01": 4}
 	replicas[0].rows["obj-1"] = vv
-	overlays[0].Publish("obj-1", vv, nil)
+	overlays[0].Publish("obj-1", vv)
 	clk.RunUntilIdle()
 	if st := overlays[0].Stats(); len(sent) != 0 || st.RumorsPublished != 0 {
 		t.Fatalf("a write with no tick of its own sent %d rumors (RumorsPublished %d)", len(sent), st.RumorsPublished)
@@ -296,7 +297,7 @@ func TestPublishToEmptyViewIsNotCounted(t *testing.T) {
 	o := New(rpc.NewEndpoint(net.MustAddNode("gossip-g00"), clk), clk, "g00", "repl-g00", rep)
 	vv := vclock.Version{"g00": 1}
 	rep.rows["obj-1"] = vv
-	o.Publish("obj-1", vv, nil)
+	o.Publish("obj-1", vv)
 	clk.RunUntilIdle()
 	if n := o.Stats().RumorsPublished; n != 0 {
 		t.Fatalf("a publish with an empty active view counted as %d", n)

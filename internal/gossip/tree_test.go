@@ -39,7 +39,7 @@ func (f *overlayFixture) publishAt(i int, obj string) vclock.Version {
 	site := f.overlays[i].Self().Site
 	vv := f.replicas[i].rows[obj].Clone().Tick(site)
 	f.replicas[i].rows[obj] = vv
-	f.overlays[i].Publish(obj, vv, nil)
+	f.overlays[i].Publish(obj, vv)
 	return vv
 }
 

@@ -49,9 +49,8 @@ type Backend interface {
 	// Snapshot returns copies of every row matching pred (nil pred = all).
 	Snapshot(pred func(*Object) bool) []*Object
 	// Remove deletes the row for id, returning a copy of the removed row.
-	// A missing id is not an error: (nil, nil). This is the
-	// placement-migration eviction primitive — a replica dropping rows of a
-	// space it is no longer placed in.
+	// A missing id is not an error: (nil, nil). Space.Drop, the local
+	// eviction of one row, is its caller.
 	Remove(id string) (*Object, error)
 	// Range calls fn for every stored row under the backend's read
 	// exclusion, in unspecified order, stopping early when fn returns

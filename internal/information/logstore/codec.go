@@ -15,7 +15,7 @@ const (
 	recExec       byte = 1 // full post-state of one Exec mutation
 	recRetired    byte = 2 // retired: a relationship edge; see ErrRetiredRecord
 	recSnapHeader byte = 3 // manifest file header (historically: snapshot)
-	recRemove     byte = 4 // eviction of one row (placement migration)
+	recRemove     byte = 4 // eviction of one row (Space.Drop)
 
 	// Segment-file records (see segment.go for the file layout).
 	recSegRow   byte = 5  // one object row in a segment's data region

@@ -423,7 +423,7 @@ func (s *Store) writableLocked() error {
 }
 
 // Remove deletes the row for id, logging the eviction so recovery replays
-// it — the placement-migration path on a durable replica. When an older
+// it — Space.Drop on a durable replica. When an older
 // version of the row may still sit in a segment, the memtable records a
 // tombstone to mask it until compaction drops both. A missing id is a
 // no-op and logs nothing.

@@ -69,7 +69,7 @@ type Conflict struct {
 type Event struct {
 	// Kind is "put", "update", "share", "relate" for local writes,
 	// "apply" / "conflict" for state arriving from a peer replica, and
-	// "evict" for rows migrated off this replica by placement.
+	// "evict" for rows dropped off this replica alone (Drop).
 	Kind string
 	// Object is read-only; for "apply" and "conflict" it is the replica's
 	// own row, shared by every subscriber (other kinds carry a copy).
@@ -124,8 +124,7 @@ type SpaceStats struct {
 	// Applied and Conflicts count remote state merged in by replication.
 	Applied   int64
 	Conflicts int64
-	// Evictions counts rows dropped off this replica by placement
-	// migration (Drop).
+	// Evictions counts rows dropped off this replica alone (Drop).
 	Evictions int64
 }
 
@@ -388,9 +387,7 @@ func (s *Space) Query(actor, schemaName string, filter map[string]string) ([]*Ob
 	return out, nil
 }
 
-// Drop evicts the row for id from THIS replica only — the placement
-// migration path: a site no longer placed for an object's space pushes
-// the row to a placed site and drops its local copy. It bypasses the ACL
+// Drop evicts the row for id from THIS replica only. It bypasses the ACL
 // (the caller is the replication layer, not a principal) and publishes an
 // "evict" event; other replicas are untouched. The row is all this replica
 // held for the id: nothing else goes with it. Returns the removed row, or
@@ -402,26 +399,8 @@ func (s *Space) Drop(id string) (*Object, error) {
 	}
 	s.tree.Remove(id)
 	s.bump(func(st *SpaceStats) { st.Evictions++ })
-	s.notify(Event{Kind: "evict", Object: removed, Actor: "placement/" + s.site, At: s.clock.Now()})
+	s.notify(Event{Kind: "evict", Object: removed, Actor: "replica/" + s.site, At: s.clock.Now()})
 	return removed, nil
-}
-
-// DropCovered evicts the row only if its current state is covered by vv
-// — the version vector a migration push carried. A write that landed
-// after the push snapshot leaves the row in place (returning nil), so
-// eviction can never destroy state no other replica has seen; the next
-// migration pass picks the row up again. The check and the removal are
-// two store operations: mutations of one replica are serialised by the
-// simulation's event loop, so no writer can slip between them.
-func (s *Space) DropCovered(id string, vv vclock.Version) (*Object, error) {
-	cur, ok := s.store.Peek(id)
-	if !ok {
-		return nil, nil
-	}
-	if !vv.Dominates(cur.VV) {
-		return nil, nil
-	}
-	return s.Drop(id)
 }
 
 // Subscribe registers fn for events on objects of the schema ("" = all).

@@ -156,7 +156,7 @@ type Collector interface {
 // declares itself a metric with a struct tag:
 //
 //	Rounds      int64 `metric:"rounds"`             // counter <prefix>.rounds
-//	ScopedTrees int   `metric:"scoped_trees,gauge"` // gauge <prefix>.scoped_trees
+//	ActiveSize  int   `metric:"active_view,gauge"`  // gauge <prefix>.active_view
 //
 // so a counter's exported name is written once, on the field that holds
 // it, and an untagged field is simply not exported. Collectors call it at

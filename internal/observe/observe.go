@@ -4,8 +4,8 @@
 // The tracing half carries a compact context (trace id, span id, parent
 // span) in the wire envelope across every hop and through async
 // continuations, so one trace stitches together a write at site A, the
-// placement forward, the WAL commit, rumor mongering, the
-// replica digest negotiation, and the delta apply at site B. Spans are
+// WAL commit, rumor mongering, the replica digest negotiation, and the
+// delta apply at site B. Spans are
 // recorded on the simulated clock into a bounded ring buffer — zero
 // goroutines, ids from a seeded sequence, and a nil tracer (telemetry
 // off) costs a pointer check per call site.

@@ -94,8 +94,7 @@ func (m pushReq) AppendBinary(b []byte) ([]byte, error) {
 func (m pushResp) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagPushResp)
 	b = wire.AppendUint64(b, uint64(m.Applied))
-	b = wire.AppendUint64(b, uint64(m.Conflicts))
-	return wire.AppendStrings(b, m.Refused), nil
+	return wire.AppendUint64(b, uint64(m.Conflicts)), nil
 }
 
 func sectionFlags(match bool, frames []byte, hw map[string]uint64) byte {
@@ -212,7 +211,7 @@ func (m *pushReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushResp, "pushResp")
-	*m = pushResp{Applied: b.Int(), Conflicts: b.Int(), Refused: b.Strings()}
+	*m = pushResp{Applied: b.Int(), Conflicts: b.Int()}
 	return b.Close()
 }
 

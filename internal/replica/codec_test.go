@@ -114,7 +114,7 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("syncResp/zero", syncResp{}),
 		wiretest.Of("pushReq", pushReq{Site: "s000", Objects: benchRows(3)}),
 		wiretest.Of("pushReq/edge rows", pushReq{Site: "s000", Objects: edgeRows()}),
-		wiretest.Of("pushResp", pushResp{Applied: 3, Conflicts: 1, Refused: []string{"obj000002", "obj-ünï-日本"}}),
+		wiretest.Of("pushResp", pushResp{Applied: 3, Conflicts: 1}),
 		wiretest.Of("pushResp/zero", pushResp{}),
 	}, goldenCases()...)
 }
@@ -271,8 +271,8 @@ func newTappedPair(tb testing.TB) *tappedPair {
 		p.spaces = append(p.spaces, sp)
 		p.reps = append(p.reps, New(ep, clk, sp))
 	}
-	p.reps[0].AddPeerNamed("s1", p.reps[1].Addr())
-	p.reps[1].AddPeerNamed("s0", p.reps[0].Addr())
+	p.reps[0].AddPeer(p.reps[1].Addr())
+	p.reps[1].AddPeer(p.reps[0].Addr())
 	return p
 }
 

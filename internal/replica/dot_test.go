@@ -76,7 +76,7 @@ func playDots(tb testing.TB, script []byte) (writes []dotWrite, copies []vclock.
 			if src == dst {
 				continue
 			}
-			reps[dst].ApplyWire(reps[src].FetchWire(sites[dst], []string{oid}))
+			reps[dst].ApplyWire(reps[src].FetchWire([]string{oid}))
 		}
 		for i, r := range reps {
 			row, ok := r.space.Fetch(oid)

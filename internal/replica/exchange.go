@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"mocca/internal/information"
+	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
 	"mocca/internal/wire"
@@ -15,7 +16,7 @@ import (
 // subtree descent → scoped digest exchange over the divergent leaves.
 type merkleExchange struct {
 	r         *Replicator
-	p         peer
+	peer      netsim.Address
 	st        roundState
 	next      func(roundState)
 	depth     int      // descent steps taken
@@ -45,7 +46,7 @@ func (m *merkleExchange) count(n int) {
 func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 	r := m.r
 	m.count(len(req.Frames) + hwBytes(req.HW))
-	r.ep.GoMsg(m.p.addr, MethodDigest, req, func(res rpc.Result) {
+	r.ep.GoMsg(m.peer, MethodDigest, req, func(res rpc.Result) {
 		var resp digestResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
@@ -59,7 +60,7 @@ func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 // pull merges the rows a peer answered with and books those that changed
 // local state.
 func (m *merkleExchange) pull(deltas []*information.Object) int {
-	applied, _, _ := m.r.applyRows(deltas)
+	applied, _ := m.r.applyRows(deltas)
 	if applied > 0 {
 		m.st.moved = true
 		m.st.applied += applied
@@ -72,7 +73,7 @@ func (m *merkleExchange) pull(deltas []*information.Object) int {
 // failed push fails the exchange.
 func (m *merkleExchange) push(objs []*information.Object, then func()) {
 	r := m.r
-	r.ep.GoMsg(m.p.addr, MethodPush, pushReq{Site: r.site, Objects: objs}, func(res rpc.Result) {
+	r.ep.GoMsg(m.peer, MethodPush, pushReq{Site: r.site, Objects: objs}, func(res rpc.Result) {
 		var pr pushResp
 		if err := res.Decode(&pr); err != nil {
 			m.fail()
@@ -100,16 +101,8 @@ func rootFrame(tree *information.DigestTree) []byte {
 func (m *merkleExchange) open() {
 	r := m.r
 	r.bump(func(s *Stats) { s.MerkleExchanges++ })
-	tree := r.treeFor(m.p.site)
+	tree := r.space.Tree()
 	m.negotiate(digestReq{Site: r.site, Frames: rootFrame(tree), HW: tree.HighWater()}, func(resp digestResp) {
-		if m.p.site == "" && resp.Site != "" {
-			// An untagged peer introduced itself: future rounds can scope
-			// placement (and trees) by its site. Tag-only — inserting here
-			// would resurrect a peer RemovePeer dropped while this reply
-			// was in flight.
-			r.tagPeerSite(m.p.addr, resp.Site)
-			m.p.site = resp.Site
-		}
 		if resp.Match {
 			r.bump(func(s *Stats) { s.ConvergedRoots++ })
 			m.finish()
@@ -121,11 +114,7 @@ func (m *merkleExchange) open() {
 		if applied > 0 {
 			r.bump(func(s *Stats) { s.HWFastDeltas += int64(applied) })
 		}
-		peerSite := resp.Site
-		if peerSite == "" {
-			peerSite = m.p.site
-		}
-		push := r.newerThanHW(tree, resp.HW, peerSite)
+		push := r.newerThanHW(tree, resp.HW)
 		switch {
 		case len(push) > 0:
 			m.push(push, m.verify)
@@ -144,7 +133,7 @@ func (m *merkleExchange) open() {
 // descends from the children the response carries.
 func (m *merkleExchange) verify() {
 	r := m.r
-	m.negotiate(digestReq{Site: r.site, Frames: rootFrame(r.treeFor(m.p.site))}, func(resp digestResp) {
+	m.negotiate(digestReq{Site: r.site, Frames: rootFrame(r.space.Tree())}, func(resp digestResp) {
 		if resp.Match {
 			m.finish()
 			return
@@ -164,10 +153,10 @@ func (m *merkleExchange) descend(children []byte) {
 		// converged mid-negotiation (a third replicator pushed it the
 		// missing state between steps). Close out over whatever
 		// divergent leaves were already found; none means done.
-		m.scopedSync(r.treeFor(m.p.site))
+		m.scopedSync()
 		return
 	}
-	tree := r.treeFor(m.p.site)
+	tree := r.space.Tree()
 	var frontier []wire.TreeFrame
 	var kids [information.MerkleFanout]uint64
 	// The decoder refused any section that is not 8 + childRecordSize·n bytes.
@@ -186,7 +175,7 @@ func (m *merkleExchange) descend(children []byte) {
 		}
 	}
 	if len(frontier) == 0 || m.depth >= information.MerkleDepth {
-		m.scopedSync(tree)
+		m.scopedSync()
 		return
 	}
 	m.depth++
@@ -198,7 +187,7 @@ func (m *merkleExchange) descend(children []byte) {
 		if resp.Match {
 			// Every offered frame now agrees: the peer converged while
 			// the negotiation was in flight.
-			m.scopedSync(r.treeFor(m.p.site))
+			m.scopedSync()
 			return
 		}
 		m.descend(resp.Children)
@@ -208,7 +197,7 @@ func (m *merkleExchange) descend(children []byte) {
 // scopedSync runs the id→version-vector digest exchange narrowed to the
 // divergent leaf buckets: digest entries for O(changed) leaves instead
 // of the whole id space, then the delta apply and push.
-func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
+func (m *merkleExchange) scopedSync() {
 	r := m.r
 	if len(m.divergent) == 0 {
 		// Hash descent found nothing concrete (e.g. the peer converged
@@ -218,13 +207,14 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 	}
 	slices.Sort(m.divergent)
 	digest := make(map[string]vclock.Version, len(m.divergent))
+	tree := r.space.Tree()
 	for _, b := range m.divergent {
 		tree.LeafDigestInto(digest, b)
 	}
 	m.st.digestEntries += len(digest)
 	m.count(digestMapBytes(digest))
 	r.bump(func(s *Stats) { s.DigestEntriesSent += int64(len(digest)) })
-	r.ep.GoMsg(m.p.addr, MethodSync, syncReq{Site: r.site, Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
+	r.ep.GoMsg(m.peer, MethodSync, syncReq{Site: r.site, Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
 		var resp syncResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
@@ -233,8 +223,7 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 		m.count(wantBytes(resp.Want))
 		m.pull(resp.Deltas)
 		// Push half: our rows in the divergent buckets the peer's scoped
-		// digest has not fully seen: the offered ids it named, sorted. The
-		// tree is already scoped to the peer's placement interest.
+		// digest has not fully seen: the offered ids it named, sorted.
 		var push []*information.Object
 		for _, id := range resp.Want {
 			if _, offered := digest[id]; !offered {

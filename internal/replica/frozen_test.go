@@ -163,8 +163,8 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		ep := rpc.NewEndpoint(net.MustAddNode(netsim.Address("repl-"+site)), clk, rpc.WithIDs(ids))
 		backends, spaces, reps = append(backends, b), append(spaces, sp), append(reps, New(ep, clk, sp))
 	}
-	reps[0].AddPeerNamed("s1", reps[1].Addr())
-	reps[1].AddPeerNamed("s0", reps[0].Addr())
+	reps[0].AddPeer(reps[1].Addr())
+	reps[1].AddPeer(reps[0].Addr())
 	vectors := []vectorLedger{{}, {}}
 	lookAtTrees := func() {
 		t.Helper()
@@ -202,8 +202,8 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		scope = append(scope, information.MerkleBucket(rows[i].ID))
 	}
 	resp := reencode(t, reps[0].serveScopedSync(syncReq{Site: "s1", Scope: scope}))
-	if applied, _, refused := reps[1].applyRows(resp.Deltas); applied != len(rows) || len(refused) != 0 {
-		t.Fatalf("scoped sync applied %d of %d rows, refused %v", applied, len(rows), refused)
+	if applied, _ := reps[1].applyRows(resp.Deltas); applied != len(rows) || reps[1].Stats().ApplyFailures != 0 {
+		t.Fatalf("scoped sync applied %d of %d rows, stats %+v", applied, len(rows), reps[1].Stats())
 	}
 
 	lookAtTrees()
@@ -238,7 +238,7 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 	for i := 9; i < 16; i++ {
 		fetchIDs = append(fetchIDs, update(0, rows[i], "rumored").ID)
 	}
-	fetched := reencode(t, pushReq{Site: "s0", Objects: reps[0].FetchWire("s1", fetchIDs)})
+	fetched := reencode(t, pushReq{Site: "s0", Objects: reps[0].FetchWire(fetchIDs)})
 	if applied := reps[1].ApplyWire(fetched.Objects); applied != len(fetchIDs) {
 		t.Fatalf("ApplyWire applied %d of %d fetched rows", applied, len(fetchIDs))
 	}
@@ -273,7 +273,7 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		default:
 		}
 		reencode(t, reps[0].serveScopedSync(syncReq{Site: "s1", Scope: scope}))
-		reencode(t, pushReq{Site: "s0", Objects: reps[0].FetchWire("s1", allIDs)})
+		reencode(t, pushReq{Site: "s0", Objects: reps[0].FetchWire(allIDs)})
 		opening, err := reps[0].serveDigest(digestReq{Site: "s1", Frames: emptyRoot, HW: map[string]uint64{}})
 		if err != nil {
 			t.Fatal(err)

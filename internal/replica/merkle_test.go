@@ -8,7 +8,6 @@ import (
 	"mocca/internal/id"
 	"mocca/internal/information"
 	"mocca/internal/netsim"
-	"mocca/internal/placement"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
 )
@@ -309,43 +308,9 @@ func newManualFixture(t *testing.T, n int) *fixture {
 	for i, r := range f.reps {
 		for j, o := range f.reps {
 			if i != j {
-				r.AddPeerNamed(o.Site(), o.Addr())
+				r.AddPeer(o.Addr())
 			}
 		}
 	}
 	return f
-}
-
-// TestMerkleScopedTreesConvergeUnderPlacement: with a selective policy,
-// per-peer trees compare equal once each pair holds its shared subset —
-// converged rounds stay O(1) even though the replicas legitimately store
-// different rows.
-func TestMerkleScopedTreesConvergeUnderPlacement(t *testing.T) {
-	pol := placement.NewPolicy()
-	pol.Use(placement.ByField("body", "scoped", "s0", "s1"))
-	f := newPlacedFixture(t, 3, pol)
-
-	if _, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "secret", "body": "scoped"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "memo"}); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.RunUntilIdle()
-	if f.spaces[2].Len() != 1 {
-		t.Fatalf("s2 holds %d rows, want 1", f.spaces[2].Len())
-	}
-
-	before := f.reps[0].Stats()
-	f.reps[0].SyncNow()
-	f.clk.RunUntilIdle()
-	after := f.reps[0].Stats()
-	// Both peers — the co-placed s1 and the excluded s2 — compare equal
-	// at the root despite holding different row sets.
-	if after.ConvergedRoots-before.ConvergedRoots != 2 {
-		t.Fatalf("converged roots delta = %d, want 2 (stats %+v)", after.ConvergedRoots-before.ConvergedRoots, after)
-	}
-	if after.DigestEntriesSent != before.DigestEntriesSent {
-		t.Fatal("converged scoped round shipped digest entries")
-	}
 }

@@ -1,80 +1,30 @@
 package replica
 
 import (
-	"fmt"
 	"testing"
+
+	"mocca/internal/netsim"
 )
 
-// TestRemovePeerReleasesScopedTree: dropping a peer (gossip view churn)
-// must release the placement-scoped digest tree cached for its site —
-// unless another peer still shares the site.
-func TestRemovePeerReleasesScopedTree(t *testing.T) {
-	sp, rep, _ := newScopedRig(t)
-	for i := 0; i < 4; i++ {
-		if _, err := sp.Put("ada", "doc", map[string]string{
-			"title": fmt.Sprintf("doc %d", i), "body": "scoped"}); err != nil {
-			t.Fatal(err)
-		}
+// TestRemovePeerReportsLivePeers: RemovePeer drops exactly the named
+// address and reports whether it was a peer, so view churn can call it
+// for an address already gone.
+func TestRemovePeerReportsLivePeers(t *testing.T) {
+	f := newManualFixture(t, 1)
+	rep := f.reps[0]
+	rep.AddPeer("repl-s1")
+	rep.AddPeer("repl-s2")
+	rep.AddPeer("repl-s1") // a second add of a peer is a no-op
+	if got := rep.Peers(); len(got) != 2 {
+		t.Fatalf("Peers() = %v, want two", got)
 	}
-	rep.AddPeerNamed("s1", "repl-s1")
-	rep.AddPeerNamed("s2", "repl-s2")
-	rep.treeFor("s1")
-	rep.treeFor("s2")
-	if got := rep.Stats().ScopedTrees; got != 2 {
-		t.Fatalf("ScopedTrees = %d after serving two peers, want 2", got)
-	}
-
 	if !rep.RemovePeer("repl-s2") {
 		t.Fatal("RemovePeer(repl-s2) = false for a live peer")
 	}
-	if got := rep.Stats().ScopedTrees; got != 1 {
-		t.Fatalf("ScopedTrees = %d after dropping s2, want 1 — the tree leaked", got)
-	}
-	if got := len(rep.Peers()); got != 1 {
-		t.Fatalf("Peers() = %d after removal, want 1", got)
+	if got := rep.Peers(); len(got) != 1 || got[0] != netsim.Address("repl-s1") {
+		t.Fatalf("Peers() = %v after removal, want [repl-s1]", got)
 	}
 	if rep.RemovePeer("repl-s2") {
 		t.Fatal("RemovePeer(repl-s2) = true for an already-removed peer")
-	}
-}
-
-// TestRemovePeerKeepsSharedSiteTree: two peer addresses for one site —
-// removing one must keep the site's tree; removing the last releases it.
-func TestRemovePeerKeepsSharedSiteTree(t *testing.T) {
-	sp, rep, _ := newScopedRig(t)
-	if _, err := sp.Put("ada", "doc", map[string]string{
-		"title": "one", "body": "scoped"}); err != nil {
-		t.Fatal(err)
-	}
-	rep.AddPeerNamed("s1", "repl-s1a")
-	rep.AddPeerNamed("s1", "repl-s1b")
-	rep.treeFor("s1")
-	if got := rep.Stats().ScopedTrees; got != 1 {
-		t.Fatalf("ScopedTrees = %d, want 1", got)
-	}
-	rep.RemovePeer("repl-s1a")
-	if got := rep.Stats().ScopedTrees; got != 1 {
-		t.Fatalf("ScopedTrees = %d after dropping one of two s1 peers, want 1", got)
-	}
-	rep.RemovePeer("repl-s1b")
-	if got := rep.Stats().ScopedTrees; got != 0 {
-		t.Fatalf("ScopedTrees = %d after dropping the last s1 peer, want 0", got)
-	}
-}
-
-// TestScopedTreeCacheBoundedByPeers: digest requests from sites that are
-// not peers must not grow the cache past the peer count plus slack —
-// strangers are served by uncached scans instead.
-func TestScopedTreeCacheBoundedByPeers(t *testing.T) {
-	sp, rep, _ := newScopedRig(t)
-	if _, err := sp.Put("ada", "doc", map[string]string{
-		"title": "one", "body": "scoped"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3*scopedSlack; i++ {
-		rep.treeFor(fmt.Sprintf("stranger-%d", i))
-	}
-	if got := rep.Stats().ScopedTrees; got > scopedSlack {
-		t.Fatalf("ScopedTrees = %d from stranger requests, want ≤ %d", got, scopedSlack)
 	}
 }

@@ -37,7 +37,7 @@
 package replica
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -45,7 +45,6 @@ import (
 	"mocca/internal/information"
 	"mocca/internal/netsim"
 	"mocca/internal/observe"
-	"mocca/internal/placement"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
 	"mocca/internal/wire"
@@ -97,8 +96,7 @@ type syncReq struct {
 }
 
 type syncResp struct {
-	// Site names the responding replica, so the caller can filter its
-	// push half by the responder's placement interest set.
+	// Site names the responding replica.
 	Site string
 	// Want lists, sorted, the caller's digest ids the responder's scoped
 	// digest lacks or does not dominate: the rows the caller pushes.
@@ -132,7 +130,7 @@ type digestReq struct {
 // index order (the children section, see codec.go). When the opening
 // call's root mismatched the responder also returns its high-water marks
 // and the rows the caller's marks prove it has never seen (the fast-path
-// delta, placement-scoped like any other delta).
+// delta).
 type digestResp struct {
 	Site     string
 	Match    bool
@@ -144,17 +142,10 @@ type digestResp struct {
 type pushResp struct {
 	Applied   int
 	Conflicts int
-	// Refused lists object ids the receiver did not accept (not placed
-	// there, or the apply failed). A migrating pusher must keep its copy
-	// of these rows.
-	Refused []string
 }
 
 // Stats counts a replicator's activity. The digest/delta counters make
-// the cost of every round — and the savings of partial replication —
-// observable without packet inspection: ScopeFiltered counts the rows
-// placement is withholding from peers, RefusedApplies counts objects
-// peers offered that this site is not placed for.
+// the cost of every round observable without packet inspection.
 type Stats struct {
 	Rounds        int64 `metric:"rounds"`         // anti-entropy rounds initiated
 	PeerSyncs     int64 `metric:"peer_syncs"`     // successful peer exchanges
@@ -166,10 +157,8 @@ type Stats struct {
 	ServedApplied int64 // objects applied on behalf of pushing peers
 
 	DigestEntriesSent int64 // digest entries shipped in sync requests
-	DeltasServed      int64 `metric:"deltas_served"` // objects shipped in sync responses
-	RefusedApplies    int64 // offered objects this site is not placed for
-	Migrated          int64 // rows pushed off this replica by migration
-	Evicted           int64 // rows dropped locally after migration
+	DeltasServed      int64 `metric:"deltas_served"`  // objects shipped in sync responses
+	ApplyFailures     int64 `metric:"apply_failures"` // peer rows the local replica failed to store
 
 	// Merkle negotiation counters. DigestBytes is the digest payload cost
 	// this replicator initiated, both directions: tree frames, high-water
@@ -181,13 +170,6 @@ type Stats struct {
 	DescentCalls    int64 `metric:"descent_calls"`    // subtree-descent negotiation steps sent
 	HWFastDeltas    int64 `metric:"hw_fast_deltas"`   // rows repaired straight off the high-water marks
 	DigestBytes     int64 `metric:"digest_bytes"`     // digest payload bytes exchanged (sent + received)
-	// ScopeFiltered is a gauge, not a counter: the rows placement is
-	// currently keeping out of the cached per-peer digest trees (summed
-	// over peers), recomputed at each Stats snapshot.
-	ScopeFiltered int64
-	// ScopedTrees is a gauge: how many per-site scoped digest trees are
-	// cached right now — bounded by the peer set plus a little slack.
-	ScopedTrees int `metric:"scoped_trees,gauge"`
 
 	// Per-round observability: the last completed round's digest size and
 	// data movement (sum over its peer exchanges).
@@ -207,15 +189,6 @@ func WithFailureCap(n int) Option {
 	return func(r *Replicator) { r.failureCap = n }
 }
 
-// WithPlacement installs the placement policy that scopes this replica's
-// sync traffic: deltas and pushes toward a peer are filtered to the
-// objects the peer's site is placed for, and applies of objects this
-// site is not placed for are refused. A nil policy (the default) means
-// full replication.
-func WithPlacement(p *placement.Policy) Option {
-	return func(r *Replicator) { r.policy = p }
-}
-
 // WithTelemetry attaches the deployment telemetry plane: every sync
 // round runs under its own root span whose context rides the digest,
 // push and descent rpcs, and each delta that changes local state emits
@@ -231,28 +204,6 @@ func WithTelemetry(tel *observe.Telemetry) Option {
 	}
 }
 
-// peer is one sync partner: its address plus (when known) its site name,
-// which is what placement filters the push half by.
-type peer struct {
-	addr netsim.Address
-	site string
-}
-
-// scopedTree caches a placement-scoped digest tree toward one peer site,
-// tagged with the full tree's generation and the policy version it was
-// current under. Entries are built by one full-store scan in treeFor and
-// then kept current incrementally: every commit fans into them through
-// maintainScoped, so the generation stamp advances with the full tree
-// and the scan never repeats while the entry lives. A policy change
-// (policy version) still discards the entry wholesale — placement rules
-// can re-scope arbitrary subsets, which only a rescan can recover.
-type scopedTree struct {
-	tree      *information.DigestTree
-	gen       uint64
-	policyVer uint64
-	excluded  int64 // rows placement is currently keeping out of this tree
-}
-
 // Replicator binds one Space replica to the network: it serves the
 // anti-entropy protocol for peers and initiates its own sync rounds
 // against the configured peer set.
@@ -261,16 +212,13 @@ type Replicator struct {
 	clock   vclock.Clock
 	space   *information.Space
 	site    string
-	policy  *placement.Policy
 	tracer  *observe.Tracer
 	objects *observe.ObjectTraces
 
 	onRoundFail func() // membership-layer hook: a sync round saw peer failures
 
 	mu             sync.Mutex
-	peers          []peer
-	scoped         map[string]scopedTree // per-peer-site placement-scoped trees
-	commitEvents   uint64                // row-changing space events seen by maintainScoped
+	peers          []netsim.Address
 	interval       time.Duration
 	failureCap     int
 	auto           bool
@@ -295,16 +243,9 @@ func New(ep *rpc.Endpoint, clock vclock.Clock, space *information.Space, opts ..
 		site:       space.Site(),
 		interval:   DefaultInterval,
 		failureCap: DefaultFailureCap,
-		scoped:     make(map[string]scopedTree),
 	}
 	for _, opt := range opts {
 		opt(r)
-	}
-	if r.policy != nil {
-		// Keep the per-peer scoped trees current from the commit path:
-		// space callbacks run synchronously on the mutating goroutine,
-		// after the full tree has absorbed the commit.
-		r.space.Subscribe("", r.maintainScoped)
 	}
 	r.register()
 	return r
@@ -329,160 +270,43 @@ func (r *Replicator) Space() *information.Space { return r.space }
 // Addr returns the network address sync traffic originates from.
 func (r *Replicator) Addr() netsim.Address { return r.ep.Addr() }
 
-// Stats returns a snapshot of the counters. ScopeFiltered is computed
-// here as a gauge over the cached per-peer trees.
+// Stats returns a snapshot of the counters.
 func (r *Replicator) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := r.stats
-	out.ScopeFiltered = 0
-	for _, c := range r.scoped {
-		out.ScopeFiltered += c.excluded
-	}
-	out.ScopedTrees = len(r.scoped)
-	return out
+	return r.stats
 }
 
-// AddPeer adds a peer replicator's address to the sync set with no site
-// name: placement cannot scope the push half toward it (everything is
-// offered), and its digest requests arrive with its own site name anyway.
-// Prefer AddPeerNamed where the site is known.
-func (r *Replicator) AddPeer(addr netsim.Address) { r.AddPeerNamed("", addr) }
-
-// AddPeerNamed adds a peer replicator with its site name, enabling
-// placement-scoped pushes and targeted migration toward it.
-func (r *Replicator) AddPeerNamed(site string, addr netsim.Address) {
+// AddPeer adds a peer replicator's address to the sync set.
+func (r *Replicator) AddPeer(addr netsim.Address) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, p := range r.peers {
-		if p.addr == addr {
-			if p.site == "" && site != "" {
-				r.peers[i].site = site
-			}
-			return
-		}
+	if !slices.Contains(r.peers, addr) {
+		r.peers = append(r.peers, addr)
 	}
-	r.peers = append(r.peers, peer{addr: addr, site: site})
 }
 
 // RemovePeer drops a peer from the sync set — view churn under the
-// gossip overlay, or an operator retiring a site. The peer's cached
-// placement-scoped digest tree is released with it (unless another peer
-// still shares the site), so the per-peer tree cache is bounded by the
-// live peer set instead of growing with every site ever seen. Reports
-// whether the address was a peer.
+// gossip overlay, or an operator retiring a site. Reports whether the
+// address was a peer.
 func (r *Replicator) RemovePeer(addr netsim.Address) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx := -1
-	for i, p := range r.peers {
-		if p.addr == addr {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	i := slices.Index(r.peers, addr)
+	if i < 0 {
 		return false
 	}
-	site := r.peers[idx].site
-	r.peers = append(r.peers[:idx], r.peers[idx+1:]...)
-	if site != "" && !r.peerSiteLocked(site) {
-		delete(r.scoped, site)
-	}
+	r.peers = slices.Delete(r.peers, i, i+1)
 	return true
-}
-
-// tagPeerSite records a site name learned mid-exchange for a peer that
-// is still in the sync set. Unlike AddPeerNamed it never inserts: a
-// reply that outlives a concurrent RemovePeer must not undo the removal.
-func (r *Replicator) tagPeerSite(addr netsim.Address, site string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, p := range r.peers {
-		if p.addr == addr {
-			if p.site == "" {
-				r.peers[i].site = site
-			}
-			return
-		}
-	}
-}
-
-// peerSiteLocked reports whether any current peer carries the site name.
-func (r *Replicator) peerSiteLocked(site string) bool {
-	for _, p := range r.peers {
-		if p.site == site {
-			return true
-		}
-	}
-	return false
 }
 
 // Peers returns the peer addresses, sorted.
 func (r *Replicator) Peers() []netsim.Address {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]netsim.Address, len(r.peers))
-	for i, p := range r.peers {
-		out[i] = p.addr
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(r.peers)
+	slices.Sort(out)
 	return out
-}
-
-// placedAt reports whether placement allows the object at the site. A nil
-// policy or an unknown site ("" — an untagged peer) admits everything:
-// filtering is an optimisation, never a correctness gate for untagged
-// peers, while the receiving side still refuses objects it is not placed
-// for.
-func (r *Replicator) placedAt(site string, o *information.Object) bool {
-	if r.policy == nil || site == "" {
-		return true
-	}
-	return r.policy.PlacedAt(site, placement.Describe(o))
-}
-
-// maintainScoped fans one committed row into every cached per-peer
-// scoped tree, replacing the full-store rescan treeFor used to pay on
-// the round after any commit. The callback runs synchronously on the
-// mutating goroutine after the full tree absorbed the commit, so
-// stamping entries with the full tree's current generation keeps
-// treeFor's cache check passing: once writes quiesce, every commit's
-// callback has run and the cached trees match a fresh scoped build
-// exactly. A row whose new fields move it out of the peer's placement is
-// removed from that peer's tree — placement is re-evaluated per commit,
-// not only at build time.
-func (r *Replicator) maintainScoped(ev information.Event) {
-	switch ev.Kind {
-	case "put", "update", "apply", "conflict", "evict":
-	default:
-		return // "share"/"relate" do not change replicated object rows
-	}
-	full := r.space.Tree()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitEvents++ // invalidates any treeFor scan in flight
-	if len(r.scoped) == 0 {
-		return
-	}
-	gen, pv := full.Generation(), r.policy.Version()
-	// A local write's event carries a copy any subscriber can edit, and a
-	// tree keeps the vector it is given: one private copy for all of them.
-	vv := ev.Object.VV.Clone()
-	for site, c := range r.scoped {
-		if c.policyVer != pv {
-			delete(r.scoped, site) // policy changed under the entry; rescan
-			continue
-		}
-		if ev.Kind == "evict" || !r.placedAt(site, ev.Object) {
-			c.tree.Remove(ev.Object.ID)
-		} else {
-			c.tree.Update(ev.Object.ID, vv)
-		}
-		c.gen = gen
-		c.excluded = int64(full.Count() - c.tree.Count())
-		r.scoped[site] = c
-	}
 }
 
 // AutoSync arms idle-aware anti-entropy: local writes to the space
@@ -575,9 +399,9 @@ func (r *Replicator) fire() {
 	r.wantSync = false
 	r.wantNow = false
 	r.stats.Rounds++
-	peers := append([]peer(nil), r.peers...)
+	peers := slices.Clone(r.peers)
 	r.mu.Unlock()
-	sort.Slice(peers, func(i, j int) bool { return peers[i].addr < peers[j].addr })
+	slices.Sort(peers)
 	var st roundState
 	if r.tracer.On() {
 		st.span = r.tracer.StartRoot("sync.round", r.site)
@@ -588,13 +412,13 @@ func (r *Replicator) fire() {
 
 // syncPeer exchanges with peers[i] and chains to the next peer; exchanges
 // run sequentially in sorted order so rounds are deterministic.
-func (r *Replicator) syncPeer(peers []peer, i int, st roundState) {
+func (r *Replicator) syncPeer(peers []netsim.Address, i int, st roundState) {
 	if i >= len(peers) {
 		r.roundDone(st)
 		return
 	}
 	next := func(st roundState) { r.syncPeer(peers, i+1, st) }
-	(&merkleExchange{r: r, p: peers[i], st: st, next: next}).open()
+	(&merkleExchange{r: r, peer: peers[i], st: st, next: next}).open()
 }
 
 // roundDone closes a round and decides whether to re-arm: an explicit
@@ -648,29 +472,22 @@ func (r *Replicator) bump(fn func(*Stats)) {
 }
 
 // applyRows merges peer-supplied rows into the local replica — the one
-// apply path of pulled deltas, pushed rows and rumor fetches alike. Rows
-// this site is not placed for are refused. It returns how many rows
-// changed local state, how many were concurrent updates it resolved, and
-// the ids it did not accept (not placed here, or the apply failed). The
-// rows are handed over: a decoder built them for this call, and the ones
-// that apply become the stored rows.
-func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts int, refused []string) {
-	notPlaced := 0
+// apply path of pulled deltas, pushed rows and rumor fetches alike. It
+// returns how many rows changed local state and how many were concurrent
+// updates it resolved; a row the replica fails to store is counted in
+// ApplyFailures and left for a later round. The rows are handed over: a
+// decoder built them for this call, and the ones that apply become the
+// stored rows.
+func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts int) {
+	failures := 0
 	for _, obj := range rows {
 		// The optimistic-concurrency number is replica-local: whatever the
 		// sender stored, it is the vector's sum here, so converged replicas
 		// agree on it by construction.
 		obj.Version = obj.VV.Sum()
-		if !r.placedAt(r.site, obj) {
-			// The peer offered an object of a space this site is no
-			// longer placed in (e.g. de-placed mid-sync).
-			notPlaced++
-			refused = append(refused, obj.ID)
-			continue
-		}
 		changed, conflict, err := r.space.Adopt(obj)
 		if err != nil {
-			refused = append(refused, obj.ID)
+			failures++
 			continue
 		}
 		if changed {
@@ -689,13 +506,13 @@ func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts i
 			conflicts++
 		}
 	}
-	if conflicts > 0 || notPlaced > 0 {
+	if conflicts > 0 || failures > 0 {
 		r.bump(func(s *Stats) {
 			s.Conflicts += int64(conflicts)
-			s.RefusedApplies += int64(notPlaced)
+			s.ApplyFailures += int64(failures)
 		})
 	}
-	return applied, conflicts, refused
+	return applied, conflicts
 }
 
 // --- gossip-overlay surface ------------------------------------------------
@@ -713,12 +530,12 @@ func (r *Replicator) HasSeen(id, site string, counter uint64) bool {
 	return ok && obj.VV.Counter(site) >= counter
 }
 
-// FetchWire returns the named rows for a gossip push to, or a graft by,
-// forSite, placement-scoped to that site like any other delta.
-func (r *Replicator) FetchWire(forSite string, ids []string) []*information.Object {
+// FetchWire returns the named rows the local replica holds, for a gossip
+// push or graft.
+func (r *Replicator) FetchWire(ids []string) []*information.Object {
 	var out []*information.Object
 	for _, id := range ids {
-		if obj, ok := r.space.Fetch(id); ok && r.placedAt(forSite, obj) {
+		if obj, ok := r.space.Fetch(id); ok {
 			out = append(out, obj)
 		}
 	}
@@ -726,87 +543,22 @@ func (r *Replicator) FetchWire(forSite string, ids []string) []*information.Obje
 }
 
 // ApplyWire merges pushed or grafted rows through the ordinary delta-apply
-// path (placement refusals, conflict resolution, stats), returning how
-// many changed local state.
+// path (conflict resolution, stats), returning how many changed local
+// state.
 func (r *Replicator) ApplyWire(objs []*information.Object) int {
-	applied, _, _ := r.applyRows(objs)
+	applied, _ := r.applyRows(objs)
 	r.bump(func(s *Stats) { s.Applied += int64(applied) })
 	return applied
 }
 
-// treeFor returns the digest tree this replicator compares with the
-// named peer site: the space's own incremental tree when placement is
-// non-selective (or the peer is untagged), otherwise a cached tree
-// scoped to the rows placed at that site — the per-peer view that lets
-// partially-replicated pairs compare equal once converged. An entry is
-// built by one full-store scan and thereafter maintained incrementally
-// from the commit path (maintainScoped), so steady writes cost O(1) per
-// peer per commit instead of an O(rows) rescan per changed round. The
-// scan itself is guarded by the commit-event counter: if a commit lands
-// while the scan runs, the result may miss it, so it is returned for
-// this round but not cached — the next call rebuilds from a consistent
-// view. A policy change (version bump) always forces a rescan.
-func (r *Replicator) treeFor(site string) *information.DigestTree {
-	full := r.space.Tree()
-	if r.policy == nil || site == "" || !r.policy.Selective() {
-		return full
-	}
-	gen, pv := full.Generation(), r.policy.Version()
-	r.mu.Lock()
-	if c, ok := r.scoped[site]; ok && c.gen == gen && c.policyVer == pv {
-		r.mu.Unlock()
-		return c.tree
-	}
-	ev0 := r.commitEvents
-	r.mu.Unlock()
-	t := information.NewDigestTree()
-	excluded := int64(0)
-	r.space.Range(func(o *information.Object) bool {
-		if r.policy.PlacedAt(site, placement.Describe(o)) {
-			t.Update(o.ID, o.VV)
-		} else {
-			excluded++
-		}
-		return true
-	})
-	r.mu.Lock()
-	if r.commitEvents == ev0 && r.mayCacheScopedLocked(site) {
-		// No commit raced the scan: the entry is complete, and from here
-		// maintainScoped keeps it current — this site never rescans
-		// again until the placement policy changes.
-		r.scoped[site] = scopedTree{tree: t, gen: gen, policyVer: pv, excluded: excluded}
-	}
-	r.mu.Unlock()
-	return t
-}
-
-// scopedSlack is how many scoped trees beyond the peer set the cache
-// admits — callers serving digests for sites that are not (yet) peers.
-const scopedSlack = 4
-
-// mayCacheScopedLocked bounds the scoped-tree cache: peer sites always
-// cache (RemovePeer releases them on churn); non-peer callers — arbitrary
-// sites whose digest requests we serve — only while the cache stays
-// within the peer count plus a little slack. Past that, a stranger's
-// request is served from an uncached scan rather than growing the cache
-// (and the per-commit maintainScoped fan-in) without bound.
-func (r *Replicator) mayCacheScopedLocked(site string) bool {
-	if r.peerSiteLocked(site) {
-		return true
-	}
-	return len(r.scoped) < len(r.peers)+scopedSlack
-}
-
-// newerThanHW resolves the tree's past-high-water ids to placement-scoped
-// rows — what a replica with those marks has certainly never seen.
-func (r *Replicator) newerThanHW(tree *information.DigestTree, hw map[string]uint64, peerSite string) []*information.Object {
+// newerThanHW resolves the tree's past-high-water ids to rows — what a
+// replica with those marks has certainly never seen.
+func (r *Replicator) newerThanHW(tree *information.DigestTree, hw map[string]uint64) []*information.Object {
 	var out []*information.Object
 	for _, id := range tree.NewerThanHW(hw) {
-		obj, ok := r.space.Fetch(id)
-		if !ok || !r.placedAt(peerSite, obj) {
-			continue
+		if obj, ok := r.space.Fetch(id); ok {
+			out = append(out, obj)
 		}
-		out = append(out, obj)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"mocca/internal/id"
 	"mocca/internal/information"
 	"mocca/internal/netsim"
+	"mocca/internal/observe"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
 )
@@ -243,4 +245,68 @@ func TestSyncNowOvertakesArmedInterval(t *testing.T) {
 	}
 	f.clk.RunUntilIdle()
 	f.assertConverged(t, obj.ID)
+}
+
+// failingStore refuses to store the rows fail names, as a full disk or a
+// broken log would.
+type failingStore struct {
+	*information.Store
+	fail func(id string) bool
+}
+
+func (s failingStore) Exec(id string, fn func(*information.Object) (*information.Object, error)) (*information.Object, error) {
+	if s.fail(id) {
+		return nil, errors.New("disk full")
+	}
+	return s.Store.Exec(id, fn)
+}
+
+// TestFailedApplyIsCounted: a pushed row the receiving replica cannot
+// store is left out, counted in ApplyFailures and its metric, and the
+// other rows of the same push still land.
+func TestFailedApplyIsCounted(t *testing.T) {
+	f := newManualFixture(t, 1)
+	registry := information.NewSchemaRegistry()
+	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
+		{Name: "title", Type: information.FieldText, Required: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	var bad string
+	sp := information.NewSpace(registry, nil, f.clk, information.WithSite("s1"),
+		information.WithBackend(failingStore{information.NewStore(), func(id string) bool { return id == bad }}))
+	rep := New(rpc.NewEndpoint(f.net.MustAddNode("repl-s1"), f.clk), f.clk, sp)
+	f.reps[0].AddPeer(rep.Addr())
+
+	good, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "lands"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": "refused"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad = lost.ID
+	f.reps[0].SyncNow()
+	f.clk.RunUntilIdle()
+
+	if _, ok := sp.Fetch(good.ID); !ok {
+		t.Fatal("the storable row did not land beside the failing one")
+	}
+	if _, ok := sp.Fetch(lost.ID); ok {
+		t.Fatal("the failing backend holds the row it refused")
+	}
+	st := rep.Stats()
+	if st.ApplyFailures == 0 || st.ServedApplied != 1 {
+		t.Fatalf("stats after a failed apply: %+v", st)
+	}
+	var metric int64 = -1
+	observe.Project(func(p observe.Point) {
+		if p.Name == "sync.apply_failures" {
+			metric = p.Value
+		}
+	}, "sync", nil, st)
+	if metric != st.ApplyFailures {
+		t.Fatalf("sync.apply_failures = %d, Stats says %d", metric, st.ApplyFailures)
+	}
 }

@@ -31,7 +31,7 @@ func (r *Replicator) register() {
 	}))
 	r.ep.MustRegister(MethodPush, rpc.Handle(func(_ netsim.Address, req pushReq) (pushResp, error) {
 		var resp pushResp
-		resp.Applied, resp.Conflicts, resp.Refused = r.applyRows(req.Objects)
+		resp.Applied, resp.Conflicts = r.applyRows(req.Objects)
 		r.bump(func(s *Stats) { s.ServedApplied += int64(resp.Applied) })
 		if resp.Applied > 0 {
 			// Infected becomes infectious: on a sparse peering graph the
@@ -48,10 +48,9 @@ func (r *Replicator) register() {
 // serveScopedSync answers a digest exchange narrowed to the caller's
 // divergent Merkle leaf buckets: the caller's ids the responder's scoped
 // digest for those buckets has not fully seen (the want-list), plus the
-// rows the caller's scoped digest has not fully seen. The per-caller tree
-// is already placement-scoped, so the partial-replication cut is built in.
+// rows the caller's scoped digest has not fully seen.
 func (r *Replicator) serveScopedSync(req syncReq) syncResp {
-	tree := r.treeFor(req.Site)
+	tree := r.space.Tree()
 	// The caller's digest covers the same buckets: its size is the hint.
 	scopedDigest := make(map[string]vclock.Version, len(req.Digest))
 	for _, b := range req.Scope {
@@ -93,7 +92,7 @@ func (r *Replicator) serveDeltas(deltas []*information.Object) []*information.Ob
 // lacks. A matched root carries no marks: the caller is done.
 func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 	r.bump(func(s *Stats) { s.ServedDigests++ })
-	tree := r.treeFor(req.Site)
+	tree := r.space.Tree()
 	frames, err := wire.DecodeTreeFrames(req.Frames)
 	if err != nil {
 		return digestResp{}, err
@@ -124,7 +123,7 @@ func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 	}
 	if req.HW != nil && !resp.Match {
 		resp.HW = tree.HighWater()
-		resp.Deltas = r.serveDeltas(r.newerThanHW(tree, req.HW, req.Site))
+		resp.Deltas = r.serveDeltas(r.newerThanHW(tree, req.HW))
 	}
 	return resp, nil
 }

@@ -250,50 +250,6 @@ func FilterReplica(sel *Selector, principal string, meta ReplicaMeta, fields map
 	return out
 }
 
-// --- Location / placement transparency ------------------------------------
-
-// LocationMeta describes how a read of non-locally-placed state was
-// served: which site's replica actually held the object, which site asked,
-// and the resolution path (e.g. "trader" for a placement-offer lookup).
-type LocationMeta struct {
-	// Holder is the site whose replica served the read.
-	Holder string
-	// Reader is the site the read was issued from — a site not placed for
-	// the object's space.
-	Reader string
-	// Via names the resolution mechanism that found the holder.
-	Via string
-}
-
-// Location-annotation field keys. Like the replica annotations they carry
-// the ViewPrefix so view transparency composes.
-const (
-	LocationHolderField = ViewPrefix + "location:holder"
-	LocationReaderField = ViewPrefix + "location:reader"
-	LocationViaField    = ViewPrefix + "location:via"
-)
-
-// FilterLocation applies location transparency to a read that was served
-// by a remote holder under partial replication. With the transparency
-// selected (the default) a non-placed site looks like it holds every
-// space — the fields pass through untouched. Without it, the reader asked
-// to see placement: the returned copy is annotated with the holding site,
-// the asking site and the resolution path, so the cost of not being
-// placed is in the user's face.
-func FilterLocation(sel *Selector, principal string, meta LocationMeta, fields map[string]string) map[string]string {
-	if sel.For(principal).Has(odp.Location) {
-		return fields
-	}
-	out := make(map[string]string, len(fields)+3)
-	for k, v := range fields {
-		out[k] = v
-	}
-	out[LocationHolderField] = meta.Holder
-	out[LocationReaderField] = meta.Reader
-	out[LocationViaField] = meta.Via
-	return out
-}
-
 // --- Activity transparency -----------------------------------------------
 
 // ActivityFilter decides whether an event belonging to eventActivity should

@@ -227,36 +227,3 @@ func TestFilterReplica(t *testing.T) {
 		t.Fatal("view transparency did not hide replica annotations")
 	}
 }
-
-func TestFilterLocation(t *testing.T) {
-	sel := NewSelector()
-	meta := LocationMeta{Holder: "gmd", Reader: "nott", Via: "trader"}
-	fields := map[string]string{"title": "doc"}
-
-	// Default posture: location transparency selected — a remote read
-	// looks exactly like a local one.
-	if !sel.For("ada").Has(odp.Location) {
-		t.Fatal("location transparency not in the default mask")
-	}
-	out := FilterLocation(sel, "ada", meta, fields)
-	if len(out) != 1 || out["title"] != "doc" {
-		t.Fatalf("transparent read altered fields: %v", out)
-	}
-
-	// Deselecting it surfaces where the read was actually served.
-	sel.Disable("ada", odp.Location)
-	out = FilterLocation(sel, "ada", meta, fields)
-	if out[LocationHolderField] != "gmd" || out[LocationReaderField] != "nott" ||
-		out[LocationViaField] != "trader" {
-		t.Fatalf("annotations missing: %v", out)
-	}
-	if fields[LocationHolderField] != "" {
-		t.Fatal("FilterLocation mutated the caller's fields")
-	}
-
-	// Annotations are view-prefixed: view transparency hides them.
-	hidden := FilterView(sel, "ben", out)
-	if _, ok := hidden[LocationHolderField]; ok {
-		t.Fatal("view transparency did not hide location annotations")
-	}
-}

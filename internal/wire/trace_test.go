@@ -63,7 +63,7 @@ func TestLegacyEnvelopeDecodesWithZeroTrace(t *testing.T) {
 // survives marshal/unmarshal exactly and bumps the version to 2.
 func TestTracedRoundTrip(t *testing.T) {
 	e := NewEnvelope("rpc.req", "call-3", []byte(`{"x":true}`))
-	e.SetHeader("method", "placement.write")
+	e.SetHeader("method", "replica.push")
 	e.Trace = TraceContext{TraceID: 0x0123456789abcdef, SpanID: 42, Parent: 41}
 	data, err := Marshal(e)
 	if err != nil {
@@ -82,7 +82,7 @@ func TestTracedRoundTrip(t *testing.T) {
 	if got.Kind != e.Kind || got.Corr != e.Corr || !bytes.Equal(got.Body, e.Body) {
 		t.Fatalf("payload changed across traced round-trip")
 	}
-	if v, _ := got.Header("method"); v != "placement.write" {
+	if v, _ := got.Header("method"); v != "replica.push" {
 		t.Fatalf("headers changed across traced round-trip: %v", got.headers())
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // servicePrefixes are the Fabric address prefixes the report slices
 // per-service throughput by, in canonical order.
-var servicePrefixes = []string{"mta-", "repl-", "place-", "gossip-", "user-", "load-", "dsa-", "trade-", "mcu"}
+var servicePrefixes = []string{"mta-", "repl-", "gossip-", "user-", "load-", "dsa-", "trade-", "mcu"}
 
 // ClassStats aggregates one op class.
 type ClassStats struct {

@@ -21,7 +21,6 @@
 package mocca
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -34,7 +33,6 @@ import (
 	"mocca/internal/mhs"
 	"mocca/internal/netsim"
 	"mocca/internal/observe"
-	"mocca/internal/placement"
 	"mocca/internal/replica"
 	"mocca/internal/rpc"
 	"mocca/internal/rtc"
@@ -74,7 +72,6 @@ type Deployment struct {
 	link       netsim.LinkProfile
 	syncEvery  time.Duration
 	backendFor func(site string) (information.Backend, error)
-	placeRules []placement.Rule
 	gossip     bool
 	telemetry  bool
 	telOpts    []observe.Option
@@ -92,8 +89,6 @@ type Deployment struct {
 	backends     map[string]information.Backend
 	userEPs      map[netsim.Address]*rpc.Endpoint
 	userSessions map[netsim.Address]*rtc.Session
-	userSites    map[string]string // personal name -> site, for activity placement
-	placedOffers []string          // trader offer ids exported for placement
 }
 
 // NewDeployment builds the simulated substrate and environment.
@@ -106,7 +101,6 @@ func NewDeployment(opts ...Option) *Deployment {
 		backends:     make(map[string]information.Backend),
 		userEPs:      make(map[netsim.Address]*rpc.Endpoint),
 		userSessions: make(map[netsim.Address]*rtc.Session),
-		userSites:    make(map[string]string),
 	}
 	for _, opt := range opts {
 		opt(d)
@@ -130,21 +124,6 @@ func NewDeployment(opts ...Option) *Deployment {
 	if d.gossip {
 		d.topo = overlayTopology{d}
 	}
-
-	// Placement: seed the policy before subscribing, so construction does
-	// not fire a (pointless) migration pass; later rule changes re-export
-	// trader offers, migrate rows off de-placed sites and kick sync.
-	if len(d.placeRules) > 0 {
-		d.env.Placement().Use(d.placeRules...)
-	}
-	d.env.Placement().Subscribe(d.onPlacementChange)
-	d.env.SetReadThrough(func(fromSite, actor, objID string) (*information.Object, string, error) {
-		site, ok := d.sites[fromSite]
-		if !ok {
-			return nil, "", fmt.Errorf("mocca: read-through from unknown site %q", fromSite)
-		}
-		return site.reader.Read(actor, objID)
-	})
 
 	d.mcu = rtc.NewServer(d.newEndpoint("mcu"), d.clock, rtc.WithIDs(d.ids))
 

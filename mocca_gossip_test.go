@@ -157,7 +157,7 @@ func TestGossipPartitionReconvergence(t *testing.T) {
 	for i, s := range sites {
 		addrs := []netsim.Address{
 			netsim.Address("mta-" + s.Name), netsim.Address("repl-" + s.Name),
-			netsim.Address("place-" + s.Name), netsim.Address("gossip-" + s.Name),
+			netsim.Address("gossip-" + s.Name),
 		}
 		if minority[i] {
 			minorityAddrs = append(minorityAddrs, addrs...)

@@ -44,7 +44,7 @@ func TestSiteLifecycle(t *testing.T) {
 				}
 			}
 			victim := sites[1]
-			wantAddrs := []netsim.Address{"mta-s1", "repl-s1", "place-s1"}
+			wantAddrs := []netsim.Address{"mta-s1", "repl-s1"}
 			if tc.gossip {
 				wantAddrs = append(wantAddrs, "gossip-s1")
 			}

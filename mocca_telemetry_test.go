@@ -10,101 +10,80 @@ import (
 	"testing"
 
 	"mocca/internal/observe"
-	"mocca/internal/placement"
 )
 
 // TestTraceLinksWriteAcrossSites is the telemetry plane's acceptance
-// test: one trace id follows a write from a non-placed site through the
-// placement forward rpc, the holder's WAL commit, and the anti-entropy
-// delivery at a second placed site — with every span parented onto the
-// hop that caused it.
+// test: one trace id follows a write from s0 across the overlay to s1
+// and, relayed by s1's forward, on to s2 — with every span parented onto
+// the hop that caused it: the rumor announcement under the write, its
+// serve at the next site under the announcement, and each site's apply
+// and WAL commit under the write.
 func TestTraceLinksWriteAcrossSites(t *testing.T) {
 	dep := NewDeployment(
 		WithSeed(29),
 		WithTelemetry(),
 		WithDurableStore(t.TempDir()),
-		WithPlacement(placement.ByField("context", "vault", "s0", "s2")),
+		WithGossip(),
 	)
-	s0 := dep.AddSite("s0", "s0.net")
-	s1 := dep.AddSite("s1", "s1.net")
-	s2 := dep.AddSite("s2", "s2.net")
+	sites := []*Site{dep.AddSite("s0", "s0.net"), dep.AddSite("s1", "s1.net"), dep.AddSite("s2", "s2.net")}
+	dep.Run()
 
-	// The write lands at s1, which the policy does not place for the
-	// space: it must forward to a placed holder and keep no copy.
-	obj, err := s1.Space().Put("ada", SharedSchemaName, map[string]string{
-		"title": "routed secret", "context": "vault",
-	})
+	obj, err := sites[0].Space().Put("ada", SharedSchemaName, map[string]string{"title": "relayed"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dep.Run()
-
-	if n := s1.Space().Len(); n != 0 {
-		t.Fatalf("writer site still holds %d foreign rows", n)
-	}
-	for _, s := range []*Site{s0, s2} {
+	for _, s := range sites[1:] {
 		if _, err := s.Space().Get("ada", obj.ID); err != nil {
-			t.Fatalf("holder %s missing the object: %v", s.Name, err)
+			t.Fatalf("%s missing the object: %v", s.Name, err)
 		}
 	}
 
-	// Find the root: the write:put span at s1 for this object.
 	spans := dep.Traces()
-	byName := func(name, site string) *observe.Span {
+	find := func(name, site string, parent uint64) *observe.Span {
 		for i := range spans {
-			if spans[i].Name == name && (site == "" || spans[i].Site == site) {
-				return &spans[i]
+			sp := &spans[i]
+			if sp.Name == name && sp.Site == site && (parent == 0 || sp.Parent == parent) {
+				return sp
 			}
 		}
 		return nil
 	}
-	root := byName("write:put", "s1")
+	root := find("write:put", "s0", 0)
 	if root == nil {
 		t.Fatalf("no write root span; spans: %v", spanNames(spans))
 	}
-	trace := root.TraceID
-
-	// Every hop of the chain is in the same trace.
-	forward := byName("placement.forward", "s1")
-	call := byName("rpc.call:"+placement.MethodWrite, "")
-	serve := byName("rpc.serve:"+placement.MethodWrite, "")
-	commit := byName("wal.commit", "s0")
-	apply := byName("sync.apply", "s2")
+	rumor := "gossip.rumor"
+	// The chain of hops: s0 announces the row, s1 serves the announcement,
+	// s1 forwards and announces it on, s2 serves that.
+	ann0 := find("rpc.ann:"+rumor, "gossip-s0", root.SpanID)
+	ann1 := find("rpc.ann:"+rumor, "gossip-s1", root.SpanID)
+	var serve1, serve2 *observe.Span
+	if ann0 != nil {
+		serve1 = find("rpc.serve:"+rumor, "gossip-s1", ann0.SpanID)
+	}
+	if ann1 != nil {
+		serve2 = find("rpc.serve:"+rumor, "gossip-s2", ann1.SpanID)
+	}
 	for _, tc := range []struct {
 		what string
 		sp   *observe.Span
 	}{
-		{"placement.forward", forward},
-		{"rpc.call", call},
-		{"rpc.serve", serve},
-		{"wal.commit@s0", commit},
-		{"sync.apply@s2", apply},
+		{"rpc.ann at s0 under the write", ann0},
+		{"rpc.serve at s1 under s0's announcement", serve1},
+		{"gossip.forward at s1 under the write", find("gossip.forward", "s1", root.SpanID)},
+		{"rpc.ann at s1 under the write", ann1},
+		{"rpc.serve at s2 under s1's announcement", serve2},
+		{"sync.apply at s1 under the write", find("sync.apply", "s1", root.SpanID)},
+		{"sync.apply at s2 under the write", find("sync.apply", "s2", root.SpanID)},
+		{"wal.commit at s2 under the write", find("wal.commit", "s2", root.SpanID)},
 	} {
 		if tc.sp == nil {
-			t.Fatalf("missing %s span; spans: %v", tc.what, spanNames(spans))
+			t.Fatalf("missing %s; spans: %v", tc.what, spanNames(spans))
 		}
-		if tc.sp.TraceID != trace {
-			t.Fatalf("%s span in trace %x, want %x", tc.what, tc.sp.TraceID, trace)
+		if tc.sp.TraceID != root.TraceID {
+			t.Fatalf("%s in trace %x, want %x", tc.what, tc.sp.TraceID, root.TraceID)
 		}
-	}
-
-	// And the parenting mirrors causality: put → forward → call → serve,
-	// with the holder-side WAL commit and the second site's apply both
-	// children of the serve span that carried the object in.
-	if forward.Parent != root.SpanID {
-		t.Fatalf("forward parent = %x, want write root %x", forward.Parent, root.SpanID)
-	}
-	if call.Parent != forward.SpanID {
-		t.Fatalf("call parent = %x, want forward %x", call.Parent, forward.SpanID)
-	}
-	if serve.Parent != call.SpanID {
-		t.Fatalf("serve parent = %x, want call %x", serve.Parent, call.SpanID)
-	}
-	if commit.Parent != serve.SpanID {
-		t.Fatalf("wal.commit parent = %x, want serve %x", commit.Parent, serve.SpanID)
-	}
-	if apply.Parent != serve.SpanID {
-		t.Fatalf("sync.apply parent = %x, want serve %x", apply.Parent, serve.SpanID)
 	}
 
 	// The Chrome export of the run is a single valid JSON object with
@@ -171,16 +150,15 @@ func TestPushDeliveredWriteIsTraced(t *testing.T) {
 }
 
 // TestRestartKeepsTelemetry: a restarted site is wired exactly like a
-// first-booted one. After Crash/Restart of a durable holder (s0) and of a
-// non-placed writer (s1), a write made elsewhere and applied at s0 still
-// commits under a wal.commit span of that write's trace, and a non-placed
-// write at s1 still forwards under a placement.forward span of its own.
+// first-booted one. After Crash/Restart of two durable sites (s0, s1), a
+// write made elsewhere and applied at each still commits under a
+// wal.commit span of that write's trace, and a write made at s1 still
+// roots a trace its apply at s0 joins.
 func TestRestartKeepsTelemetry(t *testing.T) {
 	dep := NewDeployment(
 		WithSeed(29),
 		WithTelemetry(),
 		WithDurableStore(t.TempDir()),
-		WithPlacement(placement.ByField("context", "vault", "s0", "s2")),
 	)
 	s0 := dep.AddSite("s0", "s0.net")
 	s1 := dep.AddSite("s1", "s1.net")
@@ -197,20 +175,20 @@ func TestRestartKeepsTelemetry(t *testing.T) {
 	// The wal.commit span needs an already-tagged id, so the write is made
 	// at s2 and reaches the restarted s0 as a remote apply.
 	remote, err := s2.Space().Put("ada", SharedSchemaName, map[string]string{
-		"title": "applied at the restarted holder", "context": "vault",
+		"title": "applied at the restarted site",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forwarded, err := s1.Space().Put("ada", SharedSchemaName, map[string]string{
-		"title": "forwarded by the restarted writer", "context": "vault",
+	local, err := s1.Space().Put("ada", SharedSchemaName, map[string]string{
+		"title": "written at the restarted site",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dep.Run()
 	if _, err := s0.Space().Get("ada", remote.ID); err != nil {
-		t.Fatalf("restarted holder s0 missing the remote write: %v", err)
+		t.Fatalf("restarted site s0 missing the remote write: %v", err)
 	}
 
 	spans := dep.Traces()
@@ -234,7 +212,8 @@ func TestRestartKeepsTelemetry(t *testing.T) {
 		objID      string
 	}{
 		{"wal.commit", "s0", "s2", remote.ID},
-		{"placement.forward", "s1", "s1", forwarded.ID},
+		{"wal.commit", "s1", "s2", remote.ID},
+		{"sync.apply", "s0", "s1", local.ID},
 	} {
 		root := find("write:put", tc.rootSite, tc.objID)
 		if root == nil {
@@ -316,7 +295,7 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 }
 
 // TestStatsSnapshotsRaceWithTraffic is the torn-read hammer (run under
-// -race): every Stats surface in the deployment — replica, placement,
+// -race): every Stats surface in the deployment — replica,
 // store, gossip, rpc, network, fabric, tracer — is snapshotted
 // concurrently with live traffic via the registry collectors, plus the
 // span ring via Traces(). Lock-protected snapshots make this silent;

@@ -7,7 +7,6 @@ import (
 	"mocca/internal/information"
 	"mocca/internal/information/logstore"
 	"mocca/internal/netsim"
-	"mocca/internal/placement"
 )
 
 // Option configures a Deployment.
@@ -29,17 +28,6 @@ func WithDefaultLink(latency time.Duration, loss float64) Option {
 // information replicas (default one second of simulated time).
 func WithSyncInterval(interval time.Duration) Option {
 	return func(d *Deployment) { d.syncEvery = interval }
-}
-
-// WithPlacement seeds the deployment's placement policy with rules, so
-// partial replication is in force from the first site: each site only
-// replicates the information spaces placed at it, resolves everything
-// else through trader-mediated remote reads, and the policy can be
-// re-tailored at runtime via Deployment.SetPlacementRules. Without this
-// option the policy is the deterministic replicate-everywhere default —
-// existing deployments are unchanged.
-func WithPlacement(rules ...placement.Rule) Option {
-	return func(d *Deployment) { d.placeRules = rules }
 }
 
 // WithGossip replaces the full-mesh site peering with the epidemic

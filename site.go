@@ -11,7 +11,6 @@ import (
 	"mocca/internal/mhs"
 	"mocca/internal/netsim"
 	"mocca/internal/observe"
-	"mocca/internal/placement"
 	"mocca/internal/replica"
 	"mocca/internal/rpc"
 )
@@ -23,25 +22,20 @@ type Site struct {
 	Name   string
 	Domain string
 
-	dep        *Deployment
-	mta        *mhs.MTA
-	env        *core.SiteEnv
-	repl       *replica.Replicator
-	replEP     *rpc.Endpoint // the replicator's endpoint; closed on Crash
-	readEP     *rpc.Endpoint // the placement read endpoint; closed on Crash
-	reader     *placement.Reader
-	readServer *placement.ReadServer
-	gossipEP   *rpc.Endpoint   // the overlay's endpoint; closed on Crash (gossip mode)
-	overlay    *gossip.Overlay // nil unless the deployment runs WithGossip
-	crashed    bool
+	dep      *Deployment
+	mta      *mhs.MTA
+	env      *core.SiteEnv
+	repl     *replica.Replicator
+	replEP   *rpc.Endpoint   // the replicator's endpoint; closed on Crash
+	gossipEP *rpc.Endpoint   // the overlay's endpoint; closed on Crash (gossip mode)
+	overlay  *gossip.Overlay // nil unless the deployment runs WithGossip
+	crashed  bool
 }
 
 // AddSite creates a site: one MTA serving the given domain, routed to all
-// existing sites (full mesh), plus the site's information-space replica
-// with its anti-entropy replicator peered through the deployment's
-// topology — scoped by the deployment's placement policy — and a
-// placement read endpoint serving trader-mediated remote reads of the
-// spaces hosted here.
+// existing sites (full mesh), plus the site's replica of the whole
+// information space with its anti-entropy replicator peered through the
+// deployment's topology.
 func (d *Deployment) AddSite(name, domain string) *Site {
 	s := &Site{Name: name, Domain: domain, dep: d}
 	s.mta = mhs.NewMTA(string(s.mtaAddr()), domain, d.newEndpoint(s.mtaAddr()), d.clock, mhs.WithIDs(d.ids))
@@ -53,7 +47,6 @@ func (d *Deployment) AddSite(name, domain string) *Site {
 		panic(err) // storage that cannot open: see WithSiteBackend
 	}
 	d.sites[name] = s
-	d.refreshPlacementOffers()
 	return s
 }
 
@@ -73,13 +66,12 @@ func (s *Site) Restart() error {
 }
 
 // boot instantiates everything of a site that dies with a crash — the
-// replica over a freshly opened backend, the replication and placement
-// endpoints with replicator, reader and read server, the write-path
-// subscription, peering — identically on first boot and on restart
-// (reactivation is the same instantiation over a recovered checkpoint).
-// What differs is stated here: a first boot has AddSite create what
-// outlives crashes (the MTA and its routes, before; the d.sites entry and
-// placement offers, after) and finds its nodes freshly created and up; a
+// replica over a freshly opened backend, the replication endpoint with
+// its replicator, the write-path subscription, peering — identically on
+// first boot and on restart (reactivation is the same instantiation over
+// a recovered checkpoint). What differs is stated here: a first boot has
+// AddSite create what outlives crashes (the MTA and its routes, before;
+// the d.sites entry, after) and finds its nodes freshly created and up; a
 // restart finds them down and raises them around the join — the
 // topology's own plane before it, so the join can send, and repl-* last,
 // because its recovery is what kicks the site's first sync round.
@@ -93,18 +85,7 @@ func (d *Deployment) boot(s *Site, first bool) error {
 	// any round it still fires fails instantly and it goes dormant under
 	// its failure cap.
 	s.replEP = d.endpointAt(s.replAddr())
-	s.repl = replica.New(s.replEP, d.clock, s.env.Space(),
-		replica.WithPlacement(d.env.Placement()),
-		replica.WithTelemetry(d.tel))
-	s.readEP = d.endpointAt(s.readAddr())
-	s.reader = placement.NewReader(s.readEP, d.env.Trader(), s.Name,
-		placement.WithNegativeCache(d.env.Placement()),
-		placement.WithNegativeTTL(placement.DefaultNegativeTTL, d.clock.Now),
-		placement.WithReaderTelemetry(d.tel))
-	s.readServer = placement.NewReadServer(s.readEP, s.Name,
-		func() *information.Space { return s.env.Space() },
-		placement.WithHolderPolicy(d.env.Placement()),
-		placement.WithServerTelemetry(d.tel))
+	s.repl = replica.New(s.replEP, d.clock, s.env.Space(), replica.WithTelemetry(d.tel))
 	d.wireSiteSpace(s)
 	s.repl.AutoSync(d.syncEvery)
 	if !first {
@@ -120,6 +101,28 @@ func (d *Deployment) boot(s *Site, first bool) error {
 		d.setDown(s.replAddr(), false)
 	}
 	return nil
+}
+
+// wireSiteSpace subscribes the deployment's write path to the site's
+// (current) replica: every local put or update roots a trace tagged with
+// the object id, and the topology sees the write. Every boot calls it,
+// against that boot's replica.
+func (d *Deployment) wireSiteSpace(s *Site) {
+	s.env.Space().Subscribe("", func(ev information.Event) {
+		if ev.Kind != "put" && ev.Kind != "update" || ev.Object == nil {
+			return
+		}
+		if d.tel.On() {
+			// Each local write roots a trace and tags the object id, so
+			// every downstream hop — rumor publish, WAL commit,
+			// anti-entropy apply elsewhere — parents under it.
+			root := d.tel.Tracer.StartRoot("write:"+ev.Kind, s.Name)
+			root.SetAttr("object", ev.Object.ID)
+			d.tel.Objects.Tag(ev.Object.ID, root.Context())
+			root.End()
+		}
+		d.topo.committed(s, ev.Object)
+	})
 }
 
 // openBackend runs the configured backend factory for a site, tracking
@@ -164,12 +167,10 @@ func (s *Site) Crash() {
 		d.setDown(addr, true)
 	}
 	d.topo.left(s)
-	// Close the replication and read endpoints: pending calls cancel now
-	// and any stale auto-sync round the dead replicator still fires
-	// completes immediately instead of dribbling timeouts after the
-	// restart.
+	// Close the replication endpoint: pending calls cancel now and any
+	// stale auto-sync round the dead replicator still fires completes
+	// immediately instead of dribbling timeouts after the restart.
 	s.replEP.Close()
-	s.readEP.Close()
 	if b, ok := d.backends[s.Name]; ok {
 		// Closing drops the file handle; every append already reached the
 		// OS before its write returned, so this models a kill at the last
@@ -182,12 +183,12 @@ func (s *Site) Crash() {
 	s.crashed = true
 }
 
-// Addrs lists the site's network addresses — its MTA, replication and
-// placement-read endpoints plus whatever plane the deployment's topology
-// adds — in a fixed order. They are what a crash takes down and what a
-// partition moves as a group.
+// Addrs lists the site's network addresses — its MTA and replication
+// endpoints plus whatever plane the deployment's topology adds — in a
+// fixed order. They are what a crash takes down and what a partition
+// moves as a group.
 func (s *Site) Addrs() []netsim.Address {
-	return append([]netsim.Address{s.mtaAddr(), s.replAddr(), s.readAddr()}, s.dep.topo.addrs(s)...)
+	return append([]netsim.Address{s.mtaAddr(), s.replAddr()}, s.dep.topo.addrs(s)...)
 }
 
 // mtaAddr is the site's message transfer agent address.
@@ -195,11 +196,6 @@ func (s *Site) mtaAddr() netsim.Address { return netsim.Address("mta-" + s.Name)
 
 // replAddr is the site's replication endpoint address.
 func (s *Site) replAddr() netsim.Address { return netsim.Address("repl-" + s.Name) }
-
-// readAddr is the site's placement read endpoint address — separate from
-// replAddr so Fabric.TotalsFor("repl-") measures pure anti-entropy
-// traffic and TotalsFor("place-") measures remote reads.
-func (s *Site) readAddr() netsim.Address { return netsim.Address("place-" + s.Name) }
 
 // gossipAddr is the site's overlay endpoint address; TotalsFor("gossip-")
 // measures pure membership/rumor traffic.
@@ -228,13 +224,10 @@ func (s *Site) SyncNow() { s.repl.SyncNow() }
 func (s *Site) Overlay() *gossip.Overlay { return s.overlay }
 
 // AddUser provisions a user at the site: an MHS mailbox plus registration
-// with the communication hub. The user's home site is recorded so
-// activity-scoped placement can map activity members to the sites whose
-// replicas must host the activity's space.
+// with the communication hub.
 func (s *Site) AddUser(personal string) *mhs.UserAgent {
 	ua := mhs.NewUserAgent(normalizeOR(personal, s.Domain), s.mta)
 	s.dep.env.Hub().Register(personal, ua)
-	s.dep.userSites[personal] = s.Name
 	return ua
 }
 

@@ -15,9 +15,9 @@ import (
 //     context the wire envelope carries (version-2 frames; peers without
 //     telemetry interop unchanged on version-1 frames),
 //   - each local put/update starts a root trace tagged to the object id,
-//     which the placement forward, the holder's WAL commit, the gossip
-//     rumor path and the anti-entropy apply at remote sites all continue
-//     — one trace id follows the write across sites,
+//     which the WAL commits, the gossip rumor path and the anti-entropy
+//     apply at remote sites all continue — one trace id follows the
+//     write across sites,
 //   - the registry projects the existing per-subsystem Stats snapshots
 //     as labelled metric families (see the adapter collector below) and
 //     serves snapshots via Deployment.Metrics().
@@ -90,8 +90,6 @@ func (d *Deployment) registerCollectors() {
 		for _, name := range d.SiteNames() {
 			s, site := d.sites[name], observe.L("site", name)
 			observe.Project(emit, "mocca.sync", site, s.repl.Stats())
-			observe.Project(emit, "mocca.placement", site, s.reader.Stats())
-			observe.Project(emit, "mocca.placement", site, s.readServer.Stats())
 			if s.overlay != nil {
 				observe.Project(emit, "mocca.gossip", site, s.overlay.Stats())
 			}

@@ -8,7 +8,6 @@ import (
 	"mocca/internal/gossip"
 	"mocca/internal/information"
 	"mocca/internal/netsim"
-	"mocca/internal/placement"
 	"mocca/internal/trader"
 )
 
@@ -17,7 +16,7 @@ import (
 // these hooks and never ask which one it is.
 type topology interface {
 	// addrs lists the per-site addresses the topology owns beyond the
-	// mta-, repl- and place- every site has.
+	// mta- and repl- every site has.
 	addrs(s *Site) []netsim.Address
 	// joined peers a booted site's replicator. first is a first boot:
 	// the site is not in d.sites yet and nothing else will kick its
@@ -47,8 +46,8 @@ func (m meshTopology) joined(s *Site, first bool) {
 		if other == s {
 			continue
 		}
-		s.repl.AddPeerNamed(other.Name, other.repl.Addr())
-		other.repl.AddPeerNamed(s.Name, s.repl.Addr())
+		s.repl.AddPeer(other.repl.Addr())
+		other.repl.AddPeer(s.repl.Addr())
 	}
 	if first && len(m.d.sites) > 0 {
 		// A site joining an established deployment pulls the existing
@@ -75,20 +74,12 @@ func (o overlayTopology) left(s *Site) {
 	s.gossipEP.Close()
 }
 
-// committed races the fresh write ahead of anti-entropy as a rumor,
-// placed peers first.
+// committed races the fresh write ahead of anti-entropy as a rumor.
 func (o overlayTopology) committed(s *Site, obj *information.Object) {
 	if s.crashed {
 		return
 	}
-	pol := o.d.env.Placement()
-	desc := placement.Describe(obj)
-	s.overlay.Publish(obj.ID, obj.VV, func(peerSite string) int {
-		if pol.PlacedAt(peerSite, desc) {
-			return 1
-		}
-		return 0
-	})
+	s.overlay.Publish(obj.ID, obj.VV)
 }
 
 // joined creates the site's overlay agent on its own gossip endpoint,
@@ -103,13 +94,12 @@ func (o overlayTopology) joined(s *Site, _ bool) {
 		gossip.WithSeed(d.seed),
 		gossip.WithTelemetry(d.tel),
 		gossip.WithContacts(o.gossipContacts),
-		gossip.WithBias(o.gossipBias(s.Name)),
 		gossip.WithOnChange(func(added, removed []gossip.Peer) {
 			for _, p := range removed {
 				s.repl.RemovePeer(p.Repl)
 			}
 			for _, p := range added {
-				s.repl.AddPeerNamed(p.Site, p.Repl)
+				s.repl.AddPeer(p.Repl)
 			}
 			if len(added) > 0 && !s.crashed {
 				// View churn re-arms anti-entropy: a fresh peer may hold
@@ -146,26 +136,6 @@ func (o overlayTopology) gossipContacts() []gossip.Peer {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out
-}
-
-// gossipBias ranks a peer site by how many placement assignments it
-// shares with self — the interest-set bias that makes sites gossip hot
-// spaces with placed peers first. Non-selective policies rank everyone
-// equally.
-func (o overlayTopology) gossipBias(self string) func(site string) int {
-	pol := o.d.env.Placement()
-	return func(site string) int {
-		if !pol.Selective() {
-			return 0
-		}
-		shared := 0
-		for _, a := range pol.Assignments() {
-			if a.At(self) && a.At(site) {
-				shared++
-			}
-		}
-		return shared
-	}
 }
 
 // exportGossipOffer (re-)advertises the site's overlay membership in the
