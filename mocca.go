@@ -76,6 +76,9 @@ type Deployment struct {
 	telemetry  bool
 	telOpts    []observe.Option
 	tel        *observe.Telemetry
+	// chOpts go to every endpoint's channel stack after the deployment's
+	// own; tests tap the frames a deployment sends with them.
+	chOpts []channel.Option
 
 	clock  *vclock.Simulated
 	net    *netsim.Network
@@ -179,7 +182,7 @@ func (d *Deployment) endpointOver(node *netsim.Node) *rpc.Endpoint {
 			channel.WithTelemetry(d.tel),
 			channel.WithNamedInterceptor("trace", channel.TracingInterceptor(d.tel.Tracer)))
 	}
-	opts = append(opts, rpc.WithChannel(chOpts...))
+	opts = append(opts, rpc.WithChannel(append(chOpts, d.chOpts...)...))
 	return rpc.NewEndpoint(node, d.clock, opts...)
 }
 
