@@ -97,7 +97,7 @@ var raceEnabled bool
 // TestSendDeliverAllocations prices one frame through two stacks, as the
 // benchmark ledger's channel.send_deliver row does — a caller-built envelope,
 // no interceptor: the envelope the caller builds, the frame's bytes, the
-// clock event that delivers them and the decoded header text. The receiving
+// clock event that delivers them and the decoded literal text. The receiving
 // envelope is lent from a pool and the network's in-flight record is pooled.
 func TestSendDeliverAllocations(t *testing.T) {
 	if raceEnabled {

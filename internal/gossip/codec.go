@@ -8,8 +8,9 @@ import (
 
 // Every overlay message travels as a hand-written binary body, like the
 // anti-entropy protocol's: a tag byte naming the message, then wire's shared
-// primitives — uint32 length-prefixed strings, big-endian uint64 counts and
-// integers — with a peer as its three strings and rows in the one row codec
+// primitives — strings, counts and counters prefixed or written as uvarints,
+// so a short name costs one byte of length and a count below 128 one byte —
+// with a peer as its three strings and rows in the one row codec
 // (information.AppendObject). A Peer alone is the request of gossip.join
 // and gossip.probe: the sender introducing itself. Probe is answered with
 // wire.Empty: a reply arriving is all the caller learns. Disconnect and
@@ -39,18 +40,27 @@ const (
 // appendPeer writes a peer: its site, gossip address and replication
 // address.
 func appendPeer(b []byte, p Peer) []byte {
-	b = wire.AppendString(b, p.Site)
-	b = wire.AppendString(b, string(p.Addr))
-	return wire.AppendString(b, string(p.Repl))
+	b = wire.AppendVarString(b, p.Site)
+	b = wire.AppendVarString(b, string(p.Addr))
+	return wire.AppendVarString(b, string(p.Repl))
 }
 
 func consumePeer(b *wire.Body) Peer {
-	return Peer{Site: b.String(), Addr: netsim.Address(b.String()), Repl: netsim.Address(b.String())}
+	return Peer{Site: b.VarString(), Addr: netsim.Address(b.VarString()), Repl: netsim.Address(b.VarString())}
+}
+
+// appendPeers writes a list of peers: a uvarint count, then each peer.
+func appendPeers(b []byte, peers []Peer) []byte {
+	b = wire.AppendUvarint(b, uint64(len(peers)))
+	for _, p := range peers {
+		b = appendPeer(b, p)
+	}
+	return b
 }
 
 // consumePeers reads a list of peers; an empty one reads as nil.
 func consumePeers(b *wire.Body) []Peer {
-	n := b.Count(3 * 4)
+	n := b.UvarintCount(3) // three length prefixes
 	if n == 0 {
 		return nil
 	}
@@ -76,8 +86,7 @@ func (p *Peer) UnmarshalBinary(data []byte) error {
 // AppendBinary implements encoding.BinaryAppender.
 func (m joinResp) AppendBinary(b []byte) ([]byte, error) {
 	b = appendPeer(append(b, tagJoinResp), m.Me)
-	b = wire.AppendList(b, m.Active, appendPeer)
-	return wire.AppendList(b, m.Passive, appendPeer), nil
+	return appendPeers(appendPeers(b, m.Active), m.Passive), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -103,7 +112,7 @@ func (m *forwardJoinReq) UnmarshalBinary(data []byte) error {
 // AppendBinary implements encoding.BinaryAppender.
 func (m shuffleReq) AppendBinary(b []byte) ([]byte, error) {
 	b = appendPeer(append(b, tagShuffleReq), m.From)
-	return wire.AppendList(b, m.Sample, appendPeer), nil
+	return appendPeers(b, m.Sample), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -115,7 +124,7 @@ func (m *shuffleReq) UnmarshalBinary(data []byte) error {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m shuffleResp) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendList(append(b, tagShuffleResp), m.Sample, appendPeer), nil
+	return appendPeers(append(b, tagShuffleResp), m.Sample), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -172,14 +181,14 @@ func (m *neighborResp) UnmarshalBinary(data []byte) error {
 // appendPushEntry writes one pushed write: its dot's site and counter, then
 // its row.
 func appendPushEntry(b []byte, site string, counter uint64, row *information.Object) []byte {
-	b = wire.AppendString(b, site)
-	b = wire.AppendUint64(b, counter)
+	b = wire.AppendVarString(b, site)
+	b = wire.AppendUvarint(b, counter)
 	return information.AppendObject(b, row)
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m rumorReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendUint64(append(b, tagRumorReq), uint64(len(m.Entries)))
+	b = wire.AppendUvarint(append(b, tagRumorReq), uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		b = appendPushEntry(b, e.Site, e.Counter, e.Row)
 	}
@@ -196,7 +205,7 @@ func appendPush(b []byte, dots []rumorEntry, rows []*information.Object) []byte 
 			n++
 		}
 	}
-	b = wire.AppendUint64(append(b, tagRumorReq), uint64(n))
+	b = wire.AppendUvarint(append(b, tagRumorReq), uint64(n))
 	i := 0
 	for _, d := range dots {
 		if i < len(rows) && rows[i].ID == d.ID {
@@ -211,10 +220,10 @@ func appendPush(b []byte, dots []rumorEntry, rows []*information.Object) []byte 
 func (m *rumorReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
 	*m = rumorReq{}
-	if n := b.Count(4 + 8); n > 0 { // site prefix + counter, before the row
+	if n := b.UvarintCount(1 + 1); n > 0 { // site prefix + counter, before the row
 		m.Entries = make([]pushEntry, n)
 		for i := range m.Entries {
-			m.Entries[i] = pushEntry{Site: b.String(), Counter: b.Uint64(), Row: wire.Consume(&b, information.DecodeObject)}
+			m.Entries[i] = pushEntry{Site: b.VarString(), Counter: b.Uvarint(), Row: wire.Consume(&b, information.DecodeObject)}
 		}
 	}
 	return b.Close()
@@ -222,11 +231,11 @@ func (m *rumorReq) UnmarshalBinary(data []byte) error {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m ihaveReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendUint64(append(b, tagIhaveReq), uint64(len(m.Entries)))
+	b = wire.AppendUvarint(append(b, tagIhaveReq), uint64(len(m.Entries)))
 	for _, e := range m.Entries {
-		b = wire.AppendString(b, e.ID)
-		b = wire.AppendString(b, e.Site)
-		b = wire.AppendUint64(b, e.Counter)
+		b = wire.AppendVarString(b, e.ID)
+		b = wire.AppendVarString(b, e.Site)
+		b = wire.AppendUvarint(b, e.Counter)
 	}
 	return b, nil
 }
@@ -235,10 +244,10 @@ func (m ihaveReq) AppendBinary(b []byte) ([]byte, error) {
 func (m *ihaveReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagIhaveReq, "ihaveReq")
 	*m = ihaveReq{}
-	if n := b.Count(2*4 + 8); n > 0 { // id and site prefixes + counter
+	if n := b.UvarintCount(3); n > 0 { // id and site prefixes + counter
 		m.Entries = make([]rumorEntry, n)
 		for i := range m.Entries {
-			m.Entries[i] = rumorEntry{ID: b.String(), Site: b.String(), Counter: b.Uint64()}
+			m.Entries[i] = rumorEntry{ID: b.VarString(), Site: b.VarString(), Counter: b.Uvarint()}
 		}
 	}
 	return b.Close()
@@ -246,14 +255,13 @@ func (m *ihaveReq) UnmarshalBinary(data []byte) error {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m graftReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendString(append(b, tagGraftReq), m.Site)
-	return wire.AppendStrings(b, m.IDs), nil
+	return wire.AppendStrings(append(b, tagGraftReq), m.IDs), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *graftReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagGraftReq, "graftReq")
-	*m = graftReq{Site: b.String(), IDs: b.Strings()}
+	*m = graftReq{IDs: b.Strings()}
 	return b.Close()
 }
 

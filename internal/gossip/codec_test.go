@@ -99,7 +99,7 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("neighborReq/zero", neighborReq{}),
 		wiretest.Of("neighborResp", neighborResp{Accepted: true}),
 		wiretest.Of("neighborResp/refused", neighborResp{}),
-		wiretest.Of("graftReq", graftReq{Site: "s003", IDs: []string{"obj000001", "obj-ünï-日本", ""}}),
+		wiretest.Of("graftReq", graftReq{IDs: []string{"obj000001", "obj-ünï-日本", ""}}),
 		wiretest.Of("graftReq/zero", graftReq{}),
 		wiretest.Of("graftResp", graftResp{Objects: rows}),
 		wiretest.Of("graftResp/edge rows", graftResp{Objects: edgeRows()}),
@@ -121,26 +121,23 @@ func bodyCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"rumorReq/publish": "9b000000000000000100000004733030300000000000000001000000096f626a303030303030000000116d6f6363612d69" +
-			"6e7465726368616e6765000000067530303030300000000473303030000000000000000100000000000000010000000473" +
-			"303030000000000000000109d39b5f4a6aa00009d39b5f4a6aa000000000000000000400000006617574686f7200000006" +
-			"75303030303000000004626f64790000002373686172656420776f726b696e67206d6174657269616c20666f7220616374" +
-			"3030303000000007636f6e746578740000000761637430303030000000057469746c650000000e73656564206f626a3030" +
-			"30303030",
-		"ihaveReq":         "9c0000000000000001000000096f626a30303030303000000004733030300000000000000001",
-		"neighborReq/ring": "9d00000004733030330000000b676f737369702d73303033000000097265706c2d7330303301",
+		"rumorReq/publish": "9b01047330303001000000096f626a303030303030000000116d6f6363612d696e7465726368616e6765000000067530" +
+			"303030300000000473303030000000000000000100000000000000010000000473303030000000000000000109d39b5f" +
+			"4a6aa00009d39b5f4a6aa000000000000000000400000006617574686f720000000675303030303000000004626f6479" +
+			"0000002373686172656420776f726b696e67206d6174657269616c20666f72206163743030303000000007636f6e7465" +
+			"78740000000761637430303030000000057469746c650000000e73656564206f626a303030303030",
+		"ihaveReq":         "9c01096f626a303030303030047330303001",
+		"neighborReq/ring": "9d04733030330b676f737369702d73303033097265706c2d7330303301",
 		"neighborResp":     "9e01",
-		"graftReq": "9300000004733030330000000000000003000000096f626a303030303031000000106f626a2dc3bc6ec3af2de697a5e6" +
-			"9cac00000000",
-		"graftResp/zero": "940000000000000000",
-		"peer":           "9500000004733030330000000b676f737369702d73303033000000097265706c2d73303033",
-		"joinResp": "9600000004733030330000000b676f737369702d73303033000000097265706c2d733030330000000000000001000000" +
-			"04733030300000000b676f737369702d73303030000000097265706c2d73303030000000000000000100000004733030" +
-			"310000000b676f737369702d73303031000000097265706c2d73303031",
-		"forwardJoinReq":  "9700000004733030330000000b676f737369702d73303033000000097265706c2d733030330000000000000003",
-		"shuffleReq/zero": "980000000000000000000000000000000000000000",
-		"shuffleResp": "99000000000000000200000004733030320000000b676f737369702d73303032000000097265706c2d73303032000000" +
-			"04733030330000000b676f737369702d73303033000000097265706c2d73303033",
+		"graftReq":         "930000000000000003000000096f626a303030303031000000106f626a2dc3bc6ec3af2de697a5e69cac00000000",
+		"graftResp/zero":   "940000000000000000",
+		"peer":             "9504733030330b676f737369702d73303033097265706c2d73303033",
+		"joinResp": "9604733030330b676f737369702d73303033097265706c2d733030330104733030300b676f737369702d733030300972" +
+			"65706c2d733030300104733030310b676f737369702d73303031097265706c2d73303031",
+		"forwardJoinReq":  "9704733030330b676f737369702d73303033097265706c2d733030330000000000000003",
+		"shuffleReq/zero": "9800000000",
+		"shuffleResp": "990204733030320b676f737369702d73303032097265706c2d7330303204733030330b676f737369702d733030330972" +
+			"65706c2d73303033",
 	})
 }
 

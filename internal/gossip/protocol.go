@@ -96,8 +96,7 @@ type ihaveReq struct {
 }
 
 type graftReq struct {
-	Site string
-	IDs  []string
+	IDs []string
 }
 
 type graftResp struct {
@@ -577,7 +576,7 @@ func (o *Overlay) graft(from netsim.Address, announced []rumorEntry) {
 		}
 	}
 	slices.Sort(ids)
-	o.ep.GoMsg(from, MethodGraft, graftReq{Site: o.self.Site, IDs: ids}, func(res rpc.Result) {
+	o.ep.GoMsg(from, MethodGraft, graftReq{IDs: ids}, func(res rpc.Result) {
 		o.mu.Lock()
 		for _, e := range want {
 			delete(o.grafting, e.key())

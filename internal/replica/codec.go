@@ -12,8 +12,9 @@ import (
 // The six messages of the anti-entropy protocol travel as hand-written
 // binary bodies. Every body opens with a tag byte naming the message; the rest is
 // built from wire's shared primitives — big-endian integers, uint32
-// length-prefixed strings, uint64 counts — with maps written in sorted key
-// order, so equal messages encode to equal bytes. Rows are in the one row
+// length-prefixed strings, uint64 or uvarint counts — with maps written in
+// sorted key order, so equal messages encode to equal bytes. No body names
+// its sender: a receiver that needs the peer has the envelope's address. Rows are in the one row
 // codec (information.AppendObject), the form the durable log stores them
 // in. A request's tree frames are in wire.AppendTreeFrames' layout; a
 // reply's children section is a count, then per mismatched internal node
@@ -51,23 +52,19 @@ const (
 // AppendBinary implements encoding.BinaryAppender.
 func (m digestReq) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagDigestReq, sectionFlags(false, m.Frames, m.HW))
-	b = wire.AppendString(b, m.Site)
 	return appendSections(b, m.Frames, m.HW), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m digestResp) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagDigestResp, sectionFlags(m.Match, m.Children, m.HW))
-	b = wire.AppendString(b, m.Site)
 	b = appendSections(b, m.Children, m.HW)
 	return wire.AppendList(b, m.Deltas, information.AppendObject), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagSyncReq)
-	b = wire.AppendString(b, m.Site)
-	b = appendDigest(b, m.Digest)
+	b = appendDigest(append(b, tagSyncReq), m.Digest)
 	b = wire.AppendUint64(b, uint64(len(m.Scope)))
 	for _, bucket := range m.Scope {
 		b = binary.BigEndian.AppendUint32(b, bucket)
@@ -77,17 +74,13 @@ func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagSyncResp)
-	b = wire.AppendString(b, m.Site)
-	b = wire.AppendStrings(b, m.Want)
+	b = wire.AppendStrings(append(b, tagSyncResp), m.Want)
 	return wire.AppendList(b, m.Deltas, information.AppendObject), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m pushReq) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagPushReq)
-	b = wire.AppendString(b, m.Site)
-	return wire.AppendList(b, m.Objects, information.AppendObject), nil
+	return wire.AppendList(append(b, tagPushReq), m.Objects, information.AppendObject), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -122,10 +115,10 @@ func appendSections(b, frames []byte, hw map[string]uint64) []byte {
 	return b
 }
 
-// appendHW writes a high-water map: count, then per site in sorted order
-// the name and the mark — hwBytes(hw) bytes.
+// appendHW writes a high-water map: a uvarint count, then per site in
+// sorted order its name and its mark as a uvarint — hwBytes(hw) bytes.
 func appendHW(b []byte, hw map[string]uint64) []byte {
-	b = wire.AppendUint64(b, uint64(len(hw)))
+	b = wire.AppendUvarint(b, uint64(len(hw)))
 	sites := make([]string, 0, len(hw))
 	for s := range hw {
 		sites = append(sites, s)
@@ -133,7 +126,7 @@ func appendHW(b []byte, hw map[string]uint64) []byte {
 	slices.Sort(sites)
 	for _, s := range sites {
 		b = wire.AppendString(b, s)
-		b = wire.AppendUint64(b, hw[s])
+		b = wire.AppendUvarint(b, hw[s])
 	}
 	return b
 }
@@ -165,7 +158,7 @@ func appendDigest(b []byte, d map[string]vclock.Version) []byte {
 func (m *digestReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestReq, "digestReq")
 	flags := b.Flags(flagFrames | flagHW)
-	*m = digestReq{Site: b.String()}
+	*m = digestReq{}
 	m.Frames, m.HW = consumeSections(&b, flags, 16)
 	return b.Close()
 }
@@ -175,7 +168,7 @@ func (m *digestReq) UnmarshalBinary(data []byte) error {
 func (m *digestResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestResp, "digestResp")
 	flags := b.Flags(flagMatch | flagFrames | flagHW)
-	*m = digestResp{Match: flags&flagMatch != 0, Site: b.String()}
+	*m = digestResp{Match: flags&flagMatch != 0}
 	m.Children, m.HW = consumeSections(&b, flags, childRecordSize)
 	m.Deltas = information.ConsumeObjects(&b)
 	return b.Close()
@@ -184,7 +177,7 @@ func (m *digestResp) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSyncReq, "syncReq")
-	*m = syncReq{Site: b.String(), Digest: consumeDigest(&b)}
+	*m = syncReq{Digest: consumeDigest(&b)}
 	if n := b.Count(4); n > 0 {
 		m.Scope = make([]uint32, n)
 		for i, raw := 0, b.Raw(4*n); i < n; i++ {
@@ -197,14 +190,14 @@ func (m *syncReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSyncResp, "syncResp")
-	*m = syncResp{Site: b.String(), Want: b.Strings(), Deltas: information.ConsumeObjects(&b)}
+	*m = syncResp{Want: b.Strings(), Deltas: information.ConsumeObjects(&b)}
 	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushReq, "pushReq")
-	*m = pushReq{Site: b.String(), Objects: information.ConsumeObjects(&b)}
+	*m = pushReq{Objects: information.ConsumeObjects(&b)}
 	return b.Close()
 }
 
@@ -227,11 +220,11 @@ func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, h
 		frames = section.Raw(8 + recordSize*n)
 	}
 	if flags&flagHW != 0 {
-		n := b.Count(12)
+		n := b.UvarintCount(4 + 1) // a name's length prefix, a one-byte mark
 		hw = make(map[string]uint64, n)
 		for range n {
 			site := b.String()
-			hw[site] = b.Uint64()
+			hw[site] = b.Uvarint()
 		}
 	}
 	return frames, hw

@@ -100,20 +100,20 @@ func bodyCases() []wiretest.Case {
 	}
 	hw := map[string]uint64{"s000": 41, "s001": 7, "köln": 1 << 40}
 	return append([]wiretest.Case{
-		wiretest.Of("digestReq/opening", digestReq{Site: "s000", Frames: root, HW: hw}),
-		wiretest.Of("digestReq/empty replica", digestReq{Site: "s001", Frames: root, HW: map[string]uint64{}}),
-		wiretest.Of("digestReq/follow-up", digestReq{Site: "s000", Frames: wire.AppendTreeFrames(nil, frames)}),
+		wiretest.Of("digestReq/opening", digestReq{Frames: root, HW: hw}),
+		wiretest.Of("digestReq/empty replica", digestReq{Frames: root, HW: map[string]uint64{}}),
+		wiretest.Of("digestReq/follow-up", digestReq{Frames: wire.AppendTreeFrames(nil, frames)}),
 		wiretest.Of("digestReq/zero", digestReq{}),
-		wiretest.Of("digestResp/mismatch rows", digestResp{Site: "s001", Children: childrenSection(0), HW: map[string]uint64{}, Deltas: benchRows(16)}),
+		wiretest.Of("digestResp/mismatch rows", digestResp{Children: childrenSection(0), HW: map[string]uint64{}, Deltas: benchRows(16)}),
 		wiretest.Of("digestResp/edge rows", digestResp{Deltas: edgeRows()}),
-		wiretest.Of("syncReq", syncReq{Site: "s000", Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}),
-		wiretest.Of("syncReq/no digest", syncReq{Site: "s000", Scope: []uint32{9}}),
+		wiretest.Of("syncReq", syncReq{Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}),
+		wiretest.Of("syncReq/no digest", syncReq{Scope: []uint32{9}}),
 		wiretest.Of("syncReq/zero", syncReq{}),
-		wiretest.Of("syncResp", syncResp{Site: "s001", Want: benchWant(64), Deltas: benchRows(16)}),
-		wiretest.Of("syncResp/edge rows", syncResp{Site: "köln", Want: []string{"nil-vv", "obj-ünï-日本"}, Deltas: edgeRows()}),
+		wiretest.Of("syncResp", syncResp{Want: benchWant(64), Deltas: benchRows(16)}),
+		wiretest.Of("syncResp/edge rows", syncResp{Want: []string{"nil-vv", "obj-ünï-日本"}, Deltas: edgeRows()}),
 		wiretest.Of("syncResp/zero", syncResp{}),
-		wiretest.Of("pushReq", pushReq{Site: "s000", Objects: benchRows(3)}),
-		wiretest.Of("pushReq/edge rows", pushReq{Site: "s000", Objects: edgeRows()}),
+		wiretest.Of("pushReq", pushReq{Objects: benchRows(3)}),
+		wiretest.Of("pushReq/edge rows", pushReq{Objects: edgeRows()}),
 		wiretest.Of("pushResp", pushResp{Applied: 3, Conflicts: 1}),
 		wiretest.Of("pushResp/zero", pushResp{}),
 	}, goldenCases()...)
@@ -124,21 +124,21 @@ func bodyCases() []wiretest.Case {
 // push that is its rows and nothing after them.
 func goldenCases() []wiretest.Case {
 	return []wiretest.Case{
-		wiretest.Of("digestResp/match", digestResp{Site: "s001", Match: true}),
-		wiretest.Of("digestResp/mismatch", digestResp{Site: "s001", Children: childrenSection(wire.PackTreePath(0, 0)), HW: map[string]uint64{"s000": 41}}),
-		wiretest.Of("digestResp/descent", digestResp{Site: "s001", Children: childrenSection(wire.PackTreePath(1, 3), wire.PackTreePath(2, 255))}),
-		wiretest.Of("syncResp/want", syncResp{Site: "s001", Want: []string{"obj000003", "obj000017"}}),
-		wiretest.Of("pushReq/no rows", pushReq{Site: "s000"}),
+		wiretest.Of("digestResp/match", digestResp{Match: true}),
+		wiretest.Of("digestResp/mismatch", digestResp{Children: childrenSection(wire.PackTreePath(0, 0)), HW: map[string]uint64{"s000": 41}}),
+		wiretest.Of("digestResp/descent", digestResp{Children: childrenSection(wire.PackTreePath(1, 3), wire.PackTreePath(2, 255))}),
+		wiretest.Of("syncResp/want", syncResp{Want: []string{"obj000003", "obj000017"}}),
+		wiretest.Of("pushReq/no rows", pushReq{}),
 	}
 }
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, goldenCases(), map[string]string{
-		"digestResp/match":    "870100000004733030310000000000000000",
-		"digestResp/mismatch": "87060000000473303031000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c1500000000000000001000000047330303000000000000000290000000000000000",
-		"digestResp/descent":  "87020000000473303031000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
-		"syncResp/want":       "8800000004733030310000000000000002000000096f626a303030303033000000096f626a3030303031370000000000000000",
-		"pushReq/no rows":     "8900000004733030300000000000000000",
+		"digestResp/match":    "87010000000000000000",
+		"digestResp/mismatch": "8706000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c150010000000473303030290000000000000000",
+		"digestResp/descent":  "8702000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
+		"syncResp/want":       "880000000000000002000000096f626a303030303033000000096f626a3030303031370000000000000000",
+		"pushReq/no rows":     "890000000000000000",
 	})
 }
 
@@ -160,13 +160,13 @@ func TestBodiesRoundTrip(t *testing.T) {
 // and fingerprint a function of the seed.
 func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	ref := syncReq{Site: "s001", Digest: benchDigest(64)}
+	ref := syncReq{Digest: benchDigest(64)}
 	want, _ := ref.AppendBinary(nil)
-	refRows := digestResp{Site: "s001", Deltas: benchRows(16)}
+	refRows := digestResp{Deltas: benchRows(16)}
 	wantRows, _ := refRows.AppendBinary(nil)
-	wantReq, _ := digestReq{Site: "s000", HW: map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}}.AppendBinary(nil)
+	wantReq, _ := digestReq{HW: map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
-		m := syncReq{Site: "s001", Digest: map[string]vclock.Version{}}
+		m := syncReq{Digest: map[string]vclock.Version{}}
 		ids := make([]string, 0, len(ref.Digest))
 		for id := range ref.Digest {
 			ids = append(ids, id)
@@ -187,7 +187,7 @@ func TestBodiesCanonical(t *testing.T) {
 		if got, _ := m.AppendBinary(nil); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: syncReq bytes depend on map insertion order", trial)
 		}
-		rows := digestResp{Site: "s001"}
+		rows := digestResp{}
 		for _, src := range refRows.Deltas {
 			row := *src
 			row.Fields = map[string]string{}
@@ -205,7 +205,7 @@ func TestBodiesCanonical(t *testing.T) {
 		for _, i := range rng.Perm(5) {
 			hw[string(rune('a'+i))] = uint64(i + 1)
 		}
-		if got, _ := (digestReq{Site: "s000", HW: hw}).AppendBinary(nil); !bytes.Equal(got, wantReq) {
+		if got, _ := (digestReq{HW: hw}).AppendBinary(nil); !bytes.Equal(got, wantReq) {
 			t.Fatalf("trial %d: digestReq bytes depend on map insertion order", trial)
 		}
 	}
@@ -374,8 +374,8 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	}
 	// The byte budget on both sides, exact: a layout that grows fails
 	// here, not only on the benchmark.
-	if after.LastRoundDigestBytes != 1356 || after.DigestBytes != 1578 || p.reps[1].Stats().DigestBytes != 92 {
-		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1356), s0 total %d (want 1578), s1 total %d (want 92)",
+	if after.LastRoundDigestBytes != 1330 || after.DigestBytes != 1532 || p.reps[1].Stats().DigestBytes != 66 {
+		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1330), s0 total %d (want 1532), s1 total %d (want 66)",
 			after.LastRoundDigestBytes, after.DigestBytes, p.reps[1].Stats().DigestBytes)
 	}
 
@@ -393,7 +393,7 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	}
 	// One root frame and one single-site high-water map out; a matching
 	// reply carries neither children nor marks.
-	if want := 24 + hwBytes(map[string]uint64{"s0": 0}); sections != want {
+	if want := 24 + hwBytes(p.spaces[0].Tree().HighWater()); sections != want || len(p.spaces[0].Tree().HighWater()) != 1 {
 		t.Fatalf("converged round exchanged %d digest bytes, want %d", sections, want)
 	}
 	replies := 0
@@ -443,7 +443,7 @@ var benchSink int
 // BenchmarkSyncRespCodec prices one scoped-sync reply — 16 rows and a
 // 64-id want-list — through the one body entry point, each way.
 func BenchmarkSyncRespCodec(b *testing.B) {
-	msg := syncResp{Site: "s001", Want: benchWant(64), Deltas: benchRows(16)}
+	msg := syncResp{Want: benchWant(64), Deltas: benchRows(16)}
 	body, err := wire.EncodeBody(msg)
 	if err != nil {
 		b.Fatal(err)
@@ -476,7 +476,7 @@ func BenchmarkSyncRespCodec(b *testing.B) {
 // with the body they were read from, which the transport reuses as soon as
 // the handler returns.
 func TestDecodedRowOwnsItsBytes(t *testing.T) {
-	sent := pushReq{Site: "s000", Objects: append(benchRows(3), edgeRows()...)}
+	sent := pushReq{Objects: append(benchRows(3), edgeRows()...)}
 	body, err := sent.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func (m *merkleExchange) pull(deltas []*information.Object) int {
 // failed push fails the exchange.
 func (m *merkleExchange) push(objs []*information.Object, then func()) {
 	r := m.r
-	r.ep.GoMsg(m.peer, MethodPush, pushReq{Site: r.site, Objects: objs}, func(res rpc.Result) {
+	r.ep.GoMsg(m.peer, MethodPush, pushReq{Objects: objs}, func(res rpc.Result) {
 		var pr pushResp
 		if err := res.Decode(&pr); err != nil {
 			m.fail()
@@ -102,7 +102,7 @@ func (m *merkleExchange) open() {
 	r := m.r
 	r.bump(func(s *Stats) { s.MerkleExchanges++ })
 	tree := r.space.Tree()
-	m.negotiate(digestReq{Site: r.site, Frames: rootFrame(tree), HW: tree.HighWater()}, func(resp digestResp) {
+	m.negotiate(digestReq{Frames: rootFrame(tree), HW: tree.HighWater()}, func(resp digestResp) {
 		if resp.Match {
 			r.bump(func(s *Stats) { s.ConvergedRoots++ })
 			m.finish()
@@ -133,7 +133,7 @@ func (m *merkleExchange) open() {
 // descends from the children the response carries.
 func (m *merkleExchange) verify() {
 	r := m.r
-	m.negotiate(digestReq{Site: r.site, Frames: rootFrame(r.space.Tree())}, func(resp digestResp) {
+	m.negotiate(digestReq{Frames: rootFrame(r.space.Tree())}, func(resp digestResp) {
 		if resp.Match {
 			m.finish()
 			return
@@ -183,7 +183,7 @@ func (m *merkleExchange) descend(children []byte) {
 		m.st.descentDepth = m.depth
 	}
 	r.bump(func(s *Stats) { s.DescentCalls++ })
-	m.negotiate(digestReq{Site: r.site, Frames: wire.AppendTreeFrames(nil, frontier)}, func(resp digestResp) {
+	m.negotiate(digestReq{Frames: wire.AppendTreeFrames(nil, frontier)}, func(resp digestResp) {
 		if resp.Match {
 			// Every offered frame now agrees: the peer converged while
 			// the negotiation was in flight.
@@ -214,7 +214,7 @@ func (m *merkleExchange) scopedSync() {
 	m.st.digestEntries += len(digest)
 	m.count(digestMapBytes(digest))
 	r.bump(func(s *Stats) { s.DigestEntriesSent += int64(len(digest)) })
-	r.ep.GoMsg(m.peer, MethodSync, syncReq{Site: r.site, Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
+	r.ep.GoMsg(m.peer, MethodSync, syncReq{Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
 		var resp syncResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
@@ -269,9 +269,9 @@ func hwBytes(hw map[string]uint64) int {
 	if hw == nil {
 		return 0
 	}
-	n := 8
-	for s := range hw {
-		n += len(s) + 12
+	n := wire.UvarintLen(uint64(len(hw)))
+	for s, mark := range hw {
+		n += 4 + len(s) + wire.UvarintLen(mark)
 	}
 	return n
 }

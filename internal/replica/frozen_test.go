@@ -201,7 +201,7 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		rows = append(rows, put(0, fmt.Sprintf("doc %d", i)))
 		scope = append(scope, information.MerkleBucket(rows[i].ID))
 	}
-	resp := reencode(t, reps[0].serveScopedSync(syncReq{Site: "s1", Scope: scope}))
+	resp := reencode(t, reps[0].serveScopedSync(syncReq{Scope: scope}))
 	if applied, _ := reps[1].applyRows(resp.Deltas); applied != len(rows) || reps[1].Stats().ApplyFailures != 0 {
 		t.Fatalf("scoped sync applied %d of %d rows, stats %+v", applied, len(rows), reps[1].Stats())
 	}
@@ -238,7 +238,7 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 	for i := 9; i < 16; i++ {
 		fetchIDs = append(fetchIDs, update(0, rows[i], "rumored").ID)
 	}
-	fetched := reencode(t, pushReq{Site: "s0", Objects: reps[0].FetchWire(fetchIDs)})
+	fetched := reencode(t, pushReq{Objects: reps[0].FetchWire(fetchIDs)})
 	if applied := reps[1].ApplyWire(fetched.Objects); applied != len(fetchIDs) {
 		t.Fatalf("ApplyWire applied %d of %d fetched rows", applied, len(fetchIDs))
 	}
@@ -272,9 +272,9 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 			serving = false
 		default:
 		}
-		reencode(t, reps[0].serveScopedSync(syncReq{Site: "s1", Scope: scope}))
-		reencode(t, pushReq{Site: "s0", Objects: reps[0].FetchWire(allIDs)})
-		opening, err := reps[0].serveDigest(digestReq{Site: "s1", Frames: emptyRoot, HW: map[string]uint64{}})
+		reencode(t, reps[0].serveScopedSync(syncReq{Scope: scope}))
+		reencode(t, pushReq{Objects: reps[0].FetchWire(allIDs)})
+		opening, err := reps[0].serveDigest(digestReq{Frames: emptyRoot, HW: map[string]uint64{}})
 		if err != nil {
 			t.Fatal(err)
 		}

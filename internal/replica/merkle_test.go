@@ -218,8 +218,8 @@ func TestSyncRejectsUnscopedRequest(t *testing.T) {
 	before := f.reps[0].Stats()
 
 	for name, req := range map[string]syncReq{
-		"no digest":   {Site: "probe"},
-		"with digest": {Site: "probe", Digest: map[string]vclock.Version{"other": {"probe": 1}}},
+		"no digest":   {},
+		"with digest": {Digest: map[string]vclock.Version{"other": {"probe": 1}}},
 	} {
 		var got error
 		answered := false

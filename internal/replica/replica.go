@@ -86,7 +86,6 @@ const (
 // codec.go, not a reflection of these structs.
 
 type syncReq struct {
-	Site   string
 	Digest map[string]vclock.Version
 	// Scope restricts the exchange to the named Merkle leaf buckets: the
 	// digest covers only rows filed under them and the responder answers
@@ -96,8 +95,6 @@ type syncReq struct {
 }
 
 type syncResp struct {
-	// Site names the responding replica.
-	Site string
 	// Want lists, sorted, the caller's digest ids the responder's scoped
 	// digest lacks or does not dominate: the rows the caller pushes.
 	Want   []string
@@ -105,7 +102,6 @@ type syncResp struct {
 }
 
 type pushReq struct {
-	Site    string
 	Objects []*information.Object
 }
 
@@ -114,7 +110,6 @@ type pushReq struct {
 // current frontier (the root on the opening call). HW carries the
 // caller's per-site high-water marks on the opening call only.
 type digestReq struct {
-	Site   string
 	Frames []byte
 	// HW is present (possibly empty, but non-nil) exactly on the opening
 	// call, and the wire form keeps nil and empty apart: an empty-replica
@@ -132,7 +127,6 @@ type digestReq struct {
 // and the rows the caller's marks prove it has never seen (the fast-path
 // delta).
 type digestResp struct {
-	Site     string
 	Match    bool
 	Children []byte
 	HW       map[string]uint64

@@ -74,7 +74,7 @@ func (r *Replicator) serveScopedSync(req syncReq) syncResp {
 		want = append(want, id)
 	}
 	sort.Strings(want)
-	return syncResp{Site: r.site, Want: want, Deltas: r.serveDeltas(deltas)}
+	return syncResp{Want: want, Deltas: r.serveDeltas(deltas)}
 }
 
 // serveDeltas counts the rows a response carries as served.
@@ -109,7 +109,7 @@ func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 			}
 		}
 	}
-	resp := digestResp{Site: r.site, Match: match}
+	resp := digestResp{Match: match}
 	if n := len(internal); n > 0 {
 		resp.Children = wire.AppendUint64(make([]byte, 0, 8+childRecordSize*n), uint64(n))
 		var kids [information.MerkleFanout]uint64

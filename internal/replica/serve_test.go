@@ -83,7 +83,7 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 		if parents != tc.parents {
 			t.Fatalf("%s: the reference yields %d parents, the case says %d", tc.name, parents, tc.parents)
 		}
-		resp, err := r.serveDigest(digestReq{Site: "s1", Frames: wire.AppendTreeFrames(nil, tc.frames)})
+		resp, err := r.serveDigest(digestReq{Frames: wire.AppendTreeFrames(nil, tc.frames)})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -108,7 +108,7 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 			t.Errorf("%s: the served section does not decode back", tc.name)
 		}
 	}
-	if resp, err := r.serveDigest(digestReq{Site: "s1", Frames: rootFrame(tree), HW: map[string]uint64{}}); err != nil || !resp.Match || resp.Children != nil || resp.HW != nil {
+	if resp, err := r.serveDigest(digestReq{Frames: rootFrame(tree), HW: map[string]uint64{}}); err != nil || !resp.Match || resp.Children != nil || resp.HW != nil {
 		t.Errorf("matching root: %+v, %v", resp, err)
 	}
 }
@@ -122,7 +122,7 @@ func TestBadChildrenSectionIsRefused(t *testing.T) {
 		good[:4], good[:len(good)-1], good[:len(good)-8], good[:len(good)-childRecordSize],
 		append(bytes.Clone(good), 0), append(bytes.Clone(good), make([]byte, 8)...),
 	} {
-		body, _ := digestResp{Site: "s1", Children: section}.AppendBinary(nil)
+		body, _ := digestResp{Children: section}.AppendBinary(nil)
 		var m digestResp
 		if err := m.UnmarshalBinary(body); err == nil {
 			t.Errorf("a %d-byte children section decoded", len(section))
@@ -136,7 +136,7 @@ func TestBadChildrenSectionIsRefused(t *testing.T) {
 // sync over four buckets.
 func TestServeAllocationCeilings(t *testing.T) {
 	r, ids := servedFixture(t, 64)
-	opening := digestReq{Site: "s1", Frames: rootFrame(information.NewDigestTree()), HW: map[string]uint64{}}
+	opening := digestReq{Frames: rootFrame(information.NewDigestTree()), HW: map[string]uint64{}}
 	resp, err := r.serveDigest(opening)
 	if err != nil || resp.Match || len(resp.Deltas) != len(ids) {
 		t.Fatalf("opening call: match=%v deltas=%d err=%v", resp.Match, len(resp.Deltas), err)
@@ -147,7 +147,7 @@ func TestServeAllocationCeilings(t *testing.T) {
 		t.Errorf("mismatched opening serveDigest over %d rows: %.0f allocations, ceiling 24", len(ids), n)
 	}
 
-	sync := syncReq{Site: "s1"}
+	sync := syncReq{}
 	for _, id := range ids[:4] {
 		sync.Scope = append(sync.Scope, information.MerkleBucket(id))
 	}
@@ -229,7 +229,7 @@ func FuzzSyncWantMatchesDigestRule(f *testing.F) {
 			want = append(want, id)
 		}
 		slices.Sort(want)
-		got := r.serveScopedSync(syncReq{Site: "s1", Digest: caller, Scope: scope}).Want
+		got := r.serveScopedSync(syncReq{Digest: caller, Scope: scope}).Want
 		if !slices.Equal(got, want) {
 			t.Fatalf("want-list %v, the digest rule pushes %v", got, want)
 		}

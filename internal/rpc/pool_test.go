@@ -17,7 +17,7 @@ var raceEnabled bool
 // TestCallAllocations prices the rpc seams. An echo call — Go, serve,
 // reply — allocates the call's correlation id and pendingCall, its timeout
 // closure and timer event, and per frame (request, reply) the frame's bytes,
-// the clock event that delivers it and the decoded header text; the caller's
+// the clock event that delivers it and the decoded literal text; the caller's
 // callback is built once, outside the count. An announcement is one frame
 // and nothing else. Envelopes on both sides are pooled, and an untraced call
 // holds no span.
@@ -37,8 +37,8 @@ func TestCallAllocations(t *testing.T) {
 			t.Fatalf("echo returned %d bytes, err %v", len(res.Body), res.Err)
 		}
 	})
-	if n > 11 {
-		t.Errorf("an echo call allocates %v times, want at most 11", n)
+	if n > 10 {
+		t.Errorf("an echo call allocates %v times, want at most 10", n)
 	}
 
 	seen := 0
@@ -49,8 +49,8 @@ func TestCallAllocations(t *testing.T) {
 		}
 		f.clk.RunUntilIdle()
 	})
-	if n > 4 {
-		t.Errorf("an announcement allocates %v times, want at most 4", n)
+	if n > 3 {
+		t.Errorf("an announcement allocates %v times, want at most 3", n)
 	}
 	if seen != 301*len(body) {
 		t.Fatalf("announcements delivered %d bytes, want %d", seen, 301*len(body))

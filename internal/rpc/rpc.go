@@ -123,7 +123,11 @@ type Stats struct {
 // Option configures an Endpoint.
 type Option func(*Endpoint)
 
-// WithIDs sets the identifier generator (for deterministic correlation ids).
+// WithIDs sets the generator correlation ids are drawn from, as the bare
+// decimal of its "call" sequence. A deployment hands every endpoint its
+// one generator, so no two of its calls share an id — across a restart
+// too, where a reply to the previous incarnation's call must match none of
+// the new one's.
 func WithIDs(g *id.Generator) Option {
 	return func(e *Endpoint) { e.ids = g }
 }
@@ -437,7 +441,7 @@ func (e *Endpoint) attempt(pc *pendingCall) {
 		pc.done(Result{Err: ErrTimeout})
 		return
 	}
-	corr := e.ids.Next("call")
+	corr := strconv.FormatUint(e.ids.Seq("call"), 10)
 	pc.corr = corr
 	e.stats.CallsSent++
 	e.pending[corr] = pc

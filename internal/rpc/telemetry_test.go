@@ -110,10 +110,9 @@ func TestRetriesBecomeChildSpans(t *testing.T) {
 }
 
 // TestTracedPeerInteropsWithUntraced is the mixed-deployment
-// compatibility check (wire forward/backward compat, satellite): a peer
-// without telemetry serves traced requests, and its traced counterpart
-// handles the untraced peer's version-1 envelopes — both directions
-// complete normally.
+// compatibility check: a peer without telemetry serves traced requests,
+// and its traced counterpart handles the untraced peer's envelopes, which
+// carry no trace block — both directions complete normally.
 func TestTracedPeerInteropsWithUntraced(t *testing.T) {
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(3))
@@ -128,7 +127,7 @@ func TestTracedPeerInteropsWithUntraced(t *testing.T) {
 	})
 	traced.MustRegister("echo", func(r Request) ([]byte, error) { return r.Body, nil })
 
-	// Traced → untraced: the version-2 envelope decodes at the plain
+	// Traced → untraced: the traced envelope decodes at the plain
 	// peer, the handler runs, and the reply resolves the call.
 	root := tel.Tracer.StartRoot("op", "a")
 	rootCtx := root.Context()
@@ -143,7 +142,7 @@ func TestTracedPeerInteropsWithUntraced(t *testing.T) {
 		t.Fatalf("plain peer lost the envelope context: %+v", plainSawCtx)
 	}
 
-	// Untraced → traced: version-1 envelopes from the plain peer decode
+	// Untraced → traced: untraced envelopes from the plain peer decode
 	// at the traced endpoint with a zero context and serve normally,
 	// recording no spans.
 	before := tel.Tracer.Counts().Spans

@@ -40,7 +40,7 @@ func AppendList[T any](dst []byte, list []T, put func([]byte, T) []byte) []byte 
 }
 
 // AppendStrings appends a string list. Body.Strings reads it back.
-func AppendStrings(dst []byte, list []string) []byte { return AppendList(dst, list, appendStr) }
+func AppendStrings(dst []byte, list []string) []byte { return AppendList(dst, list, AppendString) }
 
 // AppendStringMap appends a string map: a count, then each key and its value
 // in sorted key order, so equal maps are equal bytes. Body.StringMap reads it
@@ -56,8 +56,8 @@ func AppendStringMap(dst []byte, m map[string]string) []byte {
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
-		dst = appendStr(dst, k)
-		dst = appendStr(dst, m[k])
+		dst = AppendString(dst, k)
+		dst = AppendString(dst, m[k])
 	}
 	return dst
 }
@@ -99,6 +99,12 @@ func (b *Body) String() string { return Consume(b, ConsumeString) }
 // Uint64 reads a big-endian uint64.
 func (b *Body) Uint64() uint64 { return Consume(b, ConsumeUint64) }
 
+// VarString reads a string written by AppendVarString.
+func (b *Body) VarString() string { return Consume(b, ConsumeVarString) }
+
+// Uvarint reads an unsigned varint written by AppendUvarint.
+func (b *Body) Uvarint() uint64 { return Consume(b, ConsumeUvarint) }
+
 // Raw takes the next n bytes as they are, aliasing the body.
 func (b *Body) Raw(n int) []byte {
 	if b.err == nil && n > len(b.rest) {
@@ -138,8 +144,12 @@ func (b *Body) Int() int {
 // Count reads an element count and checks it against the bytes that remain —
 // each element takes at least minSize — so a corrupt count is an error
 // before it is an allocation.
-func (b *Body) Count(minSize int) int {
-	n := b.Uint64()
+func (b *Body) Count(minSize int) int { return b.count(b.Uint64(), minSize) }
+
+// UvarintCount is Count for a count written by AppendUvarint.
+func (b *Body) UvarintCount(minSize int) int { return b.count(b.Uvarint(), minSize) }
+
+func (b *Body) count(n uint64, minSize int) int {
 	if n > uint64(len(b.rest)/minSize) {
 		b.err = fmt.Errorf("%w: count %d in %d bytes", ErrBadBody, n, len(b.rest))
 		return 0

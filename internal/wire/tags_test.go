@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,6 +80,30 @@ func TestTagRegistry(t *testing.T) {
 func moduleTags(t *testing.T, root string) []tagConst {
 	t.Helper()
 	var tags []tagConst
+	for _, c := range moduleConsts(t, root, "tag", token.INT) {
+		if !strings.HasPrefix(strings.ToLower(c.lit), "0x") {
+			continue
+		}
+		v, err := strconv.ParseUint(c.lit[2:], 16, 64)
+		if err != nil {
+			t.Fatalf("%s: %s = %s: %v", c.pos, c.name, c.lit, err)
+		}
+		tags = append(tags, tagConst{pkg: c.pkg, name: c.name, pos: c.pos, value: v})
+	}
+	return tags
+}
+
+// constLit is one constant a package declares with a literal value.
+type constLit struct {
+	pkg, name, pos, lit string
+}
+
+// moduleConsts parses every non-test Go file under root and returns, in
+// file order, the constants whose name starts with prefix and whose value
+// is a literal of the given kind.
+func moduleConsts(t *testing.T, root, prefix string, kind token.Token) []constLit {
+	t.Helper()
+	var out []constLit
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -105,18 +130,12 @@ func moduleTags(t *testing.T, root string) []tagConst {
 			for _, spec := range gen.Specs {
 				vs := spec.(*ast.ValueSpec)
 				for i, name := range vs.Names {
-					if !strings.HasPrefix(name.Name, "tag") || i >= len(vs.Values) {
+					if !strings.HasPrefix(name.Name, prefix) || i >= len(vs.Values) {
 						continue
 					}
-					lit, ok := vs.Values[i].(*ast.BasicLit)
-					if !ok || lit.Kind != token.INT || !strings.HasPrefix(strings.ToLower(lit.Value), "0x") {
-						continue
+					if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == kind {
+						out = append(out, constLit{pkg: f.Name.Name, name: name.Name, pos: fset.Position(name.Pos()).String(), lit: lit.Value})
 					}
-					v, err := strconv.ParseUint(lit.Value[2:], 16, 64)
-					if err != nil {
-						return err
-					}
-					tags = append(tags, tagConst{pkg: f.Name.Name, name: name.Name, pos: fset.Position(name.Pos()).String(), value: v})
 				}
 			}
 		}
@@ -125,5 +144,36 @@ func moduleTags(t *testing.T, root string) []tagConst {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tags
+	return out
+}
+
+// TestWireStringTable: the static string table repeats no entry, and every
+// rpc method name the module registers — each Method… constant of a
+// non-test file — is in it exactly once, so a call says its method in one
+// byte. The stack's own strings open the table.
+func TestWireStringTable(t *testing.T) {
+	index := map[string]int{}
+	for i, s := range staticStrings {
+		if j, ok := index[s]; ok {
+			t.Errorf("%q is entry %d and entry %d", s, j, i)
+		}
+		index[s] = i
+	}
+	stack := []string{"rpc.req", "rpc.rep", "rpc.ann", "method", "error", "ch.epoch", "ch.transparencies"}
+	if !slices.Equal(staticStrings[:len(stack)], stack) {
+		t.Errorf("the table opens with %q, want the stack's strings %q", staticStrings[:len(stack)], stack)
+	}
+	methods := moduleConsts(t, filepath.Join("..", ".."), "Method", token.STRING)
+	if len(methods) < 30 {
+		t.Fatalf("found %d Method constants; the services moved", len(methods))
+	}
+	for _, c := range methods {
+		name, err := strconv.Unquote(c.lit)
+		if err != nil {
+			t.Fatalf("%s: %s = %s: %v", c.pos, c.name, c.lit, err)
+		}
+		if _, ok := index[name]; !ok {
+			t.Errorf("%s: %s.%s = %q is not in the static string table", c.pos, c.pkg, c.name, name)
+		}
+	}
 }

@@ -7,60 +7,61 @@ import (
 	"testing"
 )
 
-// TestUntracedMarshalIsVersion1 pins the compatibility contract: an
-// envelope with no trace context must marshal byte-identically to the
-// pre-trace format, so a telemetry-disabled deployment interops with
-// (and is indistinguishable from) an old peer.
-func TestUntracedMarshalIsVersion1(t *testing.T) {
-	e := NewEnvelope("rpc.req", "call-9", []byte(`{"n":1}`))
+// TestUntracedFrameHasNoTraceBlock: an envelope with no trace context
+// marshals with the trace flag clear and not one trace byte — byte for byte
+// the hand-built v3 layout — and decodes with a zero trace context, so
+// telemetry that is off costs the wire nothing.
+func TestUntracedFrameHasNoTraceBlock(t *testing.T) {
+	e := NewEnvelope("rpc.req", "call-9", []byte{0x81, 7})
 	e.SetHeader("method", "svc.get")
 	data, err := Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if data[2] != Version {
-		t.Fatalf("untraced envelope marshalled as version %d, want %d", data[2], Version)
+		t.Fatalf("untraced envelope's version byte is %#x, want %d with no trace flag", data[2], Version)
 	}
 
-	// Hand-build the legacy frame and compare byte for byte.
-	var legacy []byte
-	legacy = binary.BigEndian.AppendUint16(legacy, 0x0D9)
-	legacy = append(legacy, 1)
-	legacy = AppendString(legacy, "rpc.req")
-	legacy = AppendString(legacy, "call-9")
-	legacy = binary.BigEndian.AppendUint16(legacy, 1)
-	legacy = AppendString(legacy, "method")
-	legacy = AppendString(legacy, "svc.get")
-	legacy = binary.BigEndian.AppendUint32(legacy, 7)
-	legacy = append(legacy, `{"n":1}`...)
-	if !bytes.Equal(data, legacy) {
-		t.Fatalf("untraced marshal diverged from legacy layout:\n got %x\nwant %x", data, legacy)
-	}
-}
-
-// TestLegacyEnvelopeDecodesWithZeroTrace covers the backward direction:
-// version-1 frames (from an old peer or a pre-trace log) decode cleanly
-// and report a zero trace context.
-func TestLegacyEnvelopeDecodesWithZeroTrace(t *testing.T) {
-	e := NewEnvelope("replica.sync", "sync-1", []byte("payload"))
-	data, err := Marshal(e)
-	if err != nil {
-		t.Fatal(err)
+	var want []byte
+	want = binary.BigEndian.AppendUint16(want, 0x0D9)
+	want = append(want, Version)
+	want = append(want, 2*0+1)                            // kind: static entry 0, rpc.req
+	want = append(AppendUvarint(want, 2*6), "call-9"...)  // corr: a 6-byte literal
+	want = append(want, 1)                                // one header
+	want = append(want, 2*3+1)                            // key: static entry 3, method
+	want = append(AppendUvarint(want, 2*7), "svc.get"...) // value: a 7-byte literal
+	want = append(want, 2, 0x81, 7)                       // body
+	if !bytes.Equal(data, want) {
+		t.Fatalf("untraced marshal diverged from the v3 layout:\n got %x\nwant %x", data, want)
 	}
 	got, err := Unmarshal(data)
 	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
+		t.Fatal(err)
 	}
-	if !got.Trace.IsZero() {
-		t.Fatalf("legacy envelope decoded with trace %+v", got.Trace)
+	if !got.Trace.IsZero() || got.Version != Version {
+		t.Fatalf("untraced frame decoded with trace %+v, version %d", got.Trace, got.Version)
 	}
-	if got.Version != Version {
-		t.Fatalf("version = %d, want %d", got.Version, Version)
+}
+
+// TestOldVersionsRefused: only netsim carries frames, so nothing speaks the
+// version-1 or version-2 layouts any more; a frame of either — untraced or
+// traced — is refused, never read as v3.
+func TestOldVersionsRefused(t *testing.T) {
+	for _, frame := range [][]byte{
+		// "rpc.req", "c" and no headers in the old layouts: uint32 string
+		// lengths, a uint16 header count, a uint32 body length.
+		{0x00, 0xd9, 1, 0, 0, 0, 7, 'r', 'p', 'c', '.', 'r', 'e', 'q', 0, 0, 0, 1, 'c', 0, 0, 0, 0, 0, 0},
+		append([]byte{0x00, 0xd9, 2, 0, 0, 0, 1, 'k', 0, 0, 0, 1, 'c', 0, 0, 0, 0, 0, 0}, make([]byte, traceBlockLen)...),
+		{0x00, 0xd9, 1 | traceFlag, 1, 2, 0, 0},
+	} {
+		if _, err := Unmarshal(frame); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version byte %#x: err = %v, want ErrBadVersion", frame[2], err)
+		}
 	}
 }
 
 // TestTracedRoundTrip checks the forward direction: the trace block
-// survives marshal/unmarshal exactly and bumps the version to 2.
+// survives marshal/unmarshal exactly, behind the version byte's trace flag.
 func TestTracedRoundTrip(t *testing.T) {
 	e := NewEnvelope("rpc.req", "call-3", []byte(`{"x":true}`))
 	e.SetHeader("method", "replica.push")
@@ -69,8 +70,8 @@ func TestTracedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[2] != TracedVersion {
-		t.Fatalf("traced envelope marshalled as version %d, want %d", data[2], TracedVersion)
+	if data[2] != Version|traceFlag {
+		t.Fatalf("traced envelope's version byte is %#x, want %#x", data[2], Version|traceFlag)
 	}
 	got, err := Unmarshal(data)
 	if err != nil {
@@ -87,8 +88,8 @@ func TestTracedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTracedVersionWithoutBlockRejected: a version-2 frame whose trace
-// block is missing or short must fail, never mis-parse.
+// TestTracedVersionWithoutBlockRejected: a frame whose trace flag is set but
+// whose trace block is missing or short must fail, never mis-parse.
 func TestTracedVersionWithoutBlockRejected(t *testing.T) {
 	e := NewEnvelope("k", "c", nil)
 	e.Trace = TraceContext{TraceID: 1, SpanID: 2, Parent: 3}
@@ -103,15 +104,15 @@ func TestTracedVersionWithoutBlockRejected(t *testing.T) {
 	}
 }
 
-// TestFutureVersionRejected: versions past TracedVersion stay rejected
-// so a future format bump cannot be silently mis-decoded.
+// TestFutureVersionRejected: versions past Version stay rejected so a
+// future format bump cannot be silently mis-decoded.
 func TestFutureVersionRejected(t *testing.T) {
 	e := NewEnvelope("k", "c", nil)
 	data, err := Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[2] = TracedVersion + 1
+	data[2] = Version + 1
 	if _, err := Unmarshal(data); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
 	}

@@ -1,23 +1,31 @@
 // Package wire defines the on-the-wire envelope format shared by every
 // protocol in the repository (rpc, mhs, rtc). An envelope carries a version,
-// a kind discriminator, a correlation identifier, free-form headers, and an
-// opaque body.
+// a kind discriminator, a correlation identifier, free-form headers, an
+// opaque body and, when the frame is traced, a trace context.
 //
-// The binary layout is deliberately simple and self-contained:
+// The binary layout (format version 3) says each field in as few bytes as
+// it can:
 //
-//	magic    uint16 = 0x0D9 ("ODP" truncated)
-//	version  uint8
-//	kind     lenString
-//	corr     lenString
-//	nheaders uint16, then nheaders × (lenString key, lenString value)
-//	body     lenBytes
+//	magic    uint16 = 0x0D9 ("ODP" truncated), big-endian
+//	version  uint8  = 3, with traceFlag (0x80) set when a trace block follows
+//	kind     str
+//	corr     str
+//	nheaders uvarint, then nheaders × (str key, str value)
+//	body     uvarint length, then the bytes
+//	trace    trace id, span id, parent span id: three big-endian uint64s,
+//	         present only when the version byte carries traceFlag
 //
-// where lenString/lenBytes is a uint32 length prefix followed by raw bytes.
-// All integers are big-endian. The envelope treats the body as opaque, and
-// every body has one form: the message type's own AppendBinary and
-// UnmarshalBinary, a tag byte naming the message and then this package's
-// codec helpers, read back through Body. Empty is the one body of a message
-// with nothing to say. rpc's typed calls accept nothing else.
+// where a str is one uvarint v: an odd v names entry v>>1 of the static
+// string table (staticStrings: the rpc kinds, the stack's header keys and
+// every rpc method name), and an even v is followed by v>>1 literal bytes.
+// An rpc call's envelope is therefore its kind, its header count and its
+// method header's key and value in a byte each, its correlation id as a
+// short literal and its body length.
+// The envelope treats the body as opaque, and every body has one form: the
+// message type's own AppendBinary and UnmarshalBinary, a tag byte naming the
+// message and then this package's codec helpers, read back through Body.
+// Empty is the one body of a message with nothing to say. rpc's typed calls
+// accept nothing else.
 package wire
 
 import (
@@ -29,23 +37,19 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
 )
 
-// Version is the base envelope format version. Envelopes that carry no
-// trace context marshal as this version, byte-identical to every build
-// before trace support existed.
-const Version = 1
+// Version is the envelope format version. Only netsim carries frames, so no
+// peer speaks an older one: a frame of version 1 or 2 is refused.
+const Version = 3
 
-// TracedVersion is the envelope version that appends a fixed 24-byte
-// trace block (trace id, span id, parent span id) after the body. An
-// envelope marshals as TracedVersion exactly when its Trace field is
-// set, so deployments with telemetry disabled emit version-1 bytes and
-// old decoders never see a version they cannot parse unless a trace is
-// actually present.
-const TracedVersion = 2
+// traceFlag marks, in the version byte, a frame whose trace block follows
+// its body. An untraced frame carries no trace bytes at all.
+const traceFlag = 0x80
 
 // traceBlockLen is the encoded size of the trace block: three uint64s.
 const traceBlockLen = 24
@@ -65,6 +69,35 @@ const (
 // anything at or past the bound would encode but fail ConsumeString on
 // the way back.
 const MaxStringLen = maxStringLen
+
+// staticStrings is the one static string table: an envelope string equal to
+// an entry travels as the entry's index. It holds the three rpc kinds, the
+// four header keys the stack sets and every rpc method name in the module
+// (TestWireStringTable holds the methods to it). It is append-only within a
+// wire version: an entry's index is what the frame says, so reordering or
+// removing one needs a new Version.
+var staticStrings = [...]string{
+	"rpc.req", "rpc.rep", "rpc.ann",
+	"method", "error", "ch.epoch", "ch.transparencies",
+	"replica.sync", "replica.push", "replica.digest",
+	"gossip.join", "gossip.forward-join", "gossip.neighbor", "gossip.disconnect",
+	"gossip.shuffle", "gossip.probe", "gossip.rumor", "gossip.ihave",
+	"gossip.prune", "gossip.graft",
+	"x500.read", "x500.search", "x500.add", "x500.delete", "x500.modify", "x500.list",
+	"trader.export", "trader.withdraw", "trader.import", "trader.regtype",
+	"mhs.transfer",
+	"rtc.join", "rtc.leave", "rtc.update", "rtc.sync", "rtc.floor.request",
+	"rtc.floor.release", "rtc.heartbeat", "rtc.event",
+}
+
+// staticCode maps each staticStrings entry to its str value, 2·index+1.
+var staticCode = func() map[string]uint64 {
+	m := make(map[string]uint64, len(staticStrings))
+	for i, s := range staticStrings {
+		m[s] = 2*uint64(i) + 1
+	}
+	return m
+}()
 
 // TraceContext is the causal-tracing context an envelope can carry
 // across a hop: which trace the frame belongs to, the span covering
@@ -95,6 +128,8 @@ type Header struct{ Key, Value string }
 // array and the spill slice is replaced on every change, so an envelope
 // copied by value shares no header storage with the original.
 type Envelope struct {
+	// Version is the format version Marshal writes (zero: Version); a
+	// decoded envelope always reads Version.
 	Version byte
 	Kind    string
 	Corr    string
@@ -102,9 +137,13 @@ type Envelope struct {
 	Trace   TraceContext
 
 	nInline int
-	inline  [4]Header
+	inline  [inlineHeaders]Header
 	spill   []Header // every header, once there are more than inline holds
 }
+
+// inlineHeaders is how many headers an envelope holds without a spill
+// slice: the four the stack sets.
+const inlineHeaders = 4
 
 // Errors returned by Unmarshal.
 var (
@@ -112,6 +151,7 @@ var (
 	ErrBadVersion = errors.New("wire: unsupported version")
 	ErrTruncated  = errors.New("wire: truncated envelope")
 	ErrOversize   = errors.New("wire: field exceeds size limit")
+	ErrBadIndex   = errors.New("wire: static string index past the table")
 )
 
 // NewEnvelope builds an envelope of the current version.
@@ -188,12 +228,22 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 	if version == 0 {
 		version = Version
 	}
-	if !e.Trace.IsZero() && version < TracedVersion {
-		version = TracedVersion
+	traced := !e.Trace.IsZero()
+	if traced {
+		version |= traceFlag
 	}
-	traced := version >= TracedVersion
 
-	size := 2 + 1 + 4 + len(e.Kind) + 4 + len(e.Corr) + 2 + 4 + len(e.Body)
+	// Each string is looked up in the table once: codes holds the str
+	// values of kind, corr and every header's key and value from sizing
+	// to writing, on the stack unless the headers spilled.
+	var room [2 + 2*inlineHeaders]uint64
+	codes := room[:0]
+	if n := 2 + 2*len(headers); n > len(room) {
+		codes = make([]uint64, 0, n)
+	}
+	codes = append(codes, strCode(e.Kind), strCode(e.Corr))
+	size := 3 + strLen(e.Kind, codes[0]) + strLen(e.Corr, codes[1]) + UvarintLen(uint64(len(headers))) +
+		UvarintLen(uint64(len(e.Body))) + len(e.Body)
 	if traced {
 		size += traceBlockLen
 	}
@@ -201,7 +251,8 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 		if len(h.Key) >= maxStringLen || len(h.Value) >= maxStringLen {
 			return nil, fmt.Errorf("%w: header %q", ErrOversize, h.Key)
 		}
-		size += 8 + len(h.Key) + len(h.Value)
+		codes = append(codes, strCode(h.Key), strCode(h.Value))
+		size += strLen(h.Key, codes[len(codes)-2]) + strLen(h.Value, codes[len(codes)-1])
 	}
 
 	if cap(dst)-len(dst) < size {
@@ -212,14 +263,14 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 	buf := dst
 	buf = binary.BigEndian.AppendUint16(buf, magic)
 	buf = append(buf, version)
-	buf = appendStr(buf, e.Kind)
-	buf = appendStr(buf, e.Corr)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(headers)))
-	for _, h := range headers {
-		buf = appendStr(buf, h.Key)
-		buf = appendStr(buf, h.Value)
+	buf = appendStr(buf, e.Kind, codes[0])
+	buf = appendStr(buf, e.Corr, codes[1])
+	buf = binary.AppendUvarint(buf, uint64(len(headers)))
+	for i, h := range headers {
+		buf = appendStr(buf, h.Key, codes[2+2*i])
+		buf = appendStr(buf, h.Value, codes[3+2*i])
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Body)))
+	buf = binary.AppendUvarint(buf, uint64(len(e.Body)))
 	buf = append(buf, e.Body...)
 	if traced {
 		buf = binary.BigEndian.AppendUint64(buf, e.Trace.TraceID)
@@ -229,9 +280,31 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 	return buf, nil
 }
 
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
+// strCode is s's envelope str value: 2·index+1 for a static string, 2·len
+// for a literal.
+func strCode(s string) uint64 {
+	if code, ok := staticCode[s]; ok {
+		return code
+	}
+	return 2 * uint64(len(s))
+}
+
+// appendStr appends s as the envelope str whose value is code: the value
+// alone for a static string, then the bytes of a literal.
+func appendStr(buf []byte, s string, code uint64) []byte {
+	buf = binary.AppendUvarint(buf, code)
+	if code&1 == 0 {
+		buf = append(buf, s...)
+	}
+	return buf
+}
+
+// strLen is the encoded size of s as the envelope str whose value is code.
+func strLen(s string, code uint64) int {
+	if code&1 == 1 {
+		return UvarintLen(code)
+	}
+	return UvarintLen(code) + len(s)
 }
 
 // Unmarshal decodes an envelope from bytes into a new Envelope, by
@@ -249,12 +322,15 @@ func Unmarshal(data []byte) (*Envelope, error) {
 // not mutate it while the envelope is live. (Every producer in this
 // repository hands the buffer over exactly once, so decode stays copy-free.)
 //
-// Every length is checked before anything is built; the region from Kind to
-// the last header value is then copied once, as one string, and Kind, Corr,
-// keys and values are handed out as substrings of it. With at most four
-// headers that string is the only allocation. On error e is left unchanged.
+// Every field is checked before anything is built: a length, count or index
+// a hostile frame gets wrong is refused before it sizes an allocation. The
+// span of literal string bytes is then copied once, as one string, and the
+// literal fields are handed out as substrings of it; a static string is the
+// table's own. With at most four headers that string is the only
+// allocation, and a frame with no literal string allocates nothing. On
+// error e is left unchanged.
 func (e *Envelope) UnmarshalBinary(data []byte) error {
-	r := reader{data: data}
+	r := reader{data: data, lo: len(data)}
 	m, err := r.u16()
 	if err != nil {
 		return err
@@ -266,28 +342,30 @@ func (e *Envelope) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if ver == 0 || ver > TracedVersion {
-		return fmt.Errorf("%w: %d", ErrBadVersion, ver)
+	if ver&^traceFlag != Version {
+		return fmt.Errorf("%w: %d", ErrBadVersion, ver&^traceFlag)
 	}
 	start := r.pos
 	for range 2 { // kind, corr
-		if _, err := r.bytes(maxStringLen); err != nil {
+		if err := r.str(); err != nil {
 			return err
 		}
 	}
-	n, err := r.u16()
+	n, err := r.uvarint()
 	if err != nil {
 		return err
 	}
 	if n >= maxHeaders {
 		return fmt.Errorf("%w: %d headers", ErrOversize, n)
 	}
-	for range 2 * int(n) { // key, value
-		if _, err := r.bytes(maxStringLen); err != nil {
+	if n > uint64(len(data)-r.pos)/2 { // a header takes two bytes at least
+		return fmt.Errorf("%w: %d headers in %d bytes", ErrTruncated, n, len(data)-r.pos)
+	}
+	for range 2 * n { // key, value
+		if err := r.str(); err != nil {
 			return err
 		}
 	}
-	end := r.pos
 	body, err := r.bytes(maxBodyLen)
 	if err != nil {
 		return err
@@ -296,7 +374,7 @@ func (e *Envelope) UnmarshalBinary(data []byte) error {
 		body = nil
 	}
 	var tc TraceContext
-	if ver >= TracedVersion {
+	if ver&traceFlag != 0 {
 		if tc.TraceID, err = r.u64(); err != nil {
 			return err
 		}
@@ -311,31 +389,29 @@ func (e *Envelope) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("wire: %d trailing bytes", len(r.data)-r.pos)
 	}
 
-	text := string(data[start:end])
-	*e = Envelope{Version: ver, Body: body, Trace: tc}
-	e.Kind, e.Corr = cutStr(&text), cutStr(&text)
-	text = text[2:] // the header count
-	if int(n) > len(e.inline) {
+	var text string
+	if r.lo < r.hi {
+		text = string(data[r.lo:r.hi])
+	}
+	*e = Envelope{Version: Version, Body: body, Trace: tc}
+	c := cutter{data: data, pos: start, text: text, lo: r.lo}
+	e.Kind, e.Corr = c.str(), c.str()
+	c.uvarint() // the header count, n
+	if n > inlineHeaders {
 		e.spill = make([]Header, 0, n)
 	}
 	for range n {
-		e.put(cutStr(&text), cutStr(&text)) // a repeated key: the last value wins
+		e.put(c.str(), c.str()) // a repeated key: the last value wins
 	}
 	return nil
 }
 
-// cutStr takes a length-prefixed string off the front of *s, whose lengths
-// Unmarshal has already checked.
-func cutStr(s *string) string {
-	t := *s
-	n := 4 + (int(t[0])<<24 | int(t[1])<<16 | int(t[2])<<8 | int(t[3]))
-	*s = t[n:]
-	return t[4:n]
-}
-
+// reader checks an envelope field by field. It notes the span [lo, hi) of
+// the literal string bytes it passes, which UnmarshalBinary copies once.
 type reader struct {
-	data []byte
-	pos  int
+	data   []byte
+	pos    int
+	lo, hi int
 }
 
 func (r *reader) byte() (byte, error) {
@@ -357,40 +433,88 @@ func (r *reader) u16() (uint16, error) {
 }
 
 func (r *reader) u64() (uint64, error) {
-	if r.pos+8 > len(r.data) {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(r.data[r.pos:])
-	r.pos += 8
-	return v, nil
+	v, rest, err := ConsumeUint64(r.data[r.pos:])
+	r.pos = len(r.data) - len(rest)
+	return v, err
 }
 
-func (r *reader) u32() (uint32, error) {
-	if r.pos+4 > len(r.data) {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(r.data[r.pos:])
-	r.pos += 4
-	return v, nil
+func (r *reader) uvarint() (uint64, error) {
+	v, rest, err := ConsumeUvarint(r.data[r.pos:])
+	r.pos = len(r.data) - len(rest)
+	return v, err
 }
 
-// bytes returns a sub-slice aliasing the input buffer, as the body stays per
-// Unmarshal's contract.
-func (r *reader) bytes(limit int) ([]byte, error) {
-	n, err := r.u32()
+// str checks one envelope str: a static index inside the table, or a
+// literal that fits the frame and the size limit.
+func (r *reader) str() error {
+	v, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if v&1 == 1 {
+		if v>>1 >= uint64(len(staticStrings)) {
+			return fmt.Errorf("%w: %d", ErrBadIndex, v>>1)
+		}
+		return nil
+	}
+	lit, err := r.take(v>>1, maxStringLen)
+	if len(lit) > 0 {
+		r.lo, r.hi = min(r.lo, r.pos-len(lit)), r.pos
+	}
+	return err
+}
+
+// bytes reads a uvarint length and that many bytes, aliasing the input
+// buffer, as the body stays per Unmarshal's contract.
+func (r *reader) bytes(limit uint64) ([]byte, error) {
+	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	// uint64 comparison so a corrupt length cannot overflow int on 32-bit.
-	if uint64(n) >= uint64(limit) {
+	return r.take(n, limit)
+}
+
+// take returns the next n bytes, n below limit.
+func (r *reader) take(n, limit uint64) ([]byte, error) {
+	if n >= limit {
 		return nil, fmt.Errorf("%w: %d bytes", ErrOversize, n)
 	}
-	if r.pos+int(n) > len(r.data) {
+	if n > uint64(len(r.data)-r.pos) {
 		return nil, ErrTruncated
 	}
 	out := r.data[r.pos : r.pos+int(n) : r.pos+int(n)]
 	r.pos += int(n)
 	return out, nil
+}
+
+// cutter reads back the strings of a frame reader has checked, handing out
+// a literal as a substring of text, the copy of the literal span that
+// starts at data[lo].
+type cutter struct {
+	data []byte
+	pos  int
+	text string
+	lo   int
+}
+
+func (c *cutter) uvarint() uint64 {
+	v, n := binary.Uvarint(c.data[c.pos:])
+	c.pos += n
+	return v
+}
+
+func (c *cutter) str() string {
+	v := c.uvarint()
+	if v&1 == 1 {
+		return staticStrings[v>>1]
+	}
+	n := int(v >> 1)
+	if n == 0 {
+		return ""
+	}
+	off := c.pos - c.lo
+	c.pos += n
+	return c.text[off : off+n]
 }
 
 // --- CRC-framed records ---------------------------------------------------
@@ -496,12 +620,17 @@ func ReadRecord(r io.Reader, scratch []byte) (payload, newScratch []byte, err er
 
 // --- codec helpers --------------------------------------------------------
 //
-// Length-prefixed primitives shared by record payload codecs. They use the
-// same layout as envelope fields (big-endian, uint32 length prefixes) so
-// every byte format in the repository reads the same way.
+// Primitives shared by message bodies and record payload codecs:
+// big-endian integers, uint32 length-prefixed strings, and uvarints for the
+// counts and counters a body says in as few bytes as it can. Unlike an
+// envelope's strings they know no static table, so the bytes a body or a
+// log record holds do not depend on the wire version.
 
-// AppendString appends a length-prefixed string.
-func AppendString(dst []byte, s string) []byte { return appendStr(dst, s) }
+// AppendString appends a uint32 length-prefixed string.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
 
 // ConsumeString decodes a length-prefixed string from data, returning it
 // and the remaining bytes.
@@ -518,6 +647,48 @@ func ConsumeString(data []byte) (string, []byte, error) {
 		return "", data, ErrTruncated
 	}
 	return string(data[4 : 4+int(n)]), data[4+int(n):], nil
+}
+
+// AppendUvarint appends v as an unsigned varint: seven bits a byte, low
+// group first, so a value below 128 takes one byte.
+func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+
+// AppendVarString appends a string prefixed with its length as a uvarint:
+// one byte of length for a string shorter than 128 bytes.
+func AppendVarString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// ConsumeVarString decodes a string written by AppendVarString, returning
+// it and the remaining bytes, with ConsumeString's limits.
+func ConsumeVarString(data []byte) (string, []byte, error) {
+	n, rest, err := ConsumeUvarint(data)
+	switch {
+	case err != nil:
+		return "", data, err
+	case n >= maxStringLen:
+		return "", data, fmt.Errorf("%w: %d-byte string", ErrOversize, n)
+	case n > uint64(len(rest)):
+		return "", data, ErrTruncated
+	}
+	return string(rest[:n]), rest[n:], nil
+}
+
+// UvarintLen is the number of bytes AppendUvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// ConsumeUvarint decodes an unsigned varint from data, returning it and the
+// remaining bytes. One that runs off the end of data is ErrTruncated; one
+// longer than ten bytes, or past 64 bits, is ErrOversize.
+func ConsumeUvarint(data []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(data)
+	switch {
+	case n == 0:
+		return 0, data, ErrTruncated
+	case n < 0:
+		return 0, data, fmt.Errorf("%w: uvarint past 64 bits", ErrOversize)
+	}
+	return v, data[n:], nil
 }
 
 // AppendUint64 appends a big-endian uint64.

@@ -343,8 +343,18 @@ func ledgerEnvelope() *Envelope {
 	return e
 }
 
-// TestEnvelopeGolden pins envelope bytes, computed with the map-backed
-// Envelope this one replaced: the ledger's fixture, and a traced rpc reply
+// digestRequest is the shape of the most frequent frame on the mesh: an
+// untraced replica.digest call with a five-digit correlation id, here with a
+// stand-in for its body.
+func digestRequest() *Envelope {
+	e := NewEnvelope("rpc.req", "40213", make([]byte, 200))
+	e.SetHeader("method", "replica.digest")
+	return e
+}
+
+// TestEnvelopeGolden pins v3 envelope bytes: the ledger's fixture (a kind
+// outside the static table), an untraced replica.digest call, whose
+// envelope — everything but the body — is 15 bytes, and a traced rpc reply
 // carrying the four headers the stack sets.
 func TestEnvelopeGolden(t *testing.T) {
 	rep := NewEnvelope("rpc.rep", "call-7", []byte(`{"ok":true}`))
@@ -354,12 +364,14 @@ func TestEnvelopeGolden(t *testing.T) {
 	rep.SetHeader("ch.transparencies", "access|location")
 	rep.Trace = TraceContext{TraceID: 0x0102030405060708, SpanID: 9, Parent: 10}
 	for _, tc := range []struct {
-		name string
-		env  *Envelope
-		want string
+		name     string
+		env      *Envelope
+		want     string
+		envelope int // the frame's bytes besides the body
 	}{
-		{"ledger fixture", ledgerEnvelope(), "00d901000000097270632e7265706c7900000007633030303034320001000000066d6574686f640000000c7265706c6963612e73796e63000000105b7b226964223a22726f772d31227d5d"},
-		{"traced reply", rep, "00d902000000077270632e7265700000000663616c6c2d3700040000000863682e65706f636800000001330000001163682e7472616e73706172656e636965730000000f6163636573737c6c6f636174696f6e000000056572726f7200000004626f6f6d000000066d6574686f640000000b783530302e7365617263680000000b7b226f6b223a747275657d01020304050607080000000000000009000000000000000a"},
+		{"ledger fixture", ledgerEnvelope(), "00d903127270632e7265706c790e6330303030343201070f10" + hex.EncodeToString([]byte(`[{"id":"row-1"}]`)), 25},
+		{"digest request", digestRequest(), "00d903010a3430323133010713c801" + strings.Repeat("00", 200), 15},
+		{"traced reply", rep, "00d98303" + "0c63616c6c2d37" + "04" + "0b0233" + "0d1e6163636573737c6c6f636174696f6e" + "0908626f6f6d" + "072b" + "0b" + hex.EncodeToString([]byte(`{"ok":true}`)) + "0102030405060708" + "0000000000000009" + "000000000000000a", 41 + traceBlockLen},
 	} {
 		got, err := Marshal(tc.env)
 		if err != nil {
@@ -367,6 +379,9 @@ func TestEnvelopeGolden(t *testing.T) {
 		}
 		if hex.EncodeToString(got) != tc.want {
 			t.Errorf("%s:\n got %x\nwant %s", tc.name, got, tc.want)
+		}
+		if n := len(got) - len(tc.env.Body); n != tc.envelope {
+			t.Errorf("%s: the envelope is %d bytes, want %d", tc.name, n, tc.envelope)
 		}
 		back, err := Unmarshal(got)
 		if err != nil {
@@ -378,9 +393,10 @@ func TestEnvelopeGolden(t *testing.T) {
 	}
 }
 
-// TestEnvelopeAllocs: one allocation to encode (the frame), at most three to
-// decode (the envelope, the header text; the body aliases the input), and one
-// to decode into an envelope the caller reuses (the header text).
+// TestEnvelopeAllocs: one allocation to encode (the frame), at most two to
+// decode (the envelope and the literal text; the body aliases the input),
+// one to decode into an envelope the caller reuses (the literal text), and
+// none for a frame whose strings are all in the static table.
 func TestEnvelopeAllocs(t *testing.T) {
 	e := ledgerEnvelope()
 	data, err := Marshal(e)
@@ -390,15 +406,27 @@ func TestEnvelopeAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { _, _ = Marshal(e) }); n != 1 {
 		t.Errorf("Marshal allocates %v times, want 1", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _, _ = Unmarshal(data) }); n > 3 {
-		t.Errorf("Unmarshal allocates %v times, want at most 3", n)
+	if n := testing.AllocsPerRun(200, func() { _, _ = Unmarshal(data) }); n > 2 {
+		t.Errorf("Unmarshal allocates %v times, want at most 2", n)
 	}
 	var into Envelope
 	if n := testing.AllocsPerRun(200, func() { _ = into.UnmarshalBinary(data) }); n > 1 {
-		t.Errorf("UnmarshalBinary into a reused envelope allocates %v times, want at most 1 (the header text)", n)
+		t.Errorf("UnmarshalBinary into a reused envelope allocates %v times, want at most 1 (the literal text)", n)
 	}
 	if into.Kind != e.Kind || into.Corr != e.Corr || !bytes.Equal(into.Body, e.Body) {
 		t.Errorf("UnmarshalBinary decoded %+v, want %+v", into, *e)
+	}
+	ann := NewEnvelope("rpc.ann", "", []byte{0x9b})
+	ann.SetHeader("method", "gossip.rumor")
+	static, err := Marshal(ann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = into.UnmarshalBinary(static) }); n != 0 {
+		t.Errorf("decoding a frame of static strings allocates %v times, want none", n)
+	}
+	if v, _ := into.Header("method"); into.Kind != "rpc.ann" || v != "gossip.rumor" {
+		t.Errorf("the static frame decoded as %+v", into)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		rep := NewEnvelope("rpc.rep", "c", nil)
@@ -411,16 +439,18 @@ func TestEnvelopeAllocs(t *testing.T) {
 	}
 }
 
-// rawFrame builds version-1 envelope bytes with the given header pairs in
-// the given order and an empty body, as a foreign encoder might.
+// rawFrame builds envelope bytes claiming n headers, with the given header
+// pairs in the given order and an empty body, as a foreign encoder might.
 func rawFrame(n int, pairs ...string) []byte {
 	b := []byte{0x00, 0xd9, Version}
-	b = AppendString(AppendString(b, "k"), "c")
-	b = append(b, byte(n>>8), byte(n))
-	for i := 0; i+1 < len(pairs); i += 2 {
-		b = AppendString(AppendString(b, pairs[i]), pairs[i+1])
+	for _, s := range []string{"k", "c"} {
+		b = appendStr(b, s, strCode(s))
 	}
-	return append(b, 0, 0, 0, 0)
+	b = AppendUvarint(b, uint64(n))
+	for _, s := range pairs {
+		b = appendStr(b, s, strCode(s))
+	}
+	return append(b, 0)
 }
 
 func TestDuplicateHeaderLastWins(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // every subsystem. With it enabled,
 //
 //   - every rpc hop records client and serve spans linked by the trace
-//     context the wire envelope carries (version-2 frames; peers without
-//     telemetry interop unchanged on version-1 frames),
+//     context the wire envelope carries (a trace block only on a traced
+//     frame; peers without telemetry interop unchanged on untraced ones),
 //   - each local put/update starts a root trace tagged to the object id,
 //     which the WAL commits, the gossip rumor path and the anti-entropy
 //     apply at remote sites all continue — one trace id follows the
