@@ -14,9 +14,8 @@ import (
 // built from wire's shared primitives — big-endian integers, uint32
 // length-prefixed strings, uint64 or uvarint counts — with maps written in
 // sorted key order, so equal messages encode to equal bytes. No body names
-// its sender: a receiver that needs the peer has the envelope's address. Rows are in the one row
-// codec (information.AppendObject), the form the durable log stores them
-// in. A request's tree frames are in wire.AppendTreeFrames' layout; a
+// its sender: the frame's source does. Rows are in the one row codec
+// (information.AppendObject), the form the durable log stores them in. A request's tree frames are in wire.AppendTreeFrames' layout; a
 // reply's children section is a count, then per mismatched internal node
 // its packed path and its MerkleFanout child hashes (the children's paths
 // follow from it). High-water maps, digests and want-lists are in exactly

@@ -233,16 +233,7 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 		version |= traceFlag
 	}
 
-	// Each string is looked up in the table once: codes holds the str
-	// values of kind, corr and every header's key and value from sizing
-	// to writing, on the stack unless the headers spilled.
-	var room [2 + 2*inlineHeaders]uint64
-	codes := room[:0]
-	if n := 2 + 2*len(headers); n > len(room) {
-		codes = make([]uint64, 0, n)
-	}
-	codes = append(codes, strCode(e.Kind), strCode(e.Corr))
-	size := 3 + strLen(e.Kind, codes[0]) + strLen(e.Corr, codes[1]) + UvarintLen(uint64(len(headers))) +
+	size := 3 + strLen(e.Kind) + strLen(e.Corr) + UvarintLen(uint64(len(headers))) +
 		UvarintLen(uint64(len(e.Body))) + len(e.Body)
 	if traced {
 		size += traceBlockLen
@@ -251,8 +242,7 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 		if len(h.Key) >= maxStringLen || len(h.Value) >= maxStringLen {
 			return nil, fmt.Errorf("%w: header %q", ErrOversize, h.Key)
 		}
-		codes = append(codes, strCode(h.Key), strCode(h.Value))
-		size += strLen(h.Key, codes[len(codes)-2]) + strLen(h.Value, codes[len(codes)-1])
+		size += strLen(h.Key) + strLen(h.Value)
 	}
 
 	if cap(dst)-len(dst) < size {
@@ -263,12 +253,12 @@ func AppendMarshal(dst []byte, e *Envelope) ([]byte, error) {
 	buf := dst
 	buf = binary.BigEndian.AppendUint16(buf, magic)
 	buf = append(buf, version)
-	buf = appendStr(buf, e.Kind, codes[0])
-	buf = appendStr(buf, e.Corr, codes[1])
+	buf = appendStr(buf, e.Kind)
+	buf = appendStr(buf, e.Corr)
 	buf = binary.AppendUvarint(buf, uint64(len(headers)))
-	for i, h := range headers {
-		buf = appendStr(buf, h.Key, codes[2+2*i])
-		buf = appendStr(buf, h.Value, codes[3+2*i])
+	for _, h := range headers {
+		buf = appendStr(buf, h.Key)
+		buf = appendStr(buf, h.Value)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(e.Body)))
 	buf = append(buf, e.Body...)
@@ -289,9 +279,10 @@ func strCode(s string) uint64 {
 	return 2 * uint64(len(s))
 }
 
-// appendStr appends s as the envelope str whose value is code: the value
-// alone for a static string, then the bytes of a literal.
-func appendStr(buf []byte, s string, code uint64) []byte {
+// appendStr appends s as an envelope str: its value, then the bytes of a
+// literal.
+func appendStr(buf []byte, s string) []byte {
+	code := strCode(s)
 	buf = binary.AppendUvarint(buf, code)
 	if code&1 == 0 {
 		buf = append(buf, s...)
@@ -299,12 +290,14 @@ func appendStr(buf []byte, s string, code uint64) []byte {
 	return buf
 }
 
-// strLen is the encoded size of s as the envelope str whose value is code.
-func strLen(s string, code uint64) int {
-	if code&1 == 1 {
-		return UvarintLen(code)
+// strLen is the encoded size of s as an envelope str.
+func strLen(s string) int {
+	code := strCode(s)
+	n := UvarintLen(code)
+	if code&1 == 0 {
+		n += len(s)
 	}
-	return UvarintLen(code) + len(s)
+	return n
 }
 
 // Unmarshal decodes an envelope from bytes into a new Envelope, by

@@ -443,12 +443,10 @@ func TestEnvelopeAllocs(t *testing.T) {
 // pairs in the given order and an empty body, as a foreign encoder might.
 func rawFrame(n int, pairs ...string) []byte {
 	b := []byte{0x00, 0xd9, Version}
-	for _, s := range []string{"k", "c"} {
-		b = appendStr(b, s, strCode(s))
-	}
+	b = appendStr(appendStr(b, "k"), "c")
 	b = AppendUvarint(b, uint64(n))
 	for _, s := range pairs {
-		b = appendStr(b, s, strCode(s))
+		b = appendStr(b, s)
 	}
 	return append(b, 0)
 }
