@@ -3,6 +3,7 @@ package information_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"mocca/internal/information"
 	"mocca/internal/information/logstore"
@@ -99,4 +100,102 @@ func TestWriteCountersAreSiteWide(t *testing.T) {
 	write(sp.Put("u", "doc", map[string]string{"title": "after reopen"}))
 	cur, _ = sp.Get("u", ids[2])
 	write(sp.Update("u", ids[2], cur.Version, map[string]string{"title": "after reopen"}))
+}
+
+// TestCommittedRowVersionIsVectorSum: every row a Space commits — by Put,
+// by Update, by Adopt of an unknown or a causally newer row, or by the
+// last-writer-wins merge of a concurrent one, whichever side wins — has a
+// Version equal to its vector's sum, on both backends. The row codec is
+// built on that rule: a row's Version is derived data, which a decoder
+// can set from the vector it reads.
+func TestCommittedRowVersionIsVectorSum(t *testing.T) {
+	reg := information.NewSchemaRegistry()
+	if err := reg.Register(information.Schema{Name: "doc", Fields: []information.Field{
+		{Name: "title", Type: information.FieldText, Required: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	// wireRow is a row as a peer receives it: encoded and decoded.
+	wireRow := func(o *information.Object) *information.Object {
+		t.Helper()
+		got, _, err := information.DecodeObject(information.AppendObject(nil, o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			clk := vclock.NewSimulated(netsim.DefaultEpoch)
+			opts := []information.SpaceOption{information.WithSite("s0")}
+			if durable {
+				st, err := logstore.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				opts = append(opts, information.WithBackend(st))
+			}
+			sp := information.NewSpace(reg, nil, clk, opts...)
+			check := func(what string, o *information.Object) {
+				t.Helper()
+				if o.Version != o.VV.Sum() {
+					t.Fatalf("%s: %s at version %d, vector %v sums to %d", what, o.ID, o.Version, o.VV, o.VV.Sum())
+				}
+			}
+			events := 0
+			sp.Subscribe("doc", func(ev information.Event) {
+				events++
+				check(ev.Kind+" event", ev.Object)
+			})
+			must := func(o *information.Object, err error) *information.Object {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return o
+			}
+
+			a := must(sp.Put("u", "doc", map[string]string{"title": "a"}))
+			check("put", a)
+			clk.Advance(time.Second)
+			check("update", must(sp.Update("u", a.ID, a.Version, map[string]string{"title": "a2"})))
+
+			remote := func(vv vclock.Version, title string) *information.Object {
+				clk.Advance(time.Second)
+				return wireRow(&information.Object{ID: "r1", Schema: "doc", Owner: "u", Site: "s1",
+					Fields: map[string]string{"title": title}, Version: vv.Sum(), VV: vv,
+					Created: netsim.DefaultEpoch, Updated: clk.Now()})
+			}
+			adopt := func(what string, row *information.Object, wantConflict bool) {
+				t.Helper()
+				changed, conflict, err := sp.Adopt(row)
+				if err != nil || !changed || conflict != wantConflict {
+					t.Fatalf("%s: changed %v conflict %v err %v", what, changed, conflict, err)
+				}
+			}
+			adopt("unknown row", remote(vclock.Version{"s1": 40}, "theirs"), false)
+			adopt("newer row", remote(vclock.Version{"s1": 41}, "theirs, again"), false)
+			cur := must(sp.Get("u", "r1"))
+			check("update of an adopted row", must(sp.Update("u", "r1", cur.Version, map[string]string{"title": "ours"})))
+			// Concurrent with the local update and later: the remote side wins.
+			adopt("concurrent row, remote wins", remote(vclock.Version{"s1": 42}, "theirs wins"), true)
+			// Concurrent again, but stamped before the local row: the local side wins.
+			cur = must(sp.Get("u", "r1"))
+			check("update after a merge", must(sp.Update("u", "r1", cur.Version, map[string]string{"title": "ours wins"})))
+			late := remote(vclock.Version{"s1": 43}, "theirs loses")
+			late.Updated = netsim.DefaultEpoch
+			adopt("concurrent row, local wins", late, true)
+
+			n := 0
+			sp.Range(func(o *information.Object) bool {
+				n++
+				check("stored", o)
+				return true
+			})
+			if n != 2 || events < 8 {
+				t.Fatalf("%d rows stored, %d events seen", n, events)
+			}
+		})
+	}
 }

@@ -29,6 +29,7 @@ type modelRow struct {
 	vv               map[string]uint64
 	site             string
 	created, updated time.Time
+	version          uint64 // a site's row's Version; the model holds none
 }
 
 // vvLeq reports whether every entry of a is at most b's.
@@ -170,14 +171,15 @@ func (m *model) ids(i int) []string {
 func siteRows(s *Site) map[string]modelRow {
 	out := map[string]modelRow{}
 	s.Space().Range(func(o *information.Object) bool {
-		out[o.ID] = modelRow{fields: o.Fields, vv: o.VV, site: o.Site, created: o.Created, updated: o.Updated}
+		out[o.ID] = modelRow{fields: o.Fields, vv: o.VV, site: o.Site, created: o.Created, updated: o.Updated, version: o.Version}
 		return true
 	})
 	return out
 }
 
 // diffRows names the first difference between what a site holds and
-// what the model says it holds.
+// what the model says it holds, or a site's row whose Version is not its
+// vector's sum.
 func diffRows(got, want map[string]modelRow) string {
 	for _, id := range slices.Sorted(maps.Keys(want)) {
 		g, ok := got[id]
@@ -185,6 +187,8 @@ func diffRows(got, want map[string]modelRow) string {
 		switch {
 		case !ok:
 			return fmt.Sprintf("%s missing (model: %v %v)", id, w.vv, w.fields)
+		case g.version != vvSum(g.vv):
+			return fmt.Sprintf("%s at version %d, its vector %v sums to %d", id, g.version, g.vv, vvSum(g.vv))
 		case !maps.Equal(g.vv, w.vv) || !maps.Equal(g.fields, w.fields) || g.site != w.site:
 			return fmt.Sprintf("%s is %v %v by %s, model %v %v by %s", id, g.vv, g.fields, g.site, w.vv, w.fields, w.site)
 		case !g.created.Equal(w.created) || !g.updated.Equal(w.updated):
@@ -253,7 +257,7 @@ func runModelScript(t *testing.T, script []byte) {
 		if err != nil {
 			t.Fatalf("update %s at %s: %v", id, sites[i].Name, err)
 		}
-		gotRow := modelRow{fields: got.Fields, vv: got.VV, site: got.Site, created: got.Created, updated: got.Updated}
+		gotRow := modelRow{fields: got.Fields, vv: got.VV, site: got.Site, created: got.Created, updated: got.Updated, version: got.Version}
 		if d := diffRows(map[string]modelRow{id: gotRow}, map[string]modelRow{id: want}); d != "" {
 			t.Fatalf("update at %s: %s", sites[i].Name, d)
 		}
