@@ -41,7 +41,7 @@ func edgeRows() []*information.Object {
 	return []*information.Object{
 		{ID: "nil-fields", Schema: "doc", Owner: "ada", Site: "s0", Version: 3, VV: vclock.Version{"s0": 3}, Created: at, Updated: at},
 		{ID: "nil-vv", Schema: "doc", Fields: map[string]string{"k": ""}, Created: at, Updated: at},
-		{ID: "wide-vv", Schema: "doc", Site: "s017", VV: wideVV(), Fields: map[string]string{"title": "t"}, Created: at, Updated: at},
+		{ID: "wide-vv", Schema: "doc", Site: "s017", Version: wideVV().Sum(), VV: wideVV(), Fields: map[string]string{"title": "t"}, Created: at, Updated: at},
 		{ID: "obj-ünï-日本", Schema: "dök", Owner: "jürgen", Site: "köln", Version: 1, VV: vclock.Version{"köln": 1},
 			Fields: map[string]string{"títle": "naïve ☃"}, Created: at, Updated: at},
 	}
@@ -121,11 +121,10 @@ func bodyCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"rumorReq/publish": "9b01047330303001000000096f626a303030303030000000116d6f6363612d696e7465726368616e6765000000067530" +
-			"303030300000000473303030000000000000000100000000000000010000000473303030000000000000000109d39b5f" +
-			"4a6aa00009d39b5f4a6aa000000000000000000400000006617574686f720000000675303030303000000004626f6479" +
-			"0000002373686172656420776f726b696e67206d6174657269616c20666f72206163743030303000000007636f6e7465" +
-			"78740000000761637430303030000000057469746c650000000e73656564206f626a303030303030",
+		"rumorReq/publish": "9b01047330303001096f626a303030303030116d6f6363612d696e7465726368616e6765067530303030300473303030" +
+			"0104733030300109d39b5f4a6aa000000406617574686f720675303030303004626f64792373686172656420776f726b" +
+			"696e67206d6174657269616c20666f72206163743030303007636f6e746578740761637430303030057469746c650e73" +
+			"656564206f626a303030303030",
 		"ihaveReq":         "9c01096f626a303030303030047330303001",
 		"neighborReq/ring": "9d04733030330b676f737369702d73303033097265706c2d7330303301",
 		"neighborResp":     "9e01",

@@ -3,6 +3,7 @@ package information
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -10,58 +11,87 @@ import (
 	"mocca/internal/wire"
 )
 
-// AppendObject appends the canonical binary encoding of one object row:
-// length-prefixed strings, big-endian integers, the version vector in
-// vclock's canonical sorted form, and fields in sorted key order. Equal
-// rows encode to equal bytes, which is what lets recovery be verified
-// byte-for-byte. It is the one row codec of the repository: the durable
-// log (logstore's WAL and segments) and the replication planes
-// (replica.* and gossip.rumor/graft bodies) carry rows in exactly this form.
+// AppendObject appends the canonical binary encoding of one object row,
+// each field in as few bytes as it can be said in:
+//
+//	id, schema, owner, site  each a uvarint length and its bytes
+//	vector                   vclock's AppendBinary: a uvarint count, then per
+//	                         site in sorted order a uvarint-prefixed name and
+//	                         a uvarint counter
+//	created                  the big-endian uint64 of its UnixNano
+//	updated                  a zigzag varint: Updated less Created, in
+//	                         nanoseconds, modulo 2^64
+//	fields                   a uvarint count, then per key in sorted order
+//	                         the uvarint-prefixed key and value
+//
+// Version is not written: every row a Space commits has its vector's sum
+// for a Version, and DecodeObject sets it so. Equal rows encode to equal
+// bytes, which is what lets recovery be verified byte-for-byte. It is the
+// one row codec of the repository: the durable log (logstore's WAL and
+// segments) and the replication planes (replica.* and gossip.rumor/graft
+// bodies) carry rows in exactly this form. Stores written before it hold
+// rows in an older layout, which logstore alone reads.
 func AppendObject(dst []byte, o *Object) []byte {
-	dst = wire.AppendString(dst, o.ID)
-	dst = wire.AppendString(dst, o.Schema)
-	dst = wire.AppendString(dst, o.Owner)
-	dst = wire.AppendString(dst, o.Site)
-	dst = wire.AppendUint64(dst, o.Version)
+	dst = wire.AppendVarString(dst, o.ID)
+	dst = wire.AppendVarString(dst, o.Schema)
+	dst = wire.AppendVarString(dst, o.Owner)
+	dst = wire.AppendVarString(dst, o.Site)
 	dst = o.VV.AppendBinary(dst)
-	dst = wire.AppendUint64(dst, uint64(o.Created.UnixNano()))
-	dst = wire.AppendUint64(dst, uint64(o.Updated.UnixNano()))
-	return wire.AppendStringMap(dst, o.Fields)
+	created := o.Created.UnixNano()
+	dst = wire.AppendUint64(dst, uint64(created))
+	dst = wire.AppendVarint(dst, o.Updated.UnixNano()-created)
+	dst = wire.AppendUvarint(dst, uint64(len(o.Fields)))
+	// Room on the stack for the rows the system writes; a wider one spills
+	// to the heap.
+	var room [16]string
+	keys := room[:0]
+	for k := range o.Fields {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		dst = wire.AppendVarString(dst, k)
+		dst = wire.AppendVarString(dst, o.Fields[k])
+	}
+	return dst
 }
 
 // DecodeObject decodes one row produced by AppendObject, returning it and
-// the remaining bytes. The input may come off the network: ScanObject
-// checks every count and length against the bytes that remain before
-// anything is allocated. The row owns what it holds: the id is a copy of its
-// own, because ids outlive rows as keys, and every other string is a
-// substring of one exact-size copy of the row's remaining text — one per row,
-// so a row kept from a message pins nothing else of it.
+// the remaining bytes; its Version is its vector's sum. The input may come
+// off the network: ScanObject checks every count and length against the
+// bytes that remain before anything is allocated. The row owns what it
+// holds: the id is a copy of its own, because ids outlive rows as keys, and
+// every other string is a substring of one exact-size copy of the row's
+// remaining text — one per row, so a row kept from a message pins nothing
+// else of it.
 func DecodeObject(data []byte) (*Object, []byte, error) {
-	id, vv, nfields, rest, err := scanObject(data)
+	sc, rest, err := scanObject(data)
 	if err != nil {
 		return nil, rest, err
 	}
-	nvv := binary.BigEndian.Uint64(vv)
 	var text rowText
-	text.Grow(len(data) - len(rest) - len(id) - minRowBytes - 12*int(nvv) - 8*int(nfields))
-	o := &Object{ID: string(id)}
-	r := data[4+len(id):]
+	text.Grow(sc.text + vectorText(sc.vv))
+	o := &Object{ID: string(sc.id)}
+	r := data[wire.UvarintLen(uint64(len(sc.id)))+len(sc.id):]
 	o.Schema = text.cut(&r)
 	o.Owner = text.cut(&r)
 	o.Site = text.cut(&r)
-	o.Version = takeUint64(&r)
-	r = r[8:] // the vector's count, nvv
-	if nvv > 0 {
+	if nvv := takeUvarint(&r); nvv > 0 {
 		o.VV = make(vclock.Version, nvv)
 		for range nvv {
 			site := text.cut(&r)
-			o.VV[site] = takeUint64(&r)
+			c := takeUvarint(&r)
+			o.VV[site] = c
+			o.Version += c
 		}
 	}
-	o.Created = time.Unix(0, int64(takeUint64(&r))).UTC()
-	o.Updated = time.Unix(0, int64(takeUint64(&r))).UTC()
-	r = r[8:] // the field count, nfields
-	if nfields > 0 {
+	created := int64(binary.BigEndian.Uint64(r))
+	r = r[8:]
+	delta, n := binary.Varint(r)
+	r = r[n:]
+	o.Created = time.Unix(0, created).UTC()
+	o.Updated = time.Unix(0, created+delta).UTC()
+	if nfields := takeUvarint(&r); nfields > 0 {
 		o.Fields = make(map[string]string, nfields)
 		for range nfields {
 			k := text.cut(&r)
@@ -76,29 +106,43 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 // what it has built stays valid as it grows.
 type rowText struct{ strings.Builder }
 
-// cut copies the length-prefixed string at the front of *r, which
+// cut copies the uvarint-prefixed string at the front of *r, which
 // ScanObject has checked, into the text and returns it as a substring.
 func (t *rowText) cut(r *[]byte) string {
-	n := int(binary.BigEndian.Uint32(*r))
+	n := int(takeUvarint(r))
 	//lint:allow errdrop strings.Builder's Write always returns a nil error
-	t.Write((*r)[4 : 4+n])
-	*r = (*r)[4+n:]
+	t.Write((*r)[:n])
+	*r = (*r)[n:]
 	s := t.String()
 	return s[len(s)-n:]
 }
 
-// takeUint64 takes the big-endian uint64 at the front of *r.
-func takeUint64(r *[]byte) uint64 {
-	v := binary.BigEndian.Uint64(*r)
-	*r = (*r)[8:]
+// takeUvarint takes the uvarint, which ScanObject has checked, at the front
+// of *r.
+func takeUvarint(r *[]byte) uint64 {
+	v, n := binary.Uvarint(*r)
+	*r = (*r)[n:]
 	return v
 }
 
+// vectorText is the length of the site names of an encoded vector that
+// ScanObject has checked: what DecodeObject copies of it.
+func vectorText(vv []byte) int {
+	n := 0
+	for k := takeUvarint(&vv); k > 0; k-- {
+		l := int(takeUvarint(&vv))
+		n += l
+		vv = vv[l:]
+		takeUvarint(&vv)
+	}
+	return n
+}
+
 // minRowBytes is the least a row AppendObject writes can take: four string
-// prefixes, the version, a vector count, two timestamps and a field count.
-// Past it a row holds 12 bytes per vector entry and 8 per field beside its
-// text.
-const minRowBytes = 4*4 + 8 + 8 + 16 + 8
+// lengths, a vector count, the creation time, the update's delta and a field
+// count. Past it a row holds at least two bytes per vector entry and per
+// field beside its text.
+const minRowBytes = 4 + 1 + 8 + 1 + 1
 
 // ConsumeObjects reads a row list — a count, then that many rows written by
 // AppendObject — at the cursor, holding the count against the bytes that
@@ -115,62 +159,72 @@ func ConsumeObjects(b *wire.Body) []*Object {
 	return rows
 }
 
+// ObjectID returns the id a row written by AppendObject starts with, as a
+// sub-slice of data, under the checks ScanObject makes of it; nothing past
+// the id is read. It is how a store that passes over rows to find one
+// reads each row's id where it lies.
+func ObjectID(data []byte) ([]byte, error) {
+	id, _, err := wire.SkipVarString(data)
+	return id, err
+}
+
 // ScanObject walks one row produced by AppendObject without decoding it: it
 // returns the id, the encoded version vector (vclock.DecodeVersion reads it)
 // and the remaining bytes, all as sub-slices of data, and allocates nothing.
-// It makes every check there is — each string length, the vector's and the
-// field list's counts against the bytes that remain — and DecodeObject makes
-// no other, so the two fail on exactly the same inputs. It is what lets a
-// store compare, copy or skip a row it has no need to materialise.
+// It makes every check there is — each uvarint within 64 bits, each string
+// length within wire's limit and the bytes that remain, the vector's and
+// the field list's counts against what the remaining bytes can hold, the
+// update's delta within 64 bits — and DecodeObject makes no other, so the
+// two fail on exactly the same inputs, with an error that wraps wire's. It
+// is what lets a store compare, copy or skip a row it has no need to
+// materialise.
 func ScanObject(data []byte) (id, vv, rest []byte, err error) {
-	id, vv, _, rest, err = scanObject(data)
-	return id, vv, rest, err
+	sc, rest, err := scanObject(data)
+	return sc.id, sc.vv, rest, err
 }
 
-// scanObject is ScanObject, also returning the field count.
-func scanObject(data []byte) (id, vv []byte, nfields uint64, rest []byte, err error) {
-	if id, rest, err = skipString(data); err != nil {
-		return nil, nil, 0, data, err
+// rowScan is what scanObject finds in a row: its id and encoded vector as
+// sub-slices, and the length of the text DecodeObject copies beside the id
+// and the vector's names.
+type rowScan struct {
+	id, vv []byte
+	text   int
+}
+
+// scanObject is ScanObject, also measuring the row's text.
+func scanObject(data []byte) (sc rowScan, rest []byte, err error) {
+	fail := func(err error) (rowScan, []byte, error) { return rowScan{}, data, err }
+	if sc.id, rest, err = wire.SkipVarString(data); err != nil {
+		return fail(err)
 	}
+	var s []byte
 	for range 3 { // schema, owner, site
-		if _, rest, err = skipString(rest); err != nil {
-			return nil, nil, 0, data, err
+		if s, rest, err = wire.SkipVarString(rest); err != nil {
+			return fail(err)
 		}
+		sc.text += len(s)
 	}
-	if _, rest, err = wire.ConsumeUint64(rest); err != nil { // version
-		return nil, nil, 0, data, err
+	if sc.vv, rest, err = vclock.ScanVersion(rest); err != nil {
+		return fail(err)
 	}
-	if vv, rest, err = vclock.ScanVersion(rest); err != nil {
-		return nil, nil, 0, data, err
+	if _, rest, err = wire.ConsumeUint64(rest); err != nil { // created
+		return fail(err)
 	}
-	for range 3 { // created, updated, field count
-		if nfields, rest, err = wire.ConsumeUint64(rest); err != nil {
-			return nil, nil, 0, data, err
-		}
+	if _, rest, err = wire.ConsumeVarint(rest); err != nil { // updated
+		return fail(err)
 	}
-	if nfields > uint64(len(rest))/8 {
-		return nil, nil, 0, data, fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(rest))
+	nfields, rest, err := wire.ConsumeUvarint(rest)
+	if err != nil {
+		return fail(err)
+	}
+	if nfields > uint64(len(rest))/2 { // a key's and a value's length at least
+		return fail(fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(rest)))
 	}
 	for n := 2 * nfields; n > 0; n-- { // a key and a value each
-		if _, rest, err = skipString(rest); err != nil {
-			return nil, nil, 0, data, err
+		if s, rest, err = wire.SkipVarString(rest); err != nil {
+			return fail(err)
 		}
+		sc.text += len(s)
 	}
-	return id, vv, nfields, rest, nil
-}
-
-// skipString is wire.ConsumeString without the copy: the string's bytes as
-// a sub-slice of data, under the same length checks.
-func skipString(data []byte) (s, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, data, wire.ErrTruncated
-	}
-	n := uint64(binary.BigEndian.Uint32(data))
-	if n >= wire.MaxStringLen {
-		return nil, data, fmt.Errorf("%w: %d-byte string", wire.ErrOversize, n)
-	}
-	if uint64(len(data)) < 4+n {
-		return nil, data, wire.ErrTruncated
-	}
-	return data[4 : 4+n], data[4+n:], nil
+	return sc, rest, nil
 }

@@ -2,11 +2,14 @@ package information
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,19 +36,16 @@ func codecFixtureRow(key uint32) *Object {
 	}
 }
 
-// goldenFixtureRow is what logstore's appendObject wrote for
-// codecFixtureRow(42) before the row codec moved up into this package
-// (recorded at commit 65ae96b). WAL and segment files written by earlier
-// builds hold rows in exactly these bytes.
-const goldenFixtureRow = "000000096f626a303030303432000000116d6f6363612d696e7465726368616e6765" +
-	"000000067530303034320000000473303030000000000000000100000000000000010000000473303030" +
-	"000000000000000109d39b5f4a6aa00009d39b5f4a6aa000000000000000000400000006617574686f72" +
-	"0000000675303030343200000004626f64790000002373686172656420776f726b696e67206d61746572" +
-	"69616c20666f72206163743030303200000007636f6e746578740000000761637430303032000000057469" +
-	"746c650000000e73656564206f626a303030303432"
+// goldenFixtureRow is AppendObject(codecFixtureRow(42)): 149 bytes, where
+// the layout before it (uint32 string lengths, uint64 counts, counters and
+// times, and the Version) took 224. logstore's format-1 tests keep the
+// older bytes.
+const goldenFixtureRow = "096f626a303030303432116d6f6363612d696e7465726368616e67650675303030343204733030300104" +
+	"733030300109d39b5f4a6aa000000406617574686f720675303030343204626f64792373686172656420776f" +
+	"726b696e67206d6174657269616c20666f72206163743030303207636f6e746578740761637430303032057469" +
+	"746c650e73656564206f626a303030303432"
 
-// TestAppendObjectGolden: one codec, two carriers — and the first
-// carrier's bytes did not move.
+// TestAppendObjectGolden: one codec, two carriers, and these are its bytes.
 func TestAppendObjectGolden(t *testing.T) {
 	got := AppendObject(nil, codecFixtureRow(42))
 	if hex.EncodeToString(got) != goldenFixtureRow {
@@ -71,7 +71,9 @@ func codecEdgeRows() map[string]*Object {
 		"18-site vv": {ID: "c", Schema: "doc", Site: "s017", Version: wide.Sum(), VV: wide, Fields: map[string]string{"title": "t"}, Created: at, Updated: at.Add(time.Hour)},
 		"non-ascii": {ID: "obj-ünï-日本", Schema: "dök", Owner: "jürgen", Site: "köln",
 			Version: 1, VV: vclock.Version{"köln": 1}, Fields: map[string]string{"títle": "naïve ☃", "": "empty key"}, Created: at, Updated: at},
-		"before 1970": {ID: "d", VV: vclock.Version{"s": 1}, Created: time.Unix(0, -5).UTC(), Updated: time.Unix(0, -1).UTC()},
+		"before 1970":            {ID: "d", Version: 1, VV: vclock.Version{"s": 1}, Created: time.Unix(0, -5).UTC(), Updated: time.Unix(0, -1).UTC()},
+		"updated before created": {ID: "f", Version: 2, VV: vclock.Version{"s": 2}, Created: at, Updated: at.Add(-time.Hour)},
+		"far apart":              {ID: "g", Version: 1, VV: vclock.Version{"s": 1}, Created: time.Unix(0, math.MinInt64+1).UTC(), Updated: time.Unix(0, math.MaxInt64).UTC()},
 	}
 }
 
@@ -127,8 +129,22 @@ func TestObjectCodecCanonical(t *testing.T) {
 	}
 }
 
-// TestDecodeObjectRejectsDamage: rows now arrive off the network, so a cut
-// or a hostile count must be an error — never a panic, never an
+// Hostile rows, each refused before anything is sized by what it says.
+var (
+	// An id length in 11 bytes.
+	rowElevenByteUvarint = []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 'x'}
+	// A 9-byte schema in 3 bytes.
+	rowStringPastEnd = []byte{1, 'x', 9, 'd', 'o', 'c'}
+	// 2^16 vector entries, then 2^16 fields, in a few bytes each.
+	rowVectorPastEnd = slices.Concat([]byte{1, 'x', 0, 0, 0, 0x80, 0x80, 0x04}, make([]byte, 12))
+	rowFieldsPastEnd = slices.Concat([]byte{1, 'x', 0, 0, 0, 0}, make([]byte, 8), []byte{0, 0x80, 0x80, 0x04}, make([]byte, 12))
+	// An update whose delta from the creation time is past 64 bits.
+	rowDeltaOverflow = slices.Concat([]byte{1, 'x', 0, 0, 0, 0}, make([]byte, 8),
+		[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0})
+)
+
+// TestDecodeObjectRejectsDamage: rows arrive off the network, so a cut or a
+// hostile count must be an error wrapping wire's — never a panic, never an
 // allocation sized by the count.
 func TestDecodeObjectRejectsDamage(t *testing.T) {
 	enc := AppendObject(nil, codecEdgeRows()["18-site vv"])
@@ -139,21 +155,52 @@ func TestDecodeObjectRejectsDamage(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i+8 <= len(enc); i++ {
-		bad := bytes.Clone(enc)
-		binary.BigEndian.PutUint64(bad[i:], 1<<60)
+	for _, bad := range hostile(enc) {
 		_, _, _ = DecodeObject(bad) // an error or a row with a changed value: not a panic
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
-		t.Fatalf("decoding counts of 2^60 allocated %d bytes", grew)
+		t.Fatalf("decoding hostile rows allocated %d bytes", grew)
 	}
-	// The field count is the one count this package bounds itself.
-	fields := AppendObject(nil, &Object{ID: "x"})
-	binary.BigEndian.PutUint64(fields[len(fields)-8:], 1<<60)
-	if _, _, err := DecodeObject(fields); err == nil {
-		t.Fatal("a field count of 2^60 decoded")
+	for name, data := range map[string][]byte{
+		"11-byte uvarint": rowElevenByteUvarint, "string past end": rowStringPastEnd,
+		"vector past end": rowVectorPastEnd, "fields past end": rowFieldsPastEnd, "delta overflow": rowDeltaOverflow,
+	} {
+		_, _, err := DecodeObject(data)
+		if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrOversize) {
+			t.Fatalf("%s: DecodeObject err %v, want wire's error", name, err)
+		}
+		if _, _, _, scanErr := ScanObject(data); scanErr == nil || scanErr.Error() != err.Error() {
+			t.Fatalf("%s: ScanObject err %v, DecodeObject err %v", name, scanErr, err)
+		}
 	}
+	// Each is refused for what it is meant to be: with its damage mended it
+	// is a row.
+	if _, _, err := DecodeObject(slices.Concat([]byte{1, 'x', 0, 0, 0, 0}, make([]byte, 8), []byte{0, 0})); err != nil {
+		t.Fatalf("the smallest row: %v", err)
+	}
+}
+
+// hostile is enc damaged at every offset in the ways a varint codec can
+// be: cut there, a byte there raised to 0x7F, and, inserted there, an
+// 11-byte uvarint, a 10-byte one past 64 bits and 2^64−1 in ten bytes.
+func hostile(enc []byte) [][]byte {
+	var out [][]byte
+	inserts := [][]byte{
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+	}
+	for i := 0; i < len(enc); i++ {
+		out = append(out, enc[:i])
+		raised := bytes.Clone(enc)
+		raised[i] = 0x7F
+		out = append(out, raised)
+		for _, in := range inserts {
+			out = append(out, slices.Concat(enc[:i], in, enc[i:]))
+		}
+	}
+	return out
 }
 
 // checkScanMatchesDecode is the walk's whole contract: ScanObject fails on
@@ -178,21 +225,14 @@ func checkScanMatchesDecode(t *testing.T, data []byte) {
 	}
 }
 
-// scanSeeds are TestDecodeObjectRejectsDamage's cases: every edge row
-// whole, cut at every offset, and with 2^60 stamped over every position.
+// scanSeeds are TestDecodeObjectRejectsDamage's cases: its hostile rows,
+// then every edge row whole and damaged every way hostile damages it.
 func scanSeeds() [][]byte {
-	var out [][]byte
-	for _, row := range codecEdgeRows() {
-		enc := AppendObject(nil, row)
+	out := [][]byte{rowElevenByteUvarint, rowStringPastEnd, rowVectorPastEnd, rowFieldsPastEnd, rowDeltaOverflow}
+	for _, name := range slices.Sorted(maps.Keys(codecEdgeRows())) {
+		enc := AppendObject(nil, codecEdgeRows()[name])
 		out = append(out, append(bytes.Clone(enc), "tail"...))
-		for i := 0; i < len(enc); i++ {
-			out = append(out, enc[:i])
-		}
-		for i := 0; i+8 <= len(enc); i++ {
-			bad := bytes.Clone(enc)
-			binary.BigEndian.PutUint64(bad[i:], 1<<60)
-			out = append(out, bad)
-		}
+		out = append(out, hostile(enc)...)
 	}
 	return out
 }
@@ -209,7 +249,7 @@ func TestScanObjectMatchesDecode(t *testing.T) {
 
 func FuzzScanObjectMatchesDecode(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i%7 == 0 { // a spread of them; TestScanObjectMatchesDecode runs all
+		if i < 5 || i%7 == 0 { // the hostile rows and a spread of the rest; TestScanObjectMatchesDecode runs all
 			f.Add(data)
 		}
 	}
@@ -250,54 +290,54 @@ func TestAppendObjectAllocs(t *testing.T) {
 // raceEnabled is set by race_test.go when the tests run under -race.
 var raceEnabled bool
 
-// referenceDecodeObject is DecodeObject as it was written before it
-// scanned first and copied once: one string per field, each read and
-// checked as it comes. It is the reference the one decoder is held to.
+// referenceDecodeObject is the string-per-field decoder: every field read
+// and checked as it comes, with wire's uvarint readers and
+// vclock.DecodeVersion. It is the reference the one decoder is held to.
 func referenceDecodeObject(data []byte) (*Object, []byte, error) {
 	o := &Object{}
 	var err error
-	if o.ID, data, err = wire.ConsumeString(data); err != nil {
+	if o.ID, data, err = wire.ConsumeVarString(data); err != nil {
 		return nil, data, err
 	}
-	if o.Schema, data, err = wire.ConsumeString(data); err != nil {
+	if o.Schema, data, err = wire.ConsumeVarString(data); err != nil {
 		return nil, data, err
 	}
-	if o.Owner, data, err = wire.ConsumeString(data); err != nil {
+	if o.Owner, data, err = wire.ConsumeVarString(data); err != nil {
 		return nil, data, err
 	}
-	if o.Site, data, err = wire.ConsumeString(data); err != nil {
-		return nil, data, err
-	}
-	if o.Version, data, err = wire.ConsumeUint64(data); err != nil {
+	if o.Site, data, err = wire.ConsumeVarString(data); err != nil {
 		return nil, data, err
 	}
 	if o.VV, data, err = vclock.DecodeVersion(data); err != nil {
 		return nil, data, err
 	}
-	var created, updated, nfields uint64
+	o.Version = o.VV.Sum()
+	var created uint64
 	if created, data, err = wire.ConsumeUint64(data); err != nil {
 		return nil, data, err
 	}
-	if updated, data, err = wire.ConsumeUint64(data); err != nil {
+	var delta int64
+	if delta, data, err = wire.ConsumeVarint(data); err != nil {
 		return nil, data, err
 	}
 	o.Created = time.Unix(0, int64(created)).UTC()
-	o.Updated = time.Unix(0, int64(updated)).UTC()
-	if nfields, data, err = wire.ConsumeUint64(data); err != nil {
+	o.Updated = time.Unix(0, int64(created)+delta).UTC()
+	var nfields uint64
+	if nfields, data, err = wire.ConsumeUvarint(data); err != nil {
 		return nil, data, err
 	}
 	// A field is two length prefixes at least.
-	if nfields > uint64(len(data))/8 {
+	if nfields > uint64(len(data))/2 {
 		return nil, data, fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(data))
 	}
 	if nfields > 0 {
 		o.Fields = make(map[string]string, nfields)
 		for i := uint64(0); i < nfields; i++ {
 			var k, v string
-			if k, data, err = wire.ConsumeString(data); err != nil {
+			if k, data, err = wire.ConsumeVarString(data); err != nil {
 				return nil, data, err
 			}
-			if v, data, err = wire.ConsumeString(data); err != nil {
+			if v, data, err = wire.ConsumeVarString(data); err != nil {
 				return nil, data, err
 			}
 			o.Fields[k] = v
@@ -331,7 +371,7 @@ func TestDecodeObjectMatchesReference(t *testing.T) {
 
 func FuzzDecodeObjectMatchesReference(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i%7 == 0 { // a spread of them; TestDecodeObjectMatchesReference runs all
+		if i < 5 || i%7 == 0 { // the hostile rows and a spread of the rest; TestDecodeObjectMatchesReference runs all
 			f.Add(data)
 		}
 	}

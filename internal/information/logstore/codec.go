@@ -10,23 +10,30 @@ import (
 
 // Record types. A WAL record is [type byte][seq uint64][type-specific
 // payload]; the manifest and segment files reuse the framing with records
-// of their own (see manifest.go and segment.go).
+// of their own (see manifest.go and segment.go). A row is in the one row
+// codec (information.AppendObject). A store written before that codec
+// became compact holds rows in format 1 (format1.go) under record types of
+// their own — recExecV1 in the WAL, recSegMetaV1 heading a segment's
+// metadata — which Open reads and nothing writes.
 const (
-	recExec       byte = 1 // full post-state of one Exec mutation
+	recExecV1     byte = 1 // format 1: full post-state of one Exec mutation
 	recRetired    byte = 2 // retired: a relationship edge; see ErrRetiredRecord
 	recSnapHeader byte = 3 // manifest file header (historically: snapshot)
 	recRemove     byte = 4 // eviction of one row (Space.Drop)
 
 	// Segment-file records (see segment.go for the file layout).
-	recSegRow   byte = 5  // one object row in a segment's data region
-	recSegTomb  byte = 6  // one tombstone in a segment's data region
-	recSegMeta  byte = 7  // segment metadata header (count, seq + key ranges)
-	recSegIdx   byte = 8  // a chunk of the sparse key index
-	recSegBloom byte = 9  // a chunk of the bloom filter bits
-	recSegFoot  byte = 10 // fixed-size footer pointing at the metadata
+	recSegRow    byte = 5  // one object row in a segment's data region
+	recSegTomb   byte = 6  // one tombstone in a segment's data region
+	recSegMetaV1 byte = 7  // format 1: segment metadata header
+	recSegIdx    byte = 8  // a chunk of the sparse key index
+	recSegBloom  byte = 9  // a chunk of the bloom filter bits
+	recSegFoot   byte = 10 // fixed-size footer pointing at the metadata
 
 	// Manifest records (see manifest.go).
 	recManSeg byte = 11 // one live segment reference
+
+	recExec    byte = 12 // full post-state of one Exec mutation
+	recSegMeta byte = 13 // segment metadata header (count, seq + key ranges)
 )
 
 // ErrCorrupt reports a record whose framing was intact but whose payload
@@ -43,7 +50,7 @@ var ErrRetiredRecord = errors.New("logstore: store holds relationship edges, a r
 type walRecord struct {
 	typ byte
 	seq uint64
-	obj *information.Object // recExec
+	obj *information.Object // recExec, recExecV1
 	id  string              // recRemove
 }
 
@@ -68,6 +75,10 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	case recExec:
 		if rec.obj, _, err = information.DecodeObject(payload); err != nil {
 			return rec, fmt.Errorf("%w: object: %v", ErrCorrupt, err)
+		}
+	case recExecV1:
+		if rec.obj, _, err = decodeObjectV1(payload); err != nil {
+			return rec, fmt.Errorf("%w: format-1 object: %v", ErrCorrupt, err)
 		}
 	case recRetired:
 		return rec, fmt.Errorf("record %d: %w", rec.seq, ErrRetiredRecord)

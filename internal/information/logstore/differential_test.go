@@ -115,11 +115,15 @@ func (d *differ) fatalf(format string, args ...any) {
 	d.t.Fatalf("step %d (%s): %s", d.step, d.what, fmt.Sprintf(format, args...))
 }
 
-// sameRow requires two rows to be equal, or absent together.
+// sameRow requires two rows to be equal, or absent together: their
+// encodings, and their Versions, which the encoding leaves out.
 func (d *differ) sameRow(what string, got, want *information.Object) {
 	d.t.Helper()
 	if (got == nil) != (want == nil) || !bytes.Equal(enc(got), enc(want)) {
 		d.fatalf("%s: logstore %q, reference %q", what, enc(got), enc(want))
+	}
+	if got != nil && got.Version != want.Version {
+		d.fatalf("%s: logstore at version %d, reference at %d", what, got.Version, want.Version)
 	}
 }
 

@@ -111,7 +111,7 @@ func TestMergeCopiesCanonicalBytes(t *testing.T) {
 	for _, payload := range dataRecords(t, segmentAt(t, st, 0, 2)) {
 		switch payload[0] {
 		case recSegTomb:
-			if id, _, _ := wire.ConsumeString(payload[1:]); id != "gone" {
+			if id, _, _ := wire.ConsumeVarString(payload[1:]); id != "gone" {
 				t.Fatalf("tombstone for %q", id)
 			}
 			tombs++

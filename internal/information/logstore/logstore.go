@@ -131,6 +131,7 @@ type Stats struct {
 	IterationFailures int64
 
 	RecoveredObjects int   // rows live after Open (manifest + replay)
+	UpgradedSegments int   // format-1 segments Open rewrote in the current format
 	ReplayedRecords  int   // WAL records applied by Open
 	SkippedRecords   int   // WAL records the manifest already covered
 	DiscardedBytes   int64 // corrupt/torn WAL suffix truncated by Open
@@ -267,14 +268,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.Remove(filepath.Join(dir, snapTmpName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("logstore: %w", err)
 	}
-	if err := s.loadManifestState(); err != nil {
-		for _, g := range s.segs {
-			g.closeFile()
-		}
-		return nil, err
-	}
-	s.live.Store(int64(s.liveCovered))
-	if err := s.replayWAL(); err != nil {
+	if err := s.recover(); err != nil {
 		for _, g := range s.segs {
 			g.closeFile()
 		}
@@ -292,6 +286,25 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		s.kickMerger() // a crash may have left a level over-full
 	}
 	return s, nil
+}
+
+// recover loads the manifest and its segments' metadata, reads the WAL,
+// rewrites any format-1 segment, and replays the WAL tail — in that order,
+// so a store the WAL refuses is left as it was found, and replay's probes
+// read segments in the current format only.
+func (s *Store) recover() error {
+	if err := s.loadManifestState(); err != nil {
+		return err
+	}
+	tail, err := s.readWAL()
+	if err != nil {
+		return err
+	}
+	if err := s.upgradeSegments(); err != nil {
+		return err
+	}
+	s.live.Store(int64(s.liveCovered))
+	return s.replayWAL(tail)
 }
 
 // Dir returns the store's root directory.

@@ -2,7 +2,6 @@ package logstore
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -19,13 +18,18 @@ import (
 // (wire.AppendRecord, the same framing as the WAL, so torn writes and bit
 // rot are detected the same way):
 //
-//	data region:   recSegRow / recSegTomb records, sorted by id
+//	data region:   recSegRow / recSegTomb records, sorted by id: a row in
+//	               the one row codec, a tombstone as its id alone in the
+//	               uvarint-prefixed form a row starts with
 //	meta region:   recSegMeta (count, seq range, key range, index stride)
 //	               recSegIdx chunks  (sparse key index: every indexEvery-th
 //	               id and its byte offset in the data region)
 //	               recSegBloom chunks (bloom filter bits)
 //	footer:        recSegFoot, a fixed-size record whose payload is the
 //	               meta region's byte offset
+//
+// A segment written in format 1 (format1.go) has recSegMetaV1 for its
+// metadata header; Open rewrites it before anything reads its rows.
 //
 // Opening a segment reads the footer and the meta region only — O(filter +
 // index), never O(rows) — which is what keeps recovery proportional to
@@ -65,6 +69,7 @@ type segment struct {
 	bloom   *bloomFilter
 	index   []segIndexEntry
 	metaOff int64 // end of the data region
+	v1      bool  // rows in format 1: for upgradeSegments alone to read
 
 	// Lifecycle: compaction drops a segment while readers may still hold
 	// it; the last reference out closes and unlinks the file.
@@ -180,7 +185,7 @@ func (w *segWriter) add(e flushEntry) error {
 		w.payload = information.AppendObject(w.payload, e.obj)
 	default:
 		w.payload = append(w.payload[:0], recSegTomb)
-		w.payload = wire.AppendString(w.payload, e.id)
+		w.payload = wire.AppendVarString(w.payload, e.id)
 	}
 	return w.emit()
 }
@@ -320,7 +325,8 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 		}
 		p := payload[1:]
 		switch payload[0] {
-		case recSegMeta:
+		case recSegMeta, recSegMetaV1:
+			seg.v1 = payload[0] == recSegMetaV1
 			var segID, count, indexEvery uint64
 			if segID, p, err = wire.ConsumeUint64(p); err != nil {
 				return fail(err)
@@ -450,8 +456,9 @@ func (g *segment) get(id string) (*information.Object, segProbe, error) {
 		if len(payload) < 1 || (payload[0] != recSegRow && payload[0] != recSegTomb) {
 			return nil, probeMiss, ErrCorrupt
 		}
-		// A row passed over is read as far as its id and no further.
-		rowID, err := leadingID(payload[1:])
+		// A row passed over is read as far as its id and no further; a
+		// tombstone is its id in the same form.
+		rowID, err := information.ObjectID(payload[1:])
 		if err != nil {
 			return nil, probeMiss, err
 		}
@@ -470,22 +477,6 @@ func (g *segment) get(id string) (*information.Object, segProbe, error) {
 		}
 	}
 	return nil, probeMiss, nil
-}
-
-// leadingID is the length-prefixed id a row or tombstone payload starts
-// with, as a sub-slice of p, under wire.ConsumeString's length checks.
-func leadingID(p []byte) ([]byte, error) {
-	if len(p) < 4 {
-		return nil, wire.ErrTruncated
-	}
-	n := uint64(binary.BigEndian.Uint32(p))
-	if n >= wire.MaxStringLen {
-		return nil, fmt.Errorf("%w: %d-byte string", wire.ErrOversize, n)
-	}
-	if uint64(len(p)) < 4+n {
-		return nil, wire.ErrTruncated
-	}
-	return p[4 : 4+n], nil
 }
 
 // iter returns a streaming iterator over the segment's data region in
@@ -513,26 +504,9 @@ type segIter struct {
 // referenced, so this is bit rot, not a torn tail, and the caller surfaces
 // it.
 func (it *segIter) next() (flushEntry, bool, error) {
-	if it.remain == 0 {
-		return flushEntry{}, false, nil
-	}
-	payload, scratch, err := wire.ReadRecord(it.r, it.scratch)
-	it.scratch = scratch
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			// remain > 0 here (the guard above returned otherwise), so the
-			// data region ended before yielding every record the metadata
-			// promised: the file was truncated at a record boundary. That
-			// is corruption, not a clean end — reporting it as one would
-			// silently drop the missing rows from merged iteration and
-			// from compaction output.
-			return flushEntry{}, false, fmt.Errorf("%w: segment truncated mid-data", ErrCorrupt)
-		}
+	payload, ok, err := it.record()
+	if !ok || err != nil {
 		return flushEntry{}, false, err
-	}
-	it.remain--
-	if len(payload) < 1 {
-		return flushEntry{}, false, ErrCorrupt
 	}
 	switch payload[0] {
 	case recSegRow:
@@ -542,7 +516,7 @@ func (it *segIter) next() (flushEntry, bool, error) {
 		}
 		return flushEntry{id: string(id), rec: payload, vv: vv}, true, nil
 	case recSegTomb:
-		id, _, err := wire.ConsumeString(payload[1:])
+		id, _, err := wire.ConsumeVarString(payload[1:])
 		if err != nil {
 			return flushEntry{}, false, err
 		}
@@ -550,4 +524,30 @@ func (it *segIter) next() (flushEntry, bool, error) {
 	default:
 		return flushEntry{}, false, ErrCorrupt
 	}
+}
+
+// record reads the next record of the data region, a non-empty payload
+// valid until the next call, or ok == false at its end.
+func (it *segIter) record() (payload []byte, ok bool, err error) {
+	if it.remain == 0 {
+		return nil, false, nil
+	}
+	payload, it.scratch, err = wire.ReadRecord(it.r, it.scratch)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			// remain > 0 here (the guard above returned otherwise), so the
+			// data region ended before yielding every record the metadata
+			// promised: the file was truncated at a record boundary. That
+			// is corruption, not a clean end — reporting it as one would
+			// silently drop the missing rows from merged iteration and
+			// from compaction output.
+			return nil, false, fmt.Errorf("%w: segment truncated mid-data", ErrCorrupt)
+		}
+		return nil, false, err
+	}
+	it.remain--
+	if len(payload) < 1 {
+		return nil, false, ErrCorrupt
+	}
+	return payload, true, nil
 }

@@ -150,6 +150,7 @@ func TestSupersededVersionDroppedOnMerge(t *testing.T) {
 		next.Fields["rev"] = "2"
 		next.VV = next.VV.Clone()
 		next.VV.Tick("gmd")
+		next.Version = next.VV.Sum()
 		return next, nil
 	}); err != nil {
 		t.Fatal(err)

@@ -18,8 +18,13 @@ import (
 
 // validateDurable rejects rows the WAL codec cannot round-trip: a string
 // at or past wire's length limit would be acknowledged as durable yet
-// fail to decode on recovery, taking every later record with it.
+// fail to decode on recovery, taking every later record with it, and a
+// Version other than the vector's sum, which the codec does not carry,
+// would read back as the sum.
 func validateDurable(o *information.Object) error {
+	if sum := o.VV.Sum(); o.Version != sum {
+		return fmt.Errorf("logstore: %s at version %d, its vector sums to %d", o.ID, o.Version, sum)
+	}
 	for _, str := range []string{o.ID, o.Schema, o.Owner, o.Site} {
 		if len(str) >= wire.MaxStringLen {
 			return fmt.Errorf("logstore: object metadata %d bytes: %w", len(str), wire.ErrOversize)
@@ -108,35 +113,51 @@ func (s *Store) writeFrame(w *bufio.Writer) error {
 	return err
 }
 
-// replayWAL applies the WAL tail over the manifest state. Records the
-// manifest already covers (seq <= snapSeq) are skipped; the first record
-// that fails framing or decoding ends the intact prefix and the torn
-// suffix is truncated so future appends extend a clean log. An intact
-// record of a retired type is no torn tail: replay stops with
-// ErrRetiredRecord and leaves the log as it found it.
-func (s *Store) replayWAL() error {
-	path := filepath.Join(s.dir, walName)
-	data, err := os.ReadFile(path)
+// walTail is the WAL as Open found it: its intact prefix, decoded, the
+// prefix's length and the file's.
+type walTail struct {
+	recs       []walRecord
+	good, size int
+}
+
+// readWAL decodes the WAL's intact prefix without changing anything: the
+// first record that fails framing or decoding ends it. An intact record of
+// a retired type is no torn tail: it refuses the store with
+// ErrRetiredRecord, before Open has touched a file.
+func (s *Store) readWAL() (walTail, error) {
+	data, err := os.ReadFile(filepath.Join(s.dir, walName))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return walTail{}, nil
 	}
 	if err != nil {
-		return fmt.Errorf("logstore: %w", err)
+		return walTail{}, fmt.Errorf("logstore: %w", err)
 	}
-	rest := data
-	for len(rest) > 0 {
+	tail := walTail{size: len(data)}
+	for rest := data; len(rest) > 0; {
 		payload, next, err := wire.NextRecord(rest)
 		if err != nil {
 			break
 		}
 		rec, err := decodeWALRecord(payload)
 		if errors.Is(err, ErrRetiredRecord) {
-			return fmt.Errorf("logstore: %s: %w", walName, err)
+			return walTail{}, fmt.Errorf("logstore: %s: %w", walName, err)
 		}
 		if err != nil {
 			break
 		}
 		rest = next
+		tail.recs = append(tail.recs, rec)
+		tail.good = len(data) - len(rest)
+	}
+	return tail, nil
+}
+
+// replayWAL applies the WAL tail over the manifest state. Records the
+// manifest already covers (seq <= snapSeq) are skipped; the torn suffix
+// past the intact prefix is truncated so future appends extend a clean
+// log.
+func (s *Store) replayWAL(tail walTail) error {
+	for _, rec := range tail.recs {
 		if rec.seq > s.seq {
 			s.seq = rec.seq
 		}
@@ -145,7 +166,7 @@ func (s *Store) replayWAL() error {
 			continue
 		}
 		switch rec.typ {
-		case recExec:
+		case recExec, recExecV1:
 			existed := s.hasAny(rec.obj.ID)
 			s.mem.put(rec.obj)
 			if !existed {
@@ -161,13 +182,12 @@ func (s *Store) replayWAL() error {
 		}
 		s.stats.ReplayedRecords++
 	}
-	good := len(data) - len(rest) // bytes of intact, applied prefix
-	if good < len(data) {
-		s.stats.DiscardedBytes = int64(len(data) - good)
-		if err := os.Truncate(path, int64(good)); err != nil {
+	if tail.good < tail.size {
+		s.stats.DiscardedBytes = int64(tail.size - tail.good)
+		if err := os.Truncate(filepath.Join(s.dir, walName), int64(tail.good)); err != nil {
 			return fmt.Errorf("logstore: truncate torn tail: %w", err)
 		}
 	}
-	s.walSize = int64(good)
+	s.walSize = int64(tail.good)
 	return nil
 }

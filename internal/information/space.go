@@ -465,6 +465,9 @@ func (s *Space) Adopt(row *Object) (changed, conflict bool, err error) {
 	if row == nil || row.ID == "" {
 		return false, false, fmt.Errorf("%w: empty remote object", ErrUnknownObject)
 	}
+	// A committed row's Version is its vector's sum, as DecodeObject reads
+	// every row.
+	row.Version = row.VV.Sum()
 	var conflictInfo *Conflict
 	stored, err := s.store.Exec(row.ID, func(cur *Object) (*Object, error) {
 		if cur == nil {

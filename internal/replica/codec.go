@@ -11,8 +11,8 @@ import (
 
 // The six messages of the anti-entropy protocol travel as hand-written
 // binary bodies. Every body opens with a tag byte naming the message; the rest is
-// built from wire's shared primitives — big-endian integers, uint32
-// length-prefixed strings, uint64 or uvarint counts — with maps written in
+// built from wire's shared primitives — big-endian integers, uint32 or
+// uvarint length-prefixed strings, uint64 or uvarint counts — with maps written in
 // sorted key order, so equal messages encode to equal bytes. No body names
 // its sender: the frame's source does. Rows are in the one row codec
 // (information.AppendObject), the form the durable log stores them in. A request's tree frames are in wire.AppendTreeFrames' layout; a
@@ -115,7 +115,8 @@ func appendSections(b, frames []byte, hw map[string]uint64) []byte {
 }
 
 // appendHW writes a high-water map: a uvarint count, then per site in
-// sorted order its name and its mark as a uvarint — hwBytes(hw) bytes.
+// sorted order its uvarint-prefixed name and its mark as a uvarint —
+// hwBytes(hw) bytes.
 func appendHW(b []byte, hw map[string]uint64) []byte {
 	b = wire.AppendUvarint(b, uint64(len(hw)))
 	sites := make([]string, 0, len(hw))
@@ -124,7 +125,7 @@ func appendHW(b []byte, hw map[string]uint64) []byte {
 	}
 	slices.Sort(sites)
 	for _, s := range sites {
-		b = wire.AppendString(b, s)
+		b = wire.AppendVarString(b, s)
 		b = wire.AppendUvarint(b, hw[s])
 	}
 	return b
@@ -219,10 +220,10 @@ func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, h
 		frames = section.Raw(8 + recordSize*n)
 	}
 	if flags&flagHW != 0 {
-		n := b.UvarintCount(4 + 1) // a name's length prefix, a one-byte mark
+		n := b.UvarintCount(1 + 1) // a name's length, a mark
 		hw = make(map[string]uint64, n)
 		for range n {
-			site := b.String()
+			site := b.VarString()
 			hw[site] = b.Uvarint()
 		}
 	}
@@ -232,7 +233,7 @@ func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, h
 // consumeDigest reads a digest written by appendDigest; an empty digest
 // decodes as nil.
 func consumeDigest(b *wire.Body) map[string]vclock.Version {
-	n := b.Count(12) // id prefix + vector count
+	n := b.Count(4 + 1) // id prefix + vector count
 	if n == 0 {
 		return nil
 	}

@@ -248,9 +248,10 @@ func (m *merkleExchange) scopedSync() {
 // wire.AppendStrings write. Data deltas and pushes are never digest bytes.
 
 func vvBytes(vv vclock.Version) int {
-	n := 8
-	for s := range vv {
-		n += len(s) + 12
+	n := wire.UvarintLen(uint64(len(vv)))
+	//lint:allow determinism commutative byte-sum; the total is identical under any iteration order
+	for s, c := range vv {
+		n += wire.UvarintLen(uint64(len(s))) + len(s) + wire.UvarintLen(c)
 	}
 	return n
 }
@@ -271,7 +272,7 @@ func hwBytes(hw map[string]uint64) int {
 	}
 	n := wire.UvarintLen(uint64(len(hw)))
 	for s, mark := range hw {
-		n += 4 + len(s) + wire.UvarintLen(mark)
+		n += wire.UvarintLen(uint64(len(s))) + len(s) + wire.UvarintLen(mark)
 	}
 	return n
 }

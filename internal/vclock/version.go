@@ -158,13 +158,14 @@ func (v Version) Dominates(o Version) bool {
 var ErrBadVersion = errors.New("vclock: bad version encoding")
 
 // AppendBinary appends a deterministic binary encoding of the vector to
-// dst: a uint64 entry count, then per site in sorted order a
-// length-prefixed site name and a uint64 counter, all in wire's shared
-// codec layout. Sorted order makes the encoding canonical — equal
-// vectors encode to equal bytes — which is what lets durable-store
-// recovery be verified byte-for-byte.
+// dst: a uvarint entry count, then per site in sorted order the site name
+// prefixed with its length as a uvarint, and the counter as a uvarint — a
+// site with a short name and fewer than 128 writes takes its name and two
+// bytes. Sorted order makes the encoding canonical — equal vectors encode
+// to equal bytes — which is what lets durable-store recovery be verified
+// byte-for-byte and lets a digest tree hash a vector's bytes.
 func (v Version) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendUint64(dst, uint64(len(v)))
+	dst = wire.AppendUvarint(dst, uint64(len(v)))
 	// Room on the stack for a deployment's worth of sites; a longer vector
 	// spills to the heap.
 	var room [16]string
@@ -174,11 +175,15 @@ func (v Version) AppendBinary(dst []byte) []byte {
 	}
 	slices.Sort(sites)
 	for _, s := range sites {
-		dst = wire.AppendString(dst, s)
-		dst = wire.AppendUint64(dst, v[s])
+		dst = wire.AppendVarString(dst, s)
+		dst = wire.AppendUvarint(dst, v[s])
 	}
 	return dst
 }
+
+// minEntryBytes is the least one entry of an encoded vector takes: a
+// one-byte name length and a one-byte counter.
+const minEntryBytes = 2
 
 // DecodeVersion decodes a vector produced by AppendBinary from data,
 // returning it (nil for the empty vector) and the remaining bytes. ScanVersion
@@ -189,54 +194,64 @@ func DecodeVersion(data []byte) (Version, []byte, error) {
 	if err != nil {
 		return nil, rest, err
 	}
-	n := binary.BigEndian.Uint64(raw)
+	n, p := takeUvarint(raw)
 	if n == 0 {
 		return nil, rest, nil
 	}
-	// Past the count, an entry is its name and 12 bytes of prefix and counter.
+	// Past the count, an entry is its name and at least two bytes of length
+	// and counter.
 	var names strings.Builder
-	names.Grow(len(raw) - 8 - 12*int(n))
-	for p := raw[8:]; len(p) > 0; {
-		l := int(binary.BigEndian.Uint32(p))
-		names.Write(p[4 : 4+l])
-		p = p[4+l+8:]
+	names.Grow(len(p) - minEntryBytes*int(n))
+	for q := p; len(q) > 0; {
+		var l uint64
+		l, q = takeUvarint(q)
+		names.Write(q[:l])
+		_, q = takeUvarint(q[l:])
 	}
 	v, text := make(Version, n), names.String()
-	for p := raw[8:]; len(p) > 0; {
-		l := int(binary.BigEndian.Uint32(p))
-		v[text[:l]] = binary.BigEndian.Uint64(p[4+l:])
-		text, p = text[l:], p[4+l+8:]
+	for len(p) > 0 {
+		var l, c uint64
+		l, p = takeUvarint(p)
+		c, p = takeUvarint(p[l:])
+		v[text[:l]] = c
+		text = text[l:]
 	}
 	return v, rest, nil
+}
+
+// takeUvarint reads a uvarint ScanVersion has checked.
+func takeUvarint(p []byte) (uint64, []byte) {
+	v, n := binary.Uvarint(p)
+	return v, p[n:]
 }
 
 // ScanVersion walks one vector produced by AppendBinary without decoding it:
 // it returns the encoding and the remaining bytes as sub-slices of data and
 // allocates nothing. It makes every check DecodeVersion makes, so it fails on
 // exactly the inputs DecodeVersion fails on, and raw is what DecodeVersion
-// reads. It is what lets a holder compare, hash or forward a vector it has no
-// need to materialise.
+// reads: a uvarint past 64 bits, an entry count past what the remaining
+// bytes can hold and a name past wire's length limit or past the end are
+// each an error wrapping ErrBadVersion and wire's own error. It is what
+// lets a holder compare, hash or forward a vector it has no need to
+// materialise.
 func ScanVersion(data []byte) (raw, rest []byte, err error) {
-	n, rest, err := wire.ConsumeUint64(data)
-	if err != nil {
-		return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
+	fail := func(err error) ([]byte, []byte, error) {
+		return nil, data, fmt.Errorf("%w: %w", ErrBadVersion, err)
 	}
-	if n > uint64(len(rest))/12 {
-		return nil, data, fmt.Errorf("%w: %d sites in %d bytes", ErrBadVersion, n, len(rest))
+	n, rest, err := wire.ConsumeUvarint(data)
+	if err != nil {
+		return fail(err)
+	}
+	if n > uint64(len(rest))/minEntryBytes {
+		return fail(fmt.Errorf("%w: %d sites in %d bytes", wire.ErrTruncated, n, len(rest)))
 	}
 	for ; n > 0; n-- {
-		// A site name under ConsumeString's checks, then its counter.
-		if len(rest) < 4 {
-			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, wire.ErrTruncated)
+		if _, rest, err = wire.SkipVarString(rest); err != nil {
+			return fail(err)
 		}
-		name := uint64(binary.BigEndian.Uint32(rest))
-		if name >= wire.MaxStringLen {
-			return nil, data, fmt.Errorf("%w: %v: %d-byte string", ErrBadVersion, wire.ErrOversize, name)
+		if _, rest, err = wire.ConsumeUvarint(rest); err != nil {
+			return fail(err)
 		}
-		if uint64(len(rest)) < 4+name+8 {
-			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, wire.ErrTruncated)
-		}
-		rest = rest[4+name+8:]
 	}
 	return data[:len(data)-len(rest)], rest, nil
 }

@@ -2,10 +2,10 @@ package vclock
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mocca/internal/wire"
@@ -107,43 +107,53 @@ func TestVersionBinaryIsCanonical(t *testing.T) {
 	}
 }
 
+// Hostile vectors, each refused before anything is sized by what it says.
+var (
+	vvElevenByteUvarint = []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}   // a name length in 11 bytes
+	vvNamePastEnd       = []byte{1, 9, 'g', 'm', 'd', 1}                                                // a 9-byte name in 4 bytes
+	vvCountPastEnd      = []byte{0x80, 0x80, 0x04, 3, 'g', 'm', 'd', 1}                                 // 2^16 sites in 5 bytes
+	vvCounterPast64Bits = []byte{1, 1, 'g', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F} // a counter past 2^64
+)
+
 func TestDecodeVersionMalformed(t *testing.T) {
 	for _, data := range [][]byte{
-		{},                             // no count
-		{0, 1},                         // count 1, nothing else
-		{0, 1, 0, 0, 0, 9},             // site length past end
-		{0, 1, 0xFF, 0xFF, 0xFF, 0xFF}, // huge site length (overflows int32)
+		{},     // no count
+		{0x80}, // a count cut short
+		{1},    // count 1, nothing else
+		{1, 9}, // site length past end
+		vvElevenByteUvarint, vvNamePastEnd, vvCountPastEnd, vvCounterPast64Bits,
 	} {
-		if _, _, err := DecodeVersion(data); err == nil {
-			t.Fatalf("accepted malformed %v", data)
+		_, _, err := DecodeVersion(data)
+		if !errors.Is(err, ErrBadVersion) || !(errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrOversize)) {
+			t.Fatalf("%x: err %v, want ErrBadVersion wrapping wire's error", data, err)
 		}
 	}
 }
 
-// referenceDecodeVersion is DecodeVersion as it was written before it
-// scanned first and copied once: one string per site, each read and checked
-// as it comes. It is the reference the one decoder is held to.
+// referenceDecodeVersion is the string-per-site decoder: each name and
+// counter read and checked as it comes, with wire's uvarint readers. It is
+// the reference the one decoder is held to.
 func referenceDecodeVersion(data []byte) (Version, []byte, error) {
-	n, data, err := wire.ConsumeUint64(data)
+	n, data, err := wire.ConsumeUvarint(data)
 	if err != nil {
 		return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
 	}
 	if n == 0 {
 		return nil, data, nil
 	}
-	// Each entry takes at least 12 bytes (length prefix + counter); a
-	// count past that bound is corruption, caught before allocating.
-	if n > uint64(len(data))/12 {
+	// Each entry takes at least 2 bytes (length + counter); a count past
+	// that bound is corruption, caught before allocating.
+	if n > uint64(len(data))/2 {
 		return nil, data, ErrBadVersion
 	}
 	v := make(Version, n)
 	for i := uint64(0); i < n; i++ {
 		var site string
-		if site, data, err = wire.ConsumeString(data); err != nil {
+		if site, data, err = wire.ConsumeVarString(data); err != nil {
 			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
 		}
 		var c uint64
-		if c, data, err = wire.ConsumeUint64(data); err != nil {
+		if c, data, err = wire.ConsumeUvarint(data); err != nil {
 			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
 		}
 		v[site] = c
@@ -183,30 +193,48 @@ func checkScanMatchesDecode(t *testing.T, data []byte) {
 	}
 }
 
-// scanVersionSeeds are the edge vectors whole (with a tail behind them), cut
-// at every offset and with 2^60 stamped over every position, plus
-// TestDecodeVersionMalformed's cases.
+// hostile is enc damaged at every offset in the ways a varint codec can
+// be: cut there, a byte there raised to 0x7F, and, inserted there, an
+// 11-byte uvarint, a 10-byte one past 64 bits and 2^64−1 in ten bytes.
+func hostile(enc []byte) [][]byte {
+	var out [][]byte
+	inserts := [][]byte{
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+	}
+	for i := 0; i < len(enc); i++ {
+		out = append(out, enc[:i])
+		raised := bytes.Clone(enc)
+		raised[i] = 0x7F
+		out = append(out, raised)
+		for _, in := range inserts {
+			out = append(out, slices.Concat(enc[:i], in, enc[i:]))
+		}
+	}
+	return out
+}
+
+// scanVersionSeeds are the edge vectors whole (with a tail behind them) and
+// damaged every way hostile damages them, plus TestDecodeVersionMalformed's
+// cases.
 func scanVersionSeeds() [][]byte {
 	wide := Version{}
 	for i := 0; i < 18; i++ {
 		wide[fmt.Sprintf("s%03d", i)] = uint64(i + 1)
 	}
-	out := [][]byte{{}, {0, 1}, {0, 1, 0, 0, 0, 9}, {0, 1, 0xFF, 0xFF, 0xFF, 0xFF}}
+	out := [][]byte{{}, {0x80}, {1}, {1, 9}, vvElevenByteUvarint, vvNamePastEnd, vvCountPastEnd, vvCounterPast64Bits}
 	for _, v := range []Version{nil, {"gmd": 1}, {"": 0}, {"köln": 1 << 63, "日本": 2}, wide} {
 		enc := v.AppendBinary(nil)
 		out = append(out, append(bytes.Clone(enc), "tail"...))
-		for i := 0; i < len(enc); i++ {
-			out = append(out, enc[:i])
-		}
-		for i := 0; i+8 <= len(enc); i++ {
-			bad := bytes.Clone(enc)
-			binary.BigEndian.PutUint64(bad[i:], 1<<60)
-			out = append(out, bad)
-		}
+		out = append(out, hostile(enc)...)
 	}
 	// Not canonical, still a vector: unsorted sites, one site twice.
-	out = append(out, wire.AppendUint64(wire.AppendString(wire.AppendUint64(wire.AppendString(wire.AppendUint64(nil, 2), "b"), 1), "a"), 2))
-	out = append(out, wire.AppendUint64(wire.AppendString(wire.AppendUint64(wire.AppendString(wire.AppendUint64(nil, 2), "a"), 1), "a"), 2))
+	entry := func(b []byte, site string, c uint64) []byte {
+		return wire.AppendUvarint(wire.AppendVarString(b, site), c)
+	}
+	out = append(out, entry(entry([]byte{2}, "b", 1), "a", 2))
+	out = append(out, entry(entry([]byte{2}, "a", 1), "a", 2))
 	return out
 }
 
@@ -222,7 +250,7 @@ func TestScanVersionMatchesDecode(t *testing.T) {
 
 func FuzzScanVersionMatchesDecode(f *testing.F) {
 	for i, data := range scanVersionSeeds() {
-		if i%5 == 0 { // a spread of them; TestScanVersionMatchesDecode runs all
+		if i < 8 || i%5 == 0 { // the hostile cases and a spread of the rest; TestScanVersionMatchesDecode runs all
 			f.Add(data)
 		}
 	}

@@ -655,16 +655,23 @@ func AppendVarString(dst []byte, s string) []byte {
 // ConsumeVarString decodes a string written by AppendVarString, returning
 // it and the remaining bytes, with ConsumeString's limits.
 func ConsumeVarString(data []byte) (string, []byte, error) {
+	s, rest, err := SkipVarString(data)
+	return string(s), rest, err
+}
+
+// SkipVarString is ConsumeVarString without the copy: the string's bytes
+// as a sub-slice of data, under the same checks.
+func SkipVarString(data []byte) (s, rest []byte, err error) {
 	n, rest, err := ConsumeUvarint(data)
 	switch {
 	case err != nil:
-		return "", data, err
+		return nil, data, err
 	case n >= maxStringLen:
-		return "", data, fmt.Errorf("%w: %d-byte string", ErrOversize, n)
+		return nil, data, fmt.Errorf("%w: %d-byte string", ErrOversize, n)
 	case n > uint64(len(rest)):
-		return "", data, ErrTruncated
+		return nil, data, ErrTruncated
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
 }
 
 // UvarintLen is the number of bytes AppendUvarint writes for v.
@@ -680,6 +687,24 @@ func ConsumeUvarint(data []byte) (uint64, []byte, error) {
 		return 0, data, ErrTruncated
 	case n < 0:
 		return 0, data, fmt.Errorf("%w: uvarint past 64 bits", ErrOversize)
+	}
+	return v, data[n:], nil
+}
+
+// AppendVarint appends v as a zigzag varint: the uvarint of 2v, or of
+// −2v−1 for a negative v, so a small magnitude of either sign takes one
+// byte.
+func AppendVarint(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
+
+// ConsumeVarint decodes a zigzag varint written by AppendVarint, returning
+// it and the remaining bytes, under ConsumeUvarint's checks.
+func ConsumeVarint(data []byte) (int64, []byte, error) {
+	v, n := binary.Varint(data)
+	switch {
+	case n == 0:
+		return 0, data, ErrTruncated
+	case n < 0:
+		return 0, data, fmt.Errorf("%w: varint past 64 bits", ErrOversize)
 	}
 	return v, data[n:], nil
 }

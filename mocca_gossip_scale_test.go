@@ -137,13 +137,12 @@ func runGossipScale(tb testing.TB, n int, overlay, withCut bool) scaleResult {
 // sites its total sync+gossip bytes are ≤ ⅐ of the full-mesh baseline and
 // its busiest site's channel count ≤ 25% at equal convergence, and overlay
 // cost grows sublinearly in n from 64→256 while the mesh grows
-// quadratically. The overlay reads 6.03 MB against the mesh's 43.5 MB
-// (13.8%). The burst is a broadcast tree's worst case: five writes at
-// once on a cold tree, where every link is still eager, so each write
-// floods its row and the crossing floods prune links a graft restores.
-// The flood that named writes by dot and pulled rows by fetch read
-// 5.81 MB (13.3%) here; with whole vectors and a sender in each rumor it
-// read 6.32 MB (14.5%), and with a reply per rumor near 18%.
+// quadratically. The overlay reads 2.29 MB against the mesh's 16.34 MB
+// (14.0%, the limit 2.33 MB); with rows, vectors and high-water names in
+// fixed-width fields it read 2.78 MB against 19.62 MB (14.2%). The burst
+// is a broadcast tree's worst case: five writes at once on a cold tree,
+// where every link is still eager, so each write floods its row and the
+// crossing floods prune links a graft restores.
 func TestGossipScaleAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-site sweeps; skipped under -short")
