@@ -80,11 +80,10 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 		o.VV = make(vclock.Version, nvv)
 		for range nvv {
 			site := text.cut(&r)
-			c := takeUvarint(&r)
-			o.VV[site] = c
-			o.Version += c
+			o.VV[site] = takeUvarint(&r)
 		}
 	}
+	o.Version = o.VV.Sum()
 	created := int64(binary.BigEndian.Uint64(r))
 	r = r[8:]
 	delta, n := binary.Varint(r)

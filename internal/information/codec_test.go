@@ -141,7 +141,13 @@ var (
 	// An update whose delta from the creation time is past 64 bits.
 	rowDeltaOverflow = slices.Concat([]byte{1, 'x', 0, 0, 0, 0}, make([]byte, 8),
 		[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0})
+	hostileRows = [][]byte{rowElevenByteUvarint, rowStringPastEnd, rowVectorPastEnd, rowFieldsPastEnd, rowDeltaOverflow}
 )
+
+// rowSiteTwice is no row AppendObject writes, but a row all the same: its
+// vector names one site twice, and the later entry stands — its Version is
+// the sum of the vector it decodes to, 2, not of the entries it read.
+var rowSiteTwice = slices.Concat([]byte{1, 'x', 0, 0, 0, 2, 1, 'a', 1, 1, 'a', 2}, make([]byte, 8), []byte{0, 0})
 
 // TestDecodeObjectRejectsDamage: rows arrive off the network, so a cut or a
 // hostile count must be an error wrapping wire's — never a panic, never an
@@ -162,10 +168,8 @@ func TestDecodeObjectRejectsDamage(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
 		t.Fatalf("decoding hostile rows allocated %d bytes", grew)
 	}
-	for name, data := range map[string][]byte{
-		"11-byte uvarint": rowElevenByteUvarint, "string past end": rowStringPastEnd,
-		"vector past end": rowVectorPastEnd, "fields past end": rowFieldsPastEnd, "delta overflow": rowDeltaOverflow,
-	} {
+	for i, data := range hostileRows {
+		name := []string{"11-byte uvarint", "string past end", "vector past end", "fields past end", "delta overflow"}[i]
 		_, _, err := DecodeObject(data)
 		if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrOversize) {
 			t.Fatalf("%s: DecodeObject err %v, want wire's error", name, err)
@@ -225,10 +229,11 @@ func checkScanMatchesDecode(t *testing.T, data []byte) {
 	}
 }
 
-// scanSeeds are TestDecodeObjectRejectsDamage's cases: its hostile rows,
-// then every edge row whole and damaged every way hostile damages it.
+// scanSeeds are TestDecodeObjectRejectsDamage's cases — its hostile rows —
+// and a vector naming a site twice, then every edge row whole and damaged
+// every way hostile damages it.
 func scanSeeds() [][]byte {
-	out := [][]byte{rowElevenByteUvarint, rowStringPastEnd, rowVectorPastEnd, rowFieldsPastEnd, rowDeltaOverflow}
+	out := append(slices.Clone(hostileRows), rowSiteTwice)
 	for _, name := range slices.Sorted(maps.Keys(codecEdgeRows())) {
 		enc := AppendObject(nil, codecEdgeRows()[name])
 		out = append(out, append(bytes.Clone(enc), "tail"...))
@@ -249,7 +254,7 @@ func TestScanObjectMatchesDecode(t *testing.T) {
 
 func FuzzScanObjectMatchesDecode(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i < 5 || i%7 == 0 { // the hostile rows and a spread of the rest; TestScanObjectMatchesDecode runs all
+		if i <= len(hostileRows) || i%7 == 0 { // the hostile rows, the site named twice and a spread of the rest; TestScanObjectMatchesDecode runs all
 			f.Add(data)
 		}
 	}
@@ -367,11 +372,14 @@ func TestDecodeObjectMatchesReference(t *testing.T) {
 	for _, data := range scanSeeds() {
 		checkDecodeMatchesReference(t, data)
 	}
+	if o, _, err := DecodeObject(rowSiteTwice); err != nil || o.Version != 2 || len(o.VV) != 1 || o.VV["a"] != 2 {
+		t.Fatalf("a vector naming a site twice decoded as %+v, %v", o, err)
+	}
 }
 
 func FuzzDecodeObjectMatchesReference(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i < 5 || i%7 == 0 { // the hostile rows and a spread of the rest; TestDecodeObjectMatchesReference runs all
+		if i <= len(hostileRows) || i%7 == 0 { // the hostile rows, the site named twice and a spread of the rest; TestDecodeObjectMatchesReference runs all
 			f.Add(data)
 		}
 	}

@@ -187,13 +187,19 @@ func TestCommittedRowVersionIsVectorSum(t *testing.T) {
 			late.Updated = netsim.DefaultEpoch
 			adopt("concurrent row, local wins", late, true)
 
+			// A row built by hand with a Version of its own is adopted at
+			// its vector's sum, as the decoder would have read it.
+			adopt("hand-built row", &information.Object{ID: "r2", Schema: "doc", Owner: "u", Site: "s2",
+				Fields: map[string]string{"title": "by hand"}, Version: 1, VV: vclock.Version{"s2": 5},
+				Created: clk.Now(), Updated: clk.Now()}, false)
+
 			n := 0
 			sp.Range(func(o *information.Object) bool {
 				n++
 				check("stored", o)
 				return true
 			})
-			if n != 2 || events < 8 {
+			if n != 3 || events < 9 {
 				t.Fatalf("%d rows stored, %d events seen", n, events)
 			}
 		})

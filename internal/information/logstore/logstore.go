@@ -24,7 +24,10 @@
 //
 // Recovery (Open) loads the manifest, opens each segment's footer and
 // metadata (never its rows), and replays the WAL tail, skipping records
-// the manifest already covers — O(manifest + WAL tail), not O(data).
+// the manifest already covers — O(manifest + WAL tail), not O(data). A
+// store written before rows became compact holds them in format 1
+// (format1.go): replay reads its WAL records, and Open rewrites its
+// segments in the current format before anything reads them.
 // A torn or corrupt record ends the replay: everything before it is
 // intact (the CRC guarantees it), the garbage suffix is truncated away,
 // and the store resumes appending from the last good record — the

@@ -408,6 +408,27 @@ func TestOversizeFieldRejectedNotDestroyedLater(t *testing.T) {
 	}
 }
 
+// TestVersionOtherThanSumRefused: the row codec carries no Version and
+// reads the vector's sum back, so a row stored under another Version would
+// change across a flush or a restart. Exec refuses it and changes nothing.
+func TestVersionOtherThanSumRefused(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, err = st.Exec("off", func(*information.Object) (*information.Object, error) {
+		return &information.Object{ID: "off", Schema: "doc", Owner: "ada",
+			VV: vclock.Version{"gmd": 2, "upc": 1}, Version: 2, Site: "gmd", Created: t0, Updated: t1}, nil
+	})
+	if err == nil {
+		t.Fatal("a row at version 2 with a vector summing to 3 was logged")
+	}
+	if _, ok := st.Get("off"); ok || st.Stats().Appends != 0 {
+		t.Fatalf("the refused row changed the store: %+v", st.Stats())
+	}
+}
+
 // A WAL append failure must fail the mutation — Exec and Remove alike —
 // without committing it to memory: a row served from memory but absent
 // from the log would vanish on recovery while peers replicated it, and an
