@@ -614,8 +614,9 @@ func ReadRecord(r io.Reader, scratch []byte) (payload, newScratch []byte, err er
 // --- codec helpers --------------------------------------------------------
 //
 // Primitives shared by message bodies and record payload codecs:
-// big-endian integers, uint32 length-prefixed strings, and uvarints for the
-// counts and counters a body says in as few bytes as it can. Unlike an
+// big-endian integers, uint32 length-prefixed strings, and uvarints (zigzag
+// varints for signed values) for the lengths, counts and counters a body or
+// a row says in as few bytes as it can. Unlike an
 // envelope's strings they know no static table, so the bytes a body or a
 // log record holds do not depend on the wire version.
 
