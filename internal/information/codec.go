@@ -72,7 +72,7 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 	var text rowText
 	text.Grow(sc.text + vectorText(sc.vv))
 	o := &Object{ID: string(sc.id)}
-	r := data[wire.UvarintLen(uint64(len(sc.id)))+len(sc.id):]
+	r := sc.afterID
 	o.Schema = text.cut(&r)
 	o.Owner = text.cut(&r)
 	o.Site = text.cut(&r)
@@ -182,12 +182,12 @@ func ScanObject(data []byte) (id, vv, rest []byte, err error) {
 	return sc.id, sc.vv, rest, err
 }
 
-// rowScan is what scanObject finds in a row: its id and encoded vector as
-// sub-slices, and the length of the text DecodeObject copies beside the id
-// and the vector's names.
+// rowScan is what scanObject finds in a row: its id, the bytes after it and
+// its encoded vector as sub-slices, and the length of the text DecodeObject
+// copies beside the id and the vector's names.
 type rowScan struct {
-	id, vv []byte
-	text   int
+	id, afterID, vv []byte
+	text            int
 }
 
 // scanObject is ScanObject, also measuring the row's text.
@@ -196,6 +196,7 @@ func scanObject(data []byte) (sc rowScan, rest []byte, err error) {
 	if sc.id, rest, err = wire.SkipVarString(data); err != nil {
 		return fail(err)
 	}
+	sc.afterID = rest
 	var s []byte
 	for range 3 { // schema, owner, site
 		if s, rest, err = wire.SkipVarString(rest); err != nil {

@@ -186,8 +186,10 @@ func TestDecodeObjectRejectsDamage(t *testing.T) {
 }
 
 // hostile is enc damaged at every offset in the ways a varint codec can
-// be: cut there, a byte there raised to 0x7F, and, inserted there, an
-// 11-byte uvarint, a 10-byte one past 64 bits and 2^64−1 in ten bytes.
+// be: cut there, a byte there raised to 0x7F, a byte below 0x80 there said
+// in two bytes (a uvarint no encoder writes, which still decodes), and,
+// inserted there, an 11-byte uvarint, a 10-byte one past 64 bits and
+// 2^64−1 in ten bytes.
 func hostile(enc []byte) [][]byte {
 	var out [][]byte
 	inserts := [][]byte{
@@ -200,6 +202,9 @@ func hostile(enc []byte) [][]byte {
 		raised := bytes.Clone(enc)
 		raised[i] = 0x7F
 		out = append(out, raised)
+		if enc[i] < 0x80 {
+			out = append(out, slices.Concat(enc[:i], []byte{enc[i] | 0x80, 0}, enc[i+1:]))
+		}
 		for _, in := range inserts {
 			out = append(out, slices.Concat(enc[:i], in, enc[i:]))
 		}
