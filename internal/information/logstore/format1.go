@@ -27,10 +27,10 @@ import (
 
 // decodeObjectV1 decodes one format-1 row, returning it and the remaining
 // bytes. Like information.DecodeObject it checks each count against the
-// bytes that remain before it allocates. The row's Version is its vector's
-// sum, as a row in the current format reads: the Version stored beside the
-// vector is read past, so a row keeps its Version when it moves to the
-// current format.
+// bytes that remain before it allocates. The Version stored beside the
+// vector is read past and the row's Version set to the vector's sum, as a
+// row in the current format reads, so a row reads the same before and
+// after Open rewrites it.
 func decodeObjectV1(data []byte) (*information.Object, []byte, error) {
 	b := v1Reader{rest: data}
 	o := &information.Object{ID: b.string(), Schema: b.string(), Owner: b.string(), Site: b.string()}
