@@ -61,16 +61,16 @@ func AppendObject(dst []byte, o *Object) []byte {
 // off the network: ScanObject checks every count and length against the
 // bytes that remain before anything is allocated. The row owns what it
 // holds: the id is a copy of its own, because ids outlive rows as keys, and
-// every other string is a substring of one exact-size copy of the row's
-// remaining text — one per row, so a row kept from a message pins nothing
-// else of it.
+// every other string is a substring of one copy of the row's remaining
+// text — one per row, so a row kept from a message pins nothing else of it.
 func DecodeObject(data []byte) (*Object, []byte, error) {
 	sc, rest, err := scanObject(data)
 	if err != nil {
 		return nil, rest, err
 	}
+	// The vector's names are its bytes less a few of framing: room enough.
 	var text rowText
-	text.Grow(sc.text + vectorText(sc.vv))
+	text.Grow(sc.text + len(sc.vv))
 	o := &Object{ID: string(sc.id)}
 	r := sc.afterID
 	o.Schema = text.cut(&r)
@@ -80,10 +80,14 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 		o.VV = make(vclock.Version, nvv)
 		for range nvv {
 			site := text.cut(&r)
-			o.VV[site] = takeUvarint(&r)
+			c := takeUvarint(&r)
+			o.VV[site] = c
+			o.Version += c
+		}
+		if len(o.VV) != int(nvv) { // a site named twice: its later entry stands
+			o.Version = o.VV.Sum()
 		}
 	}
-	o.Version = o.VV.Sum()
 	created := int64(binary.BigEndian.Uint64(r))
 	r = r[8:]
 	delta, n := binary.Varint(r)
@@ -117,24 +121,15 @@ func (t *rowText) cut(r *[]byte) string {
 }
 
 // takeUvarint takes the uvarint, which ScanObject has checked, at the front
-// of *r.
+// of *r: one byte in the common case, inlined.
 func takeUvarint(r *[]byte) uint64 {
+	if b := (*r)[0]; b < 0x80 {
+		*r = (*r)[1:]
+		return uint64(b)
+	}
 	v, n := binary.Uvarint(*r)
 	*r = (*r)[n:]
 	return v
-}
-
-// vectorText is the length of the site names of an encoded vector that
-// ScanObject has checked: what DecodeObject copies of it.
-func vectorText(vv []byte) int {
-	n := 0
-	for k := takeUvarint(&vv); k > 0; k-- {
-		l := int(takeUvarint(&vv))
-		n += l
-		vv = vv[l:]
-		takeUvarint(&vv)
-	}
-	return n
 }
 
 // minRowBytes is the least a row AppendObject writes can take: four string
@@ -183,8 +178,8 @@ func ScanObject(data []byte) (id, vv, rest []byte, err error) {
 }
 
 // rowScan is what scanObject finds in a row: its id, the bytes after it and
-// its encoded vector as sub-slices, and the length of the text DecodeObject
-// copies beside the id and the vector's names.
+// its encoded vector as sub-slices, and the length of its strings but the
+// id and the vector's names.
 type rowScan struct {
 	id, afterID, vv []byte
 	text            int

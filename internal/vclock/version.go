@@ -194,35 +194,26 @@ func DecodeVersion(data []byte) (Version, []byte, error) {
 	if err != nil {
 		return nil, rest, err
 	}
-	n, p := takeUvarint(raw)
+	n, k := binary.Uvarint(raw)
 	if n == 0 {
 		return nil, rest, nil
 	}
 	// Past the count, an entry is its name and at least two bytes of length
-	// and counter.
+	// and counter. Bytes a Builder holds are never written again, so a key
+	// cut from what it has built stays valid as it grows.
+	p := raw[k:]
 	var names strings.Builder
 	names.Grow(len(p) - minEntryBytes*int(n))
-	for q := p; len(q) > 0; {
-		var l uint64
-		l, q = takeUvarint(q)
-		names.Write(q[:l])
-		_, q = takeUvarint(q[l:])
-	}
-	v, text := make(Version, n), names.String()
+	v := make(Version, n)
 	for len(p) > 0 {
-		var l, c uint64
-		l, p = takeUvarint(p)
-		c, p = takeUvarint(p[l:])
-		v[text[:l]] = c
-		text = text[l:]
+		l, k := binary.Uvarint(p)
+		names.Write(p[k : k+int(l)])
+		c, m := binary.Uvarint(p[k+int(l):])
+		text := names.String()
+		v[text[len(text)-int(l):]] = c
+		p = p[k+int(l)+m:]
 	}
 	return v, rest, nil
-}
-
-// takeUvarint reads a uvarint ScanVersion has checked.
-func takeUvarint(p []byte) (uint64, []byte) {
-	v, n := binary.Uvarint(p)
-	return v, p[n:]
 }
 
 // ScanVersion walks one vector produced by AppendBinary without decoding it:
@@ -246,12 +237,20 @@ func ScanVersion(data []byte) (raw, rest []byte, err error) {
 		return fail(fmt.Errorf("%w: %d sites in %d bytes", wire.ErrTruncated, n, len(rest)))
 	}
 	for ; n > 0; n-- {
-		if _, rest, err = wire.SkipVarString(rest); err != nil {
+		// A name under wire.SkipVarString's checks, then a counter under
+		// wire.ConsumeUvarint's, made in place; where one fails, the wire
+		// function, which fails on the same bytes, names the error.
+		l, k := binary.Uvarint(rest)
+		if k <= 0 || l >= wire.MaxStringLen || l > uint64(len(rest)-k) {
+			_, _, err := wire.SkipVarString(rest)
 			return fail(err)
 		}
-		if _, rest, err = wire.ConsumeUvarint(rest); err != nil {
+		rest = rest[k+int(l):]
+		if _, k = binary.Uvarint(rest); k <= 0 {
+			_, _, err := wire.ConsumeUvarint(rest)
 			return fail(err)
 		}
+		rest = rest[k:]
 	}
 	return data[:len(data)-len(rest)], rest, nil
 }

@@ -661,8 +661,17 @@ func ConsumeVarString(data []byte) (string, []byte, error) {
 }
 
 // SkipVarString is ConsumeVarString without the copy: the string's bytes
-// as a sub-slice of data, under the same checks.
+// as a sub-slice of data, under the same checks. A length below 128, the
+// common case, is read inline.
 func SkipVarString(data []byte) (s, rest []byte, err error) {
+	if len(data) > 0 && data[0] < 0x80 && int(data[0]) < len(data) {
+		n := 1 + int(data[0])
+		return data[1:n], data[n:], nil
+	}
+	return skipLongVarString(data)
+}
+
+func skipLongVarString(data []byte) (s, rest []byte, err error) {
 	n, rest, err := ConsumeUvarint(data)
 	switch {
 	case err != nil:
@@ -682,6 +691,13 @@ func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // remaining bytes. One that runs off the end of data is ErrTruncated; one
 // longer than ten bytes, or past 64 bits, is ErrOversize.
 func ConsumeUvarint(data []byte) (uint64, []byte, error) {
+	if len(data) > 0 && data[0] < 0x80 {
+		return uint64(data[0]), data[1:], nil
+	}
+	return consumeLongUvarint(data)
+}
+
+func consumeLongUvarint(data []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(data)
 	switch {
 	case n == 0:
