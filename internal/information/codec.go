@@ -121,7 +121,7 @@ func (t *rowText) cut(r *[]byte) string {
 }
 
 // takeUvarint takes the uvarint, which ScanObject has checked, at the front
-// of *r: one byte in the common case, inlined.
+// of *r, reading a one-byte value without the general loop.
 func takeUvarint(r *[]byte) uint64 {
 	if b := (*r)[0]; b < 0x80 {
 		*r = (*r)[1:]
