@@ -9,8 +9,8 @@
 //
 // with a composable interceptor chain threaded through the stack for the
 // transparency functions the paper wants the infrastructure (not the
-// application) to provide: tracing, per-channel accounting, transparency
-// declarations, failure injection.
+// application) to provide: tracing, per-channel accounting, failure
+// injection.
 //
 // All production traffic in the repository — rpc interrogations and
 // announcements, and through them MHS transfers, conference fan-out,
@@ -32,20 +32,13 @@ import (
 
 	"mocca/internal/netsim"
 	"mocca/internal/observe"
-	"mocca/internal/odp"
 	"mocca/internal/wire"
 )
 
-// Envelope headers owned by the channel stack.
-const (
-	// EpochHeader carries the sender's binding epoch. Absent means epoch 1
-	// (the initial binding), so steady-state frames pay no extra bytes.
-	EpochHeader = "ch.epoch"
-	// MaskHeader declares the transparencies this channel provides, in
-	// odp.Mask string form. Stamped only when the stack is configured with
-	// transparencies.
-	MaskHeader = "ch.transparencies"
-)
+// EpochHeader, the one envelope header the channel stack owns, carries the
+// sender's binding epoch. Absent means epoch 1 (the initial binding), so
+// steady-state frames pay no extra bytes.
+const EpochHeader = "ch.epoch"
 
 // Direction distinguishes the two ways a frame crosses the stack.
 type Direction int
@@ -200,17 +193,6 @@ func TracingInterceptor(tr *observe.Tracer) Interceptor {
 // reads the stack's binding records.
 func WithFabric(f *Fabric) Option { return f.enrol }
 
-// WithTransparencies declares the transparencies this channel provides;
-// outbound frames carry the declaration in MaskHeader so peers (and
-// interceptors) can check a binding's guarantees against requirements.
-func WithTransparencies(m odp.Mask) Option {
-	return func(s *Stack) {
-		if m != 0 {
-			s.maskString = m.String()
-		}
-	}
-}
-
 // Stack is the engineering channel bound to one network node. Create with
 // New; exactly one Stack owns a node.
 type Stack struct {
@@ -218,7 +200,6 @@ type Stack struct {
 	interceptors []namedInterceptor
 	tracer       *observe.Tracer
 	metrics      *observe.Registry
-	maskString   string // the declared transparencies, as MaskHeader carries them
 
 	mu       sync.Mutex
 	bindings map[netsim.Address]*binding
@@ -286,9 +267,6 @@ func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 	b := s.bindingLocked(to)
 	if b.epoch > 1 {
 		env.SetHeader(EpochHeader, strconv.FormatUint(b.epoch, 10))
-	}
-	if s.maskString != "" {
-		env.SetHeader(MaskHeader, s.maskString)
 	}
 	data, err := wire.Marshal(env) // the client stub: envelope to frame
 	if err != nil {

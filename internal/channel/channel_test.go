@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mocca/internal/netsim"
-	"mocca/internal/odp"
 	"mocca/internal/vclock"
 	"mocca/internal/wire"
 )
@@ -265,50 +264,6 @@ func TestStaleFrameDiscarded(t *testing.T) {
 		t.Fatal("stale frame delivered")
 	}
 	if st := b.Stats("a"); st.StaleIn != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestTransparencyDeclarationAndGate(t *testing.T) {
-	mask := odp.MaskOf(odp.Access, odp.Location, odp.Failure)
-	clk, _, a, b := newPair(t,
-		[]Option{WithTransparencies(mask)},
-		[]Option{WithInterceptor(TransparencyGate(odp.MaskOf(odp.Access)))})
-	var got *wire.Envelope
-	b.Handle(func(_ netsim.Address, env *wire.Envelope) {
-		cp := *env // lent for the upcall only
-		got = &cp
-	})
-
-	if err := a.Send("b", wire.NewEnvelope("k", "", nil)); err != nil {
-		t.Fatal(err)
-	}
-	clk.RunUntilIdle()
-	if got == nil {
-		t.Fatal("gated frame not delivered despite satisfying mask")
-	}
-	declared, _ := got.Header(MaskHeader)
-	m, err := odp.ParseMask(declared)
-	if err != nil || m != mask {
-		t.Fatalf("declared mask %q parsed to %v (err %v)", declared, m, err)
-	}
-}
-
-func TestTransparencyGateRejects(t *testing.T) {
-	clk, _, a, b := newPair(t,
-		[]Option{WithTransparencies(odp.MaskOf(odp.Access))},
-		[]Option{WithInterceptor(TransparencyGate(odp.MaskOf(odp.Migration)))})
-	delivered := 0
-	b.Handle(func(netsim.Address, *wire.Envelope) { delivered++ })
-
-	if err := a.Send("b", wire.NewEnvelope("k", "", nil)); err != nil {
-		t.Fatal(err)
-	}
-	clk.RunUntilIdle()
-	if delivered != 0 {
-		t.Fatal("frame lacking required transparency delivered")
-	}
-	if st := b.Stats("a"); st.DroppedIn != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -1,11 +1,8 @@
 package channel
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
-
-	"mocca/internal/odp"
 )
 
 // DropIf discards (as ErrDropFrame) every frame the predicate selects —
@@ -32,30 +29,6 @@ func FailureInjector(seed int64, rate float64) Interceptor {
 		mu.Unlock()
 		if hit {
 			return ErrDropFrame
-		}
-		return nil
-	}
-}
-
-// TransparencyGate enforces a required transparency mask on inbound
-// frames: peers that declare a mask (MaskHeader) lacking a required
-// transparency are rejected. Frames without a declaration pass — the gate
-// constrains declared bindings, it does not demand declarations.
-func TransparencyGate(required odp.Mask) Interceptor {
-	return func(f *Frame) error {
-		if f.Dir != Inbound {
-			return nil
-		}
-		declared, ok := f.Env.Header(MaskHeader)
-		if !ok {
-			return nil
-		}
-		mask, err := odp.ParseMask(declared)
-		if err != nil {
-			return fmt.Errorf("channel: bad transparency declaration %q: %w", declared, err)
-		}
-		if mask&required != required {
-			return fmt.Errorf("channel: binding provides %v, requires %v", mask, required)
 		}
 		return nil
 	}

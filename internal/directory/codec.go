@@ -6,19 +6,14 @@ import (
 	"mocca/internal/wire"
 )
 
-// Every DSA operation travels as a hand-written binary body, like the
-// replica and rumor planes' (see internal/replica/codec.go for the shape: a
-// tag byte with the high bit set, then wire's primitives, maps in sorted key
-// order). An Entry is its DN in string form and its attributes; a
-// standalone Entry is x500.read's answer and x500.add's request. Read,
-// delete and list name one entry with a dnReq; a write is answered with
-// wire.Empty. Range 0xC1–0xC5.
+// A search travels as a hand-written binary body, like the replica and
+// rumor planes' (see internal/replica/codec.go for the shape: a tag byte
+// with the high bit set, then wire's primitives, maps in sorted key order).
+// An entry in the answer is its DN in string form and its attributes. Range
+// 0xC1–0xC5; 0xC3–0xC5 are retired.
 const (
 	tagSearchReq  byte = 0xC1
 	tagSearchResp byte = 0xC2
-	tagEntry      byte = 0xC3
-	tagDNReq      byte = 0xC4
-	tagModifyReq  byte = 0xC5
 )
 
 // The one flag of each message: searchReq.Deref, searchResp.Partial.
@@ -128,55 +123,5 @@ func (m *searchResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSearchResp, "x500 searchResp")
 	*m = searchResp{Partial: b.Flags(flagSet) != 0}
 	m.Entries = consumeEntries(&b)
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (e Entry) AppendBinary(b []byte) ([]byte, error) {
-	return appendEntry(append(b, tagEntry), &e), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (e *Entry) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagEntry, "x500 entry")
-	*e = *consumeEntry(&b)
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m dnReq) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendString(append(b, tagDNReq), m.DN), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *dnReq) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagDNReq, "x500 dnReq")
-	*m = dnReq{DN: b.String()}
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m modifyReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendString(append(b, tagModifyReq), m.DN)
-	b = wire.AppendUint64(b, uint64(len(m.Mods)))
-	for _, mod := range m.Mods {
-		b = wire.AppendString(b, mod.Op)
-		b = wire.AppendString(b, mod.Attr)
-		b = wire.AppendString(b, mod.Value)
-		b = wire.AppendStrings(b, mod.Values)
-	}
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *modifyReq) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagModifyReq, "x500 modifyReq")
-	*m = modifyReq{DN: b.String()}
-	if n := b.Count(3*4 + 8); n > 0 { // three prefixes and a value count
-		m.Mods = make([]Modification, n)
-		for i := range m.Mods {
-			m.Mods[i] = Modification{Op: b.String(), Attr: b.String(), Value: b.String(), Values: b.Strings()}
-		}
-	}
 	return b.Close()
 }

@@ -2,12 +2,8 @@ package directory
 
 import (
 	"bytes"
-	"encoding"
-	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"mocca/internal/netsim"
@@ -37,8 +33,6 @@ func bodyCases() []wiretest.Case {
 	found := searchResp{Entries: []*Entry{harnessEntry(12)}}
 	jurgen := &Entry{DN: MustParseDN("cn=Jürgen,o=gmd"), Attrs: wide}
 	bare, root := &Entry{DN: MustParseDN("o=bare"), Attrs: Attributes{}}, &Entry{DN: DN{}, Attrs: Attributes{}}
-	mods := []Modification{{Op: "replace", Attr: "mail", Values: []string{"u00012@s012.example", "u12@gmd.de"}},
-		{Op: "remove", Attr: "seealso"}, {Op: "add", Attr: "títle", Value: "naïve ☃"}}
 	return []wiretest.Case{
 		wiretest.Of("searchReq", searchReq{Base: "ou=unit00,o=mocca", Scope: int(ScopeSubtree), Filter: "(cn=u00012)", SizeLimit: 8}),
 		wiretest.Of("searchReq/deref", searchReq{Base: "o=日本", Scope: int(ScopeBase), Filter: "(&(cn=jü*)(!(ou=x)))", SizeLimit: -1, Deref: true}),
@@ -48,13 +42,6 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("searchResp/wide entry", searchResp{Entries: []*Entry{jurgen, bare, root}},
 			searchResp{Entries: []*Entry{{DN: jurgen.DN, Attrs: emptyValued}, {DN: bare.DN}, {}}}),
 		wiretest.Of("searchResp/zero", searchResp{}, searchResp{Entries: []*Entry{}}),
-		wiretest.Of("entry", *harnessEntry(12)),
-		wiretest.Of("entry/wide", *jurgen, Entry{DN: jurgen.DN, Attrs: emptyValued}),
-		wiretest.Of("entry/root", *root, Entry{}),
-		wiretest.Of("dnReq", dnReq{DN: "cn=u00012,ou=unit00,o=mocca"}),
-		wiretest.Of("dnReq/zero", dnReq{}),
-		wiretest.Of("modifyReq", modifyReq{DN: "cn=u00012,ou=unit00,o=mocca", Mods: mods}),
-		wiretest.Of("modifyReq/zero", modifyReq{}, modifyReq{Mods: []Modification{}}),
 	}
 }
 
@@ -69,14 +56,6 @@ func TestBodiesGolden(t *testing.T) {
 		"searchResp": "c20000000000000000010000001b636e3d7530303031322c6f753d756e697430302c6f3d6d6f63636100000000000000" +
 			"0300000002636e000000000000000100000006753030303132000000046d61696c000000000000000100000013753030" +
 			"30313240733031322e6578616d706c65000000047369746500000000000000010000000473303132",
-		"entry": "c30000001b636e3d7530303031322c6f753d756e697430302c6f3d6d6f636361000000000000000300000002636e0000" +
-			"00000000000100000006753030303132000000046d61696c00000000000000010000001375303030313240733031322e" +
-			"6578616d706c65000000047369746500000000000000010000000473303132",
-		"dnReq": "c40000001b636e3d7530303031322c6f753d756e697430302c6f3d6d6f636361",
-		"modifyReq": "c50000001b636e3d7530303031322c6f753d756e697430302c6f3d6d6f6363610000000000000003000000077265706c" +
-			"616365000000046d61696c0000000000000000000000020000001375303030313240733031322e6578616d706c650000" +
-			"000a75313240676d642e64650000000672656d6f766500000007736565616c736f000000000000000000000000000000" +
-			"036164640000000674c3ad746c650000000a6e61c3af766520e298830000000000000000",
 	})
 }
 
@@ -85,13 +64,10 @@ func TestBodiesRejectDamage(t *testing.T) {
 	one := wire.AppendUint64(nil, 1)
 	oneEntry := append(append([]byte{tagSearchResp, 0}, one...), 0, 0, 0, 0) // one entry, its DN empty
 	oneAttr := append(append(bytes.Clone(oneEntry), one...), 0, 0, 0, 0)     // one attribute, its name empty
-	oneMod := append(append([]byte{tagModifyReq, 0, 0, 0, 0}, one...), make([]byte, 3*4)...)
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
 		"entries":    append([]byte{tagSearchResp, 0}, huge...),
 		"attributes": append(bytes.Clone(oneEntry), huge...),
 		"values":     append(bytes.Clone(oneAttr), huge...),
-		"mods":       append([]byte{tagModifyReq, 0, 0, 0, 0}, huge...),
-		"mod values": append(bytes.Clone(oneMod), huge...),
 	})
 	// The prefixes are what they claim: closed with a zero count, a response.
 	if err := new(searchResp).UnmarshalBinary(append(bytes.Clone(oneAttr), wire.AppendUint64(nil, 0)...)); err != nil {
@@ -159,85 +135,25 @@ func TestGoSearchThroughTheClient(t *testing.T) {
 	}
 }
 
-// adminRound runs every other DSA operation on a real exchange — add, read,
-// modify, list, delete — once as the DSA carries it out and once as it
-// refuses it, and returns the bodies put on the wire by rpc method.
-func adminRound(tb testing.TB) map[string][][]byte {
-	tb.Helper()
-	bodies := map[string][][]byte{}
-	clk := vclock.NewSimulated(netsim.DefaultEpoch)
-	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(11))
-	tap := wiretest.Tap(bodies)
-	NewServer(rpc.NewEndpoint(net.MustAddNode("dsa"), clk, tap), NewDIT())
-	ua := rpc.NewEndpoint(net.MustAddNode("load"), clk, tap)
-	call := func(method string, req encoding.BinaryAppender, resp encoding.BinaryUnmarshaler) {
-		ua.GoMsg("dsa", method, req, func(r rpc.Result) {
-			if err := r.Decode(resp); err != nil {
-				tb.Fatalf("%s: %v", method, err)
-			}
-		})
-		clk.RunUntilIdle()
-	}
-	// refuse sends a request the DSA must turn down with the error named.
-	refuse := func(method string, req encoding.BinaryAppender, want error) {
-		var got error
-		ua.GoMsg("dsa", method, req, func(r rpc.Result) { got = r.Decode(&wire.Empty{}) })
-		clk.RunUntilIdle()
-		var remote *rpc.RemoteError
-		if !errors.As(got, &remote) || !strings.Contains(remote.Msg, want.Error()) {
-			tb.Fatalf("%s: got %v, want the DSA's %q", method, got, want)
-		}
-	}
-	person := harnessEntry(12)
-	call(MethodAdd, Entry{DN: MustParseDN("o=mocca"), Attrs: Attributes{"o": {"mocca"}}}, &wire.Empty{})
-	call(MethodAdd, Entry{DN: MustParseDN("ou=unit00,o=mocca")}, &wire.Empty{})
-	call(MethodAdd, *person, &wire.Empty{})
-	var read Entry
-	call(MethodRead, dnReq{DN: person.DN.String()}, &read)
-	call(MethodModify, modifyReq{DN: person.DN.String(), Mods: []Modification{{Op: "replace", Attr: "mail", Values: []string{"u12@gmd.de"}}}}, &wire.Empty{})
-	var kids searchResp
-	call(MethodList, dnReq{DN: "ou=unit00,o=mocca"}, &kids)
-	call(MethodDelete, dnReq{DN: person.DN.String()}, &wire.Empty{})
-	if !read.DN.Equal(person.DN) || read.Attrs.First("mail") != person.Attrs.First("mail") ||
-		len(kids.Entries) != 1 || kids.Entries[0].Attrs.First("mail") != "u12@gmd.de" {
-		tb.Fatalf("read %+v, then listed %v", read, kids.Entries)
-	}
-
-	refuse(MethodAdd, Entry{DN: MustParseDN("o=mocca")}, ErrEntryExists)
-	refuse(MethodAdd, Entry{DN: MustParseDN("ou=unit01,o=elsewhere")}, ErrNoParent)
-	refuse(MethodModify, modifyReq{DN: "o=mocca", Mods: []Modification{{Op: "rename", Attr: "o"}}}, errors.New("unknown modification op"))
-	refuse(MethodDelete, dnReq{DN: "o=mocca"}, ErrHasChildren)
-	refuse(MethodRead, dnReq{DN: person.DN.String()}, ErrNoSuchEntry)
-	refuse(MethodList, dnReq{DN: person.DN.String()}, ErrNoSuchEntry)
-	return bodies
-}
-
-// TestSearchBodiesAreBinary: on a real search, and on every administrative
-// operation beside it, every body, request and reply, is a binary one or the
-// empty body of a message with nothing to say.
+// TestSearchBodiesAreBinary: on a real search every body, request and
+// reply, is a binary one or the empty body of a refusal.
 func TestSearchBodiesAreBinary(t *testing.T) {
 	_, _, bodies := searchRound(t)
 	if len(bodies[MethodSearch]) != 8 || len(bodies) != 1 {
 		t.Fatalf("the round put %d %s bodies on the wire", len(bodies[MethodSearch]), MethodSearch)
 	}
-	maps.Copy(bodies, adminRound(t))
-	for _, method := range []string{MethodSearch, MethodRead, MethodAdd, MethodModify, MethodList, MethodDelete} {
-		if len(bodies[method]) < 2 {
-			t.Fatalf("the rounds put %d %s bodies on the wire", len(bodies[method]), method)
-		}
-		for _, b := range bodies[method] {
-			if len(b) > 0 && b[0] < 0x80 {
-				t.Fatalf("%s body opens with %#x: %q", method, b[0], b)
-			}
+	for _, b := range bodies[MethodSearch] {
+		if len(b) > 0 && b[0] < 0x80 {
+			t.Fatalf("%s body opens with %#x: %q", MethodSearch, b[0], b)
 		}
 	}
 }
 
 // FuzzDirectoryBodies: whatever bytes arrive, a decoder either refuses them
-// or yields a message that encodes and decodes back to itself.
+// or yields a message that encodes and decodes back to itself. The seeds
+// include the bodies an older peer sent for the retired messages.
 func FuzzDirectoryBodies(f *testing.F) {
 	_, _, bodies := searchRound(f)
-	maps.Copy(bodies, adminRound(f))
 	for _, list := range bodies {
 		for _, b := range list {
 			f.Add(b)
@@ -246,7 +162,8 @@ func FuzzDirectoryBodies(f *testing.F) {
 	for _, c := range bodyCases() {
 		f.Add(c.Encode(f))
 	}
-	wiretest.Fuzz(f, []wiretest.Case{wiretest.Of("searchReq", searchReq{}), wiretest.Of("searchResp", searchResp{}),
-		wiretest.Of("entry", Entry{}), wiretest.Of("dnReq", dnReq{}), wiretest.Of("modifyReq", modifyReq{}),
-	})
+	for _, b := range wiretest.Retired(f, "testdata/retired-bodies.txt") {
+		f.Add(b)
+	}
+	wiretest.Fuzz(f, []wiretest.Case{wiretest.Of("searchReq", searchReq{}), wiretest.Of("searchResp", searchResp{})})
 }

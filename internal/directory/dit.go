@@ -57,7 +57,6 @@ var (
 	ErrNoSuchEntry = errors.New("directory: no such entry")
 	ErrEntryExists = errors.New("directory: entry already exists")
 	ErrNoParent    = errors.New("directory: parent entry does not exist")
-	ErrHasChildren = errors.New("directory: entry has children")
 	ErrAliasLoop   = errors.New("directory: alias dereference loop")
 	ErrSizeLimit   = errors.New("directory: size limit exceeded")
 )
@@ -85,23 +84,15 @@ func NewDIT() *DIT {
 	}
 }
 
-// postLocked adds e to (or removes it from) the posting list of every value
-// it holds. An entry is posted whole, so a value it holds twice, or two that
-// fold alike, finds e at the tail of the list and is posted once. Removal
-// scans the list: a write to an entry costs the length of its longest one.
-func (d *DIT) postLocked(e *Entry, add bool) {
+// postLocked adds e to the posting list of every value it holds. An entry
+// is posted whole, so a value it holds twice, or two that fold alike, finds
+// e at the tail of the list and is posted once.
+func (d *DIT) postLocked(e *Entry) {
 	for attr, vals := range e.Attrs {
 		for _, v := range vals {
 			k := eqKey{attr, foldValue(v)}
-			list := d.eqix[k]
-			if add {
-				if n := len(list); n == 0 || list[n-1] != e {
-					d.eqix[k] = append(list, e)
-				}
-			} else if i := slices.Index(list, e); i >= 0 && len(list) == 1 {
-				delete(d.eqix, k)
-			} else if i >= 0 {
-				d.eqix[k] = slices.Delete(list, i, i+1)
+			if list := d.eqix[k]; len(list) == 0 || list[len(list)-1] != e {
+				d.eqix[k] = append(list, e)
 			}
 		}
 	}
@@ -160,67 +151,7 @@ func (d *DIT) Add(dn DN, attrs Attributes) error {
 		d.childix[pk] = make(map[string]bool)
 	}
 	d.childix[pk][key] = true
-	d.postLocked(e, true)
-	return nil
-}
-
-// Delete removes a leaf entry with its postings.
-func (d *DIT) Delete(dn DN) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	key := dn.Normalized()
-	e, ok := d.entries[key]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
-	}
-	if len(d.childix[key]) > 0 {
-		return fmt.Errorf("%w: %s", ErrHasChildren, dn)
-	}
-	d.postLocked(e, false)
-	delete(d.childix[e.parent], key)
-	delete(d.childix, key)
-	delete(d.entries, key)
-	return nil
-}
-
-// Modification is one step of a Modify operation.
-type Modification struct {
-	Op    string // "add", "replace", "remove"
-	Attr  string
-	Value string // for remove: "" removes the whole attribute
-	// Values used by replace (all values at once).
-	Values []string
-}
-
-// Modify applies modifications atomically to one entry.
-func (d *DIT) Modify(dn DN, mods ...Modification) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	entry, ok := d.entries[dn.Normalized()]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
-	}
-	// Stage on a copy so a bad op mid-list leaves the entry untouched.
-	staged := entry.Attrs.Clone()
-	for _, m := range mods {
-		switch m.Op {
-		case "add":
-			staged.Add(m.Attr, m.Value)
-		case "replace":
-			if len(m.Values) > 0 {
-				staged.Replace(m.Attr, m.Values...)
-			} else {
-				staged.Replace(m.Attr, m.Value)
-			}
-		case "remove":
-			staged.Remove(m.Attr, m.Value)
-		default:
-			return fmt.Errorf("directory: unknown modification op %q", m.Op)
-		}
-	}
-	d.postLocked(entry, false)
-	entry.Attrs = staged
-	d.postLocked(entry, true)
+	d.postLocked(e)
 	return nil
 }
 
@@ -233,24 +164,6 @@ func (d *DIT) Read(dn DN) (*Entry, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
 	}
 	return entry.Clone(), nil
-}
-
-// List returns copies of the immediate children of dn, sorted by DN.
-func (d *DIT) List(dn DN) ([]*Entry, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	key := dn.Normalized()
-	if !dn.IsRoot() {
-		if _, ok := d.entries[key]; !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
-		}
-	}
-	var out []*Entry
-	for ck := range d.childix[key] {
-		out = append(out, d.entries[ck].Clone())
-	}
-	sortEntries(out)
-	return out, nil
 }
 
 // SearchRequest parameterises Search.
@@ -280,7 +193,7 @@ func (s Scope) covers(depth int) bool {
 // whole filter, the size limit and Clone in turn.
 func (d *DIT) Search(req SearchRequest) ([]*Entry, error) {
 	if req.Filter == nil {
-		req.Filter = All()
+		req.Filter = allFilter{}
 	}
 	if req.Scope == 0 {
 		req.Scope = ScopeSubtree
@@ -394,9 +307,9 @@ func (d *DIT) visitPostedLocked(list []*Entry, base string, req SearchRequest, v
 
 // depthLocked returns how many child links lead from the entry keyed base
 // (the implicit root when empty) down to e, or -1 when none do. Only Add
-// (below an existing parent) and Delete (of a leaf) reshape the tree, so the
-// links and the DNs agree; it follows the links, as the walk does, so that
-// the index answers what the walk answers should they ever part.
+// (below an existing parent) shapes the tree, so the links and the DNs
+// agree; it follows the links, as the walk does, so that the index answers
+// what the walk answers should they ever part.
 func (d *DIT) depthLocked(e *Entry, base string) int {
 	depth := 0
 	for e.key != base {

@@ -77,47 +77,6 @@ func TestReadAndCopySemantics(t *testing.T) {
 	}
 }
 
-func TestDeleteLeafOnly(t *testing.T) {
-	d := seedDIT(t)
-	if err := d.Delete(MustParseDN("o=GMD")); !errors.Is(err, ErrHasChildren) {
-		t.Fatalf("delete non-leaf: %v, want ErrHasChildren", err)
-	}
-	if err := d.Delete(MustParseDN("cn=Klaus,ou=CSCW,o=GMD")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Read(MustParseDN("cn=Klaus,ou=CSCW,o=GMD")); !errors.Is(err, ErrNoSuchEntry) {
-		t.Fatalf("read after delete: %v", err)
-	}
-}
-
-func TestModifyAtomic(t *testing.T) {
-	d := seedDIT(t)
-	dn := MustParseDN("cn=Prinz,ou=CSCW,o=GMD")
-	err := d.Modify(dn,
-		Modification{Op: "add", Attr: "title", Value: "researcher"},
-		Modification{Op: "bogus"},
-	)
-	if err == nil {
-		t.Fatal("modify with bad op succeeded")
-	}
-	e, _ := d.Read(dn)
-	if e.Attrs.Has("title", "") {
-		t.Fatal("partial modify applied; not atomic")
-	}
-
-	if err := d.Modify(dn,
-		Modification{Op: "add", Attr: "title", Value: "researcher"},
-		Modification{Op: "replace", Attr: "mail", Values: []string{"wp@gmd.de"}},
-		Modification{Op: "remove", Attr: "sn", Value: ""},
-	); err != nil {
-		t.Fatal(err)
-	}
-	e, _ = d.Read(dn)
-	if !e.Attrs.Has("title", "researcher") || e.Attrs.First("mail") != "wp@gmd.de" || e.Attrs.Has("sn", "") {
-		t.Fatalf("modify result: %v", e.Attrs)
-	}
-}
-
 func TestSearchScopes(t *testing.T) {
 	d := seedDIT(t)
 	tests := []struct {
@@ -225,16 +184,18 @@ func TestAliasLoopDetected(t *testing.T) {
 	}
 }
 
+// TestList: a one-level search under an entry lists its immediate children,
+// and one under an entry the tree does not hold is refused.
 func TestList(t *testing.T) {
 	d := seedDIT(t)
-	kids, err := d.List(MustParseDN("o=GMD"))
+	kids, err := d.Search(SearchRequest{Base: MustParseDN("o=GMD"), Scope: ScopeOneLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kids) != 2 {
-		t.Fatalf("List(o=GMD) = %d entries", len(kids))
+	if len(kids) != 2 || !kids[0].DN.Equal(MustParseDN("ou=CSCW,o=GMD")) || !kids[1].DN.Equal(MustParseDN("ou=ODP,o=GMD")) {
+		t.Fatalf("children of o=GMD = %v", kids)
 	}
-	if _, err := d.List(MustParseDN("o=Nope")); !errors.Is(err, ErrNoSuchEntry) {
+	if _, err := d.Search(SearchRequest{Base: MustParseDN("o=Nope"), Scope: ScopeOneLevel}); !errors.Is(err, ErrNoSuchEntry) {
 		t.Fatalf("List missing: %v", err)
 	}
 }
@@ -272,7 +233,7 @@ func TestLargeTreeSearch(t *testing.T) {
 // Search is compared against, kept word for word.
 func scanSearch(d *DIT, req SearchRequest) ([]*Entry, error) {
 	if req.Filter == nil {
-		req.Filter = All()
+		req.Filter = allFilter{}
 	}
 	if req.Scope == 0 {
 		req.Scope = ScopeSubtree
@@ -428,30 +389,31 @@ func (s *script) child(d *DIT) DN {
 func (s *script) value() string { return scriptValues[s.next(len(scriptValues))] }
 func (s *script) attr() string  { return scriptAttrs[s.next(len(scriptAttrs))] }
 
-func (s *script) filter(depth int) Filter {
+// filter draws a filter in its string form, as a DSA receives it.
+func (s *script) filter(depth int) string {
 	kind := s.next(12)
 	if depth >= 2 {
 		kind %= 6
 	}
 	switch kind {
 	case 0, 1, 2:
-		return Eq(s.attr(), s.value())
+		return "(" + s.attr() + "=" + s.value() + ")"
 	case 3:
-		return Present(s.attr())
+		return "(" + s.attr() + "=*)"
 	case 4:
-		return Substr(s.attr(), "*"+strings.ToLower(s.value())+"*")
+		return "(" + s.attr() + "=*" + strings.ToLower(s.value()) + "*)"
 	case 5:
-		return Eq(s.attr(), "")
+		return "(" + s.attr() + "<=" + s.value() + ")"
 	case 6, 7:
-		return And(Eq(s.attr(), s.value()), s.filter(depth+1))
+		return "(&(" + s.attr() + "=" + s.value() + ")" + s.filter(depth+1) + ")"
 	case 8:
-		return And(s.filter(depth+1), s.filter(depth+1), Eq(s.attr(), s.value()))
+		return "(&" + s.filter(depth+1) + s.filter(depth+1) + "(" + s.attr() + "=" + s.value() + "))"
 	case 9:
-		return Or(s.filter(depth+1), s.filter(depth+1))
+		return "(|" + s.filter(depth+1) + s.filter(depth+1) + ")"
 	case 10:
-		return Not(s.filter(depth + 1))
+		return "(!" + s.filter(depth+1) + ")"
 	default:
-		return Ge(s.attr(), s.value())
+		return "(" + s.attr() + ">=" + s.value() + ")"
 	}
 }
 
@@ -460,40 +422,24 @@ func (s *script) request(d *DIT) SearchRequest {
 		Scope:        Scope(s.next(4)),
 		SizeLimit:    []int{0, 1, 2, 5}[s.next(4)],
 		DerefAliases: s.next(4) == 0,
-		Filter:       s.filter(0),
+		Filter:       MustParseFilter(s.filter(0)),
 	}
 	req.Base = s.held(d)
 	return req
 }
 
-// mutate applies one scripted operation to the master tree. Errors are the
-// point as much as successes: a refused Add or Delete must leave the index
-// as it was.
+// mutate adds one scripted entry to the master tree. Refusals are the point
+// as much as successes: an Add of a DN the tree holds, or below a parent it
+// does not, must leave the index as it was.
 func (s *script) mutate(d *DIT) {
-	switch s.next(10) {
-	case 0, 1, 2, 3, 4:
-		attrs := Attributes{}
-		for n := 1 + s.next(3); n > 0; n-- {
-			attrs.Add(s.attr(), s.value())
-		}
-		if s.next(6) == 0 {
-			attrs.Add(AliasAttr, s.held(d).String())
-		}
-		_ = d.Add(s.child(d), attrs)
-	case 5:
-		_ = d.Modify(s.held(d), Modification{Op: "add", Attr: s.attr(), Value: s.value()})
-	case 6:
-		_ = d.Modify(s.held(d), Modification{Op: "replace", Attr: s.attr(), Values: []string{s.value(), s.value()}})
-	case 7:
-		_ = d.Modify(s.held(d), Modification{Op: "remove", Attr: s.attr(), Value: []string{"", s.value()}[s.next(2)]})
-	case 8:
-		// A value moves from one entry to another.
-		attr, v := s.attr(), s.value()
-		_ = d.Modify(s.held(d), Modification{Op: "remove", Attr: attr, Value: v})
-		_ = d.Modify(s.held(d), Modification{Op: "add", Attr: attr, Value: v})
-	default:
-		_ = d.Delete(s.held(d))
+	attrs := Attributes{}
+	for n := 1 + s.next(3); n > 0; n-- {
+		attrs.Add(s.attr(), s.value())
 	}
+	if s.next(6) == 0 {
+		attrs.Add(AliasAttr, s.held(d).String())
+	}
+	_ = d.Add(s.child(d), attrs)
 }
 
 // runSearchScript interprets a script: bursts of mutations on a tree, each
@@ -594,10 +540,11 @@ func TestSearchIndexCases(t *testing.T) {
 		{"limit among siblings", SearchRequest{Filter: Eq("role", "w"), Base: MustParseDN("o=a"), Scope: ScopeOneLevel, SizeLimit: 1}, []string{"ou=y!,o=a"}, ErrSizeLimit},
 		{"limit one level", SearchRequest{Filter: Eq("role", "w"), Scope: ScopeOneLevel, SizeLimit: 2}, []string{"o=a", "o=a!"}, ErrSizeLimit},
 		{"limit met exactly", SearchRequest{Filter: Eq("role", "w"), Base: MustParseDN("o=a"), SizeLimit: 5}, []string{"cn=k,ou=y,o=a", "o=a", "ou=y!,o=a", "ou=y,o=a", "ou=z,o=a"}, nil},
-		{"and picks the rarer term", SearchRequest{Filter: And(Eq("role", "w"), Eq("cn", "s"))}, []string{"ou=y,o=a"}, nil},
+		{"and picks the rarer term", SearchRequest{Filter: MustParseFilter("(&(role=w)(cn=s))")}, []string{"ou=y,o=a"}, nil},
 		{"deref walks", SearchRequest{Filter: Eq("cn", "k"), Base: MustParseDN("o=b"), DerefAliases: true}, []string{"cn=k,ou=y,o=a"}, nil},
 		{"no deref, no alias target", SearchRequest{Filter: Eq("cn", "k"), Base: MustParseDN("o=b")}, nil, nil},
 		{"missing base", SearchRequest{Filter: Eq("cn", "k"), Base: MustParseDN("o=nowhere")}, nil, ErrNoSuchEntry},
+		{"an empty value is presence", SearchRequest{Filter: Eq("cn", ""), Base: MustParseDN("ou=y,o=a")}, []string{"cn=k,ou=y,o=a", "ou=y,o=a"}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -650,12 +597,11 @@ func TestFoldValueIsEqualFold(t *testing.T) {
 	}
 }
 
-// TestIndexFollowsTheEntries: Modify of an indexed attribute moves the entry
-// between posting lists, and once Delete has removed every entry no key is
-// left behind.
+// TestIndexFollowsTheEntries: an Add posts the entry under each value it
+// holds, and a refused Add, of a DN the tree holds or below a missing
+// parent, leaves the postings as they were.
 func TestIndexFollowsTheEntries(t *testing.T) {
 	d := seedDIT(t)
-	prinz := MustParseDN("cn=Prinz,ou=CSCW,o=GMD")
 	find := func(value string) int {
 		t.Helper()
 		got, err := d.Search(SearchRequest{Filter: Eq("cn", value)})
@@ -667,55 +613,47 @@ func TestIndexFollowsTheEntries(t *testing.T) {
 	if find("prinz") != 1 || find("wolfgang") != 0 {
 		t.Fatal("seed tree: want cn=prinz posted once, cn=wolfgang not at all")
 	}
-	if err := d.Modify(prinz, Modification{Op: "replace", Attr: "cn", Value: "Wolfgang"}); err != nil {
+	keys := len(d.eqix)
+	if err := d.Add(MustParseDN("cn=Prinz,ou=CSCW,o=GMD"), NewAttributes("cn", "Wolfgang")); !errors.Is(err, ErrEntryExists) {
+		t.Fatalf("re-adding cn=Prinz: %v", err)
+	}
+	if err := d.Add(MustParseDN("cn=Wolfgang,ou=HCI,o=GMD"), NewAttributes("cn", "Wolfgang")); !errors.Is(err, ErrNoParent) {
+		t.Fatalf("adding below a missing parent: %v", err)
+	}
+	if find("prinz") != 1 || find("wolfgang") != 0 || len(d.eqix) != keys {
+		t.Fatal("a refused Add changed the index")
+	}
+	if err := d.Add(MustParseDN("cn=Wolfgang,ou=CSCW,o=GMD"), NewAttributes("cn", "Wolfgang", "cn", "WOLFGANG")); err != nil {
 		t.Fatal(err)
 	}
-	if find("prinz") != 0 || find("wolfgang") != 1 {
-		t.Fatal("replace did not move the entry from cn=prinz to cn=wolfgang")
-	}
-	if list := d.eqix[eqKey{"cn", "prinz"}]; list != nil {
-		t.Fatalf("cn=prinz still has a posting list: %v", list)
-	}
-	// A refused Modify leaves the postings alone.
-	if err := d.Modify(prinz, Modification{Op: "add", Attr: "cn", Value: "X"}, Modification{Op: "bogus"}); err == nil {
-		t.Fatal("bogus op accepted")
-	}
-	if find("x") != 0 || find("wolfgang") != 1 {
-		t.Fatal("a refused Modify changed the index")
-	}
-
-	all, err := d.Search(SearchRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d.Len() > 0 { // Delete takes leaves only: sweep until the parents have become leaves
-		for _, e := range all {
-			_ = d.Delete(e.DN)
-		}
-	}
-	if len(d.eqix) != 0 {
-		t.Fatalf("%d index keys left: %v", len(d.eqix), d.eqix)
+	if find("wolfgang") != 1 || len(d.eqix[eqKey{"cn", "wolfgang"}]) != 1 {
+		t.Fatal("two values that fold alike did not post the new entry once")
 	}
 }
 
 // TestDITHoldsNoHistory: a tree holds its entries and nothing of how they got
-// there, so rewriting one entry many times leaves the heap where it was.
+// there, so adds it refuses and searches it answers, many times over, leave
+// the heap where it was.
 func TestDITHoldsNoHistory(t *testing.T) {
 	d := seedDIT(t)
 	prinz := MustParseDN("cn=Prinz,ou=CSCW,o=GMD")
-	value := strings.Repeat("x", 1<<10)
+	attrs := NewAttributes("description", strings.Repeat("x", 1<<10))
+	filter := MustParseFilter("(cn=Prinz)")
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for range 20000 {
-		if err := d.Modify(prinz, Modification{Op: "replace", Attr: "description", Value: value}); err != nil {
+		if err := d.Add(prinz, attrs); !errors.Is(err, ErrEntryExists) {
 			t.Fatal(err)
+		}
+		if got, err := d.Search(SearchRequest{Filter: filter}); err != nil || len(got) != 1 {
+			t.Fatalf("search found %v, %v", got, err)
 		}
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(d) // the tree must outlive the reading, or it is collected with what it holds
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
-		t.Fatalf("20000 rewrites of one entry grew the heap by %d KB", grew>>10)
+		t.Fatalf("20000 refused adds and searches grew the heap by %d KB", grew>>10)
 	}
 }

@@ -234,27 +234,6 @@ func (a Attributes) Replace(attr string, values ...string) {
 	a[k] = append([]string(nil), values...)
 }
 
-// Remove deletes a specific value, or the whole attribute when value is "".
-func (a Attributes) Remove(attr, value string) {
-	k := strings.ToLower(attr)
-	if value == "" {
-		delete(a, k)
-		return
-	}
-	vals := a[k]
-	out := vals[:0]
-	for _, v := range vals {
-		if !strings.EqualFold(v, value) {
-			out = append(out, v)
-		}
-	}
-	if len(out) == 0 {
-		delete(a, k)
-		return
-	}
-	a[k] = out
-}
-
 // First returns the first value of the attribute, or "".
 func (a Attributes) First(attr string) string {
 	vals := a[strings.ToLower(attr)]

@@ -137,15 +137,6 @@ func TestAttributes(t *testing.T) {
 		t.Fatal("absent attribute reported present")
 	}
 
-	a.Remove("mail", "tom@lancaster.ac.uk")
-	if len(a["mail"]) != 1 {
-		t.Fatalf("mail values = %v after Remove", a["mail"])
-	}
-	a.Remove("mail", "")
-	if a.Has("mail", "") {
-		t.Fatal("Remove whole attribute failed")
-	}
-
 	a.Replace("title", "researcher", "professor")
 	if len(a["title"]) != 2 {
 		t.Fatalf("Replace values = %v", a["title"])

@@ -20,43 +20,18 @@ var ErrBadFilter = errors.New("directory: malformed filter")
 // Eq matches entries where attr holds value (case-insensitive).
 func Eq(attr, value string) Filter { return eqFilter{strings.ToLower(attr), value} }
 
-// Present matches entries that have any value for attr.
-func Present(attr string) Filter { return presentFilter{strings.ToLower(attr)} }
-
-// Substr matches with "*" wildcards, e.g. Substr("cn", "w*prinz*").
-func Substr(attr, pattern string) Filter {
-	return substrFilter{strings.ToLower(attr), pattern}
-}
-
-// Ge matches entries where some value of attr is >= value (string order,
-// numeric when both sides parse as integers).
-func Ge(attr, value string) Filter { return cmpFilter{strings.ToLower(attr), value, true} }
-
-// Le matches entries where some value of attr is <= value.
-func Le(attr, value string) Filter { return cmpFilter{strings.ToLower(attr), value, false} }
-
-// And matches when all sub-filters match.
-func And(fs ...Filter) Filter { return andFilter(fs) }
-
-// Or matches when any sub-filter matches.
-func Or(fs ...Filter) Filter { return orFilter(fs) }
-
-// Not inverts a filter.
-func Not(f Filter) Filter { return notFilter{f} }
-
-// All matches every entry.
-func All() Filter { return allFilter{} }
-
 type eqFilter struct{ attr, value string }
 
 func (f eqFilter) Matches(a Attributes) bool { return a.Has(f.attr, f.value) }
 func (f eqFilter) String() string            { return "(" + f.attr + "=" + escapeFilter(f.value) + ")" }
 
+// presentFilter matches entries that have any value for attr.
 type presentFilter struct{ attr string }
 
 func (f presentFilter) Matches(a Attributes) bool { return a.Has(f.attr, "") }
 func (f presentFilter) String() string            { return "(" + f.attr + "=*)" }
 
+// substrFilter matches with "*" wildcards, e.g. (cn=w*prinz*).
 type substrFilter struct{ attr, pattern string }
 
 func (f substrFilter) Matches(a Attributes) bool {
@@ -70,6 +45,8 @@ func (f substrFilter) Matches(a Attributes) bool {
 
 func (f substrFilter) String() string { return "(" + f.attr + "=" + escapeFilter(f.pattern) + ")" }
 
+// cmpFilter matches entries where some value of attr is >= value (ge) or
+// <= value: string order, numeric when both sides parse as integers.
 type cmpFilter struct {
 	attr  string
 	value string
@@ -96,6 +73,7 @@ func (f cmpFilter) String() string {
 	return "(" + f.attr + op + escapeFilter(f.value) + ")"
 }
 
+// andFilter matches when all sub-filters match.
 type andFilter []Filter
 
 func (f andFilter) Matches(a Attributes) bool {
@@ -109,6 +87,7 @@ func (f andFilter) Matches(a Attributes) bool {
 
 func (f andFilter) String() string { return compositeString("&", f) }
 
+// orFilter matches when any sub-filter matches.
 type orFilter []Filter
 
 func (f orFilter) Matches(a Attributes) bool {
@@ -122,11 +101,13 @@ func (f orFilter) Matches(a Attributes) bool {
 
 func (f orFilter) String() string { return compositeString("|", f) }
 
+// notFilter inverts a filter.
 type notFilter struct{ inner Filter }
 
 func (f notFilter) Matches(a Attributes) bool { return !f.inner.Matches(a) }
 func (f notFilter) String() string            { return "(!" + f.inner.String() + ")" }
 
+// allFilter matches every entry: a search without a filter.
 type allFilter struct{}
 
 func (allFilter) Matches(Attributes) bool { return true }
@@ -274,21 +255,21 @@ func (p *filterParser) parse() (Filter, error) {
 		if serr != nil {
 			return nil, serr
 		}
-		f = And(subs...)
+		f = andFilter(subs)
 	case '|':
 		p.pos++
 		subs, serr := p.parseList()
 		if serr != nil {
 			return nil, serr
 		}
-		f = Or(subs...)
+		f = orFilter(subs)
 	case '!':
 		p.pos++
 		inner, serr := p.parse()
 		if serr != nil {
 			return nil, serr
 		}
-		f = Not(inner)
+		f = notFilter{inner}
 	default:
 		f, err = p.parseSimple()
 		if err != nil {
@@ -361,17 +342,13 @@ func (p *filterParser) parseSimple() (Filter, error) {
 	if p.pos == vstart && op == "=" {
 		return nil, fmt.Errorf("%w: empty value", ErrBadFilter)
 	}
-	switch op {
-	case ">=":
-		return Ge(attr, value), nil
-	case "<=":
-		return Le(attr, value), nil
-	}
-	if value == "*" {
-		return Present(attr), nil
-	}
-	if strings.Contains(value, "*") {
-		return Substr(attr, value), nil
+	switch {
+	case op != "=":
+		return cmpFilter{strings.ToLower(attr), value, op == ">="}, nil
+	case value == "*":
+		return presentFilter{strings.ToLower(attr)}, nil
+	case strings.Contains(value, "*"):
+		return substrFilter{strings.ToLower(attr), value}, nil
 	}
 	return Eq(attr, value), nil
 }

@@ -21,34 +21,38 @@ func TestFilterMatching(t *testing.T) {
 	a := personAttrs()
 	tests := []struct {
 		name   string
-		filter Filter
+		filter string
 		want   bool
 	}{
-		{"eq hit", Eq("cn", "Wolfgang Prinz"), true},
-		{"eq case-insensitive", Eq("CN", "wolfgang prinz"), true},
-		{"eq miss", Eq("cn", "Tom Rodden"), false},
-		{"present hit", Present("mail"), true},
-		{"present miss", Present("fax"), false},
-		{"substr prefix", Substr("cn", "Wolf*"), true},
-		{"substr infix", Substr("cn", "*gang*"), true},
-		{"substr multi-star", Substr("mail", "*@*.de"), true},
-		{"substr miss", Substr("cn", "Tom*"), false},
-		{"ge numeric hit", Ge("age", "30"), true},
-		{"ge numeric miss", Ge("age", "40"), false},
-		{"le numeric hit", Le("age", "35"), true},
-		{"le string", Le("sn", "Z"), true},
-		{"and hit", And(Eq("ou", "CSCW"), Present("mail")), true},
-		{"and miss", And(Eq("ou", "CSCW"), Present("fax")), false},
-		{"or hit", Or(Eq("ou", "ODP"), Eq("ou", "CSCW")), true},
-		{"or miss", Or(Eq("ou", "ODP"), Eq("ou", "HCI")), false},
-		{"not", Not(Eq("ou", "ODP")), true},
-		{"all", All(), true},
-		{"nested", And(Or(Eq("ou", "CSCW"), Eq("ou", "ODP")), Not(Present("fax"))), true},
+		{"eq hit", "(cn=Wolfgang Prinz)", true},
+		{"eq case-insensitive", "(CN=wolfgang prinz)", true},
+		{"eq miss", "(cn=Tom Rodden)", false},
+		{"present hit", "(mail=*)", true},
+		{"present miss", "(fax=*)", false},
+		{"substr prefix", "(cn=Wolf*)", true},
+		{"substr infix", "(cn=*gang*)", true},
+		{"substr multi-star", "(mail=*@*.de)", true},
+		{"substr miss", "(cn=Tom*)", false},
+		{"ge numeric hit", "(age>=30)", true},
+		{"ge numeric miss", "(age>=40)", false},
+		{"le numeric hit", "(age<=35)", true},
+		{"le string", "(sn<=Z)", true},
+		{"and hit", "(&(ou=CSCW)(mail=*))", true},
+		{"and miss", "(&(ou=CSCW)(fax=*))", false},
+		{"or hit", "(|(ou=ODP)(ou=CSCW))", true},
+		{"or miss", "(|(ou=ODP)(ou=HCI))", false},
+		{"not", "(!(ou=ODP))", true},
+		{"all", "", true},
+		{"nested", "(&(|(ou=CSCW)(ou=ODP))(!(fax=*)))", true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.filter.Matches(a); got != tt.want {
-				t.Fatalf("%s.Matches = %v, want %v", tt.filter, got, tt.want)
+			var f Filter = allFilter{} // what Search runs for a request without a filter
+			if tt.filter != "" {
+				f = MustParseFilter(tt.filter)
+			}
+			if got := f.Matches(a); got != tt.want {
+				t.Fatalf("%s.Matches = %v, want %v", f, got, tt.want)
 			}
 		})
 	}
@@ -102,12 +106,13 @@ func TestParseFilterErrors(t *testing.T) {
 
 func TestFilterStringRoundTrip(t *testing.T) {
 	filters := []Filter{
-		Eq("cn", "Prinz"),
-		Present("mail"),
-		Substr("cn", "W*z"),
-		Ge("age", "10"),
-		Le("age", "99"),
-		And(Eq("a", "1"), Or(Eq("b", "2"), Not(Present("c")))),
+		MustParseFilter("(cn=Prinz)"),
+		MustParseFilter("(mail=*)"),
+		MustParseFilter("(cn=W*z)"),
+		MustParseFilter("(age>=10)"),
+		MustParseFilter("(age<=99)"),
+		MustParseFilter("(&(a=1)(|(b=2)(!(c=*))))"),
+		MustParseFilter("(cn=\\(weird\\))"),
 	}
 	attrs := NewAttributes("cn", "Prinz", "mail", "x", "age", "50", "a", "1", "b", "2")
 	for _, f := range filters {
@@ -156,11 +161,21 @@ func TestQuickParseFilterNeverPanics(t *testing.T) {
 	}
 }
 
+// leaf is an equality filter in string form on one of personAttrs' names,
+// holding value escaped as the parser reads it.
+func leaf(attr uint8, value string) string {
+	names := personAttrs().Names()
+	return "(" + names[int(attr)%len(names)] + "=" + escapeFilter(value) + ")"
+}
+
 func TestQuickNotInvolution(t *testing.T) {
 	attrs := personAttrs()
-	f := func(attr, val string) bool {
-		inner := Eq(attr, val)
-		return Not(Not(inner)).Matches(attrs) == inner.Matches(attrs)
+	f := func(attr uint8, val string) bool {
+		if val == "" {
+			return true // (attr=) does not parse
+		}
+		inner := leaf(attr, val)
+		return MustParseFilter("(!(!"+inner+"))").Matches(attrs) == MustParseFilter(inner).Matches(attrs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -169,10 +184,13 @@ func TestQuickNotInvolution(t *testing.T) {
 
 func TestQuickDeMorgan(t *testing.T) {
 	attrs := personAttrs()
-	f := func(a1, v1, a2, v2 string) bool {
-		p, q := Eq(a1, v1), Eq(a2, v2)
-		lhs := Not(And(p, q)).Matches(attrs)
-		rhs := Or(Not(p), Not(q)).Matches(attrs)
+	f := func(a1 uint8, v1 string, a2 uint8, v2 string) bool {
+		if v1 == "" || v2 == "" {
+			return true // (attr=) does not parse
+		}
+		p, q := leaf(a1, v1), leaf(a2, v2)
+		lhs := MustParseFilter("(!(&" + p + q + "))").Matches(attrs)
+		rhs := MustParseFilter("(|(!" + p + ")(!" + q + "))").Matches(attrs)
 		return lhs == rhs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -10,11 +10,9 @@ import "mocca/internal/wire"
 // hop. The acknowledgement is an empty body. Range 0xB1.
 const tagEnvelope byte = 0xB1
 
-// Flags of an envelope.
-const (
-	flagProbe byte = 1 << iota
-	flagRequestDR
-)
+// The one flag of an envelope. Bit 0 was the retired probe flag: a body
+// that sets it is refused like any unknown flag.
+const flagRequestDR byte = 1 << 1
 
 func appendORName(b []byte, n ORName) []byte {
 	b = wire.AppendString(b, n.Country)
@@ -30,11 +28,8 @@ func consumeORName(b *wire.Body) ORName {
 // AppendBinary implements encoding.BinaryAppender.
 func (e Envelope) AppendBinary(b []byte) ([]byte, error) {
 	var flags byte
-	if e.Probe {
-		flags |= flagProbe
-	}
 	if e.RequestDR {
-		flags |= flagRequestDR
+		flags = flagRequestDR
 	}
 	b = append(b, tagEnvelope, flags)
 	b = wire.AppendString(b, e.MessageID)
@@ -59,8 +54,7 @@ func (e Envelope) AppendBinary(b []byte) ([]byte, error) {
 // headers, trace and list history read as nil.
 func (e *Envelope) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagEnvelope, "mhs envelope")
-	flags := b.Flags(flagProbe | flagRequestDR)
-	*e = Envelope{Probe: flags&flagProbe != 0, RequestDR: flags&flagRequestDR != 0,
+	*e = Envelope{RequestDR: b.Flags(flagRequestDR) != 0,
 		MessageID: b.String(), Originator: consumeORName(&b)}
 	if n := b.Count(4 * 4); n > 0 {
 		e.Recipients = make([]ORName, n)

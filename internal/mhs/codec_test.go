@@ -2,6 +2,7 @@ package mhs
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -39,7 +40,7 @@ func bodyCases() []wiretest.Case {
 	reinserted.Content.Headers = wiretest.Reinserted(rng, wrap)
 	many := harnessEnvelope()
 	many.Recipients = []ORName{{Org: "a", Personal: "x"}, {Country: "uk", Org: "lancs", Personal: "rodden"}, {Org: "日本", OrgUnit: "ünï", Personal: "ō"}}
-	many.Priority, many.Probe, many.RequestDR = PriorityUrgent, true, true
+	many.Priority, many.RequestDR = PriorityUrgent, true
 	many.Deferred = time.Unix(708080400, 123456789).UTC()
 	many.Content.InReplyTo = "msg-000100"
 	many.Trace = append(many.Trace, TraceEntry{MTA: "mta-upc", At: time.Unix(-86400, 1).UTC()}, TraceEntry{})
@@ -90,6 +91,22 @@ func TestBodiesRejectDamage(t *testing.T) {
 	whole := append(bytes.Clone(toHistory), zero...)
 	if err := new(Envelope).UnmarshalBinary(whole); err != nil {
 		t.Fatalf("the aimed bodies' prefix is not an envelope's: %v", err)
+	}
+}
+
+// TestProbe: probes are retired. Bit 0 of an envelope's flags was the probe
+// flag, so an envelope that still sets it — alone or beside the delivery
+// report's bit — is refused like any unknown flag.
+func TestProbe(t *testing.T) {
+	for _, flags := range []byte{1, 1 | flagRequestDR} {
+		b, err := harnessEnvelope().AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[1] = flags
+		if err := new(Envelope).UnmarshalBinary(b); !errors.Is(err, wire.ErrBadBody) {
+			t.Fatalf("an envelope with flags %#x decodes: %v", flags, err)
+		}
 	}
 }
 

@@ -113,12 +113,6 @@ func TestLocalDelivery(t *testing.T) {
 	if f.klaus.Unread() != 1 {
 		t.Fatalf("Unread = %d", f.klaus.Unread())
 	}
-	if _, err := f.klaus.Fetch(msgs[0].Seq); err != nil {
-		t.Fatal(err)
-	}
-	if f.klaus.Unread() != 0 {
-		t.Fatal("Fetch did not mark read")
-	}
 }
 
 func TestRemoteDeliverySingleHop(t *testing.T) {
@@ -325,22 +319,6 @@ func TestDuplicateDLRejected(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	f := newMHSFixture(t)
-	if _, err := f.prinz.Probe([]ORName{f.navarro.Name}); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.RunUntilIdle()
-	// Probe must NOT deliver content.
-	if msgs, _ := f.navarro.List(); len(msgs) != 0 {
-		t.Fatal("probe delivered content")
-	}
-	msgs, _ := f.prinz.List()
-	if len(msgs) != 1 || !msgs[0].IsReport() || msgs[0].Report.Kind != ReportProbeOK {
-		t.Fatalf("probe report = %+v", msgs)
-	}
-}
-
 func TestRetryAfterPartitionHeals(t *testing.T) {
 	f := newMHSFixture(t)
 	f.net.Partition([]netsim.Address{"mta-gmd"}, []netsim.Address{"mta-upc", "mta-lancs"})
@@ -392,24 +370,6 @@ func TestRemoteNDRTravelsBack(t *testing.T) {
 	}
 	if msgs[0].Report.Kind != ReportNonDelivery || !msgs[0].Report.Recipient.Equal(ghost) {
 		t.Fatalf("report = %+v", msgs[0].Report)
-	}
-}
-
-func TestDeleteMessage(t *testing.T) {
-	f := newMHSFixture(t)
-	if _, err := f.prinz.Send([]ORName{f.klaus.Name}, "x", ""); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.RunUntilIdle()
-	msgs, _ := f.klaus.List()
-	if err := f.klaus.Delete(msgs[0].Seq); err != nil {
-		t.Fatal(err)
-	}
-	if msgs, _ := f.klaus.List(); len(msgs) != 0 {
-		t.Fatal("delete failed")
-	}
-	if err := f.klaus.Delete(999); err == nil {
-		t.Fatal("delete of missing seq succeeded")
 	}
 }
 

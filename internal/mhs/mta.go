@@ -224,8 +224,6 @@ func (m *MTA) deliverLocal(env *Envelope, rcpt ORName) {
 		switch env.Content.Headers["report-kind"] {
 		case ReportDelivered.String():
 			rep.Kind = ReportDelivered
-		case ReportProbeOK.String():
-			rep.Kind = ReportProbeOK
 		default:
 			rep.Kind = ReportNonDelivery
 		}
@@ -245,16 +243,6 @@ func (m *MTA) deliverLocal(env *Envelope, rcpt ORName) {
 			MessageID: env.MessageID,
 			Recipient: rcpt,
 			Reason:    fmt.Sprintf("unknown recipient %q in domain %q", rcpt.Personal, m.domain),
-			At:        m.clock.Now(),
-		})
-		return
-	}
-	if env.Probe {
-		m.mu.Unlock()
-		m.report(env, Report{
-			Kind:      ReportProbeOK,
-			MessageID: env.MessageID,
-			Recipient: rcpt,
 			At:        m.clock.Now(),
 		})
 		return
@@ -462,50 +450,15 @@ func (m *MTA) List(personal string) ([]*StoredMessage, error) {
 	return out, nil
 }
 
-// Fetch returns a message by sequence number and marks it read.
-func (m *MTA) Fetch(personal string, seq uint64) (*StoredMessage, error) {
-	key := strings.ToLower(personal)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	box, ok := m.boxes[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownMailbox, personal)
-	}
-	for _, msg := range box {
-		if msg.Seq == seq {
-			msg.Read = true
-			return msg, nil
-		}
-	}
-	return nil, fmt.Errorf("mhs: message %d not in mailbox %q", seq, personal)
-}
-
-// DeleteMessage removes a message from a mailbox.
-func (m *MTA) DeleteMessage(personal string, seq uint64) error {
-	key := strings.ToLower(personal)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	box, ok := m.boxes[key]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownMailbox, personal)
-	}
-	for i, msg := range box {
-		if msg.Seq == seq {
-			m.boxes[key] = append(box[:i], box[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("mhs: message %d not in mailbox %q", seq, personal)
-}
-
-// Unread counts unread non-report messages in a mailbox.
+// Unread counts the messages, not reports, in a mailbox: nothing marks a
+// message read, so every one counts.
 func (m *MTA) Unread(personal string) int {
 	key := strings.ToLower(personal)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
 	for _, msg := range m.boxes[key] {
-		if !msg.Read && !msg.IsReport() {
+		if !msg.IsReport() {
 			n++
 		}
 	}

@@ -1,14 +1,14 @@
 // Package mhs implements an X.400-style Message Handling System: user
 // agents submit messages to their local Message Transfer Agent (MTA), MTAs
-// relay store-and-forward across management domains, and recipients fetch
-// from message stores.
+// relay store-and-forward across management domains, and recipients list
+// their message stores.
 //
 // The paper (§4, "Support for Communication") observes that CSCW systems
 // have traditionally been built on "asynchronous OSI communication
 // standards such as X.400", which they "adopt and augment". This package is
 // that substrate: envelopes with priorities and deferred delivery,
 // distribution lists with loop-safe expansion, delivery and non-delivery
-// reports, probes, and per-hop trace information.
+// reports, and per-hop trace information.
 package mhs
 
 import (
@@ -151,7 +151,6 @@ type Envelope struct {
 	Priority   Priority
 	Submitted  time.Time
 	Deferred   time.Time
-	Probe      bool
 	RequestDR  bool
 	Content    Content
 	Trace      []TraceEntry
@@ -193,7 +192,6 @@ type ReportKind int
 const (
 	ReportDelivered ReportKind = iota + 1
 	ReportNonDelivery
-	ReportProbeOK
 )
 
 // String implements fmt.Stringer.
@@ -203,8 +201,6 @@ func (k ReportKind) String() string {
 		return "delivered"
 	case ReportNonDelivery:
 		return "non-delivery"
-	case ReportProbeOK:
-		return "probe-ok"
 	default:
 		return fmt.Sprintf("report(%d)", int(k))
 	}
@@ -226,8 +222,6 @@ type StoredMessage struct {
 	Report   *Report
 	// Seq orders the store; assigned at delivery.
 	Seq uint64
-	// Read marks messages fetched at least once.
-	Read bool
 	// DeliveredAt is the local delivery instant.
 	DeliveredAt time.Time
 }

@@ -62,32 +62,12 @@ func (ua *UserAgent) Send(to []ORName, subject, body string, opts ...SubmitOptio
 	return ua.mta.Submit(env)
 }
 
-// Probe tests deliverability to the recipients without content.
-func (ua *UserAgent) Probe(to []ORName) (string, error) {
-	env := &Envelope{
-		Originator: ua.Name,
-		Recipients: to,
-		Probe:      true,
-	}
-	return ua.mta.Submit(env)
-}
-
 // List returns the mailbox contents.
 func (ua *UserAgent) List() ([]*StoredMessage, error) {
 	return ua.mta.List(ua.Name.Personal)
 }
 
-// Fetch retrieves one message and marks it read.
-func (ua *UserAgent) Fetch(seq uint64) (*StoredMessage, error) {
-	return ua.mta.Fetch(ua.Name.Personal, seq)
-}
-
-// Delete removes a message from the mailbox.
-func (ua *UserAgent) Delete(seq uint64) error {
-	return ua.mta.DeleteMessage(ua.Name.Personal, seq)
-}
-
-// Unread counts unread messages.
+// Unread counts the messages, not reports, in the mailbox.
 func (ua *UserAgent) Unread() int {
 	return ua.mta.Unread(ua.Name.Personal)
 }

@@ -103,16 +103,6 @@ func (t Transparency) String() string {
 	return fmt.Sprintf("transparency(%d)", int(t))
 }
 
-// ParseTransparency parses a transparency name.
-func ParseTransparency(s string) (Transparency, error) {
-	for t, name := range transparencyNames {
-		if strings.EqualFold(s, name) {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("odp: unknown transparency %q", s)
-}
-
 // ODPTransparencies returns the classic ODP set.
 func ODPTransparencies() []Transparency {
 	return []Transparency{Access, Location, Migration, Replication, Failure, Concurrency}
@@ -169,23 +159,6 @@ func (m Mask) String() string {
 		names[i] = t.String()
 	}
 	return strings.Join(names, "+")
-}
-
-// ParseMask parses the "a+b+c" form ("none" and "" mean empty).
-func ParseMask(s string) (Mask, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || strings.EqualFold(s, "none") {
-		return 0, nil
-	}
-	var m Mask
-	for _, part := range strings.Split(s, "+") {
-		t, err := ParseTransparency(strings.TrimSpace(part))
-		if err != nil {
-			return 0, err
-		}
-		m = m.With(t)
-	}
-	return m, nil
 }
 
 // InteractionKind is an ODP computational interaction.

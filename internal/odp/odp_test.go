@@ -57,27 +57,6 @@ func TestMaskOperations(t *testing.T) {
 	}
 }
 
-func TestMaskStringParseRoundTrip(t *testing.T) {
-	masks := []Mask{
-		0,
-		MaskOf(Access),
-		MaskOf(Time, Organisation, View, Activity),
-		MaskOf(ODPTransparencies()...),
-	}
-	for _, m := range masks {
-		got, err := ParseMask(m.String())
-		if err != nil {
-			t.Fatalf("ParseMask(%q): %v", m.String(), err)
-		}
-		if got != m {
-			t.Fatalf("round-trip %v -> %v", m, got)
-		}
-	}
-	if _, err := ParseMask("time+bogus"); err == nil {
-		t.Fatal("ParseMask accepted bogus member")
-	}
-}
-
 func TestQuickMaskWithHas(t *testing.T) {
 	f := func(raw uint8) bool {
 		t1 := Transparency(raw%10) + 1

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,7 +129,7 @@ func TestHandlerReplyScratchIsNotRetained(t *testing.T) {
 	})
 
 	t.Run("concurrent", func(t *testing.T) {
-		clk := vclock.Real()
+		clk := realClock{}
 		net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(3))
 		a, b := NewEndpoint(net.MustAddNode("a"), clk), NewEndpoint(net.MustAddNode("b"), clk)
 		register(b)
@@ -147,4 +148,34 @@ func TestHandlerReplyScratchIsNotRetained(t *testing.T) {
 		}
 		wg.Wait()
 	})
+}
+
+// realClock is a vclock.Clock backed by the wall clock, for the test whose
+// callers run on goroutines of their own, with no one to advance a
+// simulated clock.
+type realClock struct{}
+
+func (realClock) Now() time.Time                         { return time.Now() }
+func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
+func (realClock) AfterFunc(d time.Duration, f func()) vclock.Timer {
+	return time.AfterFunc(d, f)
+}
+
+var _ vclock.Clock = realClock{}
+
+func TestRealClockSmoke(t *testing.T) {
+	c := realClock{}
+	before := time.Now()
+	if c.Now().Before(before.Add(-time.Second)) {
+		t.Fatal("real clock far in the past")
+	}
+	var fired atomic.Bool
+	tm := c.AfterFunc(time.Hour, func() { fired.Store(true) })
+	if !tm.Stop() {
+		t.Fatal("Stop on real timer = false")
+	}
+	if fired.Load() {
+		t.Fatal("real timer fired despite Stop")
+	}
 }

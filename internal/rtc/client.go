@@ -292,14 +292,6 @@ func (s *Session) GoSet(key, value string, done func(error)) {
 	})
 }
 
-// Point publishes a telepointer position.
-func (s *Session) Point(position string) error {
-	var resp updateResp
-	return s.endpoint.CallMsg(s.server, MethodUpdate, updateReq{
-		Conference: s.Conference, Member: s.Member, Kind: EventPointer, Value: position,
-	}, &resp)
-}
-
 // RequestFloor asks for the floor; returns the resulting holder.
 func (s *Session) RequestFloor() (string, error) {
 	var resp floorResp
@@ -311,22 +303,6 @@ func (s *Session) RequestFloor() (string, error) {
 func (s *Session) ReleaseFloor() error {
 	var resp floorResp
 	return s.endpoint.CallMsg(s.server, MethodFloorRelease, memberReq{Conference: s.Conference, Member: s.Member}, &resp)
-}
-
-// Resync pulls events the session missed (e.g. across a partition) and
-// applies them.
-func (s *Session) Resync() error {
-	s.mu.Lock()
-	from := s.seq
-	s.mu.Unlock()
-	var resp syncResp
-	if err := s.endpoint.CallMsg(s.server, MethodSync, syncReq{Conference: s.Conference, FromSeq: from}, &resp); err != nil {
-		return err
-	}
-	for _, ev := range resp.Events {
-		s.apply(ev)
-	}
-	return nil
 }
 
 // State returns a copy of the replica state.

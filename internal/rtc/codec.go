@@ -11,8 +11,7 @@ import (
 // set, then wire's primitives, state maps in sorted key order, instants as
 // wire.AppendTime writes them). Leave, the floor calls and heartbeats name
 // a member with one memberReq; leave is answered with wire.Empty, and a
-// heartbeat is an announcement. A resync reply carries events in the form
-// the fan-out sends them, without their tags. Range 0xA1–0xA9.
+// heartbeat is an announcement. Range 0xA1–0xA9; 0xA8–0xA9 are retired.
 const (
 	tagEvent      byte = 0xA1
 	tagJoinReq    byte = 0xA2
@@ -21,8 +20,6 @@ const (
 	tagUpdateResp byte = 0xA5
 	tagMemberReq  byte = 0xA6
 	tagFloorResp  byte = 0xA7
-	tagSyncReq    byte = 0xA8
-	tagSyncResp   byte = 0xA9
 )
 
 // eventKinds are the kinds a conference sends.
@@ -151,36 +148,5 @@ func (m floorResp) AppendBinary(b []byte) ([]byte, error) {
 func (m *floorResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagFloorResp, "rtc floorResp")
 	*m = floorResp{Holder: b.String()}
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendString(append(b, tagSyncReq), m.Conference)
-	return wire.AppendUint64(b, m.FromSeq), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *syncReq) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagSyncReq, "rtc syncReq")
-	*m = syncReq{Conference: b.String(), FromSeq: b.Uint64()}
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendList(append(b, tagSyncResp), m.Events, appendEvent), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *syncResp) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagSyncResp, "rtc syncResp")
-	*m = syncResp{}
-	if n := b.Count(5*4 + 8 + 8 + 12); n > 0 { // five string prefixes, a sequence number, a state count, an instant
-		m.Events = make([]Event, n)
-		for i := range m.Events {
-			m.Events[i] = consumeEvent(&b)
-		}
-	}
 	return b.Close()
 }

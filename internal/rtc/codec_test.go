@@ -55,11 +55,6 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("memberReq/zero", memberReq{}),
 		wiretest.Of("floorResp", floorResp{Holder: "u00012"}),
 		wiretest.Of("floorResp/free", floorResp{}),
-		wiretest.Of("syncReq", syncReq{Conference: "conf-000003", FromSeq: 40}),
-		wiretest.Of("syncReq/zero", syncReq{}),
-		wiretest.Of("syncResp", syncResp{Events: []Event{harnessEvent()}}, syncResp{Events: []Event{emptyState}}),
-		wiretest.Of("syncResp/mixed", syncResp{Events: []Event{harnessEvent(), snapshot, {}}}, syncResp{Events: []Event{emptyState, reinserted, {}}}),
-		wiretest.Of("syncResp/zero", syncResp{}, syncResp{Events: []Event{}}),
 	}
 }
 
@@ -81,10 +76,6 @@ func TestBodiesGolden(t *testing.T) {
 		"updateResp": "a50000000000000029",
 		"memberReq":  "a60000000b636f6e662d30303030303300000006753030303132",
 		"floorResp":  "a700000006753030303132",
-		"syncReq":    "a80000000b636f6e662d3030303030330000000000000028",
-		"syncResp": "a900000000000000010000000b636f6e662d3030303030330000000000000029000000057374617465000000067530" +
-			"303031320000000d637572736f722d75303030313200000008706f7320353132300000000000000000000000002a3473" +
-			"6a0ee6b280",
 	})
 }
 
@@ -97,8 +88,6 @@ func TestBodiesRejectDamage(t *testing.T) {
 		"snapshot state":    append(append([]byte{tagJoinResp}, zero...), huge...),
 		"snapshot members":  append(append(append([]byte{tagJoinResp}, zero...), zero...), huge...),
 		"update as a count": append([]byte{tagUpdateResp}, huge...),
-		"sync events":       append([]byte{tagSyncResp}, huge...),
-		"synced state":      append(append(append([]byte{tagSyncResp}, wire.AppendUint64(nil, 1)...), make([]byte, 5*4+8)...), huge...),
 	})
 }
 
@@ -173,7 +162,7 @@ func conferenceRound(tb testing.TB) map[string][][]byte {
 
 // adminRound runs the rest of a conference's protocol on a real exchange:
 // two members join, one takes the floor and gives it back, the other
-// resyncs and leaves, and the first heartbeats. It returns the bodies put on the wire by rpc
+// leaves, and the first heartbeats. It returns the bodies put on the wire by rpc
 // method.
 func adminRound(tb testing.TB) map[string][][]byte {
 	tb.Helper()
@@ -198,11 +187,6 @@ func adminRound(tb testing.TB) map[string][][]byte {
 		tb.Fatalf("the floor went to %q", floor.Holder)
 	}
 	call(speaker, MethodFloorRelease, speaking, &floor)
-	var missed syncResp
-	call(listener, MethodSync, syncReq{Conference: listener.Conference, FromSeq: 1}, &missed)
-	if len(missed.Events) != 3 {
-		tb.Fatalf("resync from seq 1 returned %d events, want the second join and the floor's two", len(missed.Events))
-	}
 	call(listener, MethodLeave, memberReq{Conference: listener.Conference, Member: listener.Member}, &wire.Empty{})
 	speaker.hbPeriod = time.Second
 	speaker.scheduleHeartbeat()
@@ -223,7 +207,7 @@ func TestConferenceBodiesAreBinary(t *testing.T) {
 		}
 	}
 	maps.Copy(bodies, adminRound(t))
-	for _, method := range []string{MethodHeartbeat, MethodFloorRequest, MethodFloorRelease, MethodSync, MethodLeave} {
+	for _, method := range []string{MethodHeartbeat, MethodFloorRequest, MethodFloorRelease, MethodLeave} {
 		if len(bodies[method]) == 0 {
 			t.Fatalf("the admin round put no %s body on the wire", method)
 		}
@@ -238,7 +222,8 @@ func TestConferenceBodiesAreBinary(t *testing.T) {
 }
 
 // FuzzRTCBodies: whatever bytes arrive, a decoder either refuses them or
-// yields a message that encodes and decodes back to itself.
+// yields a message that encodes and decodes back to itself. The seeds
+// include the bodies an older peer sent for the retired messages.
 func FuzzRTCBodies(f *testing.F) {
 	round := conferenceRound(f)
 	maps.Copy(round, adminRound(f))
@@ -250,11 +235,13 @@ func FuzzRTCBodies(f *testing.F) {
 	for _, c := range bodyCases() {
 		f.Add(c.Encode(f))
 	}
+	for _, b := range wiretest.Retired(f, "testdata/retired-bodies.txt") {
+		f.Add(b)
+	}
 	wiretest.Fuzz(f, []wiretest.Case{
 		wiretest.Of("event", Event{}), wiretest.Of("joinReq", joinReq{}), wiretest.Of("joinResp", joinResp{}),
 		wiretest.Of("updateReq", updateReq{}), wiretest.Of("updateResp", updateResp{}),
 		wiretest.Of("memberReq", memberReq{}), wiretest.Of("floorResp", floorResp{}),
-		wiretest.Of("syncReq", syncReq{}), wiretest.Of("syncResp", syncResp{}),
 	})
 }
 

@@ -30,7 +30,6 @@ const (
 	MethodJoin         = "rtc.join"
 	MethodLeave        = "rtc.leave"
 	MethodUpdate       = "rtc.update"
-	MethodSync         = "rtc.sync"
 	MethodFloorRequest = "rtc.floor.request"
 	MethodFloorRelease = "rtc.floor.release"
 	MethodHeartbeat    = "rtc.heartbeat"
@@ -271,15 +270,6 @@ type floorResp struct {
 	Holder string
 }
 
-type syncReq struct {
-	Conference string
-	FromSeq    uint64
-}
-
-type syncResp struct {
-	Events []Event
-}
-
 func (s *Server) register() {
 	ep := s.endpoint
 	ep.MustRegister(MethodJoin, rpc.Handle(func(from netsim.Address, req joinReq) (joinResp, error) {
@@ -318,13 +308,6 @@ func (s *Server) register() {
 		s.heartbeat(req.Conference, req.Member)
 		return nil, nil
 	})
-	ep.MustRegister(MethodSync, rpc.Handle(func(_ netsim.Address, req syncReq) (syncResp, error) {
-		events, err := s.eventsSince(req.Conference, req.FromSeq)
-		if err != nil {
-			return syncResp{}, err
-		}
-		return syncResp{Events: events}, nil
-	}))
 }
 
 func (s *Server) join(from netsim.Address, req joinReq) (joinResp, error) {
@@ -466,22 +449,6 @@ func (s *Server) heartbeat(cid, memberName string) {
 			mem.lastSeen = s.clock.Now()
 		}
 	}
-}
-
-func (s *Server) eventsSince(cid string, fromSeq uint64) ([]Event, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	conf, ok := s.confs[cid]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoConference, cid)
-	}
-	var out []Event
-	for _, ev := range conf.log {
-		if ev.Seq > fromSeq {
-			out = append(out, ev)
-		}
-	}
-	return out, nil
 }
 
 // sequenceLocked assigns the next sequence number, applies state-kind

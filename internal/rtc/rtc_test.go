@@ -291,8 +291,10 @@ func TestResyncAfterPartition(t *testing.T) {
 	if b.Get("k") == "during-partition" {
 		t.Fatal("partitioned replica received updates")
 	}
+	// Joining again installs the server's snapshot over the gap.
 	f.net.Heal()
-	f.mustDrive(t, b.Resync)
+	f.mustDrive(t, b.Join)
+	f.clk.RunUntilIdle()
 	if b.Get("k") != "during-partition" {
 		t.Fatalf("after resync b.k = %q", b.Get("k"))
 	}
@@ -312,7 +314,12 @@ func TestTelepointer(t *testing.T) {
 	b := f.session(t, "b")
 	f.mustDrive(t, a.Join)
 	f.mustDrive(t, b.Join)
-	f.mustDrive(t, func() error { return b.Point("120,45") })
+	// A pointer move is an rtc.update of kind EventPointer.
+	f.mustDrive(t, func() error {
+		return b.endpoint.CallMsg(b.server, MethodUpdate, updateReq{
+			Conference: b.Conference, Member: b.Member, Kind: EventPointer, Value: "120,45",
+		}, &updateResp{})
+	})
 	f.clk.RunUntilIdle()
 	if pointer != "b@120,45" {
 		t.Fatalf("pointer = %q", pointer)

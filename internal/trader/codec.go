@@ -6,18 +6,13 @@ import (
 	"mocca/internal/wire"
 )
 
-// Every trading operation travels as a hand-written binary body (see
-// internal/replica/codec.go for the shape). An Offer is its id, service
-// type, provider and properties, the properties in directory's
-// attribute-set form; a standalone Offer is trader.export's request. Export,
-// withdraw and type registration are answered with wire.Empty. Range
-// 0xD1–0xD5.
+// An import travels as a hand-written binary body (see
+// internal/replica/codec.go for the shape). An offer in the answer is its
+// id, service type, provider and properties, the properties in directory's
+// attribute-set form. Range 0xD1–0xD5; 0xD3–0xD5 are retired.
 const (
-	tagImportReq   byte = 0xD1
-	tagImportResp  byte = 0xD2
-	tagOffer       byte = 0xD3
-	tagWithdrawReq byte = 0xD4
-	tagRegTypeReq  byte = 0xD5
+	tagImportReq  byte = 0xD1
+	tagImportResp byte = 0xD2
 )
 
 // appendOffer writes an offer: id, service type, provider, properties.
@@ -37,43 +32,6 @@ func consumeOffer(b *wire.Body) Offer {
 		o.Properties = directory.Attributes{}
 	}
 	return o
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (o Offer) AppendBinary(b []byte) ([]byte, error) {
-	return appendOffer(append(b, tagOffer), o), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (o *Offer) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagOffer, "trader offer")
-	*o = consumeOffer(&b)
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m withdrawReq) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendString(append(b, tagWithdrawReq), m.OfferID), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *withdrawReq) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagWithdrawReq, "trader withdrawReq")
-	*m = withdrawReq{OfferID: b.String()}
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m regTypeReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendString(append(b, tagRegTypeReq), m.Name)
-	return wire.AppendStrings(b, m.Supertypes), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *regTypeReq) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagRegTypeReq, "trader regTypeReq")
-	*m = regTypeReq{Name: b.String(), Supertypes: b.Strings()}
-	return b.Close()
 }
 
 // AppendBinary implements encoding.BinaryAppender.

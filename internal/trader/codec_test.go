@@ -2,9 +2,7 @@ package trader
 
 import (
 	"bytes"
-	"encoding"
 	"fmt"
-	"maps"
 	"math/rand"
 	"testing"
 
@@ -24,8 +22,8 @@ func harnessOffer(i int) Offer {
 		Properties: directory.NewAttributes("site", site)}
 }
 
-// bodyCases covers every trading message: as the harness and the
-// administrative round send them and at the corners of each one's shape.
+// bodyCases covers every trading message: as the harness sends it and at
+// the corners of each one's shape.
 // Offers are in the form they decode to: properties never nil.
 func bodyCases() []wiretest.Case {
 	rng := rand.New(rand.NewSource(5))
@@ -45,13 +43,6 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("importResp/wide offer", importResp{Offers: []Offer{printer, bare, zero}},
 			importResp{Offers: []Offer{{ID: "o1", ServiceType: "printing", Provider: "ps-köln", Properties: emptyValued}, {ID: "bare"}, {}}}),
 		wiretest.Of("importResp/zero", importResp{}, importResp{Offers: []Offer{}}),
-		wiretest.Of("offer", harnessOffer(3)),
-		wiretest.Of("offer/wide", printer, Offer{ID: "o1", ServiceType: "printing", Provider: "ps-köln", Properties: emptyValued}),
-		wiretest.Of("offer/zero", zero, Offer{}),
-		wiretest.Of("withdrawReq", withdrawReq{OfferID: "wl-s003"}),
-		wiretest.Of("withdrawReq/zero", withdrawReq{}),
-		wiretest.Of("regTypeReq", regTypeReq{Name: "printing.colour", Supertypes: []string{"printing", "dévice"}}),
-		wiretest.Of("regTypeReq/zero", regTypeReq{}, regTypeReq{Supertypes: []string{}}),
 	}
 }
 
@@ -61,11 +52,6 @@ func TestBodiesRoundTrip(t *testing.T) {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"offer": "d300000007776c2d733030330000000b637363772e636f6c6c6162000000096c6f61642d73303033000000000000" +
-			"0001000000047369746500000000000000010000000473303033",
-		"withdrawReq": "d400000007776c2d73303033",
-		"regTypeReq": "d50000000f7072696e74696e672e636f6c6f75720000000000000002000000087072696e74696e670000000764c3" +
-			"a976696365",
 		"importReq": "d10000000b637363772e636f6c6c616200000000000000000000000300000000000000000000000000000000",
 		"importResp": "d2000000000000000300000007776c2d733030300000000b637363772e636f6c6c6162000000096c6f61642d73303030" +
 			"000000000000000100000004736974650000000000000001000000047330303000000007776c2d733030310000000b63" +
@@ -146,50 +132,11 @@ func TestImportBodiesAreBinary(t *testing.T) {
 	if len(bodies[MethodImport]) != 4 || len(bodies) != 1 {
 		t.Fatalf("the round put %d %s bodies on the wire", len(bodies[MethodImport]), MethodImport)
 	}
-	maps.Copy(bodies, adminRound(t))
-	for _, method := range []string{MethodImport, MethodRegType, MethodExport, MethodWithdraw} {
-		if len(bodies[method]) < 2 {
-			t.Fatalf("the rounds put %d %s bodies on the wire", len(bodies[method]), method)
-		}
-		for _, b := range bodies[method] {
-			if len(b) > 0 && b[0] < 0x80 {
-				t.Fatalf("%s body opens with %#x: %q", method, b[0], b)
-			}
+	for _, b := range bodies[MethodImport] {
+		if len(b) > 0 && b[0] < 0x80 {
+			t.Fatalf("%s body opens with %#x: %q", MethodImport, b[0], b)
 		}
 	}
-}
-
-// adminRound registers a type, exports an offer of it and withdraws the
-// offer again on a real exchange, and returns the bodies put on the wire by
-// rpc method.
-func adminRound(tb testing.TB) map[string][][]byte {
-	tb.Helper()
-	bodies := map[string][][]byte{}
-	clk := vclock.NewSimulated(netsim.DefaultEpoch)
-	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(5))
-	tap := wiretest.Tap(bodies)
-	tr := New()
-	NewServer(rpc.NewEndpoint(net.MustAddNode("trade-hub"), clk, tap), tr)
-	ua := rpc.NewEndpoint(net.MustAddNode("load"), clk, tap)
-	call := func(method string, req encoding.BinaryAppender) {
-		ua.GoMsg("trade-hub", method, req, func(r rpc.Result) {
-			if err := r.Decode(&wire.Empty{}); err != nil {
-				tb.Fatalf("%s: %v", method, err)
-			}
-		})
-		clk.RunUntilIdle()
-	}
-	call(MethodRegType, regTypeReq{Name: "printing"})
-	call(MethodRegType, regTypeReq{Name: "printing.colour", Supertypes: []string{"printing"}})
-	call(MethodExport, Offer{ID: "o1", ServiceType: "printing.colour", Provider: "ps-köln", Properties: directory.NewAttributes("ppm", "12")})
-	if got, err := tr.Import(ImportRequest{ServiceType: "printing"}); err != nil || len(got) != 1 || got[0].Properties.First("ppm") != "12" {
-		tb.Fatalf("the exported offer imports as %v, %v", got, err)
-	}
-	call(MethodWithdraw, withdrawReq{OfferID: "o1"})
-	if got, err := tr.Import(ImportRequest{ServiceType: "printing"}); err != nil || len(got) != 0 {
-		tb.Fatalf("the withdrawn offer imports as %v, %v", got, err)
-	}
-	return bodies
 }
 
 // TestImportResultIsTheCallersOwn: matching runs on the stored offers'
@@ -243,10 +190,10 @@ func TestImportAllocations(t *testing.T) {
 }
 
 // FuzzTraderBodies: whatever bytes arrive, a decoder either refuses them or
-// yields a message that encodes and decodes back to itself.
+// yields a message that encodes and decodes back to itself. The seeds
+// include the bodies an older peer sent for the retired messages.
 func FuzzTraderBodies(f *testing.F) {
 	_, _, _, bodies := importRound(f)
-	maps.Copy(bodies, adminRound(f))
 	for _, list := range bodies {
 		for _, b := range list {
 			f.Add(b)
@@ -255,6 +202,8 @@ func FuzzTraderBodies(f *testing.F) {
 	for _, c := range bodyCases() {
 		f.Add(c.Encode(f))
 	}
-	wiretest.Fuzz(f, []wiretest.Case{wiretest.Of("importReq", importReq{}), wiretest.Of("importResp", importResp{}),
-		wiretest.Of("offer", Offer{}), wiretest.Of("withdrawReq", withdrawReq{}), wiretest.Of("regTypeReq", regTypeReq{})})
+	for _, b := range wiretest.Retired(f, "testdata/retired-bodies.txt") {
+		f.Add(b)
+	}
+	wiretest.Fuzz(f, []wiretest.Case{wiretest.Of("importReq", importReq{}), wiretest.Of("importResp", importResp{})})
 }

@@ -11,67 +11,66 @@ import (
 	"mocca/internal/vclock"
 )
 
-// driveSim runs op on a helper goroutine while advancing the simulated
-// clock from the test goroutine.
-func driveSim(t *testing.T, clk *vclock.Simulated, op func() error) error {
+// importOver runs GoImport and advances the simulated clock, on the test's
+// own goroutine, until its callback has fired: at most 500 steps of 20 ms.
+func importOver(t *testing.T, clk *vclock.Simulated, client *Client, req ImportRequest) ([]Offer, error) {
 	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- op() }()
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case err := <-done:
-			return err
-		case <-deadline:
-			t.Fatal("simulated op did not complete")
-		default:
-			time.Sleep(200 * time.Microsecond)
-			clk.Advance(20 * time.Millisecond)
+	var (
+		offers []Offer
+		err    error
+		fired  bool
+	)
+	client.GoImport(req, func(found []Offer, e error) {
+		offers, err, fired = found, e, true
+	})
+	for step := 0; !fired; step++ {
+		if step == 500 {
+			t.Fatal("the import did not complete within 10 simulated seconds")
 		}
+		clk.Advance(20 * time.Millisecond)
 	}
+	return offers, err
 }
 
+// TestTraderOverRPC: an offer exported at the trader is imported over rpc
+// under a constraint, is gone once withdrawn, and an import the trader
+// refuses reaches the client as its error.
 func TestTraderOverRPC(t *testing.T) {
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(5))
-	srvEP := rpc.NewEndpoint(net.MustAddNode("trader"), clk)
-	cliEP := rpc.NewEndpoint(net.MustAddNode("app"), clk)
-	NewServer(srvEP, New())
-	client := NewClient(cliEP, "trader")
+	srv := NewServer(rpc.NewEndpoint(net.MustAddNode("trader"), clk), New())
+	client := NewClient(rpc.NewEndpoint(net.MustAddNode("app"), clk), "trader")
 
-	if err := driveSim(t, clk, func() error { return client.RegisterType("printing") }); err != nil {
+	if err := srv.Trader().RegisterType("printing"); err != nil {
 		t.Fatal(err)
 	}
-	if err := driveSim(t, clk, func() error {
-		return client.Export(Offer{
-			ID:          "o1",
-			ServiceType: "printing",
-			Provider:    "ps1",
-			Properties:  directory.NewAttributes("ppm", "12"),
-		})
+	if err := srv.Trader().Export(Offer{
+		ID:          "o1",
+		ServiceType: "printing",
+		Provider:    "ps1",
+		Properties:  directory.NewAttributes("ppm", "12"),
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	var offers []Offer
-	if err := driveSim(t, clk, func() error {
-		var err error
-		offers, err = client.Import(ImportRequest{ServiceType: "printing", Constraint: "(ppm>=10)"})
-		return err
-	}); err != nil {
+	offers, err := importOver(t, clk, client, ImportRequest{ServiceType: "printing", Constraint: "(ppm>=10)"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(offers) != 1 || offers[0].Provider != "ps1" {
+	if len(offers) != 1 || offers[0].Provider != "ps1" || offers[0].Properties.First("ppm") != "12" {
 		t.Fatalf("imported %v", offers)
 	}
 
-	if err := driveSim(t, clk, func() error { return client.Withdraw("o1") }); err != nil {
+	if err := srv.Trader().Withdraw("o1"); err != nil {
 		t.Fatal(err)
 	}
-	err := driveSim(t, clk, func() error { return client.Withdraw("o1") })
+	if offers, err := importOver(t, clk, client, ImportRequest{ServiceType: "printing"}); err != nil || len(offers) != 0 {
+		t.Fatalf("after the withdrawal the import returned %v, %v", offers, err)
+	}
+	_, err = importOver(t, clk, client, ImportRequest{ServiceType: "scanning"})
 	var remote *rpc.RemoteError
 	if !errors.As(err, &remote) {
-		t.Fatalf("double withdraw err = %v", err)
+		t.Fatalf("import of an unknown type: err = %v", err)
 	}
 }
 
@@ -96,12 +95,8 @@ func TestFederationOverRPC(t *testing.T) {
 	gmdSrv.Trader().LinkPeer("trader-upc")
 
 	client := NewClient(appEP, "trader-gmd")
-	var offers []Offer
-	if err := driveSim(t, clk, func() error {
-		var err error
-		offers, err = client.Import(ImportRequest{ServiceType: "conferencing"})
-		return err
-	}); err != nil {
+	offers, err := importOver(t, clk, client, ImportRequest{ServiceType: "conferencing"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(offers) != 1 || offers[0].ID != "upc-conf" {
@@ -130,12 +125,8 @@ func TestFederationSurvivesDeadPeer(t *testing.T) {
 	gmdSrv.Trader().LinkPeer("trader-dead")
 
 	client := NewClient(appEP, "trader-gmd")
-	var offers []Offer
-	if err := driveSim(t, clk, func() error {
-		var err error
-		offers, err = client.Import(ImportRequest{ServiceType: "svc"})
-		return err
-	}); err != nil {
+	offers, err := importOver(t, clk, client, ImportRequest{ServiceType: "svc"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(offers) != 1 || offers[0].ID != "local" {

@@ -1,7 +1,7 @@
 // Package vclock provides the virtual time base used by the simulated
 // distributed substrate. All components in this repository take a Clock so
-// that tests and benchmarks run deterministically under a simulated clock,
-// while examples may run against the real wall clock.
+// that tests, benchmarks and examples run deterministically under a
+// simulated clock.
 //
 // The simulated clock is also a discrete-event scheduler: goroutines
 // register timers, and Advance drains them in timestamp order. This is the
@@ -42,29 +42,6 @@ type Timer interface {
 	// from firing.
 	Stop() bool
 }
-
-// Real returns a Clock backed by the wall clock.
-func Real() Clock { return realClock{} }
-
-type realClock struct{}
-
-//lint:allow determinism realClock is the designated wall-clock implementation every other package must route through
-func (realClock) Now() time.Time { return time.Now() }
-
-//lint:allow determinism realClock is the designated wall-clock implementation every other package must route through
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-//lint:allow determinism realClock is the designated wall-clock implementation every other package must route through
-func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-func (realClock) AfterFunc(d time.Duration, f func()) Timer {
-	//lint:allow determinism realClock is the designated wall-clock implementation every other package must route through
-	return realTimer{t: time.AfterFunc(d, f)}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
 
 // Simulated is a deterministic discrete-event clock. Time only moves when
 // Advance or Run is called, and pending events fire in (time, sequence)
@@ -283,7 +260,4 @@ func (s *Simulated) siftDown(i int) {
 	s.place(i, ev)
 }
 
-var (
-	_ Clock = realClock{}
-	_ Clock = (*Simulated)(nil)
-)
+var _ Clock = (*Simulated)(nil)

@@ -165,19 +165,3 @@ func TestNextDeadline(t *testing.T) {
 		t.Fatalf("NextDeadline after Stop = %v,%v want %v,true", at, ok, epoch.Add(5*time.Second))
 	}
 }
-
-func TestRealClockSmoke(t *testing.T) {
-	c := Real()
-	before := time.Now()
-	if c.Now().Before(before.Add(-time.Second)) {
-		t.Fatal("real clock far in the past")
-	}
-	var fired atomic.Bool
-	tm := c.AfterFunc(time.Hour, func() { fired.Store(true) })
-	if !tm.Stop() {
-		t.Fatal("Stop on real timer = false")
-	}
-	if fired.Load() {
-		t.Fatal("real timer fired despite Stop")
-	}
-}

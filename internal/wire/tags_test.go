@@ -147,10 +147,22 @@ func moduleConsts(t *testing.T, root, prefix string, kind token.Token) []constLi
 	return out
 }
 
-// TestWireStringTable: the static string table repeats no entry, and every
-// rpc method name the module registers — each Method… constant of a
-// non-test file — is in it exactly once, so a call says its method in one
-// byte. The stack's own strings open the table.
+// retiredStrings are the static string table's entries that no constant of
+// the module says any more: the methods of the removed blocking directory,
+// trader and conference operations and the channel stack's transparency
+// declaration. They keep their indices while the wire version lasts.
+var retiredStrings = []string{
+	"ch.transparencies",
+	"x500.read", "x500.add", "x500.delete", "x500.modify", "x500.list",
+	"trader.export", "trader.withdraw", "trader.regtype",
+	"rtc.sync",
+}
+
+// TestWireStringTable: the static string table repeats no entry and opens
+// with the stack's own strings. Every later entry is an rpc method name the
+// module registers — a Method… constant of a non-test file — or retired;
+// each such constant is in the table, so a call says its method in one
+// byte, and no string constant of the module says a retired name.
 func TestWireStringTable(t *testing.T) {
 	index := map[string]int{}
 	for i, s := range staticStrings {
@@ -159,21 +171,35 @@ func TestWireStringTable(t *testing.T) {
 		}
 		index[s] = i
 	}
-	stack := []string{"rpc.req", "rpc.rep", "rpc.ann", "method", "error", "ch.epoch", "ch.transparencies"}
+	stack := []string{"rpc.req", "rpc.rep", "rpc.ann", "method", "error", "ch.epoch"}
 	if !slices.Equal(staticStrings[:len(stack)], stack) {
 		t.Errorf("the table opens with %q, want the stack's strings %q", staticStrings[:len(stack)], stack)
 	}
-	methods := moduleConsts(t, filepath.Join("..", ".."), "Method", token.STRING)
-	if len(methods) < 30 {
-		t.Fatalf("found %d Method constants; the services moved", len(methods))
-	}
-	for _, c := range methods {
+	root := filepath.Join("..", "..")
+	live := map[string]bool{}
+	for _, c := range moduleConsts(t, root, "Method", token.STRING) {
 		name, err := strconv.Unquote(c.lit)
 		if err != nil {
 			t.Fatalf("%s: %s = %s: %v", c.pos, c.name, c.lit, err)
 		}
+		live[name] = true
 		if _, ok := index[name]; !ok {
 			t.Errorf("%s: %s.%s = %q is not in the static string table", c.pos, c.pkg, c.name, name)
+		}
+	}
+	for _, c := range moduleConsts(t, root, "", token.STRING) {
+		if name, err := strconv.Unquote(c.lit); err == nil && slices.Contains(retiredStrings, name) {
+			t.Errorf("%s: %s.%s = %q, a retired table entry", c.pos, c.pkg, c.name, name)
+		}
+	}
+	for _, name := range retiredStrings {
+		if _, ok := index[name]; !ok {
+			t.Errorf("retired %q is not in the static string table", name)
+		}
+	}
+	for _, name := range staticStrings[len(stack):] {
+		if !live[name] && !slices.Contains(retiredStrings, name) {
+			t.Errorf("entry %q is neither a Method constant nor retired", name)
 		}
 	}
 }

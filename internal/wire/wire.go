@@ -72,9 +72,11 @@ const MaxStringLen = maxStringLen
 
 // staticStrings is the one static string table: an envelope string equal to
 // an entry travels as the entry's index. It holds the three rpc kinds, the
-// four header keys the stack sets and every rpc method name in the module
-// (TestWireStringTable holds the methods to it). It is append-only within a
-// wire version: an entry's index is what the frame says, so reordering or
+// three header keys the stack sets and every rpc method name in the module,
+// beside retired entries no code says any more: the transparency header
+// and the methods of removed operations (TestWireStringTable holds the
+// methods and the retired names to it). It is append-only within a wire
+// version: an entry's index is what the frame says, so reordering or
 // removing one needs a new Version.
 var staticStrings = [...]string{
 	"rpc.req", "rpc.rep", "rpc.ann",
@@ -122,9 +124,9 @@ func (tc TraceContext) Child(spanID uint64) TraceContext {
 type Header struct{ Key, Value string }
 
 // Envelope is the unit framed onto the simulated network. Its headers, set by
-// SetHeader and read by Header, are kept in key order. The first four — all
-// the stack ever sets: method, error, ch.epoch, ch.transparencies — live in
-// the envelope itself and cost no allocation; no slice points into that
+// SetHeader and read by Header, are kept in key order. The first four — room
+// for the three the stack sets: method, error, ch.epoch — live in the
+// envelope itself and cost no allocation; no slice points into that
 // array and the spill slice is replaced on every change, so an envelope
 // copied by value shares no header storage with the original.
 type Envelope struct {
@@ -142,7 +144,7 @@ type Envelope struct {
 }
 
 // inlineHeaders is how many headers an envelope holds without a spill
-// slice: the four the stack sets.
+// slice: the three the stack sets and one more.
 const inlineHeaders = 4
 
 // Errors returned by Unmarshal.

@@ -12,9 +12,11 @@ import (
 	"encoding/hex"
 	"maps"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"mocca/internal/channel"
@@ -183,6 +185,31 @@ func RejectDamage(t *testing.T, cases []Case, aimed map[string][]byte) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("refusing counts of 2^60 allocated %d bytes", grew)
 	}
+}
+
+// Retired reads the bodies an older peer put on the wire for messages since
+// retired, recorded at path one per line as a name and the body's hex (none
+// for an empty body; a line opening with # is a comment), to seed a fuzz
+// corpus with: they are bytes a decoder may still be sent.
+func Retired(tb testing.TB, path string) [][]byte {
+	tb.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var bodies [][]byte
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, hexed, _ := strings.Cut(line, " ")
+		b, err := hex.DecodeString(hexed)
+		if err != nil {
+			tb.Fatalf("%s: %s: %v", path, name, err)
+		}
+		bodies = append(bodies, b)
+	}
+	return bodies
 }
 
 // Fuzz runs the property every decoder is fuzzed for: whatever bytes
