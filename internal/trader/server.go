@@ -77,8 +77,8 @@ func goImport(ep *rpc.Endpoint, peer netsim.Address, req ImportRequest, done fun
 	}, opts...)
 }
 
-// Client is the importer side of the trading protocol: offers are exported
-// to the trader where it runs.
+// Client is the importer side of the trading protocol. Offers are exported
+// where the trader runs, with Trader.Export.
 type Client struct {
 	endpoint *rpc.Endpoint
 	trader   netsim.Address
