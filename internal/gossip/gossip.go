@@ -153,8 +153,9 @@ type Peer struct {
 }
 
 // Replica is the slice of the replication layer the overlay needs: rumor
-// staleness checks, the rows a push or graft carries, and round arming.
-// *replica.Replicator implements it.
+// staleness checks and the rows a push or graft carries. The tree
+// delivers; anti-entropy repairs what it missed on its own schedule, so a
+// receipt arms no round. *replica.Replicator implements it.
 type Replica interface {
 	// HasSeen reports whether the local replica already holds the write
 	// of id whose dot is (site, counter): whether its vector's site entry
@@ -165,9 +166,6 @@ type Replica interface {
 	FetchWire(ids []string) []*information.Object
 	// ApplyWire merges pushed rows, returning how many changed state.
 	ApplyWire(objs []*information.Object) int
-	// SyncSoon arms an anti-entropy round — rumor applies kick it so the
-	// sync layer floods what rumors seeded.
-	SyncSoon()
 }
 
 // Stats counts overlay activity. ActiveSize/PassiveSize are gauges

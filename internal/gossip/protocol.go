@@ -387,9 +387,6 @@ func (o *Overlay) receive(tc wire.TraceContext, from netsim.Address, entries []p
 			o.mu.Lock()
 			o.stats.RumorApplied += int64(applied)
 			o.mu.Unlock()
-			// Arm anti-entropy: the sync layer floods what the push
-			// seeded to peers the tree itself missed.
-			o.replica.SyncSoon()
 		}
 	}
 	o.forward(fresh, from, tc)

@@ -106,6 +106,7 @@ func (a hwItem) compare(b hwItem) int {
 // (every chunk non-empty, chunks in order): insert and removal cost a
 // binary search plus a bounded move whatever the counter distribution.
 type siteIndex struct {
+	name   string
 	top    uint64 // monotone: survives the removal of the entry that set it
 	chunks [][]hwItem
 }
@@ -188,6 +189,7 @@ type DigestTree struct {
 	buckets [MerkleLeaves][]merkleEntry // each sorted by id
 	levels  [][]uint64                  // levels[0] = [root], levels[MerkleDepth] = leaves
 	sites   map[string]*siteIndex
+	order   []*siteIndex // sites by name: the marks section's order
 	count   int
 	gen     uint64
 }
@@ -277,8 +279,10 @@ func (t *DigestTree) Update(id string, vv vclock.Version) {
 		}
 		x := t.sites[s]
 		if x == nil {
-			x = &siteIndex{}
+			x = &siteIndex{name: s}
 			t.sites[s] = x
+			at, _ := slices.BinarySearchFunc(t.order, s, func(x *siteIndex, s string) int { return strings.Compare(x.name, s) })
+			t.order = slices.Insert(t.order, at, x)
 		}
 		x.insert(hwItem{c, id})
 		x.top = max(x.top, c)

@@ -1,15 +1,18 @@
 package information
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"mocca/internal/vclock"
+	"mocca/internal/wire"
 )
 
 // rebuildTree builds a fresh tree from scratch over the same entries —
@@ -216,6 +219,90 @@ func checkAgainstScan(t *testing.T, tree *DigestTree, step int) {
 		got, want := tree.NewerThanHW(hw), scanNewerThanHW(tree, hw)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: NewerThanHW(%v) = %v, the scan says %v", step, hw, got, want)
+		}
+		if got := tree.NewerThanMarks(marksSection(hw)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: NewerThanMarks(%v) = %v, the scan says %v", step, hw, got, want)
+		}
+		if got, want := tree.MarksAhead(marksSection(hw)), marksAhead(tree, hw); got != want {
+			t.Fatalf("step %d: MarksAhead(%v) = %v, want %v", step, hw, got, want)
+		}
+	}
+}
+
+// marksSection encodes hw in AppendMarks' layout: a count, then per site
+// in name order its name and its mark.
+func marksSection(hw map[string]uint64) []byte {
+	b := wire.AppendUvarint(nil, uint64(len(hw)))
+	for _, site := range slices.Sorted(maps.Keys(hw)) {
+		b = wire.AppendUvarint(wire.AppendVarString(b, site), hw[site])
+	}
+	return b
+}
+
+// marksAhead is the definition MarksAhead answers to.
+func marksAhead(t *DigestTree, hw map[string]uint64) bool {
+	for s, mark := range hw {
+		if mark > t.Top(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMarksSection: the tree writes its marks as the section a map of them
+// encodes to, SkipMarks takes exactly that section off the front of a body
+// and refuses one whose names do not rise, and the section is read in
+// place.
+func TestMarksSection(t *testing.T) {
+	tree := NewDigestTree()
+	tree.Update("a", vclock.Version{"s1": 3})
+	tree.Update("b", vclock.Version{"s0": 1, "s1": 5})
+	tree.Update("c", vclock.Version{"köln": 2})
+	own := tree.AppendMarks(nil)
+	if want := marksSection(tree.HighWater()); !bytes.Equal(own, want) {
+		t.Fatalf("AppendMarks = %x, the marks encode to %x", own, want)
+	}
+	section, rest, err := SkipMarks(append(slices.Clone(own), 0xEE))
+	if err != nil || !bytes.Equal(section, own) || !bytes.Equal(rest, []byte{0xEE}) {
+		t.Fatalf("SkipMarks = %x, %x, %v", section, rest, err)
+	}
+	entry := func(name string, mark uint64) []byte {
+		return wire.AppendUvarint(wire.AppendVarString(nil, name), mark)
+	}
+	for name, bad := range map[string][]byte{
+		"out of order": slices.Concat([]byte{2}, entry("s1", 1), entry("s0", 1)),
+		"duplicate":    slices.Concat([]byte{2}, entry("s0", 1), entry("s0", 2)),
+		"truncated":    slices.Concat([]byte{2}, entry("s0", 1)),
+		"huge count":   wire.AppendUvarint(nil, 1<<60),
+		"empty":        nil,
+	} {
+		if _, _, err := SkipMarks(bad); err == nil {
+			t.Errorf("%s: SkipMarks accepted %x", name, bad)
+		}
+	}
+	if tree.MarksAhead(own) || len(tree.NewerThanMarks(own)) != 0 {
+		t.Fatal("the tree's own marks are ahead of it, or name rows it lacks")
+	}
+	if !tree.MarksAhead(marksSection(map[string]uint64{"nowhere": 1})) || tree.MarksAhead(marksSection(map[string]uint64{"nowhere": 0})) {
+		t.Fatal("a mark for a site the tree never saw is ahead exactly when it is above 0")
+	}
+	if got := tree.NewerThanMarks(marksSection(map[string]uint64{"s1": 4, "köln": 2})); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Fatalf("NewerThanMarks = %v, want [b]", got)
+	}
+
+	if raceEnabled {
+		t.Skip("allocation counts under -race")
+	}
+	// Neither side of an exchange builds a map or a string per site.
+	buf := make([]byte, 0, 64)
+	for name, op := range map[string]func(){
+		"AppendMarks":    func() { buf = tree.AppendMarks(buf[:0]) },
+		"NewerThanMarks": func() { _ = tree.NewerThanMarks(own) },
+		"MarksAhead":     func() { _ = tree.MarksAhead(own) },
+		"SkipMarks":      func() { _, _, _ = SkipMarks(own) },
+	} {
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("%s with nothing past the marks: %.0f allocations, want 0", name, n)
 		}
 	}
 }

@@ -18,9 +18,11 @@ import (
 // (information.AppendObject), the form the durable log stores them in. A request's tree frames are in wire.AppendTreeFrames' layout; a
 // reply's children section is a count, then per mismatched internal node
 // its packed path and its MerkleFanout child hashes (the children's paths
-// follow from it). High-water maps, digests and want-lists are in exactly
-// the layout hwBytes, digestMapBytes and wantBytes measure, so
-// Stats.DigestBytes is the encoded size of those sections.
+// follow from it). The high-water section is the tree's marks section
+// (information.AppendMarks), carried as it was written and read in place.
+// Digests and want-lists are in exactly the layout digestMapBytes and
+// wantBytes measure, so Stats.DigestBytes is the encoded size of those
+// sections.
 //
 // The tags have the high bit set, so a body in a hex dump names its
 // message. 0x82 and 0x84, the replies with full child paths and a mirrored
@@ -89,7 +91,7 @@ func (m pushResp) AppendBinary(b []byte) ([]byte, error) {
 	return wire.AppendUint64(b, uint64(m.Conflicts)), nil
 }
 
-func sectionFlags(match bool, frames []byte, hw map[string]uint64) byte {
+func sectionFlags(match bool, frames, hw []byte) byte {
 	var f byte
 	if match {
 		f |= flagMatch
@@ -106,29 +108,8 @@ func sectionFlags(match bool, frames []byte, hw map[string]uint64) byte {
 // appendSections writes the optional tree-frame (or children) and
 // high-water sections sectionFlags announced; consumeSections reads them
 // back.
-func appendSections(b, frames []byte, hw map[string]uint64) []byte {
-	b = append(b, frames...)
-	if hw != nil {
-		b = appendHW(b, hw)
-	}
-	return b
-}
-
-// appendHW writes a high-water map: a uvarint count, then per site in
-// sorted order its uvarint-prefixed name and its mark as a uvarint —
-// hwBytes(hw) bytes.
-func appendHW(b []byte, hw map[string]uint64) []byte {
-	b = wire.AppendUvarint(b, uint64(len(hw)))
-	sites := make([]string, 0, len(hw))
-	for s := range hw {
-		sites = append(sites, s)
-	}
-	slices.Sort(sites)
-	for _, s := range sites {
-		b = wire.AppendVarString(b, s)
-		b = wire.AppendUvarint(b, hw[s])
-	}
-	return b
+func appendSections(b, frames, hw []byte) []byte {
+	return append(append(b, frames...), hw...)
 }
 
 // appendDigest writes an id→version-vector digest: count, then per id in
@@ -153,8 +134,8 @@ func appendDigest(b []byte, d map[string]vclock.Version) []byte {
 // Each reads its body through a wire.Body cursor: the tag, one line per
 // field, and Close for the first failure or trailing bytes.
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Frames aliases
-// data, like an envelope's body does.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Frames and HW
+// alias data, like an envelope's body does.
 func (m *digestReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestReq, "digestReq")
 	flags := b.Flags(flagFrames | flagHW)
@@ -163,8 +144,8 @@ func (m *digestReq) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Children aliases
-// data, like an envelope's body does.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Children and HW
+// alias data, like an envelope's body does.
 func (m *digestResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestResp, "digestResp")
 	flags := b.Flags(flagMatch | flagFrames | flagHW)
@@ -209,10 +190,10 @@ func (m *pushResp) UnmarshalBinary(data []byte) error {
 }
 
 // consumeSections reads the optional frame and high-water sections the
-// flags announce. The frame section — a count, then that many records of
-// recordSize bytes: tree frames or children records — is returned still
-// encoded, aliasing data.
-func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, hw map[string]uint64) {
+// flags announce. Both are returned still encoded, aliasing data: the frame
+// section — a count, then that many records of recordSize bytes: tree
+// frames or children records — and the marks section.
+func consumeSections(b *wire.Body, flags byte, recordSize int) (frames, hw []byte) {
 	if flags&flagFrames != 0 {
 		section := *b // where the section starts
 		n := b.Count(recordSize)
@@ -220,12 +201,7 @@ func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, h
 		frames = section.Raw(8 + recordSize*n)
 	}
 	if flags&flagHW != 0 {
-		n := b.UvarintCount(1 + 1) // a name's length, a mark
-		hw = make(map[string]uint64, n)
-		for range n {
-			site := b.VarString()
-			hw[site] = b.Uvarint()
-		}
+		hw = wire.Consume(b, information.SkipMarks)
 	}
 	return frames, hw
 }

@@ -3,8 +3,10 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -90,6 +92,17 @@ func childrenSection(parents ...uint64) []byte {
 	return b
 }
 
+// marksOf encodes hw as a marks section, the layout
+// information.AppendMarks writes: a count, then per site in name order
+// its name and its mark.
+func marksOf(hw map[string]uint64) []byte {
+	b := wire.AppendUvarint(nil, uint64(len(hw)))
+	for _, site := range slices.Sorted(maps.Keys(hw)) {
+		b = wire.AppendUvarint(wire.AppendVarString(b, site), hw[site])
+	}
+	return b
+}
+
 // bodyCases covers every message type: on the benchmark's fixture rows,
 // on the edge rows, and at the corners of each message's own shape.
 func bodyCases() []wiretest.Case {
@@ -98,13 +111,13 @@ func bodyCases() []wiretest.Case {
 	for i := range frames {
 		frames[i] = wire.TreeFrame{Path: wire.PackTreePath(1, uint32(i)), Hash: uint64(i) * 0x9e3779b97f4a7c15}
 	}
-	hw := map[string]uint64{"s000": 41, "s001": 7, "köln": 1 << 40}
+	hw := marksOf(map[string]uint64{"s000": 41, "s001": 7, "köln": 1 << 40})
 	return append([]wiretest.Case{
 		wiretest.Of("digestReq/opening", digestReq{Frames: root, HW: hw}),
-		wiretest.Of("digestReq/empty replica", digestReq{Frames: root, HW: map[string]uint64{}}),
+		wiretest.Of("digestReq/empty replica", digestReq{Frames: root, HW: marksOf(nil)}),
 		wiretest.Of("digestReq/follow-up", digestReq{Frames: wire.AppendTreeFrames(nil, frames)}),
 		wiretest.Of("digestReq/zero", digestReq{}),
-		wiretest.Of("digestResp/mismatch rows", digestResp{Children: childrenSection(0), HW: map[string]uint64{}, Deltas: benchRows(16)}),
+		wiretest.Of("digestResp/mismatch rows", digestResp{HW: marksOf(nil), Deltas: benchRows(16)}),
 		wiretest.Of("digestResp/edge rows", digestResp{Deltas: edgeRows()}),
 		wiretest.Of("syncReq", syncReq{Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}),
 		wiretest.Of("syncReq/no digest", syncReq{Scope: []uint32{9}}),
@@ -125,7 +138,7 @@ func bodyCases() []wiretest.Case {
 func goldenCases() []wiretest.Case {
 	return []wiretest.Case{
 		wiretest.Of("digestResp/match", digestResp{Match: true}),
-		wiretest.Of("digestResp/mismatch", digestResp{Children: childrenSection(wire.PackTreePath(0, 0)), HW: map[string]uint64{"s000": 41}}),
+		wiretest.Of("digestResp/mismatch", digestResp{Children: childrenSection(wire.PackTreePath(0, 0)), HW: marksOf(map[string]uint64{"s000": 41})}),
 		wiretest.Of("digestResp/descent", digestResp{Children: childrenSection(wire.PackTreePath(1, 3), wire.PackTreePath(2, 255))}),
 		wiretest.Of("syncResp/want", syncResp{Want: []string{"obj000003", "obj000017"}}),
 		wiretest.Of("pushReq/no rows", pushReq{}),
@@ -147,8 +160,8 @@ func TestBodiesRoundTrip(t *testing.T) {
 	// The distinction the opening call rests on, spelled out: an empty HW is
 	// not an absent one.
 	var opening, followUp digestReq
-	if err := opening.UnmarshalBinary(bodyCases()[1].Encode(t)); err != nil || opening.HW == nil || len(opening.HW) != 0 {
-		t.Fatalf("empty HW decoded as %#v (%v), want an empty non-nil map", opening.HW, err)
+	if err := opening.UnmarshalBinary(bodyCases()[1].Encode(t)); err != nil || !bytes.Equal(opening.HW, []byte{0}) {
+		t.Fatalf("empty HW decoded as %#v (%v), want a section of no marks", opening.HW, err)
 	}
 	if err := followUp.UnmarshalBinary(bodyCases()[2].Encode(t)); err != nil || followUp.HW != nil {
 		t.Fatalf("absent HW decoded as %#v (%v), want nil", followUp.HW, err)
@@ -156,7 +169,7 @@ func TestBodiesRoundTrip(t *testing.T) {
 }
 
 // TestBodiesCanonical: equal messages encode to equal bytes whatever
-// order their maps were filled in — what keeps a workload's byte counts
+// order their maps (and the tree's sites) were filled in — what keeps a workload's byte counts
 // and fingerprint a function of the seed.
 func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -164,7 +177,7 @@ func TestBodiesCanonical(t *testing.T) {
 	want, _ := ref.AppendBinary(nil)
 	refRows := digestResp{Deltas: benchRows(16)}
 	wantRows, _ := refRows.AppendBinary(nil)
-	wantReq, _ := digestReq{HW: map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}}.AppendBinary(nil)
+	wantReq, _ := digestReq{HW: marksOf(map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5})}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
 		m := syncReq{Digest: map[string]vclock.Version{}}
 		ids := make([]string, 0, len(ref.Digest))
@@ -201,12 +214,14 @@ func TestBodiesCanonical(t *testing.T) {
 		if got, _ := rows.AppendBinary(nil); !bytes.Equal(got, wantRows) {
 			t.Fatalf("trial %d: digestResp bytes depend on map insertion order", trial)
 		}
-		hw := map[string]uint64{}
+		// The marks are as canonical as the tree: whatever order its
+		// sites first wrote in, it appends them in name order.
+		tree := information.NewDigestTree()
 		for _, i := range rng.Perm(5) {
-			hw[string(rune('a'+i))] = uint64(i + 1)
+			tree.Update(fmt.Sprint("id", i), vclock.Version{string(rune('a' + i)): uint64(i + 1)})
 		}
-		if got, _ := (digestReq{HW: hw}).AppendBinary(nil); !bytes.Equal(got, wantReq) {
-			t.Fatalf("trial %d: digestReq bytes depend on map insertion order", trial)
+		if got, _ := (digestReq{HW: tree.AppendMarks(nil)}).AppendBinary(nil); !bytes.Equal(got, wantReq) {
+			t.Fatalf("trial %d: digestReq bytes depend on the order sites first wrote in", trial)
 		}
 	}
 }
@@ -309,8 +324,8 @@ func (p *tappedPair) divergentRound(tb testing.TB, n int) Stats {
 
 // digestSections sums the encoded tree-frame, high-water and digest
 // sections of the bodies s0's exchanges put on the wire, both directions —
-// re-encoded section by section, not by the yardsticks that feed the
-// counter.
+// decoded and re-encoded section by section, not by the yardsticks that
+// feed the counter.
 func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[string]int) {
 	tb.Helper()
 	s0 := p.reps[0].Addr()
@@ -327,17 +342,11 @@ func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[strin
 		case f.method == MethodDigest && request:
 			var m digestReq
 			err = wire.DecodeBody(f.body, &m)
-			total += len(m.Frames)
-			if m.HW != nil {
-				total += len(appendHW(nil, m.HW))
-			}
+			total += len(m.Frames) + len(m.HW)
 		case f.method == MethodDigest:
 			var m digestResp
 			err = wire.DecodeBody(f.body, &m)
-			total += len(m.Children)
-			if m.HW != nil {
-				total += len(appendHW(nil, m.HW))
-			}
+			total += len(m.Children) + len(m.HW)
 		case f.method == MethodSync && request:
 			var m syncReq
 			err = wire.DecodeBody(f.body, &m)
@@ -374,8 +383,8 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	}
 	// The byte budget on both sides, exact: a layout that grows fails
 	// here, not only on the benchmark.
-	if after.LastRoundDigestBytes != 1276 || after.DigestBytes != 1475 || p.reps[1].Stats().DigestBytes != 60 {
-		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1276), s0 total %d (want 1475), s1 total %d (want 60)",
+	if after.LastRoundDigestBytes != 1276 || after.DigestBytes != 1337 || p.reps[1].Stats().DigestBytes != 60 {
+		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1276), s0 total %d (want 1337), s1 total %d (want 60)",
 			after.LastRoundDigestBytes, after.DigestBytes, p.reps[1].Stats().DigestBytes)
 	}
 
@@ -393,7 +402,7 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	}
 	// One root frame and one single-site high-water map out; a matching
 	// reply carries neither children nor marks.
-	if want := 24 + hwBytes(p.spaces[0].Tree().HighWater()); sections != want || len(p.spaces[0].Tree().HighWater()) != 1 {
+	if want := 24 + len(p.spaces[0].Tree().AppendMarks(nil)); sections != want || len(p.spaces[0].Tree().HighWater()) != 1 {
 		t.Fatalf("converged round exchanged %d digest bytes, want %d", sections, want)
 	}
 	replies := 0

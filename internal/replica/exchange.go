@@ -11,14 +11,21 @@ import (
 	"mocca/internal/wire"
 )
 
+// maxMarksPasses bounds the marks passes of one exchange. A peer under
+// steady writes can mismatch again after every pass; past the bound the
+// exchange verifies the root and descends, so it always ends.
+const maxMarksPasses = 4
+
 // merkleExchange drives one peer exchange through the digest
-// negotiation: root compare (+ high-water fast path) → optional verify →
-// subtree descent → scoped digest exchange over the divergent leaves.
+// negotiation: marks passes (root compare + high-water repair) while they
+// move rows → root verify → subtree descent → scoped digest exchange over
+// the divergent leaves. Descent runs only for a gap the marks cannot name.
 type merkleExchange struct {
 	r         *Replicator
 	peer      netsim.Address
 	st        roundState
 	next      func(roundState)
+	passes    int      // marks passes sent
 	depth     int      // descent steps taken
 	divergent []uint32 // divergent leaf buckets found
 }
@@ -45,14 +52,14 @@ func (m *merkleExchange) count(n int) {
 // — timeout, no such method, undecodable reply — fails the exchange.
 func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 	r := m.r
-	m.count(len(req.Frames) + hwBytes(req.HW))
+	m.count(len(req.Frames) + len(req.HW))
 	r.ep.GoMsg(m.peer, MethodDigest, req, func(res rpc.Result) {
 		var resp digestResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
 			return
 		}
-		m.count(len(resp.Children) + hwBytes(resp.HW))
+		m.count(len(resp.Children) + len(resp.HW))
 		then(resp)
 	}, rpc.CallTimeout(DefaultSyncTimeout), rpc.CallTrace(m.st.trace))
 }
@@ -96,41 +103,59 @@ func rootFrame(tree *information.DigestTree) []byte {
 	return wire.AppendTreeFrames(nil, []wire.TreeFrame{{Path: wire.PackTreePath(0, 0), Hash: tree.Root()}})
 }
 
-// open sends the root frame plus high-water marks. A matching root ends
-// the exchange at one tiny message pair — the converged steady state.
+// open starts the exchange with its first marks pass.
 func (m *merkleExchange) open() {
+	m.r.bump(func(s *Stats) { s.MerkleExchanges++ })
+	m.marksPass()
+}
+
+// marksPass sends the root frame plus the high-water marks. A matching
+// root ends the exchange at one tiny message pair — the converged steady
+// state. On a mismatch it merges the rows the peer's marks prove missing
+// here and pushes the rows this side's marks prove missing there; a pass
+// that moved rows is followed by another, up to maxMarksPasses, since what
+// is left is most often a gap the next marks will name. Only a mismatch
+// the marks cannot explain — nothing to pull, nothing to push — descends.
+func (m *merkleExchange) marksPass() {
 	r := m.r
-	r.bump(func(s *Stats) { s.MerkleExchanges++ })
+	m.passes++
 	tree := r.space.Tree()
-	m.negotiate(digestReq{Frames: rootFrame(tree), HW: tree.HighWater()}, func(resp digestResp) {
+	m.negotiate(digestReq{Frames: rootFrame(tree), HW: tree.AppendMarks(nil)}, func(resp digestResp) {
 		if resp.Match {
-			r.bump(func(s *Stats) { s.ConvergedRoots++ })
+			if m.passes == 1 {
+				r.bump(func(s *Stats) { s.ConvergedRoots++ })
+			}
 			m.finish()
 			return
 		}
-		// High-water fast path: merge the rows the peer's marks prove we
-		// lack, push the rows our marks prove it lacks.
 		applied := m.pull(resp.Deltas)
 		if applied > 0 {
 			r.bump(func(s *Stats) { s.HWFastDeltas += int64(applied) })
 		}
-		push := r.newerThanHW(tree, resp.HW)
+		again := m.marksPass
+		if m.passes >= maxMarksPasses {
+			again = m.verify
+		}
+		push := r.newerThanMarks(tree, resp.HW)
 		switch {
 		case len(push) > 0:
-			m.push(push, m.verify)
+			m.push(push, again)
 		case applied > 0:
-			// State moved: one cheap root recompare before descending.
-			m.verify()
-		default:
+			again()
+		case resp.Children != nil:
 			// Nothing the marks explain: descend from the root's
-			// children the mismatch response already carried.
+			// children the mismatch response carried.
 			m.descend(resp.Children)
+		default:
+			// The peer thought its marks explained the gap, and they
+			// named nothing here: ask for the root's children.
+			m.verify()
 		}
 	})
 }
 
-// verify recompares roots after the fast path moved state; a mismatch
-// descends from the children the response carries.
+// verify recompares the roots alone; a mismatch descends from the
+// children the response carries.
 func (m *merkleExchange) verify() {
 	r := m.r
 	m.negotiate(digestReq{Frames: rootFrame(r.space.Tree())}, func(resp digestResp) {
@@ -242,10 +267,10 @@ func (m *merkleExchange) scopedSync() {
 }
 
 // The digest-byte counters measure the digest sections of the bodies
-// exchanged: tree frames and children sections as carried (len of the
-// encoding), and for high-water maps, id→version-vector digests and
-// want-lists the sizes below, which are what appendHW, appendDigest and
-// wire.AppendStrings write. Data deltas and pushes are never digest bytes.
+// exchanged: tree frames, children and marks sections as carried (len of
+// the encoding), and for id→version-vector digests and want-lists the
+// sizes below, which are what appendDigest and wire.AppendStrings write.
+// Data deltas and pushes are never digest bytes.
 
 func vvBytes(vv vclock.Version) int {
 	n := wire.UvarintLen(uint64(len(vv)))
@@ -261,18 +286,6 @@ func digestMapBytes(d map[string]vclock.Version) int {
 	//lint:allow determinism commutative byte-sum; the total is identical under any iteration order
 	for id, vv := range d {
 		n += len(id) + 4 + vvBytes(vv)
-	}
-	return n
-}
-
-// hwBytes is 0 for an absent (nil) map: no section is encoded.
-func hwBytes(hw map[string]uint64) int {
-	if hw == nil {
-		return 0
-	}
-	n := wire.UvarintLen(uint64(len(hw)))
-	for s, mark := range hw {
-		n += wire.UvarintLen(uint64(len(s))) + len(s) + wire.UvarintLen(mark)
 	}
 	return n
 }

@@ -6,14 +6,14 @@
 // Digest exchange is a Merkle negotiation, not a full-digest ship: each
 // round opens with a root-hash compare over the space's incremental
 // digest tree (information.DigestTree) plus per-site high-water marks.
-// A converged pair exchanges one tiny message; a divergent pair first
-// repairs whatever the high-water marks explain (the single-writer fast
-// path), then descends only the mismatched subtrees and exchanges
-// id→version-vector digests for the divergent leaves alone — so digest
-// bytes are O(1) when converged and O(log n · changed) when not, instead
-// of O(n) every round. The negotiation is the only protocol: a peer
-// whose endpoint does not serve it is an ordinary peer failure, counted
-// and retried like a timeout.
+// A converged pair exchanges one tiny message; a divergent pair repairs
+// whatever the high-water marks explain, pass after pass while passes move
+// rows, and only for a gap the marks cannot name descends the mismatched
+// subtrees and exchanges id→version-vector digests for the divergent
+// leaves alone — so digest bytes are O(1) when converged and
+// O(log n · changed) when not, instead of O(n) every round. The
+// negotiation is the only protocol: a peer whose endpoint does not serve
+// it is an ordinary peer failure, counted and retried like a timeout.
 //
 // Because every exchange is an rpc interrogation, sync traffic traverses
 // the engineering channel stack like all other traffic in the repository:
@@ -107,29 +107,29 @@ type pushReq struct {
 
 // digestReq opens or continues a Merkle digest negotiation. Frames is a
 // wire.AppendTreeFrames encoding of the caller's tree nodes at the
-// current frontier (the root on the opening call). HW carries the
-// caller's per-site high-water marks on the opening call only.
+// current frontier (the root on a marks pass). HW carries the caller's
+// per-site high-water marks on a marks pass only.
 type digestReq struct {
 	Frames []byte
-	// HW is present (possibly empty, but non-nil) exactly on the opening
-	// call, and the wire form keeps nil and empty apart: an empty-replica
-	// caller sends an empty map and still needs the responder's marks and
-	// fast-path deltas (the bulk late-join repair). A nil HW marks a
-	// follow-up step (verify/descent).
-	HW map[string]uint64
+	// HW is the caller's marks section (information.AppendMarks), present
+	// exactly on a marks pass. A replica with no rows still sends one — a
+	// count of zero — and gets the responder's marks and every row back
+	// (the bulk late-join repair). A nil HW marks a root-only verify or a
+	// descent step.
+	HW []byte
 }
 
 // digestResp answers a negotiation step: Match reports that every
-// offered frame agreed; otherwise Children carries, per mismatched
-// internal node, its packed path and its MerkleFanout child hashes in
-// index order (the children section, see codec.go). When the opening
-// call's root mismatched the responder also returns its high-water marks
-// and the rows the caller's marks prove it has never seen (the fast-path
-// delta).
+// offered frame agreed. On a mismatched marks pass the responder returns
+// its own marks section and the rows the caller's marks prove it has never
+// seen; otherwise, and on a marks pass whose marks explain nothing, Children
+// carries per mismatched internal node its packed path and its
+// MerkleFanout child hashes in index order (the children section, see
+// codec.go).
 type digestResp struct {
 	Match    bool
 	Children []byte
-	HW       map[string]uint64
+	HW       []byte
 	Deltas   []*information.Object
 }
 
@@ -224,6 +224,8 @@ type Replicator struct {
 	wantSync       bool         // re-arm requested (write or SyncNow) since round start
 	wantNow        bool         // the pending request asked for an immediate round
 	consecFailures int
+	handOff        []*information.Object // local writes HandOff queued this instant
+	handOffTo      netsim.Address        // the peer they go to
 	stats          Stats
 }
 
@@ -511,10 +513,10 @@ func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts i
 
 // --- gossip-overlay surface ------------------------------------------------
 //
-// These three methods plus SyncSoon are what internal/gossip's Replica
-// interface needs: rumor staleness checks and the rows a push or graft
-// carries. They keep gossip decoupled from this package — the overlay
-// sees an interface, the deployment hands it a *Replicator.
+// These three methods are what internal/gossip's Replica interface
+// needs: rumor staleness checks and the rows a push or graft carries.
+// They keep gossip decoupled from this package — the overlay sees an
+// interface, the deployment hands it a *Replicator.
 
 // HasSeen reports whether the local replica already holds the write of id
 // whose dot is (site, counter) — a rumor for it carries no news. Entries
@@ -545,11 +547,45 @@ func (r *Replicator) ApplyWire(objs []*information.Object) int {
 	return applied
 }
 
-// newerThanHW resolves the tree's past-high-water ids to rows — what a
-// replica with those marks has certainly never seen.
-func (r *Replicator) newerThanHW(tree *information.DigestTree, hw map[string]uint64) []*information.Object {
+// HandOff sends a local write to peer outside any round, so the write
+// exists at a second site from the instant it commits instead of from the
+// next round on. The writes handed off in one instant leave together, in
+// one replica.push at that instant to the peer named last: a burst of
+// commits costs one call, not one per row. A failed hand-off is dropped:
+// anti-entropy repairs whatever it missed.
+func (r *Replicator) HandOff(peer netsim.Address, obj *information.Object) {
+	r.mu.Lock()
+	first := len(r.handOff) == 0
+	r.handOff = append(r.handOff, obj)
+	r.handOffTo = peer
+	r.mu.Unlock()
+	if first {
+		r.clock.AfterFunc(0, r.flushHandOff)
+	}
+}
+
+// flushHandOff pushes the writes HandOff queued.
+func (r *Replicator) flushHandOff() {
+	r.mu.Lock()
+	objs, peer := r.handOff, r.handOffTo
+	r.handOff = nil
+	r.mu.Unlock()
+	var trace wire.TraceContext
+	if r.tracer.On() {
+		trace, _ = r.objects.Lookup(objs[0].ID)
+	}
+	r.ep.GoMsg(peer, MethodPush, pushReq{Objects: objs}, func(res rpc.Result) {
+		if res.Decode(&pushResp{}) == nil {
+			r.bump(func(s *Stats) { s.Pushed += int64(len(objs)) })
+		}
+	}, rpc.CallTimeout(DefaultSyncTimeout), rpc.CallTrace(trace))
+}
+
+// newerThanMarks resolves the tree's ids past a marks section to rows —
+// what a replica with those marks has certainly never seen.
+func (r *Replicator) newerThanMarks(tree *information.DigestTree, marks []byte) []*information.Object {
 	var out []*information.Object
-	for _, id := range tree.NewerThanHW(hw) {
+	for _, id := range tree.NewerThanMarks(marks) {
 		if obj, ok := r.space.Fetch(id); ok {
 			out = append(out, obj)
 		}

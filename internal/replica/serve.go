@@ -85,11 +85,13 @@ func (r *Replicator) serveDeltas(deltas []*information.Object) []*information.Ob
 	return deltas
 }
 
-// serveDigest answers one Merkle negotiation step: for every offered
-// internal frame that mismatches the responder's tree, a children record;
-// on a mismatched opening call (HW present) also the responder's
-// high-water marks and the fast-path rows the caller's marks prove it
-// lacks. A matched root carries no marks: the caller is done.
+// serveDigest answers one Merkle negotiation step. A matched root carries
+// nothing more: the caller is done. On a mismatched marks pass (HW
+// present) the reply carries the responder's own marks and the rows the
+// caller's marks prove it lacks, and the root's children only when the
+// marks explain nothing — no rows for the caller, and no caller mark past
+// the responder's own — since only then will the caller descend. Every
+// other offered internal frame that mismatches draws one children record.
 func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 	r.bump(func(s *Stats) { s.ServedDigests++ })
 	tree := r.space.Tree()
@@ -110,6 +112,13 @@ func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 		}
 	}
 	resp := digestResp{Match: match}
+	if req.HW != nil && !match {
+		resp.HW = tree.AppendMarks(nil)
+		resp.Deltas = r.serveDeltas(r.newerThanMarks(tree, req.HW))
+		if len(resp.Deltas) > 0 || tree.MarksAhead(req.HW) {
+			return resp, nil
+		}
+	}
 	if n := len(internal); n > 0 {
 		resp.Children = wire.AppendUint64(make([]byte, 0, 8+childRecordSize*n), uint64(n))
 		var kids [information.MerkleFanout]uint64
@@ -120,10 +129,6 @@ func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 				resp.Children = wire.AppendUint64(resp.Children, h)
 			}
 		}
-	}
-	if req.HW != nil && !resp.Match {
-		resp.HW = tree.HighWater()
-		resp.Deltas = r.serveDeltas(r.newerThanHW(tree, req.HW))
 	}
 	return resp, nil
 }

@@ -108,7 +108,7 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 			t.Errorf("%s: the served section does not decode back", tc.name)
 		}
 	}
-	if resp, err := r.serveDigest(digestReq{Frames: rootFrame(tree), HW: map[string]uint64{}}); err != nil || !resp.Match || resp.Children != nil || resp.HW != nil {
+	if resp, err := r.serveDigest(digestReq{Frames: rootFrame(tree), HW: marksOf(nil)}); err != nil || !resp.Match || resp.Children != nil || resp.HW != nil {
 		t.Errorf("matching root: %+v, %v", resp, err)
 	}
 }
@@ -136,7 +136,7 @@ func TestBadChildrenSectionIsRefused(t *testing.T) {
 // sync over four buckets.
 func TestServeAllocationCeilings(t *testing.T) {
 	r, ids := servedFixture(t, 64)
-	opening := digestReq{Frames: rootFrame(information.NewDigestTree()), HW: map[string]uint64{}}
+	opening := digestReq{Frames: rootFrame(information.NewDigestTree()), HW: marksOf(nil)}
 	resp, err := r.serveDigest(opening)
 	if err != nil || resp.Match || len(resp.Deltas) != len(ids) {
 		t.Fatalf("opening call: match=%v deltas=%d err=%v", resp.Match, len(resp.Deltas), err)

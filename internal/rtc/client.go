@@ -30,6 +30,7 @@ type Session struct {
 	onEvent   func(Event)
 	pending   map[uint64]Event // out-of-order buffer
 	joined    bool
+	rejoining bool // a re-join started by a gap is in flight
 	hbTimer   vclock.Timer
 	hbPeriod  time.Duration
 	gapsFixed int64
@@ -186,22 +187,45 @@ func (s *Session) Join() error {
 // the join fails.
 func (s *Session) GoJoin(done func(error)) {
 	s.reregister()
+	s.goJoin(func(resp joinResp, err error) {
+		if err != nil {
+			s.unregister()
+		} else {
+			s.finishJoin(resp)
+		}
+		if done != nil {
+			done(err)
+		}
+	})
+}
+
+// goJoin sends the join request and hands then the server's reply.
+func (s *Session) goJoin(then func(joinResp, error)) {
 	s.endpoint.GoMsg(s.server, MethodJoin, joinReq{
 		Conference: s.Conference,
 		Member:     s.Member,
 		Addr:       string(s.endpoint.Addr()),
 	}, func(r rpc.Result) {
 		var resp joinResp
-		if err := r.Decode(&resp); err != nil {
-			s.unregister()
-			if done != nil {
-				done(err)
-			}
-			return
-		}
-		s.finishJoin(resp)
-		if done != nil {
-			done(nil)
+		err := r.Decode(&resp)
+		then(resp, err)
+	})
+}
+
+// rejoin recovers a member that missed a fan-out event. The server sends
+// each event once, so the gap behind an event that arrives past it never
+// fills by itself: a fresh join installs the current snapshot and drains
+// whatever pending holds beyond it. A failed re-join leaves the session
+// registered, so the next event past the gap tries again; a session that
+// left or was detached meanwhile installs nothing.
+func (s *Session) rejoin() {
+	s.goJoin(func(resp joinResp, err error) {
+		s.mu.Lock()
+		s.rejoining = false
+		joined := s.joined
+		s.mu.Unlock()
+		if err == nil && joined {
+			s.finishJoin(resp)
 		}
 	})
 }
@@ -209,14 +233,18 @@ func (s *Session) GoJoin(done func(error)) {
 // finishJoin installs the server snapshot after a successful join reply.
 func (s *Session) finishJoin(resp joinResp) {
 	s.mu.Lock()
-	s.seq = resp.Seq
-	s.state = resp.State
-	if s.state == nil {
-		s.state = make(map[string]string)
-	}
-	s.members = make(map[string]bool, len(resp.Members))
-	for _, m := range resp.Members {
-		s.members[m] = true
+	// Two joins can be in flight (a re-join beside a caller's Join): a
+	// snapshot older than what the session already applied is stale.
+	if !s.joined || resp.Seq >= s.seq {
+		s.seq = resp.Seq
+		s.state = resp.State
+		if s.state == nil {
+			s.state = make(map[string]string)
+		}
+		s.members = make(map[string]bool, len(resp.Members))
+		for _, m := range resp.Members {
+			s.members[m] = true
+		}
 	}
 	s.joined = true
 	// Events can outrun the join reply (the server broadcasts the joined
@@ -358,7 +386,7 @@ func (s *Session) GapsRepaired() int64 {
 }
 
 // apply folds a server event into the replica, buffering out-of-order
-// arrivals until the gap closes.
+// arrivals until a re-join closes the gap.
 func (s *Session) apply(ev Event) {
 	s.mu.Lock()
 	if !s.joined {
@@ -373,8 +401,15 @@ func (s *Session) apply(ev Event) {
 		return // duplicate
 	}
 	if ev.Seq != s.seq+1 {
+		// A gap: the events before this one are lost, not late. Buffer
+		// it and fetch a snapshot, unless a re-join is on its way.
 		s.pending[ev.Seq] = ev
+		rejoin := !s.rejoining
+		s.rejoining = true
 		s.mu.Unlock()
+		if rejoin {
+			s.rejoin()
+		}
 		return
 	}
 	deliver := []Event{ev}
@@ -417,6 +452,9 @@ func (s *Session) scheduleHeartbeat() {
 	defer s.mu.Unlock()
 	if !s.joined {
 		return
+	}
+	if s.hbTimer != nil {
+		s.hbTimer.Stop() // a re-join must not start a second beat
 	}
 	s.hbTimer = s.clock.AfterFunc(s.hbPeriod, func() {
 		s.mu.Lock()

@@ -2,6 +2,9 @@ package rtc
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -300,6 +303,74 @@ func TestResyncAfterPartition(t *testing.T) {
 	}
 	if b.Seq() != a.Seq() {
 		t.Fatalf("seqs diverged after resync: %d vs %d", b.Seq(), a.Seq())
+	}
+}
+
+// TestMissedEventRecoversWithoutJoin: a member that misses one fan-out
+// event recovers on its own. b is cut off for one Set and healed, and a
+// makes five more: the first of them arrives past b's gap, b re-joins, and
+// afterwards its state equals a's with nothing left waiting in pending.
+func TestMissedEventRecoversWithoutJoin(t *testing.T) {
+	f := newRTCFixture(t, ModeOpen)
+	a := f.session(t, "a")
+	b := f.session(t, "b")
+	f.mustDrive(t, a.Join)
+	f.mustDrive(t, b.Join)
+
+	f.net.Partition([]netsim.Address{"mcu", "a"}, []netsim.Address{"b"})
+	f.mustDrive(t, func() error { return a.Set("k", "missed") })
+	f.clk.RunUntilIdle()
+	f.net.Heal()
+	for i := range 5 {
+		f.mustDrive(t, func() error { return a.Set(fmt.Sprint("k", i), "after") })
+	}
+	f.clk.RunUntilIdle()
+
+	if got, want := b.State(), a.State(); !maps.Equal(got, want) {
+		t.Fatalf("b's state %v, a's %v", got, want)
+	}
+	if b.Seq() != a.Seq() {
+		t.Fatalf("b at seq %d, a at %d", b.Seq(), a.Seq())
+	}
+	b.mu.Lock()
+	waiting := len(b.pending)
+	b.mu.Unlock()
+	if waiting != 0 {
+		t.Fatalf("%d events still wait in b's pending", waiting)
+	}
+}
+
+// TestFailedRejoinStaysRegistered: a re-join that fails leaves the session
+// in its endpoint's mux, so the next event past the gap tries again.
+func TestFailedRejoinStaysRegistered(t *testing.T) {
+	f := newRTCFixture(t, ModeOpen)
+	a := f.session(t, "a")
+	b := f.session(t, "b")
+	f.mustDrive(t, a.Join)
+	f.mustDrive(t, b.Join)
+
+	// b misses one event, then sees the next; its re-join request is lost.
+	f.net.Partition([]netsim.Address{"mcu", "a"}, []netsim.Address{"b"})
+	f.mustDrive(t, func() error { return a.Set("k", "missed") })
+	f.net.Heal()
+	f.net.SetLink("b", "mcu", netsim.LinkProfile{Latency: 20 * time.Millisecond, Loss: 1})
+	f.mustDrive(t, func() error { return a.Set("k", "seen") })
+	f.clk.RunUntilIdle()
+	b.mu.Lock()
+	rejoining := b.rejoining
+	b.mu.Unlock()
+	b.mux.mu.Lock()
+	registered := slices.Contains(b.mux.sessions[f.cid], b)
+	b.mux.mu.Unlock()
+	if rejoining || !registered || b.Get("k") == "seen" {
+		t.Fatalf("after a failed re-join: rejoining=%v registered=%v k=%q", rejoining, registered, b.Get("k"))
+	}
+
+	f.net.SetLink("b", "mcu", netsim.LinkProfile{Latency: 20 * time.Millisecond})
+	f.mustDrive(t, func() error { return a.Set("k", "final") })
+	f.clk.RunUntilIdle()
+	if b.Get("k") != "final" || b.Seq() != a.Seq() {
+		t.Fatalf("b did not recover on the next event: k=%q seq %d, a at %d", b.Get("k"), b.Seq(), a.Seq())
 	}
 }
 

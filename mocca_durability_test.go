@@ -377,3 +377,30 @@ func TestRestartRequiresCrash(t *testing.T) {
 		t.Fatalf("Restart after Crash: %v", err)
 	}
 }
+
+// TestMeshWriteSurvivesOriginCrash: on the mesh, a write leaves its site as
+// it commits. The writer crashes one round trip later, long before its next
+// round, and comes back with an empty in-memory replica; the write is not
+// lost, because its ring successor already held it.
+func TestMeshWriteSurvivesOriginCrash(t *testing.T) {
+	dep := NewDeployment(WithSeed(7))
+	sites := []*Site{dep.AddSite("s0", "s0.org"), dep.AddSite("s1", "s1.org"),
+		dep.AddSite("s2", "s2.org"), dep.AddSite("s3", "s3.org")}
+	dep.Run()
+	obj, err := sites[1].Space().Put("prinz", SharedSchemaName, map[string]string{"title": "late"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.Advance(40 * time.Millisecond) // one round trip at the default 20 ms latency
+	sites[1].Crash()
+	dep.Run()
+	if err := sites[1].Restart(); err != nil {
+		t.Fatal(err)
+	}
+	dep.Run()
+	for _, s := range sites {
+		if _, ok := s.Space().Fetch(obj.ID); !ok {
+			t.Fatalf("site %s lost the write its origin crashed after", s.Name)
+		}
+	}
+}

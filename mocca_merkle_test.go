@@ -3,6 +3,7 @@ package mocca
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"mocca/internal/information"
 )
@@ -80,11 +81,13 @@ func TestMerkleDigestScaleAcceptance(t *testing.T) {
 		t.Fatal("converged round shipped digest entries")
 	}
 
-	// k changed objects, each hidden from the fast path by a genuine gap:
-	// a later s00 write reaches s01 first (applied directly, as a relay by
-	// a third site would carry it), so s01's mark for s00 already covers
-	// the k earlier ones — forcing the descent machinery the criterion is
-	// about.
+	// k changed objects, each hidden from the marks by a genuine gap: s00
+	// makes them while s01 is cut off, so neither the hand-off at commit
+	// nor a round reaches s01, and a later s00 write reaches s01 first
+	// (applied directly, as a relay by a third site would carry it). s01's
+	// mark for s00 then covers the k earlier ones — forcing the descent
+	// machinery the criterion is about. The heal kicks a round at both
+	// sites, so the repair's cost is read off both.
 	const k = 3
 	update := func(id, title string) *information.Object {
 		cur, err := sites[0].Space().Get("ada", id)
@@ -97,15 +100,27 @@ func TestMerkleDigestScaleAcceptance(t *testing.T) {
 		}
 		return upd
 	}
-	before = statsFor(t, dep, "s00")
+	both := func() (descents, digestBytes int64) {
+		for _, s := range sites {
+			st := statsFor(t, dep, s.Name)
+			descents += st.DescentCalls
+			digestBytes += st.DigestBytes
+		}
+		return descents, digestBytes
+	}
+	descentsBefore, bytesBefore := both()
+	dep.Network().Partition(sites[1].Addrs())
 	for i := 0; i < k; i++ {
 		update(ids[100+i*777], fmt.Sprintf("cold v2 #%d", i))
 	}
-	if _, _, err := sites[1].Space().ApplyRemote(update(ids[0], "relayed")); err != nil {
+	relayed := update(ids[0], "relayed")
+	dep.Advance(time.Millisecond) // the hand-offs leave, into the cut
+	dep.Network().Heal()
+	if _, _, err := sites[1].Space().ApplyRemote(relayed); err != nil {
 		t.Fatal(err)
 	}
 	dep.Run()
-	after = statsFor(t, dep, "s00")
+	descentsAfter, bytesAfter := both()
 
 	for i := 0; i < k; i++ {
 		got, err := sites[1].Space().Get("ada", ids[100+i*777])
@@ -113,13 +128,45 @@ func TestMerkleDigestScaleAcceptance(t *testing.T) {
 			t.Fatalf("cold update %d did not converge: %v %v", i, got, err)
 		}
 	}
-	if after.DescentCalls <= before.DescentCalls {
-		t.Fatalf("repair ran without descent: %+v", after.Stats)
+	if descentsAfter <= descentsBefore {
+		t.Fatalf("repair ran without descent: %+v", statsFor(t, dep, "s00").Stats)
 	}
-	divergentBytes := after.DigestBytes - before.DigestBytes
+	divergentBytes := bytesAfter - bytesBefore
 	if divergentBytes == 0 || divergentBytes > 20_000 {
 		t.Fatalf("divergent repair cost %d digest bytes, want O(log n · k) ≪ O(n)", divergentBytes)
 	}
 	t.Logf("digest bytes at %d objects: converged round=%d, %d-object repair=%d",
 		n, after.LastRoundDigestBytes, k, divergentBytes)
+}
+
+// TestSeedingRepairsWithoutDescent: sixteen sites each write rows at the
+// same instant, the burst a workload's seeding makes. Every gap the rounds
+// meet is one the high-water marks name — a site's writes it has not seen
+// yet — so repeated marks passes repair all of them, and no site descends
+// the tree.
+func TestSeedingRepairsWithoutDescent(t *testing.T) {
+	dep := NewDeployment(WithSeed(1992))
+	var sites []*Site
+	for i := range 16 {
+		sites = append(sites, dep.AddSite(fmt.Sprintf("s%02d", i), fmt.Sprintf("s%02d.org", i)))
+	}
+	dep.Run()
+	const rows = 8
+	for _, s := range sites {
+		for i := range rows {
+			if _, err := s.Space().Put("ada", SharedSchemaName,
+				map[string]string{"title": fmt.Sprintf("%s doc %d", s.Name, i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dep.Run()
+	for _, s := range sites {
+		if got := s.Space().Len(); got != len(sites)*rows {
+			t.Fatalf("site %s holds %d rows, want %d", s.Name, got, len(sites)*rows)
+		}
+		if st := statsFor(t, dep, s.Name); st.DescentCalls != 0 {
+			t.Fatalf("site %s descended %d times: %+v", s.Name, st.DescentCalls, st.Stats)
+		}
+	}
 }

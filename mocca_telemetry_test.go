@@ -256,11 +256,12 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	if want := s0.Replicator().Stats().Rounds; snap.Value("mocca.sync.rounds", observe.L("site", "s0")...) != want {
 		t.Fatalf("sync.rounds diverged from replica.Stats")
 	}
-	// How the digest negotiation repaired the one write: s1 pulled it
-	// straight off the high-water marks, s0 served it, nobody descended.
+	// How the one write travelled: s0 handed it to s1 as it committed (one
+	// push), and no round had to descend for it.
 	for _, site := range []*Site{s0, s1} {
 		rs := site.Replicator().Stats()
 		for name, want := range map[string]int64{
+			"mocca.sync.pushed":         rs.Pushed,
 			"mocca.sync.hw_fast_deltas": rs.HWFastDeltas,
 			"mocca.sync.descent_calls":  rs.DescentCalls,
 			"mocca.sync.deltas_served":  rs.DeltasServed,
@@ -269,10 +270,12 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 				t.Fatalf("%s{site=%s} = %d, replica.Stats says %d", name, site.Name, got, want)
 			}
 		}
+		if rs.DescentCalls != 0 {
+			t.Fatalf("site %s descended for a write the hand-off carried: %+v", site.Name, rs)
+		}
 	}
-	if snap.Value("mocca.sync.hw_fast_deltas", observe.L("site", "s1")...) == 0 ||
-		snap.Value("mocca.sync.deltas_served", observe.L("site", "s0")...) == 0 {
-		t.Fatalf("the fast-path repair is not in the projection: %+v", snap.Points)
+	if snap.Value("mocca.sync.pushed", observe.L("site", "s0")...) != 1 || s1.Space().Len() != 1 {
+		t.Fatalf("the hand-off at commit is not in the projection: %+v", snap.Points)
 	}
 
 	var buf bytes.Buffer

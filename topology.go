@@ -33,13 +33,46 @@ type topology interface {
 }
 
 // meshTopology peers every site with every other site and owns no plane
-// of its own: anti-entropy rounds are the only propagation path.
+// of its own: anti-entropy rounds spread the writes, and each write is
+// handed to one other site as it commits.
 type meshTopology struct{ d *Deployment }
 
-func (meshTopology) addrs(*Site) []netsim.Address         { return nil }
-func (meshTopology) left(*Site)                           {}
-func (meshTopology) committed(*Site, *information.Object) {}
-func (meshTopology) healed()                              {}
+func (meshTopology) addrs(*Site) []netsim.Address { return nil }
+func (meshTopology) left(*Site)                   {}
+func (meshTopology) healed()                      {}
+
+// committed hands the fresh write to the site's ring successor — the next
+// replication address in sorted order, wrapping around — in the push
+// that carries the site's writes of this instant (Replicator.HandOff). A
+// write made between rounds then does not live at its origin alone until
+// the next round, so a crash in that gap does not lose it. The successor
+// gets each site's writes in commit order, so the hand-off opens no gap in
+// its high-water marks.
+func (m meshTopology) committed(s *Site, obj *information.Object) {
+	if s.crashed {
+		return
+	}
+	self := s.repl.Addr()
+	var next, first netsim.Address
+	for _, other := range m.d.sites {
+		addr := other.repl.Addr()
+		if addr == self {
+			continue
+		}
+		if first == "" || addr < first {
+			first = addr
+		}
+		if addr > self && (next == "" || addr < next) {
+			next = addr
+		}
+	}
+	if next == "" {
+		next = first
+	}
+	if next != "" {
+		s.repl.HandOff(next, obj)
+	}
+}
 
 func (m meshTopology) joined(s *Site, first bool) {
 	for _, other := range m.d.sites {
