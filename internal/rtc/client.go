@@ -215,9 +215,11 @@ func (s *Session) goJoin(then func(joinResp, error)) {
 // rejoin recovers a member that missed a fan-out event. The server sends
 // each event once, so the gap behind an event that arrives past it never
 // fills by itself: a fresh join installs the current snapshot and drains
-// whatever pending holds beyond it. A failed re-join leaves the session
-// registered, so the next event past the gap tries again; a session that
-// left or was detached meanwhile installs nothing.
+// whatever pending holds beyond it. The server tells nobody of a join by a
+// member already present, so a re-join opens no gap elsewhere. A failed
+// re-join leaves the session registered, so the next event past the gap
+// tries again; a session that left or was detached meanwhile installs
+// nothing.
 func (s *Session) rejoin() {
 	s.goJoin(func(resp joinResp, err error) {
 		s.mu.Lock()
@@ -401,8 +403,10 @@ func (s *Session) apply(ev Event) {
 		return // duplicate
 	}
 	if ev.Seq != s.seq+1 {
-		// A gap: the events before this one are lost, not late. Buffer
-		// it and fetch a snapshot, unless a re-join is on its way.
+		// A gap: the events before this one are lost or late. Buffer
+		// it and fetch a snapshot, unless a re-join is on its way; the
+		// snapshot covers both, and a late event that arrives after it
+		// is a duplicate.
 		s.pending[ev.Seq] = ev
 		rejoin := !s.rejoining
 		s.rejoining = true

@@ -91,14 +91,15 @@ func TestBodiesRejectDamage(t *testing.T) {
 	})
 }
 
-// tappedConference is an MCU and n member sessions ("m00"…), each on its own
-// node, with the same options — a tap — on every endpoint.
 // quietLink is a link that loses nothing.
 var quietLink = netsim.LinkProfile{Latency: 10 * time.Millisecond}
 
+// tappedConference is an MCU and n member sessions ("m00"…), each on its own
+// node, with the same options — a tap — on every endpoint.
 type tappedConference struct {
 	clk      *vclock.Simulated
 	net      *netsim.Network
+	server   *Server
 	sessions []*Session
 }
 
@@ -111,7 +112,7 @@ func newTappedConference(tb testing.TB, n int, link netsim.LinkProfile, tap ...r
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := &tappedConference{clk: clk, net: net}
+	c := &tappedConference{clk: clk, net: net, server: server}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("m%02d", i)
 		ep := rpc.NewEndpoint(net.MustAddNode(netsim.Address(name)), clk, tap...)

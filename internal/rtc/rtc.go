@@ -321,8 +321,16 @@ func (s *Server) join(from netsim.Address, req joinReq) (joinResp, error) {
 	if addr == "" {
 		addr = from
 	}
-	conf.members[req.Member] = &member{name: req.Member, addr: addr, lastSeen: s.clock.Now()}
-	s.stats.Joins++
+	// A member already present joins again to fetch the snapshot over a
+	// gap (Session.rejoin): it is no arrival, so nobody hears of it — a
+	// broadcast would open gaps at the members that lose it.
+	mem, present := conf.members[req.Member]
+	if present {
+		mem.addr, mem.lastSeen = addr, s.clock.Now()
+	} else {
+		conf.members[req.Member] = &member{name: req.Member, addr: addr, lastSeen: s.clock.Now()}
+		s.stats.Joins++
+	}
 	state := make(map[string]string, len(conf.state))
 	for k, v := range conf.state {
 		state[k] = v
@@ -335,7 +343,9 @@ func (s *Server) join(from netsim.Address, req joinReq) (joinResp, error) {
 	resp := joinResp{Seq: conf.seq, State: state, Members: names, Mode: int(conf.mode), Title: conf.title}
 	s.mu.Unlock()
 
-	s.broadcast(req.Conference, Event{Kind: EventJoined, From: req.Member})
+	if !present {
+		s.broadcast(req.Conference, Event{Kind: EventJoined, From: req.Member})
+	}
 	return resp, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
+	"mocca/internal/wire/wiretest"
 )
 
 type rtcFixture struct {
@@ -371,6 +372,51 @@ func TestFailedRejoinStaysRegistered(t *testing.T) {
 	f.clk.RunUntilIdle()
 	if b.Get("k") != "final" || b.Seq() != a.Seq() {
 		t.Fatalf("b did not recover on the next event: k=%q seq %d, a at %d", b.Get("k"), b.Seq(), a.Seq())
+	}
+}
+
+// TestRecoveryCausesNoFanOut: on a lossy, jittery link members re-join
+// for every gap they see, and a join by a member already present
+// broadcasts nothing, so recovery opens no gap at anyone else. Once the
+// updates stop, the server has sent one broadcast per first join and per
+// update, and every member at the last sequence number holds one state.
+func TestRecoveryCausesNoFanOut(t *testing.T) {
+	bodies := map[string][][]byte{}
+	c := newTappedConference(t, 12, netsim.LinkProfile{Latency: 10 * time.Millisecond, Jitter: 30 * time.Millisecond, Loss: 0.15},
+		wiretest.Tap(bodies))
+	c.joinAll()
+	for i := range 40 {
+		c.sessions[i%len(c.sessions)].GoSet("k", fmt.Sprint(i), nil)
+	}
+	c.clk.RunUntilIdle()
+
+	requests := 0
+	for _, b := range bodies[MethodJoin] {
+		if b[0] == tagJoinReq {
+			requests++
+		}
+	}
+	st := c.server.Stats()
+	if requests <= len(c.sessions) {
+		t.Fatalf("%d join requests from %d members: no member re-joined", requests, len(c.sessions))
+	}
+	if st.Joins > int64(len(c.sessions)) || st.Broadcasts != st.Joins+st.Updates {
+		t.Fatalf("%d join requests: %d joins, %d updates, %d broadcasts", requests, st.Joins, st.Updates, st.Broadcasts)
+	}
+	var last uint64
+	for _, s := range c.sessions {
+		last = max(last, s.Seq())
+	}
+	var want map[string]string
+	for _, s := range c.sessions {
+		if s.Seq() != last {
+			continue
+		}
+		if want == nil {
+			want = s.State()
+		} else if got := s.State(); !maps.Equal(got, want) {
+			t.Fatalf("%s at seq %d holds %v, another member %v", s.Member, last, got, want)
+		}
 	}
 }
 

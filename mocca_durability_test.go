@@ -381,26 +381,38 @@ func TestRestartRequiresCrash(t *testing.T) {
 // TestMeshWriteSurvivesOriginCrash: on the mesh, a write leaves its site as
 // it commits. The writer crashes one round trip later, long before its next
 // round, and comes back with an empty in-memory replica; the write is not
-// lost, because its ring successor already held it.
+// lost, because its ring successor already held it. While the successor
+// itself is down, the write goes to the next live site on the ring.
 func TestMeshWriteSurvivesOriginCrash(t *testing.T) {
-	dep := NewDeployment(WithSeed(7))
-	sites := []*Site{dep.AddSite("s0", "s0.org"), dep.AddSite("s1", "s1.org"),
-		dep.AddSite("s2", "s2.org"), dep.AddSite("s3", "s3.org")}
-	dep.Run()
-	obj, err := sites[1].Space().Put("prinz", SharedSchemaName, map[string]string{"title": "late"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.Advance(40 * time.Millisecond) // one round trip at the default 20 ms latency
-	sites[1].Crash()
-	dep.Run()
-	if err := sites[1].Restart(); err != nil {
-		t.Fatal(err)
-	}
-	dep.Run()
-	for _, s := range sites {
-		if _, ok := s.Space().Fetch(obj.ID); !ok {
-			t.Fatalf("site %s lost the write its origin crashed after", s.Name)
-		}
+	for _, successorDown := range []bool{false, true} {
+		t.Run(fmt.Sprintf("successorDown=%v", successorDown), func(t *testing.T) {
+			dep := NewDeployment(WithSeed(7))
+			sites := []*Site{dep.AddSite("s0", "s0.org"), dep.AddSite("s1", "s1.org"),
+				dep.AddSite("s2", "s2.org"), dep.AddSite("s3", "s3.org")}
+			dep.Run()
+			if successorDown {
+				sites[2].Crash()
+			}
+			obj, err := sites[1].Space().Put("prinz", SharedSchemaName, map[string]string{"title": "late"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep.Advance(40 * time.Millisecond) // one round trip at the default 20 ms latency
+			sites[1].Crash()
+			dep.Run()
+			for _, s := range sites[1:3] {
+				if s.crashed {
+					if err := s.Restart(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			dep.Run()
+			for _, s := range sites {
+				if _, ok := s.Space().Fetch(obj.ID); !ok {
+					t.Fatalf("site %s lost the write its origin crashed after", s.Name)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mocca/internal/observe"
 )
@@ -256,26 +257,46 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	if want := s0.Replicator().Stats().Rounds; snap.Value("mocca.sync.rounds", observe.L("site", "s0")...) != want {
 		t.Fatalf("sync.rounds diverged from replica.Stats")
 	}
-	// How the one write travelled: s0 handed it to s1 as it committed (one
-	// push), and no round had to descend for it.
-	for _, site := range []*Site{s0, s1} {
-		rs := site.Replicator().Stats()
-		for name, want := range map[string]int64{
-			"mocca.sync.pushed":         rs.Pushed,
-			"mocca.sync.hw_fast_deltas": rs.HWFastDeltas,
-			"mocca.sync.descent_calls":  rs.DescentCalls,
-			"mocca.sync.deltas_served":  rs.DeltasServed,
-		} {
-			if got := snap.Value(name, observe.L("site", site.Name)...); got != want {
-				t.Fatalf("%s{site=%s} = %d, replica.Stats says %d", name, site.Name, got, want)
+	// The repair counters project replica.Stats as they are, site by site.
+	matchesStats := func(snap observe.Snapshot) {
+		t.Helper()
+		for _, site := range []*Site{s0, s1} {
+			rs := site.Replicator().Stats()
+			for name, want := range map[string]int64{
+				"mocca.sync.pushed":         rs.Pushed,
+				"mocca.sync.hw_fast_deltas": rs.HWFastDeltas,
+				"mocca.sync.descent_calls":  rs.DescentCalls,
+				"mocca.sync.deltas_served":  rs.DeltasServed,
+			} {
+				if got := snap.Value(name, observe.L("site", site.Name)...); got != want {
+					t.Fatalf("%s{site=%s} = %d, replica.Stats says %d", name, site.Name, got, want)
+				}
+			}
+			if rs.DescentCalls != 0 {
+				t.Fatalf("site %s descended for a gap the marks name: %+v", site.Name, rs)
 			}
 		}
-		if rs.DescentCalls != 0 {
-			t.Fatalf("site %s descended for a write the hand-off carried: %+v", site.Name, rs)
-		}
 	}
+	// How the one write travelled: s0 handed it to s1 as it committed (one
+	// push), and no round had to descend for it.
+	matchesStats(snap)
 	if snap.Value("mocca.sync.pushed", observe.L("site", "s0")...) != 1 || s1.Space().Len() != 1 {
 		t.Fatalf("the hand-off at commit is not in the projection: %+v", snap.Points)
+	}
+	// A write made while s1 is cut off misses its hand-off. After the heal
+	// a marks pass repairs it: s1 pulls it off the marks, s0 serves it.
+	dep.Network().Partition(s1.Addrs())
+	if _, err := s0.Space().Put("ada", SharedSchemaName, map[string]string{"title": "y"}); err != nil {
+		t.Fatal(err)
+	}
+	dep.Advance(time.Millisecond) // the hand-off leaves, into the cut
+	dep.Network().Heal()
+	dep.Run()
+	snap = dep.Metrics().Snapshot()
+	matchesStats(snap)
+	if snap.Value("mocca.sync.hw_fast_deltas", observe.L("site", "s1")...) == 0 ||
+		snap.Value("mocca.sync.deltas_served", observe.L("site", "s0")...) == 0 || s1.Space().Len() != 2 {
+		t.Fatalf("the marks-pass repair is not in the projection: %+v", snap.Points)
 	}
 
 	var buf bytes.Buffer

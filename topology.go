@@ -42,12 +42,13 @@ func (meshTopology) left(*Site)                   {}
 func (meshTopology) healed()                      {}
 
 // committed hands the fresh write to the site's ring successor — the next
-// replication address in sorted order, wrapping around — in the push
+// live replication address in sorted order, wrapping around — in the push
 // that carries the site's writes of this instant (Replicator.HandOff). A
 // write made between rounds then does not live at its origin alone until
-// the next round, so a crash in that gap does not lose it. The successor
-// gets each site's writes in commit order, so the hand-off opens no gap in
-// its high-water marks.
+// the next round, so a crash in that gap does not lose it. A crashed site
+// is out of the ring, as it is out of the overlay's membership: a hand-off
+// to it would be dropped. The successor gets each site's writes in commit
+// order, so the hand-off opens no gap in its high-water marks.
 func (m meshTopology) committed(s *Site, obj *information.Object) {
 	if s.crashed {
 		return
@@ -56,7 +57,7 @@ func (m meshTopology) committed(s *Site, obj *information.Object) {
 	var next, first netsim.Address
 	for _, other := range m.d.sites {
 		addr := other.repl.Addr()
-		if addr == self {
+		if addr == self || other.crashed {
 			continue
 		}
 		if first == "" || addr < first {
