@@ -16,25 +16,29 @@ import (
 // wire.Empty: a reply arriving is all the caller learns. Disconnect and
 // prune are announcements with the empty body: the frame's source is all
 // they say. No push, ihave or prune names its sender, and none carries a
-// vector beside a row: each write is named by its id and dot.
+// vector beside a row: each write is named by its dot alone, and a push
+// or a graft's reply pairs the dot with its row. A graft's reply is a
+// gossip.rumor body: the grafter takes it as a push.
 //
 // The tags have the high bit set, so a body in a hex dump names its message.
 // Retired tags are not reused, so an old peer's body fails on its first
 // byte: 0x91, the rumor that carried its sender and whole vectors; 0x92, the
-// rumor reply; 0x9A, the rumor that carried dots without rows, for a fetch.
-// Peer (0x95) no longer asks for a link: neighborReq does.
+// rumor reply; 0x9A, the rumor that carried dots without rows, for a fetch;
+// 0x93, 0x94 and 0x9C, the graft by ids, its list of rows and the ihave
+// whose dots carried ids. Peer (0x95) no longer asks for a link:
+// neighborReq does. forwardJoinReq's TTL was eight bytes until it became a
+// uvarint; an old body fails on the seven bytes left over.
 const (
-	tagGraftReq       byte = 0x93
-	tagGraftResp      byte = 0x94
 	tagPeer           byte = 0x95
 	tagJoinResp       byte = 0x96
 	tagForwardJoinReq byte = 0x97
 	tagShuffleReq     byte = 0x98
 	tagShuffleResp    byte = 0x99
 	tagRumorReq       byte = 0x9B
-	tagIhaveReq       byte = 0x9C
 	tagNeighborReq    byte = 0x9D
 	tagNeighborResp   byte = 0x9E
+	tagIhaveReq       byte = 0x9F
+	tagGraftReq       byte = 0xA0
 )
 
 // appendPeer writes a peer: its site, gossip address and replication
@@ -99,13 +103,13 @@ func (m *joinResp) UnmarshalBinary(data []byte) error {
 // AppendBinary implements encoding.BinaryAppender.
 func (m forwardJoinReq) AppendBinary(b []byte) ([]byte, error) {
 	b = appendPeer(append(b, tagForwardJoinReq), m.Joiner)
-	return wire.AppendUint64(b, uint64(m.TTL)), nil
+	return wire.AppendUvarint(b, m.TTL), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *forwardJoinReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagForwardJoinReq, "forwardJoinReq")
-	*m = forwardJoinReq{Joiner: consumePeer(&b), TTL: b.Int()}
+	*m = forwardJoinReq{Joiner: consumePeer(&b), TTL: b.Uvarint()}
 	return b.Close()
 }
 
@@ -229,50 +233,50 @@ func (m *rumorReq) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
+// appendDots writes a list of dots: a uvarint count, then each dot's site
+// and counter.
+func appendDots(b []byte, dots []dot) []byte {
+	b = wire.AppendUvarint(b, uint64(len(dots)))
+	for _, d := range dots {
+		b = wire.AppendVarString(b, d.Site)
+		b = wire.AppendUvarint(b, d.Counter)
+	}
+	return b
+}
+
+// consumeDots reads a list of dots; an empty one reads as nil.
+func consumeDots(b *wire.Body) []dot {
+	n := b.UvarintCount(1 + 1) // site prefix + counter
+	if n == 0 {
+		return nil
+	}
+	dots := make([]dot, n)
+	for i := range dots {
+		dots[i] = dot{Site: b.VarString(), Counter: b.Uvarint()}
+	}
+	return dots
+}
+
 // AppendBinary implements encoding.BinaryAppender.
 func (m ihaveReq) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendUvarint(append(b, tagIhaveReq), uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = wire.AppendVarString(b, e.ID)
-		b = wire.AppendVarString(b, e.Site)
-		b = wire.AppendUvarint(b, e.Counter)
-	}
-	return b, nil
+	return appendDots(append(b, tagIhaveReq), m.Dots), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *ihaveReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagIhaveReq, "ihaveReq")
-	*m = ihaveReq{}
-	if n := b.UvarintCount(3); n > 0 { // id and site prefixes + counter
-		m.Entries = make([]rumorEntry, n)
-		for i := range m.Entries {
-			m.Entries[i] = rumorEntry{ID: b.VarString(), Site: b.VarString(), Counter: b.Uvarint()}
-		}
-	}
+	*m = ihaveReq{Dots: consumeDots(&b)}
 	return b.Close()
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m graftReq) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendStrings(append(b, tagGraftReq), m.IDs), nil
+	return appendDots(append(b, tagGraftReq), m.Dots), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *graftReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagGraftReq, "graftReq")
-	*m = graftReq{IDs: b.Strings()}
-	return b.Close()
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m graftResp) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendList(append(b, tagGraftResp), m.Objects, information.AppendObject), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *graftResp) UnmarshalBinary(data []byte) error {
-	b := wire.OpenBody(data, tagGraftResp, "graftResp")
-	*m = graftResp{Objects: information.ConsumeObjects(&b)}
+	*m = graftReq{Dots: consumeDots(&b)}
 	return b.Close()
 }

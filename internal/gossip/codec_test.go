@@ -55,11 +55,11 @@ func wideVV() vclock.Version {
 	return wide
 }
 
-// rumorEntries is n rumor entries the size a 16-site organization's are.
-func rumorEntries(n int) []rumorEntry {
-	out := make([]rumorEntry, n)
+// someDots is n dots the size a 16-site organization's are.
+func someDots(n int) []dot {
+	out := make([]dot, n)
 	for i := range out {
-		out[i] = rumorEntry{ID: fmt.Sprintf("obj%06d", i), Site: fmt.Sprintf("s%03d", i%16), Counter: uint64(i + 1)}
+		out[i] = dot{Site: fmt.Sprintf("s%03d", i%16), Counter: uint64(i + 1)}
 	}
 	return out
 }
@@ -88,22 +88,21 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("rumorReq/batch", rumorReq{Entries: pushed}),
 		wiretest.Of("rumorReq/edge rows", rumorReq{Entries: edgePushed}),
 		wiretest.Of("rumorReq/zero", rumorReq{}, rumorReq{Entries: []pushEntry{}}),
-		wiretest.Of("ihaveReq", ihaveReq{Entries: rumorEntries(1)}),
-		wiretest.Of("ihaveReq/batch", ihaveReq{Entries: rumorEntries(64)}),
-		wiretest.Of("ihaveReq/edge", ihaveReq{Entries: []rumorEntry{
-			{ID: "obj-ünï-日本", Site: "köln", Counter: 1<<64 - 1}, {}}}),
-		wiretest.Of("ihaveReq/zero", ihaveReq{}, ihaveReq{Entries: []rumorEntry{}}),
+		wiretest.Of("rumorReq/graft reply", rumorReq{Entries: pushed[3:5]}),
+		wiretest.Of("ihaveReq", ihaveReq{Dots: someDots(1)}),
+		wiretest.Of("ihaveReq/batch", ihaveReq{Dots: someDots(64)}),
+		wiretest.Of("ihaveReq/edge", ihaveReq{Dots: []dot{{Site: "köln", Counter: 1<<64 - 1}, {}}}),
+		wiretest.Of("ihaveReq/zero", ihaveReq{}, ihaveReq{Dots: []dot{}}),
 		wiretest.Of("neighborReq", neighborReq{From: from}),
 		wiretest.Of("neighborReq/ring", neighborReq{From: from, Ring: true}),
 		wiretest.Of("neighborReq/lonely ring", neighborReq{From: from, Ring: true, Lonely: true}),
 		wiretest.Of("neighborReq/zero", neighborReq{}),
 		wiretest.Of("neighborResp", neighborResp{Accepted: true}),
 		wiretest.Of("neighborResp/refused", neighborResp{}),
-		wiretest.Of("graftReq", graftReq{IDs: []string{"obj000001", "obj-ünï-日本", ""}}),
-		wiretest.Of("graftReq/zero", graftReq{}),
-		wiretest.Of("graftResp", graftResp{Objects: rows}),
-		wiretest.Of("graftResp/edge rows", graftResp{Objects: edgeRows()}),
-		wiretest.Of("graftResp/zero", graftResp{}),
+		wiretest.Of("graftReq", graftReq{Dots: someDots(2)}),
+		wiretest.Of("graftReq/batch", graftReq{Dots: someDots(64)}),
+		wiretest.Of("graftReq/edge", graftReq{Dots: []dot{{Site: "köln", Counter: 1<<64 - 1}, {}}}),
+		wiretest.Of("graftReq/zero", graftReq{}, graftReq{Dots: []dot{}}),
 		wiretest.Of("peer", from),
 		wiretest.Of("peer/edge", Peer{Site: "köln", Addr: "gossip-köln"}),
 		wiretest.Of("peer/zero", Peer{}),
@@ -111,7 +110,7 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("joinResp/views", joinResp{Me: from, Active: peers[:3], Passive: peers[3:]}),
 		wiretest.Of("joinResp/first", joinResp{Me: from}, joinResp{Me: from, Active: []Peer{}, Passive: []Peer{}}),
 		wiretest.Of("forwardJoinReq", forwardJoinReq{Joiner: from, TTL: DefaultWalkTTL}),
-		wiretest.Of("forwardJoinReq/edge", forwardJoinReq{Joiner: Peer{Site: "köln"}, TTL: -1}),
+		wiretest.Of("forwardJoinReq/edge", forwardJoinReq{Joiner: Peer{Site: "köln"}, TTL: 1<<64 - 1}),
 		wiretest.Of("shuffleReq", shuffleReq{From: from, Sample: peers[:shuffleLen]}),
 		wiretest.Of("shuffleReq/zero", shuffleReq{}, shuffleReq{Sample: []Peer{}}),
 		wiretest.Of("shuffleResp", shuffleResp{Sample: peers[2:4]}),
@@ -125,15 +124,15 @@ func TestBodiesGolden(t *testing.T) {
 			"0104733030300109d39b5f4a6aa000000406617574686f720675303030303004626f64792373686172656420776f726b" +
 			"696e67206d6174657269616c20666f72206163743030303007636f6e746578740761637430303030057469746c650e73" +
 			"656564206f626a303030303030",
-		"ihaveReq":         "9c01096f626a303030303030047330303001",
+		"ihaveReq":         "9f01047330303001",
 		"neighborReq/ring": "9d04733030330b676f737369702d73303033097265706c2d7330303301",
 		"neighborResp":     "9e01",
-		"graftReq":         "930000000000000003000000096f626a303030303031000000106f626a2dc3bc6ec3af2de697a5e69cac00000000",
-		"graftResp/zero":   "940000000000000000",
+		"graftReq":         "a002047330303001047330303102",
+		"graftReq/zero":    "a000",
 		"peer":             "9504733030330b676f737369702d73303033097265706c2d73303033",
 		"joinResp": "9604733030330b676f737369702d73303033097265706c2d733030330104733030300b676f737369702d733030300972" +
 			"65706c2d733030300104733030310b676f737369702d73303031097265706c2d73303031",
-		"forwardJoinReq":  "9704733030330b676f737369702d73303033097265706c2d733030330000000000000003",
+		"forwardJoinReq":  "9704733030330b676f737369702d73303033097265706c2d7330303303",
 		"shuffleReq/zero": "9800000000",
 		"shuffleResp": "990204733030320b676f737369702d73303032097265706c2d7330303204733030330b676f737369702d733030330972" +
 			"65706c2d73303033",
@@ -150,7 +149,7 @@ func TestBodiesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ref := benchRow(5)
 	ref.VV = wideVV()
-	wantRows, _ := graftResp{Objects: []*information.Object{ref}}.AppendBinary(nil)
+	wantRows, _ := rumorReq{Entries: []pushEntry{{Site: "s000", Counter: 1, Row: ref}}}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
 		row := benchRow(5)
 		sites := make([]string, 0, len(ref.VV))
@@ -169,8 +168,8 @@ func TestBodiesCanonical(t *testing.T) {
 		for _, k := range keys {
 			row.Fields[k] = fields[k]
 		}
-		if got, _ := (graftResp{Objects: []*information.Object{row}}).AppendBinary(nil); !bytes.Equal(got, wantRows) {
-			t.Fatalf("trial %d: graftResp bytes depend on map insertion order", trial)
+		if got, _ := (rumorReq{Entries: []pushEntry{{Site: "s000", Counter: 1, Row: row}}}).AppendBinary(nil); !bytes.Equal(got, wantRows) {
+			t.Fatalf("trial %d: rumorReq bytes depend on map insertion order", trial)
 		}
 	}
 }
@@ -180,20 +179,27 @@ func TestBodiesCanonical(t *testing.T) {
 // without a panic and without an allocation sized by the bad count.
 func TestBodiesRejectDamage(t *testing.T) {
 	huge := wire.AppendUint64(nil, 1<<60) // each count, aimed at
-	noPeer := make([]byte, 3*4)           // three empty strings
+	hugeVar := wire.AppendUvarint(nil, 1<<60)
+	noPeer := make([]byte, 3*4) // three empty strings
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
-		"pushed entries": append([]byte{tagRumorReq}, huge...),
-		"ihave entries":  append([]byte{tagIhaveReq}, huge...),
+		"pushed entries": append([]byte{tagRumorReq}, hugeVar...),
+		"ihave dots":     append([]byte{tagIhaveReq}, hugeVar...),
+		"graft dots":     append([]byte{tagGraftReq}, hugeVar...),
 		// The retired rumors — one carried its sender and whole vectors,
-		// the other dots without rows — fail on their tags.
+		// the other dots without rows — fail on their tags, as do the graft
+		// by ids, its rows and the ihave whose dots carried ids.
 		"retired rumor entries": append(append(append([]byte{0x91}, noPeer...), wire.AppendUint64(nil, 6)...), huge...),
 		"retired dot rumor":     append(append(append([]byte{0x9A}, wire.AppendUint64(nil, 6)...), wire.AppendUint64(nil, 1)...), huge...),
-		"ids":                   append([]byte{tagGraftReq, 0, 0, 0, 0}, huge...),
-		"objects":               append([]byte{tagGraftResp}, huge...),
-		"active":                append(append([]byte{tagJoinResp}, noPeer...), huge...),
-		"passive":               append(append(append([]byte{tagJoinResp}, noPeer...), wire.AppendUint64(nil, 0)...), huge...),
-		"shuffle sample":        append(append([]byte{tagShuffleReq}, noPeer...), huge...),
-		"shuffle reply":         append([]byte{tagShuffleResp}, huge...),
+		"retired graft ids":     append([]byte{0x93, 0, 0, 0, 0}, huge...),
+		"retired graft rows":    append([]byte{0x94}, huge...),
+		"retired ihave ids":     append([]byte{0x9C}, hugeVar...),
+		// The forward-join whose TTL was eight bytes: the uvarint reads
+		// its first, and seven are left over.
+		"eight-byte TTL": append([]byte{tagForwardJoinReq, 0, 0, 0}, wire.AppendUint64(nil, 3)...),
+		"active":         append(append([]byte{tagJoinResp}, noPeer...), huge...),
+		"passive":        append(append(append([]byte{tagJoinResp}, noPeer...), wire.AppendUint64(nil, 0)...), huge...),
+		"shuffle sample": append(append([]byte{tagShuffleReq}, noPeer...), huge...),
+		"shuffle reply":  append([]byte{tagShuffleResp}, huge...),
 	})
 }
 
@@ -257,7 +263,7 @@ func rumorRound(tb testing.TB) map[string][][]byte {
 	}
 	// A write g01 holds but only announces: g00 grafts it.
 	replicas[1].rows["obj-graft"] = vclock.Version{"g01": 1}
-	announceIhave(overlays[1], overlays[0], rumorEntry{ID: "obj-graft", Site: "g01", Counter: 1})
+	announceIhave(overlays[1], overlays[0], dot{Site: "g01", Counter: 1})
 	clk.RunUntilIdle()
 	if _, ok := replicas[0].rows["obj-graft"]; !ok {
 		tb.Fatal("the announced write was never grafted")
@@ -265,9 +271,9 @@ func rumorRound(tb testing.TB) map[string][][]byte {
 	return bodies
 }
 
-// announceIhave has from send to an ihave naming entries, as a flush does.
-func announceIhave(from, to *Overlay, entries ...rumorEntry) {
-	from.announce(to.Self().Addr, MethodIhave, ihaveReq{Entries: entries})
+// announceIhave has from send to an ihave naming dots, as a flush does.
+func announceIhave(from, to *Overlay, dots ...dot) {
+	from.announce(to.Self().Addr, MethodIhave, ihaveReq{Dots: dots})
 }
 
 // FuzzGossipBodies: whatever bytes arrive, a decoder either refuses them
@@ -287,10 +293,13 @@ func FuzzGossipBodies(f *testing.F) {
 	for _, c := range bodyCases() {
 		f.Add(c.Encode(f))
 	}
+	for _, b := range wiretest.Retired(f, "testdata/retired-bodies.txt") {
+		f.Add(b)
+	}
 	wiretest.Fuzz(f, []wiretest.Case{
 		wiretest.Of("rumorReq", rumorReq{}), wiretest.Of("ihaveReq", ihaveReq{}),
 		wiretest.Of("neighborReq", neighborReq{}), wiretest.Of("neighborResp", neighborResp{}),
-		wiretest.Of("graftReq", graftReq{}), wiretest.Of("graftResp", graftResp{}),
+		wiretest.Of("graftReq", graftReq{}),
 		wiretest.Of("peer", Peer{}), wiretest.Of("joinResp", joinResp{}), wiretest.Of("forwardJoinReq", forwardJoinReq{}),
 		wiretest.Of("shuffleReq", shuffleReq{}), wiretest.Of("shuffleResp", shuffleResp{}),
 	})
@@ -318,11 +327,11 @@ func TestRumorRoundBodiesAreBinary(t *testing.T) {
 
 var benchSink int
 
-// BenchmarkIhaveReqCodec prices one ihave batch — 64 entries — each way. (An
-// ihave carries ids and dots, no rows; BenchmarkSyncRespCodec in
+// BenchmarkIhaveReqCodec prices one ihave batch — 64 dots — each way. (An
+// ihave carries dots alone, no ids or rows; BenchmarkSyncRespCodec in
 // internal/replica prices the rows a push carries.)
 func BenchmarkIhaveReqCodec(b *testing.B) {
-	msg := ihaveReq{Entries: rumorEntries(64)}
+	msg := ihaveReq{Dots: someDots(64)}
 	body, err := msg.AppendBinary(nil)
 	if err != nil {
 		b.Fatal(err)
@@ -346,7 +355,7 @@ func BenchmarkIhaveReqCodec(b *testing.B) {
 			if err := out.UnmarshalBinary(body); err != nil {
 				b.Fatal(err)
 			}
-			benchSink += len(out.Entries)
+			benchSink += len(out.Dots)
 		}
 	})
 }

@@ -27,18 +27,23 @@
 //     each member splits its view into eager peers and lazy peers. A
 //     fresh write is pushed as its row, named by its dot (site and
 //     counter), to the eager peers (gossip.rumor) and announced by dot
-//     alone to the lazy ones, batched per interval (gossip.ihave). The
-//     first receipt of a dot applies the row, arms anti-entropy and
-//     passes the row on the same way; a second receipt is a duplicate,
-//     answered with gossip.prune, which makes the sender treat the
-//     receiver as lazy. Duplicates thus prune the eager links down to a
-//     spanning tree, so a write crosses each member once. A dot an ihave
-//     named that has not arrived after a timeout is grafted
-//     (gossip.graft): pulled from the announcer, whose link turns eager
-//     again — how the tree mends around a dead member. Pushes, ihaves
-//     and prunes are announcements: one frame per target, no reply,
-//     nothing kept at the sender. Anti-entropy remains the repair path
-//     rather than the propagation path: a lost push is one it repairs.
+//     alone — no row id: a site numbers all its writes with one counter
+//     — to the lazy ones, batched per interval (gossip.ihave). The first
+//     receipt of a dot applies the row and passes it on the same way; a
+//     second receipt is a duplicate, answered with gossip.prune, which
+//     makes the sender treat the receiver as lazy. Duplicates thus prune
+//     the eager links down to a spanning tree, so a write crosses each
+//     member once. A dot queued for a lazy peer leaves the queue when that
+//     peer pushes it, announces it or answers a graft with it: the peer
+//     holds the write, and the ihave would only cost the bytes. A dot an
+//     ihave named that has not arrived after a timeout is grafted
+//     (gossip.graft, by dot): pulled from the announcer, which names the
+//     row from its dedup set or its replica's index, and whose link turns
+//     eager again — how the tree mends around a dead member. Pushes,
+//     ihaves and prunes are announcements: one frame per target, no
+//     reply, nothing kept at the sender. Anti-entropy remains the repair
+//     path rather than the propagation path, on its own schedule: a lost
+//     push is one it repairs.
 //
 //   - View-scoped anti-entropy. The Replicator's peer set is driven by
 //     the active view through the OnChange callback: peers entering the
@@ -134,7 +139,8 @@ const (
 	// shuffleLen is how many peers one shuffle carries each way.
 	shuffleLen = 8
 	// seenCap bounds the rumor-dedup set; past it the set resets (stale
-	// rumors are still cheap: HasSeen keeps them from re-applying).
+	// rumors are still cheap: the replica's index names the writes it
+	// holds, and a graft is answered from it).
 	seenCap = 8192
 	// ihaveInterval batches lazy announcements: a lazy peer hears of
 	// the writes of one interval in one gossip.ihave.
@@ -152,15 +158,16 @@ type Peer struct {
 	Repl netsim.Address
 }
 
-// Replica is the slice of the replication layer the overlay needs: rumor
-// staleness checks and the rows a push or graft carries. The tree
-// delivers; anti-entropy repairs what it missed on its own schedule, so a
-// receipt arms no round. *replica.Replicator implements it.
+// Replica is the slice of the replication layer the overlay needs: the
+// row that holds an announced write, and the rows a push or graft carries.
+// The tree delivers; anti-entropy repairs what it missed on its own
+// schedule, so a receipt arms no round. *replica.Replicator implements it.
 type Replica interface {
-	// HasSeen reports whether the local replica already holds the write
-	// of id whose dot is (site, counter): whether its vector's site entry
-	// is at least counter.
-	HasSeen(id, site string, counter uint64) bool
+	// DotID names the row the local replica holds the write (site,
+	// counter) in: the row whose vector's site entry is exactly counter.
+	// ok is false when the write never arrived, or a later write of the
+	// same site superseded it on its row.
+	DotID(site string, counter uint64) (id string, ok bool)
 	// FetchWire returns the named rows the replica holds, for a push or
 	// a graft, in the order of ids.
 	FetchWire(ids []string) []*information.Object
@@ -188,6 +195,8 @@ type Stats struct {
 	RumorsOffView   int64 `metric:"rumors_off_view"`  // pushed entries from a sender outside the active view
 	EagerPushed     int64 `metric:"eager_pushed"`     // rows pushed, one per eager target
 	IhavesSent      int64 `metric:"ihaves_sent"`      // gossip.ihave announcements sent
+	IhaveDots       int64 `metric:"ihave_dots"`       // dots the ihaves sent named
+	IhaveSuppressed int64 `metric:"ihave_suppressed"` // queued dots dropped because the lazy peer showed it holds them
 	Prunes          int64 `metric:"prunes"`           // prunes sent for duplicate pushes
 	Grafts          int64 `metric:"grafts"`           // grafts sent for announced writes that never arrived
 
@@ -251,13 +260,13 @@ type Overlay struct {
 	ring        netsim.Address            // pinned ring-successor, eviction-exempt
 	pinnedBy    map[netsim.Address]bool   // active peers whose ring successor this member is, eviction-exempt too
 	ringSkip    int                       // ring-order index the last successful walk pinned
-	seen        map[uint64]uint64         // dots received or published: the receipt number of a pushed first copy, 0 if grafted
+	seen        map[uint64]seenWrite      // dots received or published, by key
 	receipts    uint64                    // pushes and publishes so far
 	lastFresh   map[netsim.Address]uint64 // the receipt number of the last push from a peer that brought news
 	lazy        map[netsim.Address]bool   // active peers that get ihaves, not rows; the rest are eager
-	ihaves      map[netsim.Address][]rumorEntry
-	flushArmed  bool            // a flush of ihaves is due
-	grafting    map[uint64]bool // dots with a graft in flight
+	ihaves      map[netsim.Address][]dot  // dots queued for each lazy peer's next ihave
+	flushArmed  bool                      // a flush of ihaves is due
+	grafting    map[uint64]bool           // dots with a graft in flight
 	closed      bool
 	armed       bool
 	running     bool
@@ -279,11 +288,11 @@ func New(ep *rpc.Endpoint, clock vclock.Clock, site string, replAddr netsim.Addr
 		self:      Peer{Site: site, Addr: ep.Addr(), Repl: replAddr},
 		replica:   replica,
 		seed:      1,
-		seen:      make(map[uint64]uint64),
+		seen:      make(map[uint64]seenWrite),
 		lastFresh: make(map[netsim.Address]uint64),
 		pinnedBy:  make(map[netsim.Address]bool),
 		lazy:      make(map[netsim.Address]bool),
-		ihaves:    make(map[netsim.Address][]rumorEntry),
+		ihaves:    make(map[netsim.Address][]dot),
 		grafting:  make(map[uint64]bool),
 	}
 	for _, opt := range opts {

@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"testing"
 
@@ -28,9 +29,26 @@ func newFakeReplica() *fakeReplica {
 	return &fakeReplica{rows: map[string]vclock.Version{}, lent: map[string]*information.Object{}}
 }
 
-func (f *fakeReplica) HasSeen(id, site string, counter uint64) bool {
+// holds reports whether the fake holds the write of id whose dot is
+// (site, counter): whether its vector's site entry is at least counter.
+func (f *fakeReplica) holds(id, site string, counter uint64) bool {
 	have, ok := f.rows[id]
 	return ok && have.Counter(site) >= counter
+}
+
+// DotID is the definition the replica's index answers to: the least id
+// whose vector's site entry is exactly counter.
+func (f *fakeReplica) DotID(site string, counter uint64) (string, bool) {
+	var ids []string
+	for id, vv := range f.rows {
+		if counter != 0 && vv.Counter(site) == counter {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return "", false
+	}
+	return slices.Min(ids), true
 }
 
 func (f *fakeReplica) FetchWire(ids []string) []*information.Object {
@@ -233,7 +251,7 @@ func TestRumorReachesEveryReplica(t *testing.T) {
 
 	missing := 0
 	for i, rep := range f.replicas {
-		if !rep.HasSeen("obj-1", "g00", 1) {
+		if !rep.holds("obj-1", "g00", 1) {
 			missing++
 			t.Logf("replica %d missed the rumor", i)
 		}
@@ -281,7 +299,7 @@ func TestDuplicateRumorNotReforwarded(t *testing.T) {
 	f.overlays[0].Publish("obj-1", next)
 	f.clk.RunUntilIdle()
 	for i, rep := range f.replicas {
-		if !rep.HasSeen("obj-1", "g00", 2) {
+		if !rep.holds("obj-1", "g00", 2) {
 			t.Fatalf("replica %d never got the second write of obj-1", i)
 		}
 	}

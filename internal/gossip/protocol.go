@@ -37,7 +37,7 @@ type joinResp struct {
 
 type forwardJoinReq struct {
 	Joiner Peer
-	TTL    int
+	TTL    uint64
 }
 
 // neighborReq asks for a symmetric active link. It is high-priority —
@@ -63,14 +63,24 @@ type shuffleResp struct {
 	Sample []Peer
 }
 
-// rumorEntry names one fresh write by its dot: the site that made it and
-// the counter that site's entry of the row's vector reached with it — as
-// exact a name as the whole vector, at a size independent of its width.
+// dot names one write: the site that made it and the counter that site's
+// entry of the row's vector reached with it — as exact a name as the whole
+// vector, at a size independent of its width, and without the row's id: a
+// site numbers all its writes with one counter.
+type dot struct {
+	Site    string
+	Counter uint64
+}
+
+// rumorEntry is one fresh write as a member passes it on: its dot and the
+// id of the row it was made on, which a push fetches.
 type rumorEntry struct {
 	ID      string
 	Site    string
 	Counter uint64
 }
+
+func (e rumorEntry) dot() dot { return dot{Site: e.Site, Counter: e.Counter} }
 
 // pushEntry is one write of a gossip.rumor push: its dot and the row the
 // sender holds for it, which answers the dot (the row's id is the dot's).
@@ -80,27 +90,26 @@ type pushEntry struct {
 	Row     *information.Object
 }
 
-func (e pushEntry) dot() rumorEntry {
+func (e pushEntry) dot() dot { return dot{Site: e.Site, Counter: e.Counter} }
+
+func (e pushEntry) entry() rumorEntry {
 	return rumorEntry{ID: e.Row.ID, Site: e.Site, Counter: e.Counter}
 }
 
-// rumorReq is a gossip.rumor body: the pushed writes. The sender is not in
-// it: the frame's source address names it.
+// rumorReq is a gossip.rumor body, and a graft's reply: the pushed writes.
+// The sender is not in it: the frame's source address names it.
 type rumorReq struct {
 	Entries []pushEntry
 }
 
 // ihaveReq is a gossip.ihave body: the dots a lazy peer is told of.
 type ihaveReq struct {
-	Entries []rumorEntry
+	Dots []dot
 }
 
+// graftReq is a gossip.graft body: the announced dots to pull.
 type graftReq struct {
-	IDs []string
-}
-
-type graftResp struct {
-	Objects []*information.Object
+	Dots []dot
 }
 
 // --- handlers --------------------------------------------------------------
@@ -231,7 +240,7 @@ func (o *Overlay) register() {
 	}))
 
 	o.ep.MustRegister(MethodIhave, rpc.Handle(func(from netsim.Address, req ihaveReq) (wire.Empty, error) {
-		o.onIhave(from, req.Entries)
+		o.onIhave(from, req.Dots)
 		return wire.Empty{}, nil
 	}))
 
@@ -244,17 +253,14 @@ func (o *Overlay) register() {
 		return wire.Empty{}, nil
 	}))
 
-	o.ep.MustRegister(MethodGraft, rpc.Handle(func(from netsim.Address, req graftReq) (graftResp, error) {
+	o.ep.MustRegister(MethodGraft, rpc.Handle(func(from netsim.Address, req graftReq) (rumorReq, error) {
 		o.mu.Lock()
 		if indexOf(o.active, from) >= 0 {
 			delete(o.lazy, from)
 		}
 		o.stats.RumorFetches++
 		o.mu.Unlock()
-		if o.replica == nil {
-			return graftResp{}, nil
-		}
-		return graftResp{Objects: o.replica.FetchWire(req.IDs)}, nil
+		return rumorReq{Entries: o.graftRows(req.Dots)}, nil
 	}))
 }
 
@@ -273,13 +279,14 @@ func (o *Overlay) announce(to netsim.Address, method string, msg encoding.Binary
 // already published.
 func (o *Overlay) Publish(id string, vv vclock.Version) {
 	entry := rumorEntry{ID: id, Site: o.self.Site, Counter: vv.Counter(o.self.Site)}
+	k := entry.dot().key()
 	o.mu.Lock()
-	if _, seen := o.seen[entry.key()]; o.closed || entry.Counter == 0 || seen {
+	if first, seen := o.seen[k]; o.closed || entry.Counter == 0 || (seen && first.id == id) {
 		o.mu.Unlock()
 		return
 	}
 	o.receipts++
-	o.markSeenLocked(entry.key(), o.receipts)
+	o.markSeenLocked(k, id, o.receipts)
 	eager, lazy := o.splitLocked("")
 	if len(eager)+len(lazy) == 0 {
 		o.mu.Unlock()
@@ -307,9 +314,10 @@ func (o *Overlay) Publish(id string, vv vclock.Version) {
 // receive takes the entries a push from the member at from carried, or
 // the rows a graft pulled from it. The first receipt of a dot applies its
 // row, passes the write on and keeps the link eager at this end too, as a
-// branch of the tree. A push of dots all seen before is a duplicate, and
-// proves the link redundant — it turns lazy at this end, and one prune
-// makes it lazy at the other — unless one of two races explains it:
+// branch of the tree. A push of dots all seen before, each on the row it
+// names, is a duplicate, and proves the link redundant — it turns lazy at
+// this end, and one prune makes it lazy at the other — unless one of two
+// races explains it:
 //
 //   - A dot first grafted proves nothing: the push that arrives after a
 //     graft is a tree branch that was late, and every member of a
@@ -321,9 +329,11 @@ func (o *Overlay) Publish(id string, vv vclock.Version) {
 //     would cut the member off from both.
 //
 // A row anti-entropy delivered first is not a duplicate either: the dot
-// was never seen, so the write is passed on and the link stays eager. A
-// sender outside the active view holds a link this end does not, and is
-// told to drop it.
+// was never seen, so the write is passed on and the link stays eager; nor
+// is a dot seen on another row, which a restarted site has issued again.
+// Every dot the sender pushed leaves the ihave queued for it: it holds
+// them. A sender outside the active view holds a link this end does not,
+// and is told to drop it.
 func (o *Overlay) receive(tc wire.TraceContext, from netsim.Address, entries []pushEntry, grafted bool) {
 	o.mu.Lock()
 	if o.closed {
@@ -348,16 +358,19 @@ func (o *Overlay) receive(tc wire.TraceContext, from netsim.Address, entries []p
 	}
 	for _, e := range entries {
 		k := e.dot().key()
-		if first, seen := o.seen[k]; seen {
-			redundant = redundant && first >= o.lastFresh[from]
+		if first, seen := o.seen[k]; seen && first.id == e.Row.ID {
+			redundant = redundant && first.receipt >= o.lastFresh[from]
 			continue
 		}
-		o.markSeenLocked(k, receipt)
-		fresh = append(fresh, e.dot())
+		o.markSeenLocked(k, e.Row.ID, receipt)
+		fresh = append(fresh, e.entry())
 		if !slices.Contains(rows, e.Row) {
 			rows = append(rows, e.Row)
 		}
 	}
+	o.unqueueLocked(from, func(d dot) bool {
+		return slices.ContainsFunc(entries, func(e pushEntry) bool { return e.dot() == d })
+	})
 	prune := len(fresh) == 0 && len(entries) > 0 && redundant && !grafted && !offView
 	switch {
 	case prune:
@@ -479,11 +492,15 @@ func (o *Overlay) push(targets []Peer, dots []rumorEntry, tc wire.TraceContext) 
 // into each frame, so its buffer is free again once the fan-out returns.
 var pushBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// queueIhavesLocked queues dots for each lazy peer's next gossip.ihave and
-// reports whether the caller must arm the flush.
-func (o *Overlay) queueIhavesLocked(lazy []Peer, dots []rumorEntry) bool {
+// queueIhavesLocked queues the writes' dots for each lazy peer's next
+// gossip.ihave and reports whether the caller must arm the flush.
+func (o *Overlay) queueIhavesLocked(lazy []Peer, entries []rumorEntry) bool {
 	for _, p := range lazy {
-		o.ihaves[p.Addr] = append(o.ihaves[p.Addr], dots...)
+		q := o.ihaves[p.Addr]
+		for _, e := range entries {
+			q = append(q, e.dot())
+		}
+		o.ihaves[p.Addr] = q
 	}
 	if len(lazy) == 0 || o.flushArmed {
 		return false
@@ -492,8 +509,25 @@ func (o *Overlay) queueIhavesLocked(lazy []Peer, dots []rumorEntry) bool {
 	return true
 }
 
-// flushIhaves sends every lazy peer the dots queued for it since the last
-// flush, in one announcement each, in address order.
+// unqueueLocked takes from the ihave queued for peer every dot it has just
+// shown it holds, by a push, an ihave or a graft's reply: telling it of
+// them would only cost the bytes.
+func (o *Overlay) unqueueLocked(peer netsim.Address, holds func(dot) bool) {
+	q := o.ihaves[peer]
+	if len(q) == 0 {
+		return
+	}
+	kept := slices.DeleteFunc(q, holds)
+	o.stats.IhaveSuppressed += int64(len(q) - len(kept))
+	if len(kept) == 0 {
+		delete(o.ihaves, peer)
+	} else {
+		o.ihaves[peer] = kept
+	}
+}
+
+// flushIhaves sends every lazy peer the dots still queued for it since the
+// last flush, in one announcement each, in address order.
 func (o *Overlay) flushIhaves() {
 	o.mu.Lock()
 	o.flushArmed = false
@@ -502,27 +536,32 @@ func (o *Overlay) flushIhaves() {
 		return
 	}
 	queued := o.ihaves
-	o.ihaves = make(map[netsim.Address][]rumorEntry, len(queued))
+	o.ihaves = make(map[netsim.Address][]dot, len(queued))
 	o.stats.IhavesSent += int64(len(queued))
+	for _, q := range queued {
+		o.stats.IhaveDots += int64(len(q))
+	}
 	o.mu.Unlock()
 	for _, addr := range slices.Sorted(maps.Keys(queued)) {
-		o.announce(addr, MethodIhave, ihaveReq{Entries: queued[addr]})
+		o.announce(addr, MethodIhave, ihaveReq{Dots: queued[addr]})
 	}
 }
 
 // onIhave notes the dots a lazy peer announced that this member has not
-// received, and grafts the ones still missing after graftTimeout.
-func (o *Overlay) onIhave(from netsim.Address, entries []rumorEntry) {
+// received, and grafts the ones still missing after graftTimeout. The
+// announcer holds every one of them, so none stays queued for it.
+func (o *Overlay) onIhave(from netsim.Address, dots []dot) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
 		return
 	}
 	offView := indexOf(o.active, from) < 0
-	var missing []rumorEntry
-	for _, e := range entries {
-		if !o.haveLocked(e) {
-			missing = append(missing, e)
+	o.unqueueLocked(from, func(d dot) bool { return slices.Contains(dots, d) })
+	var missing []dot
+	for _, d := range dots {
+		if !o.haveLocked(d) {
+			missing = append(missing, d)
 		}
 	}
 	o.mu.Unlock()
@@ -534,27 +573,73 @@ func (o *Overlay) onIhave(from netsim.Address, entries []rumorEntry) {
 	}
 }
 
+// idLocked names the row that holds the write d names: the one the dedup
+// set recorded it on, or, once seenCap has reset the set, the one the
+// replica's index files it under. A write a later one of the same site
+// superseded on its row is named only by the dedup set.
+func (o *Overlay) idLocked(d dot) (string, bool) {
+	if first, seen := o.seen[d.key()]; seen {
+		return first.id, true
+	}
+	if o.replica == nil {
+		return "", false
+	}
+	return o.replica.DotID(d.Site, d.Counter)
+}
+
 // haveLocked reports whether the write a dot names has arrived, by a push,
 // a graft or anti-entropy.
-func (o *Overlay) haveLocked(e rumorEntry) bool {
-	_, seen := o.seen[e.key()]
-	return seen || (o.replica != nil && o.replica.HasSeen(e.ID, e.Site, e.Counter))
+func (o *Overlay) haveLocked(d dot) bool {
+	_, ok := o.idLocked(d)
+	return ok
+}
+
+// graftRows answers a graft: each dot this member can name a row for,
+// with the row it holds. A dot it cannot name is left out.
+func (o *Overlay) graftRows(dots []dot) []pushEntry {
+	if o.replica == nil {
+		return nil
+	}
+	named := make([]dot, 0, len(dots))
+	ids := make([]string, 0, len(dots))
+	o.mu.Lock()
+	for _, d := range dots {
+		if id, ok := o.idLocked(d); ok {
+			named = append(named, d)
+			ids = append(ids, id)
+		}
+	}
+	o.mu.Unlock()
+	// FetchWire returns the rows it holds of ids in their order.
+	rows := o.replica.FetchWire(ids)
+	var out []pushEntry
+	r := 0
+	for i, d := range named {
+		if r == len(rows) || rows[r].ID != ids[i] {
+			continue
+		}
+		if rows[r].VV.Counter(d.Site) >= d.Counter {
+			out = append(out, pushEntry{Site: d.Site, Counter: d.Counter, Row: rows[r]})
+		}
+		r++
+	}
+	return out
 }
 
 // graft pulls from the announcer at from the announced writes that have
 // still not arrived and no other graft is pulling, and makes the link
 // eager at both ends: the reply is taken as a push from it.
-func (o *Overlay) graft(from netsim.Address, announced []rumorEntry) {
+func (o *Overlay) graft(from netsim.Address, announced []dot) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
 		return
 	}
-	var want []rumorEntry
-	for _, e := range announced {
-		if k := e.key(); !o.haveLocked(e) && !o.grafting[k] {
+	var want []dot
+	for _, d := range announced {
+		if k := d.key(); !o.haveLocked(d) && !o.grafting[k] {
 			o.grafting[k] = true
-			want = append(want, e)
+			want = append(want, d)
 		}
 	}
 	if len(want) == 0 {
@@ -566,50 +651,45 @@ func (o *Overlay) graft(from netsim.Address, announced []rumorEntry) {
 		delete(o.lazy, from)
 	}
 	o.mu.Unlock()
-	ids := make([]string, 0, len(want))
-	for _, e := range want {
-		if !slices.Contains(ids, e.ID) {
-			ids = append(ids, e.ID)
-		}
-	}
-	slices.Sort(ids)
-	o.ep.GoMsg(from, MethodGraft, graftReq{IDs: ids}, func(res rpc.Result) {
+	o.ep.GoMsg(from, MethodGraft, graftReq{Dots: want}, func(res rpc.Result) {
 		o.mu.Lock()
-		for _, e := range want {
-			delete(o.grafting, e.key())
+		for _, d := range want {
+			delete(o.grafting, d.key())
 		}
 		o.mu.Unlock()
-		var resp graftResp
+		var resp rumorReq
 		if err := res.Decode(&resp); err != nil {
 			return // a later ihave, or anti-entropy, brings the write
 		}
-		var got []pushEntry
-		for _, e := range want {
-			for _, row := range resp.Objects {
-				if row.ID == e.ID && row.VV.Counter(e.Site) >= e.Counter {
-					got = append(got, pushEntry{Site: e.Site, Counter: e.Counter, Row: row})
-					break
-				}
-			}
-		}
+		got := slices.DeleteFunc(resp.Entries, func(e pushEntry) bool {
+			return !slices.Contains(want, e.dot()) || e.Row.VV.Counter(e.Site) < e.Counter
+		})
 		o.receive(wire.TraceContext{}, from, got, true)
 	}, rpc.CallTimeout(DefaultTimeout))
 }
 
-// markSeenLocked records a rumor key, resetting the set at its cap —
-// a reset only costs passing already-quiet writes on once more.
-func (o *Overlay) markSeenLocked(k uint64, receipt uint64) {
-	if len(o.seen) >= seenCap {
-		o.seen = make(map[uint64]uint64)
-	}
-	o.seen[k] = receipt
+// seenWrite is what the dedup set keeps of a dot: the id of the row it was
+// received or published on, and the receipt number of a pushed first copy
+// (0 if grafted).
+type seenWrite struct {
+	id      string
+	receipt uint64
 }
 
-// key is the rumor-dedup key: FNV-1a over the id, its length, the site
-// and the counter, each integer as eight big-endian bytes.
-func (e rumorEntry) key() uint64 {
+// markSeenLocked records a dot by its key, resetting the set at its cap —
+// a reset only costs passing already-quiet writes on once more.
+func (o *Overlay) markSeenLocked(k uint64, id string, receipt uint64) {
+	if len(o.seen) >= seenCap {
+		o.seen = make(map[uint64]seenWrite)
+	}
+	o.seen[k] = seenWrite{id: id, receipt: receipt}
+}
+
+// key is the rumor-dedup key: FNV-1a over the site's length, the site and
+// the counter, each integer as eight big-endian bytes.
+func (d dot) key() uint64 {
 	var n [16]byte
-	binary.BigEndian.PutUint64(n[:8], uint64(len(e.ID)))
-	binary.BigEndian.PutUint64(n[8:], e.Counter)
-	return fnvMore(fnvMore(fnvMore(fnv64(e.ID), n[:8]), e.Site), n[8:])
+	binary.BigEndian.PutUint64(n[:8], uint64(len(d.Site)))
+	binary.BigEndian.PutUint64(n[8:], d.Counter)
+	return fnvMore(fnvMore(fnvMore(fnv64(""), n[:8]), d.Site), n[8:])
 }

@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"mocca/internal/channel"
@@ -16,31 +17,56 @@ import (
 // raceEnabled is set by race_test.go when the tests run under -race.
 var raceEnabled bool
 
-// TestRumorKeyUnchanged: an entry's dedup key is the same at every member
-// — the key a receiver takes over the decoded entry is the one the
-// publisher marked — and entries naming different writes get different
-// keys: another id, site or counter, or the same bytes split differently
-// between id and site.
+// TestRumorKeyUnchanged: a dot's dedup key is the same at every member —
+// the key a receiver takes over the decoded dot is the one the publisher
+// marked — and dots naming different writes get different keys: another
+// site or counter, or the same bytes split differently between the two. The
+// key is the dot alone, so a push of a dot seen on one row, on another row
+// — the dot a restarted site issued again — is fresh: its row applies, it
+// goes on, and no prune answers it; that push again is a duplicate.
 func TestRumorKeyUnchanged(t *testing.T) {
-	msg := ihaveReq{Entries: append(rumorEntries(64),
-		rumorEntry{ID: "obj-ünï-日本", Site: "köln", Counter: 1<<64 - 1}, rumorEntry{},
-		rumorEntry{ID: "ab", Site: "c", Counter: 7}, rumorEntry{ID: "a", Site: "bc", Counter: 7},
-		rumorEntry{ID: "ab", Site: "c", Counter: 8}, rumorEntry{ID: "ab", Site: "d", Counter: 7},
-		rumorEntry{ID: "ac", Site: "c", Counter: 7})}
+	msg := ihaveReq{Dots: append(someDots(64),
+		dot{Site: "köln", Counter: 1<<64 - 1}, dot{},
+		dot{Site: "c", Counter: 7}, dot{Site: "c", Counter: 8}, dot{Site: "d", Counter: 7},
+		dot{Site: "c\x00\x00\x00\x00\x00\x00\x00", Counter: 0}, dot{Site: "", Counter: 7})}
 	body, _ := msg.AppendBinary(nil)
 	var got ihaveReq
 	if err := got.UnmarshalBinary(body); err != nil {
 		t.Fatal(err)
 	}
-	keys := map[uint64]rumorEntry{}
-	for i, e := range got.Entries {
-		if k, sent := e.key(), msg.Entries[i].key(); k != sent {
-			t.Fatalf("%+v: key %#x after the wire, %#x before", e, k, sent)
+	keys := map[uint64]dot{}
+	for i, d := range got.Dots {
+		if k, sent := d.key(), msg.Dots[i].key(); k != sent {
+			t.Fatalf("%+v: key %#x after the wire, %#x before", d, k, sent)
 		}
-		if prev, dup := keys[e.key()]; dup {
-			t.Fatalf("%+v and %+v share a key", prev, e)
+		if prev, dup := keys[d.key()]; dup {
+			t.Fatalf("%+v and %+v share a key", prev, d)
 		}
-		keys[e.key()] = e
+		keys[d.key()] = d
+	}
+
+	var prunes, pushed [][]byte
+	clk, overlays, replicas := tappedOverlays(t, 3, func(f *channel.Frame) {
+		framesFrom("gossip-g01", MethodPrune, &prunes)(f)
+		framesFrom("gossip-g01", MethodRumor, &pushed)(f)
+	})
+	from, o := overlays[0], overlays[1]
+	for _, id := range []string{"obj-1", "obj-2"} {
+		replicas[0].rows[id] = vclock.Version{"g00": 1}
+	}
+	o.receive(wire.TraceContext{}, from.Self().Addr, pushOf(replicas[0], rumorEntry{ID: "obj-1", Site: "g00", Counter: 1}).Entries, false)
+	clk.RunUntilIdle()
+	pruned, forwards, applied := len(prunes), len(pushed), replicas[1].applied
+	again := pushOf(replicas[0], rumorEntry{ID: "obj-2", Site: "g00", Counter: 1}).Entries
+	o.receive(wire.TraceContext{}, from.Self().Addr, again, false)
+	clk.RunUntilIdle()
+	if len(prunes) != pruned || replicas[1].applied != applied+1 || len(pushed) == forwards {
+		t.Fatalf("a known dot on another row drew %d prunes, applied %d rows and went on %d times",
+			len(prunes)-pruned, replicas[1].applied-applied, len(pushed)-forwards)
+	}
+	o.receive(wire.TraceContext{}, from.Self().Addr, again, false)
+	if len(prunes) != pruned+1 {
+		t.Fatalf("the same push again drew %d prunes, want 1", len(prunes)-pruned)
 	}
 }
 
@@ -96,7 +122,7 @@ func TestRumorForwardKeepsDots(t *testing.T) {
 		}
 		var got []rumorEntry
 		for _, e := range out.Entries {
-			got = append(got, e.dot())
+			got = append(got, e.entry())
 			if !e.Row.VV.Dominates(replicas[0].rows[e.Row.ID]) {
 				t.Fatalf("forwarded %s at %v, received it at %v", e.Row.ID, e.Row.VV, replicas[0].rows[e.Row.ID])
 			}
@@ -235,16 +261,17 @@ func TestAntiEntropyFirstIsNoDuplicate(t *testing.T) {
 	}
 }
 
-// TestIhaveIgnoresVectorWidth: a lazy peer is told of a write by its dot,
-// so the ihave for a row whose vector has one site and the ihave for a row
-// whose vector has 64 put bodies of one length on the wire.
+// TestIhaveIgnoresVectorWidth: a lazy peer is told of a write by its dot
+// alone, so the ihave for a row whose vector has one site and a short id
+// and the ihave for a row whose vector has 64 and an id of 200 bytes put
+// bodies of one length on the wire.
 func TestIhaveIgnoresVectorWidth(t *testing.T) {
 	var sent [][]byte
 	clk, overlays, replicas := tappedOverlays(t, 3, framesFrom("gossip-g00", MethodIhave, &sent))
 	o := overlays[0]
 	allLazy(o)
 	narrow := vclock.Version{"g00": 1}
-	wide := vclock.Version{"g00": 1}
+	wide := vclock.Version{"g00": 2}
 	for i := 1; i < 64; i++ {
 		wide[fmt.Sprintf("s%03d", i)] = uint64(i)
 	}
@@ -253,14 +280,58 @@ func TestIhaveIgnoresVectorWidth(t *testing.T) {
 	clk.RunUntilIdle()
 	first := len(sent)
 	allLazy(o) // the grafts the first ihave drew made the links eager again
-	replicas[0].rows["obj-2"] = wide
-	o.Publish("obj-2", wide)
+	long := "obj-" + strings.Repeat("x", 196)
+	replicas[0].rows[long] = wide
+	o.Publish(long, wide)
 	clk.RunUntilIdle()
 	if first == 0 || len(sent) != 2*first {
 		t.Fatalf("the two publishes sent %d and %d ihaves", first, len(sent)-first)
 	}
 	if a, b := len(sent[0]), len(sent[first]); a != b {
-		t.Fatalf("the ihave for a 1-site vector is %d bytes, for a 64-site vector %d", a, b)
+		t.Fatalf("the ihave for a 1-site vector and a 5-byte id is %d bytes, for a 64-site vector and a 200-byte id %d", a, b)
+	}
+}
+
+// TestIhaveSkipsKnownHolder: a dot queued for a lazy peer leaves its queue
+// when that peer pushes or announces the dot before the flush — it holds
+// the write — so the flush sends it no ihave; a peer that showed nothing
+// is told.
+func TestIhaveSkipsKnownHolder(t *testing.T) {
+	d := rumorEntry{ID: "obj-1", Site: "g00", Counter: 1}
+	for _, tc := range []struct {
+		name  string
+		shows func(o, holder *Overlay, rep *fakeReplica)
+	}{
+		{"silent", func(*Overlay, *Overlay, *fakeReplica) {}},
+		{"pushed", func(o, holder *Overlay, rep *fakeReplica) {
+			o.receive(wire.TraceContext{}, holder.Self().Addr, pushOf(rep, d).Entries, false)
+		}},
+		{"announced", func(o, holder *Overlay, _ *fakeReplica) {
+			o.onIhave(holder.Self().Addr, []dot{d.dot()})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sent [][]byte
+			clk, overlays, replicas := tappedOverlays(t, 3, framesFrom("gossip-g01", MethodIhave, &sent))
+			from, o, holder := overlays[0], overlays[1], overlays[2]
+			allLazy(o)
+			replicas[0].rows[d.ID] = vclock.Version{"g00": 1}
+			o.receive(wire.TraceContext{}, from.Self().Addr, pushOf(replicas[0], d).Entries, false)
+			tc.shows(o, holder, replicas[0])
+			clk.RunUntilIdle()
+			st := o.Stats()
+			if tc.name == "silent" {
+				if len(sent) != 1 || st.IhaveDots != 1 || st.IhaveSuppressed != 0 {
+					t.Fatalf("a silent lazy peer got %d ihaves (IhaveDots %d, IhaveSuppressed %d), want 1 of one dot",
+						len(sent), st.IhaveDots, st.IhaveSuppressed)
+				}
+				return
+			}
+			if len(sent) != 0 || st.IhaveDots != 0 || st.IhaveSuppressed != 1 {
+				t.Fatalf("a peer that %s the dot got %d ihaves (IhaveDots %d, IhaveSuppressed %d), want none and 1 suppressed",
+					tc.name, len(sent), st.IhaveDots, st.IhaveSuppressed)
+			}
+		})
 	}
 }
 

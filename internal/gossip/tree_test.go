@@ -2,11 +2,16 @@ package gossip
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
 	"mocca/internal/channel"
+	"mocca/internal/id"
+	"mocca/internal/information"
 	"mocca/internal/netsim"
+	"mocca/internal/replica"
+	"mocca/internal/rpc"
 	"mocca/internal/vclock"
 )
 
@@ -34,10 +39,16 @@ func (f *overlayFixture) treeTotals() (seen, prunes, grafts int64) {
 	return seen, prunes, grafts
 }
 
-// publishAt has member i write obj and publish it.
+// publishAt has member i write obj and publish it. Like a Space, the
+// member numbers its writes with one counter: the write's entry for the
+// site is one past every entry for it the member holds.
 func (f *overlayFixture) publishAt(i int, obj string) vclock.Version {
 	site := f.overlays[i].Self().Site
-	vv := f.replicas[i].rows[obj].Clone().Tick(site)
+	top := uint64(0)
+	for _, vv := range f.replicas[i].rows {
+		top = max(top, vv.Counter(site))
+	}
+	vv := f.replicas[i].rows[obj].Merge(vclock.Version{site: top + 1})
 	f.replicas[i].rows[obj] = vv
 	f.overlays[i].Publish(obj, vv)
 	return vv
@@ -210,7 +221,7 @@ func TestGraftRepairsAroundCrashedMember(t *testing.T) {
 	for {
 		missing := 0
 		for i, r := range f.replicas {
-			if i != x && !r.HasSeen("after-crash", f.overlays[pub].Self().Site, vv.Counter(f.overlays[pub].Self().Site)) {
+			if i != x && !r.holds("after-crash", f.overlays[pub].Self().Site, vv.Counter(f.overlays[pub].Self().Site)) {
 				missing++
 			}
 		}
@@ -231,5 +242,70 @@ func TestGraftRepairsAroundCrashedMember(t *testing.T) {
 	bound := 2*(ihaveInterval+graftTimeout) + 2*n*5*time.Millisecond
 	if last > bound {
 		t.Fatalf("the last survivor got the write after %v, want within %v", last, bound)
+	}
+}
+
+// TestGraftAnsweredFromIndex: an ihave names a write by its dot alone, and
+// an announcer whose dedup set does not hold the dot — a seenCap reset
+// emptied it, or the write never came by the overlay — answers the graft
+// through its replica's index: the row whose vector's entry for the site
+// is the dot's counter. A write a later one of the same site superseded on
+// its row is named by neither, so its graft brings nothing: the cost of
+// naming a write without its row's id.
+func TestGraftAnsweredFromIndex(t *testing.T) {
+	clk := vclock.NewSimulated(netsim.DefaultEpoch)
+	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(7))
+	registry := information.NewSchemaRegistry()
+	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
+		{Name: "title", Type: information.FieldText, Required: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	ids := id.New()
+	peers := []Peer{{Site: "g00", Addr: "gossip-g00", Repl: "repl-g00"}, {Site: "g01", Addr: "gossip-g01", Repl: "repl-g01"}}
+	contacts := WithContacts(func() []Peer { return append([]Peer(nil), peers...) })
+	var overlays []*Overlay
+	var spaces []*information.Space
+	for _, p := range peers {
+		sp := information.NewSpace(registry, nil, clk, information.WithSite(p.Site), information.WithIDs(ids))
+		rep := replica.New(rpc.NewEndpoint(net.MustAddNode(p.Repl), clk, rpc.WithIDs(ids)), clk, sp)
+		overlays = append(overlays, New(rpc.NewEndpoint(net.MustAddNode(p.Addr), clk, rpc.WithIDs(ids)), clk, p.Site, p.Repl, rep, contacts))
+		spaces = append(spaces, sp)
+	}
+	for _, o := range overlays {
+		o.Join()
+	}
+	clk.RunUntilIdle()
+	announcer, grafter := overlays[0], overlays[1]
+
+	// Written, never published: the announcer's dedup set lacks the dot.
+	obj, err := spaces[0].Put("anyone", "doc", map[string]string{"title": "t0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	announceIhave(announcer, grafter, dot{Site: "g00", Counter: obj.VV.Counter("g00")})
+	clk.RunUntilIdle()
+	if got, ok := spaces[1].Fetch(obj.ID); !ok || !maps.Equal(got.VV, obj.VV) {
+		t.Fatalf("the grafted row is %v, %v; want %v", got, ok, obj.VV)
+	}
+	if g, f := grafter.Stats().Grafts, announcer.Stats().RumorFetches; g != 1 || f != 1 {
+		t.Fatalf("%d grafts sent and %d served, want 1 and 1", g, f)
+	}
+
+	// Superseded: the row's entry for g00 has moved past the first dot.
+	old, err := spaces[0].Put("anyone", "doc", map[string]string{"title": "u0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spaces[0].Update("anyone", old.ID, old.Version, map[string]string{"title": "u1"}); err != nil {
+		t.Fatal(err)
+	}
+	announceIhave(announcer, grafter, dot{Site: "g00", Counter: old.VV.Counter("g00")})
+	clk.RunUntilIdle()
+	if _, ok := spaces[1].Fetch(old.ID); ok {
+		t.Fatal("a superseded dot was answered: the announcer named a row for it")
+	}
+	if g := grafter.Stats().Grafts; g != 2 {
+		t.Fatalf("%d grafts sent, want 2: the superseded dot reads as missing", g)
 	}
 }

@@ -399,6 +399,33 @@ func (t *DigestTree) Top(site string) uint64 {
 	return 0
 }
 
+// DotID names the entry that holds the write (site, counter): the one whose
+// vector's site entry is exactly counter, the least id if several are. ok
+// is false when none is — the write never arrived, or a later write of the
+// same site has superseded it on its row. It reads the site's index: a
+// binary search, whatever the tree holds.
+func (t *DigestTree) DotID(site string, counter uint64) (id string, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	x := t.sites[site]
+	if x == nil || counter == 0 || len(x.chunks) == 0 {
+		return "", false
+	}
+	// The least item at or past (counter, ""): the chunk's end means the
+	// next chunk's first.
+	ci, i, _ := x.locate(hwItem{c: counter})
+	if i == len(x.chunks[ci]) {
+		if ci++; ci == len(x.chunks) {
+			return "", false
+		}
+		i = 0
+	}
+	if it := x.chunks[ci][i]; it.c == counter {
+		return it.id, true
+	}
+	return "", false
+}
+
 // NewerThanHW returns the ids (sorted, deterministic) whose vectors
 // record a counter past the given high-water marks — rows a replica with
 // those marks has certainly not seen. The converse does not hold (a row

@@ -227,6 +227,41 @@ func checkAgainstScan(t *testing.T, tree *DigestTree, step int) {
 			t.Fatalf("step %d: MarksAhead(%v) = %v, want %v", step, hw, got, want)
 		}
 	}
+	dots := scanDots(tree)
+	for site, top := range tree.HighWater() {
+		for c := uint64(0); c <= top+1; c++ {
+			id, ok := tree.DotID(site, c)
+			if wantID, wantOK := dots[dotAt{site, c}]; id != wantID || ok != wantOK {
+				t.Fatalf("step %d: DotID(%s, %d) = %q, %v; the scan says %q, %v", step, site, c, id, ok, wantID, wantOK)
+			}
+		}
+	}
+	if id, ok := tree.DotID("nowhere", 1); ok || id != "" {
+		t.Fatalf("step %d: DotID of a site the tree never saw = %q, %v", step, id, ok)
+	}
+}
+
+type dotAt struct {
+	site    string
+	counter uint64
+}
+
+// scanDots is the definition DotID answers to: for every non-zero entry of
+// every vector of every bucket, the least id whose vector holds it.
+func scanDots(t *DigestTree) map[dotAt]string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := map[dotAt]string{}
+	for b := range t.buckets {
+		for _, e := range t.buckets[b] {
+			for s, c := range e.vv {
+				if least, ok := out[dotAt{s, c}]; c != 0 && (!ok || e.id < least) {
+					out[dotAt{s, c}] = e.id
+				}
+			}
+		}
+	}
+	return out
 }
 
 // marksSection encodes hw in AppendMarks' layout: a count, then per site

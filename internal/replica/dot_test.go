@@ -25,9 +25,10 @@ type dotWrite struct {
 // then each byte with the high bit clear is a write at site b%n, and each
 // with it set merges the row of site (b>>3)%n into site b%n (a gossip push
 // and its apply). A write at a site that holds no copy yet, or a merge
-// from one, does nothing. After every step, each replica that holds a
-// copy must answer HasSeen for every write so far as its vector's
-// Dominates does. It returns every write and every copy the history held.
+// from one, does nothing. After every step, each replica that holds a copy
+// must name the object through DotID for exactly the writes whose dot its
+// vector holds exactly — each one a write the copy dominates — and for no
+// other. It returns every write and every copy the history held.
 func playDots(tb testing.TB, script []byte) (writes []dotWrite, copies []vclock.Version) {
 	tb.Helper()
 	n := 2
@@ -85,9 +86,14 @@ func playDots(tb testing.TB, script []byte) (writes []dotWrite, copies []vclock.
 			}
 			copies = append(copies, row.VV.Clone())
 			for _, w := range writes {
-				if got, want := r.HasSeen(oid, w.site, w.counter), row.VV.Dominates(w.vv); got != want {
-					tb.Fatalf("step %d: %s holding %v answers HasSeen(%s, %d) = %v; it dominates %v: %v",
-						step, sites[i], row.VV, w.site, w.counter, got, w.vv, want)
+				id, ok := r.DotID(w.site, w.counter)
+				if want := row.VV.Counter(w.site) == w.counter; ok != want || (ok && id != oid) {
+					tb.Fatalf("step %d: %s holding %v answers DotID(%s, %d) = %q, %v; want %v",
+						step, sites[i], row.VV, w.site, w.counter, id, ok, want)
+				}
+				if ok && !row.VV.Dominates(w.vv) {
+					tb.Fatalf("step %d: %s holding %v names write %v by its dot without dominating it",
+						step, sites[i], row.VV, w.vv)
 				}
 			}
 		}
@@ -111,8 +117,8 @@ func checkDots(tb testing.TB, writes []dotWrite, copies []vclock.Version) {
 
 // FuzzDotMatchesDominates: whatever history a script plays, a write's dot
 // answers "does this copy hold it?" exactly as the write's whole vector
-// does, at every replica through HasSeen and over every copy the history
-// held.
+// does over every copy the history held, and every replica's DotID names
+// the row for exactly the writes whose dot its copy holds exactly.
 func FuzzDotMatchesDominates(f *testing.F) {
 	f.Add([]byte{0, 0, 0x88, 1, 0x81, 0})
 	f.Add([]byte{3, 1, 0x80, 0x89, 0x92, 2, 0x9b, 3, 4, 0xa3, 0x8c, 1, 0x84, 4})
@@ -126,13 +132,13 @@ func FuzzDotMatchesDominates(f *testing.F) {
 	})
 }
 
-// TestHasSeenMatchesDominates: the fuzz target's check over 200 seeded
-// histories of up to 40 steps, so every run asks a Replicator's HasSeen
-// about concurrent writes, merges and stale copies — and gets both
-// answers often.
-func TestHasSeenMatchesDominates(t *testing.T) {
+// TestDotIDMatchesDominates: the fuzz target's check over 200 seeded
+// histories of up to 40 steps, so every run asks a Replicator's DotID
+// about concurrent writes, merges, stale copies and writes a later one of
+// the same site superseded — and gets both answers often.
+func TestDotIDMatchesDominates(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	answers := map[bool]int{}
+	kinds := map[string]int{}
 	for trial := 0; trial < 200; trial++ {
 		script := make([]byte, 1+rng.Intn(40))
 		rng.Read(script)
@@ -140,12 +146,20 @@ func TestHasSeenMatchesDominates(t *testing.T) {
 		checkDots(t, writes, copies)
 		for _, w := range writes {
 			for _, l := range copies {
-				answers[l.Dominates(w.vv)]++
+				switch {
+				case l.Counter(w.site) == w.counter:
+					kinds["named"]++
+				case l.Dominates(w.vv):
+					kinds["superseded"]++
+				default:
+					kinds["lacking"]++
+				}
 			}
 		}
 	}
-	if answers[true] < 1000 || answers[false] < 1000 {
-		t.Fatalf("the histories held %d copies holding a write and %d lacking one; too few to mean anything",
-			answers[true], answers[false])
+	for _, k := range []string{"named", "superseded", "lacking"} {
+		if kinds[k] < 1000 {
+			t.Fatalf("the histories held %v copies by what they say of a write; too few %s to mean anything", kinds, k)
+		}
 	}
 }

@@ -514,16 +514,17 @@ func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts i
 // --- gossip-overlay surface ------------------------------------------------
 //
 // These three methods are what internal/gossip's Replica interface
-// needs: rumor staleness checks and the rows a push or graft carries.
+// needs: the row that holds an announced write, and the rows a push or
+// graft carries.
 // They keep gossip decoupled from this package — the overlay sees an
 // interface, the deployment hands it a *Replicator.
 
-// HasSeen reports whether the local replica already holds the write of id
-// whose dot is (site, counter) — a rumor for it carries no news. Entries
-// never fall, so reaching counter is dominating that write's vector.
-func (r *Replicator) HasSeen(id, site string, counter uint64) bool {
-	obj, ok := r.space.Fetch(id)
-	return ok && obj.VV.Counter(site) >= counter
+// DotID names the row the local replica holds the write (site, counter)
+// in: the row whose vector's site entry is exactly counter, read from the
+// digest tree's per-site index. ok is false when the write never arrived,
+// or when a later write of the same site has superseded it on its row.
+func (r *Replicator) DotID(site string, counter uint64) (id string, ok bool) {
+	return r.space.Tree().DotID(site, counter)
 }
 
 // FetchWire returns the named rows the local replica holds, for a gossip

@@ -3,6 +3,7 @@ package mocca
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"sort"
 	"strings"
@@ -297,6 +298,43 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	if snap.Value("mocca.sync.hw_fast_deltas", observe.L("site", "s1")...) == 0 ||
 		snap.Value("mocca.sync.deltas_served", observe.L("site", "s0")...) == 0 || s1.Space().Len() != 2 {
 		t.Fatalf("the marks-pass repair is not in the projection: %+v", snap.Points)
+	}
+
+	// On the overlay, lazy links carry ihaves: the dots they named and the
+	// queued dots dropped because the lazy peer showed it held them project
+	// gossip.Stats as they are.
+	overlay := NewDeployment(WithSeed(7), WithTelemetry(), WithGossip())
+	var members []*Site
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("g%d", i)
+		members = append(members, overlay.AddSite(name, name+".net"))
+	}
+	overlay.Run()
+	for round := 0; round < 4; round++ {
+		for _, m := range members {
+			if _, err := m.Space().Put("ada", SharedSchemaName, map[string]string{"title": m.Name}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		overlay.Run()
+	}
+	gsnap := overlay.Metrics().Snapshot()
+	var dots, suppressed int64
+	for _, m := range members {
+		gs := m.Overlay().Stats()
+		for name, want := range map[string]int64{
+			"mocca.gossip.ihave_dots":       gs.IhaveDots,
+			"mocca.gossip.ihave_suppressed": gs.IhaveSuppressed,
+		} {
+			if got := gsnap.Value(name, observe.L("site", m.Name)...); got != want {
+				t.Fatalf("%s{site=%s} = %d, gossip.Stats says %d", name, m.Name, got, want)
+			}
+		}
+		dots += gs.IhaveDots
+		suppressed += gs.IhaveSuppressed
+	}
+	if dots == 0 || suppressed == 0 {
+		t.Fatalf("the overlay's lazy push is not in the projection: %d ihave dots, %d suppressed", dots, suppressed)
 	}
 
 	var buf bytes.Buffer
