@@ -615,13 +615,10 @@ func (o *Overlay) graftRows(dots []dot) []pushEntry {
 	var out []pushEntry
 	r := 0
 	for i, d := range named {
-		if r == len(rows) || rows[r].ID != ids[i] {
-			continue
-		}
-		if rows[r].VV.Counter(d.Site) >= d.Counter {
+		if r < len(rows) && rows[r].ID == ids[i] {
 			out = append(out, pushEntry{Site: d.Site, Counter: d.Counter, Row: rows[r]})
+			r++
 		}
-		r++
 	}
 	return out
 }

@@ -301,14 +301,15 @@ func TestIhaveSkipsKnownHolder(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		shows func(o, holder *Overlay, rep *fakeReplica)
+		told  int64 // ihaves the holder gets, each naming the one dot
 	}{
-		{"silent", func(*Overlay, *Overlay, *fakeReplica) {}},
+		{"silent", func(*Overlay, *Overlay, *fakeReplica) {}, 1},
 		{"pushed", func(o, holder *Overlay, rep *fakeReplica) {
 			o.receive(wire.TraceContext{}, holder.Self().Addr, pushOf(rep, d).Entries, false)
-		}},
+		}, 0},
 		{"announced", func(o, holder *Overlay, _ *fakeReplica) {
 			o.onIhave(holder.Self().Addr, []dot{d.dot()})
-		}},
+		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var sent [][]byte
@@ -319,17 +320,9 @@ func TestIhaveSkipsKnownHolder(t *testing.T) {
 			o.receive(wire.TraceContext{}, from.Self().Addr, pushOf(replicas[0], d).Entries, false)
 			tc.shows(o, holder, replicas[0])
 			clk.RunUntilIdle()
-			st := o.Stats()
-			if tc.name == "silent" {
-				if len(sent) != 1 || st.IhaveDots != 1 || st.IhaveSuppressed != 0 {
-					t.Fatalf("a silent lazy peer got %d ihaves (IhaveDots %d, IhaveSuppressed %d), want 1 of one dot",
-						len(sent), st.IhaveDots, st.IhaveSuppressed)
-				}
-				return
-			}
-			if len(sent) != 0 || st.IhaveDots != 0 || st.IhaveSuppressed != 1 {
-				t.Fatalf("a peer that %s the dot got %d ihaves (IhaveDots %d, IhaveSuppressed %d), want none and 1 suppressed",
-					tc.name, len(sent), st.IhaveDots, st.IhaveSuppressed)
+			if st := o.Stats(); int64(len(sent)) != tc.told || st.IhaveDots != tc.told || st.IhaveSuppressed != 1-tc.told {
+				t.Fatalf("the lazy peer got %d ihaves (IhaveDots %d, IhaveSuppressed %d), want %d",
+					len(sent), st.IhaveDots, st.IhaveSuppressed, tc.told)
 			}
 		})
 	}
