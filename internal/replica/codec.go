@@ -2,6 +2,7 @@ package replica
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 
 	"mocca/internal/information"
@@ -15,26 +16,36 @@ import (
 // uvarint length-prefixed strings, uint64 or uvarint counts — with maps written in
 // sorted key order, so equal messages encode to equal bytes. No body names
 // its sender: the frame's source does. Rows are in the one row codec
-// (information.AppendObject), the form the durable log stores them in. A request's tree frames are in wire.AppendTreeFrames' layout; a
-// reply's children section is a count, then per mismatched internal node
-// its packed path and its MerkleFanout child hashes (the children's paths
-// follow from it). The high-water section is the tree's marks section
-// (information.AppendMarks), carried as it was written and read in place.
-// Digests and want-lists are in exactly the layout digestMapBytes and
-// wantBytes measure, so Stats.DigestBytes is the encoded size of those
-// sections.
+// (information.AppendObject), the form the durable log stores them in.
+//
+// A digest body is the tag, a flags byte naming the sections present, then
+// those sections in order. A request's tree frames are in
+// wire.AppendTreeFrames' layout; a reply's children section is a count,
+// then per mismatched internal node its packed path and its MerkleFanout
+// child hashes (the children's paths follow from it). The marks section
+// opens with the uvarint generation the sender gives it; with flagAck, the
+// uvarint generation of the receiver's marks the sender holds; with
+// flagDelta, the uvarint generation of the sender's own section it is a
+// delta from and the big-endian CRC-32 of the whole section it rebuilds
+// (information.MarksCheck). Then come the marks: the tree's section
+// (information.AppendMarks), or with flagDelta the delta
+// (information.AppendMarksDelta), carried as written and read in place.
+// A reply's row list follows its sections. Digests and want-lists are in
+// exactly the layout digestMapBytes and wantBytes measure, so
+// Stats.DigestBytes is the encoded size of those sections.
 //
 // The tags have the high bit set, so a body in a hex dump names its
 // message. 0x82 and 0x84, the replies with full child paths and a mirrored
 // digest, are retired, and so is 0x85, the push that carried relationship
-// edges beside its rows.
+// edges beside its rows; so are 0x81 and 0x87, the digest request and
+// reply whose marks section was always whole and carried no generation.
 const (
-	tagDigestReq  byte = 0x81
 	tagSyncReq    byte = 0x83
 	tagPushResp   byte = 0x86
-	tagDigestResp byte = 0x87
 	tagSyncResp   byte = 0x88
 	tagPushReq    byte = 0x89
+	tagDigestReq  byte = 0x8A
+	tagDigestResp byte = 0x8B
 )
 
 // childRecordSize is one record of a children section: the parent's
@@ -45,21 +56,24 @@ const childRecordSize = 8 + 8*information.MerkleFanout
 const (
 	flagMatch  byte = 1 << iota // digestResp.Match
 	flagFrames                  // a tree-frame section follows
-	flagHW                      // a high-water section follows (possibly empty)
+	flagHW                      // a marks section follows (possibly empty)
+	flagAck                     // the marks name the receiver's generation the sender holds
+	flagDelta                   // the marks are a delta, with its base and the whole section's check
+	flagFull                    // digestResp.Full: the caller's marks could not be rebuilt
 )
 
 // --- encoders --------------------------------------------------------------
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m digestReq) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagDigestReq, sectionFlags(false, m.Frames, m.HW))
-	return appendSections(b, m.Frames, m.HW), nil
+	b = append(b, tagDigestReq, sectionFlags(false, false, m.Frames, m.Marks))
+	return appendSections(b, m.Frames, m.Marks), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m digestResp) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagDigestResp, sectionFlags(m.Match, m.Children, m.HW))
-	b = appendSections(b, m.Children, m.HW)
+	b = append(b, tagDigestResp, sectionFlags(m.Match, m.Full, m.Children, m.Marks))
+	b = appendSections(b, m.Children, m.Marks)
 	return wire.AppendList(b, m.Deltas, information.AppendObject), nil
 }
 
@@ -91,25 +105,60 @@ func (m pushResp) AppendBinary(b []byte) ([]byte, error) {
 	return wire.AppendUint64(b, uint64(m.Conflicts)), nil
 }
 
-func sectionFlags(match bool, frames, hw []byte) byte {
+func sectionFlags(match, full bool, frames []byte, marks marksMsg) byte {
 	var f byte
 	if match {
 		f |= flagMatch
 	}
+	if full {
+		f |= flagFull
+	}
 	if len(frames) > 0 {
 		f |= flagFrames
 	}
-	if hw != nil {
+	if marks.Section != nil {
 		f |= flagHW
+		if marks.Ack != 0 {
+			f |= flagAck
+		}
+		if marks.Base != 0 {
+			f |= flagDelta
+		}
 	}
 	return f
 }
 
-// appendSections writes the optional tree-frame (or children) and
-// high-water sections sectionFlags announced; consumeSections reads them
-// back.
-func appendSections(b, frames, hw []byte) []byte {
-	return append(append(b, frames...), hw...)
+// appendSections writes the optional tree-frame (or children) and marks
+// sections sectionFlags announced; consumeSections reads them back.
+func appendSections(b, frames []byte, marks marksMsg) []byte {
+	b = append(b, frames...)
+	if marks.Section == nil {
+		return b
+	}
+	b = wire.AppendUvarint(b, marks.Gen)
+	if marks.Ack != 0 {
+		b = wire.AppendUvarint(b, marks.Ack)
+	}
+	if marks.Base != 0 {
+		b = binary.BigEndian.AppendUint32(wire.AppendUvarint(b, marks.Base), marks.Check)
+	}
+	return append(b, marks.Section...)
+}
+
+// size is the encoded length of the marks section appendSections writes:
+// what Stats.MarksBytes counts.
+func (m marksMsg) size() int {
+	if m.Section == nil {
+		return 0
+	}
+	n := wire.UvarintLen(m.Gen) + len(m.Section)
+	if m.Ack != 0 {
+		n += wire.UvarintLen(m.Ack)
+	}
+	if m.Base != 0 {
+		n += wire.UvarintLen(m.Base) + 4
+	}
+	return n
 }
 
 // appendDigest writes an id→version-vector digest: count, then per id in
@@ -134,23 +183,23 @@ func appendDigest(b []byte, d map[string]vclock.Version) []byte {
 // Each reads its body through a wire.Body cursor: the tag, one line per
 // field, and Close for the first failure or trailing bytes.
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Frames and HW
-// alias data, like an envelope's body does.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Frames and the
+// marks section alias data, like an envelope's body does.
 func (m *digestReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestReq, "digestReq")
-	flags := b.Flags(flagFrames | flagHW)
+	flags := b.Flags(flagFrames | flagHW | flagAck | flagDelta)
 	*m = digestReq{}
-	m.Frames, m.HW = consumeSections(&b, flags, 16)
+	m.Frames, m.Marks = consumeSections(&b, flags, 16)
 	return b.Close()
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Children and HW
-// alias data, like an envelope's body does.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Children and the
+// marks section alias data, like an envelope's body does.
 func (m *digestResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestResp, "digestResp")
-	flags := b.Flags(flagMatch | flagFrames | flagHW)
-	*m = digestResp{Match: flags&flagMatch != 0}
-	m.Children, m.HW = consumeSections(&b, flags, childRecordSize)
+	flags := b.Flags(flagMatch | flagFrames | flagHW | flagAck | flagDelta | flagFull)
+	*m = digestResp{Match: flags&flagMatch != 0, Full: flags&flagFull != 0}
+	m.Children, m.Marks = consumeSections(&b, flags, childRecordSize)
 	m.Deltas = information.ConsumeObjects(&b)
 	return b.Close()
 }
@@ -189,21 +238,51 @@ func (m *pushResp) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
-// consumeSections reads the optional frame and high-water sections the
-// flags announce. Both are returned still encoded, aliasing data: the frame
+// consumeSections reads the optional frame and marks sections the flags
+// announce. Both are returned still encoded, aliasing data: the frame
 // section — a count, then that many records of recordSize bytes: tree
-// frames or children records — and the marks section.
-func consumeSections(b *wire.Body, flags byte, recordSize int) (frames, hw []byte) {
+// frames or children records — and the marks, whole or a delta. An ack or
+// a base of generation 0, or either flag without a marks section, is
+// refused: each has one encoding.
+func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, marks marksMsg) {
 	if flags&flagFrames != 0 {
 		section := *b // where the section starts
 		n := b.Count(recordSize)
 		b.Raw(recordSize * n)
 		frames = section.Raw(8 + recordSize*n)
 	}
-	if flags&flagHW != 0 {
-		hw = wire.Consume(b, information.SkipMarks)
+	if flags&flagHW == 0 {
+		if flags&(flagAck|flagDelta) != 0 {
+			wire.Consume(b, func(data []byte) (struct{}, []byte, error) {
+				return struct{}{}, data, fmt.Errorf("%w: a marks generation without a marks section", wire.ErrBadBody)
+			})
+		}
+		return frames, marks
 	}
-	return frames, hw
+	marks.Gen = b.Uvarint()
+	if flags&flagAck != 0 {
+		marks.Ack = wire.Consume(b, consumeGeneration)
+	}
+	if flags&flagDelta == 0 {
+		marks.Section = wire.Consume(b, information.SkipMarks)
+		return frames, marks
+	}
+	marks.Base = wire.Consume(b, consumeGeneration)
+	if check := b.Raw(4); check != nil {
+		marks.Check = binary.BigEndian.Uint32(check)
+	}
+	marks.Section = wire.Consume(b, information.SkipMarksDelta)
+	return frames, marks
+}
+
+// consumeGeneration reads a generation a flag announced: never 0, which
+// the flag's absence says.
+func consumeGeneration(data []byte) (uint64, []byte, error) {
+	gen, rest, err := wire.ConsumeUvarint(data)
+	if err == nil && gen == 0 {
+		return 0, data, fmt.Errorf("%w: a marks generation of 0", wire.ErrBadBody)
+	}
+	return gen, rest, err
 }
 
 // consumeDigest reads a digest written by appendDigest; an empty digest

@@ -103,6 +103,9 @@ func marksOf(hw map[string]uint64) []byte {
 	return b
 }
 
+// wholeMarks carries section whole, as the first marks to a peer go.
+func wholeMarks(section []byte) marksMsg { return marksMsg{Gen: 1, Section: section} }
+
 // bodyCases covers every message type: on the benchmark's fixture rows,
 // on the edge rows, and at the corners of each message's own shape.
 func bodyCases() []wiretest.Case {
@@ -111,13 +114,22 @@ func bodyCases() []wiretest.Case {
 	for i := range frames {
 		frames[i] = wire.TreeFrame{Path: wire.PackTreePath(1, uint32(i)), Hash: uint64(i) * 0x9e3779b97f4a7c15}
 	}
-	hw := marksOf(map[string]uint64{"s000": 41, "s001": 7, "köln": 1 << 40})
+	base := map[string]uint64{"s000": 41, "s001": 7, "köln": 1 << 40}
+	hw := marksOf(base)
+	cur := marksOf(map[string]uint64{"s000": 44, "s001": 7, "s002": 1, "köln": 1<<40 + 1})
+	delta, _ := information.AppendMarksDelta(nil, hw, cur)
 	return append([]wiretest.Case{
-		wiretest.Of("digestReq/opening", digestReq{Frames: root, HW: hw}),
-		wiretest.Of("digestReq/empty replica", digestReq{Frames: root, HW: marksOf(nil)}),
+		wiretest.Of("digestReq/opening", digestReq{Frames: root, Marks: wholeMarks(hw)}),
+		wiretest.Of("digestReq/empty replica", digestReq{Frames: root, Marks: wholeMarks(marksOf(nil))}),
+		wiretest.Of("digestReq/ack", digestReq{Frames: root, Marks: marksMsg{Gen: 1 << 20, Ack: 300, Section: hw}}),
+		wiretest.Of("digestReq/delta", digestReq{Frames: root,
+			Marks: marksMsg{Gen: 9, Ack: 4, Base: 8, Check: information.MarksCheck(cur), Section: delta}}),
 		wiretest.Of("digestReq/follow-up", digestReq{Frames: wire.AppendTreeFrames(nil, frames)}),
 		wiretest.Of("digestReq/zero", digestReq{}),
-		wiretest.Of("digestResp/mismatch rows", digestResp{HW: marksOf(nil), Deltas: benchRows(16)}),
+		wiretest.Of("digestResp/mismatch rows", digestResp{Marks: wholeMarks(marksOf(nil)), Deltas: benchRows(16)}),
+		wiretest.Of("digestResp/delta rows", digestResp{Marks: marksMsg{Gen: 3, Base: 2, Check: 0xfeedface, Section: delta}, Deltas: benchRows(2)}),
+		wiretest.Of("digestResp/full", digestResp{Full: true, Marks: wholeMarks(hw)}),
+		wiretest.Of("digestResp/match full", digestResp{Match: true, Full: true}),
 		wiretest.Of("digestResp/edge rows", digestResp{Deltas: edgeRows()}),
 		wiretest.Of("syncReq", syncReq{Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}),
 		wiretest.Of("syncReq/no digest", syncReq{Scope: []uint32{9}}),
@@ -138,7 +150,8 @@ func bodyCases() []wiretest.Case {
 func goldenCases() []wiretest.Case {
 	return []wiretest.Case{
 		wiretest.Of("digestResp/match", digestResp{Match: true}),
-		wiretest.Of("digestResp/mismatch", digestResp{Children: childrenSection(wire.PackTreePath(0, 0)), HW: marksOf(map[string]uint64{"s000": 41})}),
+		wiretest.Of("digestResp/mismatch", digestResp{Children: childrenSection(wire.PackTreePath(0, 0)), Marks: wholeMarks(marksOf(map[string]uint64{"s000": 41}))}),
+		wiretest.Of("digestResp/delta", digestResp{Marks: marksMsg{Gen: 7, Base: 6, Check: 0x01020304, Section: []byte{1, 2, 3, 0}}}),
 		wiretest.Of("digestResp/descent", digestResp{Children: childrenSection(wire.PackTreePath(1, 3), wire.PackTreePath(2, 255))}),
 		wiretest.Of("syncResp/want", syncResp{Want: []string{"obj000003", "obj000017"}}),
 		wiretest.Of("pushReq/no rows", pushReq{}),
@@ -147,9 +160,10 @@ func goldenCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, goldenCases(), map[string]string{
-		"digestResp/match":    "87010000000000000000",
-		"digestResp/mismatch": "8706000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c150010473303030290000000000000000",
-		"digestResp/descent":  "8702000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
+		"digestResp/match":    "8b010000000000000000",
+		"digestResp/delta":    "8b14070601020304010203000000000000000000",
+		"digestResp/mismatch": "8b06000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c15001010473303030290000000000000000",
+		"digestResp/descent":  "8b02000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
 		"syncResp/want":       "880000000000000002000000096f626a303030303033000000096f626a3030303031370000000000000000",
 		"pushReq/no rows":     "890000000000000000",
 	})
@@ -157,14 +171,14 @@ func TestBodiesGolden(t *testing.T) {
 
 func TestBodiesRoundTrip(t *testing.T) {
 	wiretest.RoundTrip(t, bodyCases())
-	// The distinction the opening call rests on, spelled out: an empty HW is
-	// not an absent one.
+	// The distinction the opening call rests on, spelled out: empty marks
+	// are not absent ones.
 	var opening, followUp digestReq
-	if err := opening.UnmarshalBinary(bodyCases()[1].Encode(t)); err != nil || !bytes.Equal(opening.HW, []byte{0}) {
-		t.Fatalf("empty HW decoded as %#v (%v), want a section of no marks", opening.HW, err)
+	if err := opening.UnmarshalBinary(bodyCases()[1].Encode(t)); err != nil || !bytes.Equal(opening.Marks.Section, []byte{0}) {
+		t.Fatalf("empty marks decoded as %#v (%v), want a section of no marks", opening.Marks, err)
 	}
-	if err := followUp.UnmarshalBinary(bodyCases()[2].Encode(t)); err != nil || followUp.HW != nil {
-		t.Fatalf("absent HW decoded as %#v (%v), want nil", followUp.HW, err)
+	if err := followUp.UnmarshalBinary(bodyCases()[4].Encode(t)); err != nil || followUp.Marks.Section != nil {
+		t.Fatalf("absent marks decoded as %#v (%v), want nil", followUp.Marks, err)
 	}
 }
 
@@ -177,7 +191,7 @@ func TestBodiesCanonical(t *testing.T) {
 	want, _ := ref.AppendBinary(nil)
 	refRows := digestResp{Deltas: benchRows(16)}
 	wantRows, _ := refRows.AppendBinary(nil)
-	wantReq, _ := digestReq{HW: marksOf(map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5})}.AppendBinary(nil)
+	wantReq, _ := digestReq{Marks: wholeMarks(marksOf(map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}))}.AppendBinary(nil)
 	for trial := 0; trial < 10; trial++ {
 		m := syncReq{Digest: map[string]vclock.Version{}}
 		ids := make([]string, 0, len(ref.Digest))
@@ -220,7 +234,7 @@ func TestBodiesCanonical(t *testing.T) {
 		for _, i := range rng.Perm(5) {
 			tree.Update(fmt.Sprint("id", i), vclock.Version{string(rune('a' + i)): uint64(i + 1)})
 		}
-		if got, _ := (digestReq{HW: tree.AppendMarks(nil)}).AppendBinary(nil); !bytes.Equal(got, wantReq) {
+		if got, _ := (digestReq{Marks: wholeMarks(tree.AppendMarks(nil))}).AppendBinary(nil); !bytes.Equal(got, wantReq) {
 			t.Fatalf("trial %d: digestReq bytes depend on the order sites first wrote in", trial)
 		}
 	}
@@ -233,7 +247,8 @@ func TestBodiesRejectDamage(t *testing.T) {
 	// Each count, aimed at.
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
 		"frames":    append([]byte{tagDigestReq, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
-		"hw":        append([]byte{tagDigestReq, flagHW, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"hw":        append([]byte{tagDigestReq, flagHW, 1}, wire.AppendUvarint(nil, 1<<60)...),
+		"delta":     append([]byte{tagDigestReq, flagHW | flagDelta, 2, 1, 0, 0, 0, 0}, wire.AppendUvarint(nil, 1<<60)...),
 		"children":  append([]byte{tagDigestResp, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"deltas":    append([]byte{tagDigestResp, 0, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"want":      append([]byte{tagSyncResp, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
@@ -243,6 +258,33 @@ func TestBodiesRejectDamage(t *testing.T) {
 		"relations": append(append([]byte{tagPushReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
 		"refused":   append(append(append([]byte{tagPushResp}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
 	})
+}
+
+// TestRetiredDigestBodiesRefused: a digest request or reply as the code
+// before marks generations wrote it fails on its first byte — an old peer's
+// whole marks are never read as a delta, nor a delta as whole marks.
+func TestRetiredDigestBodiesRefused(t *testing.T) {
+	for _, b := range wiretest.Retired(t, "testdata/retired-bodies.txt") {
+		var req digestReq
+		var resp digestResp
+		if req.UnmarshalBinary(b) == nil || resp.UnmarshalBinary(b) == nil {
+			t.Errorf("a retired body decoded: %x", b)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"ack of 0":                {tagDigestReq, flagHW | flagAck, 1, 0, 0},
+		"base of 0":               {tagDigestReq, flagHW | flagDelta, 1, 0, 0, 0, 0, 0, 0, 0},
+		"ack without marks":       {tagDigestReq, flagAck, 1},
+		"delta without marks":     {tagDigestResp, flagDelta, 0, 0, 0, 0, 0, 0, 0, 0},
+		"full on a request":       {tagDigestReq, flagFull},
+		"whole marks not minimal": {tagDigestReq, flagHW, 1, 1, 1, 'a', 0x81, 0},
+	} {
+		var req digestReq
+		var resp digestResp
+		if req.UnmarshalBinary(bad) == nil && resp.UnmarshalBinary(bad) == nil {
+			t.Errorf("%s: decoded %x", name, bad)
+		}
+	}
 }
 
 // tappedPair is two manual-round replicas whose every outbound frame is
@@ -322,11 +364,13 @@ func (p *tappedPair) divergentRound(tb testing.TB, n int) Stats {
 	return before
 }
 
-// digestSections sums the encoded tree-frame, high-water and digest
-// sections of the bodies s0's exchanges put on the wire, both directions —
-// decoded and re-encoded section by section, not by the yardsticks that
-// feed the counter.
-func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[string]int) {
+// digestSections sums the encoded marks, tree-frame, children, digest and
+// want sections of the bodies s0's exchanges put on the wire, both
+// directions, by kind into a Stats' byte counters — read off the bodies
+// themselves (the marks are what is left of a body once its tag, flags,
+// frames and rows are taken away), not by the yardsticks that feed the
+// counters.
+func (p *tappedPair) digestSections(tb testing.TB) (got Stats, methods map[string]int) {
 	tb.Helper()
 	s0 := p.reps[0].Addr()
 	methods = map[string]int{}
@@ -342,25 +386,40 @@ func (p *tappedPair) digestSections(tb testing.TB) (total int, methods map[strin
 		case f.method == MethodDigest && request:
 			var m digestReq
 			err = wire.DecodeBody(f.body, &m)
-			total += len(m.Frames) + len(m.HW)
+			got.FrameBytes += int64(len(m.Frames))
+			got.MarksBytes += int64(len(f.body) - 2 - len(m.Frames))
 		case f.method == MethodDigest:
 			var m digestResp
 			err = wire.DecodeBody(f.body, &m)
-			total += len(m.Children) + len(m.HW)
+			got.ChildrenBytes += int64(len(m.Children))
+			rows := len(wire.AppendList(nil, m.Deltas, information.AppendObject))
+			got.MarksBytes += int64(len(f.body) - 2 - len(m.Children) - rows)
 		case f.method == MethodSync && request:
 			var m syncReq
 			err = wire.DecodeBody(f.body, &m)
-			total += len(appendDigest(nil, m.Digest))
+			got.WantBytes += int64(len(appendDigest(nil, m.Digest)))
 		case f.method == MethodSync:
 			var m syncResp
 			err = wire.DecodeBody(f.body, &m)
-			total += len(wire.AppendStrings(nil, m.Want))
+			got.WantBytes += int64(len(wire.AppendStrings(nil, m.Want)))
 		}
 		if err != nil {
 			tb.Fatalf("%s %s body: %v", f.method, f.kind, err)
 		}
 	}
-	return total, methods
+	got.DigestBytes = got.MarksBytes + got.FrameBytes + got.ChildrenBytes + got.WantBytes
+	return got, methods
+}
+
+// bytesSince is the digest byte counters' movement from before to after.
+func bytesSince(before, after Stats) Stats {
+	return Stats{
+		DigestBytes:   after.DigestBytes - before.DigestBytes,
+		MarksBytes:    after.MarksBytes - before.MarksBytes,
+		FrameBytes:    after.FrameBytes - before.FrameBytes,
+		ChildrenBytes: after.ChildrenBytes - before.ChildrenBytes,
+		WantBytes:     after.WantBytes - before.WantBytes,
+	}
 }
 
 // TestDigestBytesAreEncodedBytes: Stats.DigestBytes is not an estimate —
@@ -377,14 +436,15 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	if methods[MethodSync] == 0 || methods[MethodPush] == 0 || after.DescentCalls == before.DescentCalls {
 		t.Fatalf("the divergent round did not descend, sync and push: %v, stats %+v", methods, after)
 	}
-	if got := after.DigestBytes - before.DigestBytes; got != int64(sections) || after.LastRoundDigestBytes != sections {
-		t.Fatalf("divergent round: DigestBytes moved by %d (last round %d), encoded sections are %d bytes",
+	if got := bytesSince(before, after); got != sections || after.LastRoundDigestBytes != int(sections.DigestBytes) {
+		t.Fatalf("divergent round: the byte counters moved by %+v (last round %d), encoded sections are %+v",
 			got, after.LastRoundDigestBytes, sections)
 	}
 	// The byte budget on both sides, exact: a layout that grows fails
-	// here, not only on the benchmark.
-	if after.LastRoundDigestBytes != 1276 || after.DigestBytes != 1337 || p.reps[1].Stats().DigestBytes != 60 {
-		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1276), s0 total %d (want 1337), s1 total %d (want 60)",
+	// here, not only on the benchmark. Each marks section carries its
+	// generation, and a request the generation of the peer's it holds.
+	if after.LastRoundDigestBytes != 1279 || after.DigestBytes != 1344 || p.reps[1].Stats().DigestBytes != 64 {
+		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1279), s0 total %d (want 1344), s1 total %d (want 64)",
 			after.LastRoundDigestBytes, after.DigestBytes, p.reps[1].Stats().DigestBytes)
 	}
 
@@ -397,20 +457,22 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	if after.ConvergedRoots != before.ConvergedRoots+1 {
 		t.Fatalf("second round was not a converged one: %+v", after)
 	}
-	if got := after.DigestBytes - before.DigestBytes; got != int64(sections) || sections == 0 {
-		t.Fatalf("converged round: DigestBytes moved by %d, encoded sections are %d bytes", got, sections)
+	if got := bytesSince(before, after); got != sections || sections.DigestBytes == 0 {
+		t.Fatalf("converged round: the byte counters moved by %+v, encoded sections are %+v", got, sections)
 	}
-	// One root frame and one single-site high-water map out; a matching
-	// reply carries neither children nor marks.
-	if want := 24 + len(p.spaces[0].Tree().AppendMarks(nil)); sections != want || len(p.spaces[0].Tree().HighWater()) != 1 {
-		t.Fatalf("converged round exchanged %d digest bytes, want %d", sections, want)
+	// One root frame and one single-site marks section out, whole (a delta
+	// of one site is no shorter), with its generation and the generation
+	// of s1's marks s0 holds; a matching reply carries neither children
+	// nor marks.
+	if want := 24 + 2 + len(p.spaces[0].Tree().AppendMarks(nil)); sections.DigestBytes != int64(want) || len(p.spaces[0].Tree().HighWater()) != 1 {
+		t.Fatalf("converged round exchanged %d digest bytes, want %d", sections.DigestBytes, want)
 	}
 	replies := 0
 	for _, f := range p.frames {
 		if f.kind == "rpc.rep" && f.method == MethodDigest && f.to == p.reps[0].Addr() {
 			replies++
 			var m digestResp
-			if err := wire.DecodeBody(f.body, &m); err != nil || !m.Match || m.HW != nil || f.body[1]&flagHW != 0 {
+			if err := wire.DecodeBody(f.body, &m); err != nil || !m.Match || m.Marks.Section != nil || f.body[1]&flagHW != 0 {
 				t.Fatalf("the converged round's reply carries a high-water section or no match (%v): %x", err, f.body)
 			}
 		}
@@ -439,6 +501,9 @@ func FuzzReplicaBodies(f *testing.F) {
 	}
 	for _, c := range bodyCases() {
 		f.Add(c.Encode(f))
+	}
+	for _, b := range wiretest.Retired(f, "testdata/retired-bodies.txt") {
+		f.Add(b)
 	}
 	wiretest.Fuzz(f, []wiretest.Case{
 		wiretest.Of("digestReq", digestReq{}), wiretest.Of("digestResp", digestResp{}),

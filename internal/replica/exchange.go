@@ -41,25 +41,34 @@ func (m *merkleExchange) finish() {
 	m.next(m.st)
 }
 
-// count records digest payload bytes for this exchange, both directions.
-func (m *merkleExchange) count(n int) {
+// count records digest payload bytes for this exchange, both directions,
+// by section kind.
+func (m *merkleExchange) count(marks, frames, children, want int) {
+	n := marks + frames + children + want
 	m.st.digestBytes += n
-	m.r.bump(func(s *Stats) { s.DigestBytes += int64(n) })
+	m.r.bump(func(s *Stats) {
+		s.DigestBytes += int64(n)
+		s.MarksBytes += int64(marks)
+		s.FrameBytes += int64(frames)
+		s.ChildrenBytes += int64(children)
+		s.WantBytes += int64(want)
+	})
 }
 
 // negotiate sends one negotiation step and hands the peer's answer to
-// then, counting its frame and mark sections both ways. A call that errors
-// — timeout, no such method, undecodable reply — fails the exchange.
+// then, counting its frame, children and marks sections both ways. A call
+// that errors — timeout, no such method, undecodable reply — fails the
+// exchange.
 func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 	r := m.r
-	m.count(len(req.Frames) + len(req.HW))
+	m.count(req.Marks.size(), len(req.Frames), 0, 0)
 	r.ep.GoMsg(m.peer, MethodDigest, req, func(res rpc.Result) {
 		var resp digestResp
 		if err := res.Decode(&resp); err != nil {
 			m.fail()
 			return
 		}
-		m.count(len(resp.Children) + len(resp.HW))
+		m.count(resp.Marks.size(), 0, len(resp.Children), 0)
 		then(resp)
 	}, rpc.CallTimeout(DefaultSyncTimeout), rpc.CallTrace(m.st.trace))
 }
@@ -114,13 +123,17 @@ func (m *merkleExchange) open() {
 // state. On a mismatch it merges the rows the peer's marks prove missing
 // here and pushes the rows this side's marks prove missing there; a pass
 // that moved rows is followed by another, up to maxMarksPasses, since what
-// is left is most often a gap the next marks will name. Only a mismatch
-// the marks cannot explain — nothing to pull, nothing to push — descends.
+// is left is most often a gap the next marks will name. So is a pass on
+// which either side could not rebuild the other's marks from a delta: the
+// next one carries them whole. Only a mismatch the marks cannot explain —
+// nothing to pull, nothing to push — descends.
 func (m *merkleExchange) marksPass() {
 	r := m.r
 	m.passes++
 	tree := r.space.Tree()
-	m.negotiate(digestReq{Frames: rootFrame(tree), HW: tree.AppendMarks(nil)}, func(resp digestResp) {
+	marks := r.outMarks(m.peer, tree, true)
+	m.negotiate(digestReq{Frames: rootFrame(tree), Marks: marks}, func(resp digestResp) {
+		r.confirmMarks(m.peer, marks.Gen, !resp.Full)
 		if resp.Match {
 			if m.passes == 1 {
 				r.bump(func(s *Stats) { s.ConvergedRoots++ })
@@ -136,11 +149,15 @@ func (m *merkleExchange) marksPass() {
 		if m.passes >= maxMarksPasses {
 			again = m.verify
 		}
-		push := r.newerThanMarks(tree, resp.HW)
+		peerMarks, held := r.inMarks(m.peer, resp.Marks, false)
+		var push []*information.Object
+		if held {
+			push = r.newerThanMarks(tree, peerMarks)
+		}
 		switch {
 		case len(push) > 0:
 			m.push(push, again)
-		case applied > 0:
+		case applied > 0, resp.Full, !held:
 			again()
 		case resp.Children != nil:
 			// Nothing the marks explain: descend from the root's
@@ -237,7 +254,7 @@ func (m *merkleExchange) scopedSync() {
 		tree.LeafDigestInto(digest, b)
 	}
 	m.st.digestEntries += len(digest)
-	m.count(digestMapBytes(digest))
+	m.count(0, 0, 0, digestMapBytes(digest))
 	r.bump(func(s *Stats) { s.DigestEntriesSent += int64(len(digest)) })
 	r.ep.GoMsg(m.peer, MethodSync, syncReq{Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
 		var resp syncResp
@@ -245,7 +262,7 @@ func (m *merkleExchange) scopedSync() {
 			m.fail()
 			return
 		}
-		m.count(wantBytes(resp.Want))
+		m.count(0, 0, 0, wantBytes(resp.Want))
 		m.pull(resp.Deltas)
 		// Push half: our rows in the divergent buckets the peer's scoped
 		// digest has not fully seen: the offered ids it named, sorted.

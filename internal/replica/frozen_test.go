@@ -274,7 +274,7 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		}
 		reencode(t, reps[0].serveScopedSync(syncReq{Scope: scope}))
 		reencode(t, pushReq{Objects: reps[0].FetchWire(allIDs)})
-		opening, err := reps[0].serveDigest(digestReq{Frames: emptyRoot, HW: marksOf(nil)})
+		opening, err := reps[0].serveDigest("repl-reader", digestReq{Frames: emptyRoot, Marks: wholeMarks(marksOf(nil))})
 		if err != nil {
 			t.Fatal(err)
 		}

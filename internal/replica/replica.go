@@ -11,9 +11,15 @@
 // rows, and only for a gap the marks cannot name descends the mismatched
 // subtrees and exchanges id→version-vector digests for the divergent
 // leaves alone — so digest bytes are O(1) when converged and
-// O(log n · changed) when not, instead of O(n) every round. The
-// negotiation is the only protocol: a peer whose endpoint does not serve
-// it is an ordinary peer failure, counted and retried like a timeout.
+// O(log n · changed) when not, instead of O(n) every round. The marks
+// themselves travel by delta: each side keeps per peer the sections it
+// sent and the last two it received, numbered by generation, and sends
+// only the sites whose mark rose since the section the peer confirmed
+// holding, with a check of the whole; a delta the peer cannot rebuild is
+// answered as if no marks came, and the next pass sends them whole (see
+// peerMarks). The negotiation is the only protocol: a peer whose endpoint
+// does not serve it is an ordinary peer failure, counted and retried like
+// a timeout.
 //
 // Because every exchange is an rpc interrogation, sync traffic traverses
 // the engineering channel stack like all other traffic in the repository:
@@ -107,29 +113,48 @@ type pushReq struct {
 
 // digestReq opens or continues a Merkle digest negotiation. Frames is a
 // wire.AppendTreeFrames encoding of the caller's tree nodes at the
-// current frontier (the root on a marks pass). HW carries the caller's
+// current frontier (the root on a marks pass). Marks carries the caller's
 // per-site high-water marks on a marks pass only.
 type digestReq struct {
 	Frames []byte
-	// HW is the caller's marks section (information.AppendMarks), present
-	// exactly on a marks pass. A replica with no rows still sends one — a
-	// count of zero — and gets the responder's marks and every row back
-	// (the bulk late-join repair). A nil HW marks a root-only verify or a
+	// Marks is the caller's marks, present exactly on a marks pass. A
+	// replica with no rows still sends them — a count of zero — and gets
+	// the responder's marks and every row back (the bulk late-join
+	// repair). Absent marks (a nil Section) mark a root-only verify or a
 	// descent step.
-	HW []byte
+	Marks marksMsg
+}
+
+// marksMsg is a marks section as a digest body carries it: whole, or as a
+// delta from a section of the sender's that the receiver holds. Each side
+// numbers the sections it sends a peer with generations, so the two can
+// name what each holds of the other's (see peerMarks).
+type marksMsg struct {
+	Gen   uint64 // the generation this section creates, counted per peer from 1
+	Ack   uint64 // the generation of the receiver's marks the sender holds; 0: none
+	Base  uint64 // the generation of the sender's section Section is a delta from; 0: Section is whole
+	Check uint32 // information.MarksCheck of the whole section, with a Base only
+	// Section is the marks section (information.AppendMarks), or with a
+	// Base the delta (information.AppendMarksDelta); nil when the body
+	// carries no marks. It aliases the body it was read from.
+	Section []byte
 }
 
 // digestResp answers a negotiation step: Match reports that every
 // offered frame agreed. On a mismatched marks pass the responder returns
-// its own marks section and the rows the caller's marks prove it has never
-// seen; otherwise, and on a marks pass whose marks explain nothing, Children
+// its own marks and the rows the caller's marks prove it has never seen;
+// otherwise, and on a marks pass whose marks explain nothing, Children
 // carries per mismatched internal node its packed path and its
 // MerkleFanout child hashes in index order (the children section, see
-// codec.go).
+// codec.go). Full reports that the responder could not rebuild the
+// caller's marks — a delta from a base it does not hold, or one whose
+// rebuild failed its check — and answered as if they were absent: Match,
+// or its own marks alone. The caller's next marks are whole.
 type digestResp struct {
 	Match    bool
+	Full     bool
 	Children []byte
-	HW       []byte
+	Marks    marksMsg
 	Deltas   []*information.Object
 }
 
@@ -155,15 +180,21 @@ type Stats struct {
 	ApplyFailures     int64 `metric:"apply_failures"` // peer rows the local replica failed to store
 
 	// Merkle negotiation counters. DigestBytes is the digest payload cost
-	// this replicator initiated, both directions: tree frames, high-water
-	// maps and scoped id→version-vector entries — data deltas
-	// and pushes are not digest bytes. ConvergedRoots counts opening root
-	// compares that matched outright (the O(1) converged round).
+	// of the exchanges this replicator initiated, both directions — data
+	// deltas and pushes are not digest bytes — and the sum of the four
+	// counters after it, one per section kind. ConvergedRoots counts
+	// opening root compares that matched outright (the O(1) converged
+	// round).
 	MerkleExchanges int64 `metric:"merkle_exchanges"` // peer exchanges that ran the digest negotiation
 	ConvergedRoots  int64 `metric:"converged_roots"`  // opening root compares that matched
 	DescentCalls    int64 `metric:"descent_calls"`    // subtree-descent negotiation steps sent
 	HWFastDeltas    int64 `metric:"hw_fast_deltas"`   // rows repaired straight off the high-water marks
 	DigestBytes     int64 `metric:"digest_bytes"`     // digest payload bytes exchanged (sent + received)
+	MarksBytes      int64 `metric:"marks_bytes"`      // marks sections, whole or delta, with their generations and checks
+	FrameBytes      int64 `metric:"frame_bytes"`      // tree-frame sections offered
+	ChildrenBytes   int64 `metric:"children_bytes"`   // children sections answered
+	WantBytes       int64 `metric:"want_bytes"`       // scoped leaf digests and the want-lists answering them
+	MarksFallbacks  int64 `metric:"marks_fallbacks"`  // whole marks sent because a peer lost or refused the base
 
 	// Per-round observability: the last completed round's digest size and
 	// data movement (sum over its peer exchanges).
@@ -227,6 +258,9 @@ type Replicator struct {
 	handOff        []*information.Object // local writes HandOff queued this instant
 	handOffTo      netsim.Address        // the peer they go to
 	stats          Stats
+
+	marksMu sync.Mutex
+	marks   map[netsim.Address]*peerMarks // per peer, what each side holds of the other's marks
 }
 
 // New binds a replicator to the endpoint, registers the protocol methods,
@@ -293,6 +327,7 @@ func (r *Replicator) RemovePeer(addr netsim.Address) bool {
 		return false
 	}
 	r.peers = slices.Delete(r.peers, i, i+1)
+	r.forgetMarks(addr)
 	return true
 }
 

@@ -26,8 +26,8 @@ func (r *Replicator) register() {
 		r.bump(func(s *Stats) { s.ServedDigests++ })
 		return r.serveScopedSync(req), nil
 	}))
-	r.ep.MustRegister(MethodDigest, rpc.Handle(func(_ netsim.Address, req digestReq) (digestResp, error) {
-		return r.serveDigest(req)
+	r.ep.MustRegister(MethodDigest, rpc.Handle(func(from netsim.Address, req digestReq) (digestResp, error) {
+		return r.serveDigest(from, req)
 	}))
 	r.ep.MustRegister(MethodPush, rpc.Handle(func(_ netsim.Address, req pushReq) (pushResp, error) {
 		var resp pushResp
@@ -85,14 +85,15 @@ func (r *Replicator) serveDeltas(deltas []*information.Object) []*information.Ob
 	return deltas
 }
 
-// serveDigest answers one Merkle negotiation step. A matched root carries
-// nothing more: the caller is done. On a mismatched marks pass (HW
-// present) the reply carries the responder's own marks and the rows the
+// serveDigest answers one Merkle negotiation step from caller. A matched
+// root carries nothing more: the caller is done. On a mismatched marks
+// pass the reply carries the responder's own marks and the rows the
 // caller's marks prove it lacks, and the root's children only when the
 // marks explain nothing — no rows for the caller, and no caller mark past
-// the responder's own — since only then will the caller descend. Every
+// the responder's own — since only then will the caller descend. Marks
+// that cannot be rebuilt draw Full and the responder's marks alone. Every
 // other offered internal frame that mismatches draws one children record.
-func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
+func (r *Replicator) serveDigest(caller netsim.Address, req digestReq) (digestResp, error) {
 	r.bump(func(s *Stats) { s.ServedDigests++ })
 	tree := r.space.Tree()
 	frames, err := wire.DecodeTreeFrames(req.Frames)
@@ -112,11 +113,19 @@ func (r *Replicator) serveDigest(req digestReq) (digestResp, error) {
 		}
 	}
 	resp := digestResp{Match: match}
-	if req.HW != nil && !match {
-		resp.HW = tree.AppendMarks(nil)
-		resp.Deltas = r.serveDeltas(r.newerThanMarks(tree, req.HW))
-		if len(resp.Deltas) > 0 || tree.MarksAhead(req.HW) {
-			return resp, nil
+	if req.Marks.Section != nil {
+		// Rebuilt even when the roots match: the next delta is from it.
+		marks, ok := r.inMarks(caller, req.Marks, true)
+		resp.Full = !ok
+		if !match {
+			resp.Marks = r.outMarks(caller, tree, false)
+			if !ok {
+				return resp, nil
+			}
+			resp.Deltas = r.serveDeltas(r.newerThanMarks(tree, marks))
+			if len(resp.Deltas) > 0 || tree.MarksAhead(marks) {
+				return resp, nil
+			}
 		}
 	}
 	if n := len(internal); n > 0 {

@@ -83,7 +83,7 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 		if parents != tc.parents {
 			t.Fatalf("%s: the reference yields %d parents, the case says %d", tc.name, parents, tc.parents)
 		}
-		resp, err := r.serveDigest(digestReq{Frames: wire.AppendTreeFrames(nil, tc.frames)})
+		resp, err := r.serveDigest("repl-caller", digestReq{Frames: wire.AppendTreeFrames(nil, tc.frames)})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -108,7 +108,7 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 			t.Errorf("%s: the served section does not decode back", tc.name)
 		}
 	}
-	if resp, err := r.serveDigest(digestReq{Frames: rootFrame(tree), HW: marksOf(nil)}); err != nil || !resp.Match || resp.Children != nil || resp.HW != nil {
+	if resp, err := r.serveDigest("repl-caller", digestReq{Frames: rootFrame(tree), Marks: wholeMarks(marksOf(nil))}); err != nil || !resp.Match || resp.Children != nil || resp.Marks.Section != nil {
 		t.Errorf("matching root: %+v, %v", resp, err)
 	}
 }
@@ -136,14 +136,14 @@ func TestBadChildrenSectionIsRefused(t *testing.T) {
 // sync over four buckets.
 func TestServeAllocationCeilings(t *testing.T) {
 	r, ids := servedFixture(t, 64)
-	opening := digestReq{Frames: rootFrame(information.NewDigestTree()), HW: marksOf(nil)}
-	resp, err := r.serveDigest(opening)
+	opening := digestReq{Frames: rootFrame(information.NewDigestTree()), Marks: wholeMarks(marksOf(nil))}
+	resp, err := r.serveDigest("repl-caller", opening)
 	if err != nil || resp.Match || len(resp.Deltas) != len(ids) {
 		t.Fatalf("opening call: match=%v deltas=%d err=%v", resp.Match, len(resp.Deltas), err)
 	}
 	// Decoded frames, the reply's frames, the marks, the id list and the
 	// growing row list — nothing per row but its slot in that list.
-	if n := testing.AllocsPerRun(50, func() { _, _ = r.serveDigest(opening) }); n > 24 {
+	if n := testing.AllocsPerRun(50, func() { _, _ = r.serveDigest("repl-caller", opening) }); n > 24 {
 		t.Errorf("mismatched opening serveDigest over %d rows: %.0f allocations, ceiling 24", len(ids), n)
 	}
 

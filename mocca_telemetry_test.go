@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -258,20 +259,30 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	if want := s0.Replicator().Stats().Rounds; snap.Value("mocca.sync.rounds", observe.L("site", "s0")...) != want {
 		t.Fatalf("sync.rounds diverged from replica.Stats")
 	}
-	// The repair counters project replica.Stats as they are, site by site.
-	matchesStats := func(snap observe.Snapshot) {
+	// The repair and negotiation counters project replica.Stats as they
+	// are, site by site; the digest bytes are the sum of the four kinds.
+	matchesStats := func(snap observe.Snapshot, sites ...*Site) {
 		t.Helper()
-		for _, site := range []*Site{s0, s1} {
+		for _, site := range sites {
 			rs := site.Replicator().Stats()
 			for name, want := range map[string]int64{
-				"mocca.sync.pushed":         rs.Pushed,
-				"mocca.sync.hw_fast_deltas": rs.HWFastDeltas,
-				"mocca.sync.descent_calls":  rs.DescentCalls,
-				"mocca.sync.deltas_served":  rs.DeltasServed,
+				"mocca.sync.pushed":          rs.Pushed,
+				"mocca.sync.hw_fast_deltas":  rs.HWFastDeltas,
+				"mocca.sync.descent_calls":   rs.DescentCalls,
+				"mocca.sync.deltas_served":   rs.DeltasServed,
+				"mocca.sync.digest_bytes":    rs.DigestBytes,
+				"mocca.sync.marks_bytes":     rs.MarksBytes,
+				"mocca.sync.frame_bytes":     rs.FrameBytes,
+				"mocca.sync.children_bytes":  rs.ChildrenBytes,
+				"mocca.sync.want_bytes":      rs.WantBytes,
+				"mocca.sync.marks_fallbacks": rs.MarksFallbacks,
 			} {
 				if got := snap.Value(name, observe.L("site", site.Name)...); got != want {
 					t.Fatalf("%s{site=%s} = %d, replica.Stats says %d", name, site.Name, got, want)
 				}
+			}
+			if rs.DigestBytes != rs.MarksBytes+rs.FrameBytes+rs.ChildrenBytes+rs.WantBytes {
+				t.Fatalf("site %s: digest bytes are not the sum of their kinds: %+v", site.Name, rs)
 			}
 			if rs.DescentCalls != 0 {
 				t.Fatalf("site %s descended for a gap the marks name: %+v", site.Name, rs)
@@ -280,7 +291,7 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	}
 	// How the one write travelled: s0 handed it to s1 as it committed (one
 	// push), and no round had to descend for it.
-	matchesStats(snap)
+	matchesStats(snap, s0, s1)
 	if snap.Value("mocca.sync.pushed", observe.L("site", "s0")...) != 1 || s1.Space().Len() != 1 {
 		t.Fatalf("the hand-off at commit is not in the projection: %+v", snap.Points)
 	}
@@ -294,10 +305,26 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	dep.Network().Heal()
 	dep.Run()
 	snap = dep.Metrics().Snapshot()
-	matchesStats(snap)
+	matchesStats(snap, s0, s1)
 	if snap.Value("mocca.sync.hw_fast_deltas", observe.L("site", "s1")...) == 0 ||
 		snap.Value("mocca.sync.deltas_served", observe.L("site", "s0")...) == 0 || s1.Space().Len() != 2 {
 		t.Fatalf("the marks-pass repair is not in the projection: %+v", snap.Points)
+	}
+	// A restarted s1 holds none of s0's marks, so the next marks s0 sends
+	// it go whole: a fallback, counted where it was sent.
+	s1.Crash()
+	if err := s1.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s0.Space().Put("ada", SharedSchemaName, map[string]string{"title": "z"}); err != nil {
+		t.Fatal(err)
+	}
+	dep.Run()
+	snap = dep.Metrics().Snapshot()
+	matchesStats(snap, s0)
+	if snap.Value("mocca.sync.marks_fallbacks", observe.L("site", "s0")...) == 0 ||
+		snap.Value("mocca.sync.marks_bytes", observe.L("site", "s0")...) == 0 || s1.Space().Len() != 3 {
+		t.Fatalf("the restart's marks fallback is not in the projection: %+v", snap.Points)
 	}
 
 	// On the overlay, lazy links carry ihaves: the dots they named and the
@@ -352,6 +379,55 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestRestartedSiteCountersNeverFall: a site's sync, gossip and rpc
+// counters are summed over its incarnations, so none reads lower after a
+// crash and restart than before the crash, on either topology.
+func TestRestartedSiteCountersNeverFall(t *testing.T) {
+	for _, gossip := range []bool{false, true} {
+		opts := []Option{WithSeed(31), WithTelemetry()}
+		if gossip {
+			opts = append(opts, WithGossip())
+		}
+		dep := NewDeployment(opts...)
+		var sites []*Site
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("s%d", i)
+			sites = append(sites, dep.AddSite(name, name+".net"))
+		}
+		dep.Run()
+		for i, s := range sites {
+			if _, err := s.Space().Put("ada", SharedSchemaName, map[string]string{"title": fmt.Sprint("before ", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dep.Run()
+		victim := observe.L("site", "s1")
+		before := dep.Metrics().Snapshot()
+		sites[1].Crash()
+		if err := sites[1].Restart(); err != nil {
+			t.Fatal(err)
+		}
+		after := dep.Metrics().Snapshot()
+		checked := 0
+		for _, p := range before.Points {
+			if p.Kind != observe.KindCounter || !slices.Equal(p.Labels, victim) ||
+				!strings.HasPrefix(p.Name, "mocca.sync.") && !strings.HasPrefix(p.Name, "mocca.gossip.") && !strings.HasPrefix(p.Name, "mocca.rpc.") {
+				continue
+			}
+			checked++
+			if got := after.Value(p.Name, victim...); got < p.Value {
+				t.Errorf("gossip=%v: %s{site=s1} fell from %d to %d across a restart", gossip, p.Name, p.Value, got)
+			}
+		}
+		if checked == 0 || before.Value("mocca.sync.rounds", victim...) == 0 {
+			t.Fatalf("gossip=%v: no counters of s1 before the crash", gossip)
+		}
+		if gossip && before.Value("mocca.gossip.rumors_published", victim...) == 0 {
+			t.Fatal("the overlay's counters of s1 are not in the projection")
 		}
 	}
 }

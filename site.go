@@ -30,6 +30,11 @@ type Site struct {
 	gossipEP *rpc.Endpoint   // the overlay's endpoint; closed on Crash (gossip mode)
 	overlay  *gossip.Overlay // nil unless the deployment runs WithGossip
 	crashed  bool
+	// past sums, by metric name, the counters of the incarnations a
+	// restart replaced: each boot builds a new replicator, endpoint and
+	// overlay whose counters start from zero, and the collector adds
+	// these back (see incarnation).
+	past map[string]int64
 }
 
 // AddSite creates a site: one MTA serving the given domain, routed to all
@@ -80,6 +85,9 @@ func (d *Deployment) boot(s *Site, first bool) error {
 	if err != nil {
 		return err
 	}
+	if !first {
+		s.retire()
+	}
 	s.env = d.env.ResetSiteSpace(s.Name, backend)
 	// On a restart the old replicator's endpoint was closed by Crash, so
 	// any round it still fires fails instantly and it goes dormant under
@@ -101,6 +109,30 @@ func (d *Deployment) boot(s *Site, first bool) error {
 		d.setDown(s.replAddr(), false)
 	}
 	return nil
+}
+
+// incarnation projects the Stats of what a crash kills and a restart
+// builds anew — the replicator, the overlay agent and the replication
+// endpoint — as they stand in this incarnation.
+func (s *Site) incarnation(emit func(observe.Point), labels []observe.Label) {
+	observe.Project(emit, "mocca.sync", labels, s.repl.Stats())
+	if s.overlay != nil {
+		observe.Project(emit, "mocca.gossip", labels, s.overlay.Stats())
+	}
+	observe.Project(emit, "mocca.rpc", labels, s.replEP.Stats())
+}
+
+// retire folds the counters of the incarnation a restart is about to
+// replace into s.past; gauges describe the present and are not kept.
+func (s *Site) retire() {
+	if s.past == nil {
+		s.past = make(map[string]int64)
+	}
+	s.incarnation(func(p observe.Point) {
+		if p.Kind == observe.KindCounter {
+			s.past[p.Name] += p.Value
+		}
+	}, nil)
 }
 
 // wireSiteSpace subscribes the deployment's write path to the site's

@@ -84,19 +84,22 @@ func (d *Deployment) WriteTrace(w io.Writer) error {
 // Naming scheme: mocca.<subsystem>.<counter>{site="..."} for per-site
 // families, label-free for deployment-wide ones. The subsystem prefix is
 // given here; the counter's name and kind are declared on the Stats field
-// that holds it (see observe.Project).
+// that holds it (see observe.Project). A site's sync, gossip and rpc
+// counters are summed over its incarnations, so a restart never takes a
+// count back.
 func (d *Deployment) registerCollectors() {
 	d.tel.Metrics.Register(observe.CollectorFunc(func(emit func(observe.Point)) {
 		for _, name := range d.SiteNames() {
 			s, site := d.sites[name], observe.L("site", name)
-			observe.Project(emit, "mocca.sync", site, s.repl.Stats())
-			if s.overlay != nil {
-				observe.Project(emit, "mocca.gossip", site, s.overlay.Stats())
-			}
+			s.incarnation(func(p observe.Point) {
+				if p.Kind == observe.KindCounter {
+					p.Value += s.past[p.Name]
+				}
+				emit(p)
+			}, site)
 			if ls, ok := d.backends[name].(storeStatser); ok {
 				observe.Project(emit, "mocca.store", site, ls.Stats())
 			}
-			observe.Project(emit, "mocca.rpc", site, s.replEP.Stats())
 		}
 		observe.Project(emit, "mocca.net", nil, d.net.Stats())
 		observe.Project(emit, "mocca.channels", nil, d.fabric.Totals())
