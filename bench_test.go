@@ -105,14 +105,14 @@ func BenchmarkFigure1_DiffTimeSamePlace(b *testing.B) {
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	registry := information.NewSchemaRegistry()
 	if err := registry.Register(information.Schema{Name: "note", Fields: []information.Field{
-		{Name: "headline", Type: information.FieldText, Required: true},
+		{Name: "head", Type: information.FieldText, Required: true},
 	}}); err != nil {
 		b.Fatal(err)
 	}
 	space := information.NewSpace(registry, access.NewSystem(), clk)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		obj, err := space.Put("nightshift", "note", map[string]string{"headline": "handover"})
+		obj, err := space.Put("nightshift", "note", map[string]string{"head": "handover"})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,16 +25,18 @@ import (
 // byte: 0x91, the rumor that carried its sender and whole vectors; 0x92, the
 // rumor reply; 0x9A, the rumor that carried dots without rows, for a fetch;
 // 0x93, 0x94 and 0x9C, the graft by ids, its list of rows and the ihave
-// whose dots carried ids. Peer (0x95) no longer asks for a link:
+// whose dots carried ids; 0x9B, the push whose rows spelled their schema's
+// name and keys (its successor, 0x90, takes the one value left below the
+// range). Peer (0x95) no longer asks for a link:
 // neighborReq does. forwardJoinReq's TTL was eight bytes until it became a
 // uvarint; an old body fails on the seven bytes left over.
 const (
+	tagRumorReq       byte = 0x90
 	tagPeer           byte = 0x95
 	tagJoinResp       byte = 0x96
 	tagForwardJoinReq byte = 0x97
 	tagShuffleReq     byte = 0x98
 	tagShuffleResp    byte = 0x99
-	tagRumorReq       byte = 0x9B
 	tagNeighborReq    byte = 0x9D
 	tagNeighborResp   byte = 0x9E
 	tagIhaveReq       byte = 0x9F

@@ -2,6 +2,8 @@ package gossip
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,6 +17,23 @@ import (
 	"mocca/internal/wire"
 	"mocca/internal/wire/wiretest"
 )
+
+// The schemas the rows below name, registered as the deployment and every
+// test of the package declare them before any test runs: whether a row
+// names its schema by id or spells it then does not depend on test order.
+func init() {
+	text := func(name string, required bool) information.Field {
+		return information.Field{Name: name, Type: information.FieldText, Required: required}
+	}
+	for _, s := range []information.Schema{
+		{Name: "mocca-interchange", Fields: []information.Field{text("title", true), text("body", false), text("author", false), text("context", false)}},
+		{Name: "doc", Fields: []information.Field{text("title", true), text("body", false)}},
+	} {
+		if err := information.NewSchemaRegistry().Register(s); err != nil {
+			panic(err)
+		}
+	}
+}
 
 // benchRow is the benchmark's fixture row (bench/store.go): the workload
 // harness's seeded object on the shared interchange schema.
@@ -120,10 +139,9 @@ func bodyCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"rumorReq/publish": "9b01047330303001096f626a303030303030116d6f6363612d696e7465726368616e6765067530303030300473303030" +
-			"0104733030300109d39b5f4a6aa000000406617574686f720675303030303004626f64792373686172656420776f726b" +
-			"696e67206d6174657269616c20666f72206163743030303007636f6e746578740761637430303030057469746c650e73" +
-			"656564206f626a303030303030",
+		"rumorReq/publish": "9001047330303001096f626a3030303030300048d688600675303030303004733030300104733030300109d39b" +
+			"5f4a6aa000000f0e73656564206f626a3030303030302373686172656420776f726b696e67206d6174657269616c20666f" +
+			"722061637430303030067530303030300761637430303030",
 		"ihaveReq":         "9f01047330303001",
 		"neighborReq/ring": "9d04733030330b676f737369702d73303033097265706c2d7330303301",
 		"neighborResp":     "9e01",
@@ -358,4 +376,20 @@ func BenchmarkIhaveReqCodec(b *testing.B) {
 			benchSink += len(out.Dots)
 		}
 	})
+}
+
+// TestUnknownSchemaIDRefused: a push whose row names a schema id this
+// process has not registered fails to decode with
+// information.ErrUnknownSchema.
+func TestUnknownSchemaIDRefused(t *testing.T) {
+	known := binary.BigEndian.AppendUint32([]byte{0}, 0x48d68860) // the marker and the interchange id
+	c := wiretest.Of("rumorReq", rumorReq{Entries: []pushEntry{{Site: "s000", Counter: 1, Row: benchRow(1)}, {Site: "s000", Counter: 2, Row: benchRow(2)}}})
+	body := c.Encode(t)
+	if bytes.Count(body, known) != 2 {
+		t.Fatalf("the push's rows do not name the interchange schema by id: %x", body)
+	}
+	body = bytes.Replace(body, known, []byte{0, 0xde, 0xad, 0xbe, 0xef}, 1)
+	if _, err := c.Decoded(body); !errors.Is(err, information.ErrUnknownSchema) {
+		t.Fatalf("a row naming an unregistered schema: %v, want information.ErrUnknownSchema", err)
+	}
 }

@@ -258,6 +258,7 @@ func TestGraftAnsweredFromIndex(t *testing.T) {
 	registry := information.NewSchemaRegistry()
 	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
 		{Name: "title", Type: information.FieldText, Required: true},
+		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
 		t.Fatal(err)
 	}

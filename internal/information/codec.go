@@ -3,6 +3,8 @@ package information
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -14,32 +16,58 @@ import (
 // AppendObject appends the canonical binary encoding of one object row,
 // each field in as few bytes as it can be said in:
 //
-//	id, schema, owner, site  each a uvarint length and its bytes
+//	id                       a uvarint length and its bytes
+//	schema                   compact form: a 0 byte, then the schema's
+//	                         content id (schemaID) in 4 big-endian bytes;
+//	                         spelled form: a uvarint of the name's length
+//	                         plus 1, then the name
+//	owner, site              each a uvarint length and its bytes
 //	vector                   vclock's AppendBinary: a uvarint count, then per
 //	                         site in sorted order a uvarint-prefixed name and
 //	                         a uvarint counter
 //	created                  the big-endian uint64 of its UnixNano
 //	updated                  a zigzag varint: Updated less Created, in
 //	                         nanoseconds, modulo 2^64
-//	fields                   a uvarint count, then per key in sorted order
-//	                         the uvarint-prefixed key and value
+//	fields                   compact form: a uvarint bitmap, bit i set when
+//	                         the schema's i-th declared field is present,
+//	                         then the present values in declared order, each
+//	                         uvarint-prefixed; spelled form: a uvarint count,
+//	                         then per key in sorted order the uvarint-prefixed
+//	                         key and value
 //
-// Version is not written: every row a Space commits has its vector's sum
-// for a Version, and DecodeObject sets it so. Equal rows encode to equal
-// bytes, which is what lets recovery be verified byte-for-byte. It is the
-// one row codec of the repository: the durable log (logstore's WAL and
-// segments) and the replication planes (replica.* and gossip.rumor/graft
-// bodies) carry rows in exactly this form. Stores written before it hold
-// rows in an older layout, which logstore alone reads.
+// A row takes the compact form when its Schema is exactly a name this
+// process registered (SchemaRegistry.Register) and every key is one of that
+// schema's fields, which is every row a Space commits; any other row
+// spells its schema and keys. Version is not written: every row a Space
+// commits has its vector's sum for a Version, and DecodeObject sets it so.
+// Equal rows encode to equal bytes, which is what lets recovery be verified
+// byte-for-byte. It is the one row codec of the repository: the durable log
+// (logstore's WAL and segments) and the replication planes (replica.* and
+// gossip.rumor/graft bodies) carry rows in exactly this form. Stores
+// written before it hold rows in older layouts, which logstore alone reads.
 func AppendObject(dst []byte, o *Object) []byte {
 	dst = wire.AppendVarString(dst, o.ID)
-	dst = wire.AppendVarString(dst, o.Schema)
+	sh, set := compactShape(o)
+	if sh != nil {
+		dst = binary.BigEndian.AppendUint32(append(dst, 0), sh.id)
+	} else {
+		dst = append(wire.AppendUvarint(dst, uint64(len(o.Schema))+1), o.Schema...)
+	}
 	dst = wire.AppendVarString(dst, o.Owner)
 	dst = wire.AppendVarString(dst, o.Site)
 	dst = o.VV.AppendBinary(dst)
 	created := o.Created.UnixNano()
 	dst = wire.AppendUint64(dst, uint64(created))
 	dst = wire.AppendVarint(dst, o.Updated.UnixNano()-created)
+	if sh != nil {
+		dst = wire.AppendUvarint(dst, set)
+		for i, k := range sh.fields {
+			if set&(1<<i) != 0 {
+				dst = wire.AppendVarString(dst, o.Fields[k])
+			}
+		}
+		return dst
+	}
 	dst = wire.AppendUvarint(dst, uint64(len(o.Fields)))
 	// Room on the stack for the rows the system writes; a wider one spills
 	// to the heap.
@@ -59,21 +87,40 @@ func AppendObject(dst []byte, o *Object) []byte {
 // DecodeObject decodes one row produced by AppendObject, returning it and
 // the remaining bytes; its Version is its vector's sum. The input may come
 // off the network: ScanObject checks every count and length against the
-// bytes that remain before anything is allocated. The row owns what it
-// holds: the id is a copy of its own, because ids outlive rows as keys, and
-// every other string is a substring of one copy of the row's remaining
-// text — one per row, so a row kept from a message pins nothing else of it.
+// bytes that remain before anything is allocated, and a compact row whose
+// schema id this process has neither registered nor learned (LearnSchema)
+// is refused with an error wrapping ErrUnknownSchema. The row owns what it holds: the id is a copy
+// of its own, because ids outlive rows as keys; a compact row's schema
+// name and keys are the registered schema's own strings, which never
+// change; and every other string is a substring of one copy of the row's
+// remaining text — one per row, so a row kept from a message pins nothing
+// else of it.
 func DecodeObject(data []byte) (*Object, []byte, error) {
 	sc, rest, err := scanObject(data)
 	if err != nil {
 		return nil, rest, err
+	}
+	var sh *shape
+	if sc.compact {
+		if sh = shapes.Load().byID[sc.schemaID]; sh == nil {
+			return nil, data, fmt.Errorf("%w: row %q names id %08x", ErrUnknownSchema, sc.id, sc.schemaID)
+		}
+		if sc.set>>len(sh.fields) != 0 {
+			return nil, data, fmt.Errorf("%w: row %q sets field bits %#x of %q's %d", wire.ErrBadBody, sc.id, sc.set, sh.name, len(sh.fields))
+		}
 	}
 	// The vector's names are its bytes less a few of framing: room enough.
 	var text rowText
 	text.Grow(sc.text + len(sc.vv))
 	o := &Object{ID: string(sc.id)}
 	r := sc.afterID
-	o.Schema = text.cut(&r)
+	if sh != nil {
+		o.Schema = sh.name
+		takeUvarint(&r)
+		r = r[4:]
+	} else {
+		o.Schema = text.cutN(&r, int(takeUvarint(&r))-1)
+	}
 	o.Owner = text.cut(&r)
 	o.Site = text.cut(&r)
 	if nvv := takeUvarint(&r); nvv > 0 {
@@ -94,7 +141,17 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 	r = r[n:]
 	o.Created = time.Unix(0, created).UTC()
 	o.Updated = time.Unix(0, created+delta).UTC()
-	if nfields := takeUvarint(&r); nfields > 0 {
+	if sh != nil {
+		takeUvarint(&r)
+		if sc.set != 0 {
+			o.Fields = make(map[string]string, bits.OnesCount64(sc.set))
+			for i, k := range sh.fields {
+				if sc.set&(1<<i) != 0 {
+					o.Fields[k] = text.cut(&r)
+				}
+			}
+		}
+	} else if nfields := takeUvarint(&r); nfields > 0 {
 		o.Fields = make(map[string]string, nfields)
 		for range nfields {
 			k := text.cut(&r)
@@ -111,8 +168,10 @@ type rowText struct{ strings.Builder }
 
 // cut copies the uvarint-prefixed string at the front of *r, which
 // ScanObject has checked, into the text and returns it as a substring.
-func (t *rowText) cut(r *[]byte) string {
-	n := int(takeUvarint(r))
+func (t *rowText) cut(r *[]byte) string { return t.cutN(r, int(takeUvarint(r))) }
+
+// cutN is cut for the n bytes at the front of *r.
+func (t *rowText) cutN(r *[]byte, n int) string {
 	//lint:allow errdrop strings.Builder's Write always returns a nil error
 	t.Write((*r)[:n])
 	*r = (*r)[n:]
@@ -133,9 +192,9 @@ func takeUvarint(r *[]byte) uint64 {
 }
 
 // minRowBytes is the least a row AppendObject writes can take: four string
-// lengths, a vector count, the creation time, the update's delta and a field
-// count. Past it a row holds at least two bytes per vector entry and per
-// field beside its text.
+// lengths (a spelled schema's), a vector count, the creation time, the
+// update's delta and a field count. Past it a row holds at least two bytes
+// per vector entry and per field beside its text.
 const minRowBytes = 4 + 1 + 8 + 1 + 1
 
 // ConsumeObjects reads a row list — a count, then that many rows written by
@@ -165,24 +224,50 @@ func ObjectID(data []byte) ([]byte, error) {
 // ScanObject walks one row produced by AppendObject without decoding it: it
 // returns the id, the encoded version vector (vclock.DecodeVersion reads it)
 // and the remaining bytes, all as sub-slices of data, and allocates nothing.
-// It makes every check there is — each uvarint within 64 bits, each string
-// length within wire's limit and the bytes that remain, the vector's and
-// the field list's counts against what the remaining bytes can hold, the
-// update's delta within 64 bits — and DecodeObject makes no other, so the
-// two fail on exactly the same inputs, with an error that wraps wire's. It
-// is what lets a store compare, copy or skip a row it has no need to
-// materialise.
+// It reads both forms without the schema table — a compact row's bitmap
+// says how many values follow — and makes every check there is: each
+// uvarint within 64 bits, each string length within wire's limit and the
+// bytes that remain, the vector's and the field list's counts against what
+// the remaining bytes can hold, the update's delta within 64 bits.
+// DecodeObject makes no other check of the bytes, so the two fail on
+// exactly the same inputs, with an error that wraps wire's — except a
+// compact row whose schema id the table lacks, or whose bitmap names a
+// field past its schema's, which only DecodeObject refuses. It is what lets
+// a store compare, copy or skip a row it has no need to materialise.
 func ScanObject(data []byte) (id, vv, rest []byte, err error) {
 	sc, rest, err := scanObject(data)
 	return sc.id, sc.vv, rest, err
 }
 
+// ObjectSchemaID returns the content id a compact row written by
+// AppendObject names for its schema, with compact false for a row that
+// spells its schema; nothing past the schema is read or checked.
+func ObjectSchemaID(data []byte) (id uint32, compact bool, err error) {
+	_, rest, err := wire.SkipVarString(data)
+	if err != nil {
+		return 0, false, err
+	}
+	marker, rest, err := wire.ConsumeUvarint(rest)
+	if err != nil || marker != 0 {
+		return 0, false, err
+	}
+	if len(rest) < 4 {
+		return 0, false, wire.ErrTruncated
+	}
+	return binary.BigEndian.Uint32(rest), true, nil
+}
+
 // rowScan is what scanObject finds in a row: its id, the bytes after it and
-// its encoded vector as sub-slices, and the length of its strings but the
-// id and the vector's names.
+// its encoded vector as sub-slices, the length of the text DecodeObject
+// copies (every string but the id, the vector's names and what a compact
+// row takes from its schema) and, for a compact row, its schema id and
+// field bitmap.
 type rowScan struct {
 	id, afterID, vv []byte
 	text            int
+	compact         bool
+	schemaID        uint32
+	set             uint64
 }
 
 // scanObject is ScanObject, also measuring the row's text.
@@ -192,8 +277,24 @@ func scanObject(data []byte) (sc rowScan, rest []byte, err error) {
 		return fail(err)
 	}
 	sc.afterID = rest
+	marker, rest, err := wire.ConsumeUvarint(rest)
+	switch {
+	case err != nil:
+		return fail(err)
+	case marker == 0:
+		if len(rest) < 4 {
+			return fail(fmt.Errorf("%w: a schema id in %d bytes", wire.ErrTruncated, len(rest)))
+		}
+		sc.compact, sc.schemaID, rest = true, binary.BigEndian.Uint32(rest), rest[4:]
+	case marker-1 >= wire.MaxStringLen:
+		return fail(fmt.Errorf("%w: %d-byte schema name", wire.ErrOversize, marker-1))
+	case marker-1 > uint64(len(rest)):
+		return fail(fmt.Errorf("%w: %d-byte schema name in %d bytes", wire.ErrTruncated, marker-1, len(rest)))
+	default:
+		sc.text, rest = int(marker-1), rest[marker-1:]
+	}
 	var s []byte
-	for range 3 { // schema, owner, site
+	for range 2 { // owner, site
 		if s, rest, err = wire.SkipVarString(rest); err != nil {
 			return fail(err)
 		}
@@ -208,14 +309,23 @@ func scanObject(data []byte) (sc rowScan, rest []byte, err error) {
 	if _, rest, err = wire.ConsumeVarint(rest); err != nil { // updated
 		return fail(err)
 	}
-	nfields, rest, err := wire.ConsumeUvarint(rest)
+	n, rest, err := wire.ConsumeUvarint(rest) // the bitmap, or the field count
 	if err != nil {
 		return fail(err)
 	}
-	if nfields > uint64(len(rest))/2 { // a key's and a value's length at least
-		return fail(fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, nfields, len(rest)))
+	var strs uint64 // the strings that follow, a length prefix each at least
+	switch {
+	case sc.compact:
+		sc.set, strs = n, uint64(bits.OnesCount64(n))
+	case n <= uint64(len(rest))/2:
+		strs = 2 * n // a key and a value each
+	default:
+		strs = math.MaxUint64
 	}
-	for n := 2 * nfields; n > 0; n-- { // a key and a value each
+	if strs > uint64(len(rest)) {
+		return fail(fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, n, len(rest)))
+	}
+	for ; strs > 0; strs-- {
 		if s, rest, err = wire.SkipVarString(rest); err != nil {
 			return fail(err)
 		}

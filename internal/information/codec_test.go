@@ -2,6 +2,7 @@ package information
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,24 +38,107 @@ func codecFixtureRow(key uint32) *Object {
 	}
 }
 
-// goldenFixtureRow is AppendObject(codecFixtureRow(42)): 149 bytes, where
-// the layout before it (uint32 string lengths, uint64 counts, counters and
-// times, and the Version) took 224. logstore's format-1 tests keep the
-// older bytes.
-const goldenFixtureRow = "096f626a303030303432116d6f6363612d696e7465726368616e67650675303030343204733030300104" +
+// interchangeSchema is the shared interchange schema as core registers
+// it; docSchema is "doc" as every test of the package declares it.
+var (
+	interchangeSchema = Schema{Name: "mocca-interchange", Fields: []Field{
+		{Name: "title", Type: FieldText, Required: true},
+		{Name: "body", Type: FieldText},
+		{Name: "author", Type: FieldText},
+		{Name: "context", Type: FieldText},
+	}}
+	docSchema = Schema{Name: "doc", Fields: []Field{
+		{Name: "title", Type: FieldText, Required: true},
+		{Name: "body", Type: FieldText},
+	}}
+)
+
+// The codec's tests register their schemas before any test runs, so the
+// form each row takes does not depend on which tests ran before it.
+func init() {
+	for _, s := range []Schema{interchangeSchema, docSchema} {
+		if err := NewSchemaRegistry().Register(s); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// goldenFixtureRow is AppendObject(codecFixtureRow(42)): 110 bytes in the
+// compact form, its schema the 4-byte id 48d68860 and its fields a bitmap
+// and four values, where the spelled form takes 149 (goldenSpelledRow) and
+// the fixed-width layout before that took 224. logstore's format-1 and
+// format-2 tests keep the older bytes.
+const goldenFixtureRow = "096f626a3030303034320048d688600675303030343204733030300104733030300109d39b5f4a6aa000000f" +
+	"0e73656564206f626a3030303034322373686172656420776f726b696e67206d6174657269616c20666f7220" +
+	"61637430303032067530303034320761637430303032"
+
+// goldenSpelledRow is the fixture row under a schema name no one
+// registered ("Mocca-Interchange": registered names are lower-case): the
+// name's length plus one, the name, and each key beside its value.
+const goldenSpelledRow = "096f626a303030303432124d6f6363612d496e7465726368616e67650675303030343204733030300104" +
 	"733030300109d39b5f4a6aa000000406617574686f720675303030343204626f64792373686172656420776f" +
 	"726b696e67206d6174657269616c20666f72206163743030303207636f6e746578740761637430303032057469" +
 	"746c650e73656564206f626a303030303432"
 
-// TestAppendObjectGolden: one codec, two carriers, and these are its bytes.
+// TestAppendObjectGolden: one codec, two carriers, two forms, and these
+// are its bytes.
 func TestAppendObjectGolden(t *testing.T) {
 	got := AppendObject(nil, codecFixtureRow(42))
 	if hex.EncodeToString(got) != goldenFixtureRow {
 		t.Fatalf("AppendObject(fixture row) changed:\n got %x\nwant %s", got, goldenFixtureRow)
 	}
+	spelled := codecFixtureRow(42)
+	spelled.Schema = "Mocca-Interchange"
+	if enc := AppendObject(nil, spelled); hex.EncodeToString(enc) != goldenSpelledRow {
+		t.Fatalf("AppendObject(spelled fixture row) changed:\n got %x\nwant %s", enc, goldenSpelledRow)
+	}
 	// Appending extends dst and leaves what was there alone.
 	if withPrefix := AppendObject([]byte("wal"), codecFixtureRow(42)); !bytes.Equal(withPrefix[3:], got) || string(withPrefix[:3]) != "wal" {
 		t.Fatalf("AppendObject did not append: %x", withPrefix)
+	}
+}
+
+// TestRowBytesBySection pins what each section of the fixture row costs in
+// the compact form: the 4-byte schema id and the one-byte bitmap stand
+// where the spelled form says the schema's name and four keys.
+func TestRowBytesBySection(t *testing.T) {
+	enc := AppendObject(nil, codecFixtureRow(42))
+	r := enc
+	take := func(n int) int { r = r[n:]; return n }
+	str := func() int {
+		_, rest, err := wire.SkipVarString(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return take(len(r) - len(rest))
+	}
+	id := str()
+	if r[0] != 0 {
+		t.Fatalf("the fixture row spells its schema: %x", enc)
+	}
+	schema := take(5)
+	owner, site := str(), str()
+	_, rest, err := vclock.ScanVersion(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vector := take(len(r) - len(rest))
+	_, rest, err = wire.ConsumeVarint(r[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := take(len(r) - len(rest))
+	bitmap := take(1)
+	values := len(r)
+	got := map[string]int{"id": id, "schema": schema, "owner": owner, "site": site, "vector": vector, "times": times, "bitmap": bitmap, "values": values}
+	want := map[string]int{"id": 10, "schema": 5, "owner": 7, "site": 5, "vector": 7, "times": 9, "bitmap": 1, "values": 66}
+	if !reflect.DeepEqual(got, want) || len(enc) != 110 {
+		t.Fatalf("sections of the %d-byte fixture row: %v, want %v", len(enc), got, want)
+	}
+	spelled := codecFixtureRow(42)
+	spelled.Schema = "Mocca-Interchange"
+	if saved := len(AppendObject(nil, spelled)) - len(enc); saved != 39 {
+		t.Fatalf("the compact form saves %d bytes of the fixture row, want 39", saved)
 	}
 }
 
@@ -64,8 +149,13 @@ func codecEdgeRows() map[string]*Object {
 		wide[fmt.Sprintf("s%03d", i)] = uint64(i*i + 1)
 	}
 	at := time.Unix(0, 708080400123456789).UTC()
+	spelled := codecFixtureRow(7)
+	spelled.Schema = "Mocca-Interchange" // registered names are lower-case: this one spells its schema
 	return map[string]*Object{
-		"fixture":    codecFixtureRow(7),
+		"fixture":         codecFixtureRow(7),
+		"fixture spelled": spelled,
+		"compact, body only": {ID: "h", Schema: "doc", Owner: "ada", Site: "s0", Version: 1, VV: vclock.Version{"s0": 1},
+			Fields: map[string]string{"body": "the second field alone"}, Created: at, Updated: at},
 		"nil fields": {ID: "a", Schema: "doc", Owner: "ada", Site: "s0", Version: 3, VV: vclock.Version{"s0": 3}, Created: at, Updated: at},
 		"nil vv":     {ID: "b", Schema: "doc", Fields: map[string]string{"k": ""}, Created: at, Updated: at},
 		"18-site vv": {ID: "c", Schema: "doc", Site: "s017", Version: wide.Sum(), VV: wide, Fields: map[string]string{"title": "t"}, Created: at, Updated: at.Add(time.Hour)},
@@ -134,20 +224,32 @@ var (
 	// An id length in 11 bytes.
 	rowElevenByteUvarint = []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 'x'}
 	// A 9-byte schema in 3 bytes.
-	rowStringPastEnd = []byte{1, 'x', 9, 'd', 'o', 'c'}
+	rowStringPastEnd = []byte{1, 'x', 10, 'd', 'o', 'c'}
 	// 2^16 vector entries, then 2^16 fields, in a few bytes each.
-	rowVectorPastEnd = slices.Concat([]byte{1, 'x', 0, 0, 0, 0x80, 0x80, 0x04}, make([]byte, 12))
-	rowFieldsPastEnd = slices.Concat([]byte{1, 'x', 0, 0, 0, 0}, make([]byte, 8), []byte{0, 0x80, 0x80, 0x04}, make([]byte, 12))
+	rowVectorPastEnd = slices.Concat([]byte{1, 'x', 1, 0, 0, 0x80, 0x80, 0x04}, make([]byte, 12))
+	rowFieldsPastEnd = slices.Concat([]byte{1, 'x', 1, 0, 0, 0}, make([]byte, 8), []byte{0, 0x80, 0x80, 0x04}, make([]byte, 12))
 	// An update whose delta from the creation time is past 64 bits.
-	rowDeltaOverflow = slices.Concat([]byte{1, 'x', 0, 0, 0, 0}, make([]byte, 8),
+	rowDeltaOverflow = slices.Concat([]byte{1, 'x', 1, 0, 0, 0}, make([]byte, 8),
 		[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0})
-	hostileRows = [][]byte{rowElevenByteUvarint, rowStringPastEnd, rowVectorPastEnd, rowFieldsPastEnd, rowDeltaOverflow}
+	// A compact row with a schema id cut short, and one whose bitmap says
+	// more values than the bytes can hold.
+	rowSchemaIDPastEnd = []byte{1, 'x', 0, 0x48, 0xd6}
+	rowValuesPastEnd   = slices.Concat([]byte{1, 'x', 0, 0x48, 0xd6, 0x88, 0x60, 0, 0, 0}, make([]byte, 8), []byte{0, 0x0F, 0, 0})
+	hostileRows        = [][]byte{rowElevenByteUvarint, rowStringPastEnd, rowVectorPastEnd, rowFieldsPastEnd, rowDeltaOverflow, rowSchemaIDPastEnd, rowValuesPastEnd}
 )
 
 // rowSiteTwice is no row AppendObject writes, but a row all the same: its
 // vector names one site twice, and the later entry stands — its Version is
 // the sum of the vector it decodes to, 2, not of the entries it read.
-var rowSiteTwice = slices.Concat([]byte{1, 'x', 0, 0, 0, 2, 1, 'a', 1, 1, 'a', 2}, make([]byte, 8), []byte{0, 0})
+var rowSiteTwice = slices.Concat([]byte{1, 'x', 1, 0, 0, 2, 1, 'a', 1, 1, 'a', 2}, make([]byte, 8), []byte{0, 0})
+
+// Rows ScanObject walks but DecodeObject refuses: a schema id no one
+// registered, and a bitmap setting a bit past the fixture schema's four
+// fields.
+var (
+	rowUnknownSchema = slices.Concat([]byte{1, 'x', 0, 0xde, 0xad, 0xbe, 0xef, 0, 0, 0}, make([]byte, 8), []byte{0, 1, 1, 'v'})
+	rowBitPastFields = slices.Concat([]byte{1, 'x', 0, 0x48, 0xd6, 0x88, 0x60, 0, 0, 0}, make([]byte, 8), []byte{0, 0x10, 1, 'v'})
+)
 
 // TestDecodeObjectRejectsDamage: rows arrive off the network, so a cut or a
 // hostile count must be an error wrapping wire's — never a panic, never an
@@ -169,7 +271,7 @@ func TestDecodeObjectRejectsDamage(t *testing.T) {
 		t.Fatalf("decoding hostile rows allocated %d bytes", grew)
 	}
 	for i, data := range hostileRows {
-		name := []string{"11-byte uvarint", "string past end", "vector past end", "fields past end", "delta overflow"}[i]
+		name := []string{"11-byte uvarint", "string past end", "vector past end", "fields past end", "delta overflow", "schema id past end", "values past end"}[i]
 		_, _, err := DecodeObject(data)
 		if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrOversize) {
 			t.Fatalf("%s: DecodeObject err %v, want wire's error", name, err)
@@ -180,8 +282,18 @@ func TestDecodeObjectRejectsDamage(t *testing.T) {
 	}
 	// Each is refused for what it is meant to be: with its damage mended it
 	// is a row.
-	if _, _, err := DecodeObject(slices.Concat([]byte{1, 'x', 0, 0, 0, 0}, make([]byte, 8), []byte{0, 0})); err != nil {
+	if _, _, err := DecodeObject(slices.Concat([]byte{1, 'x', 1, 0, 0, 0}, make([]byte, 8), []byte{0, 0})); err != nil {
 		t.Fatalf("the smallest row: %v", err)
+	}
+	if _, _, err := DecodeObject(slices.Concat([]byte{1, 'x', 0, 0x48, 0xd6, 0x88, 0x60, 0, 0, 0}, make([]byte, 8), []byte{0, 0x0F, 0, 0, 0, 0})); err != nil {
+		t.Fatalf("the smallest compact row with every field: %v", err)
+	}
+	// What only DecodeObject refuses, it refuses for what it is.
+	if _, _, err := DecodeObject(rowUnknownSchema); !errors.Is(err, ErrUnknownSchema) {
+		t.Fatalf("a row naming an unregistered schema id: %v, want ErrUnknownSchema", err)
+	}
+	if _, _, err := DecodeObject(rowBitPastFields); !errors.Is(err, wire.ErrBadBody) {
+		t.Fatalf("a bitmap past the schema's fields: %v, want wire.ErrBadBody", err)
 	}
 }
 
@@ -213,13 +325,16 @@ func hostile(enc []byte) [][]byte {
 }
 
 // checkScanMatchesDecode is the walk's whole contract: ScanObject fails on
-// exactly the inputs DecodeObject fails on, and on the rest it finds the
-// id, the vector's bytes and the end of the row where DecodeObject does.
+// exactly the inputs DecodeObject fails on but for what the schema table
+// decides — an unregistered schema id, a bitmap past the schema's fields,
+// which only DecodeObject refuses — and on the rest it finds the id, the
+// vector's bytes and the end of the row where DecodeObject does.
 func checkScanMatchesDecode(t *testing.T, data []byte) {
 	t.Helper()
 	row, wantRest, decErr := DecodeObject(data)
 	id, vv, rest, scanErr := ScanObject(data)
-	if (decErr == nil) != (scanErr == nil) {
+	tableOnly := scanErr == nil && (errors.Is(decErr, ErrUnknownSchema) || errors.Is(decErr, wire.ErrBadBody))
+	if (decErr == nil) != (scanErr == nil) && !tableOnly {
 		t.Fatalf("DecodeObject err %v, ScanObject err %v on %x", decErr, scanErr, data)
 	}
 	if decErr != nil {
@@ -238,7 +353,7 @@ func checkScanMatchesDecode(t *testing.T, data []byte) {
 // and a vector naming a site twice, then every edge row whole and damaged
 // every way hostile damages it.
 func scanSeeds() [][]byte {
-	out := append(slices.Clone(hostileRows), rowSiteTwice)
+	out := append(slices.Clone(hostileRows), rowSiteTwice, rowUnknownSchema, rowBitPastFields)
 	for _, name := range slices.Sorted(maps.Keys(codecEdgeRows())) {
 		enc := AppendObject(nil, codecEdgeRows()[name])
 		out = append(out, append(bytes.Clone(enc), "tail"...))
@@ -259,7 +374,7 @@ func TestScanObjectMatchesDecode(t *testing.T) {
 
 func FuzzScanObjectMatchesDecode(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i <= len(hostileRows) || i%7 == 0 { // the hostile rows, the site named twice and a spread of the rest; TestScanObjectMatchesDecode runs all
+		if i < len(hostileRows)+3 || i%7 == 0 { // the hostile rows, the site named twice, the two the table refuses and a spread of the rest; TestScanObjectMatchesDecode runs all
 			f.Add(data)
 		}
 	}
@@ -309,8 +424,28 @@ func referenceDecodeObject(data []byte) (*Object, []byte, error) {
 	if o.ID, data, err = wire.ConsumeVarString(data); err != nil {
 		return nil, data, err
 	}
-	if o.Schema, data, err = wire.ConsumeVarString(data); err != nil {
+	var marker uint64
+	if marker, data, err = wire.ConsumeUvarint(data); err != nil {
 		return nil, data, err
+	}
+	var sh *shape
+	switch {
+	case marker == 0:
+		if len(data) < 4 {
+			return nil, data, wire.ErrTruncated
+		}
+		id := uint32(data[0])<<24 | uint32(data[1])<<16 | uint32(data[2])<<8 | uint32(data[3])
+		data = data[4:]
+		if sh = shapes.Load().byID[id]; sh == nil {
+			return nil, data, ErrUnknownSchema
+		}
+		o.Schema = sh.name
+	case marker-1 >= wire.MaxStringLen:
+		return nil, data, wire.ErrOversize
+	case marker-1 > uint64(len(data)):
+		return nil, data, wire.ErrTruncated
+	default:
+		o.Schema, data = string(data[:marker-1]), data[marker-1:]
 	}
 	if o.Owner, data, err = wire.ConsumeVarString(data); err != nil {
 		return nil, data, err
@@ -335,6 +470,25 @@ func referenceDecodeObject(data []byte) (*Object, []byte, error) {
 	var nfields uint64
 	if nfields, data, err = wire.ConsumeUvarint(data); err != nil {
 		return nil, data, err
+	}
+	if sh != nil { // nfields is the bitmap: a value per bit, in declared order
+		for i := 0; i < 64; i++ {
+			if nfields&(1<<i) == 0 {
+				continue
+			}
+			if i >= len(sh.fields) {
+				return nil, data, wire.ErrBadBody
+			}
+			var v string
+			if v, data, err = wire.ConsumeVarString(data); err != nil {
+				return nil, data, err
+			}
+			if o.Fields == nil {
+				o.Fields = map[string]string{}
+			}
+			o.Fields[sh.fields[i]] = v
+		}
+		return o, data, nil
 	}
 	// A field is two length prefixes at least.
 	if nfields > uint64(len(data))/2 {
@@ -384,7 +538,7 @@ func TestDecodeObjectMatchesReference(t *testing.T) {
 
 func FuzzDecodeObjectMatchesReference(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i <= len(hostileRows) || i%7 == 0 { // the hostile rows, the site named twice and a spread of the rest; TestDecodeObjectMatchesReference runs all
+		if i < len(hostileRows)+3 || i%7 == 0 { // the hostile rows, the site named twice, the two the table refuses and a spread of the rest; TestDecodeObjectMatchesReference runs all
 			f.Add(data)
 		}
 	}
@@ -445,5 +599,127 @@ func BenchmarkDecodeObject(b *testing.B) {
 		if _, _, err := DecodeObject(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRegisterBesideCodec: registering schemas while other goroutines
+// encode and decode rows is safe — the codec reads the table it loaded,
+// whole — and leaves every row already in the table its bytes.
+func TestRegisterBesideCodec(t *testing.T) {
+	want := AppendObject(nil, codecFixtureRow(42))
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			var buf []byte
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				buf = AppendObject(buf[:0], codecFixtureRow(42))
+				got, _, err := DecodeObject(buf)
+				if err == nil && !bytes.Equal(buf, want) {
+					err = fmt.Errorf("the fixture row encoded as %x", buf)
+				}
+				if err == nil && !reflect.DeepEqual(got, codecFixtureRow(42)) {
+					err = fmt.Errorf("the fixture row decoded as %+v", got)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		r := NewSchemaRegistry()
+		s := Schema{Name: fmt.Sprintf("race-%d", i), Fields: []Field{{Name: "title"}, {Name: fmt.Sprintf("f%d", i)}}}
+		if err := r.Register(s); err != nil { // under -count, again: the same definition is no conflict
+			t.Fatal(err)
+		}
+		row := &Object{ID: "r", Schema: s.Name, Fields: map[string]string{"title": "t"}}
+		if enc := AppendObject(nil, row); enc[2] != 0 {
+			t.Fatalf("a row of the schema just registered spells it: %x", enc)
+		}
+	}
+	close(done)
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRegisterKeepsOneShapePerName: a name in the codec's table has one
+// field list. The same definition again, from any registry, is no
+// conflict; another field list under the name is refused, and the table
+// keeps the first.
+func TestRegisterKeepsOneShapePerName(t *testing.T) {
+	if err := NewSchemaRegistry().Register(docSchema); err != nil {
+		t.Fatalf("the same definition again: %v", err)
+	}
+	narrow := Schema{Name: "DOC", Fields: []Field{{Name: "title", Type: FieldText, Required: true}}}
+	r := NewSchemaRegistry()
+	if err := r.Register(narrow); !errors.Is(err, ErrSchemaConflict) {
+		t.Fatalf("doc with another field list: %v, want ErrSchemaConflict", err)
+	}
+	if _, err := r.Schema("doc"); !errors.Is(err, ErrUnknownSchema) {
+		t.Fatalf("the refused schema is in its registry: %v", err)
+	}
+	row := &Object{ID: "r", Schema: "doc", Fields: map[string]string{"body": "b"}}
+	got, _, err := DecodeObject(AppendObject(nil, row))
+	if err != nil || !reflect.DeepEqual(got.Fields, row.Fields) {
+		t.Fatalf("a doc row with a body round-tripped as %+v, %v", got, err)
+	}
+}
+
+var learnRuns atomic.Int64
+
+// TestLearnSchema: a definition a store taught the table decodes the rows
+// naming its id, but neither makes the name's rows compact nor holds the
+// name — until Register enters the same definition, which then does both.
+func TestLearnSchema(t *testing.T) {
+	// A name of its own for each run: the table outlives the test.
+	name := fmt.Sprintf("learned-memo-%d", learnRuns.Add(1))
+	fields := []string{"subject", "to"}
+	compact := func() bool {
+		_, c, _ := ObjectSchemaID(AppendObject(nil, &Object{ID: "m", Schema: name, Fields: map[string]string{"to": "ada"}}))
+		return c
+	}
+	id, err := LearnSchema(name, fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := LearnSchema(name, fields); err != nil || again != id {
+		t.Fatalf("the same definition again: %08x, %v; want %08x", again, err, id)
+	}
+	if gotName, gotFields, ok := SchemaDefinition(id); !ok || gotName != name || !reflect.DeepEqual(gotFields, fields) {
+		t.Fatalf("SchemaDefinition(%08x) = %q %q %v", id, gotName, gotFields, ok)
+	}
+	if err := CheckSchemaIDs([]uint32{id}); err != nil {
+		t.Fatalf("a learned id: %v", err)
+	}
+	if compact() {
+		t.Fatal("a learned definition made the name's rows compact")
+	}
+	// A row another process wrote under the learned definition, setting
+	// its second field, decodes.
+	enc := binary.BigEndian.AppendUint32(append(wire.AppendVarString(nil, "m"), 0), id)
+	enc = vclock.Version{"s": 1}.AppendBinary(wire.AppendVarString(wire.AppendVarString(enc, "ada"), "s"))
+	enc = wire.AppendVarint(wire.AppendUint64(enc, 0), 0)
+	enc = wire.AppendVarString(wire.AppendUvarint(enc, 1<<1), "ada")
+	got, _, err := DecodeObject(enc)
+	if err != nil || got.Schema != name || !reflect.DeepEqual(got.Fields, map[string]string{"to": "ada"}) {
+		t.Fatalf("a row of the learned definition decodes as %+v, %v", got, err)
+	}
+	text := func(n string) Field { return Field{Name: n, Type: FieldText} }
+	if err := NewSchemaRegistry().Register(Schema{Name: name, Fields: []Field{text("subject"), text("to")}}); err != nil {
+		t.Fatalf("Register the learned definition: %v", err)
+	}
+	if !compact() {
+		t.Fatal("a registered definition left the name's rows spelled")
 	}
 }

@@ -20,6 +20,7 @@ func TestWriteCountersAreSiteWide(t *testing.T) {
 	reg := information.NewSchemaRegistry()
 	if err := reg.Register(information.Schema{Name: "doc", Fields: []information.Field{
 		{Name: "title", Type: information.FieldText, Required: true},
+		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +113,7 @@ func TestCommittedRowVersionIsVectorSum(t *testing.T) {
 	reg := information.NewSchemaRegistry()
 	if err := reg.Register(information.Schema{Name: "doc", Fields: []information.Field{
 		{Name: "title", Type: information.FieldText, Required: true},
+		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,11 @@ import (
 // Record types. A WAL record is [type byte][seq uint64][type-specific
 // payload]; the manifest and segment files reuse the framing with records
 // of their own (see manifest.go and segment.go). A row is in the one row
-// codec (information.AppendObject). A store written before that codec
-// became compact holds rows in format 1 (format1.go) under record types of
-// their own — recExecV1 in the WAL, recSegMetaV1 heading a segment's
-// metadata — which Open reads and nothing writes.
+// codec (information.AppendObject). A store written before that codec took
+// its present form holds rows in an older one under record types of their
+// own — format 1 (format1.go: recExecV1 in the WAL, recSegMetaV1 heading a
+// segment's metadata) or format 2 (format2.go: recExecV2, recSegMetaV2) —
+// which Open reads and nothing writes.
 const (
 	recExecV1     byte = 1 // format 1: full post-state of one Exec mutation
 	recRetired    byte = 2 // retired: a relationship edge; see ErrRetiredRecord
@@ -32,8 +33,11 @@ const (
 	// Manifest records (see manifest.go).
 	recManSeg byte = 11 // one live segment reference
 
-	recExec    byte = 12 // full post-state of one Exec mutation
-	recSegMeta byte = 13 // segment metadata header (count, seq + key ranges)
+	recExecV2    byte = 12 // format 2: full post-state of one Exec mutation
+	recSegMetaV2 byte = 13 // format 2: segment metadata header
+
+	recExec    byte = 14 // full post-state of one Exec mutation
+	recSegMeta byte = 15 // segment metadata header (count, seq + key ranges, schema ids)
 )
 
 // ErrCorrupt reports a record whose framing was intact but whose payload
@@ -50,7 +54,7 @@ var ErrRetiredRecord = errors.New("logstore: store holds relationship edges, a r
 type walRecord struct {
 	typ byte
 	seq uint64
-	obj *information.Object // recExec, recExecV1
+	obj *information.Object // recExec, recExecV2, recExecV1
 	id  string              // recRemove
 }
 
@@ -73,8 +77,16 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	}
 	switch rec.typ {
 	case recExec:
-		if rec.obj, _, err = information.DecodeObject(payload); err != nil {
+		rec.obj, _, err = information.DecodeObject(payload)
+		if errors.Is(err, information.ErrUnknownSchema) {
+			return rec, fmt.Errorf("record %d: %w", rec.seq, err)
+		}
+		if err != nil {
 			return rec, fmt.Errorf("%w: object: %v", ErrCorrupt, err)
+		}
+	case recExecV2:
+		if rec.obj, _, err = decodeObjectV2(payload); err != nil {
+			return rec, fmt.Errorf("%w: format-2 object: %v", ErrCorrupt, err)
 		}
 	case recExecV1:
 		if rec.obj, _, err = decodeObjectV1(payload); err != nil {

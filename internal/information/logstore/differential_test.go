@@ -21,6 +21,24 @@ import (
 // after every step, and that no row either backend ever lent has changed by
 // the end.
 
+// The schemas the tests' rows name, registered before any test runs:
+// "doc" as every test of the module declares it, so a row whose keys are
+// only title and body names it by id and any other spells it, and the
+// interchange schema as the deployment registers it.
+func init() {
+	text := func(name string, required bool) information.Field {
+		return information.Field{Name: name, Type: information.FieldText, Required: required}
+	}
+	for _, s := range []information.Schema{
+		{Name: "mocca-interchange", Fields: []information.Field{text("title", true), text("body", false), text("author", false), text("context", false)}},
+		{Name: "doc", Fields: []information.Field{text("title", true), text("body", false)}},
+	} {
+		if err := information.NewSchemaRegistry().Register(s); err != nil {
+			panic(err)
+		}
+	}
+}
+
 var (
 	diffIDs    = []string{"a", "b", "b0", "c", "d", "e", "f", "g", "h", "k00", "k01", "m", "zz"}
 	diffGhosts = []string{"", "a0", "ghost", "zzz"} // never written

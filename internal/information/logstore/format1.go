@@ -23,7 +23,8 @@ import (
 // replay decodes a recExecV1 record into the memtable, and
 // upgradeSegments rewrites each segment headed by recSegMetaV1 in the
 // current format before anything else reads it. So no probe, scan, merge
-// or compaction ever sees a format-1 byte.
+// or compaction ever sees a format-1 byte. Format 2 (format2.go) is read
+// the same way.
 
 // decodeObjectV1 decodes one format-1 row, returning it and the remaining
 // bytes. Like information.DecodeObject it checks each count against the
@@ -32,7 +33,7 @@ import (
 // row in the current format reads, so a row reads the same before and
 // after Open rewrites it.
 func decodeObjectV1(data []byte) (*information.Object, []byte, error) {
-	b := v1Reader{rest: data}
+	b := oldReader{rest: data}
 	o := &information.Object{ID: b.string(), Schema: b.string(), Owner: b.string(), Site: b.string()}
 	b.uint64()                      // the Version
 	if n := b.count(4 + 8); n > 0 { // a name's length and a counter
@@ -58,21 +59,21 @@ func decodeObjectV1(data []byte) (*information.Object, []byte, error) {
 	return o, b.rest, nil
 }
 
-// v1Reader reads format 1's primitives; the first failure sticks, and
-// every later read returns a zero value.
-type v1Reader struct {
+// oldReader reads the primitives of formats 1 and 2; the first failure
+// sticks, and every later read returns a zero value.
+type oldReader struct {
 	rest []byte
 	err  error
 }
 
-func (b *v1Reader) string() (s string) {
+func (b *oldReader) string() (s string) {
 	if b.err == nil {
 		s, b.rest, b.err = wire.ConsumeString(b.rest)
 	}
 	return s
 }
 
-func (b *v1Reader) uint64() (v uint64) {
+func (b *oldReader) uint64() (v uint64) {
 	if b.err == nil {
 		v, b.rest, b.err = wire.ConsumeUint64(b.rest)
 	}
@@ -81,7 +82,7 @@ func (b *v1Reader) uint64() (v uint64) {
 
 // count reads a uint64 count of elements of at least minSize bytes each,
 // refusing one the remaining bytes cannot hold.
-func (b *v1Reader) count(minSize uint64) uint64 {
+func (b *oldReader) count(minSize uint64) uint64 {
 	n := b.uint64()
 	if b.err == nil && n > uint64(len(b.rest))/minSize {
 		b.err = fmt.Errorf("%w: %d elements in %d bytes", wire.ErrTruncated, n, len(b.rest))
@@ -90,13 +91,13 @@ func (b *v1Reader) count(minSize uint64) uint64 {
 	return n
 }
 
-// upgradeSegments rewrites every format-1 segment in the current format,
-// one for one — the same level, sequence range, rows and tombstones under a
-// new id — and installs the rewritten list with one manifest swap, so a
-// crash leaves the old list or the new one, each complete, and the files
-// of the other as orphans the next Open removes. Open runs it after the
-// WAL has been read, which may refuse the store untouched, and before
-// anything reads a segment's rows.
+// upgradeSegments rewrites every format-1 and format-2 segment in the
+// current format, one for one — the same level, sequence range, rows and
+// tombstones under a new id — and installs the rewritten list with one
+// manifest swap, so a crash leaves the old list or the new one, each
+// complete, and the files of the other as orphans the next Open removes.
+// Open runs it after the WAL has been read, which may refuse the store
+// untouched, and before anything reads a segment's rows.
 func (s *Store) upgradeSegments() (err error) {
 	segs := append([]*segment(nil), s.segs...)
 	var old, written []*segment
@@ -110,7 +111,7 @@ func (s *Store) upgradeSegments() (err error) {
 		}
 	}()
 	for i, g := range segs {
-		if !g.v1 {
+		if g.format == 0 {
 			continue
 		}
 		id := s.nextSegID
@@ -119,7 +120,7 @@ func (s *Store) upgradeSegments() (err error) {
 		if err != nil {
 			return fmt.Errorf("logstore: upgrade %s: %w", filepath.Base(g.path), err)
 		}
-		if err := g.rewriteV1(w); err != nil {
+		if err := g.rewriteOld(w); err != nil {
 			w.abort()
 			return fmt.Errorf("logstore: upgrade %s: %w", filepath.Base(g.path), err)
 		}
@@ -127,6 +128,11 @@ func (s *Store) upgradeSegments() (err error) {
 			return fmt.Errorf("logstore: upgrade %s: %w", filepath.Base(g.path), err)
 		}
 		written = append(written, segs[i])
+		// Its rows may now name schemas by id that no row of the store
+		// named before.
+		if err := s.defineLocked(segs[i].schemas...); err != nil {
+			return fmt.Errorf("logstore: upgrade %s: %w", filepath.Base(g.path), err)
+		}
 		old = append(old, g)
 	}
 	if len(old) == 0 {
@@ -143,9 +149,13 @@ func (s *Store) upgradeSegments() (err error) {
 	return nil
 }
 
-// rewriteV1 streams the format-1 segment's data region into w, decoding
-// each row with the format-1 reader and each tombstone's id.
-func (g *segment) rewriteV1(w *segWriter) error {
+// rewriteOld streams the format-1 or format-2 segment's data region into
+// w, decoding each row and each tombstone's id with its format's reader.
+func (g *segment) rewriteOld(w *segWriter) error {
+	decode, tomb := decodeObjectV1, wire.ConsumeString
+	if g.format == 2 {
+		decode, tomb = decodeObjectV2, wire.ConsumeVarString
+	}
 	it := g.iter()
 	for {
 		payload, ok, err := it.record()
@@ -155,13 +165,13 @@ func (g *segment) rewriteV1(w *segWriter) error {
 		var e flushEntry
 		switch payload[0] {
 		case recSegRow:
-			if e.obj, _, err = decodeObjectV1(payload[1:]); err != nil {
-				return fmt.Errorf("%w: format-1 row: %v", ErrCorrupt, err)
+			if e.obj, _, err = decode(payload[1:]); err != nil {
+				return fmt.Errorf("%w: format-%d row: %v", ErrCorrupt, g.format, err)
 			}
 			e.id = e.obj.ID
 		case recSegTomb:
-			if e.id, _, err = wire.ConsumeString(payload[1:]); err != nil {
-				return fmt.Errorf("%w: format-1 tombstone: %v", ErrCorrupt, err)
+			if e.id, _, err = tomb(payload[1:]); err != nil {
+				return fmt.Errorf("%w: format-%d tombstone: %v", ErrCorrupt, g.format, err)
 			}
 		default:
 			return ErrCorrupt

@@ -214,10 +214,10 @@ func FuzzFormat1DecodeMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkV1MatchesReference(t, data) })
 }
 
-// parentReference is what the store in testdata/parent-store-rows holds,
-// read from its files with the format-1 reader and nothing of Open: the
+// parentReference is what a store an earlier build wrote holds, read from
+// its files with that format's row reader and nothing of Open: the
 // segment's rows, then the WAL's records in order.
-func parentReference(t *testing.T, dir string) *information.Store {
+func parentReference(t *testing.T, dir string, decodeRow func([]byte) (*information.Object, []byte, error), execType byte) *information.Store {
 	t.Helper()
 	ref := information.NewStore()
 	store := func(o *information.Object) {
@@ -241,7 +241,7 @@ func parentReference(t *testing.T, dir string) *information.Store {
 			}
 			continue // the meta region
 		}
-		o, _, err := decodeObjectV1(payload[1:])
+		o, _, err := decodeRow(payload[1:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func parentReference(t *testing.T, dir string) *information.Store {
 			t.Fatal(err)
 		}
 		switch rec.typ {
-		case recExecV1:
+		case execType:
 			store(rec.obj)
 		case recRemove:
 			if _, err := ref.Remove(rec.id); err != nil {
@@ -281,15 +281,32 @@ func parentReference(t *testing.T, dir string) *information.Store {
 // flushes, merges, compacts and reopens it. After every step every Get,
 // Range and Digest equals an information.Store given the same history.
 func TestParentStoreTakesNewFormat(t *testing.T) {
+	checkParentStore(t, "parent-store-rows", decodeObjectV1, recExecV1, -1)
+}
+
+// TestParentStoreV2TakesNewFormat is the same for the store the build
+// before rows named their schema by id wrote in format 2
+// (testdata/parent-store-v2: six rows in a segment, five on the
+// interchange schema and one with a key "doc" does not declare, then an
+// overwrite, a new row and a removal in the WAL). Its segment is rewritten
+// with rows in the compact form where they can take it.
+func TestParentStoreV2TakesNewFormat(t *testing.T) {
+	checkParentStore(t, "parent-store-v2", decodeObjectV2, recExecV2, 5)
+}
+
+// checkParentStore opens a copy of the fixture and holds it to the
+// reference through a history of writes; when wantCompact is not -1, the
+// rewritten segment must hold that many rows in the compact form.
+func checkParentStore(t *testing.T, fixture string, decodeRow func([]byte) (*information.Object, []byte, error), execType byte, wantCompact int) {
 	d := &differ{
 		t: t, dir: t.TempDir(),
 		opts:   []Option{WithCompactEvery(0), WithMergeFanout(2), WithBackgroundMerge(false)},
 		lentSt: lentRows{}, lentRef: lentRows{},
 	}
-	if err := os.CopyFS(d.dir, os.DirFS(filepath.Join("testdata", "parent-store-rows"))); err != nil {
+	if err := os.CopyFS(d.dir, os.DirFS(filepath.Join("testdata", fixture))); err != nil {
 		t.Fatal(err)
 	}
-	d.ref = parentReference(t, d.dir)
+	d.ref = parentReference(t, d.dir, decodeRow, execType)
 	ids := []string{"obj-000", "obj-001", "obj-002", "obj-003", "obj-004", "obj-005", "obj-006", "new-0", "new-1", "zz", ""}
 	check := func(step string) {
 		t.Helper()
@@ -308,8 +325,8 @@ func TestParentStoreTakesNewFormat(t *testing.T) {
 		d.st.segMu.RLock()
 		defer d.st.segMu.RUnlock()
 		for _, g := range d.st.segs {
-			if g.v1 {
-				d.fatalf("segment %s is still in format 1", filepath.Base(g.path))
+			if g.format != 0 {
+				d.fatalf("segment %s is still in format %d", filepath.Base(g.path), g.format)
 			}
 		}
 	}
@@ -321,6 +338,9 @@ func TestParentStoreTakesNewFormat(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(d.dir, "seg-00000001.seg")); !os.IsNotExist(err) {
 		t.Fatalf("the format-1 segment outlived its rewrite: %v", err)
+	}
+	if got := compactRows(t, d.st); wantCompact >= 0 && got != wantCompact {
+		t.Fatalf("the rewritten segment holds %d compact rows, want %d", got, wantCompact)
 	}
 	check("Open")
 	d.execWith("obj-001", 2, "upc", map[string]string{"title": "row 1, in the WAL's row, revised"}, 0)
@@ -354,4 +374,34 @@ func TestParentStoreTakesNewFormat(t *testing.T) {
 	check("reopen")
 	d.lentSt.check(t, "logstore")
 	d.lentRef.check(t, "information.Store")
+}
+
+// compactRows counts the rows of the store's segments that name their
+// schema by id.
+func compactRows(t *testing.T, st *Store) int {
+	t.Helper()
+	st.segMu.RLock()
+	defer st.segMu.RUnlock()
+	n := 0
+	for _, g := range st.segs {
+		it := g.iter()
+		for {
+			e, ok, err := it.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if e.rec == nil {
+				continue
+			}
+			if _, compact, err := information.ObjectSchemaID(e.rec[1:]); err != nil {
+				t.Fatal(err)
+			} else if compact {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -21,19 +21,26 @@
 //     segment list and the covered WAL sequence, written to a temporary
 //     file, fsynced, and atomically renamed.
 //     After a successful flush the WAL is truncated.
+//   - schemas.log — the definitions of the schemas the store's rows name
+//     by content id (schemas.go), read first, so the store opens before
+//     the process's applications register their schemas.
 //
-// Recovery (Open) loads the manifest, opens each segment's footer and
-// metadata (never its rows), and replays the WAL tail, skipping records
-// the manifest already covers — O(manifest + WAL tail), not O(data). A
+// Recovery (Open) learns the schema file's definitions, loads the
+// manifest, opens each segment's footer and metadata (never its rows), and
+// replays the WAL tail, skipping records the manifest already covers —
+// O(manifest + WAL tail), not O(data). A
 // store written before rows became compact holds them in format 1
-// (format1.go): replay reads its WAL records, and Open rewrites its
-// segments in the current format before anything reads them.
+// (format1.go), and one written before rows named their schema by id in
+// format 2 (format2.go): replay reads their WAL records, and Open rewrites
+// their segments in the current format before anything reads them.
 // A torn or corrupt record ends the replay: everything before it is
 // intact (the CRC guarantees it), the garbage suffix is truncated away,
 // and the store resumes appending from the last good record — the
 // standard WAL discipline. A store that holds what this one no longer
 // understands — relationship edges, from before the store kept rows only
-// — is refused with ErrRetiredRecord and left untouched.
+// — is refused with ErrRetiredRecord and left untouched, and so is a store
+// whose rows name a schema id that neither this process nor the store's
+// schema file (schemas.go) defines, with information.ErrUnknownSchema.
 //
 // Rows follow information.Store's rule — a stored row never changes, it is
 // only replaced: a put swaps the memtable's pointer, a flush drops the map,
@@ -217,6 +224,12 @@ type Store struct {
 	frame       []byte // scratch: framed record
 	stats       Stats
 
+	// The schema file (schemas.go): the ids it defines, its handle, opened
+	// with the first definition it takes, and its intact length.
+	schemaIDs   map[uint32]bool
+	schemaFile  *os.File
+	schemasSize int64
+
 	// live is the row count across all tiers, maintained on every commit
 	// so Len never has to merge the store.
 	live atomic.Int64
@@ -259,6 +272,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		nextSegID:    1,
 		mergeKick:    make(chan struct{}, 1),
 		closing:      make(chan struct{}),
+		schemaIDs:    map[uint32]bool{},
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -274,6 +288,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err := s.recover(); err != nil {
 		for _, g := range s.segs {
 			g.closeFile()
+		}
+		if s.schemaFile != nil {
+			//lint:allow errdrop the store is refused with err; the handle was write-only and every record on it was synced or rolled back
+			s.schemaFile.Close()
 		}
 		return nil, err
 	}
@@ -291,11 +309,16 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// recover loads the manifest and its segments' metadata, reads the WAL,
-// rewrites any format-1 segment, and replays the WAL tail — in that order,
-// so a store the WAL refuses is left as it was found, and replay's probes
-// read segments in the current format only.
+// recover learns the schema file's definitions, loads the manifest and its
+// segments' metadata, reads the WAL, rewrites any format-1 or format-2
+// segment, and replays the WAL tail — in that order, so the rows the store
+// names by schema id decode, a store the WAL refuses is left as it was
+// found, and replay's probes read segments in the current format only.
 func (s *Store) recover() error {
+	good, size, err := s.readSchemas()
+	if err != nil {
+		return err
+	}
 	if err := s.loadManifestState(); err != nil {
 		return err
 	}
@@ -303,6 +326,12 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
+	if good < size {
+		if err := os.Truncate(filepath.Join(s.dir, schemasName), good); err != nil {
+			return fmt.Errorf("logstore: truncate torn schema record: %w", err)
+		}
+	}
+	s.schemasSize = good
 	if err := s.upgradeSegments(); err != nil {
 		return err
 	}
@@ -348,6 +377,11 @@ func (s *Store) Close() error {
 	}
 	if cerr := s.wal.Close(); err == nil && cerr != nil {
 		err = cerr
+	}
+	if s.schemaFile != nil {
+		if cerr := s.schemaFile.Close(); err == nil && cerr != nil {
+			err = cerr
+		}
 	}
 	s.mu.Unlock()
 	close(s.closing)
@@ -401,7 +435,12 @@ func (s *Store) Exec(id string, fn func(cur *information.Object) (*information.O
 	if err = validateDurable(next); err != nil {
 		return nil, err
 	}
-	if err = s.appendLocked(information.AppendObject(s.recordLocked(recExec), next)); err != nil {
+	rec := s.recordLocked(recExec)
+	payload := information.AppendObject(rec, next)
+	if err = s.defineRowLocked(payload[len(rec):]); err != nil {
+		return nil, err
+	}
+	if err = s.appendLocked(payload); err != nil {
 		return nil, err
 	}
 	s.mem.put(next)

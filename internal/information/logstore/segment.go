@@ -2,10 +2,13 @@ package logstore
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,15 +24,20 @@ import (
 //	data region:   recSegRow / recSegTomb records, sorted by id: a row in
 //	               the one row codec, a tombstone as its id alone in the
 //	               uvarint-prefixed form a row starts with
-//	meta region:   recSegMeta (count, seq range, key range, index stride)
+//	meta region:   recSegMeta (count, seq range, key range, index stride,
+//	               the content ids of the schemas its compact rows name)
 //	               recSegIdx chunks  (sparse key index: every indexEvery-th
 //	               id and its byte offset in the data region)
 //	               recSegBloom chunks (bloom filter bits)
 //	footer:        recSegFoot, a fixed-size record whose payload is the
 //	               meta region's byte offset
 //
-// A segment written in format 1 (format1.go) has recSegMetaV1 for its
-// metadata header; Open rewrites it before anything reads its rows.
+// A segment written in format 1 (format1.go) or format 2 (format2.go) has
+// recSegMetaV1 or recSegMetaV2 for its metadata header; Open rewrites it
+// before anything reads its rows. Open refuses a segment whose metadata
+// names a schema id that neither this process nor the store's schema file
+// (schemas.go) defines, so a row that could not be decoded is never
+// admitted.
 //
 // Opening a segment reads the footer and the meta region only — O(filter +
 // index), never O(rows) — which is what keeps recovery proportional to
@@ -68,8 +76,9 @@ type segment struct {
 	maxKey  string
 	bloom   *bloomFilter
 	index   []segIndexEntry
-	metaOff int64 // end of the data region
-	v1      bool  // rows in format 1: for upgradeSegments alone to read
+	metaOff int64    // end of the data region
+	format  int      // 1 or 2: rows in that older format, for upgradeSegments alone to read; 0: current
+	schemas []uint32 // the schema ids its compact rows name, ascending
 
 	// Lifecycle: compaction drops a segment while readers may still hold
 	// it; the last reference out closes and unlinks the file.
@@ -128,6 +137,7 @@ type segWriter struct {
 	lastKey string
 	payload []byte
 	frame   []byte
+	schemas map[uint32]bool // the schema ids the compact rows written name
 }
 
 func newSegWriter(path string, id uint64, level int, seqLo, seqHi uint64, expect int) (*segWriter, error) {
@@ -141,8 +151,9 @@ func newSegWriter(path string, id uint64, level int, seqLo, seqHi uint64, expect
 			seqLo: seqLo, seqHi: seqHi,
 			bloom: newBloomFilter(expect),
 		},
-		f: f,
-		w: bufio.NewWriterSize(f, 1<<16),
+		f:       f,
+		w:       bufio.NewWriterSize(f, 1<<16),
+		schemas: map[uint32]bool{},
 	}, nil
 }
 
@@ -187,6 +198,15 @@ func (w *segWriter) add(e flushEntry) error {
 		w.payload = append(w.payload[:0], recSegTomb)
 		w.payload = wire.AppendVarString(w.payload, e.id)
 	}
+	if w.payload[0] == recSegRow {
+		id, compact, err := information.ObjectSchemaID(w.payload[1:])
+		if err != nil {
+			return err
+		}
+		if compact {
+			w.schemas[id] = true
+		}
+	}
 	return w.emit()
 }
 
@@ -212,6 +232,11 @@ func (w *segWriter) finish() (*segment, error) {
 	w.payload = wire.AppendUint64(w.payload, segIndexEvery)
 	w.payload = wire.AppendString(w.payload, seg.minKey)
 	w.payload = wire.AppendString(w.payload, seg.maxKey)
+	seg.schemas = slices.Sorted(maps.Keys(w.schemas))
+	w.payload = wire.AppendUvarint(w.payload, uint64(len(seg.schemas)))
+	for _, id := range seg.schemas {
+		w.payload = binary.BigEndian.AppendUint32(w.payload, id)
+	}
 	if err := w.emit(); err != nil {
 		w.abort()
 		return nil, err
@@ -325,8 +350,13 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 		}
 		p := payload[1:]
 		switch payload[0] {
-		case recSegMeta, recSegMetaV1:
-			seg.v1 = payload[0] == recSegMetaV1
+		case recSegMeta, recSegMetaV2, recSegMetaV1:
+			switch payload[0] {
+			case recSegMetaV1:
+				seg.format = 1
+			case recSegMetaV2:
+				seg.format = 2
+			}
 			var segID, count, indexEvery uint64
 			if segID, p, err = wire.ConsumeUint64(p); err != nil {
 				return fail(err)
@@ -352,10 +382,15 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 			if seg.minKey, p, err = wire.ConsumeString(p); err != nil {
 				return fail(err)
 			}
-			if seg.maxKey, _, err = wire.ConsumeString(p); err != nil {
+			if seg.maxKey, p, err = wire.ConsumeString(p); err != nil {
 				return fail(err)
 			}
 			seg.count = int(count)
+			if payload[0] == recSegMeta {
+				if seg.schemas, err = readSchemaIDs(p); err != nil {
+					return fail(err)
+				}
+			}
 		case recSegIdx:
 			var n uint64
 			if n, p, err = wire.ConsumeUint64(p); err != nil {
@@ -399,6 +434,23 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 		seg.bloom = newBloomFilter(1)
 	}
 	return seg, nil
+}
+
+// readSchemaIDs reads the schema ids a segment's metadata lists and
+// refuses the segment unless this process has registered or learned each.
+func readSchemaIDs(p []byte) ([]uint32, error) {
+	n, p, err := wire.ConsumeUvarint(p)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(p))/4 {
+		return nil, fmt.Errorf("%w: %d schema ids in %d bytes", ErrCorrupt, n, len(p))
+	}
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = binary.BigEndian.Uint32(p[4*i:])
+	}
+	return ids, information.CheckSchemaIDs(ids)
 }
 
 // segProbe is the outcome of a point read against one segment.

@@ -122,8 +122,10 @@ type walTail struct {
 
 // readWAL decodes the WAL's intact prefix without changing anything: the
 // first record that fails framing or decoding ends it. An intact record of
-// a retired type is no torn tail: it refuses the store with
-// ErrRetiredRecord, before Open has touched a file.
+// a retired type, or a row naming a schema id that neither this process
+// nor the schema file defines, is no torn tail: it refuses the store with
+// ErrRetiredRecord or information.ErrUnknownSchema, before Open has
+// touched the log.
 func (s *Store) readWAL() (walTail, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, walName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -139,7 +141,7 @@ func (s *Store) readWAL() (walTail, error) {
 			break
 		}
 		rec, err := decodeWALRecord(payload)
-		if errors.Is(err, ErrRetiredRecord) {
+		if errors.Is(err, ErrRetiredRecord) || errors.Is(err, information.ErrUnknownSchema) {
 			return walTail{}, fmt.Errorf("logstore: %s: %w", walName, err)
 		}
 		if err != nil {
@@ -166,7 +168,7 @@ func (s *Store) replayWAL(tail walTail) error {
 			continue
 		}
 		switch rec.typ {
-		case recExec, recExecV1:
+		case recExec, recExecV2, recExecV1:
 			existed := s.hasAny(rec.obj.ID)
 			s.mem.put(rec.obj)
 			if !existed {

@@ -191,7 +191,6 @@ type DigestTree struct {
 	sites   map[string]*siteIndex
 	order   []*siteIndex // sites by name: the marks section's order
 	count   int
-	gen     uint64
 }
 
 // NewDigestTree creates an empty tree with all internal hashes computed,
@@ -241,7 +240,6 @@ func (t *DigestTree) recomputePathLocked(b uint32) {
 		idx /= MerkleFanout
 		t.levels[l][idx] = t.hashChildrenLocked(l, idx)
 	}
-	t.gen++
 }
 
 // Update records the object's current version vector. A call whose
@@ -455,12 +453,4 @@ func (t *DigestTree) Count() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.count
-}
-
-// Generation returns a counter bumped by every structural change — the
-// cheap staleness check for caches derived from this tree.
-func (t *DigestTree) Generation() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.gen
 }

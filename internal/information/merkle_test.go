@@ -500,6 +500,7 @@ func TestSpaceTreeFollowsCommitsAndRecovery(t *testing.T) {
 	registry := NewSchemaRegistry()
 	if err := registry.Register(Schema{Name: "doc", Fields: []Field{
 		{Name: "title", Type: FieldText, Required: true},
+		{Name: "body", Type: FieldText},
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -235,6 +235,7 @@ func TestApplyRemoteConcurrentCreatedConverges(t *testing.T) {
 	registry := NewSchemaRegistry()
 	if err := registry.Register(Schema{Name: "doc", Fields: []Field{
 		{Name: "title", Type: FieldText, Required: true},
+		{Name: "body", Type: FieldText},
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,7 @@ package information
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,10 +59,6 @@ type Schema struct {
 
 // Validate checks fields against the schema.
 func (s Schema) Validate(fields map[string]string) error {
-	known := make(map[string]Field, len(s.Fields))
-	for _, f := range s.Fields {
-		known[f.Name] = f
-	}
 	for _, f := range s.Fields {
 		v, ok := fields[f.Name]
 		if !ok || v == "" {
@@ -79,7 +76,7 @@ func (s Schema) Validate(fields map[string]string) error {
 		}
 	}
 	for name := range fields {
-		if _, ok := known[name]; !ok {
+		if !slices.ContainsFunc(s.Fields, func(f Field) bool { return f.Name == name }) {
 			return fmt.Errorf("%w: unknown field %q", ErrSchemaViolation, name)
 		}
 	}
@@ -98,7 +95,11 @@ var (
 	ErrSchemaViolation = errors.New("information: schema violation")
 	ErrUnknownSchema   = errors.New("information: unknown schema")
 	ErrSchemaExists    = errors.New("information: schema already registered")
-	ErrNoConversion    = errors.New("information: no conversion path")
+	// ErrSchemaConflict refuses a schema whose name this process has
+	// registered with other fields, or whose content id another schema
+	// has: the row codec names a schema by that id (see AppendObject).
+	ErrSchemaConflict = errors.New("information: schema conflicts with a registered one")
+	ErrNoConversion   = errors.New("information: no conversion path")
 )
 
 // SchemaRegistry holds schemas and converters, and finds conversion paths.
@@ -123,13 +124,19 @@ func NewSchemaRegistry() *SchemaRegistry {
 	}
 }
 
-// Register adds a schema.
+// Register adds a schema, and enters it in the process-wide table the row
+// codec reads (see AppendObject): a name there has one field list, so
+// registering it with another, in this registry or any other, fails with
+// ErrSchemaConflict.
 func (r *SchemaRegistry) Register(s Schema) error {
 	name := strings.ToLower(s.Name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.schemas[name]; ok {
 		return fmt.Errorf("%w: %q", ErrSchemaExists, s.Name)
+	}
+	if err := registerShape(name, s.Fields); err != nil {
+		return err
 	}
 	s.Name = name
 	r.schemas[name] = s

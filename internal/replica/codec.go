@@ -38,14 +38,16 @@ import (
 // message. 0x82 and 0x84, the replies with full child paths and a mirrored
 // digest, are retired, and so is 0x85, the push that carried relationship
 // edges beside its rows; so are 0x81 and 0x87, the digest request and
-// reply whose marks section was always whole and carried no generation.
+// reply whose marks section was always whole and carried no generation;
+// and so are 0x88, 0x89 and 0x8B, the sync reply, push and digest reply
+// whose rows spelled their schema's name and keys.
 const (
 	tagSyncReq    byte = 0x83
 	tagPushResp   byte = 0x86
-	tagSyncResp   byte = 0x88
-	tagPushReq    byte = 0x89
 	tagDigestReq  byte = 0x8A
-	tagDigestResp byte = 0x8B
+	tagDigestResp byte = 0x8C
+	tagSyncResp   byte = 0x8D
+	tagPushReq    byte = 0x8E
 )
 
 // childRecordSize is one record of a children section: the parent's

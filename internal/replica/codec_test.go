@@ -2,6 +2,8 @@ package replica
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -19,6 +21,23 @@ import (
 	"mocca/internal/wire"
 	"mocca/internal/wire/wiretest"
 )
+
+// The schemas the rows below name, registered as the deployment and every
+// test of the package declare them before any test runs: whether a row
+// names its schema by id or spells it then does not depend on test order.
+func init() {
+	text := func(name string, required bool) information.Field {
+		return information.Field{Name: name, Type: information.FieldText, Required: required}
+	}
+	for _, s := range []information.Schema{
+		{Name: "mocca-interchange", Fields: []information.Field{text("title", true), text("body", false), text("author", false), text("context", false)}},
+		{Name: "doc", Fields: []information.Field{text("title", true), text("body", false)}},
+	} {
+		if err := information.NewSchemaRegistry().Register(s); err != nil {
+			panic(err)
+		}
+	}
+}
 
 // benchRow is the benchmark's fixture row (bench/store.go): the workload
 // harness's seeded object on the shared interchange schema.
@@ -160,12 +179,12 @@ func goldenCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, goldenCases(), map[string]string{
-		"digestResp/match":    "8b010000000000000000",
-		"digestResp/delta":    "8b14070601020304010203000000000000000000",
-		"digestResp/mismatch": "8b06000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c15001010473303030290000000000000000",
-		"digestResp/descent":  "8b02000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
-		"syncResp/want":       "880000000000000002000000096f626a303030303033000000096f626a3030303031370000000000000000",
-		"pushReq/no rows":     "890000000000000000",
+		"digestResp/match":    "8c010000000000000000",
+		"digestResp/delta":    "8c14070601020304010203000000000000000000",
+		"digestResp/mismatch": "8c06000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c15001010473303030290000000000000000",
+		"digestResp/descent":  "8c02000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
+		"syncResp/want":       "8d0000000000000002000000096f626a303030303033000000096f626a3030303031370000000000000000",
+		"pushReq/no rows":     "8e0000000000000000",
 	})
 }
 
@@ -262,12 +281,15 @@ func TestBodiesRejectDamage(t *testing.T) {
 
 // TestRetiredDigestBodiesRefused: a digest request or reply as the code
 // before marks generations wrote it fails on its first byte — an old peer's
-// whole marks are never read as a delta, nor a delta as whole marks.
+// whole marks are never read as a delta, nor a delta as whole marks — and so
+// does a body whose rows spelled their schema, whatever decoder reads it.
 func TestRetiredDigestBodiesRefused(t *testing.T) {
 	for _, b := range wiretest.Retired(t, "testdata/retired-bodies.txt") {
 		var req digestReq
 		var resp digestResp
-		if req.UnmarshalBinary(b) == nil || resp.UnmarshalBinary(b) == nil {
+		var sync syncResp
+		var push pushReq
+		if req.UnmarshalBinary(b) == nil || resp.UnmarshalBinary(b) == nil || sync.UnmarshalBinary(b) == nil || push.UnmarshalBinary(b) == nil {
 			t.Errorf("a retired body decoded: %x", b)
 		}
 	}
@@ -308,6 +330,7 @@ func newTappedPair(tb testing.TB) *tappedPair {
 	registry := information.NewSchemaRegistry()
 	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
 		{Name: "title", Type: information.FieldText, Required: true},
+		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
 		tb.Fatal(err)
 	}
@@ -564,5 +587,26 @@ func TestDecodedRowOwnsItsBytes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, sent) {
 		t.Fatalf("overwriting the body changed the request:\n got %+v\nwant %+v", got, sent)
+	}
+}
+
+// TestUnknownSchemaIDRefused: a body whose rows name a schema id this
+// process has not registered fails to decode with
+// information.ErrUnknownSchema, whichever message carries the rows.
+func TestUnknownSchemaIDRefused(t *testing.T) {
+	known := binary.BigEndian.AppendUint32([]byte{0}, 0x48d68860) // the marker and the interchange id
+	for _, c := range []wiretest.Case{
+		wiretest.Of("digestResp", digestResp{Marks: wholeMarks(marksOf(nil)), Deltas: benchRows(2)}),
+		wiretest.Of("syncResp", syncResp{Want: benchWant(2), Deltas: benchRows(2)}),
+		wiretest.Of("pushReq", pushReq{Objects: benchRows(2)}),
+	} {
+		body := c.Encode(t)
+		if bytes.Count(body, known) != 2 {
+			t.Fatalf("%s: its rows do not name the interchange schema by id: %x", c.Name, body)
+		}
+		body = bytes.Replace(body, known, []byte{0, 0xde, 0xad, 0xbe, 0xef}, 1)
+		if _, err := c.Decoded(body); !errors.Is(err, information.ErrUnknownSchema) {
+			t.Errorf("%s: a row naming an unregistered schema: %v, want information.ErrUnknownSchema", c.Name, err)
+		}
 	}
 }

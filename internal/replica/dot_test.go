@@ -41,6 +41,7 @@ func playDots(tb testing.TB, script []byte) (writes []dotWrite, copies []vclock.
 	registry := information.NewSchemaRegistry()
 	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
 		{Name: "title", Type: information.FieldText, Required: true},
+		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
 		tb.Fatal(err)
 	}

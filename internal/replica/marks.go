@@ -59,12 +59,25 @@ func (r *Replicator) peerMarksLocked(peer netsim.Address) *peerMarks {
 	return p
 }
 
-// forgetMarks drops the record for peer: a peer that returns starts over
-// from whole sections, which the check keeps apart from its old ones.
-func (r *Replicator) forgetMarks(peer netsim.Address) {
+// trimMarks cuts the record for a peer leaving the sync set down to what a
+// return needs to resume with deltas: this side's section the peer
+// confirmed holding and its latest one, which a reply still in flight may
+// confirm, and the peer's latest section this side rebuilt. The other
+// sections sent, the held one before the latest and the scratch buffers
+// are rebuilt if the peer comes back.
+func (r *Replicator) trimMarks(peer netsim.Address) {
 	r.marksMu.Lock()
-	delete(r.marks, peer)
-	r.marksMu.Unlock()
+	defer r.marksMu.Unlock()
+	p := r.marks[peer]
+	if p == nil {
+		return
+	}
+	for i, s := range p.sent {
+		if s.gen != p.base && s.gen != p.gen {
+			p.sent[i] = sentMarks{}
+		}
+	}
+	p.held[1], p.spare, p.delta = sentMarks{}, nil, nil
 }
 
 // outMarks stamps the tree's marks for peer with a new generation, as a

@@ -34,6 +34,7 @@ func newMarksPair(t *testing.T) *marksPair {
 	p := &marksPair{fixture: &fixture{clk: clk, net: net}, ids: id.New(), registry: information.NewSchemaRegistry()}
 	if err := p.registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
 		{Name: "title", Type: information.FieldText, Required: true},
+		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +218,61 @@ func TestMarksDeltaAfterLostReplies(t *testing.T) {
 		t.Fatalf("two lost replies cost %d whole sections, want 1", got)
 	}
 	p.noDescent(t, before)
+}
+
+// TestMarksDeltaAcrossRemovePeer: view churn drops a peer from the sync set
+// and adds it back. Each side's record of the marks it exchanges with the
+// other outlives that — a replication address names a site, not an
+// incarnation — trimmed to the sections a return needs, so the next
+// round's marks go as deltas both ways, with no whole section and no
+// fallback.
+func TestMarksDeltaAcrossRemovePeer(t *testing.T) {
+	p := newMarksPair(t)
+	p.warm(t)
+	peer := p.reps[1].Addr()
+	if !p.reps[0].RemovePeer(peer) {
+		t.Fatal("RemovePeer = false for a live peer")
+	}
+	rec := p.reps[0].marks[peer]
+	kept := 0
+	for _, s := range rec.sent {
+		if s.section != nil {
+			kept++
+		}
+	}
+	if kept > 2 || rec.held[1].section != nil || rec.spare != nil || rec.delta != nil {
+		t.Fatalf("the removed peer's record keeps %d sent sections, held %v, spare %d B, delta %d B",
+			kept, rec.held[1].gen, len(rec.spare), len(rec.delta))
+	}
+	p.reps[0].AddPeer(peer)
+	p.write(t, 0)
+	p.write(t, 1)
+	p.round(0)
+	p.converged(t)
+	for _, f := range p.frames {
+		if f.kind != "rpc.req" && f.kind != "rpc.rep" {
+			continue
+		}
+		var req digestReq
+		var resp digestResp
+		var marks marksMsg
+		switch {
+		case wire.DecodeBody(f.body, &req) == nil:
+			marks = req.Marks
+		case wire.DecodeBody(f.body, &resp) == nil:
+			marks = resp.Marks
+		default:
+			continue
+		}
+		if marks.Section != nil && marks.Base == 0 {
+			t.Fatalf("%s %s → %s carried whole marks after the peer came back", f.kind, f.from, f.to)
+		}
+	}
+	for i, r := range p.reps {
+		if got := r.Stats().MarksFallbacks; got != 0 {
+			t.Fatalf("s%d fell back %d times after its peer came back", i, got)
+		}
+	}
 }
 
 // TestMarksDeltaAfterResponderRestart: a restarted responder holds none of

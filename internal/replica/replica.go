@@ -260,7 +260,7 @@ type Replicator struct {
 	stats          Stats
 
 	marksMu sync.Mutex
-	marks   map[netsim.Address]*peerMarks // per peer, what each side holds of the other's marks
+	marks   map[netsim.Address]*peerMarks // per peer ever synced with, what each side holds of the other's marks
 }
 
 // New binds a replicator to the endpoint, registers the protocol methods,
@@ -318,7 +318,12 @@ func (r *Replicator) AddPeer(addr netsim.Address) {
 
 // RemovePeer drops a peer from the sync set — view churn under the
 // gossip overlay, or an operator retiring a site. Reports whether the
-// address was a peer.
+// address was a peer. The record of the marks exchanged with it stays,
+// trimmed to what a return needs (trimMarks): a replication address names
+// a site, not an incarnation, so the records are bounded by the
+// deployment's sites, and a peer that comes back resumes with deltas from
+// what each side still holds (a restarted one fails the delta's check and
+// is sent whole marks, as always).
 func (r *Replicator) RemovePeer(addr netsim.Address) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -327,7 +332,7 @@ func (r *Replicator) RemovePeer(addr netsim.Address) bool {
 		return false
 	}
 	r.peers = slices.Delete(r.peers, i, i+1)
-	r.forgetMarks(addr)
+	r.trimMarks(addr)
 	return true
 }
 

@@ -175,6 +175,7 @@ func TestManualSyncNowWithoutAutoSync(t *testing.T) {
 	registry := information.NewSchemaRegistry()
 	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
 		{Name: "title", Type: information.FieldText, Required: true},
+		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +270,7 @@ func TestFailedApplyIsCounted(t *testing.T) {
 	registry := information.NewSchemaRegistry()
 	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
 		{Name: "title", Type: information.FieldText, Required: true},
+		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"mocca/internal/information"
 	"mocca/internal/information/logstore"
 )
 
@@ -414,5 +416,73 @@ func TestMeshWriteSurvivesOriginCrash(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// reopenedNoteApp is an application with a schema of its own, which no
+// other test registers: its rows travel and are stored in the compact form.
+func reopenedNoteApp() Application {
+	return Application{
+		Name:     "reopened-notes",
+		Quadrant: "different-time/different-place",
+		Schema: information.Schema{Name: "reopened-note", Fields: []information.Field{
+			{Name: "head", Type: information.FieldText, Required: true},
+			{Name: "body", Type: information.FieldText},
+		}},
+	}
+}
+
+// reopenDirEnv hands the durable directory to the child process of
+// TestDurableStoreOpensBeforeAppsRegister.
+const reopenDirEnv = "MOCCA_TEST_REOPEN_DIR"
+
+// TestDurableStoreOpensBeforeAppsRegister reopens a durable deployment in a
+// fresh process, in the order a program builds one: NewDeployment, AddSite
+// (which opens the site's store), and only then RegisterApplication. The
+// store holds a row of the application's schema, named by content id; the
+// process that reopens it has not registered that schema when AddSite
+// opens the store, so the store must carry the definition itself. Run in
+// the test's own process the schema table would already hold it — the
+// table is process-wide — so the reopen runs in a child process of the
+// test binary.
+func TestDurableStoreOpensBeforeAppsRegister(t *testing.T) {
+	if dir := os.Getenv(reopenDirEnv); dir != "" {
+		dep := NewDeployment(WithSeed(7), WithDurableStore(dir))
+		gmd := dep.AddSite("gmd", "gmd.de")
+		var objs []*information.Object
+		gmd.Space().Range(func(o *information.Object) bool {
+			objs = append(objs, o.Clone())
+			return true
+		})
+		if len(objs) != 1 || objs[0].Schema != "reopened-note" || objs[0].Fields["head"] != "kept" || objs[0].Fields["body"] != "across" {
+			t.Fatalf("reopened store holds %v", objs)
+		}
+		if err := dep.Env().RegisterApplication(reopenedNoteApp()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gmd.Space().Put("ada", "reopened-note", map[string]string{"head": "after"}); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	dir := t.TempDir()
+	dep := NewDeployment(WithSeed(7), WithDurableStore(dir))
+	gmd := dep.AddSite("gmd", "gmd.de")
+	if err := dep.Env().RegisterApplication(reopenedNoteApp()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gmd.Space().Put("ada", "reopened-note", map[string]string{"head": "kept", "body": "across"}); err != nil {
+		t.Fatal(err)
+	}
+	dep.Run()
+	gmd.Crash()
+	if _, err := os.Stat(filepath.Join(dir, "gmd", "schemas.log")); err != nil {
+		t.Fatalf("the store names no schema by id: %v", err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestDurableStoreOpensBeforeAppsRegister$", "-test.count=1")
+	cmd.Env = append(os.Environ(), reopenDirEnv+"="+dir)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("reopen in a fresh process: %v\n%s", err, out)
 	}
 }
