@@ -40,6 +40,10 @@ import (
 // steady-state frames pay no extra bytes.
 const EpochHeader = "ch.epoch"
 
+// MethodHeader is the header an rpc envelope names its method in: the key
+// the stack's byte ledger reads (see Fabric.Methods).
+const MethodHeader = "method"
+
 // Direction distinguishes the two ways a frame crosses the stack.
 type Direction int
 
@@ -204,6 +208,10 @@ type Stack struct {
 	mu       sync.Mutex
 	bindings map[netsim.Address]*binding
 	recv     Receiver
+	// sent is the stack's byte ledger: the frames sent, by the index of
+	// their MethodHeader in wire's static string table; the last slot
+	// holds frames that name no method of the table.
+	sent [wire.StaticStrings + 1]MethodTraffic
 
 	// framePool recycles the Frame handed to interceptors: passing a
 	// pointer to dynamic funcs forces a heap escape per frame, which a
@@ -277,6 +285,14 @@ func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 	}
 	b.FramesOut++
 	b.BytesOut += int64(len(data))
+	i := wire.StaticStrings
+	if m, ok := env.Header(MethodHeader); ok {
+		if j, ok := wire.StaticIndex(m); ok {
+			i = j
+		}
+	}
+	s.sent[i].Frames++
+	s.sent[i].Bytes += int64(len(data))
 	return nil
 }
 

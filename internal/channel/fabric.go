@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"mocca/internal/netsim"
+	"mocca/internal/wire"
 )
 
 // ChannelInfo describes one live transport channel as the engineering
@@ -151,6 +152,49 @@ func (f *Fabric) TotalsFor(localPrefix string) FabricTotals {
 		t.DiscardBytesIn += c.DiscardBytesIn
 	}
 	return t
+}
+
+// MethodTraffic is one line of a byte ledger: the frames sent under an rpc
+// method, and their bytes.
+type MethodTraffic struct {
+	Method        string
+	Frames, Bytes int64
+}
+
+// Methods reads the byte ledgers of the stacks whose local address has the
+// given prefix, summed by the method their frames name, in the order of
+// wire's static string table; frames naming a method the table lacks, or
+// none, sum under "". A method with no frames is left out. Every frame a
+// stack sends is on its ledger, so the lines sum to TotalsFor's FramesOut
+// and BytesOut.
+func (f *Fabric) Methods(localPrefix string) []MethodTraffic {
+	var sum [wire.StaticStrings + 1]MethodTraffic
+	f.mu.Lock()
+	for local, gens := range f.stacks {
+		if !strings.HasPrefix(string(local), localPrefix) {
+			continue
+		}
+		for _, s := range gens {
+			s.mu.Lock()
+			for i, t := range s.sent {
+				sum[i].Frames += t.Frames
+				sum[i].Bytes += t.Bytes
+			}
+			s.mu.Unlock()
+		}
+	}
+	f.mu.Unlock()
+	var out []MethodTraffic
+	for i, t := range sum {
+		if t.Frames == 0 {
+			continue
+		}
+		if i < wire.StaticStrings {
+			t.Method = wire.StaticString(i)
+		}
+		out = append(out, t)
+	}
+	return out
 }
 
 // Reconcile checks the binding records against the network's own counters.

@@ -3,6 +3,7 @@ package gossip
 import (
 	"mocca/internal/information"
 	"mocca/internal/netsim"
+	"mocca/internal/vclock"
 	"mocca/internal/wire"
 )
 
@@ -10,12 +11,13 @@ import (
 // anti-entropy protocol's: a tag byte naming the message, then wire's shared
 // primitives — strings, counts and counters prefixed or written as uvarints,
 // so a short name costs one byte of length and a count below 128 one byte —
-// with a peer as its three strings and rows in the one row codec
-// (information.AppendObject). A Peer alone is the request of gossip.join
-// and gossip.probe: the sender introducing itself. Probe is answered with
-// wire.Empty: a reply arriving is all the caller learns. Disconnect and
-// prune are announcements with the empty body: the frame's source is all
-// they say. No push, ihave or prune names its sender, and none carries a
+// with a peer as its three strings and rows in the row codec's wire form
+// (information.AppendWireObject). A dot is its site in vclock's roster
+// form (vclock.AppendSite: one byte for an enrolled site) and its counter.
+// A Peer alone is the request of gossip.join and gossip.probe: the sender
+// introducing itself. Probe is answered with wire.Empty: a reply arriving
+// is all the caller learns. Disconnect and prune are announcements with
+// the empty body: the frame's source is all they say. No push, ihave or prune names its sender, and none carries a
 // vector beside a row: each write is named by its dot alone, and a push
 // or a graft's reply pairs the dot with its row. A graft's reply is a
 // gossip.rumor body: the grafter takes it as a push.
@@ -26,12 +28,13 @@ import (
 // rumor reply; 0x9A, the rumor that carried dots without rows, for a fetch;
 // 0x93, 0x94 and 0x9C, the graft by ids, its list of rows and the ihave
 // whose dots carried ids; 0x9B, the push whose rows spelled their schema's
-// name and keys (its successor, 0x90, takes the one value left below the
-// range). Peer (0x95) no longer asks for a link:
+// name and keys (its successor, 0x90, took the one value left below the
+// range); and 0x90, 0x9F and 0xA0, the push, ihave and graft whose dots
+// and rows spelled their sites (their successors took a second run, at
+// 0xF5). Peer (0x95) no longer asks for a link:
 // neighborReq does. forwardJoinReq's TTL was eight bytes until it became a
 // uvarint; an old body fails on the seven bytes left over.
 const (
-	tagRumorReq       byte = 0x90
 	tagPeer           byte = 0x95
 	tagJoinResp       byte = 0x96
 	tagForwardJoinReq byte = 0x97
@@ -39,8 +42,9 @@ const (
 	tagShuffleResp    byte = 0x99
 	tagNeighborReq    byte = 0x9D
 	tagNeighborResp   byte = 0x9E
-	tagIhaveReq       byte = 0x9F
-	tagGraftReq       byte = 0xA0
+	tagRumorReq       byte = 0xF5
+	tagIhaveReq       byte = 0xF6
+	tagGraftReq       byte = 0xF7
 )
 
 // appendPeer writes a peer: its site, gossip address and replication
@@ -187,9 +191,8 @@ func (m *neighborResp) UnmarshalBinary(data []byte) error {
 // appendPushEntry writes one pushed write: its dot's site and counter, then
 // its row.
 func appendPushEntry(b []byte, site string, counter uint64, row *information.Object) []byte {
-	b = wire.AppendVarString(b, site)
-	b = wire.AppendUvarint(b, counter)
-	return information.AppendObject(b, row)
+	b = wire.AppendUvarint(vclock.AppendSite(b, site), counter)
+	return information.AppendWireObject(b, row)
 }
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -226,35 +229,34 @@ func appendPush(b []byte, dots []rumorEntry, rows []*information.Object) []byte 
 func (m *rumorReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
 	*m = rumorReq{}
-	if n := b.UvarintCount(1 + 1); n > 0 { // site prefix + counter, before the row
+	if n := b.UvarintCount(1 + 1); n > 0 { // site + counter, before the row
 		m.Entries = make([]pushEntry, n)
 		for i := range m.Entries {
-			m.Entries[i] = pushEntry{Site: b.VarString(), Counter: b.Uvarint(), Row: wire.Consume(&b, information.DecodeObject)}
+			m.Entries[i] = pushEntry{Site: wire.Consume(&b, vclock.ConsumeSite), Counter: b.Uvarint(), Row: wire.Consume(&b, information.DecodeWireObject)}
 		}
 	}
 	return b.Close()
 }
 
-// appendDots writes a list of dots: a uvarint count, then each dot's site
-// and counter.
+// appendDots writes a list of dots: a uvarint count, then each dot's site,
+// in the roster form, and counter.
 func appendDots(b []byte, dots []dot) []byte {
 	b = wire.AppendUvarint(b, uint64(len(dots)))
 	for _, d := range dots {
-		b = wire.AppendVarString(b, d.Site)
-		b = wire.AppendUvarint(b, d.Counter)
+		b = wire.AppendUvarint(vclock.AppendSite(b, d.Site), d.Counter)
 	}
 	return b
 }
 
 // consumeDots reads a list of dots; an empty one reads as nil.
 func consumeDots(b *wire.Body) []dot {
-	n := b.UvarintCount(1 + 1) // site prefix + counter
+	n := b.UvarintCount(1 + 1) // site + counter
 	if n == 0 {
 		return nil
 	}
 	dots := make([]dot, n)
 	for i := range dots {
-		dots[i] = dot{Site: b.VarString(), Counter: b.Uvarint()}
+		dots[i] = dot{Site: wire.Consume(b, vclock.ConsumeSite), Counter: b.Uvarint()}
 	}
 	return dots
 }

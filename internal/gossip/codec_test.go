@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,9 +20,14 @@ import (
 )
 
 // The schemas the rows below name, registered as the deployment and every
-// test of the package declare them before any test runs: whether a row
-// names its schema by id or spells it then does not depend on test order.
+// test of the package declare them, and the sites of a 16-site
+// organization, enrolled on the roster, before any test runs: whether a
+// row names its schema by id or spells it, and whether a site travels as
+// its roster index or spelled, then does not depend on test order.
 func init() {
+	for i := range 16 {
+		vclock.Enrol(fmt.Sprintf("s%03d", i))
+	}
 	text := func(name string, required bool) information.Field {
 		return information.Field{Name: name, Type: information.FieldText, Required: required}
 	}
@@ -139,14 +145,14 @@ func bodyCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"rumorReq/publish": "9001047330303001096f626a3030303030300048d688600675303030303004733030300104733030300109d39b" +
-			"5f4a6aa000000f0e73656564206f626a3030303030302373686172656420776f726b696e67206d6174657269616c20666f" +
-			"722061637430303030067530303030300761637430303030",
-		"ihaveReq":         "9f01047330303001",
+		"rumorReq/publish": "f5010101096f626a3030303030300048d68860067530303030300101010109d39b5f4a6aa000000f" +
+			"0e73656564206f626a3030303030302373686172656420776f726b696e67206d6174657269616c20666f722061637430" +
+			"303030067530303030300761637430303030",
+		"ihaveReq":         "f6010101",
 		"neighborReq/ring": "9d04733030330b676f737369702d73303033097265706c2d7330303301",
 		"neighborResp":     "9e01",
-		"graftReq":         "a002047330303001047330303102",
-		"graftReq/zero":    "a000",
+		"graftReq":         "f70201010202",
+		"graftReq/zero":    "f700",
 		"peer":             "9504733030330b676f737369702d73303033097265706c2d73303033",
 		"joinResp": "9604733030330b676f737369702d73303033097265706c2d733030330104733030300b676f737369702d733030300972" +
 			"65706c2d733030300104733030310b676f737369702d73303031097265706c2d73303031",
@@ -211,6 +217,10 @@ func TestBodiesRejectDamage(t *testing.T) {
 		"retired graft ids":     append([]byte{0x93, 0, 0, 0, 0}, huge...),
 		"retired graft rows":    append([]byte{0x94}, huge...),
 		"retired ihave ids":     append([]byte{0x9C}, hugeVar...),
+		// So do the push, ihave and graft whose sites were spelled.
+		"retired spelled push":  append([]byte{0x90}, hugeVar...),
+		"retired spelled ihave": append([]byte{0x9F}, hugeVar...),
+		"retired spelled graft": append([]byte{0xA0}, hugeVar...),
 		// The forward-join whose TTL was eight bytes: the uvarint reads
 		// its first, and seven are left over.
 		"eight-byte TTL": append([]byte{tagForwardJoinReq, 0, 0, 0}, wire.AppendUint64(nil, 3)...),
@@ -391,5 +401,52 @@ func TestUnknownSchemaIDRefused(t *testing.T) {
 	body = bytes.Replace(body, known, []byte{0, 0xde, 0xad, 0xbe, 0xef}, 1)
 	if _, err := c.Decoded(body); !errors.Is(err, information.ErrUnknownSchema) {
 		t.Fatalf("a row naming an unregistered schema: %v, want information.ErrUnknownSchema", err)
+	}
+}
+
+// TestRetiredBodiesRefused: a push, ihave or graft as the code before the
+// site roster wrote it — and every other retired body — fails to decode as
+// any of the messages that carry dots.
+func TestRetiredBodiesRefused(t *testing.T) {
+	for _, b := range wiretest.Retired(t, "testdata/retired-bodies.txt") {
+		var push rumorReq
+		var ihave ihaveReq
+		var graft graftReq
+		if len(b) > 0 && (push.UnmarshalBinary(b) == nil || ihave.UnmarshalBinary(b) == nil || graft.UnmarshalBinary(b) == nil) {
+			t.Errorf("a retired body decoded: %x", b)
+		}
+	}
+}
+
+// TestUnknownSiteIndexRefused: a dot, or a pushed row's writer site or
+// vector site, naming a roster index this process never enrolled fails to
+// decode with vclock.ErrUnknownSite.
+func TestUnknownSiteIndexRefused(t *testing.T) {
+	past := wire.AppendUvarint(nil, vclock.MaxRoster+1)
+	dots := slices.Concat([]byte{1}, past, []byte{7})
+	for name, c := range map[string]wiretest.Case{
+		"ihave": wiretest.Of("ihaveReq", ihaveReq{}),
+		"graft": wiretest.Of("graftReq", graftReq{}),
+		"push":  wiretest.Of("rumorReq", rumorReq{}),
+	} {
+		body := append([]byte{map[string]byte{"ihave": tagIhaveReq, "graft": tagGraftReq, "push": tagRumorReq}[name]}, dots...)
+		if _, err := c.Decoded(body); !errors.Is(err, vclock.ErrUnknownSite) {
+			t.Errorf("%s: a dot past the roster: %v, want vclock.ErrUnknownSite", name, err)
+		}
+	}
+	c := wiretest.Of("rumorReq", rumorReq{Entries: []pushEntry{{Site: "s000", Counter: 1, Row: benchRow(1)}}})
+	body := c.Encode(t)
+	owner := wire.AppendVarString(nil, "u00001") // benchRow(1)'s owner; s000, entry 0, writes
+	at := slices.Concat(owner, []byte{1, 1, 1, 1})
+	if !bytes.Contains(body, at) {
+		t.Fatalf("the pushed row does not name s000 by its roster entry: %x", body)
+	}
+	for name, bad := range map[string][]byte{
+		"writer site": slices.Concat(owner, past, []byte{1, 1, 1}),
+		"vector site": slices.Concat(owner, []byte{1, 1}, past, []byte{1}),
+	} {
+		if _, err := c.Decoded(bytes.Replace(body, at, bad, 1)); !errors.Is(err, vclock.ErrUnknownSite) {
+			t.Errorf("a pushed row's %s past the roster: %v, want vclock.ErrUnknownSite", name, err)
+		}
 	}
 }

@@ -21,10 +21,12 @@ import (
 //	                         content id (schemaID) in 4 big-endian bytes;
 //	                         spelled form: a uvarint of the name's length
 //	                         plus 1, then the name
-//	owner, site              each a uvarint length and its bytes
+//	owner, site              each a uvarint length and its bytes; in the
+//	                         wire form the site is in vclock's roster form
 //	vector                   vclock's AppendBinary: a uvarint count, then per
 //	                         site in sorted order a uvarint-prefixed name and
-//	                         a uvarint counter
+//	                         a uvarint counter; in the wire form
+//	                         Version.AppendWire, each site in the roster form
 //	created                  the big-endian uint64 of its UnixNano
 //	updated                  a zigzag varint: Updated less Created, in
 //	                         nanoseconds, modulo 2^64
@@ -41,11 +43,33 @@ import (
 // spells its schema and keys. Version is not written: every row a Space
 // commits has its vector's sum for a Version, and DecodeObject sets it so.
 // Equal rows encode to equal bytes, which is what lets recovery be verified
-// byte-for-byte. It is the one row codec of the repository: the durable log
-// (logstore's WAL and segments) and the replication planes (replica.* and
-// gossip.rumor/graft bodies) carry rows in exactly this form. Stores
-// written before it hold rows in older layouts, which logstore alone reads.
-func AppendObject(dst []byte, o *Object) []byte {
+// byte-for-byte. It is the one row codec of the repository, in two forms:
+// the durable log (logstore's WAL and segments) stores rows in this one,
+// and the replication planes (replica.* and gossip.rumor/graft bodies)
+// carry them in AppendWireObject's, which differs only in how it says
+// sites. Stores written before it hold rows in older layouts, which
+// logstore alone reads.
+func AppendObject(dst []byte, o *Object) []byte { return appendObject(dst, o, false) }
+
+// AppendWireObject appends a row in the form the bodies that carry rows
+// take: AppendObject's, but for its writer site and its vector's sites,
+// each said in vclock's roster form (vclock.AppendSite, Version.AppendWire)
+// — a byte for an enrolled site where the stored form spells it. The
+// roster is per process and never reaches disk, so a stored row keeps
+// AppendObject's form.
+func AppendWireObject(dst []byte, o *Object) []byte { return appendObject(dst, o, true) }
+
+// AppendWireObjects appends a row list in the wire form: a uvarint count,
+// then each row. ConsumeWireObjects reads it back.
+func AppendWireObjects(dst []byte, rows []*Object) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(rows)))
+	for _, o := range rows {
+		dst = appendObject(dst, o, true)
+	}
+	return dst
+}
+
+func appendObject(dst []byte, o *Object, roster bool) []byte {
 	dst = wire.AppendVarString(dst, o.ID)
 	sh, set := compactShape(o)
 	if sh != nil {
@@ -54,8 +78,11 @@ func AppendObject(dst []byte, o *Object) []byte {
 		dst = append(wire.AppendUvarint(dst, uint64(len(o.Schema))+1), o.Schema...)
 	}
 	dst = wire.AppendVarString(dst, o.Owner)
-	dst = wire.AppendVarString(dst, o.Site)
-	dst = o.VV.AppendBinary(dst)
+	if roster {
+		dst = o.VV.AppendWire(vclock.AppendSite(dst, o.Site))
+	} else {
+		dst = o.VV.AppendBinary(wire.AppendVarString(dst, o.Site))
+	}
 	created := o.Created.UnixNano()
 	dst = wire.AppendUint64(dst, uint64(created))
 	dst = wire.AppendVarint(dst, o.Updated.UnixNano()-created)
@@ -95,8 +122,18 @@ func AppendObject(dst []byte, o *Object) []byte {
 // change; and every other string is a substring of one copy of the row's
 // remaining text — one per row, so a row kept from a message pins nothing
 // else of it.
-func DecodeObject(data []byte) (*Object, []byte, error) {
-	sc, rest, err := scanObject(data)
+func DecodeObject(data []byte) (*Object, []byte, error) { return decodeObject(data, false) }
+
+// DecodeWireObject decodes one row produced by AppendWireObject, as
+// DecodeObject decodes AppendObject's. A site this process enrolled is the
+// roster's own string; a site index past the roster is refused with an
+// error wrapping vclock.ErrUnknownSite, and a vector out of name order, or
+// naming an enrolled site by its spelling, with one wrapping
+// vclock.ErrBadVersion.
+func DecodeWireObject(data []byte) (*Object, []byte, error) { return decodeObject(data, true) }
+
+func decodeObject(data []byte, roster bool) (*Object, []byte, error) {
+	sc, rest, err := scanObject(data, roster)
 	if err != nil {
 		return nil, rest, err
 	}
@@ -109,9 +146,14 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 			return nil, data, fmt.Errorf("%w: row %q sets field bits %#x of %q's %d", wire.ErrBadBody, sc.id, sc.set, sh.name, len(sh.fields))
 		}
 	}
-	// The vector's names are its bytes less a few of framing: room enough.
+	// The stored vector's names are its bytes less a few of framing: room
+	// enough. The wire form's sites are not in the text.
 	var text rowText
-	text.Grow(sc.text + len(sc.vv))
+	if roster {
+		text.Grow(sc.text)
+	} else {
+		text.Grow(sc.text + len(sc.vv))
+	}
 	o := &Object{ID: string(sc.id)}
 	r := sc.afterID
 	if sh != nil {
@@ -122,17 +164,30 @@ func DecodeObject(data []byte) (*Object, []byte, error) {
 		o.Schema = text.cutN(&r, int(takeUvarint(&r))-1)
 	}
 	o.Owner = text.cut(&r)
-	o.Site = text.cut(&r)
-	if nvv := takeUvarint(&r); nvv > 0 {
-		o.VV = make(vclock.Version, nvv)
-		for range nvv {
-			site := text.cut(&r)
-			c := takeUvarint(&r)
-			o.VV[site] = c
-			o.Version += c
+	if roster {
+		// The sites scanObject checked read back the same: the roster
+		// only grows, unless it enrolled a spelled name since, which is
+		// refused.
+		if o.Site, r, err = vclock.ConsumeSite(r); err == nil {
+			o.VV, r, err = vclock.DecodeWire(r)
 		}
-		if len(o.VV) != int(nvv) { // a site named twice: its later entry stands
-			o.Version = o.VV.Sum()
+		if err != nil {
+			return nil, data, err
+		}
+		o.Version = o.VV.Sum()
+	} else {
+		o.Site = text.cut(&r)
+		if nvv := takeUvarint(&r); nvv > 0 {
+			o.VV = make(vclock.Version, nvv)
+			for range nvv {
+				site := text.cut(&r)
+				c := takeUvarint(&r)
+				o.VV[site] = c
+				o.Version += c
+			}
+			if len(o.VV) != int(nvv) { // a site named twice: its later entry stands
+				o.Version = o.VV.Sum()
+			}
 		}
 	}
 	created := int64(binary.BigEndian.Uint64(r))
@@ -191,23 +246,24 @@ func takeUvarint(r *[]byte) uint64 {
 	return v
 }
 
-// minRowBytes is the least a row AppendObject writes can take: four string
-// lengths (a spelled schema's), a vector count, the creation time, the
-// update's delta and a field count. Past it a row holds at least two bytes
-// per vector entry and per field beside its text.
+// minRowBytes is the least a row AppendObject or AppendWireObject writes can
+// take: four string lengths (a spelled schema's) or roster entries, a
+// vector count, the creation time, the update's delta and a field count.
+// Past it a row holds at least two bytes per vector entry and per field
+// beside its text.
 const minRowBytes = 4 + 1 + 8 + 1 + 1
 
-// ConsumeObjects reads a row list — a count, then that many rows written by
-// AppendObject — at the cursor, holding the count against the bytes that
-// remain before it allocates; no rows read as nil.
-func ConsumeObjects(b *wire.Body) []*Object {
-	n := b.Count(minRowBytes)
+// ConsumeWireObjects reads a row list written by AppendWireObjects at the
+// cursor, holding the count against the bytes that remain before it
+// allocates; no rows read as nil.
+func ConsumeWireObjects(b *wire.Body) []*Object {
+	n := b.UvarintCount(minRowBytes)
 	if n == 0 {
 		return nil
 	}
 	rows := make([]*Object, n)
 	for i := range rows {
-		rows[i] = wire.Consume(b, DecodeObject)
+		rows[i] = wire.Consume(b, DecodeWireObject)
 	}
 	return rows
 }
@@ -235,7 +291,7 @@ func ObjectID(data []byte) ([]byte, error) {
 // field past its schema's, which only DecodeObject refuses. It is what lets
 // a store compare, copy or skip a row it has no need to materialise.
 func ScanObject(data []byte) (id, vv, rest []byte, err error) {
-	sc, rest, err := scanObject(data)
+	sc, rest, err := scanObject(data, false)
 	return sc.id, sc.vv, rest, err
 }
 
@@ -271,7 +327,7 @@ type rowScan struct {
 }
 
 // scanObject is ScanObject, also measuring the row's text.
-func scanObject(data []byte) (sc rowScan, rest []byte, err error) {
+func scanObject(data []byte, roster bool) (sc rowScan, rest []byte, err error) {
 	fail := func(err error) (rowScan, []byte, error) { return rowScan{}, data, err }
 	if sc.id, rest, err = wire.SkipVarString(data); err != nil {
 		return fail(err)
@@ -293,14 +349,20 @@ func scanObject(data []byte) (sc rowScan, rest []byte, err error) {
 	default:
 		sc.text, rest = int(marker-1), rest[marker-1:]
 	}
-	var s []byte
-	for range 2 { // owner, site
-		if s, rest, err = wire.SkipVarString(rest); err != nil {
-			return fail(err)
-		}
-		sc.text += len(s)
+	s, rest, err := wire.SkipVarString(rest) // owner
+	if err != nil {
+		return fail(err)
 	}
-	if sc.vv, rest, err = vclock.ScanVersion(rest); err != nil {
+	sc.text += len(s)
+	if roster {
+		if rest, err = vclock.SkipSite(rest); err == nil {
+			sc.vv, rest, err = vclock.ScanWire(rest)
+		}
+	} else if s, rest, err = wire.SkipVarString(rest); err == nil {
+		sc.text += len(s)
+		sc.vv, rest, err = vclock.ScanVersion(rest)
+	}
+	if err != nil {
 		return fail(err)
 	}
 	if _, rest, err = wire.ConsumeUint64(rest); err != nil { // created

@@ -53,9 +53,13 @@ var (
 	}}
 )
 
-// The codec's tests register their schemas before any test runs, so the
-// form each row takes does not depend on which tests ran before it.
+// The codec's tests register their schemas, and enrol the sites of a
+// 16-site organization on the roster, before any test runs, so the form
+// each row takes does not depend on which tests ran before it.
 func init() {
+	for i := range 16 {
+		vclock.Enrol(fmt.Sprintf("s%03d", i))
+	}
 	for _, s := range []Schema{interchangeSchema, docSchema} {
 		if err := NewSchemaRegistry().Register(s); err != nil {
 			panic(err)
@@ -140,6 +144,14 @@ func TestRowBytesBySection(t *testing.T) {
 	if saved := len(AppendObject(nil, spelled)) - len(enc); saved != 39 {
 		t.Fatalf("the compact form saves %d bytes of the fixture row, want 39", saved)
 	}
+	// The wire form says the writer site, s000, by its roster entry in one
+	// byte, and the vector in three — a count, the entry, the counter —
+	// where the stored form takes five and seven; the rest is the same.
+	w := AppendWireObject(nil, codecFixtureRow(42))
+	at := id + schema + owner
+	if !bytes.Equal(w[at:at+4], []byte{1, 1, 1, 1}) || !bytes.Equal(w[:at], enc[:at]) || !bytes.Equal(w[at+4:], enc[at+site+vector:]) || len(w) != 102 {
+		t.Fatalf("the %d-byte wire form of the fixture row: %x, its stored form %x", len(w), w, enc)
+	}
 }
 
 // codecEdgeRows are rows at the corners of the format.
@@ -168,9 +180,31 @@ func codecEdgeRows() map[string]*Object {
 }
 
 func TestObjectCodecRoundTrip(t *testing.T) {
+	for _, form := range rowForms {
+		t.Run(form.name, func(t *testing.T) { roundTrip(t, form) })
+	}
+}
+
+// rowForm is one form of the row codec: the stored one, and the wire one
+// that says sites by their roster entries.
+type rowForm struct {
+	name   string
+	roster bool
+	append func([]byte, *Object) []byte
+	decode func([]byte) (*Object, []byte, error)
+}
+
+var rowForms = []rowForm{
+	{"stored", false, AppendObject, DecodeObject},
+	{"wire", true, AppendWireObject, DecodeWireObject},
+}
+
+// roundTrip: every edge row in form reads back as itself, with the bytes
+// after it left, and encodes again to the same bytes.
+func roundTrip(t *testing.T, form rowForm) {
 	for name, row := range codecEdgeRows() {
-		enc := AppendObject(nil, row)
-		got, rest, err := DecodeObject(append(enc, "tail"...))
+		enc := form.append(nil, row)
+		got, rest, err := form.decode(append(enc, "tail"...))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -180,16 +214,16 @@ func TestObjectCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, row) {
 			t.Fatalf("%s: round trip\n got %+v\nwant %+v", name, got, row)
 		}
-		if again := AppendObject(nil, got); !bytes.Equal(again, enc) {
+		if again := form.append(nil, got); !bytes.Equal(again, enc) {
 			t.Fatalf("%s: re-encoding differs", name)
 		}
 	}
 	// Empty and nil maps are one encoding; both decode as nil.
 	empty := &Object{ID: "e", Fields: map[string]string{}, VV: vclock.Version{}}
-	if !bytes.Equal(AppendObject(nil, empty), AppendObject(nil, &Object{ID: "e"})) {
+	if !bytes.Equal(form.append(nil, empty), form.append(nil, &Object{ID: "e"})) {
 		t.Fatal("empty maps encode differently from nil maps")
 	}
-	got, _, err := DecodeObject(AppendObject(nil, empty))
+	got, _, err := form.decode(form.append(nil, empty))
 	if err != nil || got.Fields != nil || got.VV != nil {
 		t.Fatalf("empty maps decoded as %+v, %v; want nil maps", got, err)
 	}
@@ -324,43 +358,76 @@ func hostile(enc []byte) [][]byte {
 	return out
 }
 
-// checkScanMatchesDecode is the walk's whole contract: ScanObject fails on
-// exactly the inputs DecodeObject fails on but for what the schema table
-// decides — an unregistered schema id, a bitmap past the schema's fields,
-// which only DecodeObject refuses — and on the rest it finds the id, the
-// vector's bytes and the end of the row where DecodeObject does.
+// checkScanMatchesDecode is the walk's whole contract, in each form:
+// scanObject fails on exactly the inputs the form's decoder fails on but
+// for what the schema table decides — an unregistered schema id, a bitmap
+// past the schema's fields, which only the decoder refuses — and on the
+// rest it finds the id, the vector's bytes and the end of the row where
+// the decoder does. ScanObject is the stored form's walk.
 func checkScanMatchesDecode(t *testing.T, data []byte) {
 	t.Helper()
-	row, wantRest, decErr := DecodeObject(data)
-	id, vv, rest, scanErr := ScanObject(data)
-	tableOnly := scanErr == nil && (errors.Is(decErr, ErrUnknownSchema) || errors.Is(decErr, wire.ErrBadBody))
-	if (decErr == nil) != (scanErr == nil) && !tableOnly {
-		t.Fatalf("DecodeObject err %v, ScanObject err %v on %x", decErr, scanErr, data)
-	}
-	if decErr != nil {
-		return
-	}
-	if string(id) != row.ID || !bytes.Equal(rest, wantRest) {
-		t.Fatalf("ScanObject: id %q rest %d bytes, DecodeObject: id %q rest %d bytes", id, len(rest), row.ID, len(wantRest))
-	}
-	got, tail, err := vclock.DecodeVersion(vv)
-	if err != nil || len(tail) != 0 || !reflect.DeepEqual(got, row.VV) {
-		t.Fatalf("vector bytes decode to %v (%d left, %v), the row's is %v", got, len(tail), err, row.VV)
+	for _, form := range rowForms {
+		row, wantRest, decErr := form.decode(data)
+		sc, rest, scanErr := scanObject(data, form.roster)
+		if !form.roster {
+			var id, vv []byte
+			id, vv, rest, scanErr = ScanObject(data)
+			sc.id, sc.vv = id, vv
+		}
+		tableOnly := scanErr == nil && (errors.Is(decErr, ErrUnknownSchema) || errors.Is(decErr, wire.ErrBadBody))
+		if (decErr == nil) != (scanErr == nil) && !tableOnly {
+			t.Fatalf("%s: decoder err %v, scan err %v on %x", form.name, decErr, scanErr, data)
+		}
+		if decErr != nil {
+			continue
+		}
+		if string(sc.id) != row.ID || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("%s: scan: id %q rest %d bytes, decoder: id %q rest %d bytes", form.name, sc.id, len(rest), row.ID, len(wantRest))
+		}
+		decodeVV := vclock.DecodeVersion
+		if form.roster {
+			decodeVV = vclock.DecodeWire
+		}
+		got, tail, err := decodeVV(sc.vv)
+		if err != nil || len(tail) != 0 || !reflect.DeepEqual(got, row.VV) {
+			t.Fatalf("%s: vector bytes decode to %v (%d left, %v), the row's is %v", form.name, got, len(tail), err, row.VV)
+		}
 	}
 }
 
+// Wire-form rows the decoder refuses for how they say a site: the writer
+// site as an entry past any roster, and vectors out of name order, naming
+// a site twice, and spelling s000, which the roster holds.
+var (
+	rowWireHead        = []byte{1, 'x', 1, 0}                         // id, the empty schema spelled, no owner
+	rowWireTail        = slices.Concat(make([]byte, 8), []byte{0, 0}) // created, updated, no fields
+	rowSitePastRoster  = slices.Concat(rowWireHead, wire.AppendUvarint(nil, vclock.MaxRoster+1), []byte{0}, rowWireTail)
+	rowVectorUnsorted  = slices.Concat(rowWireHead, []byte{2, 2, 2, 1, 1, 1}, rowWireTail) // s001 before s000
+	rowVectorTwice     = slices.Concat(rowWireHead, []byte{1, 2, 1, 1, 1, 2}, rowWireTail)
+	rowVectorSpelled   = slices.Concat(rowWireHead, []byte{1, 1, 0, 4, 's', '0', '0', '0', 1}, rowWireTail)
+	wireRefusedRows    = [][]byte{rowSitePastRoster, rowVectorUnsorted, rowVectorTwice, rowVectorSpelled}
+	wireRefusedReasons = []error{vclock.ErrUnknownSite, vclock.ErrBadVersion, vclock.ErrBadVersion, vclock.ErrBadVersion}
+)
+
 // scanSeeds are TestDecodeObjectRejectsDamage's cases — its hostile rows —
-// and a vector naming a site twice, then every edge row whole and damaged
-// every way hostile damages it.
+// a vector naming a site twice and the rows the wire form refuses for how
+// they say a site, then every edge row whole and damaged every way hostile
+// damages it, in each form.
 func scanSeeds() [][]byte {
-	out := append(slices.Clone(hostileRows), rowSiteTwice, rowUnknownSchema, rowBitPastFields)
-	for _, name := range slices.Sorted(maps.Keys(codecEdgeRows())) {
-		enc := AppendObject(nil, codecEdgeRows()[name])
-		out = append(out, append(bytes.Clone(enc), "tail"...))
-		out = append(out, hostile(enc)...)
+	out := slices.Concat(hostileRows, [][]byte{rowSiteTwice, rowUnknownSchema, rowBitPastFields}, wireRefusedRows)
+	for _, form := range rowForms {
+		for _, name := range slices.Sorted(maps.Keys(codecEdgeRows())) {
+			enc := form.append(nil, codecEdgeRows()[name])
+			out = append(out, append(bytes.Clone(enc), "tail"...))
+			out = append(out, hostile(enc)...)
+		}
 	}
 	return out
 }
+
+// seedsHeld is how many of scanSeeds' first seeds the fuzz targets keep
+// whole: the hostile and refused rows.
+var seedsHeld = len(hostileRows) + 3 + len(wireRefusedRows)
 
 func TestScanObjectMatchesDecode(t *testing.T) {
 	for _, data := range scanSeeds() {
@@ -374,7 +441,7 @@ func TestScanObjectMatchesDecode(t *testing.T) {
 
 func FuzzScanObjectMatchesDecode(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i < len(hostileRows)+3 || i%7 == 0 { // the hostile rows, the site named twice, the two the table refuses and a spread of the rest; TestScanObjectMatchesDecode runs all
+		if i < seedsHeld || i%7 == 0 { // the hostile and refused rows and a spread of the rest; TestScanObjectMatchesDecode runs all
 			f.Add(data)
 		}
 	}
@@ -417,8 +484,10 @@ var raceEnabled bool
 
 // referenceDecodeObject is the string-per-field decoder: every field read
 // and checked as it comes, with wire's uvarint readers and
-// vclock.DecodeVersion. It is the reference the one decoder is held to.
-func referenceDecodeObject(data []byte) (*Object, []byte, error) {
+// vclock.DecodeVersion — or, in the wire form, a site at a time with
+// vclock.ConsumeSite, each vector site after the one before it. It is the
+// reference the one decoder is held to.
+func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 	o := &Object{}
 	var err error
 	if o.ID, data, err = wire.ConsumeVarString(data); err != nil {
@@ -450,11 +519,17 @@ func referenceDecodeObject(data []byte) (*Object, []byte, error) {
 	if o.Owner, data, err = wire.ConsumeVarString(data); err != nil {
 		return nil, data, err
 	}
-	if o.Site, data, err = wire.ConsumeVarString(data); err != nil {
-		return nil, data, err
-	}
-	if o.VV, data, err = vclock.DecodeVersion(data); err != nil {
-		return nil, data, err
+	if roster {
+		if o.VV, data, err = referenceWireVector(data, &o.Site); err != nil {
+			return nil, data, err
+		}
+	} else {
+		if o.Site, data, err = wire.ConsumeVarString(data); err != nil {
+			return nil, data, err
+		}
+		if o.VV, data, err = vclock.DecodeVersion(data); err != nil {
+			return nil, data, err
+		}
 	}
 	o.Version = o.VV.Sum()
 	var created uint64
@@ -510,20 +585,74 @@ func referenceDecodeObject(data []byte) (*Object, []byte, error) {
 	return o, data, nil
 }
 
-// checkDecodeMatchesReference: on any input both decoders fail, or both
-// succeed with equal rows and equal remainders.
+// referenceWireVector reads a wire-form row's writer site into *site, then
+// its vector.
+func referenceWireVector(data []byte, site *string) (vclock.Version, []byte, error) {
+	var err error
+	if *site, data, err = vclock.ConsumeSite(data); err != nil {
+		return nil, data, err
+	}
+	n, data, err := wire.ConsumeUvarint(data)
+	if err != nil {
+		return nil, data, err
+	}
+	if n > uint64(len(data))/2 { // an entry is two bytes at least
+		return nil, data, wire.ErrTruncated
+	}
+	var v vclock.Version
+	prev := ""
+	for i := uint64(0); i < n; i++ {
+		var s string
+		var c uint64
+		if s, data, err = vclock.ConsumeSite(data); err != nil {
+			return nil, data, err
+		}
+		if i > 0 && s <= prev {
+			return nil, data, vclock.ErrBadVersion
+		}
+		if c, data, err = wire.ConsumeUvarint(data); err != nil {
+			return nil, data, err
+		}
+		if v == nil {
+			v = vclock.Version{}
+		}
+		v[s], prev = c, s
+	}
+	return v, data, nil
+}
+
+// checkDecodeMatchesReference: on any input, in each form, both decoders
+// fail, or both succeed with equal rows and equal remainders. A row the
+// wire form reads encodes to bytes that read back to it and encode to
+// themselves, and its vector encodes to the bytes it was read from but
+// for uvarints said in more bytes than they need: a vector has one wire
+// encoding.
 func checkDecodeMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
-	want, wantRest, refErr := referenceDecodeObject(data)
-	got, rest, err := DecodeObject(data)
-	if (refErr == nil) != (err == nil) {
-		t.Fatalf("reference err %v, DecodeObject err %v on %x", refErr, err, data)
-	}
-	if err != nil {
-		return
-	}
-	if !reflect.DeepEqual(got, want) || !bytes.Equal(rest, wantRest) {
-		t.Fatalf("DecodeObject of %x:\n got %+v, %d bytes left\nwant %+v, %d bytes left", data, got, len(rest), want, len(wantRest))
+	for _, form := range rowForms {
+		want, wantRest, refErr := referenceDecodeObject(data, form.roster)
+		got, rest, err := form.decode(data)
+		if (refErr == nil) != (err == nil) {
+			t.Fatalf("%s: reference err %v, decoder err %v on %x", form.name, refErr, err, data)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("%s: decoding %x:\n got %+v, %d bytes left\nwant %+v, %d bytes left", form.name, data, got, len(rest), want, len(wantRest))
+		}
+		if !form.roster {
+			continue
+		}
+		again := AppendWireObject(nil, got)
+		back, tail, err := DecodeWireObject(again)
+		if err != nil || len(tail) != 0 || !reflect.DeepEqual(back, got) || !bytes.Equal(AppendWireObject(nil, back), again) {
+			t.Fatalf("wire: %+v encodes to %x, which reads back as %+v (%v)", got, again, back, err)
+		}
+		sc, _, _ := scanObject(data, true)
+		if vv := got.VV.AppendWire(nil); len(vv) > len(sc.vv) || len(vv) == len(sc.vv) && !bytes.Equal(vv, sc.vv) {
+			t.Fatalf("wire: the vector read from %x encodes to %x", sc.vv, vv)
+		}
 	}
 }
 
@@ -534,11 +663,26 @@ func TestDecodeObjectMatchesReference(t *testing.T) {
 	if o, _, err := DecodeObject(rowSiteTwice); err != nil || o.Version != 2 || len(o.VV) != 1 || o.VV["a"] != 2 {
 		t.Fatalf("a vector naming a site twice decoded as %+v, %v", o, err)
 	}
+	for i, bad := range wireRefusedRows {
+		if _, _, err := DecodeWireObject(bad); !errors.Is(err, wireRefusedReasons[i]) {
+			t.Fatalf("wire row %x: %v, want %v", bad, err, wireRefusedReasons[i])
+		}
+	}
+	// Mended, each is a row.
+	for _, mended := range [][]byte{
+		slices.Concat(rowWireHead, []byte{1, 0}, rowWireTail),
+		slices.Concat(rowWireHead, []byte{1, 2, 1, 1, 2, 1}, rowWireTail),
+		slices.Concat(rowWireHead, []byte{1, 1, 0, 4, 's', '9', '9', '9', 1}, rowWireTail),
+	} {
+		if _, _, err := DecodeWireObject(mended); err != nil {
+			t.Fatalf("wire row %x: %v", mended, err)
+		}
+	}
 }
 
 func FuzzDecodeObjectMatchesReference(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i < len(hostileRows)+3 || i%7 == 0 { // the hostile rows, the site named twice, the two the table refuses and a spread of the rest; TestDecodeObjectMatchesReference runs all
+		if i < seedsHeld || i%7 == 0 { // the hostile and refused rows and a spread of the rest; TestDecodeObjectMatchesReference runs all
 			f.Add(data)
 		}
 	}
@@ -588,6 +732,11 @@ func TestDecodeObjectAllocs(t *testing.T) {
 	enc := AppendObject(nil, codecFixtureRow(42))
 	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeObject(enc) }); n > 7 {
 		t.Fatalf("DecodeObject allocates %v times for the fixture row, want at most 7", n)
+	}
+	// Its wire form takes its sites from the roster: no copy of them.
+	enc = AppendWireObject(nil, codecFixtureRow(42))
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeWireObject(enc) }); n > 7 {
+		t.Fatalf("DecodeWireObject allocates %v times for the fixture row, want at most 7", n)
 	}
 }
 
@@ -643,6 +792,63 @@ func TestRegisterBesideCodec(t *testing.T) {
 		row := &Object{ID: "r", Schema: s.Name, Fields: map[string]string{"title": "t"}}
 		if enc := AppendObject(nil, row); enc[2] != 0 {
 			t.Fatalf("a row of the schema just registered spells it: %x", enc)
+		}
+	}
+	close(done)
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+var enrolRuns atomic.Int64
+
+// TestEnrolBesideCodec: enrolling sites while other goroutines encode and
+// decode rows in both forms is safe — the codec reads the roster it
+// loaded, whole — and leaves every row whose sites were already enrolled
+// its bytes.
+func TestEnrolBesideCodec(t *testing.T) {
+	row := codecFixtureRow(42)
+	row.VV = vclock.Version{"s000": 1, "s003": 2}
+	row.Version = 3
+	want := AppendWireObject(nil, row)
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			var buf []byte
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				for _, form := range rowForms {
+					buf = form.append(buf[:0], row)
+					got, _, err := form.decode(buf)
+					if err == nil && form.roster && !bytes.Equal(buf, want) {
+						err = fmt.Errorf("the row encoded as %x", buf)
+					}
+					if err == nil && !reflect.DeepEqual(got, row) {
+						err = fmt.Errorf("the row decoded as %+v", got)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	run := enrolRuns.Add(1) // names of its own for each run: the roster outlives the test
+	for i := 0; i < 200; i++ {
+		site := fmt.Sprintf("enrol-%d-%d", run, i)
+		spelled := AppendWireObject(nil, &Object{ID: "r", Site: site})
+		vclock.Enrol(site)
+		if enc := AppendWireObject(nil, &Object{ID: "r", Site: site}); len(enc) >= len(spelled) {
+			t.Fatalf("a row of the site just enrolled spells it: %x", enc)
 		}
 	}
 	close(done)

@@ -143,7 +143,8 @@ func WithIDs(g *id.Generator) SpaceOption {
 
 // WithSite names the replica this space embodies; the name keys the
 // object version vectors and breaks last-writer-wins ties, so it must be
-// unique across the replica set. Defaults to "local".
+// unique across the replica set. Defaults to "local". NewSpace enrols it
+// on vclock's site roster.
 func WithSite(site string) SpaceOption {
 	return func(s *Space) { s.site = site }
 }
@@ -176,6 +177,9 @@ func NewSpace(registry *SchemaRegistry, acl *access.System, clock vclock.Clock, 
 	if s.ids == nil {
 		s.ids = id.New()
 	}
+	// Every site's writes are ticked by its own space, so every site a
+	// vector records is on the roster the bodies name sites by.
+	vclock.Enrol(s.site)
 	// Build the Merkle digest summary over whatever the backend already
 	// holds: empty for a fresh in-memory store, the recovered replica for
 	// a durable backend re-opened after a crash — so a recovered site

@@ -15,12 +15,15 @@ import (
 // built from wire's shared primitives — big-endian integers, uint32 or
 // uvarint length-prefixed strings, uint64 or uvarint counts — with maps written in
 // sorted key order, so equal messages encode to equal bytes. No body names
-// its sender: the frame's source does. Rows are in the one row codec
-// (information.AppendObject), the form the durable log stores them in.
+// its sender: the frame's source does. Rows are in the row codec's wire
+// form (information.AppendWireObjects: a uvarint count, then each row with
+// its sites in vclock's roster form); the durable log stores them with
+// their sites spelled.
 //
 // A digest body is the tag, a flags byte naming the sections present, then
 // those sections in order. A request's tree frames are in
-// wire.AppendTreeFrames' layout; a reply's children section is a count,
+// wire.AppendTreeFrames' layout (a uvarint count, then the frames); a
+// reply's children section is a big-endian uint64 count,
 // then per mismatched internal node its packed path and its MerkleFanout
 // child hashes (the children's paths follow from it). The marks section
 // opens with the uvarint generation the sender gives it; with flagAck, the
@@ -39,15 +42,19 @@ import (
 // digest, are retired, and so is 0x85, the push that carried relationship
 // edges beside its rows; so are 0x81 and 0x87, the digest request and
 // reply whose marks section was always whole and carried no generation;
-// and so are 0x88, 0x89 and 0x8B, the sync reply, push and digest reply
-// whose rows spelled their schema's name and keys.
+// so are 0x88, 0x89 and 0x8B, the sync reply, push and digest reply whose
+// rows spelled their schema's name and keys; and so are 0x8A, 0x8C, 0x8D
+// and 0x8E, the digest request whose frame count took eight bytes and the
+// digest reply, sync reply and push whose rows spelled their sites behind
+// an eight-byte count. The range took a second run, at 0xF1, when its
+// first met gossip's.
 const (
 	tagSyncReq    byte = 0x83
 	tagPushResp   byte = 0x86
-	tagDigestReq  byte = 0x8A
-	tagDigestResp byte = 0x8C
-	tagSyncResp   byte = 0x8D
-	tagPushReq    byte = 0x8E
+	tagDigestReq  byte = 0xF1
+	tagDigestResp byte = 0xF2
+	tagSyncResp   byte = 0xF3
+	tagPushReq    byte = 0xF4
 )
 
 // childRecordSize is one record of a children section: the parent's
@@ -76,7 +83,7 @@ func (m digestReq) AppendBinary(b []byte) ([]byte, error) {
 func (m digestResp) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagDigestResp, sectionFlags(m.Match, m.Full, m.Children, m.Marks))
 	b = appendSections(b, m.Children, m.Marks)
-	return wire.AppendList(b, m.Deltas, information.AppendObject), nil
+	return information.AppendWireObjects(b, m.Deltas), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -92,12 +99,12 @@ func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
 // AppendBinary implements encoding.BinaryAppender.
 func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
 	b = wire.AppendStrings(append(b, tagSyncResp), m.Want)
-	return wire.AppendList(b, m.Deltas, information.AppendObject), nil
+	return information.AppendWireObjects(b, m.Deltas), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m pushReq) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendList(append(b, tagPushReq), m.Objects, information.AppendObject), nil
+	return information.AppendWireObjects(append(b, tagPushReq), m.Objects), nil
 }
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -191,7 +198,7 @@ func (m *digestReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestReq, "digestReq")
 	flags := b.Flags(flagFrames | flagHW | flagAck | flagDelta)
 	*m = digestReq{}
-	m.Frames, m.Marks = consumeSections(&b, flags, 16)
+	m.Frames, m.Marks = consumeSections(&b, flags, consumeFrames)
 	return b.Close()
 }
 
@@ -201,8 +208,8 @@ func (m *digestResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagDigestResp, "digestResp")
 	flags := b.Flags(flagMatch | flagFrames | flagHW | flagAck | flagDelta | flagFull)
 	*m = digestResp{Match: flags&flagMatch != 0, Full: flags&flagFull != 0}
-	m.Children, m.Marks = consumeSections(&b, flags, childRecordSize)
-	m.Deltas = information.ConsumeObjects(&b)
+	m.Children, m.Marks = consumeSections(&b, flags, consumeChildren)
+	m.Deltas = information.ConsumeWireObjects(&b)
 	return b.Close()
 }
 
@@ -222,14 +229,14 @@ func (m *syncReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSyncResp, "syncResp")
-	*m = syncResp{Want: b.Strings(), Deltas: information.ConsumeObjects(&b)}
+	*m = syncResp{Want: b.Strings(), Deltas: information.ConsumeWireObjects(&b)}
 	return b.Close()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushReq, "pushReq")
-	*m = pushReq{Objects: information.ConsumeObjects(&b)}
+	*m = pushReq{Objects: information.ConsumeWireObjects(&b)}
 	return b.Close()
 }
 
@@ -240,18 +247,41 @@ func (m *pushResp) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
+// consumeFrames reads a request's tree frames: a uvarint count, then that
+// many 16-byte frames, returned whole.
+func consumeFrames(data []byte) ([]byte, []byte, error) {
+	n, rest, err := wire.ConsumeUvarint(data)
+	return records(data, rest, n, err, 16)
+}
+
+// consumeChildren reads a reply's children section: a uint64 count, then
+// that many records, returned whole.
+func consumeChildren(data []byte) ([]byte, []byte, error) {
+	n, rest, err := wire.ConsumeUint64(data)
+	return records(data, rest, n, err, childRecordSize)
+}
+
+// records cuts a section from data whose count n, read where rest starts,
+// counts records of size bytes; a count past the bytes left is refused.
+func records(data, rest []byte, n uint64, err error, size int) ([]byte, []byte, error) {
+	if err == nil && n > uint64(len(rest)/size) {
+		err = fmt.Errorf("%w: count %d in %d bytes", wire.ErrBadBody, n, len(rest))
+	}
+	if err != nil {
+		return nil, data, err
+	}
+	k := len(data) - len(rest) + size*int(n)
+	return data[:k:k], data[k:], nil
+}
+
 // consumeSections reads the optional frame and marks sections the flags
 // announce. Both are returned still encoded, aliasing data: the frame
-// section — a count, then that many records of recordSize bytes: tree
-// frames or children records — and the marks, whole or a delta. An ack or
-// a base of generation 0, or either flag without a marks section, is
-// refused: each has one encoding.
-func consumeSections(b *wire.Body, flags byte, recordSize int) (frames []byte, marks marksMsg) {
+// section, which section reads — tree frames or children records — and
+// the marks, whole or a delta. An ack or a base of generation 0, or
+// either flag without a marks section, is refused: each has one encoding.
+func consumeSections(b *wire.Body, flags byte, section func([]byte) ([]byte, []byte, error)) (frames []byte, marks marksMsg) {
 	if flags&flagFrames != 0 {
-		section := *b // where the section starts
-		n := b.Count(recordSize)
-		b.Raw(recordSize * n)
-		frames = section.Raw(8 + recordSize*n)
+		frames = wire.Consume(b, section)
 	}
 	if flags&flagHW == 0 {
 		if flags&(flagAck|flagDelta) != 0 {

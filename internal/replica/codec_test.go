@@ -23,9 +23,14 @@ import (
 )
 
 // The schemas the rows below name, registered as the deployment and every
-// test of the package declare them before any test runs: whether a row
-// names its schema by id or spells it then does not depend on test order.
+// test of the package declare them, and the sites of a 16-site
+// organization, enrolled on the roster, before any test runs: whether a
+// row names its schema by id or spells it, and whether a site travels as
+// its roster index or spelled, then does not depend on test order.
 func init() {
+	for i := range 16 {
+		vclock.Enrol(fmt.Sprintf("s%03d", i))
+	}
 	text := func(name string, required bool) information.Field {
 		return information.Field{Name: name, Type: information.FieldText, Required: required}
 	}
@@ -179,12 +184,12 @@ func goldenCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, goldenCases(), map[string]string{
-		"digestResp/match":    "8c010000000000000000",
-		"digestResp/delta":    "8c14070601020304010203000000000000000000",
-		"digestResp/mismatch": "8c06000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c15001010473303030290000000000000000",
-		"digestResp/descent":  "8c02000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af0000000000000000",
-		"syncResp/want":       "8d0000000000000002000000096f626a303030303033000000096f626a3030303031370000000000000000",
-		"pushReq/no rows":     "8e0000000000000000",
+		"digestResp/match":    "f20100",
+		"digestResp/delta":    "f2140706010203040102030000",
+		"digestResp/mismatch": "f206000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c150010104733030302900",
+		"digestResp/descent":  "f202000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af00",
+		"syncResp/want":       "f30000000000000002000000096f626a303030303033000000096f626a30303030313700",
+		"pushReq/no rows":     "f400",
 	})
 }
 
@@ -265,16 +270,17 @@ func TestBodiesCanonical(t *testing.T) {
 func TestBodiesRejectDamage(t *testing.T) {
 	// Each count, aimed at.
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
-		"frames":    append([]byte{tagDigestReq, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"frames":    append([]byte{tagDigestReq, flagFrames}, wire.AppendUvarint(nil, 1<<60)...),
 		"hw":        append([]byte{tagDigestReq, flagHW, 1}, wire.AppendUvarint(nil, 1<<60)...),
 		"delta":     append([]byte{tagDigestReq, flagHW | flagDelta, 2, 1, 0, 0, 0, 0}, wire.AppendUvarint(nil, 1<<60)...),
 		"children":  append([]byte{tagDigestResp, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
-		"deltas":    append([]byte{tagDigestResp, 0, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"deltas":    append([]byte{tagDigestResp, 0}, wire.AppendUvarint(nil, 1<<60)...),
 		"want":      append([]byte{tagSyncResp, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"sync rows": append(append([]byte{tagSyncResp}, wire.AppendUint64(nil, 0)...), wire.AppendUvarint(nil, 1<<60)...),
 		"digest":    append([]byte{tagSyncReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"scope":     append(append([]byte{tagSyncReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
-		"objects":   append([]byte{tagPushReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
-		"relations": append(append([]byte{tagPushReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
+		"objects":   append([]byte{tagPushReq}, wire.AppendUvarint(nil, 1<<60)...),
+		"relations": append([]byte{tagPushReq, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"refused":   append(append(append([]byte{tagPushResp}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
 	})
 }
@@ -314,6 +320,8 @@ func TestRetiredDigestBodiesRefused(t *testing.T) {
 type tappedPair struct {
 	*fixture
 	frames []tappedFrame
+	// rewrite, if set, may change an outbound frame before it is sent.
+	rewrite func(*channel.Frame)
 }
 
 type tappedFrame struct {
@@ -337,6 +345,9 @@ func newTappedPair(tb testing.TB) *tappedPair {
 	p := &tappedPair{fixture: &fixture{clk: clk, net: net}}
 	tap := channel.WithInterceptor(func(f *channel.Frame) error {
 		if f.Dir == channel.Outbound {
+			if p.rewrite != nil {
+				p.rewrite(f)
+			}
 			method, _ := f.Env.Header("method")
 			p.frames = append(p.frames, tappedFrame{from: f.Local, to: f.Remote, kind: f.Env.Kind,
 				method: method, body: bytes.Clone(f.Env.Body)})
@@ -415,7 +426,7 @@ func (p *tappedPair) digestSections(tb testing.TB) (got Stats, methods map[strin
 			var m digestResp
 			err = wire.DecodeBody(f.body, &m)
 			got.ChildrenBytes += int64(len(m.Children))
-			rows := len(wire.AppendList(nil, m.Deltas, information.AppendObject))
+			rows := len(information.AppendWireObjects(nil, m.Deltas))
 			got.MarksBytes += int64(len(f.body) - 2 - len(m.Children) - rows)
 		case f.method == MethodSync && request:
 			var m syncReq
@@ -466,8 +477,8 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	// The byte budget on both sides, exact: a layout that grows fails
 	// here, not only on the benchmark. Each marks section carries its
 	// generation, and a request the generation of the peer's it holds.
-	if after.LastRoundDigestBytes != 1279 || after.DigestBytes != 1344 || p.reps[1].Stats().DigestBytes != 64 {
-		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1279), s0 total %d (want 1344), s1 total %d (want 64)",
+	if after.LastRoundDigestBytes != 1258 || after.DigestBytes != 1309 || p.reps[1].Stats().DigestBytes != 50 {
+		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1258), s0 total %d (want 1309), s1 total %d (want 50)",
 			after.LastRoundDigestBytes, after.DigestBytes, p.reps[1].Stats().DigestBytes)
 	}
 
@@ -487,7 +498,7 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	// of one site is no shorter), with its generation and the generation
 	// of s1's marks s0 holds; a matching reply carries neither children
 	// nor marks.
-	if want := 24 + 2 + len(p.spaces[0].Tree().AppendMarks(nil)); sections.DigestBytes != int64(want) || len(p.spaces[0].Tree().HighWater()) != 1 {
+	if want := 17 + 2 + len(p.spaces[0].Tree().AppendMarks(nil)); sections.DigestBytes != int64(want) || len(p.spaces[0].Tree().HighWater()) != 1 {
 		t.Fatalf("converged round exchanged %d digest bytes, want %d", sections.DigestBytes, want)
 	}
 	replies := 0
@@ -608,5 +619,56 @@ func TestUnknownSchemaIDRefused(t *testing.T) {
 		if _, err := c.Decoded(body); !errors.Is(err, information.ErrUnknownSchema) {
 			t.Errorf("%s: a row naming an unregistered schema: %v, want information.ErrUnknownSchema", c.Name, err)
 		}
+	}
+}
+
+// pastRoster is a roster-form site naming entry vclock.MaxRoster: past any
+// roster a process can hold.
+var pastRoster = wire.AppendUvarint(nil, vclock.MaxRoster+1)
+
+// TestUnknownSiteIndexRefused: a body whose row names its writer site, or a
+// site of its vector, by a roster index this process never enrolled fails
+// to decode with vclock.ErrUnknownSite, whichever message carries the row;
+// and a round whose reply carries one counts it in ApplyFailures.
+func TestUnknownSiteIndexRefused(t *testing.T) {
+	owner := wire.AppendVarString(nil, "u00001") // benchRow(1)'s owner; s000, entry 0, writes
+	writer := slices.Concat(owner, pastRoster, []byte{1, 1, 1})
+	vector := slices.Concat(owner, []byte{1, 1}, pastRoster, []byte{1})
+	for _, c := range []wiretest.Case{
+		wiretest.Of("digestResp", digestResp{Marks: wholeMarks(marksOf(nil)), Deltas: benchRows(2)}),
+		wiretest.Of("syncResp", syncResp{Want: benchWant(2), Deltas: benchRows(2)}),
+		wiretest.Of("pushReq", pushReq{Objects: benchRows(2)}),
+	} {
+		body := c.Encode(t)
+		at := slices.Concat(owner, []byte{1, 1, 1, 1})
+		if !bytes.Contains(body, at) {
+			t.Fatalf("%s: its row does not name s000 by its roster entry: %x", c.Name, body)
+		}
+		for name, bad := range map[string][]byte{"writer site": writer, "vector site": vector} {
+			if _, err := c.Decoded(bytes.Replace(body, at, bad, 1)); !errors.Is(err, vclock.ErrUnknownSite) {
+				t.Errorf("%s: a %s past the roster: %v, want vclock.ErrUnknownSite", c.Name, name, err)
+			}
+		}
+	}
+
+	// s1 answers s0's opening pass with a row whose writer site is past
+	// s0's roster: s0's round fails, and counts the reply it could not
+	// apply.
+	p := newTappedPair(t)
+	if _, err := p.spaces[1].Put("prinz", "doc", map[string]string{"title": "t"}); err != nil {
+		t.Fatal(err)
+	}
+	owner = wire.AppendVarString(nil, "prinz")
+	at := vclock.AppendSite(bytes.Clone(owner), "s1")
+	p.rewrite = func(f *channel.Frame) {
+		if f.Env.Kind == "rpc.rep" && bytes.Contains(f.Env.Body, at) {
+			f.Env.Body = bytes.Replace(f.Env.Body, at, slices.Concat(owner, pastRoster), 1)
+		}
+	}
+	p.reps[0].SyncNow()
+	p.clk.RunUntilIdle()
+	if st := p.reps[0].Stats(); st.ApplyFailures != 1 || st.PeerFailures != 1 || p.spaces[0].Len() != 0 {
+		t.Fatalf("a reply naming a site past the roster: %d apply failures, %d peer failures, %d rows; want 1, 1, 0",
+			st.ApplyFailures, st.PeerFailures, p.spaces[0].Len())
 	}
 }

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"encoding/binary"
+	"errors"
 	"slices"
 
 	"mocca/internal/information"
@@ -30,8 +31,17 @@ type merkleExchange struct {
 	divergent []uint32 // divergent leaf buckets found
 }
 
-func (m *merkleExchange) fail() {
-	m.r.bump(func(s *Stats) { s.PeerFailures++ })
+// fail ends the exchange on err. A reply whose rows this process cannot
+// name — a site past its roster, a schema it never registered — is also a
+// failed apply.
+func (m *merkleExchange) fail(err error) {
+	unnamed := errors.Is(err, vclock.ErrUnknownSite) || errors.Is(err, information.ErrUnknownSchema)
+	m.r.bump(func(s *Stats) {
+		s.PeerFailures++
+		if unnamed {
+			s.ApplyFailures++
+		}
+	})
 	m.st.failures++
 	m.next(m.st)
 }
@@ -65,7 +75,7 @@ func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 	r.ep.GoMsg(m.peer, MethodDigest, req, func(res rpc.Result) {
 		var resp digestResp
 		if err := res.Decode(&resp); err != nil {
-			m.fail()
+			m.fail(err)
 			return
 		}
 		m.count(resp.Marks.size(), 0, len(resp.Children), 0)
@@ -92,7 +102,7 @@ func (m *merkleExchange) push(objs []*information.Object, then func()) {
 	r.ep.GoMsg(m.peer, MethodPush, pushReq{Objects: objs}, func(res rpc.Result) {
 		var pr pushResp
 		if err := res.Decode(&pr); err != nil {
-			m.fail()
+			m.fail(err)
 			return
 		}
 		r.bump(func(s *Stats) { s.Pushed += int64(len(objs)) })
@@ -259,7 +269,7 @@ func (m *merkleExchange) scopedSync() {
 	r.ep.GoMsg(m.peer, MethodSync, syncReq{Digest: digest, Scope: m.divergent}, func(res rpc.Result) {
 		var resp syncResp
 		if err := res.Decode(&resp); err != nil {
-			m.fail()
+			m.fail(err)
 			return
 		}
 		m.count(0, 0, 0, wantBytes(resp.Want))

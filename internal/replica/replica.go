@@ -177,7 +177,7 @@ type Stats struct {
 
 	DigestEntriesSent int64 // digest entries shipped in sync requests
 	DeltasServed      int64 `metric:"deltas_served"`  // objects shipped in sync responses
-	ApplyFailures     int64 `metric:"apply_failures"` // peer rows the local replica failed to store
+	ApplyFailures     int64 `metric:"apply_failures"` // peer rows the local replica failed to store, and replies whose rows it could not name
 
 	// Merkle negotiation counters. DigestBytes is the digest payload cost
 	// of the exchanges this replicator initiated, both directions — data

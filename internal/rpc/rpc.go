@@ -357,7 +357,7 @@ var outbound = sync.Pool{New: func() any { return new(wire.Envelope) }}
 func (e *Endpoint) send(to netsim.Address, kind, corr, method string, body []byte, tc wire.TraceContext, herr error) error {
 	env := outbound.Get().(*wire.Envelope)
 	*env = wire.Envelope{Version: wire.Version, Kind: kind, Corr: corr, Body: body, Trace: tc}
-	env.SetHeader("method", method)
+	env.SetHeader(channel.MethodHeader, method)
 	if herr != nil {
 		env.SetHeader("error", herr.Error())
 	}

@@ -11,7 +11,8 @@
 // (see ARCHITECTURE.md): Version is the per-site version vector kept on
 // every replicated information object, with a canonical binary encoding
 // (AppendBinary/DecodeVersion) so vectors round-trip byte-for-byte
-// through the durable log and the sync wire.
+// through the durable log; the wire names their sites by the site roster
+// (roster.go) instead.
 package vclock
 
 import (

@@ -16,8 +16,12 @@ import (
 )
 
 // registryRow matches a row of ARCHITECTURE.md's tag registry: the plane's
-// package, then its range, "0xLO–0xHI" or one tag alone.
-var registryRow = regexp.MustCompile("^\\|\\s*`(\\w+)`\\s*\\|\\s*`0x([0-9A-Fa-f]{2})(?:–0x([0-9A-Fa-f]{2}))?`\\s*\\|")
+// package, then its ranges, each "0xLO–0xHI" or one tag alone, separated
+// by commas; registryRange matches each range.
+var (
+	registryRow   = regexp.MustCompile("^\\|\\s*`(\\w+)`\\s*\\|((?:\\s*`0x[0-9A-Fa-f]{2}(?:–0x[0-9A-Fa-f]{2})?`,?)+)\\s*\\|")
+	registryRange = regexp.MustCompile("`0x([0-9A-Fa-f]{2})(?:–0x([0-9A-Fa-f]{2}))?`")
+)
 
 // tagConst is one `tag…` constant a package declares with a hex value.
 type tagConst struct {
@@ -26,7 +30,7 @@ type tagConst struct {
 }
 
 // TestTagRegistry: every body tag in the module — a constant named tag…
-// with a hex value, in a non-test file — lies in the range ARCHITECTURE.md's
+// with a hex value, in a non-test file — lies in a range ARCHITECTURE.md's
 // registry gives its package, and no two tags share a value, so the first
 // byte of a body names one message.
 func TestTagRegistry(t *testing.T) {
@@ -35,18 +39,20 @@ func TestTagRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges := map[string][2]uint64{}
+	ranges := map[string][][2]uint64{}
 	for _, line := range strings.Split(string(doc), "\n") {
 		m := registryRow.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
 		}
-		lo, _ := strconv.ParseUint(m[2], 16, 8)
-		hi := lo
-		if m[3] != "" {
-			hi, _ = strconv.ParseUint(m[3], 16, 8)
+		for _, r := range registryRange.FindAllStringSubmatch(m[2], -1) {
+			lo, _ := strconv.ParseUint(r[1], 16, 8)
+			hi := lo
+			if r[2] != "" {
+				hi, _ = strconv.ParseUint(r[2], 16, 8)
+			}
+			ranges[m[1]] = append(ranges[m[1]], [2]uint64{lo, hi})
 		}
-		ranges[m[1]] = [2]uint64{lo, hi}
 	}
 	tags := moduleTags(t, root)
 	if len(ranges) == 0 || len(tags) == 0 {
@@ -56,12 +62,13 @@ func TestTagRegistry(t *testing.T) {
 	byValue := map[uint64][]tagConst{}
 	for _, c := range tags {
 		byValue[c.value] = append(byValue[c.value], c)
-		r, ok := ranges[c.pkg]
-		switch {
-		case !ok:
+		rs, ok := ranges[c.pkg]
+		if !ok {
 			t.Errorf("%s: %s.%s = %#x, and the registry has no row for %s", c.pos, c.pkg, c.name, c.value, c.pkg)
-		case c.value < r[0] || c.value > r[1]:
-			t.Errorf("%s: %s.%s = %#x lies outside %s's range %#x–%#x", c.pos, c.pkg, c.name, c.value, c.pkg, r[0], r[1])
+			continue
+		}
+		if !slices.ContainsFunc(rs, func(r [2]uint64) bool { return r[0] <= c.value && c.value <= r[1] }) {
+			t.Errorf("%s: %s.%s = %#x lies outside %s's ranges %#x", c.pos, c.pkg, c.name, c.value, c.pkg, rs)
 		}
 	}
 	for value, cs := range byValue {

@@ -34,13 +34,14 @@ var ErrBadTreeFrames = errors.New("wire: bad tree frame encoding")
 const treeFrameSize = 16
 
 // AppendTreeFrames appends a deterministic binary encoding of the frames
-// to dst: a uint64 frame count, then per frame the packed path and the
+// to dst: a uvarint frame count, then per frame the packed path and the
 // hash, in the shared codec layout. The encoding is what digest requests
-// carry (and what the digest-byte counters measure), so its size — 8 +
-// 16·frames — is the true wire cost of a negotiation step.
+// carry (and what the digest-byte counters measure), so its size — the
+// count's uvarint and 16·frames — is the true wire cost of a negotiation
+// step.
 func AppendTreeFrames(dst []byte, frames []TreeFrame) []byte {
-	dst = slices.Grow(dst, 8+treeFrameSize*len(frames))
-	dst = AppendUint64(dst, uint64(len(frames)))
+	dst = slices.Grow(dst, UvarintLen(uint64(len(frames)))+treeFrameSize*len(frames))
+	dst = AppendUvarint(dst, uint64(len(frames)))
 	for _, f := range frames {
 		dst = AppendUint64(dst, f.Path)
 		dst = AppendUint64(dst, f.Hash)
@@ -50,7 +51,10 @@ func AppendTreeFrames(dst []byte, frames []TreeFrame) []byte {
 
 // DecodeTreeFrames decodes a frame list produced by AppendTreeFrames.
 func DecodeTreeFrames(data []byte) ([]TreeFrame, error) {
-	n, rest, err := ConsumeUint64(data)
+	n, rest, err := ConsumeUvarint(data)
+	if err == nil && len(data)-len(rest) != UvarintLen(n) {
+		err = fmt.Errorf("count %d in %d bytes", n, len(data)-len(rest)) // one encoding per list
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTreeFrames, err)
 	}

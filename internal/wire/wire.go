@@ -92,6 +92,19 @@ var staticStrings = [...]string{
 	"rtc.floor.release", "rtc.heartbeat", "rtc.event",
 }
 
+// StaticStrings is the number of entries in the static string table.
+const StaticStrings = len(staticStrings)
+
+// StaticIndex returns the index of s in the static string table, which a
+// frame says in place of s.
+func StaticIndex(s string) (int, bool) {
+	code, ok := staticCode[s]
+	return int(code >> 1), ok
+}
+
+// StaticString returns entry i of the static string table.
+func StaticString(i int) string { return staticStrings[i] }
+
 // staticCode maps each staticStrings entry to its str value, 2·index+1.
 var staticCode = func() map[string]uint64 {
 	m := make(map[string]uint64, len(staticStrings))

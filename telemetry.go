@@ -82,7 +82,9 @@ func (d *Deployment) WriteTrace(w io.Writer) error {
 // the same counters the subsystems already maintain, at Snapshot() time.
 //
 // Naming scheme: mocca.<subsystem>.<counter>{site="..."} for per-site
-// families, label-free for deployment-wide ones. The subsystem prefix is
+// families, label-free for deployment-wide ones but the byte ledger's,
+// mocca.rpc.frames_out and bytes_out{method="..."}: every frame the
+// deployment's channel stacks sent, by the rpc method it names. The subsystem prefix is
 // given here; the counter's name and kind are declared on the Stats field
 // that holds it (see observe.Project). A site's sync, gossip and rpc
 // counters are summed over its incarnations, so a restart never takes a
@@ -103,6 +105,11 @@ func (d *Deployment) registerCollectors() {
 		}
 		observe.Project(emit, "mocca.net", nil, d.net.Stats())
 		observe.Project(emit, "mocca.channels", nil, d.fabric.Totals())
+		for _, m := range d.fabric.Methods("") {
+			method := observe.L("method", m.Method)
+			emit(observe.Point{Name: "mocca.rpc.frames_out", Labels: method, Kind: observe.KindCounter, Value: m.Frames})
+			emit(observe.Point{Name: "mocca.rpc.bytes_out", Labels: method, Kind: observe.KindCounter, Value: m.Bytes})
+		}
 		observe.Project(emit, "mocca.trace", nil, d.tel.Tracer.Counts())
 	}))
 }
