@@ -12,8 +12,10 @@ import (
 // primitives — strings, counts and counters prefixed or written as uvarints,
 // so a short name costs one byte of length and a count below 128 one byte —
 // with a peer as its three strings and rows in the row codec's wire form
-// (information.AppendWireObject). A dot is its site in vclock's roster
-// form (vclock.AppendSite: one byte for an enrolled site) and its counter.
+// (information.AppendWireObject: an id a Space minted by its sequence and
+// entropy, each site by its roster entry). A dot is its site in vclock's
+// roster form (vclock.AppendSite: one byte for an enrolled site) and its
+// counter.
 // A Peer alone is the request of gossip.join and gossip.probe: the sender
 // introducing itself. Probe is answered with wire.Empty: a reply arriving
 // is all the caller learns. Disconnect and prune are announcements with
@@ -31,7 +33,8 @@ import (
 // name and keys (its successor, 0x90, took the one value left below the
 // range); and 0x90, 0x9F and 0xA0, the push, ihave and graft whose dots
 // and rows spelled their sites (their successors took a second run, at
-// 0xF5). Peer (0x95) no longer asks for a link:
+// 0xF5); and 0xF5, the push whose rows spelled their ids (its successor
+// took 0xF8, the next of that run). Peer (0x95) no longer asks for a link:
 // neighborReq does. forwardJoinReq's TTL was eight bytes until it became a
 // uvarint; an old body fails on the seven bytes left over.
 const (
@@ -42,9 +45,9 @@ const (
 	tagShuffleResp    byte = 0x99
 	tagNeighborReq    byte = 0x9D
 	tagNeighborResp   byte = 0x9E
-	tagRumorReq       byte = 0xF5
 	tagIhaveReq       byte = 0xF6
 	tagGraftReq       byte = 0xF7
+	tagRumorReq       byte = 0xF8
 )
 
 // appendPeer writes a peer: its site, gossip address and replication

@@ -104,12 +104,15 @@ func bodyCases() []wiretest.Case {
 	for i, row := range rows {
 		pushed[i] = pushEntry{Site: "s000", Counter: uint64(i + 1), Row: row}
 	}
+	minted := benchRow(3)
+	minted.ID = "info-7-3ad1e85f" // an id a Space mints: said by its parts
 	var edgePushed []pushEntry
 	for _, row := range edgeRows() {
 		edgePushed = append(edgePushed, pushEntry{Site: row.Site, Counter: 1<<64 - 1, Row: row})
 	}
 	return []wiretest.Case{
 		wiretest.Of("rumorReq/publish", rumorReq{Entries: pushed[:1]}),
+		wiretest.Of("rumorReq/minted", rumorReq{Entries: []pushEntry{{Site: "s000", Counter: 7, Row: minted}}}),
 		wiretest.Of("rumorReq/batch", rumorReq{Entries: pushed}),
 		wiretest.Of("rumorReq/edge rows", rumorReq{Entries: edgePushed}),
 		wiretest.Of("rumorReq/zero", rumorReq{}, rumorReq{Entries: []pushEntry{}}),
@@ -145,9 +148,12 @@ func bodyCases() []wiretest.Case {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"rumorReq/publish": "f5010101096f626a3030303030300048d68860067530303030300101010109d39b5f4a6aa000000f" +
+		"rumorReq/publish": "f80101010a6f626a3030303030300048d68860067530303030300101010109d39b5f4a6aa000000f" +
 			"0e73656564206f626a3030303030302373686172656420776f726b696e67206d6174657269616c20666f722061637430" +
 			"303030067530303030300761637430303030",
+		"rumorReq/minted": "f801010700073ad1e85f0048d68860067530303030330101010109d39b5f4a6aa000000f" +
+			"0e73656564206f626a3030303030332373686172656420776f726b696e67206d6174657269616c20666f722061637430" +
+			"303033067530303030330761637430303033",
 		"ihaveReq":         "f6010101",
 		"neighborReq/ring": "9d04733030330b676f737369702d73303033097265706c2d7330303301",
 		"neighborResp":     "9e01",
@@ -217,8 +223,10 @@ func TestBodiesRejectDamage(t *testing.T) {
 		"retired graft ids":     append([]byte{0x93, 0, 0, 0, 0}, huge...),
 		"retired graft rows":    append([]byte{0x94}, huge...),
 		"retired ihave ids":     append([]byte{0x9C}, hugeVar...),
-		// So do the push, ihave and graft whose sites were spelled.
+		// So do the push, ihave and graft whose sites were spelled, and
+		// the push whose ids were.
 		"retired spelled push":  append([]byte{0x90}, hugeVar...),
+		"retired spelled ids":   append([]byte{0xF5}, hugeVar...),
 		"retired spelled ihave": append([]byte{0x9F}, hugeVar...),
 		"retired spelled graft": append([]byte{0xA0}, hugeVar...),
 		// The forward-join whose TTL was eight bytes: the uvarint reads
@@ -405,8 +413,9 @@ func TestUnknownSchemaIDRefused(t *testing.T) {
 }
 
 // TestRetiredBodiesRefused: a push, ihave or graft as the code before the
-// site roster wrote it — and every other retired body — fails to decode as
-// any of the messages that carry dots.
+// site roster wrote it, a push as the code before ids were said by their
+// parts wrote it — and every other retired body — fails to decode as any
+// of the messages that carry dots.
 func TestRetiredBodiesRefused(t *testing.T) {
 	for _, b := range wiretest.Retired(t, "testdata/retired-bodies.txt") {
 		var push rumorReq
@@ -420,7 +429,9 @@ func TestRetiredBodiesRefused(t *testing.T) {
 
 // TestUnknownSiteIndexRefused: a dot, or a pushed row's writer site or
 // vector site, naming a roster index this process never enrolled fails to
-// decode with vclock.ErrUnknownSite.
+// decode with vclock.ErrUnknownSite; and a push or a graft's reply that
+// carries such a row, refused before any handler sees its rows, counts in
+// the receiving replica's ApplyFailures.
 func TestUnknownSiteIndexRefused(t *testing.T) {
 	past := wire.AppendUvarint(nil, vclock.MaxRoster+1)
 	dots := slices.Concat([]byte{1}, past, []byte{7})
@@ -448,5 +459,32 @@ func TestUnknownSiteIndexRefused(t *testing.T) {
 		if _, err := c.Decoded(bytes.Replace(body, at, bad, 1)); !errors.Is(err, vclock.ErrUnknownSite) {
 			t.Errorf("a pushed row's %s past the roster: %v, want vclock.ErrUnknownSite", name, err)
 		}
+	}
+
+	// g00 pushes one write and answers a graft for another with rows that
+	// name g00 past g01's roster: g01 applies neither, and counts both.
+	f := newReplicatedPair(t)
+	owner = wire.AppendVarString(nil, "anyone")
+	at = vclock.AppendSite(bytes.Clone(owner), "g00")
+	f.rewrite = func(fr *channel.Frame) {
+		if bytes.Contains(fr.Env.Body, at) {
+			fr.Env.Body = bytes.Replace(fr.Env.Body, at, slices.Concat(owner, past), 1)
+		}
+	}
+	pushed, err := f.spaces[0].Put("anyone", "doc", map[string]string{"title": "pushed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.overlays[0].Publish(pushed.ID, pushed.VV)
+	f.clk.RunUntilIdle()
+	grafted, err := f.spaces[0].Put("anyone", "doc", map[string]string{"title": "grafted"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	announceIhave(f.overlays[0], f.overlays[1], dot{Site: "g00", Counter: grafted.VV.Counter("g00")})
+	f.clk.RunUntilIdle()
+	if st := f.reps[1].Stats(); st.ApplyFailures != 2 || f.spaces[1].Len() != 0 || f.overlays[1].Stats().Grafts != 1 {
+		t.Fatalf("a push and a graft reply naming a site past the roster: %d apply failures, %d rows, %d grafts; want 2, 0, 1",
+			st.ApplyFailures, f.spaces[1].Len(), f.overlays[1].Stats().Grafts)
 	}
 }

@@ -173,6 +173,10 @@ type Replica interface {
 	FetchWire(ids []string) []*information.Object
 	// ApplyWire merges pushed rows, returning how many changed state.
 	ApplyWire(objs []*information.Object) int
+	// Refused hears of a push or a graft's reply whose body failed to
+	// decode, with the decoder's error: rows the process cannot name
+	// count as failed applies.
+	Refused(err error)
 }
 
 // Stats counts overlay activity. ActiveSize/PassiveSize are gauges

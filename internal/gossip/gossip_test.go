@@ -23,6 +23,7 @@ type fakeReplica struct {
 	rows    map[string]vclock.Version
 	lent    map[string]*information.Object
 	applied int
+	refused []error
 }
 
 func newFakeReplica() *fakeReplica {
@@ -65,6 +66,8 @@ func (f *fakeReplica) FetchWire(ids []string) []*information.Object {
 	}
 	return out
 }
+
+func (f *fakeReplica) Refused(err error) { f.refused = append(f.refused, err) }
 
 func (f *fakeReplica) ApplyWire(objs []*information.Object) int {
 	applied := 0

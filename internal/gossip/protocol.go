@@ -234,9 +234,13 @@ func (o *Overlay) register() {
 	// Pushes, ihaves and prunes are announcements: the sender waits for
 	// nothing, so the handlers answer nothing. The frame's source is the
 	// sender.
-	o.ep.MustRegister(MethodRumor, rpc.HandleCtx(func(from netsim.Address, tc wire.TraceContext, req rumorReq) (wire.Empty, error) {
+	o.ep.MustRegister(MethodRumor, rpc.HandleRefused(func(from netsim.Address, tc wire.TraceContext, req rumorReq) (wire.Empty, error) {
 		o.receive(tc, from, req.Entries, false)
 		return wire.Empty{}, nil
+	}, func(err error) {
+		if o.replica != nil {
+			o.replica.Refused(err)
+		}
 	}))
 
 	o.ep.MustRegister(MethodIhave, rpc.Handle(func(from netsim.Address, req ihaveReq) (wire.Empty, error) {
@@ -656,6 +660,9 @@ func (o *Overlay) graft(from netsim.Address, announced []dot) {
 		o.mu.Unlock()
 		var resp rumorReq
 		if err := res.Decode(&resp); err != nil {
+			if o.replica != nil {
+				o.replica.Refused(err) // it counts a decoder's refusal, not a timeout
+			}
 			return // a later ihave, or anti-entropy, brings the write
 		}
 		got := slices.DeleteFunc(resp.Entries, func(e pushEntry) bool {

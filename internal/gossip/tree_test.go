@@ -252,7 +252,19 @@ func TestGraftRepairsAroundCrashedMember(t *testing.T) {
 // is the dot's counter. A write a later one of the same site superseded on
 // its row is named by neither, so its graft brings nothing: the cost of
 // naming a write without its row's id.
-func TestGraftAnsweredFromIndex(t *testing.T) {
+// replicatedPair is two joined overlays, g00 and g01, over real
+// replicators and spaces; rewrite, if set, may change any frame an overlay
+// endpoint sends.
+type replicatedPair struct {
+	clk      *vclock.Simulated
+	overlays []*Overlay
+	spaces   []*information.Space
+	reps     []*replica.Replicator
+	rewrite  func(*channel.Frame)
+}
+
+func newReplicatedPair(tb testing.TB) *replicatedPair {
+	tb.Helper()
 	clk := vclock.NewSimulated(netsim.DefaultEpoch)
 	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(7))
 	registry := information.NewSchemaRegistry()
@@ -260,24 +272,36 @@ func TestGraftAnsweredFromIndex(t *testing.T) {
 		{Name: "title", Type: information.FieldText, Required: true},
 		{Name: "body", Type: information.FieldText},
 	}}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	f := &replicatedPair{clk: clk}
+	tap := rpc.WithChannel(channel.WithInterceptor(func(fr *channel.Frame) error {
+		if fr.Dir == channel.Outbound && f.rewrite != nil {
+			f.rewrite(fr)
+		}
+		return nil
+	}))
 	ids := id.New()
 	peers := []Peer{{Site: "g00", Addr: "gossip-g00", Repl: "repl-g00"}, {Site: "g01", Addr: "gossip-g01", Repl: "repl-g01"}}
 	contacts := WithContacts(func() []Peer { return append([]Peer(nil), peers...) })
-	var overlays []*Overlay
-	var spaces []*information.Space
 	for _, p := range peers {
 		sp := information.NewSpace(registry, nil, clk, information.WithSite(p.Site), information.WithIDs(ids))
 		rep := replica.New(rpc.NewEndpoint(net.MustAddNode(p.Repl), clk, rpc.WithIDs(ids)), clk, sp)
-		overlays = append(overlays, New(rpc.NewEndpoint(net.MustAddNode(p.Addr), clk, rpc.WithIDs(ids)), clk, p.Site, p.Repl, rep, contacts))
-		spaces = append(spaces, sp)
+		f.overlays = append(f.overlays, New(rpc.NewEndpoint(net.MustAddNode(p.Addr), clk, rpc.WithIDs(ids), tap), clk, p.Site, p.Repl, rep, contacts))
+		f.spaces = append(f.spaces, sp)
+		f.reps = append(f.reps, rep)
 	}
-	for _, o := range overlays {
+	for _, o := range f.overlays {
 		o.Join()
 	}
 	clk.RunUntilIdle()
-	announcer, grafter := overlays[0], overlays[1]
+	return f
+}
+
+func TestGraftAnsweredFromIndex(t *testing.T) {
+	f := newReplicatedPair(t)
+	clk, spaces := f.clk, f.spaces
+	announcer, grafter := f.overlays[0], f.overlays[1]
 
 	// Written, never published: the announcer's dedup set lacks the dot.
 	obj, err := spaces[0].Put("anyone", "doc", map[string]string{"title": "t0"})

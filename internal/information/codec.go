@@ -16,7 +16,10 @@ import (
 // AppendObject appends the canonical binary encoding of one object row,
 // each field in as few bytes as it can be said in:
 //
-//	id                       a uvarint length and its bytes
+//	id                       a uvarint length and its bytes; in the wire
+//	                         form AppendWireID's: an id a Space minted
+//	                         by its sequence and entropy, any other
+//	                         spelled behind its length plus 1
 //	schema                   compact form: a 0 byte, then the schema's
 //	                         content id (schemaID) in 4 big-endian bytes;
 //	                         spelled form: a uvarint of the name's length
@@ -47,16 +50,18 @@ import (
 // the durable log (logstore's WAL and segments) stores rows in this one,
 // and the replication planes (replica.* and gossip.rumor/graft bodies)
 // carry them in AppendWireObject's, which differs only in how it says
-// sites. Stores written before it hold rows in older layouts, which
-// logstore alone reads.
+// the id and the sites. Stores written before it hold rows in older
+// layouts, which logstore alone reads.
 func AppendObject(dst []byte, o *Object) []byte { return appendObject(dst, o, false) }
 
 // AppendWireObject appends a row in the form the bodies that carry rows
-// take: AppendObject's, but for its writer site and its vector's sites,
-// each said in vclock's roster form (vclock.AppendSite, Version.AppendWire)
-// — a byte for an enrolled site where the stored form spells it. The
-// roster is per process and never reaches disk, so a stored row keeps
-// AppendObject's form.
+// take: AppendObject's, but for its id, in AppendWireID's form — 7 bytes
+// for an id a Space minted, where the stored form spells 17 or so — and
+// its writer site and its vector's sites, each said in vclock's roster
+// form (vclock.AppendSite, Version.AppendWire) — a byte for an enrolled
+// site where the stored form spells it. The roster is per process and
+// never reaches disk, and a store reads each row's id where it lies, so a
+// stored row keeps AppendObject's form.
 func AppendWireObject(dst []byte, o *Object) []byte { return appendObject(dst, o, true) }
 
 // AppendWireObjects appends a row list in the wire form: a uvarint count,
@@ -70,7 +75,11 @@ func AppendWireObjects(dst []byte, rows []*Object) []byte {
 }
 
 func appendObject(dst []byte, o *Object, roster bool) []byte {
-	dst = wire.AppendVarString(dst, o.ID)
+	if roster {
+		dst = AppendWireID(dst, o.ID)
+	} else {
+		dst = wire.AppendVarString(dst, o.ID)
+	}
 	sh, set := compactShape(o)
 	if sh != nil {
 		dst = binary.BigEndian.AppendUint32(append(dst, 0), sh.id)
@@ -125,11 +134,13 @@ func appendObject(dst []byte, o *Object, roster bool) []byte {
 func DecodeObject(data []byte) (*Object, []byte, error) { return decodeObject(data, false) }
 
 // DecodeWireObject decodes one row produced by AppendWireObject, as
-// DecodeObject decodes AppendObject's. A site this process enrolled is the
-// roster's own string; a site index past the roster is refused with an
-// error wrapping vclock.ErrUnknownSite, and a vector out of name order, or
-// naming an enrolled site by its spelling, with one wrapping
-// vclock.ErrBadVersion.
+// DecodeObject decodes AppendObject's. An id said by its parts is rebuilt
+// (ConsumeWireID), one allocation as a spelled one's copy is, and an id
+// AppendWireID never writes is refused with an error wrapping
+// wire.ErrBadBody. A site this process enrolled is the roster's own
+// string; a site index past the roster is refused with an error wrapping
+// vclock.ErrUnknownSite, and a vector out of name order, or naming an
+// enrolled site by its spelling, with one wrapping vclock.ErrBadVersion.
 func DecodeWireObject(data []byte) (*Object, []byte, error) { return decodeObject(data, true) }
 
 func decodeObject(data []byte, roster bool) (*Object, []byte, error) {
@@ -154,7 +165,7 @@ func decodeObject(data []byte, roster bool) (*Object, []byte, error) {
 	} else {
 		text.Grow(sc.text + len(sc.vv))
 	}
-	o := &Object{ID: string(sc.id)}
+	o := &Object{ID: sc.id.String()}
 	r := sc.afterID
 	if sh != nil {
 		o.Schema = sh.name
@@ -292,7 +303,7 @@ func ObjectID(data []byte) ([]byte, error) {
 // a store compare, copy or skip a row it has no need to materialise.
 func ScanObject(data []byte) (id, vv, rest []byte, err error) {
 	sc, rest, err := scanObject(data, false)
-	return sc.id, sc.vv, rest, err
+	return sc.id.spelled, sc.vv, rest, err
 }
 
 // ObjectSchemaID returns the content id a compact row written by
@@ -313,23 +324,30 @@ func ObjectSchemaID(data []byte) (id uint32, compact bool, err error) {
 	return binary.BigEndian.Uint32(rest), true, nil
 }
 
-// rowScan is what scanObject finds in a row: its id, the bytes after it and
-// its encoded vector as sub-slices, the length of the text DecodeObject
-// copies (every string but the id, the vector's names and what a compact
-// row takes from its schema) and, for a compact row, its schema id and
-// field bitmap.
+// rowScan is what scanObject finds in a row: its id (spelled, as a
+// sub-slice, or by its parts), the bytes after it and its encoded vector
+// as sub-slices, the length of the text DecodeObject copies (every string
+// but the id, the vector's names and what a compact row takes from its
+// schema) and, for a compact row, its schema id and field bitmap.
 type rowScan struct {
-	id, afterID, vv []byte
-	text            int
-	compact         bool
-	schemaID        uint32
-	set             uint64
+	id          wireID
+	afterID, vv []byte
+	text        int
+	compact     bool
+	schemaID    uint32
+	set         uint64
 }
 
-// scanObject is ScanObject, also measuring the row's text.
+// scanObject is ScanObject, also measuring the row's text; with roster it
+// walks the wire form, whose id it reads with scanWireID.
 func scanObject(data []byte, roster bool) (sc rowScan, rest []byte, err error) {
 	fail := func(err error) (rowScan, []byte, error) { return rowScan{}, data, err }
-	if sc.id, rest, err = wire.SkipVarString(data); err != nil {
+	if roster {
+		sc.id, rest, err = scanWireID(data)
+	} else {
+		sc.id.spelled, rest, err = wire.SkipVarString(data)
+	}
+	if err != nil {
 		return fail(err)
 	}
 	sc.afterID = rest

@@ -9,12 +9,16 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mocca/internal/id"
 	"mocca/internal/netsim"
 	"mocca/internal/vclock"
 	"mocca/internal/wire"
@@ -104,8 +108,13 @@ func TestAppendObjectGolden(t *testing.T) {
 
 // TestRowBytesBySection pins what each section of the fixture row costs in
 // the compact form: the 4-byte schema id and the one-byte bitmap stand
-// where the spelled form says the schema's name and four keys.
+// where the spelled form says the schema's name and four keys. On the
+// wire, sites go by roster entry and an id a Space minted by its parts.
 func TestRowBytesBySection(t *testing.T) {
+	ids, minted := id.New(), codecFixtureRow(42)
+	for range 200 {
+		minted.ID = ids.Next(idKind)
+	}
 	enc := AppendObject(nil, codecFixtureRow(42))
 	r := enc
 	take := func(n int) int { r = r[n:]; return n }
@@ -146,11 +155,24 @@ func TestRowBytesBySection(t *testing.T) {
 	}
 	// The wire form says the writer site, s000, by its roster entry in one
 	// byte, and the vector in three — a count, the entry, the counter —
-	// where the stored form takes five and seven; the rest is the same.
+	// where the stored form takes five and seven. The fixture's id is no
+	// id a Space mints: it is spelled behind its length plus 1, in the
+	// same ten bytes. The rest is the same.
 	w := AppendWireObject(nil, codecFixtureRow(42))
 	at := id + schema + owner
-	if !bytes.Equal(w[at:at+4], []byte{1, 1, 1, 1}) || !bytes.Equal(w[:at], enc[:at]) || !bytes.Equal(w[at+4:], enc[at+site+vector:]) || len(w) != 102 {
+	if w[0] != enc[0]+1 || !bytes.Equal(w[at:at+4], []byte{1, 1, 1, 1}) || !bytes.Equal(w[1:at], enc[1:at]) || !bytes.Equal(w[at+4:], enc[at+site+vector:]) || len(w) != 102 {
 		t.Fatalf("the %d-byte wire form of the fixture row: %x, its stored form %x", len(w), w, enc)
+	}
+	// An id a Space mints past its 127th row — a two-byte sequence — takes
+	// 7 bytes in the wire form: the marker, the sequence and the entropy.
+	// The stored form keeps its 18: its length and its spelling.
+	wantID := binary.BigEndian.AppendUint32(append([]byte{0}, wire.AppendUvarint(nil, 200)...), 0)
+	stored, wired := AppendObject(nil, minted), AppendWireObject(nil, minted)
+	if len(minted.ID) != 17 || len(stored) != len(enc)+8 || !bytes.Equal(stored[18:], enc[10:]) || string(stored[1:18]) != minted.ID {
+		t.Fatalf("the stored form of a row under %q: %x", minted.ID, stored)
+	}
+	if len(wired) != len(w)-3 || !bytes.Equal(wired[:3], wantID[:3]) || !bytes.Equal(wired[7:], w[10:]) {
+		t.Fatalf("the wire form of a row under %q: %x, want its id in 7 bytes, %x…, then %x", minted.ID, wired, wantID[:3], w[10:])
 	}
 }
 
@@ -372,7 +394,7 @@ func checkScanMatchesDecode(t *testing.T, data []byte) {
 		if !form.roster {
 			var id, vv []byte
 			id, vv, rest, scanErr = ScanObject(data)
-			sc.id, sc.vv = id, vv
+			sc.id.spelled, sc.vv = id, vv
 		}
 		tableOnly := scanErr == nil && (errors.Is(decErr, ErrUnknownSchema) || errors.Is(decErr, wire.ErrBadBody))
 		if (decErr == nil) != (scanErr == nil) && !tableOnly {
@@ -381,7 +403,7 @@ func checkScanMatchesDecode(t *testing.T, data []byte) {
 		if decErr != nil {
 			continue
 		}
-		if string(sc.id) != row.ID || !bytes.Equal(rest, wantRest) {
+		if sc.id.String() != row.ID || !bytes.Equal(rest, wantRest) {
 			t.Fatalf("%s: scan: id %q rest %d bytes, decoder: id %q rest %d bytes", form.name, sc.id, len(rest), row.ID, len(wantRest))
 		}
 		decodeVV := vclock.DecodeVersion
@@ -399,22 +421,28 @@ func checkScanMatchesDecode(t *testing.T, data []byte) {
 // site as an entry past any roster, and vectors out of name order, naming
 // a site twice, and spelling s000, which the roster holds.
 var (
-	rowWireHead        = []byte{1, 'x', 1, 0}                         // id, the empty schema spelled, no owner
+	rowWireHead        = []byte{2, 'x', 1, 0}                         // id spelled, the empty schema spelled, no owner
 	rowWireTail        = slices.Concat(make([]byte, 8), []byte{0, 0}) // created, updated, no fields
 	rowSitePastRoster  = slices.Concat(rowWireHead, wire.AppendUvarint(nil, vclock.MaxRoster+1), []byte{0}, rowWireTail)
 	rowVectorUnsorted  = slices.Concat(rowWireHead, []byte{2, 2, 2, 1, 1, 1}, rowWireTail) // s001 before s000
 	rowVectorTwice     = slices.Concat(rowWireHead, []byte{1, 2, 1, 1, 1, 2}, rowWireTail)
 	rowVectorSpelled   = slices.Concat(rowWireHead, []byte{1, 1, 0, 4, 's', '0', '0', '0', 1}, rowWireTail)
-	wireRefusedRows    = [][]byte{rowSitePastRoster, rowVectorUnsorted, rowVectorTwice, rowVectorSpelled}
-	wireRefusedReasons = []error{vclock.ErrUnknownSite, vclock.ErrBadVersion, vclock.ErrBadVersion, vclock.ErrBadVersion}
+	wireRefusedRows    = [][]byte{rowSitePastRoster, rowVectorUnsorted, rowVectorTwice, rowVectorSpelled, rowIDSequenceZero, rowIDSpelledMinted}
+	wireRefusedReasons = []error{vclock.ErrUnknownSite, vclock.ErrBadVersion, vclock.ErrBadVersion, vclock.ErrBadVersion, wire.ErrBadBody, wire.ErrBadBody}
 )
 
 // scanSeeds are TestDecodeObjectRejectsDamage's cases — its hostile rows —
-// a vector naming a site twice and the rows the wire form refuses for how
-// they say a site, then every edge row whole and damaged every way hostile
-// damages it, in each form.
+// a vector naming a site twice, the rows the wire form refuses for how
+// they say a site or an id, and a row under each edge id in each form;
+// then every edge row whole and damaged every way hostile damages it, in
+// each form.
 func scanSeeds() [][]byte {
 	out := slices.Concat(hostileRows, [][]byte{rowSiteTwice, rowUnknownSchema, rowBitPastFields}, wireRefusedRows)
+	for _, form := range rowForms {
+		for _, row := range edgeIDRows() {
+			out = append(out, form.append(nil, row))
+		}
+	}
 	for _, form := range rowForms {
 		for _, name := range slices.Sorted(maps.Keys(codecEdgeRows())) {
 			enc := form.append(nil, codecEdgeRows()[name])
@@ -426,8 +454,8 @@ func scanSeeds() [][]byte {
 }
 
 // seedsHeld is how many of scanSeeds' first seeds the fuzz targets keep
-// whole: the hostile and refused rows.
-var seedsHeld = len(hostileRows) + 3 + len(wireRefusedRows)
+// whole: the hostile and refused rows, and the edge ids'.
+var seedsHeld = len(hostileRows) + 3 + len(wireRefusedRows) + len(rowForms)*len(edgeIDRows())
 
 func TestScanObjectMatchesDecode(t *testing.T) {
 	for _, data := range scanSeeds() {
@@ -441,7 +469,7 @@ func TestScanObjectMatchesDecode(t *testing.T) {
 
 func FuzzScanObjectMatchesDecode(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i < seedsHeld || i%7 == 0 { // the hostile and refused rows and a spread of the rest; TestScanObjectMatchesDecode runs all
+		if i < seedsHeld || i%7 == 0 { // the hostile, refused and edge-id rows and a spread of the rest; TestScanObjectMatchesDecode runs all
 			f.Add(data)
 		}
 	}
@@ -490,7 +518,12 @@ var raceEnabled bool
 func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 	o := &Object{}
 	var err error
-	if o.ID, data, err = wire.ConsumeVarString(data); err != nil {
+	if roster {
+		o.ID, data, err = referenceWireID(data)
+	} else {
+		o.ID, data, err = wire.ConsumeVarString(data)
+	}
+	if err != nil {
 		return nil, data, err
 	}
 	var marker uint64
@@ -585,6 +618,45 @@ func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 	return o, data, nil
 }
 
+// referenceMinted is the shape of an id a Space mints, said once more,
+// apart from the codec's own reading of it.
+var referenceMinted = regexp.MustCompile(`^info-[1-9][0-9]*-[0-9a-f]{8}$`)
+
+// referenceWireID reads a wire-form id: after a 0 marker its sequence,
+// never 0, and its entropy, formatted as id.Generator formats them; after
+// any other, the id spelled, which must not be one a Space mints.
+func referenceWireID(data []byte) (string, []byte, error) {
+	marker, data, err := wire.ConsumeUvarint(data)
+	if err != nil {
+		return "", data, err
+	}
+	if marker == 0 {
+		seq, data, err := wire.ConsumeUvarint(data)
+		switch {
+		case err != nil:
+			return "", data, err
+		case seq == 0:
+			return "", data, wire.ErrBadBody
+		case len(data) < 4:
+			return "", data, wire.ErrTruncated
+		}
+		return fmt.Sprintf("info-%d-%08x", seq, binary.BigEndian.Uint32(data)), data[4:], nil
+	}
+	if marker-1 >= wire.MaxStringLen {
+		return "", data, wire.ErrOversize
+	}
+	if marker-1 > uint64(len(data)) {
+		return "", data, wire.ErrTruncated
+	}
+	id := string(data[:marker-1])
+	if referenceMinted.MatchString(id) {
+		if _, err := strconv.ParseUint(strings.Split(id, "-")[1], 10, 64); err == nil { // a sequence below 2⁶⁴
+			return "", data, wire.ErrBadBody
+		}
+	}
+	return id, data[marker-1:], nil
+}
+
 // referenceWireVector reads a wire-form row's writer site into *site, then
 // its vector.
 func referenceWireVector(data []byte, site *string) (vclock.Version, []byte, error) {
@@ -673,6 +745,8 @@ func TestDecodeObjectMatchesReference(t *testing.T) {
 		slices.Concat(rowWireHead, []byte{1, 0}, rowWireTail),
 		slices.Concat(rowWireHead, []byte{1, 2, 1, 1, 2, 1}, rowWireTail),
 		slices.Concat(rowWireHead, []byte{1, 1, 0, 4, 's', '9', '9', '9', 1}, rowWireTail),
+		slices.Concat([]byte{0, 1, 0xe4, 0x19, 0x4b, 0x6b}, rowWireBody),
+		slices.Concat([]byte{16}, []byte("info-0-e4194b6b"), rowWireBody),
 	} {
 		if _, _, err := DecodeWireObject(mended); err != nil {
 			t.Fatalf("wire row %x: %v", mended, err)
@@ -682,7 +756,7 @@ func TestDecodeObjectMatchesReference(t *testing.T) {
 
 func FuzzDecodeObjectMatchesReference(f *testing.F) {
 	for i, data := range scanSeeds() {
-		if i < seedsHeld || i%7 == 0 { // the hostile and refused rows and a spread of the rest; TestDecodeObjectMatchesReference runs all
+		if i < seedsHeld || i%7 == 0 { // the hostile, refused and edge-id rows and a spread of the rest; TestDecodeObjectMatchesReference runs all
 			f.Add(data)
 		}
 	}
@@ -733,10 +807,16 @@ func TestDecodeObjectAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeObject(enc) }); n > 7 {
 		t.Fatalf("DecodeObject allocates %v times for the fixture row, want at most 7", n)
 	}
-	// Its wire form takes its sites from the roster: no copy of them.
-	enc = AppendWireObject(nil, codecFixtureRow(42))
-	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeWireObject(enc) }); n > 7 {
-		t.Fatalf("DecodeWireObject allocates %v times for the fixture row, want at most 7", n)
+	// Its wire form takes its sites from the roster: no copy of them. An
+	// id said by its parts is rebuilt in one allocation, as a spelled one
+	// is copied in one.
+	minted := codecFixtureRow(42)
+	minted.ID = "info-4711-3ad1e85f"
+	for _, row := range []*Object{codecFixtureRow(42), minted} {
+		enc = AppendWireObject(nil, row)
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeWireObject(enc) }); n > 7 {
+			t.Fatalf("DecodeWireObject allocates %v times for the fixture row under %q, want at most 7", n, row.ID)
+		}
 	}
 }
 

@@ -228,7 +228,7 @@ func (s *Space) Put(actor, schemaName string, fields map[string]string) (*Object
 	}
 	now := s.clock.Now()
 	obj := &Object{
-		ID:      s.ids.Next("info"),
+		ID:      s.ids.Next(idKind),
 		Schema:  schema.Name,
 		Owner:   actor,
 		Fields:  cloneFields(fields),

@@ -17,15 +17,18 @@ import (
 // sorted key order, so equal messages encode to equal bytes. No body names
 // its sender: the frame's source does. Rows are in the row codec's wire
 // form (information.AppendWireObjects: a uvarint count, then each row with
-// its sites in vclock's roster form); the durable log stores them with
-// their sites spelled.
+// its id in information.AppendWireID's form and its sites in vclock's
+// roster form); the durable log stores them with their ids and sites
+// spelled. The ids of a sync request's digest and of a sync reply's
+// want-list are in AppendWireID's form too, behind a uvarint count: an id
+// a Space minted travels as its sequence and entropy.
 //
 // A digest body is the tag, a flags byte naming the sections present, then
 // those sections in order. A request's tree frames are in
 // wire.AppendTreeFrames' layout (a uvarint count, then the frames); a
-// reply's children section is a big-endian uint64 count,
-// then per mismatched internal node its packed path and its MerkleFanout
-// child hashes (the children's paths follow from it). The marks section
+// reply's children section is a uvarint count, then per mismatched
+// internal node its packed path and its MerkleFanout child hashes (the
+// children's paths follow from it). The marks section
 // opens with the uvarint generation the sender gives it; with flagAck, the
 // uvarint generation of the receiver's marks the sender holds; with
 // flagDelta, the uvarint generation of the sender's own section it is a
@@ -46,15 +49,20 @@ import (
 // rows spelled their schema's name and keys; and so are 0x8A, 0x8C, 0x8D
 // and 0x8E, the digest request whose frame count took eight bytes and the
 // digest reply, sync reply and push whose rows spelled their sites behind
-// an eight-byte count. The range took a second run, at 0xF1, when its
-// first met gossip's.
+// an eight-byte count; and so are 0x83, the sync request whose digest
+// spelled its ids behind eight-byte counts, and 0xF2, 0xF3 and 0xF4, the
+// digest reply, sync reply and push whose rows spelled their ids (the
+// digest reply's children count and the sync reply's want-list were
+// eight bytes, and the want-list's ids spelled, too). The range took a
+// second run, at 0xF1, when its first met gossip's, and a third, at 0xF9,
+// when the second met gossip's again.
 const (
-	tagSyncReq    byte = 0x83
 	tagPushResp   byte = 0x86
 	tagDigestReq  byte = 0xF1
-	tagDigestResp byte = 0xF2
-	tagSyncResp   byte = 0xF3
-	tagPushReq    byte = 0xF4
+	tagSyncReq    byte = 0xF9
+	tagDigestResp byte = 0xFA
+	tagSyncResp   byte = 0xFB
+	tagPushReq    byte = 0xFC
 )
 
 // childRecordSize is one record of a children section: the parent's
@@ -98,7 +106,7 @@ func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m syncResp) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendStrings(append(b, tagSyncResp), m.Want)
+	b = information.AppendWireIDs(append(b, tagSyncResp), m.Want)
 	return information.AppendWireObjects(b, m.Deltas), nil
 }
 
@@ -170,18 +178,18 @@ func (m marksMsg) size() int {
 	return n
 }
 
-// appendDigest writes an id→version-vector digest: count, then per id in
-// sorted order the id and its vector in vclock's canonical form —
-// digestMapBytes(d) bytes.
+// appendDigest writes an id→version-vector digest: a uvarint count, then
+// per id in sorted order the id, in information.AppendWireID's form, and
+// its vector in vclock's canonical form — digestMapBytes(d) bytes.
 func appendDigest(b []byte, d map[string]vclock.Version) []byte {
-	b = wire.AppendUint64(b, uint64(len(d)))
+	b = wire.AppendUvarint(b, uint64(len(d)))
 	ids := make([]string, 0, len(d))
 	for id := range d {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		b = wire.AppendString(b, id)
+		b = information.AppendWireID(b, id)
 		b = d[id].AppendBinary(b)
 	}
 	return b
@@ -229,7 +237,7 @@ func (m *syncReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *syncResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagSyncResp, "syncResp")
-	*m = syncResp{Want: b.Strings(), Deltas: information.ConsumeWireObjects(&b)}
+	*m = syncResp{Want: information.ConsumeWireIDs(&b), Deltas: information.ConsumeWireObjects(&b)}
 	return b.Close()
 }
 
@@ -254,10 +262,10 @@ func consumeFrames(data []byte) ([]byte, []byte, error) {
 	return records(data, rest, n, err, 16)
 }
 
-// consumeChildren reads a reply's children section: a uint64 count, then
+// consumeChildren reads a reply's children section: a uvarint count, then
 // that many records, returned whole.
 func consumeChildren(data []byte) ([]byte, []byte, error) {
-	n, rest, err := wire.ConsumeUint64(data)
+	n, rest, err := wire.ConsumeUvarint(data)
 	return records(data, rest, n, err, childRecordSize)
 }
 
@@ -320,13 +328,13 @@ func consumeGeneration(data []byte) (uint64, []byte, error) {
 // consumeDigest reads a digest written by appendDigest; an empty digest
 // decodes as nil.
 func consumeDigest(b *wire.Body) map[string]vclock.Version {
-	n := b.Count(4 + 1) // id prefix + vector count
+	n := b.UvarintCount(1 + 1) // id + vector count
 	if n == 0 {
 		return nil
 	}
 	d := make(map[string]vclock.Version, n)
 	for range n {
-		id := b.String()
+		id := wire.Consume(b, information.ConsumeWireID)
 		d[id] = wire.Consume(b, vclock.DecodeVersion)
 	}
 	return d

@@ -87,12 +87,25 @@ func edgeRows() []*information.Object {
 	}
 }
 
+// mintedDigest is a digest of ids a Space mints beside one it does not.
+func mintedDigest() map[string]vclock.Version {
+	return map[string]vclock.Version{"info-7-3ad1e85f": {"s000": 2}, "info-1203-0c9e77a2": {"s000": 1, "s001": 4}, "obj000001": {"s000": 1}}
+}
+
 func benchDigest(n int) map[string]vclock.Version {
 	d := make(map[string]vclock.Version, n)
 	for i := 0; i < n; i++ {
 		d[fmt.Sprintf("obj%06d", i)] = vclock.Version{"s000": uint64(i + 1), fmt.Sprintf("s%03d", i%16): 2}
 	}
 	return d
+}
+
+// mintedRows are two of the benchmark's rows under ids a Space mints, one
+// with a one-byte sequence and one with a two-byte one.
+func mintedRows() []*information.Object {
+	a, b := benchRow(3), benchRow(4)
+	a.ID, b.ID = "info-7-3ad1e85f", "info-1203-0c9e77a2"
+	return []*information.Object{a, b}
 }
 
 func benchWant(n int) []string {
@@ -103,10 +116,10 @@ func benchWant(n int) []string {
 	return want
 }
 
-// childrenSection builds a reply's children section: per parent path, the
-// path and MerkleFanout made-up child hashes.
+// childrenSection builds a reply's children section: a uvarint count, then
+// per parent path, the path and MerkleFanout made-up child hashes.
 func childrenSection(parents ...uint64) []byte {
-	b := wire.AppendUint64(nil, uint64(len(parents)))
+	b := wire.AppendUvarint(nil, uint64(len(parents)))
 	for _, path := range parents {
 		b = wire.AppendUint64(b, path)
 		for j := range information.MerkleFanout {
@@ -156,40 +169,50 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("digestResp/match full", digestResp{Match: true, Full: true}),
 		wiretest.Of("digestResp/edge rows", digestResp{Deltas: edgeRows()}),
 		wiretest.Of("syncReq", syncReq{Digest: benchDigest(64), Scope: []uint32{0, 17, 4095}}),
+		wiretest.Of("syncReq/minted ids", syncReq{Digest: mintedDigest(), Scope: []uint32{9}}),
 		wiretest.Of("syncReq/no digest", syncReq{Scope: []uint32{9}}),
 		wiretest.Of("syncReq/zero", syncReq{}),
 		wiretest.Of("syncResp", syncResp{Want: benchWant(64), Deltas: benchRows(16)}),
 		wiretest.Of("syncResp/edge rows", syncResp{Want: []string{"nil-vv", "obj-ünï-日本"}, Deltas: edgeRows()}),
+		wiretest.Of("syncResp/minted rows", syncResp{Want: []string{"info-1203-0c9e77a2"}, Deltas: mintedRows()}),
 		wiretest.Of("syncResp/zero", syncResp{}),
 		wiretest.Of("pushReq", pushReq{Objects: benchRows(3)}),
 		wiretest.Of("pushReq/edge rows", pushReq{Objects: edgeRows()}),
+		wiretest.Of("pushReq/minted rows", pushReq{Objects: mintedRows()}),
 		wiretest.Of("pushResp", pushResp{Applied: 3, Conflicts: 1}),
 		wiretest.Of("pushResp/zero", pushResp{}),
 	}, goldenCases()...)
 }
 
 // goldenCases are the bodies whose layout is pinned byte for byte: the
-// children section, the marks only on a mismatch, the want-list, and a
-// push that is its rows and nothing after them.
+// children section, the marks only on a mismatch, the want-list — an id a
+// Space minted by its parts, any other spelled — a digest and a push of
+// rows under minted ids, and a push that is its rows and nothing after
+// them.
 func goldenCases() []wiretest.Case {
 	return []wiretest.Case{
 		wiretest.Of("digestResp/match", digestResp{Match: true}),
 		wiretest.Of("digestResp/mismatch", digestResp{Children: childrenSection(wire.PackTreePath(0, 0)), Marks: wholeMarks(marksOf(map[string]uint64{"s000": 41}))}),
 		wiretest.Of("digestResp/delta", digestResp{Marks: marksMsg{Gen: 7, Base: 6, Check: 0x01020304, Section: []byte{1, 2, 3, 0}}}),
 		wiretest.Of("digestResp/descent", digestResp{Children: childrenSection(wire.PackTreePath(1, 3), wire.PackTreePath(2, 255))}),
-		wiretest.Of("syncResp/want", syncResp{Want: []string{"obj000003", "obj000017"}}),
+		wiretest.Of("syncResp/want", syncResp{Want: []string{"info-7-3ad1e85f", "obj000003"}}),
+		wiretest.Of("syncReq/minted", syncReq{Digest: map[string]vclock.Version{"info-7-3ad1e85f": {"s000": 2}}, Scope: []uint32{9}}),
+		wiretest.Of("pushReq/minted", pushReq{Objects: mintedRows()[:1]}),
 		wiretest.Of("pushReq/no rows", pushReq{}),
 	}
 }
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, goldenCases(), map[string]string{
-		"digestResp/match":    "f20100",
-		"digestResp/delta":    "f2140706010203040102030000",
-		"digestResp/mismatch": "f206000000000000000100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c150010104733030302900",
-		"digestResp/descent":  "f202000000000000000200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af00",
-		"syncResp/want":       "f30000000000000002000000096f626a303030303033000000096f626a30303030313700",
-		"pushReq/no rows":     "f400",
+		"digestResp/match":    "fa0100",
+		"digestResp/delta":    "fa140706010203040102030000",
+		"digestResp/mismatch": "fa060100000000000000009e3779b97f4a7c153c6ef372fe94f82adaa66d2c7ddf743f78dde6e5fd29f0541715609f7c746c69b54cda58fbbee87e538454127b096493f1bbcdcbfa53e0a88ff34785799e5cbd2e2ac13ef8e8d8d2cc623af8783354e76a99b4b1f77dd0fc08d12e6b76c84d11a708a824f612c926454021de755d453be3779b97f4a7c150010104733030302900",
+		"digestResp/descent":  "fa020200000001000000039e3779b87f4a7c163c6ef373fe94f829daa66d2d7ddf743c78dde6e4fd29f0571715609e7c746c6ab54cda59fbbee87d538454137b096490f1bbcdcafa53e0ab8ff34784799e5cbe2e2ac13ff8e8d8d1cc623af9783354e46a99b4b0f77dd0ff08d12e6a76c84d12a708a825f612c925454021df755d4538e3779b96f4a7c15300000002000000ff9e3779bb7f4a7cea3c6ef370fe94f8d5daa66d2e7ddf74c078dde6e7fd29f0ab1715609d7c746c96b54cda5afbbee881538454107b09646cf1bbcdc9fa53e0578ff34787799e5c422e2ac13cf8e8d82dcc623afa783354186a99b4b3f77dd00308d12e6976c84deea708a826f612c9d9454021dc755d45c4e3779b95f4a7c1af00",
+		"syncResp/want":       "fb0200073ad1e85f0a6f626a30303030303300",
+		"syncReq/minted":      "f90100073ad1e85f01047330303002000000000000000100000009",
+		"pushReq/minted": "fc0100073ad1e85f0048d68860067530303030330101010109d39b5f4a6aa000000f0e73656564206f626a3030303030" +
+			"332373686172656420776f726b696e67206d6174657269616c20666f722061637430303033067530303030330761637430303033",
+		"pushReq/no rows": "fc00",
 	})
 }
 
@@ -273,12 +296,12 @@ func TestBodiesRejectDamage(t *testing.T) {
 		"frames":    append([]byte{tagDigestReq, flagFrames}, wire.AppendUvarint(nil, 1<<60)...),
 		"hw":        append([]byte{tagDigestReq, flagHW, 1}, wire.AppendUvarint(nil, 1<<60)...),
 		"delta":     append([]byte{tagDigestReq, flagHW | flagDelta, 2, 1, 0, 0, 0, 0}, wire.AppendUvarint(nil, 1<<60)...),
-		"children":  append([]byte{tagDigestResp, flagFrames, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
+		"children":  append([]byte{tagDigestResp, flagFrames}, wire.AppendUvarint(nil, 1<<60)...),
 		"deltas":    append([]byte{tagDigestResp, 0}, wire.AppendUvarint(nil, 1<<60)...),
-		"want":      append([]byte{tagSyncResp, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
-		"sync rows": append(append([]byte{tagSyncResp}, wire.AppendUint64(nil, 0)...), wire.AppendUvarint(nil, 1<<60)...),
-		"digest":    append([]byte{tagSyncReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 1<<60)...),
-		"scope":     append(append([]byte{tagSyncReq, 0, 0, 0, 0}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
+		"want":      append([]byte{tagSyncResp}, wire.AppendUvarint(nil, 1<<60)...),
+		"sync rows": append([]byte{tagSyncResp, 0}, wire.AppendUvarint(nil, 1<<60)...),
+		"digest":    append([]byte{tagSyncReq}, wire.AppendUvarint(nil, 1<<60)...),
+		"scope":     append([]byte{tagSyncReq, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"objects":   append([]byte{tagPushReq}, wire.AppendUvarint(nil, 1<<60)...),
 		"relations": append([]byte{tagPushReq, 0}, wire.AppendUint64(nil, 1<<60)...),
 		"refused":   append(append(append([]byte{tagPushResp}, wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 0)...), wire.AppendUint64(nil, 1<<60)...),
@@ -288,14 +311,17 @@ func TestBodiesRejectDamage(t *testing.T) {
 // TestRetiredDigestBodiesRefused: a digest request or reply as the code
 // before marks generations wrote it fails on its first byte — an old peer's
 // whole marks are never read as a delta, nor a delta as whole marks — and so
-// does a body whose rows spelled their schema, whatever decoder reads it.
+// does a body whose rows spelled their schema, sites or ids, and a sync
+// request whose digest spelled its ids, whatever decoder reads it.
 func TestRetiredDigestBodiesRefused(t *testing.T) {
 	for _, b := range wiretest.Retired(t, "testdata/retired-bodies.txt") {
 		var req digestReq
 		var resp digestResp
+		var syncReq syncReq
 		var sync syncResp
 		var push pushReq
-		if req.UnmarshalBinary(b) == nil || resp.UnmarshalBinary(b) == nil || sync.UnmarshalBinary(b) == nil || push.UnmarshalBinary(b) == nil {
+		if req.UnmarshalBinary(b) == nil || resp.UnmarshalBinary(b) == nil || syncReq.UnmarshalBinary(b) == nil ||
+			sync.UnmarshalBinary(b) == nil || push.UnmarshalBinary(b) == nil {
 			t.Errorf("a retired body decoded: %x", b)
 		}
 	}
@@ -435,7 +461,7 @@ func (p *tappedPair) digestSections(tb testing.TB) (got Stats, methods map[strin
 		case f.method == MethodSync:
 			var m syncResp
 			err = wire.DecodeBody(f.body, &m)
-			got.WantBytes += int64(len(wire.AppendStrings(nil, m.Want)))
+			got.WantBytes += int64(len(information.AppendWireIDs(nil, m.Want)))
 		}
 		if err != nil {
 			tb.Fatalf("%s %s body: %v", f.method, f.kind, err)
@@ -476,9 +502,11 @@ func TestDigestBytesAreEncodedBytes(t *testing.T) {
 	}
 	// The byte budget on both sides, exact: a layout that grows fails
 	// here, not only on the benchmark. Each marks section carries its
-	// generation, and a request the generation of the peer's it holds.
-	if after.LastRoundDigestBytes != 1258 || after.DigestBytes != 1309 || p.reps[1].Stats().DigestBytes != 50 {
-		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1258), s0 total %d (want 1309), s1 total %d (want 50)",
+	// generation, and a request the generation of the peer's it holds;
+	// the scoped sync's digest and want-list say their Space-minted ids
+	// by their parts, behind uvarint counts.
+	if after.LastRoundDigestBytes != 1141 || after.DigestBytes != 1192 || p.reps[1].Stats().DigestBytes != 50 {
+		t.Fatalf("digest bytes over budget: s0 divergent round %d (want 1141), s0 total %d (want 1192), s1 total %d (want 50)",
 			after.LastRoundDigestBytes, after.DigestBytes, p.reps[1].Stats().DigestBytes)
 	}
 
@@ -629,7 +657,8 @@ var pastRoster = wire.AppendUvarint(nil, vclock.MaxRoster+1)
 // TestUnknownSiteIndexRefused: a body whose row names its writer site, or a
 // site of its vector, by a roster index this process never enrolled fails
 // to decode with vclock.ErrUnknownSite, whichever message carries the row;
-// and a round whose reply carries one counts it in ApplyFailures.
+// a round whose reply carries one counts it in ApplyFailures, and so does
+// the replica a push carrying one is refused at.
 func TestUnknownSiteIndexRefused(t *testing.T) {
 	owner := wire.AppendVarString(nil, "u00001") // benchRow(1)'s owner; s000, entry 0, writes
 	writer := slices.Concat(owner, pastRoster, []byte{1, 1, 1})
@@ -670,5 +699,26 @@ func TestUnknownSiteIndexRefused(t *testing.T) {
 	if st := p.reps[0].Stats(); st.ApplyFailures != 1 || st.PeerFailures != 1 || p.spaces[0].Len() != 0 {
 		t.Fatalf("a reply naming a site past the roster: %d apply failures, %d peer failures, %d rows; want 1, 1, 0",
 			st.ApplyFailures, st.PeerFailures, p.spaces[0].Len())
+	}
+
+	// s0 hands a write off to s1 in a push whose row names s0 past s1's
+	// roster: s1 refuses the body before its handler runs, counts it, and
+	// answers s0 with an error, so s0 counts nothing pushed.
+	p = newTappedPair(t)
+	obj, err := p.spaces[0].Put("prinz", "doc", map[string]string{"title": "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at = vclock.AppendSite(bytes.Clone(owner), "s0")
+	p.rewrite = func(f *channel.Frame) {
+		if method, _ := f.Env.Header("method"); f.Env.Kind == "rpc.req" && method == MethodPush && bytes.Contains(f.Env.Body, at) {
+			f.Env.Body = bytes.Replace(f.Env.Body, at, slices.Concat(owner, pastRoster), 1)
+		}
+	}
+	p.reps[0].HandOff(p.reps[1].Addr(), obj)
+	p.clk.RunUntilIdle()
+	if st, pushed := p.reps[1].Stats(), p.reps[0].Stats().Pushed; st.ApplyFailures != 1 || p.spaces[1].Len() != 0 || pushed != 0 {
+		t.Fatalf("a push naming a site past the roster: %d apply failures and %d rows at the receiver, %d rows pushed; want 1, 0, 0",
+			st.ApplyFailures, p.spaces[1].Len(), pushed)
 	}
 }

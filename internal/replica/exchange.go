@@ -32,18 +32,23 @@ type merkleExchange struct {
 }
 
 // fail ends the exchange on err. A reply whose rows this process cannot
-// name — a site past its roster, a schema it never registered — is also a
-// failed apply.
+// name is also a failed apply (Refused).
 func (m *merkleExchange) fail(err error) {
-	unnamed := errors.Is(err, vclock.ErrUnknownSite) || errors.Is(err, information.ErrUnknownSchema)
-	m.r.bump(func(s *Stats) {
-		s.PeerFailures++
-		if unnamed {
-			s.ApplyFailures++
-		}
-	})
+	m.r.bump(func(s *Stats) { s.PeerFailures++ })
+	m.r.Refused(err)
 	m.st.failures++
 	m.next(m.st)
+}
+
+// Refused hears of a body carrying rows that failed to decode, with the
+// decoder's error: a replica.push this replica serves, a reply to its own
+// exchange, or a gossip.rumor or graft reply its overlay received. Rows
+// this process cannot name — a site past its roster, a schema it never
+// registered — are failed applies; any other error is not counted here.
+func (r *Replicator) Refused(err error) {
+	if errors.Is(err, vclock.ErrUnknownSite) || errors.Is(err, information.ErrUnknownSchema) {
+		r.bump(func(s *Stats) { s.ApplyFailures++ })
+	}
 }
 
 func (m *merkleExchange) finish() {
@@ -211,8 +216,10 @@ func (m *merkleExchange) descend(children []byte) {
 	tree := r.space.Tree()
 	var frontier []wire.TreeFrame
 	var kids [information.MerkleFanout]uint64
-	// The decoder refused any section that is not 8 + childRecordSize·n bytes.
-	for records := children[8:]; len(records) > 0; records = records[childRecordSize:] {
+	// The decoder refused any section that is not its uvarint count and
+	// childRecordSize·count bytes.
+	_, n := binary.Uvarint(children)
+	for records := children[n:]; len(records) > 0; records = records[childRecordSize:] {
 		level, index := wire.TreePathParts(binary.BigEndian.Uint64(records))
 		for j, local := range tree.AppendChildren(kids[:0], level, index) {
 			if local == binary.BigEndian.Uint64(records[8+8*j:]) {
@@ -296,7 +303,8 @@ func (m *merkleExchange) scopedSync() {
 // The digest-byte counters measure the digest sections of the bodies
 // exchanged: tree frames, children and marks sections as carried (len of
 // the encoding), and for id→version-vector digests and want-lists the
-// sizes below, which are what appendDigest and wire.AppendStrings write.
+// sizes below, which are what appendDigest and
+// information.AppendWireIDs write.
 // Data deltas and pushes are never digest bytes.
 
 func vvBytes(vv vclock.Version) int {
@@ -309,18 +317,18 @@ func vvBytes(vv vclock.Version) int {
 }
 
 func digestMapBytes(d map[string]vclock.Version) int {
-	n := 8
+	n := wire.UvarintLen(uint64(len(d)))
 	//lint:allow determinism commutative byte-sum; the total is identical under any iteration order
 	for id, vv := range d {
-		n += len(id) + 4 + vvBytes(vv)
+		n += information.WireIDLen(id) + vvBytes(vv)
 	}
 	return n
 }
 
 func wantBytes(want []string) int {
-	n := 8
+	n := wire.UvarintLen(uint64(len(want)))
 	for _, id := range want {
-		n += len(id) + 4
+		n += information.WireIDLen(id)
 	}
 	return n
 }

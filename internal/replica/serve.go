@@ -29,7 +29,7 @@ func (r *Replicator) register() {
 	r.ep.MustRegister(MethodDigest, rpc.Handle(func(from netsim.Address, req digestReq) (digestResp, error) {
 		return r.serveDigest(from, req)
 	}))
-	r.ep.MustRegister(MethodPush, rpc.Handle(func(_ netsim.Address, req pushReq) (pushResp, error) {
+	r.ep.MustRegister(MethodPush, rpc.HandleRefused(func(_ netsim.Address, _ wire.TraceContext, req pushReq) (pushResp, error) {
 		var resp pushResp
 		resp.Applied, resp.Conflicts = r.applyRows(req.Objects)
 		r.bump(func(s *Stats) { s.ServedApplied += int64(resp.Applied) })
@@ -42,7 +42,7 @@ func (r *Replicator) register() {
 			r.SyncSoon()
 		}
 		return resp, nil
-	}))
+	}, r.Refused))
 }
 
 // serveScopedSync answers a digest exchange narrowed to the caller's
@@ -129,7 +129,7 @@ func (r *Replicator) serveDigest(caller netsim.Address, req digestReq) (digestRe
 		}
 	}
 	if n := len(internal); n > 0 {
-		resp.Children = wire.AppendUint64(make([]byte, 0, 8+childRecordSize*n), uint64(n))
+		resp.Children = wire.AppendUvarint(make([]byte, 0, wire.UvarintLen(uint64(n))+childRecordSize*n), uint64(n))
 		var kids [information.MerkleFanout]uint64
 		for _, f := range internal {
 			level, index := wire.TreePathParts(f.Path)

@@ -96,10 +96,10 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 			}
 			continue
 		}
-		if ref := append(wire.AppendUint64(nil, uint64(parents)), records...); !bytes.Equal(resp.Children, ref) {
+		if ref := append(wire.AppendUvarint(nil, uint64(parents)), records...); !bytes.Equal(resp.Children, ref) {
 			t.Errorf("%s: served children section differs from the reference\n got %x\nwant %x", tc.name, resp.Children, ref)
 		}
-		if len(resp.Children) != cap(resp.Children) || len(resp.Children) != 8+childRecordSize*parents {
+		if len(resp.Children) != cap(resp.Children) || len(resp.Children) != wire.UvarintLen(uint64(parents))+childRecordSize*parents {
 			t.Errorf("%s: reply buffer holds %d bytes in a %d-byte allocation", tc.name, len(resp.Children), cap(resp.Children))
 		}
 		body, _ := resp.AppendBinary(nil)
@@ -114,7 +114,7 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 }
 
 // TestBadChildrenSectionIsRefused: a reply whose children section is not
-// 8 + 136·n bytes for its count n is refused by the decoder, so descend
+// its uvarint count n and 136·n bytes is refused by the decoder, so descend
 // — which reads the section in place — never sees it.
 func TestBadChildrenSectionIsRefused(t *testing.T) {
 	good := childrenSection(wire.PackTreePath(0, 0), wire.PackTreePath(1, 5))

@@ -700,9 +700,24 @@ func HandleCtx[Req any, Resp encoding.BinaryAppender, PReq interface {
 	*Req
 	encoding.BinaryUnmarshaler
 }](f func(from netsim.Address, tc wire.TraceContext, req Req) (Resp, error)) Handler {
+	return HandleRefused[Req, Resp, PReq](f, nil)
+}
+
+// HandleRefused is HandleCtx for handlers that count the bodies they could
+// not read: refused, unless nil, hears of each request whose body the
+// decoder refused, with the decoder's error, before that error answers
+// the caller or, for an announcement, is dropped — the handler that would
+// count it never runs.
+func HandleRefused[Req any, Resp encoding.BinaryAppender, PReq interface {
+	*Req
+	encoding.BinaryUnmarshaler
+}](f func(from netsim.Address, tc wire.TraceContext, req Req) (Resp, error), refused func(error)) Handler {
 	return func(r Request) ([]byte, error) {
 		var req Req
 		if err := PReq(&req).UnmarshalBinary(r.Body); err != nil {
+			if refused != nil {
+				refused(err)
+			}
 			return nil, err
 		}
 		resp, err := f(r.From, r.Trace, req)

@@ -64,6 +64,32 @@ func TestRemoteError(t *testing.T) {
 	}
 }
 
+// TestHandleRefusedHearsRefusedBodies: a HandleRefused handler's refused
+// hears of each body the decoder refused, with the decoder's error, and
+// the caller still gets that error — but not of an error the handler
+// itself returns, nor of a body it read.
+func TestHandleRefusedHearsRefusedBodies(t *testing.T) {
+	f := newFixture(t)
+	var heard []error
+	f.b.MustRegister("strict", HandleRefused(func(netsim.Address, wire.TraceContext, wire.Empty) (wire.Empty, error) {
+		return wire.Empty{}, errors.New("handler says no")
+	}, func(err error) { heard = append(heard, err) }))
+	var refused, failed Result
+	f.a.Go("b", "strict", []byte{1}, func(r Result) { refused = r })
+	f.a.Go("b", "strict", nil, func(r Result) { failed = r })
+	f.clk.RunUntilIdle()
+	var remote *RemoteError
+	if len(heard) != 1 || !errors.Is(heard[0], wire.ErrBadBody) {
+		t.Fatalf("heard %v, want the one decoder error", heard)
+	}
+	if !errors.As(refused.Err, &remote) || remote.Msg != heard[0].Error() {
+		t.Fatalf("the refused call answered %v, want the decoder's error %q", refused.Err, heard[0])
+	}
+	if !errors.As(failed.Err, &remote) || remote.Msg != "handler says no" {
+		t.Fatalf("the failing call answered %v, want the handler's error", failed.Err)
+	}
+}
+
 func TestNoSuchMethod(t *testing.T) {
 	f := newFixture(t)
 	var got Result

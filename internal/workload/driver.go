@@ -86,6 +86,8 @@ type Harness struct {
 	start  time.Time // traffic-phase start (simulated)
 	cursor time.Duration
 	seq    int64 // per-run op counter, used to vary payloads deterministically
+
+	setupBytes int64 // every service's bytes out at start (Report.SetupBytes)
 }
 
 // Run executes the scenario and returns its report.
@@ -142,6 +144,9 @@ func run(spec Spec) (*Report, *Harness, error) {
 	}
 
 	h.start = h.clock.Now()
+	for _, prefix := range servicePrefixes {
+		h.setupBytes += h.dep.Fabric().TotalsFor(prefix).BytesOut
+	}
 	h.scheduleFaults()
 	h.armNextArrival()
 	h.clock.Advance(h.spec.Duration)

@@ -45,6 +45,10 @@ type Report struct {
 
 	Classes  map[string]*ClassStats  `json:"classes"`
 	Services map[string]ServiceStats `json:"services"`
+	// SetupBytes is every service's bytes out at the instant traffic
+	// starts: building the deployment and seeding it to convergence. The
+	// run phase's bytes are the Services' BytesOut, summed, less it.
+	SetupBytes int64 `json:"setupBytes"`
 
 	Converged     bool   `json:"converged"`
 	Objects       int    `json:"objects"`
@@ -75,6 +79,7 @@ func (h *Harness) report(converged bool) *Report {
 		SimDuration: h.clock.Now().Sub(h.start),
 		Classes:     h.stats,
 		Services:    make(map[string]ServiceStats),
+		SetupBytes:  h.setupBytes,
 		Converged:   converged,
 		PendingMail: len(h.pendingMail),
 		FaultLog:    h.faultLog,
@@ -169,8 +174,8 @@ func (r *Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload: %d sites, %d users, %v traffic (%s topology), seed %d\n",
 		r.Spec.Sites, r.Spec.Users, r.Spec.Duration, r.Spec.Topology, r.Spec.Seed)
-	fmt.Fprintf(&b, "converged=%v objects=%d merkle=%s pendingWrites=%d pendingMail=%d\n",
-		r.Converged, r.Objects, r.MerkleRoot, r.PendingWrites, r.PendingMail)
+	fmt.Fprintf(&b, "converged=%v objects=%d merkle=%s pendingWrites=%d pendingMail=%d setupBytes=%d\n",
+		r.Converged, r.Objects, r.MerkleRoot, r.PendingWrites, r.PendingMail, r.SetupBytes)
 	for _, c := range Classes {
 		st := r.Classes[c]
 		if st == nil || st.Issued == 0 {

@@ -47,10 +47,18 @@ func TestWorkloadSmoke(t *testing.T) {
 		}
 	}
 	// Throughput slicing must see the planes the traffic exercised.
+	var total int64
 	for _, svc := range []string{"mta", "repl", "load", "user", "mcu"} {
 		if rep.Services[svc].FramesOut == 0 {
 			t.Errorf("service %s: no frames recorded", svc)
 		}
+	}
+	for _, s := range rep.Services {
+		total += s.BytesOut
+	}
+	// Seeding sends bytes before traffic starts, and traffic sends more.
+	if rep.SetupBytes <= 0 || rep.SetupBytes >= total {
+		t.Errorf("setup bytes %d of %d bytes out, want some but not all", rep.SetupBytes, total)
 	}
 }
 

@@ -137,9 +137,10 @@ func runGossipScale(tb testing.TB, n int, overlay, withCut bool) scaleResult {
 // sites its total sync+gossip bytes are ≤ ⅐ of the full-mesh baseline and
 // its busiest site's channel count ≤ 25% at equal convergence, and overlay
 // cost grows sublinearly in n from 64→256 while the mesh grows
-// quadratically. The overlay reads 2.29 MB against the mesh's 16.34 MB
-// (14.0%, the limit 2.33 MB); with rows, vectors and high-water names in
-// fixed-width fields it read 2.78 MB against 19.62 MB (14.2%). The burst
+// quadratically. The overlay reads 1.59 MB against the mesh's 11.88 MB
+// (13.4%, the limit 1.70 MB: a 6.5% margin); with rows, vectors and
+// high-water names in fixed-width fields it read 2.78 MB against 19.62 MB
+// (14.2%). The burst
 // is a broadcast tree's worst case: five writes at once on a cold tree,
 // where every link is still eager, so each write floods its row and the
 // crossing floods prune links a graft restores.
