@@ -9,7 +9,7 @@ import (
 // durabilityPackages are the packages where a swallowed error is silent
 // row loss: the WAL/segment machinery (logstore), the wire codec every
 // frame passes through, the information store that sits on both, and the
-// replication plane that applies, pushes and evicts its rows.
+// replication plane that applies and pushes its rows.
 var durabilityPackages = map[string]bool{
 	"logstore":    true,
 	"wire":        true,

@@ -349,7 +349,7 @@ func (e *Environment) newSiteSpace(site string, backend information.Backend) *in
 // dispatching one builds no string.
 var infoKinds = map[string]string{
 	"put": "info.put", "update": "info.update", "share": "info.share",
-	"evict": "info.evict", "conflict": "info.conflict", "apply": "info.apply",
+	"conflict": "info.conflict", "apply": "info.apply",
 }
 
 // dispatchInfo feeds one information event of the named site's replica

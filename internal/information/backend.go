@@ -16,8 +16,8 @@ import "mocca/internal/vclock"
 // only as long as the process) and logstore.Store (a disk-backed tiered
 // log-structured store — memtable over sorted segment files — whose
 // replica survives a site crash). The contract on rows is one rule: a
-// stored row never changes, it is only replaced. Get, Snapshot and Remove
-// return deep copies the caller may keep and edit. Peek, Range, the Exec
+// stored row never changes, it is only replaced, and never removed. Get
+// returns a deep copy the caller may keep and edit. Peek, Range, the Exec
 // callback's argument and Exec's result lend the stored row — the
 // in-memory Store's, or logstore's while the row is in its memtable; a
 // row logstore holds only in a segment is decoded from disk for the call:
@@ -26,7 +26,7 @@ import "mocca/internal/vclock"
 //
 // A tiered backend need not hold all rows in memory. The interface is
 // written so it never has to materialise more than the caller asked
-// for: Range and Snapshot stream rows one at a time (a disk-backed
+// for: Range streams rows one at a time (a disk-backed
 // implementation may merge memtable and segment cursors under the
 // hood), Get/Exec are point lookups, and only Digest is inherently
 // O(rows) — it summarises every version vector. Sync rounds do not
@@ -46,12 +46,6 @@ type Backend interface {
 	// returns the row to store in its place; returning nil stores nothing.
 	// The result is the row now stored, read-only.
 	Exec(id string, fn func(cur *Object) (*Object, error)) (*Object, error)
-	// Snapshot returns copies of every row matching pred (nil pred = all).
-	Snapshot(pred func(*Object) bool) []*Object
-	// Remove deletes the row for id, returning a copy of the removed row.
-	// A missing id is not an error: (nil, nil). Space.Drop, the local
-	// eviction of one row, is its caller.
-	Remove(id string) (*Object, error)
 	// Range calls fn for every stored row under the backend's read
 	// exclusion, in unspecified order, stopping early when fn returns
 	// false. fn may receive the stored row (in-memory Store) or a

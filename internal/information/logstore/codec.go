@@ -15,16 +15,19 @@ import (
 // its present form holds rows in an older one under record types of their
 // own — format 1 (format1.go: recExecV1 in the WAL, recSegMetaV1 heading a
 // segment's metadata) or format 2 (format2.go: recExecV2, recSegMetaV2) —
-// which Open reads and nothing writes.
+// which Open reads and nothing writes. A store written while a row could
+// still be removed may also hold a removal in its WAL and tombstones in its
+// segments (headed by recSegMetaV3 when the rows are in the current codec):
+// Open folds them away (legacy.go), and nothing else reads or writes them.
 const (
 	recExecV1     byte = 1 // format 1: full post-state of one Exec mutation
 	recRetired    byte = 2 // retired: a relationship edge; see ErrRetiredRecord
 	recSnapHeader byte = 3 // manifest file header (historically: snapshot)
-	recRemove     byte = 4 // eviction of one row (Space.Drop)
+	recRemove     byte = 4 // legacy: the removal of one row
 
 	// Segment-file records (see segment.go for the file layout).
 	recSegRow    byte = 5  // one object row in a segment's data region
-	recSegTomb   byte = 6  // one tombstone in a segment's data region
+	recSegTomb   byte = 6  // legacy: one tombstone in a segment's data region
 	recSegMetaV1 byte = 7  // format 1: segment metadata header
 	recSegIdx    byte = 8  // a chunk of the sparse key index
 	recSegBloom  byte = 9  // a chunk of the bloom filter bits
@@ -36,8 +39,9 @@ const (
 	recExecV2    byte = 12 // format 2: full post-state of one Exec mutation
 	recSegMetaV2 byte = 13 // format 2: segment metadata header
 
-	recExec    byte = 14 // full post-state of one Exec mutation
-	recSegMeta byte = 15 // segment metadata header (count, seq + key ranges, schema ids)
+	recExec      byte = 14 // full post-state of one Exec mutation
+	recSegMetaV3 byte = 15 // legacy: metadata header of a segment that may hold tombstones
+	recSegMeta   byte = 16 // segment metadata header (count, seq + key ranges, schema ids)
 )
 
 // ErrCorrupt reports a record whose framing was intact but whose payload
@@ -54,8 +58,8 @@ var ErrRetiredRecord = errors.New("logstore: store holds relationship edges, a r
 type walRecord struct {
 	typ byte
 	seq uint64
-	obj *information.Object // recExec, recExecV2, recExecV1
-	id  string              // recRemove
+	obj *information.Object // a row; nil for a legacy removal
+	id  string              // a legacy removal's row id
 }
 
 // appendWALPayload encodes a WAL record payload (unframed).
@@ -94,12 +98,8 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		}
 	case recRetired:
 		return rec, fmt.Errorf("record %d: %w", rec.seq, ErrRetiredRecord)
-	case recRemove:
-		if rec.id, _, err = wire.ConsumeString(payload); err != nil {
-			return rec, fmt.Errorf("%w: remove: %v", ErrCorrupt, err)
-		}
 	default:
-		return rec, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, rec.typ)
+		return decodeRemoval(rec, payload)
 	}
 	return rec, nil
 }

@@ -12,8 +12,8 @@ import (
 // This file is the tiering machinery: memtable flushes, the merged
 // cross-tier iterator, and level compaction.
 //
-// Flush (synchronous, under the store mutex): the memtable's rows and
-// tombstones stream into one new level-0 segment, the manifest is
+// Flush (synchronous, under the store mutex): the memtable's rows stream
+// into one new level-0 segment, the manifest is
 // rewritten to cover the entire WAL, the WAL truncates to zero, and the
 // memtable empties. Cost is O(memtable), regardless of how much data the
 // older segments hold — the win over the pre-tiered full-store snapshot.
@@ -26,8 +26,7 @@ import (
 //   - merging a whole level preserves that disjointness (the inputs are
 //     contiguous in sequence space);
 //   - a superseded row version is dropped as soon as a newer segment
-//     version merges past it; a tombstone is dropped only when nothing
-//     older than the merge inputs remains to mask.
+//     version merges past it.
 // Write amplification is O(log_fanout n) per row, against the O(n) of the
 // old design's every-4096-records full rewrite.
 
@@ -59,17 +58,6 @@ func (s *Store) compactLocked(mergeAll bool) error {
 // leaves the previous manifest + full WAL standing — a complete state.
 func (s *Store) flushLocked() error {
 	entries := s.mem.entries()
-	if len(s.segs) == 0 {
-		// No older tier to mask: tombstones have nothing to suppress.
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.obj != nil {
-				kept = append(kept, e)
-			}
-		}
-		entries = kept
-	}
-
 	var newSeg *segment
 	newSegs := s.segs
 	if len(entries) > 0 {
@@ -165,7 +153,7 @@ func (c *mergeCursor) advance() error {
 
 // merge streams srcs — sorted sources, ordered newest first — as one sorted
 // run: emit is called once per id with the entry of the newest source that
-// holds it, row or tombstone, and every older holder is superseded and
+// holds it, and every older holder is superseded and
 // passed over without being decoded. The entry is valid until emit
 // returns; emit ends the merge early by returning false. It is the one
 // merge loop of the store: scans and compaction differ only in what they
@@ -205,11 +193,11 @@ func merge(srcs []*mergeCursor, emit func(e *flushEntry) (more bool, err error))
 }
 
 // iterate streams the merged live view — memtable over segments, newest
-// first — in sorted id order, calling fn once per live row; tombstones and
-// superseded versions are filtered out. What fn gets is the entry, not a
-// row: a memtable entry lends the stored row (callers that keep it must
-// clone), a segment entry is raw bytes until fn decodes what it needs of
-// them. This is how Range, Digest and Snapshot see one coherent store
+// first — in sorted id order, calling fn once per row; superseded
+// versions are filtered out. What fn gets is the entry, not a row: a
+// memtable entry lends the stored row (callers that keep it must clone), a
+// segment entry is raw bytes until fn decodes what it needs of them. This
+// is how Range and Digest see one coherent store
 // without materialising it: memory cost is one record per source.
 func (s *Store) iterate(fn func(e *flushEntry) (more bool, err error)) error {
 	// Memtable snapshot BEFORE pinning segments: a flush between the two
@@ -233,12 +221,7 @@ func (s *Store) iterate(fn func(e *flushEntry) (more bool, err error)) error {
 	for _, g := range segs {
 		srcs = append(srcs, &mergeCursor{next: g.iter().next})
 	}
-	return merge(srcs, func(e *flushEntry) (bool, error) {
-		if e.tomb() {
-			return true, nil
-		}
-		return fn(e)
-	})
+	return merge(srcs, fn)
 }
 
 // --- level compaction -----------------------------------------------------
@@ -282,10 +265,8 @@ func (s *Store) mergerLoop() {
 }
 
 // pickMergeLocked finds the lowest level holding at least fanout
-// segments. Caller holds s.mu. dropTombs is true when nothing older than
-// the inputs exists (no higher level), so tombstones have nothing left
-// to mask.
-func (s *Store) pickMergeLocked() (inputs []*segment, level int, dropTombs bool) {
+// segments. Caller holds s.mu.
+func (s *Store) pickMergeLocked() (inputs []*segment, level int) {
 	byLevel := map[int][]*segment{}
 	maxLevel := 0
 	for _, g := range s.segs {
@@ -296,10 +277,10 @@ func (s *Store) pickMergeLocked() (inputs []*segment, level int, dropTombs bool)
 	}
 	for l := 0; l <= maxLevel; l++ {
 		if len(byLevel[l]) >= s.fanout {
-			return byLevel[l], l, l == maxLevel
+			return byLevel[l], l
 		}
 	}
-	return nil, 0, false
+	return nil, 0
 }
 
 // mergeOnce performs one level merge if any level is over-full,
@@ -311,7 +292,7 @@ func (s *Store) mergeOnce() bool {
 		s.mu.Unlock()
 		return false
 	}
-	inputs, level, dropTombs := s.pickMergeLocked()
+	inputs, level := s.pickMergeLocked()
 	var outID uint64
 	if inputs != nil {
 		outID = s.nextSegID
@@ -321,7 +302,7 @@ func (s *Store) mergeOnce() bool {
 	if inputs == nil {
 		return false
 	}
-	if err := s.mergeSegments(inputs, outID, level+1, dropTombs); err != nil {
+	if err := s.mergeSegments(inputs, outID, level+1); err != nil {
 		s.mu.Lock()
 		s.stats.CompactionFailures++
 		s.mu.Unlock()
@@ -348,7 +329,7 @@ func (s *Store) mergeAllLocked() error {
 	outID := s.nextSegID
 	s.nextSegID++
 	s.mu.Unlock()
-	err := s.mergeSegments(inputs, outID, maxLevel+1, true)
+	err := s.mergeSegments(inputs, outID, maxLevel+1)
 	s.mu.Lock()
 	if err != nil {
 		s.stats.CompactionFailures++
@@ -361,7 +342,7 @@ func (s *Store) mergeAllLocked() error {
 // segment at outLevel, installs it in the manifest, and drops the inputs.
 // Inputs are immutable, so the merge body runs without the store mutex;
 // only the install step takes it.
-func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dropTombs bool) error {
+func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int) error {
 	expect := 0
 	seqLo, seqHi := inputs[0].seqLo, inputs[0].seqHi
 	for _, g := range inputs {
@@ -387,12 +368,7 @@ func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dro
 	}
 	// A winning row is written as the record it was read as; nothing is
 	// decoded on this path.
-	err = merge(srcs, func(e *flushEntry) (bool, error) {
-		if e.tomb() && dropTombs {
-			return true, nil
-		}
-		return true, w.add(*e)
-	})
+	err = merge(srcs, func(e *flushEntry) (bool, error) { return true, w.add(*e) })
 	if err != nil {
 		w.abort()
 		return err
@@ -403,8 +379,7 @@ func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dro
 	}
 
 	// Install: replace the inputs with the output in the live list and
-	// the manifest. An empty output (everything superseded or tombstoned
-	// away) installs nothing.
+	// the manifest.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -417,16 +392,13 @@ func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dro
 	for _, g := range inputs {
 		inSet[g] = true
 	}
-	var newSegs []*segment
+	newSegs := []*segment{out}
 	for _, g := range s.segs {
 		if !inSet[g] {
 			newSegs = append(newSegs, g)
 		}
 	}
-	if out.count > 0 {
-		newSegs = append(newSegs, out)
-		sort.Slice(newSegs, func(i, j int) bool { return newSegs[i].seqHi > newSegs[j].seqHi })
-	}
+	sort.Slice(newSegs, func(i, j int) bool { return newSegs[i].seqHi > newSegs[j].seqHi })
 	if err := s.writeManifestLocked(newSegs); err != nil {
 		s.mu.Unlock()
 		out.closeFile()
@@ -438,11 +410,6 @@ func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dro
 	s.stats.Compactions++
 	s.stats.Merges++
 	s.mu.Unlock()
-	if out.count == 0 {
-		out.closeFile()
-		//lint:allow errdrop best-effort cleanup of an empty merge output that was never installed; a leftover file is garbage, not data loss
-		os.Remove(out.path)
-	}
 	for _, g := range inputs {
 		g.drop()
 	}
@@ -450,20 +417,17 @@ func (s *Store) mergeSegments(inputs []*segment, outID uint64, outLevel int, dro
 }
 
 // segLookup probes the segments newest-first for id, maintaining the
-// probe counters. ok distinguishes a live row from absence (including a
-// tombstone masking older versions). A probe that fails (pread error,
-// corrupt chunk) aborts the scan: treating it as a miss and falling
-// through would let an older segment answer with a stale version, or
-// report a tombstoned row as absent so a caller recreates it with a
-// fresh version vector.
-func (s *Store) segLookup(id string) (*information.Object, bool, error) {
+// probe counters; nil means no segment holds it. A probe that fails (pread error, corrupt chunk) aborts
+// the scan: treating it as a miss and falling through would let an older
+// segment answer with a stale version.
+func (s *Store) segLookup(id string) (*information.Object, error) {
 	segs := s.acquireSegs()
 	defer releaseSegs(segs)
 	for _, g := range segs {
 		obj, probe, err := g.get(id)
 		if err != nil {
 			s.readFailures.Add(1)
-			return nil, false, fmt.Errorf("logstore: segment %s: read %q: %w", filepath.Base(g.path), id, err)
+			return nil, fmt.Errorf("logstore: segment %s: read %q: %w", filepath.Base(g.path), id, err)
 		}
 		switch probe {
 		case probeSkipRange:
@@ -475,27 +439,21 @@ func (s *Store) segLookup(id string) (*information.Object, bool, error) {
 			s.bloomFalse.Add(1)
 		case probeRow:
 			s.segProbes.Add(1)
-			return obj, true, nil
-		case probeTomb:
-			s.segProbes.Add(1)
-			return nil, false, nil
+			return obj, nil
 		}
 	}
-	return nil, false, nil
+	return nil, nil
 }
 
-// lookup resolves id across every tier: memtable first (rows and
-// tombstones both answer authoritatively), then segments newest-first.
-// fromMem rows alias live memtable state.
-func (s *Store) lookup(id string) (obj *information.Object, live, fromMem bool, err error) {
-	if obj, tomb, found := s.mem.get(id); found {
-		if tomb {
-			return nil, false, false, nil
-		}
-		return obj, true, true, nil
+// lookup resolves id across every tier: memtable first, then segments
+// newest-first; nil means no tier holds it. fromMem rows alias live
+// memtable state.
+func (s *Store) lookup(id string) (obj *information.Object, fromMem bool, err error) {
+	if obj, found := s.mem.get(id); found {
+		return obj, true, nil
 	}
-	obj, ok, err := s.segLookup(id)
-	return obj, ok, false, err
+	obj, err = s.segLookup(id)
+	return obj, false, err
 }
 
 // hasAny reports whether id is live in any tier — WAL replay's question,
@@ -504,6 +462,6 @@ func (s *Store) lookup(id string) (obj *information.Object, live, fromMem bool, 
 // on the next recovery.
 func (s *Store) hasAny(id string) bool {
 	//lint:allow errdrop a failed probe reads as absent by design (see doc comment); the error is already counted in Stats.ReadFailures by lookup
-	_, live, _, _ := s.lookup(id)
-	return live
+	obj, _, _ := s.lookup(id)
+	return obj != nil
 }

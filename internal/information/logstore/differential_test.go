@@ -74,14 +74,6 @@ func (s *script) id() string {
 	return diffIDs[s.next(len(diffIDs))]
 }
 
-// mutation is one entry of the history the reference is rebuilt from when a
-// torn tail makes the durable store forget its last logged record.
-type mutation struct {
-	kind byte // 'x' Exec stored row, 'r' Remove
-	row  *information.Object
-	id   string
-}
-
 // lentRows remembers every row a backend lent and what it encoded to at
 // that moment.
 type lentRows map[*information.Object][]byte
@@ -113,7 +105,7 @@ type differ struct {
 	quiesce func()                     // stops the readers of the open store
 	st      *Store
 	ref     *information.Store
-	history []mutation
+	history []*information.Object // every row stored, in order: the reference's rebuild after a torn tail
 	lentSt  lentRows
 	lentRef lentRows
 	stamp   int
@@ -240,24 +232,8 @@ func (d *differ) execWith(id string, outcome int, site string, fields map[string
 	d.lentSt.note(gotSt)
 	d.lentRef.note(gotRef)
 	if gotRef != nil {
-		d.history = append(d.history, mutation{kind: 'x', id: id, row: gotRef})
+		d.history = append(d.history, gotRef)
 	}
-}
-
-func (d *differ) remove(s *script) {
-	id := s.id()
-	d.what = fmt.Sprintf("Remove %q", id)
-	gotSt, errSt := d.st.Remove(id)
-	gotRef, errRef := d.ref.Remove(id)
-	if errSt != nil || errRef != nil {
-		d.fatalf("logstore err %v, reference err %v", errSt, errRef)
-	}
-	d.sameRow("removed row", gotSt, gotRef)
-	if gotRef != nil {
-		d.history = append(d.history, mutation{kind: 'r', id: id})
-	}
-	scribble(gotSt)
-	scribble(gotRef)
 }
 
 func (d *differ) pointRead(s *script) {
@@ -327,26 +303,9 @@ func (d *differ) sameRows(what string, got, want []*information.Object) {
 	}
 }
 
-func sortedSnapshot(b information.Backend, pred func(*information.Object) bool) []*information.Object {
-	out := b.Snapshot(pred)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func (d *differ) snapshotWhere(s *script) {
-	site := diffSites[s.next(len(diffSites))]
-	d.what = fmt.Sprintf("Snapshot where Site == %q", site)
-	pred := func(o *information.Object) bool { return o.Site == site }
-	got, want := sortedSnapshot(d.st, pred), sortedSnapshot(d.ref, pred)
-	d.sameRows("Snapshot", got, want)
-	for i := range got {
-		scribble(got[i])
-		scribble(want[i])
-	}
-}
-
 // agree is the comparison made after every step: Len, Digest, the id-sorted
-// Snapshot, and no counted read failure. What the calls return is the caller's, so it is scribbled on.
+// Range, and no counted read failure. The digests are the caller's, so
+// they are scribbled on; the rows are lent, so they are noted.
 func (d *differ) agree() {
 	d.t.Helper()
 	if got, want := d.st.Len(), d.ref.Len(); got != want {
@@ -364,12 +323,7 @@ func (d *differ) agree() {
 		got[id] = gv.Tick("scribble")
 		want[id] = vv.Tick("scribble")
 	}
-	gotRows, wantRows := sortedSnapshot(d.st, nil), sortedSnapshot(d.ref, nil)
-	d.sameRows("Snapshot", gotRows, wantRows)
-	for i := range gotRows {
-		scribble(gotRows[i])
-		scribble(wantRows[i])
-	}
+	d.sameRows("Range", rangeRows(d.st, d.lentSt, -1), rangeRows(d.ref, d.lentRef, -1))
 	if st := d.st.Stats(); st.IterationFailures+st.SegmentReadFailures+st.CompactionFailures != 0 {
 		d.fatalf("store counted failures: %+v", st)
 	}
@@ -404,7 +358,7 @@ func (d *differ) reopen() {
 
 // mergeDue runs the level merges the background merger would: every level
 // holding at least the fanout, lowest first, until none does. Upper levels
-// stay in place, so tombstones and superseded versions meet them later.
+// stay in place, so superseded versions meet them later.
 func (d *differ) mergeDue() {
 	d.what = "merge of the over-full levels"
 	d.st.mergeMu.Lock()
@@ -442,15 +396,8 @@ func (d *differ) tornReopen(s *script) {
 	}
 	d.history = d.history[:len(d.history)-1]
 	d.ref = information.NewStore()
-	for _, m := range d.history {
-		var err error
-		switch m.kind {
-		case 'x':
-			_, err = d.ref.Exec(m.id, func(*information.Object) (*information.Object, error) { return m.row, nil })
-		case 'r':
-			_, err = d.ref.Remove(m.id)
-		}
-		if err != nil {
+	for _, row := range d.history {
+		if _, err := d.ref.Exec(row.ID, func(*information.Object) (*information.Object, error) { return row, nil }); err != nil {
 			d.fatalf("rebuilding the reference: %v", err)
 		}
 	}
@@ -470,16 +417,12 @@ func runStoreScript(t *testing.T, data []byte, bgMerge bool, reader func(*Store)
 	s := &script{b: data}
 	for d.step = 0; d.step == 0 || !s.done(); d.step++ {
 		switch op := s.next(32); {
-		case op < 14:
-			d.exec(s)
 		case op < 17:
-			d.remove(s)
+			d.exec(s)
 		case op < 24:
 			d.pointRead(s)
-		case op < 26:
-			d.ranges(s)
 		case op < 27:
-			d.snapshotWhere(s)
+			d.ranges(s)
 		case op < 28:
 			d.what = "Compact"
 			if err := d.st.Compact(); err != nil {

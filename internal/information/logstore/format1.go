@@ -2,8 +2,6 @@ package logstore
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"mocca/internal/information"
@@ -20,11 +18,11 @@ import (
 // id, uint32-prefixed.
 //
 // Nothing writes format 1, and only Open reads it, in two places: WAL
-// replay decodes a recExecV1 record into the memtable, and
-// upgradeSegments rewrites each segment headed by recSegMetaV1 in the
-// current format before anything else reads it. So no probe, scan, merge
-// or compaction ever sees a format-1 byte. Format 2 (format2.go) is read
-// the same way.
+// replay decodes a recExecV1 record into the memtable, and the fold
+// (legacy.go) rewrites every segment of a store that holds one headed by
+// recSegMetaV1 in the current format before anything else reads it. So no
+// probe, scan, merge or compaction ever sees a format-1 byte. Format 2
+// (format2.go) is read the same way.
 
 // decodeObjectV1 decodes one format-1 row, returning it and the remaining
 // bytes. Like information.DecodeObject it checks each count against the
@@ -89,95 +87,4 @@ func (b *oldReader) count(minSize uint64) uint64 {
 		return 0
 	}
 	return n
-}
-
-// upgradeSegments rewrites every format-1 and format-2 segment in the
-// current format, one for one — the same level, sequence range, rows and
-// tombstones under a new id — and installs the rewritten list with one
-// manifest swap, so a crash leaves the old list or the new one, each
-// complete, and the files of the other as orphans the next Open removes.
-// Open runs it after the WAL has been read, which may refuse the store
-// untouched, and before anything reads a segment's rows.
-func (s *Store) upgradeSegments() (err error) {
-	segs := append([]*segment(nil), s.segs...)
-	var old, written []*segment
-	defer func() {
-		if err != nil {
-			for _, g := range written {
-				g.closeFile()
-				//lint:allow errdrop best-effort cleanup of a rewritten segment no manifest references; a leftover file is an orphan the next Open removes
-				os.Remove(g.path)
-			}
-		}
-	}()
-	for i, g := range segs {
-		if g.format == 0 {
-			continue
-		}
-		id := s.nextSegID
-		s.nextSegID++
-		w, err := newSegWriter(filepath.Join(s.dir, segName(id)), id, g.level, g.seqLo, g.seqHi, g.count)
-		if err != nil {
-			return fmt.Errorf("logstore: upgrade %s: %w", filepath.Base(g.path), err)
-		}
-		if err := g.rewriteOld(w); err != nil {
-			w.abort()
-			return fmt.Errorf("logstore: upgrade %s: %w", filepath.Base(g.path), err)
-		}
-		if segs[i], err = w.finish(); err != nil {
-			return fmt.Errorf("logstore: upgrade %s: %w", filepath.Base(g.path), err)
-		}
-		written = append(written, segs[i])
-		// Its rows may now name schemas by id that no row of the store
-		// named before.
-		if err := s.defineLocked(segs[i].schemas...); err != nil {
-			return fmt.Errorf("logstore: upgrade %s: %w", filepath.Base(g.path), err)
-		}
-		old = append(old, g)
-	}
-	if len(old) == 0 {
-		return nil
-	}
-	if err := s.writeManifestLocked(segs); err != nil {
-		return fmt.Errorf("logstore: upgrade: %w", err)
-	}
-	s.segs = segs
-	for _, g := range old {
-		g.drop()
-	}
-	s.stats.UpgradedSegments += len(old)
-	return nil
-}
-
-// rewriteOld streams the format-1 or format-2 segment's data region into
-// w, decoding each row and each tombstone's id with its format's reader.
-func (g *segment) rewriteOld(w *segWriter) error {
-	decode, tomb := decodeObjectV1, wire.ConsumeString
-	if g.format == 2 {
-		decode, tomb = decodeObjectV2, wire.ConsumeVarString
-	}
-	it := g.iter()
-	for {
-		payload, ok, err := it.record()
-		if !ok || err != nil {
-			return err
-		}
-		var e flushEntry
-		switch payload[0] {
-		case recSegRow:
-			if e.obj, _, err = decode(payload[1:]); err != nil {
-				return fmt.Errorf("%w: format-%d row: %v", ErrCorrupt, g.format, err)
-			}
-			e.id = e.obj.ID
-		case recSegTomb:
-			if e.id, _, err = tomb(payload[1:]); err != nil {
-				return fmt.Errorf("%w: format-%d tombstone: %v", ErrCorrupt, g.format, err)
-			}
-		default:
-			return ErrCorrupt
-		}
-		if err := w.add(e); err != nil {
-			return err
-		}
-	}
 }

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"maps"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -212,196 +210,4 @@ func FuzzFormat1DecodeMatchesReference(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkV1MatchesReference(t, data) })
-}
-
-// parentReference is what a store an earlier build wrote holds, read from
-// its files with that format's row reader and nothing of Open: the
-// segment's rows, then the WAL's records in order.
-func parentReference(t *testing.T, dir string, decodeRow func([]byte) (*information.Object, []byte, error), execType byte) *information.Store {
-	t.Helper()
-	ref := information.NewStore()
-	store := func(o *information.Object) {
-		if _, err := ref.Exec(o.ID, func(*information.Object) (*information.Object, error) { return o, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seg, err := os.ReadFile(filepath.Join(dir, "seg-00000001.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rest := seg; len(rest) > 0; {
-		payload, next, err := wire.NextRecord(rest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest = next
-		if payload[0] != recSegRow {
-			if payload[0] == recSegTomb {
-				t.Fatal("the parent's segment holds a tombstone")
-			}
-			continue // the meta region
-		}
-		o, _, err := decodeRow(payload[1:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		store(o)
-	}
-	wal, err := os.ReadFile(filepath.Join(dir, walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rest := wal; len(rest) > 0; {
-		payload, next, err := wire.NextRecord(rest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest = next
-		rec, err := decodeWALRecord(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch rec.typ {
-		case execType:
-			store(rec.obj)
-		case recRemove:
-			if _, err := ref.Remove(rec.id); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			t.Fatalf("the parent's WAL holds a record of type %d", rec.typ)
-		}
-	}
-	return ref
-}
-
-// TestParentStoreTakesNewFormat opens the store an earlier build wrote in
-// format 1 (testdata/parent-store-rows: a segment, and a WAL tail holding
-// an overwrite, a new row and a removal), then overwrites and adds rows,
-// flushes, merges, compacts and reopens it. After every step every Get,
-// Range and Digest equals an information.Store given the same history.
-func TestParentStoreTakesNewFormat(t *testing.T) {
-	checkParentStore(t, "parent-store-rows", decodeObjectV1, recExecV1, -1)
-}
-
-// TestParentStoreV2TakesNewFormat is the same for the store the build
-// before rows named their schema by id wrote in format 2
-// (testdata/parent-store-v2: six rows in a segment, five on the
-// interchange schema and one with a key "doc" does not declare, then an
-// overwrite, a new row and a removal in the WAL). Its segment is rewritten
-// with rows in the compact form where they can take it.
-func TestParentStoreV2TakesNewFormat(t *testing.T) {
-	checkParentStore(t, "parent-store-v2", decodeObjectV2, recExecV2, 5)
-}
-
-// checkParentStore opens a copy of the fixture and holds it to the
-// reference through a history of writes; when wantCompact is not -1, the
-// rewritten segment must hold that many rows in the compact form.
-func checkParentStore(t *testing.T, fixture string, decodeRow func([]byte) (*information.Object, []byte, error), execType byte, wantCompact int) {
-	d := &differ{
-		t: t, dir: t.TempDir(),
-		opts:   []Option{WithCompactEvery(0), WithMergeFanout(2), WithBackgroundMerge(false)},
-		lentSt: lentRows{}, lentRef: lentRows{},
-	}
-	if err := os.CopyFS(d.dir, os.DirFS(filepath.Join("testdata", fixture))); err != nil {
-		t.Fatal(err)
-	}
-	d.ref = parentReference(t, d.dir, decodeRow, execType)
-	ids := []string{"obj-000", "obj-001", "obj-002", "obj-003", "obj-004", "obj-005", "obj-006", "new-0", "new-1", "zz", ""}
-	check := func(step string) {
-		t.Helper()
-		d.step++
-		d.what = step
-		d.agree()
-		d.sameRows("Range", rangeRows(d.st, d.lentSt, -1), rangeRows(d.ref, d.lentRef, -1))
-		for _, id := range ids {
-			got, okSt := d.st.Get(id)
-			want, okRef := d.ref.Get(id)
-			if okSt != okRef {
-				d.fatalf("Get(%q): logstore %v, reference %v", id, okSt, okRef)
-			}
-			d.sameRow("Get "+id, got, want)
-		}
-		d.st.segMu.RLock()
-		defer d.st.segMu.RUnlock()
-		for _, g := range d.st.segs {
-			if g.format != 0 {
-				d.fatalf("segment %s is still in format %d", filepath.Base(g.path), g.format)
-			}
-		}
-	}
-
-	d.open()
-	defer func() { d.close() }()
-	if s := d.st.Stats(); s.UpgradedSegments != 1 || s.Segments != 1 || s.ReplayedRecords != 3 || s.RecoveredObjects != 6 {
-		t.Fatalf("recovery stats: %+v", s)
-	}
-	if _, err := os.Stat(filepath.Join(d.dir, "seg-00000001.seg")); !os.IsNotExist(err) {
-		t.Fatalf("the format-1 segment outlived its rewrite: %v", err)
-	}
-	if got := compactRows(t, d.st); wantCompact >= 0 && got != wantCompact {
-		t.Fatalf("the rewritten segment holds %d compact rows, want %d", got, wantCompact)
-	}
-	check("Open")
-	d.execWith("obj-001", 2, "upc", map[string]string{"title": "row 1, in the WAL's row, revised"}, 0)
-	d.execWith("obj-003", 2, "gmd", map[string]string{"title": "row 3, in the segment's row, revised"}, 0)
-	d.execWith("new-0", 2, "nott", map[string]string{"title": "new"}, 17)
-	check("overwrite and add")
-	flush(t, d.st)
-	check("flush")
-	if _, err := d.st.Remove("obj-004"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ref.Remove("obj-004"); err != nil {
-		t.Fatal(err)
-	}
-	d.execWith("new-1", 2, "gmd", nil, 0)
-	d.execWith("obj-005", 2, "gmd", map[string]string{"title": "row 5, revised"}, 0)
-	check("remove, add and overwrite")
-	flush(t, d.st)
-	check("second flush")
-	d.mergeDue()
-	check("merge")
-	d.execWith("obj-006", 2, "upc", map[string]string{"title": "row 6, revised"}, 0)
-	if err := d.st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("compact")
-	d.reopen()
-	if s := d.st.Stats(); s.UpgradedSegments != 0 {
-		t.Fatalf("reopen rewrote %d segments", s.UpgradedSegments)
-	}
-	check("reopen")
-	d.lentSt.check(t, "logstore")
-	d.lentRef.check(t, "information.Store")
-}
-
-// compactRows counts the rows of the store's segments that name their
-// schema by id.
-func compactRows(t *testing.T, st *Store) int {
-	t.Helper()
-	st.segMu.RLock()
-	defer st.segMu.RUnlock()
-	n := 0
-	for _, g := range st.segs {
-		it := g.iter()
-		for {
-			e, ok, err := it.next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			if e.rec == nil {
-				continue
-			}
-			if _, compact, err := information.ObjectSchemaID(e.rec[1:]); err != nil {
-				t.Fatal(err)
-			} else if compact {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -3,17 +3,17 @@
 // crash. It is a tiered, log-structured store:
 //
 //   - wal.log — an append-only write-ahead log. Every Exec that stores a
-//     row and every Remove appends one CRC-framed record (wire.AppendRecord)
+//     row appends one CRC-framed record (wire.AppendRecord)
 //     carrying a monotonic sequence number and the full post-state of the
 //     mutation — object rows round-trip with their version vectors and
 //     writer-site metadata intact, so a recovered replica re-enters
 //     anti-entropy with correct digests.
-//   - memtable — the rows and tombstones written since the last flush.
+//   - memtable — the rows written since the last flush.
 //     Reads consult it first.
 //   - seg-*.seg — sorted, immutable segment files. When the memtable
 //     grows past the flush threshold it streams into a new level-0
 //     segment; a background compactor merges over-full levels into the
-//     next level, dropping superseded row versions and removed rows.
+//     next level, dropping superseded row versions.
 //     Each segment carries a bloom filter and key-range metadata, so a
 //     point read touches at most the one or two segments that can hold
 //     the id and a miss is usually answered without touching disk at all.
@@ -32,7 +32,10 @@
 // store written before rows became compact holds them in format 1
 // (format1.go), and one written before rows named their schema by id in
 // format 2 (format2.go): replay reads their WAL records, and Open rewrites
-// their segments in the current format before anything reads them.
+// their segments in the current format before anything reads them. A row
+// is never removed; a store written while one could be holds removals in
+// its WAL and tombstones in its segments, and Open folds those away too
+// (legacy.go), so nothing past Open meets either.
 // A torn or corrupt record ends the replay: everything before it is
 // intact (the CRC guarantees it), the garbage suffix is truncated away,
 // and the store resumes appending from the last good record — the
@@ -46,19 +49,19 @@
 // only replaced: a put swaps the memtable's pointer, a flush drops the map,
 // nothing edits a row. So memtable rows are lent as stored (Peek, Range,
 // the Exec callback's argument, Exec's result), segment rows are decoded
-// for the call that asked, and Get, Snapshot and Remove return copies.
+// for the call that asked, and Get returns a copy.
 // Segment reads decode what their caller needs and no more: the cross-tier
 // merge compares ids over raw records (each still CRC-checked and walked
-// end to end) and decodes only the winner of an id — whole for Range and
-// Snapshot, its vector alone for Digest, not at all for compaction, which
+// end to end) and decodes only the winner of an id — whole for Range, its
+// vector alone for Digest, not at all for compaction, which
 // copies the record's bytes. A point read compares the ids of the rows it
 // passes over where they lie in its chunk, reading each as far as its id,
 // and decodes the one it returns. Records are read through a scratch buffer
 // that holds their header too, and readers pin the copy-on-write segment
 // list as it stands, so a scan allocates per row only what it hands out.
 //
-// The two mutations — Exec and Remove — follow one rule, under the store's
-// own mutex: validate, log, apply. Nothing is appended that the store would
+// The one mutation, Exec, follows one rule, under the store's own mutex:
+// validate, log, apply. Nothing is appended that the store would
 // refuse, and nothing is applied that is not on the log, so a write that
 // cannot be made durable changes nothing, in memory or on disk, and the
 // WAL's record order always equals the in-memory commit order.
@@ -76,7 +79,6 @@ import (
 	"mocca/internal/information"
 	"mocca/internal/observe"
 	"mocca/internal/vclock"
-	"mocca/internal/wire"
 )
 
 // On-disk file names within a store directory. snapshot.snap holds the
@@ -126,13 +128,13 @@ type Stats struct {
 	KeyRangeFiltered    int64
 
 	// SegmentReadFailures counts point reads aborted by a segment I/O or
-	// decode error. Exec/Remove surface the error to the caller; Get's
+	// decode error. Exec surfaces the error to the caller; Get's
 	// signature has no error slot, so this counter is where those
 	// failures become visible.
 	SegmentReadFailures int64
 
-	// IterationFailures counts merged-view scans (Range, Snapshot,
-	// Digest) cut short by a segment I/O or decode error.
+	// IterationFailures counts merged-view scans (Range, Digest) cut
+	// short by a segment I/O or decode error.
 	// Those Backend signatures have no error slot either — the caller
 	// sees a truncated view, so the failure must at least be visible
 	// here (a silently partial digest would ship an incomplete
@@ -141,7 +143,7 @@ type Stats struct {
 	IterationFailures int64
 
 	RecoveredObjects int   // rows live after Open (manifest + replay)
-	UpgradedSegments int   // format-1 segments Open rewrote in the current format
+	UpgradedSegments int   // segments an earlier build wrote that Open folded into the current format
 	ReplayedRecords  int   // WAL records applied by Open
 	SkippedRecords   int   // WAL records the manifest already covered
 	DiscardedBytes   int64 // corrupt/torn WAL suffix truncated by Open
@@ -310,10 +312,11 @@ func Open(dir string, opts ...Option) (*Store, error) {
 }
 
 // recover learns the schema file's definitions, loads the manifest and its
-// segments' metadata, reads the WAL, rewrites any format-1 or format-2
-// segment, and replays the WAL tail — in that order, so the rows the store
-// names by schema id decode, a store the WAL refuses is left as it was
-// found, and replay's probes read segments in the current format only.
+// segments' metadata, reads the WAL, and then either folds a store an
+// earlier build wrote into the current format, WAL tail and all, or
+// replays the WAL tail — in that order, so the rows the store names by
+// schema id decode, a store the WAL refuses is left as it was found, and
+// replay's probes read segments in the current format only.
 func (s *Store) recover() error {
 	good, size, err := s.readSchemas()
 	if err != nil {
@@ -332,8 +335,8 @@ func (s *Store) recover() error {
 		}
 	}
 	s.schemasSize = good
-	if err := s.upgradeSegments(); err != nil {
-		return err
+	if s.mustFold(tail) {
+		return s.fold(tail)
 	}
 	s.live.Store(int64(s.liveCovered))
 	return s.replayWAL(tail)
@@ -424,7 +427,7 @@ func (s *Store) Exec(id string, fn func(cur *information.Object) (*information.O
 	if err = s.writableLocked(); err != nil {
 		return nil, err
 	}
-	cur, live, _, err := s.lookup(id)
+	cur, _, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +447,7 @@ func (s *Store) Exec(id string, fn func(cur *information.Object) (*information.O
 		return nil, err
 	}
 	s.mem.put(next)
-	if !live {
+	if cur == nil {
 		s.live.Add(1)
 	}
 	s.compactIfDueLocked()
@@ -475,41 +478,6 @@ func (s *Store) writableLocked() error {
 		return ErrReadOnly
 	}
 	return nil
-}
-
-// Remove deletes the row for id, logging the eviction so recovery replays
-// it — Space.Drop on a durable replica. When an older
-// version of the row may still sit in a segment, the memtable records a
-// tombstone to mask it until compaction drops both. A missing id is a
-// no-op and logs nothing.
-func (s *Store) Remove(id string) (*information.Object, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		return nil, err
-	}
-	cur, live, fromMem, err := s.lookup(id)
-	if err != nil || !live {
-		return nil, err
-	}
-	if fromMem {
-		cur = cur.Clone()
-	}
-	if err := s.appendLocked(wire.AppendString(s.recordLocked(recRemove), id)); err != nil {
-		return nil, err
-	}
-	s.mem.kill(id, s.tombNeededLocked())
-	s.live.Add(-1)
-	s.compactIfDueLocked()
-	return cur, nil
-}
-
-// tombNeededLocked reports whether a removal must leave a tombstone: only
-// when segments exist that could hold an older version of the row.
-func (s *Store) tombNeededLocked() bool {
-	s.segMu.RLock()
-	defer s.segMu.RUnlock()
-	return len(s.segs) > 0
 }
 
 // compactIfDueLocked runs an automatic memtable flush. A flush failure is
@@ -548,8 +516,8 @@ func (s *Store) Len() int { return int(s.live.Load()) }
 // absent without falling through to older segments; it is counted in
 // Stats.SegmentReadFailures (the Backend signature has no error slot).
 func (s *Store) Get(id string) (*information.Object, bool) {
-	obj, live, fromMem, err := s.lookup(id)
-	if err != nil || !live {
+	obj, fromMem, err := s.lookup(id)
+	if err != nil || obj == nil {
 		return nil, false
 	}
 	if fromMem {
@@ -562,8 +530,8 @@ func (s *Store) Get(id string) (*information.Object, bool) {
 // never edited, only replaced), a segment row is decoded for the call.
 // Failures read as absent and are counted, as in Get.
 func (s *Store) Peek(id string) (*information.Object, bool) {
-	obj, live, _, err := s.lookup(id)
-	return obj, err == nil && live
+	obj, _, err := s.lookup(id)
+	return obj, err == nil && obj != nil
 }
 
 // noteIterFailure records a merged-view scan cut short by a segment
@@ -573,25 +541,6 @@ func (s *Store) noteIterFailure(err error) {
 	if err != nil {
 		s.iterFailures.Add(1)
 	}
-}
-
-// Snapshot returns copies of every row matching pred (nil pred = all).
-func (s *Store) Snapshot(pred func(*information.Object) bool) []*information.Object {
-	var out []*information.Object
-	s.noteIterFailure(s.iterate(func(e *flushEntry) (bool, error) {
-		obj, err := e.row()
-		if err != nil {
-			return false, err
-		}
-		if pred == nil || pred(obj) {
-			if e.obj != nil { // the memtable's own row; the result is the caller's
-				obj = obj.Clone()
-			}
-			out = append(out, obj)
-		}
-		return true, nil
-	}))
-	return out
 }
 
 // Range streams the merged live view — memtable over segments — in

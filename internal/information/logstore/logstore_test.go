@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,6 +64,17 @@ func seedStore(t testing.TB, st *Store, n int, seed int64) []string {
 	return ids
 }
 
+// rows returns a copy of every row of b, sorted by id.
+func rows(b information.Backend) []*information.Object {
+	var out []*information.Object
+	b.Range(func(o *information.Object) bool {
+		out = append(out, o.Clone())
+		return true
+	})
+	slices.SortFunc(out, func(a, b *information.Object) int { return strings.Compare(a.ID, b.ID) })
+	return out
+}
+
 // digestBinary renders a digest as canonical per-object bytes, for
 // byte-for-byte comparison of version vectors across recovery.
 func digestBinary(b information.Backend) map[string][]byte {
@@ -92,7 +104,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := seedStore(t, st, 25, 1992)
-	before := st.Snapshot(nil)
+	before := rows(st)
 	beforeDigest := digestBinary(st)
 
 	re := reopen(t, st)
@@ -100,19 +112,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if re.Len() != len(ids) {
 		t.Fatalf("recovered %d objects, want %d", re.Len(), len(ids))
 	}
-	after := re.Snapshot(nil)
-	sortObjs := func(objs []*information.Object) {
-		for i := range objs {
-			for j := i + 1; j < len(objs); j++ {
-				if objs[j].ID < objs[i].ID {
-					objs[i], objs[j] = objs[j], objs[i]
-				}
-			}
-		}
-	}
-	sortObjs(before)
-	sortObjs(after)
-	if !reflect.DeepEqual(before, after) {
+	if after := rows(re); !reflect.DeepEqual(before, after) {
 		t.Fatal("recovered rows differ from pre-crash rows")
 	}
 	// Version vectors byte-for-byte.
@@ -367,9 +367,6 @@ func TestClosedStoreRejectsMutations(t *testing.T) {
 	}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Exec after Close = %v, want ErrClosed", err)
 	}
-	if _, err := st.Remove("a"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Remove after Close = %v, want ErrClosed", err)
-	}
 	// Reads keep serving from memory.
 	if _, ok := st.Get("a"); !ok {
 		t.Fatal("read after Close failed")
@@ -429,10 +426,9 @@ func TestVersionOtherThanSumRefused(t *testing.T) {
 	}
 }
 
-// A WAL append failure must fail the mutation — Exec and Remove alike —
-// without committing it to memory: a row served from memory but absent
-// from the log would vanish on recovery while peers replicated it, and an
-// eviction applied but not logged would come undone.
+// A WAL append failure must fail the mutation without committing it to
+// memory: a row served from memory but absent from the log would vanish on
+// recovery while peers replicated it.
 func TestAppendFailureDoesNotCommitToMemory(t *testing.T) {
 	view := func(st *Store) string {
 		var b strings.Builder
@@ -452,10 +448,6 @@ func TestAppendFailureDoesNotCommitToMemory(t *testing.T) {
 				return &information.Object{ID: "doomed", Schema: "doc", Owner: "ada",
 					VV: vclock.NewVersion("gmd"), Version: 1, Site: "gmd", Created: t0, Updated: t1}, nil
 			})
-			return err
-		},
-		"remove": func(st *Store) error {
-			_, err := st.Remove("b")
 			return err
 		},
 	}
@@ -665,51 +657,6 @@ func TestOpenRefusesStoreWithEdges(t *testing.T) {
 			}
 			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
 				t.Fatal("the refused store's files changed")
-			}
-		})
-	}
-}
-
-// TestRemoveDurable: an evicted row stays gone across recovery, and the
-// rows beside it stay as they were, whether or not a snapshot intervenes.
-func TestRemoveDurable(t *testing.T) {
-	for _, snapshot := range []bool{false, true} {
-		t.Run(fmt.Sprintf("snapshot=%v", snapshot), func(t *testing.T) {
-			st, err := Open(t.TempDir(), WithCompactEvery(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids := seedStore(t, st, 8, 42)
-			want := digestBinary(st)
-			delete(want, ids[3])
-			removed, err := st.Remove(ids[3])
-			if err != nil || removed == nil || removed.ID != ids[3] {
-				t.Fatalf("remove = %v, %v", removed, err)
-			}
-			if again, err := st.Remove(ids[3]); err != nil || again != nil {
-				t.Fatalf("second remove = %v, %v", again, err)
-			}
-			if st.Len() != 7 {
-				t.Fatalf("len = %d", st.Len())
-			}
-			if got := digestBinary(st); !reflect.DeepEqual(got, want) {
-				t.Fatalf("remove touched other rows: %v, want %v", got, want)
-			}
-			if snapshot {
-				if err := st.Compact(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			re := reopen(t, st)
-			defer re.Close()
-			if re.Len() != 7 {
-				t.Fatalf("recovered len = %d", re.Len())
-			}
-			if _, ok := re.Get(ids[3]); ok {
-				t.Fatal("removed row resurrected by recovery")
-			}
-			if got := digestBinary(re); !reflect.DeepEqual(got, want) {
-				t.Fatalf("recovered rows %v, want %v", got, want)
 			}
 		})
 	}

@@ -21,9 +21,8 @@ import (
 // (wire.AppendRecord, the same framing as the WAL, so torn writes and bit
 // rot are detected the same way):
 //
-//	data region:   recSegRow / recSegTomb records, sorted by id: a row in
-//	               the one row codec, a tombstone as its id alone in the
-//	               uvarint-prefixed form a row starts with
+//	data region:   recSegRow records, sorted by id: a row in the one row
+//	               codec
 //	meta region:   recSegMeta (count, seq range, key range, index stride,
 //	               the content ids of the schemas its compact rows name)
 //	               recSegIdx chunks  (sparse key index: every indexEvery-th
@@ -32,8 +31,10 @@ import (
 //	footer:        recSegFoot, a fixed-size record whose payload is the
 //	               meta region's byte offset
 //
-// A segment written in format 1 (format1.go) or format 2 (format2.go) has
-// recSegMetaV1 or recSegMetaV2 for its metadata header; Open rewrites it
+// A segment an earlier build wrote has recSegMetaV1, recSegMetaV2 or
+// recSegMetaV3 for its metadata header — rows in format 1 (format1.go),
+// format 2 (format2.go), or the current codec beside the tombstones of
+// removed rows — and Open folds it into the current format (legacy.go)
 // before anything reads its rows. Open refuses a segment whose metadata
 // names a schema id that neither this process nor the store's schema file
 // (schemas.go) defines, so a row that could not be decoded is never
@@ -69,7 +70,7 @@ type segment struct {
 	level   int
 	path    string
 	f       *os.File
-	count   int    // data records (rows + tombstones)
+	count   int    // data records
 	seqLo   uint64 // WAL sequence range the segment's rows came from
 	seqHi   uint64
 	minKey  string
@@ -77,7 +78,7 @@ type segment struct {
 	bloom   *bloomFilter
 	index   []segIndexEntry
 	metaOff int64    // end of the data region
-	format  int      // 1 or 2: rows in that older format, for upgradeSegments alone to read; 0: current
+	format  int      // 1, 2 or 3: an earlier build's segment, for the fold alone to read (legacy.go); 0: current
 	schemas []uint32 // the schema ids its compact rows name, ascending
 
 	// Lifecycle: compaction drops a segment while readers may still hold
@@ -185,27 +186,21 @@ func (w *segWriter) add(e flushEntry) error {
 	seg.bloom.add(e.id)
 	seg.count++
 	w.lastKey = e.id
-	switch {
-	case e.rec != nil:
+	if e.rec != nil {
 		// A row read from a segment moves as the bytes it was read as: the
 		// row codec is canonical, so decoding and re-encoding would write
 		// the same record.
 		w.payload = append(w.payload[:0], e.rec...)
-	case e.obj != nil:
+	} else {
 		w.payload = append(w.payload[:0], recSegRow)
 		w.payload = information.AppendObject(w.payload, e.obj)
-	default:
-		w.payload = append(w.payload[:0], recSegTomb)
-		w.payload = wire.AppendVarString(w.payload, e.id)
 	}
-	if w.payload[0] == recSegRow {
-		id, compact, err := information.ObjectSchemaID(w.payload[1:])
-		if err != nil {
-			return err
-		}
-		if compact {
-			w.schemas[id] = true
-		}
+	id, compact, err := information.ObjectSchemaID(w.payload[1:])
+	if err != nil {
+		return err
+	}
+	if compact {
+		w.schemas[id] = true
 	}
 	return w.emit()
 }
@@ -350,12 +345,14 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 		}
 		p := payload[1:]
 		switch payload[0] {
-		case recSegMeta, recSegMetaV2, recSegMetaV1:
+		case recSegMeta, recSegMetaV3, recSegMetaV2, recSegMetaV1:
 			switch payload[0] {
 			case recSegMetaV1:
 				seg.format = 1
 			case recSegMetaV2:
 				seg.format = 2
+			case recSegMetaV3:
+				seg.format = 3
 			}
 			var segID, count, indexEvery uint64
 			if segID, p, err = wire.ConsumeUint64(p); err != nil {
@@ -386,7 +383,7 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 				return fail(err)
 			}
 			seg.count = int(count)
-			if payload[0] == recSegMeta {
+			if payload[0] == recSegMeta || payload[0] == recSegMetaV3 {
 				if seg.schemas, err = readSchemaIDs(p); err != nil {
 					return fail(err)
 				}
@@ -461,7 +458,6 @@ const (
 	probeSkipBloom                 // bloom filter proved the id absent
 	probeMiss                      // disk touched, id not there (false positive)
 	probeRow                       // row found
-	probeTomb                      // tombstone found
 )
 
 // chunkBufs recycles the index-chunk buffers of point reads.
@@ -505,11 +501,10 @@ func (g *segment) get(id string) (*information.Object, segProbe, error) {
 			return nil, probeMiss, err
 		}
 		rest = next
-		if len(payload) < 1 || (payload[0] != recSegRow && payload[0] != recSegTomb) {
+		if len(payload) < 1 || payload[0] != recSegRow {
 			return nil, probeMiss, ErrCorrupt
 		}
-		// A row passed over is read as far as its id and no further; a
-		// tombstone is its id in the same form.
+		// A row passed over is read as far as its id and no further.
 		rowID, err := information.ObjectID(payload[1:])
 		if err != nil {
 			return nil, probeMiss, err
@@ -518,8 +513,6 @@ func (g *segment) get(id string) (*information.Object, segProbe, error) {
 		case string(rowID) < id: // passed over
 		case string(rowID) > id:
 			return nil, probeMiss, nil
-		case payload[0] == recSegTomb:
-			return nil, probeTomb, nil
 		default:
 			obj, _, err := information.DecodeObject(payload[1:])
 			if err != nil {
@@ -541,7 +534,7 @@ func (g *segment) iter() *segIter {
 	}
 }
 
-// segIter yields flushEntry values: rows as raw records, tombstones bare.
+// segIter yields flushEntry values: rows as raw records.
 type segIter struct {
 	r       *bufio.Reader
 	remain  int
@@ -560,22 +553,21 @@ func (it *segIter) next() (flushEntry, bool, error) {
 	if !ok || err != nil {
 		return flushEntry{}, false, err
 	}
-	switch payload[0] {
-	case recSegRow:
-		id, vv, _, err := information.ScanObject(payload[1:])
-		if err != nil {
-			return flushEntry{}, false, err
-		}
-		return flushEntry{id: string(id), rec: payload, vv: vv}, true, nil
-	case recSegTomb:
-		id, _, err := wire.ConsumeVarString(payload[1:])
-		if err != nil {
-			return flushEntry{}, false, err
-		}
-		return flushEntry{id: id}, true, nil
-	default:
-		return flushEntry{}, false, ErrCorrupt
+	e, err := rowEntry(payload)
+	return e, err == nil, err
+}
+
+// rowEntry reads a data record in the current format as the entry of its
+// row, walking the row end to end; any other record is corrupt.
+func rowEntry(payload []byte) (flushEntry, error) {
+	if payload[0] != recSegRow {
+		return flushEntry{}, ErrCorrupt
 	}
+	id, vv, _, err := information.ScanObject(payload[1:])
+	if err != nil {
+		return flushEntry{}, err
+	}
+	return flushEntry{id: string(id), rec: payload, vv: vv}, nil
 }
 
 // record reads the next record of the data region, a non-empty payload

@@ -25,7 +25,7 @@ func TestFlushEvictsMemtable(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		put(t, st, fmt.Sprintf("row-%03d", i), vclock.NewVersion("gmd"), "gmd", nil)
 	}
-	if got := st.mem.pending(); got != 5 {
+	if got := len(st.mem.entries()); got != 5 {
 		t.Fatalf("memtable holds %d rows after flushes, want the 5 unflushed", got)
 	}
 	stats := st.Stats()
@@ -62,7 +62,7 @@ func TestBloomFiltersKeepMissesInMemory(t *testing.T) {
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if st.mem.pending() != 0 {
+	if len(st.mem.entries()) != 0 {
 		t.Fatalf("memtable not empty after Compact")
 	}
 
@@ -167,58 +167,6 @@ func TestSupersededVersionDroppedOnMerge(t *testing.T) {
 	obj, ok := st.Get("doc")
 	if !ok || obj.Fields["rev"] != "2" {
 		t.Fatalf("merged row = %+v, want rev 2", obj)
-	}
-}
-
-// TestTombstoneMasksSegmentRow: removing a row whose only copy lives in a
-// segment must hide it immediately, across a flush, and across recovery.
-func TestTombstoneMasksSegmentRow(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, WithCompactEvery(0), WithBackgroundMerge(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	put(t, st, "keep", vclock.NewVersion("gmd"), "gmd", nil)
-	put(t, st, "gone", vclock.NewVersion("gmd"), "gmd", nil)
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := st.Remove("gone")
-	if err != nil || removed == nil {
-		t.Fatalf("Remove = %v, %v", removed, err)
-	}
-	if _, ok := st.Get("gone"); ok {
-		t.Fatalf("removed row still visible over its segment copy")
-	}
-	if st.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", st.Len())
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recovery replays the recRemove over the manifest state.
-	st2, err := Open(dir, WithCompactEvery(0), WithBackgroundMerge(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if _, ok := st2.Get("gone"); ok {
-		t.Fatalf("removed row resurrected by recovery")
-	}
-	if st2.Len() != 1 {
-		t.Fatalf("recovered Len = %d, want 1", st2.Len())
-	}
-	// Merging everything (tombstone + masked row are the whole store)
-	// drops both for good.
-	if err := st2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st2.Get("gone"); ok {
-		t.Fatalf("removed row resurrected by compaction")
-	}
-	if st2.Len() != 1 {
-		t.Fatalf("Len after merge = %d, want 1", st2.Len())
 	}
 }
 
@@ -340,7 +288,7 @@ func TestRecoveryIsMetadataBound(t *testing.T) {
 // TestTruncatedSegmentSurfacesCorrupt: a segment file cut exactly at a
 // record boundary (external truncation / bit rot) must end iteration with
 // ErrCorrupt — a clean end would silently drop the missing rows from
-// Range/Digest/Snapshot and from compaction output.
+// Range/Digest and from compaction output.
 func TestTruncatedSegmentSurfacesCorrupt(t *testing.T) {
 	st, err := Open(t.TempDir(), WithCompactEvery(0), WithBackgroundMerge(false))
 	if err != nil {
@@ -387,7 +335,7 @@ func TestTruncatedSegmentSurfacesCorrupt(t *testing.T) {
 }
 
 // TestSegmentReadErrorAbortsLookup: bit rot in a segment's data region
-// must abort the newest-first scan and surface as an Exec/Remove error —
+// must abort the newest-first scan and surface as an Exec error —
 // not decode as a miss that hands Exec a nil row (which would recreate it
 // with a fresh version vector) or fall through to an older segment.
 func TestSegmentReadErrorAbortsLookup(t *testing.T) {
@@ -422,9 +370,6 @@ func TestSegmentReadErrorAbortsLookup(t *testing.T) {
 		return nil, nil
 	}); err == nil {
 		t.Fatal("Exec over a corrupt segment chunk succeeded")
-	}
-	if _, err := st.Remove("row-000"); err == nil {
-		t.Fatal("Remove over a corrupt segment chunk succeeded")
 	}
 	if _, ok := st.Get("row-000"); ok {
 		t.Fatal("Get returned a row decoded from a corrupt chunk")

@@ -154,7 +154,8 @@ func (s *Store) readWAL() (walTail, error) {
 	return tail, nil
 }
 
-// replayWAL applies the WAL tail over the manifest state. Records the
+// replayWAL applies the WAL tail, rows alone, over the manifest state (a
+// tail holding a removal was folded instead; see legacy.go). Records the
 // manifest already covers (seq <= snapSeq) are skipped; the torn suffix
 // past the intact prefix is truncated so future appends extend a clean
 // log.
@@ -167,20 +168,10 @@ func (s *Store) replayWAL(tail walTail) error {
 			s.stats.SkippedRecords++
 			continue
 		}
-		switch rec.typ {
-		case recExec, recExecV2, recExecV1:
-			existed := s.hasAny(rec.obj.ID)
-			s.mem.put(rec.obj)
-			if !existed {
-				s.live.Add(1)
-			}
-		case recRemove:
-			// Removing an absent row is a no-op, which makes replay
-			// idempotent over manifest-covered evictions.
-			if s.hasAny(rec.id) {
-				s.mem.kill(rec.id, len(s.segs) > 0)
-				s.live.Add(-1)
-			}
+		existed := s.hasAny(rec.obj.ID)
+		s.mem.put(rec.obj)
+		if !existed {
+			s.live.Add(1)
 		}
 		s.stats.ReplayedRecords++
 	}

@@ -107,7 +107,7 @@ func (a hwItem) compare(b hwItem) int {
 // binary search plus a bounded move whatever the counter distribution.
 type siteIndex struct {
 	name   string
-	top    uint64 // monotone: survives the removal of the entry that set it
+	top    uint64 // the highest counter an entry has recorded: a Space's entries only merge, so one still does
 	chunks [][]hwItem
 }
 
@@ -291,39 +291,13 @@ func (t *DigestTree) Update(id string, vv vclock.Version) {
 }
 
 // unfileLocked takes id out of the index of every site where vector old
-// filed it and vector vv (nil on removal) will not.
+// filed it and vector vv will not.
 func (t *DigestTree) unfileLocked(id string, old, vv vclock.Version) {
 	for s, c := range old {
 		if c > 0 && vv[s] != c {
 			t.sites[s].remove(hwItem{c, id})
 		}
 	}
-}
-
-// Remove drops the object's entry (a no-op for unknown ids). High-water
-// marks are deliberately monotone and survive removals: the sync fast
-// path reads them as a bound the root hash then verifies, and a Space
-// numbers its next write past its own site's mark, so a counter it
-// issued is not issued again while the tree lives.
-func (t *DigestTree) Remove(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := MerkleBucket(id)
-	leaf := t.buckets[b]
-	i, ok := findEntry(leaf, id)
-	if !ok {
-		return
-	}
-	cur := leaf[i]
-	if len(leaf) == 1 {
-		t.buckets[b] = nil
-	} else {
-		t.buckets[b] = slices.Delete(leaf, i, i+1)
-	}
-	t.count--
-	t.levels[MerkleDepth][b] ^= cur.hash
-	t.unfileLocked(cur.id, cur.vv, nil)
-	t.recomputePathLocked(b)
 }
 
 // Root returns the root hash — equal roots mean (up to hash collision)
@@ -431,7 +405,7 @@ func (t *DigestTree) DotID(site string, counter uint64) (id string, ok bool) {
 // verifies with a root compare afterwards.
 //
 // A site whose own mark the given one reaches has no such row (the mark
-// bounds every entry's counter, also after removals) and is skipped
+// bounds every entry's counter) and is skipped
 // without a look at its entries; the others are read from the top of
 // their index down to the given mark.
 func (t *DigestTree) NewerThanHW(hw map[string]uint64) []string {

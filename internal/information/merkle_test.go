@@ -34,7 +34,7 @@ func TestDigestTreeIncrementalMatchesRebuild(t *testing.T) {
 		tree.Update(id, vv)
 		state[id] = vv.Clone()
 	}
-	// Mutate some, remove some.
+	// Mutate some, and merge a third site into others.
 	for i := 0; i < 500; i += 7 {
 		id := fmt.Sprintf("info-%04d", i)
 		vv := state[id].Clone().Tick("s1")
@@ -43,8 +43,9 @@ func TestDigestTreeIncrementalMatchesRebuild(t *testing.T) {
 	}
 	for i := 0; i < 500; i += 13 {
 		id := fmt.Sprintf("info-%04d", i)
-		tree.Remove(id)
-		delete(state, id)
+		vv := state[id].Merge(vclock.Version{"s2": uint64(i%5 + 1)})
+		tree.Update(id, vv)
+		state[id] = vv
 	}
 	if got, want := tree.Count(), len(state); got != want {
 		t.Fatalf("count = %d, want %d", got, want)
@@ -90,9 +91,8 @@ func TestDigestTreeEmptyTreesAgree(t *testing.T) {
 	}
 	tr := NewDigestTree()
 	tr.Update("a", vclock.Version{"s0": 1})
-	tr.Remove("a")
-	if tr.Root() != NewDigestTree().Root() {
-		t.Fatal("emptied tree differs from fresh tree")
+	if tr.Root() == NewDigestTree().Root() {
+		t.Fatal("a tree holding a row agrees with an empty one")
 	}
 }
 
@@ -150,19 +150,14 @@ func TestDigestTreeHighWater(t *testing.T) {
 		t.Fatalf("NewerThanHW(own hw) = %v, want none", got)
 	}
 
-	// Marks are monotone: removing the only entry that holds a site's top
-	// counter leaves them where they were, so they may under-promise — a
-	// peer one below that top is owed nothing the tree still has.
-	tr.Remove("b")
-	if got := tr.HighWater(); !reflect.DeepEqual(got, hw) {
-		t.Fatalf("hw after Remove = %v, want %v unchanged", got, hw)
+	// The marks are the maxima of what the tree holds: an entry's vector
+	// only merges, so its counters never fall.
+	tr.Update("b", vclock.Version{"s0": 4, "s1": 5})
+	if got := tr.HighWater(); got["s0"] != 4 || got["s1"] != 5 {
+		t.Fatalf("hw after a merge = %v, want s0:4 s1:5", got)
 	}
-	if got := tr.NewerThanHW(map[string]uint64{"s0": 3, "s1": 4}); got != nil {
-		t.Fatalf("NewerThanHW below a removed top = %v, want none", got)
-	}
-	// The mark still answers for the entries that remain.
-	if got := tr.NewerThanHW(map[string]uint64{"s0": 2, "s1": 4}); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("NewerThanHW = %v, want [a]", got)
+	if got := tr.NewerThanHW(map[string]uint64{"s0": 3, "s1": 5}); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Fatalf("NewerThanHW = %v, want [b]", got)
 	}
 }
 
@@ -342,10 +337,17 @@ func TestMarksSection(t *testing.T) {
 	}
 }
 
+// TestNewerThanHWMatchesScan drives a tree through fresh rows, dominating,
+// dominated, concurrent and merged vectors, with a reader beside it, and
+// holds every answer to a scan of the entries. A history whose vectors only
+// merge, as a Space's do, leaves marks that are exactly the maxima of what
+// the tree holds; a concurrent vector that replaces an entry may leave a
+// mark above them, never below.
 func TestNewerThanHWMatchesScan(t *testing.T) {
 	sites := []string{"s0", "s1", "s2", "s3"}
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		mergeOnly := seed > 3
 		tree := NewDigestTree()
 		model := make(map[string]vclock.Version) // what the tree must hold
 
@@ -370,7 +372,8 @@ func TestNewerThanHWMatchesScan(t *testing.T) {
 		}()
 
 		// 400 ids, every one first written at counter 1 by s0: that
-		// site's index has to split a chunk, and removals drain it again.
+		// site's index has to split a chunk, and updates past s0's first
+		// counter move entries out of it again.
 		const steps = 800
 		chunks := 0
 		for step := 0; step < steps; step++ {
@@ -378,13 +381,11 @@ func TestNewerThanHWMatchesScan(t *testing.T) {
 			cur, held := model[id]
 			var vv vclock.Version
 			switch op := rng.Intn(10); {
-			case !held && op < 8: // fresh, sometimes born with several sites
+			case !held: // fresh, sometimes born with several sites
 				vv = vclock.NewVersion(sites[0])
 				for rng.Intn(3) == 0 {
 					vv[sites[rng.Intn(len(sites))]] = uint64(1 + rng.Intn(4))
 				}
-			case !held: // Remove of an id the tree does not hold
-				tree.Remove(id)
 			case op < 4: // dominating
 				vv = cur.Clone().Tick(sites[rng.Intn(len(sites))])
 			case op < 6: // dominated or equal: the tree must ignore it
@@ -399,15 +400,15 @@ func TestNewerThanHWMatchesScan(t *testing.T) {
 					vv[a]--
 				}
 				vv[b] += 2
-			default:
-				tree.Remove(id)
-				delete(model, id)
-			}
-			if vv != nil {
-				tree.Update(id, vv)
-				if o := cur.Compare(vv); !held || (o != vclock.After && o != vclock.Equal) {
-					model[id] = vv
+				if mergeOnly {
+					vv = cur.Merge(vv)
 				}
+			default: // merged with another replica's vector
+				vv = cur.Merge(vclock.Version{sites[rng.Intn(len(sites))]: uint64(1 + rng.Intn(6))})
+			}
+			tree.Update(id, vv)
+			if o := cur.Compare(vv); !held || (o != vclock.After && o != vclock.Equal) {
+				model[id] = vv
 			}
 			checkAgainstScan(t, tree, step)
 			if x := tree.sites[sites[0]]; x != nil {
@@ -424,13 +425,15 @@ func TestNewerThanHWMatchesScan(t *testing.T) {
 			t.Fatalf("seed %d: tree holds %d entries, model %d", seed, tree.Count(), len(model))
 		}
 		// A tree built from the final entries alone: same root, same
-		// answers. Its marks are the maxima over those entries; the
-		// incremental tree's are monotone, so never below them.
+		// answers. Its marks are the maxima over those entries.
 		rebuilt := rebuildTree(model)
 		if rebuilt.Root() != tree.Root() {
 			t.Fatalf("seed %d: rebuilt root differs", seed)
 		}
 		own := tree.HighWater()
+		if maxima := rebuilt.HighWater(); mergeOnly && !reflect.DeepEqual(own, maxima) {
+			t.Fatalf("seed %d: marks %v after a history that only merged, the held maxima %v", seed, own, maxima)
+		}
 		for s, c := range rebuilt.HighWater() {
 			if own[s] < c {
 				t.Fatalf("seed %d: mark for %s is %d, below the held maximum %d", seed, s, own[s], c)
@@ -529,13 +532,6 @@ func TestSpaceTreeFollowsCommitsAndRecovery(t *testing.T) {
 		t.Fatal("rebuilt tree differs from the incremental one")
 	}
 
-	// Drop removes the entry from the tree.
-	if _, err := a.Drop(obj.ID); err != nil {
-		t.Fatal(err)
-	}
-	if a.Tree().Count() != 0 || a.Tree().Root() != NewDigestTree().Root() {
-		t.Fatal("drop left tree state behind")
-	}
 }
 
 // backendOf exposes a space's backend for the reopen test.

@@ -44,7 +44,7 @@ func (o *Object) clone() *Object {
 }
 
 // Clone returns a deep copy of the object. Backends use it where their
-// contract promises the caller a row of its own (Get, Snapshot, Remove).
+// contract promises the caller a row of its own (Get).
 func (o *Object) Clone() *Object { return o.clone() }
 
 // Errors of the space layer.
@@ -67,9 +67,8 @@ type Conflict struct {
 
 // Event notifies subscribers of a change.
 type Event struct {
-	// Kind is "put", "update", "share", "relate" for local writes,
-	// "apply" / "conflict" for state arriving from a peer replica, and
-	// "evict" for rows dropped off this replica alone (Drop).
+	// Kind is "put", "update", "share" for local writes, and "apply" /
+	// "conflict" for state arriving from a peer replica.
 	Kind string
 	// Object is read-only; for "apply" and "conflict" it is the replica's
 	// own row, shared by every subscriber (other kinds carry a copy).
@@ -124,8 +123,6 @@ type SpaceStats struct {
 	// Applied and Conflicts count remote state merged in by replication.
 	Applied   int64
 	Conflicts int64
-	// Evictions counts rows dropped off this replica alone (Drop).
-	Evictions int64
 }
 
 type subscription struct {
@@ -370,41 +367,27 @@ func (s *Space) Share(actor, objID, grantee string, writable bool) error {
 // Query returns copies of objects of the given schema whose fields contain
 // all the given key/value pairs (empty filter = all of that schema).
 func (s *Space) Query(actor, schemaName string, filter map[string]string) ([]*Object, error) {
-	candidates := s.store.Snapshot(func(obj *Object) bool {
+	var matches []*Object
+	s.store.Range(func(obj *Object) bool {
 		if !strings.EqualFold(obj.Schema, schemaName) {
-			return false
+			return true
 		}
 		for k, v := range filter {
 			if obj.Fields[k] != v {
-				return false
+				return true
 			}
 		}
+		matches = append(matches, obj.clone())
 		return true
 	})
-	out := candidates[:0]
-	for _, obj := range candidates {
+	out := matches[:0]
+	for _, obj := range matches {
 		if s.can(actor, access.OpRead, obj.ID) {
 			out = append(out, obj)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// Drop evicts the row for id from THIS replica only. It bypasses the ACL
-// (the caller is the replication layer, not a principal) and publishes an
-// "evict" event; other replicas are untouched. The row is all this replica
-// held for the id: nothing else goes with it. Returns the removed row, or
-// nil when the id was not stored.
-func (s *Space) Drop(id string) (*Object, error) {
-	removed, err := s.store.Remove(id)
-	if err != nil || removed == nil {
-		return nil, err
-	}
-	s.tree.Remove(id)
-	s.bump(func(st *SpaceStats) { st.Evictions++ })
-	s.notify(Event{Kind: "evict", Object: removed, Actor: "replica/" + s.site, At: s.clock.Now()})
-	return removed, nil
 }
 
 // Subscribe registers fn for events on objects of the schema ("" = all).

@@ -17,8 +17,8 @@ import (
 // share rows instead of copying them — Peek, Range, the Exec callback's
 // argument and Exec's result are all the stored row itself, read-only
 // for whoever receives it. Exec returns the stored row; a callback
-// returns a new row, never an edited argument. Get, Snapshot and Remove
-// copy: they serve code that may keep and change what it is given.
+// returns a new row, never an edited argument. Get copies: it serves code
+// that may keep and change what it is given. No row is ever removed.
 type Store struct {
 	mu      sync.RWMutex
 	objects map[string]*Object
@@ -75,48 +75,11 @@ func (st *Store) Exec(id string, fn func(cur *Object) (*Object, error)) (*Object
 	return next, nil
 }
 
-// Snapshot returns copies of every row matching pred (nil pred = all),
-// in unspecified order.
-func (st *Store) Snapshot(pred func(*Object) bool) []*Object {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var out []*Object
-	for _, obj := range st.objects {
-		if pred == nil || pred(obj) {
-			out = append(out, obj.clone())
-		}
-	}
-	return out
-}
-
-// Has reports whether a row for id is stored, without copying it.
-func (st *Store) Has(id string) bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	_, ok := st.objects[id]
-	return ok
-}
-
-// Remove deletes the row for id, returning a copy of the removed row;
-// (nil, nil) when absent.
-func (st *Store) Remove(id string) (*Object, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	obj, ok := st.objects[id]
-	if !ok {
-		return nil, nil
-	}
-	delete(st.objects, id)
-	return obj.clone(), nil
-}
-
 // Range calls fn for every stored row under the store's read lock, in
 // unspecified order, stopping early when fn returns false. fn receives
-// the stored row — this is the streaming alternative to Snapshot for
-// callers (like a durable backend writing a snapshot file) that must not
-// materialise a copy of every row at once. fn must treat the row as
-// read-only, must not retain it past its return (other backends hand out
-// transient rows), and must not call back into the store.
+// the stored row, so a caller that keeps one clones it. fn must treat the
+// row as read-only, must not retain it past its return (other backends
+// hand out transient rows), and must not call back into the store.
 func (st *Store) Range(fn func(*Object) bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

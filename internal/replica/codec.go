@@ -53,16 +53,17 @@ import (
 // spelled its ids behind eight-byte counts, and 0xF2, 0xF3 and 0xF4, the
 // digest reply, sync reply and push whose rows spelled their ids (the
 // digest reply's children count and the sync reply's want-list were
-// eight bytes, and the want-list's ids spelled, too). The range took a
-// second run, at 0xF1, when its first met gossip's, and a third, at 0xF9,
-// when the second met gossip's again.
+// eight bytes, and the want-list's ids spelled, too); and so is 0x86, the
+// push reply that carried its applied and conflict counts in eight bytes
+// each. The range took a second run, at 0xF1, when its first met gossip's,
+// and a third, at 0xF9, when the second met gossip's again.
 const (
-	tagPushResp   byte = 0x86
 	tagDigestReq  byte = 0xF1
 	tagSyncReq    byte = 0xF9
 	tagDigestResp byte = 0xFA
 	tagSyncResp   byte = 0xFB
 	tagPushReq    byte = 0xFC
+	tagPushResp   byte = 0xFD
 )
 
 // childRecordSize is one record of a children section: the parent's
@@ -117,9 +118,7 @@ func (m pushReq) AppendBinary(b []byte) ([]byte, error) {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m pushResp) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, tagPushResp)
-	b = wire.AppendUint64(b, uint64(m.Applied))
-	return wire.AppendUint64(b, uint64(m.Conflicts)), nil
+	return wire.AppendUvarint(append(b, tagPushResp), m.Applied), nil
 }
 
 func sectionFlags(match, full bool, frames []byte, marks marksMsg) byte {
@@ -251,7 +250,7 @@ func (m *pushReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushResp, "pushResp")
-	*m = pushResp{Applied: b.Int(), Conflicts: b.Int()}
+	*m = pushResp{Applied: b.Uvarint()}
 	return b.Close()
 }
 

@@ -179,7 +179,8 @@ func bodyCases() []wiretest.Case {
 		wiretest.Of("pushReq", pushReq{Objects: benchRows(3)}),
 		wiretest.Of("pushReq/edge rows", pushReq{Objects: edgeRows()}),
 		wiretest.Of("pushReq/minted rows", pushReq{Objects: mintedRows()}),
-		wiretest.Of("pushResp", pushResp{Applied: 3, Conflicts: 1}),
+		wiretest.Of("pushResp", pushResp{Applied: 3}),
+		wiretest.Of("pushResp/wide", pushResp{Applied: 1 << 40}),
 		wiretest.Of("pushResp/zero", pushResp{}),
 	}, goldenCases()...)
 }
@@ -187,8 +188,8 @@ func bodyCases() []wiretest.Case {
 // goldenCases are the bodies whose layout is pinned byte for byte: the
 // children section, the marks only on a mismatch, the want-list — an id a
 // Space minted by its parts, any other spelled — a digest and a push of
-// rows under minted ids, and a push that is its rows and nothing after
-// them.
+// rows under minted ids, a push that is its rows and nothing after them,
+// and a push reply that is one uvarint.
 func goldenCases() []wiretest.Case {
 	return []wiretest.Case{
 		wiretest.Of("digestResp/match", digestResp{Match: true}),
@@ -198,6 +199,7 @@ func goldenCases() []wiretest.Case {
 		wiretest.Of("syncResp/want", syncResp{Want: []string{"info-7-3ad1e85f", "obj000003"}}),
 		wiretest.Of("syncReq/minted", syncReq{Digest: map[string]vclock.Version{"info-7-3ad1e85f": {"s000": 2}}, Scope: []uint32{9}}),
 		wiretest.Of("pushReq/minted", pushReq{Objects: mintedRows()[:1]}),
+		wiretest.Of("pushResp/one", pushResp{Applied: 1}),
 		wiretest.Of("pushReq/no rows", pushReq{}),
 	}
 }
@@ -213,6 +215,7 @@ func TestBodiesGolden(t *testing.T) {
 		"pushReq/minted": "fc0100073ad1e85f0048d68860067530303030330101010109d39b5f4a6aa000000f0e73656564206f626a3030303030" +
 			"332373686172656420776f726b696e67206d6174657269616c20666f722061637430303033067530303030330761637430303033",
 		"pushReq/no rows": "fc00",
+		"pushResp/one":    "fd01",
 	})
 }
 

@@ -91,7 +91,7 @@ func (m *merkleExchange) negotiate(req digestReq, then func(digestResp)) {
 // pull merges the rows a peer answered with and books those that changed
 // local state.
 func (m *merkleExchange) pull(deltas []*information.Object) int {
-	applied, _ := m.r.applyRows(deltas)
+	applied := m.r.applyRows(deltas)
 	if applied > 0 {
 		m.st.moved = true
 		m.st.applied += applied

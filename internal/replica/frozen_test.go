@@ -202,7 +202,7 @@ func TestStoredRowsStayFrozen(t *testing.T) {
 		scope = append(scope, information.MerkleBucket(rows[i].ID))
 	}
 	resp := reencode(t, reps[0].serveScopedSync(syncReq{Scope: scope}))
-	if applied, _ := reps[1].applyRows(resp.Deltas); applied != len(rows) || reps[1].Stats().ApplyFailures != 0 {
+	if applied := reps[1].applyRows(resp.Deltas); applied != len(rows) || reps[1].Stats().ApplyFailures != 0 {
 		t.Fatalf("scoped sync applied %d of %d rows, stats %+v", applied, len(rows), reps[1].Stats())
 	}
 

@@ -158,9 +158,10 @@ type digestResp struct {
 	Deltas   []*information.Object
 }
 
+// pushResp says how many of the pushed rows changed the peer's replica;
+// the pusher reads only whether any did.
 type pushResp struct {
-	Applied   int
-	Conflicts int
+	Applied uint64
 }
 
 // Stats counts a replicator's activity. The digest/delta counters make
@@ -509,13 +510,13 @@ func (r *Replicator) bump(fn func(*Stats)) {
 
 // applyRows merges peer-supplied rows into the local replica — the one
 // apply path of pulled deltas, pushed rows and rumor fetches alike. It
-// returns how many rows changed local state and how many were concurrent
-// updates it resolved; a row the replica fails to store is counted in
-// ApplyFailures and left for a later round. The rows are handed over: a
+// returns how many rows changed local state. A concurrent update it
+// resolved is counted in Conflicts; a row the replica fails to store is
+// counted in ApplyFailures and left for a later round. The rows are handed over: a
 // decoder built them for this call, and the ones that apply become the
 // stored rows.
-func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts int) {
-	failures := 0
+func (r *Replicator) applyRows(rows []*information.Object) (applied int) {
+	conflicts, failures := 0, 0
 	for _, obj := range rows {
 		// The optimistic-concurrency number is replica-local: whatever the
 		// sender stored, it is the vector's sum here, so converged replicas
@@ -548,7 +549,7 @@ func (r *Replicator) applyRows(rows []*information.Object) (applied, conflicts i
 			s.ApplyFailures += int64(failures)
 		})
 	}
-	return applied, conflicts
+	return applied
 }
 
 // --- gossip-overlay surface ------------------------------------------------
@@ -583,7 +584,7 @@ func (r *Replicator) FetchWire(ids []string) []*information.Object {
 // path (conflict resolution, stats), returning how many changed local
 // state.
 func (r *Replicator) ApplyWire(objs []*information.Object) int {
-	applied, _ := r.applyRows(objs)
+	applied := r.applyRows(objs)
 	r.bump(func(s *Stats) { s.Applied += int64(applied) })
 	return applied
 }

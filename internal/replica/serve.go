@@ -30,10 +30,9 @@ func (r *Replicator) register() {
 		return r.serveDigest(from, req)
 	}))
 	r.ep.MustRegister(MethodPush, rpc.HandleRefused(func(_ netsim.Address, _ wire.TraceContext, req pushReq) (pushResp, error) {
-		var resp pushResp
-		resp.Applied, resp.Conflicts = r.applyRows(req.Objects)
-		r.bump(func(s *Stats) { s.ServedApplied += int64(resp.Applied) })
-		if resp.Applied > 0 {
+		applied := r.applyRows(req.Objects)
+		r.bump(func(s *Stats) { s.ServedApplied += int64(applied) })
+		if applied > 0 {
 			// Infected becomes infectious: on a sparse peering graph the
 			// rows just applied must keep flooding, and only this replica's
 			// own round reaches ITS peers. On a full mesh this costs at most
@@ -41,7 +40,7 @@ func (r *Replicator) register() {
 			// replicator goes dormant again.
 			r.SyncSoon()
 		}
-		return resp, nil
+		return pushResp{Applied: uint64(applied)}, nil
 	}, r.Refused))
 }
 
