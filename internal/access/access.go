@@ -1,43 +1,23 @@
-// Package access provides the role-based access control the paper's
+// Package access provides the access control the paper's
 // information-sharing requirement names: "appropriate access control
 // mechanisms. (Traditionally, roles have been used to signify different
 // access rights of users.)"
 //
-// Principals hold roles, globally or scoped to an organisation or activity;
-// roles inherit from parent roles; permissions grant operations over
-// resource patterns. The information model and activity model consult a
-// Checker before every guarded operation.
+// Principals hold direct grants: a permission to perform an operation over
+// the resources matching a pattern. The information model consults the
+// System before every guarded operation, and sharing an object is a grant.
 package access
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // Op is a guarded operation.
 type Op string
 
 // Operations used across the environment.
 const (
-	OpRead       Op = "read"
-	OpWrite      Op = "write"
-	OpShare      Op = "share"
-	OpJoin       Op = "join"
-	OpCoordinate Op = "coordinate"
-	OpAdmin      Op = "admin"
-)
-
-// GlobalScope is the scope value meaning "everywhere".
-const GlobalScope = ""
-
-// Errors returned by the system.
-var (
-	ErrUnknownRole = errors.New("access: unknown role")
-	ErrRoleExists  = errors.New("access: role already defined")
-	ErrRoleCycle   = errors.New("access: role inheritance cycle")
+	OpRead  Op = "read"
+	OpWrite Op = "write"
+	OpShare Op = "share"
 )
 
 // permission grants op over resources matching pattern ('*' wildcards).
@@ -46,78 +26,15 @@ type permission struct {
 	pattern string
 }
 
-// Decision records one authorisation check, for auditing.
-type Decision struct {
-	Principal string
-	Op        Op
-	Resource  string
-	Scope     string
-	Allowed   bool
-}
-
-// auditLimit bounds the in-memory audit trail.
-const auditLimit = 1024
-
-// System is an RBAC database. Safe for concurrent use.
+// System is a grant database. Safe for concurrent use.
 type System struct {
-	mu          sync.RWMutex
-	roles       map[string][]string // role -> parent roles
-	rolePerms   map[string][]permission
-	principals  map[string][]permission               // direct grants
-	assignments map[string]map[string]map[string]bool // principal -> scope -> roles
-	audit       []Decision
+	mu         sync.RWMutex
+	principals map[string][]permission
 }
 
-// NewSystem creates an empty RBAC system.
+// NewSystem creates a system that permits nothing.
 func NewSystem() *System {
-	return &System{
-		roles:       make(map[string][]string),
-		rolePerms:   make(map[string][]permission),
-		principals:  make(map[string][]permission),
-		assignments: make(map[string]map[string]map[string]bool),
-	}
-}
-
-// DefineRole declares a role, optionally inheriting from parents (which
-// must already exist). Inheritance must stay acyclic.
-func (s *System) DefineRole(name string, parents ...string) error {
-	name = strings.ToLower(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.roles[name]; ok {
-		return fmt.Errorf("%w: %q", ErrRoleExists, name)
-	}
-	lowered := make([]string, len(parents))
-	for i, p := range parents {
-		p = strings.ToLower(p)
-		if _, ok := s.roles[p]; !ok {
-			return fmt.Errorf("%w: parent %q", ErrUnknownRole, p)
-		}
-		lowered[i] = p
-	}
-	s.roles[name] = lowered
-	return nil
-}
-
-// HasRole reports whether the role exists.
-func (s *System) HasRole(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.roles[strings.ToLower(name)]
-	return ok
-}
-
-// Grant gives a role permission to perform op on resources matching
-// pattern.
-func (s *System) Grant(role string, op Op, pattern string) error {
-	role = strings.ToLower(role)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.roles[role]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRole, role)
-	}
-	s.rolePerms[role] = append(s.rolePerms[role], permission{op: op, pattern: pattern})
-	return nil
+	return &System{principals: make(map[string][]permission)}
 }
 
 // GrantPrincipal gives one principal a direct permission.
@@ -127,131 +44,16 @@ func (s *System) GrantPrincipal(principal string, op Op, pattern string) {
 	s.principals[principal] = append(s.principals[principal], permission{op: op, pattern: pattern})
 }
 
-// Assign gives the principal a role within a scope (GlobalScope for
-// everywhere).
-func (s *System) Assign(principal, role, scope string) error {
-	role = strings.ToLower(role)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.roles[role]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRole, role)
-	}
-	if s.assignments[principal] == nil {
-		s.assignments[principal] = make(map[string]map[string]bool)
-	}
-	if s.assignments[principal][scope] == nil {
-		s.assignments[principal][scope] = make(map[string]bool)
-	}
-	s.assignments[principal][scope][role] = true
-	return nil
-}
-
-// Revoke removes a role assignment.
-func (s *System) Revoke(principal, role, scope string) {
-	role = strings.ToLower(role)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if scopes, ok := s.assignments[principal]; ok {
-		if roles, ok := scopes[scope]; ok {
-			delete(roles, role)
-		}
-	}
-}
-
-// RolesOf returns the principal's effective roles in the scope (scoped +
-// global + inherited), sorted.
-func (s *System) RolesOf(principal, scope string) []string {
+// Can reports whether the principal may perform op on resource.
+func (s *System) Can(principal string, op Op, resource string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set := s.effectiveRolesLocked(principal, scope)
-	out := make([]string, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// effectiveRolesLocked expands assignments with inheritance.
-func (s *System) effectiveRolesLocked(principal, scope string) map[string]bool {
-	out := make(map[string]bool)
-	var expand func(role string, depth int)
-	expand = func(role string, depth int) {
-		if out[role] || depth > 32 {
-			return
-		}
-		out[role] = true
-		for _, parent := range s.roles[role] {
-			expand(parent, depth+1)
-		}
-	}
-	if scopes, ok := s.assignments[principal]; ok {
-		for r := range scopes[GlobalScope] {
-			expand(r, 0)
-		}
-		if scope != GlobalScope {
-			for r := range scopes[scope] {
-				expand(r, 0)
-			}
-		}
-	}
-	return out
-}
-
-// Can reports whether the principal may perform op on resource, considering
-// global-scope roles and direct grants.
-func (s *System) Can(principal string, op Op, resource string) bool {
-	return s.CanInScope(principal, op, resource, GlobalScope)
-}
-
-// CanInScope is Can with scoped role assignments also in force.
-func (s *System) CanInScope(principal string, op Op, resource, scope string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	allowed := s.checkLocked(principal, op, resource, scope)
-	s.audit = append(s.audit, Decision{
-		Principal: principal, Op: op, Resource: resource, Scope: scope, Allowed: allowed,
-	})
-	if len(s.audit) > auditLimit {
-		s.audit = s.audit[len(s.audit)-auditLimit:]
-	}
-	return allowed
-}
-
-func (s *System) checkLocked(principal string, op Op, resource, scope string) bool {
 	for _, p := range s.principals[principal] {
 		if p.op == op && globMatch(p.pattern, resource) {
 			return true
 		}
 	}
-	for role := range s.effectiveRolesLocked(principal, scope) {
-		for _, p := range s.rolePerms[role] {
-			if p.op == op && globMatch(p.pattern, resource) {
-				return true
-			}
-		}
-	}
 	return false
-}
-
-// Audit returns a copy of the recent decision trail.
-func (s *System) Audit() []Decision {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Decision(nil), s.audit...)
-}
-
-// DeniedCount counts denials in the audit trail (test/diagnostic helper).
-func (s *System) DeniedCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, d := range s.audit {
-		if !d.Allowed {
-			n++
-		}
-	}
-	return n
 }
 
 // globMatch matches pattern with '*' wildcards against s.

@@ -48,9 +48,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// terminal reports whether no further transitions are allowed.
-func (s State) terminal() bool { return s == StateCompleted || s == StateCancelled }
-
 // validTransitions encodes the lifecycle state machine.
 var validTransitions = map[State][]State{
 	StateProposed:  {StateActive, StateCancelled},
@@ -61,16 +58,13 @@ var validTransitions = map[State][]State{
 // DepKind is an inter-activity dependency kind.
 type DepKind string
 
-// Dependency kinds, mirroring §3's inter-relations: "activities may use
-// common resources, may share common information, can have well-defined
-// temporal relationships".
+// Dependency kinds, mirroring two of §3's inter-relations: "activities may
+// use common resources, ... can have well-defined temporal relationships".
 const (
 	// DepFinishStart: the target must complete before the source starts.
 	DepFinishStart DepKind = "finish-start"
 	// DepSharesResource: both activities use a common resource.
 	DepSharesResource DepKind = "shares-resource"
-	// DepSharesInfo: both activities share information objects.
-	DepSharesInfo DepKind = "shares-information"
 )
 
 // Dependency is a typed edge between activities.
@@ -78,7 +72,7 @@ type Dependency struct {
 	From string
 	Kind DepKind
 	To   string
-	// Detail names the shared resource/information where applicable.
+	// Detail names the shared resource where applicable.
 	Detail string
 }
 
@@ -91,13 +85,9 @@ type Activity struct {
 	Coordinator string            // principal responsible for the activity
 	Members     map[string]string // principal -> activity role
 	Resources   []string          // org resource ids in use
-	InfoObjects []string          // information object ids in use
 	Progress    int               // 0..100
-	Deadline    time.Time         // zero = open-ended (the paper: "some
-	// have well defined goals and fixed deadlines while others are
-	// on-going")
-	Created time.Time
-	Updated time.Time
+	Created     time.Time
+	Updated     time.Time
 }
 
 // clone deep-copies the activity.
@@ -108,7 +98,6 @@ func (a *Activity) clone() *Activity {
 		out.Members[k] = v
 	}
 	out.Resources = append([]string(nil), a.Resources...)
-	out.InfoObjects = append([]string(nil), a.InfoObjects...)
 	return &out
 }
 
@@ -129,7 +118,6 @@ const (
 	EventCreated    EventKind = "created"
 	EventTransition EventKind = "transition"
 	EventJoined     EventKind = "joined"
-	EventLeft       EventKind = "left"
 	EventProgress   EventKind = "progress"
 	EventUnblocked  EventKind = "unblocked"
 	EventHandover   EventKind = "handover"
@@ -149,21 +137,11 @@ type Registry struct {
 	clock vclock.Clock
 	ids   *id.Generator
 
-	mu    sync.RWMutex
-	acts  map[string]*Activity
-	deps  []Dependency
-	subs  []func(Event)
-	negs  map[string]*Negotiation
-	stats Stats
-}
-
-// Stats counts registry activity.
-type Stats struct {
-	Created      int64
-	Transitions  int64
-	Joins        int64
-	Handovers    int64
-	Negotiations int64
+	mu   sync.RWMutex
+	acts map[string]*Activity
+	deps []Dependency
+	subs []func(Event)
+	negs map[string]*Negotiation
 }
 
 // Option configures a Registry.
@@ -197,13 +175,6 @@ func (r *Registry) Subscribe(fn func(Event)) {
 	r.subs = append(r.subs, fn)
 }
 
-// Stats returns a snapshot of the counters.
-func (r *Registry) Stats() Stats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.stats
-}
-
 // Create proposes a new activity coordinated by the actor, who becomes its
 // first member with the "coordinator" role.
 func (r *Registry) Create(actor, name, goal string) (*Activity, error) {
@@ -220,7 +191,6 @@ func (r *Registry) Create(actor, name, goal string) (*Activity, error) {
 	}
 	r.mu.Lock()
 	r.acts[a.ID] = a
-	r.stats.Created++
 	snapshot := a.clone()
 	r.mu.Unlock()
 	r.notify(Event{Kind: EventCreated, Activity: snapshot, Actor: actor, At: now})
@@ -282,7 +252,6 @@ func (r *Registry) Transition(actor, actID string, to State) error {
 		a.Progress = 100
 	}
 	a.Updated = r.clock.Now()
-	r.stats.Transitions++
 	snapshot := a.clone()
 	r.mu.Unlock()
 
@@ -347,34 +316,9 @@ func (r *Registry) Join(actID, principal, role string) error {
 	}
 	a.Members[principal] = role
 	a.Updated = r.clock.Now()
-	r.stats.Joins++
 	snapshot := a.clone()
 	r.mu.Unlock()
 	r.notify(Event{Kind: EventJoined, Activity: snapshot, Actor: principal, Detail: role, At: snapshot.Updated})
-	return nil
-}
-
-// Leave removes a member; the coordinator cannot leave (hand over first).
-func (r *Registry) Leave(actID, principal string) error {
-	r.mu.Lock()
-	a, ok := r.acts[actID]
-	if !ok {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownActivity, actID)
-	}
-	if _, ok := a.Members[principal]; !ok {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotMember, principal)
-	}
-	if a.Coordinator == principal {
-		r.mu.Unlock()
-		return fmt.Errorf("activity: coordinator %q must hand over before leaving", principal)
-	}
-	delete(a.Members, principal)
-	a.Updated = r.clock.Now()
-	snapshot := a.clone()
-	r.mu.Unlock()
-	r.notify(Event{Kind: EventLeft, Activity: snapshot, Actor: principal, At: snapshot.Updated})
 	return nil
 }
 
@@ -404,18 +348,6 @@ func (r *Registry) SetProgress(actor, actID string, progress int) error {
 	return nil
 }
 
-// SetDeadline schedules the activity's deadline.
-func (r *Registry) SetDeadline(actID string, deadline time.Time) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.acts[actID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownActivity, actID)
-	}
-	a.Deadline = deadline
-	return nil
-}
-
 // UseResource records that the activity uses an organisational resource,
 // and materialises shares-resource dependencies with other activities
 // already using it.
@@ -440,35 +372,6 @@ func (r *Registry) UseResource(actID, resourceID string) error {
 			if res == resourceID {
 				r.addDepLocked(Dependency{From: actID, Kind: DepSharesResource, To: other.ID, Detail: resourceID})
 				r.addDepLocked(Dependency{From: other.ID, Kind: DepSharesResource, To: actID, Detail: resourceID})
-			}
-		}
-	}
-	return nil
-}
-
-// UseInfoObject records shared information use, materialising
-// shares-information dependencies.
-func (r *Registry) UseInfoObject(actID, objID string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.acts[actID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownActivity, actID)
-	}
-	for _, o := range a.InfoObjects {
-		if o == objID {
-			return nil
-		}
-	}
-	a.InfoObjects = append(a.InfoObjects, objID)
-	for _, other := range r.acts {
-		if other.ID == actID {
-			continue
-		}
-		for _, o := range other.InfoObjects {
-			if o == objID {
-				r.addDepLocked(Dependency{From: actID, Kind: DepSharesInfo, To: other.ID, Detail: objID})
-				r.addDepLocked(Dependency{From: other.ID, Kind: DepSharesInfo, To: actID, Detail: objID})
 			}
 		}
 	}
@@ -594,21 +497,6 @@ func (r *Registry) Schedule() ([]string, error) {
 		return nil, fmt.Errorf("%w: %d of %d schedulable", ErrDepCycle, len(out), len(r.acts))
 	}
 	return out, nil
-}
-
-// Overdue lists activities past their deadline and not yet terminal.
-func (r *Registry) Overdue() []*Activity {
-	now := r.clock.Now()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*Activity
-	for _, a := range r.acts {
-		if !a.Deadline.IsZero() && now.After(a.Deadline) && !a.State.terminal() {
-			out = append(out, a.clone())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 func (r *Registry) notify(ev Event) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"mocca/internal/netsim"
 	"mocca/internal/vclock"
@@ -68,15 +67,8 @@ func TestMembership(t *testing.T) {
 	if len(got.Members) != 3 || got.Members["ben"] != "author" || got.Members["carol"] != "participant" {
 		t.Fatalf("members = %v", got.Members)
 	}
-	if err := r.Leave(a.ID, "ben"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Leave(a.ID, "ben"); !errors.Is(err, ErrNotMember) {
-		t.Fatalf("double leave: %v", err)
-	}
-	// Coordinator cannot leave without handover.
-	if err := r.Leave(a.ID, "ada"); err == nil {
-		t.Fatal("coordinator left without handover")
+	if err := r.Join("ghost", "ben", ""); !errors.Is(err, ErrUnknownActivity) {
+		t.Fatalf("join ghost: %v", err)
 	}
 }
 
@@ -182,18 +174,6 @@ func TestSharedResourceDependency(t *testing.T) {
 	}
 }
 
-func TestSharedInfoDependency(t *testing.T) {
-	r, _ := newRegistry(t)
-	write, _ := r.Create("ada", "write-report", "")
-	review, _ := r.Create("ben", "review-report", "")
-	_ = r.UseInfoObject(write.ID, "info-report-1")
-	_ = r.UseInfoObject(review.ID, "info-report-1")
-	deps := r.Dependencies(write.ID)
-	if len(deps) != 1 || deps[0].Kind != DepSharesInfo {
-		t.Fatalf("deps = %v", deps)
-	}
-}
-
 func TestSchedule(t *testing.T) {
 	r, _ := newRegistry(t)
 	// survey <- design <- build; report independent.
@@ -217,26 +197,6 @@ func TestSchedule(t *testing.T) {
 	}
 	if _, ok := pos[report.ID]; !ok {
 		t.Fatal("independent activity missing from schedule")
-	}
-}
-
-func TestOverdue(t *testing.T) {
-	r, clk := newRegistry(t)
-	a, _ := r.Create("ada", "deliverable", "")
-	_ = r.SetDeadline(a.ID, clk.Now().Add(24*time.Hour))
-	if got := r.Overdue(); len(got) != 0 {
-		t.Fatalf("overdue too early: %v", got)
-	}
-	clk.Advance(25 * time.Hour)
-	got := r.Overdue()
-	if len(got) != 1 || got[0].ID != a.ID {
-		t.Fatalf("overdue = %v", got)
-	}
-	// Completed activities are never overdue.
-	_ = r.Transition("ada", a.ID, StateActive)
-	_ = r.Transition("ada", a.ID, StateCompleted)
-	if got := r.Overdue(); len(got) != 0 {
-		t.Fatalf("completed listed overdue: %v", got)
 	}
 }
 
@@ -264,10 +224,6 @@ func TestResponsibilityNegotiation(t *testing.T) {
 	if _, err := r.Accept("ben", neg.ID); !errors.Is(err, ErrNegotiationClosed) {
 		t.Fatalf("double accept: %v", err)
 	}
-	// Now ada can leave.
-	if err := r.Leave(a.ID, "ada"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCompetenceNegotiation(t *testing.T) {
@@ -284,33 +240,6 @@ func TestCompetenceNegotiation(t *testing.T) {
 	got, _ := r.Get(a.ID)
 	if got.Members["ben"] != "competent:statistics-chapter" {
 		t.Fatalf("competence not recorded: %v", got.Members)
-	}
-}
-
-func TestDeclineAndWithdraw(t *testing.T) {
-	r, _ := newRegistry(t)
-	a, _ := r.Create("ada", "x", "")
-	_ = r.Join(a.ID, "ben", "")
-
-	neg, _ := r.Propose("ada", a.ID, NegResponsibility, "ben", "")
-	if _, err := r.Decline("ben", neg.ID); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := r.Get(a.ID)
-	if got.Coordinator != "ada" {
-		t.Fatal("declined negotiation changed coordinator")
-	}
-
-	neg2, _ := r.Propose("ada", a.ID, NegResponsibility, "ben", "")
-	if _, err := r.Withdraw("ben", neg2.ID); !errors.Is(err, ErrNotProposer) {
-		t.Fatalf("responder withdrew: %v", err)
-	}
-	if _, err := r.Withdraw("ada", neg2.ID); err != nil {
-		t.Fatal(err)
-	}
-	negs := r.Negotiations(a.ID)
-	if len(negs) != 2 || negs[0].State != NegDeclined || negs[1].State != NegWithdrawn {
-		t.Fatalf("negotiations = %+v", negs)
 	}
 }
 
@@ -333,8 +262,7 @@ func TestEventStream(t *testing.T) {
 	_ = r.Join(a.ID, "ben", "")
 	_ = r.Transition("ada", a.ID, StateActive)
 	_ = r.SetProgress("ben", a.ID, 40)
-	_ = r.Leave(a.ID, "ben")
-	want := fmt.Sprint([]EventKind{EventCreated, EventJoined, EventTransition, EventProgress, EventLeft})
+	want := fmt.Sprint([]EventKind{EventCreated, EventJoined, EventTransition, EventProgress})
 	if fmt.Sprint(kinds) != want {
 		t.Fatalf("events = %v", kinds)
 	}

@@ -3,7 +3,6 @@ package activity
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -30,27 +29,9 @@ type NegotiationState int
 const (
 	NegPending NegotiationState = iota + 1
 	NegAccepted
-	NegDeclined
-	NegWithdrawn
 )
 
-// String implements fmt.Stringer.
-func (s NegotiationState) String() string {
-	switch s {
-	case NegPending:
-		return "pending"
-	case NegAccepted:
-		return "accepted"
-	case NegDeclined:
-		return "declined"
-	case NegWithdrawn:
-		return "withdrawn"
-	default:
-		return fmt.Sprintf("negstate(%d)", int(s))
-	}
-}
-
-// Negotiation is a two-party proposal with accept/decline/withdraw moves —
+// Negotiation is a two-party proposal the responder accepts —
 // deliberately minimal, the neutral mechanism the paper asks for rather
 // than a full speech-act model.
 type Negotiation struct {
@@ -77,7 +58,6 @@ var (
 	ErrUnknownNegotiation = errors.New("activity: unknown negotiation")
 	ErrNegotiationClosed  = errors.New("activity: negotiation already closed")
 	ErrNotResponder       = errors.New("activity: only the responder may answer")
-	ErrNotProposer        = errors.New("activity: only the proposer may withdraw")
 )
 
 // Propose opens a negotiation from actor to responder. Both must be
@@ -108,7 +88,6 @@ func (r *Registry) Propose(actor, actID string, kind NegotiationKind, responder,
 		Opened:     r.clock.Now(),
 	}
 	r.negs[n.ID] = n
-	r.stats.Negotiations++
 	out := n.clone()
 	r.mu.Unlock()
 	return out, nil
@@ -126,7 +105,7 @@ func (r *Registry) Accept(actor, negID string) (*Negotiation, error) {
 	}
 	if n.State != NegPending {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNegotiationClosed, n.State)
+		return nil, fmt.Errorf("%w: %q", ErrNegotiationClosed, negID)
 	}
 	if n.To != actor {
 		r.mu.Unlock()
@@ -144,7 +123,6 @@ func (r *Registry) Accept(actor, negID string) (*Negotiation, error) {
 		if n.From != n.To {
 			a.Members[n.From] = "participant"
 		}
-		r.stats.Handovers++
 		ev = Event{Kind: EventHandover, Activity: a.clone(), Actor: n.To, Detail: "responsibility", At: n.Closed}
 	case NegCompetence:
 		a.Members[n.To] = "competent:" + n.Competence
@@ -156,56 +134,4 @@ func (r *Registry) Accept(actor, negID string) (*Negotiation, error) {
 
 	r.notify(ev)
 	return out, nil
-}
-
-// Decline closes the negotiation negatively; no effect is applied.
-func (r *Registry) Decline(actor, negID string) (*Negotiation, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, ok := r.negs[negID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNegotiation, negID)
-	}
-	if n.State != NegPending {
-		return nil, fmt.Errorf("%w: %s", ErrNegotiationClosed, n.State)
-	}
-	if n.To != actor {
-		return nil, fmt.Errorf("%w: %q", ErrNotResponder, actor)
-	}
-	n.State = NegDeclined
-	n.Closed = r.clock.Now()
-	return n.clone(), nil
-}
-
-// Withdraw closes a pending negotiation from the proposer's side.
-func (r *Registry) Withdraw(actor, negID string) (*Negotiation, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, ok := r.negs[negID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNegotiation, negID)
-	}
-	if n.State != NegPending {
-		return nil, fmt.Errorf("%w: %s", ErrNegotiationClosed, n.State)
-	}
-	if n.From != actor {
-		return nil, fmt.Errorf("%w: %q", ErrNotProposer, actor)
-	}
-	n.State = NegWithdrawn
-	n.Closed = r.clock.Now()
-	return n.clone(), nil
-}
-
-// Negotiations returns negotiations involving the activity, sorted by id.
-func (r *Registry) Negotiations(actID string) []*Negotiation {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*Negotiation
-	for _, n := range r.negs {
-		if n.Activity == actID {
-			out = append(out, n.clone())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -3,25 +3,20 @@
 // communicators, the information objects they exchange, and the context
 // within which communication takes place."
 //
-// It unifies the repository's media — synchronous (rtc), store-and-forward
-// (mhs), and the paper's "wide range of media, including telefax and where
-// applicable paper communication" (simulated spools) — behind one Hub that
-// routes with temporal transparency: online recipients get live delivery,
-// offline recipients fall back to the MHS, and every exchange is recorded
-// with its context.
+// One Hub routes every message with temporal transparency: the recipient
+// is reached store-and-forward through the MHS, the message's context in
+// its headers, provided the sender selected time transparency.
+// BridgeConference carries a synchronous conference to its absent members
+// the same way.
 package comm
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"mocca/internal/mhs"
 	"mocca/internal/transparency"
-	"mocca/internal/vclock"
 )
 
 // Message is the unit communicators exchange.
@@ -39,74 +34,30 @@ type Message struct {
 	Context string
 }
 
-// Exchange is the recorded form of a delivered message.
-type Exchange struct {
-	Message Message
-	Medium  string
-	At      time.Time
-}
-
-// Errors of the hub.
-var (
-	ErrUnknownUser   = errors.New("comm: unknown communicator")
-	ErrUnknownMedium = errors.New("comm: unknown medium")
-)
-
-// LiveHandler receives synchronous deliveries for an online communicator.
-type LiveHandler func(msg Message)
-
-// communicator is a registered principal.
-type communicator struct {
-	name   string
-	orName mhs.ORName
-	ua     *mhs.UserAgent
-	online bool
-	live   LiveHandler
-}
-
-// Medium is a pluggable delivery channel beyond the built-in live/MHS pair.
-type Medium interface {
-	Name() string
-	Deliver(msg Message) error
-}
+// ErrUnknownUser reports a communicator the hub has not registered.
+var ErrUnknownUser = errors.New("comm: unknown communicator")
 
 // Hub is the communication model service.
 type Hub struct {
-	clock    vclock.Clock
 	selector *transparency.Selector
 
-	mu        sync.Mutex
-	users     map[string]*communicator
-	media     map[string]Medium
-	exchanges []Exchange
-	stats     Stats
-}
-
-// Stats counts hub activity.
-type Stats struct {
-	Sent      int64
-	SyncSent  int64
-	AsyncSent int64
-	MediaSent int64
-	Failed    int64
+	mu sync.Mutex
+	// users maps each communicator to the MHS user agent that holds its
+	// mailbox; a sender-only communicator maps to nil.
+	users map[string]*mhs.UserAgent
 }
 
 // NewHub creates a hub using the given transparency selector.
-func NewHub(clock vclock.Clock, selector *transparency.Selector) *Hub {
-	return &Hub{
-		clock:    clock,
-		selector: selector,
-		users:    make(map[string]*communicator),
-		media:    make(map[string]Medium),
-	}
+func NewHub(selector *transparency.Selector) *Hub {
+	return &Hub{selector: selector, users: make(map[string]*mhs.UserAgent)}
 }
 
 // Register adds a communicator with their MHS user agent (which provides
-// the asynchronous path). The user starts offline.
+// the asynchronous path).
 func (h *Hub) Register(name string, ua *mhs.UserAgent) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.users[name] = &communicator{name: name, orName: ua.Name, ua: ua}
+	h.users[name] = ua
 }
 
 // RegisterSystem adds a sender-only communicator with no mailbox (bridges,
@@ -115,42 +66,13 @@ func (h *Hub) RegisterSystem(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, ok := h.users[name]; !ok {
-		h.users[name] = &communicator{name: name}
+		h.users[name] = nil
 	}
 }
 
-// SetOnline marks a user present and installs their live handler; a nil
-// handler with online=false marks them away.
-func (h *Hub) SetOnline(name string, handler LiveHandler) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	u, ok := h.users[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownUser, name)
-	}
-	u.online = handler != nil
-	u.live = handler
-	return nil
-}
-
-// Online reports presence.
-func (h *Hub) Online(name string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	u, ok := h.users[name]
-	return ok && u.online
-}
-
-// AddMedium registers an additional delivery medium (fax, paper, ...).
-func (h *Hub) AddMedium(m Medium) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.media[strings.ToLower(m.Name())] = m
-}
-
-// Send routes the message with temporal transparency: online recipients
-// get live delivery; offline recipients go store-and-forward via their
-// MHS user agent — provided the sender selected time transparency.
+// Send routes the message with temporal transparency: the recipient is
+// reached store-and-forward via their MHS user agent — provided the
+// sender selected time transparency.
 func (h *Hub) Send(msg Message) (transparency.Mode, error) {
 	h.mu.Lock()
 	_, ok := h.users[msg.From]
@@ -158,37 +80,22 @@ func (h *Hub) Send(msg Message) (transparency.Mode, error) {
 		h.mu.Unlock()
 		return "", fmt.Errorf("%w: sender %q", ErrUnknownUser, msg.From)
 	}
-	rcpt, ok := h.users[msg.To]
+	ua, ok := h.users[msg.To]
+	h.mu.Unlock()
 	if !ok {
-		h.mu.Unlock()
 		return "", fmt.Errorf("%w: recipient %q", ErrUnknownUser, msg.To)
 	}
-	h.stats.Sent++
-	h.mu.Unlock()
 
 	router := &transparency.TimeRouter{
 		Selector: h.selector,
-		Presence: func(user string) bool { return h.Online(user) },
-		Sync: func(user string, payload any) error {
-			m := payload.(Message)
-			h.mu.Lock()
-			u := h.users[user]
-			handler := u.live
-			h.mu.Unlock()
-			if handler == nil {
-				return errors.New("comm: no live handler")
-			}
-			handler(m)
-			return nil
-		},
 		Async: func(user string, payload any) error {
 			m := payload.(Message)
-			if rcpt.ua == nil {
+			if ua == nil {
 				return fmt.Errorf("comm: %q has no store-and-forward mailbox", user)
 			}
 			// Submit into the recipient's home MTA addressed to their own
 			// O/R name: local delivery into their message store.
-			_, err := rcpt.ua.Send([]mhs.ORName{rcpt.ua.Name}, m.Subject, m.Body,
+			_, err := ua.Send([]mhs.ORName{ua.Name}, m.Subject, m.Body,
 				mhs.WithHeader("comm-from", m.From),
 				mhs.WithHeader("comm-context", m.Context),
 				mhs.WithHeader("comm-info-object", m.InfoObject),
@@ -196,138 +103,5 @@ func (h *Hub) Send(msg Message) (transparency.Mode, error) {
 			return err
 		},
 	}
-	mode, err := router.Route(msg.From, msg.To, msg)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err != nil {
-		h.stats.Failed++
-		return "", err
-	}
-	switch mode {
-	case transparency.ModeSync:
-		h.stats.SyncSent++
-	case transparency.ModeAsync:
-		h.stats.AsyncSent++
-	}
-	h.recordLocked(Exchange{Message: msg, Medium: string(mode), At: h.clock.Now()})
-	return mode, nil
-}
-
-// SendVia delivers through a named registered medium (fax, paper, ...) —
-// "support for interchange across communication media".
-func (h *Hub) SendVia(mediumName string, msg Message) error {
-	h.mu.Lock()
-	m, ok := h.media[strings.ToLower(mediumName)]
-	h.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownMedium, mediumName)
-	}
-	if err := m.Deliver(msg); err != nil {
-		h.mu.Lock()
-		h.stats.Failed++
-		h.mu.Unlock()
-		return err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.stats.MediaSent++
-	h.recordLocked(Exchange{Message: msg, Medium: strings.ToLower(mediumName), At: h.clock.Now()})
-	return nil
-}
-
-// Ingest accepts a message arriving FROM an external medium and re-routes
-// it to the recipient through the normal transparent path — the inbound
-// half of media interchange (e.g. an arriving fax reaching a mailbox).
-func (h *Hub) Ingest(mediumName string, msg Message) (transparency.Mode, error) {
-	h.mu.Lock()
-	if _, ok := h.users[msg.From]; !ok {
-		// External senders are implicitly registered as bare
-		// communicators so the exchange log stays complete.
-		h.users[msg.From] = &communicator{name: msg.From}
-	}
-	h.mu.Unlock()
-	mode, err := h.Send(msg)
-	if err != nil {
-		return mode, fmt.Errorf("comm: ingest from %s: %w", mediumName, err)
-	}
-	return mode, nil
-}
-
-// Exchanges returns recorded exchanges, optionally filtered by context
-// ("" = all), most recent last.
-func (h *Hub) Exchanges(context string) []Exchange {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []Exchange
-	for _, ex := range h.exchanges {
-		if context == "" || ex.Message.Context == context {
-			out = append(out, ex)
-		}
-	}
-	return out
-}
-
-// Communicators lists registered user names, sorted.
-func (h *Hub) Communicators() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.users))
-	for name := range h.users {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Stats returns a snapshot of the counters.
-func (h *Hub) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
-}
-
-func (h *Hub) recordLocked(ex Exchange) {
-	h.exchanges = append(h.exchanges, ex)
-	if len(h.exchanges) > 4096 {
-		h.exchanges = h.exchanges[len(h.exchanges)-4096:]
-	}
-}
-
-// Spool is a simulated print-like medium (telefax, paper): deliveries
-// accumulate on a spool the "device" drains.
-type Spool struct {
-	name string
-
-	mu    sync.Mutex
-	items []Message
-}
-
-// NewSpool creates a named spool medium (e.g. "fax", "paper").
-func NewSpool(name string) *Spool { return &Spool{name: name} }
-
-// Name implements Medium.
-func (s *Spool) Name() string { return s.name }
-
-// Deliver implements Medium.
-func (s *Spool) Deliver(msg Message) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.items = append(s.items, msg)
-	return nil
-}
-
-// Drain removes and returns all spooled items.
-func (s *Spool) Drain() []Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.items
-	s.items = nil
-	return out
-}
-
-// Len returns the number of spooled items.
-func (s *Spool) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.items)
+	return router.Route(msg.From, msg.To, msg)
 }

@@ -20,7 +20,6 @@ type hubFixture struct {
 	net   *netsim.Network
 	hub   *Hub
 	sel   *transparency.Selector
-	mta   *mhs.MTA
 	prinz *mhs.UserAgent
 	klaus *mhs.UserAgent
 }
@@ -35,30 +34,10 @@ func newHubFixture(t *testing.T) *hubFixture {
 	klaus := mhs.NewUserAgent(mhs.MustParseORName("pn=klaus;o=gmd;c=de"), mta)
 
 	sel := transparency.NewSelector()
-	hub := NewHub(clk, sel)
+	hub := NewHub(sel)
 	hub.Register("prinz", prinz)
 	hub.Register("klaus", klaus)
-	return &hubFixture{clk: clk, net: net, hub: hub, sel: sel, mta: mta, prinz: prinz, klaus: klaus}
-}
-
-func TestSendSyncWhenOnline(t *testing.T) {
-	f := newHubFixture(t)
-	var live []Message
-	if err := f.hub.SetOnline("klaus", func(m Message) { live = append(live, m) }); err != nil {
-		t.Fatal(err)
-	}
-	mode, err := f.hub.Send(Message{From: "prinz", To: "klaus", Subject: "now", Body: "q?", Context: "act-1"})
-	if err != nil || mode != transparency.ModeSync {
-		t.Fatalf("mode=%v err=%v", mode, err)
-	}
-	if len(live) != 1 || live[0].Subject != "now" {
-		t.Fatalf("live = %v", live)
-	}
-	// Nothing hit the mailbox.
-	f.clk.RunUntilIdle()
-	if f.klaus.Unread() != 0 {
-		t.Fatal("sync delivery also hit the mailbox")
-	}
+	return &hubFixture{clk: clk, net: net, hub: hub, sel: sel, prinz: prinz, klaus: klaus}
 }
 
 func TestSendAsyncWhenOffline(t *testing.T) {
@@ -87,8 +66,9 @@ func TestOfflineWithoutTimeTransparencyFails(t *testing.T) {
 	if !errors.Is(err, transparency.ErrRecipientOffline) {
 		t.Fatalf("err = %v", err)
 	}
-	if st := f.hub.Stats(); st.Failed != 1 {
-		t.Fatalf("stats = %+v", st)
+	f.clk.RunUntilIdle()
+	if f.klaus.Unread() != 0 {
+		t.Fatal("a refused message reached the mailbox")
 	}
 }
 
@@ -99,81 +79,6 @@ func TestUnknownUsers(t *testing.T) {
 	}
 	if _, err := f.hub.Send(Message{From: "prinz", To: "ghost"}); !errors.Is(err, ErrUnknownUser) {
 		t.Fatalf("ghost recipient: %v", err)
-	}
-}
-
-func TestPresenceToggle(t *testing.T) {
-	f := newHubFixture(t)
-	if err := f.hub.SetOnline("klaus", func(Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	if !f.hub.Online("klaus") {
-		t.Fatal("not online after SetOnline")
-	}
-	if err := f.hub.SetOnline("klaus", nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.hub.Online("klaus") {
-		t.Fatal("still online after SetOnline(nil)")
-	}
-	if err := f.hub.SetOnline("ghost", nil); !errors.Is(err, ErrUnknownUser) {
-		t.Fatalf("ghost presence: %v", err)
-	}
-}
-
-func TestExchangeLogWithContext(t *testing.T) {
-	f := newHubFixture(t)
-	_, _ = f.hub.Send(Message{From: "prinz", To: "klaus", Subject: "a", Context: "act-1"})
-	_, _ = f.hub.Send(Message{From: "prinz", To: "klaus", Subject: "b", Context: "act-2"})
-	_, _ = f.hub.Send(Message{From: "klaus", To: "prinz", Subject: "c", Context: "act-1"})
-	all := f.hub.Exchanges("")
-	if len(all) != 3 {
-		t.Fatalf("all exchanges = %d", len(all))
-	}
-	act1 := f.hub.Exchanges("act-1")
-	if len(act1) != 2 || act1[0].Message.Subject != "a" || act1[1].Message.Subject != "c" {
-		t.Fatalf("act-1 exchanges = %v", act1)
-	}
-}
-
-func TestSpoolMedia(t *testing.T) {
-	f := newHubFixture(t)
-	fax := NewSpool("fax")
-	f.hub.AddMedium(fax)
-	if err := f.hub.SendVia("fax", Message{From: "prinz", To: "+49-2241", Subject: "contract", Body: "sign here"}); err != nil {
-		t.Fatal(err)
-	}
-	if fax.Len() != 1 {
-		t.Fatalf("spool len = %d", fax.Len())
-	}
-	items := fax.Drain()
-	if len(items) != 1 || items[0].Subject != "contract" {
-		t.Fatalf("drained = %v", items)
-	}
-	if fax.Len() != 0 {
-		t.Fatal("drain did not empty spool")
-	}
-	if err := f.hub.SendVia("telex", Message{}); !errors.Is(err, ErrUnknownMedium) {
-		t.Fatalf("unknown medium: %v", err)
-	}
-	// Media exchanges carry their medium name in the log.
-	exs := f.hub.Exchanges("")
-	if len(exs) != 1 || exs[0].Medium != "fax" {
-		t.Fatalf("exchange log = %v", exs)
-	}
-}
-
-func TestIngestFromMedium(t *testing.T) {
-	f := newHubFixture(t)
-	// A fax arrives from an external party addressed to klaus (offline):
-	// interchange routes it into his mailbox.
-	mode, err := f.hub.Ingest("fax", Message{From: "external-partner", To: "klaus", Subject: "inbound fax", Body: "…"})
-	if err != nil || mode != transparency.ModeAsync {
-		t.Fatalf("mode=%v err=%v", mode, err)
-	}
-	f.clk.RunUntilIdle()
-	if f.klaus.Unread() != 1 {
-		t.Fatal("ingested fax not in mailbox")
 	}
 }
 

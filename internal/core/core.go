@@ -131,7 +131,7 @@ func New(clock vclock.Clock, opts ...Option) *Environment {
 		panic(err) // static schema; cannot fail
 	}
 	e.space = information.NewSpace(registry, e.acl, clock, information.WithIDs(e.ids))
-	e.hub = comm.NewHub(clock, e.selector)
+	e.hub = comm.NewHub(e.selector)
 
 	// §6.1: the organisational knowledge base dictates the trading policy.
 	e.trading.AddPolicy(org.TradingPolicy(e.orgKB))
@@ -164,7 +164,7 @@ func (e *Environment) publishConformance() {
 		{Name: "schema-interchange", Viewpoint: odp.Information, Function: "information.SchemaRegistry"},
 		{Name: "replicated-information-spaces", Viewpoint: odp.Information, Function: "replica.Replicator"},
 		{Name: "selective-transparency", Viewpoint: odp.Computation, Function: "transparency.Selector"},
-		{Name: "replication-transparency", Viewpoint: odp.Computation, Function: "transparency.FilterReplica"},
+		{Name: "replication-transparency", Viewpoint: odp.Computation, Function: "replica.Replicator"},
 		{Name: "user-tailorability", Viewpoint: odp.Computation, Function: "policy.Engine"},
 		{Name: "communication-integration", Viewpoint: odp.Computation, Function: "comm.Hub"},
 		{Name: "invocation", Viewpoint: odp.Engineering, Function: "rpc.Endpoint"},
@@ -182,9 +182,6 @@ func (e *Environment) publishConformance() {
 // Accessors for the common services (the environment's "common functions",
 // with applications keeping "task-specific functions" to themselves).
 
-// Clock returns the environment time base.
-func (e *Environment) Clock() vclock.Clock { return e.clock }
-
 // Org returns the organisational model.
 func (e *Environment) Org() *org.KnowledgeBase { return e.orgKB }
 
@@ -200,7 +197,7 @@ func (e *Environment) Hub() *comm.Hub { return e.hub }
 // Expertise returns the user-expertise model.
 func (e *Environment) Expertise() *expertise.Model { return e.expertise }
 
-// Access returns the role-based access control system.
+// Access returns the access control system.
 func (e *Environment) Access() *access.System { return e.acl }
 
 // Policies returns the tailorability engine.
@@ -308,41 +305,12 @@ func (e *Environment) ShareAcross(reader, objID, targetApp string) (*information
 
 // SiteEnv is the per-site face of the environment: one site's replica of
 // the information model layered over the SAME schema registry, ACL
-// system, org knowledge base, policy engine and transparency selector as
-// every other site. Applications hosted at a site bind to their SiteEnv,
-// so their writes land on the local replica and propagate asynchronously,
-// while everything that must be globally consistent (schemas, grants,
-// policies) stays shared.
+// system and policy engine as every other site. Writes land on the local
+// replica and propagate asynchronously, while everything that must be
+// globally consistent (schemas, grants, policies) stays shared.
 type SiteEnv struct {
 	parent *Environment
-	site   string
 	space  *information.Space
-}
-
-// SiteEnv returns the per-site environment for the named site, creating
-// its information replica in memory on first use (ResetSiteSpace is how a
-// site gets a replica over other storage). The replica's events feed the
-// tailorability engine tagged with the site, so conflicts and remote
-// applies are scriptable like any other environment event.
-func (e *Environment) SiteEnv(site string) *SiteEnv {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if se, ok := e.siteEnvs[site]; ok {
-		return se
-	}
-	se := &SiteEnv{parent: e, site: site, space: e.newSiteSpace(site, nil)}
-	e.siteEnvs[site] = se
-	return se
-}
-
-// newSiteSpace builds one site's information replica over the given
-// backend (nil = in-memory) and feeds its events to the policy engine.
-func (e *Environment) newSiteSpace(site string, backend information.Backend) *information.Space {
-	sp := information.NewSpace(e.space.Registry(), e.acl, e.clock,
-		information.WithIDs(e.ids), information.WithSite(site),
-		information.WithBackend(backend))
-	sp.Subscribe("", func(ev information.Event) { e.dispatchInfo(site, ev) })
-	return sp
 }
 
 // infoKinds names the policy event of each kind a Space emits, so that
@@ -378,41 +346,26 @@ func (e *Environment) dispatchInfo(site string, ev information.Event) {
 	e.engine.Dispatch(pe)
 }
 
-// ResetSiteSpace rebuilds the named site's information replica over the
-// given backend — the crash/restart path: the site's in-memory replica
-// died with the site, and a durable backend arrives here freshly
-// recovered from its log. The existing SiteEnv is kept (applications and
-// other sites hold references to it) and its space is swapped, so
-// everything bound through the SiteEnv sees the recovered replica.
+// ResetSiteSpace (re)builds the named site's information replica over the
+// given backend (nil = in-memory) and feeds its events to the policy
+// engine tagged with the site. On the crash/restart path the site's
+// in-memory replica died with the site, and a durable backend arrives
+// here freshly recovered from its log: the existing SiteEnv is kept
+// (other sites hold references to it) and its space is swapped.
 func (e *Environment) ResetSiteSpace(site string, backend information.Backend) *SiteEnv {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	se, ok := e.siteEnvs[site]
 	if !ok {
-		se = &SiteEnv{parent: e, site: site}
+		se = &SiteEnv{parent: e}
 		e.siteEnvs[site] = se
 	}
-	se.space = e.newSiteSpace(site, backend)
+	se.space = information.NewSpace(e.space.Registry(), e.acl, e.clock,
+		information.WithIDs(e.ids), information.WithSite(site),
+		information.WithBackend(backend))
+	se.space.Subscribe("", func(ev information.Event) { e.dispatchInfo(site, ev) })
 	return se
 }
-
-// Sites lists the sites with materialised per-site environments, sorted.
-func (e *Environment) Sites() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.siteEnvs))
-	for s := range e.siteEnvs {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Site returns the site name.
-func (s *SiteEnv) Site() string { return s.site }
-
-// Parent returns the shared environment.
-func (s *SiteEnv) Parent() *Environment { return s.parent }
 
 // Space returns the site's information replica. The read is guarded by
 // the environment lock because ResetSiteSpace swaps the replica on the
@@ -421,37 +374,6 @@ func (s *SiteEnv) Space() *information.Space {
 	s.parent.mu.RLock()
 	defer s.parent.mu.RUnlock()
 	return s.space
-}
-
-// RegisterApplication admits an application through the shared
-// environment — schemas and converters are global, so an application
-// registered at one site interoperates at every site.
-func (s *SiteEnv) RegisterApplication(app Application) error {
-	return s.parent.RegisterApplication(app)
-}
-
-// Get reads an object from the site replica under the reader's
-// replication-transparency selection: with the transparency selected
-// (the default) the replica set looks like one information space; with it
-// deselected, the returned fields are annotated with which replica served
-// the read, the writing site and the version vector — replica lag in the
-// user's face. Every site holds every row, so a local miss is
-// authoritative.
-func (s *SiteEnv) Get(actor, objID string) (*information.Object, error) {
-	obj, err := s.Space().Get(actor, objID)
-	if err != nil {
-		return nil, err
-	}
-	// Build the annotation metadata (vector formatting allocates) only on
-	// the non-default, transparency-deselected path.
-	if !s.parent.selector.For(actor).Has(odp.Replication) {
-		obj.Fields = transparency.FilterReplica(s.parent.selector, actor, transparency.ReplicaMeta{
-			Site:    s.site,
-			Writer:  obj.Site,
-			Version: obj.VV.String(),
-		}, obj.Fields)
-	}
-	return obj, nil
 }
 
 // SyncOrgToDirectory exports the organisational knowledge base into the

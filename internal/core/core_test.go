@@ -12,7 +12,6 @@ import (
 	"mocca/internal/org"
 	"mocca/internal/policy"
 	"mocca/internal/trader"
-	"mocca/internal/transparency"
 	"mocca/internal/vclock"
 )
 
@@ -181,17 +180,14 @@ func TestModelEventsReachPolicyEngine(t *testing.T) {
 	}
 }
 
-// TestSiteEventsCarryAttributesOnceARuleAsks: with no rule installed an
-// information event is only counted; with one, the rule reads the same
-// attributes as ever, the site tag of a site replica included.
+// TestSiteEventsCarryAttributesOnceARuleAsks: with a rule installed, the
+// rule reads the same attributes as ever, the site tag of a site replica
+// included.
 func TestSiteEventsCarryAttributesOnceARuleAsks(t *testing.T) {
 	env := newEnv(t)
-	upc := env.SiteEnv("upc").Space()
+	upc := env.ResetSiteSpace("upc", nil).Space()
 	if _, err := upc.Put("ada", SharedSchemaName, map[string]string{"title": "unseen"}); err != nil {
 		t.Fatal(err)
-	}
-	if st := env.Policies().Stats(); st.Dispatched != 1 || st.Fired != 0 {
-		t.Fatalf("stats without rules = %+v", st)
 	}
 	var seen []map[string]string
 	env.Policies().RegisterAction("log", func(ev policy.Event, _ map[string]string) error {
@@ -218,16 +214,13 @@ func TestSiteEventsCarryAttributesOnceARuleAsks(t *testing.T) {
 }
 
 // TestInfoEventWithoutRulesAllocatesNothing: with no rule installed, an
-// event of a kind the Space emits is counted and builds nothing; an unknown
-// kind still reaches a rule under its "info." name.
+// event of a kind the Space emits builds nothing; an unknown kind still
+// reaches a rule under its "info." name.
 func TestInfoEventWithoutRulesAllocatesNothing(t *testing.T) {
 	env := newEnv(t)
 	ev := information.Event{Kind: "apply", Object: &information.Object{ID: "o1", Schema: SharedSchemaName}, Actor: "replica/upc"}
 	if n := testing.AllocsPerRun(100, func() { env.dispatchInfo("upc", ev) }); n != 0 {
 		t.Fatalf("dispatching an apply event with no rules allocates %v times", n)
-	}
-	if got := env.Policies().Stats().Dispatched; got != 101 { // AllocsPerRun's warm-up run too
-		t.Fatalf("Dispatched = %d after 101 events", got)
 	}
 	var fired []string
 	env.Policies().RegisterAction("log", func(ev policy.Event, _ map[string]string) error {
@@ -248,17 +241,18 @@ func TestInfoEventWithoutRulesAllocatesNothing(t *testing.T) {
 
 func TestConformanceCoversAllViewpoints(t *testing.T) {
 	env := newEnv(t)
-	reg := env.Conformance()
-	for _, v := range odp.Viewpoints() {
-		if len(reg.ByViewpoint(v)) == 0 {
+	names := map[string]bool{}
+	mapped := map[odp.Viewpoint]bool{}
+	for _, r := range env.Conformance().All() {
+		names[r.Name] = true
+		mapped[r.Viewpoint] = true
+	}
+	for _, v := range []odp.Viewpoint{odp.Enterprise, odp.Information, odp.Computation, odp.Engineering, odp.Technology} {
+		if !mapped[v] {
 			t.Errorf("no requirement mapped at the %s viewpoint", v)
 		}
 	}
 	// The three §6.1 headline mappings exist.
-	names := map[string]bool{}
-	for _, r := range reg.All() {
-		names[r.Name] = true
-	}
 	for _, want := range []string{"organisational-modelling", "selective-transparency", "trading-policy-from-org-kb"} {
 		if !names[want] {
 			t.Errorf("missing conformance requirement %q", want)
@@ -286,28 +280,6 @@ func TestSyncOrgToDirectory(t *testing.T) {
 	}
 }
 
-func TestImportExpertise(t *testing.T) {
-	env := newEnv(t)
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(env.Org().AddObject(org.Object{ID: "gmd", Kind: org.KindOrg}))
-	must(env.Org().AddObject(org.Object{ID: "prinz", Kind: org.KindPerson, Org: "gmd"}))
-	must(env.Org().AddObject(org.Object{ID: "leader", Kind: org.KindRole, Org: "gmd"}))
-	must(env.Org().Relate("prinz", org.RelFills, "leader"))
-	env.ImportExpertise()
-	p, err := env.Expertise().Profile("prinz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Responsibilities) != 1 || p.Responsibilities[0].Name != "leader" {
-		t.Fatalf("profile = %+v", p)
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	env := newEnv(t)
 	if err := env.RegisterApplication(editorApp()); err != nil {
@@ -327,17 +299,12 @@ func TestSnapshot(t *testing.T) {
 
 func TestSiteEnvReplicasShareRegistryAndACL(t *testing.T) {
 	env := newEnv(t)
-	gmd := env.SiteEnv("gmd")
-	upc := env.SiteEnv("upc")
-	if env.SiteEnv("gmd") != gmd {
-		t.Fatal("SiteEnv not idempotent")
-	}
-	if got := env.Sites(); len(got) != 2 || got[0] != "gmd" || got[1] != "upc" {
-		t.Fatalf("Sites = %v", got)
-	}
+	gmd := env.ResetSiteSpace("gmd", nil)
+	upc := env.ResetSiteSpace("upc", nil)
 
-	// One registry: a schema registered through any face is visible to all.
-	if err := gmd.RegisterApplication(Application{
+	// One registry: a schema the environment registers is visible at
+	// every site.
+	if err := env.RegisterApplication(Application{
 		Name: "notes",
 		Schema: information.Schema{Name: "note", Fields: []information.Field{
 			{Name: "head", Type: information.FieldText, Required: true},
@@ -361,33 +328,16 @@ func TestSiteEnvReplicasShareRegistryAndACL(t *testing.T) {
 	if _, _, err := gmd.Space().ApplyRemote(obj); err != nil {
 		t.Fatal(err)
 	}
-	got, err := gmd.Get("ben", obj.ID)
+	got, err := gmd.Space().Get("ben", obj.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Fields["head"] != "multi-site" {
 		t.Fatalf("fields = %v", got.Fields)
 	}
-	// Default replication transparency: no replica annotations.
-	if _, ok := got.Fields[transparency.ReplicaSiteField]; ok {
-		t.Fatal("transparent read leaked replica detail")
+	if env.ResetSiteSpace("gmd", nil) != gmd {
+		t.Fatal("a reset site kept no SiteEnv")
 	}
-
-	// Deselect replication transparency: the read is annotated with the
-	// serving replica and the writing site.
-	env.Transparency().Disable("ben", odp.Replication)
-	got, err = gmd.Get("ben", obj.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fields[transparency.ReplicaSiteField] != "gmd" ||
-		got.Fields[transparency.ReplicaWriterField] != "upc" {
-		t.Fatalf("annotations = %v", got.Fields)
-	}
-
-	// Site replica events reach the tailorability engine tagged with the
-	// site (the policy engine saw info.put with site=upc via dispatch) —
-	// verified indirectly: conflict resolution events carry winner/loser.
 	if env.Space().Len() != 0 {
 		t.Fatal("root space must not absorb site writes")
 	}

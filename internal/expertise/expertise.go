@@ -3,13 +3,11 @@
 // the organisation and user's capabilities, which describes the users
 // individual skills."
 //
-// The environment uses it to staff activities (who CAN do this?) and to
-// audit coverage (who MUST do this, and can they?).
+// The environment uses it to staff activities (who CAN do this?), and
+// derives responsibilities from the roles people fill in the org model.
 package expertise
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -29,30 +27,6 @@ const (
 	LevelAuthority
 )
 
-// String implements fmt.Stringer.
-func (l Level) String() string {
-	switch l {
-	case LevelNovice:
-		return "novice"
-	case LevelCompetent:
-		return "competent"
-	case LevelProficient:
-		return "proficient"
-	case LevelExpert:
-		return "expert"
-	case LevelAuthority:
-		return "authority"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
-// Capability is an individual skill at a level.
-type Capability struct {
-	Skill string
-	Level Level
-}
-
 // Responsibility is organisation-imposed: the Source records where it came
 // from (typically a role id in the org model).
 type Responsibility struct {
@@ -67,36 +41,15 @@ type Profile struct {
 	Responsibilities []Responsibility
 }
 
-// clone deep-copies the profile.
-func (p *Profile) clone() *Profile {
-	out := &Profile{
-		User:             p.User,
-		Capabilities:     make(map[string]Level, len(p.Capabilities)),
-		Responsibilities: append([]Responsibility(nil), p.Responsibilities...),
-	}
-	for k, v := range p.Capabilities {
-		out.Capabilities[k] = v
-	}
-	return out
-}
-
-// ErrUnknownUser reports a missing profile.
-var ErrUnknownUser = errors.New("expertise: unknown user")
-
-// Model stores expertise profiles and the skill requirements of
-// responsibilities. Safe for concurrent use.
+// Model stores expertise profiles. Safe for concurrent use.
 type Model struct {
-	mu           sync.RWMutex
-	profiles     map[string]*Profile
-	requirements map[string]map[string]Level // responsibility -> skill -> min level
+	mu       sync.RWMutex
+	profiles map[string]*Profile
 }
 
 // NewModel creates an empty model.
 func NewModel() *Model {
-	return &Model{
-		profiles:     make(map[string]*Profile),
-		requirements: make(map[string]map[string]Level),
-	}
+	return &Model{profiles: make(map[string]*Profile)}
 }
 
 // ensureLocked returns (creating if needed) the profile for user.
@@ -136,47 +89,6 @@ func (m *Model) AddResponsibility(user, name, source string) {
 	p.Responsibilities = append(p.Responsibilities, Responsibility{Name: name, Source: source})
 }
 
-// RemoveResponsibility lifts a responsibility.
-func (m *Model) RemoveResponsibility(user, name string) {
-	name = strings.ToLower(name)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.profiles[user]
-	if !ok {
-		return
-	}
-	keep := p.Responsibilities[:0]
-	for _, r := range p.Responsibilities {
-		if r.Name != name {
-			keep = append(keep, r)
-		}
-	}
-	p.Responsibilities = keep
-}
-
-// Profile returns a copy of the user's profile.
-func (m *Model) Profile(user string) (*Profile, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	p, ok := m.profiles[user]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownUser, user)
-	}
-	return p.clone(), nil
-}
-
-// RequireSkill declares that a responsibility needs a skill at min level.
-func (m *Model) RequireSkill(responsibility, skill string, min Level) {
-	responsibility = strings.ToLower(responsibility)
-	skill = strings.ToLower(skill)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.requirements[responsibility] == nil {
-		m.requirements[responsibility] = make(map[string]Level)
-	}
-	m.requirements[responsibility][skill] = min
-}
-
 // FindCapable returns users holding the skill at >= min, ranked by level
 // descending then name.
 func (m *Model) FindCapable(skill string, min Level) []string {
@@ -206,96 +118,6 @@ func (m *Model) FindCapable(skill string, min Level) []string {
 	return out
 }
 
-// Requirement describes one skill requirement for matching.
-type Requirement struct {
-	Skill string
-	Min   Level
-}
-
-// Match scores users against a requirement set: the score is the number of
-// requirements met; ties break by total level surplus, then name. Users
-// meeting no requirement are omitted.
-func (m *Model) Match(reqs []Requirement) []MatchResult {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []MatchResult
-	for user, p := range m.profiles {
-		met, surplus := 0, 0
-		for _, req := range reqs {
-			lvl, ok := p.Capabilities[strings.ToLower(req.Skill)]
-			if ok && lvl >= req.Min {
-				met++
-				surplus += int(lvl - req.Min)
-			}
-		}
-		if met > 0 {
-			out = append(out, MatchResult{User: user, Met: met, Total: len(reqs), Surplus: surplus})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Met != out[j].Met {
-			return out[i].Met > out[j].Met
-		}
-		if out[i].Surplus != out[j].Surplus {
-			return out[i].Surplus > out[j].Surplus
-		}
-		return out[i].User < out[j].User
-	})
-	return out
-}
-
-// MatchResult ranks one user against a requirement set.
-type MatchResult struct {
-	User    string
-	Met     int
-	Total   int
-	Surplus int
-}
-
-// Gap reports a responsibility whose holder lacks a required skill.
-type Gap struct {
-	User           string
-	Responsibility string
-	Skill          string
-	Need           Level
-	Have           Level // 0 when absent
-}
-
-// Gaps audits every profile against the declared skill requirements of its
-// responsibilities — the "can the people who MUST do this actually do it?"
-// check.
-func (m *Model) Gaps() []Gap {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []Gap
-	for user, p := range m.profiles {
-		for _, resp := range p.Responsibilities {
-			for skill, need := range m.requirements[resp.Name] {
-				have := p.Capabilities[skill]
-				if have < need {
-					out = append(out, Gap{
-						User:           user,
-						Responsibility: resp.Name,
-						Skill:          skill,
-						Need:           need,
-						Have:           have,
-					})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].User != out[j].User {
-			return out[i].User < out[j].User
-		}
-		if out[i].Responsibility != out[j].Responsibility {
-			return out[i].Responsibility < out[j].Responsibility
-		}
-		return out[i].Skill < out[j].Skill
-	})
-	return out
-}
-
 // ImportResponsibilities derives organisation-imposed responsibilities from
 // the org model: every role a person fills becomes a responsibility sourced
 // from that role.
@@ -305,16 +127,4 @@ func (m *Model) ImportResponsibilities(kb *org.KnowledgeBase) {
 			m.AddResponsibility(person.ID, roleID, "org:"+roleID)
 		}
 	}
-}
-
-// Users lists all profiled users, sorted.
-func (m *Model) Users() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.profiles))
-	for u := range m.profiles {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }

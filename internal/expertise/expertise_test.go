@@ -1,7 +1,6 @@
 package expertise
 
 import (
-	"errors"
 	"testing"
 
 	"mocca/internal/org"
@@ -20,27 +19,16 @@ func newSkilledModel(t *testing.T) *Model {
 
 func TestProfileCRUD(t *testing.T) {
 	m := newSkilledModel(t)
-	p, err := m.Profile("ada")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Capabilities["tunnel-engineering"] != LevelExpert {
-		t.Fatalf("profile = %+v", p)
-	}
-	// Returned profile is a copy.
-	p.Capabilities["tunnel-engineering"] = LevelNovice
-	again, _ := m.Profile("ada")
-	if again.Capabilities["tunnel-engineering"] != LevelExpert {
-		t.Fatal("Profile returned aliased storage")
-	}
-	if _, err := m.Profile("ghost"); !errors.Is(err, ErrUnknownUser) {
-		t.Fatalf("ghost err = %v", err)
+	if got := m.profiles["ada"].Capabilities["tunnel-engineering"]; got != LevelExpert {
+		t.Fatalf("ada's tunnel-engineering = %v", got)
 	}
 	// Level 0 removes.
 	m.SetCapability("ada", "tunnel-engineering", 0)
-	p2, _ := m.Profile("ada")
-	if _, ok := p2.Capabilities["tunnel-engineering"]; ok {
+	if _, ok := m.profiles["ada"].Capabilities["tunnel-engineering"]; ok {
 		t.Fatal("level 0 did not remove skill")
+	}
+	if got := m.FindCapable("tunnel-engineering", LevelNovice); len(got) != 1 || got[0] != "ben" {
+		t.Fatalf("capable after removal = %v", got)
 	}
 }
 
@@ -59,66 +47,14 @@ func TestFindCapableRanked(t *testing.T) {
 	}
 }
 
-func TestMatchRanking(t *testing.T) {
-	m := newSkilledModel(t)
-	reqs := []Requirement{
-		{Skill: "tunnel-engineering", Min: LevelCompetent},
-		{Skill: "project-management", Min: LevelCompetent},
-	}
-	got := m.Match(reqs)
-	if len(got) != 3 {
-		t.Fatalf("matches = %+v", got)
-	}
-	// ada meets both; ben and carol meet one each; carol's surplus on
-	// project-management (authority - competent = 3) beats ben's surplus
-	// on tunnel-engineering (competent - competent = 0).
-	if got[0].User != "ada" || got[0].Met != 2 {
-		t.Fatalf("first = %+v", got[0])
-	}
-	if got[1].User != "carol" || got[2].User != "ben" {
-		t.Fatalf("tie-break order = %v, %v", got[1], got[2])
-	}
-}
-
-func TestResponsibilitiesAndGaps(t *testing.T) {
-	m := newSkilledModel(t)
-	m.AddResponsibility("ben", "chief-engineer", "org:chief-engineer")
-	m.RequireSkill("chief-engineer", "tunnel-engineering", LevelExpert)
-	m.RequireSkill("chief-engineer", "project-management", LevelCompetent)
-
-	gaps := m.Gaps()
-	if len(gaps) != 2 {
-		t.Fatalf("gaps = %+v", gaps)
-	}
-	// ben is competent (needs expert) and lacks project-management.
-	for _, g := range gaps {
-		if g.User != "ben" || g.Responsibility != "chief-engineer" {
-			t.Fatalf("gap = %+v", g)
-		}
-	}
-	// Upskilling closes gaps.
-	m.SetCapability("ben", "tunnel-engineering", LevelExpert)
-	m.SetCapability("ben", "project-management", LevelCompetent)
-	if gaps := m.Gaps(); len(gaps) != 0 {
-		t.Fatalf("gaps after upskilling = %+v", gaps)
-	}
-}
-
 func TestAddResponsibilityIdempotent(t *testing.T) {
 	m := NewModel()
 	m.AddResponsibility("x", "r", "src")
 	m.AddResponsibility("x", "r", "src")
-	p, _ := m.Profile("x")
-	if len(p.Responsibilities) != 1 {
-		t.Fatalf("responsibilities = %v", p.Responsibilities)
+	m.AddResponsibility("x", "r", "other")
+	if got := m.profiles["x"].Responsibilities; len(got) != 2 {
+		t.Fatalf("responsibilities = %v", got)
 	}
-	m.RemoveResponsibility("x", "r")
-	p, _ = m.Profile("x")
-	if len(p.Responsibilities) != 0 {
-		t.Fatal("remove failed")
-	}
-	// Removing from an unknown user is a no-op.
-	m.RemoveResponsibility("ghost", "r")
 }
 
 func TestImportFromOrgModel(t *testing.T) {
@@ -136,25 +72,13 @@ func TestImportFromOrgModel(t *testing.T) {
 
 	m := NewModel()
 	m.ImportResponsibilities(kb)
-	p, err := m.Profile("prinz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Responsibilities) != 1 || p.Responsibilities[0].Name != "group-leader" {
-		t.Fatalf("imported = %+v", p.Responsibilities)
+	got := m.profiles["prinz"].Responsibilities
+	if len(got) != 1 || got[0].Name != "group-leader" || got[0].Source != "org:group-leader" {
+		t.Fatalf("imported = %+v", got)
 	}
 	// Re-import stays idempotent.
 	m.ImportResponsibilities(kb)
-	p, _ = m.Profile("prinz")
-	if len(p.Responsibilities) != 1 {
+	if got := m.profiles["prinz"].Responsibilities; len(got) != 1 {
 		t.Fatal("re-import duplicated responsibilities")
-	}
-}
-
-func TestUsers(t *testing.T) {
-	m := newSkilledModel(t)
-	got := m.Users()
-	if len(got) != 3 || got[0] != "ada" || got[2] != "carol" {
-		t.Fatalf("users = %v", got)
 	}
 }

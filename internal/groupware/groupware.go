@@ -1,38 +1,26 @@
-// Package groupware provides four small but complete CSCW applications,
-// one per cell of the paper's figure-1 time-space matrix:
+// Package groupware provides four CSCW applications, one per cell of the
+// paper's figure-1 time-space matrix:
 //
-//	same time / same place           MeetingRoom        (COLAB-style [10])
-//	same time / different place      DesktopConference  (Shared X-style [6])
-//	different time / same place      TeamRoom           (shift handover board)
-//	different time / different place MessageSystem      (Object-Lens-style [7])
+//	same time / same place           MeetingRoom                (COLAB-style [10])
+//	same time / different place      RegisterDesktopConference  (Shared X-style [6])
+//	different time / same place      RegisterTeamRoom           (shift handover board)
+//	different time / different place RegisterMessageSystem      (Object-Lens-style [7])
 //
 // Each application registers with the CSCW environment (figure 3) and
 // works only through environment services — which is exactly what makes
 // them open: any of them can read the others' artefacts via the shared
-// information model.
+// information model. The meeting room also runs its room conference and
+// publishes minutes; the other three register their schemas.
 package groupware
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"mocca/internal/core"
 	"mocca/internal/information"
-	"mocca/internal/mhs"
 	"mocca/internal/rtc"
 )
-
-// Env is the environment face an application binds to: the global
-// *core.Environment, or a site's *core.SiteEnv so that the application
-// instance works against that site's information replica (writes land
-// locally and replicate asynchronously). Registration is global either
-// way — schemas are shared across sites.
-type Env interface {
-	RegisterApplication(core.Application) error
-	Space() *information.Space
-}
 
 // Quadrant names used in Application registrations.
 const (
@@ -71,13 +59,13 @@ func renameFields(mapping map[string]string) func(map[string]string) (map[string
 // (an rtc conference whose members all sit on the same node), plus minutes
 // published into the information space when the meeting closes.
 type MeetingRoom struct {
-	env    Env
+	env    *core.Environment
 	server *rtc.Server
 	conf   string
 }
 
 // NewMeetingRoom registers the application and opens its room conference.
-func NewMeetingRoom(env Env, server *rtc.Server) (*MeetingRoom, error) {
+func NewMeetingRoom(env *core.Environment, server *rtc.Server) (*MeetingRoom, error) {
 	app := core.Application{
 		Name:     "meeting-room",
 		Quadrant: QuadrantSameTimeSamePlace,
@@ -124,17 +112,11 @@ func (m *MeetingRoom) PublishMinutes(scribe, topic string) (*information.Object,
 
 // --- DesktopConference (same time, different place) ----------------------
 
-// DesktopConference is a Shared-X-style remote conference: members join
-// from their own nodes; WYSIWIS state is the shared document.
-type DesktopConference struct {
-	env    Env
-	server *rtc.Server
-	conf   string
-}
-
-// NewDesktopConference registers the application and opens a conference.
-func NewDesktopConference(env Env, server *rtc.Server) (*DesktopConference, error) {
-	app := core.Application{
+// RegisterDesktopConference registers a Shared-X-style remote
+// conference: members join from their own nodes, and the WYSIWIS state is
+// the shared document.
+func RegisterDesktopConference(env *core.Environment) error {
+	return env.RegisterApplication(core.Application{
 		Name:     "desktop-conference",
 		Quadrant: QuadrantSameTimeDiffPlace,
 		Schema: information.Schema{Name: "conf-document", Fields: []information.Field{
@@ -144,60 +126,16 @@ func NewDesktopConference(env Env, server *rtc.Server) (*DesktopConference, erro
 		}},
 		ToShared:   renameFields(map[string]string{"name": "title", "contents": "body", "editor": "author"}),
 		FromShared: renameFields(map[string]string{"title": "name", "body": "contents", "author": "editor"}),
-	}
-	if err := env.RegisterApplication(app); err != nil {
-		return nil, err
-	}
-	cid, err := server.CreateConference("desktop-conference", rtc.ModeOpen)
-	if err != nil {
-		return nil, err
-	}
-	return &DesktopConference{env: env, server: server, conf: cid}, nil
-}
-
-// ConferenceID returns the conference id for sessions to join.
-func (d *DesktopConference) ConferenceID() string { return d.conf }
-
-// SaveDocument snapshots the conference state into the information space.
-func (d *DesktopConference) SaveDocument(owner, name string) (*information.Object, error) {
-	history, err := d.server.History(d.conf)
-	if err != nil {
-		return nil, err
-	}
-	state := map[string]string{}
-	for _, ev := range history {
-		if ev.Kind == rtc.EventState {
-			state[ev.Key] = ev.Value
-		}
-	}
-	keys := make([]string, 0, len(state))
-	for k := range state {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var contents strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&contents, "%s: %s\n", k, state[k])
-	}
-	return d.env.Space().Put(owner, "conf-document", map[string]string{
-		"name":     name,
-		"contents": contents.String(),
-		"editor":   owner,
 	})
 }
 
 // --- TeamRoom (different time, same place) --------------------------------
 
-// TeamRoom is a shift-handover board in a shared physical space: notes are
-// posted by one shift and read by the next — same place, different times.
-type TeamRoom struct {
-	env  Env
-	name string
-}
-
-// NewTeamRoom registers the application.
-func NewTeamRoom(env Env, name string) (*TeamRoom, error) {
-	app := core.Application{
+// RegisterTeamRoom registers a shift-handover board in a shared physical
+// space: notes are posted by one shift and read by the next — same place,
+// different times.
+func RegisterTeamRoom(env *core.Environment) error {
+	return env.RegisterApplication(core.Application{
 		Name:     "team-room",
 		Quadrant: QuadrantDiffTimeSamePlace,
 		Schema: information.Schema{Name: "shift-note", Fields: []information.Field{
@@ -208,52 +146,15 @@ func NewTeamRoom(env Env, name string) (*TeamRoom, error) {
 		}},
 		ToShared:   renameFields(map[string]string{"headline": "title", "detail": "body", "poster": "author"}),
 		FromShared: renameFields(map[string]string{"title": "headline", "body": "detail", "author": "poster"}),
-	}
-	if err := env.RegisterApplication(app); err != nil {
-		return nil, err
-	}
-	return &TeamRoom{env: env, name: name}, nil
-}
-
-// Post pins a note to the board, readable by everyone in the room: the
-// poster shares it with the board's room principal so later shifts can
-// query it.
-func (tr *TeamRoom) Post(poster, shift, headline, detail string) (*information.Object, error) {
-	obj, err := tr.env.Space().Put(poster, "shift-note", map[string]string{
-		"headline": headline,
-		"detail":   detail,
-		"shift":    shift,
-		"poster":   poster,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.env.Space().Share(poster, obj.ID, "room:"+tr.name, false); err != nil {
-		return nil, err
-	}
-	return obj, nil
-}
-
-// Board lists notes visible in the room, optionally for one shift.
-func (tr *TeamRoom) Board(shift string) ([]*information.Object, error) {
-	filter := map[string]string{}
-	if shift != "" {
-		filter["shift"] = shift
-	}
-	return tr.env.Space().Query("room:"+tr.name, "shift-note", filter)
 }
 
 // --- MessageSystem (different time, different place) ----------------------
 
-// MessageSystem is an Object-Lens-style structured-message application on
-// the MHS: conversations are threads of typed messages.
-type MessageSystem struct {
-	env Env
-}
-
-// NewMessageSystem registers the application.
-func NewMessageSystem(env Env) (*MessageSystem, error) {
-	app := core.Application{
+// RegisterMessageSystem registers an Object-Lens-style structured-message
+// application on the MHS: conversations are threads of typed messages.
+func RegisterMessageSystem(env *core.Environment) error {
+	return env.RegisterApplication(core.Application{
 		Name:     "message-system",
 		Quadrant: QuadrantDiffTimeDiffPlace,
 		Schema: information.Schema{Name: "structured-message", Fields: []information.Field{
@@ -264,36 +165,5 @@ func NewMessageSystem(env Env) (*MessageSystem, error) {
 		}},
 		ToShared:   renameFields(map[string]string{"subject": "title", "text": "body", "sender": "author"}),
 		FromShared: renameFields(map[string]string{"title": "subject", "body": "text", "author": "sender"}),
-	}
-	if err := env.RegisterApplication(app); err != nil {
-		return nil, err
-	}
-	return &MessageSystem{env: env}, nil
-}
-
-// ErrNoThread reports an unknown conversation thread.
-var ErrNoThread = errors.New("groupware: unknown thread")
-
-// Post sends a structured message through the MHS and mirrors it into the
-// information space for cross-application access.
-func (ms *MessageSystem) Post(ua *mhs.UserAgent, to []mhs.ORName, thread, subject, text string) (string, error) {
-	msgID, err := ua.Send(to, subject, text, mhs.WithHeader("thread", thread))
-	if err != nil {
-		return "", err
-	}
-	_, err = ms.env.Space().Put(ua.Name.Personal, "structured-message", map[string]string{
-		"subject": subject,
-		"text":    text,
-		"sender":  ua.Name.Personal,
-		"thread":  thread,
 	})
-	if err != nil {
-		return "", err
-	}
-	return msgID, nil
-}
-
-// Thread lists the mirrored messages of a conversation in posting order.
-func (ms *MessageSystem) Thread(reader, thread string) ([]*information.Object, error) {
-	return ms.env.Space().Query(reader, "structured-message", map[string]string{"thread": thread})
 }

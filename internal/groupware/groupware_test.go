@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mocca/internal/core"
-	"mocca/internal/mhs"
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/rtc"
@@ -18,7 +17,6 @@ type gwFixture struct {
 	net    *netsim.Network
 	env    *core.Environment
 	server *rtc.Server
-	mta    *mhs.MTA
 }
 
 func newGWFixture(t *testing.T) *gwFixture {
@@ -28,9 +26,7 @@ func newGWFixture(t *testing.T) *gwFixture {
 	env := core.New(clk)
 	mcuEP := rpc.NewEndpoint(net.MustAddNode("mcu"), clk)
 	server := rtc.NewServer(mcuEP, clk)
-	mtaEP := rpc.NewEndpoint(net.MustAddNode("mta"), clk)
-	mta := mhs.NewMTA("mta-gmd", "gmd.de", mtaEP, clk)
-	return &gwFixture{clk: clk, net: net, env: env, server: server, mta: mta}
+	return &gwFixture{clk: clk, net: net, env: env, server: server}
 }
 
 func (f *gwFixture) drive(t *testing.T, op func() error) {
@@ -65,13 +61,13 @@ func TestAllQuadrantsRegister(t *testing.T) {
 	if _, err := NewMeetingRoom(f.env, f.server); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDesktopConference(f.env, f.server); err != nil {
+	if err := RegisterDesktopConference(f.env); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewTeamRoom(f.env, "birlinghoven-lab"); err != nil {
+	if err := RegisterTeamRoom(f.env); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMessageSystem(f.env); err != nil {
+	if err := RegisterMessageSystem(f.env); err != nil {
 		t.Fatal(err)
 	}
 	quads := f.env.Quadrants()
@@ -102,92 +98,6 @@ func TestMeetingRoomMinutes(t *testing.T) {
 	}
 }
 
-func TestDesktopConferenceDocument(t *testing.T) {
-	f := newGWFixture(t)
-	conf, err := NewDesktopConference(f.env, f.server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := f.session(t, "site-a", conf.ConferenceID(), "ada")
-	b := f.session(t, "site-b", conf.ConferenceID(), "ben")
-	f.drive(t, a.Join)
-	f.drive(t, b.Join)
-	f.drive(t, func() error { return a.Set("para-1", "introduction") })
-	f.drive(t, func() error { return b.Set("para-2", "requirements") })
-	f.clk.RunUntilIdle()
-
-	doc, err := conf.SaveDocument("ada", "position-paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(doc.Fields["contents"], "para-1: introduction") ||
-		!strings.Contains(doc.Fields["contents"], "para-2: requirements") {
-		t.Fatalf("document = %q", doc.Fields["contents"])
-	}
-}
-
-func TestTeamRoomShiftHandover(t *testing.T) {
-	f := newGWFixture(t)
-	room, err := NewTeamRoom(f.env, "control-room")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := room.Post("nightshift-lead", "night", "TBM stopped", "bearing temperature high"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := room.Post("nightshift-lead", "night", "visitor log", "inspection at 03:00"); err != nil {
-		t.Fatal(err)
-	}
-	// The next (day) shift reads the board in the same room, later.
-	f.clk.Advance(8 * time.Hour)
-	notes, err := room.Board("night")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(notes) != 2 {
-		t.Fatalf("board has %d notes", len(notes))
-	}
-	all, err := room.Board("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 {
-		t.Fatalf("all notes = %d", len(all))
-	}
-}
-
-func TestMessageSystemThreading(t *testing.T) {
-	f := newGWFixture(t)
-	ms, err := NewMessageSystem(f.env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prinz := mhs.NewUserAgent(mhs.MustParseORName("pn=prinz;o=gmd;c=de"), f.mta)
-	klaus := mhs.NewUserAgent(mhs.MustParseORName("pn=klaus;o=gmd;c=de"), f.mta)
-
-	if _, err := ms.Post(prinz, []mhs.ORName{klaus.Name}, "models", "draft ready", "please review"); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.RunUntilIdle()
-	if _, err := ms.Post(klaus, []mhs.ORName{prinz.Name}, "models", "re: draft ready", "looks good"); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.RunUntilIdle()
-
-	// MHS delivered both.
-	if klaus.Unread() != 1 || prinz.Unread() != 1 {
-		t.Fatalf("unread: klaus=%d prinz=%d", klaus.Unread(), prinz.Unread())
-	}
-	// The thread is visible to its participants via the space mirror.
-	thread, err := ms.Thread("prinz", "models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(thread) != 1 { // prinz sees his own post; klaus's is unshared
-		t.Fatalf("prinz sees %d thread messages", len(thread))
-	}
-}
-
 func TestCrossQuadrantInterop(t *testing.T) {
 	// The headline openness property: minutes written in the co-located
 	// meeting room are readable by the remote message system, because
@@ -197,7 +107,7 @@ func TestCrossQuadrantInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMessageSystem(f.env); err != nil {
+	if err := RegisterMessageSystem(f.env); err != nil {
 		t.Fatal(err)
 	}
 	scribe := f.session(t, "room-terminal", room.ConferenceID(), "scribe")

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Viewpoint is one of the five ODP viewpoints.
@@ -46,21 +45,6 @@ func (v Viewpoint) String() string {
 	return fmt.Sprintf("viewpoint(%d)", int(v))
 }
 
-// ParseViewpoint parses a viewpoint name.
-func ParseViewpoint(s string) (Viewpoint, error) {
-	for v, name := range viewpointNames {
-		if strings.EqualFold(s, name) {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("odp: unknown viewpoint %q", s)
-}
-
-// Viewpoints lists all five in canonical order.
-func Viewpoints() []Viewpoint {
-	return []Viewpoint{Enterprise, Information, Computation, Engineering, Technology}
-}
-
 // Transparency is a distribution transparency of the computational
 // viewpoint. The paper (§4, §6.1) extends the ODP set with CSCW-specific
 // transparencies (organisation, time, view, activity) — both families share
@@ -82,37 +66,6 @@ const (
 	Activity
 )
 
-var transparencyNames = map[Transparency]string{
-	Access:       "access",
-	Location:     "location",
-	Migration:    "migration",
-	Replication:  "replication",
-	Failure:      "failure",
-	Concurrency:  "concurrency",
-	Organisation: "organisation",
-	Time:         "time",
-	View:         "view",
-	Activity:     "activity",
-}
-
-// String implements fmt.Stringer.
-func (t Transparency) String() string {
-	if s, ok := transparencyNames[t]; ok {
-		return s
-	}
-	return fmt.Sprintf("transparency(%d)", int(t))
-}
-
-// ODPTransparencies returns the classic ODP set.
-func ODPTransparencies() []Transparency {
-	return []Transparency{Access, Location, Migration, Replication, Failure, Concurrency}
-}
-
-// CSCWTransparencies returns the paper's extension set.
-func CSCWTransparencies() []Transparency {
-	return []Transparency{Organisation, Time, View, Activity}
-}
-
 // Mask is a selectable set of transparencies. The paper's core demand on
 // ODP is that this selection be available to USERS, not only designers
 // ("the user should be allowed to select their required transparency");
@@ -131,9 +84,6 @@ func MaskOf(ts ...Transparency) Mask {
 // Has reports whether the mask selects t.
 func (m Mask) Has(t Transparency) bool { return m&(1<<uint(t)) != 0 }
 
-// With returns the mask with t selected.
-func (m Mask) With(t Transparency) Mask { return m | 1<<uint(t) }
-
 // Without returns the mask with t deselected.
 func (m Mask) Without(t Transparency) Mask { return m &^ (1 << uint(t)) }
 
@@ -148,49 +98,11 @@ func (m Mask) List() []Transparency {
 	return out
 }
 
-// String renders e.g. "access+time+view".
-func (m Mask) String() string {
-	ts := m.List()
-	if len(ts) == 0 {
-		return "none"
-	}
-	names := make([]string, len(ts))
-	for i, t := range ts {
-		names[i] = t.String()
-	}
-	return strings.Join(names, "+")
-}
-
-// InteractionKind is an ODP computational interaction.
-type InteractionKind int
-
-// The two computational interaction kinds.
-const (
-	// Interrogation is request/reply.
-	Interrogation InteractionKind = iota + 1
-	// Announcement is one-way.
-	Announcement
-)
-
-// String implements fmt.Stringer.
-func (k InteractionKind) String() string {
-	switch k {
-	case Interrogation:
-		return "interrogation"
-	case Announcement:
-		return "announcement"
-	default:
-		return fmt.Sprintf("interaction(%d)", int(k))
-	}
-}
-
 // Binding describes an established channel between two computational
 // objects and the transparencies the infrastructure provides on it.
 type Binding struct {
-	ID       string
 	Client   string
 	Server   string
-	Kind     InteractionKind
 	Provides Mask
 }
 
@@ -241,18 +153,6 @@ func (r *Registry) Add(req Requirement) error {
 	}
 	r.byName[req.Name] = req
 	return nil
-}
-
-// ByViewpoint returns requirements at the given viewpoint, sorted by name.
-func (r *Registry) ByViewpoint(v Viewpoint) []Requirement {
-	var out []Requirement
-	for _, req := range r.byName {
-		if req.Viewpoint == v {
-			out = append(out, req)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // All returns every requirement, sorted by (viewpoint, name).

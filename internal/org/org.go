@@ -4,6 +4,9 @@
 // of organisational objects (e.g. resources, projects, people, roles),
 // organisational relations and rules."
 //
+// Rules take the form of per-organisation policies here: Compatible
+// decides whether two organisations may interact.
+//
 // The central artefact is the KnowledgeBase — the "organisational knowledge
 // base" that §6.1 proposes to associate with the ODP trader ("containing or
 // dictating among other the trading policy"). The bridge in this package
@@ -74,9 +77,8 @@ type Relation struct {
 
 // Errors returned by the knowledge base.
 var (
-	ErrUnknownObject = errors.New("org: unknown object")
-	ErrObjectExists  = errors.New("org: object already exists")
-	ErrBadRelation   = errors.New("org: relation endpoint missing")
+	ErrObjectExists = errors.New("org: object already exists")
+	ErrBadRelation  = errors.New("org: relation endpoint missing")
 )
 
 // KnowledgeBase stores organisational objects, relations and per-
@@ -86,9 +88,7 @@ type KnowledgeBase struct {
 	objects   map[string]*Object
 	relations []Relation
 	outIndex  map[string][]int // object id -> relation indices (as From)
-	inIndex   map[string][]int // object id -> relation indices (as To)
 	policies  map[string]map[string]string
-	rules     []Rule
 }
 
 // NewKnowledgeBase creates an empty knowledge base.
@@ -96,7 +96,6 @@ func NewKnowledgeBase() *KnowledgeBase {
 	return &KnowledgeBase{
 		objects:  make(map[string]*Object),
 		outIndex: make(map[string][]int),
-		inIndex:  make(map[string][]int),
 		policies: make(map[string]map[string]string),
 	}
 }
@@ -118,36 +117,6 @@ func (kb *KnowledgeBase) AddObject(o Object) error {
 	return nil
 }
 
-// Object returns a copy of the object.
-func (kb *KnowledgeBase) Object(id string) (*Object, error) {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	o, ok := kb.objects[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownObject, id)
-	}
-	return o.clone(), nil
-}
-
-// RemoveObject deletes an object and its incident relations.
-func (kb *KnowledgeBase) RemoveObject(id string) error {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	if _, ok := kb.objects[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownObject, id)
-	}
-	delete(kb.objects, id)
-	keep := kb.relations[:0]
-	for _, r := range kb.relations {
-		if r.From != id && r.To != id {
-			keep = append(keep, r)
-		}
-	}
-	kb.relations = keep
-	kb.reindexLocked()
-	return nil
-}
-
 // Relate adds a typed relation; both endpoints must exist.
 func (kb *KnowledgeBase) Relate(from string, kind RelationKind, to string) error {
 	kb.mu.Lock()
@@ -166,32 +135,7 @@ func (kb *KnowledgeBase) Relate(from string, kind RelationKind, to string) error
 	kb.relations = append(kb.relations, Relation{From: from, Kind: kind, To: to})
 	idx := len(kb.relations) - 1
 	kb.outIndex[from] = append(kb.outIndex[from], idx)
-	kb.inIndex[to] = append(kb.inIndex[to], idx)
 	return nil
-}
-
-// Unrelate removes a relation.
-func (kb *KnowledgeBase) Unrelate(from string, kind RelationKind, to string) {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	keep := kb.relations[:0]
-	for _, r := range kb.relations {
-		if r.From == from && r.Kind == kind && r.To == to {
-			continue
-		}
-		keep = append(keep, r)
-	}
-	kb.relations = keep
-	kb.reindexLocked()
-}
-
-func (kb *KnowledgeBase) reindexLocked() {
-	kb.outIndex = make(map[string][]int, len(kb.objects))
-	kb.inIndex = make(map[string][]int, len(kb.objects))
-	for i, r := range kb.relations {
-		kb.outIndex[r.From] = append(kb.outIndex[r.From], i)
-		kb.inIndex[r.To] = append(kb.inIndex[r.To], i)
-	}
 }
 
 // Related returns ids of objects reachable from id over one hop of kind.
@@ -206,47 +150,6 @@ func (kb *KnowledgeBase) Related(id string, kind RelationKind) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// RelatedInverse returns ids of objects that point at id over kind.
-func (kb *KnowledgeBase) RelatedInverse(id string, kind RelationKind) []string {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	var out []string
-	for _, idx := range kb.inIndex[id] {
-		r := kb.relations[idx]
-		if r.Kind == kind {
-			out = append(out, r.From)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TransitiveClosure walks kind edges from id (e.g. the unit hierarchy via
-// part-of), returning every reachable id in BFS order.
-func (kb *KnowledgeBase) TransitiveClosure(id string, kind RelationKind) []string {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	var out []string
-	seen := map[string]bool{id: true}
-	queue := []string{id}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		next := make([]string, 0, 4)
-		for _, idx := range kb.outIndex[cur] {
-			r := kb.relations[idx]
-			if r.Kind == kind && !seen[r.To] {
-				seen[r.To] = true
-				next = append(next, r.To)
-			}
-		}
-		sort.Strings(next)
-		out = append(out, next...)
-		queue = append(queue, next...)
-	}
 	return out
 }
 
@@ -282,13 +185,6 @@ func (kb *KnowledgeBase) SetPolicy(orgID, key, value string) {
 	kb.policies[orgID][strings.ToLower(key)] = strings.ToLower(value)
 }
 
-// Policy returns an organisation's policy attribute ("" if unset).
-func (kb *KnowledgeBase) Policy(orgID, key string) string {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	return kb.policies[orgID][strings.ToLower(key)]
-}
-
 // Compatible decides inter-organisational policy compatibility: two
 // organisations interact when no policy key both declare has conflicting
 // values. This realises the paper's "sometimes, interaction is not
@@ -318,11 +214,6 @@ func (kb *KnowledgeBase) OrgOf(id string) string {
 		return o.ID
 	}
 	return o.Org
-}
-
-// MembersOf returns the person ids that are member-of the given target.
-func (kb *KnowledgeBase) MembersOf(target string) []string {
-	return kb.RelatedInverse(target, RelMemberOf)
 }
 
 // RolesFilledBy returns the role ids the person fills.

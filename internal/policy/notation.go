@@ -9,25 +9,22 @@ import (
 //
 //	rule <name> [priority <n>]
 //	on <event-kind>
-//	[when <attr> == <value> [and <attr> != <value> ...]]
 //	do <action> [key=value ...]
 //
 // Example:
 //
 //	rule urgent-mail priority 10
 //	on mhs.delivered
-//	when priority == urgent and folder != spam
 //	do notify channel=popup
 //
 // Clauses may be separated by newlines or semicolons. Values containing
-// spaces are double-quoted. The operators == != and contains are supported.
+// spaces are double-quoted.
 func ParseRule(text string, author AuthorLevel) (Rule, error) {
 	r := Rule{Author: author, Args: map[string]string{}}
 	clauses := splitClauses(text)
 	if len(clauses) == 0 {
 		return r, fmt.Errorf("%w: empty rule", ErrBadRule)
 	}
-	var conds []Condition
 	for _, clause := range clauses {
 		fields := tokenize(clause)
 		if len(fields) == 0 {
@@ -51,12 +48,6 @@ func ParseRule(text string, author AuthorLevel) (Rule, error) {
 				return r, fmt.Errorf("%w: on clause needs one event kind", ErrBadRule)
 			}
 			r.On = fields[1]
-		case "when":
-			cs, err := parseConditions(fields[1:])
-			if err != nil {
-				return r, err
-			}
-			conds = append(conds, cs...)
 		case "do":
 			if len(fields) < 2 {
 				return r, fmt.Errorf("%w: do clause needs an action", ErrBadRule)
@@ -82,43 +73,7 @@ func ParseRule(text string, author AuthorLevel) (Rule, error) {
 	if r.ActionName == "" {
 		return r, fmt.Errorf("%w: missing do clause", ErrBadRule)
 	}
-	switch len(conds) {
-	case 0:
-		r.Condition = True()
-	case 1:
-		r.Condition = conds[0]
-	default:
-		r.Condition = AllOf(conds...)
-	}
 	return r, nil
-}
-
-// parseConditions parses "<attr> <op> <value> [and ...]" token runs.
-func parseConditions(fields []string) ([]Condition, error) {
-	var out []Condition
-	i := 0
-	for i < len(fields) {
-		if strings.EqualFold(fields[i], "and") {
-			i++
-			continue
-		}
-		if i+2 >= len(fields) {
-			return nil, fmt.Errorf("%w: incomplete condition near %q", ErrBadRule, strings.Join(fields[i:], " "))
-		}
-		attr, op, val := fields[i], fields[i+1], fields[i+2]
-		switch op {
-		case "==":
-			out = append(out, AttrEq(attr, val))
-		case "!=":
-			out = append(out, AttrNe(attr, val))
-		case "contains":
-			out = append(out, AttrContains(attr, val))
-		default:
-			return nil, fmt.Errorf("%w: unknown operator %q", ErrBadRule, op)
-		}
-		i += 3
-	}
-	return out, nil
 }
 
 // splitClauses breaks rule text on newlines and semicolons.

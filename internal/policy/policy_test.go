@@ -2,7 +2,6 @@ package policy
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -34,7 +33,6 @@ func TestBasicDispatch(t *testing.T) {
 	err := e.AddRule(Rule{
 		Name:       "mail-popup",
 		On:         "mhs.delivered",
-		Condition:  AttrEq("priority", "urgent"),
 		ActionName: "notify",
 		Args:       map[string]string{"channel": "popup"},
 	})
@@ -44,11 +42,6 @@ func TestBasicDispatch(t *testing.T) {
 	n := e.Dispatch(Event{Kind: "mhs.delivered", Attrs: map[string]string{"priority": "urgent"}})
 	if n != 1 || len(*log) != 1 || (*log)[0] != "notify:mhs.delivered:popup" {
 		t.Fatalf("fired %d, log %v", n, *log)
-	}
-	// Non-matching condition.
-	n = e.Dispatch(Event{Kind: "mhs.delivered", Attrs: map[string]string{"priority": "normal"}})
-	if n != 0 {
-		t.Fatalf("fired %d for non-matching event", n)
 	}
 	// Non-matching kind.
 	n = e.Dispatch(Event{Kind: "rtc.joined"})
@@ -86,35 +79,8 @@ func TestUserLevelActionRestrictions(t *testing.T) {
 	}
 }
 
-func TestEnableDisableRemove(t *testing.T) {
-	e, log := newEngineWithActions(t)
-	if err := e.AddRule(Rule{Name: "r", On: "x", ActionName: "notify"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetEnabled("r", false); err != nil {
-		t.Fatal(err)
-	}
-	e.Dispatch(Event{Kind: "x"})
-	if len(*log) != 0 {
-		t.Fatal("disabled rule fired")
-	}
-	if err := e.SetEnabled("r", true); err != nil {
-		t.Fatal(err)
-	}
-	e.Dispatch(Event{Kind: "x"})
-	if len(*log) != 1 {
-		t.Fatal("re-enabled rule did not fire")
-	}
-	if err := e.RemoveRule("r"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RemoveRule("r"); !errors.Is(err, ErrUnknownRule) {
-		t.Fatalf("double remove: %v", err)
-	}
-}
-
-// TestDispatchWithoutRulesOnlyCounts: an engine nobody tailored counts the
-// event and does nothing else; the first rule turns matching back on.
+// TestDispatchWithoutRulesOnlyCounts: an engine nobody tailored does nothing
+// with an event, allocation included; the first rule turns matching on.
 func TestDispatchWithoutRulesOnlyCounts(t *testing.T) {
 	e, log := newEngineWithActions(t)
 	if e.HasRules() {
@@ -132,27 +98,18 @@ func TestDispatchWithoutRulesOnlyCounts(t *testing.T) {
 	if !e.HasRules() || e.Dispatch(Event{Kind: "x"}) != 1 || len(*log) != 1 {
 		t.Fatalf("the first rule did not fire: %v", *log)
 	}
-	if st := e.Stats(); st.Dispatched != 103 || st.Fired != 1 || len(e.Trace()) != 1 {
-		t.Fatalf("stats = %+v, trace = %v", st, e.Trace())
-	}
 }
 
 func TestActionErrorsAreContained(t *testing.T) {
-	e, _ := newEngineWithActions(t)
-	if err := e.AddRule(Rule{Name: "bad", On: "x", ActionName: "fail"}); err != nil {
+	e, log := newEngineWithActions(t)
+	if err := e.AddRule(Rule{Name: "bad", On: "x", ActionName: "fail", Priority: 1}); err != nil {
 		t.Fatal(err)
 	}
-	n := e.Dispatch(Event{Kind: "x"})
-	if n != 1 {
-		t.Fatalf("fired = %d", n)
+	if err := e.AddRule(Rule{Name: "after", On: "x", ActionName: "notify"}); err != nil {
+		t.Fatal(err)
 	}
-	st := e.Stats()
-	if st.Errors != 1 || st.Fired != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	trace := e.Trace()
-	if len(trace) != 1 || trace[0].Err == nil {
-		t.Fatalf("trace = %+v", trace)
+	if n := e.Dispatch(Event{Kind: "x"}); n != 2 || len(*log) != 1 {
+		t.Fatalf("fired = %d, log %v: a failing action stopped the next rule", n, *log)
 	}
 }
 
@@ -169,33 +126,9 @@ func TestDuplicateAndUnknownAction(t *testing.T) {
 	}
 }
 
-func TestConditions(t *testing.T) {
-	ev := Event{Kind: "k", Attrs: map[string]string{"a": "hello world", "b": "2"}}
-	tests := []struct {
-		cond Condition
-		want bool
-	}{
-		{True(), true},
-		{AttrEq("a", "hello world"), true},
-		{AttrEq("a", "x"), false},
-		{AttrNe("a", "x"), true},
-		{AttrContains("a", "lo wo"), true},
-		{AttrContains("a", "xyz"), false},
-		{AllOf(AttrEq("b", "2"), AttrContains("a", "hello")), true},
-		{AllOf(AttrEq("b", "2"), AttrEq("a", "no")), false},
-		{AttrEq("missing", ""), true}, // absent attr reads as ""
-	}
-	for _, tt := range tests {
-		if got := tt.cond.Eval(ev); got != tt.want {
-			t.Errorf("%s = %v, want %v", tt.cond, got, tt.want)
-		}
-	}
-}
-
 func TestParseRuleNotation(t *testing.T) {
 	text := `rule urgent-mail priority 10
 on mhs.delivered
-when priority == urgent and folder != spam
 do notify channel=popup`
 	r, err := ParseRule(text, LevelUser)
 	if err != nil {
@@ -207,21 +140,15 @@ do notify channel=popup`
 	if r.Args["channel"] != "popup" {
 		t.Fatalf("args = %v", r.Args)
 	}
-	if !r.Condition.Eval(Event{Kind: "mhs.delivered", Attrs: map[string]string{"priority": "urgent", "folder": "inbox"}}) {
-		t.Fatal("condition should match")
-	}
-	if r.Condition.Eval(Event{Kind: "mhs.delivered", Attrs: map[string]string{"priority": "urgent", "folder": "spam"}}) {
-		t.Fatal("condition should reject spam folder")
-	}
 }
 
 func TestParseRuleSemicolonsAndQuotes(t *testing.T) {
-	r, err := ParseRule(`rule q; on ev; when subject contains "project review"; do archive`, LevelDeveloper)
+	r, err := ParseRule(`rule q; on ev; do archive folder="project review"`, LevelDeveloper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Condition.Eval(Event{Kind: "ev", Attrs: map[string]string{"subject": "the project review friday"}}) {
-		t.Fatal("quoted substring condition failed")
+	if r.On != "ev" || r.ActionName != "archive" || r.Args["folder"] != "project review" {
+		t.Fatalf("parsed = %+v", r)
 	}
 }
 
@@ -231,8 +158,7 @@ func TestParseRuleErrors(t *testing.T) {
 		"on x; do a",                      // missing rule
 		"rule r; do a",                    // missing on
 		"rule r; on x",                    // missing do
-		"rule r; on x; when a ~ b; do n",  // bad operator
-		"rule r; on x; when a ==; do n",   // incomplete condition
+		"rule r; on x; when a == b; do n", // no conditions in the notation
 		"rule r; on x; do n badarg",       // malformed arg
 		"rule r priority abc; on x; do n", // bad priority
 		"rule r; on x y; do n",            // extra token in on
@@ -271,18 +197,5 @@ func TestQuickParseNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTraceBounded(t *testing.T) {
-	e, _ := newEngineWithActions(t)
-	if err := e.AddRule(Rule{Name: "r", On: "*", ActionName: "notify"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 600; i++ {
-		e.Dispatch(Event{Kind: fmt.Sprintf("k%d", i)})
-	}
-	if n := len(e.Trace()); n != 512 {
-		t.Fatalf("trace len = %d, want cap 512", n)
 	}
 }

@@ -5,26 +5,23 @@
 // should be allowed to select their required transparency."
 //
 // A Selector holds a per-principal odp.Mask that users change at runtime.
-// The four CSCW transparency mechanisms consult it:
+// Two mechanisms consult it:
 //
-//   - organisation: hide inter-organisational boundaries and policies
+//   - organisation: hide inter-organisational boundaries (ResolveOrg)
 //   - time: make interaction independent of synchronous/asynchronous mode
-//   - view: hide per-user presentation state (WYSIWIS apps opt out)
-//   - activity: hide objects and events of unrelated activities
+//     (TimeRouter)
 //
 // In the viewpoint map (ARCHITECTURE.md) this is the computational
 // viewpoint's selection mechanism: transparencies the user leaves
 // selected are provided by engineering machinery (replication by
 // internal/replica, persistence by information/logstore, bindings by
-// internal/channel); deselecting one surfaces that machinery — e.g.
-// FilterReplica annotates reads with the serving replica, writing site
-// and version vector.
+// internal/channel), and an odp.Binding reads a principal's mask to say
+// which of them a binding satisfies.
 package transparency
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"mocca/internal/odp"
@@ -51,13 +48,6 @@ func NewSelector() *Selector {
 	}
 }
 
-// SetDefault replaces the default mask.
-func (s *Selector) SetDefault(m odp.Mask) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.defaults = m
-}
-
 // For returns the effective mask for a principal.
 func (s *Selector) For(principal string) odp.Mask {
 	s.mu.RLock()
@@ -73,17 +63,6 @@ func (s *Selector) Set(principal string, m odp.Mask) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.per[principal] = m
-}
-
-// Enable turns one transparency on for a principal.
-func (s *Selector) Enable(principal string, t odp.Transparency) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.per[principal]
-	if !ok {
-		cur = s.defaults
-	}
-	s.per[principal] = cur.With(t)
 }
 
 // Disable turns one transparency off for a principal.
@@ -182,93 +161,4 @@ func (r *TimeRouter) Route(sender, recipient string, payload any) (Mode, error) 
 		return "", err
 	}
 	return ModeAsync, nil
-}
-
-// --- View transparency ---------------------------------------------------
-
-// ViewPrefix marks fields that carry per-user presentation state.
-const ViewPrefix = "view:"
-
-// FilterView applies view transparency to shared fields: with the
-// transparency selected, per-user view fields are hidden ("applications can
-// be interested or not in the way users view data"); WYSIWIS applications
-// disable it and see everything.
-func FilterView(sel *Selector, principal string, fields map[string]string) map[string]string {
-	out := make(map[string]string, len(fields))
-	hide := sel.For(principal).Has(odp.View)
-	for k, v := range fields {
-		if hide && strings.HasPrefix(k, ViewPrefix) {
-			continue
-		}
-		out[k] = v
-	}
-	return out
-}
-
-// --- Replication transparency ---------------------------------------------
-
-// ReplicaMeta describes the replica that served a read of replicated
-// state: which site's replica answered, which site last wrote the object,
-// and the object's version vector at the serving replica.
-type ReplicaMeta struct {
-	// Site is the replica that served the read.
-	Site string
-	// Writer is the site whose write produced the current state.
-	Writer string
-	// Version is the serving replica's version vector for the object, in
-	// vclock.Version.String() form — comparing it across replicas is how
-	// replica lag becomes visible.
-	Version string
-}
-
-// Replica-annotation field keys. They carry the ViewPrefix so that view
-// transparency composes: a principal who selected view transparency but
-// not replication transparency still sees clean fields.
-const (
-	ReplicaSiteField    = ViewPrefix + "replica:site"
-	ReplicaWriterField  = ViewPrefix + "replica:writer"
-	ReplicaVersionField = ViewPrefix + "replica:version"
-)
-
-// FilterReplica applies replication transparency to a read of replicated
-// state. With the transparency selected the replica set looks like one
-// information space — the fields pass through untouched. Without it, the
-// reader asked to see the distribution: the returned copy is annotated
-// with which replica served the read, who wrote the state, and the
-// version vector, so replica lag is in the user's face.
-func FilterReplica(sel *Selector, principal string, meta ReplicaMeta, fields map[string]string) map[string]string {
-	if sel.For(principal).Has(odp.Replication) {
-		return fields
-	}
-	out := make(map[string]string, len(fields)+3)
-	for k, v := range fields {
-		out[k] = v
-	}
-	out[ReplicaSiteField] = meta.Site
-	out[ReplicaWriterField] = meta.Writer
-	out[ReplicaVersionField] = meta.Version
-	return out
-}
-
-// --- Activity transparency -----------------------------------------------
-
-// ActivityFilter decides whether an event belonging to eventActivity should
-// reach a principal participating in memberOf. With activity transparency
-// selected, unrelated activities are invisible ("this helps activities not
-// to be disturbed by other unrelated activities"); without it, the
-// principal sees everything (e.g. an administrator monitoring the
-// environment).
-func ActivityFilter(sel *Selector, principal string, memberOf []string, eventActivity string) bool {
-	if !sel.For(principal).Has(odp.Activity) {
-		return true
-	}
-	if eventActivity == "" {
-		return true // environment-wide events always pass
-	}
-	for _, a := range memberOf {
-		if a == eventActivity {
-			return true
-		}
-	}
-	return false
 }

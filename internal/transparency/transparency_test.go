@@ -2,7 +2,6 @@ package transparency
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"mocca/internal/odp"
@@ -13,7 +12,7 @@ func TestSelectorDefaultsAndTailoring(t *testing.T) {
 	s := NewSelector()
 	// Defaults provide all four CSCW transparencies.
 	m := s.For("anyone")
-	for _, tr := range odp.CSCWTransparencies() {
+	for _, tr := range []odp.Transparency{odp.Organisation, odp.Time, odp.View, odp.Activity} {
 		if !m.Has(tr) {
 			t.Fatalf("default mask missing %v", tr)
 		}
@@ -26,22 +25,10 @@ func TestSelectorDefaultsAndTailoring(t *testing.T) {
 	if !s.For("ben").Has(odp.Time) {
 		t.Fatal("Disable leaked to other principals")
 	}
-	s.Enable("ada", odp.Time)
-	if !s.For("ada").Has(odp.Time) {
-		t.Fatal("Enable had no effect")
-	}
 	// Wholesale replacement.
 	s.Set("carol", odp.MaskOf(odp.View))
 	if s.For("carol").Has(odp.Time) || !s.For("carol").Has(odp.View) {
 		t.Fatal("Set wrong")
-	}
-	// Default change affects untailored principals only.
-	s.SetDefault(0)
-	if s.For("ben").Has(odp.Time) {
-		t.Fatal("new default not applied")
-	}
-	if !s.For("ada").Has(odp.Time) {
-		t.Fatal("tailored principal overridden by default change")
 	}
 }
 
@@ -83,7 +70,7 @@ func TestResolveOrg(t *testing.T) {
 	if _, err := ResolveOrg(sel, kb, "prinz", "gmd", "rival"); !errors.Is(err, ErrOrgBoundary) {
 		t.Fatalf("incompatible orgs err = %v", err)
 	}
-	sel.Enable("prinz", odp.Organisation)
+	sel.Set("prinz", odp.MaskOf(odp.Organisation))
 	if _, err := ResolveOrg(sel, kb, "prinz", "gmd", "rival"); !errors.Is(err, ErrOrgBoundary) {
 		t.Fatal("transparency hid a policy block")
 	}
@@ -148,82 +135,5 @@ func TestTimeRouterOfflineWithoutTransparency(t *testing.T) {
 	}
 	if len(f.asyncLog) != 0 {
 		t.Fatal("async delivery despite transparency off")
-	}
-}
-
-func TestFilterView(t *testing.T) {
-	sel := NewSelector()
-	fields := map[string]string{
-		"title":       "report",
-		"view:zoom":   "150%",
-		"view:cursor": "12,4",
-		"body":        "text",
-	}
-	// Transparency on (default): view state hidden.
-	got := FilterView(sel, "ada", fields)
-	if len(got) != 2 || got["title"] != "report" {
-		t.Fatalf("filtered = %v", got)
-	}
-	// WYSIWIS application turns view transparency off: sees everything.
-	sel.Disable("wysiwis-app", odp.View)
-	got = FilterView(sel, "wysiwis-app", fields)
-	if len(got) != 4 {
-		t.Fatalf("unfiltered = %v", got)
-	}
-	// Original map untouched.
-	if len(fields) != 4 {
-		t.Fatal("FilterView mutated input")
-	}
-}
-
-func TestActivityFilter(t *testing.T) {
-	sel := NewSelector()
-	memberOf := []string{"act-1", "act-2"}
-	// Transparency on: unrelated activities invisible.
-	if !ActivityFilter(sel, "ada", memberOf, "act-1") {
-		t.Fatal("own activity filtered")
-	}
-	if ActivityFilter(sel, "ada", memberOf, "act-99") {
-		t.Fatal("unrelated activity visible with transparency on")
-	}
-	if !ActivityFilter(sel, "ada", memberOf, "") {
-		t.Fatal("environment event filtered")
-	}
-	// Admin turns activity transparency off to monitor everything.
-	sel.Disable("admin", odp.Activity)
-	if !ActivityFilter(sel, "admin", nil, "act-99") {
-		t.Fatal("admin cannot see unrelated activity with transparency off")
-	}
-}
-
-func TestFilterReplica(t *testing.T) {
-	sel := NewSelector()
-	meta := ReplicaMeta{Site: "upc", Writer: "gmd", Version: "gmd:2 upc:1"}
-	fields := map[string]string{"title": "doc"}
-
-	// Default posture: replication transparency selected — one space.
-	out := FilterReplica(sel, "ada", meta, fields)
-	if len(out) != 1 || out["title"] != "doc" {
-		t.Fatalf("transparent read altered fields: %v", out)
-	}
-
-	// Deselecting replication transparency surfaces the distribution.
-	sel.Disable("ada", odp.Replication)
-	out = FilterReplica(sel, "ada", meta, fields)
-	if out[ReplicaSiteField] != "upc" || out[ReplicaWriterField] != "gmd" ||
-		out[ReplicaVersionField] != "gmd:2 upc:1" {
-		t.Fatalf("annotations missing: %v", out)
-	}
-	if fields[ReplicaSiteField] != "" {
-		t.Fatal("FilterReplica mutated the caller's fields")
-	}
-
-	// The annotations are view-prefixed, so view transparency hides them.
-	if !strings.HasPrefix(ReplicaSiteField, ViewPrefix) {
-		t.Fatal("replica annotations must be view fields")
-	}
-	hidden := FilterView(sel, "ben", out)
-	if _, ok := hidden[ReplicaSiteField]; ok {
-		t.Fatal("view transparency did not hide replica annotations")
 	}
 }

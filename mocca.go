@@ -6,8 +6,8 @@
 // substrate (simulated network, rpc, X.500-style directory, ODP trader,
 // X.400-style message handling, synchronous conferencing) with the MOCCA
 // CSCW environment on top (organisational, inter-activity, information,
-// communication, and user-expertise models; role-based access control;
-// user-selectable transparency; an ECA tailorability engine).
+// communication, and user-expertise models; access control;
+// user-selectable transparency; an event-action tailorability engine).
 //
 // Quickstart:
 //

@@ -4,11 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"mocca/internal/groupware"
 	"mocca/internal/information"
 	"mocca/internal/netsim"
-	"mocca/internal/odp"
-	"mocca/internal/transparency"
 	"mocca/internal/vclock"
 )
 
@@ -157,53 +154,6 @@ func TestReplicationPartitionLastWriterWins(t *testing.T) {
 	out := runPartitionScenario(t, time.Second)
 	if out.title != "gmd-edit" || out.site != "gmd" {
 		t.Fatalf("winner = %+v, want gmd-edit by timestamp", out)
-	}
-}
-
-// TestGroupwareBindsToSiteReplica registers a team room against one
-// site's environment face: posts land on that site's replica, replicate
-// to the other site, and a reader who deselected replication transparency
-// sees which replica served them.
-func TestGroupwareBindsToSiteReplica(t *testing.T) {
-	dep := NewDeployment(WithSeed(5))
-	gmd := dep.AddSite("gmd", "gmd.de")
-	upc := dep.AddSite("upc", "upc.es")
-
-	room, err := groupware.NewTeamRoom(gmd.Env(), "birlinghoven")
-	if err != nil {
-		t.Fatal(err)
-	}
-	note, err := room.Post("prinz", "night", "handover", "all quiet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Env().Space().Len() != 0 {
-		t.Fatal("post leaked into the root space instead of the site replica")
-	}
-	dep.Run()
-
-	// The note replicated to upc's replica; the shared ACL admits the
-	// room principal there too.
-	got, err := upc.Space().Get("room:birlinghoven", note.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fields["headline"] != "handover" || got.Site != "gmd" {
-		t.Fatalf("replicated note = %+v", got)
-	}
-
-	// Replication transparency off: the upc read is annotated.
-	dep.Env().Transparency().Disable("prinz", odp.Replication)
-	annotated, err := upc.Env().Get("prinz", note.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if annotated.Fields[transparency.ReplicaSiteField] != "upc" ||
-		annotated.Fields[transparency.ReplicaWriterField] != "gmd" {
-		t.Fatalf("annotations = %v", annotated.Fields)
-	}
-	if err := dep.ReconcileChannels(); err != nil {
-		t.Fatal(err)
 	}
 }
 

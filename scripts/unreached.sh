@@ -1,19 +1,18 @@
 #!/bin/sh
 # unreached.sh — which functions does no binary in this repository reach?
 #
-# ROADMAP direction C.1's audit, as a script so that each re-anchor reruns it:
-# build the benchmark, the commands and the examples with coverage
-# instrumentation over every package, run them the way they are run (the
-# invocations below are the ones ISSUE 22 measured with), merge the counters
-# and print
+# The roots are what this repository runs: the benchmark (bench/), the
+# commands (cmd/), the examples (examples/) and the paper's assertions
+# (the TestPaper* tests of paper_test.go). Build the binaries with coverage
+# instrumentation over every package, run them and the assertions the way
+# they are run, merge the counters and print
 #
 #   1. every function outside bench/, cmd/, examples/ and internal/analysis
-#      that no run entered, under a per-package count of them,
-#   2. the packages no binary links at all,
+#      that no root entered, under a per-package count of them,
+#   2. the packages no root links at all,
 #   3. the non-test line count outside bench/.
 #
-# A function on list 1 is not dead for that reason alone: most of the list is
-# the paper's model waiting for a workload to drive it, and tests may call it.
+# Package tests are not roots: a function only they call is on list 1.
 # It is the list to read before keeping a second way of doing something.
 #
 # POSIX sh and the go tool; nothing to install. Run from anywhere:
@@ -28,7 +27,7 @@ bin=$tmp/bin cov=$tmp/cov out=$tmp/out
 mkdir -p "$bin" "$cov" "$out"
 
 go build -buildvcs=false -cover -coverpkg=./... -o "$bin/" \
-	./bench ./cmd/moccaload ./cmd/moccad ./cmd/figures ./examples/...
+	./bench ./cmd/moccaload ./cmd/moccad ./examples/...
 
 # run: one instrumented invocation; its output is noise unless it fails.
 run() {
@@ -47,7 +46,7 @@ run "$bin/bench" -seed 1992 -out "$out/full"
 run "$bin/moccaload" -durable -torn 1 -crashes 1 -partitions 1 -slowlinks 1
 run "$bin/moccaload" -topology gossip
 run "$bin/moccad" -trace "$out/moccad-trace.json"
-run "$bin/figures"
+run go test -count=1 -cover -coverpkg=./... -run '^TestPaper' . -args -test.gocoverdir="$cov"
 for ex in channeltunnel conference federation quickstart; do
 	run "$bin/$ex"
 done
