@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	"slices"
+
 	"mocca/internal/information"
 	"mocca/internal/netsim"
 	"mocca/internal/vclock"
@@ -228,12 +230,14 @@ func appendPush(b []byte, dots []rumorEntry, rows []*information.Object) []byte 
 	return b
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The entries are
+// decoded into m.Entries' storage: a pooled request is decoded again
+// without growing.
 func (m *rumorReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
-	*m = rumorReq{}
+	m.Entries = m.Entries[:0]
 	if n := b.UvarintCount(1 + 1); n > 0 { // site + counter, before the row
-		m.Entries = make([]pushEntry, n)
+		m.Entries = slices.Grow(m.Entries, n)[:n]
 		for i := range m.Entries {
 			m.Entries[i] = pushEntry{Site: wire.Consume(&b, vclock.ConsumeSite), Counter: b.Uvarint(), Row: wire.Consume(&b, information.DecodeWireObject)}
 		}
@@ -251,13 +255,14 @@ func appendDots(b []byte, dots []dot) []byte {
 	return b
 }
 
-// consumeDots reads a list of dots; an empty one reads as nil.
-func consumeDots(b *wire.Body) []dot {
+// consumeDots reads a list of dots into dst's storage; an empty one reads
+// as dst[:0], which is nil for a nil dst.
+func consumeDots(b *wire.Body, dst []dot) []dot {
 	n := b.UvarintCount(1 + 1) // site + counter
 	if n == 0 {
-		return nil
+		return dst[:0]
 	}
-	dots := make([]dot, n)
+	dots := slices.Grow(dst[:0], n)[:n]
 	for i := range dots {
 		dots[i] = dot{Site: wire.Consume(b, vclock.ConsumeSite), Counter: b.Uvarint()}
 	}
@@ -269,10 +274,11 @@ func (m ihaveReq) AppendBinary(b []byte) ([]byte, error) {
 	return appendDots(append(b, tagIhaveReq), m.Dots), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The dots are
+// decoded into m.Dots' storage, as rumorReq's entries are.
 func (m *ihaveReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagIhaveReq, "ihaveReq")
-	*m = ihaveReq{Dots: consumeDots(&b)}
+	m.Dots = consumeDots(&b, m.Dots)
 	return b.Close()
 }
 
@@ -284,6 +290,6 @@ func (m graftReq) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *graftReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagGraftReq, "graftReq")
-	*m = graftReq{Dots: consumeDots(&b)}
+	*m = graftReq{Dots: consumeDots(&b, nil)}
 	return b.Close()
 }

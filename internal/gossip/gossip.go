@@ -54,6 +54,15 @@
 // the injected clock, maintenance rounds are event-armed (join, view
 // churn, Mend after a heal) and go dormant after a few quiet rounds or a
 // run of failing ones, so a deployment drains to quiescence.
+//
+// The rumor path keeps no garbage of its own: what a receipt, a push or a
+// flush builds comes from a pool, or from storage the overlay keeps, and
+// only the rows a push carries are new. Two rules make that safe. A split
+// of the active view into eager and lazy peers is immutable: a change to
+// the view or to a link's mark replaces it, never edits it, so a fan-out
+// reads a snapshot after the lock is let go. And an ihave queue is emptied
+// for reuse only once its body is encoded, under the lock that queues to
+// it.
 package gossip
 
 import (
@@ -168,9 +177,9 @@ type Replica interface {
 	// ok is false when the write never arrived, or a later write of the
 	// same site superseded it on its row.
 	DotID(site string, counter uint64) (id string, ok bool)
-	// FetchWire returns the named rows the replica holds, for a push or
-	// a graft, in the order of ids.
-	FetchWire(ids []string) []*information.Object
+	// FetchWire appends to dst the named rows the replica holds, for a
+	// push or a graft, in the order of ids.
+	FetchWire(dst []*information.Object, ids []string) []*information.Object
 	// ApplyWire merges pushed rows, returning how many changed state.
 	ApplyWire(objs []*information.Object) int
 	// Refused hears of a push or a graft's reply whose body failed to
@@ -268,9 +277,13 @@ type Overlay struct {
 	receipts    uint64                    // pushes and publishes so far
 	lastFresh   map[netsim.Address]uint64 // the receipt number of the last push from a peer that brought news
 	lazy        map[netsim.Address]bool   // active peers that get ihaves, not rows; the rest are eager
-	ihaves      map[netsim.Address][]dot  // dots queued for each lazy peer's next ihave
+	split       *viewSplit                // the active view by eager and lazy; nil once either changes
+	ihaves      map[netsim.Address][]dot  // dots queued for each lazy peer's next ihave; a flushed queue keeps its storage
 	flushArmed  bool                      // a flush of ihaves is due
+	flushFn     func()                    // o.flushIhaves, bound once for the timers that flush
 	grafting    map[uint64]bool           // dots with a graft in flight
+	graftChecks []graftCheck              // ihaves' missing dots awaiting graftTimeout, oldest first
+	graftFn     func()                    // o.graftDue, bound once for the timers that graft
 	closed      bool
 	armed       bool
 	running     bool
@@ -302,6 +315,7 @@ func New(ep *rpc.Endpoint, clock vclock.Clock, site string, replAddr netsim.Addr
 	for _, opt := range opts {
 		opt(o)
 	}
+	o.flushFn, o.graftFn = o.flushIhaves, o.graftDue
 	o.rng = rand.New(rand.NewSource(o.seed ^ int64(fnv64(site))))
 	o.register()
 	return o
@@ -511,6 +525,7 @@ func (o *Overlay) addActive(p Peer, force bool, ring ringEnd) bool {
 	}
 	var evicted []Peer
 	o.active = append(o.active, p)
+	o.split = nil
 	for len(o.active) > target {
 		v := o.evictionVictimLocked(p.Addr)
 		if v < 0 {
@@ -534,6 +549,7 @@ func (o *Overlay) addActive(p Peer, force bool, ring ringEnd) bool {
 func (o *Overlay) dropLinkLocked(i int) Peer {
 	p := o.active[i]
 	o.active = append(o.active[:i], o.active[i+1:]...)
+	o.split = nil
 	delete(o.pinnedBy, p.Addr)
 	delete(o.lazy, p.Addr)
 	delete(o.lastFresh, p.Addr)

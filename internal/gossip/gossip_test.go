@@ -52,8 +52,7 @@ func (f *fakeReplica) DotID(site string, counter uint64) (string, bool) {
 	return slices.Min(ids), true
 }
 
-func (f *fakeReplica) FetchWire(ids []string) []*information.Object {
-	var out []*information.Object
+func (f *fakeReplica) FetchWire(out []*information.Object, ids []string) []*information.Object {
 	for _, id := range ids {
 		vv, ok := f.rows[id]
 		if !ok {

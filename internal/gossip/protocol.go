@@ -5,7 +5,6 @@ import (
 	"encoding"
 	"encoding/binary"
 	"errors"
-	"maps"
 	"slices"
 	"sync"
 
@@ -234,24 +233,13 @@ func (o *Overlay) register() {
 	// Pushes, ihaves and prunes are announcements: the sender waits for
 	// nothing, so the handlers answer nothing. The frame's source is the
 	// sender.
-	o.ep.MustRegister(MethodRumor, rpc.HandleRefused(func(from netsim.Address, tc wire.TraceContext, req rumorReq) (wire.Empty, error) {
-		o.receive(tc, from, req.Entries, false)
-		return wire.Empty{}, nil
-	}, func(err error) {
-		if o.replica != nil {
-			o.replica.Refused(err)
-		}
-	}))
-
-	o.ep.MustRegister(MethodIhave, rpc.Handle(func(from netsim.Address, req ihaveReq) (wire.Empty, error) {
-		o.onIhave(from, req.Dots)
-		return wire.Empty{}, nil
-	}))
+	o.ep.MustRegister(MethodRumor, o.handleRumor)
+	o.ep.MustRegister(MethodIhave, o.handleIhave)
 
 	o.ep.MustRegister(MethodPrune, rpc.Handle(func(from netsim.Address, _ wire.Empty) (wire.Empty, error) {
 		o.mu.Lock()
 		if indexOf(o.active, from) >= 0 {
-			o.lazy[from] = true
+			o.setLazyLocked(from, true)
 		}
 		o.mu.Unlock()
 		return wire.Empty{}, nil
@@ -260,7 +248,7 @@ func (o *Overlay) register() {
 	o.ep.MustRegister(MethodGraft, rpc.Handle(func(from netsim.Address, req graftReq) (rumorReq, error) {
 		o.mu.Lock()
 		if indexOf(o.active, from) >= 0 {
-			delete(o.lazy, from)
+			o.setLazyLocked(from, false)
 		}
 		o.stats.RumorFetches++
 		o.mu.Unlock()
@@ -268,10 +256,40 @@ func (o *Overlay) register() {
 	}))
 }
 
-// announce sends msg one-way: one frame, no reply, no timer.
+// handleRumor serves a gossip.rumor push. The push decodes into pooled
+// entries, given back once the receipt is done: only its rows outlive it.
+func (o *Overlay) handleRumor(r rpc.Request) ([]byte, error) {
+	sc := getScratch()
+	defer sc.release()
+	if err := sc.push.UnmarshalBinary(r.Body); err != nil {
+		if o.replica != nil {
+			o.replica.Refused(err)
+		}
+		return nil, err
+	}
+	o.receive(r.Trace, r.From, sc.push.Entries, false)
+	return nil, nil
+}
+
+// handleIhave serves a gossip.ihave, decoding its dots into pooled
+// storage.
+func (o *Overlay) handleIhave(r rpc.Request) ([]byte, error) {
+	sc := getScratch()
+	defer sc.release()
+	if err := sc.ihave.UnmarshalBinary(r.Body); err != nil {
+		return nil, err
+	}
+	o.onIhave(r.From, sc.ihave.Dots)
+	return nil, nil
+}
+
+// announce sends msg one-way: one frame, no reply, no timer. The body is
+// built in a pooled buffer: rpc copies it into the frame.
 func (o *Overlay) announce(to netsim.Address, method string, msg encoding.BinaryAppender) {
-	body, _ := msg.AppendBinary(nil) // never errs
-	_ = o.ep.Announce(to, method, body)
+	sc := getScratch()
+	sc.body, _ = msg.AppendBinary(sc.body) // never errs
+	_ = o.ep.Announce(to, method, sc.body)
+	sc.release()
 }
 
 // --- rumor mongering -------------------------------------------------------
@@ -291,16 +309,17 @@ func (o *Overlay) Publish(id string, vv vclock.Version) {
 	}
 	o.receipts++
 	o.markSeenLocked(k, id, o.receipts)
-	eager, lazy := o.splitLocked("")
-	if len(eager)+len(lazy) == 0 {
+	sp := o.splitLocked()
+	if len(sp.eager)+len(sp.lazy) == 0 {
 		o.mu.Unlock()
 		return
 	}
 	o.stats.RumorsPublished++
-	flush := o.queueIhavesLocked(lazy, []rumorEntry{entry})
+	entries := []rumorEntry{entry}
+	flush := o.queueIhavesLocked(sp.lazy, "", entries)
 	o.mu.Unlock()
 	if flush {
-		o.clock.AfterFunc(ihaveInterval, o.flushIhaves)
+		o.clock.AfterFunc(ihaveInterval, o.flushFn)
 	}
 	// A tagged object's rumor rides the originating write's trace: the
 	// publish is an instant span under it and every push carries it.
@@ -312,7 +331,7 @@ func (o *Overlay) Publish(id string, vv vclock.Version) {
 			tc = parent
 		}
 	}
-	o.push(eager, []rumorEntry{entry}, tc)
+	o.push(sp.eager, "", entries, tc)
 }
 
 // receive takes the entries a push from the member at from carried, or
@@ -350,8 +369,8 @@ func (o *Overlay) receive(tc wire.TraceContext, from netsim.Address, entries []p
 		o.stats.RumorsOffView += int64(len(entries))
 	}
 	known := !offView || indexOf(o.passive, from) >= 0
-	fresh := make([]rumorEntry, 0, len(entries))
-	rows := make([]*information.Object, 0, len(entries))
+	sc := getScratch()
+	defer sc.release()
 	// The duplicates are redundant if each one's first copy was pushed no
 	// earlier than the sender last brought news.
 	redundant := true
@@ -367,21 +386,21 @@ func (o *Overlay) receive(tc wire.TraceContext, from netsim.Address, entries []p
 			continue
 		}
 		o.markSeenLocked(k, e.Row.ID, receipt)
-		fresh = append(fresh, e.entry())
-		if !slices.Contains(rows, e.Row) {
-			rows = append(rows, e.Row)
+		sc.fresh = append(sc.fresh, e.entry())
+		if !slices.Contains(sc.rows, e.Row) {
+			sc.rows = append(sc.rows, e.Row)
 		}
 	}
 	o.unqueueLocked(from, func(d dot) bool {
 		return slices.ContainsFunc(entries, func(e pushEntry) bool { return e.dot() == d })
 	})
-	prune := len(fresh) == 0 && len(entries) > 0 && redundant && !grafted && !offView
+	prune := len(sc.fresh) == 0 && len(entries) > 0 && redundant && !grafted && !offView
 	switch {
 	case prune:
-		o.lazy[from] = true
+		o.setLazyLocked(from, true)
 		o.stats.Prunes++
-	case len(fresh) > 0 && !offView:
-		delete(o.lazy, from)
+	case len(sc.fresh) > 0 && !offView:
+		o.setLazyLocked(from, false)
 		o.lastFresh[from] = receipt
 	}
 	o.mu.Unlock()
@@ -399,14 +418,14 @@ func (o *Overlay) receive(tc wire.TraceContext, from netsim.Address, entries []p
 	case prune:
 		o.announce(from, MethodPrune, wire.Empty{})
 	}
-	if len(rows) > 0 && o.replica != nil {
-		if applied := o.replica.ApplyWire(rows); applied > 0 {
+	if len(sc.rows) > 0 && o.replica != nil {
+		if applied := o.replica.ApplyWire(sc.rows); applied > 0 {
 			o.mu.Lock()
 			o.stats.RumorApplied += int64(applied)
 			o.mu.Unlock()
 		}
 	}
-	o.forward(fresh, from, tc)
+	o.forward(sc.fresh, from, tc)
 }
 
 // forward passes received writes on: rows to the eager peers, dots to the
@@ -420,16 +439,17 @@ func (o *Overlay) forward(entries []rumorEntry, from netsim.Address, tc wire.Tra
 		o.mu.Unlock()
 		return
 	}
-	eager, lazy := o.splitLocked(from)
-	flush := o.queueIhavesLocked(lazy, entries)
-	if len(eager) > 0 {
+	sp := o.splitLocked()
+	flush := o.queueIhavesLocked(sp.lazy, from, entries)
+	pushing := others(sp.eager, from) > 0
+	if pushing {
 		o.stats.RumorsForwarded++
 	}
 	o.mu.Unlock()
 	if flush {
-		o.clock.AfterFunc(ihaveInterval, o.flushIhaves)
+		o.clock.AfterFunc(ihaveInterval, o.flushFn)
 	}
-	if len(eager) == 0 {
+	if !pushing {
 		return
 	}
 	// A single-entry push can keep riding its write's trace; mixed
@@ -441,72 +461,141 @@ func (o *Overlay) forward(entries []rumorEntry, from netsim.Address, tc wire.Tra
 			tc = parent
 		}
 	}
-	o.push(eager, entries, tc)
+	o.push(sp.eager, from, entries, tc)
 }
 
-// splitLocked divides the active view, less exclude, into eager peers —
-// ordered by site — and lazy peers.
-func (o *Overlay) splitLocked(exclude netsim.Address) (eager, lazy []Peer) {
+// viewSplit is the active view divided into eager peers, ordered by site,
+// and lazy peers, in view order. A split is never written once built: a
+// change to the view or to a link's mark drops it, and the next caller
+// builds a new one, so a fan-out may read one after the lock is let go.
+type viewSplit struct {
+	eager, lazy []Peer
+}
+
+// splitLocked returns the current split of the active view, building it
+// if the view or a mark changed since the last one.
+func (o *Overlay) splitLocked() *viewSplit {
+	if o.split != nil {
+		return o.split
+	}
+	sp := &viewSplit{}
 	for _, p := range o.active {
-		switch {
-		case p.Addr == exclude:
-		case o.lazy[p.Addr]:
-			lazy = append(lazy, p)
-		default:
-			eager = append(eager, p)
+		if o.lazy[p.Addr] {
+			sp.lazy = append(sp.lazy, p)
+		} else {
+			sp.eager = append(sp.eager, p)
 		}
 	}
-	slices.SortFunc(eager, func(a, b Peer) int { return cmp.Compare(a.Site, b.Site) })
-	return eager, lazy
+	slices.SortFunc(sp.eager, func(a, b Peer) int { return cmp.Compare(a.Site, b.Site) })
+	o.split = sp
+	return sp
 }
 
-// push sends every target the rows that answer the dots in one
+// setLazyLocked marks the link to addr lazy or eager, dropping the split
+// only when the mark changes.
+func (o *Overlay) setLazyLocked(addr netsim.Address, lazy bool) {
+	if o.lazy[addr] == lazy {
+		return
+	}
+	if lazy {
+		o.lazy[addr] = true
+	} else {
+		delete(o.lazy, addr)
+	}
+	o.split = nil
+}
+
+// others counts the peers other than addr.
+func others(peers []Peer, addr netsim.Address) int {
+	if indexOf(peers, addr) >= 0 {
+		return len(peers) - 1
+	}
+	return len(peers)
+}
+
+// push sends every target but skip the rows that answer the dots in one
 // gossip.rumor announcement. The body is encoded once: rpc copies it into
 // each frame and only reads it. A push leaves nothing behind at the
 // sender — losing one is fine, anti-entropy is the repair path.
-func (o *Overlay) push(targets []Peer, dots []rumorEntry, tc wire.TraceContext) {
-	if len(targets) == 0 || o.replica == nil {
+func (o *Overlay) push(targets []Peer, skip netsim.Address, dots []rumorEntry, tc wire.TraceContext) {
+	n := others(targets, skip)
+	if n == 0 || o.replica == nil {
 		return
 	}
-	ids := make([]string, len(dots))
-	for i, d := range dots {
-		ids[i] = d.ID
+	sc := getScratch()
+	defer sc.release()
+	for _, d := range dots {
+		sc.ids = append(sc.ids, d.ID)
 	}
-	rows := o.replica.FetchWire(ids)
-	if len(rows) == 0 {
+	sc.rows = o.replica.FetchWire(sc.rows, sc.ids)
+	if len(sc.rows) == 0 {
 		return
 	}
 	var opts []rpc.CallOption
 	if !tc.IsZero() {
 		opts = []rpc.CallOption{rpc.CallTrace(tc)}
 	}
-	buf := pushBufs.Get().(*[]byte)
-	body := appendPush((*buf)[:0], dots, rows)
+	sc.body = appendPush(sc.body, dots, sc.rows)
 	for _, p := range targets {
-		_ = o.ep.Announce(p.Addr, MethodRumor, body, opts...)
+		if p.Addr != skip {
+			_ = o.ep.Announce(p.Addr, MethodRumor, sc.body, opts...)
+		}
 	}
-	*buf = body[:0]
-	pushBufs.Put(buf)
 	o.mu.Lock()
-	o.stats.EagerPushed += int64(len(rows) * len(targets))
+	o.stats.EagerPushed += int64(len(sc.rows) * n)
 	o.mu.Unlock()
 }
 
-// pushBufs holds the buffers push bodies are built in: rpc copies a body
-// into each frame, so its buffer is free again once the fan-out returns.
-var pushBufs = sync.Pool{New: func() any { return new([]byte) }}
+// scratch is what one receipt, push, announcement or flush builds and
+// drops: the writes first received and their rows, the ids a push fetches
+// and the rows fetched, a decoded push or ihave, and the bodies rpc copies
+// into each frame. It is pooled, so the rumor path keeps no garbage of its
+// own.
+type scratch struct {
+	fresh []rumorEntry
+	rows  []*information.Object
+	ids   []string
+	push  rumorReq
+	ihave ihaveReq
+	body  []byte
+	to    []netsim.Address // a flush's lazy peers, in address order
+	ends  []int            // where each one's ihave ends in body
+}
 
-// queueIhavesLocked queues the writes' dots for each lazy peer's next
-// gossip.ihave and reports whether the caller must arm the flush.
-func (o *Overlay) queueIhavesLocked(lazy []Peer, entries []rumorEntry) bool {
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratches.Get().(*scratch) }
+
+// release empties the scratch, keeping its storage but no row or string,
+// and puts it back.
+func (sc *scratch) release() {
+	clear(sc.fresh)
+	clear(sc.rows)
+	clear(sc.ids)
+	clear(sc.push.Entries)
+	clear(sc.ihave.Dots)
+	sc.fresh, sc.rows, sc.ids = sc.fresh[:0], sc.rows[:0], sc.ids[:0]
+	sc.push.Entries, sc.ihave.Dots = sc.push.Entries[:0], sc.ihave.Dots[:0]
+	sc.body, sc.to, sc.ends = sc.body[:0], sc.to[:0], sc.ends[:0]
+	scratches.Put(sc)
+}
+
+// queueIhavesLocked queues the writes' dots for each lazy peer but skip's
+// next gossip.ihave and reports whether the caller must arm the flush.
+func (o *Overlay) queueIhavesLocked(lazy []Peer, skip netsim.Address, entries []rumorEntry) bool {
+	queued := false
 	for _, p := range lazy {
+		if p.Addr == skip {
+			continue
+		}
 		q := o.ihaves[p.Addr]
 		for _, e := range entries {
 			q = append(q, e.dot())
 		}
 		o.ihaves[p.Addr] = q
+		queued = true
 	}
-	if len(lazy) == 0 || o.flushArmed {
+	if !queued || o.flushArmed {
 		return false
 	}
 	o.flushArmed = true
@@ -523,15 +612,13 @@ func (o *Overlay) unqueueLocked(peer netsim.Address, holds func(dot) bool) {
 	}
 	kept := slices.DeleteFunc(q, holds)
 	o.stats.IhaveSuppressed += int64(len(q) - len(kept))
-	if len(kept) == 0 {
-		delete(o.ihaves, peer)
-	} else {
-		o.ihaves[peer] = kept
-	}
+	o.ihaves[peer] = kept
 }
 
 // flushIhaves sends every lazy peer the dots still queued for it since the
-// last flush, in one announcement each, in address order.
+// last flush, in one announcement each, in address order. The bodies are
+// encoded under the lock, so each queue is emptied, keeping its storage,
+// only once its body holds its dots.
 func (o *Overlay) flushIhaves() {
 	o.mu.Lock()
 	o.flushArmed = false
@@ -539,15 +626,28 @@ func (o *Overlay) flushIhaves() {
 		o.mu.Unlock()
 		return
 	}
-	queued := o.ihaves
-	o.ihaves = make(map[netsim.Address][]dot, len(queued))
-	o.stats.IhavesSent += int64(len(queued))
-	for _, q := range queued {
-		o.stats.IhaveDots += int64(len(q))
+	sc := getScratch()
+	defer sc.release()
+	for addr, q := range o.ihaves {
+		if len(q) > 0 {
+			sc.to = append(sc.to, addr)
+		}
 	}
+	slices.Sort(sc.to)
+	for _, addr := range sc.to {
+		q := o.ihaves[addr]
+		sc.body, _ = ihaveReq{Dots: q}.AppendBinary(sc.body) // never errs
+		sc.ends = append(sc.ends, len(sc.body))
+		o.stats.IhaveDots += int64(len(q))
+		o.ihaves[addr] = q[:0]
+	}
+	o.stats.IhavesSent += int64(len(sc.to))
 	o.mu.Unlock()
-	for _, addr := range slices.Sorted(maps.Keys(queued)) {
-		o.announce(addr, MethodIhave, ihaveReq{Dots: queued[addr]})
+	start := 0
+	for i, addr := range sc.to {
+		end := sc.ends[i]
+		_ = o.ep.Announce(addr, MethodIhave, sc.body[start:end:end])
+		start = end
 	}
 }
 
@@ -568,13 +668,36 @@ func (o *Overlay) onIhave(from netsim.Address, dots []dot) {
 			missing = append(missing, d)
 		}
 	}
+	if len(missing) > 0 {
+		o.graftChecks = append(o.graftChecks, graftCheck{from: from, dots: missing})
+	}
 	o.mu.Unlock()
 	if offView {
 		o.announce(from, MethodDisconnect, wire.Empty{})
 	}
 	if len(missing) > 0 {
-		o.clock.AfterFunc(graftTimeout, func() { o.graft(from, missing) })
+		o.clock.AfterFunc(graftTimeout, o.graftFn)
 	}
+}
+
+// graftCheck is the dots an ihave from the announcer at from named that
+// had not arrived.
+type graftCheck struct {
+	from netsim.Address
+	dots []dot
+}
+
+// graftDue grafts the oldest graft check. Every check arms one timer of
+// graftTimeout, so the oldest check has waited at least that long when
+// any of them fires — and on the simulated clock, which fires equal
+// deadlines in the order they were armed, the check is the timer's own.
+func (o *Overlay) graftDue() {
+	o.mu.Lock()
+	c := o.graftChecks[0]
+	o.graftChecks[0] = graftCheck{}
+	o.graftChecks = o.graftChecks[1:]
+	o.mu.Unlock()
+	o.graft(c.from, c.dots)
 }
 
 // idLocked names the row that holds the write d names: the one the dedup
@@ -615,7 +738,7 @@ func (o *Overlay) graftRows(dots []dot) []pushEntry {
 	}
 	o.mu.Unlock()
 	// FetchWire returns the rows it holds of ids in their order.
-	rows := o.replica.FetchWire(ids)
+	rows := o.replica.FetchWire(nil, ids)
 	var out []pushEntry
 	r := 0
 	for i, d := range named {
@@ -649,7 +772,7 @@ func (o *Overlay) graft(from netsim.Address, announced []dot) {
 	}
 	o.stats.Grafts++
 	if indexOf(o.active, from) >= 0 {
-		delete(o.lazy, from)
+		o.setLazyLocked(from, false)
 	}
 	o.mu.Unlock()
 	o.ep.GoMsg(from, MethodGraft, graftReq{Dots: want}, func(res rpc.Result) {

@@ -201,7 +201,7 @@ func TestRumorIsOneFrame(t *testing.T) {
 	replicas[0].rows["obj-2"] = vclock.Version{"g00": 1}
 	dots := []rumorEntry{{ID: "obj-2", Site: "g00", Counter: 1}}
 	targets := o.ActiveView()
-	if n := testing.AllocsPerRun(100, func() { o.push(targets, dots, wire.TraceContext{}) }); n > float64(1+4*k) {
+	if n := testing.AllocsPerRun(100, func() { o.push(targets, "", dots, wire.TraceContext{}) }); n > float64(1+4*k) {
 		t.Fatalf("a push to %d targets allocates %v times, want at most %d", k, n, 1+4*k)
 	}
 }
@@ -399,7 +399,7 @@ func TestRumorSenderIsFrameSource(t *testing.T) {
 	for i, from := range []int{1, 2} {
 		id := fmt.Sprintf("obj-%d", i)
 		replicas[from].rows[id] = vclock.Version{"g01": 1}
-		overlays[from].push([]Peer{o.Self()}, []rumorEntry{{ID: id, Site: "g01", Counter: 1}}, wire.TraceContext{})
+		overlays[from].push([]Peer{o.Self()}, "", []rumorEntry{{ID: id, Site: "g01", Counter: 1}}, wire.TraceContext{})
 		clk.RunUntilIdle()
 		if _, ok := replicas[0].rows[id]; !ok {
 			t.Fatalf("%s, pushed by %s, was never applied", id, overlays[from].Self().Site)

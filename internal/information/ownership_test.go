@@ -142,6 +142,62 @@ func TestAdoptCopiesNothing(t *testing.T) {
 	}
 }
 
+// TestAdoptHasNoGarbageOfItsOwn: Adopt's merge runs in a pooled adoption
+// and each site's actor name is built once, so a stale row costs at most
+// one allocation, and an applied row — which a subscriber hears of — no
+// more than its digest-tree entry.
+func TestAdoptHasNoGarbageOfItsOwn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what is put back, so pooled paths allocate")
+	}
+	_, b, _ := twoReplicas(t)
+	events := 0
+	b.Subscribe("", func(ev Event) {
+		if ev.Actor != "replica/gmd" {
+			t.Fatalf("%s event from actor %q, want replica/gmd", ev.Kind, ev.Actor)
+		}
+		events++
+	})
+	at := time.Unix(0, 0).UTC()
+	if _, _, err := b.Adopt(remoteRow("info-7", "gmd", 5, at)); err != nil {
+		t.Fatal(err)
+	}
+	stale := remoteRow("info-7", "gmd", 3, at)
+	if n := testing.AllocsPerRun(200, func() {
+		if changed, _, err := b.Adopt(stale); err != nil || changed {
+			t.Fatalf("a stale row changed=%v err=%v", changed, err)
+		}
+	}); n > 1 {
+		t.Errorf("Adopt of a stale row allocates %.1f times, want at most 1", n)
+	}
+
+	// An applied row allocates what the digest tree's entry costs, and no
+	// more: the same rows through the tree alone set the bar.
+	const runs = 200
+	newer := make([]*Object, runs+2)
+	for i := range newer {
+		newer[i] = remoteRow("info-7", "gmd", uint64(6+i), at)
+	}
+	i := 0
+	applied := testing.AllocsPerRun(runs, func() {
+		if changed, _, err := b.Adopt(newer[i]); err != nil || !changed {
+			t.Fatalf("row %d: changed=%v err=%v", i, changed, err)
+		}
+		i++
+	})
+	tree, j := NewDigestTree(), 0
+	treeOnly := testing.AllocsPerRun(runs, func() {
+		tree.Update("info-7", newer[j].VV)
+		j++
+	})
+	if applied > treeOnly {
+		t.Errorf("Adopt of a newer row allocates %.1f times, its tree entry %.1f", applied, treeOnly)
+	}
+	if events == 0 {
+		t.Fatal("the subscriber heard nothing")
+	}
+}
+
 // TestLeafDigestIntoCoversTheStore: the leaf digests of all buckets,
 // merged into one map, are the store's digest — on the benchmark's
 // 1 306-row scale and after updates — and sharing the tree's vectors
@@ -164,7 +220,7 @@ func TestLeafDigestIntoCoversTheStore(t *testing.T) {
 		sp.Tree().LeafDigestInto(out, MerkleLeaves) // out of range: nothing
 		return out
 	}
-	if got, want := all(), sp.Digest(); !reflect.DeepEqual(got, want) {
+	if got, want := all(), digestOf(sp); !reflect.DeepEqual(got, want) {
 		t.Fatalf("leaf digests cover %d rows, the store holds %d", len(got), len(want))
 	}
 	for i := 0; i < len(ids); i += 3 {
@@ -173,7 +229,7 @@ func TestLeafDigestIntoCoversTheStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := all(), sp.Digest(); !reflect.DeepEqual(got, want) || len(got) != 1306 {
+	if got, want := all(), digestOf(sp); !reflect.DeepEqual(got, want) || len(got) != 1306 {
 		t.Fatalf("after updates: leaf digests cover %d rows, the store holds %d", len(got), len(want))
 	}
 

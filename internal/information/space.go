@@ -108,9 +108,10 @@ type Space struct {
 	store    Backend
 	tree     *DigestTree
 
-	mu    sync.RWMutex
-	subs  []subscription
-	stats SpaceStats
+	mu     sync.RWMutex
+	subs   []subscription
+	stats  SpaceStats
+	actors map[string]string // "replica/" + site, by site: the actor of a remote row's events
 }
 
 // SpaceStats counts space activity.
@@ -403,10 +404,6 @@ func (s *Space) Len() int { return s.store.Len() }
 
 // --- replication ---------------------------------------------------------
 
-// Digest summarises every object's version vector: equal digests mean
-// equal replicas.
-func (s *Space) Digest() map[string]vclock.Version { return s.store.Digest() }
-
 // Tree returns the replica's incremental Merkle digest summary, kept in
 // lockstep with every commit. The sync layer compares roots instead of
 // shipping the full digest and descends only mismatched subtrees.
@@ -418,7 +415,7 @@ func (s *Space) Tree() *DigestTree { return s.tree }
 func (s *Space) Range(fn func(*Object) bool) { s.store.Range(fn) }
 
 // Fetch reads a row without access control — the replication layer's
-// read, symmetric to Range/Digest which also bypass the ACL:
+// read, symmetric to Range, which also bypasses the ACL:
 // authorisation happened where the read request is served, not here.
 // The row is borrowed (Backend.Peek): read-only, never changed later.
 func (s *Space) Fetch(id string) (*Object, bool) { return s.store.Peek(id) }
@@ -448,6 +445,10 @@ func lwwWins(a, b *Object) bool {
 //
 // changed reports whether local state moved; conflict whether a
 // concurrent update was resolved.
+//
+// Adopt allocates nothing of its own but a resolved conflict's record: its
+// merge runs in a pooled adoption, and each site's actor name is built
+// once.
 func (s *Space) Adopt(row *Object) (changed, conflict bool, err error) {
 	if row == nil || row.ID == "" {
 		return false, false, fmt.Errorf("%w: empty remote object", ErrUnknownObject)
@@ -455,46 +456,11 @@ func (s *Space) Adopt(row *Object) (changed, conflict bool, err error) {
 	// A committed row's Version is its vector's sum, as DecodeObject reads
 	// every row.
 	row.Version = row.VV.Sum()
-	var conflictInfo *Conflict
-	stored, err := s.store.Exec(row.ID, func(cur *Object) (*Object, error) {
-		if cur == nil {
-			return row, nil
-		}
-		switch cur.VV.Compare(row.VV) {
-		case vclock.After, vclock.Equal:
-			return nil, nil // nothing the remote knows that we don't
-		case vclock.Before:
-			if cur.Created.Before(row.Created) {
-				row.Created = cur.Created
-			}
-			return row, nil
-		default: // concurrent: resolve deterministically, merge histories
-			winner, loser := cur, row
-			if lwwWins(row, cur) {
-				winner, loser = row, cur
-			}
-			merged := *winner // shares the winner's Fields: rows are immutable
-			merged.VV = cur.VV.Merge(row.VV)
-			merged.Version = merged.VV.Sum()
-			// Created converges to the minimum over BOTH sides, independent
-			// of who won — an asymmetric rule would leave replicas with
-			// equal vectors but diverged timestamps, which no further sync
-			// round could ever repair.
-			if cur.Created.Before(merged.Created) {
-				merged.Created = cur.Created
-			}
-			if row.Created.Before(merged.Created) {
-				merged.Created = row.Created
-			}
-			conflictInfo = &Conflict{
-				ObjectID:    cur.ID,
-				WinnerSite:  winner.Site,
-				LoserSite:   loser.Site,
-				LoserFields: cloneFields(loser.Fields),
-			}
-			return &merged, nil
-		}
-	})
+	a := adoptions.Get().(*adoption)
+	a.row = row
+	stored, err := s.store.Exec(row.ID, a.merge)
+	resolved := a.conflict
+	a.release()
 	if err != nil {
 		return false, false, err
 	}
@@ -502,17 +468,104 @@ func (s *Space) Adopt(row *Object) (changed, conflict bool, err error) {
 		return false, false, nil
 	}
 	s.tree.Update(stored.ID, stored.VV)
-	if conflictInfo != nil {
+	if resolved != nil {
 		s.bump(func(st *SpaceStats) { st.Applied++; st.Conflicts++ })
 		s.notify(Event{
-			Kind: "conflict", Object: stored, Actor: "replica/" + row.Site,
-			At: s.clock.Now(), Conflict: conflictInfo,
+			Kind: "conflict", Object: stored, Actor: s.actor(row.Site),
+			At: s.clock.Now(), Conflict: resolved,
 		})
 		return true, true, nil
 	}
 	s.bump(func(st *SpaceStats) { st.Applied++ })
-	s.notify(Event{Kind: "apply", Object: stored, Actor: "replica/" + row.Site, At: s.clock.Now()})
+	s.notify(Event{Kind: "apply", Object: stored, Actor: s.actor(row.Site), At: s.clock.Now()})
 	return true, false, nil
+}
+
+// adoption is one Adopt's merge against the stored row: the row adopted
+// and the conflict the merge resolved, if it resolved one. It is pooled
+// with its merge func bound, so the backend's callback costs no closure.
+type adoption struct {
+	row      *Object
+	conflict *Conflict
+	merge    func(cur *Object) (*Object, error) // a.mergeWith, bound once
+}
+
+var adoptions = sync.Pool{New: func() any {
+	a := new(adoption)
+	a.merge = a.mergeWith
+	return a
+}}
+
+// release forgets the adoption's row and conflict and puts it back.
+func (a *adoption) release() {
+	*a = adoption{merge: a.merge}
+	adoptions.Put(a)
+}
+
+// mergeWith is Adopt's Exec callback: it returns the row to store in
+// cur's place, or nil when the remote row knows nothing cur does not.
+func (a *adoption) mergeWith(cur *Object) (*Object, error) {
+	row := a.row
+	if cur == nil {
+		return row, nil
+	}
+	switch cur.VV.Compare(row.VV) {
+	case vclock.After, vclock.Equal:
+		return nil, nil // nothing the remote knows that we don't
+	case vclock.Before:
+		if cur.Created.Before(row.Created) {
+			row.Created = cur.Created
+		}
+		return row, nil
+	default: // concurrent: resolve deterministically, merge histories
+		winner, loser := cur, row
+		if lwwWins(row, cur) {
+			winner, loser = row, cur
+		}
+		merged := *winner // shares the winner's Fields: rows are immutable
+		merged.VV = cur.VV.Merge(row.VV)
+		merged.Version = merged.VV.Sum()
+		// Created converges to the minimum over BOTH sides, independent
+		// of who won — an asymmetric rule would leave replicas with
+		// equal vectors but diverged timestamps, which no further sync
+		// round could ever repair.
+		if cur.Created.Before(merged.Created) {
+			merged.Created = cur.Created
+		}
+		if row.Created.Before(merged.Created) {
+			merged.Created = row.Created
+		}
+		a.conflict = &Conflict{
+			ObjectID:    cur.ID,
+			WinnerSite:  winner.Site,
+			LoserSite:   loser.Site,
+			LoserFields: cloneFields(loser.Fields),
+		}
+		return &merged, nil
+	}
+}
+
+// actor names the replica a remote row's events come from: "replica/" and
+// the row's writer site, built once per site — for as many sites as the
+// roster names, so rows spelling new sites cannot grow the table without
+// bound.
+func (s *Space) actor(site string) string {
+	s.mu.RLock()
+	name, ok := s.actors[site]
+	s.mu.RUnlock()
+	if ok {
+		return name
+	}
+	name = "replica/" + site
+	s.mu.Lock()
+	if s.actors == nil {
+		s.actors = make(map[string]string)
+	}
+	if len(s.actors) < vclock.MaxRoster {
+		s.actors[site] = name
+	}
+	s.mu.Unlock()
+	return name
 }
 
 // ApplyRemote is Adopt of a copy: the caller keeps remote and may change

@@ -78,7 +78,7 @@ func playDots(tb testing.TB, script []byte) (writes []dotWrite, copies []vclock.
 			if src == dst {
 				continue
 			}
-			reps[dst].ApplyWire(reps[src].FetchWire([]string{oid}))
+			reps[dst].ApplyWire(reps[src].FetchWire(nil, []string{oid}))
 		}
 		for i, r := range reps {
 			row, ok := r.space.Fetch(oid)

@@ -568,16 +568,15 @@ func (r *Replicator) DotID(site string, counter uint64) (id string, ok bool) {
 	return r.space.Tree().DotID(site, counter)
 }
 
-// FetchWire returns the named rows the local replica holds, for a gossip
-// push or graft.
-func (r *Replicator) FetchWire(ids []string) []*information.Object {
-	var out []*information.Object
+// FetchWire appends to dst the named rows the local replica holds, for a
+// gossip push or graft.
+func (r *Replicator) FetchWire(dst []*information.Object, ids []string) []*information.Object {
 	for _, id := range ids {
 		if obj, ok := r.space.Fetch(id); ok {
-			out = append(out, obj)
+			dst = append(dst, obj)
 		}
 	}
-	return out
+	return dst
 }
 
 // ApplyWire merges pushed or grafted rows through the ordinary delta-apply

@@ -1,15 +1,18 @@
 package workload
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"mocca/internal/information"
 	"mocca/internal/observe"
 )
 
@@ -119,32 +122,46 @@ func (h *Harness) report(converged bool) *Report {
 // which the acceptance tests treat as failure. This is the byte-identical
 // digest check: Merkle roots catching up is necessary, matching full
 // digests is the proof.
+//
+// A site's digest is the sha256 of one record per row, in id order: the
+// id, a zero byte, each vector entry in site order as the site's name and
+// its counter in eight big-endian bytes, and 0xff. The records are written
+// out of Space.Range as it streams the rows — a backend's row may be
+// transient, so nothing of it is kept but these bytes — then hashed in id
+// order.
 func (h *Harness) commonDigest() string {
-	var common string
+	var (
+		common  string
+		records []byte
+		spans   []digestRecord
+		sites   []string
+	)
 	for _, name := range h.org.Sites {
-		sum := sha256.New()
-		digest := h.sites[name].Space().Digest()
-		ids := make([]string, 0, len(digest))
-		for id := range digest {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		var scratch [8]byte
-		for _, id := range ids {
-			sum.Write([]byte(id))
-			sum.Write([]byte{0})
-			vv := digest[id]
-			sites := make([]string, 0, len(vv))
-			for s := range vv {
+		records, spans = records[:0], spans[:0]
+		h.sites[name].Space().Range(func(o *information.Object) bool {
+			r := digestRecord{start: len(records)}
+			records = append(records, o.ID...)
+			r.idEnd = len(records)
+			records = append(records, 0)
+			sites = sites[:0]
+			for s := range o.VV {
 				sites = append(sites, s)
 			}
-			sort.Strings(sites)
+			slices.Sort(sites)
 			for _, s := range sites {
-				sum.Write([]byte(s))
-				binary.BigEndian.PutUint64(scratch[:], vv[s])
-				sum.Write(scratch[:])
+				records = binary.BigEndian.AppendUint64(append(records, s...), o.VV[s])
 			}
-			sum.Write([]byte{0xff})
+			records = append(records, 0xff)
+			r.end = len(records)
+			spans = append(spans, r)
+			return true
+		})
+		slices.SortFunc(spans, func(a, b digestRecord) int {
+			return bytes.Compare(records[a.start:a.idEnd], records[b.start:b.idEnd])
+		})
+		sum := sha256.New()
+		for _, r := range spans {
+			sum.Write(records[r.start:r.end])
 		}
 		d := hex.EncodeToString(sum.Sum(nil))
 		if common == "" {
@@ -155,6 +172,10 @@ func (h *Harness) commonDigest() string {
 	}
 	return common
 }
+
+// digestRecord locates one row's record in commonDigest's buffer: the
+// record is [start, end), its id [start, idEnd).
+type digestRecord struct{ start, idEnd, end int }
 
 // Fingerprint is the sha256 of the report's canonical JSON encoding.
 // Same spec, same seed → same fingerprint, byte for byte; that is the

@@ -11,13 +11,25 @@ import (
 
 	"mocca/internal/information"
 	"mocca/internal/information/logstore"
+	"mocca/internal/vclock"
 )
+
+// spaceDigest is every row's version vector, copied out of Range: rows a
+// durable backend hands out are transient.
+func spaceDigest(sp *information.Space) map[string]vclock.Version {
+	out := map[string]vclock.Version{}
+	sp.Range(func(o *information.Object) bool {
+		out[o.ID] = o.VV.Clone()
+		return true
+	})
+	return out
+}
 
 // digestBytes renders a space's digest as canonical per-object bytes so
 // version vectors can be compared byte-for-byte across a crash.
 func digestBytes(s *Site) map[string][]byte {
 	out := make(map[string][]byte)
-	for id, vv := range s.Space().Digest() {
+	for id, vv := range spaceDigest(s.Space()) {
 		out[id] = vv.AppendBinary(nil)
 	}
 	return out

@@ -30,13 +30,13 @@ func assertAllConverged(tb testing.TB, sites []*Site) {
 	tb.Helper()
 	ref := sites[0].Space()
 	refRoot := ref.Tree().Root()
-	refDigest := ref.Digest()
+	refDigest := spaceDigest(ref)
 	for _, s := range sites[1:] {
 		if root := s.Space().Tree().Root(); root != refRoot {
 			tb.Fatalf("site %s Merkle root %x diverges from %s's %x",
 				s.Name, root, sites[0].Name, refRoot)
 		}
-		digest := s.Space().Digest()
+		digest := spaceDigest(s.Space())
 		if len(digest) != len(refDigest) {
 			tb.Fatalf("site %s holds %d rows, %s holds %d",
 				s.Name, len(digest), sites[0].Name, len(refDigest))

@@ -367,7 +367,7 @@ func runModelScript(t *testing.T, script []byte) {
 		if d := diffRows(siteRows(s), m.held[i]); d != "" {
 			t.Fatalf("%s after heal: %s", s.Name, d)
 		}
-		digest := s.Space().Digest()
+		digest := spaceDigest(s.Space())
 		if len(digest) != len(m.held[i]) {
 			t.Fatalf("%s digest has %d rows, model %d", s.Name, len(digest), len(m.held[i]))
 		}
