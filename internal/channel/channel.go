@@ -91,7 +91,10 @@ type Interceptor func(*Frame) error
 
 // Receiver consumes inbound envelopes that survived the stack. The envelope
 // is lent for the upcall only: the stack zeroes and reuses it once the
-// receiver returns. Its strings and Body (which aliases the frame) may be kept.
+// receiver returns. So is its Body, which aliases the frame: the frame's
+// buffer goes back to the stack's free list, and the next frame sent
+// overwrites it. Its strings may be kept; a receiver copies out the body
+// bytes it keeps.
 type Receiver func(from netsim.Address, env *wire.Envelope)
 
 // Stats counts one binding's traffic (local node ↔ one remote address).
@@ -245,10 +248,12 @@ func (s *Stack) Handle(r Receiver) {
 }
 
 // Send pushes an envelope down the stack toward remote: interceptors, then
-// the binder stamps the binding epoch, then the client stub marshals, then
-// the protocol object transmits. Send keeps no reference to env or its Body
-// once it returns, so the caller may reuse it; the binder may have stamped
-// headers on it.
+// the binder stamps the binding epoch, then the client stub marshals into
+// a buffer from the frame free list, then the protocol object transmits.
+// The receiving stack gives the buffer back once its receiver returns; a
+// frame the network loses is left to the GC. Send keeps no reference to
+// env or its Body once it returns, so the caller may reuse it; the binder
+// may have stamped headers on it.
 func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 	if len(s.interceptors) > 0 {
 		f := s.frame(Outbound, to, env)
@@ -276,11 +281,12 @@ func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 	if b.epoch > 1 {
 		env.SetHeader(EpochHeader, strconv.FormatUint(b.epoch, 10))
 	}
-	data, err := wire.Marshal(env) // the client stub: envelope to frame
+	data, err := wire.AppendMarshal(frames.get(), env) // the client stub: envelope to frame
 	if err != nil {
 		return err
 	}
 	if err := s.proto.transmit(to, env.Kind, data); err != nil {
+		frames.put(data) // refused before the network took it
 		return err
 	}
 	b.FramesOut++
@@ -372,11 +378,17 @@ var inbound = sync.Pool{New: func() any { return new(wire.Envelope) }}
 // onMessage is the protocol object's upcall: server stub unmarshals, the
 // binder validates the epoch, interceptors run, and the surviving envelope
 // goes to the receiver — lent, in a pooled envelope, for the upcall only.
+// Whatever becomes of the frame, its buffer goes back to the free list once
+// the upcall is over: every frame a stack receives was sent by one.
 func (s *Stack) onMessage(msg netsim.Message) {
 	size := int64(len(msg.Payload))
 	env := inbound.Get().(*wire.Envelope)
 	// Zeroed on the way back, so a receiver that kept it reads nothing.
-	defer func() { *env = wire.Envelope{}; inbound.Put(env) }()
+	defer func() {
+		*env = wire.Envelope{}
+		inbound.Put(env)
+		frames.put(msg.Payload)
+	}()
 	if err := env.UnmarshalBinary(msg.Payload); err != nil { // the server stub: frame to envelope
 		// Drop undecodable traffic, as a real stack would.
 		s.mu.Lock()
@@ -428,6 +440,64 @@ func (s *Stack) onMessage(msg netsim.Message) {
 	if recv != nil {
 		recv(msg.From, env)
 	}
+}
+
+// frames is the free list of frame buffers: Send marshals into one, and
+// the stack that receives the frame gives it back once its receiver has
+// returned. Blocking callers send from their own goroutines, so it is a
+// locked stack of buffers (a sync.Pool would box each slice it holds).
+var frames framePool
+
+// The free list keeps no buffer larger than maxPooledFrame (a bulk repair
+// is left to the GC) and no more than maxPooledBytes in all, so it never
+// pins more than a busy instant's frames.
+const (
+	maxPooledFrame = 64 << 10
+	maxPooledBytes = 1 << 20
+)
+
+type framePool struct {
+	mu   sync.Mutex
+	free [][]byte
+	held int // the capacity of the buffers on free
+}
+
+// get takes the buffer released last, emptied; nil when there is none, and
+// AppendMarshal then allocates the frame's exact size.
+func (p *framePool) get() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	b := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	p.held -= cap(b)
+	return b
+}
+
+// put gives a frame's buffer back. Under the race detector it is poisoned
+// first, so a receiver that kept a slice of it reads 0xA5 instead of the
+// frame it was lent.
+func (p *framePool) put(b []byte) {
+	c := cap(b)
+	if poisonFrames {
+		b = b[:c]
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	if c == 0 || c > maxPooledFrame {
+		return
+	}
+	p.mu.Lock()
+	if p.held+c <= maxPooledBytes {
+		p.free = append(p.free, b[:0])
+		p.held += c
+	}
+	p.mu.Unlock()
 }
 
 // protocol owns the netsim.Node: it is the only place in the repository

@@ -661,7 +661,7 @@ func (o *Overlay) arm(d time.Duration) {
 		d = DefaultInterval
 	}
 	o.mu.Unlock()
-	o.clock.AfterFunc(d, o.round)
+	o.clock.Schedule(d, o.round)
 }
 
 // round runs one stabilization pass: re-pin the ring successor, probe

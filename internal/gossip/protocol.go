@@ -319,7 +319,7 @@ func (o *Overlay) Publish(id string, vv vclock.Version) {
 	flush := o.queueIhavesLocked(sp.lazy, "", entries)
 	o.mu.Unlock()
 	if flush {
-		o.clock.AfterFunc(ihaveInterval, o.flushFn)
+		o.clock.Schedule(ihaveInterval, o.flushFn)
 	}
 	// A tagged object's rumor rides the originating write's trace: the
 	// publish is an instant span under it and every push carries it.
@@ -447,7 +447,7 @@ func (o *Overlay) forward(entries []rumorEntry, from netsim.Address, tc wire.Tra
 	}
 	o.mu.Unlock()
 	if flush {
-		o.clock.AfterFunc(ihaveInterval, o.flushFn)
+		o.clock.Schedule(ihaveInterval, o.flushFn)
 	}
 	if !pushing {
 		return
@@ -676,7 +676,7 @@ func (o *Overlay) onIhave(from netsim.Address, dots []dot) {
 		o.announce(from, MethodDisconnect, wire.Empty{})
 	}
 	if len(missing) > 0 {
-		o.clock.AfterFunc(graftTimeout, o.graftFn)
+		o.clock.Schedule(graftTimeout, o.graftFn)
 	}
 }
 

@@ -171,7 +171,7 @@ func (m *MTA) Submit(env *Envelope) (string, error) {
 
 	if !e.Deferred.IsZero() && e.Deferred.After(m.clock.Now()) {
 		delay := e.Deferred.Sub(m.clock.Now())
-		m.clock.AfterFunc(delay, func() { m.process(e) })
+		m.clock.Schedule(delay, func() { m.process(e) })
 		return e.MessageID, nil
 	}
 	m.process(e)
@@ -429,7 +429,7 @@ func (m *MTA) onTransfer(req rpc.Request) ([]byte, error) {
 	}
 	// Accept, then continue processing asynchronously so the transfer ack —
 	// an empty reply — returns promptly.
-	m.clock.AfterFunc(0, func() { m.process(env) })
+	m.clock.Schedule(0, func() { m.process(env) })
 	return nil, nil
 }
 

@@ -341,12 +341,13 @@ func (n *Network) send(msg Message) error {
 		f.run = f.arrive
 	}
 	f.net, f.dst, f.msg = n, dst, msg
-	n.clock.AfterFunc(deliverAt.Sub(n.clock.Now()), f.run)
+	n.clock.Schedule(deliverAt.Sub(n.clock.Now()), f.run)
 	return nil
 }
 
 // inFlight is a message between send and delivery, pooled; run is bound once,
-// so scheduling a delivery costs the clock event and nothing else.
+// and the clock recycles the event it schedules, so a delivery allocates
+// nothing.
 type inFlight struct {
 	net *Network
 	dst *Node

@@ -38,9 +38,9 @@ func TestDeliveryBasic(t *testing.T) {
 // raceEnabled is set by race_test.go when the tests run under -race.
 var raceEnabled bool
 
-// TestSendDeliverAllocations: a message from send to its handler costs the
-// clock event that delivers it; the in-flight record is pooled and its
-// delivery func bound once.
+// TestSendDeliverAllocations: a message from send to its handler allocates
+// nothing: the in-flight record is pooled with its delivery func bound once,
+// and the clock recycles the event that delivers it.
 func TestSendDeliverAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops a share of what is put back, so pooled paths allocate")
@@ -56,8 +56,8 @@ func TestSendDeliverAllocations(t *testing.T) {
 		}
 		clk.RunUntilIdle()
 	})
-	if n > 1 {
-		t.Errorf("send → deliver allocates %v times, want at most 1 (the clock event)", n)
+	if n != 0 {
+		t.Errorf("send → deliver allocates %v times, want 0", n)
 	}
 	if got != 501*len(payload) {
 		t.Fatalf("%d bytes delivered, want %d", got, 501*len(payload))

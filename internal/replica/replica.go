@@ -601,7 +601,7 @@ func (r *Replicator) HandOff(peer netsim.Address, obj *information.Object) {
 	r.handOffTo = peer
 	r.mu.Unlock()
 	if first {
-		r.clock.AfterFunc(0, r.flushHandOff)
+		r.clock.Schedule(0, r.flushHandOff)
 	}
 }
 

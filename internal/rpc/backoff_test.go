@@ -71,7 +71,7 @@ func TestSendFailureConsumesRetryBudget(t *testing.T) {
 
 	var got Result
 	done := false
-	f.a.Go("b", "echo", []byte("x"), func(r Result) { got = r; done = true },
+	f.a.Go("b", "echo", []byte("x"), func(r Result) { got = kept(r); done = true },
 		CallTimeout(time.Second), CallBackoff(2*time.Second, 2*time.Second))
 
 	// First attempt fails locally (node down) and schedules a retry at

@@ -70,7 +70,9 @@ func (e *RemoteError) Error() string {
 // when the endpoint has a tracer, otherwise the context the request
 // envelope carried (zero if untraced). Handlers propagate it into
 // downstream calls via CallTrace and into their own spans as the
-// parent.
+// parent. Body aliases the frame the channel lent for the upcall: it is
+// valid until the handler returns — an AsyncHandler decodes it before
+// then, not in its reply — and a handler copies out any bytes it keeps.
 type Request struct {
 	From   netsim.Address
 	Method string
@@ -95,7 +97,9 @@ type Handler func(req Request) ([]byte, error)
 // blocking inside a Handler stalls the event loop under a simulated clock.
 type AsyncHandler func(req Request, reply func(body []byte, err error))
 
-// Result is the outcome of an asynchronous call.
+// Result is the outcome of an asynchronous call. Body aliases the reply's
+// frame, lent for the completion callback only: a callback decodes it (or
+// copies out what it keeps) before it returns.
 type Result struct {
 	Body []byte
 	Err  error
@@ -174,23 +178,41 @@ type Endpoint struct {
 	layerState map[string]any
 }
 
-// pendingCall is one call's state, shared by its attempts.
+// pendingCall is one call's state, shared by its attempts. It comes from
+// callPool with its expiry and retry funcs bound once.
 type pendingCall struct {
+	e      *Endpoint
 	corr   string
 	to     netsim.Address
 	method string
 	body   []byte
 	done   func(Result)
 	s      callSettings
-	timer  vclock.Timer        // nil until the request is on the network
+	timer  vclock.Timer        // nil until the attempt's request is on the network
 	span   *observe.ActiveSpan // the attempt's client span; nil unless traced
+
+	expireFn, retryFn func()
 }
 
-// stopTimer cancels the call's timeout, if one was armed.
-func (pc *pendingCall) stopTimer() {
-	if pc.timer != nil {
-		pc.timer.Stop()
-	}
+var callPool sync.Pool
+
+// stopTimer cancels the attempt's timeout and reports whether nothing of it
+// can still run: none was armed, or Stop prevented it.
+func (pc *pendingCall) stopTimer() bool {
+	return pc.timer == nil || pc.timer.Stop()
+}
+
+func (pc *pendingCall) expire() { pc.e.expire(pc) }
+func (pc *pendingCall) retry()  { pc.e.attempt(pc) }
+
+// release gives a finished call back to callPool. Only complete calls it,
+// once the final done has returned and only when stopTimer found no expiry
+// that could still read the call; a call an expiry or Close finished is
+// left to the GC.
+func (pc *pendingCall) release() {
+	expireFn, retryFn := pc.expireFn, pc.retryFn
+	*pc = pendingCall{expireFn: expireFn, retryFn: retryFn}
+	callPool.Put(pc)
 }
 
 // scratch is a pooled buffer a body is built in. A body is needed only until
@@ -410,14 +432,22 @@ func CallTrace(tc wire.TraceContext) CallOption {
 }
 
 // Go invokes method on the remote address asynchronously; done is called
-// exactly once with the outcome. Safe to call from within handlers.
+// exactly once with the outcome. Safe to call from within handlers. The
+// Result's Body is lent to done: it is valid until done returns.
 func (e *Endpoint) Go(to netsim.Address, method string, body []byte, done func(Result), opts ...CallOption) {
-	e.attempt(newCall(to, method, body, done, opts))
+	e.attempt(e.newCall(to, method, body, done, opts))
 }
 
-// newCall builds a call's state, opts applied in place over the defaults.
-func newCall(to netsim.Address, method string, body []byte, done func(Result), opts []CallOption) *pendingCall {
-	pc := &pendingCall{to: to, method: method, body: body, done: done, s: callSettings{timeout: DefaultTimeout}}
+// newCall takes a call's state from the pool, opts applied in place over
+// the defaults.
+func (e *Endpoint) newCall(to netsim.Address, method string, body []byte, done func(Result), opts []CallOption) *pendingCall {
+	pc, _ := callPool.Get().(*pendingCall)
+	if pc == nil {
+		pc = new(pendingCall)
+		pc.expireFn, pc.retryFn = pc.expire, pc.retry
+	}
+	pc.e, pc.to, pc.method, pc.body, pc.done = e, to, method, body, done
+	pc.s = callSettings{timeout: DefaultTimeout}
 	for _, opt := range opts {
 		opt(&pc.s)
 	}
@@ -442,7 +472,7 @@ func (e *Endpoint) attempt(pc *pendingCall) {
 		return
 	}
 	corr := strconv.FormatUint(e.ids.Seq("call"), 10)
-	pc.corr = corr
+	pc.corr, pc.timer = corr, nil
 	e.stats.CallsSent++
 	e.pending[corr] = pc
 	deadline := e.clock.Now().Add(pc.s.timeout)
@@ -474,7 +504,7 @@ func (e *Endpoint) attempt(pc *pendingCall) {
 	// and a reply that already came back leaves nothing to arm.
 	e.mu.Lock()
 	if e.pending[corr] == pc {
-		pc.timer = e.clock.AfterFunc(deadline.Sub(e.clock.Now()), func() { e.expire(pc) })
+		pc.timer = e.clock.AfterFunc(deadline.Sub(e.clock.Now()), pc.expireFn)
 	}
 	e.mu.Unlock()
 }
@@ -528,7 +558,7 @@ func (e *Endpoint) retryOrFail(pc *pendingCall, cause error) {
 		s.onRetry(s.tries)
 	}
 	if delay > 0 {
-		e.clock.AfterFunc(delay, func() { e.attempt(pc) })
+		e.clock.Schedule(delay, pc.retryFn)
 		return
 	}
 	e.attempt(pc)
@@ -545,13 +575,16 @@ func (e *Endpoint) complete(corr string, r Result) {
 		e.stats.RemoteErrors++
 		e.mu.Unlock()
 	}
-	pc.stopTimer()
+	quiet := pc.stopTimer()
 	status := ""
 	if r.Err != nil {
 		status = "error"
 	}
 	endSpan(pc.span, status)
 	pc.done(r)
+	if quiet {
+		pc.release()
+	}
 }
 
 // Announce sends a one-way invocation: no reply, no timeout, no
@@ -653,16 +686,19 @@ func (e *Endpoint) onReply(env *wire.Envelope) {
 }
 
 // CallMsg invokes method with req's body and decodes the reply into resp:
-// GoMsg plus a wait. Under a simulated clock the caller must not be the
-// goroutine driving the clock.
+// GoMsg plus a wait. The reply is decoded in the completion callback, while
+// its frame is still lent; only the error crosses to the waiting caller.
+// Under a simulated clock the caller must not be the goroutine driving the
+// clock.
 func (e *Endpoint) CallMsg(to netsim.Address, method string, req encoding.BinaryAppender, resp encoding.BinaryUnmarshaler, opts ...CallOption) error {
-	ch := make(chan Result, 1)
-	e.GoMsg(to, method, req, func(r Result) { ch <- r }, opts...)
-	return (<-ch).Decode(resp)
+	ch := make(chan error, 1)
+	e.GoMsg(to, method, req, func(r Result) { ch <- r.Decode(resp) }, opts...)
+	return <-ch
 }
 
 // GoMsg is the asynchronous form of CallMsg: req's body is built in a pooled
-// scratch, and decoding the reply is left to done via the raw Result.
+// scratch, and decoding the reply is left to done via the raw Result, whose
+// Body is lent to done until it returns.
 func (e *Endpoint) GoMsg(to netsim.Address, method string, req encoding.BinaryAppender, done func(Result), opts ...CallOption) {
 	buf := scratchPool.Get().(*scratch)
 	defer buf.release()
@@ -671,7 +707,7 @@ func (e *Endpoint) GoMsg(to netsim.Address, method string, req encoding.BinaryAp
 		done(Result{Err: err})
 		return
 	}
-	pc := newCall(to, method, body, done, opts)
+	pc := e.newCall(to, method, body, done, opts)
 	if len(pc.s.backoff) > 0 {
 		// A retry resends after this call has given the scratch back; with
 		// no retry budget nothing reads the body once attempt returns.
@@ -681,9 +717,10 @@ func (e *Endpoint) GoMsg(to netsim.Address, method string, req encoding.BinaryAp
 }
 
 // Handle adapts a typed handler into a Handler. The adapter decodes every
-// request body into a fresh Req by its UnmarshalBinary — an empty body
-// included, which only a message like wire.Empty accepts — and appends the
-// returned message to the scratch the endpoint lends for the reply.
+// request body by Req's UnmarshalBinary — an empty body included, which
+// only a message like wire.Empty accepts — into a Req from the handler's
+// own pool, passes it by value and zeroes it on the way back, then appends
+// the returned message to the scratch the endpoint lends for the reply.
 func Handle[Req any, Resp encoding.BinaryAppender, PReq interface {
 	*Req
 	encoding.BinaryUnmarshaler
@@ -712,15 +749,23 @@ func HandleRefused[Req any, Resp encoding.BinaryAppender, PReq interface {
 	*Req
 	encoding.BinaryUnmarshaler
 }](f func(from netsim.Address, tc wire.TraceContext, req Req) (Resp, error), refused func(error)) Handler {
+	// Decoding into a local would move it to the heap through the generic
+	// UnmarshalBinary call, once per request.
+	pool := sync.Pool{New: func() any { return new(Req) }}
 	return func(r Request) ([]byte, error) {
-		var req Req
-		if err := PReq(&req).UnmarshalBinary(r.Body); err != nil {
+		req := pool.Get().(*Req)
+		defer func() {
+			var zero Req
+			*req = zero
+			pool.Put(req)
+		}()
+		if err := PReq(req).UnmarshalBinary(r.Body); err != nil {
 			if refused != nil {
 				refused(err)
 			}
 			return nil, err
 		}
-		resp, err := f(r.From, r.Trace, req)
+		resp, err := f(r.From, r.Trace, *req)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -28,13 +29,17 @@ func newFixture(t *testing.T, opts ...Option) *fixture {
 	return &fixture{clk: clk, net: net, a: a, b: b}
 }
 
+// kept is what a test keeps of a Result past its callback: a reply's body
+// is lent to the callback only, so it is copied out there.
+func kept(r Result) Result { return Result{Body: bytes.Clone(r.Body), Err: r.Err} }
+
 func TestRequestReply(t *testing.T) {
 	f := newFixture(t)
 	f.b.MustRegister("echo", func(r Request) ([]byte, error) {
 		return append([]byte("echo:"), r.Body...), nil
 	})
 	var got Result
-	f.a.Go("b", "echo", []byte("hi"), func(r Result) { got = r })
+	f.a.Go("b", "echo", []byte("hi"), func(r Result) { got = kept(r) })
 	f.clk.RunUntilIdle()
 	if got.Err != nil {
 		t.Fatal(got.Err)
@@ -131,7 +136,7 @@ func TestRetrySucceedsAfterHeal(t *testing.T) {
 	f.net.Partition([]netsim.Address{"a"}, []netsim.Address{"b"})
 	var got Result
 	done := false
-	f.a.Go("b", "echo", []byte("x"), func(r Result) { got = r; done = true },
+	f.a.Go("b", "echo", []byte("x"), func(r Result) { got = kept(r); done = true },
 		CallTimeout(time.Second), CallBackoff(0, 0))
 	f.clk.Advance(1500 * time.Millisecond) // first attempt timed out, retry in flight
 	f.net.Heal()
@@ -215,8 +220,8 @@ func TestMsgHelpers(t *testing.T) {
 	}))
 	f.b.MustRegister("drop", Handle(func(netsim.Address, note) (wire.Empty, error) { return wire.Empty{}, nil }))
 	var next, dropped, bare Result
-	f.a.GoMsg("b", "next", note{Seq: 2, Text: "x"}, func(r Result) { next = r })
-	f.a.GoMsg("b", "drop", note{Seq: 2}, func(r Result) { dropped = r })
+	f.a.GoMsg("b", "next", note{Seq: 2, Text: "x"}, func(r Result) { next = kept(r) })
+	f.a.GoMsg("b", "drop", note{Seq: 2}, func(r Result) { dropped = kept(r) })
 	f.a.Go("b", "next", nil, func(r Result) { bare = r })
 	f.clk.RunUntilIdle()
 	var back note
@@ -239,7 +244,7 @@ func TestConcurrentCallsDistinctCorrelation(t *testing.T) {
 	results := make([]Result, n)
 	for i := 0; i < n; i++ {
 		i := i
-		f.a.Go("b", "id", []byte{byte(i)}, func(r Result) { results[i] = r })
+		f.a.Go("b", "id", []byte{byte(i)}, func(r Result) { results[i] = kept(r) })
 	}
 	f.clk.RunUntilIdle()
 	for i, r := range results {
@@ -292,7 +297,7 @@ func TestTimeoutArmedAfterRequestLeaves(t *testing.T) {
 	b.MustRegister("echo", func(r Request) ([]byte, error) { return r.Body, nil })
 
 	var got Result
-	a.Go("b", "echo", []byte("hi"), func(r Result) { got = r }, CallTimeout(time.Second))
+	a.Go("b", "echo", []byte("hi"), func(r Result) { got = kept(r) }, CallTimeout(time.Second))
 	clk.RunUntilIdle()
 	if jumped {
 		t.Error("an event of the call was pending before its request left")

@@ -60,7 +60,7 @@ func TestRetryResendsTheSameBody(t *testing.T) {
 
 	want := note{Seq: 1, Text: strings.Repeat("the body of the first attempt ", 8)}
 	var got Result
-	f.a.GoMsg("b", "slow", want, func(r Result) { got = r },
+	f.a.GoMsg("b", "slow", want, func(r Result) { got = kept(r) },
 		CallTimeout(time.Second), CallBackoff(5*time.Second))
 	for i := 0; i < 100; i++ {
 		filler := note{Seq: 100 + i, Text: strings.Repeat("x", 40+3*i)}
@@ -161,6 +161,7 @@ func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) AfterFunc(d time.Duration, f func()) vclock.Timer {
 	return time.AfterFunc(d, f)
 }
+func (realClock) Schedule(d time.Duration, f func()) { time.AfterFunc(d, f) }
 
 var _ vclock.Clock = realClock{}
 

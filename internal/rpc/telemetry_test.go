@@ -132,7 +132,7 @@ func TestTracedPeerInteropsWithUntraced(t *testing.T) {
 	root := tel.Tracer.StartRoot("op", "a")
 	rootCtx := root.Context()
 	var got Result
-	traced.Go("b", "echo", []byte("x"), func(r Result) { got = r }, CallTrace(rootCtx))
+	traced.Go("b", "echo", []byte("x"), func(r Result) { got = kept(r) }, CallTrace(rootCtx))
 	clk.RunUntilIdle()
 	root.End()
 	if got.Err != nil || string(got.Body) != "x" {
@@ -147,7 +147,7 @@ func TestTracedPeerInteropsWithUntraced(t *testing.T) {
 	// recording no spans.
 	before := tel.Tracer.Counts().Spans
 	var got2 Result
-	plain.Go("a", "echo", []byte("y"), func(r Result) { got2 = r })
+	plain.Go("a", "echo", []byte("y"), func(r Result) { got2 = kept(r) })
 	clk.RunUntilIdle()
 	if got2.Err != nil || string(got2.Body) != "y" {
 		t.Fatalf("plain→traced call failed: %+v", got2)

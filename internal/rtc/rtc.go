@@ -511,7 +511,7 @@ func (s *Server) fanOut(addrs []netsim.Address, ev Event) {
 
 // scheduleSweep evicts members whose heartbeat lapsed.
 func (s *Server) scheduleSweep() {
-	s.clock.AfterFunc(s.heartbeatTimeout/2, func() {
+	s.clock.Schedule(s.heartbeatTimeout/2, func() {
 		s.mu.Lock()
 		if s.done {
 			s.mu.Unlock()

@@ -288,15 +288,26 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, req.ServiceType)
 	}
-	// Collect local candidates: offers whose type conforms to the request.
-	// A stored offer is replaced, never edited (Export stores a clone,
-	// ModifyOffer installs a fresh map), so candidates share their properties
-	// with the store; finalize copies the few it returns.
-	var local []Offer
+	// Collect local candidates: offers whose type conforms to the request,
+	// counted first so they fill one slice of their size, which the filter
+	// below narrows in place. A stored offer is replaced, never edited
+	// (Export stores a clone, ModifyOffer installs a fresh map), so
+	// candidates share their properties with the store; finalize copies the
+	// few it returns.
+	var held [8]map[string]bool
+	conforming, n := held[:0], 0
 	for typ, ids := range t.byType {
-		if !t.conformsLocked(typ, st) {
-			continue
+		if t.conformsLocked(typ, st) {
+			conforming = append(conforming, ids)
+			n += len(ids)
 		}
+	}
+	if n == 0 {
+		t.mu.Unlock()
+		return nil, nil
+	}
+	local := make([]Offer, 0, n)
+	for _, ids := range conforming {
 		for oid := range ids {
 			local = append(local, t.offers[oid])
 		}
@@ -304,7 +315,7 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 	policies := append([]Policy(nil), t.policies...)
 	t.mu.Unlock()
 
-	var out []Offer
+	out := local[:0]
 	for _, o := range local {
 		if constraint != nil && !constraint.Matches(o.Properties) {
 			continue
@@ -323,6 +334,9 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 			continue
 		}
 		out = append(out, o)
+	}
+	if len(out) == 0 {
+		return nil, nil
 	}
 	return out, nil
 }

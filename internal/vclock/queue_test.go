@@ -50,6 +50,8 @@ func (r *refClock) AfterFunc(d time.Duration, f func()) Timer {
 	return ev
 }
 
+func (r *refClock) Schedule(d time.Duration, f func()) { r.AfterFunc(d, f) }
+
 func (r *refClock) live() []*refEvent {
 	return slices.DeleteFunc(slices.Clone(r.events), func(ev *refEvent) bool { return ev.cancelled })
 }
@@ -101,6 +103,7 @@ func (r *refClock) fire(due func(*refEvent) bool) (fired int) {
 type scriptClock interface {
 	Now() time.Time
 	AfterFunc(time.Duration, func()) Timer
+	Schedule(time.Duration, func())
 	Pending() int
 	NextDeadline() (time.Time, bool)
 	Advance(time.Duration)
@@ -122,12 +125,15 @@ var scriptDelays = []time.Duration{
 
 // runScript interprets script against c and returns everything observable:
 // each firing with Now() at it, each Stop result, and Pending, NextDeadline
-// and Now after every step. A timer's callback may arm another timer, stop
-// an arbitrary one (itself, an earlier one that fired, a later one due at
-// the same instant) or do nothing — decided by bytes fixed when it was armed.
+// and Now after every step. Events are armed by AfterFunc or by Schedule, so
+// recycled events sit in the queue beside timers that are stopped and armed
+// again. An event's callback may arm another event, stop an arbitrary timer
+// (itself, an earlier one that fired, a later one due at the same instant)
+// or do nothing — decided by bytes fixed when it was armed.
 func runScript(c scriptClock, script []byte) []string {
 	var log []string
 	var timers []Timer
+	events := 0
 	next := func() byte {
 		if len(script) == 0 {
 			return 0
@@ -139,30 +145,39 @@ func runScript(c scriptClock, script []byte) []string {
 	stop := func(who string, k int) {
 		log = append(log, fmt.Sprintf("%s: stop %d = %v", who, k, timers[k].Stop()))
 	}
-	var arm func(delay time.Duration, act, arg byte, depth int)
-	arm = func(delay time.Duration, act, arg byte, depth int) {
-		id := len(timers)
-		timers = append(timers, nil)
-		timers[id] = c.AfterFunc(delay, func() {
+	var arm func(delay time.Duration, act, arg byte, depth int, timerless bool)
+	arm = func(delay time.Duration, act, arg byte, depth int, timerless bool) {
+		id, slot := events, len(timers)
+		events++
+		fn := func() {
 			log = append(log, fmt.Sprintf("fire %d at +%v", id, c.Now().Sub(epoch)))
 			switch act % 4 {
 			case 1:
 				if depth < 3 { // chains end, so RunUntilIdle does
-					arm(scriptDelays[int(arg)%len(scriptDelays)], arg>>2, arg*31+7, depth+1)
+					arm(scriptDelays[int(arg)%len(scriptDelays)], arg>>2, arg*31+7, depth+1, arg&0x80 != 0)
 				}
 			case 2:
-				stop(fmt.Sprintf("in %d", id), int(arg)%len(timers))
+				if len(timers) > 0 {
+					stop(fmt.Sprintf("in %d", id), int(arg)%len(timers))
+				}
 			case 3:
-				stop(fmt.Sprintf("in %d", id), id)
+				if !timerless {
+					stop(fmt.Sprintf("in %d", id), slot)
+				}
 			}
-		})
+		}
+		if timerless {
+			c.Schedule(delay, fn)
+			return
+		}
+		timers = append(timers, c.AfterFunc(delay, fn))
 	}
 	for len(script) > 0 {
-		switch op := next(); op % 8 {
+		switch op := next(); op % 9 {
 		case 0, 1:
-			arm(scriptDelays[int(next())%len(scriptDelays)], next(), next(), 0)
+			arm(scriptDelays[int(next())%len(scriptDelays)], next(), next(), 0, false)
 		case 2: // deadlines spread wide, so the heap is deep and mixed when a Stop reaches into it
-			arm(time.Duration(next())*time.Second+time.Duration(next())*time.Millisecond, next(), next(), 0)
+			arm(time.Duration(next())*time.Second+time.Duration(next())*time.Millisecond, next(), next(), 0, false)
 		case 3:
 			if len(timers) > 0 {
 				stop("script", int(next())%len(timers))
@@ -177,6 +192,8 @@ func runScript(c scriptClock, script []byte) []string {
 			c.AdvanceTo(epoch.Add(time.Duration(next()) * 2 * time.Millisecond))
 		case 7:
 			log = append(log, fmt.Sprintf("idle after %d", c.RunUntilIdle()))
+		case 8: // an event nobody can stop, which the clock recycles as it fires
+			arm(scriptDelays[int(next())%len(scriptDelays)], next(), next(), 0, true)
 		}
 		at, ok := c.NextDeadline()
 		log = append(log, fmt.Sprintf("pending %d, next +%v %v, now +%v", c.Pending(), at.Sub(epoch), ok, c.Now().Sub(epoch)))
@@ -225,11 +242,16 @@ func TestEventQueueMatchesReference(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				tm := c.AfterFunc(time.Duration(i%7)*time.Millisecond, func() {
+				fn := func() {
 					mu.Lock()
 					fired[i]++
 					mu.Unlock()
-				})
+				}
+				if i%5 == 1 { // recycled events beside the timers
+					c.Schedule(time.Duration(i%7)*time.Millisecond, fn)
+					continue
+				}
+				tm := c.AfterFunc(time.Duration(i%7)*time.Millisecond, fn)
 				if i%3 == 0 {
 					stopped[i] = tm.Stop()
 				}

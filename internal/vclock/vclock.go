@@ -33,6 +33,9 @@ type Clock interface {
 	// AfterFunc schedules f to run once d has elapsed. The returned Timer
 	// can cancel the call.
 	AfterFunc(d time.Duration, f func()) Timer
+	// Schedule is AfterFunc for a call nobody cancels: there is no Timer,
+	// so the clock may recycle the event once it fires.
+	Schedule(d time.Duration, f func())
 	// Sleep blocks until d has elapsed.
 	Sleep(d time.Duration)
 }
@@ -55,7 +58,14 @@ type Simulated struct {
 	// events is a min-heap by (ns, seq) of the live events only: a fired or
 	// stopped event is not in it, and each event knows its own slot.
 	events []*event
+	// free holds fired Schedule events for the next Schedule; no Timer
+	// names them, so nothing can reach one once it left the heap.
+	free []*event
 }
+
+// maxFreeEvents caps the recycled events a clock keeps: enough for the
+// deliveries one instant of a busy run puts in flight, little beside it.
+const maxFreeEvents = 1024
 
 // NewSimulated returns a simulated clock starting at the given epoch.
 func NewSimulated(epoch time.Time) *Simulated {
@@ -72,7 +82,7 @@ func (s *Simulated) Now() time.Time {
 // After implements Clock.
 func (s *Simulated) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	s.AfterFunc(d, func() {
+	s.Schedule(d, func() {
 		// Buffered: the send never blocks event processing.
 		ch <- s.Now()
 	})
@@ -87,13 +97,30 @@ func (s *Simulated) Sleep(d time.Duration) {
 
 // AfterFunc implements Clock. The returned Timer is the queued event itself.
 func (s *Simulated) AfterFunc(d time.Duration, f func()) Timer {
-	if d < 0 {
-		d = 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	at := s.now.Add(d)
-	ev := &event{clock: s, at: at, ns: at.UnixNano(), seq: s.seq, fn: f, index: len(s.events)}
+	return s.pushLocked(&event{clock: s}, d, f)
+}
+
+// Schedule implements Clock: the event comes from the clock's free list
+// and goes back to it as it fires.
+func (s *Simulated) Schedule(d time.Duration, f func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		ev = &event{clock: s, recycled: true}
+	}
+	s.pushLocked(ev, d, f)
+}
+
+// pushLocked queues ev to call f once d has elapsed.
+func (s *Simulated) pushLocked(ev *event, d time.Duration, f func()) *event {
+	at := s.now.Add(max(d, 0))
+	ev.at, ev.ns, ev.seq, ev.fn, ev.index = at, at.UnixNano(), s.seq, f, len(s.events)
 	s.seq++
 	s.events = append(s.events, ev)
 	s.siftUp(ev.index)
@@ -135,8 +162,8 @@ func (s *Simulated) AdvanceTo(target time.Time) {
 	limit := target.UnixNano()
 	for {
 		s.mu.Lock()
-		ev := s.popDueLocked(limit)
-		if ev == nil {
+		fn, ok := s.popDueLocked(limit)
+		if !ok {
 			if target.After(s.now) {
 				s.now = target
 			}
@@ -144,7 +171,7 @@ func (s *Simulated) AdvanceTo(target time.Time) {
 			return
 		}
 		s.mu.Unlock()
-		ev.fn()
+		fn()
 	}
 }
 
@@ -155,29 +182,34 @@ func (s *Simulated) RunUntilIdle() int {
 	fired := 0
 	for {
 		s.mu.Lock()
-		ev := s.popDueLocked(math.MaxInt64)
+		fn, ok := s.popDueLocked(math.MaxInt64)
 		s.mu.Unlock()
-		if ev == nil {
+		if !ok {
 			return fired
 		}
-		ev.fn()
+		fn()
 		fired++
 	}
 }
 
-// popDueLocked removes and returns the earliest event if it is due by limit
-// (nil otherwise) and moves the clock to it; the caller runs its callback
-// outside the lock.
-func (s *Simulated) popDueLocked(limit int64) *event {
+// popDueLocked removes the earliest event if it is due by limit, moves the
+// clock to it and returns its callback, which the caller runs outside the
+// lock; ok is false when none is due. A Schedule event goes back on the
+// free list here, so the callback's own Schedule calls can take it.
+func (s *Simulated) popDueLocked(limit int64) (fn func(), ok bool) {
 	if len(s.events) == 0 || s.events[0].ns > limit {
-		return nil
+		return nil, false
 	}
 	ev := s.events[0]
 	s.removeLocked(ev)
 	if ev.at.After(s.now) {
 		s.now = ev.at
 	}
-	return ev
+	fn, ev.fn = ev.fn, nil
+	if ev.recycled && len(s.free) < maxFreeEvents {
+		s.free = append(s.free, ev)
+	}
+	return fn, true
 }
 
 // event is one scheduled call, and the Timer AfterFunc hands out for it.
@@ -188,6 +220,9 @@ type event struct {
 	seq   uint64
 	fn    func()
 	index int // slot in clock.events; -1 once fired or stopped
+	// recycled marks a Schedule event: it was never a Timer, and it goes
+	// back on the clock's free list once it fires.
+	recycled bool
 }
 
 // Stop implements Timer: a pending event leaves the queue at once, taking

@@ -165,3 +165,31 @@ func TestNextDeadline(t *testing.T) {
 		t.Fatalf("NextDeadline after Stop = %v,%v want %v,true", at, ok, epoch.Add(5*time.Second))
 	}
 }
+
+// TestScheduleRecyclesEvents: an event nobody can stop costs nothing once
+// the clock has one to recycle — a callback that schedules its successor
+// takes the event that just fired — while AfterFunc's Timer is the one
+// allocation it always was.
+func TestScheduleRecyclesEvents(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	c := NewSimulated(epoch)
+	fn := func() {}
+	var chain func()
+	chain = func() { c.Schedule(time.Millisecond, fn) }
+	c.Schedule(0, fn)
+	c.Advance(time.Millisecond)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Schedule(time.Millisecond, chain)
+		c.Advance(2 * time.Millisecond)
+	}); n != 0 {
+		t.Fatalf("Schedule and fire: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c.AfterFunc(time.Millisecond, fn)
+		c.Advance(time.Millisecond)
+	}); n != 1 {
+		t.Fatalf("AfterFunc and fire: %v allocations, want 1", n)
+	}
+}

@@ -327,8 +327,10 @@ func Unmarshal(data []byte) (*Envelope, error) {
 
 // UnmarshalBinary decodes an envelope from bytes into e, replacing all it
 // held. e's Body aliases data — the caller owns the input buffer and must
-// not mutate it while the envelope is live. (Every producer in this
-// repository hands the buffer over exactly once, so decode stays copy-free.)
+// not mutate it while the envelope is live — so decode stays copy-free; the
+// strings are e's own. The channel stack lends such an envelope to its
+// receiver for the upcall only and then reuses data for another frame, so
+// a Body is read, or copied out, before the upcall returns.
 //
 // Every field is checked before anything is built: a length, count or index
 // a hostile frame gets wrong is refused before it sizes an allocation. The

@@ -63,6 +63,10 @@ type Harness struct {
 	uas   map[string]*mhs.UserAgent
 	live  map[string]bool
 
+	// arrive issues an op and arms the next arrival: bound once, so an
+	// arrival costs its clock event, which the clock recycles.
+	arrive func()
+
 	// Each site's directory and trading clients, on its "load-" endpoint.
 	duas      map[string]*directory.Client
 	importers map[string]*trader.Client
@@ -327,10 +331,13 @@ func (h *Harness) armNextArrival() {
 			continue
 		}
 		at := h.start.Add(h.cursor)
-		h.clock.AfterFunc(at.Sub(h.clock.Now()), func() {
-			h.issueOp()
-			h.armNextArrival()
-		})
+		if h.arrive == nil {
+			h.arrive = func() {
+				h.issueOp()
+				h.armNextArrival()
+			}
+		}
+		h.clock.Schedule(at.Sub(h.clock.Now()), h.arrive)
 		return
 	}
 }
@@ -615,7 +622,7 @@ func (h *Harness) scheduleFaults() {
 	for _, f := range h.faults {
 		f := f
 		h.faultLog = append(h.faultLog, f.String())
-		h.clock.AfterFunc(f.At, func() { h.applyFault(f) })
+		h.clock.Schedule(f.At, func() { h.applyFault(f) })
 	}
 }
 
@@ -636,7 +643,7 @@ func (h *Harness) applyFault(f Fault) {
 			// has applied yet died with the site.
 			h.dropLostWrites(f.Site)
 		}
-		h.clock.AfterFunc(f.Duration, func() {
+		h.clock.Schedule(f.Duration, func() {
 			if err := site.Restart(); err != nil {
 				h.faultLog = append(h.faultLog, "restart "+f.Site+" failed: "+err.Error())
 				return
@@ -658,7 +665,7 @@ func (h *Harness) applyFault(f Fault) {
 			}
 		}
 		h.dep.Network().Partition(a, b)
-		h.clock.AfterFunc(f.Duration, func() { h.dep.Network().Heal() })
+		h.clock.Schedule(f.Duration, func() { h.dep.Network().Heal() })
 	case "slowlink":
 		slow := netsim.LinkProfile{Latency: 400 * time.Millisecond, Loss: 0.2}
 		normal := netsim.LinkProfile{Latency: 20 * time.Millisecond}
@@ -666,7 +673,7 @@ func (h *Harness) applyFault(f Fault) {
 		b := netsim.Address("repl-" + f.Peer)
 		h.dep.Network().SetLink(a, b, slow)
 		h.dep.Network().SetLink(b, a, slow)
-		h.clock.AfterFunc(f.Duration, func() {
+		h.clock.Schedule(f.Duration, func() {
 			h.dep.Network().SetLink(a, b, normal)
 			h.dep.Network().SetLink(b, a, normal)
 		})

@@ -1,6 +1,7 @@
 package mocca
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -133,8 +134,10 @@ func TestCallIDsUniqueAcrossRestart(t *testing.T) {
 	echo := func(r rpc.Request) ([]byte, error) { return r.Body, nil }
 	server.replEP.MustRegister("test.echo", echo)
 
+	// A reply's body is lent to the callback: each keeps a copy.
+	kept := func(r rpc.Result) rpc.Result { return rpc.Result{Body: bytes.Clone(r.Body), Err: r.Err} }
 	var old []rpc.Result
-	victim.replEP.Go(server.replAddr(), "test.echo", []byte("old"), func(r rpc.Result) { old = append(old, r) })
+	victim.replEP.Go(server.replAddr(), "test.echo", []byte("old"), func(r rpc.Result) { old = append(old, kept(r)) })
 	// The request lands at 20 ms and its reply leaves at once; at 30 ms the
 	// reply is on the wire when the caller dies and comes back.
 	dep.Advance(30 * time.Millisecond)
@@ -145,7 +148,7 @@ func TestCallIDsUniqueAcrossRestart(t *testing.T) {
 	const calls = 200
 	got := make([][]rpc.Result, calls)
 	for i := range calls {
-		victim.replEP.Go(server.replAddr(), "test.echo", []byte(fmt.Sprint("new-", i)), func(r rpc.Result) { got[i] = append(got[i], r) })
+		victim.replEP.Go(server.replAddr(), "test.echo", []byte(fmt.Sprint("new-", i)), func(r rpc.Result) { got[i] = append(got[i], kept(r)) })
 	}
 	dep.Run()
 
