@@ -8,12 +8,15 @@ import (
 
 // A search travels as a hand-written binary body, like the replica and
 // rumor planes' (see internal/replica/codec.go for the shape: a tag byte
-// with the high bit set, then wire's primitives, maps in sorted key order).
-// An entry in the answer is its DN in string form and its attributes. Range
-// 0xC1–0xC5; 0xC3–0xC5 are retired.
+// with the high bit set, then wire's primitives — strings behind a uvarint
+// length, the scope, size limit and every count a uvarint — maps in sorted
+// key order). An entry in the answer is its DN in string form and its
+// attributes. Range 0xC1–0xCA: 0xC1 and 0xC2, the search and its answer
+// with four-byte string lengths and eight-byte integers, are retired, and
+// so are 0xC3–0xC8.
 const (
-	tagSearchReq  byte = 0xC1
-	tagSearchResp byte = 0xC2
+	tagSearchReq  byte = 0xC9
+	tagSearchResp byte = 0xCA
 )
 
 // The one flag of each message: searchReq.Deref, searchResp.Partial.
@@ -26,11 +29,11 @@ func flagIf(set bool) byte {
 	return 0
 }
 
-// AppendAttributes appends an attribute set: a count, then per attribute in
-// sorted name order the name, a value count and the values in their own
-// order. A trader offer's properties travel in the same form.
+// AppendAttributes appends an attribute set: a uvarint count, then per
+// attribute in sorted name order the name, a value count and the values in
+// their own order. A trader offer's properties travel in the same form.
 func AppendAttributes(b []byte, a Attributes) []byte {
-	b = wire.AppendUint64(b, uint64(len(a)))
+	b = wire.AppendUvarint(b, uint64(len(a)))
 	var room [8]string // an entry's or an offer's few names sort on the stack
 	names := room[:0]
 	for name := range a {
@@ -46,7 +49,7 @@ func AppendAttributes(b []byte, a Attributes) []byte {
 // ConsumeAttributes reads a set written by AppendAttributes. An empty set,
 // and an attribute without values, read as nil.
 func ConsumeAttributes(b *wire.Body) Attributes {
-	n := b.Count(4 + 8) // a name's prefix and a value count
+	n := b.Count(1 + 1) // a name's length and a value count
 	if n == 0 {
 		return nil
 	}
@@ -62,9 +65,9 @@ func ConsumeAttributes(b *wire.Body) Attributes {
 func (m searchReq) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagSearchReq, flagIf(m.Deref))
 	b = wire.AppendString(b, m.Base)
-	b = wire.AppendUint64(b, uint64(m.Scope))
+	b = wire.AppendUvarint(b, uint64(m.Scope))
 	b = wire.AppendString(b, m.Filter)
-	return wire.AppendUint64(b, uint64(m.SizeLimit)), nil
+	return wire.AppendUvarint(b, uint64(m.SizeLimit)), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -102,7 +105,7 @@ func consumeDN(data []byte) (DN, []byte, error) {
 
 // consumeEntries reads a list of entries; an empty one reads as nil.
 func consumeEntries(b *wire.Body) []*Entry {
-	n := b.Count(4 + 8) // a DN's prefix and an attribute count
+	n := b.Count(1 + 1) // a DN's length and an attribute count
 	if n == 0 {
 		return nil
 	}

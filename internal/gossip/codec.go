@@ -55,27 +55,21 @@ const (
 // appendPeer writes a peer: its site, gossip address and replication
 // address.
 func appendPeer(b []byte, p Peer) []byte {
-	b = wire.AppendVarString(b, p.Site)
-	b = wire.AppendVarString(b, string(p.Addr))
-	return wire.AppendVarString(b, string(p.Repl))
+	b = wire.AppendString(b, p.Site)
+	b = wire.AppendString(b, string(p.Addr))
+	return wire.AppendString(b, string(p.Repl))
 }
 
 func consumePeer(b *wire.Body) Peer {
-	return Peer{Site: b.VarString(), Addr: netsim.Address(b.VarString()), Repl: netsim.Address(b.VarString())}
+	return Peer{Site: b.String(), Addr: netsim.Address(b.String()), Repl: netsim.Address(b.String())}
 }
 
 // appendPeers writes a list of peers: a uvarint count, then each peer.
-func appendPeers(b []byte, peers []Peer) []byte {
-	b = wire.AppendUvarint(b, uint64(len(peers)))
-	for _, p := range peers {
-		b = appendPeer(b, p)
-	}
-	return b
-}
+func appendPeers(b []byte, peers []Peer) []byte { return wire.AppendList(b, peers, appendPeer) }
 
 // consumePeers reads a list of peers; an empty one reads as nil.
 func consumePeers(b *wire.Body) []Peer {
-	n := b.UvarintCount(3) // three length prefixes
+	n := b.Count(3) // three lengths
 	if n == 0 {
 		return nil
 	}
@@ -120,7 +114,7 @@ func (m forwardJoinReq) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *forwardJoinReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagForwardJoinReq, "forwardJoinReq")
-	*m = forwardJoinReq{Joiner: consumePeer(&b), TTL: b.Uvarint()}
+	*m = forwardJoinReq{Joiner: consumePeer(&b), TTL: b.Uint64()}
 	return b.Close()
 }
 
@@ -236,10 +230,10 @@ func appendPush(b []byte, dots []rumorEntry, rows []*information.Object) []byte 
 func (m *rumorReq) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagRumorReq, "rumorReq")
 	m.Entries = m.Entries[:0]
-	if n := b.UvarintCount(1 + 1); n > 0 { // site + counter, before the row
+	if n := b.Count(1 + 1); n > 0 { // site + counter, before the row
 		m.Entries = slices.Grow(m.Entries, n)[:n]
 		for i := range m.Entries {
-			m.Entries[i] = pushEntry{Site: wire.Consume(&b, vclock.ConsumeSite), Counter: b.Uvarint(), Row: wire.Consume(&b, information.DecodeWireObject)}
+			m.Entries[i] = pushEntry{Site: wire.Consume(&b, vclock.ConsumeSite), Counter: b.Uint64(), Row: wire.Consume(&b, information.DecodeWireObject)}
 		}
 	}
 	return b.Close()
@@ -258,13 +252,13 @@ func appendDots(b []byte, dots []dot) []byte {
 // consumeDots reads a list of dots into dst's storage; an empty one reads
 // as dst[:0], which is nil for a nil dst.
 func consumeDots(b *wire.Body, dst []dot) []dot {
-	n := b.UvarintCount(1 + 1) // site + counter
+	n := b.Count(1 + 1) // site + counter
 	if n == 0 {
 		return dst[:0]
 	}
 	dots := slices.Grow(dst[:0], n)[:n]
 	for i := range dots {
-		dots[i] = dot{Site: wire.Consume(b, vclock.ConsumeSite), Counter: b.Uvarint()}
+		dots[i] = dot{Site: wire.Consume(b, vclock.ConsumeSite), Counter: b.Uint64()}
 	}
 	return dots
 }

@@ -78,7 +78,7 @@ func appendObject(dst []byte, o *Object, roster bool) []byte {
 	if roster {
 		dst = AppendWireID(dst, o.ID)
 	} else {
-		dst = wire.AppendVarString(dst, o.ID)
+		dst = wire.AppendString(dst, o.ID)
 	}
 	sh, set := compactShape(o)
 	if sh != nil {
@@ -86,20 +86,20 @@ func appendObject(dst []byte, o *Object, roster bool) []byte {
 	} else {
 		dst = append(wire.AppendUvarint(dst, uint64(len(o.Schema))+1), o.Schema...)
 	}
-	dst = wire.AppendVarString(dst, o.Owner)
+	dst = wire.AppendString(dst, o.Owner)
 	if roster {
 		dst = o.VV.AppendWire(vclock.AppendSite(dst, o.Site))
 	} else {
-		dst = o.VV.AppendBinary(wire.AppendVarString(dst, o.Site))
+		dst = o.VV.AppendBinary(wire.AppendString(dst, o.Site))
 	}
 	created := o.Created.UnixNano()
-	dst = wire.AppendUint64(dst, uint64(created))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(created))
 	dst = wire.AppendVarint(dst, o.Updated.UnixNano()-created)
 	if sh != nil {
 		dst = wire.AppendUvarint(dst, set)
 		for i, k := range sh.fields {
 			if set&(1<<i) != 0 {
-				dst = wire.AppendVarString(dst, o.Fields[k])
+				dst = wire.AppendString(dst, o.Fields[k])
 			}
 		}
 		return dst
@@ -114,8 +114,8 @@ func appendObject(dst []byte, o *Object, roster bool) []byte {
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
-		dst = wire.AppendVarString(dst, k)
-		dst = wire.AppendVarString(dst, o.Fields[k])
+		dst = wire.AppendString(dst, k)
+		dst = wire.AppendString(dst, o.Fields[k])
 	}
 	return dst
 }
@@ -268,7 +268,7 @@ const minRowBytes = 4 + 1 + 8 + 1 + 1
 // cursor, holding the count against the bytes that remain before it
 // allocates; no rows read as nil.
 func ConsumeWireObjects(b *wire.Body) []*Object {
-	n := b.UvarintCount(minRowBytes)
+	n := b.Count(minRowBytes)
 	if n == 0 {
 		return nil
 	}
@@ -284,7 +284,7 @@ func ConsumeWireObjects(b *wire.Body) []*Object {
 // the id is read. It is how a store that passes over rows to find one
 // reads each row's id where it lies.
 func ObjectID(data []byte) ([]byte, error) {
-	id, _, err := wire.SkipVarString(data)
+	id, _, err := wire.SkipString(data)
 	return id, err
 }
 
@@ -310,7 +310,7 @@ func ScanObject(data []byte) (id, vv, rest []byte, err error) {
 // AppendObject names for its schema, with compact false for a row that
 // spells its schema; nothing past the schema is read or checked.
 func ObjectSchemaID(data []byte) (id uint32, compact bool, err error) {
-	_, rest, err := wire.SkipVarString(data)
+	_, rest, err := wire.SkipString(data)
 	if err != nil {
 		return 0, false, err
 	}
@@ -345,7 +345,7 @@ func scanObject(data []byte, roster bool) (sc rowScan, rest []byte, err error) {
 	if roster {
 		sc.id, rest, err = scanWireID(data)
 	} else {
-		sc.id.spelled, rest, err = wire.SkipVarString(data)
+		sc.id.spelled, rest, err = wire.SkipString(data)
 	}
 	if err != nil {
 		return fail(err)
@@ -367,7 +367,7 @@ func scanObject(data []byte, roster bool) (sc rowScan, rest []byte, err error) {
 	default:
 		sc.text, rest = int(marker-1), rest[marker-1:]
 	}
-	s, rest, err := wire.SkipVarString(rest) // owner
+	s, rest, err := wire.SkipString(rest) // owner
 	if err != nil {
 		return fail(err)
 	}
@@ -376,16 +376,17 @@ func scanObject(data []byte, roster bool) (sc rowScan, rest []byte, err error) {
 		if rest, err = vclock.SkipSite(rest); err == nil {
 			sc.vv, rest, err = vclock.ScanWire(rest)
 		}
-	} else if s, rest, err = wire.SkipVarString(rest); err == nil {
+	} else if s, rest, err = wire.SkipString(rest); err == nil {
 		sc.text += len(s)
 		sc.vv, rest, err = vclock.ScanVersion(rest)
 	}
 	if err != nil {
 		return fail(err)
 	}
-	if _, rest, err = wire.ConsumeUint64(rest); err != nil { // created
-		return fail(err)
+	if len(rest) < 8 { // created
+		return fail(wire.ErrTruncated)
 	}
+	rest = rest[8:]
 	if _, rest, err = wire.ConsumeVarint(rest); err != nil { // updated
 		return fail(err)
 	}
@@ -406,7 +407,7 @@ func scanObject(data []byte, roster bool) (sc rowScan, rest []byte, err error) {
 		return fail(fmt.Errorf("%w: %d fields in %d bytes", wire.ErrTruncated, n, len(rest)))
 	}
 	for ; strs > 0; strs-- {
-		if s, rest, err = wire.SkipVarString(rest); err != nil {
+		if s, rest, err = wire.SkipString(rest); err != nil {
 			return fail(err)
 		}
 		sc.text += len(s)

@@ -119,7 +119,7 @@ func TestRowBytesBySection(t *testing.T) {
 	r := enc
 	take := func(n int) int { r = r[n:]; return n }
 	str := func() int {
-		_, rest, err := wire.SkipVarString(r)
+		_, rest, err := wire.SkipString(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +521,7 @@ func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 	if roster {
 		o.ID, data, err = referenceWireID(data)
 	} else {
-		o.ID, data, err = wire.ConsumeVarString(data)
+		o.ID, data, err = wire.ConsumeString(data)
 	}
 	if err != nil {
 		return nil, data, err
@@ -549,7 +549,7 @@ func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 	default:
 		o.Schema, data = string(data[:marker-1]), data[marker-1:]
 	}
-	if o.Owner, data, err = wire.ConsumeVarString(data); err != nil {
+	if o.Owner, data, err = wire.ConsumeString(data); err != nil {
 		return nil, data, err
 	}
 	if roster {
@@ -557,7 +557,7 @@ func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 			return nil, data, err
 		}
 	} else {
-		if o.Site, data, err = wire.ConsumeVarString(data); err != nil {
+		if o.Site, data, err = wire.ConsumeString(data); err != nil {
 			return nil, data, err
 		}
 		if o.VV, data, err = vclock.DecodeVersion(data); err != nil {
@@ -565,10 +565,11 @@ func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 		}
 	}
 	o.Version = o.VV.Sum()
-	var created uint64
-	if created, data, err = wire.ConsumeUint64(data); err != nil {
-		return nil, data, err
+	if len(data) < 8 {
+		return nil, data, wire.ErrTruncated
 	}
+	created := binary.BigEndian.Uint64(data)
+	data = data[8:]
 	var delta int64
 	if delta, data, err = wire.ConsumeVarint(data); err != nil {
 		return nil, data, err
@@ -588,7 +589,7 @@ func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 				return nil, data, wire.ErrBadBody
 			}
 			var v string
-			if v, data, err = wire.ConsumeVarString(data); err != nil {
+			if v, data, err = wire.ConsumeString(data); err != nil {
 				return nil, data, err
 			}
 			if o.Fields == nil {
@@ -606,10 +607,10 @@ func referenceDecodeObject(data []byte, roster bool) (*Object, []byte, error) {
 		o.Fields = make(map[string]string, nfields)
 		for i := uint64(0); i < nfields; i++ {
 			var k, v string
-			if k, data, err = wire.ConsumeVarString(data); err != nil {
+			if k, data, err = wire.ConsumeString(data); err != nil {
 				return nil, data, err
 			}
-			if v, data, err = wire.ConsumeVarString(data); err != nil {
+			if v, data, err = wire.ConsumeString(data); err != nil {
 				return nil, data, err
 			}
 			o.Fields[k] = v
@@ -993,10 +994,10 @@ func TestLearnSchema(t *testing.T) {
 	}
 	// A row another process wrote under the learned definition, setting
 	// its second field, decodes.
-	enc := binary.BigEndian.AppendUint32(append(wire.AppendVarString(nil, "m"), 0), id)
-	enc = vclock.Version{"s": 1}.AppendBinary(wire.AppendVarString(wire.AppendVarString(enc, "ada"), "s"))
-	enc = wire.AppendVarint(wire.AppendUint64(enc, 0), 0)
-	enc = wire.AppendVarString(wire.AppendUvarint(enc, 1<<1), "ada")
+	enc := binary.BigEndian.AppendUint32(append(wire.AppendString(nil, "m"), 0), id)
+	enc = vclock.Version{"s": 1}.AppendBinary(wire.AppendString(wire.AppendString(enc, "ada"), "s"))
+	enc = wire.AppendVarint(binary.BigEndian.AppendUint64(enc, 0), 0)
+	enc = wire.AppendString(wire.AppendUvarint(enc, 1<<1), "ada")
 	got, _, err := DecodeObject(enc)
 	if err != nil || got.Schema != name || !reflect.DeepEqual(got.Fields, map[string]string{"to": "ada"}) {
 		t.Fatalf("a row of the learned definition decodes as %+v, %v", got, err)

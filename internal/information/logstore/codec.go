@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -65,7 +66,7 @@ type walRecord struct {
 // appendWALPayload encodes a WAL record payload (unframed).
 func appendWALPayload(dst []byte, typ byte, seq uint64) []byte {
 	dst = append(dst, typ)
-	return wire.AppendUint64(dst, seq)
+	return appendUint64(dst, seq)
 }
 
 // decodeWALRecord decodes a framed record's payload into a walRecord.
@@ -76,7 +77,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	}
 	rec.typ = payload[0]
 	var err error
-	if rec.seq, payload, err = wire.ConsumeUint64(payload[1:]); err != nil {
+	if rec.seq, payload, err = consumeUint64(payload[1:]); err != nil {
 		return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	switch rec.typ {
@@ -102,4 +103,39 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		return decodeRemoval(rec, payload)
 	}
 	return rec, nil
+}
+
+// The store's own records keep fixed-width fields: a big-endian uint64, and
+// a string behind its big-endian uint32 length. Message bodies say both in
+// varints (wire's codec helpers); these files keep the bytes they were
+// written with.
+
+func appendUint64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
+
+func consumeUint64(data []byte) (uint64, []byte, error) {
+	if len(data) < 8 {
+		return 0, data, wire.ErrTruncated
+	}
+	return binary.BigEndian.Uint64(data), data[8:], nil
+}
+
+func appendString32(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
+
+func consumeString32(data []byte) (string, []byte, error) {
+	if len(data) < 4 {
+		return "", data, wire.ErrTruncated
+	}
+	// uint64 comparisons: a length with the high bit set must not overflow
+	// int on a 32-bit platform and dodge the checks.
+	n := binary.BigEndian.Uint32(data)
+	if uint64(n) >= wire.MaxStringLen {
+		return "", data, fmt.Errorf("%w: %d-byte string", wire.ErrOversize, n)
+	}
+	if uint64(len(data)) < 4+uint64(n) {
+		return "", data, wire.ErrTruncated
+	}
+	return string(data[4 : 4+int(n)]), data[4+int(n):], nil
 }

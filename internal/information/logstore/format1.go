@@ -66,14 +66,14 @@ type oldReader struct {
 
 func (b *oldReader) string() (s string) {
 	if b.err == nil {
-		s, b.rest, b.err = wire.ConsumeString(b.rest)
+		s, b.rest, b.err = consumeString32(b.rest)
 	}
 	return s
 }
 
 func (b *oldReader) uint64() (v uint64) {
 	if b.err == nil {
-		v, b.rest, b.err = wire.ConsumeUint64(b.rest)
+		v, b.rest, b.err = consumeUint64(b.rest)
 	}
 	return v
 }

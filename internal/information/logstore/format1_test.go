@@ -20,19 +20,23 @@ import (
 // appendObjectV1 writes a row in format 1, as stores wrote rows before the
 // row codec became compact: the seeds of the format-1 reader's tests.
 func appendObjectV1(dst []byte, o *information.Object) []byte {
-	dst = wire.AppendString(dst, o.ID)
-	dst = wire.AppendString(dst, o.Schema)
-	dst = wire.AppendString(dst, o.Owner)
-	dst = wire.AppendString(dst, o.Site)
-	dst = wire.AppendUint64(dst, o.Version)
-	dst = wire.AppendUint64(dst, uint64(len(o.VV)))
+	dst = appendString32(dst, o.ID)
+	dst = appendString32(dst, o.Schema)
+	dst = appendString32(dst, o.Owner)
+	dst = appendString32(dst, o.Site)
+	dst = appendUint64(dst, o.Version)
+	dst = appendUint64(dst, uint64(len(o.VV)))
 	for _, s := range slices.Sorted(maps.Keys(o.VV)) {
-		dst = wire.AppendString(dst, s)
-		dst = wire.AppendUint64(dst, o.VV[s])
+		dst = appendString32(dst, s)
+		dst = appendUint64(dst, o.VV[s])
 	}
-	dst = wire.AppendUint64(dst, uint64(o.Created.UnixNano()))
-	dst = wire.AppendUint64(dst, uint64(o.Updated.UnixNano()))
-	return wire.AppendStringMap(dst, o.Fields)
+	dst = appendUint64(dst, uint64(o.Created.UnixNano()))
+	dst = appendUint64(dst, uint64(o.Updated.UnixNano()))
+	dst = appendUint64(dst, uint64(len(o.Fields)))
+	for _, k := range slices.Sorted(maps.Keys(o.Fields)) {
+		dst = appendString32(appendString32(dst, k), o.Fields[k])
+	}
+	return dst
 }
 
 // fixtureRowV1 is the benchmark's row for key 42 (information's
@@ -85,15 +89,15 @@ func referenceDecodeObjectV1(data []byte) (*information.Object, []byte, error) {
 	o := &information.Object{}
 	var err error
 	for _, s := range []*string{&o.ID, &o.Schema, &o.Owner, &o.Site} {
-		if *s, data, err = wire.ConsumeString(data); err != nil {
+		if *s, data, err = consumeString32(data); err != nil {
 			return nil, data, err
 		}
 	}
-	if o.Version, data, err = wire.ConsumeUint64(data); err != nil {
+	if o.Version, data, err = consumeUint64(data); err != nil {
 		return nil, data, err
 	}
 	var n uint64
-	if n, data, err = wire.ConsumeUint64(data); err != nil {
+	if n, data, err = consumeUint64(data); err != nil {
 		return nil, data, err
 	}
 	// Each entry takes at least 12 bytes (length prefix + counter).
@@ -104,24 +108,24 @@ func referenceDecodeObjectV1(data []byte) (*information.Object, []byte, error) {
 		o.VV = make(vclock.Version, n)
 		for i := uint64(0); i < n; i++ {
 			var site string
-			if site, data, err = wire.ConsumeString(data); err != nil {
+			if site, data, err = consumeString32(data); err != nil {
 				return nil, data, err
 			}
-			if o.VV[site], data, err = wire.ConsumeUint64(data); err != nil {
+			if o.VV[site], data, err = consumeUint64(data); err != nil {
 				return nil, data, err
 			}
 		}
 	}
 	var created, updated, nfields uint64
-	if created, data, err = wire.ConsumeUint64(data); err != nil {
+	if created, data, err = consumeUint64(data); err != nil {
 		return nil, data, err
 	}
-	if updated, data, err = wire.ConsumeUint64(data); err != nil {
+	if updated, data, err = consumeUint64(data); err != nil {
 		return nil, data, err
 	}
 	o.Created = time.Unix(0, int64(created)).UTC()
 	o.Updated = time.Unix(0, int64(updated)).UTC()
-	if nfields, data, err = wire.ConsumeUint64(data); err != nil {
+	if nfields, data, err = consumeUint64(data); err != nil {
 		return nil, data, err
 	}
 	// A field is two length prefixes at least.
@@ -132,10 +136,10 @@ func referenceDecodeObjectV1(data []byte) (*information.Object, []byte, error) {
 		o.Fields = make(map[string]string, nfields)
 		for i := uint64(0); i < nfields; i++ {
 			var k, v string
-			if k, data, err = wire.ConsumeString(data); err != nil {
+			if k, data, err = consumeString32(data); err != nil {
 				return nil, data, err
 			}
-			if v, data, err = wire.ConsumeString(data); err != nil {
+			if v, data, err = consumeString32(data); err != nil {
 				return nil, data, err
 			}
 			o.Fields[k] = v

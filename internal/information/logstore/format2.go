@@ -26,7 +26,7 @@ func decodeObjectV2(data []byte) (*information.Object, []byte, error) {
 	b := oldReader{rest: data}
 	str := func() (s string) {
 		if b.err == nil {
-			s, b.rest, b.err = wire.ConsumeVarString(b.rest)
+			s, b.rest, b.err = wire.ConsumeString(b.rest)
 		}
 		return s
 	}

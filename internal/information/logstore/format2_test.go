@@ -19,18 +19,18 @@ import (
 // before a row could name its schema by id: the seeds of the format-2
 // reader's tests.
 func appendObjectV2(dst []byte, o *information.Object) []byte {
-	dst = wire.AppendVarString(dst, o.ID)
-	dst = wire.AppendVarString(dst, o.Schema)
-	dst = wire.AppendVarString(dst, o.Owner)
-	dst = wire.AppendVarString(dst, o.Site)
+	dst = wire.AppendString(dst, o.ID)
+	dst = wire.AppendString(dst, o.Schema)
+	dst = wire.AppendString(dst, o.Owner)
+	dst = wire.AppendString(dst, o.Site)
 	dst = o.VV.AppendBinary(dst)
 	created := o.Created.UnixNano()
-	dst = wire.AppendUint64(dst, uint64(created))
+	dst = appendUint64(dst, uint64(created))
 	dst = wire.AppendVarint(dst, o.Updated.UnixNano()-created)
 	dst = wire.AppendUvarint(dst, uint64(len(o.Fields)))
 	for _, k := range slices.Sorted(maps.Keys(o.Fields)) {
-		dst = wire.AppendVarString(dst, k)
-		dst = wire.AppendVarString(dst, o.Fields[k])
+		dst = wire.AppendString(dst, k)
+		dst = wire.AppendString(dst, o.Fields[k])
 	}
 	return dst
 }
@@ -68,7 +68,7 @@ func referenceDecodeObjectV2(data []byte) (*information.Object, []byte, error) {
 	o := &information.Object{}
 	var err error
 	for _, s := range []*string{&o.ID, &o.Schema, &o.Owner, &o.Site} {
-		if *s, data, err = wire.ConsumeVarString(data); err != nil {
+		if *s, data, err = wire.ConsumeString(data); err != nil {
 			return nil, data, err
 		}
 	}
@@ -77,7 +77,7 @@ func referenceDecodeObjectV2(data []byte) (*information.Object, []byte, error) {
 	}
 	o.Version = o.VV.Sum()
 	var created uint64
-	if created, data, err = wire.ConsumeUint64(data); err != nil {
+	if created, data, err = consumeUint64(data); err != nil {
 		return nil, data, err
 	}
 	var delta int64
@@ -98,10 +98,10 @@ func referenceDecodeObjectV2(data []byte) (*information.Object, []byte, error) {
 		o.Fields = make(map[string]string, nfields)
 		for i := uint64(0); i < nfields; i++ {
 			var k, v string
-			if k, data, err = wire.ConsumeVarString(data); err != nil {
+			if k, data, err = wire.ConsumeString(data); err != nil {
 				return nil, data, err
 			}
-			if v, data, err = wire.ConsumeVarString(data); err != nil {
+			if v, data, err = wire.ConsumeString(data); err != nil {
 				return nil, data, err
 			}
 			o.Fields[k] = v

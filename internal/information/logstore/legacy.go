@@ -41,7 +41,7 @@ func decodeRemoval(rec walRecord, payload []byte) (walRecord, error) {
 		return rec, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, rec.typ)
 	}
 	var err error
-	if rec.id, _, err = wire.ConsumeString(payload); err != nil {
+	if rec.id, _, err = consumeString32(payload); err != nil {
 		return rec, fmt.Errorf("%w: remove: %v", ErrCorrupt, err)
 	}
 	return rec, nil
@@ -174,9 +174,9 @@ func (g *segment) foldEntries() func() (flushEntry, bool, error) {
 	if g.format == 0 {
 		return it.next
 	}
-	decode, str := decodeObjectV2, wire.ConsumeVarString
+	decode, str := decodeObjectV2, wire.ConsumeString
 	if g.format == 1 {
-		decode, str = decodeObjectV1, wire.ConsumeString
+		decode, str = decodeObjectV1, consumeString32
 	}
 	return func() (flushEntry, bool, error) {
 		payload, ok, err := it.record()

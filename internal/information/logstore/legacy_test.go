@@ -21,9 +21,9 @@ import (
 func parentReference(t *testing.T, dir string, decodeRow func([]byte) (*information.Object, []byte, error), execType byte) (ref *information.Store, segFiles, walRecs int) {
 	t.Helper()
 	held := map[string]*information.Object{}
-	tombID := wire.ConsumeVarString
+	tombID := wire.ConsumeString
 	if execType == recExecV1 {
-		tombID = wire.ConsumeString
+		tombID = consumeString32
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg")) // ids ascend with age
 	if err != nil {
@@ -278,7 +278,7 @@ func compactRows(t *testing.T, st *Store) int {
 // logged, numbered seq.
 func appendRemoval(t *testing.T, dir string, seq uint64, id string) {
 	t.Helper()
-	frame, err := wire.AppendRecord(nil, wire.AppendString(appendWALPayload(nil, recRemove, seq), id))
+	frame, err := wire.AppendRecord(nil, appendString32(appendWALPayload(nil, recRemove, seq), id))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -619,7 +619,7 @@ func TestOpenRefusesStoreWithEdges(t *testing.T) {
 			}
 			payload := appendWALPayload(nil, recRetired, seq+1)
 			for _, s := range []string{"before", "depends-on", "obj-000"} {
-				payload = wire.AppendString(payload, s)
+				payload = appendString32(payload, s)
 			}
 			frame, err := wire.AppendRecord(nil, payload)
 			if err != nil {

@@ -67,19 +67,19 @@ func loadManifest(dir string) (*manifest, error) {
 	m := &manifest{}
 	var live, nSegs, nRels uint64
 	p := payload[1:]
-	if m.coveredSeq, p, err = wire.ConsumeUint64(p); err != nil {
+	if m.coveredSeq, p, err = consumeUint64(p); err != nil {
 		return nil, fmt.Errorf("manifest header: %w", err)
 	}
-	if live, p, err = wire.ConsumeUint64(p); err != nil {
+	if live, p, err = consumeUint64(p); err != nil {
 		return nil, fmt.Errorf("manifest header: %w", err)
 	}
-	if m.nextSegID, p, err = wire.ConsumeUint64(p); err != nil {
+	if m.nextSegID, p, err = consumeUint64(p); err != nil {
 		return nil, fmt.Errorf("manifest header: %w", err)
 	}
-	if nSegs, p, err = wire.ConsumeUint64(p); err != nil {
+	if nSegs, p, err = consumeUint64(p); err != nil {
 		return nil, fmt.Errorf("manifest header: %w", err)
 	}
-	if nRels, _, err = wire.ConsumeUint64(p); err != nil {
+	if nRels, _, err = consumeUint64(p); err != nil {
 		return nil, fmt.Errorf("manifest header: %w", err)
 	}
 	if nRels != 0 {
@@ -96,13 +96,13 @@ func loadManifest(dir string) (*manifest, error) {
 		var ms manifestSeg
 		var level uint64
 		p := payload[1:]
-		if ms.id, p, err = wire.ConsumeUint64(p); err != nil {
+		if ms.id, p, err = consumeUint64(p); err != nil {
 			return nil, fmt.Errorf("manifest segment %d: %w", i, err)
 		}
-		if level, p, err = wire.ConsumeUint64(p); err != nil {
+		if level, p, err = consumeUint64(p); err != nil {
 			return nil, fmt.Errorf("manifest segment %d: %w", i, err)
 		}
-		if ms.file, _, err = wire.ConsumeString(p); err != nil {
+		if ms.file, _, err = consumeString32(p); err != nil {
 			return nil, fmt.Errorf("manifest segment %d: %w", i, err)
 		}
 		ms.level = int(level)
@@ -163,20 +163,20 @@ func (s *Store) writeManifestLocked(segs []*segment) error {
 	w := bufio.NewWriterSize(f, 1<<16)
 
 	s.payload = append(s.payload[:0], recSnapHeader)
-	s.payload = wire.AppendUint64(s.payload, s.snapSeq)
-	s.payload = wire.AppendUint64(s.payload, uint64(s.liveCovered))
-	s.payload = wire.AppendUint64(s.payload, s.nextSegID)
-	s.payload = wire.AppendUint64(s.payload, uint64(len(segs)))
-	s.payload = wire.AppendUint64(s.payload, 0) // relations: retired
+	s.payload = appendUint64(s.payload, s.snapSeq)
+	s.payload = appendUint64(s.payload, uint64(s.liveCovered))
+	s.payload = appendUint64(s.payload, s.nextSegID)
+	s.payload = appendUint64(s.payload, uint64(len(segs)))
+	s.payload = appendUint64(s.payload, 0) // relations: retired
 	werr := s.writeFrame(w)
 	for _, seg := range segs {
 		if werr != nil {
 			break
 		}
 		s.payload = append(s.payload[:0], recManSeg)
-		s.payload = wire.AppendUint64(s.payload, seg.id)
-		s.payload = wire.AppendUint64(s.payload, uint64(seg.level))
-		s.payload = wire.AppendString(s.payload, filepath.Base(seg.path))
+		s.payload = appendUint64(s.payload, seg.id)
+		s.payload = appendUint64(s.payload, uint64(seg.level))
+		s.payload = appendString32(s.payload, filepath.Base(seg.path))
 		werr = s.writeFrame(w)
 	}
 	if werr == nil {

@@ -66,7 +66,7 @@ func (s *Store) readSchemas() (good, size int64, err error) {
 
 // decodeSchemaDef decodes one schema-file record.
 func decodeSchemaDef(p []byte) (name string, fields []string, err error) {
-	if name, p, err = wire.ConsumeVarString(p); err != nil {
+	if name, p, err = wire.ConsumeString(p); err != nil {
 		return "", nil, err
 	}
 	n, p, err := wire.ConsumeUvarint(p)
@@ -78,7 +78,7 @@ func decodeSchemaDef(p []byte) (name string, fields []string, err error) {
 	}
 	fields = make([]string, n)
 	for i := range fields {
-		if fields[i], p, err = wire.ConsumeVarString(p); err != nil {
+		if fields[i], p, err = wire.ConsumeString(p); err != nil {
 			return "", nil, err
 		}
 	}
@@ -108,10 +108,10 @@ func (s *Store) defineLocked(ids ...uint32) error {
 			}
 			s.schemaFile = f
 		}
-		p := wire.AppendVarString(nil, name)
+		p := wire.AppendString(nil, name)
 		p = wire.AppendUvarint(p, uint64(len(fields)))
 		for _, f := range fields {
-			p = wire.AppendVarString(p, f)
+			p = wire.AppendString(p, f)
 		}
 		frame, err := wire.AppendRecord(nil, p)
 		if err != nil {

@@ -220,13 +220,13 @@ func (w *segWriter) finish() (*segment, error) {
 	seg.metaOff = w.off
 
 	w.payload = append(w.payload[:0], recSegMeta)
-	w.payload = wire.AppendUint64(w.payload, seg.id)
-	w.payload = wire.AppendUint64(w.payload, uint64(seg.count))
-	w.payload = wire.AppendUint64(w.payload, seg.seqLo)
-	w.payload = wire.AppendUint64(w.payload, seg.seqHi)
-	w.payload = wire.AppendUint64(w.payload, segIndexEvery)
-	w.payload = wire.AppendString(w.payload, seg.minKey)
-	w.payload = wire.AppendString(w.payload, seg.maxKey)
+	w.payload = appendUint64(w.payload, seg.id)
+	w.payload = appendUint64(w.payload, uint64(seg.count))
+	w.payload = appendUint64(w.payload, seg.seqLo)
+	w.payload = appendUint64(w.payload, seg.seqHi)
+	w.payload = appendUint64(w.payload, segIndexEvery)
+	w.payload = appendString32(w.payload, seg.minKey)
+	w.payload = appendString32(w.payload, seg.maxKey)
 	seg.schemas = slices.Sorted(maps.Keys(w.schemas))
 	w.payload = wire.AppendUvarint(w.payload, uint64(len(seg.schemas)))
 	for _, id := range seg.schemas {
@@ -239,10 +239,10 @@ func (w *segWriter) finish() (*segment, error) {
 	for start := 0; start < len(seg.index); start += idxChunk {
 		end := min(start+idxChunk, len(seg.index))
 		w.payload = append(w.payload[:0], recSegIdx)
-		w.payload = wire.AppendUint64(w.payload, uint64(end-start))
+		w.payload = appendUint64(w.payload, uint64(end-start))
 		for _, ent := range seg.index[start:end] {
-			w.payload = wire.AppendString(w.payload, ent.key)
-			w.payload = wire.AppendUint64(w.payload, uint64(ent.off))
+			w.payload = appendString32(w.payload, ent.key)
+			w.payload = appendUint64(w.payload, uint64(ent.off))
 		}
 		if err := w.emit(); err != nil {
 			w.abort()
@@ -253,16 +253,16 @@ func (w *segWriter) finish() (*segment, error) {
 	for start := 0; start < len(bits); start += bloomChunk {
 		end := min(start+bloomChunk, len(bits))
 		w.payload = append(w.payload[:0], recSegBloom)
-		w.payload = wire.AppendUint64(w.payload, uint64(len(bits)))
-		w.payload = wire.AppendUint64(w.payload, uint64(start))
-		w.payload = wire.AppendString(w.payload, string(bits[start:end]))
+		w.payload = appendUint64(w.payload, uint64(len(bits)))
+		w.payload = appendUint64(w.payload, uint64(start))
+		w.payload = appendString32(w.payload, string(bits[start:end]))
 		if err := w.emit(); err != nil {
 			w.abort()
 			return nil, err
 		}
 	}
 	w.payload = append(w.payload[:0], recSegFoot)
-	w.payload = wire.AppendUint64(w.payload, uint64(seg.metaOff))
+	w.payload = appendUint64(w.payload, uint64(seg.metaOff))
 	if err := w.emit(); err != nil {
 		w.abort()
 		return nil, err
@@ -319,7 +319,7 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 	if len(payload) < 1 || payload[0] != recSegFoot {
 		return fail(ErrCorrupt)
 	}
-	metaOff, _, err := wire.ConsumeUint64(payload[1:])
+	metaOff, _, err := consumeUint64(payload[1:])
 	if err != nil {
 		return fail(err)
 	}
@@ -355,31 +355,31 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 				seg.format = 3
 			}
 			var segID, count, indexEvery uint64
-			if segID, p, err = wire.ConsumeUint64(p); err != nil {
+			if segID, p, err = consumeUint64(p); err != nil {
 				return fail(err)
 			}
 			if segID != id {
 				return fail(fmt.Errorf("%w: segment id %d, manifest says %d", ErrCorrupt, segID, id))
 			}
-			if count, p, err = wire.ConsumeUint64(p); err != nil {
+			if count, p, err = consumeUint64(p); err != nil {
 				return fail(err)
 			}
-			if seg.seqLo, p, err = wire.ConsumeUint64(p); err != nil {
+			if seg.seqLo, p, err = consumeUint64(p); err != nil {
 				return fail(err)
 			}
-			if seg.seqHi, p, err = wire.ConsumeUint64(p); err != nil {
+			if seg.seqHi, p, err = consumeUint64(p); err != nil {
 				return fail(err)
 			}
-			if indexEvery, p, err = wire.ConsumeUint64(p); err != nil {
+			if indexEvery, p, err = consumeUint64(p); err != nil {
 				return fail(err)
 			}
 			if indexEvery != segIndexEvery {
 				return fail(fmt.Errorf("%w: index stride %d", ErrCorrupt, indexEvery))
 			}
-			if seg.minKey, p, err = wire.ConsumeString(p); err != nil {
+			if seg.minKey, p, err = consumeString32(p); err != nil {
 				return fail(err)
 			}
-			if seg.maxKey, p, err = wire.ConsumeString(p); err != nil {
+			if seg.maxKey, p, err = consumeString32(p); err != nil {
 				return fail(err)
 			}
 			seg.count = int(count)
@@ -390,16 +390,16 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 			}
 		case recSegIdx:
 			var n uint64
-			if n, p, err = wire.ConsumeUint64(p); err != nil {
+			if n, p, err = consumeUint64(p); err != nil {
 				return fail(err)
 			}
 			for i := uint64(0); i < n; i++ {
 				var key string
 				var off uint64
-				if key, p, err = wire.ConsumeString(p); err != nil {
+				if key, p, err = consumeString32(p); err != nil {
 					return fail(err)
 				}
-				if off, p, err = wire.ConsumeUint64(p); err != nil {
+				if off, p, err = consumeUint64(p); err != nil {
 					return fail(err)
 				}
 				seg.index = append(seg.index, segIndexEntry{key: key, off: int64(off)})
@@ -407,13 +407,13 @@ func openSegment(path string, id uint64, level int) (*segment, error) {
 		case recSegBloom:
 			var off uint64
 			var chunk string
-			if bloomTotal, p, err = wire.ConsumeUint64(p); err != nil {
+			if bloomTotal, p, err = consumeUint64(p); err != nil {
 				return fail(err)
 			}
-			if off, p, err = wire.ConsumeUint64(p); err != nil {
+			if off, p, err = consumeUint64(p); err != nil {
 				return fail(err)
 			}
-			if chunk, _, err = wire.ConsumeString(p); err != nil {
+			if chunk, _, err = consumeString32(p); err != nil {
 				return fail(err)
 			}
 			if seg.bloom == nil {

@@ -30,7 +30,7 @@ func (t *DigestTree) AppendMarks(b []byte) []byte {
 	defer t.mu.RUnlock()
 	b = wire.AppendUvarint(b, uint64(len(t.order)))
 	for _, x := range t.order {
-		b = wire.AppendVarString(b, x.name)
+		b = wire.AppendString(b, x.name)
 		b = wire.AppendUvarint(b, x.top)
 	}
 	return b
@@ -54,7 +54,7 @@ func SkipMarks(data []byte) (section, rest []byte, err error) {
 	var prev []byte
 	for i := range n {
 		var name []byte
-		if name, rest, err = wire.SkipVarString(rest); err != nil {
+		if name, rest, err = wire.SkipString(rest); err != nil {
 			return nil, data, err
 		}
 		if i > 0 && string(prev) >= string(name) {
@@ -312,7 +312,7 @@ func (c *marksCursor) next() (name []byte, mark uint64, ok bool) {
 	}
 	c.left--
 	var err error
-	if name, c.rest, err = wire.SkipVarString(c.rest); err == nil {
+	if name, c.rest, err = wire.SkipString(c.rest); err == nil {
 		mark, c.rest, err = wire.ConsumeUvarint(c.rest)
 	}
 	if err != nil {

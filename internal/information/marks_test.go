@@ -87,7 +87,7 @@ func TestMarksDelta(t *testing.T) {
 	for name, bad := range map[string][]byte{
 		"positions out of order": {2, 1, 1, 0, 1, 0},
 		"rise of zero":           {1, 0, 0, 0},
-		"names out of order":     slices.Concat([]byte{0, 2}, wire.AppendVarString(nil, "b"), []byte{1}, wire.AppendVarString(nil, "a"), []byte{1}),
+		"names out of order":     slices.Concat([]byte{0, 2}, wire.AppendString(nil, "b"), []byte{1}, wire.AppendString(nil, "a"), []byte{1}),
 		"huge count":             wire.AppendUvarint(nil, 1<<60),
 		"truncated":              {1, 0},
 		"empty":                  nil,
@@ -98,7 +98,7 @@ func TestMarksDelta(t *testing.T) {
 	}
 	for name, bad := range map[string][]byte{
 		"a position past the base": {1, 3, 1, 0},
-		"a name the base holds":    slices.Concat([]byte{0, 1}, wire.AppendVarString(nil, "s1"), []byte{1}),
+		"a name the base holds":    slices.Concat([]byte{0, 1}, wire.AppendString(nil, "s1"), []byte{1}),
 		"a rise past 64 bits":      slices.Concat([]byte{1, 1}, wire.AppendUvarint(nil, 1<<64-1), []byte{0}),
 	} {
 		if _, _, err := SkipMarksDelta(bad); err != nil {

@@ -264,7 +264,7 @@ func scanDots(t *DigestTree) map[dotAt]string {
 func marksSection(hw map[string]uint64) []byte {
 	b := wire.AppendUvarint(nil, uint64(len(hw)))
 	for _, site := range slices.Sorted(maps.Keys(hw)) {
-		b = wire.AppendUvarint(wire.AppendVarString(b, site), hw[site])
+		b = wire.AppendUvarint(wire.AppendString(b, site), hw[site])
 	}
 	return b
 }
@@ -297,7 +297,7 @@ func TestMarksSection(t *testing.T) {
 		t.Fatalf("SkipMarks = %x, %x, %v", section, rest, err)
 	}
 	entry := func(name string, mark uint64) []byte {
-		return wire.AppendUvarint(wire.AppendVarString(nil, name), mark)
+		return wire.AppendUvarint(wire.AppendString(nil, name), mark)
 	}
 	for name, bad := range map[string][]byte{
 		"out of order": slices.Concat([]byte{2}, entry("s1", 1), entry("s0", 1)),

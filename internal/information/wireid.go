@@ -69,7 +69,7 @@ func AppendWireIDs(dst []byte, ids []string) []byte {
 // holding the count against the bytes that remain before it allocates; no
 // ids read as nil.
 func ConsumeWireIDs(b *wire.Body) []string {
-	n := b.UvarintCount(1) // an id is a byte at least
+	n := b.Count(1) // an id is a byte at least
 	if n == 0 {
 		return nil
 	}

@@ -4,11 +4,14 @@ import "mocca/internal/wire"
 
 // mhs.transfer carries the transfer envelope as a hand-written binary body
 // (see internal/replica/codec.go for the shape: a tag byte with the high
-// bit set, then wire's primitives, the content headers in sorted key
+// bit set, then wire's primitives — strings behind a uvarint length, the
+// priority and every count a uvarint, the content headers in sorted key
 // order). Instants travel as wire.AppendTime writes them, so an envelope
 // that is not deferred — Deferred the zero time.Time — reads IsZero at every
-// hop. The acknowledgement is an empty body. Range 0xB1.
-const tagEnvelope byte = 0xB1
+// hop. The acknowledgement is an empty body. Range 0xB1–0xB2: 0xB1, the
+// envelope with four-byte string lengths, eight-byte counts and twelve-byte
+// instants, is retired.
+const tagEnvelope byte = 0xB2
 
 // The one flag of an envelope. Bit 0 was the retired probe flag: a body
 // that sets it is refused like any unknown flag.
@@ -35,19 +38,19 @@ func (e Envelope) AppendBinary(b []byte) ([]byte, error) {
 	b = wire.AppendString(b, e.MessageID)
 	b = appendORName(b, e.Originator)
 	b = wire.AppendList(b, e.Recipients, appendORName)
-	b = wire.AppendUint64(b, uint64(e.Priority))
+	b = wire.AppendUvarint(b, uint64(e.Priority))
 	b = wire.AppendTime(b, e.Submitted)
 	b = wire.AppendTime(b, e.Deferred)
 	b = wire.AppendString(b, e.Content.Subject)
 	b = wire.AppendString(b, e.Content.Body)
 	b = wire.AppendString(b, e.Content.InReplyTo)
 	b = wire.AppendStringMap(b, e.Content.Headers)
-	b = wire.AppendUint64(b, uint64(len(e.Trace)))
-	for _, hop := range e.Trace {
-		b = wire.AppendString(b, hop.MTA)
-		b = wire.AppendTime(b, hop.At)
-	}
+	b = wire.AppendList(b, e.Trace, appendHop)
 	return wire.AppendStrings(b, e.DLHistory), nil
+}
+
+func appendHop(b []byte, hop TraceEntry) []byte {
+	return wire.AppendTime(wire.AppendString(b, hop.MTA), hop.At)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Empty recipients,
@@ -56,7 +59,7 @@ func (e *Envelope) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagEnvelope, "mhs envelope")
 	*e = Envelope{RequestDR: b.Flags(flagRequestDR) != 0,
 		MessageID: b.String(), Originator: consumeORName(&b)}
-	if n := b.Count(4 * 4); n > 0 {
+	if n := b.Count(4); n > 0 { // four lengths
 		e.Recipients = make([]ORName, n)
 		for i := range e.Recipients {
 			e.Recipients[i] = consumeORName(&b)
@@ -64,7 +67,7 @@ func (e *Envelope) UnmarshalBinary(data []byte) error {
 	}
 	e.Priority, e.Submitted, e.Deferred = Priority(b.Int()), b.Time(), b.Time()
 	e.Content = Content{Subject: b.String(), Body: b.String(), InReplyTo: b.String(), Headers: b.StringMap()}
-	if n := b.Count(4 + 12); n > 0 {
+	if n := b.Count(1 + 2); n > 0 { // a length, an instant's two varints
 		e.Trace = make([]TraceEntry, n)
 		for i := range e.Trace {
 			e.Trace[i] = TraceEntry{MTA: b.String(), At: b.Time()}

@@ -62,36 +62,38 @@ func TestBodiesRoundTrip(t *testing.T) {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"envelope/harness": "b1000000000a6d73672d303030313233000000076578616d706c65000000047330303300000000000000067530303031" +
-			"320000000000000001000000076578616d706c6500000004733030370000000000000006753030333430000000000000" +
-			"0002000000002a34736a00000000fffffff1886e0900000000000000000b75706461746520353132300000000d737461" +
-			"747573207265706f72740000000000000000000000000000000000000001000000086d74612d73303033000000002a34" +
-			"736a000000000000000000000000",
+		"envelope/harness": "b2000a6d73672d303030313233076578616d706c650473303033000675303030313201076578616d706c650473303037" +
+			"000675303033343002d4cda3a30500ffdb8ff9ce03000b75706461746520353132300d737461747573207265706f7274" +
+			"000001086d74612d73303033d4cda3a3050000",
 	})
 }
 
 func TestBodiesRejectDamage(t *testing.T) {
-	huge := wire.AppendUint64(nil, 1<<60) // each count, aimed at
-	zero := wire.AppendUint64(nil, 0)
 	// tag, flags, an empty message id and originator; then no recipients, a
-	// priority, two instants and three empty content strings; then no headers;
-	// then no trace.
-	toRecipients := append([]byte{tagEnvelope, 0}, make([]byte, 5*4)...)
-	toHeaders := append(append(bytes.Clone(toRecipients), zero...), make([]byte, 8+2*12+3*4)...)
-	toTrace := append(bytes.Clone(toHeaders), zero...)
-	toHistory := append(bytes.Clone(toTrace), zero...)
+	// priority, two instants on the epoch and three empty content strings;
+	// then no headers; then no trace.
+	toRecipients := append([]byte{tagEnvelope, 0}, make([]byte, 5)...)
+	toHeaders := append(bytes.Clone(toRecipients), make([]byte, 1+1+2*2+3)...)
+	toTrace := append(bytes.Clone(toHeaders), 0)
+	toHistory := append(bytes.Clone(toTrace), 0)
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
-		"recipients": append(bytes.Clone(toRecipients), huge...),
-		"headers":    append(bytes.Clone(toHeaders), huge...),
-		"trace":      append(bytes.Clone(toTrace), huge...),
-		"dl history": append(bytes.Clone(toHistory), huge...),
+		"recipients": toRecipients,
+		"headers":    toHeaders,
+		"trace":      toTrace,
+		"dl history": toHistory,
 	})
 	// The prefixes above are what they claim: with a zero count in place of the
 	// aimed one, and the sections behind it empty, each is a whole envelope.
-	whole := append(bytes.Clone(toHistory), zero...)
+	whole := append(bytes.Clone(toHistory), 0)
 	if err := new(Envelope).UnmarshalBinary(whole); err != nil {
 		t.Fatalf("the aimed bodies' prefix is not an envelope's: %v", err)
 	}
+}
+
+// TestRetiredBodiesRefused: an envelope as the code before varints wrote it
+// fails on its first byte.
+func TestRetiredBodiesRefused(t *testing.T) {
+	wiretest.RetiredRefused(t, "testdata/retired-bodies.txt", bodyCases())
 }
 
 // TestProbe: probes are retired. Bit 0 of an envelope's flags was the probe
@@ -190,7 +192,8 @@ func TestDeferredZeroStaysZero(t *testing.T) {
 }
 
 // FuzzMHSBodies: whatever bytes arrive, the decoder either refuses them or
-// yields an envelope that encodes and decodes back to itself.
+// yields an envelope that encodes and decodes back to itself. The seeds
+// include the envelopes an older peer sent.
 func FuzzMHSBodies(f *testing.F) {
 	_, bodies := transferRound(f)
 	for _, b := range bodies[MethodTransfer] {
@@ -200,6 +203,9 @@ func FuzzMHSBodies(f *testing.F) {
 	}
 	for _, c := range bodyCases() {
 		f.Add(c.Encode(f))
+	}
+	for _, b := range wiretest.Retired(f, "testdata/retired-bodies.txt") {
+		f.Add(b)
 	}
 	wiretest.Fuzz(f, []wiretest.Case{wiretest.Of("envelope", Envelope{})})
 }

@@ -11,17 +11,18 @@ import (
 )
 
 // The six messages of the anti-entropy protocol travel as hand-written
-// binary bodies. Every body opens with a tag byte naming the message; the rest is
-// built from wire's shared primitives — big-endian integers, uint32 or
-// uvarint length-prefixed strings, uint64 or uvarint counts — with maps written in
-// sorted key order, so equal messages encode to equal bytes. No body names
-// its sender: the frame's source does. Rows are in the row codec's wire
-// form (information.AppendWireObjects: a uvarint count, then each row with
-// its id in information.AppendWireID's form and its sites in vclock's
-// roster form); the durable log stores them with their ids and sites
-// spelled. The ids of a sync request's digest and of a sync reply's
-// want-list are in AppendWireID's form too, behind a uvarint count: an id
-// a Space minted travels as its sequence and entropy.
+// binary bodies. Every body opens with a tag byte naming the message; the
+// rest is built from wire's shared primitives — uvarint-prefixed strings,
+// uvarint counts and counters, and the fixed-width hashes and checks of the
+// tree — with maps written in sorted key order, so equal messages encode to
+// equal bytes. No body names its sender: the frame's source does. A sync
+// request's scope is a uvarint count, then each bucket in four bytes. Rows
+// are in the row codec's wire form (information.AppendWireObjects: a
+// uvarint count, then each row with its id in information.AppendWireID's
+// form and its sites in vclock's roster form); the durable log stores them
+// with their ids and sites spelled. The ids of a sync request's digest and
+// of a sync reply's want-list are in AppendWireID's form too, behind a
+// uvarint count: an id a Space minted travels as its sequence and entropy.
 //
 // A digest body is the tag, a flags byte naming the sections present, then
 // those sections in order. A request's tree frames are in
@@ -55,11 +56,12 @@ import (
 // digest reply's children count and the sync reply's want-list were
 // eight bytes, and the want-list's ids spelled, too); and so is 0x86, the
 // push reply that carried its applied and conflict counts in eight bytes
-// each. The range took a second run, at 0xF1, when its first met gossip's,
+// each; and so is 0xF9, the sync request whose scope count took eight
+// bytes. The range took a second run, at 0xF1, when its first met gossip's,
 // and a third, at 0xF9, when the second met gossip's again.
 const (
 	tagDigestReq  byte = 0xF1
-	tagSyncReq    byte = 0xF9
+	tagSyncReq    byte = 0xFE
 	tagDigestResp byte = 0xFA
 	tagSyncResp   byte = 0xFB
 	tagPushReq    byte = 0xFC
@@ -98,7 +100,7 @@ func (m digestResp) AppendBinary(b []byte) ([]byte, error) {
 // AppendBinary implements encoding.BinaryAppender.
 func (m syncReq) AppendBinary(b []byte) ([]byte, error) {
 	b = appendDigest(append(b, tagSyncReq), m.Digest)
-	b = wire.AppendUint64(b, uint64(len(m.Scope)))
+	b = wire.AppendUvarint(b, uint64(len(m.Scope)))
 	for _, bucket := range m.Scope {
 		b = binary.BigEndian.AppendUint32(b, bucket)
 	}
@@ -250,7 +252,7 @@ func (m *pushReq) UnmarshalBinary(data []byte) error {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *pushResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagPushResp, "pushResp")
-	*m = pushResp{Applied: b.Uvarint()}
+	*m = pushResp{Applied: b.Uint64()}
 	return b.Close()
 }
 
@@ -298,7 +300,7 @@ func consumeSections(b *wire.Body, flags byte, section func([]byte) ([]byte, []b
 		}
 		return frames, marks
 	}
-	marks.Gen = b.Uvarint()
+	marks.Gen = b.Uint64()
 	if flags&flagAck != 0 {
 		marks.Ack = wire.Consume(b, consumeGeneration)
 	}
@@ -327,7 +329,7 @@ func consumeGeneration(data []byte) (uint64, []byte, error) {
 // consumeDigest reads a digest written by appendDigest; an empty digest
 // decodes as nil.
 func consumeDigest(b *wire.Body) map[string]vclock.Version {
-	n := b.UvarintCount(1 + 1) // id + vector count
+	n := b.Count(1 + 1) // id + vector count
 	if n == 0 {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/binary"
 	"errors"
 	"sort"
 
@@ -132,9 +133,9 @@ func (r *Replicator) serveDigest(caller netsim.Address, req digestReq) (digestRe
 		var kids [information.MerkleFanout]uint64
 		for _, f := range internal {
 			level, index := wire.TreePathParts(f.Path)
-			resp.Children = wire.AppendUint64(resp.Children, f.Path)
+			resp.Children = binary.BigEndian.AppendUint64(resp.Children, f.Path)
 			for _, h := range tree.AppendChildren(kids[:0], level, index) {
-				resp.Children = wire.AppendUint64(resp.Children, h)
+				resp.Children = binary.BigEndian.AppendUint64(resp.Children, h)
 			}
 		}
 	}

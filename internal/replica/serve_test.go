@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -75,9 +76,9 @@ func TestServeDigestFramesMatchReference(t *testing.T) {
 				continue
 			}
 			parents++
-			records = wire.AppendUint64(records, f.Path)
+			records = binary.BigEndian.AppendUint64(records, f.Path)
 			for _, h := range kids {
-				records = wire.AppendUint64(records, h)
+				records = binary.BigEndian.AppendUint64(records, h)
 			}
 		}
 		if parents != tc.parents {

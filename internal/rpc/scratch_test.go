@@ -25,7 +25,7 @@ type note struct {
 const tagNote byte = 0xF1
 
 func (n note) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendUint64(append(b, tagNote), uint64(n.Seq))
+	b = wire.AppendUvarint(append(b, tagNote), uint64(n.Seq))
 	return wire.AppendString(b, n.Text), nil
 }
 

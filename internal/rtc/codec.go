@@ -1,25 +1,24 @@
 package rtc
 
-import (
-	"encoding/binary"
-
-	"mocca/internal/wire"
-)
+import "mocca/internal/wire"
 
 // Every conference message travels as a hand-written binary body (see
 // internal/replica/codec.go for the shape: a tag byte with the high bit
-// set, then wire's primitives, state maps in sorted key order, instants as
-// wire.AppendTime writes them). Leave, the floor calls and heartbeats name
-// a member with one memberReq; leave is answered with wire.Empty, and a
-// heartbeat is an announcement. Range 0xA1–0xA9; 0xA8–0xA9 are retired.
+// set, then wire's primitives — strings behind a uvarint length, sequence
+// numbers, counts and the mode as uvarints, state maps in sorted key order,
+// instants as wire.AppendTime writes them). Leave, the floor calls and
+// heartbeats name a member with one memberReq; leave is answered with
+// wire.Empty, and a heartbeat is an announcement. Range 0xA1–0xB0: 0xA1–0xA7
+// are retired, the same messages with four-byte string lengths and
+// eight-byte integers, and so are 0xA8–0xA9, rtc.sync's request and reply.
 const (
-	tagEvent      byte = 0xA1
-	tagJoinReq    byte = 0xA2
-	tagJoinResp   byte = 0xA3
-	tagUpdateReq  byte = 0xA4
-	tagUpdateResp byte = 0xA5
-	tagMemberReq  byte = 0xA6
-	tagFloorResp  byte = 0xA7
+	tagEvent      byte = 0xAA
+	tagJoinReq    byte = 0xAB
+	tagJoinResp   byte = 0xAC
+	tagUpdateReq  byte = 0xAD
+	tagUpdateResp byte = 0xAE
+	tagMemberReq  byte = 0xAF
+	tagFloorResp  byte = 0xB0
 )
 
 // eventKinds are the kinds a conference sends.
@@ -29,7 +28,7 @@ var eventKinds = [...]EventKind{EventState, EventPointer, EventJoined, EventLeft
 // that constant, without allocating; any other text as itself.
 func consumeKind(data []byte) (EventKind, []byte, error) {
 	for _, k := range eventKinds {
-		if n := 4 + len(k); len(data) >= n && binary.BigEndian.Uint32(data) == uint32(len(k)) && string(data[4:n]) == string(k) {
+		if n := 1 + len(k); len(data) >= n && int(data[0]) == len(k) && string(data[1:n]) == string(k) {
 			return k, data[n:], nil
 		}
 	}
@@ -40,7 +39,7 @@ func consumeKind(data []byte) (EventKind, []byte, error) {
 // appendEvent writes an event's fields.
 func appendEvent(b []byte, ev Event) []byte {
 	b = wire.AppendString(b, ev.Conference)
-	b = wire.AppendUint64(b, ev.Seq)
+	b = wire.AppendUvarint(b, ev.Seq)
 	b = wire.AppendString(b, string(ev.Kind))
 	b = wire.AppendString(b, ev.From)
 	b = wire.AppendString(b, ev.Key)
@@ -83,10 +82,10 @@ func (m *joinReq) UnmarshalBinary(data []byte) error {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m joinResp) AppendBinary(b []byte) ([]byte, error) {
-	b = wire.AppendUint64(append(b, tagJoinResp), m.Seq)
+	b = wire.AppendUvarint(append(b, tagJoinResp), m.Seq)
 	b = wire.AppendStringMap(b, m.State)
 	b = wire.AppendStrings(b, m.Members)
-	b = wire.AppendUint64(b, uint64(m.Mode))
+	b = wire.AppendUvarint(b, uint64(m.Mode))
 	return wire.AppendString(b, m.Title), nil
 }
 
@@ -116,7 +115,7 @@ func (m *updateReq) UnmarshalBinary(data []byte) error {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m updateResp) AppendBinary(b []byte) ([]byte, error) {
-	return wire.AppendUint64(append(b, tagUpdateResp), m.Seq), nil
+	return wire.AppendUvarint(append(b, tagUpdateResp), m.Seq), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.

@@ -64,31 +64,35 @@ func TestBodiesRoundTrip(t *testing.T) {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"event/set": "a10000000b636f6e662d3030303030330000000000000029000000057374617465000000067530303031320000000d63" +
-			"7572736f722d75303030313200000008706f7320353132300000000000000000000000002a34736a0ee6b280",
-		"joinReq": "a20000000b636f6e662d303030303033000000067530303031320000000a7274632d753030303132",
-		"joinResp": "a300000000000000290000000000000004000000066167656e646100000010312e206d6f64656c7320322e206f647000" +
-			"00000d637572736f722d75303030313200000008706f73203531323000000005656d707479000000000000000674c3ad" +
-			"746c650000000a6e61c3af766520e2988300000000000000030000000675303030303300000006753030303132000000" +
-			"076ac3bc7267656e00000000000000020000000761637430303033",
-		"updateReq": "a40000000b636f6e662d303030303033000000067530303031320000000573746174650000000d637572736f722d7530" +
-			"3030313200000008706f732035313230",
-		"updateResp": "a50000000000000029",
-		"memberReq":  "a60000000b636f6e662d30303030303300000006753030303132",
-		"floorResp":  "a700000006753030303132",
+		"event/set": "aa0b636f6e662d30303030303329057374617465067530303031320d637572736f722d75303030313208706f73203531" +
+			"323000d4cda3a30580e59a77",
+		"joinReq": "ab0b636f6e662d303030303033067530303031320a7274632d753030303132",
+		"joinResp": "ac2904066167656e646110312e206d6f64656c7320322e206f64700d637572736f722d75303030313208706f73203531" +
+			"323005656d707479000674c3ad746c650a6e61c3af766520e29883030675303030303306753030303132076ac3bc7267" +
+			"656e020761637430303033",
+		"updateReq": "ad0b636f6e662d303030303033067530303031320573746174650d637572736f722d75303030313208706f7320353132" +
+			"30",
+		"updateResp": "ae29",
+		"memberReq":  "af0b636f6e662d30303030303306753030303132",
+		"floorResp":  "b006753030303132",
 	})
 }
 
 func TestBodiesRejectDamage(t *testing.T) {
-	huge := wire.AppendUint64(nil, 1<<60) // each count, aimed at
-	zero := wire.AppendUint64(nil, 0)
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
 		// five empty strings and a sequence number precede an event's state
-		"event state":       append(append([]byte{tagEvent}, make([]byte, 5*4+8)...), huge...),
-		"snapshot state":    append(append([]byte{tagJoinResp}, zero...), huge...),
-		"snapshot members":  append(append(append([]byte{tagJoinResp}, zero...), zero...), huge...),
-		"update as a count": append([]byte{tagUpdateResp}, huge...),
+		"event state":       append([]byte{tagEvent}, make([]byte, 5+1)...),
+		"snapshot state":    {tagJoinResp, 0},
+		"snapshot members":  {tagJoinResp, 0, 0},
+		"update as a count": {tagUpdateResp},
 	})
+}
+
+// TestRetiredBodiesRefused: every body an older peer sent — the messages
+// with four-byte string lengths and eight-byte integers, and rtc.sync's —
+// fails on its first byte.
+func TestRetiredBodiesRefused(t *testing.T) {
+	wiretest.RetiredRefused(t, "testdata/retired-bodies.txt", bodyCases())
 }
 
 // quietLink is a link that loses nothing.

@@ -7,12 +7,15 @@ import (
 )
 
 // An import travels as a hand-written binary body (see
-// internal/replica/codec.go for the shape). An offer in the answer is its
-// id, service type, provider and properties, the properties in directory's
-// attribute-set form. Range 0xD1–0xD5; 0xD3–0xD5 are retired.
+// internal/replica/codec.go for the shape: strings behind a uvarint length,
+// the offer cap, hop count and offer count as uvarints). An offer in the
+// answer is its id, service type, provider and properties, the properties
+// in directory's attribute-set form. Range 0xD1–0xD7: 0xD1 and 0xD2, the
+// request and answer with four-byte string lengths and eight-byte integers,
+// are retired, and so are 0xD3–0xD5.
 const (
-	tagImportReq  byte = 0xD1
-	tagImportResp byte = 0xD2
+	tagImportReq  byte = 0xD6
+	tagImportResp byte = 0xD7
 )
 
 // appendOffer writes an offer: id, service type, provider, properties.
@@ -39,10 +42,10 @@ func (m importReq) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, tagImportReq)
 	b = wire.AppendString(b, m.ServiceType)
 	b = wire.AppendString(b, m.Constraint)
-	b = wire.AppendUint64(b, uint64(m.MaxOffers))
+	b = wire.AppendUvarint(b, uint64(m.MaxOffers))
 	b = wire.AppendString(b, m.OrderBy)
 	b = wire.AppendString(b, m.Importer)
-	return wire.AppendUint64(b, uint64(m.Hops)), nil
+	return wire.AppendUvarint(b, uint64(m.Hops)), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -62,7 +65,7 @@ func (m importResp) AppendBinary(b []byte) ([]byte, error) {
 func (m *importResp) UnmarshalBinary(data []byte) error {
 	b := wire.OpenBody(data, tagImportResp, "trader importResp")
 	*m = importResp{}
-	if n := b.Count(3*4 + 8); n > 0 { // three prefixes and an attribute count
+	if n := b.Count(3 + 1); n > 0 { // three lengths and an attribute count
 		m.Offers = make([]Offer, n)
 		for i := range m.Offers {
 			m.Offers[i] = consumeOffer(&b)

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mocca/internal/directory"
 	"mocca/internal/netsim"
 	"mocca/internal/rpc"
 	"mocca/internal/vclock"
-	"mocca/internal/wire"
 	"mocca/internal/wire/wiretest"
 )
 
@@ -52,26 +52,29 @@ func TestBodiesRoundTrip(t *testing.T) {
 
 func TestBodiesGolden(t *testing.T) {
 	wiretest.Golden(t, bodyCases(), map[string]string{
-		"importReq": "d10000000b637363772e636f6c6c616200000000000000000000000300000000000000000000000000000000",
-		"importResp": "d2000000000000000300000007776c2d733030300000000b637363772e636f6c6c6162000000096c6f61642d73303030" +
-			"000000000000000100000004736974650000000000000001000000047330303000000007776c2d733030310000000b63" +
-			"7363772e636f6c6c6162000000096c6f61642d7330303100000000000000010000000473697465000000000000000100" +
-			"0000047330303100000007776c2d733030320000000b637363772e636f6c6c6162000000096c6f61642d733030320000" +
-			"000000000001000000047369746500000000000000010000000473303032",
+		"importReq": "d60b637363772e636f6c6c61620003000000",
+		"importResp": "d70307776c2d733030300b637363772e636f6c6c6162096c6f61642d7330303001047369746501047330303007776c2d" +
+			"733030310b637363772e636f6c6c6162096c6f61642d7330303101047369746501047330303107776c2d733030320b63" +
+			"7363772e636f6c6c6162096c6f61642d73303032010473697465010473303032",
 	})
 }
 
 func TestBodiesRejectDamage(t *testing.T) {
-	huge := wire.AppendUint64(nil, 1<<60)                                                                 // each count, aimed at
-	oneOffer := append(append([]byte{tagImportResp}, wire.AppendUint64(nil, 1)...), make([]byte, 3*4)...) // one offer, its strings empty
+	oneOffer := []byte{tagImportResp, 1, 0, 0, 0} // one offer, its strings empty
 	wiretest.RejectDamage(t, bodyCases(), map[string][]byte{
-		"offers":     append([]byte{tagImportResp}, huge...),
-		"properties": append(bytes.Clone(oneOffer), huge...),
+		"offers":     {tagImportResp},
+		"properties": oneOffer,
 	})
 	// The prefix is what it claims: closed with a zero count, a response.
-	if err := new(importResp).UnmarshalBinary(append(bytes.Clone(oneOffer), wire.AppendUint64(nil, 0)...)); err != nil {
+	if err := new(importResp).UnmarshalBinary(append(bytes.Clone(oneOffer), 0)); err != nil {
 		t.Fatalf("the aimed bodies' prefix is not an importResp's: %v", err)
 	}
+}
+
+// TestRetiredBodiesRefused: an import or its answer as the code before
+// varints wrote it, and every other retired body, fails on its first byte.
+func TestRetiredBodiesRefused(t *testing.T) {
+	wiretest.RetiredRefused(t, "testdata/retired-bodies.txt", bodyCases())
 }
 
 // importRound exports the harness's sixteen offers, runs the harness's
@@ -186,6 +189,41 @@ func TestImportAllocations(t *testing.T) {
 	// Sixteen clones were 32 allocations of the parent's 64.
 	if got > 30 {
 		t.Fatalf("an import allocates %v times", got)
+	}
+}
+
+// TestImportHandlerLendsOffers: ImportAsync lends the store's offers to its
+// callback, and the trader.import handler encodes them there — so answering
+// with sixteen offers costs hardly more allocations than answering with
+// one, where a copy of each offer would cost two (its property map and a
+// value slice).
+func TestImportHandlerLendsOffers(t *testing.T) {
+	tr, _, _, _ := importRound(t)
+	tr.ImportAsync(ImportRequest{ServiceType: "cscw.collab"}, func(offers []Offer, err error) {
+		if err != nil || len(offers) != 16 {
+			t.Fatalf("import returned %d offers, %v", len(offers), err)
+		}
+		for _, o := range offers {
+			if reflect.ValueOf(o.Properties).UnsafePointer() != reflect.ValueOf(tr.offers[o.ID].Properties).UnsafePointer() {
+				t.Fatalf("offer %s was copied for a callback that only reads it", o.ID)
+			}
+		}
+	})
+	s := &Server{trader: tr}
+	serve := func(max int) float64 {
+		body, _ := importReq{ServiceType: "cscw.collab", MaxOffers: max}.AppendBinary(nil)
+		r := rpc.Request{From: "load", Method: MethodImport, Body: body}
+		return testing.AllocsPerRun(100, func() {
+			s.serveImport(r, func(answer []byte, err error) {
+				if err != nil || len(answer) == 0 {
+					t.Fatalf("the handler answered %x, %v", answer, err)
+				}
+			})
+		})
+	}
+	one, all := serve(1), serve(16)
+	if extra := all - one; extra > 8 {
+		t.Fatalf("answering with 16 offers allocates %v times, with one %v: the handler copies offers", all, one)
 	}
 }
 

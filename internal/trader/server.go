@@ -44,23 +44,25 @@ func NewServer(endpoint *rpc.Endpoint, t *Trader) *Server {
 // Trader returns the underlying trading function.
 func (s *Server) Trader() *Trader { return s.trader }
 
-func (s *Server) register() {
-	s.endpoint.MustRegisterAsync(MethodImport, func(r rpc.Request, reply func([]byte, error)) {
-		var req importReq
-		if err := req.UnmarshalBinary(r.Body); err != nil {
+func (s *Server) register() { s.endpoint.MustRegisterAsync(MethodImport, s.serveImport) }
+
+// serveImport answers a trader.import call. The offers ImportAsync lends
+// are encoded inside its callback, so the answer copies no offer.
+func (s *Server) serveImport(r rpc.Request, reply func([]byte, error)) {
+	var req importReq
+	if err := req.UnmarshalBinary(r.Body); err != nil {
+		reply(nil, err)
+		return
+	}
+	if req.Importer == "" {
+		req.Importer = string(r.From)
+	}
+	s.trader.ImportAsync(ImportRequest(req), func(offers []Offer, err error) {
+		if err != nil {
 			reply(nil, err)
 			return
 		}
-		if req.Importer == "" {
-			req.Importer = string(r.From)
-		}
-		s.trader.ImportAsync(ImportRequest(req), func(offers []Offer, err error) {
-			if err != nil {
-				reply(nil, err)
-				return
-			}
-			reply(importResp{Offers: offers}.AppendBinary(nil))
-		})
+		reply(importResp{Offers: offers}.AppendBinary(nil))
 	})
 }
 

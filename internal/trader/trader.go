@@ -292,8 +292,8 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 	// counted first so they fill one slice of their size, which the filter
 	// below narrows in place. A stored offer is replaced, never edited
 	// (Export stores a clone, ModifyOffer installs a fresh map), so
-	// candidates share their properties with the store; finalize copies the
-	// few it returns.
+	// candidates share their properties with the store; Import copies the
+	// few it returns, and ImportAsync lends them.
 	var held [8]map[string]bool
 	conforming, n := held[:0], 0
 	for typ, ids := range t.byType {
@@ -341,16 +341,13 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 	return out, nil
 }
 
-// finalize dedupes, orders, and truncates a combined result set, and gives
-// the caller its own copy of what is left.
+// finalize dedupes, orders, and truncates a combined result set. What is
+// left still shares its properties with the store.
 func (t *Trader) finalize(req ImportRequest, offers []Offer) []Offer {
 	offers = dedupeOffers(offers)
 	sortOffers(offers, req.OrderBy)
 	if req.MaxOffers > 0 && len(offers) > req.MaxOffers {
 		offers = offers[:req.MaxOffers]
-	}
-	for i := range offers {
-		offers[i] = offers[i].clone()
 	}
 	t.mu.Lock()
 	t.stats.Matched += int64(len(offers))
@@ -360,17 +357,25 @@ func (t *Trader) finalize(req ImportRequest, offers []Offer) []Offer {
 
 // Import answers a query from this trader's own offers, consulting its
 // policies; it asks no federated peer. ImportAsync is the federated query.
+// The offers are the caller's own copies.
 func (t *Trader) Import(req ImportRequest) ([]Offer, error) {
 	out, err := t.matchLocal(req)
 	if err != nil {
 		return nil, err
 	}
-	return t.finalize(req, out), nil
+	offers := t.finalize(req, out)
+	for i := range offers {
+		offers[i] = offers[i].clone()
+	}
+	return offers, nil
 }
 
 // ImportAsync answers a query, fanning out to federated peers through the
 // Forwarder, and calls done exactly once with the combined result. It never
-// blocks, so it is safe to call from inside network event handlers.
+// blocks, so it is safe to call from inside network event handlers. The
+// offers are lent for the call: they share their properties with the
+// store, so done reads them — encodes them, say — and neither edits nor
+// keeps them.
 func (t *Trader) ImportAsync(req ImportRequest, done func([]Offer, error)) {
 	out, err := t.matchLocal(req)
 	if err != nil {

@@ -74,7 +74,7 @@ func (r *roster) appendSite(dst []byte, site string) []byte {
 	if i, ok := r.index[site]; ok {
 		return wire.AppendUvarint(dst, uint64(i)+1)
 	}
-	return wire.AppendVarString(append(dst, 0), site)
+	return wire.AppendString(append(dst, 0), site)
 }
 
 // ConsumeSite reads a site in the roster form: an entry's name, which is
@@ -128,7 +128,7 @@ func (r *roster) skipSite(data []byte) (siteRef, []byte, error) {
 	case k > 0:
 		return siteRef{name: r.names[k-1]}, rest, nil
 	}
-	raw, rest, err := wire.SkipVarString(rest)
+	raw, rest, err := wire.SkipString(rest)
 	if err != nil {
 		return siteRef{}, data, err
 	}

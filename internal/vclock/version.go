@@ -175,7 +175,7 @@ func (v Version) AppendBinary(dst []byte) []byte {
 	}
 	slices.Sort(sites)
 	for _, s := range sites {
-		dst = wire.AppendVarString(dst, s)
+		dst = wire.AppendString(dst, s)
 		dst = wire.AppendUvarint(dst, v[s])
 	}
 	return dst
@@ -237,12 +237,12 @@ func ScanVersion(data []byte) (raw, rest []byte, err error) {
 		return fail(fmt.Errorf("%w: %d sites in %d bytes", wire.ErrTruncated, n, len(rest)))
 	}
 	for ; n > 0; n-- {
-		// A name under wire.SkipVarString's checks, then a counter under
+		// A name under wire.SkipString's checks, then a counter under
 		// wire.ConsumeUvarint's, made in place; where one fails, the wire
 		// function, which fails on the same bytes, names the error.
 		l, k := binary.Uvarint(rest)
 		if k <= 0 || l >= wire.MaxStringLen || l > uint64(len(rest)-k) {
-			_, _, err := wire.SkipVarString(rest)
+			_, _, err := wire.SkipString(rest)
 			return fail(err)
 		}
 		rest = rest[k+int(l):]

@@ -149,7 +149,7 @@ func referenceDecodeVersion(data []byte) (Version, []byte, error) {
 	v := make(Version, n)
 	for i := uint64(0); i < n; i++ {
 		var site string
-		if site, data, err = wire.ConsumeVarString(data); err != nil {
+		if site, data, err = wire.ConsumeString(data); err != nil {
 			return nil, data, fmt.Errorf("%w: %v", ErrBadVersion, err)
 		}
 		var c uint64
@@ -236,7 +236,7 @@ func scanVersionSeeds() [][]byte {
 	}
 	// Not canonical, still a vector: unsorted sites, one site twice.
 	entry := func(b []byte, site string, c uint64) []byte {
-		return wire.AppendUvarint(wire.AppendVarString(b, site), c)
+		return wire.AppendUvarint(wire.AppendString(b, site), c)
 	}
 	out = append(out, entry(entry([]byte{2}, "b", 1), "a", 2))
 	out = append(out, entry(entry([]byte{2}, "a", 1), "a", 2))

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,10 +28,10 @@ func (*Empty) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// AppendList appends a list: a count, then each element as put writes it. A
-// decoder reads it back with Count and one read per element.
+// AppendList appends a list: a uvarint count, then each element as put
+// writes it. A decoder reads it back with Count and one read per element.
 func AppendList[T any](dst []byte, list []T, put func([]byte, T) []byte) []byte {
-	dst = AppendUint64(dst, uint64(len(list)))
+	dst = AppendUvarint(dst, uint64(len(list)))
 	for _, v := range list {
 		dst = put(dst, v)
 	}
@@ -42,11 +41,11 @@ func AppendList[T any](dst []byte, list []T, put func([]byte, T) []byte) []byte 
 // AppendStrings appends a string list. Body.Strings reads it back.
 func AppendStrings(dst []byte, list []string) []byte { return AppendList(dst, list, AppendString) }
 
-// AppendStringMap appends a string map: a count, then each key and its value
-// in sorted key order, so equal maps are equal bytes. Body.StringMap reads it
-// back.
+// AppendStringMap appends a string map: a uvarint count, then each key and
+// its value in sorted key order, so equal maps are equal bytes.
+// Body.StringMap reads it back.
 func AppendStringMap(dst []byte, m map[string]string) []byte {
-	dst = AppendUint64(dst, uint64(len(m)))
+	dst = AppendUvarint(dst, uint64(len(m)))
 	// Room on the stack for the maps the system sends; a wider one spills to
 	// the heap.
 	var room [16]string
@@ -93,17 +92,11 @@ func Consume[T any](b *Body, decode func([]byte) (T, []byte, error)) (v T) {
 	return v
 }
 
-// String reads a length-prefixed string.
+// String reads a string written by AppendString.
 func (b *Body) String() string { return Consume(b, ConsumeString) }
 
-// Uint64 reads a big-endian uint64.
-func (b *Body) Uint64() uint64 { return Consume(b, ConsumeUint64) }
-
-// VarString reads a string written by AppendVarString.
-func (b *Body) VarString() string { return Consume(b, ConsumeVarString) }
-
-// Uvarint reads an unsigned varint written by AppendUvarint.
-func (b *Body) Uvarint() uint64 { return Consume(b, ConsumeUvarint) }
+// Uint64 reads an unsigned varint written by AppendUvarint.
+func (b *Body) Uint64() uint64 { return Consume(b, ConsumeUvarint) }
 
 // Raw takes the next n bytes as they are, aliasing the body.
 func (b *Body) Raw(n int) []byte {
@@ -131,7 +124,7 @@ func (b *Body) Flags(allowed byte) byte {
 	return raw[0]
 }
 
-// Int reads an int carried as the uint64 of its two's complement.
+// Int reads an int carried as the uvarint of its two's complement.
 func (b *Body) Int() int {
 	v := b.Uint64()
 	if int64(int(v)) != int64(v) {
@@ -141,15 +134,11 @@ func (b *Body) Int() int {
 	return int(v)
 }
 
-// Count reads an element count and checks it against the bytes that remain —
-// each element takes at least minSize — so a corrupt count is an error
-// before it is an allocation.
-func (b *Body) Count(minSize int) int { return b.count(b.Uint64(), minSize) }
-
-// UvarintCount is Count for a count written by AppendUvarint.
-func (b *Body) UvarintCount(minSize int) int { return b.count(b.Uvarint(), minSize) }
-
-func (b *Body) count(n uint64, minSize int) int {
+// Count reads an element count, a uvarint, and checks it against the bytes
+// that remain — each element takes at least minSize — so a corrupt count is
+// an error before it is an allocation.
+func (b *Body) Count(minSize int) int {
+	n := b.Uint64()
 	if n > uint64(len(b.rest)/minSize) {
 		b.err = fmt.Errorf("%w: count %d in %d bytes", ErrBadBody, n, len(b.rest))
 		return 0
@@ -159,7 +148,7 @@ func (b *Body) count(n uint64, minSize int) int {
 
 // Strings reads a list written by AppendStrings; an empty one reads as nil.
 func (b *Body) Strings() []string {
-	n := b.Count(4)
+	n := b.Count(1) // a length
 	if n == 0 {
 		return nil
 	}
@@ -173,7 +162,7 @@ func (b *Body) Strings() []string {
 // StringMap reads a map written by AppendStringMap; an empty one reads as
 // nil.
 func (b *Body) StringMap() map[string]string {
-	n := b.Count(2 * 4)
+	n := b.Count(2) // a key's length and a value's
 	if n == 0 {
 		return nil
 	}
@@ -187,17 +176,15 @@ func (b *Body) StringMap() map[string]string {
 
 // Time reads an instant written by AppendTime, in UTC.
 func (b *Body) Time() time.Time {
-	sec := b.Uint64()
-	raw := b.Raw(4)
+	sec := Consume(b, ConsumeVarint)
+	nsec := b.Uint64()
+	if b.err == nil && nsec >= 1e9 {
+		b.err = fmt.Errorf("%w: %d nanoseconds", ErrBadBody, nsec)
+	}
 	if b.err != nil {
 		return time.Time{}
 	}
-	nsec := binary.BigEndian.Uint32(raw)
-	if nsec >= 1e9 {
-		b.err = fmt.Errorf("%w: %d nanoseconds", ErrBadBody, nsec)
-		return time.Time{}
-	}
-	return time.Unix(int64(sec), int64(nsec)).UTC()
+	return time.Unix(sec, int64(nsec)).UTC()
 }
 
 // Close ends the read: the first failure, or ErrBadBody when bytes are left

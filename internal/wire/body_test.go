@@ -13,13 +13,13 @@ import (
 func sample(at time.Time) []byte {
 	b := []byte{0xF1, 0b101}
 	b = AppendString(b, "köln")
-	b = AppendUint64(b, 1<<40)
-	b = AppendUint64(b, uint64(3)) // a count of three strings
+	b = AppendUvarint(b, 1<<40)
+	b = AppendUvarint(b, 3) // a count of three strings
 	for _, s := range []string{"a", "", "c"} {
 		b = AppendString(b, s)
 	}
 	minusSeven := -7
-	b = AppendUint64(b, uint64(minusSeven))
+	b = AppendUvarint(b, uint64(minusSeven))
 	b = AppendTime(b, at)
 	return append(b, 0xDE, 0xAD)
 }
@@ -33,7 +33,7 @@ func TestBodyReadsWhatTheHelpersAppend(t *testing.T) {
 	if s, v := b.String(), b.Uint64(); s != "köln" || v != 1<<40 {
 		t.Fatalf("String, Uint64 = %q, %d", s, v)
 	}
-	n := b.Count(4)
+	n := b.Count(1)
 	if n != 3 {
 		t.Fatalf("Count = %d", n)
 	}
@@ -81,9 +81,15 @@ func TestBodyTimeKeepsEveryInstant(t *testing.T) {
 			t.Fatalf("wrote %v (zero %v), read %v (zero %v)", at, at.IsZero(), got, got.IsZero())
 		}
 	}
-	over := OpenBody(append(AppendUint64([]byte{0xF1}, 0), 0x3B, 0x9A, 0xCA, 0x00), 0xF1, "instant") // 1e9 ns
-	if over.Time(); !errors.Is(over.Close(), ErrBadBody) {
-		t.Fatalf("a nanosecond field of 1e9: %v", over.Close())
+	if got := len(AppendTime(nil, time.Unix(708080400, 0))); got != 5+1 {
+		t.Fatalf("an instant on a whole second takes %d bytes, want 6", got)
+	}
+	for nsec, want := range map[uint64]error{1e9 - 1: nil, 1e9: ErrBadBody, 1 << 63: ErrBadBody} {
+		b := OpenBody(AppendUvarint(AppendVarint([]byte{0xF1}, -1), nsec), 0xF1, "instant")
+		got := b.Time()
+		if err := b.Close(); !errors.Is(err, want) || (want == nil) != (got == time.Unix(-1, int64(nsec)).UTC()) {
+			t.Fatalf("a nanosecond field of %d: %v, %v; want %v", nsec, got, err, want)
+		}
 	}
 }
 
@@ -95,7 +101,7 @@ func TestBodyFirstFailureSticks(t *testing.T) {
 	readAll := func(b *Body) {
 		b.Flags(0b111)
 		_, _ = b.String(), b.Uint64()
-		for range b.Count(4) {
+		for range b.Count(1) {
 			_ = b.String()
 		}
 		_, _ = b.Int(), b.Time()
@@ -115,6 +121,7 @@ func TestBodyFirstFailureSticks(t *testing.T) {
 	cases := map[string]func(*Body){
 		"another tag":  func(b *Body) { *b = OpenBody(whole, 0xF2, "other") },
 		"a stray flag": func(b *Body) { b.Flags(0b001) },
+
 		"a count too far": func(b *Body) {
 			b.Flags(0b111)
 			_, _ = b.String(), b.Uint64()
@@ -129,6 +136,10 @@ func TestBodyFirstFailureSticks(t *testing.T) {
 		if err := b.Close(); !errors.Is(err, ErrBadBody) {
 			t.Fatalf("%s: Close = %v, want ErrBadBody", name, err)
 		}
+	}
+	past64 := OpenBody(slices.Concat([]byte{0xF1}, bytes.Repeat([]byte{0xFF}, 9), []byte{0x02, 0}), 0xF1, "sample")
+	if n := past64.Count(1); n != 0 || !errors.Is(past64.Close(), ErrOversize) {
+		t.Fatalf("a count past 64 bits: Count = %d, Close %v", n, past64.Close())
 	}
 	if b := OpenBody(nil, 0xF1, "sample"); !errors.Is(b.Close(), ErrBadBody) {
 		t.Fatal("an empty body opened")
@@ -161,7 +172,7 @@ func TestConsumeRunsForeignDecoders(t *testing.T) {
 // bytes, and refuses any.
 func TestStringListsAndMaps(t *testing.T) {
 	list := []string{"a", "", "c"}
-	hand := AppendUint64(nil, uint64(len(list)))
+	hand := AppendUvarint(nil, uint64(len(list)))
 	for _, s := range list {
 		hand = AppendString(hand, s)
 	}
@@ -169,7 +180,7 @@ func TestStringListsAndMaps(t *testing.T) {
 		t.Fatalf("AppendStrings = %x, want %x", got, hand)
 	}
 	m := map[string]string{"b": "2", "köln": "", "": "0", "a": "1"}
-	sorted := AppendUint64(nil, uint64(len(m)))
+	sorted := AppendUvarint(nil, uint64(len(m)))
 	for _, k := range []string{"", "a", "b", "köln"} {
 		sorted = AppendString(AppendString(sorted, k), m[k])
 	}

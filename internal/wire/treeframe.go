@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -35,7 +36,7 @@ const treeFrameSize = 16
 
 // AppendTreeFrames appends a deterministic binary encoding of the frames
 // to dst: a uvarint frame count, then per frame the packed path and the
-// hash, in the shared codec layout. The encoding is what digest requests
+// hash, each a big-endian uint64. The encoding is what digest requests
 // carry (and what the digest-byte counters measure), so its size — the
 // count's uvarint and 16·frames — is the true wire cost of a negotiation
 // step.
@@ -43,8 +44,8 @@ func AppendTreeFrames(dst []byte, frames []TreeFrame) []byte {
 	dst = slices.Grow(dst, UvarintLen(uint64(len(frames)))+treeFrameSize*len(frames))
 	dst = AppendUvarint(dst, uint64(len(frames)))
 	for _, f := range frames {
-		dst = AppendUint64(dst, f.Path)
-		dst = AppendUint64(dst, f.Hash)
+		dst = binary.BigEndian.AppendUint64(dst, f.Path)
+		dst = binary.BigEndian.AppendUint64(dst, f.Hash)
 	}
 	return dst
 }
@@ -64,16 +65,10 @@ func DecodeTreeFrames(data []byte) ([]TreeFrame, error) {
 	if uint64(len(rest))%treeFrameSize != 0 || uint64(len(rest))/treeFrameSize != n {
 		return nil, fmt.Errorf("%w: %d frames in %d bytes", ErrBadTreeFrames, n, len(rest))
 	}
-	frames := make([]TreeFrame, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var f TreeFrame
-		if f.Path, rest, err = ConsumeUint64(rest); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTreeFrames, err)
-		}
-		if f.Hash, rest, err = ConsumeUint64(rest); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTreeFrames, err)
-		}
-		frames = append(frames, f)
+	frames := make([]TreeFrame, n)
+	for i := range frames {
+		frames[i] = TreeFrame{Path: binary.BigEndian.Uint64(rest), Hash: binary.BigEndian.Uint64(rest[8:])}
+		rest = rest[treeFrameSize:]
 	}
 	return frames, nil
 }

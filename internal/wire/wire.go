@@ -443,9 +443,12 @@ func (r *reader) u16() (uint16, error) {
 }
 
 func (r *reader) u64() (uint64, error) {
-	v, rest, err := ConsumeUint64(r.data[r.pos:])
-	r.pos = len(r.data) - len(rest)
-	return v, err
+	if r.pos+8 > len(r.data) {
+		return 0, ErrTruncated
+	}
+	v := binary.BigEndian.Uint64(r.data[r.pos:])
+	r.pos += 8
+	return v, nil
 }
 
 func (r *reader) uvarint() (uint64, error) {
@@ -630,65 +633,40 @@ func ReadRecord(r io.Reader, scratch []byte) (payload, newScratch []byte, err er
 
 // --- codec helpers --------------------------------------------------------
 //
-// Primitives shared by message bodies and record payload codecs:
-// big-endian integers, uint32 length-prefixed strings, and uvarints (zigzag
-// varints for signed values) for the lengths, counts and counters a body or
-// a row says in as few bytes as it can. Unlike an
-// envelope's strings they know no static table, so the bytes a body or a
-// log record holds do not depend on the wire version.
+// The primitives message bodies are built from, one form each: a string is
+// a uvarint length and its bytes, a count, sequence number or int a
+// uvarint, a signed value a zigzag varint, an instant a zigzag varint of
+// Unix seconds and a uvarint of nanoseconds. Unlike an envelope's strings
+// they know no static table, so the bytes a body or a row holds do not
+// depend on the wire version. The durable log's fixed-width records keep
+// their own helpers in their package.
 
-// AppendString appends a uint32 length-prefixed string.
+// AppendString appends a string prefixed with its length as a uvarint: one
+// byte of length for a string shorter than 128 bytes.
 func AppendString(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-// ConsumeString decodes a length-prefixed string from data, returning it
-// and the remaining bytes.
-func ConsumeString(data []byte) (string, []byte, error) {
-	if len(data) < 4 {
-		return "", data, ErrTruncated
-	}
-	// uint64 comparisons, for the same 32-bit overflow reason as NextRecord.
-	n := binary.BigEndian.Uint32(data)
-	if uint64(n) >= maxStringLen {
-		return "", data, fmt.Errorf("%w: %d-byte string", ErrOversize, n)
-	}
-	if uint64(len(data)) < 4+uint64(n) {
-		return "", data, ErrTruncated
-	}
-	return string(data[4 : 4+int(n)]), data[4+int(n):], nil
-}
-
-// AppendUvarint appends v as an unsigned varint: seven bits a byte, low
-// group first, so a value below 128 takes one byte.
-func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
-
-// AppendVarString appends a string prefixed with its length as a uvarint:
-// one byte of length for a string shorter than 128 bytes.
-func AppendVarString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-// ConsumeVarString decodes a string written by AppendVarString, returning
-// it and the remaining bytes, with ConsumeString's limits.
-func ConsumeVarString(data []byte) (string, []byte, error) {
-	s, rest, err := SkipVarString(data)
+// ConsumeString decodes a string written by AppendString, returning it and
+// the remaining bytes. A length at or past MaxStringLen is ErrOversize, one
+// past the bytes left ErrTruncated.
+func ConsumeString(data []byte) (string, []byte, error) {
+	s, rest, err := SkipString(data)
 	return string(s), rest, err
 }
 
-// SkipVarString is ConsumeVarString without the copy: the string's bytes
-// as a sub-slice of data, under the same checks. A length below 128, the
-// common case, is read inline.
-func SkipVarString(data []byte) (s, rest []byte, err error) {
+// SkipString is ConsumeString without the copy: the string's bytes as a
+// sub-slice of data, under the same checks. A length below 128, the common
+// case, is read inline.
+func SkipString(data []byte) (s, rest []byte, err error) {
 	if len(data) > 0 && data[0] < 0x80 && int(data[0]) < len(data) {
 		n := 1 + int(data[0])
 		return data[1:n], data[n:], nil
 	}
-	return skipLongVarString(data)
+	return skipLongString(data)
 }
 
-func skipLongVarString(data []byte) (s, rest []byte, err error) {
+func skipLongString(data []byte) (s, rest []byte, err error) {
 	n, rest, err := ConsumeUvarint(data)
 	switch {
 	case err != nil:
@@ -700,6 +678,10 @@ func skipLongVarString(data []byte) (s, rest []byte, err error) {
 	}
 	return rest[:n], rest[n:], nil
 }
+
+// AppendUvarint appends v as an unsigned varint: seven bits a byte, low
+// group first, so a value below 128 takes one byte.
+func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
 // UvarintLen is the number of bytes AppendUvarint writes for v.
 func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -743,27 +725,13 @@ func ConsumeVarint(data []byte) (int64, []byte, error) {
 	return v, data[n:], nil
 }
 
-// AppendUint64 appends a big-endian uint64.
-func AppendUint64(dst []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, v)
-}
-
-// ConsumeUint64 decodes a big-endian uint64 from data, returning it and
-// the remaining bytes.
-func ConsumeUint64(data []byte) (uint64, []byte, error) {
-	if len(data) < 8 {
-		return 0, data, ErrTruncated
-	}
-	return binary.BigEndian.Uint64(data), data[8:], nil
-}
-
-// AppendTime appends an instant as Unix seconds (uint64, two's complement)
-// and nanoseconds (uint32). Unlike UnixNano this holds every time.Time, the
-// zero one included: a field tested with IsZero reads as it was written.
-// Body.Time reads it back.
+// AppendTime appends an instant as its Unix seconds, a zigzag varint, and
+// its nanoseconds, a uvarint. Unlike UnixNano this holds every time.Time,
+// the zero one included: a field tested with IsZero reads as it was
+// written. Body.Time reads it back.
 func AppendTime(dst []byte, t time.Time) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(t.Unix()))
-	return binary.BigEndian.AppendUint32(dst, uint32(t.Nanosecond()))
+	dst = binary.AppendVarint(dst, t.Unix())
+	return binary.AppendUvarint(dst, uint64(t.Nanosecond()))
 }
 
 // EncodeBody encodes v for use as an envelope body: AppendBody into a

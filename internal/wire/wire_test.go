@@ -158,15 +158,13 @@ func TestBodyHelpers(t *testing.T) {
 type binaryBody struct{ N uint64 }
 
 func (b binaryBody) AppendBinary(dst []byte) ([]byte, error) {
-	return AppendUint64(append(dst, 0x80), b.N), nil
+	return AppendUvarint(append(dst, 0x80), b.N), nil
 }
 
 func (b *binaryBody) UnmarshalBinary(data []byte) error {
-	if len(data) != 9 || data[0] != 0x80 {
-		return errors.New("not a binaryBody")
-	}
-	b.N, _, _ = ConsumeUint64(data[1:])
-	return nil
+	body := OpenBody(data, 0x80, "binaryBody")
+	b.N = body.Uint64()
+	return body.Close()
 }
 
 // TestBodyFormFollowsTheType: a value with AppendBinary/UnmarshalBinary
@@ -177,7 +175,7 @@ func TestBodyFormFollowsTheType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := AppendUint64([]byte{0x80}, 7); !bytes.Equal(b, want) {
+	if want := []byte{0x80, 7}; !bytes.Equal(b, want) {
 		t.Fatalf("body = %x, want the type's own encoding %x", b, want)
 	}
 	var out binaryBody
@@ -316,22 +314,47 @@ func TestRecordTruncationAndCorruption(t *testing.T) {
 	}
 }
 
+// TestCodecHelpers: a string is a uvarint length and its bytes, a count a
+// uvarint; a string of MaxStringLen bytes or more, one longer than the bytes
+// left and a uvarint past 64 bits are refused before anything is copied.
 func TestCodecHelpers(t *testing.T) {
+	long := strings.Repeat("x", 200)
 	buf := AppendString(nil, "hello")
-	buf = AppendUint64(buf, 42)
+	buf = AppendString(buf, long)
+	buf = AppendUvarint(buf, 42)
+	if want := 1 + 5 + 2 + 200 + 1; len(buf) != want {
+		t.Fatalf("%d bytes, want %d: a one-byte length, a two-byte one and a one-byte count", len(buf), want)
+	}
 	s, rest, err := ConsumeString(buf)
 	if err != nil || s != "hello" {
 		t.Fatalf("ConsumeString = %q, %v", s, err)
 	}
-	v, rest, err := ConsumeUint64(rest)
+	if s, rest, err = ConsumeString(rest); err != nil || s != long {
+		t.Fatalf("ConsumeString of 200 bytes = %d bytes, %v", len(s), err)
+	}
+	v, rest, err := ConsumeUvarint(rest)
 	if err != nil || v != 42 || len(rest) != 0 {
-		t.Fatalf("ConsumeUint64 = %d, rest %d, %v", v, len(rest), err)
+		t.Fatalf("ConsumeUvarint = %d, rest %d, %v", v, len(rest), err)
 	}
-	if _, _, err := ConsumeString([]byte{0, 0}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short string: %v", err)
+	for name, c := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"no length":               {nil, ErrTruncated},
+		"a length past the bytes": {[]byte{3, 'a', 'b'}, ErrTruncated},
+		"a long length past them": {append(AppendUvarint(nil, 300), make([]byte, 299)...), ErrTruncated},
+		"MaxStringLen bytes":      {append(AppendUvarint(nil, MaxStringLen), make([]byte, MaxStringLen)...), ErrOversize},
+		"a length past 64 bits":   {append(bytes.Repeat([]byte{0xFF}, 9), 0x02, 'a'), ErrOversize},
+	} {
+		if _, got, err := ConsumeString(c.data); !errors.Is(err, c.want) || len(got) != len(c.data) {
+			t.Errorf("%s: %v with %d of %d bytes left, want %v and nothing taken", name, err, len(got), len(c.data), c.want)
+		}
 	}
-	if _, _, err := ConsumeUint64([]byte{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short uint64: %v", err)
+	if s, _, err := ConsumeString(append(AppendUvarint(nil, MaxStringLen-1), make([]byte, MaxStringLen-1)...)); err != nil || len(s) != MaxStringLen-1 {
+		t.Fatalf("a string of MaxStringLen-1 bytes: %d bytes, %v", len(s), err)
+	}
+	if _, _, err := ConsumeUvarint([]byte{0x80}); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short uvarint: %v", err)
 	}
 }
 

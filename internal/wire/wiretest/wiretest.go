@@ -138,10 +138,11 @@ func Golden(t *testing.T, cases []Case, want map[string]string) {
 }
 
 // RejectDamage: a body cut anywhere, one byte too many, another message's
-// body, or JSON are all errors, and a count of 2^60 stamped anywhere is an
-// error or a changed field, never a panic. aimed holds bodies that announce
-// 2^60 elements at one count each: with a few bytes behind them every
-// decoder must refuse them before anything is sized by the count.
+// body, or JSON are all errors, and 2^60 stamped anywhere is an error or a
+// changed field, never a panic. aimed holds the bytes of a body up to one of
+// its counts each: RejectDamage puts a count of 2^60 there, and a uvarint
+// past 64 bits, and with a few bytes behind either every decoder must refuse
+// the body before anything is sized by the count.
 func RejectDamage(t *testing.T, cases []Case, aimed map[string][]byte) {
 	t.Helper()
 	for _, c := range cases {
@@ -173,11 +174,14 @@ func RejectDamage(t *testing.T, cases []Case, aimed map[string][]byte) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for name, body := range aimed {
-		big := append(bytes.Clone(body), make([]byte, 64)...) // some bytes remain, far fewer than the count needs
-		for _, c := range cases {
-			if _, err := c.Decoded(big); err == nil {
-				t.Fatalf("%s count of 2^60 decoded as %s", name, c.Name)
+	past64 := append(bytes.Repeat([]byte{0xFF}, 9), 0x02)
+	for name, prefix := range aimed {
+		for what, count := range map[string][]byte{"a count of 2^60": binary.AppendUvarint(nil, 1<<60), "a uvarint past 64 bits": past64} {
+			big := slices.Concat(prefix, count, make([]byte, 64)) // some bytes remain, far fewer than the count needs
+			for _, c := range cases {
+				if _, err := c.Decoded(big); err == nil {
+					t.Fatalf("%s at %s decoded as %s", what, name, c.Name)
+				}
 			}
 		}
 	}
@@ -210,6 +214,30 @@ func Retired(tb testing.TB, path string) [][]byte {
 		bodies = append(bodies, b)
 	}
 	return bodies
+}
+
+// RetiredRefused: every body recorded at path (see Retired) fails on its
+// first byte — no message among cases opens with that tag — and so no
+// decoder among them reads it.
+func RetiredRefused(t *testing.T, path string, cases []Case) {
+	t.Helper()
+	live := map[byte]string{}
+	for _, c := range cases {
+		live[c.Encode(t)[0]] = c.Name
+	}
+	for _, b := range Retired(t, path) {
+		if len(b) == 0 {
+			continue // an empty reply, which an Empty still reads
+		}
+		if name, ok := live[b[0]]; ok {
+			t.Errorf("a retired body opens with %#x, the tag of %s: %x", b[0], name, b)
+		}
+		for _, c := range cases {
+			if _, err := c.Decoded(b); err == nil {
+				t.Errorf("a retired body decoded as %s: %x", c.Name, b)
+			}
+		}
+	}
 }
 
 // Fuzz runs the property every decoder is fuzzed for: whatever bytes
