@@ -27,6 +27,7 @@ package channel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -281,7 +282,7 @@ func (s *Stack) Send(to netsim.Address, env *wire.Envelope) error {
 	if b.epoch > 1 {
 		env.SetHeader(EpochHeader, strconv.FormatUint(b.epoch, 10))
 	}
-	data, err := wire.AppendMarshal(frames.get(), env) // the client stub: envelope to frame
+	data, err := wire.AppendMarshal(frames.get(env.SizeBound()), env) // the client stub: envelope to frame
 	if err != nil {
 		return err
 	}
@@ -445,42 +446,55 @@ func (s *Stack) onMessage(msg netsim.Message) {
 // frames is the free list of frame buffers: Send marshals into one, and
 // the stack that receives the frame gives it back once its receiver has
 // returned. Blocking callers send from their own goroutines, so it is a
-// locked stack of buffers (a sync.Pool would box each slice it holds).
+// locked stack of buffers per size class (a sync.Pool would box each slice
+// it holds).
 var frames framePool
 
-// The free list keeps no buffer larger than maxPooledFrame (a bulk repair
-// is left to the GC) and no more than maxPooledBytes in all, so it never
-// pins more than a busy instant's frames.
+// Buffers come in power-of-two size classes, from 1<<minFrameShift bytes
+// up to maxPooledFrame, so a frame takes a buffer that holds it and a large
+// frame never displaces a small buffer. The free list keeps no buffer
+// larger than maxPooledFrame (a bulk repair is left to the GC) and no more
+// than maxPooledBytes in all, so it never pins more than a busy instant's
+// frames.
 const (
-	maxPooledFrame = 64 << 10
+	minFrameShift  = 8
+	maxFrameShift  = 16
+	maxPooledFrame = 1 << maxFrameShift
 	maxPooledBytes = 1 << 20
 )
 
 type framePool struct {
 	mu   sync.Mutex
-	free [][]byte
-	held int // the capacity of the buffers on free
+	free [maxFrameShift - minFrameShift + 1][][]byte // by class
+	held int                                         // the capacity of the buffers on free
 }
 
-// get takes the buffer released last, emptied; nil when there is none, and
-// AppendMarshal then allocates the frame's exact size.
-func (p *framePool) get() []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
+// get returns an empty buffer that holds hint bytes: the one released last
+// in the smallest class that holds it, or a new one of that class's size.
+// Past the largest class it returns nil, and AppendMarshal then allocates
+// the frame's exact size.
+func (p *framePool) get(hint int) []byte {
+	if hint > maxPooledFrame {
 		return nil
 	}
-	b := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	p.held -= cap(b)
-	return b
+	shift := max(bits.Len(uint(max(hint, 1)-1)), minFrameShift) // ⌈log₂ hint⌉
+	c := shift - minFrameShift
+	p.mu.Lock()
+	if n := len(p.free[c]); n > 0 {
+		b := p.free[c][n-1]
+		p.free[c][n-1] = nil
+		p.free[c] = p.free[c][:n-1]
+		p.held -= cap(b)
+		p.mu.Unlock()
+		return b
+	}
+	p.mu.Unlock()
+	return make([]byte, 0, 1<<shift)
 }
 
-// put gives a frame's buffer back. Under the race detector it is poisoned
-// first, so a receiver that kept a slice of it reads 0xA5 instead of the
-// frame it was lent.
+// put gives a frame's buffer back, filed under the largest class it holds.
+// Under the race detector it is poisoned first, so a receiver that kept a
+// slice of it reads 0xA5 instead of the frame it was lent.
 func (p *framePool) put(b []byte) {
 	c := cap(b)
 	if poisonFrames {
@@ -489,12 +503,13 @@ func (p *framePool) put(b []byte) {
 			b[i] = 0xA5
 		}
 	}
-	if c == 0 || c > maxPooledFrame {
+	if c < 1<<minFrameShift || c > maxPooledFrame {
 		return
 	}
+	class := bits.Len(uint(c)) - 1 - minFrameShift // ⌊log₂ c⌋
 	p.mu.Lock()
 	if p.held+c <= maxPooledBytes {
-		p.free = append(p.free, b[:0])
+		p.free[class] = append(p.free[class], b[:0])
 		p.held += c
 	}
 	p.mu.Unlock()

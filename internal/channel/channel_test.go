@@ -125,6 +125,36 @@ func TestKeptBodyIsPoisoned(t *testing.T) {
 	}
 }
 
+// TestFramePoolClasses: the free list hands a frame a buffer from the
+// smallest class that holds it — a large frame leaves a small buffer where
+// it is, and a small frame takes the small buffer, not a large one — and
+// keeps no buffer past maxPooledFrame.
+func TestFramePoolClasses(t *testing.T) {
+	var p framePool
+	small, large := make([]byte, 0, 300), make([]byte, 0, 40<<10)
+	p.put(small) // filed as 256
+	p.put(large) // filed as 32 KiB
+	if b := p.get(1000); cap(b) < 1000 || cap(b) == cap(small) || cap(b) == cap(large) {
+		t.Fatalf("a 1000-byte frame got a buffer of %d bytes, want a new 1 KiB one", cap(b))
+	}
+	if b := p.get(200); cap(b) != cap(small) {
+		t.Fatalf("a 200-byte frame got a buffer of %d bytes, want the 300-byte one", cap(b))
+	}
+	if b := p.get(20 << 10); cap(b) != cap(large) {
+		t.Fatalf("a 20 KiB frame got a buffer of %d bytes, want the 40 KiB one", cap(b))
+	}
+	if p.held != 0 {
+		t.Fatalf("the emptied free list holds %d bytes", p.held)
+	}
+	if b := p.get(maxPooledFrame + 1); b != nil {
+		t.Fatalf("a frame past the largest class got a %d-byte buffer, want none", cap(b))
+	}
+	p.put(make([]byte, 0, maxPooledFrame+1))
+	if p.held != 0 {
+		t.Fatalf("a buffer past maxPooledFrame was kept: %d bytes held", p.held)
+	}
+}
+
 // raceEnabled is set by race_test.go when the tests run under -race.
 var raceEnabled bool
 

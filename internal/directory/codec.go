@@ -78,9 +78,11 @@ func (m *searchReq) UnmarshalBinary(data []byte) error {
 	return b.Close()
 }
 
-// appendEntry writes an entry: its DN in string form, then its attributes.
+// appendEntry writes an entry: its DN in string form, rendered straight
+// into b, then its attributes.
 func appendEntry(b []byte, e *Entry) []byte {
-	return AppendAttributes(wire.AppendString(b, e.DN.String()), e.Attrs)
+	b = e.DN.appendText(wire.AppendUvarint(b, uint64(e.DN.textLen())))
+	return AppendAttributes(b, e.Attrs)
 }
 
 // consumeEntry reads an entry written by appendEntry: a DN that does not

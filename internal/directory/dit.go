@@ -190,7 +190,11 @@ func (s Scope) covers(depth int) bool {
 // term or an And holding one, and from the subtree walk for every other
 // filter and whenever aliases are dereferenced (an alias stands for an entry
 // the index files elsewhere). Either way each candidate in scope meets the
-// whole filter, the size limit and Clone in turn.
+// whole filter and the size limit in turn.
+//
+// The entries are lent: they are the DIT's own, which it never edits (it
+// has no Modify or Delete, and Add stores a new entry), so the caller reads
+// them — encodes them, say — and edits none. Read returns a copy.
 func (d *DIT) Search(req SearchRequest) ([]*Entry, error) {
 	if req.Filter == nil {
 		req.Filter = allFilter{}
@@ -222,7 +226,7 @@ func (d *DIT) Search(req SearchRequest) ([]*Entry, error) {
 			if req.SizeLimit > 0 && len(out) >= req.SizeLimit {
 				return ErrSizeLimit
 			}
-			out = append(out, target.Clone())
+			out = append(out, target)
 		}
 		return nil
 	}
@@ -370,10 +374,10 @@ func (d *DIT) derefLocked(e *Entry, hops int) (*Entry, error) {
 	return target, nil
 }
 
+// sortEntries orders stored entries by DN, whose normalized form each
+// holds as its key.
 func sortEntries(entries []*Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].DN.Normalized() < entries[j].DN.Normalized()
-	})
+	slices.SortFunc(entries, func(a, b *Entry) int { return strings.Compare(a.key, b.key) })
 }
 
 // Common object classes used across the repository.

@@ -304,14 +304,22 @@ func scanSearch(d *DIT, req SearchRequest) ([]*Entry, error) {
 	}
 	err := walk(baseKey, 0)
 	if errors.Is(err, ErrSizeLimit) {
-		sortEntries(out)
+		sortByDN(out)
 		return out, err
 	}
 	if err != nil {
 		return nil, err
 	}
-	sortEntries(out)
+	sortByDN(out)
 	return out, nil
+}
+
+// sortByDN orders entries by their normalized DN, computed afresh: the
+// reference's clones hold no stored key.
+func sortByDN(entries []*Entry) {
+	sort.Slice(entries, func(i, j int) bool {
+		return entries[i].DN.Normalized() < entries[j].DN.Normalized()
+	})
 }
 
 // The pools a search script draws from. RDN values are chosen so sibling keys

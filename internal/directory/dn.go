@@ -22,11 +22,6 @@ type RDN struct {
 	Value string
 }
 
-// String renders the RDN with escaping.
-func (r RDN) String() string {
-	return escapeDN(strings.ToLower(r.Attr)) + "=" + escapeDN(r.Value)
-}
-
 // DN is a distinguished name: RDNs ordered from leaf to root, as in
 // "cn=Prinz,ou=CSCW,o=GMD,c=DE".
 type DN []RDN
@@ -35,25 +30,48 @@ type DN []RDN
 var ErrBadDN = errors.New("directory: malformed DN")
 
 // ParseDN parses a string form distinguished name. Empty input yields the
-// root DN (len 0). Components are comma-separated attr=value pairs;
-// backslash escapes ',', '=', '\', and leading/trailing spaces are trimmed
-// unless escaped.
+// root DN (len 0). Components are comma-separated attr=value pairs; a
+// backslash escapes the byte after it (',', '=' and '\\' are the ones
+// that need it; a dangling one at the end is dropped), and spaces around
+// an attribute or value are trimmed. One pass finds the components: an
+// attribute or value with no escape is a substring of s, so only the DN's
+// slice of RDNs is allocated for it.
 func ParseDN(s string) (DN, error) {
 	if strings.TrimSpace(s) == "" {
 		return DN{}, nil
 	}
-	var dn DN
-	for _, part := range splitUnescaped(s, ',') {
-		kv := splitUnescaped(part, '=')
-		if len(kv) != 2 {
+	dn := make(DN, 0, strings.Count(s, ",")+1)
+	start, eq, eqs, escaped := 0, 0, 0, false
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) {
+			switch c := s[i]; {
+			case escaped:
+				escaped = false
+				continue
+			case c == '\\':
+				escaped = true
+				continue
+			case c == '=':
+				if eqs == 0 {
+					eq = i
+				}
+				eqs++
+				continue
+			case c != ',':
+				continue
+			}
+		}
+		part := s[start:i]
+		if eqs != 1 {
 			return nil, fmt.Errorf("%w: component %q", ErrBadDN, part)
 		}
-		attr := strings.TrimSpace(unescapeDN(kv[0]))
-		val := strings.TrimSpace(unescapeDN(kv[1]))
+		attr := strings.TrimSpace(unescapeDN(s[start:eq]))
+		val := strings.TrimSpace(unescapeDN(s[eq+1 : i]))
 		if attr == "" || val == "" {
 			return nil, fmt.Errorf("%w: empty attribute or value in %q", ErrBadDN, part)
 		}
 		dn = append(dn, RDN{Attr: strings.ToLower(attr), Value: val})
+		start, eqs = i+1, 0
 	}
 	return dn, nil
 }
@@ -70,21 +88,43 @@ func MustParseDN(s string) DN {
 
 // String renders the DN in string form.
 func (d DN) String() string {
-	parts := make([]string, len(d))
+	return string(d.appendText(make([]byte, 0, d.textLen())))
+}
+
+// appendText appends the DN's string form: each RDN's, comma-separated.
+func (d DN) appendText(b []byte) []byte {
 	for i, r := range d {
-		parts[i] = r.String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendEscaped(b, strings.ToLower(r.Attr)), '=')
+		b = appendEscaped(b, r.Value)
 	}
-	return strings.Join(parts, ",")
+	return b
+}
+
+// textLen is the length of the DN's string form.
+func (d DN) textLen() int {
+	n := max(len(d)-1, 0)
+	for _, r := range d {
+		n += escapedLen(strings.ToLower(r.Attr)) + 1 + escapedLen(r.Value)
+	}
+	return n
 }
 
 // Normalized returns a canonical key for map lookups: lowercase attributes,
 // case-folded values.
 func (d DN) Normalized() string {
-	parts := make([]string, len(d))
+	var b strings.Builder
 	for i, r := range d {
-		parts[i] = strings.ToLower(r.Attr) + "=" + strings.ToLower(r.Value)
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strings.ToLower(r.Attr))
+		b.WriteByte('=')
+		b.WriteString(strings.ToLower(r.Value))
 	}
-	return strings.Join(parts, ",")
+	return b.String()
 }
 
 // Equal reports whether two DNs name the same entry (case-insensitive
@@ -112,14 +152,6 @@ func (d DN) Child(attr, value string) DN {
 	return out
 }
 
-// RDNString returns the leaf RDN in string form, or "" for the root.
-func (d DN) RDNString() string {
-	if len(d) == 0 {
-		return ""
-	}
-	return d[0].String()
-}
-
 // IsRoot reports whether this is the empty (root) DN.
 func (d DN) IsRoot() bool { return len(d) == 0 }
 
@@ -141,49 +173,37 @@ func (d DN) IsDescendantOf(ancestor DN) bool {
 	return true
 }
 
-// splitUnescaped splits s on sep, honouring backslash escapes.
-func splitUnescaped(s string, sep byte) []string {
-	var parts []string
-	var cur strings.Builder
-	escaped := false
+// dnSpecial reports whether the byte takes a backslash in a DN's string
+// form.
+func dnSpecial(c byte) bool { return c == ',' || c == '=' || c == '\\' }
+
+// appendEscaped appends s with a backslash before each DN-special byte.
+func appendEscaped(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case escaped:
-			cur.WriteByte('\\')
-			cur.WriteByte(c)
-			escaped = false
-		case c == '\\':
-			escaped = true
-		case c == sep:
-			parts = append(parts, cur.String())
-			cur.Reset()
-		default:
-			cur.WriteByte(c)
+		if dnSpecial(s[i]) {
+			b = append(b, '\\')
 		}
+		b = append(b, s[i])
 	}
-	if escaped {
-		cur.WriteByte('\\') // dangling escape kept literally
-	}
-	parts = append(parts, cur.String())
-	return parts
+	return b
 }
 
-// escapeDN escapes DN-special characters in a value.
-func escapeDN(s string) string {
-	var b strings.Builder
+// escapedLen is the length of s escaped.
+func escapedLen(s string) int {
+	n := len(s)
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == ',' || c == '=' || c == '\\' {
-			b.WriteByte('\\')
+		if dnSpecial(s[i]) {
+			n++
 		}
-		b.WriteByte(c)
 	}
-	return b.String()
+	return n
 }
 
-// unescapeDN removes backslash escapes.
+// unescapeDN removes backslash escapes; s itself when it holds none.
 func unescapeDN(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s
+	}
 	var b strings.Builder
 	escaped := false
 	for i := 0; i < len(s); i++ {

@@ -1,10 +1,15 @@
 package directory
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mocca/internal/wire"
 )
 
 func TestParseDN(t *testing.T) {
@@ -67,9 +72,6 @@ func TestParentChild(t *testing.T) {
 	if !root.Parent().IsRoot() {
 		t.Fatal("root parent is not root")
 	}
-	if dn.RDNString() != "cn=Prinz" {
-		t.Fatalf("RDNString = %q", dn.RDNString())
-	}
 }
 
 func TestIsDescendantOf(t *testing.T) {
@@ -101,7 +103,7 @@ func TestDNRoundTripQuick(t *testing.T) {
 				return true
 			}
 			attr := []string{"cn", "ou", "o"}[i]
-			parts = append(parts, attr+"="+escapeDN(v))
+			parts = append(parts, attr+"="+referenceEscape(v))
 		}
 		s := strings.Join(parts, ",")
 		dn, err := ParseDN(s)
@@ -172,4 +174,137 @@ func TestBadDNError(t *testing.T) {
 	if !errors.Is(err, ErrBadDN) {
 		t.Fatalf("err = %v, want ErrBadDN", err)
 	}
+}
+
+// referenceParseDN is the parser ParseDN replaced, kept as its reference:
+// it splits on unescaped commas, splits each part again on unescaped '='
+// and unescapes each side through a builder of its own.
+func referenceParseDN(s string) (DN, error) {
+	if strings.TrimSpace(s) == "" {
+		return DN{}, nil
+	}
+	var dn DN
+	for _, part := range referenceSplit(s, ',') {
+		kv := referenceSplit(part, '=')
+		if len(kv) != 2 {
+			return nil, fmt.Errorf("%w: component %q", ErrBadDN, part)
+		}
+		attr := strings.TrimSpace(referenceUnescape(kv[0]))
+		val := strings.TrimSpace(referenceUnescape(kv[1]))
+		if attr == "" || val == "" {
+			return nil, fmt.Errorf("%w: empty attribute or value in %q", ErrBadDN, part)
+		}
+		dn = append(dn, RDN{Attr: strings.ToLower(attr), Value: val})
+	}
+	return dn, nil
+}
+
+// referenceSplit splits s on sep, honouring backslash escapes.
+func referenceSplit(s string, sep byte) []string {
+	var parts []string
+	var cur strings.Builder
+	escaped := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case escaped:
+			cur.WriteByte('\\')
+			cur.WriteByte(c)
+			escaped = false
+		case c == '\\':
+			escaped = true
+		case c == sep:
+			parts = append(parts, cur.String())
+			cur.Reset()
+		default:
+			cur.WriteByte(c)
+		}
+	}
+	if escaped {
+		cur.WriteByte('\\') // dangling escape kept literally
+	}
+	parts = append(parts, cur.String())
+	return parts
+}
+
+// referenceUnescape removes backslash escapes.
+func referenceUnescape(s string) string {
+	var b strings.Builder
+	escaped := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if escaped {
+			b.WriteByte(c)
+			escaped = false
+			continue
+		}
+		if c == '\\' {
+			escaped = true
+			continue
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
+// referenceDNString is the string form DN.String rendered before it wrote
+// into one buffer: each RDN escaped on its own, joined by commas.
+func referenceDNString(d DN) string {
+	parts := make([]string, len(d))
+	for i, r := range d {
+		parts[i] = referenceEscape(strings.ToLower(r.Attr)) + "=" + referenceEscape(r.Value)
+	}
+	return strings.Join(parts, ",")
+}
+
+func referenceEscape(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == ',' || c == '=' || c == '\\' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
+}
+
+// FuzzParseDNMatchesReference: for every input ParseDN returns the DN the
+// reference parser returns, or the same error; a DN it returns renders
+// the reference's string form, in String and in the search answer's
+// entry encoding, and renders its normalized key as the RDNs joined.
+func FuzzParseDNMatchesReference(f *testing.F) {
+	for _, s := range []string{
+		"", "  ", "cn=Prinz,ou=CSCW,o=GMD,c=DE", "CN = Prinz , O=GMD", "cn=a\\,b,o=x",
+		"cn=a\\=b", "cn=a\\", "cn=\\ ", "cn=a=b", "cn", "=v", "cn=,o=x", "cn=x,,o=y",
+		"cn=x,", ",", "\\,=\\=", "cn=İ,o=ſ", "cn=\xff\\\xfe", "a=b,c=d,e=f,g=h,i=j,k=l,m=n,o=p,q=r",
+		"ou=ou003,o=mocca", "cn=\t x \t",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseDN(s)
+		want, werr := referenceParseDN(s)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("ParseDN(%q) error %v, reference %v", s, err, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseDN(%q) = %#v, reference %#v", s, got, want)
+		}
+		if err != nil {
+			return
+		}
+		if text, ref := got.String(), referenceDNString(got); text != ref {
+			t.Fatalf("ParseDN(%q).String() = %q, reference %q", s, text, ref)
+		}
+		if enc, ref := appendEntry(nil, &Entry{DN: got}), wire.AppendString(nil, referenceDNString(got)); !bytes.HasPrefix(enc, ref) {
+			t.Fatalf("the entry encoding of ParseDN(%q) is %x, want the DN as %x", s, enc, ref)
+		}
+		keys := make([]string, len(got))
+		for i, r := range got {
+			keys[i] = strings.ToLower(r.Attr) + "=" + strings.ToLower(r.Value)
+		}
+		if key := got.Normalized(); key != strings.Join(keys, ",") {
+			t.Fatalf("ParseDN(%q).Normalized() = %q, want %q", s, key, strings.Join(keys, ","))
+		}
+	})
 }

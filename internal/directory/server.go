@@ -40,32 +40,38 @@ func NewServer(endpoint *rpc.Endpoint, dit *DIT) *Server {
 
 func (s *Server) register() {
 	s.endpoint.MustRegister(MethodSearch, rpc.Handle(func(_ netsim.Address, req searchReq) (searchResp, error) {
-		base, err := ParseDN(req.Base)
+		return s.search(req)
+	}))
+}
+
+// search answers x500.search with the entries the DIT lends: the handler
+// encodes them before it returns, so the answer copies none.
+func (s *Server) search(req searchReq) (searchResp, error) {
+	base, err := ParseDN(req.Base)
+	if err != nil {
+		return searchResp{}, err
+	}
+	var filter Filter
+	if req.Filter != "" {
+		filter, err = ParseFilter(req.Filter)
 		if err != nil {
 			return searchResp{}, err
 		}
-		var filter Filter
-		if req.Filter != "" {
-			filter, err = ParseFilter(req.Filter)
-			if err != nil {
-				return searchResp{}, err
-			}
-		}
-		entries, err := s.dit.Search(SearchRequest{
-			Base:         base,
-			Scope:        Scope(req.Scope),
-			Filter:       filter,
-			SizeLimit:    req.SizeLimit,
-			DerefAliases: req.Deref,
-		})
-		partial := false
-		if err == ErrSizeLimit {
-			partial = true
-		} else if err != nil {
-			return searchResp{}, err
-		}
-		return searchResp{Entries: entries, Partial: partial}, nil
-	}))
+	}
+	entries, err := s.dit.Search(SearchRequest{
+		Base:         base,
+		Scope:        Scope(req.Scope),
+		Filter:       filter,
+		SizeLimit:    req.SizeLimit,
+		DerefAliases: req.Deref,
+	})
+	partial := false
+	if err == ErrSizeLimit {
+		partial = true
+	} else if err != nil {
+		return searchResp{}, err
+	}
+	return searchResp{Entries: entries, Partial: partial}, nil
 }
 
 // Client is a Directory User Agent bound to one DSA address.

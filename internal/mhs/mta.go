@@ -3,6 +3,8 @@ package mhs
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -137,7 +139,9 @@ func (m *MTA) CreateDL(name string, members ...ORName) error {
 
 // Watch registers a callback invoked on every local delivery. Callbacks
 // run on the event goroutine and must not block; the comm layer uses this
-// to bridge asynchronous messages into live sessions.
+// to bridge asynchronous messages into live sessions. The message is the
+// store's own entry, and its envelope is shared with the other local
+// recipients and the relays: a watcher reads them and edits neither.
 func (m *MTA) Watch(fn func(rcpt ORName, msg *StoredMessage)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -152,12 +156,24 @@ func (m *MTA) Stats() Stats {
 }
 
 // Submit accepts a message from a co-located user agent, stamps it, and
-// begins processing. It returns the assigned message id.
+// begins processing. It returns the assigned message id. The MTA works on
+// a copy of env, so the caller keeps its envelope and may reuse it.
 func (m *MTA) Submit(env *Envelope) (string, error) {
-	if len(env.Recipients) == 0 {
+	e := *env
+	e.Recipients = slices.Clone(env.Recipients)
+	e.Trace = slices.Clone(env.Trace)
+	e.DLHistory = slices.Clone(env.DLHistory)
+	e.Content.Headers = maps.Clone(env.Content.Headers)
+	return m.submit(&e)
+}
+
+// submit stamps and processes an envelope the MTA now owns: from here on it
+// is only read, by the stores it is delivered to and the relays it leaves
+// by, except for the trace stamp process adds first.
+func (m *MTA) submit(e *Envelope) (string, error) {
+	if len(e.Recipients) == 0 {
 		return "", errors.New("mhs: no recipients")
 	}
-	e := env.clone()
 	if e.MessageID == "" {
 		e.MessageID = m.ids.Next("msg")
 	}
@@ -179,24 +195,36 @@ func (m *MTA) Submit(env *Envelope) (string, error) {
 }
 
 // process routes the envelope: local recipients are delivered (or
-// expanded), remote ones are grouped by domain and relayed.
+// expanded), remote ones are grouped by domain, in the order each domain
+// first appears, and relayed. process owns env until it stamps the trace;
+// after that env is shared read-only with the stores it reaches and the
+// relays, so a domain that holds only some of the recipients leaves by a
+// shallow copy with its own recipient list, and one that holds them all
+// leaves by env itself.
 func (m *MTA) process(env *Envelope) {
 	env.Trace = append(env.Trace, TraceEntry{MTA: m.name, At: m.clock.Now()})
 
-	byDomain := make(map[string][]ORName)
-	for _, rcpt := range env.Recipients {
-		byDomain[rcpt.Domain()] = append(byDomain[rcpt.Domain()], rcpt)
-	}
-	for domain, rcpts := range byDomain {
-		if domain == m.domain {
-			for _, rcpt := range rcpts {
-				m.deliverLocal(env, rcpt)
+	rcpts := env.Recipients
+	for i, rcpt := range rcpts {
+		domain := rcpt.Domain()
+		in := func(r ORName) bool { return r.inDomain(domain) }
+		out := func(r ORName) bool { return !r.inDomain(domain) }
+		switch {
+		case slices.ContainsFunc(rcpts[:i], in):
+			// The domain's group left with its first recipient.
+		case domain == m.domain:
+			for _, r := range rcpts[i:] {
+				if in(r) {
+					m.deliverLocal(env, r)
+				}
 			}
-			continue
+		case !slices.ContainsFunc(rcpts, out):
+			m.relay(env, domain)
+		default:
+			remote := *env
+			remote.Recipients = slices.DeleteFunc(slices.Clone(rcpts[i:]), out)
+			m.relay(&remote, domain)
 		}
-		remote := env.clone()
-		remote.Recipients = rcpts
-		m.relay(remote, domain)
 	}
 }
 
@@ -249,14 +277,15 @@ func (m *MTA) deliverLocal(env *Envelope, rcpt ORName) {
 	}
 	m.boxSeq++
 	stored := &StoredMessage{
-		Envelope:    env.clone(),
+		Envelope:    env,
 		Seq:         m.boxSeq,
 		DeliveredAt: m.clock.Now(),
 	}
 	m.boxes[key] = append(m.boxes[key], stored)
 	m.stats.DeliveredHere++
-	watchers := make([]func(ORName, *StoredMessage), len(m.watchers))
-	copy(watchers, m.watchers)
+	// Watch only appends, so the watchers up to this length stay as they
+	// are after the lock is released.
+	watchers := m.watchers
 	m.mu.Unlock()
 
 	for _, w := range watchers {
@@ -286,12 +315,14 @@ func (m *MTA) expandDL(env *Envelope, dl ORName, members []ORName) {
 	m.mu.Unlock()
 
 	// Expansion is a fresh submission on behalf of the list: the copy gets
-	// a clean trace (DLHistory still guards against mutual inclusion).
-	expanded := env.clone()
-	expanded.DLHistory = append(expanded.DLHistory, dlKey)
+	// a clean trace (DLHistory still guards against mutual inclusion). It
+	// shares the content with env and its recipients with the list, all
+	// read-only; the history it extends is its own.
+	expanded := *env
+	expanded.DLHistory = append(slices.Clip(env.DLHistory), dlKey)
 	expanded.Recipients = members
 	expanded.Trace = nil
-	m.process(expanded)
+	m.process(&expanded)
 }
 
 // relay forwards the envelope toward the next hop for the domain. Retries

@@ -101,6 +101,16 @@ func (n ORName) Domain() string {
 	return n.Org
 }
 
+// inDomain reports whether the name's Domain is domain, without building
+// it.
+func (n ORName) inDomain(domain string) bool {
+	if n.Country == "" {
+		return n.Org == domain
+	}
+	return len(domain) == len(n.Org)+1+len(n.Country) && domain[len(n.Org)] == '.' &&
+		strings.HasPrefix(domain, n.Org) && strings.HasSuffix(domain, n.Country)
+}
+
 // Equal compares O/R names.
 func (n ORName) Equal(o ORName) bool { return n == o }
 
@@ -159,21 +169,6 @@ type Envelope struct {
 	DLHistory []string
 }
 
-// clone deep-copies the envelope.
-func (e *Envelope) clone() *Envelope {
-	out := *e
-	out.Recipients = append([]ORName(nil), e.Recipients...)
-	out.Trace = append([]TraceEntry(nil), e.Trace...)
-	out.DLHistory = append([]string(nil), e.DLHistory...)
-	if e.Content.Headers != nil {
-		out.Content.Headers = make(map[string]string, len(e.Content.Headers))
-		for k, v := range e.Content.Headers {
-			out.Content.Headers[k] = v
-		}
-	}
-	return &out
-}
-
 // visits counts how often the named MTA appears in the trace.
 func (e *Envelope) visits(mta string) int {
 	n := 0
@@ -216,7 +211,12 @@ type Report struct {
 	At        time.Time
 }
 
-// StoredMessage is an entry in a recipient's message store.
+// StoredMessage is an entry in a recipient's message store. It is
+// read-only: the MTA stores the envelope it processed, not a copy, so one
+// Envelope is shared by every local recipient's entry, by the reports
+// about it and by the relays that carry it on. List and Watch hand out the
+// store's own entries; their readers edit neither the entry nor its
+// envelope.
 type StoredMessage struct {
 	Envelope *Envelope
 	Report   *Report

@@ -1,6 +1,9 @@
 package mhs
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // UserAgent is the submission/retrieval interface a person or application
 // uses, attached to its home MTA (local P3/P7 access).
@@ -49,17 +52,19 @@ func WithInReplyTo(msgID string) SubmitOption {
 	return func(e *Envelope) { e.Content.InReplyTo = msgID }
 }
 
-// Send submits an interpersonal message and returns the message id.
+// Send submits an interpersonal message and returns the message id. The
+// envelope is built here and handed to the MTA whole; of the caller's
+// arguments only the recipient slice needs a copy.
 func (ua *UserAgent) Send(to []ORName, subject, body string, opts ...SubmitOption) (string, error) {
 	env := &Envelope{
 		Originator: ua.Name,
-		Recipients: to,
+		Recipients: slices.Clone(to),
 		Content:    Content{Subject: subject, Body: body},
 	}
 	for _, opt := range opts {
 		opt(env)
 	}
-	return ua.mta.Submit(env)
+	return ua.mta.submit(env)
 }
 
 // List returns the mailbox contents.

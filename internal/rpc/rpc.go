@@ -92,7 +92,9 @@ type Request struct {
 type Handler func(req Request) ([]byte, error)
 
 // AsyncHandler services an invocation that completes later: the handler
-// must call reply exactly once (possibly from a different event). Handlers
+// must call reply exactly once (possibly from a different event). reply
+// sends before it returns and keeps no reference to body, so the handler
+// may reuse the buffer afterwards. Handlers
 // that fan out to other services over the network MUST use this form —
 // blocking inside a Handler stalls the event loop under a simulated clock.
 type AsyncHandler func(req Request, reply func(body []byte, err error))

@@ -14,6 +14,10 @@ import (
 	"mocca/internal/wire/wiretest"
 )
 
+// raceEnabled is set under the race detector, whose sync.Pool drops a
+// share of its Puts, so allocation counts are not held there.
+var raceEnabled bool
+
 // harnessOffer is the offer the workload harness exports per site and its
 // trader lookup imports.
 func harnessOffer(i int) Offer {
@@ -158,21 +162,21 @@ func TestImportResultIsTheCallersOwn(t *testing.T) {
 		first[i].Properties.Add("extra", "x")
 		delete(first[i].Properties, "site")
 	}
-	var again []Offer
-	tr.ImportAsync(req, func(offers []Offer, err error) {
-		if err != nil {
-			t.Fatal(err)
+	fired := false
+	tr.ImportAsync(req, func(again []Offer, err error) {
+		fired = true // the offers are lent until done returns: read here
+		if err != nil || len(again) != 3 {
+			t.Fatalf("the second import returned %v, %v", again, err)
 		}
-		again = offers
+		for i, o := range again {
+			want := fmt.Sprintf("s%03d", 9-i)
+			if o.Properties.First("site") != want || len(o.Properties) != 1 {
+				t.Fatalf("after the edit offer %d reads %v, want site %s alone", i, o.Properties, want)
+			}
+		}
 	})
-	if len(again) != 3 {
-		t.Fatalf("the second import returned %v", again)
-	}
-	for i, o := range again {
-		want := fmt.Sprintf("s%03d", 9-i)
-		if o.Properties.First("site") != want || len(o.Properties) != 1 {
-			t.Fatalf("after the edit offer %d reads %v, want site %s alone", i, o.Properties, want)
-		}
+	if !fired {
+		t.Fatal("the second import did not answer")
 	}
 }
 
@@ -193,10 +197,11 @@ func TestImportAllocations(t *testing.T) {
 }
 
 // TestImportHandlerLendsOffers: ImportAsync lends the store's offers to its
-// callback, and the trader.import handler encodes them there — so answering
-// with sixteen offers costs hardly more allocations than answering with
-// one, where a copy of each offer would cost two (its property map and a
-// value slice).
+// callback, and the trader.import handler encodes them there into a pooled
+// buffer — so answering with sixteen offers costs no more allocations than
+// answering with one, where a copy of each offer would cost two (its
+// property map and a value slice) and a buffer grown from nil one per
+// doubling.
 func TestImportHandlerLendsOffers(t *testing.T) {
 	tr, _, _, _ := importRound(t)
 	tr.ImportAsync(ImportRequest{ServiceType: "cscw.collab"}, func(offers []Offer, err error) {
@@ -209,6 +214,9 @@ func TestImportHandlerLendsOffers(t *testing.T) {
 			}
 		}
 	})
+	if raceEnabled {
+		return // allocation counts are not held under -race
+	}
 	s := &Server{trader: tr}
 	serve := func(max int) float64 {
 		body, _ := importReq{ServiceType: "cscw.collab", MaxOffers: max}.AppendBinary(nil)
@@ -221,9 +229,46 @@ func TestImportHandlerLendsOffers(t *testing.T) {
 			})
 		})
 	}
-	one, all := serve(1), serve(16)
-	if extra := all - one; extra > 8 {
-		t.Fatalf("answering with 16 offers allocates %v times, with one %v: the handler copies offers", all, one)
+	// The request's decoded service type, the callback handed to
+	// ImportAsync and the test's own reply func.
+	const pinned = 3
+	if one, all := serve(1), serve(16); one > pinned || all > pinned {
+		t.Fatalf("answering with one offer allocates %v times, with sixteen %v; want at most %v", one, all, pinned)
+	}
+}
+
+// TestImportCostsNoMoreForMoreCandidates: an import of three from sixteen
+// conforming offers allocates no more than an import from a store of one.
+// Its candidates are collected into pooled scratch and ordered in place;
+// a fresh slice per import, a map to dedupe them or a reflective sort
+// would each cost more with sixteen than with one.
+func TestImportCostsNoMoreForMoreCandidates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not held under -race")
+	}
+	sixteen, _, _, _ := importRound(t)
+	one := New()
+	if err := one.RegisterType("cscw.collab"); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Export(harnessOffer(0)); err != nil {
+		t.Fatal(err)
+	}
+	importFrom := func(tr *Trader, req ImportRequest, want int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			tr.ImportAsync(req, func(offers []Offer, err error) {
+				if err != nil || len(offers) != want {
+					t.Fatalf("import returned %d offers, %v; want %d", len(offers), err, want)
+				}
+			})
+		})
+	}
+	for _, orderBy := range []string{"", "site"} {
+		few := importFrom(sixteen, ImportRequest{ServiceType: "cscw.collab", OrderBy: orderBy, MaxOffers: 3}, 3)
+		single := importFrom(one, ImportRequest{ServiceType: "cscw.collab", OrderBy: orderBy}, 1)
+		if few > single {
+			t.Fatalf("ordered by %q, three of sixteen offers allocate %v times, one of one %v", orderBy, few, single)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package trader
 
 import (
+	"sync"
 	"time"
 
 	"mocca/internal/netsim"
@@ -46,8 +47,17 @@ func (s *Server) Trader() *Trader { return s.trader }
 
 func (s *Server) register() { s.endpoint.MustRegisterAsync(MethodImport, s.serveImport) }
 
+// answers recycles the buffers import answers are encoded in: reply sends
+// the answer before it returns and keeps no reference to it.
+var answers = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledAnswer bounds the buffers answers keeps; a larger answer's is
+// left to the GC.
+const maxPooledAnswer = 64 << 10
+
 // serveImport answers a trader.import call. The offers ImportAsync lends
-// are encoded inside its callback, so the answer copies no offer.
+// are encoded inside its callback, into a pooled buffer, so the answer
+// copies no offer.
 func (s *Server) serveImport(r rpc.Request, reply func([]byte, error)) {
 	var req importReq
 	if err := req.UnmarshalBinary(r.Body); err != nil {
@@ -62,7 +72,13 @@ func (s *Server) serveImport(r rpc.Request, reply func([]byte, error)) {
 			reply(nil, err)
 			return
 		}
-		reply(importResp{Offers: offers}.AppendBinary(nil))
+		buf := answers.Get().(*[]byte)
+		body, err := importResp{Offers: offers}.AppendBinary((*buf)[:0])
+		reply(body, err)
+		if cap(body) <= maxPooledAnswer {
+			*buf = body
+			answers.Put(buf)
+		}
 	})
 }
 

@@ -16,7 +16,7 @@ package trader
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -167,6 +167,9 @@ func (t *Trader) conformsLocked(sub, super string) bool {
 	if sub == super {
 		return true
 	}
+	if len(t.types[sub]) == 0 {
+		return false // a type with no supertype conforms to itself alone
+	}
 	seen := map[string]bool{}
 	stack := []string{sub}
 	for len(stack) > 0 {
@@ -197,6 +200,11 @@ func (t *Trader) Export(o Offer) error {
 	o.ServiceType = st
 	if o.Properties == nil {
 		o.Properties = make(directory.Attributes)
+	}
+	if old, ok := t.offers[o.ID]; ok {
+		// An id is filed under one type only, so an import that collects
+		// by type meets each id at most once.
+		delete(t.byType[old.ServiceType], o.ID)
 	}
 	t.offers[o.ID] = o.clone()
 	if t.byType[st] == nil {
@@ -270,15 +278,20 @@ func (t *Trader) Len() int {
 	return len(t.offers)
 }
 
-// matchLocal evaluates the request against local offers only.
-func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
+// matchLocal evaluates the request against local offers only, appending
+// the matches to dst. A stored offer is replaced, never edited (Export
+// stores a clone, ModifyOffer installs a fresh map), so the matches share
+// their properties with the store; Import copies the few it returns, and
+// ImportAsync and ImportLent lend them. Each id is filed under one type, so
+// the matches hold no id twice.
+func (t *Trader) matchLocal(req ImportRequest, dst []Offer) ([]Offer, error) {
 	st := strings.ToLower(req.ServiceType)
 	var constraint directory.Filter
 	if req.Constraint != "" {
 		var err error
 		constraint, err = directory.ParseFilter(req.Constraint)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 
@@ -286,37 +299,23 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 	t.stats.Imports++
 	if _, ok := t.types[st]; !ok {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownType, req.ServiceType)
+		return dst, fmt.Errorf("%w: %q", ErrUnknownType, req.ServiceType)
 	}
-	// Collect local candidates: offers whose type conforms to the request,
-	// counted first so they fill one slice of their size, which the filter
-	// below narrows in place. A stored offer is replaced, never edited
-	// (Export stores a clone, ModifyOffer installs a fresh map), so
-	// candidates share their properties with the store; Import copies the
-	// few it returns, and ImportAsync lends them.
-	var held [8]map[string]bool
-	conforming, n := held[:0], 0
+	start := len(dst)
 	for typ, ids := range t.byType {
 		if t.conformsLocked(typ, st) {
-			conforming = append(conforming, ids)
-			n += len(ids)
+			for oid := range ids {
+				dst = append(dst, t.offers[oid])
+			}
 		}
 	}
-	if n == 0 {
-		t.mu.Unlock()
-		return nil, nil
-	}
-	local := make([]Offer, 0, n)
-	for _, ids := range conforming {
-		for oid := range ids {
-			local = append(local, t.offers[oid])
-		}
-	}
-	policies := append([]Policy(nil), t.policies...)
+	// AddPolicy only appends, so the policies up to this length stay as
+	// they are after the lock is released.
+	policies := t.policies
 	t.mu.Unlock()
 
-	out := local[:0]
-	for _, o := range local {
+	out := dst[:start]
+	for _, o := range dst[start:] {
 		if constraint != nil && !constraint.Matches(o.Properties) {
 			continue
 		}
@@ -335,16 +334,13 @@ func (t *Trader) matchLocal(req ImportRequest) ([]Offer, error) {
 		}
 		out = append(out, o)
 	}
-	if len(out) == 0 {
-		return nil, nil
-	}
 	return out, nil
 }
 
-// finalize dedupes, orders, and truncates a combined result set. What is
-// left still shares its properties with the store.
+// finalize orders and truncates a result set of distinct ids in place, and
+// returns nil for an empty one. What is left still shares its properties
+// with the store.
 func (t *Trader) finalize(req ImportRequest, offers []Offer) []Offer {
-	offers = dedupeOffers(offers)
 	sortOffers(offers, req.OrderBy)
 	if req.MaxOffers > 0 && len(offers) > req.MaxOffers {
 		offers = offers[:req.MaxOffers]
@@ -352,43 +348,91 @@ func (t *Trader) finalize(req ImportRequest, offers []Offer) []Offer {
 	t.mu.Lock()
 	t.stats.Matched += int64(len(offers))
 	t.mu.Unlock()
+	if len(offers) == 0 {
+		return nil
+	}
 	return offers
+}
+
+// candidates is the scratch an import collects its matches in. It goes
+// back to the pool once the answer has been read: after Import's copy,
+// or once ImportAsync's or ImportLent's callback has returned.
+type candidates struct{ offers []Offer }
+
+var candidatePool = sync.Pool{New: func() any { return new(candidates) }}
+
+// maxPooledCandidates bounds the scratch the pool keeps: a query over a
+// huge store is left to the GC.
+const maxPooledCandidates = 1 << 10
+
+// release empties the scratch, the candidates a filter dropped included,
+// so it pins no property map, and gives it back.
+func (c *candidates) release() {
+	clear(c.offers[:cap(c.offers)])
+	c.offers = c.offers[:0]
+	if cap(c.offers) <= maxPooledCandidates {
+		candidatePool.Put(c)
+	}
+}
+
+// ImportLent answers a query from this trader's own offers, as Import
+// does, and lends them to read, which is called once unless the query is
+// refused: the offers share their properties with the store, and their
+// slice is scratch, so read neither edits nor keeps them.
+func (t *Trader) ImportLent(req ImportRequest, read func([]Offer)) error {
+	c := candidatePool.Get().(*candidates)
+	defer c.release()
+	var err error
+	if c.offers, err = t.matchLocal(req, c.offers); err != nil {
+		return err
+	}
+	read(t.finalize(req, c.offers))
+	return nil
 }
 
 // Import answers a query from this trader's own offers, consulting its
 // policies; it asks no federated peer. ImportAsync is the federated query.
 // The offers are the caller's own copies.
 func (t *Trader) Import(req ImportRequest) ([]Offer, error) {
-	out, err := t.matchLocal(req)
+	var out []Offer
+	err := t.ImportLent(req, func(offers []Offer) {
+		if len(offers) == 0 {
+			return
+		}
+		out = make([]Offer, len(offers))
+		for i, o := range offers {
+			out[i] = o.clone()
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	offers := t.finalize(req, out)
-	for i := range offers {
-		offers[i] = offers[i].clone()
-	}
-	return offers, nil
+	return out, nil
 }
 
 // ImportAsync answers a query, fanning out to federated peers through the
 // Forwarder, and calls done exactly once with the combined result. It never
 // blocks, so it is safe to call from inside network event handlers. The
 // offers are lent for the call: they share their properties with the
-// store, so done reads them — encodes them, say — and neither edits nor
+// store, and their slice is scratch that goes back to a pool when done
+// returns, so done reads them — encodes them, say — and neither edits nor
 // keeps them.
 func (t *Trader) ImportAsync(req ImportRequest, done func([]Offer, error)) {
-	out, err := t.matchLocal(req)
-	if err != nil {
+	c := candidatePool.Get().(*candidates)
+	var err error
+	if c.offers, err = t.matchLocal(req, c.offers); err != nil {
+		c.release()
 		done(nil, err)
 		return
 	}
 	t.mu.Lock()
-	links := append([]netsim.Address(nil), t.links...)
+	links := t.links
 	forward := t.forward
 	t.mu.Unlock()
 
 	if forward == nil || req.Hops >= MaxFederationHops || len(links) == 0 {
-		done(t.finalize(req, out), nil)
+		done(t.finalize(req, c.offers), nil)
+		c.release()
 		return
 	}
 
@@ -396,7 +440,7 @@ func (t *Trader) ImportAsync(req ImportRequest, done func([]Offer, error)) {
 	fwd.Hops++
 	// Aggregate peer replies; outstanding is only touched from event
 	// callbacks, guarded by agg.mu for safety under a real clock.
-	agg := &importAggregator{trader: t, req: req, offers: out, outstanding: len(links), done: done}
+	agg := &importAggregator{trader: t, req: req, scratch: c, outstanding: len(links), done: done}
 	for _, peer := range links {
 		t.mu.Lock()
 		t.stats.Forwarded++
@@ -409,53 +453,47 @@ type importAggregator struct {
 	trader      *Trader
 	req         ImportRequest
 	mu          sync.Mutex
-	offers      []Offer
+	scratch     *candidates // the local matches, then each peer's appended
 	outstanding int
 	done        func([]Offer, error)
 }
 
 // add folds one peer reply into the aggregate; unreachable peers degrade
-// the result rather than failing the query.
+// the result rather than failing the query. Peers may answer with an offer
+// another peer or the local store holds too: the first of each id stays.
 func (a *importAggregator) add(offers []Offer, err error) {
 	a.mu.Lock()
 	if err == nil {
-		a.offers = append(a.offers, offers...)
+		a.scratch.offers = append(a.scratch.offers, offers...)
 	}
 	a.outstanding--
 	finished := a.outstanding == 0
-	combined := a.offers
 	a.mu.Unlock()
-	if finished {
-		a.done(a.trader.finalize(a.req, combined), nil)
+	if !finished {
+		return
 	}
-}
-
-func dedupeOffers(offers []Offer) []Offer {
-	seen := make(map[string]bool, len(offers))
-	out := offers[:0]
-	for _, o := range offers {
-		if seen[o.ID] {
-			continue
-		}
-		seen[o.ID] = true
-		out = append(out, o)
-	}
-	return out
+	// The first offer of each id stays, in place: a stable sort by id
+	// brings an id's offers together in their order, and the run is cut to
+	// its first.
+	merged := a.scratch.offers
+	slices.SortStableFunc(merged, func(x, y Offer) int { return strings.Compare(x.ID, y.ID) })
+	merged = slices.CompactFunc(merged, func(x, y Offer) bool { return x.ID == y.ID })
+	a.done(a.trader.finalize(a.req, merged), nil)
+	a.scratch.release()
 }
 
 // sortOffers orders by the named property descending (numeric-aware), then
 // by ID for stability; with no property it orders by ID.
 func sortOffers(offers []Offer, orderBy string) {
 	orderBy = strings.ToLower(orderBy)
-	sort.SliceStable(offers, func(i, j int) bool {
+	slices.SortStableFunc(offers, func(a, b Offer) int {
 		if orderBy != "" {
-			vi := offers[i].Properties.First(orderBy)
-			vj := offers[j].Properties.First(orderBy)
-			if c := compareProp(vi, vj); c != 0 {
-				return c > 0 // descending: best first
+			// Descending: best first.
+			if c := compareProp(b.Properties.First(orderBy), a.Properties.First(orderBy)); c != 0 {
+				return c
 			}
 		}
-		return offers[i].ID < offers[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 }
 

@@ -3,6 +3,7 @@ package trader
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -197,7 +198,8 @@ func federate(traders map[netsim.Address]*Trader) {
 }
 
 // importAsync runs a federated query over in-process links, which answer
-// before ImportAsync returns, and checks that done fired exactly once.
+// before ImportAsync returns, and checks that done fired exactly once. The
+// offers are lent to done, so it keeps a copy of their slice.
 func importAsync(t *testing.T, tr *Trader, req ImportRequest) []Offer {
 	t.Helper()
 	var got []Offer
@@ -206,7 +208,7 @@ func importAsync(t *testing.T, tr *Trader, req ImportRequest) []Offer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, calls = offers, calls+1
+		got, calls = slices.Clone(offers), calls+1
 	})
 	if calls != 1 {
 		t.Fatalf("done fired %d times, want once", calls)
@@ -322,7 +324,7 @@ func TestFederationRepliesConcurrently(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		results <- offers
+		results <- slices.Clone(offers) // lent to done: kept as a copy
 	})
 	got := <-results
 	answering.Wait()
@@ -362,5 +364,23 @@ func TestManyOffersScale(t *testing.T) {
 		if v := o.Properties.First("load"); v != "4" {
 			t.Fatalf("ordering wrong: got load %s, want 4", v)
 		}
+	}
+}
+
+// TestReexportIsFiledUnderItsNewType: an offer exported again under
+// another type is filed under that type alone, so an import of a common
+// supertype meets it once and an import of its old type not at all.
+func TestReexportIsFiledUnderItsNewType(t *testing.T) {
+	tr := newSeededTrader(t)
+	if err := tr.Export(Offer{ID: "o1", ServiceType: "conferencing", Provider: "conf2"}); err != nil {
+		t.Fatal(err)
+	}
+	all, err := tr.Import(ImportRequest{ServiceType: "service"})
+	if err != nil || len(all) != 3 {
+		t.Fatalf("import of the supertype = %v, %v; want o1, o2 and o3 once each", all, err)
+	}
+	printing, err := tr.Import(ImportRequest{ServiceType: "printing"})
+	if err != nil || len(printing) != 1 || printing[0].ID != "o2" {
+		t.Fatalf("import of o1's old type = %v, %v; want o2 alone", printing, err)
 	}
 }

@@ -85,6 +85,9 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v", err)
 		}
+		if bound := e.SizeBound(); bound < len(out) {
+			t.Fatalf("SizeBound %d is below the encoded size %d", bound, len(out))
+		}
 		e2, err := Unmarshal(out)
 		if err != nil {
 			t.Fatalf("re-encoded envelope failed to decode: %v", err)

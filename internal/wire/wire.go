@@ -219,6 +219,23 @@ func (e *Envelope) put(k, v string) {
 	}
 }
 
+// SizeBound returns at least the encoded size of e, without consulting the
+// static string table: the body's length plus a bound on the envelope's
+// header — every string taken as a literal behind the longest code its
+// length allows. AppendMarshal into a buffer with that much room does not
+// grow it.
+func (e *Envelope) SizeBound() int {
+	const strCode = 3 // a code below 2·maxStringLen = 2¹⁷
+	n := 3 + 2*strCode + len(e.Kind) + len(e.Corr) +
+		2 + // the header count, below maxHeaders = 2¹²
+		4 + len(e.Body) + // the body length, below maxBodyLen = 2²⁶
+		traceBlockLen
+	for _, h := range e.headers() {
+		n += 2*strCode + len(h.Key) + len(h.Value)
+	}
+	return n
+}
+
 // Marshal encodes the envelope to bytes. Headers are written in key order so
 // encoding is deterministic. The output is produced with a single exact-size
 // allocation.

@@ -474,6 +474,31 @@ func rawFrame(n int, pairs ...string) []byte {
 	return append(b, 0)
 }
 
+// TestSizeBoundHoldsTheFrame: an envelope marshals into a buffer of its
+// SizeBound without growing it, at the longest strings and most headers
+// the codec takes as well as for everyday frames.
+func TestSizeBoundHoldsTheFrame(t *testing.T) {
+	long := strings.Repeat("x", maxStringLen-1)
+	wide := NewEnvelope(long, long, make([]byte, 1<<20))
+	wide.Trace = TraceContext{TraceID: 1, SpanID: 2, Parent: 3}
+	for i := range maxHeaders - 2 {
+		wide.SetHeader(fmt.Sprintf("k%04d", i), long[:i%64])
+	}
+	wide.SetHeader("v", long)
+	static := NewEnvelope("rpc.ann", "", []byte{0x9b})
+	static.SetHeader("method", "gossip.rumor")
+	for _, e := range []*Envelope{ledgerEnvelope(), static, NewEnvelope("", "", nil), wide} {
+		bound := e.SizeBound()
+		out, err := AppendMarshal(make([]byte, 0, bound), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) > bound {
+			t.Fatalf("a %d-byte frame outgrew its SizeBound %d", len(out), bound)
+		}
+	}
+}
+
 func TestDuplicateHeaderLastWins(t *testing.T) {
 	for _, pairs := range [][]string{
 		{"method", "first", "method", "second"},

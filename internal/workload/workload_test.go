@@ -62,6 +62,28 @@ func TestWorkloadSmoke(t *testing.T) {
 	}
 }
 
+// TestSameSiteMailIsConfirmed: a mail whose recipient is on the sender's
+// site is delivered inside Send, before opMail has its id, and is counted
+// completed all the same, at no delay; without faults every mail is.
+func TestSameSiteMailIsConfirmed(t *testing.T) {
+	spec := smokeSpec(7)
+	spec.Sites, spec.Chaos, spec.Mix = 2, nil, Mix{Mail: 1}
+	rep, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Classes[ClassMail]
+	if st.Issued < 100 || st.Completed != st.Issued || st.Failed != 0 {
+		t.Fatalf("mail issued %d, completed %d, failed %d; want every one of at least 100 completed", st.Issued, st.Completed, st.Failed)
+	}
+	if rep.PendingMail != 0 {
+		t.Fatalf("%d mails were never confirmed", rep.PendingMail)
+	}
+	if st.Hist.Buckets[0] == 0 {
+		t.Fatal("no mail completed at zero delay: same-site mail was not counted")
+	}
+}
+
 // TestWorkloadDeterminism is the regression gate for the harness's core
 // contract: two same-seed runs are byte-identical — Fabric totals,
 // histograms, digests, fault log, everything the fingerprint covers —

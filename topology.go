@@ -150,23 +150,26 @@ func (o overlayTopology) joined(s *Site, _ bool) {
 }
 
 // gossipContacts resolves the advertised overlay membership from the
-// trader: one peer per live site's membership offer.
+// trader: one peer per live site's membership offer, read from the offers
+// the trader lends: a peer keeps their strings, never their maps.
 func (o overlayTopology) gossipContacts() []gossip.Peer {
 	tr := o.d.env.Trader()
 	if !tr.HasType(gossip.ServiceType) {
 		return nil
 	}
-	offers, err := tr.Import(trader.ImportRequest{ServiceType: gossip.ServiceType})
+	var out []gossip.Peer
+	err := tr.ImportLent(trader.ImportRequest{ServiceType: gossip.ServiceType}, func(offers []trader.Offer) {
+		out = make([]gossip.Peer, 0, len(offers))
+		for _, of := range offers {
+			out = append(out, gossip.Peer{
+				Site: of.Properties.First(gossip.SiteProp),
+				Addr: of.Provider,
+				Repl: netsim.Address(of.Properties.First(gossip.ReplProp)),
+			})
+		}
+	})
 	if err != nil {
 		return nil
-	}
-	out := make([]gossip.Peer, 0, len(offers))
-	for _, of := range offers {
-		out = append(out, gossip.Peer{
-			Site: of.Properties.First(gossip.SiteProp),
-			Addr: of.Provider,
-			Repl: netsim.Address(of.Properties.First(gossip.ReplProp)),
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out
