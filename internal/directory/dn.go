@@ -152,6 +152,11 @@ func (d DN) Child(attr, value string) DN {
 	return out
 }
 
+// RDNString returns the leaf RDN in string form, or "" for the root.
+func (d DN) RDNString() string {
+	return d[:min(len(d), 1)].String()
+}
+
 // IsRoot reports whether this is the empty (root) DN.
 func (d DN) IsRoot() bool { return len(d) == 0 }
 

@@ -72,6 +72,9 @@ func TestParentChild(t *testing.T) {
 	if !root.Parent().IsRoot() {
 		t.Fatal("root parent is not root")
 	}
+	if dn.RDNString() != "cn=Prinz" {
+		t.Fatalf("RDNString = %q", dn.RDNString())
+	}
 }
 
 func TestIsDescendantOf(t *testing.T) {

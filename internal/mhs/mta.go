@@ -3,7 +3,6 @@ package mhs
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -156,21 +155,11 @@ func (m *MTA) Stats() Stats {
 }
 
 // Submit accepts a message from a co-located user agent, stamps it, and
-// begins processing. It returns the assigned message id. The MTA works on
-// a copy of env, so the caller keeps its envelope and may reuse it.
-func (m *MTA) Submit(env *Envelope) (string, error) {
-	e := *env
-	e.Recipients = slices.Clone(env.Recipients)
-	e.Trace = slices.Clone(env.Trace)
-	e.DLHistory = slices.Clone(env.DLHistory)
-	e.Content.Headers = maps.Clone(env.Content.Headers)
-	return m.submit(&e)
-}
-
-// submit stamps and processes an envelope the MTA now owns: from here on it
-// is only read, by the stores it is delivered to and the relays it leaves
-// by, except for the trace stamp process adds first.
-func (m *MTA) submit(e *Envelope) (string, error) {
+// begins processing. It returns the assigned message id. The MTA takes
+// ownership of env: it stamps it, stores it and relays it as it is, and
+// from then on it is shared read-only with the stores it is delivered to
+// and the relays it leaves by, so the caller neither edits nor reuses it.
+func (m *MTA) Submit(e *Envelope) (string, error) {
 	if len(e.Recipients) == 0 {
 		return "", errors.New("mhs: no recipients")
 	}

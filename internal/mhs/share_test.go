@@ -9,59 +9,62 @@ import (
 // share of its Puts, so allocation counts are not held there.
 var raceEnabled bool
 
-// TestSendCopiesNoEnvelope: a message to a local and a remote recipient is
-// built once by Send and stored as it is; the relay leaves with a shallow
-// copy of it carrying its own recipient list. Putting back a copy at Send,
-// at the local delivery or at the relay costs at least two allocations
-// (the envelope and a slice), which the pinned count does not allow.
+// TestSendCopiesNoEnvelope: a message is built once by Send and stored as
+// it is, and a relay for a domain that holds some of its recipients
+// leaves with a shallow copy carrying its own recipient list. A message to
+// a local recipient runs no layer below the MTA, so its count is pinned:
+// the envelope, its recipient list, its id, its trace, the store entry and
+// the domain's name. The relay's copy is measured as a difference, which
+// the rpc, channel and netsim costs of the transfer leave alone: a local
+// recipient added to a remote message costs its store entry and the
+// relay's copy and list, no more than a local message does. Putting back
+// a copy at Send or at the local delivery breaks the pin, and a full copy
+// at the relay breaks the difference.
 func TestSendCopiesNoEnvelope(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not held under -race")
 	}
 	f := newMHSFixture(t)
-	to := []ORName{f.klaus.Name, f.navarro.Name}
-	send := func() {
-		if _, err := f.prinz.Send(to, "s", "b"); err != nil {
-			t.Fatal(err)
+	cost := func(to ...ORName) float64 {
+		send := func() {
+			if _, err := f.prinz.Send(to, "s", "b"); err != nil {
+				t.Fatal(err)
+			}
+			f.clk.RunUntilIdle()
 		}
-		f.clk.RunUntilIdle()
+		send() // routes, bindings and pools warm up
+		return testing.AllocsPerRun(100, send)
 	}
-	send() // routes, bindings and pools warm up
-	const pinned = 32
-	if n := testing.AllocsPerRun(100, send); n > pinned {
-		t.Fatalf("a message to a local and a remote recipient allocates %v times, want at most %v", n, pinned)
+	const pinned = 6
+	local := cost(f.klaus.Name)
+	if local > pinned {
+		t.Fatalf("a message to a local recipient allocates %v times, want at most %v", local, pinned)
+	}
+	remote := cost(f.navarro.Name)
+	if both := cost(f.klaus.Name, f.navarro.Name); both-remote > local {
+		t.Fatalf("a local recipient added to a remote message costs %v allocations (%v against %v), more than a local message's %v",
+			both-remote, both, remote, local)
 	}
 }
 
 // TestStoredEnvelopeIsShared: the local recipients' store entries hold the
-// envelope the MTA processed, one for all of them, while Submit works on a
-// copy of its caller's envelope and leaves that one as it was.
+// envelope the MTA processed, one for all of them, naming every recipient.
 func TestStoredEnvelopeIsShared(t *testing.T) {
 	f := newMHSFixture(t)
 	if _, err := f.prinz.Send([]ORName{f.klaus.Name, f.prinz.Name, f.navarro.Name}, "s", "b"); err != nil {
 		t.Fatal(err)
 	}
-	env := &Envelope{Originator: f.prinz.Name, Recipients: []ORName{f.klaus.Name}}
-	if _, err := f.gmd.Submit(env); err != nil {
-		t.Fatal(err)
-	}
 	f.clk.RunUntilIdle()
-	if env.MessageID != "" || len(env.Trace) != 0 || !env.Submitted.IsZero() {
-		t.Fatalf("Submit edited its caller's envelope: %+v", env)
-	}
 	klaus, _ := f.klaus.List()
 	prinz, _ := f.prinz.List()
-	if len(klaus) != 2 || len(prinz) != 1 {
-		t.Fatalf("klaus holds %d entries, prinz %d; want 2 and 1", len(klaus), len(prinz))
+	if len(klaus) != 1 || len(prinz) != 1 {
+		t.Fatalf("klaus holds %d entries, prinz %d; want 1 and 1", len(klaus), len(prinz))
 	}
 	if klaus[0].Envelope != prinz[0].Envelope {
 		t.Fatal("the local recipients of one message hold copies of its envelope")
 	}
 	if got := klaus[0].Envelope.Recipients; len(got) != 3 {
 		t.Fatalf("the stored envelope names %d recipients, want all 3", len(got))
-	}
-	if klaus[1].Envelope == env {
-		t.Fatal("Submit stored its caller's envelope")
 	}
 }
 

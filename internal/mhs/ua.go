@@ -64,7 +64,7 @@ func (ua *UserAgent) Send(to []ORName, subject, body string, opts ...SubmitOptio
 	for _, opt := range opts {
 		opt(env)
 	}
-	return ua.mta.submit(env)
+	return ua.mta.Submit(env)
 }
 
 // List returns the mailbox contents.
